@@ -902,7 +902,6 @@ func waitDelta(after, base ssidb.Stats) ssidb.Stats {
 	after.WALAppends -= base.WALAppends
 	after.GroupCommitBatches -= base.GroupCommitBatches
 	after.Fsyncs -= base.Fsyncs
-	after.LogFlushes -= base.LogFlushes
 	if after.GroupCommitBatches > 0 {
 		after.AvgBatchSize = float64(after.WALAppends) / float64(after.GroupCommitBatches)
 	} else {

@@ -10,6 +10,61 @@
 // figure of the paper's evaluation chapter has a corresponding benchmark in
 // bench_test.go plus a full-sweep runner in cmd/ssibench.
 //
+// # The transaction contract
+//
+// The paper builds Serializable SI twice — on InnoDB's row and next-key gap
+// locks and on Berkeley DB's page locks — but the algorithm (Figures
+// 3.4-3.7) is the same in both, and ssidb/txn.go has one body per operation
+// accordingly. The isolation level contributes two facts to a body: the lock
+// mode its reads take (writes are Exclusive everywhere) and whether the
+// rivals found on its locks are recorded as rw-conflicts (SerializableSI
+// only). The granularity contributes the lock targets and the unit
+// First-Committer-Wins compares (ssidb/locks_row.go, ssidb/locks_page.go).
+// For an operation on key k:
+//
+//	operation          lock mode           rivals marked    lock targets, row            lock targets, page             FCW unit                  errors [7]
+//	                   SI / SSI / S2PL     (SSI only)                                                                                              stmt | txn
+//	Get                none / SIREAD /     as reader [1]    row k                        every page on the path to k    -                         F | U D
+//	                   Shared [2]
+//	GetForUpdate       Exclusive           as writer [3]    row k                        leaf of k; interior pages in   row: versions of k        R F | W U D
+//	                                                                                     the level's read mode          page: stamps of k's leaf
+//	Put Insert Delete  Exclusive           as writer        row k                        as GetForUpdate; afterwards    as above                  K R F | W U D
+//	  (k has a chain)                                                                    stamp the leaf
+//	Put Insert Delete  Exclusive           as writer, gap   gap before succ(k) [5], row  the whole path Exclusive if    as above                  K R F | W U D
+//	  (structural [4])                     holders too      k; once installed, SIREADs   the leaf will split (interior
+//	                                                        on that gap also cover the   pages stamped too), else as
+//	                                                        gap before k; re-lock it     above
+//	Scan ScanLimit     none / SIREAD /     as reader [1]    row and gap of each visited  descent paths to `from` in     -                         F | U D
+//	                   Shared [2] [6]                       key; gap of the first key    every partition; leaf of each
+//	                                                        beyond, or the supremum      visited key and of the first
+//	                                                                                     key beyond
+//
+//	[1] Rivals of a read are the Exclusive holders of its targets plus the
+//	    creators of versions newer than its snapshot: of the keys read (row), or
+//	    of the leaf pages read and, for a scan, of its descent's interior pages,
+//	    per their write stamps, which are read after locking (page).
+//	[2] A declared read-only SSI transaction on a safe snapshot reads with no
+//	    lock. Shared-mode reads see the latest committed version, the others
+//	    the transaction's snapshot, assigned at its first read or, for a write,
+//	    after the write's locks (so a first-statement write never fails FCW).
+//	[3] Rivals of a write are the SIREAD holders of its targets, filtered to
+//	    transactions concurrent with the writer.
+//	[4] Structural: Insert, Delete, and Put of a key that has no version chain.
+//	[5] Not at SI, which promises no predicate protection.
+//	[6] SIREADs are taken in batches while the store's latches exclude inserts;
+//	    Shared locks can block, so S2PL collects, locks, and repeats until a
+//	    pass finds every target already locked.
+//	[7] Statement-level errors leave the transaction usable: K ErrKeyExists
+//	    (Insert of a visible key), R ErrReadOnly (on a declared read-only
+//	    transaction), F ErrFootprint (a registered program leaving its declared
+//	    tables). Transaction-level errors mean the transaction has been rolled
+//	    back and every further call returns ErrTxnDone; all are Retryable:
+//	    W ErrWriteConflict (SI and SSI: the FCW unit has a version newer than the
+//	    snapshot), U ErrUnsafe (SSI: a dangerous structure; also from Commit),
+//	    D ErrDeadlock and ErrLockTimeout (a blocking acquisition: any Exclusive
+//	    lock, and S2PL's Shared ones). A Commit that returns a log error is
+//	    neither: the commit is published in memory, its durability unknown.
+//
 // # Scaling beyond the paper
 //
 // The thesis prototypes inherit their hosts' global synchronisation: one
@@ -50,7 +105,8 @@
 //     (SetWatermarkHook) the storage layer uses to schedule garbage
 //     reclamation.
 //   - internal/mvcc hash-partitions every table's row store into
-//     GOMAXPROCS-scaled partitions (ssidb.Options.TableShards), each an
+//     GOMAXPROCS-scaled partitions (ssidb.Options.TableShards; a single
+//     one by default under GranularityPage, see there), each an
 //     independently latched B+tree with its own page write-stamp registry
 //     and a disjoint page-number range, so point reads and writes on
 //     different partitions share no latch while page-granularity locking,

@@ -141,6 +141,11 @@ func PageKey(table string, page uint32) Key {
 	return Key{Table: table, Kind: Page, K: string([]byte{byte(page >> 24), byte(page >> 16), byte(page >> 8), byte(page)})}
 }
 
+// Page returns the page number of a key made by PageKey.
+func (k Key) Page() uint32 {
+	return uint32(k.K[0])<<24 | uint32(k.K[1])<<16 | uint32(k.K[2])<<8 | uint32(k.K[3])
+}
+
 // SupremumGapKey names the gap past the largest key in table.
 func SupremumGapKey(table string) Key { return Key{Table: table, Kind: GapSupremum} }
 

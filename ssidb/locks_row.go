@@ -1,0 +1,118 @@
+package ssidb
+
+import (
+	"bytes"
+
+	"ssi/internal/core"
+	"ssi/internal/lock"
+	"ssi/internal/mvcc"
+)
+
+// rowTargets is the row-granularity lockTargets, the InnoDB prototype's
+// (thesis §4.6): a point operation locks its row, structure changes and
+// scans also lock next-key gaps (§3.5), First-Committer-Wins compares
+// versions of the key written, and the newer writers a read must mark are
+// the creators of the newer versions of the keys it read.
+type rowTargets struct{}
+
+func (rowTargets) lockRead(tx *Txn, tb *table, key []byte, mode lock.Mode, _ core.TS) error {
+	rivals, err := tx.db.locks.AcquireInto(tx.t, lock.RowKey(tb.name, key), mode, tx.rivals[:0])
+	tx.rivals = rivals[:0]
+	if err != nil {
+		return err
+	}
+	return tx.markAsReader(rivals)
+}
+
+func (rowTargets) lockWrite(tx *Txn, tb *table, key []byte, structural bool) ([]*core.Txn, core.TS, error) {
+	if structural && tx.readMode() != noLock {
+		// Figure 3.7: inserts and deletes exclusively lock the gap before
+		// the next key, where predicate readers left their SIREAD (marked)
+		// or Shared (waited for) gap locks. Plain SI has no predicate
+		// protection to honour.
+		if err := tx.gapLock(tb, key); err != nil {
+			return nil, 0, err
+		}
+	}
+	readers, err := tx.db.locks.AcquireInto(tx.t, lock.RowKey(tb.name, key), lock.Exclusive, tx.rivals[:0])
+	tx.rivals = readers[:0]
+	if err != nil {
+		return nil, 0, err
+	}
+	return readers, tb.data.NewestCommitTS(key), nil
+}
+
+func (rowTargets) install(tx *Txn, tb *table, key, val []byte, tombstone bool) error {
+	// On a structural insert, SIREAD gap locks covering the target gap are
+	// inherited onto the new key's gap under the table latch, atomically
+	// with the key becoming visible — otherwise a second insert into the
+	// now-split gap would escape the scanners' phantom detection.
+	inserted, _, _ := tb.data.Write(tx.t, key, val, tombstone, func(succ []byte, hasSucc bool) {
+		src := lock.SupremumGapKey(tb.name)
+		if hasSucc {
+			src = lock.GapKey(tb.name, succ)
+		}
+		tx.db.locks.InheritSIRead(src, lock.GapKey(tb.name, key))
+	})
+	if inserted && tx.readMode() != noLock {
+		// Re-acquire the gap now that the key is visible: the successor may
+		// have changed between planning and insertion, and inherited SIREAD
+		// holders on the true gap must be marked as conflicts.
+		return tx.gapLock(tb, key)
+	}
+	return nil
+}
+
+// gapLock implements the next-key gap protocol of Figures 3.6/3.7 for the
+// writer side: exclusively lock the gap before the successor of key (or the
+// supremum), looping until the successor is stable. For SSI the rivals are
+// SIREAD gap holders — concurrent predicate readers.
+func (tx *Txn) gapLock(tb *table, key []byte) error {
+	for {
+		succ, ok := tb.data.Successor(key)
+		gk := lock.SupremumGapKey(tb.name)
+		if ok {
+			gk = lock.GapKey(tb.name, succ)
+		}
+		rivals, err := tx.db.locks.AcquireInto(tx.t, gk, lock.Exclusive, tx.rivals[:0])
+		tx.rivals = rivals[:0]
+		if err != nil {
+			return err
+		}
+		if err := tx.markAsWriter(rivals); err != nil {
+			return err
+		}
+		succ2, ok2 := tb.data.Successor(key)
+		if ok == ok2 && (!ok || bytes.Equal(succ, succ2)) {
+			return nil
+		}
+	}
+}
+
+// A scan's first gap is the one before its first key, which scanKeys covers.
+func (rowTargets) lockScanStart(*Txn, *table, []byte, lock.Mode, core.TS) error { return nil }
+
+func (rowTargets) scanKeys(keys []lock.Key, tb *table, items []mvcc.ScanItem, end scanEnd) []lock.Key {
+	for i := range items {
+		keys = append(keys, lock.RowKey(tb.name, items[i].Key), lock.GapKey(tb.name, items[i].Key))
+	}
+	switch {
+	case end.key != nil:
+		keys = append(keys, lock.GapKey(tb.name, end.key))
+	case end.atEnd:
+		// The scan ran off the table end: protect the space beyond the last
+		// key too.
+		keys = append(keys, lock.SupremumGapKey(tb.name))
+	}
+	return keys
+}
+
+func (rowTargets) scanNewerWriters(writers []*core.Txn, _ *table, _ core.TS, items []mvcc.ScanItem, _ []lock.Key) []*core.Txn {
+	for i := range items {
+		writers = append(writers, items[i].NewerWriters...)
+	}
+	return writers
+}
+
+func (rowTargets) tableCreated(*table) {}
+func (rowTargets) afterCleanup()       {}

@@ -173,7 +173,9 @@ func TestRandomConcurrentSerializability(t *testing.T) {
 		{"ssi-precise-no-early-abort", ssidb.Options{Detector: ssidb.DetectorPrecise, DisableEarlyAbort: true}, ssidb.SerializableSI},
 		{"ssi-precise-no-upgrade", ssidb.Options{Detector: ssidb.DetectorPrecise, DisableSIReadUpgrade: true}, ssidb.SerializableSI},
 		{"ssi-page", ssidb.Options{Detector: ssidb.DetectorPrecise, Granularity: ssidb.GranularityPage, PageMaxKeys: 4}, ssidb.SerializableSI},
+		{"ssi-page-basic", ssidb.Options{Detector: ssidb.DetectorBasic, Granularity: ssidb.GranularityPage, PageMaxKeys: 4}, ssidb.SerializableSI},
 		{"s2pl", ssidb.Options{}, ssidb.S2PL},
+		{"s2pl-page", ssidb.Options{Granularity: ssidb.GranularityPage, PageMaxKeys: 4}, ssidb.S2PL},
 		// The partitioned row store must preserve serializability for every
 		// level: the scans' all-partition latching and the structural
 		// inserts' gap inheritance are what these cases exercise.
@@ -181,6 +183,7 @@ func TestRandomConcurrentSerializability(t *testing.T) {
 		{"ssi-precise-sharded-store", ssidb.Options{Detector: ssidb.DetectorPrecise, TableShards: 8}, ssidb.SerializableSI},
 		{"ssi-page-sharded-store", ssidb.Options{Detector: ssidb.DetectorPrecise, Granularity: ssidb.GranularityPage, PageMaxKeys: 4, TableShards: 4}, ssidb.SerializableSI},
 		{"s2pl-sharded-store", ssidb.Options{TableShards: 8}, ssidb.S2PL},
+		{"s2pl-page-sharded-store", ssidb.Options{Granularity: ssidb.GranularityPage, PageMaxKeys: 4, TableShards: 4}, ssidb.S2PL},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			for seed := int64(1); seed <= 4; seed++ {

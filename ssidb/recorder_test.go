@@ -88,37 +88,43 @@ func TestScanLimitClaimIsMinimal(t *testing.T) {
 	}
 }
 
-// TestS2PLGetForUpdate covers the S2PL locked-read path.
+// TestS2PLGetForUpdate covers the locked-read path — one body for every
+// level — at both granularities.
 func TestS2PLGetForUpdate(t *testing.T) {
-	db := ssidb.Open(ssidb.Options{})
-	if err := db.Run(ssidb.SnapshotIsolation, func(tx *ssidb.Txn) error {
-		return tx.Put("t", []byte("x"), []byte("1"))
-	}); err != nil {
-		t.Fatal(err)
-	}
-	err := db.Run(ssidb.S2PL, func(tx *ssidb.Txn) error {
-		v, ok, err := tx.GetForUpdate("t", []byte("x"))
-		if err != nil || !ok || string(v) != "1" {
-			return fmt.Errorf("GetForUpdate = %q %v %v", v, ok, err)
+	for _, gran := range []ssidb.Granularity{ssidb.GranularityRow, ssidb.GranularityPage} {
+		for _, iso := range []ssidb.Isolation{ssidb.SnapshotIsolation, ssidb.S2PL} {
+			db := ssidb.Open(ssidb.Options{Granularity: gran})
+			if err := db.Run(ssidb.SnapshotIsolation, func(tx *ssidb.Txn) error {
+				return tx.Put("t", []byte("x"), []byte("1"))
+			}); err != nil {
+				t.Fatal(err)
+			}
+			err := db.Run(iso, func(tx *ssidb.Txn) error {
+				v, ok, err := tx.GetForUpdate("t", []byte("x"))
+				if err != nil || !ok || string(v) != "1" {
+					return fmt.Errorf("GetForUpdate = %q %v %v", v, ok, err)
+				}
+				return tx.Put("t", []byte("x"), []byte("2"))
+			})
+			if err != nil {
+				t.Fatalf("granularity %d, %v: %v", gran, iso, err)
+			}
+			db.Run(ssidb.SnapshotIsolation, func(tx *ssidb.Txn) error {
+				v, _, _ := tx.Get("t", []byte("x"))
+				if string(v) != "2" {
+					t.Fatalf("granularity %d, %v: x = %q", gran, iso, v)
+				}
+				return nil
+			})
 		}
-		return tx.Put("t", []byte("x"), []byte("2"))
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	db.Run(ssidb.SnapshotIsolation, func(tx *ssidb.Txn) error {
-		v, _, _ := tx.Get("t", []byte("x"))
-		if string(v) != "2" {
-			t.Fatalf("x = %q", v)
-		}
-		return nil
-	})
 }
 
 // TestPageModeScanAndInsertSplit exercises page-granularity scans across
 // page splits: a scanner's page SIREAD coverage must follow rows moved by a
 // split (lock inheritance), so a post-split writer still conflicts.
 func TestPageModeScanAndInsertSplit(t *testing.T) {
+	// All keys share one B+tree: page mode's default of a single partition.
 	db := ssidb.Open(ssidb.Options{
 		Granularity: ssidb.GranularityPage,
 		PageMaxKeys: 2,

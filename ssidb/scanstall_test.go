@@ -167,6 +167,7 @@ func TestLongScanSerializability(t *testing.T) {
 		{"ssi-basic-sharded", ssidb.Options{Detector: ssidb.DetectorBasic, TableShards: 8, VacuumEvery: 32}, ssidb.SerializableSI},
 		{"ssi-page-sharded", ssidb.Options{Detector: ssidb.DetectorPrecise, Granularity: ssidb.GranularityPage, PageMaxKeys: 8, TableShards: 4, VacuumEvery: 32}, ssidb.SerializableSI},
 		{"s2pl-sharded", ssidb.Options{TableShards: 8, VacuumEvery: 32}, ssidb.S2PL},
+		{"s2pl-page", ssidb.Options{Granularity: ssidb.GranularityPage, PageMaxKeys: 8, VacuumEvery: 32}, ssidb.S2PL},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			hist := sercheck.NewHistory()

@@ -15,6 +15,7 @@ import (
 // detection. Explicit and implicit creation share one construction path
 // (getOrCreateTable), which this test pins.
 func TestImplicitTableSplitInheritsSIRead(t *testing.T) {
+	// All keys share one B+tree: page mode's default of a single partition.
 	db := Open(Options{Granularity: GranularityPage, PageMaxKeys: 4, Detector: DetectorPrecise})
 
 	key := func(i int) []byte { return []byte(fmt.Sprintf("k%02d", i)) }

@@ -163,10 +163,9 @@ func IsAbort(err error) bool {
 // client — so retry policy cannot drift between layers.
 //
 // Today Retryable(err) == IsAbort(err); it exists as the stable, intent-named
-// API. Callers that loop on it should back off the way RunRetry does: full
-// jitter over a capped exponential ceiling (8µs doubling per consecutive
-// abort, capped at 1<<7, i.e. ~1ms), which desynchronises contending retry
-// loops and prevents the basic detector's abort-everyone livelock on hot keys.
+// API. Callers that loop on it should back off on RunRetry's schedule (stated
+// there), which desynchronises contending retry loops and prevents the basic
+// detector's abort-everyone livelock on hot keys.
 func Retryable(err error) bool {
 	return IsAbort(err)
 }
@@ -199,7 +198,8 @@ type Options struct {
 	// Detector selects the SSI variant; the default DetectorBasic is the
 	// boolean-flag algorithm, DetectorPrecise the §3.6 refinement.
 	Detector Detector
-	// Granularity selects row- or page-level locking. Default row.
+	// Granularity selects row- or page-level locking. Default row. It also
+	// decides the TableShards default: see there.
 	Granularity Granularity
 	// PageMaxKeys is the default B+tree page capacity for tables created
 	// implicitly. Smaller pages increase page-mode contention. Default 64.
@@ -247,9 +247,14 @@ type Options struct {
 	// partition is an independently latched B+tree with its own page-stamp
 	// registry, so point operations on different partitions never contend;
 	// ordered scans merge the partitions back into one sequence. Zero
-	// selects the default, mvcc.ShardCount: GOMAXPROCS-scaled. One
-	// partition reproduces the single-tree store, useful as a baseline and
-	// as the oracle in the cross-partition scan property tests.
+	// selects the default: mvcc.ShardCount (GOMAXPROCS-scaled) under
+	// GranularityRow, whose conflicts are per key and so do not depend on
+	// the partitioning; one partition under GranularityPage, which models
+	// Berkeley DB's single B+tree per table and whose conflicts (which keys
+	// share a page, what a split rewrites) would otherwise vary with the
+	// host's core count. One partition reproduces the single-tree store,
+	// also useful as a baseline and as the oracle in the cross-partition
+	// scan property tests. DB.TableShards reports the effective value.
 	TableShards int
 	// VacuumEvery is the per-partition count of superseded row versions
 	// that triggers an asynchronous vacuum sweep of that partition (version
@@ -283,11 +288,12 @@ type tableMap = map[string]*table
 // DB is an embedded multiversion database. All methods are safe for
 // concurrent use.
 type DB struct {
-	opts  Options
-	mgr   *core.Manager
-	locks *lock.Manager
-	log   *wal.Log // nil when neither Dir nor FlushLatency is set
-	dir   string   // Options.Dir; "" for in-memory (real or simulated log)
+	opts    Options
+	mgr     *core.Manager
+	locks   *lock.Manager
+	targets lockTargets // the granularity strategy (txn.go), fixed at open
+	log     *wal.Log    // nil when neither Dir nor FlushLatency is set
+	dir     string      // Options.Dir; "" for in-memory (real or simulated log)
 
 	tables   atomic.Pointer[tableMap]
 	createMu sync.Mutex // serialises table creation (map copy + publish)
@@ -302,8 +308,7 @@ type DB struct {
 	ckptBusy    atomic.Bool
 	ckptMu      sync.Mutex
 
-	cleanupBatches atomic.Uint64
-	wmTicks        atomic.Uint64
+	wmTicks atomic.Uint64
 
 	// Read-only path instrumentation (see Stats).
 	roBegins        atomic.Uint64
@@ -360,6 +365,10 @@ func open(opts Options) (*DB, error) {
 		dir:   opts.Dir,
 		mgr:   core.NewManager(opts.Detector),
 		locks: lock.NewManagerShards(!opts.DisableSIReadUpgrade, opts.LockShards),
+	}
+	db.targets = rowTargets{}
+	if opts.Granularity == GranularityPage {
+		db.targets = newPageTargets(db)
 	}
 	empty := tableMap{}
 	db.tables.Store(&empty)
@@ -420,9 +429,10 @@ func (db *DB) CreateTable(name string, pageMaxKeys int) {
 }
 
 // getOrCreateTable is the single construction path for tables, so explicit
-// and implicit creation cannot diverge (in particular, both must install the
-// page-split hook that keeps SIREAD coverage and page write-stamps attached
-// to moved rows under GranularityPage). Creation copies the table directory
+// and implicit creation cannot diverge (in particular, both must reach the
+// granularity strategy's tableCreated, which under GranularityPage installs
+// the split hook that keeps SIREAD coverage attached to moved rows). Creation
+// copies the table directory
 // and publishes the new map atomically; lookups never block on it.
 func (db *DB) getOrCreateTable(name string, pageMaxKeys int) *table {
 	if pageMaxKeys <= 0 {
@@ -452,15 +462,7 @@ func (db *DB) newTable(name string, pageMaxKeys int) *table {
 		Horizon:     db.mgr.OldestActiveSnapshot,
 		VacuumEvery: db.opts.VacuumEvery,
 	})
-	if db.opts.Granularity == GranularityPage {
-		// Page splits move rows to a new page: readers' SIREAD coverage
-		// must follow the moved rows (run under the partition latch, atomic
-		// with the split; the page write-stamp watermark inheritance is
-		// built into the store).
-		tb.data.SetSplitHook(func(oldPage, newPage uint32) {
-			db.locks.InheritSIRead(lock.PageKey(name, oldPage), lock.PageKey(name, newPage))
-		})
-	}
+	db.targets.tableCreated(tb)
 	return tb
 }
 
@@ -594,14 +596,15 @@ func (db *DB) Run(iso Isolation, fn func(*Txn) error) error {
 // abort-class error (unsafe, write conflict, deadlock), the standard
 // application response the paper assumes.
 //
-// From the second consecutive abort on, retries back off with full jitter
-// (capped exponential, 16µs up to ~1ms). The basic detector aborts every
-// member of a dangerous structure regardless of whether any of them
-// committed, so identical retry loops contending on one hot key can
-// re-create the same structure in lockstep indefinitely — a livelock in
-// which every transaction aborts and none commits. Desynchronising the
-// loops is what lets one slip through and commit; its SIREAD locks then
-// drain and the structure dissolves. (The precise detector does not need
+// The retry schedule: the first abort retries at once; after the n-th
+// consecutive abort (n ≥ 2) the retry sleeps a uniformly random duration
+// below a ceiling of 8µs << min(n-1, 7) — full jitter over 16µs, 32µs, …
+// capped at 1.024ms. The basic detector aborts every member of a dangerous
+// structure regardless of whether any of them committed, so identical retry
+// loops contending on one hot key can re-create the same structure in
+// lockstep indefinitely — a livelock in which every transaction aborts and
+// none commits. Desynchronising the loops is what lets one slip through and
+// commit; its SIREAD locks then drain and the structure dissolves. (The precise detector does not need
 // the jitter for progress — it only aborts a pivot whose outgoing partner
 // actually committed first — but repeated conflicts still mean the key is
 // hot, and backing off sheds useless work.)
@@ -623,7 +626,7 @@ func (db *DB) RunRetry(iso Isolation, fn func(*Txn) error) error {
 }
 
 // afterCleanup releases the locks of suspended transactions retired by a
-// core sweep, and periodically prunes page write-stamps.
+// core sweep.
 func (db *DB) afterCleanup(cleaned []*core.Txn) {
 	if len(cleaned) == 0 {
 		return
@@ -631,12 +634,7 @@ func (db *DB) afterCleanup(cleaned []*core.Txn) {
 	for _, c := range cleaned {
 		db.locks.ReleaseAll(c)
 	}
-	if db.opts.Granularity == GranularityPage && db.cleanupBatches.Add(1)%64 == 0 {
-		h := db.mgr.OldestActiveSnapshot()
-		for _, tb := range *db.tables.Load() {
-			tb.data.PruneStamps(h)
-		}
-	}
+	db.targets.afterCleanup()
 }
 
 // onWatermarkAdvance is the core.Manager watermark hook (already sampled to
@@ -739,9 +737,6 @@ type Stats struct {
 	SuspendedTxns int
 	LockedKeys    int
 	LockOwners    int
-	// LogFlushes is the physical WAL sync count — kept as an alias of
-	// Fsyncs for continuity with earlier versions.
-	LogFlushes uint64
 
 	// Write-ahead log / durability instrumentation, cumulative since Open
 	// (zero for in-memory databases with no simulated flush latency).
@@ -847,11 +842,10 @@ func (db *DB) StatsSnapshot() Stats {
 		FootprintViolations: db.footprintViolations.Load(),
 		SDGEscalations:      db.sdgEscalations.Load(),
 		SDGEscalated:        db.sdgEscalated.Load(),
-		ActiveTxns:       cs.Active,
-		SuspendedTxns:    cs.Suspended,
-		LockedKeys:       ls.Keys,
-		LockOwners:       ls.Owners,
-		LogFlushes:       ws.Fsyncs,
+		ActiveTxns:          cs.Active,
+		SuspendedTxns:       cs.Suspended,
+		LockedKeys:          ls.Keys,
+		LockOwners:          ls.Owners,
 
 		WALAppends:         ws.Appends,
 		GroupCommitBatches: ws.Batches,

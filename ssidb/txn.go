@@ -218,12 +218,6 @@ func (tx *Txn) Commit() error {
 	return walErr
 }
 
-// snapshot returns the transaction's read timestamp, assigning it now if
-// this is the first need for one (deferred snapshot, thesis §4.5).
-func (tx *Txn) snapshot() core.TS {
-	return tx.db.mgr.AssignSnapshot(tx.t)
-}
-
 // markAsReader records rw-edges from this transaction to each concurrent
 // writer (read path, Figure 3.4). Writers may be active lock holders or the
 // committed creators of versions newer than the one read.
@@ -241,8 +235,13 @@ func (tx *Txn) markAsReader(writers []*core.Txn) error {
 
 // markAsWriter records rw-edges from each concurrent reader (an SIREAD
 // holder, possibly already committed and suspended) to this transaction
-// (write path, Figure 3.5 — including the overlap filter).
+// (write path, Figure 3.5 — including the overlap filter). This is the second
+// fact the isolation level contributes: SI and S2PL writers find the same
+// SIREAD holders on their exclusive locks but record nothing.
 func (tx *Txn) markAsWriter(readers []*core.Txn) error {
+	if !tx.t.Isolation().TracksConflicts() {
+		return nil
+	}
 	for _, r := range readers {
 		if !tx.t.ConcurrentWith(r) {
 			continue
@@ -268,6 +267,104 @@ func (tx *Txn) recRead(tb *table, key []byte, creator *core.Txn, readTS core.TS)
 }
 
 // ---------------------------------------------------------------------------
+// The two axes: isolation picks the lock mode, granularity the lock targets
+
+// noLock is the read mode of lock-free snapshot reads; latest is the read
+// point of locking reads, which see the newest committed version instead of
+// a snapshot (and which no commit timestamp exceeds, so First-Committer-Wins
+// never fires on it).
+const (
+	noLock lock.Mode = 0
+	latest core.TS   = math.MaxUint64
+)
+
+// readMode is the first of the two facts the isolation level contributes to
+// every operation: the lock mode its reads take — none at SnapshotIsolation,
+// SIREAD at SerializableSI, Shared at S2PL. Writes are Exclusive everywhere.
+// (The second fact, whether rivals found on those locks are recorded as
+// rw-conflicts, is Isolation.TracksConflicts; see markAsWriter.)
+func (tx *Txn) readMode() lock.Mode {
+	switch tx.t.Isolation() {
+	case SerializableSI:
+		return lock.SIRead
+	case S2PL:
+		return lock.Shared
+	}
+	return noLock
+}
+
+// readLockMode is readMode for the next read: a declared read-only
+// transaction on a safe snapshot is serializable without SIREAD protection,
+// so its reads proceed lock-free at plain-SI cost. The safety verdict is
+// about the snapshot, so readPoint comes first.
+func (tx *Txn) readLockMode() lock.Mode {
+	mode := tx.readMode()
+	if mode == lock.SIRead && tx.roFast() {
+		return noLock
+	}
+	return mode
+}
+
+// readPoint returns the timestamp reads run at: the snapshot — assigned now
+// if this is the first need for one (deferred snapshot, thesis §4.5) — or
+// latest for S2PL's locking reads.
+func (tx *Txn) readPoint() core.TS {
+	if tx.readMode() == lock.Shared {
+		return latest
+	}
+	return tx.db.mgr.AssignSnapshot(tx.t)
+}
+
+// readStamp maps a read point to the recorder's readTS convention.
+func (tx *Txn) readStamp(snap core.TS) core.TS {
+	if snap == latest {
+		return tx.db.mgr.Now()
+	}
+	return snap
+}
+
+// lockTargets is the granularity strategy, fixed once in open(): it decides
+// which lock.Keys an operation covers and what unit First-Committer-Wins
+// compares, while the bodies in this file decide when, in which mode and
+// with which conflict marking — the algorithm of Figures 3.4-3.7, which is
+// the same in both of the paper's prototypes. rowTargets (locks_row.go) is
+// InnoDB's row + next-key gap locking, pageTargets (locks_page.go) Berkeley
+// DB's page locking; doc.go tabulates what each operation gets from them.
+//
+// Methods acquire through the transaction's scratch buffers. Rivals found on
+// SIREAD acquisitions (exclusive holders) are marked by the method itself;
+// rivals found on exclusive acquisitions (SIREAD holders) are returned,
+// because the overlap test needs the caller's snapshot, which is assigned
+// only after its locks (deferred snapshot).
+type lockTargets interface {
+	// lockRead acquires mode (SIRead or Shared) on the targets of a point
+	// read of key.
+	lockRead(tx *Txn, tb *table, key []byte, mode lock.Mode, snap core.TS) error
+	// lockWrite acquires the exclusive lock(s) for writing key; structural
+	// marks a write that may create or remove the key (insert, delete,
+	// upsert of an absent key), which also covers its gap or a page split.
+	// It returns the SIREAD holders found and the newest commit timestamp of
+	// the First-Committer-Wins unit holding key.
+	lockWrite(tx *Txn, tb *table, key []byte, structural bool) (readers []*core.Txn, newest core.TS, err error)
+	// install writes the new version and finishes the lock protocol around
+	// the structure change it may have caused.
+	install(tx *Txn, tb *table, key, val []byte, tombstone bool) error
+	// lockScanStart acquires mode on whatever a scan from `from` reads
+	// before reaching its first key.
+	lockScanStart(tx *Txn, tb *table, from []byte, mode lock.Mode, snap core.TS) error
+	// scanKeys appends the keys covering the visited items and where the
+	// scan stopped.
+	scanKeys(keys []lock.Key, tb *table, items []mvcc.ScanItem, end scanEnd) []lock.Key
+	// scanNewerWriters appends the creators of versions newer than snap
+	// among what items read, once keys (their scanKeys) are SIREAD-locked.
+	scanNewerWriters(writers []*core.Txn, tb *table, snap core.TS, items []mvcc.ScanItem, keys []lock.Key) []*core.Txn
+	// tableCreated and afterCleanup are the store-maintenance hooks: a new
+	// table, and a batch of suspended transactions retired.
+	tableCreated(tb *table)
+	afterCleanup()
+}
+
+// ---------------------------------------------------------------------------
 // Point reads
 
 // Get reads key from table. Under SI and SerializableSI it reads from the
@@ -282,33 +379,24 @@ func (tx *Txn) Get(tableName string, key []byte) (val []byte, found bool, err er
 		return nil, false, err
 	}
 	tb := tx.db.table(tableName)
-	if tx.t.Isolation() == S2PL {
-		return tx.getS2PL(tb, key)
-	}
-	snap := tx.snapshot()
-	ssi := tx.t.Isolation().TracksConflicts()
-	if ssi && tx.roFast() {
-		// Safe-snapshot read-only fast path: the read is serializable
-		// without SIREAD protection, so it proceeds at plain-SI cost.
-		ssi = false
+	snap := tx.readPoint()
+	mode := tx.readLockMode()
+	if mode != noLock {
+		// Figure 3.4 lines 2-4: lock, marking concurrent exclusive holders.
+		if err := tx.db.targets.lockRead(tx, tb, key, mode, snap); err != nil {
+			return nil, false, tx.fail(err)
+		}
+	} else if tx.roSafe {
 		tx.db.roSIReadSkips.Add(1)
 	}
-	if ssi {
-		if err := tx.ssiReadLocks(tb, key); err != nil {
-			return nil, false, tx.fail(err)
-		}
-	}
 	res := tb.data.Read(tx.t, snap, key)
-	if ssi {
-		writers := res.NewerWriters
-		if tx.db.opts.Granularity == GranularityPage {
-			writers = tb.data.PageNewerWriters(tb.data.LeafPage(key), snap)
-		}
-		if err := tx.markAsReader(writers); err != nil {
+	if mode == lock.SIRead {
+		// Figure 3.4 lines 8-9: the creators of newer versions.
+		if err := tx.markAsReader(res.NewerWriters); err != nil {
 			return nil, false, tx.fail(err)
 		}
 	}
-	tx.recRead(tb, key, res.VisibleCreator, snap)
+	tx.recRead(tb, key, res.VisibleCreator, tx.readStamp(snap))
 	if tx.prog != nil && tx.prog.promoted[tableName] && res.Found {
 		// Runtime half of the Promote remedy (§2.6.2): re-write the value
 		// just read, so a concurrent writer of this row collides under
@@ -318,53 +406,6 @@ func (tx *Txn) Get(tableName string, key []byte) (val []byte, found bool, err er
 		}
 	}
 	return res.Value, res.Found, nil
-}
-
-// ssiReadLocks takes the SIREAD locks for a point read and marks conflicts
-// with concurrent exclusive holders (Figure 3.4 lines 2-4). In page mode the
-// whole root-to-leaf path is read-locked, as Berkeley DB does while
-// descending — the source of the paper's split-induced false positives.
-func (tx *Txn) ssiReadLocks(tb *table, key []byte) error {
-	if tx.db.opts.Granularity == GranularityRow {
-		rivals, err := tx.db.locks.AcquireInto(tx.t, lock.RowKey(tb.name, key), lock.SIRead, tx.rivals[:0])
-		tx.rivals = rivals[:0]
-		if err != nil {
-			return err
-		}
-		return tx.markAsReader(rivals)
-	}
-	for {
-		path := tb.data.PathPages(key)
-		for _, pg := range path {
-			rivals, err := tx.db.locks.AcquireInto(tx.t, lock.PageKey(tb.name, pg), lock.SIRead, tx.rivals[:0])
-			tx.rivals = rivals[:0]
-			if err != nil {
-				return err
-			}
-			if err := tx.markAsReader(rivals); err != nil {
-				return err
-			}
-		}
-		if pagesEqual(path, tb.data.PathPages(key)) {
-			return nil
-		}
-	}
-}
-
-// getS2PL shared-locks the row (or the page path) and reads the latest
-// committed version.
-func (tx *Txn) getS2PL(tb *table, key []byte) ([]byte, bool, error) {
-	if tx.db.opts.Granularity == GranularityRow {
-		if _, err := tx.db.locks.Acquire(tx.t, lock.RowKey(tb.name, key), lock.Shared); err != nil {
-			return nil, false, tx.fail(err)
-		}
-	} else if err := tx.lockPagePathS2PL(tb, key, lock.Shared, false); err != nil {
-		return nil, false, tx.fail(err)
-	}
-	readTS := tx.db.mgr.Now()
-	val, found, creator := tb.data.ReadLatest(tx.t, key)
-	tx.recRead(tb, key, creator, readTS)
-	return val, found, nil
 }
 
 // GetForUpdate reads key with an exclusive lock, like SELECT ... FOR UPDATE.
@@ -391,15 +432,6 @@ func (tx *Txn) GetForUpdate(tableName string, key []byte) (val []byte, found boo
 		return nil, false, err
 	}
 	tb := tx.db.table(tableName)
-	if tx.t.Isolation() == S2PL {
-		if err := tx.s2plWriteLock(tb, key, false); err != nil {
-			return nil, false, tx.fail(err)
-		}
-		readTS := tx.db.mgr.Now()
-		v, ok, creator := tb.data.ReadLatest(tx.t, key)
-		tx.recRead(tb, key, creator, readTS)
-		return v, ok, nil
-	}
 	if _, err := tx.writeLockAndCheck(tb, key, false); err != nil {
 		return nil, false, err
 	}
@@ -446,71 +478,21 @@ func (tx *Txn) write(tableName string, key, val []byte, tombstone, mustNotExist 
 	}
 	tb := tx.db.table(tableName)
 	structural := tombstone || mustNotExist || !tb.data.Exists(key)
-
-	if tx.t.Isolation() == S2PL {
-		if structural && tx.db.opts.Granularity == GranularityRow {
-			if err := tx.gapLocks(tb, key, lock.Exclusive); err != nil {
-				return tx.fail(err)
-			}
-		}
-		if err := tx.s2plWriteLock(tb, key, structural); err != nil {
-			return tx.fail(err)
-		}
-	} else {
-		ssi := tx.t.Isolation().TracksConflicts()
-		if structural && ssi && tx.db.opts.Granularity == GranularityRow {
-			// Figure 3.7: inserts and deletes exclusively lock the gap
-			// before the next key and mark conflicts with SIREAD gap
-			// holders (concurrent predicate reads).
-			if err := tx.gapLocks(tb, key, lock.Exclusive); err != nil {
-				return tx.fail(err)
-			}
-		}
-		snap, err := tx.writeLockAndCheck(tb, key, structural)
-		if err != nil {
-			return err
-		}
-		if mustNotExist {
-			if res := tb.data.Read(tx.t, snap, key); res.Found {
-				return ErrKeyExists
-			}
-		}
+	snap, err := tx.writeLockAndCheck(tb, key, structural)
+	if err != nil {
+		return err
 	}
-	if mustNotExist && tx.t.Isolation() == S2PL {
-		if _, ok, _ := tb.data.ReadLatest(tx.t, key); ok {
-			return ErrKeyExists
-		}
+	if mustNotExist && tb.data.Read(tx.t, snap, key).Found {
+		return ErrKeyExists
 	}
-
-	// On a structural insert, SIREAD gap locks covering the target gap are
-	// inherited onto the new key's gap under the table latch, atomically
-	// with the key becoming visible — otherwise a second insert into the
-	// now-split gap would escape the scanners' phantom detection.
-	var onInsert func(succ []byte, hasSucc bool)
-	if tx.db.opts.Granularity == GranularityRow {
-		onInsert = func(succ []byte, hasSucc bool) {
-			src := lock.SupremumGapKey(tb.name)
-			if hasSucc {
-				src = lock.GapKey(tb.name, succ)
-			}
-			tx.db.locks.InheritSIRead(src, lock.GapKey(tb.name, key))
-		}
-	}
-	inserted, _, _ := tb.data.Write(tx.t, key, val, tombstone, onInsert)
+	// Recorded before the install so that a failure inside it still rolls
+	// the version back (rolling back a key never written is a no-op).
 	tx.writes = append(tx.writes, writeRec{tb: tb, key: string(key)})
+	if err := tx.db.targets.install(tx, tb, key, val, tombstone); err != nil {
+		return tx.fail(err)
+	}
 	if tx.db.log != nil {
 		tx.redo = appendRedoEntry(tx.redo, tb.name, key, val, tombstone)
-	}
-	if tx.db.opts.Granularity == GranularityPage {
-		tb.data.AddPageWriter(tb.data.LeafPage(key), tx.t)
-	}
-	if inserted && tx.db.opts.Granularity == GranularityRow && tx.t.Isolation() != SnapshotIsolation {
-		// Re-acquire the gap now that the key is visible: the successor may
-		// have changed between planning and insertion, and inherited SIREAD
-		// holders on the true gap must be marked as conflicts.
-		if err := tx.gapLocks(tb, key, lock.Exclusive); err != nil {
-			return tx.fail(err)
-		}
 	}
 	if r := tx.db.opts.Recorder; r != nil {
 		r.RecWrite(tx.t.ID(), tb.name, string(key), tombstone)
@@ -518,165 +500,25 @@ func (tx *Txn) write(tableName string, key, val []byte, tombstone, mustNotExist 
 	return nil
 }
 
-// writeLockAndCheck acquires the exclusive lock(s) for writing key under
-// SI/SerializableSI, assigns the snapshot afterwards (deferred snapshot),
-// marks rw-conflicts with concurrent SIREAD holders, and applies the
+// writeLockAndCheck acquires the exclusive lock(s) for writing key, assigns
+// the snapshot afterwards (deferred snapshot), marks rw-conflicts with the
+// concurrent SIREAD holders found (Figure 3.5), and applies the
 // First-Committer-Wins check. On failure the transaction is aborted.
 func (tx *Txn) writeLockAndCheck(tb *table, key []byte, structural bool) (core.TS, error) {
-	ssi := tx.t.Isolation().TracksConflicts()
-	var rivals []*core.Txn
-	var leaf uint32
-	if tx.db.opts.Granularity == GranularityRow {
-		var err error
-		rivals, err = tx.db.locks.AcquireInto(tx.t, lock.RowKey(tb.name, key), lock.Exclusive, tx.rivals[:0])
-		tx.rivals = rivals[:0]
-		if err != nil {
-			return 0, tx.fail(err)
-		}
-	} else {
-		var err error
-		rivals, leaf, err = tx.lockPagePathWrite(tb, key, structural)
-		if err != nil {
-			return 0, tx.fail(err)
-		}
+	readers, newest, err := tx.db.targets.lockWrite(tx, tb, key, structural)
+	if err != nil {
+		return 0, tx.fail(err)
 	}
-	snap := tx.snapshot()
-	if ssi {
-		if err := tx.markAsWriter(rivals); err != nil {
-			return 0, tx.fail(err)
-		}
+	snap := tx.readPoint()
+	if err := tx.markAsWriter(readers); err != nil {
+		return 0, tx.fail(err)
 	}
 	// First-Committer-Wins: abort if a version newer than our snapshot
-	// committed. In page mode the unit of versioning is the page.
-	var newest core.TS
-	if tx.db.opts.Granularity == GranularityPage {
-		newest = tb.data.PageNewestCommitTS(leaf)
-	} else {
-		newest = tb.data.NewestCommitTS(key)
-	}
+	// committed in the unit written.
 	if newest > snap {
 		return 0, tx.fail(ErrWriteConflict)
 	}
 	return snap, nil
-}
-
-// gapLocks implements the next-key gap protocol of Figures 3.6/3.7 for the
-// writer side: lock the gap before the successor of key (or the supremum)
-// in the requested mode, looping until the successor is stable. For SSI the
-// rivals are SIREAD gap holders — concurrent predicate readers.
-func (tx *Txn) gapLocks(tb *table, key []byte, mode lock.Mode) error {
-	for {
-		succ, ok := tb.data.Successor(key)
-		gk := lock.SupremumGapKey(tb.name)
-		if ok {
-			gk = lock.GapKey(tb.name, succ)
-		}
-		rivals, err := tx.db.locks.AcquireInto(tx.t, gk, mode, tx.rivals[:0])
-		tx.rivals = rivals[:0]
-		if err != nil {
-			return err
-		}
-		if mode == lock.Exclusive && tx.t.Isolation().TracksConflicts() {
-			if err := tx.markAsWriter(rivals); err != nil {
-				return err
-			}
-		}
-		succ2, ok2 := tb.data.Successor(key)
-		if ok == ok2 && (!ok || bytes.Equal(succ, succ2)) {
-			return nil
-		}
-	}
-}
-
-// lockPagePathWrite plans and acquires page locks for a write in page mode:
-// SIREAD (for SerializableSI) on interior pages, EXCLUSIVE on the leaf, and
-// EXCLUSIVE on the whole path when the write will split the leaf. The plan
-// is re-verified after acquisition because a concurrent split can move the
-// key; extra locks acquired under a stale plan are simply kept.
-func (tx *Txn) lockPagePathWrite(tb *table, key []byte, structural bool) (rivals []*core.Txn, leaf uint32, err error) {
-	ssi := tx.t.Isolation().TracksConflicts()
-	for {
-		path := tb.data.PathPages(key)
-		split := structural && tb.data.InsertWillSplit(key)
-		for i, pg := range path {
-			isLeaf := i == len(path)-1
-			switch {
-			case isLeaf || split:
-				rv, err := tx.db.locks.Acquire(tx.t, lock.PageKey(tb.name, pg), lock.Exclusive)
-				if err != nil {
-					return nil, 0, err
-				}
-				rivals = append(rivals, rv...)
-				if split && !isLeaf {
-					// The split will rewrite this interior page: stamp it
-					// so page-level FCW and newer-version checks see the
-					// structural write (the root-page conflicts of §6.1.5).
-					tb.data.AddPageWriter(pg, tx.t)
-				}
-			case ssi:
-				rv, err := tx.db.locks.Acquire(tx.t, lock.PageKey(tb.name, pg), lock.SIRead)
-				if err != nil {
-					return nil, 0, err
-				}
-				if err := tx.markAsReader(rv); err != nil {
-					return nil, 0, err
-				}
-			}
-		}
-		path2 := tb.data.PathPages(key)
-		if pagesEqual(path, path2) && split == (structural && tb.data.InsertWillSplit(key)) {
-			return rivals, path[len(path)-1], nil
-		}
-	}
-}
-
-// s2plWriteLock acquires S2PL write locks: the row (or, in page mode,
-// shared interior pages and the exclusive leaf; the whole path exclusively
-// when splitting).
-func (tx *Txn) s2plWriteLock(tb *table, key []byte, structural bool) error {
-	if tx.db.opts.Granularity == GranularityRow {
-		_, err := tx.db.locks.Acquire(tx.t, lock.RowKey(tb.name, key), lock.Exclusive)
-		return err
-	}
-	return tx.lockPagePathS2PL(tb, key, lock.Exclusive, structural)
-}
-
-// lockPagePathS2PL locks a root-to-leaf path for S2PL: interior pages
-// Shared, the leaf in leafMode, everything Exclusive when a split is
-// planned.
-func (tx *Txn) lockPagePathS2PL(tb *table, key []byte, leafMode lock.Mode, structural bool) error {
-	for {
-		path := tb.data.PathPages(key)
-		split := structural && tb.data.InsertWillSplit(key)
-		for i, pg := range path {
-			mode := lock.Shared
-			if i == len(path)-1 {
-				mode = leafMode
-			}
-			if split && leafMode == lock.Exclusive {
-				mode = lock.Exclusive
-			}
-			if _, err := tx.db.locks.Acquire(tx.t, lock.PageKey(tb.name, pg), mode); err != nil {
-				return err
-			}
-		}
-		path2 := tb.data.PathPages(key)
-		if pagesEqual(path, path2) && split == (structural && tb.data.InsertWillSplit(key)) {
-			return nil
-		}
-	}
-}
-
-func pagesEqual(a, b []uint32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // ---------------------------------------------------------------------------
@@ -719,23 +561,31 @@ func (tx *Txn) scan(tableName string, from, to []byte, limit int, fn func(key, v
 	if from == nil {
 		from = []byte{}
 	}
+	snap := tx.readPoint()
+	mode := tx.readLockMode()
 
-	var snap core.TS
-	if tx.t.Isolation() == S2PL {
-		snap = math.MaxUint64 // locking read: latest committed
-	} else {
-		snap = tx.snapshot()
+	var res scanResult
+	var err error
+	switch mode {
+	case lock.SIRead:
+		res, err = tx.scanSSI(tb, snap, from, to, limit)
+	case lock.Shared:
+		res, err = tx.scanS2PL(tb, snap, from, to, limit)
+	default: // lock-free snapshot scan: plain SI, or a safe read-only snapshot
+		res.collect(tb, tx.t, snap, from, to, limit, nil)
 	}
-
-	items, err := tx.scanLockLoop(tb, snap, from, to, limit)
 	if err != nil {
 		return tx.fail(err)
+	}
+	if tx.roSafe {
+		// One SIREAD skipped per visited row plus the gap boundary.
+		tx.db.roSIReadSkips.Add(uint64(len(res.items)) + 1)
 	}
 
 	if r := tx.db.opts.Recorder; r != nil {
 		effTo := string(to)
 		if limit > 0 {
-			effTo = items.effectiveTo
+			effTo = res.effectiveTo
 		}
 		r.RecScan(tx.t.ID(), tb.name, string(from), effTo, tx.readStamp(snap))
 	}
@@ -744,7 +594,7 @@ func (tx *Txn) scan(tableName string, from, to []byte, limit int, fn func(key, v
 	// the write path mutates the tree the scan buffers point into.
 	promote := tx.prog != nil && tx.prog.promoted[tableName]
 	var promoteKeys, promoteVals [][]byte
-	for _, it := range items.items {
+	for _, it := range res.items {
 		tx.recRead(tb, it.Key, it.VisibleCreator, tx.readStamp(snap))
 		if it.Found {
 			if promote {
@@ -764,275 +614,116 @@ func (tx *Txn) scan(tableName string, from, to []byte, limit int, fn func(key, v
 	return nil
 }
 
-// readStamp maps the scan snapshot to the recorder's readTS convention.
-func (tx *Txn) readStamp(snap core.TS) core.TS {
-	if snap == math.MaxUint64 {
-		return tx.db.mgr.Now()
-	}
-	return snap
-}
-
-// scanResult is the outcome of a locked collection pass.
-type scanResult struct {
-	items []mvcc.ScanItem
-	// effectiveTo is the exclusive upper bound the scan actually protected:
-	// `to` for full scans, the boundary key for limited scans, "" when the
-	// protection extends to the end of the table.
-	effectiveTo string
-}
-
-// scanLockLoop collects the range and acquires the per-key and per-gap (or
-// per-page) locks, repeating until a collection pass finds the lock set
-// already complete. The loop closes the window in which a row could be
-// inserted into the range after collection but before its gap was locked;
-// under S2PL the gap locks block such inserts, under SerializableSI they
-// guarantee detection.
-func (tx *Txn) scanLockLoop(tb *table, snap core.TS, from, to []byte, limit int) (collectResult, error) {
-	switch {
-	case tx.t.Isolation().TracksConflicts():
-		if tx.roFast() {
-			// Safe-snapshot read-only fast path: a lock-free snapshot scan,
-			// exactly the plain-SI path. The skips counter accounts one
-			// SIREAD per visited row plus the gap boundary.
-			res := collectRange(tb, tx.t, snap, from, to, limit)
-			tx.db.roSIReadSkips.Add(uint64(len(res.items)) + 1)
-			return res, nil
-		}
-		return tx.scanSSI(tb, snap, from, to, limit)
-	case tx.t.Isolation() == S2PL:
-		return tx.scanS2PL(tb, snap, from, to, limit)
-	default: // plain SI: lock-free snapshot scan
-		return collectRange(tb, tx.t, snap, from, to, limit), nil
-	}
-}
-
-// scanSSI collects the range and takes its SIREAD row/gap (or page) locks
-// incrementally, one lock-coupled round at a time: the store's flush callback
-// runs while the round's partition latches are still held, so every emitted
-// key is protected before any inserter can run — SIREAD acquisition never
-// blocks, and inserts need the write latch, so each round's slice of the
-// range is protected atomically with being read, and inserts between rounds
-// are caught either by the already-installed gap locks (behind the frontier)
-// or by the resumed merge itself (ahead of it); see mvcc.ScanWith for the
-// full invariant. Conflict marking is deferred to after the scan, because an
+// scanSSI collects the range and takes its SIREAD locks incrementally, one
+// lock-coupled round at a time: the store's flush callback runs while the
+// round's partition latches are still held, so every emitted key is
+// protected before any inserter can run — SIREAD acquisition never blocks,
+// and inserts need the write latch, so each round's slice of the range is
+// protected atomically with being read, and inserts between rounds are
+// caught either by the already-installed locks (behind the frontier) or by
+// the resumed merge itself (ahead of it); see mvcc.ScanWith for the full
+// invariant. Conflict marking is deferred to after the scan, because an
 // unsafe verdict aborts the transaction, which must not happen latched.
-//
-// In page mode each round acquires its pages' SIREAD locks *before* reading
-// those pages' committed writer stamps: a concurrent page writer either
-// still holds its exclusive page lock (and surfaces as an acquisition rival)
-// or has committed — and therefore stamped the page — before the stamps are
-// read. Reading stamps at queue time instead would miss a writer that locked
-// the page before the flush and committed before it.
-func (tx *Txn) scanSSI(tb *table, snap core.TS, from, to []byte, limit int) (collectResult, error) {
-	pageMode := tx.db.opts.Granularity == GranularityPage
-
-	var res collectResult
-	res.effectiveTo = string(to)
-	writers := tx.rivals[:0]    // rw-conflict targets, marked post-scan
-	lockKeys := tx.lockKeys[:0] // the current round's SIREAD set
-	var pagesQueued map[uint32]bool
-	var newPages []uint32 // pages queued since the last flush
-	if pageMode {
-		// The descent paths' interior pages (every partition's, since a
-		// merged scan descends them all), as Berkeley DB read-locks them.
-		// Acquire-and-revalidate, like every other page-path lock: the lock
-		// set is complete only once a recomputed path shows no page we do
-		// not already hold, so a split racing the descent cannot move keys
-		// onto a page outside our SIREAD coverage — once a page is held,
-		// later splits inherit the coverage onto the new page.
-		pagesQueued = map[uint32]bool{}
-		for {
-			changed := false
-			for _, pg := range tb.data.ScanPathPages(from) {
-				if pagesQueued[pg] {
-					continue
-				}
-				pagesQueued[pg] = true
-				newPages = append(newPages, pg)
-				changed = true
-				var err error
-				writers, err = tx.db.locks.AcquireInto(tx.t, lock.PageKey(tb.name, pg), lock.SIRead, writers)
-				if err != nil {
-					tx.rivals, tx.lockKeys = writers[:0], lockKeys[:0]
-					return res, err
-				}
-			}
-			if !changed {
-				break
-			}
-		}
-		// Stamps are read only now that the locks are held (see below).
-		for _, pg := range newPages {
-			writers = append(writers, tb.data.PageNewerWriters(pg, snap)...)
-		}
-		newPages = newPages[:0]
+func (tx *Txn) scanSSI(tb *table, snap core.TS, from, to []byte, limit int) (scanResult, error) {
+	lt := tx.db.targets
+	var res scanResult
+	if err := lt.lockScanStart(tx, tb, from, lock.SIRead, snap); err != nil {
+		return res, err
 	}
-
-	found := 0
-	var lastFound []byte
-	queuePage := func(pg uint32) {
-		if !pagesQueued[pg] {
-			pagesQueued[pg] = true
-			lockKeys = append(lockKeys, lock.PageKey(tb.name, pg))
-			newPages = append(newPages, pg)
-		}
-	}
-	tb.data.ScanWith(tx.t, snap, from, func(it mvcc.ScanItem) bool {
-		pastEnd := len(to) > 0 && bytes.Compare(it.Key, to) >= 0
-		if pastEnd || (limit > 0 && found >= limit) {
-			res.boundaryKey = it.Key
-			res.boundaryPage = it.Page
-			if pageMode {
-				queuePage(it.Page)
-			} else {
-				lockKeys = append(lockKeys, lock.GapKey(tb.name, it.Key))
-			}
-			return false
-		}
-		if pageMode {
-			queuePage(it.Page)
-		} else {
-			lockKeys = append(lockKeys,
-				lock.RowKey(tb.name, it.Key), lock.GapKey(tb.name, it.Key))
-			writers = append(writers, it.NewerWriters...)
-		}
-		res.items = append(res.items, it)
-		if it.Found {
-			found++
-			lastFound = it.Key
-		}
-		return true
-	}, func(exhausted bool) {
-		if exhausted && !pageMode {
-			// The scan ran off the table end: protect the space beyond the
-			// last key too.
-			lockKeys = append(lockKeys, lock.SupremumGapKey(tb.name))
-		}
+	writers := tx.rivals[:0] // rw-conflict targets, marked post-scan
+	keys := tx.lockKeys[:0]  // the current round's SIREAD set
+	flushed := 0             // items already covered by an earlier round
+	res.collect(tb, tx.t, snap, from, to, limit, func(exhausted bool) {
+		end := res.end
+		end.atEnd = exhausted
+		round := res.items[flushed:]
+		flushed = len(res.items)
 		// One lock-table critical section per round, while the round's
 		// latches still exclude inserters from the emitted keys.
-		writers = tx.db.locks.AcquireSIReadBatchInto(tx.t, lockKeys, writers)
-		lockKeys = lockKeys[:0]
-		// Lock-then-read-stamps ordering, per the function comment.
-		for _, pg := range newPages {
-			writers = append(writers, tb.data.PageNewerWriters(pg, snap)...)
-		}
-		newPages = newPages[:0]
+		keys = lt.scanKeys(keys[:0], tb, round, end)
+		writers = tx.db.locks.AcquireSIReadBatchInto(tx.t, keys, writers)
+		writers = lt.scanNewerWriters(writers, tb, snap, round, keys)
 	})
 	// Hand the (possibly grown) scratch buffers back for the next operation;
 	// writers is consumed by markAsReader below before any reuse.
-	tx.rivals = writers[:0]
-	tx.lockKeys = lockKeys[:0]
-	if limit > 0 && found >= limit && lastFound != nil {
-		res.effectiveTo = string(lastFound) + "\x00"
-	}
+	tx.rivals, tx.lockKeys = writers[:0], keys[:0]
+	return res, tx.markAsReader(writers)
+}
 
-	if err := tx.markAsReader(writers); err != nil {
+// scanS2PL collects the range under blocking shared locks. Shared locks can
+// block, so they cannot be taken under the latch; instead collection and
+// locking loop until a pass finds the lock set already complete, which
+// closes the window in which a row could be inserted into the range after
+// collection but before its gap (or page) was locked.
+func (tx *Txn) scanS2PL(tb *table, snap core.TS, from, to []byte, limit int) (scanResult, error) {
+	lt := tx.db.targets
+	var res scanResult
+	if err := lt.lockScanStart(tx, tb, from, lock.Shared, snap); err != nil {
 		return res, err
+	}
+	locked := make(map[lock.Key]bool)
+	for changed := true; changed; {
+		changed = false
+		res.collect(tb, tx.t, snap, from, to, limit, nil)
+		tx.lockKeys = lt.scanKeys(tx.lockKeys[:0], tb, res.items, res.end)
+		for _, k := range tx.lockKeys {
+			if locked[k] {
+				continue
+			}
+			// Shared requests have no rw-conflict rivals to report.
+			if _, err := tx.db.locks.AcquireInto(tx.t, k, lock.Shared, tx.rivals[:0]); err != nil {
+				return res, err
+			}
+			locked[k], changed = true, true
+		}
 	}
 	return res, nil
 }
 
-// scanS2PL collects the range under blocking shared row and gap locks (or
-// shared page locks). Shared locks can block, so they cannot be taken under
-// the latch; instead collection and locking loop until a pass finds the lock
-// set already complete, which closes the collect-then-lock window.
-func (tx *Txn) scanS2PL(tb *table, snap core.TS, from, to []byte, limit int) (collectResult, error) {
-	pageMode := tx.db.opts.Granularity == GranularityPage
-	locked := make(map[lock.Key]bool)
-	for {
-		res := collectRange(tb, tx.t, snap, from, to, limit)
-		changed := false
-
-		acquire := func(k lock.Key) error {
-			if locked[k] {
-				return nil
-			}
-			if _, err := tx.db.locks.Acquire(tx.t, k, lock.Shared); err != nil {
-				return err
-			}
-			locked[k] = true
-			changed = true
-			return nil
-		}
-
-		if pageMode {
-			for _, pg := range tb.data.ScanPathPages(from) {
-				if err := acquire(lock.PageKey(tb.name, pg)); err != nil {
-					return res, err
-				}
-			}
-			for _, it := range res.items {
-				if err := acquire(lock.PageKey(tb.name, it.Page)); err != nil {
-					return res, err
-				}
-			}
-			if res.boundaryPage != 0 {
-				if err := acquire(lock.PageKey(tb.name, res.boundaryPage)); err != nil {
-					return res, err
-				}
-			}
-		} else {
-			for _, it := range res.items {
-				if err := acquire(lock.RowKey(tb.name, it.Key)); err != nil {
-					return res, err
-				}
-				if err := acquire(lock.GapKey(tb.name, it.Key)); err != nil {
-					return res, err
-				}
-			}
-			boundary := lock.SupremumGapKey(tb.name)
-			if res.boundaryKey != nil {
-				boundary = lock.GapKey(tb.name, res.boundaryKey)
-			}
-			if err := acquire(boundary); err != nil {
-				return res, err
-			}
-		}
-
-		if !changed {
-			return res, nil
-		}
-	}
+// scanEnd is where a scan (or one round of it) stopped.
+type scanEnd struct {
+	key   []byte // first key at or beyond the range, the gap boundary; nil if not reached
+	page  uint32 // key's leaf page
+	atEnd bool   // the scan ran off the end of the table instead
 }
 
-// collectResult extends scanResult with the gap boundary actually locked.
-type collectResult struct {
-	scanResult
-	boundaryKey  []byte // first key beyond the collection; nil = supremum
-	boundaryPage uint32
+// scanResult is the outcome of a collection pass.
+type scanResult struct {
+	items []mvcc.ScanItem
+	// effectiveTo is the *claimed* predicate range end (what the result
+	// actually depends on), which the recorder reports: `to` for full scans,
+	// the smallest exclusive bound covering the last visited key for limited
+	// scans. The locked boundary (end) may extend further, which is
+	// conservative for detection but must not widen the claim.
+	effectiveTo string
+	end         scanEnd
 }
 
-// collectRange gathers keys in [from, to) — including keys whose visible
-// state is absent, which still carry conflict information — plus the first
-// key at or beyond the range (the gap boundary), under the table latch. With
-// a positive limit, collection stops after `limit` visible items.
-//
-// effectiveTo is the *claimed* predicate range end (what the result actually
-// depends on), which the recorder reports; the locked boundary may extend
-// further, which is conservative for detection but must not widen the claim.
-func collectRange(tb *table, t *core.Txn, snap core.TS, from, to []byte, limit int) collectResult {
-	var res collectResult
-	res.effectiveTo = string(to)
+// collect gathers keys in [from, to) — including keys whose visible state is
+// absent, which still carry conflict information — plus the first key at or
+// beyond the range (the gap boundary), in lock-coupled rounds under the
+// partition latches; flush, if non-nil, runs at the end of each round with
+// the latches still held. With a positive limit, collection stops after
+// `limit` visible items.
+func (r *scanResult) collect(tb *table, t *core.Txn, snap core.TS, from, to []byte, limit int, flush func(exhausted bool)) {
+	*r = scanResult{items: r.items[:0], effectiveTo: string(to)}
 	found := 0
 	var lastFound []byte
-	tb.data.Scan(t, snap, from, func(it mvcc.ScanItem) bool {
+	tb.data.ScanWith(t, snap, from, func(it mvcc.ScanItem) bool {
 		pastEnd := len(to) > 0 && bytes.Compare(it.Key, to) >= 0
 		if pastEnd || (limit > 0 && found >= limit) {
-			res.boundaryKey = it.Key
-			res.boundaryPage = it.Page
+			r.end.key, r.end.page = it.Key, it.Page
 			return false
 		}
-		res.items = append(res.items, it)
+		r.items = append(r.items, it)
 		if it.Found {
 			found++
 			lastFound = it.Key
 		}
 		return true
-	})
+	}, flush)
+	r.end.atEnd = r.end.key == nil
 	if limit > 0 && found >= limit && lastFound != nil {
-		// The result depends only on [from, lastFound]: claim the smallest
-		// exclusive bound covering it.
-		res.effectiveTo = string(lastFound) + "\x00"
+		r.effectiveTo = string(lastFound) + "\x00"
 	}
-	return res
 }
