@@ -53,7 +53,12 @@
 //	[5] Not at SI, which promises no predicate protection.
 //	[6] SIREADs are taken in batches while the store's latches exclude inserts;
 //	    Shared locks can block, so S2PL collects, locks, and repeats until a
-//	    pass finds every target already locked.
+//	    pass finds every target already locked. At every level the range is
+//	    collected, locked and marked in full before the callback sees a row,
+//	    in a scan context (items, lock keys, rivals) recycled through a
+//	    sync.Pool: it is taken when Scan starts and handed back zeroed when
+//	    Scan returns, a nested Scan takes its own, and the key and value
+//	    slices the callback receives are valid only until Scan returns.
 //	[7] Statement-level errors leave the transaction usable: K ErrKeyExists
 //	    (Insert of a visible key), R ErrReadOnly (on a declared read-only
 //	    transaction), F ErrFootprint (a registered program leaving its declared

@@ -164,7 +164,11 @@ func (t *Tree) LeafPage(key []byte) uint32 {
 // for key, root first. Page-granularity reads lock the whole path, as
 // Berkeley DB's btree does while descending.
 func (t *Tree) PathPages(key []byte) []uint32 {
-	path := make([]uint32, 0, 4)
+	return t.AppendPathPages(make([]uint32, 0, 4), key)
+}
+
+// AppendPathPages is PathPages appending to the caller-supplied buffer.
+func (t *Tree) AppendPathPages(path []uint32, key []byte) []uint32 {
 	t.findLeaf(key, &path)
 	return path
 }

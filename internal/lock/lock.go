@@ -49,6 +49,7 @@ package lock
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -392,14 +393,17 @@ func NewManagerShards(upgradeSIRead bool, n int) *Manager {
 // Shards returns the shard count (a power of two).
 func (m *Manager) Shards() int { return len(m.shards) }
 
-// shardOf maps a key to its shard with FNV-1a over all key fields.
-func (m *Manager) shardOf(key Key) *shard {
+// shardIndex maps a key to its shard's position in m.shards with FNV-1a over
+// all key fields.
+func (m *Manager) shardIndex(key Key) uint32 {
 	h := core.Fnv32aInit()
 	h = core.Fnv32aString(h, key.Table)
 	h = core.Fnv32aByte(h, byte(key.Kind))
 	h = core.Fnv32aString(h, key.K)
-	return m.shards[h&m.mask]
+	return h & m.mask
 }
+
+func (m *Manager) shardOf(key Key) *shard { return m.shards[m.shardIndex(key)] }
 
 // acquireSpins is the bounded spin budget of a blocked Acquire: how many
 // times it re-probes the entry (yielding the processor and the shard mutex
@@ -809,42 +813,76 @@ func (m *Manager) AcquireSIReadBatch(owner *core.Txn, keys []Key) (rivals []*cor
 	return m.AcquireSIReadBatchInto(owner, keys, nil)
 }
 
-// seenPool recycles the per-batch rival-deduplication sets.
-var seenPool = sync.Pool{New: func() any { return make(map[*core.Txn]bool, 8) }}
+// batchScratch is the working memory of one AcquireSIReadBatchInto call: the
+// rival-deduplication set and, for a multi-shard table, the buffers of the
+// counting sort that groups the batch by shard — each key's shard index,
+// the per-shard bucket boundaries and the grouped copy of the keys. Recycled
+// through batchPool and handed back with the set and the keys cleared, so an
+// idle scratch pins no transaction record and no key bytes.
+type batchScratch struct {
+	seen    map[*core.Txn]bool
+	idx     []uint32
+	start   []int
+	grouped []Key
+}
+
+var batchPool = sync.Pool{New: func() any { return &batchScratch{seen: make(map[*core.Txn]bool, 8)} }}
 
 // AcquireSIReadBatchInto is AcquireSIReadBatch appending the rivals to the
 // caller-supplied buffer (which may be nil) and returning it, so the scan
-// path can reuse one rival buffer per transaction.
+// path can reuse one rival buffer across rounds.
 func (m *Manager) AcquireSIReadBatchInto(owner *core.Txn, keys []Key, buf []*core.Txn) (rivals []*core.Txn) {
 	os := stateFor(owner)
 	rivals = buf
-	seen := seenPool.Get().(map[*core.Txn]bool)
+	sc := batchPool.Get().(*batchScratch)
 	defer func() {
-		clear(seen)
-		seenPool.Put(seen)
+		clear(sc.seen)
+		clear(sc.grouped)
+		batchPool.Put(sc)
 	}()
 	if len(m.shards) == 1 {
 		s := m.shards[0]
 		s.mu.Lock()
-		rivals = m.sireadBatchLocked(s, os, owner, keys, seen, rivals)
+		rivals = m.sireadBatchLocked(s, os, owner, keys, sc.seen, rivals)
 		s.mu.Unlock()
 		return rivals
 	}
 	// Keys hash-stripe across shards, so consecutive scan keys land on
-	// unrelated shards; bucketise first to get one critical section per
-	// touched shard instead of one per key.
-	byShard := make(map[*shard][]Key, 8)
-	for _, key := range keys {
-		s := m.shardOf(key)
-		byShard[s] = append(byShard[s], key)
+	// unrelated shards; group them first (a counting sort on the shard index)
+	// to get one critical section per touched shard instead of one per key.
+	sc.idx = resized(sc.idx, len(keys))
+	sc.grouped = resized(sc.grouped, len(keys))
+	sc.start = resized(sc.start, len(m.shards)+1)
+	clear(sc.start)
+	for i, key := range keys {
+		sc.idx[i] = m.shardIndex(key)
+		sc.start[sc.idx[i]+1]++
 	}
-	for s, ks := range byShard {
-		s.mu.Lock()
-		rivals = m.sireadBatchLocked(s, os, owner, ks, seen, rivals)
-		s.mu.Unlock()
+	for i := 1; i < len(sc.start); i++ {
+		sc.start[i] += sc.start[i-1]
+	}
+	// Filling a bucket advances its start to the next bucket's, so afterwards
+	// bucket i spans [start[i-1], start[i]) — and bucket 0 starts at 0.
+	for i, key := range keys {
+		sc.grouped[sc.start[sc.idx[i]]] = key
+		sc.start[sc.idx[i]]++
+	}
+	lo := 0
+	for i, s := range m.shards {
+		hi := sc.start[i]
+		if lo < hi {
+			s.mu.Lock()
+			rivals = m.sireadBatchLocked(s, os, owner, sc.grouped[lo:hi], sc.seen, rivals)
+			s.mu.Unlock()
+		}
+		lo = hi
 	}
 	return rivals
 }
+
+// resized returns s with length n, reusing its backing array when that is
+// large enough; the elements are whatever the array held.
+func resized[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
 
 func (m *Manager) sireadBatchLocked(s *shard, os *ownerState, owner *core.Txn, keys []Key, seen map[*core.Txn]bool, rivals []*core.Txn) []*core.Txn {
 	for _, key := range keys {
@@ -961,7 +999,8 @@ func (m *Manager) HoldsSIRead(owner *core.Txn) bool {
 	return os.sireds > 0
 }
 
-// Holds reports whether owner holds mode on key. Test helper.
+// Holds reports whether owner holds mode on key. S2PL scans use it to find
+// the keys of a collection pass that still need their Shared lock.
 func (m *Manager) Holds(owner *core.Txn, key Key, mode Mode) bool {
 	s := m.shardOf(key)
 	s.mu.Lock()

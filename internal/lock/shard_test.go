@@ -3,11 +3,13 @@ package lock
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"ssi/internal/core"
+	"ssi/internal/raceflag"
 )
 
 // crossShardKeys returns two row keys that map to different shards of m.
@@ -248,5 +250,63 @@ func TestShardCountRounding(t *testing.T) {
 	}
 	if got := NewManager(true).Shards(); got != DefaultShards() {
 		t.Fatalf("NewManager shards = %d, want DefaultShards %d", got, DefaultShards())
+	}
+}
+
+// TestSIReadBatchGroupsByShard pins the batch acquire's group-by-shard step
+// (a counting sort into recycled scratch): whatever the shard count, every
+// key of the batch is granted, each exclusive holder found is reported once,
+// the caller's key slice is left as it was, and a repeated batch allocates
+// no per-call grouping state.
+func TestSIReadBatchGroupsByShard(t *testing.T) {
+	for _, shards := range []int{1, 2, 8, 256} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			mgr := core.NewManager(core.DetectorBasic)
+			m := NewManagerShards(true, shards)
+			var keys []Key
+			for i := 0; i < 300; i++ {
+				k := []byte(fmt.Sprintf("k%04d", i))
+				keys = append(keys, RowKey("t", k), GapKey("t", k))
+			}
+			keys = append(keys, SupremumGapKey("t"), keys[0]) // a repeated key is harmless
+			orig := append([]Key(nil), keys...)
+
+			writers := []*core.Txn{mgr.Begin(core.SerializableSI), mgr.Begin(core.SerializableSI)}
+			for i, at := range [][]int{{10, 11, 200}, {400}} {
+				for _, k := range at {
+					if _, err := m.Acquire(writers[i], keys[k], Exclusive); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+
+			reader := mgr.Begin(core.SerializableSI)
+			rivals := m.AcquireSIReadBatch(reader, keys)
+			if !slices.Contains(rivals, writers[0]) || !slices.Contains(rivals, writers[1]) || len(rivals) != 2 {
+				t.Errorf("rivals = %v, want each of the two writers once", rivals)
+			}
+			for i, k := range keys {
+				if k != orig[i] {
+					t.Fatalf("batch reordered the caller's keys at %d: %v, was %v", i, k, orig[i])
+				}
+				if !m.Holds(reader, k, SIRead) {
+					t.Errorf("key %v not granted", k)
+				}
+			}
+			if got := len(stateOf(reader).keys); got != len(keys)-1 {
+				t.Errorf("reader holds %d keys, want %d", got, len(keys)-1)
+			}
+
+			// Re-acquiring grants nothing new, so what is left to allocate
+			// is the grouping itself.
+			buf := make([]*core.Txn, 0, 4)
+			if avg := testing.AllocsPerRun(50, func() { buf = m.AcquireSIReadBatchInto(reader, keys, buf[:0]) }); avg > 0.5 && !raceflag.Enabled {
+				t.Errorf("repeated batch of %d keys over %d shards: %.1f allocs per call, want 0", len(keys), shards, avg)
+			}
+			m.ReleaseAll(reader)
+			for _, w := range writers {
+				m.ReleaseAll(w)
+			}
+		})
 	}
 }

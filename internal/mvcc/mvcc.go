@@ -574,6 +574,12 @@ func (tb *Table) Scan(t *core.Txn, snap core.TS, from []byte, fn func(ScanItem) 
 //     by fn);
 //   - the latches are released, writers drain, and the next round begins.
 //
+// Memory: the merge state is recycled per table, items are handed to fn by
+// value, and nothing is kept once ScanWith returns, so the iteration itself
+// allocates nothing per partition, round or item (only an item's
+// NewerWriters, where newer versions exist). A caller that collects the
+// items owns that buffer and its recycling — the engine's scan context does.
+//
 // The SIREAD-atomicity invariant this preserves — no insert can land between
 // a key being emitted and its SIREAD protection being installed, at any
 // point of the scan:
@@ -596,7 +602,7 @@ func (tb *Table) Scan(t *core.Txn, snap core.TS, from []byte, fn func(ScanItem) 
 //     is marked from the writer side (Figure 3.7).
 //  4. Page granularity replaces gap locks with leaf-page SIREAD coverage:
 //     every leaf that could receive an in-range key is either the descent
-//     leaf of `from` (locked up front via ScanPathPages), the leaf of an
+//     leaf of `from` (locked up front via AppendScanPathPages), the leaf of an
 //     emitted key, or the boundary leaf — all SIREAD-locked by their round's
 //     flush — and page splits inherit that coverage onto the new page under
 //     the partition latch. The engine reads each page's committed writer
@@ -760,22 +766,23 @@ func (tb *Table) PathPages(key []byte) []uint32 {
 	return sh.tree.PathPages(key)
 }
 
-// ScanPathPages returns the root-to-leaf descent paths for `from` in every
-// partition — a merged scan descends all of them, so page-granularity scans
-// read-lock them all, as Berkeley DB does while descending one tree. The
+// AppendScanPathPages appends to out the root-to-leaf descent paths for
+// `from` in every partition — a merged scan descends all of them, so
+// page-granularity scans read-lock them all, as Berkeley DB does while
+// descending one tree (out is the caller's recycled buffer, as in
+// lock.AcquireInto: the call allocates nothing once it has grown). The
 // latch discipline matches a scan round exactly: every partition latch is
 // held shared together (ascending order, bounded duration), so the returned
 // paths form one atomic cut across partitions — a split cannot land between
 // two partitions' descents within one call. Splits after the call returns
 // are the caller's problem: the engine acquires the paths' page locks and
 // recomputes until a pass finds every page already held.
-func (tb *Table) ScanPathPages(from []byte) []uint32 {
-	out := make([]uint32, 0, 4*len(tb.shards))
+func (tb *Table) AppendScanPathPages(out []uint32, from []byte) []uint32 {
 	for _, sh := range tb.shards {
 		sh.mu.RLock()
 	}
 	for _, sh := range tb.shards {
-		out = append(out, sh.tree.PathPages(from)...)
+		out = sh.tree.AppendPathPages(out, from)
 	}
 	for _, sh := range tb.shards {
 		sh.mu.RUnlock()

@@ -123,28 +123,31 @@ func lockPagePath(tx *Txn, tb *table, key []byte, interior, leafMode lock.Mode, 
 // so a split racing the descent cannot move keys onto a page outside the
 // scan's coverage — once a page is held, later splits inherit the coverage
 // onto the new page (SIREAD) or wait for it (Shared).
-func (*pageTargets) lockScanStart(tx *Txn, tb *table, from []byte, mode lock.Mode, snap core.TS) error {
-	writers := tx.rivals[:0]
+func (*pageTargets) lockScanStart(tx *Txn, sc *scanCtx, tb *table, from []byte, mode lock.Mode, snap core.TS) error {
 	for {
-		path := tb.data.ScanPathPages(from)
+		sc.pages = tb.data.AppendScanPathPages(sc.pages[:0], from)
+		path := sc.pages
 		for _, pg := range path {
 			var err error
-			writers, err = tx.db.locks.AcquireInto(tx.t, lock.PageKey(tb.name, pg), mode, writers)
-			tx.rivals = writers[:0]
+			sc.writers, err = tx.db.locks.AcquireInto(tx.t, lock.PageKey(tb.name, pg), mode, sc.writers)
 			if err != nil {
 				return err
 			}
 		}
-		if !slices.Equal(path, tb.data.ScanPathPages(from)) {
+		// The recomputed paths land behind the first descent's in the same
+		// buffer.
+		sc.pages = tb.data.AppendScanPathPages(sc.pages, from)
+		if !slices.Equal(path, sc.pages[len(path):]) {
 			continue
 		}
 		if mode == lock.SIRead {
 			for _, pg := range path {
-				writers = append(writers, tb.data.PageNewerWriters(pg, snap)...)
+				sc.writers = append(sc.writers, tb.data.PageNewerWriters(pg, snap)...)
 			}
-			tx.rivals = writers[:0]
 		}
-		return tx.markAsReader(writers)
+		err := tx.markAsReader(sc.writers)
+		sc.writers = emptied(sc.writers)
+		return err
 	}
 }
 

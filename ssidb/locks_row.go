@@ -90,11 +90,15 @@ func (tx *Txn) gapLock(tb *table, key []byte) error {
 }
 
 // A scan's first gap is the one before its first key, which scanKeys covers.
-func (rowTargets) lockScanStart(*Txn, *table, []byte, lock.Mode, core.TS) error { return nil }
+func (rowTargets) lockScanStart(*Txn, *scanCtx, *table, []byte, lock.Mode, core.TS) error {
+	return nil
+}
 
 func (rowTargets) scanKeys(keys []lock.Key, tb *table, items []mvcc.ScanItem, end scanEnd) []lock.Key {
 	for i := range items {
-		keys = append(keys, lock.RowKey(tb.name, items[i].Key), lock.GapKey(tb.name, items[i].Key))
+		// One copy of the key bytes serves the row and its gap.
+		k := string(items[i].Key)
+		keys = append(keys, lock.Key{Table: tb.name, Kind: lock.Row, K: k}, lock.Key{Table: tb.name, Kind: lock.Gap, K: k})
 	}
 	switch {
 	case end.key != nil:

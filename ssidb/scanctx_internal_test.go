@@ -1,0 +1,92 @@
+package ssidb
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+)
+
+// firstNonZero returns the index of the first non-zero element within s's
+// whole capacity, or -1.
+func firstNonZero[T any](s []T) int {
+	s = s[:cap(s)]
+	for i := range s {
+		if !reflect.ValueOf(&s[i]).Elem().IsZero() {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestPooledScanContextPinsNothing is the no-pinning half of the recycled
+// scan context's contract: once Scan has returned, the context it handed
+// back holds only zero values over the whole capacity of its buffers — no
+// transaction record (visible creators, newer writers, lock rivals), no
+// version data and no tree or lock key — so an idle pool keeps nothing
+// reachable that vacuum or transaction cleanup has let go of. A concurrent
+// uncommitted writer makes sure the writer-side buffers are used too.
+func TestPooledScanContextPinsNothing(t *testing.T) {
+	key := func(i int) []byte { return []byte(fmt.Sprintf("k%04d", i)) }
+	for name, gran := range map[string]Granularity{"row": GranularityRow, "page": GranularityPage} {
+		for _, iso := range []Isolation{SnapshotIsolation, SerializableSI, S2PL} {
+			t.Run(fmt.Sprintf("%s/%v", name, iso), func(t *testing.T) {
+				db := Open(Options{Granularity: gran, PageMaxKeys: 8, TableShards: 2, Detector: DetectorPrecise})
+				if err := db.Run(SnapshotIsolation, func(tx *Txn) error {
+					for i := 0; i < 300; i++ {
+						if err := tx.Put("t", key(i), []byte("v")); err != nil {
+							return err
+						}
+					}
+					return nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+				if iso != S2PL { // whose scan would wait for the writer
+					w := db.Begin(SerializableSI)
+					defer w.Abort()
+					if err := w.Put("t", key(7), []byte("w")); err != nil {
+						t.Fatal(err)
+					}
+				}
+				// A pool may miss (and drops puts at random under the race
+				// detector), so scan until a used context comes back.
+				for attempt := 0; attempt < 100; attempt++ {
+					r := db.Begin(iso)
+					n := 0
+					if err := r.ScanLimit("t", nil, key(290), 280, func(k, v []byte) bool { n++; return true }); err != nil {
+						t.Fatal(err)
+					}
+					r.Abort()
+					if n != 280 {
+						t.Fatalf("scan saw %d rows, want 280", n)
+					}
+					sc := scanCtxPool.Get().(*scanCtx)
+					if cap(sc.items) == 0 {
+						continue
+					}
+					if iso != SnapshotIsolation && cap(sc.keys) == 0 {
+						t.Errorf("a locking scan left no key buffer in its context")
+					}
+					if iso == SerializableSI && cap(sc.writers) == 0 {
+						t.Errorf("a scan beside an uncommitted writer left no writer buffer in its context")
+					}
+					if len(sc.items)+len(sc.keys)+len(sc.writers)+len(sc.pages) != 0 || sc.end.key != nil || sc.limitKey != nil {
+						t.Errorf("pooled context is not reset: %d items, %d keys, %d writers, %d pages, end %q, limit %q",
+							len(sc.items), len(sc.keys), len(sc.writers), len(sc.pages), sc.end.key, sc.limitKey)
+					}
+					if i := firstNonZero(sc.items); i >= 0 {
+						t.Errorf("pooled item buffer still holds %+v at %d of %d", sc.items[:cap(sc.items)][i], i, cap(sc.items))
+					}
+					if i := firstNonZero(sc.keys); i >= 0 {
+						t.Errorf("pooled key buffer still holds %v at %d of %d", sc.keys[:cap(sc.keys)][i], i, cap(sc.keys))
+					}
+					if i := firstNonZero(sc.writers); i >= 0 {
+						t.Errorf("pooled writer buffer still holds a transaction at %d of %d", i, cap(sc.writers))
+					}
+					return
+				}
+				t.Fatal("no used scan context came back from the pool in 100 scans")
+			})
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"sync"
 
 	"ssi/internal/core"
 	"ssi/internal/lock"
@@ -25,15 +26,14 @@ type Txn struct {
 	// no WAL.
 	redo []byte
 
-	// rivals and lockKeys are per-transaction scratch buffers for the
-	// SIREAD/exclusive lock paths: lock.AcquireInto and
-	// AcquireSIReadBatchInto append conflicting holders into rivals, and
-	// scans assemble their SIREAD key set in lockKeys, so the steady state
-	// of a transaction's reads performs no per-operation slice allocation.
-	// Each use empties the buffer first and finishes consuming it before
-	// the next operation reuses it.
-	rivals   []*core.Txn
-	lockKeys []lock.Key
+	// rivals is the per-transaction scratch buffer of the point-operation
+	// lock paths (lockRead, lockWrite, gapLock, lockPagePath):
+	// lock.AcquireInto appends conflicting holders into it, so a
+	// transaction's second and later point operations allocate no rival
+	// slice. Each use empties it first and finishes consuming it before the
+	// next operation reuses it. Scans do not use it — their buffers live in
+	// the recycled scanCtx, which also serves one-scan transactions.
+	rivals []*core.Txn
 
 	// ro marks a transaction declared read-only at begin; writes on it fail
 	// with ErrReadOnly. roSafe caches a positive SnapshotSafe verdict — a
@@ -331,11 +331,12 @@ func (tx *Txn) readStamp(snap core.TS) core.TS {
 // InnoDB's row + next-key gap locking, pageTargets (locks_page.go) Berkeley
 // DB's page locking; doc.go tabulates what each operation gets from them.
 //
-// Methods acquire through the transaction's scratch buffers. Rivals found on
-// SIREAD acquisitions (exclusive holders) are marked by the method itself;
-// rivals found on exclusive acquisitions (SIREAD holders) are returned,
-// because the overlap test needs the caller's snapshot, which is assigned
-// only after its locks (deferred snapshot).
+// Point methods acquire through the transaction's scratch buffer, scan
+// methods through the scan's context. Rivals found on SIREAD acquisitions
+// (exclusive holders) are marked by the method itself; rivals found on
+// exclusive acquisitions (SIREAD holders) are returned, because the overlap
+// test needs the caller's snapshot, which is assigned only after its locks
+// (deferred snapshot).
 type lockTargets interface {
 	// lockRead acquires mode (SIRead or Shared) on the targets of a point
 	// read of key.
@@ -351,7 +352,7 @@ type lockTargets interface {
 	install(tx *Txn, tb *table, key, val []byte, tombstone bool) error
 	// lockScanStart acquires mode on whatever a scan from `from` reads
 	// before reaching its first key.
-	lockScanStart(tx *Txn, tb *table, from []byte, mode lock.Mode, snap core.TS) error
+	lockScanStart(tx *Txn, sc *scanCtx, tb *table, from []byte, mode lock.Mode, snap core.TS) error
 	// scanKeys appends the keys covering the visited items and where the
 	// scan stopped.
 	scanKeys(keys []lock.Key, tb *table, items []mvcc.ScanItem, end scanEnd) []lock.Key
@@ -526,7 +527,14 @@ func (tx *Txn) writeLockAndCheck(tb *table, key []byte, structural bool) (core.T
 
 // Scan visits the live keys in [from, to) in ascending order, calling fn for
 // each until fn returns false. A nil `to` scans to the end of the table.
-// Key and value slices must not be modified or retained.
+// Key and value slices must not be modified or retained: they alias the
+// store's own memory and are valid only until Scan returns.
+//
+// The range is collected, locked and conflict-marked in full before fn sees
+// its first row, into a scan context that is recycled from call to call
+// (scanCtx), so a steady-state scan allocates nothing that grows with the
+// range. fn may read, scan and write on the same transaction; what it writes
+// does not show up in the rows it is still being handed.
 //
 // Predicate protection follows the isolation level: S2PL takes shared row
 // and next-key gap locks (blocking inserts); SerializableSI takes SIREAD row
@@ -564,38 +572,50 @@ func (tx *Txn) scan(tableName string, from, to []byte, limit int, fn func(key, v
 	snap := tx.readPoint()
 	mode := tx.readLockMode()
 
-	var res scanResult
+	sc := scanCtxPool.Get().(*scanCtx)
+	defer sc.release()
 	var err error
 	switch mode {
 	case lock.SIRead:
-		res, err = tx.scanSSI(tb, snap, from, to, limit)
+		err = tx.scanSSI(sc, tb, snap, from, to, limit)
 	case lock.Shared:
-		res, err = tx.scanS2PL(tb, snap, from, to, limit)
+		err = tx.scanS2PL(sc, tb, snap, from, to, limit)
 	default: // lock-free snapshot scan: plain SI, or a safe read-only snapshot
-		res.collect(tb, tx.t, snap, from, to, limit, nil)
+		sc.collect(tb, tx.t, snap, from, to, limit, nil)
 	}
 	if err != nil {
 		return tx.fail(err)
 	}
 	if tx.roSafe {
 		// One SIREAD skipped per visited row plus the gap boundary.
-		tx.db.roSIReadSkips.Add(uint64(len(res.items)) + 1)
+		tx.db.roSIReadSkips.Add(uint64(len(sc.items)) + 1)
 	}
 
-	if r := tx.db.opts.Recorder; r != nil {
+	rec := tx.db.opts.Recorder
+	var stamp core.TS
+	if rec != nil {
+		// The recorder reports the *claimed* predicate range (what the result
+		// depends on): `to` for a full scan, the smallest exclusive bound
+		// covering the last visited key for a scan that stopped at its limit.
+		// The locked boundary (sc.end) may extend further, which is
+		// conservative for detection but must not widen the claim.
 		effTo := string(to)
-		if limit > 0 {
-			effTo = res.effectiveTo
+		if sc.limitKey != nil {
+			effTo = string(sc.limitKey) + "\x00"
 		}
-		r.RecScan(tx.t.ID(), tb.name, string(from), effTo, tx.readStamp(snap))
+		stamp = tx.readStamp(snap)
+		rec.RecScan(tx.t.ID(), tb.name, string(from), effTo, stamp)
 	}
 	// Promoted tables identity-write every row the caller was shown (the
 	// scan-shaped half of §2.6.2); keys and values are copied out first —
 	// the write path mutates the tree the scan buffers point into.
 	promote := tx.prog != nil && tx.prog.promoted[tableName]
 	var promoteKeys, promoteVals [][]byte
-	for _, it := range res.items {
-		tx.recRead(tb, it.Key, it.VisibleCreator, tx.readStamp(snap))
+	for i := range sc.items {
+		it := &sc.items[i]
+		if rec != nil {
+			tx.recRead(tb, it.Key, it.VisibleCreator, stamp)
+		}
 		if it.Found {
 			if promote {
 				promoteKeys = append(promoteKeys, append([]byte(nil), it.Key...))
@@ -624,60 +644,52 @@ func (tx *Txn) scan(tableName string, from, to []byte, limit int, fn func(key, v
 // the resumed merge itself (ahead of it); see mvcc.ScanWith for the full
 // invariant. Conflict marking is deferred to after the scan, because an
 // unsafe verdict aborts the transaction, which must not happen latched.
-func (tx *Txn) scanSSI(tb *table, snap core.TS, from, to []byte, limit int) (scanResult, error) {
+func (tx *Txn) scanSSI(sc *scanCtx, tb *table, snap core.TS, from, to []byte, limit int) error {
 	lt := tx.db.targets
-	var res scanResult
-	if err := lt.lockScanStart(tx, tb, from, lock.SIRead, snap); err != nil {
-		return res, err
+	if err := lt.lockScanStart(tx, sc, tb, from, lock.SIRead, snap); err != nil {
+		return err
 	}
-	writers := tx.rivals[:0] // rw-conflict targets, marked post-scan
-	keys := tx.lockKeys[:0]  // the current round's SIREAD set
-	flushed := 0             // items already covered by an earlier round
-	res.collect(tb, tx.t, snap, from, to, limit, func(exhausted bool) {
-		end := res.end
+	flushed := 0 // items already covered by an earlier round
+	sc.collect(tb, tx.t, snap, from, to, limit, func(exhausted bool) {
+		end := sc.end
 		end.atEnd = exhausted
-		round := res.items[flushed:]
-		flushed = len(res.items)
+		round := sc.items[flushed:]
+		flushed = len(sc.items)
 		// One lock-table critical section per round, while the round's
 		// latches still exclude inserters from the emitted keys.
-		keys = lt.scanKeys(keys[:0], tb, round, end)
-		writers = tx.db.locks.AcquireSIReadBatchInto(tx.t, keys, writers)
-		writers = lt.scanNewerWriters(writers, tb, snap, round, keys)
+		sc.keys = lt.scanKeys(emptied(sc.keys), tb, round, end)
+		sc.writers = tx.db.locks.AcquireSIReadBatchInto(tx.t, sc.keys, sc.writers)
+		sc.writers = lt.scanNewerWriters(sc.writers, tb, snap, round, sc.keys)
 	})
-	// Hand the (possibly grown) scratch buffers back for the next operation;
-	// writers is consumed by markAsReader below before any reuse.
-	tx.rivals, tx.lockKeys = writers[:0], keys[:0]
-	return res, tx.markAsReader(writers)
+	return tx.markAsReader(sc.writers)
 }
 
 // scanS2PL collects the range under blocking shared locks. Shared locks can
 // block, so they cannot be taken under the latch; instead collection and
-// locking loop until a pass finds the lock set already complete, which
-// closes the window in which a row could be inserted into the range after
-// collection but before its gap (or page) was locked.
-func (tx *Txn) scanS2PL(tb *table, snap core.TS, from, to []byte, limit int) (scanResult, error) {
+// locking loop until a pass finds every key of its lock set already held,
+// which closes the window in which a row could be inserted into the range
+// after collection but before its gap (or page) was locked.
+func (tx *Txn) scanS2PL(sc *scanCtx, tb *table, snap core.TS, from, to []byte, limit int) error {
 	lt := tx.db.targets
-	var res scanResult
-	if err := lt.lockScanStart(tx, tb, from, lock.Shared, snap); err != nil {
-		return res, err
+	if err := lt.lockScanStart(tx, sc, tb, from, lock.Shared, snap); err != nil {
+		return err
 	}
-	locked := make(map[lock.Key]bool)
 	for changed := true; changed; {
 		changed = false
-		res.collect(tb, tx.t, snap, from, to, limit, nil)
-		tx.lockKeys = lt.scanKeys(tx.lockKeys[:0], tb, res.items, res.end)
-		for _, k := range tx.lockKeys {
-			if locked[k] {
+		sc.collect(tb, tx.t, snap, from, to, limit, nil)
+		sc.keys = lt.scanKeys(emptied(sc.keys), tb, sc.items, sc.end)
+		for _, k := range sc.keys {
+			if tx.db.locks.Holds(tx.t, k, lock.Shared) {
 				continue
 			}
 			// Shared requests have no rw-conflict rivals to report.
-			if _, err := tx.db.locks.AcquireInto(tx.t, k, lock.Shared, tx.rivals[:0]); err != nil {
-				return res, err
+			if _, err := tx.db.locks.Acquire(tx.t, k, lock.Shared); err != nil {
+				return err
 			}
-			locked[k], changed = true, true
+			changed = true
 		}
 	}
-	return res, nil
+	return nil
 }
 
 // scanEnd is where a scan (or one round of it) stopped.
@@ -687,16 +699,44 @@ type scanEnd struct {
 	atEnd bool   // the scan ran off the end of the table instead
 }
 
-// scanResult is the outcome of a collection pass.
-type scanResult struct {
+// scanCtx is the memory of one Scan call: the collected range, where it
+// stopped, and the lock-path buffers the isolation level's scan variant
+// fills. Every scan — SI, safe read-only, SerializableSI and S2PL, row and
+// page granularity — takes one from scanCtxPool when it starts and hands it
+// back when it returns, so a steady-state scan allocates nothing that grows
+// with its range — including a transaction's first and only scan. A scan
+// nested in another's callback takes a context of its own. The range is
+// still materialised in full before the callback sees a row; the pool
+// recycles that memory instead of leaving it to the garbage collector, and
+// the collector's pool eviction is what bounds how much stays retained.
+//
+// Invariant: beyond its length every buffer holds zero values (buffers are
+// only ever truncated through emptied), so a pooled context keeps no
+// transaction record, version data or tree key reachable.
+type scanCtx struct {
 	items []mvcc.ScanItem
-	// effectiveTo is the *claimed* predicate range end (what the result
-	// actually depends on), which the recorder reports: `to` for full scans,
-	// the smallest exclusive bound covering the last visited key for limited
-	// scans. The locked boundary (end) may extend further, which is
-	// conservative for detection but must not widen the claim.
-	effectiveTo string
-	end         scanEnd
+	end   scanEnd
+	// limitKey is the last visible key of a collection that stopped because
+	// it reached its limit, nil otherwise.
+	limitKey []byte
+
+	keys    []lock.Key  // the current round's (S2PL: pass's) lock set
+	writers []*core.Txn // rw-conflict targets found, marked once unlatched
+	pages   []uint32    // page granularity: the descent paths lockScanStart locks
+}
+
+var scanCtxPool = sync.Pool{New: func() any { return new(scanCtx) }}
+
+// emptied returns s truncated to no elements, with the elements it held
+// zeroed so the backing array no longer references them.
+func emptied[T any](s []T) []T {
+	clear(s)
+	return s[:0]
+}
+
+func (sc *scanCtx) release() {
+	*sc = scanCtx{items: emptied(sc.items), keys: emptied(sc.keys), writers: emptied(sc.writers), pages: sc.pages[:0]}
+	scanCtxPool.Put(sc)
 }
 
 // collect gathers keys in [from, to) — including keys whose visible state is
@@ -705,25 +745,25 @@ type scanResult struct {
 // partition latches; flush, if non-nil, runs at the end of each round with
 // the latches still held. With a positive limit, collection stops after
 // `limit` visible items.
-func (r *scanResult) collect(tb *table, t *core.Txn, snap core.TS, from, to []byte, limit int, flush func(exhausted bool)) {
-	*r = scanResult{items: r.items[:0], effectiveTo: string(to)}
+func (sc *scanCtx) collect(tb *table, t *core.Txn, snap core.TS, from, to []byte, limit int, flush func(exhausted bool)) {
+	sc.items, sc.end, sc.limitKey = emptied(sc.items), scanEnd{}, nil
 	found := 0
 	var lastFound []byte
 	tb.data.ScanWith(t, snap, from, func(it mvcc.ScanItem) bool {
 		pastEnd := len(to) > 0 && bytes.Compare(it.Key, to) >= 0
 		if pastEnd || (limit > 0 && found >= limit) {
-			r.end.key, r.end.page = it.Key, it.Page
+			sc.end.key, sc.end.page = it.Key, it.Page
 			return false
 		}
-		r.items = append(r.items, it)
+		sc.items = append(sc.items, it)
 		if it.Found {
 			found++
 			lastFound = it.Key
 		}
 		return true
 	}, flush)
-	r.end.atEnd = r.end.key == nil
-	if limit > 0 && found >= limit && lastFound != nil {
-		r.effectiveTo = string(lastFound) + "\x00"
+	sc.end.atEnd = sc.end.key == nil
+	if limit > 0 && found >= limit {
+		sc.limitKey = lastFound
 	}
 }
