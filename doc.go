@@ -70,6 +70,15 @@
 //	    lock, and S2PL's Shared ones). A Commit that returns a log error is
 //	    neither: the commit is published in memory, its durability unknown.
 //
+// Handle lifetime. The *ssidb.Txn a begin returns is the caller's: it may be
+// kept past Commit, Abort or the return of Run and RunRetry, and from then on
+// every operation on it returns ErrTxnDone (Abort returns nil). What the
+// transaction needed only while it ran — write set, rival buffer, redo
+// record — is the engine's: it sits in a scratch recycled through a
+// sync.Pool, taken at begin and handed back zeroed the moment the
+// transaction is done, and the finished handle no longer reaches it. Like
+// any Txn, a handle is for one goroutine at a time.
+//
 // # Scaling beyond the paper
 //
 // The thesis prototypes inherit their hosts' global synchronisation: one

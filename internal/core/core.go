@@ -333,7 +333,10 @@ type Txn struct {
 	// (the pending redo record and, after stampCommitted, its LSN). Same
 	// ownership discipline as lockState: written by the owner's goroutine
 	// before CommitPrepare, read by the commit hook on the same goroutine
-	// under tsMu, so it needs no lock of its own.
+	// under tsMu, and cleared by the owner once the commit is durable (or
+	// failed) — this record outlives the commit for as long as a version
+	// points at it, and must not keep the redo bytes alive with it. So it
+	// needs no lock of its own.
 	commitState any
 }
 
@@ -347,8 +350,9 @@ func (t *Txn) SetLockState(v any) { t.lockState = v }
 // CommitState returns the engine's commit-durability slot (nil until set).
 func (t *Txn) CommitState() any { return t.commitState }
 
-// SetCommitState installs the commit-durability slot. Must be called from
-// the owner's goroutine before CommitPrepare.
+// SetCommitState installs the commit-durability slot (from the owner's
+// goroutine, before CommitPrepare) or, with nil, clears it (same goroutine,
+// once CommitPrepare has returned).
 func (t *Txn) SetCommitState(v any) { t.commitState = v }
 
 // ID returns the transaction's unique identifier.

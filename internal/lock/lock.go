@@ -226,15 +226,6 @@ type shard struct {
 	mu    sync.Mutex
 	table map[Key]*entry
 
-	// free recycles entry records within the shard. Lock entries are
-	// garbage-collected the moment nothing holds or waits on them
-	// (gcEntryLocked), so a point operation on an otherwise idle key
-	// creates and discards one per acquire — recycling turns that into a
-	// pointer pop/push under the already-held shard mutex. Recycled
-	// entries keep their (empty) holders map, saving the map allocation
-	// too. Capped so an exceptional burst does not pin memory forever.
-	free []*entry
-
 	// Wait-path instrumentation, guarded by mu. waits counts acquires that
 	// found a blocker at all; spinGrants the subset resolved during the
 	// bounded spin (never touching the waits-for graph); parks the subset
@@ -263,19 +254,25 @@ func newShard(idx int) *shard {
 	return &shard{idx: idx, table: make(map[Key]*entry)}
 }
 
-// entryFreeCap bounds each shard's entry free list.
-const entryFreeCap = 64
+// entryPool recycles entry records. Lock entries are garbage-collected the
+// moment nothing holds or waits on them (gcEntryLocked), so a point operation
+// on an otherwise idle key creates and discards one per acquire, and the
+// cleanup of a batch of suspended transactions discards their SIREAD entries
+// in one burst; the pool absorbs both. An entry goes in empty — no holder, no
+// waiter, zeroed counters — but keeps its holders map, so a recycled one
+// costs neither the record nor the map. What stays retained is bounded by
+// the collector's pool eviction.
+var entryPool = sync.Pool{New: func() any { return &entry{holders: make(map[*core.Txn]Mode)} }}
 
-// getEntryLocked returns a recycled or fresh empty entry; the caller holds
-// the shard mutex.
-func (s *shard) getEntryLocked() *entry {
-	if n := len(s.free); n > 0 {
-		e := s.free[n-1]
-		s.free[n-1] = nil
-		s.free = s.free[:n-1]
-		return e
+// entryLocked returns key's entry, installing an empty one if the key is not
+// in the table; the caller holds the shard mutex.
+func (s *shard) entryLocked(key Key) *entry {
+	e := s.table[key]
+	if e == nil {
+		e = entryPool.Get().(*entry)
+		s.table[key] = e
 	}
-	return &entry{holders: make(map[*core.Txn]Mode)}
+	return e
 }
 
 // ownerState is one transaction's lock bookkeeping: the keys it holds (with
@@ -288,7 +285,7 @@ func (s *shard) getEntryLocked() *entry {
 // versus release processing shards one at a time.
 type ownerState struct {
 	mu     sync.Mutex
-	keys   map[Key]Mode // nil once released
+	keys   map[Key]Mode // nil while the owner holds nothing
 	sireds int          // count of keys with SIRead held
 	// released marks an initiated ReleaseAll: the owner is retired and no
 	// lock may be recorded for it again. Without it, an InheritSIRead
@@ -306,14 +303,17 @@ func stateOf(owner *core.Txn) *ownerState {
 	return nil
 }
 
-// keysMapPool recycles ownerState key maps: every transaction that takes a
-// lock needs one, and a terminal release empties it, so recycling turns the
-// per-transaction map (and its bucket growth on first insert) into a pool
-// hit. Only the map is pooled — the ownerState itself may still be
-// referenced through stale lock-table reads after release (the released
-// flag protocol), so recycling the struct could alias two owners; the map
-// is only ever touched under os.mu after a released check, which makes its
-// handoff safe.
+// keysMapPool recycles ownerState key maps: an owner takes one with its first
+// grant (grantLocked) and hands it back whenever a release leaves it holding
+// nothing — at cleanup for a transaction whose SIREAD locks outlived it, at
+// commit already for one that had none (every write-only or S2PL
+// transaction). Transaction records stay reachable from version chains and
+// the suspended list long after their locks are gone, and a map pinned to
+// each, drained or not, would swell the live heap the collector re-scans
+// every cycle. Only the map is pooled — the ownerState itself may still be
+// referenced through stale lock-table reads after release (the released flag
+// protocol), so recycling the struct could alias two owners; the map is only
+// ever touched under os.mu, which makes its handoff safe.
 var keysMapPool = sync.Pool{New: func() any { return make(map[Key]Mode, 8) }}
 
 // stateFor returns the owner's bookkeeping, creating it on first use — or
@@ -324,7 +324,7 @@ func stateFor(owner *core.Txn) *ownerState {
 	if os := stateOf(owner); os != nil && !os.released.Load() {
 		return os
 	}
-	os := &ownerState{keys: keysMapPool.Get().(map[Key]Mode)}
+	os := new(ownerState)
 	owner.SetLockState(os)
 	return os
 }
@@ -450,11 +450,7 @@ func (m *Manager) AcquireInto(owner *core.Txn, key Key, mode Mode, buf []*core.T
 	for {
 		// Re-fetched each probe: the entry can be deleted and recreated
 		// while the spin loop is off the shard mutex.
-		e := s.table[key]
-		if e == nil {
-			e = s.getEntryLocked()
-			s.table[key] = e
-		}
+		e := s.entryLocked(key)
 
 		if e.holders[owner]&mode == mode {
 			rivals = rivalsInto(e, owner, mode, buf) // already held
@@ -679,6 +675,9 @@ func (m *Manager) grantLocked(os *ownerState, e *entry, owner *core.Txn, key Key
 	if mode == SIRead && prev&SIRead == 0 {
 		os.sireds++
 	}
+	if os.keys == nil {
+		os.keys = keysMapPool.Get().(map[Key]Mode)
+	}
 	os.keys[key] = next
 	os.mu.Unlock()
 	e.holders[owner] = next
@@ -731,22 +730,18 @@ func (m *Manager) release(owner *core.Txn, modes Mode) {
 	*bufp = keys[:0]
 	keyBufPool.Put(bufp)
 
-	if terminal {
-		// Detach the bookkeeping map: transaction records stay reachable
-		// from version chains and the suspended list long after their locks
-		// are gone, and a pointer-rich map pinned to each would swell the
-		// live heap the garbage collector re-scans every cycle. The drained
-		// map goes back to the pool for the next transaction; the released
-		// flag (set above, checked by every accessor under os.mu) guarantees
-		// nothing records into this owner again.
-		os.mu.Lock()
-		detached := os.keys
-		os.keys = nil
-		os.mu.Unlock()
-		if detached != nil {
-			clear(detached)
-			keysMapPool.Put(detached)
-		}
+	// An owner left holding nothing gives its map back (see keysMapPool). A
+	// concurrent InheritSIRead cannot be refilling it: it only adds to owners
+	// it finds holding a SIREAD, whose map is therefore not empty.
+	os.mu.Lock()
+	var drained map[Key]Mode
+	if len(os.keys) == 0 {
+		drained, os.keys = os.keys, nil
+	}
+	os.mu.Unlock()
+	if drained != nil {
+		clear(drained) // empty already; resets the table's deleted-slot marks
+		keysMapPool.Put(drained)
 	}
 }
 
@@ -788,16 +783,14 @@ func (m *Manager) releaseKeyLocked(s *shard, os *ownerState, owner *core.Txn, ke
 	gcEntryLocked(s, key, e)
 }
 
-// gcEntryLocked removes key's entry once nothing holds or waits on it,
-// recycling the record into the shard's free list; the caller holds the
-// shard mutex. An empty entry has an empty holders map and zeroed mode
-// counters by construction, so it is reusable as is.
+// gcEntryLocked removes key's entry once nothing holds or waits on it and
+// recycles the record; the caller holds the shard mutex. An empty entry has
+// an empty holders map, an empty queue and zeroed mode counters by
+// construction, so it is reusable as is.
 func gcEntryLocked(s *shard, key Key, e *entry) {
 	if len(e.holders) == 0 && e.q.n == 0 {
 		delete(s.table, key)
-		if len(s.free) < entryFreeCap {
-			s.free = append(s.free, e)
-		}
+		entryPool.Put(e)
 	}
 }
 
@@ -886,11 +879,7 @@ func resized[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
 
 func (m *Manager) sireadBatchLocked(s *shard, os *ownerState, owner *core.Txn, keys []Key, seen map[*core.Txn]bool, rivals []*core.Txn) []*core.Txn {
 	for _, key := range keys {
-		e := s.table[key]
-		if e == nil {
-			e = s.getEntryLocked()
-			s.table[key] = e
-		}
+		e := s.entryLocked(key)
 		held := e.holders[owner]
 		if held&SIRead != 0 {
 			continue
@@ -939,11 +928,7 @@ func (m *Manager) InheritSIRead(src, dst Key) {
 			continue
 		}
 		if de == nil {
-			de = ds.table[dst]
-			if de == nil {
-				de = ds.getEntryLocked()
-				ds.table[dst] = de
-			}
+			de = ds.entryLocked(dst)
 		}
 		if de.holders[h]&SIRead != 0 {
 			continue

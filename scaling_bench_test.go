@@ -192,6 +192,10 @@ func BenchmarkScalingTableShards(b *testing.B) {
 // Allocation microbenchmarks for the storage read path. ReportAllocs makes
 // allocs/op part of every run (CI included, no -benchmem needed), so a
 // regression that starts allocating per Get or per scanned key is visible.
+// A one-Get transaction costs 2 allocs / 176 B at plain SI and on a safe
+// read-only snapshot — the 128 B transaction record and the 48 B handle — and
+// 5 allocs / 220 B read-write at SerializableSI, which adds the lock owner
+// state, the lock key and the cleanup list that later releases its SIREAD.
 func BenchmarkGetAlloc(b *testing.B) {
 	for _, c := range []struct {
 		name string
@@ -295,26 +299,27 @@ func allocsPerCall(f func()) (allocs, bytes float64) {
 // therefore the same for 64 and 1024 keys, for 1 and 8 partitions, and for a
 // plain-SI scan and a declared read-only SerializableSI scan on a safe
 // snapshot. A read-write SerializableSI scan additionally leaves SIREAD
-// records in the lock table, which are the one thing that must be per row:
-// one copy of each key's bytes (shared by its row and gap lock). Its row
-// stops at 64 keys, because past the lock shards' entry free lists the lock
-// table's own growth dominates and says nothing about the scan path.
+// records in the lock table, and the one thing about them that must be built
+// per row is a copy of the key's bytes (shared by its row and gap lock): the
+// lock-table entries themselves are recycled, so the same per-row budget
+// holds at 64 and at 1024 keys.
 func TestScanAllocBudget(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("sync.Pool drops items at random under -race; the budgets assume it does not")
 	}
 	for _, c := range []struct {
-		name   string
-		iso    ssidb.Isolation
-		ro     bool
-		spans  []int
-		fixed  float64 // allocs per scan transaction
-		perRow float64 // allocs per scanned key
-		bytes  float64 // bytes per scan transaction, whatever the span
+		name        string
+		iso         ssidb.Isolation
+		ro          bool
+		spans       []int
+		fixed       float64 // allocs per scan transaction
+		perRow      float64 // allocs per scanned key
+		bytes       float64 // bytes per scan transaction, whatever the span
+		perRowBytes float64
 	}{
 		{name: "SI", iso: ssidb.SnapshotIsolation, spans: []int{64, 1024}, fixed: 3, bytes: 512},
 		{name: "SSI-safe-RO", iso: ssidb.SerializableSI, ro: true, spans: []int{64, 1024}, fixed: 3, bytes: 512},
-		{name: "SSI", iso: ssidb.SerializableSI, spans: []int{64}, fixed: 8, perRow: 1, bytes: 2048},
+		{name: "SSI", iso: ssidb.SerializableSI, spans: []int{64, 1024}, fixed: 6, perRow: 1, bytes: 512, perRowBytes: 8},
 	} {
 		for _, tshards := range []int{1, 8} {
 			for _, span := range c.spans {
@@ -346,14 +351,102 @@ func TestScanAllocBudget(t *testing.T) {
 					if budget := c.fixed + c.perRow*float64(span); allocs > budget {
 						t.Errorf("scan of %d keys over %d shards: %.1f allocs/op, budget %.0f", span, tshards, allocs, budget)
 					}
-					if bytes > c.bytes {
-						t.Errorf("scan of %d keys over %d shards: %.0f B/op, budget %.0f", span, tshards, bytes, c.bytes)
+					if budget := c.bytes + c.perRowBytes*float64(span); bytes > budget {
+						t.Errorf("scan of %d keys over %d shards: %.0f B/op, budget %.0f", span, tshards, bytes, budget)
 					}
 					if st := db.StatsSnapshot(); c.ro && st.ROSIReadSkips == 0 {
 						t.Errorf("safe-snapshot path not exercised: %d promotions, %d SIREAD skips", st.ROSafePromotions, st.ROSIReadSkips)
 					}
 				})
 			}
+		}
+	}
+}
+
+// TestTxnAllocBudget asserts what a steady-state point transaction may
+// allocate: the records that have to outlive it and nothing it needs only
+// while it runs. The body is the repository benchmark's kv-uniform
+// transaction — 4 Gets and 2 Puts on existing rows through RunRetry — over
+// prebuilt keys. At SerializableSI that is the transaction record, the
+// handle, the lock owner state, one version per write and one key string per
+// lock (12 allocations); at plain SI the reads lock nothing and the lock
+// table's share shrinks to the two write locks. The write set, the rival
+// buffer and the lock-table entries are recycled, so the second half of the
+// test holds each further write to its version and its lock key.
+func TestTxnAllocBudget(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("sync.Pool drops items at random under -race; the budgets assume it does not")
+	}
+	const nkeys = 4096
+	keys := make([][]byte, nkeys)
+	for i := range keys {
+		keys[i] = kvmix.Key(i * 2) // existing rows: the load holds 10 000
+	}
+	val := []byte("w")
+	// txn returns a transaction of the given shape; every call works on the
+	// next keys of the prebuilt set, so its locks meet no entry of its own.
+	txn := func(t *testing.T, db *ssidb.DB, iso ssidb.Isolation, reads, writes int) func() {
+		next := 0
+		key := func() []byte { next++; return keys[next%nkeys] }
+		body := func(tx *ssidb.Txn) error {
+			for i := 0; i < reads; i++ {
+				if _, _, err := tx.Get(kvmix.Table, key()); err != nil {
+					return err
+				}
+			}
+			for i := 0; i < writes; i++ {
+				if err := tx.Put(kvmix.Table, key(), val); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+		return func() {
+			if err := db.RunRetry(iso, body); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, c := range []struct {
+		name   string
+		iso    ssidb.Isolation
+		allocs float64
+		bytes  float64
+	}{
+		{name: "SSI", iso: ssidb.SerializableSI, allocs: 14, bytes: 390},  // measured 12.0 and 336
+		{name: "SI", iso: ssidb.SnapshotIsolation, allocs: 8, bytes: 360}, // measured 7.0 and 312
+	} {
+		for _, tshards := range []int{1, 8} {
+			t.Run(fmt.Sprintf("%s/tshards=%d", c.name, tshards), func(t *testing.T) {
+				db := ssidb.Open(ssidb.Options{Detector: ssidb.DetectorPrecise, TableShards: tshards, LockShards: 8})
+				if err := kvmix.Load(db, kvmix.DefaultConfig()); err != nil {
+					t.Fatal(err)
+				}
+				run := txn(t, db, c.iso, 4, 2)
+				for i := 0; i < 100; i++ { // warm the pools
+					run()
+				}
+				allocs, bytes := allocsPerCall(run)
+				t.Logf("4 Gets + 2 Puts: %.1f allocs/op, %.0f B/op", allocs, bytes)
+				if allocs > c.allocs || bytes > c.bytes {
+					t.Errorf("4 Gets + 2 Puts: %.1f allocs/op, %.0f B/op, budget %.0f and %.0f", allocs, bytes, c.allocs, c.bytes)
+				}
+
+				one, ten := txn(t, db, c.iso, 0, 1), txn(t, db, c.iso, 0, 10)
+				for i := 0; i < 100; i++ {
+					one()
+					ten()
+				}
+				a1, b1 := allocsPerCall(one)
+				a10, b10 := allocsPerCall(ten)
+				t.Logf("1 Put: %.1f allocs/op, %.0f B/op; 10 Puts: %.1f allocs/op, %.0f B/op", a1, b1, a10, b10)
+				// Measured: exactly 2 allocs and 52-79 B (a 48 B version, a 4-byte
+				// lock key), where a write set grown by appending, with a key
+				// string per record, cost 3.8 and 240 B.
+				if perWrite, perWriteBytes := (a10-a1)/9, (b10-b1)/9; perWrite > 2.1 || perWriteBytes > 80 {
+					t.Errorf("each further write costs %.2f allocs and %.0f B, want its version and its lock key only (2, ≤ 80 B)", perWrite, perWriteBytes)
+				}
+			})
 		}
 	}
 }

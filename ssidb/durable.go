@@ -53,7 +53,7 @@ func (tx *Txn) shouldLog() bool {
 	if tx.db.log == nil {
 		return false
 	}
-	return len(tx.redo) > 0 || tx.db.dir == ""
+	return len(tx.s.commit.redo) > 0 || tx.db.dir == ""
 }
 
 // --- redo record encoding ---

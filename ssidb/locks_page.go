@@ -76,7 +76,7 @@ func (*pageTargets) install(tx *Txn, tb *table, key, val []byte, tombstone bool)
 // acquired under a stale plan are simply kept. It returns the SIREAD holders
 // found on the exclusive acquisitions, and the leaf.
 func lockPagePath(tx *Txn, tb *table, key []byte, interior, leafMode lock.Mode, structural bool) (readers []*core.Txn, leaf uint32, err error) {
-	readers = tx.rivals[:0]
+	readers = emptied(tx.s.rivals)
 	for {
 		path := tb.data.PathPages(key)
 		split := structural && tb.data.InsertWillSplit(key)
@@ -98,9 +98,10 @@ func lockPagePath(tx *Txn, tb *table, key []byte, interior, leafMode lock.Mode, 
 				// These rivals are exclusive holders (Figure 3.4): marked
 				// now, not handed to the caller.
 				err = tx.markAsReader(readers[held:])
+				clear(readers[held:])
 				readers = readers[:held]
 			}
-			tx.rivals = readers[:0]
+			tx.s.rivals = readers
 			if err != nil {
 				return nil, 0, err
 			}

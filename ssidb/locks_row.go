@@ -16,8 +16,8 @@ import (
 type rowTargets struct{}
 
 func (rowTargets) lockRead(tx *Txn, tb *table, key []byte, mode lock.Mode, _ core.TS) error {
-	rivals, err := tx.db.locks.AcquireInto(tx.t, lock.RowKey(tb.name, key), mode, tx.rivals[:0])
-	tx.rivals = rivals[:0]
+	rivals, err := tx.db.locks.AcquireInto(tx.t, lock.RowKey(tb.name, key), mode, emptied(tx.s.rivals))
+	tx.s.rivals = rivals
 	if err != nil {
 		return err
 	}
@@ -34,8 +34,8 @@ func (rowTargets) lockWrite(tx *Txn, tb *table, key []byte, structural bool) ([]
 			return nil, 0, err
 		}
 	}
-	readers, err := tx.db.locks.AcquireInto(tx.t, lock.RowKey(tb.name, key), lock.Exclusive, tx.rivals[:0])
-	tx.rivals = readers[:0]
+	readers, err := tx.db.locks.AcquireInto(tx.t, lock.RowKey(tb.name, key), lock.Exclusive, emptied(tx.s.rivals))
+	tx.s.rivals = readers
 	if err != nil {
 		return nil, 0, err
 	}
@@ -74,8 +74,8 @@ func (tx *Txn) gapLock(tb *table, key []byte) error {
 		if ok {
 			gk = lock.GapKey(tb.name, succ)
 		}
-		rivals, err := tx.db.locks.AcquireInto(tx.t, gk, lock.Exclusive, tx.rivals[:0])
-		tx.rivals = rivals[:0]
+		rivals, err := tx.db.locks.AcquireInto(tx.t, gk, lock.Exclusive, emptied(tx.s.rivals))
+		tx.s.rivals = rivals
 		if err != nil {
 			return err
 		}

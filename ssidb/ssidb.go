@@ -527,7 +527,7 @@ func (db *DB) beginTx(iso Isolation, opts TxnOptions) *Txn {
 	if r := db.opts.Recorder; r != nil {
 		r.RecBegin(t.ID(), iso.String())
 	}
-	return &Txn{db: db, t: t, ro: opts.ReadOnly}
+	return db.newTxn(t, opts.ReadOnly, false)
 }
 
 // BeginReadOnly starts a transaction declared read-only at the given
@@ -552,7 +552,7 @@ func (db *DB) beginDeferred(iso Isolation) *Txn {
 					r.RecBegin(t.ID(), iso.String())
 				}
 				db.roPromotions.Add(1)
-				return &Txn{db: db, t: t, ro: true, roSafe: true}
+				return db.newTxn(t, true, true)
 			}
 			if db.mgr.ThreatHorizon() > s {
 				break // doomed: a threat committed above s, retry fresh

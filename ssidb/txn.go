@@ -15,33 +15,14 @@ import (
 // After any abort-class error the transaction has been rolled back and every
 // further operation returns ErrTxnDone.
 type Txn struct {
-	db     *DB
-	t      *core.Txn
-	writes []writeRec
-	done   bool
-
-	// redo accumulates this transaction's redo record (one encoded entry
-	// per write, values copied at write time so later caller mutation of
-	// the value slice cannot corrupt the log). Empty when the database has
-	// no WAL.
-	redo []byte
-
-	// rivals is the per-transaction scratch buffer of the point-operation
-	// lock paths (lockRead, lockWrite, gapLock, lockPagePath):
-	// lock.AcquireInto appends conflicting holders into it, so a
-	// transaction's second and later point operations allocate no rival
-	// slice. Each use empties it first and finishes consuming it before the
-	// next operation reuses it. Scans do not use it — their buffers live in
-	// the recycled scanCtx, which also serves one-scan transactions.
-	rivals []*core.Txn
-
-	// ro marks a transaction declared read-only at begin; writes on it fail
-	// with ErrReadOnly. roSafe caches a positive SnapshotSafe verdict — a
-	// verdict is permanently sound for the holder — so once set the SSI
-	// read paths skip SIREAD acquisition and conflict marking for the rest
-	// of the transaction.
-	ro     bool
-	roSafe bool
+	db *DB
+	t  *core.Txn
+	// s is everything the transaction needs only while it runs, recycled
+	// from transaction to transaction; nil once done is set. The handle
+	// itself is the caller's and stays a plain allocation: a caller may keep
+	// it past the transaction's end, where it must go on answering
+	// ErrTxnDone rather than alias whichever transaction runs next.
+	s *txnScratch
 
 	// prog, when non-nil, marks a program transaction (BeginProgram): every
 	// access is checked against the program's declared table footprint, and
@@ -51,11 +32,81 @@ type Txn struct {
 	prog        *registeredProgram
 	progSIToken bool
 	adhocToken  bool
+
+	done bool
+
+	// ro marks a transaction declared read-only at begin; writes on it fail
+	// with ErrReadOnly. roSafe caches a positive SnapshotSafe verdict — a
+	// verdict is permanently sound for the holder — so once set the SSI
+	// read paths skip SIREAD acquisition and conflict marking for the rest
+	// of the transaction.
+	ro     bool
+	roSafe bool
+}
+
+// txnScratch is the engine's working memory of one running transaction: the
+// write set, the rival buffer of the point-operation lock paths, and the
+// redo record with the slot the WAL hook answers into. A handle takes one
+// from txnScratchPool when it is built (newTxn) and hands it back the moment
+// it is done (Commit, cleanupAbort), so a steady-state transaction allocates
+// none of this, and the collector's pool eviction is what bounds how much
+// stays retained.
+//
+// Invariant: beyond its length every pointer-carrying buffer holds zero
+// values (they are only ever truncated through emptied), so a pooled scratch
+// keeps no transaction record and no table reachable; the byte buffers are
+// merely truncated.
+type txnScratch struct {
+	// writes is the write set in statement order, for rollback. Record i's
+	// key is keys[writes[i-1].end:writes[i].end]: the keys are copied once
+	// into one arena instead of one string each.
+	writes []writeRec
+	keys   []byte
+
+	// rivals is the buffer lock.AcquireInto appends conflicting holders
+	// into on the point paths (lockRead, lockWrite, gapLock, lockPagePath),
+	// so only a transaction's first rival can allocate. Each use empties it
+	// first and finishes consuming it before the next operation reuses it.
+	// Scans do not use it — their buffers live in the recycled scanCtx.
+	rivals []*core.Txn
+
+	// commit.redo accumulates the redo record (one encoded entry per write,
+	// values copied at write time so later caller mutation of the value
+	// slice cannot corrupt the log; empty when the database has no WAL).
+	// Commit hands &commit to the WAL hook through core.Txn's commit slot
+	// and clears the slot again before the scratch is released.
+	commit commitState
 }
 
 type writeRec struct {
 	tb  *table
-	key string
+	end int // end of the key in txnScratch.keys; it starts where the previous record's ends
+}
+
+var txnScratchPool = sync.Pool{New: func() any { return new(txnScratch) }}
+
+// newTxn builds the handle of a transaction that has just begun — the one
+// place a scratch is taken.
+func (db *DB) newTxn(t *core.Txn, ro, roSafe bool) *Txn {
+	return &Txn{db: db, t: t, s: txnScratchPool.Get().(*txnScratch), ro: ro, roSafe: roSafe}
+}
+
+// finish marks the handle done and returns its scratch to the pool. The
+// commit slot is cleared first: the transaction record stays reachable from
+// the versions it wrote, and must neither pin the redo bytes nor point into
+// a scratch that now belongs to another transaction.
+func (tx *Txn) finish() {
+	tx.done = true
+	tx.t.SetCommitState(nil)
+	s := tx.s
+	tx.s = nil
+	*s = txnScratch{
+		writes: emptied(s.writes),
+		keys:   s.keys[:0],
+		rivals: emptied(s.rivals),
+		commit: commitState{redo: s.commit.redo[:0]},
+	}
+	txnScratchPool.Put(s)
 }
 
 // ID returns the transaction identifier.
@@ -129,11 +180,15 @@ func (tx *Txn) cleanupAbort() {
 	if tx.done {
 		return
 	}
-	tx.done = true
-	for i := len(tx.writes) - 1; i >= 0; i-- {
-		w := tx.writes[i]
-		w.tb.data.Rollback(tx.t, []byte(w.key))
+	writes, keys := tx.s.writes, tx.s.keys
+	for i := len(writes) - 1; i >= 0; i-- {
+		start := 0
+		if i > 0 {
+			start = writes[i-1].end
+		}
+		writes[i].tb.data.Rollback(tx.t, keys[start:writes[i].end])
 	}
+	tx.finish()
 	cleaned := tx.db.mgr.Abort(tx.t)
 	tx.db.locks.ReleaseAll(tx.t)
 	tx.db.afterCleanup(cleaned)
@@ -179,7 +234,7 @@ func (tx *Txn) Commit() error {
 	if logged {
 		// The commit hook, running under tsMu inside CommitPrepare, appends
 		// the record and stores its LSN back into this slot.
-		tx.t.SetCommitState(&commitState{redo: tx.redo})
+		tx.t.SetCommitState(&tx.s.commit)
 	}
 	ct, err := tx.db.mgr.CommitPrepare(tx.t)
 	if err != nil {
@@ -191,7 +246,7 @@ func (tx *Txn) Commit() error {
 	}
 	var walErr error
 	if logged {
-		cs := tx.t.CommitState().(*commitState)
+		cs := &tx.s.commit
 		if cs.err != nil {
 			// The append itself was refused (closed log, timestamp
 			// regression): no record was queued, so there is nothing to
@@ -209,7 +264,7 @@ func (tx *Txn) Commit() error {
 	keep := tx.t.Isolation().TracksConflicts() &&
 		(tx.db.locks.HoldsSIRead(tx.t) || tx.db.mgr.HasOutConflict(tx.t))
 	cleaned := tx.db.mgr.Finish(tx.t, keep)
-	tx.done = true
+	tx.finish()
 	tx.db.afterCleanup(cleaned)
 	tx.releaseProgTokens()
 	if r := tx.db.opts.Recorder; r != nil {
@@ -488,12 +543,13 @@ func (tx *Txn) write(tableName string, key, val []byte, tombstone, mustNotExist 
 	}
 	// Recorded before the install so that a failure inside it still rolls
 	// the version back (rolling back a key never written is a no-op).
-	tx.writes = append(tx.writes, writeRec{tb: tb, key: string(key)})
+	tx.s.keys = append(tx.s.keys, key...)
+	tx.s.writes = append(tx.s.writes, writeRec{tb: tb, end: len(tx.s.keys)})
 	if err := tx.db.targets.install(tx, tb, key, val, tombstone); err != nil {
 		return tx.fail(err)
 	}
 	if tx.db.log != nil {
-		tx.redo = appendRedoEntry(tx.redo, tb.name, key, val, tombstone)
+		tx.s.commit.redo = appendRedoEntry(tx.s.commit.redo, tb.name, key, val, tombstone)
 	}
 	if r := tx.db.opts.Recorder; r != nil {
 		r.RecWrite(tx.t.ID(), tb.name, string(key), tombstone)
