@@ -76,8 +76,10 @@
 // transaction needed only while it ran — write set, rival buffer, redo
 // record — is the engine's: it sits in a scratch recycled through a
 // sync.Pool, taken at begin and handed back zeroed the moment the
-// transaction is done, and the finished handle no longer reaches it. Like
-// any Txn, a handle is for one goroutine at a time.
+// transaction is done, and the finished handle no longer reaches it. What a
+// kept handle does keep alive is its transaction's record (96 bytes and the
+// conflict partners it names), which otherwise dies when the engine retires
+// the transaction. Like any Txn, a handle is for one goroutine at a time.
 //
 // # Scaling beyond the paper
 //

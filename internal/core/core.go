@@ -8,7 +8,7 @@
 // commit-time dangerous-structure checks of Figures 3.2 and 3.10, and the
 // suspended-transaction lifecycle of §3.3: transactions that commit holding
 // SIREAD locks stay visible to conflict detection until every concurrent
-// transaction has finished.
+// transaction has finished — and then their records die ("Record lifetime").
 //
 // # Beyond the paper's kernel mutex
 //
@@ -166,6 +166,65 @@
 // argument: a constraint registered after its shard was inspected belongs
 // to a snapshot allocated after the cap was read, hence above the returned
 // horizon.
+//
+// # Record lifetime
+//
+// The paper keeps a committed transaction's record only "until every
+// concurrent transaction has finished" (§3.3; thesis §4.6.1, eager cleanup).
+// So does this package: the sweep that retires a suspended transaction drops
+// the last long-lived reference to its record. What makes that possible is
+// that the row store never holds a *Txn. A version, and a page write stamp,
+// points at its creator's Cell — 24 bytes: id, commit timestamp, and an
+// atomic pointer to the record — which the owner allocates at its first
+// write (a transaction that writes nothing has none), which the commit
+// stamps under tsMu beside the record itself, and which sweep severs
+// (rec = nil) for every transaction it retires. For the sever to happen at
+// all, every transaction that created a cell is retired through the
+// suspended list: Finish suspends on keep || cell != nil, whatever the
+// isolation level.
+//
+// Severing is safe by the sweep's own condition. Who can need W's record
+// through one of W's versions?
+//
+//   - A snapshot reader R needs it only for a version invisible to R — the
+//     target of an rw-antidependency — i.e. W uncommitted (never swept: only
+//     committed transactions are suspended), or ct(W) ≥ snap(R). R registered
+//     a floor ≤ snap(R) in the registry before allocating the snapshot
+//     (AssignSnapshot), and sweep retires W only when
+//     ct(W) < OldestActiveSnapshot() ≤ floor(R) ≤ snap(R). So a severed
+//     creator's version is visible to every active snapshot, and to every
+//     future one (snapshots are clock ticks, later than ct(W)): it is never a
+//     "newer writer" to anyone. The same inequality covers page stamps, whose
+//     newer-writer test is ct(W) ≥ snap(R).
+//   - Locking reads (S2PL, FOR UPDATE) see every committed version and mark
+//     nothing against its creator.
+//   - Writers find their rivals — SIREAD holders, committed and suspended or
+//     not — through the lock table, not through versions; First-Committer-
+//     Wins and pruning need the commit timestamp, which the cell keeps.
+//   - The history recorder needs the creator's id, which the cell keeps.
+//
+// An aborted transaction's cell is never severed (its versions are rolled
+// back; a page stamp drops it at the next prune), so for a cell "no record"
+// always means "committed, and visible to everyone".
+//
+// With versions out of the picture, these are the holders of a *Txn, and how
+// long each holds it — the list that pooling records would have to empty:
+//
+//   - the active registry, from Begin until Finish, Abort or an unsafe abort;
+//   - the suspended list, from Finish until the sweep that finds the commit
+//     older than every active snapshot (under a pinned snapshot: unbounded,
+//     which is the summary tier's job to fix), and not from its backing
+//     array's slack afterwards;
+//   - the lock table's holder maps, until the engine releases the locks of
+//     the transactions a sweep hands back (SIREAD locks outlive the commit);
+//   - partners' in/out references, until the partner is itself collected — a
+//     suspended transaction only ever references itself or transactions that
+//     commit no earlier than it (Figure 3.10 lines 9-12), so chains of them
+//     end at the active set;
+//   - rival and newer-writer buffers in flight (lock.AcquireInto results,
+//     mvcc.ReadResult.NewerWriters, the engine's recycled scratch, zeroed on
+//     release), for the duration of one operation;
+//   - the caller's handle, for as long as the caller keeps it.
 package core
 
 import (
@@ -273,9 +332,10 @@ const (
 )
 
 // Txn is one transaction's record. The record outlives commit when the
-// transaction holds SIREAD locks or detected conflicts (it is "suspended",
-// thesis §3.3) so that later operations by concurrent transactions can still
-// find its conflict flags.
+// transaction holds SIREAD locks, detected conflicts or wrote anything (it is
+// "suspended", thesis §3.3) so that later operations by concurrent
+// transactions can still find its conflict flags; see "Record lifetime" in the
+// package comment for who may hold one and until when.
 //
 // in/out implement the inConflict / outConflict state of the paper. With
 // DetectorBasic a non-nil reference simply means "flag set" (it is always a
@@ -284,18 +344,11 @@ const (
 // (thesis §3.6). Both are written only under this transaction's csMu but
 // read lock-free by the abort-early fast path; see the package comment's
 // memory-ordering invariants.
+//
+// The layout is budgeted (TestTxnRecordAllocBudget): the record fits the
+// 96-byte size class, which is what pays for the 24-byte Cell of a writer.
 type Txn struct {
-	id  uint64
-	iso Isolation
-	mgr *Manager
-
-	// readOnly marks a transaction declared read-only at begin. Immutable.
-	// The engine above enforces the declaration (writes are rejected); the
-	// core exploits it: no out-edge is ever installed (package comment,
-	// invariant 4), the commit check degenerates to publication, and the
-	// transaction is excluded from the read-write watermark that decides
-	// snapshot safety.
-	readOnly bool
+	id uint64
 
 	// toutHi is the newest read-write commit timestamp at or below this
 	// transaction's snapshot — the newest possible Tout of a dangerous
@@ -306,7 +359,18 @@ type Txn struct {
 
 	beginTS  atomic.Uint64 // snapshot timestamp; 0 until assigned (§4.5 defers it)
 	commitTS atomic.Uint64 // 0 until committed
-	status   atomic.Int32
+
+	// One word: the lifecycle state beside three single-byte facts.
+	status atomic.Int32
+	iso    uint8 // the Isolation level. Immutable.
+	// readOnly marks a transaction declared read-only at begin. Immutable.
+	// The engine above enforces the declaration (writes are rejected); the
+	// core exploits it: no out-edge is ever installed (package comment,
+	// invariant 4), the commit check degenerates to publication, and the
+	// transaction is excluded from the read-write watermark that decides
+	// snapshot safety.
+	readOnly  bool
+	suspended bool // guarded by Manager.suspMu
 
 	// csMu is this transaction's conflict-state mutex: it guards mutation
 	// of in/out and makes the commit-time dangerous-structure check atomic
@@ -318,8 +382,11 @@ type Txn struct {
 	in  atomic.Pointer[Txn] // rw-edge into this txn, or self if several
 	out atomic.Pointer[Txn] // rw-edge out of this txn, or self if several
 
-	// Guarded by Manager.suspMu.
-	suspended bool
+	// cell is what this transaction's versions point at; nil until its first
+	// write (Cell). Written by the owner's goroutine; the commit stamp reads
+	// it on that goroutine and the sweep under suspMu, which the owner took
+	// in Finish after the write.
+	cell *Cell
 
 	// lockState is an opaque slot for the lock manager's per-owner
 	// bookkeeping, so it needs no owner registry of its own. It is written
@@ -328,16 +395,51 @@ type Txn struct {
 	// through a lock-table shard mutex or the suspended list, which
 	// establishes the necessary happens-before edge.
 	lockState any
+}
 
-	// commitState is the engine's per-transaction commit-durability slot
-	// (the pending redo record and, after stampCommitted, its LSN). Same
-	// ownership discipline as lockState: written by the owner's goroutine
-	// before CommitPrepare, read by the commit hook on the same goroutine
-	// under tsMu, and cleared by the owner once the commit is durable (or
-	// failed) — this record outlives the commit for as long as a version
-	// points at it, and must not keep the redo bytes alive with it. So it
-	// needs no lock of its own.
-	commitState any
+// Cell is a writing transaction's creator cell: the three things a version
+// ever needs from the transaction that created it — its id (wr-attribution),
+// its commit timestamp (visibility, First-Committer-Wins, pruning) and, while
+// some snapshot can still see the version as newer than its own, the record
+// itself (the target of an rw-antidependency). Versions and page write stamps
+// hold a *Cell, never a *Txn, so a row that is never overwritten keeps these
+// 24 bytes alive and not the record with everything it references.
+//
+// commitTS goes 0 → final exactly once, stored under tsMu together with the
+// record's own (stampLocked), so a snapshot sees every earlier commit's cell
+// stamped. rec goes t → nil exactly once, in the sweep that retires t, which
+// happens after the stamp: a nil rec means "committed, and visible to every
+// active and future snapshot" ("Record lifetime" in the package comment). An
+// aborted transaction's cell is never severed.
+type Cell struct {
+	id       uint64
+	commitTS atomic.Uint64
+	rec      atomic.Pointer[Txn]
+}
+
+// ID returns the creating transaction's identifier.
+func (c *Cell) ID() uint64 { return c.id }
+
+// CommitTS returns the creating transaction's commit timestamp, or 0 if it
+// has not committed (yet, or ever: it may have aborted).
+func (c *Cell) CommitTS() TS { return c.commitTS.Load() }
+
+// Txn returns the creating transaction's record, or nil once the transaction
+// has been retired — by then its commit is visible to every snapshot, so no
+// reader has a conflict to mark against it.
+func (c *Cell) Txn() *Txn { return c.rec.Load() }
+
+// Cell returns the transaction's creator cell, allocating it at the first
+// call: a transaction that never writes never has one. Must be called from
+// the owner's goroutine, before the version or stamp carrying the cell is
+// published (under whatever latch publishes it).
+func (t *Txn) Cell() *Cell {
+	if t.cell == nil {
+		c := &Cell{id: t.id}
+		c.rec.Store(t)
+		t.cell = c
+	}
+	return t.cell
 }
 
 // LockState returns the lock manager's per-owner slot (nil until set).
@@ -347,19 +449,11 @@ func (t *Txn) LockState() any { return t.lockState }
 // from the owner's goroutine before the transaction holds any lock.
 func (t *Txn) SetLockState(v any) { t.lockState = v }
 
-// CommitState returns the engine's commit-durability slot (nil until set).
-func (t *Txn) CommitState() any { return t.commitState }
-
-// SetCommitState installs the commit-durability slot (from the owner's
-// goroutine, before CommitPrepare) or, with nil, clears it (same goroutine,
-// once CommitPrepare has returned).
-func (t *Txn) SetCommitState(v any) { t.commitState = v }
-
 // ID returns the transaction's unique identifier.
 func (t *Txn) ID() uint64 { return t.id }
 
 // Isolation returns the level the transaction runs at.
-func (t *Txn) Isolation() Isolation { return t.iso }
+func (t *Txn) Isolation() Isolation { return Isolation(t.iso) }
 
 // ReadOnly reports whether the transaction was declared read-only at begin.
 func (t *Txn) ReadOnly() bool { return t.readOnly }
@@ -478,7 +572,7 @@ type Manager struct {
 
 	// suspMu guards the suspended list and Txn.suspended flags.
 	suspMu    sync.Mutex
-	suspended []*Txn // committed but kept for conflict detection, in commit order
+	suspended []*Txn // committed but not yet obsolete (SIREAD holders, pivots-to-be, every writer), in commit order
 
 	// watermarkHook, when set, is invoked (outside all Manager locks) when
 	// OldestActiveSnapshot is observed to have advanced at a transaction
@@ -503,8 +597,11 @@ type Manager struct {
 	// log: because the call happens under the commit-serialization mutex,
 	// log order equals commit order and recovery is a straight
 	// roll-forward. The hook must not block on I/O (the WAL append only
-	// buffers; the fsync wait happens after tsMu is released).
-	commitHook func(t *Txn, ct TS)
+	// buffers; the fsync wait happens after tsMu is released). slot is the
+	// committing caller's CommitPrepareWith argument — the engine's redo
+	// payload going in and the record's LSN coming back — passed through
+	// rather than parked on the record, so nothing of it outlives the call.
+	commitHook func(t *Txn, ct TS, slot any)
 
 	// lastRWCommit is the commit timestamp of the newest committed
 	// read-write transaction — the newest possible Tout of a dangerous
@@ -609,7 +706,7 @@ func (m *Manager) Begin(iso Isolation) *Txn {
 // comment, invariant 4 and "Safe snapshots"). The caller — the engine layer
 // — is responsible for actually rejecting writes on it.
 func (m *Manager) BeginTx(iso Isolation, readOnly bool) *Txn {
-	t := &Txn{id: m.nextID.Add(1), iso: iso, mgr: m, readOnly: readOnly}
+	t := &Txn{id: m.nextID.Add(1), iso: uint8(iso), readOnly: readOnly}
 	sh := m.regShardOf(t)
 	sh.mu.Lock()
 	sh.active[t] = 0
@@ -667,10 +764,24 @@ func (m *Manager) deregister(t *Txn) {
 // stampCommitted is the commit-serialization point: it allocates the commit
 // timestamp and atomically publishes it together with the committed status,
 // so that any snapshot allocated afterwards sees the commit in full.
-func (m *Manager) stampCommitted(t *Txn) TS {
+func (m *Manager) stampCommitted(t *Txn, slot any) TS {
 	m.tsMu.Lock()
+	ct := m.stampLocked(t, slot)
+	m.tsMu.Unlock()
+	return ct
+}
+
+// stampLocked is the body of the commit-serialization point; the caller
+// holds tsMu. The creator cell, if t wrote anything, is stamped beside the
+// record: readers of t's versions load the cell where they used to load the
+// record, and tsMu orders that store before every later snapshot as it does
+// the record's.
+func (m *Manager) stampLocked(t *Txn, slot any) TS {
 	ct := m.clock.Add(1)
 	t.commitTS.Store(ct)
+	if t.cell != nil {
+		t.cell.commitTS.Store(ct)
+	}
 	t.status.Store(int32(StatusCommitted))
 	if !t.readOnly {
 		// Inside tsMu, so the store order matches commit order and the
@@ -680,9 +791,8 @@ func (m *Manager) stampCommitted(t *Txn) TS {
 		m.lastRWCommit.Store(ct)
 	}
 	if m.commitHook != nil {
-		m.commitHook(t, ct)
+		m.commitHook(t, ct, slot)
 	}
-	m.tsMu.Unlock()
 	return ct
 }
 
@@ -696,8 +806,9 @@ func (m *Manager) stampCommitted(t *Txn) TS {
 // verdict becomes final. Returns ok=false (no stamp taken) if the raced
 // structure turned dangerous; the caller aborts t exactly as if
 // pivotUnsafeLocked had said so. The caller holds t's csMu.
-func (m *Manager) stampCommittedRecheck(t *Txn) (TS, bool) {
+func (m *Manager) stampCommittedRecheck(t *Txn, slot any) (TS, bool) {
 	m.tsMu.Lock()
+	defer m.tsMu.Unlock()
 	if m.detector == DetectorPrecise {
 		in, out := t.in.Load(), t.out.Load()
 		if in != nil && out != nil &&
@@ -711,22 +822,11 @@ func (m *Manager) stampCommittedRecheck(t *Txn) (TS, bool) {
 				outCT = commitTime(out)
 			}
 			if outCT != tsInfinity && outCT <= inCT {
-				m.tsMu.Unlock()
 				return 0, false
 			}
 		}
 	}
-	ct := m.clock.Add(1)
-	t.commitTS.Store(ct)
-	t.status.Store(int32(StatusCommitted))
-	if !t.readOnly {
-		m.lastRWCommit.Store(ct)
-	}
-	if m.commitHook != nil {
-		m.commitHook(t, ct)
-	}
-	m.tsMu.Unlock()
-	return ct, true
+	return m.stampLocked(t, slot), true
 }
 
 // Now returns the current clock value (the timestamp most recently issued).
@@ -735,9 +835,10 @@ func (m *Manager) Now() TS {
 }
 
 // SetCommitHook installs fn to run inside the commit-serialization point
-// (under tsMu, after the commit timestamp is published). Must be called
-// before any transaction commits; fn must be fast and must not block on I/O.
-func (m *Manager) SetCommitHook(fn func(t *Txn, ct TS)) {
+// (under tsMu, after the commit timestamp is published), with the slot the
+// committing caller handed to CommitPrepareWith. Must be called before any
+// transaction commits; fn must be fast and must not block on I/O.
+func (m *Manager) SetCommitHook(fn func(t *Txn, ct TS, slot any)) {
 	m.commitHook = fn
 }
 
@@ -979,7 +1080,7 @@ func (m *Manager) AbortEarly(t *Txn) error {
 	case StatusCommitted:
 		return ErrTxnDone
 	}
-	if !t.iso.TracksConflicts() || t.readOnly {
+	if !t.Isolation().TracksConflicts() || t.readOnly {
 		// Read-only transactions never install an outgoing edge, so the
 		// pivot test below is vacuously safe: the probe degenerates to the
 		// status switch above.
@@ -1008,19 +1109,26 @@ func (m *Manager) AbortEarly(t *Txn) error {
 // Non-conflict-tracking transactions (SI, S2PL) have no structure to check
 // and commit through the tsMu fast path without touching csMu.
 func (m *Manager) CommitPrepare(t *Txn) (TS, error) {
+	return m.CommitPrepareWith(t, nil)
+}
+
+// CommitPrepareWith is CommitPrepare handing slot to the commit hook, which
+// runs under tsMu on this goroutine once the timestamp is published. The
+// Manager does not keep slot.
+func (m *Manager) CommitPrepareWith(t *Txn, slot any) (TS, error) {
 	switch t.Status() {
 	case StatusAborted:
 		return 0, ErrUnsafe
 	case StatusCommitted:
 		return 0, ErrTxnDone
 	}
-	if !t.iso.TracksConflicts() || t.readOnly {
+	if !t.Isolation().TracksConflicts() || t.readOnly {
 		// A read-only transaction has no outgoing edge (invariant 4), so the
 		// dangerous-structure re-check is vacuous and commit is pure
 		// publication — identical in cost to an SI commit. Any incoming
 		// record on a named-counterpart detector stays valid: the partner
 		// reads t's commitTS, published atomically with the status here.
-		return m.stampCommitted(t), nil
+		return m.stampCommitted(t, slot), nil
 	}
 	// t's own conflict mutex makes the re-check atomic with commit
 	// publication: a MarkConflict involving t either completed before (its
@@ -1034,7 +1142,7 @@ func (m *Manager) CommitPrepare(t *Txn) (TS, error) {
 		m.deregister(t)
 		return 0, ErrUnsafe
 	}
-	ct, ok := m.stampCommittedRecheck(t)
+	ct, ok := m.stampCommittedRecheck(t, slot)
 	if !ok {
 		t.status.Store(int32(StatusAborted))
 		m.deregister(t)
@@ -1062,16 +1170,19 @@ func (m *Manager) CommitPrepare(t *Txn) (TS, error) {
 	return ct, nil
 }
 
-// Finish retires a committed transaction from the active set. If keep is
-// true (it still holds SIREAD locks, or has a detected outgoing conflict —
-// the §3.7.3 note) the record is suspended for later conflict detection;
-// otherwise it is dropped immediately. Finish returns the suspended
-// transactions that have become obsolete — committed before every remaining
-// active transaction began — so the caller can release their SIREAD locks
-// (eager cleanup, thesis §4.6.1).
+// Finish retires a committed transaction from the active set. The record is
+// suspended — kept for later conflict detection — if keep is true (it still
+// holds SIREAD locks, or has a detected outgoing conflict — the §3.7.3 note)
+// or if it wrote anything: every committed writer stays suspended until it is
+// obsolete, because the sweep that retires it is what severs its creator cell
+// (the rule lives here so no caller can forget it). Only a transaction that
+// wrote nothing and holds nothing is dropped immediately. Finish returns the
+// suspended transactions that have become obsolete — committed before every
+// remaining active transaction began — so the caller can release their SIREAD
+// locks (eager cleanup, thesis §4.6.1).
 func (m *Manager) Finish(t *Txn, keep bool) (cleaned []*Txn) {
 	m.deregister(t)
-	if keep {
+	if keep || t.cell != nil {
 		m.suspMu.Lock()
 		t.suspended = true
 		m.suspended = append(m.suspended, t)
@@ -1133,11 +1244,13 @@ func (m *Manager) noteWatermark() {
 }
 
 // sweep removes and returns suspended transactions whose commit precedes
-// the begin of every active transaction. The suspended list is in commit
-// order, so obsolete entries form a prefix. Every transaction end (Finish or
-// Abort) sweeps after its own registry removal, which guarantees the final
-// sweep in any quiescing workload observes an empty registry and drains the
-// whole list.
+// the begin of every active transaction, severing each one's creator cell
+// from its record ("Record lifetime" in the package comment proves nobody can
+// need the record through a version any more). The suspended list is in
+// commit order, so obsolete entries form a prefix. Every transaction end
+// (Finish or Abort) sweeps after its own registry removal, which guarantees
+// the final sweep in any quiescing workload observes an empty registry and
+// drains the whole list.
 func (m *Manager) sweep() []*Txn {
 	m.suspMu.Lock()
 	defer m.suspMu.Unlock()
@@ -1147,7 +1260,11 @@ func (m *Manager) sweep() []*Txn {
 	horizon := m.OldestActiveSnapshot()
 	n := 0
 	for n < len(m.suspended) && m.suspended[n].CommitTS() < horizon {
-		m.suspended[n].suspended = false
+		t := m.suspended[n]
+		t.suspended = false
+		if t.cell != nil {
+			t.cell.rec.Store(nil)
+		}
 		n++
 	}
 	if n == 0 {
@@ -1155,7 +1272,12 @@ func (m *Manager) sweep() []*Txn {
 	}
 	cleaned := make([]*Txn, n)
 	copy(cleaned, m.suspended[:n])
-	m.suspended = append(m.suspended[:0], m.suspended[n:]...)
+	// The vacated tail is cleared: slack beyond len is still reachable, and a
+	// list that once grew under a pinned snapshot would keep that many
+	// retired records alive for the life of the Manager.
+	rest := copy(m.suspended, m.suspended[n:])
+	clear(m.suspended[rest:])
+	m.suspended = m.suspended[:rest]
 	return cleaned
 }
 

@@ -307,10 +307,11 @@ func stateOf(owner *core.Txn) *ownerState {
 // grant (grantLocked) and hands it back whenever a release leaves it holding
 // nothing — at cleanup for a transaction whose SIREAD locks outlived it, at
 // commit already for one that had none (every write-only or S2PL
-// transaction). Transaction records stay reachable from version chains and
-// the suspended list long after their locks are gone, and a map pinned to
-// each, drained or not, would swell the live heap the collector re-scans
-// every cycle. Only the map is pooled — the ownerState itself may still be
+// transaction). Transaction records stay reachable from the suspended list
+// (every committed writer is on it until its commit is older than every
+// active snapshot) after their locks are gone, and a map pinned to each,
+// drained or not, would swell the live heap the collector re-scans every
+// cycle. Only the map is pooled — the ownerState itself may still be
 // referenced through stale lock-table reads after release (the released flag
 // protocol), so recycling the struct could alias two owners; the map is only
 // ever touched under os.mu, which makes its handoff safe.

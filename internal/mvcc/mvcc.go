@@ -3,10 +3,18 @@
 // tombstoned deletes, First-Committer-Wins support, and the page write-stamp
 // registry used by the Berkeley-DB-style page-granularity mode.
 //
-// Versions never carry an explicit commit timestamp; visibility consults the
-// creating transaction's record, which the core package publishes atomically
-// at commit. That mirrors the thesis prototypes, where a row/page version
-// points at its creating transaction (assumption 3 of §3.2).
+// Versions never carry an explicit commit timestamp, and never point at a
+// transaction record either: a version (and a page write stamp) points at its
+// creator's core.Cell — id, commit timestamp, and the record for as long as
+// some snapshot can still see the version as newer than its own. Visibility,
+// First-Committer-Wins and pruning read the cell's commit timestamp, which
+// the core package publishes atomically at commit; conflict marking follows
+// the cell to the record, which core cuts loose when it retires the
+// transaction. That keeps the thesis prototypes' shape, where a row/page
+// version points at its creating transaction (assumption 3 of §3.2), without
+// their cost: nothing in this package that outlives a call keeps a
+// transaction record alive, so a row that is never overwritten pins 24 bytes,
+// not its creator's record and everything that references.
 //
 // # Partitioned store
 //
@@ -54,20 +62,14 @@ import (
 )
 
 // Version is one version of a row. Versions form a singly linked list from
-// newest to oldest.
+// newest to oldest. Creator is the creating transaction's cell, never nil and
+// never the record: its commit timestamp is 0 until (unless) the creator
+// commits, and its record is gone once every snapshot sees the version.
 type Version struct {
 	Data      []byte
-	Creator   *core.Txn
+	Creator   *core.Cell
 	Tombstone bool
 	Older     *Version
-}
-
-// committedAt returns the version's commit timestamp or 0 if uncommitted.
-func (v *Version) committedAt() core.TS {
-	if v.Creator.Committed() {
-		return v.Creator.CommitTS()
-	}
-	return 0
 }
 
 // chain is the version list for one key. Guarded by the owning shard latch.
@@ -88,10 +90,11 @@ type ReadResult struct {
 	Value []byte
 	// Found is true if a live (non-tombstone) version is visible.
 	Found bool
-	// VisibleCreator is the transaction that created the visible version
-	// (live or tombstone), or nil if no version is visible. Used by the
-	// history recorder to attribute wr-dependencies.
-	VisibleCreator *core.Txn
+	// VisibleCreator is the cell of the transaction that created the visible
+	// version (live or tombstone), or nil if no version is visible. Used by
+	// the history recorder to attribute wr-dependencies by id, which the
+	// cell keeps after the record is gone.
+	VisibleCreator *core.Cell
 	// NewerWriters lists the creators of versions newer than the one read
 	// (committed after the snapshot, or still uncommitted by another
 	// transaction). Each is the target of an rw-antidependency from the
@@ -303,11 +306,10 @@ func (tb *Table) PageCount() int {
 // visible reports whether version v is visible to transaction t reading at
 // snapshot snap: it is t's own write, or it committed before snap.
 func visible(v *Version, t *core.Txn, snap core.TS) bool {
-	if v.Creator == t {
-		return true
+	if ct := v.Creator.CommitTS(); ct != 0 {
+		return ct < snap
 	}
-	ct := v.committedAt()
-	return ct != 0 && ct < snap
+	return v.Creator.Txn() == t
 }
 
 // Read performs a snapshot read of key for t at snapshot snap, also
@@ -334,8 +336,10 @@ func readChain(c *chain, t *core.Txn, snap core.TS) ReadResult {
 			}
 			return res
 		}
-		if v.Creator != t && !v.Creator.Aborted() {
-			res.NewerWriters = append(res.NewerWriters, v.Creator)
+		// A creator without a record was retired: its commit precedes every
+		// active snapshot, so its version is not newer than anyone's.
+		if w := v.Creator.Txn(); w != nil && w != t && !w.Aborted() {
+			res.NewerWriters = append(res.NewerWriters, w)
 		}
 	}
 	return res
@@ -345,7 +349,7 @@ func readChain(c *chain, t *core.Txn, snap core.TS) ReadResult {
 // uncommitted version), ignoring snapshots. This is the locking-read
 // semantics used by S2PL and by SELECT FOR UPDATE-style reads (thesis §4.4):
 // under a held lock no other uncommitted version can exist.
-func (tb *Table) ReadLatest(t *core.Txn, key []byte) (val []byte, found bool, creator *core.Txn) {
+func (tb *Table) ReadLatest(t *core.Txn, key []byte) (val []byte, found bool, creator *core.Cell) {
 	sh := tb.shardOf(key)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
@@ -354,7 +358,7 @@ func (tb *Table) ReadLatest(t *core.Txn, key []byte) (val []byte, found bool, cr
 		return nil, false, nil
 	}
 	for v := cv.(*chain).head; v != nil; v = v.Older {
-		if v.Creator == t || v.Creator.Committed() {
+		if v.Creator.CommitTS() != 0 || v.Creator.Txn() == t {
 			if v.Tombstone {
 				return nil, false, v.Creator
 			}
@@ -376,7 +380,7 @@ func (tb *Table) NewestCommitTS(key []byte) core.TS {
 		return 0
 	}
 	for v := cv.(*chain).head; v != nil; v = v.Older {
-		if ct := v.committedAt(); ct != 0 {
+		if ct := v.Creator.CommitTS(); ct != 0 {
 			return ct
 		}
 	}
@@ -407,10 +411,11 @@ func (tb *Table) Exists(key []byte) bool {
 // because the successor may live in any of them. Write reports whether a
 // structural insert happened and the successor it saw.
 func (tb *Table) Write(t *core.Txn, key []byte, data []byte, tombstone bool, onInsert func(succ []byte, hasSucc bool)) (inserted bool, succ []byte, hasSucc bool) {
+	w := t.Cell() // t's first write allocates it, on t's own goroutine
 	sh := tb.shardOf(key)
 	sh.mu.Lock()
 	if cv, ok := sh.tree.Get(key); ok {
-		tb.writeChainLocked(sh, cv.(*chain), t, data, tombstone)
+		tb.writeChainLocked(sh, cv.(*chain), w, data, tombstone)
 		sh.mu.Unlock()
 		return false, nil, false
 	}
@@ -418,7 +423,7 @@ func (tb *Table) Write(t *core.Txn, key []byte, data []byte, tombstone bool, onI
 		// No gap protocol to run (page-granularity and lock-free modes):
 		// the insert is local to this partition.
 		cv, _ := sh.tree.GetOrInsert(key, &chain{})
-		tb.writeChainLocked(sh, cv.(*chain), t, data, tombstone)
+		tb.writeChainLocked(sh, cv.(*chain), w, data, tombstone)
 		sh.mu.Unlock()
 		return true, nil, false
 	}
@@ -433,28 +438,28 @@ func (tb *Table) Write(t *core.Txn, key []byte, data []byte, tombstone bool, onI
 	if cv, ok := sh.tree.Get(key); ok {
 		// Lost a race for the key between the latches. Cannot happen under
 		// the engine's exclusive row lock, but stay correct without it.
-		tb.writeChainLocked(sh, cv.(*chain), t, data, tombstone)
+		tb.writeChainLocked(sh, cv.(*chain), w, data, tombstone)
 		return false, nil, false
 	}
 	succ, hasSucc = tb.successorAllLocked(key)
 	onInsert(succ, hasSucc)
 	cv, _ := sh.tree.GetOrInsert(key, &chain{})
-	tb.writeChainLocked(sh, cv.(*chain), t, data, tombstone)
+	tb.writeChainLocked(sh, cv.(*chain), w, data, tombstone)
 	return true, succ, hasSucc
 }
 
-// writeChainLocked pushes (or replaces in place) t's pending version,
-// maintains the partition's superseded-version estimate and queues the chain
-// on the dirty list for the next vacuum sweep. Caller holds the shard latch
-// exclusively.
-func (tb *Table) writeChainLocked(sh *shard, c *chain, t *core.Txn, data []byte, tombstone bool) {
-	if c.head != nil && c.head.Creator == t {
+// writeChainLocked pushes (or replaces in place) the pending version of the
+// transaction whose cell is w, maintains the partition's superseded-version
+// estimate and queues the chain on the dirty list for the next vacuum sweep.
+// Caller holds the shard latch exclusively.
+func (tb *Table) writeChainLocked(sh *shard, c *chain, w *core.Cell, data []byte, tombstone bool) {
+	if c.head != nil && c.head.Creator == w {
 		c.head.Data = data
 		c.head.Tombstone = tombstone
 		return
 	}
 	superseding := c.head != nil
-	c.head = &Version{Data: data, Creator: t, Tombstone: tombstone, Older: c.head}
+	c.head = &Version{Data: data, Creator: w, Tombstone: tombstone, Older: c.head}
 	if superseding {
 		tb.queueDirtyLocked(sh, c)
 		tb.noteDead(sh, 1)
@@ -527,7 +532,7 @@ func (tb *Table) Rollback(t *core.Txn, key []byte) {
 		return
 	}
 	c := cv.(*chain)
-	if c.head != nil && c.head.Creator == t {
+	if c.head != nil && c.head.Creator.Txn() == t {
 		c.head = c.head.Older
 	}
 }
@@ -1040,7 +1045,7 @@ func (tb *Table) vacuumShard(sh *shard) (versions, stampWriters int) {
 // that keeps the chain dirty).
 func pruneChain(c *chain, horizon core.TS) (pruned, residual int) {
 	for v := c.head; v != nil; v = v.Older {
-		if ct := v.committedAt(); ct != 0 && ct < horizon {
+		if ct := v.Creator.CommitTS(); ct != 0 && ct < horizon {
 			// v is the newest pre-horizon committed version: every older
 			// version is unreachable by any current or future snapshot.
 			for o := v.Older; o != nil; o = o.Older {
@@ -1124,7 +1129,7 @@ type PageStamps struct {
 }
 
 type pageHist struct {
-	writers   []*core.Txn
+	writers   []*core.Cell
 	maxCommit core.TS // commit stamp floor preserved across pruning
 	// pruneAt is the writer-list length at which AddWriter attempts the
 	// next inline prune; it advances past the current length after an
@@ -1179,6 +1184,7 @@ outer:
 
 // AddWriter records that t wrote page (holding its exclusive page lock).
 func (ps *PageStamps) AddWriter(page uint32, t *core.Txn) {
+	c := t.Cell() // allocated on t's own goroutine if this is its first write
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
 	h := ps.byPage[page]
@@ -1187,15 +1193,23 @@ func (ps *PageStamps) AddWriter(page uint32, t *core.Txn) {
 		ps.byPage[page] = h
 	}
 	for _, w := range h.writers {
-		if w == t {
+		if w == c {
 			return
 		}
 	}
-	h.writers = append(h.writers, t)
+	h.writers = append(h.writers, c)
 	if ps.horizon != nil && len(h.writers) >= max(h.pruneAt, stampPruneLen) {
 		pruneHistLocked(h, ps.horizon())
 		h.pruneAt = len(h.writers) + stampPruneLen
 	}
+}
+
+// aborted reports whether the transaction behind an unstamped cell aborted.
+// Only committed transactions are ever severed from their cell, and only
+// after it is stamped, so an unstamped cell always still has its record.
+func aborted(w *core.Cell) bool {
+	t := w.Txn()
+	return t != nil && t.Aborted()
 }
 
 // pruneHistLocked folds writers that committed before horizon into the
@@ -1203,13 +1217,14 @@ func (ps *PageStamps) AddWriter(page uint32, t *core.Txn) {
 func pruneHistLocked(h *pageHist, horizon core.TS) (removed int) {
 	kept := h.writers[:0]
 	for _, w := range h.writers {
+		ct := w.CommitTS()
 		switch {
-		case w.Aborted():
-			removed++
-		case w.Committed() && w.CommitTS() < horizon:
-			if ct := w.CommitTS(); ct > h.maxCommit {
+		case ct != 0 && ct < horizon:
+			if ct > h.maxCommit {
 				h.maxCommit = ct
 			}
+			removed++
+		case ct == 0 && aborted(w):
 			removed++
 		default:
 			kept = append(kept, w)
@@ -1230,7 +1245,7 @@ func (ps *PageStamps) NewestCommitTS(page uint32) core.TS {
 	}
 	max := h.maxCommit
 	for _, w := range h.writers {
-		if ct := w.CommitTS(); w.Committed() && ct > max {
+		if ct := w.CommitTS(); ct > max {
 			max = ct
 		}
 	}
@@ -1248,8 +1263,12 @@ func (ps *PageStamps) NewerWriters(page uint32, snap core.TS) []*core.Txn {
 	}
 	var out []*core.Txn
 	for _, w := range h.writers {
-		if w.Committed() && w.CommitTS() >= snap {
-			out = append(out, w)
+		if ct := w.CommitTS(); ct != 0 && ct >= snap {
+			// The record is still there: a writer is retired only once its
+			// commit precedes every active snapshot, snap included.
+			if t := w.Txn(); t != nil {
+				out = append(out, t)
+			}
 		}
 	}
 	return out

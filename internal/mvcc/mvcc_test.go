@@ -127,7 +127,7 @@ func TestTombstoneVisibility(t *testing.T) {
 	if res.Found {
 		t.Fatal("deleted key visible")
 	}
-	if res.VisibleCreator != del {
+	if res.VisibleCreator == nil || res.VisibleCreator.ID() != del.ID() {
 		t.Fatal("tombstone creator not attributed")
 	}
 }

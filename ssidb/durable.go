@@ -20,9 +20,9 @@ import (
 // in-order pass — no undo, no LSN comparisons per key, later records simply
 // overwrite earlier ones.
 
-// commitState is the per-transaction durability slot carried through
-// core.Txn (see core.Txn.SetCommitState): the redo payload going in, the
-// record's LSN (or the append's refusal) coming back out of the commit hook.
+// commitState is the per-transaction durability slot Commit hands to the
+// commit hook through core.Manager.CommitPrepareWith: the redo payload going
+// in, the record's LSN (or the append's refusal) coming back out.
 type commitState struct {
 	redo []byte
 	lsn  wal.LSN
@@ -35,8 +35,8 @@ type commitState struct {
 // (closed log, timestamp regression) cannot unwind the already-published
 // commit, so it is carried back through the commit state for Commit to
 // surface as this transaction's error.
-func (db *DB) walCommitHook(t *core.Txn, ct core.TS) {
-	cs, _ := t.CommitState().(*commitState)
+func (db *DB) walCommitHook(_ *core.Txn, ct core.TS, slot any) {
+	cs, _ := slot.(*commitState)
 	if cs == nil {
 		return // replay transaction, or a commit that needs no record
 	}

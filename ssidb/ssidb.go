@@ -733,7 +733,13 @@ func (db *DB) TableStats(name string) TableStats {
 // suspended-transaction cleanup keeps bookkeeping bounded (thesis §4.6.1)
 // and by benchmarks to report lock-wait behaviour.
 type Stats struct {
-	ActiveTxns    int
+	ActiveTxns int
+	// SuspendedTxns counts committed transactions whose records are still
+	// kept: every committed writer, at any isolation level, and every
+	// SerializableSI transaction holding SIREAD locks or an outgoing
+	// conflict, until its commit is older than every active snapshot. The
+	// sweep that retires one releases its SIREAD locks and cuts its record
+	// loose from the versions it wrote.
 	SuspendedTxns int
 	LockedKeys    int
 	LockOwners    int

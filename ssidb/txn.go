@@ -73,8 +73,8 @@ type txnScratch struct {
 	// commit.redo accumulates the redo record (one encoded entry per write,
 	// values copied at write time so later caller mutation of the value
 	// slice cannot corrupt the log; empty when the database has no WAL).
-	// Commit hands &commit to the WAL hook through core.Txn's commit slot
-	// and clears the slot again before the scratch is released.
+	// Commit hands &commit to the WAL hook as CommitPrepareWith's argument;
+	// nothing keeps the pointer once that call returns.
 	commit commitState
 }
 
@@ -91,13 +91,9 @@ func (db *DB) newTxn(t *core.Txn, ro, roSafe bool) *Txn {
 	return &Txn{db: db, t: t, s: txnScratchPool.Get().(*txnScratch), ro: ro, roSafe: roSafe}
 }
 
-// finish marks the handle done and returns its scratch to the pool. The
-// commit slot is cleared first: the transaction record stays reachable from
-// the versions it wrote, and must neither pin the redo bytes nor point into
-// a scratch that now belongs to another transaction.
+// finish marks the handle done and returns its scratch to the pool.
 func (tx *Txn) finish() {
 	tx.done = true
-	tx.t.SetCommitState(nil)
 	s := tx.s
 	tx.s = nil
 	*s = txnScratch{
@@ -225,18 +221,21 @@ func (tx *Txn) Abort() error {
 // and blocking locks are released only after the batch's fsync returns (the
 // ordering fix of thesis §4.4 — no other transaction may read this one's
 // writes until they are durable). The transaction record is suspended if it
-// must remain visible to future conflict detection (§3.3).
+// must remain visible to future conflict detection (§3.3) — keep, below — or
+// wrote anything (core.Manager.Finish's own rule), and dies when a sweep
+// retires it.
 func (tx *Txn) Commit() error {
 	if tx.done {
 		return ErrTxnDone
 	}
 	logged := tx.shouldLog()
+	var slot any
 	if logged {
-		// The commit hook, running under tsMu inside CommitPrepare, appends
-		// the record and stores its LSN back into this slot.
-		tx.t.SetCommitState(&tx.s.commit)
+		// The commit hook, running under tsMu inside CommitPrepareWith,
+		// appends the record and stores its LSN back into this slot.
+		slot = &tx.s.commit
 	}
-	ct, err := tx.db.mgr.CommitPrepare(tx.t)
+	ct, err := tx.db.mgr.CommitPrepareWith(tx.t, slot)
 	if err != nil {
 		if errors.Is(err, ErrUnsafe) {
 			tx.cleanupAbort()
@@ -308,8 +307,9 @@ func (tx *Txn) markAsWriter(readers []*core.Txn) error {
 	return nil
 }
 
-// recRead reports one key read to the recorder.
-func (tx *Txn) recRead(tb *table, key []byte, creator *core.Txn, readTS core.TS) {
+// recRead reports one key read to the recorder. The writer's id comes from
+// its creator cell, which outlives its record.
+func (tx *Txn) recRead(tb *table, key []byte, creator *core.Cell, readTS core.TS) {
 	r := tx.db.opts.Recorder
 	if r == nil {
 		return

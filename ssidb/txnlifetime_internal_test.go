@@ -1,0 +1,228 @@
+package ssidb
+
+import (
+	"errors"
+	"fmt"
+	"runtime"
+	"testing"
+	"weak"
+
+	"ssi/internal/core"
+	"ssi/internal/sercheck"
+)
+
+// The record-lifetime invariant (core's package comment, "Record lifetime"):
+// a transaction record dies at cleanup — no version, page stamp, lock-table
+// entry or pooled buffer keeps it — while everything a later reader needs
+// from a committed writer (its data, its commit timestamp, its id) stays, and
+// a record some active snapshot can still conflict with is always still there.
+
+var lifetimeGranularities = map[string]Granularity{"row": GranularityRow, "page": GranularityPage}
+
+// alive counts the records the collector has not reclaimed, after two full
+// collections (the second covers what the first one's pool eviction freed).
+func alive(recs []weak.Pointer[core.Txn]) int {
+	runtime.GC()
+	runtime.GC()
+	n := 0
+	for _, r := range recs {
+		if r.Value() != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// chainedWriters runs n sequential transactions at iso, each reading the rows
+// the two before it wrote and overwriting a row of its own, so every row's
+// newest version has its own creator and every read lands on a version whose
+// creator has already been retired. It returns a weak pointer to each
+// transaction's record and the transaction ids.
+func chainedWriters(t *testing.T, db *DB, iso Isolation, n int) (recs []weak.Pointer[core.Txn], ids []uint64) {
+	t.Helper()
+	row := func(i int) []byte { return []byte(fmt.Sprintf("r%05d", i)) }
+	// Rows exist beforehand: the writers supersede a version, they do not insert.
+	if err := db.Run(SnapshotIsolation, func(tx *Txn) error {
+		for i := 0; i < n; i++ {
+			if err := tx.Put("t", row(i), i64(-1)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	recs = make([]weak.Pointer[core.Txn], n)
+	ids = make([]uint64, n)
+	for i := 0; i < n; i++ {
+		tx := db.Begin(iso)
+		for _, j := range []int{i - 1, i - 2} {
+			if j < 0 {
+				continue
+			}
+			v, ok, err := tx.Get("t", row(j))
+			if err != nil || !ok || geti64(v) != int64(j) {
+				t.Fatalf("txn %d reads row %d = %v %v %v, want %d", i, j, v, ok, err, j)
+			}
+		}
+		if err := tx.Put("t", row(i), i64(int64(i))); err != nil {
+			t.Fatal(err)
+		}
+		recs[i], ids[i] = weak.Make(tx.t), tx.ID()
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return recs, ids
+}
+
+// TestRecordsDieDataStays: after the last commit of a quiescing run nothing
+// keeps a transaction record — at the parent of this change every one of them
+// stayed alive, pinned by the row it wrote — and every row still reads its
+// value. SI and S2PL writers are retired through the suspended list like SSI
+// ones (Manager.Finish's rule), or their records would stay pinned as before.
+// A recorded run of the same body still attributes every read to the writer
+// whose record is gone.
+func TestRecordsDieDataStays(t *testing.T) {
+	const n = 2000
+	for gname, gran := range lifetimeGranularities {
+		for _, iso := range []Isolation{SerializableSI, SnapshotIsolation, S2PL} {
+			t.Run(fmt.Sprintf("%s/%v", gname, iso), func(t *testing.T) {
+				opts := Options{Granularity: gran, PageMaxKeys: 16, Detector: DetectorPrecise}
+				db := Open(opts)
+				recs, _ := chainedWriters(t, db, iso, n)
+				if st := db.StatsSnapshot(); st.ActiveTxns != 0 || st.SuspendedTxns != 0 || st.LockedKeys != 0 {
+					t.Fatalf("database not quiescent: %+v", st)
+				}
+				if a := alive(recs); a != 0 {
+					t.Errorf("%d of %d transaction records survive their cleanup", a, n)
+				}
+				for i := 0; i < n; i++ {
+					if v, ok := readI64(t, db, "t", fmt.Sprintf("r%05d", i)); !ok || v != int64(i) {
+						t.Fatalf("row %d reads %d %v once its writer's record is gone", i, v, ok)
+					}
+				}
+				runtime.KeepAlive(db)
+
+				hist := sercheck.NewHistory()
+				opts.Recorder = hist
+				_, ids := chainedWriters(t, Open(opts), iso, n)
+				wr := map[[2]uint64]bool{}
+				for _, e := range hist.MVSG().Edges {
+					if e.Kind == sercheck.WR {
+						wr[[2]uint64{e.From, e.To}] = true
+					}
+				}
+				for i := 2; i < n; i++ {
+					if !wr[[2]uint64{ids[i-1], ids[i]}] || !wr[[2]uint64{ids[i-2], ids[i]}] {
+						t.Fatalf("txn %d (id %d): reads not attributed to writers %d and %d", i, ids[i], ids[i-1], ids[i-2])
+					}
+				}
+				if ok, cycle := hist.Serializable(); !ok {
+					t.Fatalf("sequential run not serializable: cycle %v", cycle)
+				}
+			})
+		}
+	}
+}
+
+// TestLiveConflictRecordSurvivesSweeps: a record an active snapshot can still
+// conflict with outlives any number of sweeps. R takes its snapshot, W commits
+// a newer version of x, ten thousand unrelated writers come and go, and R's
+// read of x still finds W's record behind the version (or page stamp): the
+// rw-edge R → W is installed, and if W committed as a pivot whose outgoing
+// partner committed first, R is refused.
+func TestLiveConflictRecordSurvivesSweeps(t *testing.T) {
+	for gname, gran := range lifetimeGranularities {
+		for dname, det := range map[string]Detector{"basic": DetectorBasic, "precise": DetectorPrecise} {
+			for _, pivot := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/%s/pivot=%v", gname, dname, pivot), func(t *testing.T) {
+					db := Open(Options{Granularity: gran, Detector: det})
+					// One table per row, so page granularity shares no page.
+					for _, tb := range []string{"x", "y", "z"} {
+						seed(t, db, tb, "k", 1)
+					}
+					r := db.Begin(SerializableSI)
+					if _, _, err := r.Get("y", []byte("k")); err != nil {
+						t.Fatal(err)
+					}
+					w := db.Begin(SerializableSI)
+					if pivot {
+						// W →rw Tout, and Tout commits first.
+						if _, _, err := w.Get("z", []byte("k")); err != nil {
+							t.Fatal(err)
+						}
+						if err := db.Run(SerializableSI, func(tx *Txn) error { return tx.Put("z", []byte("k"), i64(2)) }); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if err := w.Put("x", []byte("k"), i64(2)); err != nil {
+						t.Fatal(err)
+					}
+					if err := w.Commit(); err != nil {
+						t.Fatal(err)
+					}
+					for i := 0; i < 10000; i++ {
+						if err := db.Run(SnapshotIsolation, func(tx *Txn) error {
+							return tx.Put("other", []byte(fmt.Sprintf("o%03d", i%500)), i64(int64(i)))
+						}); err != nil {
+							t.Fatal(err)
+						}
+					}
+					v, ok, err := r.Get("x", []byte("k"))
+					if pivot {
+						if !errors.Is(err, ErrUnsafe) {
+							t.Fatalf("read of a committed pivot's version = %v, want ErrUnsafe", err)
+						}
+						return
+					}
+					if err != nil || !ok || geti64(v) != 1 {
+						t.Fatalf("snapshot read of x = %v %v %v, want 1", v, ok, err)
+					}
+					if !db.mgr.HasOutConflict(r.t) || !db.mgr.HasInConflict(w.t) {
+						t.Fatalf("rw-edge R → W not installed: R.out %v, W.in %v", db.mgr.HasOutConflict(r.t), db.mgr.HasInConflict(w.t))
+					}
+					if err := r.Commit(); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestPinnedSnapshotKeepsRecordsUntilRelease: while any snapshot is held,
+// every transaction that committed after it stays suspended with its record
+// (bounding that is the summary tier's job, ROADMAP item 2); the moment the
+// snapshot ends they all die.
+func TestPinnedSnapshotKeepsRecordsUntilRelease(t *testing.T) {
+	const n = 500
+	for gname, gran := range lifetimeGranularities {
+		t.Run(gname, func(t *testing.T) {
+			db := Open(Options{Granularity: gran, PageMaxKeys: 16, Detector: DetectorPrecise})
+			seed(t, db, "pin", "k", 1)
+			pin := db.Begin(SnapshotIsolation)
+			if _, _, err := pin.Get("pin", []byte("k")); err != nil {
+				t.Fatal(err)
+			}
+			recs, _ := chainedWriters(t, db, SerializableSI, n)
+			if a := alive(recs); a != n {
+				t.Errorf("%d of %d records alive under a pinned snapshot, want all", a, n)
+			}
+			// The loader of chainedWriters' rows is suspended too.
+			if st := db.StatsSnapshot(); st.SuspendedTxns != n+1 {
+				t.Errorf("SuspendedTxns = %d under a pinned snapshot, want %d", st.SuspendedTxns, n+1)
+			}
+			if err := pin.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			if st := db.StatsSnapshot(); st.SuspendedTxns != 0 || st.LockedKeys != 0 {
+				t.Errorf("after the snapshot ended: %+v", st)
+			}
+			if a := alive(recs); a != 0 {
+				t.Errorf("%d of %d records survive the release of the snapshot", a, n)
+			}
+			runtime.KeepAlive(db)
+		})
+	}
+}

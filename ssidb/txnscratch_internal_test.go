@@ -194,52 +194,3 @@ func TestHandleUseAfterDone(t *testing.T) {
 		})
 	}
 }
-
-// TestCommitStateClearedOnFinish: the commit slot of a transaction record is
-// empty again on every finish path of a logged transaction — committed,
-// aborted, and refused at commit with the slot already armed — because the
-// record lives on for as long as a version points at it, and would otherwise
-// keep its redo record alive (or, recycled, point into another transaction's).
-func TestCommitStateClearedOnFinish(t *testing.T) {
-	db, err := OpenDir(t.TempDir(), Options{Detector: DetectorPrecise})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	seed(t, db, "t", "x", 1)
-	seed(t, db, "t", "y", 1)
-
-	committed := db.Begin(SerializableSI)
-	aborted := db.Begin(SerializableSI)
-	for _, tx := range []*Txn{committed, aborted} {
-		for _, k := range []string{"x", "y"} {
-			if _, _, err := tx.Get("t", []byte(k)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	// Write skew: whoever commits second is the pivot of a dangerous
-	// structure whose outgoing partner committed first.
-	if err := committed.Put("t", []byte("x"), i64(2)); err != nil {
-		t.Fatal(err)
-	}
-	if err := aborted.Put("t", []byte("y"), i64(2)); err != nil {
-		t.Fatal(err)
-	}
-	if err := committed.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if err := aborted.Commit(); !errors.Is(err, ErrUnsafe) {
-		t.Fatalf("second commit of a write skew = %v, want ErrUnsafe", err)
-	}
-	rolledBack := db.Begin(SerializableSI)
-	if err := rolledBack.Put("t", []byte("x"), i64(3)); err != nil {
-		t.Fatal(err)
-	}
-	rolledBack.Abort()
-	for name, tx := range map[string]*Txn{"committed": committed, "refused at commit": aborted, "aborted": rolledBack} {
-		if cs := tx.t.CommitState(); cs != nil {
-			t.Errorf("%s: transaction record still carries commit state %+v", name, cs)
-		}
-	}
-}
