@@ -12,98 +12,50 @@
 //	interleave -set readonly -iso SI                  # Fekete et al. 2004
 //	interleave -set readonly -iso SSI -ro in          # reader declared RO
 //	interleave -set phantom -iso SSI
+//
+// The sets are internal/interleave's table (interleave.Sets), which the
+// package's tests and its false-positive census share; -set, -iso and
+// -detector reject values they do not know with exit status 2.
 package main
 
 import (
-	"encoding/binary"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
 
 	"ssi/internal/interleave"
-	"ssi/internal/sercheck"
 	"ssi/ssidb"
 )
 
-func i64(v int64) []byte {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], uint64(v))
-	return b[:]
-}
-
-func get(key string) interleave.Step {
-	return func(tx *ssidb.Txn) error {
-		_, _, err := tx.Get("t", []byte(key))
-		return err
-	}
-}
-
-func put(key string, v int64) interleave.Step {
-	return func(tx *ssidb.Txn) error { return tx.Put("t", []byte(key), i64(v)) }
-}
-
-func scan(tx *ssidb.Txn) error {
-	return tx.Scan("t", []byte("a"), []byte("zz"), func(k, v []byte) bool { return true })
-}
-
-func sets() map[string][]interleave.Script {
-	return map[string][]interleave.Script{
-		"writeskew": {
-			{Name: "T0", Steps: []interleave.Step{get("x"), get("y"), put("x", -1)}},
-			{Name: "T1", Steps: []interleave.Step{get("x"), get("y"), put("y", -1)}},
-		},
-		"thesis": { // the exact set of thesis §4.7
-			{Name: "T1", Steps: []interleave.Step{get("x")}},
-			{Name: "T2", Steps: []interleave.Step{get("y"), put("x", 2)}},
-			{Name: "T3", Steps: []interleave.Step{put("y", 3)}},
-		},
-		"readonly": { // Example 3 / Fekete et al. 2004
-			{Name: "pivot", Steps: []interleave.Step{get("y"), put("x", 5)}},
-			{Name: "out", Steps: []interleave.Step{put("y", 10), put("z", 10)}},
-			{Name: "in", Steps: []interleave.Step{get("x"), get("z")}},
-		},
-		"phantom": {
-			{Name: "T0", Steps: []interleave.Step{scan, func(tx *ssidb.Txn) error {
-				return tx.Insert("t", []byte("m0"), i64(1))
-			}}},
-			{Name: "T1", Steps: []interleave.Step{scan, func(tx *ssidb.Txn) error {
-				return tx.Insert("t", []byte("m1"), i64(1))
-			}}},
-		},
-	}
-}
-
 func main() {
+	var setNames []string
+	for _, s := range interleave.Sets() {
+		setNames = append(setNames, s.Name)
+	}
 	var (
-		setName  = flag.String("set", "writeskew", "transaction set: writeskew, thesis, readonly, phantom")
+		setName  = flag.String("set", "writeskew", "transaction set: "+strings.Join(setNames, ", "))
 		isoName  = flag.String("iso", "SSI", "isolation level: SI, SSI or S2PL")
-		detector = flag.String("detector", "precise", "SSI detector: basic or precise")
+		detector = flag.String("detector", "precise", "SSI detector: precise (the engine's default) or basic")
 		roNames  = flag.String("ro", "", "comma-separated script names to run as declared read-only transactions (e.g. -set readonly -ro in)")
 	)
 	flag.Parse()
 
-	scripts, ok := sets()[*setName]
+	set, ok := interleave.SetByName(*setName)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "interleave: unknown set %q\n", *setName)
 		os.Exit(2)
 	}
+	var ro []string
 	for _, name := range strings.Split(*roNames, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
+		if name = strings.TrimSpace(name); name != "" {
+			ro = append(ro, name)
 		}
-		found := false
-		for i := range scripts {
-			if scripts[i].Name == name {
-				scripts[i].ReadOnly = true
-				found = true
-			}
-		}
-		if !found {
-			fmt.Fprintf(os.Stderr, "interleave: -ro names unknown script %q in set %q\n", name, *setName)
-			os.Exit(2)
-		}
+	}
+	scripts, err := set.WithReadOnly(ro...)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "interleave: -ro: %v\n", err)
+		os.Exit(2)
 	}
 	var iso ssidb.Isolation
 	switch *isoName {
@@ -117,29 +69,19 @@ func main() {
 		fmt.Fprintf(os.Stderr, "interleave: unknown isolation %q\n", *isoName)
 		os.Exit(2)
 	}
-	det := ssidb.DetectorPrecise
-	if *detector == "basic" {
+	var det ssidb.Detector
+	switch *detector {
+	case "precise":
+		det = ssidb.DetectorPrecise
+	case "basic":
 		det = ssidb.DetectorBasic
-	}
-
-	mkDB := func() (*ssidb.DB, *sercheck.History) {
-		h := sercheck.NewHistory()
-		db := ssidb.Open(ssidb.Options{Detector: det, Recorder: h})
-		if err := db.Run(ssidb.SnapshotIsolation, func(tx *ssidb.Txn) error {
-			for _, k := range []string{"a", "x", "y", "z"} {
-				if err := tx.Put("t", []byte(k), i64(0)); err != nil {
-					return err
-				}
-			}
-			return nil
-		}); err != nil {
-			panic(err)
-		}
-		return db, h
+	default:
+		fmt.Fprintf(os.Stderr, "interleave: unknown detector %q\n", *detector)
+		os.Exit(2)
 	}
 
 	var runs, allCommitted, withAborts, anomalies int
-	interleave.Explore(mkDB, iso, scripts, func(o interleave.Outcome) {
+	interleave.Explore(interleave.NewDB(det), iso, scripts, func(o interleave.Outcome) {
 		runs++
 		if o.Committed() == len(scripts) {
 			allCommitted++
@@ -155,6 +97,7 @@ func main() {
 	})
 
 	fmt.Printf("set=%s isolation=%s detector=%s\n", *setName, *isoName, *detector)
+	fmt.Printf("%s: %s\n", set.Name, set.Doc)
 	fmt.Printf("interleavings explored:        %d\n", runs)
 	fmt.Printf("all transactions committed:    %d\n", allCommitted)
 	fmt.Printf("with aborted transactions:     %d\n", withAborts)

@@ -632,9 +632,9 @@ func runScaling(c scalingConfig) {
 
 // scalingCell measures one (shard count, MPL) cell: open, load, run, close.
 func scalingCell(c scalingConfig, cfg kvmix.Config, sbCfg smallbank.Config, tpCfg tpcc.Config, s, mpl int, opts harness.Options) (harness.Result, ssidb.Stats) {
-	dbOpts := ssidb.Options{Detector: ssidb.DetectorPrecise, LockShards: s}
+	dbOpts := ssidb.Options{LockShards: s}
 	if c.storage {
-		dbOpts = ssidb.Options{Detector: ssidb.DetectorPrecise, TableShards: s}
+		dbOpts = ssidb.Options{TableShards: s}
 	}
 	var db *ssidb.DB
 	if c.durable {
@@ -772,7 +772,7 @@ func runScanStall(shardList, mplList string, iso ssidb.Isolation, jsonOut bool, 
 
 // scanStallCell measures one (partition count, MPL) cell.
 func scanStallCell(iso ssidb.Isolation, tshards, mpl int, duration, warmup time.Duration) benchCell {
-	db := ssidb.Open(ssidb.Options{Detector: ssidb.DetectorPrecise, TableShards: tshards})
+	db := ssidb.Open(ssidb.Options{TableShards: tshards})
 	cfg := kvmix.Config{Keys: scanStallKeys, Reads: 0, Writes: 1}
 	if err := kvmix.Load(db, cfg); err != nil {
 		fmt.Fprintf(os.Stderr, "ssibench: %v\n", err)

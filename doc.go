@@ -81,6 +81,51 @@
 // conflict partners it names), which otherwise dies when the engine retires
 // the transaction. Like any Txn, a handle is for one goroutine at a time.
 //
+// # The detector: when ErrUnsafe is returned
+//
+// A SerializableSI transaction is rolled back with ErrUnsafe when the rw-edge
+// an operation just recorded, or the edges the transaction already carries,
+// complete a dangerous structure Tin -rw-> pivot -rw-> Tout. The zero
+// ssidb.Options run the precise detector (thesis §3.6, Figures 3.9/3.10):
+// every edge remembers its counterpart, and one predicate in internal/core
+// (Manager.dangerous, whose comment argues each rule from Theorem 1) calls a
+// structure dangerous only when two rules both allow it. CO, commit ordering:
+// Tout has committed, and before both Tin and the pivot — in every cycle some
+// structure's Tout is the first to commit. RO, Ports & Grittner's read-only
+// rule: if Tin writes nothing, only when Tout committed before Tin took its
+// snapshot. Tin counts as read-only if it was declared so (BeginReadOnly,
+// RunReadOnly, TxnOptions) or if it has committed without creating a version.
+// The victim is always the transaction executing at the site:
+//
+//	site                              pivot        Tin                Tout                     rules applied
+//	a read finds a newer version of   committed    the caller         the one the pivot kept:  CO; RO if the caller is
+//	  a committed writer (reader-side)                                a counterpart, or the    declared read-only
+//	                                                                  commit timestamp of one
+//	                                                                  that committed before it
+//	a write finds the SIREAD lock of  committed    its recorded       the caller               none: a running Tout has
+//	  a committed reader (writer-side)             incoming edge                               not committed first
+//	each operation of a transaction   the caller   its recorded       its recorded outgoing    CO; RO if Tin is declared,
+//	  carrying both edges (abort-early)            incoming edge      edge                     or committed without writing
+//	Commit                            the caller   as above           as above                 as above, and once more inside
+//	                                                                                           the commit-serialization
+//	                                                                                           section, where "Tout still
+//	                                                                                           running" becomes final
+//
+// Two things the recorded edges cannot say are decided conservatively, and are
+// where the remaining false positives come from
+// (internal/interleave/testdata/census.golden counts them on small script
+// sets, per detector, and is the gate on any change to these rules). A Tin that
+// is still running and undeclared may yet write, so RO does not apply to it —
+// declare read-only transactions. And an edge with several counterparts keeps
+// no names: several Touts read as "one of them committed first" even if none
+// has committed, which is also the only way ErrUnsafe can strike before any
+// transaction involved has committed.
+//
+// ssidb.DetectorBasic selects the boolean-flag algorithm of thesis §3.2 in
+// its place — both edges exist, so abort, at all four sites — which is what the
+// Berkeley DB prototype ran; the Berkeley DB figures (internal/figures) and
+// the two-detector tests select it, and nothing else should.
+//
 // # Scaling beyond the paper
 //
 // The thesis prototypes inherit their hosts' global synchronisation: one

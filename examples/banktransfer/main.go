@@ -28,7 +28,7 @@ func i64(v int64) []byte {
 // state (combined balance zero, before the check) that is inconsistent with
 // the final state (check cleared without penalty) under every serial order.
 func anomalyDemo(iso ssidb.Isolation) {
-	db := ssidb.Open(ssidb.Options{Detector: ssidb.DetectorPrecise})
+	db := ssidb.Open(ssidb.Options{})
 	cfg := smallbank.Config{Accounts: 4, InitialBalance: 0}
 	if err := smallbank.Load(db, cfg); err != nil {
 		panic(err)
@@ -100,7 +100,7 @@ func main() {
 
 	// A concurrent mix with retries: the application treats unsafe errors
 	// like deadlocks — retry and move on.
-	db := ssidb.Open(ssidb.Options{Detector: ssidb.DetectorPrecise})
+	db := ssidb.Open(ssidb.Options{})
 	cfg := smallbank.DefaultConfig()
 	cfg.Accounts = 100
 	if err := smallbank.Load(db, cfg); err != nil {

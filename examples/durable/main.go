@@ -27,7 +27,6 @@ func main() {
 	// sync linger window: the log's flusher waits up to this long for
 	// more committers so one sync covers the whole batch.
 	db, err := ssidb.OpenDir(dir, ssidb.Options{
-		Detector:            ssidb.DetectorPrecise,
 		GroupCommitMaxDelay: 200 * time.Microsecond,
 	})
 	if err != nil {

@@ -43,7 +43,7 @@ func goOffDuty(tx *ssidb.Txn, shift, doctor string) error {
 }
 
 func run(iso ssidb.Isolation) {
-	db := ssidb.Open(ssidb.Options{Detector: ssidb.DetectorPrecise})
+	db := ssidb.Open(ssidb.Options{})
 	db.Run(ssidb.SnapshotIsolation, func(tx *ssidb.Txn) error {
 		tx.Put(table, []byte("night/alice"), []byte("on duty"))
 		tx.Put(table, []byte("night/bob"), []byte("on duty"))

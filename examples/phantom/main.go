@@ -36,7 +36,7 @@ func enroll(tx *ssidb.Txn, student string, capacity int) error {
 }
 
 func run(iso ssidb.Isolation) {
-	db := ssidb.Open(ssidb.Options{Detector: ssidb.DetectorPrecise})
+	db := ssidb.Open(ssidb.Options{})
 	db.Run(ssidb.SnapshotIsolation, func(tx *ssidb.Txn) error {
 		return tx.Insert(table, []byte("class1/original"), []byte("enrolled"))
 	})

@@ -12,7 +12,7 @@ import (
 )
 
 func main() {
-	db := ssidb.Open(ssidb.Options{Detector: ssidb.DetectorPrecise})
+	db := ssidb.Open(ssidb.Options{})
 
 	// Basic use: transactions via Run (commit on nil, abort on error).
 	err := db.Run(ssidb.SerializableSI, func(tx *ssidb.Txn) error {

@@ -26,7 +26,7 @@ import (
 )
 
 func main() {
-	db := ssidb.Open(ssidb.Options{Detector: ssidb.DetectorPrecise})
+	db := ssidb.Open(ssidb.Options{})
 	cfg := sibench.Config{Items: 100}
 	if err := sibench.Load(db, cfg); err != nil {
 		panic(err)
@@ -104,7 +104,7 @@ func main() {
 // report's begin differs between the two configurations.
 func runAnomaly(label string, beginReport func(db *ssidb.DB) *ssidb.Txn) {
 	hist := sercheck.NewHistory()
-	db := ssidb.Open(ssidb.Options{Detector: ssidb.DetectorPrecise, Recorder: hist})
+	db := ssidb.Open(ssidb.Options{Recorder: hist})
 	if err := db.Run(ssidb.SnapshotIsolation, func(tx *ssidb.Txn) error {
 		for _, k := range []string{"x", "y", "z"} {
 			if err := tx.Put("t", []byte(k), i64(0)); err != nil {

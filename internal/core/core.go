@@ -75,12 +75,48 @@
 //     conservative regardless of outCT. Reading the outgoing side first
 //     would let both counterparts commit between the loads and produce a
 //     "safe" outCT = ∞ / finite-inCT pair no atomic evaluation allows —
-//     see pivotUnsafeLocked. An identified outgoing counterpart observed
+//     see dangerous. An identified outgoing counterpart observed
 //     uncommitted yields a provisional "safe" (it cannot have committed
 //     first); on the commit path stampCommittedRecheck repeats the
 //     comparison under tsMu — where every stamp publishes status and
 //     timestamp — before t's own timestamp is allocated, closing the
 //     window in which Tout commits in between.
+//
+// # The dangerous-structure rules
+//
+// One predicate, dangerous(pivot, in, out), decides every structure
+// Tin -rw-> pivot -rw-> Tout; its comment carries the rules and why each keeps
+// Theorem 1. With the default DetectorPrecise they are commit ordering (CO:
+// dangerous only if Tout committed before both Tin and the pivot) and the
+// read-only rule (RO: if Tin writes nothing, only if ct(Tout) < snap(Tin)).
+// Four sites can complete a structure, and the victim is always the
+// transaction running at that site:
+//
+//	site                         pivot      Tin / Tout as seen there            rules that can fire
+//	reader-side: MarkConflict    committed  Tin = the caller, running; Tout =   CO; RO if the caller is
+//	  finds the writer committed writer     writer's out, or its outCT          declared read-only
+//	writer-side: MarkConflict    committed  Tin = reader's in; Tout = the       none — a running Tout has
+//	  finds the reader committed reader     caller, running                     not committed first (the
+//	                                                                            basic detector aborts here)
+//	abort-early: each operation  the caller its in and out references           CO; RO if Tin is declared,
+//	  of a pivot with both edges                                                or committed without a cell
+//	commit: CommitPrepare under  the caller the same, then once more under      the same; the tsMu pass turns
+//	  csMu, then under tsMu                 tsMu just before the stamp          "Tout still running" final
+//
+// What the references cannot say, and the predicate therefore decides
+// conservatively:
+//
+//   - A Tin that is still running and undeclared. It may yet write, so RO does
+//     not apply, although most such transactions commit having written
+//     nothing. Letting the pivot commit on condition that Tin stays read-only
+//     needs a hand-off (Tin doomed at its first write) the engine lacks: the
+//     victim is always the caller.
+//   - Several counterparts on one side. The reference degrades to a
+//     self-reference, which on the outgoing side reads "earliest possible": a
+//     pivot with two running Touts is aborted although neither has committed.
+//     This is the one way an abort can precede every commit of the
+//     transactions involved — the progress hazard ssidb.RunRetry's jitter
+//     exists for — and exact per-counterpart timestamps would remove it.
 //
 // # Declared read-only transactions
 //
@@ -219,8 +255,9 @@
 //     the transactions a sweep hands back (SIREAD locks outlive the commit);
 //   - partners' in/out references, until the partner is itself collected — a
 //     suspended transaction only ever references itself or transactions that
-//     commit no earlier than it (Figure 3.10 lines 9-12), so chains of them
-//     end at the active set;
+//     commit no earlier than it (Figure 3.10 lines 9-12; of a counterpart that
+//     committed earlier it keeps a timestamp, outCT, not a pointer), so chains
+//     of them end at the active set;
 //   - rival and newer-writer buffers in flight (lock.AcquireInto results,
 //     mvcc.ReadResult.NewerWriters, the engine's recycled scratch, zeroed on
 //     release), for the duration of one operation;
@@ -287,16 +324,21 @@ func (i Isolation) TracksConflicts() bool { return i == SerializableSI }
 type Detector int
 
 const (
+	// DetectorPrecise — the zero value, and so the default — is the enhanced
+	// algorithm of thesis §3.6 (Figures 3.9 and 3.10), as the InnoDB
+	// prototype implemented it: single conflicts remember which transaction
+	// they involve, and an abort is forced only when the outgoing side could
+	// have committed first — eliminating the Figure 3.8 class of false
+	// positives — plus Ports & Grittner's read-only rule for the incoming
+	// side. "The dangerous-structure rules" in the package comment says which
+	// rule applies where.
+	DetectorPrecise Detector = iota
 	// DetectorBasic is the boolean-flag algorithm of thesis §3.2: a
-	// transaction with both an incoming and an outgoing rw-edge is aborted.
-	// It is what the Berkeley DB prototype implemented.
-	DetectorBasic Detector = iota
-	// DetectorPrecise is the enhanced algorithm of thesis §3.6 (Figures 3.9
-	// and 3.10): single conflicts remember which transaction they involve,
-	// and an abort is only forced when the outgoing side could have
-	// committed before the incoming side — eliminating the Figure 3.8
-	// class of false positives. It is what the InnoDB prototype implemented.
-	DetectorPrecise
+	// transaction with both an incoming and an outgoing rw-edge is aborted,
+	// whoever committed when. It is what the Berkeley DB prototype
+	// implemented, and it survives as the explicit opt-in of the runs that
+	// reproduce that prototype's figures and of the two-detector tests.
+	DetectorBasic
 )
 
 // Sentinel errors shared by the whole engine. Benchmark harnesses classify
@@ -341,12 +383,15 @@ const (
 // DetectorBasic a non-nil reference simply means "flag set" (it is always a
 // self-reference); with DetectorPrecise it names the single conflicting
 // transaction, degrading to a self-reference when there is more than one
-// (thesis §3.6). Both are written only under this transaction's csMu but
-// read lock-free by the abort-early fast path; see the package comment's
-// memory-ordering invariants.
+// (thesis §3.6) or when the transaction commits after its counterpart did
+// (Figure 3.10 lines 9-12; outCT then keeps what the reference stood for).
+// Both are written only under this transaction's csMu but read lock-free by
+// the abort-early fast path; see the package comment's memory-ordering
+// invariants.
 //
-// The layout is budgeted (TestTxnRecordAllocBudget): the record fits the
-// 96-byte size class, which is what pays for the 24-byte Cell of a writer.
+// The layout is budgeted (TestTxnRecordAllocBudget): the record fills the
+// 96-byte size class exactly, which is what pays for the 24-byte Cell of a
+// writer.
 type Txn struct {
 	id uint64
 
@@ -381,6 +426,13 @@ type Txn struct {
 
 	in  atomic.Pointer[Txn] // rw-edge into this txn, or self if several
 	out atomic.Pointer[Txn] // rw-edge out of this txn, or self if several
+
+	// outCT is what an out self-reference stands for: the commit timestamp of
+	// the single outgoing counterpart that had committed when this
+	// transaction did, or 0 for "several counterparts, earliest possible".
+	// With commitTS it is the pair a committed transaction's rivals need of
+	// it — its own commit and its earliest out-conflict's. Guarded by csMu.
+	outCT TS
 
 	// cell is what this transaction's versions point at; nil until its first
 	// write (Cell). Written by the owner's goroutine; the commit stamp reads
@@ -796,35 +848,21 @@ func (m *Manager) stampLocked(t *Txn, slot any) TS {
 	return ct
 }
 
-// stampCommittedRecheck is stampCommitted with the Figure 3.10 comparison
-// revalidated under tsMu before the stamp. pivotUnsafeLocked declares an
-// identified but still-uncommitted Tout safe; that partner may commit in
-// the window between the csMu check and t's stamp with a timestamp below
-// t's. Every stamp publishes status and commitTS inside tsMu, so under tsMu
-// the partners' states form a consistent snapshot: a partner uncommitted
-// here is guaranteed a commit timestamp after t's and the provisional
-// verdict becomes final. Returns ok=false (no stamp taken) if the raced
-// structure turned dangerous; the caller aborts t exactly as if
-// pivotUnsafeLocked had said so. The caller holds t's csMu.
+// stampCommittedRecheck is stampCommitted with the dangerous-structure
+// predicate revalidated under tsMu before the stamp. The csMu check declares
+// an identified but still-uncommitted Tout safe; that partner may commit in
+// the window between that check and t's stamp with a timestamp below t's.
+// Every stamp publishes status and commitTS inside tsMu, so under tsMu the
+// partners' states form a consistent snapshot: a partner uncommitted here is
+// guaranteed a commit timestamp after t's and the provisional verdict becomes
+// final. Returns ok=false (no stamp taken) if the raced structure turned
+// dangerous; the caller aborts t exactly as if the csMu check had said so.
+// The caller holds t's csMu.
 func (m *Manager) stampCommittedRecheck(t *Txn, slot any) (TS, bool) {
 	m.tsMu.Lock()
 	defer m.tsMu.Unlock()
-	if m.detector == DetectorPrecise {
-		in, out := t.in.Load(), t.out.Load()
-		if in != nil && out != nil &&
-			!(in != t && in.Aborted()) && !(out != t && out.Aborted()) {
-			inCT := tsInfinity
-			if in != t {
-				inCT = commitTime(in)
-			}
-			outCT := TS(0)
-			if out != t {
-				outCT = commitTime(out)
-			}
-			if outCT != tsInfinity && outCT <= inCT {
-				return 0, false
-			}
-		}
+	if m.dangerous(t, t.in.Load(), t.out.Load()) {
+		return 0, false
 	}
 	return m.stampLocked(t, slot), true
 }
@@ -888,30 +926,19 @@ func (m *Manager) MarkConflict(reader, writer, caller *Txn) error {
 	m.dropAbortedRefsLocked(reader)
 	m.dropAbortedRefsLocked(writer)
 
-	switch m.detector {
-	case DetectorBasic:
-		if writer.Committed() && writer.out.Load() != nil {
-			// writer is a committed pivot; the only way to break the
-			// potential cycle is to abort the reader (§3.4). The reader is
-			// necessarily the caller: a committed transaction executes no
-			// operations.
-			return m.abortLocked(reader, caller)
-		}
-		if reader.Committed() && reader.in.Load() != nil {
-			// reader is a committed pivot; abort the writer (the caller).
-			return m.abortLocked(writer, caller)
-		}
-	case DetectorPrecise:
-		// Figure 3.9: only dangerous if the committed pivot's outgoing
-		// partner committed no later than the pivot itself — i.e. Tout
-		// could be first to commit in a cycle. A reader-committed pivot is
-		// safe here because the writer (its Tout) is still running and so
-		// cannot have committed first.
-		if writer.Committed() {
-			if wout := writer.out.Load(); wout != nil && commitTime(wout) <= writer.CommitTS() {
-				return m.abortLocked(reader, caller)
-			}
-		}
+	// The new edge can complete a structure around an endpoint that has
+	// already committed and will run no check of its own again (Figures 3.3
+	// and 3.9); the running endpoint is the caller, and the only transaction
+	// left to abort (§3.4).
+	if writer.Committed() && m.dangerous(writer, reader, writer.out.Load()) {
+		// Reader-side: reader -> writer -> writer's Tout, the caller as Tin.
+		return m.abortLocked(reader, caller)
+	}
+	if reader.Committed() && m.dangerous(reader, reader.in.Load(), writer) {
+		// Writer-side: reader's Tin -> reader -> writer, the caller as Tout.
+		// Only the basic detector ever fires here: a running Tout cannot have
+		// committed first.
+		return m.abortLocked(writer, caller)
 	}
 
 	// Record the edge on both endpoints. A declared read-only reader takes
@@ -920,13 +947,13 @@ func (m *Manager) MarkConflict(reader, writer, caller *Txn) error {
 	// dangerous structure (invariant 4). The writer's incoming record is
 	// installed regardless — the writer may yet become a pivot, and the
 	// read-only anomaly aborts at that pivot's commit-time check.
-	switch {
-	case m.detector == DetectorBasic:
+	switch m.detector {
+	case DetectorBasic:
 		if !reader.readOnly {
 			reader.out.Store(reader)
 		}
 		writer.in.Store(writer)
-	default: // DetectorPrecise
+	case DetectorPrecise:
 		if !reader.readOnly {
 			if rout := reader.out.Load(); rout == nil {
 				reader.out.Store(writer)
@@ -978,12 +1005,9 @@ func (m *Manager) dropAbortedRefsLocked(t *Txn) {
 	}
 }
 
-// commitTime returns the commit timestamp of a conflict reference, or
-// tsInfinity if it has not committed. Self-references of committed
-// transactions act as that transaction's own commit time, which makes the
-// Figure 3.9/3.10 comparisons conservative exactly as the thesis prescribes.
-// Reading a third party's commitTS without its mutex is sound — see
-// invariant 3 of the package comment.
+// commitTime returns t's commit timestamp, or tsInfinity if it has not
+// committed. Reading a third party's commitTS without its mutex is sound —
+// see invariant 3 of the package comment.
 func commitTime(t *Txn) TS {
 	if ct := t.CommitTS(); ct != 0 {
 		return ct
@@ -1006,61 +1030,90 @@ func (m *Manager) PivotUnsafe(t *Txn) bool {
 	return m.pivotUnsafeLocked(t)
 }
 
-// pivotUnsafeLocked is the dangerous-structure test; the caller holds t's
-// csMu, so t.in/t.out are stable across the check.
+// pivotUnsafeLocked is the pivot's own dangerous-structure test; the caller
+// holds t's csMu, so t.in/t.out are stable across the check.
 func (m *Manager) pivotUnsafeLocked(t *Txn) bool {
 	m.dropAbortedRefsLocked(t)
-	in, out := t.in.Load(), t.out.Load()
+	return m.dangerous(t, t.in.Load(), t.out.Load())
+}
+
+// dangerous is the dangerous-structure predicate, the one place the engine
+// decides whether in -rw-> pivot -rw-> out may close a cycle. Every site that
+// can complete a structure asks it ("The dangerous-structure rules" in the
+// package comment): MarkConflict around a committed endpoint, with the
+// caller's new edge as one side; the pivot itself at each operation and at
+// commit, and once more under tsMu, with its recorded references. in or out
+// equal to pivot is a self-reference: several counterparts, or one the pivot
+// outlived. The caller holds pivot's csMu.
+//
+// The basic detector (Figures 3.2/3.3) stops at "both edges exist". The
+// precise one applies three rules, each sound because in every cycle of an SI
+// execution some structure's Tout is the first transaction of the whole cycle
+// to commit (Fekete et al.), so a structure whose Tout provably is not first
+// need not be the one that breaks its cycle:
+//
+//   - A counterpart that aborted is no counterpart: its edges are void.
+//   - Commit ordering (Figure 3.10): dangerous only if Tout committed, and
+//     before both Tin and the pivot. An identified Tout still running is safe
+//     — it will take a timestamp after the pivot's. An out self-reference
+//     stands for pivot.outCT: the Tout the pivot found committed at its own
+//     commit, or 0 — "several counterparts", the earliest possible, whether
+//     any of them has committed or not (the one verdict here that can abort a
+//     transaction before anything committed). An in self-reference is the
+//     latest possible.
+//   - Read-only Tin (Ports & Grittner): an identified Tin that writes nothing
+//     — declared so, or committed without a creator cell, which is exactly
+//     "created no version" — has no ww- or rw-edge into it, so a cycle
+//     re-enters it only by a wr-edge from a transaction that committed before
+//     its snapshot. Tout commits before that transaction, hence the structure
+//     is dangerous only if ct(Tout) < snap(Tin). A Tin still running and
+//     undeclared may yet write, and gets no such benefit.
+//
+// The incoming side MUST be read before the outgoing side. Neither
+// counterpart's commit is blocked by pivot's csMu, so the two loads are not an
+// atomic snapshot; what makes the pair sound is that a finite commitTS is
+// immutable while "uncommitted" is not. Reading in first, every observable
+// pair is consistent with an atomic evaluation at the instant of the out
+// load: a finite inCT is still exact then, and an out that commits just after
+// being read uncommitted is caught by the tsMu recheck. Read in the other
+// order, both counterparts committing between the loads (out first) yields
+// outCT = ∞ against a finite inCT — a "safe" verdict no atomic evaluation
+// would produce, and a dangerous structure slips through (package comment,
+// invariant 3). Everything the read-only rule adds is immutable once read: the
+// declaration, the snapshot, and the cell of a transaction seen committed
+// (its owner's last write to the field happens before its stamp).
+//
+// The "identified Tout still running" verdict is provisional on the commit
+// path: the partner may commit in the window before the pivot's own stamp, so
+// stampCommittedRecheck asks again under tsMu, where status and commit
+// timestamp are published atomically and the race closes. On the abort-early
+// path no stamp follows and the eventual CommitPrepare re-checks.
+func (m *Manager) dangerous(pivot, in, out *Txn) bool {
 	if in == nil || out == nil {
 		return false
 	}
 	if m.detector == DetectorBasic {
 		return true
 	}
-	// Figure 3.10: abort only if the outgoing side committed no later than
-	// the incoming side, i.e. Tout may have been first to commit in the
-	// cycle. A self-reference on the outgoing side means "several partners,
-	// at least one possibly committed first": treat as earliest possible.
-	// A self-reference on the incoming side is likewise conservative
-	// (latest possible).
-	//
-	// An *identified* outgoing partner that has not committed is safe: in
-	// every non-serializable SI execution the pivot's Tout commits first
-	// (Fekete et al.), and a still-active Tout will take a commit timestamp
-	// after t's. Declaring it safe rather than "∞ ≤ ∞ ⇒ unsafe" is what
-	// preserves the progress guarantee — an abort always implicates a
-	// committed transaction, so a group of active transactions cannot abort
-	// each other forever with none committing (hot-key livelock). The
-	// verdict is provisional on the commit path: the partner may commit in
-	// the window before t's own stamp, so stampCommittedRecheck repeats the
-	// comparison under tsMu, where status and commit timestamp are
-	// published atomically and the race closes. On the abort-early path no
-	// stamp follows and t's eventual CommitPrepare re-checks, so the
-	// provisional verdict needs no revalidation there.
-	//
-	// The incoming side MUST be read before the outgoing side. Neither
-	// counterpart's commit is blocked by t's csMu, so the two loads are not
-	// an atomic snapshot; what makes the pair sound is that a finite
-	// commitTS is immutable while "uncommitted" is not. Reading in first,
-	// every observable pair is consistent with an atomic evaluation at the
-	// instant of the out load: a finite inCT is still exact then, and an
-	// out that commits just after being read uncommitted is caught by the
-	// tsMu recheck. Read in the other order, both counterparts committing
-	// between the loads (out first) yields outCT = ∞ against a finite
-	// inCT — a "safe" verdict no atomic evaluation would produce, and a
-	// dangerous structure slips through (package comment, invariant 3).
+	if (in != pivot && in.Aborted()) || (out != pivot && out.Aborted()) {
+		return false
+	}
 	inCT := tsInfinity
-	if in != t {
+	if in != pivot {
 		inCT = commitTime(in)
 	}
-	outCT := TS(0)
-	if out != t {
+	outCT := pivot.outCT
+	if out != pivot {
 		outCT = commitTime(out)
-		if outCT == tsInfinity {
-			return false // identified Tout still active: cannot have committed first
-		}
 	}
-	return outCT <= inCT
+	if outCT == tsInfinity || outCT > inCT || outCT > commitTime(pivot) {
+		return false // Tout is not the first of the three to commit
+	}
+	if in != pivot && (in.readOnly || (inCT != tsInfinity && in.cell == nil)) {
+		snap := in.Snapshot()
+		return snap == 0 || outCT < snap
+	}
+	return true
 }
 
 // AbortEarly implements §3.7.1: called at the start of each operation of t,
@@ -1159,11 +1212,14 @@ func (m *Manager) CommitPrepareWith(t *Txn, slot any) (TS, error) {
 	if m.detector == DetectorPrecise {
 		// Figure 3.10 lines 9-12: replace references to already-committed
 		// transactions with self-references so a suspended transaction only
-		// ever references transactions with an equal or later commit.
+		// ever references transactions with an equal or later commit. Where
+		// the thesis lets the outgoing self-reference stand for t's own commit
+		// time, t keeps the counterpart's: the read-only rule compares it.
 		if in := t.in.Load(); in != nil && in.Committed() {
 			t.in.Store(t)
 		}
-		if out := t.out.Load(); out != nil && out.Committed() {
+		if out := t.out.Load(); out != nil && out != t && out.Committed() {
+			t.outCT = out.CommitTS()
 			t.out.Store(t)
 		}
 	}

@@ -188,7 +188,43 @@ func TestMarkConflictCommitRace(t *testing.T) {
 // window between the pivot's csMu check and its stamp; the tsMu recheck in
 // stampCommittedRecheck exists to close exactly that window, and this test
 // exists to catch it reopening.
+//
+// Tin here is a writer, and has the creator cell the engine would have given
+// it; the read-only twin below leaves it out.
 func TestCounterpartCommitRace(t *testing.T) {
+	counterpartCommitRace(t, true, func(i int, pivotCT, toutCT, tinCT TS) {
+		if toutCT != 0 && toutCT < pivotCT {
+			t.Fatalf("iter %d: pivot committed at %d inside a dangerous structure whose Tout committed first at %d", i, pivotCT, toutCT)
+		}
+	})
+}
+
+// TestCounterpartCommitRaceReadOnlyTin is the same race with a Tin that
+// writes nothing and commits undeclared, after tout. Its snapshot precedes
+// tout's commit, so by the read-only rule the structure is harmless — once
+// Tin is known to be read-only, which is when it has committed without a
+// cell. The pivot may therefore commit behind a Tout that committed first,
+// but only if Tin's stamp preceded its own: a Tin still running when the
+// verdict fell (the tsMu pass is the final one) may yet have written, and the
+// pivot must have aborted. Under -race this also checks that reading a
+// committed counterpart's cell field needs no lock.
+func TestCounterpartCommitRaceReadOnlyTin(t *testing.T) {
+	spared := 0
+	counterpartCommitRace(t, false, func(i int, pivotCT, toutCT, tinCT TS) {
+		if toutCT == 0 || toutCT > pivotCT {
+			return
+		}
+		if tinCT == 0 || tinCT > pivotCT {
+			t.Fatalf("iter %d: pivot committed at %d behind Tout (%d) while Tin (commit %d) could still have written", i, pivotCT, toutCT, tinCT)
+		}
+		spared++
+	})
+	t.Logf("pivots the read-only rule spared: %d", spared)
+}
+
+// counterpartCommitRace runs the race and hands check the three commit
+// timestamps (0: did not commit) of every iteration whose pivot committed.
+func counterpartCommitRace(t *testing.T, tinWrites bool, check func(i int, pivotCT, toutCT, tinCT TS)) {
 	iters := 5000
 	if testing.Short() {
 		iters = 500
@@ -207,8 +243,13 @@ func TestCounterpartCommitRace(t *testing.T) {
 		if err := m.MarkConflict(pivot, tout, pivot); err != nil {
 			t.Fatal(err)
 		}
+		pivot.Cell()
+		tout.Cell()
+		if tinWrites {
+			tin.Cell()
+		}
 
-		var pivotCT, toutCT TS
+		var pivotCT, toutCT, tinCT TS
 		var commitErr error
 		var wg sync.WaitGroup
 		wg.Add(2)
@@ -219,15 +260,14 @@ func TestCounterpartCommitRace(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			// tout first, then tin: if tout's stamp beats the pivot's,
-			// commit(tout) is the smaller timestamp and the structure is
-			// unconditionally dangerous for the pivot.
+			// commit(tout) is the smallest timestamp of the three.
 			var err error
 			if toutCT, err = m.CommitPrepare(tout); err == nil {
 				m.Finish(tout, true)
 			} else {
 				m.Abort(tout)
 			}
-			if _, err := m.CommitPrepare(tin); err == nil {
+			if tinCT, err = m.CommitPrepare(tin); err == nil {
 				m.Finish(tin, true)
 			} else {
 				m.Abort(tin)
@@ -236,9 +276,7 @@ func TestCounterpartCommitRace(t *testing.T) {
 		wg.Wait()
 
 		if commitErr == nil {
-			if toutCT != 0 && toutCT < pivotCT {
-				t.Fatalf("iter %d: pivot committed at %d inside a dangerous structure whose Tout committed first at %d", i, pivotCT, toutCT)
-			}
+			check(i, pivotCT, toutCT, tinCT)
 			m.Finish(pivot, true)
 		} else {
 			m.Abort(pivot)

@@ -45,6 +45,12 @@ type Outcome struct {
 	// Errs has one entry per script: nil if it committed, otherwise the
 	// error that ended it.
 	Errs []error
+	// BeforeCommit has one entry per script: true if it ended in an error at
+	// a moment when no script of the run had committed yet.
+	BeforeCommit []bool
+	// Blocked reports that some step outlasted the scheduler's wait and
+	// forfeited a slot: the execution is real, but no longer the schedule's.
+	Blocked bool
 	// History is the recorded execution for MVSG checking.
 	History *sercheck.History
 	// DB is the database after the run, for state assertions.
@@ -114,14 +120,15 @@ const blockTimeout = 25 * time.Millisecond
 const drainTimeout = 5 * time.Second
 
 type worker struct {
-	tx      *ssidb.Txn
-	steps   []Step // script steps; commit appended logically
-	next    int    // next step index; len(steps) = commit
-	pending bool   // a released step has not completed yet
-	done    chan error
-	release chan int
-	err     error
-	dead    bool
+	tx           *ssidb.Txn
+	steps        []Step // script steps; commit appended logically
+	next         int    // next step index; len(steps) = commit
+	pending      bool   // a released step has not completed yet
+	done         chan error
+	release      chan int
+	err          error
+	beforeCommit bool // err arrived before any worker had committed
+	dead         bool
 }
 
 func (w *worker) totalSteps() int { return len(w.steps) + 1 }
@@ -129,6 +136,14 @@ func (w *worker) totalSteps() int { return len(w.steps) + 1 }
 // Run executes the scripts under one specific schedule against db (with its
 // recorder already attached) and returns the outcome.
 func Run(db *ssidb.DB, hist *sercheck.History, iso ssidb.Isolation, scripts []Script, schedule []int) Outcome {
+	return run(db, hist, iso, scripts, schedule, blockTimeout)
+}
+
+// run is Run with the scheduler's patience as a parameter: a step not back
+// within wait counts as blocked on a lock.
+func run(db *ssidb.DB, hist *sercheck.History, iso ssidb.Isolation, scripts []Script, schedule []int, wait time.Duration) Outcome {
+	out := Outcome{Schedule: schedule, History: hist, DB: db}
+	commits := 0
 	workers := make([]*worker, len(scripts))
 	for i, s := range scripts {
 		w := &worker{
@@ -159,14 +174,16 @@ func Run(db *ssidb.DB, hist *sercheck.History, iso ssidb.Isolation, scripts []Sc
 	finish := func(w *worker, err error) {
 		if err != nil {
 			w.err = err
+			w.beforeCommit = commits == 0
 			w.dead = true
 			w.tx.Abort() // idempotent; cleans up app-level errors too
 		} else if w.next > len(w.steps) {
+			commits++
 			w.dead = true
 		}
 	}
 
-	advance := func(w *worker, wait time.Duration) {
+	advance := func(w *worker, patience time.Duration) {
 		if w.dead {
 			return
 		}
@@ -175,7 +192,7 @@ func Run(db *ssidb.DB, hist *sercheck.History, iso ssidb.Isolation, scripts []Sc
 			case err := <-w.done:
 				w.pending = false
 				finish(w, err)
-			case <-time.After(wait):
+			case <-time.After(patience):
 				return // still blocked; its slot is forfeited
 			}
 			if w.dead {
@@ -191,13 +208,14 @@ func Run(db *ssidb.DB, hist *sercheck.History, iso ssidb.Isolation, scripts []Sc
 		select {
 		case err := <-w.done:
 			finish(w, err)
-		case <-time.After(wait):
+		case <-time.After(patience):
 			w.pending = true
+			out.Blocked = true
 		}
 	}
 
 	for _, slot := range schedule {
-		advance(workers[slot], blockTimeout)
+		advance(workers[slot], wait)
 	}
 	// Drain stragglers (blocked steps complete as blockers finish).
 	deadline := time.Now().Add(drainTimeout)
@@ -223,9 +241,9 @@ func Run(db *ssidb.DB, hist *sercheck.History, iso ssidb.Isolation, scripts []Sc
 		}
 	}
 
-	out := Outcome{Schedule: schedule, History: hist, DB: db}
 	for _, w := range workers {
 		out.Errs = append(out.Errs, w.err)
+		out.BeforeCommit = append(out.BeforeCommit, w.beforeCommit)
 	}
 	return out
 }

@@ -1,46 +1,22 @@
 package interleave
 
 import (
-	"encoding/binary"
+	"flag"
+	"os"
+	"path/filepath"
 	"testing"
 
-	"ssi/internal/sercheck"
 	"ssi/ssidb"
 )
 
-func i64(v int64) []byte {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], uint64(v))
-	return b[:]
-}
-
-func get(table, key string) Step {
-	return func(tx *ssidb.Txn) error {
-		_, _, err := tx.Get(table, []byte(key))
-		return err
+// mustSet returns the scripts of a set of the shared table.
+func mustSet(t *testing.T, name string) []Script {
+	t.Helper()
+	set, ok := SetByName(name)
+	if !ok {
+		t.Fatalf("no set %q", name)
 	}
-}
-
-func put(table, key string, v int64) Step {
-	return func(tx *ssidb.Txn) error { return tx.Put(table, []byte(key), i64(v)) }
-}
-
-// mkDB builds a fresh database seeded with x,y,z = 0 and a recorder.
-func mkDB(det ssidb.Detector) func() (*ssidb.DB, *sercheck.History) {
-	return func() (*ssidb.DB, *sercheck.History) {
-		h := sercheck.NewHistory()
-		db := ssidb.Open(ssidb.Options{Detector: det, Recorder: h})
-		seedTx := db.Begin(ssidb.SnapshotIsolation)
-		for _, k := range []string{"x", "y", "z"} {
-			if err := seedTx.Put("t", []byte(k), i64(0)); err != nil {
-				panic(err)
-			}
-		}
-		if err := seedTx.Commit(); err != nil {
-			panic(err)
-		}
-		return db, h
-	}
+	return set.Scripts
 }
 
 func TestSchedulesCount(t *testing.T) {
@@ -62,21 +38,12 @@ func TestSchedulesCount(t *testing.T) {
 	}
 }
 
-// writeSkewScripts is the classic two-transaction write skew: both read x
-// and y, then T0 writes x and T1 writes y.
-func writeSkewScripts() []Script {
-	return []Script{
-		{Name: "T0", Steps: []Step{get("t", "x"), get("t", "y"), put("t", "x", -1)}},
-		{Name: "T1", Steps: []Step{get("t", "x"), get("t", "y"), put("t", "y", -1)}},
-	}
-}
-
 func TestExhaustiveWriteSkewSI(t *testing.T) {
 	// Under plain SI every interleaving commits both transactions, and some
 	// interleavings are non-serializable — the anomaly the paper targets.
 	anomalies := 0
 	runs := 0
-	Explore(mkDB(ssidb.DetectorPrecise), ssidb.SnapshotIsolation, writeSkewScripts(), func(o Outcome) {
+	Explore(NewDB(ssidb.DetectorPrecise), ssidb.SnapshotIsolation, mustSet(t, "writeskew"), func(o Outcome) {
 		runs++
 		for i, err := range o.Errs {
 			if err != nil {
@@ -100,7 +67,7 @@ func TestExhaustiveWriteSkewSSI(t *testing.T) {
 	// serializable, with both detector variants (the paper's §4.7 check).
 	for _, det := range []ssidb.Detector{ssidb.DetectorBasic, ssidb.DetectorPrecise} {
 		aborts := 0
-		Explore(mkDB(det), ssidb.SerializableSI, writeSkewScripts(), func(o Outcome) {
+		Explore(NewDB(det), ssidb.SerializableSI, mustSet(t, "writeskew"), func(o Outcome) {
 			for _, err := range o.Errs {
 				if err != nil && !ssidb.IsAbort(err) {
 					t.Fatalf("schedule %v: unexpected error %v", o, err)
@@ -120,19 +87,8 @@ func TestExhaustiveWriteSkewSSI(t *testing.T) {
 	}
 }
 
-// thesisScripts is the exact transaction set of thesis §4.7:
-// T1: r(x); T2: r(y) w(x); T3: w(y). All executions are serializable
-// (T1 < T2 < T3 works), so it measures false positives.
-func thesisScripts() []Script {
-	return []Script{
-		{Name: "T1", Steps: []Step{get("t", "x")}},
-		{Name: "T2", Steps: []Step{get("t", "y"), put("t", "x", 2)}},
-		{Name: "T3", Steps: []Step{put("t", "y", 3)}},
-	}
-}
-
 func TestExhaustiveThesisSetSI(t *testing.T) {
-	Explore(mkDB(ssidb.DetectorPrecise), ssidb.SnapshotIsolation, thesisScripts(), func(o Outcome) {
+	Explore(NewDB(ssidb.DetectorPrecise), ssidb.SnapshotIsolation, mustSet(t, "thesis"), func(o Outcome) {
 		for i, err := range o.Errs {
 			if err != nil {
 				t.Fatalf("schedule %v: SI aborted script %d: %v", o, i, err)
@@ -150,7 +106,7 @@ func TestExhaustiveThesisSetSSI(t *testing.T) {
 	// false-positive-only workload (thesis §3.6).
 	abortCount := map[ssidb.Detector]int{}
 	for _, det := range []ssidb.Detector{ssidb.DetectorBasic, ssidb.DetectorPrecise} {
-		Explore(mkDB(det), ssidb.SerializableSI, thesisScripts(), func(o Outcome) {
+		Explore(NewDB(det), ssidb.SerializableSI, mustSet(t, "thesis"), func(o Outcome) {
 			for _, err := range o.Errs {
 				if err != nil {
 					if !ssidb.IsAbort(err) {
@@ -170,21 +126,12 @@ func TestExhaustiveThesisSetSSI(t *testing.T) {
 	}
 }
 
-// readOnlyAnomalyScripts is Example 3 / Fekete et al. 2004.
-func readOnlyAnomalyScripts() []Script {
-	return []Script{
-		{Name: "pivot", Steps: []Step{get("t", "y"), put("t", "x", 5)}},
-		{Name: "out", Steps: []Step{put("t", "y", 10), put("t", "z", 10)}},
-		{Name: "in", Steps: []Step{get("t", "x"), get("t", "z")}},
-	}
-}
-
 func TestExhaustiveReadOnlyAnomaly(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1680 interleavings x 2 isolation levels")
 	}
 	anomalies := 0
-	Explore(mkDB(ssidb.DetectorPrecise), ssidb.SnapshotIsolation, readOnlyAnomalyScripts(), func(o Outcome) {
+	Explore(NewDB(ssidb.DetectorPrecise), ssidb.SnapshotIsolation, mustSet(t, "readonly"), func(o Outcome) {
 		if ok, _ := o.History.Serializable(); !ok {
 			anomalies++
 		}
@@ -192,7 +139,7 @@ func TestExhaustiveReadOnlyAnomaly(t *testing.T) {
 	if anomalies == 0 {
 		t.Fatal("read-only anomaly never materialised under SI")
 	}
-	Explore(mkDB(ssidb.DetectorPrecise), ssidb.SerializableSI, readOnlyAnomalyScripts(), func(o Outcome) {
+	Explore(NewDB(ssidb.DetectorPrecise), ssidb.SerializableSI, mustSet(t, "readonly"), func(o Outcome) {
 		if ok, cyc := o.History.Serializable(); !ok {
 			t.Fatalf("SSI schedule %v: cycle %v\n%s", o, cyc, o.History.MVSG())
 		}
@@ -200,15 +147,9 @@ func TestExhaustiveReadOnlyAnomaly(t *testing.T) {
 }
 
 func TestExhaustivePhantomSkew(t *testing.T) {
-	scan := func(tx *ssidb.Txn) error {
-		return tx.Scan("t", []byte("a"), []byte("zz"), func(k, v []byte) bool { return true })
-	}
-	scripts := []Script{
-		{Name: "T0", Steps: []Step{scan, func(tx *ssidb.Txn) error { return tx.Insert("t", []byte("m0"), i64(1)) }}},
-		{Name: "T1", Steps: []Step{scan, func(tx *ssidb.Txn) error { return tx.Insert("t", []byte("m1"), i64(1)) }}},
-	}
+	scripts := mustSet(t, "phantom")
 	anomalies := 0
-	Explore(mkDB(ssidb.DetectorPrecise), ssidb.SnapshotIsolation, scripts, func(o Outcome) {
+	Explore(NewDB(ssidb.DetectorPrecise), ssidb.SnapshotIsolation, scripts, func(o Outcome) {
 		if ok, _ := o.History.Serializable(); !ok {
 			anomalies++
 		}
@@ -216,7 +157,7 @@ func TestExhaustivePhantomSkew(t *testing.T) {
 	if anomalies == 0 {
 		t.Fatal("phantom skew never materialised under SI")
 	}
-	Explore(mkDB(ssidb.DetectorPrecise), ssidb.SerializableSI, scripts, func(o Outcome) {
+	Explore(NewDB(ssidb.DetectorPrecise), ssidb.SerializableSI, scripts, func(o Outcome) {
 		if ok, cyc := o.History.Serializable(); !ok {
 			t.Fatalf("SSI schedule %v: cycle %v\n%s", o, cyc, o.History.MVSG())
 		}
@@ -226,7 +167,7 @@ func TestExhaustivePhantomSkew(t *testing.T) {
 func TestExhaustiveS2PLAlwaysSerializable(t *testing.T) {
 	// S2PL blocks, so this also exercises the scheduler's pending/drain
 	// machinery. Write skew scripts: S2PL serializes or deadlocks.
-	Explore(mkDB(ssidb.DetectorPrecise), ssidb.S2PL, writeSkewScripts(), func(o Outcome) {
+	Explore(NewDB(ssidb.DetectorPrecise), ssidb.S2PL, mustSet(t, "writeskew"), func(o Outcome) {
 		for _, err := range o.Errs {
 			if err != nil && !ssidb.IsAbort(err) {
 				t.Fatalf("schedule %v: %v", o, err)
@@ -236,4 +177,76 @@ func TestExhaustiveS2PLAlwaysSerializable(t *testing.T) {
 			t.Fatalf("S2PL schedule %v: cycle %v", o, cyc)
 		}
 	})
+}
+
+var update = flag.Bool("update", false, "rewrite testdata/census.golden from this run")
+
+// censusRows runs the census the golden file holds: every set of the table
+// under both detectors, and under the default once more with the set's
+// read-only scripts declared.
+func censusRows(t *testing.T, sets []Set) []CensusRow {
+	t.Helper()
+	var rows []CensusRow
+	add := func(set Set, det ssidb.Detector, readOnly ...string) {
+		row, err := Census(set, det, readOnly...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows = append(rows, row)
+	}
+	for _, set := range sets {
+		add(set, ssidb.DetectorBasic)
+		add(set, ssidb.DetectorPrecise)
+		if len(set.ReadOnly) > 0 {
+			add(set, ssidb.DetectorPrecise, set.ReadOnly...)
+		}
+	}
+	return rows
+}
+
+// TestCensusGolden is the deterministic gate on what the algorithm decides:
+// any change to core, lock or the lock targets that moves a count — a
+// schedule that starts or stops aborting, a different victim — shows up as a
+// diff of testdata/census.golden, to be explained in review and accepted with
+// -update. What must hold whatever the counts are is asserted outright.
+func TestCensusGolden(t *testing.T) {
+	sets := Sets()
+	if testing.Short() {
+		if *update {
+			t.Fatal("-update needs the whole census; drop -short")
+		}
+		sets = sets[:2] // writeskew, thesis: 280 schedules, invariants only
+	}
+	rows := censusRows(t, sets)
+	for i, r := range rows {
+		name := r.Set.Name + "/" + DetectorName(r.Detector)
+		if r.NonSerializable != 0 {
+			t.Errorf("%s: %d non-serializable executions at SerializableSI", name, r.NonSerializable)
+		}
+		if len(r.ReadOnly) > 0 {
+			// Declaring a reader takes nothing a cycle needs away, so it
+			// must not lose a necessary abort the undeclared run made.
+			if undeclared := rows[i-1]; r.Necessary != undeclared.Necessary {
+				t.Errorf("%s: %d necessary aborts with %v declared read-only, %d without", name, r.Necessary, r.ReadOnly, undeclared.Necessary)
+			}
+		}
+	}
+	if testing.Short() {
+		return // the table's columns are aligned over all rows: no partial compare
+	}
+	got := FormatCensus(rows)
+	golden := filepath.Join("testdata", "census.golden")
+	if *update {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Fatalf("census moved; explain the difference and rerun with -update. got\n%s\nwant\n%s", got, want)
+	}
 }

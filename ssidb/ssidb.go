@@ -106,10 +106,11 @@ const (
 // Detector selects the SSI conflict detector variant.
 type Detector = core.Detector
 
-// Detector variants (thesis §3.2 vs §3.6).
+// Detector variants: the default (thesis §3.6 plus the read-only rule) and the
+// boolean-flag algorithm of §3.2.
 const (
-	DetectorBasic   = core.DetectorBasic
 	DetectorPrecise = core.DetectorPrecise
+	DetectorBasic   = core.DetectorBasic
 )
 
 // Granularity selects the locking and conflict-detection granularity.
@@ -164,8 +165,8 @@ func IsAbort(err error) bool {
 //
 // Today Retryable(err) == IsAbort(err); it exists as the stable, intent-named
 // API. Callers that loop on it should back off on RunRetry's schedule (stated
-// there), which desynchronises contending retry loops and prevents the basic
-// detector's abort-everyone livelock on hot keys.
+// there), which desynchronises contending retry loops — the way out of the
+// few aborts that implicate no committed transaction.
 func Retryable(err error) bool {
 	return IsAbort(err)
 }
@@ -195,8 +196,13 @@ type Recorder interface {
 
 // Options configures a DB.
 type Options struct {
-	// Detector selects the SSI variant; the default DetectorBasic is the
-	// boolean-flag algorithm, DetectorPrecise the §3.6 refinement.
+	// Detector selects the SSI variant. The default, DetectorPrecise, names
+	// the counterpart of every rw-conflict and aborts a transaction only when
+	// commit order and the read-only rule both leave a cycle possible (the
+	// root package comment's detector section has the rule table).
+	// DetectorBasic is the boolean-flag algorithm of thesis §3.2, kept for
+	// reproducing the Berkeley DB prototype's figures: it aborts several
+	// times as often and promises nothing more.
 	Detector Detector
 	// Granularity selects row- or page-level locking. Default row. It also
 	// decides the TableShards default: see there.
@@ -599,15 +605,19 @@ func (db *DB) Run(iso Isolation, fn func(*Txn) error) error {
 // The retry schedule: the first abort retries at once; after the n-th
 // consecutive abort (n ≥ 2) the retry sleeps a uniformly random duration
 // below a ceiling of 8µs << min(n-1, 7) — full jitter over 16µs, 32µs, …
-// capped at 1.024ms. The basic detector aborts every member of a dangerous
-// structure regardless of whether any of them committed, so identical retry
-// loops contending on one hot key can re-create the same structure in
-// lockstep indefinitely — a livelock in which every transaction aborts and
-// none commits. Desynchronising the loops is what lets one slip through and
-// commit; its SIREAD locks then drain and the structure dissolves. (The precise detector does not need
-// the jitter for progress — it only aborts a pivot whose outgoing partner
-// actually committed first — but repeated conflicts still mean the key is
-// hot, and backing off sheds useless work.)
+// capped at 1.024ms. Repeated conflicts mean the keys are hot, and backing
+// off sheds useless work; but the jitter is also what guarantees progress in
+// the cases where an abort implicates no committed transaction, so that
+// identical retry loops can re-create the same structure in lockstep — every
+// transaction aborting, none committing. The default detector has one such
+// case: it aborts a pivot only if its outgoing counterpart committed first,
+// except that a pivot with several outgoing counterparts keeps no names and
+// is aborted even while all of them are still running (the census in
+// internal/interleave counts these as "before-any-commit"). The opt-in basic
+// detector has it everywhere: it aborts every transaction that has both an
+// incoming and an outgoing conflict, whoever committed. Desynchronising the
+// loops lets one slip through and commit; its SIREAD locks then drain and
+// the structure dissolves.
 func (db *DB) RunRetry(iso Isolation, fn func(*Txn) error) error {
 	for attempt := 0; ; attempt++ {
 		err := db.Run(iso, fn)
