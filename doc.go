@@ -191,6 +191,27 @@
 //     once a pinned watermark advances. The table directory itself is an
 //     atomic copy-on-write map — resolving a table name costs one atomic
 //     load.
+//   - A stored row is two things (≈106 B for a 4-byte key and a 1-byte
+//     value straight after a load, TestRowFootprintAllocBudget): a 32-byte
+//     {key, value} slot in a B+tree leaf, and the 48-byte chain the slot
+//     points at. A leaf's slot array is allocated once, at the page capacity
+//     plus the slot an insert overflows into, and never regrown; a full page
+//     splits in the middle unless the new key landed at the right edge of
+//     the tree, where it splits at the insertion point and the old page stays
+//     full (Berkeley DB's and PostgreSQL's rule for ascending keys, decided
+//     from the observed insert position — there is no fill factor), so a
+//     sequential load fills pages to PageMaxKeys. The chain is its own newest
+//     version: a superseding write copies the old head out behind it and
+//     overwrites the head in place (one 48-byte allocation, as before; a
+//     first insert allocates the chain alone), and rollback and vacuum do the
+//     reverse — safe because no pointer to a version leaves the partition
+//     latch it was read under. Key bytes belong to the tree: Put, Insert and
+//     Delete only borrow the caller's key (it is copied, into an immutable
+//     string, if and when the call creates the row), every row and gap lock
+//     a scan, an update or an insert's successor takes is named by that
+//     string rather than by a fresh copy, and a Scan callback is shown a
+//     read-only view of it. Value slices are the opposite: retained as
+//     given, and not to be modified after the call.
 //   - Declared read-only transactions (ssidb.BeginReadOnly, RunReadOnly,
 //     TxnOptions) ride the same registry: a transaction that never writes
 //     can never be the outgoing side of a dangerous structure, so the core

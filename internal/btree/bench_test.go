@@ -45,7 +45,7 @@ func BenchmarkAscend100(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		visited := 0
-		tr.Ascend(keys[i%n], func(k []byte, v any, _ uint32) bool {
+		tr.Ascend(keys[i%n], func(k string, v any, _ uint32) bool {
 			visited++
 			return visited < 100
 		})

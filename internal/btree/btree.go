@@ -1,5 +1,5 @@
 // Package btree implements a page-structured in-memory B+tree keyed by byte
-// slices. It is the ordered index under every table in the engine.
+// strings. It is the ordered index under every table in the engine.
 //
 // Unlike a generic ordered map, this tree models database *pages*: every node
 // has a page number, and callers can ask which leaf page a key lives on and
@@ -9,17 +9,44 @@
 // with every transaction that read the affected interior pages (the false
 // positive source analysed in thesis §6.1.5).
 //
+// # Layout
+//
+// A page is one array of {key, value} slots, allocated once at the page
+// capacity plus the one slot an insert overflows into before it splits, and
+// never regrown or re-sliced: a row costs its 32-byte slot (over the page's
+// fill) and nothing else in this package. Interior pages use the same array
+// for their separators, beside an array of children.
+//
+// # Keys
+//
+// The tree owns its keys. A key is copied, into an immutable string, at the
+// one moment it enters the tree (the structural insert); the caller's slice is
+// never retained, and probes (Get, IterFrom, Successor, ...) compare the
+// caller's bytes against the stored strings without converting or allocating.
+// Every key the tree hands out — Iter.Key, Successor, the separators inside —
+// is that stored string, valid and unchanging for the life of the tree, so
+// callers may keep it without copying (the engine names its row and gap locks
+// by it, and re-seeks scans from it).
+//
+// # Splits
+//
+// A full page splits in the middle, except when the key that overflowed it
+// landed at the right edge of the rightmost page of its level: then the split
+// point is the insertion point, the old page stays full and only the new key
+// moves. That is what Berkeley DB's btree and PostgreSQL's rightmost-page rule
+// do for keys appended in order; a middle split there would leave every page
+// of an ascending load half empty for good, since nothing is ever inserted
+// behind the frontier again. The choice is made from the observed insert
+// position alone — there is no fill-factor setting.
+//
 // The tree is structurally insert-only: deletions in the engine above are
 // MVCC tombstones, so nodes never merge. The tree is not safe for concurrent
 // use; the MVCC table layer wraps it in a latch.
 package btree
 
-import (
-	"bytes"
-	"fmt"
-)
+import "fmt"
 
-// Tree is a B+tree from byte-slice keys to arbitrary values.
+// Tree is a B+tree from byte-string keys to arbitrary values.
 type Tree struct {
 	maxKeys   int
 	root      *node
@@ -36,11 +63,16 @@ type Tree struct {
 	OnSplit func(oldPage, newPage uint32)
 }
 
+// slot is one key of a page with, in a leaf, its value.
+type slot struct {
+	key string
+	val any
+}
+
 type node struct {
 	page     uint32
-	keys     [][]byte
-	vals     []any   // leaf only, parallel to keys
-	children []*node // interior only, len(keys)+1
+	slots    []slot  // cap maxKeys+1, len ≤ maxKeys between inserts
+	children []*node // interior only, len(slots)+1
 	next     *node   // leaf sibling chain
 }
 
@@ -50,9 +82,12 @@ func (n *node) leaf() bool { return n.children == nil }
 const DefaultMaxKeys = 64
 
 // New returns an empty tree whose pages hold up to maxKeys keys; maxKeys
-// values below 2 are raised to 2. Smaller pages mean more pages and, in the
-// page-granularity engine mode, coarser conflict probability per page —
-// the knob behind the SmallBank contention experiments.
+// values below 2 are raised to 2. Smaller pages mean more pages, each covering
+// fewer keys: in the page-granularity engine mode two transactions are then
+// less likely to meet on one leaf, and more likely to meet on a split — the
+// knob behind the SmallBank contention experiments. A page really does fill to
+// maxKeys under an ascending load (see the package comment on splits), so
+// "keys per page" there is maxKeys, not half of it.
 func New(maxKeys int) *Tree {
 	return NewWithPageBase(maxKeys, 0, 0)
 }
@@ -77,7 +112,7 @@ func (t *Tree) newNode(leaf bool) *node {
 	if t.pageLimit != 0 && t.nextPage >= t.pageLimit {
 		panic(fmt.Sprintf("btree: page range [%d, %d) exhausted", t.pageBase+1, t.pageLimit))
 	}
-	n := &node{page: t.nextPage}
+	n := &node{page: t.nextPage, slots: make([]slot, 0, t.maxKeys+1)}
 	t.nextPage++
 	if !leaf {
 		n.children = make([]*node, 0, t.maxKeys+2)
@@ -97,67 +132,67 @@ func (t *Tree) Len() int { return t.size }
 // if the tree changed in between.
 func (t *Tree) Mods() uint64 { return t.mods }
 
-// findLeaf walks from the root to the leaf that contains (or would contain)
-// key, optionally appending the visited pages to path.
-func (t *Tree) findLeaf(key []byte, path *[]uint32) *node {
-	n := t.root
-	for {
-		if path != nil {
-			*path = append(*path, n.page)
-		}
-		if n.leaf() {
-			return n
-		}
-		n = n.children[childIndex(n.keys, key)]
-	}
-}
+// probe is what a lookup may be keyed by: the caller's bytes, or a key string
+// the tree itself handed out. Converting either to a string inside a
+// comparison allocates nothing.
+type probe interface{ string | []byte }
 
-// childIndex returns the index of the child subtree for key: the first i
-// with key < keys[i], else len(keys).
-func childIndex(keys [][]byte, key []byte) int {
-	lo, hi := 0, len(keys)
+// search returns the index of the first slot whose key is ≥ key, and whether
+// that slot holds key itself.
+func search[K probe](slots []slot, key K) (int, bool) {
+	lo, hi := 0, len(slots)
 	for lo < hi {
-		mid := (lo + hi) / 2
-		if bytes.Compare(key, keys[mid]) < 0 {
-			hi = mid
+		mid := int(uint(lo+hi) >> 1)
+		if slots[mid].key < string(key) {
+			lo = mid + 1
 		} else {
-			lo = mid + 1
+			hi = mid
 		}
 	}
-	return lo
+	return lo, lo < len(slots) && slots[lo].key == string(key)
 }
 
-// keyIndex returns the position of key in a leaf's key list and whether it
-// is present.
-func keyIndex(keys [][]byte, key []byte) (int, bool) {
-	lo, hi := 0, len(keys)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		switch bytes.Compare(key, keys[mid]) {
-		case 0:
-			return mid, true
-		case -1:
-			hi = mid
-		default:
-			lo = mid + 1
-		}
+// childIndex returns the index of the child subtree for key: the number of
+// separators ≤ key.
+func childIndex[K probe](seps []slot, key K) int {
+	i, equal := search(seps, key)
+	if equal {
+		i++
 	}
-	return lo, false
+	return i
+}
+
+// findLeaf walks from the root to the leaf that contains (or would contain)
+// key.
+func findLeaf[K probe](t *Tree, key K) *node {
+	n := t.root
+	for !n.leaf() {
+		n = n.children[childIndex(n.slots, key)]
+	}
+	return n
 }
 
 // Get returns the value stored for key.
 func (t *Tree) Get(key []byte) (any, bool) {
-	n := t.findLeaf(key, nil)
-	if i, ok := keyIndex(n.keys, key); ok {
-		return n.vals[i], true
+	_, val, ok := t.Lookup(key)
+	return val, ok
+}
+
+// Lookup is Get also returning the tree's own copy of key, which the caller
+// may keep (see the package comment on keys) where key itself is only
+// borrowed.
+func (t *Tree) Lookup(key []byte) (stored string, val any, ok bool) {
+	n := findLeaf(t, key)
+	if i, ok := search(n.slots, key); ok {
+		return n.slots[i].key, n.slots[i].val, true
 	}
-	return nil, false
+	return "", nil, false
 }
 
 // LeafPage returns the page number of the leaf that holds (or would hold)
 // key. Page-granularity locking locks this.
 func (t *Tree) LeafPage(key []byte) uint32 {
-	return t.findLeaf(key, nil).page
+	return findLeaf(t, key).page
 }
 
 // PathPages returns the page numbers visited from the root down to the leaf
@@ -169,109 +204,115 @@ func (t *Tree) PathPages(key []byte) []uint32 {
 
 // AppendPathPages is PathPages appending to the caller-supplied buffer.
 func (t *Tree) AppendPathPages(path []uint32, key []byte) []uint32 {
-	t.findLeaf(key, &path)
-	return path
+	for n := t.root; ; n = n.children[childIndex(n.slots, key)] {
+		path = append(path, n.page)
+		if n.leaf() {
+			return path
+		}
+	}
 }
 
 // InsertWillSplit reports whether inserting key now would split its leaf
 // page (the key is absent and the leaf is full). The engine uses it to plan
 // page locks before mutating.
 func (t *Tree) InsertWillSplit(key []byte) bool {
-	n := t.findLeaf(key, nil)
-	if _, ok := keyIndex(n.keys, key); ok {
+	n := findLeaf(t, key)
+	if _, ok := search(n.slots, key); ok {
 		return false
 	}
-	return len(n.keys) >= t.maxKeys
+	return len(n.slots) >= t.maxKeys
 }
 
-// GetOrInsert returns the value stored for key; if absent it stores val and
-// returns it with loaded=false.
+// GetOrInsert returns the value stored for key; if absent it stores val under
+// a copy of key and returns it with loaded=false.
 func (t *Tree) GetOrInsert(key []byte, val any) (actual any, loaded bool) {
-	leaf := t.findLeaf(key, nil)
-	if i, ok := keyIndex(leaf.keys, key); ok {
-		return leaf.vals[i], true
+	if _, v, ok := t.Lookup(key); ok {
+		return v, true
 	}
-	t.insert(key, val)
-	return val, false
-}
-
-// insert adds a new key (must be absent) and splits as needed.
-func (t *Tree) insert(key []byte, val any) {
-	split, sepKey, right := t.insertInto(t.root, key, val)
-	if split {
+	if sep, right := t.insertInto(t.root, key, val, true); right != nil {
 		newRoot := t.newNode(false)
-		newRoot.keys = append(newRoot.keys, sepKey)
+		newRoot.slots = append(newRoot.slots, slot{key: sep})
 		newRoot.children = append(newRoot.children, t.root, right)
 		t.root = newRoot
 	}
 	t.size++
 	t.mods++
+	return val, false
 }
 
-func (t *Tree) insertInto(n *node, key []byte, val any) (split bool, sepKey []byte, right *node) {
+// insertInto adds key (which must be absent) below n, copying it at the leaf.
+// edge says that n is the rightmost page of its level. If n had to split, it
+// returns the new right sibling and the separator between the two.
+func (t *Tree) insertInto(n *node, key []byte, val any, edge bool) (sep string, right *node) {
+	var at int // where the page gained a slot
 	if n.leaf() {
-		i, _ := keyIndex(n.keys, key)
-		n.keys = append(n.keys, nil)
-		copy(n.keys[i+1:], n.keys[i:])
-		n.keys[i] = key
-		n.vals = append(n.vals, nil)
-		copy(n.vals[i+1:], n.vals[i:])
-		n.vals[i] = val
-		if len(n.keys) <= t.maxKeys {
-			return false, nil, nil
+		at, _ = search(n.slots, key)
+		n.slots = insertAt(n.slots, at, slot{key: string(key), val: val})
+	} else {
+		ci := childIndex(n.slots, key)
+		childSep, childRight := t.insertInto(n.children[ci], key, val, edge && ci == len(n.children)-1)
+		if childRight == nil {
+			return "", nil
 		}
-		return t.splitLeaf(n)
+		at = ci
+		n.slots = insertAt(n.slots, at, slot{key: childSep})
+		n.children = insertAt(n.children, at+1, childRight)
 	}
-	ci := childIndex(n.keys, key)
-	childSplit, childSep, childRight := t.insertInto(n.children[ci], key, val)
-	if !childSplit {
-		return false, nil, nil
+	if len(n.slots) <= t.maxKeys {
+		return "", nil
 	}
-	n.keys = append(n.keys, nil)
-	copy(n.keys[ci+1:], n.keys[ci:])
-	n.keys[ci] = childSep
-	n.children = append(n.children, nil)
-	copy(n.children[ci+2:], n.children[ci+1:])
-	n.children[ci+1] = childRight
-	if len(n.keys) <= t.maxKeys {
-		return false, nil, nil
+	// Overflow. An append at the right edge of the level splits where it
+	// landed, so the page left behind stays full: the new key alone moves out
+	// of a leaf; out of an interior page, the new separator with its two
+	// children, the separator before it moving up. Anything else splits in
+	// the middle.
+	mid := len(n.slots) / 2
+	if last := len(n.slots) - 1; edge && at == last {
+		mid = last
+		if !n.leaf() {
+			mid = last - 1
+		}
 	}
-	return t.splitInterior(n)
+	return t.split(n, mid)
 }
 
-func (t *Tree) splitLeaf(n *node) (bool, []byte, *node) {
-	mid := len(n.keys) / 2
-	r := t.newNode(true)
-	r.keys = append(r.keys, n.keys[mid:]...)
-	r.vals = append(r.vals, n.vals[mid:]...)
-	n.keys = n.keys[:mid:mid]
-	n.vals = n.vals[:mid:mid]
-	r.next = n.next
-	n.next = r
+// insertAt inserts v at s[i] within s's capacity: pages are allocated with
+// the room their fullest moment needs.
+func insertAt[E any](s []E, i int, v E) []E {
+	s = s[:len(s)+1]
+	copy(s[i+1:], s[i:])
+	s[i] = v
+	return s
+}
+
+// split moves the slots of n from mid on to a new right sibling and returns
+// it with the separator the parent files it under: a leaf's separator is a
+// second reference to the sibling's first key, an interior page's is slot mid
+// itself, which moves up and leaves both halves.
+func (t *Tree) split(n *node, mid int) (sep string, r *node) {
+	r = t.newNode(n.leaf())
+	sep = n.slots[mid].key
+	if n.leaf() {
+		r.slots = append(r.slots, n.slots[mid:]...)
+		r.next, n.next = n.next, r
+	} else {
+		r.slots = append(r.slots, n.slots[mid+1:]...)
+		r.children = append(r.children, n.children[mid+1:]...)
+		clear(n.children[mid+1:])
+		n.children = n.children[:mid+1]
+	}
+	clear(n.slots[mid:]) // the vacated slots must not pin what moved
+	n.slots = n.slots[:mid]
 	if t.OnSplit != nil {
 		t.OnSplit(n.page, r.page)
 	}
-	return true, r.keys[0], r
-}
-
-func (t *Tree) splitInterior(n *node) (bool, []byte, *node) {
-	mid := len(n.keys) / 2
-	sep := n.keys[mid]
-	r := t.newNode(false)
-	r.keys = append(r.keys, n.keys[mid+1:]...)
-	r.children = append(r.children, n.children[mid+1:]...)
-	n.keys = n.keys[:mid:mid]
-	n.children = n.children[: mid+1 : mid+1]
-	if t.OnSplit != nil {
-		t.OnSplit(n.page, r.page)
-	}
-	return true, sep, r
+	return sep, r
 }
 
 // Ascend calls fn for each key ≥ from in ascending order until fn returns
 // false. The callback also receives the leaf page number, which
 // page-granularity scans lock.
-func (t *Tree) Ascend(from []byte, fn func(key []byte, val any, page uint32) bool) {
+func (t *Tree) Ascend(from []byte, fn func(key string, val any, page uint32) bool) {
 	for it := t.IterFrom(from); it.Valid(); it.Next() {
 		if !fn(it.Key(), it.Value(), it.Page()) {
 			return
@@ -284,9 +325,9 @@ func (t *Tree) Ascend(from []byte, fn func(key []byte, val any, page uint32) boo
 // Next. An Iter is only valid while the tree is structurally unmodified
 // (Mods unchanged); a latch-coupled scan that drops the protecting latch must
 // either observe an unchanged Mods on re-acquire or discard the iterator and
-// re-seek with IterAfter from the last key it consumed. Key slices returned
-// by Key stay valid across modifications — key bytes are never rewritten —
-// so the re-seek anchor may be retained without copying.
+// re-seek with IterAfter from the last key it consumed. Keys returned by Key
+// are the tree's own immutable strings, so the re-seek anchor may be retained
+// without copying.
 type Iter struct {
 	n *node
 	i int
@@ -294,8 +335,8 @@ type Iter struct {
 
 // IterFrom returns an iterator positioned at the smallest key ≥ from.
 func (t *Tree) IterFrom(from []byte) Iter {
-	n := t.findLeaf(from, nil)
-	i, _ := keyIndex(n.keys, from)
+	n := findLeaf(t, from)
+	i, _ := search(n.slots, from)
 	it := Iter{n: n, i: i}
 	it.skipExhausted()
 	return it
@@ -303,15 +344,13 @@ func (t *Tree) IterFrom(from []byte) Iter {
 
 // IterAfter returns an iterator positioned at the smallest key strictly
 // greater than after — the re-seek primitive for scans resuming past their
-// last emitted key once the tree may have changed underneath them. It does
-// not allocate.
-func (t *Tree) IterAfter(after []byte) Iter {
-	n := t.findLeaf(after, nil)
-	i, ok := keyIndex(n.keys, after)
-	if ok {
-		i++
-	}
-	it := Iter{n: n, i: i}
+// last emitted key (a string the tree handed out) once the tree may have
+// changed underneath them. It does not allocate.
+func (t *Tree) IterAfter(after string) Iter { return iterAfter(t, after) }
+
+func iterAfter[K probe](t *Tree, after K) Iter {
+	n := findLeaf(t, after)
+	it := Iter{n: n, i: childIndex(n.slots, after)}
 	it.skipExhausted()
 	return it
 }
@@ -319,7 +358,7 @@ func (t *Tree) IterAfter(after []byte) Iter {
 // skipExhausted advances past leaves with no remaining keys (the positioned
 // leaf when from is past its last key, and empty root leaves).
 func (it *Iter) skipExhausted() {
-	for it.n != nil && it.i >= len(it.n.keys) {
+	for it.n != nil && it.i >= len(it.n.slots) {
 		it.n = it.n.next
 		it.i = 0
 	}
@@ -329,10 +368,10 @@ func (it *Iter) skipExhausted() {
 func (it *Iter) Valid() bool { return it.n != nil }
 
 // Key returns the current key. Only valid when Valid.
-func (it *Iter) Key() []byte { return it.n.keys[it.i] }
+func (it *Iter) Key() string { return it.n.slots[it.i].key }
 
 // Value returns the current value. Only valid when Valid.
-func (it *Iter) Value() any { return it.n.vals[it.i] }
+func (it *Iter) Value() any { return it.n.slots[it.i].val }
 
 // Page returns the page number of the leaf holding the current key.
 func (it *Iter) Page() uint32 { return it.n.page }
@@ -346,49 +385,55 @@ func (it *Iter) Next() {
 // Successor returns the smallest key strictly greater than key. Used by the
 // next-key gap locking protocol of thesis §3.5: inserts and deletes lock the
 // gap before the successor.
-func (t *Tree) Successor(key []byte) ([]byte, bool) {
-	if it := t.IterAfter(key); it.Valid() {
+func (t *Tree) Successor(key []byte) (string, bool) {
+	if it := iterAfter(t, key); it.Valid() {
 		return it.Key(), true
 	}
-	return nil, false
+	return "", false
 }
 
 // PageCount returns the number of pages allocated so far (monotonic).
 func (t *Tree) PageCount() int { return int(t.nextPage - 1 - t.pageBase) }
 
 // Check validates tree invariants (ordering, separator consistency, balance
-// of the leaf chain). It exists for tests and returns the first violation.
+// of the leaf chain, and that every page still has the slot array it was
+// allocated with, holding no more than a page's worth of keys). It exists for
+// tests and returns the first violation.
 func (t *Tree) Check() error {
-	var prev []byte
+	prev, first := "", true
 	count := 0
-	var walk func(n *node, lo, hi []byte) error
-	walk = func(n *node, lo, hi []byte) error {
+	// lo and hi bound the keys below n; nil means unbounded.
+	var walk func(n *node, lo, hi *string) error
+	walk = func(n *node, lo, hi *string) error {
+		if len(n.slots) > t.maxKeys || cap(n.slots) != t.maxKeys+1 {
+			return fmt.Errorf("btree: page %d holds %d keys in %d slots, want ≤ %d in %d", n.page, len(n.slots), cap(n.slots), t.maxKeys, t.maxKeys+1)
+		}
 		if n.leaf() {
-			for i, k := range n.keys {
-				if prev != nil && bytes.Compare(prev, k) >= 0 {
+			for i, s := range n.slots {
+				if !first && prev >= s.key {
 					return fmt.Errorf("btree: keys out of order at page %d index %d", n.page, i)
 				}
-				if lo != nil && bytes.Compare(k, lo) < 0 {
+				if lo != nil && s.key < *lo {
 					return fmt.Errorf("btree: key below separator at page %d", n.page)
 				}
-				if hi != nil && bytes.Compare(k, hi) >= 0 {
+				if hi != nil && s.key >= *hi {
 					return fmt.Errorf("btree: key above separator at page %d", n.page)
 				}
-				prev = k
+				prev, first = s.key, false
 				count++
 			}
 			return nil
 		}
-		if len(n.children) != len(n.keys)+1 {
-			return fmt.Errorf("btree: interior page %d has %d keys, %d children", n.page, len(n.keys), len(n.children))
+		if len(n.children) != len(n.slots)+1 {
+			return fmt.Errorf("btree: interior page %d has %d keys, %d children", n.page, len(n.slots), len(n.children))
 		}
 		for i, c := range n.children {
 			clo, chi := lo, hi
 			if i > 0 {
-				clo = n.keys[i-1]
+				clo = &n.slots[i-1].key
 			}
-			if i < len(n.keys) {
-				chi = n.keys[i]
+			if i < len(n.slots) {
+				chi = &n.slots[i].key
 			}
 			if err := walk(c, clo, chi); err != nil {
 				return err

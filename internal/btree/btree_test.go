@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -26,7 +27,7 @@ func TestEmptyTree(t *testing.T) {
 		t.Fatalf("PageCount = %d, want 1 (the root leaf)", got)
 	}
 	n := 0
-	tr.Ascend(nil, func([]byte, any, uint32) bool { n++; return true })
+	tr.Ascend(nil, func(string, any, uint32) bool { n++; return true })
 	if n != 0 {
 		t.Fatalf("Ascend visited %d keys on empty tree", n)
 	}
@@ -69,7 +70,7 @@ func TestAscendRange(t *testing.T) {
 		tr.GetOrInsert(key(i), i)
 	}
 	var got []int
-	tr.Ascend(key(10), func(k []byte, v any, _ uint32) bool {
+	tr.Ascend(key(10), func(k string, v any, _ uint32) bool {
 		if v.(int) >= 30 {
 			return false
 		}
@@ -87,7 +88,7 @@ func TestAscendRange(t *testing.T) {
 	}
 	// Ascend from a key between stored keys starts at the next stored key.
 	var first int
-	tr.Ascend(key(11), func(_ []byte, v any, _ uint32) bool { first = v.(int); return false })
+	tr.Ascend(key(11), func(_ string, v any, _ uint32) bool { first = v.(int); return false })
 	if first != 12 {
 		t.Fatalf("Ascend(11) first = %d, want 12", first)
 	}
@@ -99,11 +100,11 @@ func TestSuccessor(t *testing.T) {
 		tr.GetOrInsert(key(i), i)
 	}
 	succ, ok := tr.Successor(key(10))
-	if !ok || !bytes.Equal(succ, key(15)) {
+	if !ok || succ != string(key(15)) {
 		t.Fatalf("Successor(10) = %q, %v", succ, ok)
 	}
 	succ, ok = tr.Successor(key(11))
-	if !ok || !bytes.Equal(succ, key(15)) {
+	if !ok || succ != string(key(15)) {
 		t.Fatalf("Successor(11) = %q, %v", succ, ok)
 	}
 	if _, ok := tr.Successor(key(45)); ok {
@@ -119,8 +120,8 @@ func TestLeafPageStableForExistingKeys(t *testing.T) {
 	// An existing key's leaf page must match what Ascend reports.
 	for i := 0; i < 64; i++ {
 		want := tr.LeafPage(key(i))
-		tr.Ascend(key(i), func(k []byte, _ any, page uint32) bool {
-			if bytes.Equal(k, key(i)) && page != want {
+		tr.Ascend(key(i), func(k string, _ any, page uint32) bool {
+			if k == string(key(i)) && page != want {
 				t.Fatalf("key %d: LeafPage=%d Ascend page=%d", i, want, page)
 			}
 			return false
@@ -191,8 +192,8 @@ func TestQuickAgainstReference(t *testing.T) {
 		sort.Strings(sorted)
 		i := 0
 		good := true
-		tr.Ascend(nil, func(k []byte, v any, _ uint32) bool {
-			if i >= len(sorted) || string(k) != sorted[i] || v.(int) != ref[sorted[i]] {
+		tr.Ascend(nil, func(k string, v any, _ uint32) bool {
+			if i >= len(sorted) || k != sorted[i] || v.(int) != ref[sorted[i]] {
 				good = false
 				return false
 			}
@@ -219,7 +220,7 @@ func TestLargeSequentialInsert(t *testing.T) {
 		t.Fatal(err)
 	}
 	i := 0
-	tr.Ascend(nil, func(k []byte, v any, _ uint32) bool {
+	tr.Ascend(nil, func(k string, v any, _ uint32) bool {
 		if v.(int) != i {
 			t.Fatalf("position %d holds %v", i, v)
 		}
@@ -240,10 +241,10 @@ func TestIterFrom(t *testing.T) {
 	// Full iteration matches Ascend and is ordered.
 	var got []string
 	for it := tr.IterFrom(nil); it.Valid(); it.Next() {
-		if it.Page() != tr.LeafPage(it.Key()) {
-			t.Fatalf("Iter page %d != LeafPage %d", it.Page(), tr.LeafPage(it.Key()))
+		if it.Page() != tr.LeafPage([]byte(it.Key())) {
+			t.Fatalf("Iter page %d != LeafPage %d", it.Page(), tr.LeafPage([]byte(it.Key())))
 		}
-		got = append(got, string(it.Key()))
+		got = append(got, it.Key())
 	}
 	if len(got) != n || !sort.StringsAreSorted(got) {
 		t.Fatalf("full iteration: %d keys, sorted=%v", len(got), sort.StringsAreSorted(got))
@@ -262,10 +263,10 @@ func TestIterFrom(t *testing.T) {
 		if !it.Valid() {
 			t.Fatalf("IterFrom(%q) not valid", from)
 		}
-		if bytes.Compare(it.Key(), from) < 0 {
+		if it.Key() < string(from) {
 			t.Fatalf("IterFrom(%q) positioned at smaller key %q", from, it.Key())
 		}
-		if ok && !bytes.Equal(it.Key(), from) {
+		if ok && it.Key() != string(from) {
 			t.Fatalf("IterFrom(%q) skipped the present key, at %q", from, it.Key())
 		}
 	}
@@ -295,23 +296,23 @@ func TestIterAfter(t *testing.T) {
 		{key(n - 1), nil, false},
 		{[]byte("zzz"), nil, false},
 	} {
-		it := tr.IterAfter(c.after)
+		it := tr.IterAfter(string(c.after))
 		if it.Valid() != c.ok {
 			t.Fatalf("IterAfter(%q).Valid() = %v, want %v", c.after, it.Valid(), c.ok)
 		}
-		if c.ok && !bytes.Equal(it.Key(), c.want) {
+		if c.ok && it.Key() != string(c.want) {
 			t.Fatalf("IterAfter(%q) at %q, want %q", c.after, it.Key(), c.want)
 		}
 	}
 	// Agrees with Successor everywhere (Successor is defined on it).
 	for i := 0; i < n; i++ {
 		s, ok := tr.Successor(key(i))
-		it := tr.IterAfter(key(i))
-		if ok != it.Valid() || (ok && !bytes.Equal(s, it.Key())) {
+		it := tr.IterAfter(string(key(i)))
+		if ok != it.Valid() || (ok && s != it.Key()) {
 			t.Fatalf("IterAfter/Successor disagree at %d", i)
 		}
 	}
-	if it := New(4).IterAfter(nil); it.Valid() {
+	if it := New(4).IterAfter(""); it.Valid() {
 		t.Fatal("IterAfter on empty tree is valid")
 	}
 }
@@ -335,7 +336,7 @@ func TestModsAndReseek(t *testing.T) {
 	if tr.Mods() != m0 {
 		t.Fatal("Mods changed without an insert")
 	}
-	last := key(got[len(got)-1])
+	last := string(key(got[len(got)-1]))
 	// Insert behind, at, and ahead of the frontier; Mods must advance.
 	tr.GetOrInsert(key(1), 1)
 	tr.GetOrInsert(key(21), 21)
@@ -403,5 +404,148 @@ func TestPageLimitPanics(t *testing.T) {
 	}()
 	for i := 0; i < 100; i++ {
 		tr.GetOrInsert(key(i), i)
+	}
+}
+
+// TestSplitPolicy loads trees in ascending, descending and shuffled key order
+// and holds the layout to what the package comment promises: a page never
+// keeps more than maxKeys keys once an insert has returned (nor regrows its
+// slot array — Check), an ascending load leaves its pages full and a shuffled
+// one about two thirds full, and OnSplit still reports every key that changes
+// page — for a split at the right edge of the tree, the new key and nothing
+// else.
+func TestSplitPolicy(t *testing.T) {
+	const n = 10000
+	for _, o := range []struct {
+		name    string
+		seq     func() []int
+		minFill float64
+	}{
+		{"ascending", func() []int { return ascending(n) }, 0.95},
+		{"descending", func() []int { s := ascending(n); slices.Reverse(s); return s }, 0},
+		{"shuffled", func() []int { return rand.New(rand.NewSource(3)).Perm(n) }, 0.60},
+	} {
+		for _, maxKeys := range []int{4, 16, 64} {
+			t.Run(fmt.Sprintf("%s/maxKeys=%d", o.name, maxKeys), func(t *testing.T) {
+				seq := o.seq()
+				tr := New(maxKeys)
+				type move struct{ from, to uint32 }
+				var moves []move
+				tr.OnSplit = func(oldPage, newPage uint32) { moves = append(moves, move{oldPage, newPage}) }
+				pageOf := map[string]uint32{} // where OnSplit's reports say each key is
+				leaves := func() map[uint32]*node {
+					m := map[uint32]*node{}
+					for l := findLeaf(tr, ""); l != nil; l = l.next {
+						m[l.page] = l
+					}
+					return m
+				}
+				audit := func() {
+					t.Helper()
+					if err := tr.Check(); err != nil {
+						t.Fatal(err)
+					}
+					for it := tr.IterFrom(nil); it.Valid(); it.Next() {
+						if pageOf[it.Key()] != it.Page() {
+							t.Fatalf("key %q is on page %d, OnSplit's reports put it on %d", it.Key(), it.Page(), pageOf[it.Key()])
+						}
+					}
+				}
+				for step, i := range seq {
+					k := key(i)
+					moves = moves[:0]
+					before := tr.LeafPage(k)
+					tr.GetOrInsert(k, i)
+					pageOf[string(k)] = before
+					if len(moves) > 0 {
+						byPage := leaves()
+						for _, mv := range moves {
+							r := byPage[mv.to]
+							if r == nil {
+								continue // an interior split: no key changed leaf
+							}
+							for _, s := range r.slots {
+								if pageOf[s.key] != mv.from {
+									t.Fatalf("split %d→%d moved key %q, last reported on page %d", mv.from, mv.to, s.key, pageOf[s.key])
+								}
+								pageOf[s.key] = mv.to
+							}
+							if o.name == "ascending" && (len(r.slots) != 1 || r.slots[0].key != string(k)) {
+								t.Fatalf("edge split %d→%d moved %d keys, want the new key alone", mv.from, mv.to, len(r.slots))
+							}
+						}
+					}
+					// The pages the insert touched are the ones on its key's path.
+					for n := tr.root; ; n = n.children[childIndex(n.slots, k)] {
+						if len(n.slots) > maxKeys {
+							t.Fatalf("page %d holds %d keys after the insert returned, max %d", n.page, len(n.slots), maxKeys)
+						}
+						if n.leaf() {
+							break
+						}
+					}
+					if step%1000 == 999 {
+						audit()
+					}
+				}
+				audit()
+				nLeaves := len(leaves())
+				fill := float64(n) / float64(nLeaves*maxKeys)
+				t.Logf("%d leaves, fill %.3f", nLeaves, fill)
+				if fill < o.minFill {
+					t.Fatalf("leaf fill %.3f over %d leaves, want ≥ %.2f", fill, nLeaves, o.minFill)
+				}
+			})
+		}
+	}
+}
+
+func ascending(n int) []int {
+	s := make([]int, n)
+	for i := range s {
+		s[i] = i
+	}
+	return s
+}
+
+// TestProbeDoesNotAllocate: lookups compare the caller's bytes with the stored
+// strings in place, whatever the key length.
+func TestProbeDoesNotAllocate(t *testing.T) {
+	tr := New(8)
+	long := bytes.Repeat([]byte("k"), 100)
+	for i := 0; i < 100; i++ {
+		tr.GetOrInsert(append(long[:len(long):len(long)], key(i)...), i)
+	}
+	probe := append(long[:len(long):len(long)], key(57)...)
+	stored, _, _ := tr.Lookup(probe)
+	if got := testing.AllocsPerRun(100, func() {
+		tr.Get(probe)
+		tr.Lookup(probe)
+		tr.Successor(probe)
+		tr.LeafPage(probe)
+		it := tr.IterFrom(probe)
+		it.Next()
+		tr.IterAfter(stored)
+	}); got != 0 {
+		t.Fatalf("probing allocates %.0f times per round", got)
+	}
+}
+
+// TestTreeOwnsItsKeys: the caller's slice is copied at the structural insert,
+// so reusing it for the next key leaves the stored ones alone.
+func TestTreeOwnsItsKeys(t *testing.T) {
+	tr := New(4)
+	buf := make([]byte, 7)
+	for i := 0; i < 100; i++ {
+		copy(buf, key(i))
+		tr.GetOrInsert(buf, i)
+	}
+	if err := tr.Check(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		if v, ok := tr.Get(key(i)); !ok || v.(int) != i {
+			t.Fatalf("Get(%d) = %v, %v after the insert buffer was reused", i, v, ok)
+		}
 	}
 }

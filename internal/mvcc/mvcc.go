@@ -16,6 +16,22 @@
 // transaction record alive, so a row that is never overwritten pins 24 bytes,
 // not its creator's record and everything that references.
 //
+// # Rows
+//
+// A row is one 48-byte object, its chain: the newest version of the key,
+// stored in place, with the older versions linked behind it. The B+tree slot
+// points at the chain and the slot's key string is the only copy of the key
+// (the tree copies a key once, when it is first inserted, and every key this
+// package hands out — ScanItem.Key, Successor, StoredKey — is that string;
+// value slices, by contrast, are retained as given). A first insert therefore
+// allocates the chain and nothing else; a superseding write copies the old
+// head out to a fresh Version and overwrites the head in place, still one
+// 48-byte allocation; Rollback and the vacuum do the reverse. All of it
+// happens under the partition latch, and the invariant that makes overwriting
+// in place safe is that no *Version — least of all the head's address —
+// outlives the latch hold that obtained it: reads copy Data and Creator out
+// into their ReadResult and keep no pointer into the chain.
+//
 // # Partitioned store
 //
 // A Table is hash-partitioned into power-of-two shards, each an independent
@@ -52,7 +68,6 @@
 package mvcc
 
 import (
-	"bytes"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -68,20 +83,57 @@ import (
 type Version struct {
 	Data      []byte
 	Creator   *core.Cell
-	Tombstone bool
 	Older     *Version
+	Tombstone bool
+	// queued is the chain's, not the version's — it lives here, in the
+	// padding behind Tombstone, because a field of chain beside the embedded
+	// head would push the row from the 48-byte allocation class into the
+	// 64-byte one. It is only ever set on a chain's head: true exactly while
+	// the chain sits on one dirty list — the shard's live list or a sweep's
+	// stolen work list (never both, never twice): queueDirtyLocked sets it as
+	// it appends, sweeps clear it as they take a chain off a list, and an
+	// overflow clears it for every dropped entry. The strict one-list
+	// invariant is what keeps sweep visit counts (and the dead estimate)
+	// proportional to real garbage.
+	queued bool
 }
 
-// chain is the version list for one key. Guarded by the owning shard latch.
-type chain struct {
-	head *Version
-	// queued is true exactly while the chain sits on one dirty list — the
-	// shard's live list or a sweep's stolen work list (never both, never
-	// twice): queueDirtyLocked sets it as it appends, sweeps clear it as
-	// they take a chain off a list, and an overflow clears it for every
-	// dropped entry. The strict one-list invariant is what keeps sweep
-	// visit counts (and the dead estimate) proportional to real garbage.
-	queued bool
+// chain is the version list for one key, and the whole of what a row costs
+// beyond its tree slot: the head version is the chain itself (see "Rows" in
+// the package comment). A chain with a nil Creator holds no version — a key
+// whose only write was rolled back. Guarded by the owning shard latch.
+type chain struct{ Version }
+
+// first returns the newest version, nil for an empty chain. The pointer is
+// into the chain: it must not outlive the caller's latch hold.
+func (c *chain) first() *Version {
+	if c.Creator == nil {
+		return nil
+	}
+	return &c.Version
+}
+
+// push makes a version by w the head. The previous head, if any, is copied out
+// behind it, which is the one allocation of a superseding write.
+func (c *chain) push(w *core.Cell, data []byte, tombstone bool) {
+	var older *Version
+	if c.Creator != nil {
+		old := c.Version
+		old.queued = false
+		older = &old
+	}
+	c.Version = Version{Data: data, Creator: w, Older: older, Tombstone: tombstone, queued: c.queued}
+}
+
+// pop undoes push: the next older version moves back into the head.
+func (c *chain) pop() {
+	queued := c.queued
+	if c.Older != nil {
+		c.Version = *c.Older
+	} else {
+		c.Version = Version{}
+	}
+	c.queued = queued
 }
 
 // ReadResult reports the outcome of a snapshot read of one key.
@@ -327,7 +379,7 @@ func (tb *Table) Read(t *core.Txn, snap core.TS, key []byte) ReadResult {
 
 func readChain(c *chain, t *core.Txn, snap core.TS) ReadResult {
 	var res ReadResult
-	for v := c.head; v != nil; v = v.Older {
+	for v := c.first(); v != nil; v = v.Older {
 		if visible(v, t, snap) {
 			res.VisibleCreator = v.Creator
 			if !v.Tombstone {
@@ -357,7 +409,7 @@ func (tb *Table) ReadLatest(t *core.Txn, key []byte) (val []byte, found bool, cr
 	if !ok {
 		return nil, false, nil
 	}
-	for v := cv.(*chain).head; v != nil; v = v.Older {
+	for v := cv.(*chain).first(); v != nil; v = v.Older {
 		if v.Creator.CommitTS() != 0 || v.Creator.Txn() == t {
 			if v.Tombstone {
 				return nil, false, v.Creator
@@ -379,7 +431,7 @@ func (tb *Table) NewestCommitTS(key []byte) core.TS {
 	if !ok {
 		return 0
 	}
-	for v := cv.(*chain).head; v != nil; v = v.Older {
+	for v := cv.(*chain).first(); v != nil; v = v.Older {
 		if ct := v.Creator.CommitTS(); ct != 0 {
 			return ct
 		}
@@ -387,20 +439,24 @@ func (tb *Table) NewestCommitTS(key []byte) core.TS {
 	return 0
 }
 
-// Exists reports whether key has any version chain at all (live, dead or
-// uncommitted). Used by insert duplicate checks alongside visibility.
-func (tb *Table) Exists(key []byte) bool {
+// StoredKey reports whether key has any version chain at all (live, dead or
+// uncommitted) — what decides whether a write must follow the insert protocol
+// — and, if so, returns the store's own copy of it, which the caller may keep
+// (to name the row's lock by, say) where key itself is only borrowed.
+func (tb *Table) StoredKey(key []byte) (stored string, ok bool) {
 	sh := tb.shardOf(key)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	_, ok := sh.tree.Get(key)
-	return ok
+	stored, _, ok = sh.tree.Lookup(key)
+	return stored, ok
 }
 
 // Write installs a new uncommitted version of key created by t. tombstone
 // marks a delete. The caller must hold the appropriate exclusive lock and
 // have already applied the First-Committer-Wins check. A second write by the
-// same transaction replaces its own pending version in place.
+// same transaction replaces its own pending version in place. key is only
+// borrowed (a structural insert copies it into the tree); data is retained and
+// must not be modified afterwards.
 //
 // Writes to existing keys touch only the key's partition latch. A structural
 // insert with an onInsert callback takes every partition latch exclusively:
@@ -409,15 +465,15 @@ func (tb *Table) Exists(key []byte) bool {
 // engine uses it to inherit SIREAD gap locks onto the new key's gap
 // atomically with the structure change — an atomicity that spans partitions
 // because the successor may live in any of them. Write reports whether a
-// structural insert happened and the successor it saw.
-func (tb *Table) Write(t *core.Txn, key []byte, data []byte, tombstone bool, onInsert func(succ []byte, hasSucc bool)) (inserted bool, succ []byte, hasSucc bool) {
+// structural insert happened.
+func (tb *Table) Write(t *core.Txn, key []byte, data []byte, tombstone bool, onInsert func(succ string, hasSucc bool)) (inserted bool) {
 	w := t.Cell() // t's first write allocates it, on t's own goroutine
 	sh := tb.shardOf(key)
 	sh.mu.Lock()
 	if cv, ok := sh.tree.Get(key); ok {
 		tb.writeChainLocked(sh, cv.(*chain), w, data, tombstone)
 		sh.mu.Unlock()
-		return false, nil, false
+		return false
 	}
 	if onInsert == nil {
 		// No gap protocol to run (page-granularity and lock-free modes):
@@ -425,7 +481,7 @@ func (tb *Table) Write(t *core.Txn, key []byte, data []byte, tombstone bool, onI
 		cv, _ := sh.tree.GetOrInsert(key, &chain{})
 		tb.writeChainLocked(sh, cv.(*chain), w, data, tombstone)
 		sh.mu.Unlock()
-		return true, nil, false
+		return true
 	}
 	sh.mu.Unlock()
 
@@ -439,13 +495,12 @@ func (tb *Table) Write(t *core.Txn, key []byte, data []byte, tombstone bool, onI
 		// Lost a race for the key between the latches. Cannot happen under
 		// the engine's exclusive row lock, but stay correct without it.
 		tb.writeChainLocked(sh, cv.(*chain), w, data, tombstone)
-		return false, nil, false
+		return false
 	}
-	succ, hasSucc = tb.successorAllLocked(key)
-	onInsert(succ, hasSucc)
+	onInsert(tb.successorAllLocked(key))
 	cv, _ := sh.tree.GetOrInsert(key, &chain{})
 	tb.writeChainLocked(sh, cv.(*chain), w, data, tombstone)
-	return true, succ, hasSucc
+	return true
 }
 
 // writeChainLocked pushes (or replaces in place) the pending version of the
@@ -453,13 +508,13 @@ func (tb *Table) Write(t *core.Txn, key []byte, data []byte, tombstone bool, onI
 // estimate and queues the chain on the dirty list for the next vacuum sweep.
 // Caller holds the shard latch exclusively.
 func (tb *Table) writeChainLocked(sh *shard, c *chain, w *core.Cell, data []byte, tombstone bool) {
-	if c.head != nil && c.head.Creator == w {
-		c.head.Data = data
-		c.head.Tombstone = tombstone
+	if c.Creator == w {
+		c.Data = data
+		c.Tombstone = tombstone
 		return
 	}
-	superseding := c.head != nil
-	c.head = &Version{Data: data, Creator: w, Tombstone: tombstone, Older: c.head}
+	superseding := c.Creator != nil
+	c.push(w, data, tombstone)
 	if superseding {
 		tb.queueDirtyLocked(sh, c)
 		tb.noteDead(sh, 1)
@@ -531,15 +586,15 @@ func (tb *Table) Rollback(t *core.Txn, key []byte) {
 	if !ok {
 		return
 	}
-	c := cv.(*chain)
-	if c.head != nil && c.head.Creator.Txn() == t {
-		c.head = c.head.Older
+	if c := cv.(*chain); c.Creator != nil && c.Creator.Txn() == t {
+		c.pop()
 	}
 }
 
-// ScanItem is one key visited by Scan.
+// ScanItem is one key visited by Scan. Key is the store's own copy of the key
+// and may be kept.
 type ScanItem struct {
-	Key  []byte
+	Key  string
 	Page uint32
 	ReadResult
 }
@@ -622,7 +677,7 @@ func (tb *Table) ScanWith(t *core.Txn, snap core.TS, from []byte, fn func(ScanIt
 		for n := 0; n < scanChunk && m.valid(); n++ {
 			it := m.top()
 			item := ScanItem{Key: it.Key(), Page: it.Page(), ReadResult: readChain(it.Value().(*chain), t, snap)}
-			m.last = item.Key
+			m.last, m.emitted = item.Key, true
 			if !fn(item) {
 				stopped = true
 				break
@@ -648,7 +703,8 @@ func (tb *Table) ScanWith(t *core.Txn, snap core.TS, from []byte, fn func(ScanIt
 type merge struct {
 	tb      *Table
 	from    []byte
-	last    []byte // last emitted key; the re-seek anchor between rounds
+	last    string // last emitted key, if emitted; the re-seek anchor between rounds
+	emitted bool
 	iters   []btree.Iter
 	mods    []uint64 // btree.Mods observed when iters[i] was (re)positioned
 	heap    []int    // partition indices, heap-ordered by current key
@@ -663,7 +719,7 @@ func (tb *Table) acquireMerge(from []byte) *merge {
 	}
 	m.tb = tb
 	m.from = from
-	m.last = nil
+	m.last, m.emitted = "", false
 	m.started = false
 	return m
 }
@@ -672,7 +728,7 @@ func (tb *Table) releaseMerge(m *merge) {
 	for i := range m.iters {
 		m.iters[i] = btree.Iter{} // drop node references held across reuse
 	}
-	m.tb, m.from, m.last = nil, nil, nil
+	m.tb, m.from, m.last = nil, nil, ""
 	m.heap = m.heap[:0]
 	tb.scanPool.Put(m)
 }
@@ -689,7 +745,7 @@ func (m *merge) latchRound() {
 	for i, sh := range shards {
 		mods := sh.tree.Mods()
 		if !m.started || m.mods[i] != mods {
-			if m.last == nil {
+			if !m.emitted {
 				m.iters[i] = sh.tree.IterFrom(m.from)
 			} else {
 				m.iters[i] = sh.tree.IterAfter(m.last)
@@ -732,7 +788,7 @@ func (m *merge) advance() {
 }
 
 func (m *merge) less(a, b int) bool {
-	return bytes.Compare(m.iters[m.heap[a]].Key(), m.iters[m.heap[b]].Key()) < 0
+	return m.iters[m.heap[a]].Key() < m.iters[m.heap[b]].Key()
 }
 
 func (m *merge) siftDown(i int) {
@@ -809,14 +865,13 @@ func (tb *Table) InsertWillSplit(key []byte) bool {
 // against concurrent inserts; every caller (the gap-locking protocol) wraps
 // it in an acquire-and-revalidate loop, and tree keys are never removed, so
 // a re-read converges.
-func (tb *Table) Successor(key []byte) ([]byte, bool) {
-	var best []byte
-	found := false
+func (tb *Table) Successor(key []byte) (string, bool) {
+	best, found := "", false
 	for _, sh := range tb.shards {
 		sh.mu.RLock()
 		s, ok := sh.tree.Successor(key)
 		sh.mu.RUnlock()
-		if ok && (!found || bytes.Compare(s, best) < 0) {
+		if ok && (!found || s < best) {
 			best, found = s, true
 		}
 	}
@@ -824,11 +879,10 @@ func (tb *Table) Successor(key []byte) ([]byte, bool) {
 }
 
 // successorAllLocked is Successor with every partition latch already held.
-func (tb *Table) successorAllLocked(key []byte) ([]byte, bool) {
-	var best []byte
-	found := false
+func (tb *Table) successorAllLocked(key []byte) (string, bool) {
+	best, found := "", false
 	for _, sh := range tb.shards {
-		if s, ok := sh.tree.Successor(key); ok && (!found || bytes.Compare(s, best) < 0) {
+		if s, ok := sh.tree.Successor(key); ok && (!found || s < best) {
 			best, found = s, true
 		}
 	}
@@ -974,20 +1028,19 @@ func (tb *Table) vacuumShard(sh *shard) (versions, stampWriters int) {
 	}
 
 	if full {
-		var resume []byte
-		for {
+		last, resumed := "", false // the last chain swept: where the next latch hold picks up
+		for done := false; !done; {
 			sh.mu.Lock()
-			it := sh.tree.IterFrom(resume)
-			n := 0
-			for ; it.Valid() && n < vacuumChunk; it.Next() {
+			it := sh.tree.IterFrom(nil)
+			if resumed {
+				it = sh.tree.IterAfter(last)
+			}
+			for n := 0; it.Valid() && n < vacuumChunk; n++ {
 				sweep(it.Value().(*chain))
-				n++
+				last, resumed = it.Key(), true
+				it.Next()
 			}
-			if !it.Valid() {
-				sh.mu.Unlock()
-				break
-			}
-			resume = append(resume[:0], it.Key()...)
+			done = !it.Valid()
 			sh.mu.Unlock()
 		}
 	} else {
@@ -1044,7 +1097,7 @@ func (tb *Table) vacuumShard(sh *shard) (versions, stampWriters int) {
 // still need, or uncommitted work — either way, potential future garbage
 // that keeps the chain dirty).
 func pruneChain(c *chain, horizon core.TS) (pruned, residual int) {
-	for v := c.head; v != nil; v = v.Older {
+	for v := c.first(); v != nil; v = v.Older {
 		if ct := v.Creator.CommitTS(); ct != 0 && ct < horizon {
 			// v is the newest pre-horizon committed version: every older
 			// version is unreachable by any current or future snapshot.
@@ -1055,7 +1108,7 @@ func pruneChain(c *chain, horizon core.TS) (pruned, residual int) {
 			break
 		}
 	}
-	for v := c.head; v != nil; v = v.Older {
+	for v := c.first(); v != nil; v = v.Older {
 		residual++
 	}
 	if residual > 0 {

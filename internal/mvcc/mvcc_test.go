@@ -3,10 +3,12 @@ package mvcc
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"ssi/internal/core"
 )
@@ -232,7 +234,7 @@ func (f *fixture) chainLen(key string) int {
 		return 0
 	}
 	n := 0
-	for v := cv.(*chain).head; v != nil; v = v.Older {
+	for v := cv.(*chain).first(); v != nil; v = v.Older {
 		n++
 	}
 	return n
@@ -342,7 +344,7 @@ func TestMergedScanMatchesSingleShardOracle(t *testing.T) {
 		key := []byte(fmt.Sprintf("k%04d", i))
 		gs, gok := sharded.Successor(key)
 		ws, wok := oracle.Successor(key)
-		if gok != wok || (gok && string(gs) != string(ws)) {
+		if gok != wok || gs != ws {
 			t.Fatalf("Successor(%s): sharded %q/%v, oracle %q/%v", key, gs, gok, ws, wok)
 		}
 	}
@@ -368,7 +370,7 @@ func TestPartitionedStoreRaceStress(t *testing.T) {
 				key := []byte(fmt.Sprintf("k%03d", r.Intn(64)))
 				switch r.Intn(4) {
 				case 0: // structural-style write with gap callback
-					tb.Write(txn, key, []byte{byte(i)}, false, func(succ []byte, hasSucc bool) {})
+					tb.Write(txn, key, []byte{byte(i)}, false, func(succ string, hasSucc bool) {})
 				case 1: // tombstone
 					tb.Write(txn, key, nil, true, nil)
 				case 2: // merged scan
@@ -402,12 +404,12 @@ func TestPartitionedStoreRaceStress(t *testing.T) {
 	close(done)
 	reader := m.Begin(core.SnapshotIsolation)
 	snap := m.AssignSnapshot(reader)
-	var prev []byte
+	prev, first := "", true
 	tb.Scan(reader, snap, nil, func(it ScanItem) bool {
-		if prev != nil && string(prev) >= string(it.Key) {
+		if !first && prev >= it.Key {
 			t.Fatalf("merged scan out of order: %q then %q", prev, it.Key)
 		}
-		prev = append(prev[:0], it.Key...)
+		prev, first = it.Key, false
 		return true
 	})
 }
@@ -422,7 +424,7 @@ func TestScanVisitsInvisibleKeys(t *testing.T) {
 	var keys []string
 	var newer int
 	f.tb.Scan(reader, snap, nil, func(it ScanItem) bool {
-		keys = append(keys, string(it.Key))
+		keys = append(keys, it.Key)
 		newer += len(it.NewerWriters)
 		return true
 	})
@@ -495,9 +497,9 @@ func TestScanWriterProgress(t *testing.T) {
 		txn := m.Begin(core.SnapshotIsolation)
 		m.AssignSnapshot(txn)
 		start := time.Now()
-		var onInsert func([]byte, bool)
+		var onInsert func(string, bool)
 		if structural {
-			onInsert = func([]byte, bool) {}
+			onInsert = func(string, bool) {}
 		}
 		tb.Write(txn, key, []byte(val), false, onInsert)
 		lat := time.Since(start)
@@ -645,7 +647,7 @@ func f2chainLen(t *testing.T, tb *Table, key string) int {
 		return 0
 	}
 	n := 0
-	for v := cv.(*chain).head; v != nil; v = v.Older {
+	for v := cv.(*chain).first(); v != nil; v = v.Older {
 		n++
 	}
 	return n
@@ -724,12 +726,16 @@ func TestVacuumProportionalToGarbage(t *testing.T) {
 		t.Fatal("200 dirty chains did not overflow a 64-entry list")
 	}
 	m.Abort(pin)
-	// Wait out any in-flight stalled sweep, then reclaim synchronously.
-	sh.sweepMu.Lock()
-	sh.sweepMu.Unlock()
-	st2 := tb2.Vacuum()
-	if st2.VersionsPruned != 200 {
-		t.Fatalf("overflow walk pruned %d versions, want 200", st2.VersionsPruned)
+	// Reclaim synchronously. The writes above launched asynchronous sweeps,
+	// and one of them may only get to run now — it has claimed the partition
+	// (vacuuming) but not yet taken sweepMu — in which case it, not this
+	// call, walks the partition against the released watermark. Sweeps are
+	// serialised, nothing was reclaimable while the pin was held, and nothing
+	// is written in between, so once this call returns the table's cumulative
+	// count is exact whichever sweep did the work.
+	tb2.Vacuum()
+	if got := tb2.Stats().VersionsPruned; got != 200 {
+		t.Fatalf("overflow walk pruned %d versions, want 200", got)
 	}
 	sh.mu.RLock()
 	overflowed = sh.dirtyOverflow
@@ -818,5 +824,111 @@ func TestAppendScanPathPages(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(20, func() { buf = f.tb.AppendScanPathPages(buf[:0], from) }); avg != 0 {
 		t.Errorf("%.1f allocs per call into a grown buffer, want 0", avg)
+	}
+}
+
+// TestFoldedHead: the newest version of a key lives inside its chain, so a
+// superseding write, a rollback and a vacuum all rewrite the head in place.
+// None of that may show: after every step each open reader still sees what
+// its snapshot saw before, and the chain lists exactly the versions a reader
+// could still need, newest first.
+func TestFoldedHead(t *testing.T) {
+	if got := unsafe.Sizeof(chain{}); got != 48 {
+		t.Fatalf("a chain is %d bytes, want the 48 of its head version alone", got)
+	}
+	f := newFixture()
+	key := []byte("x")
+	dump := func() string { // the chain, newest first
+		sh := f.tb.shardOf(key)
+		sh.mu.RLock()
+		defer sh.mu.RUnlock()
+		cv, _ := sh.tree.Get(key)
+		c := cv.(*chain)
+		var out []string
+		for v := c.first(); v != nil; v = v.Older {
+			if v != &c.Version && v.queued {
+				t.Errorf("version %q behind the head is marked queued", v.Data)
+			}
+			out = append(out, fmt.Sprintf("%s/%d/%v", v.Data, v.Creator.ID(), v.Tombstone))
+		}
+		return fmt.Sprint(out)
+	}
+	type reader struct {
+		txn  *core.Txn
+		snap core.TS
+		want string
+	}
+	var readers []reader
+	open := func(want string) {
+		txn := f.m.Begin(core.SnapshotIsolation)
+		readers = append(readers, reader{txn, f.m.AssignSnapshot(txn), want})
+	}
+	check := func(step, wantChain string) {
+		t.Helper()
+		for i, r := range readers {
+			got := "absent"
+			if res := f.tb.Read(r.txn, r.snap, key); res.Found {
+				got = string(res.Value)
+			}
+			if got != r.want {
+				t.Errorf("%s: reader %d sees %s, its snapshot saw %s", step, i, got, r.want)
+			}
+		}
+		if wantChain != "" && dump() != wantChain {
+			t.Errorf("%s: chain is %s, want %s", step, dump(), wantChain)
+		}
+	}
+
+	// write → rollback → write on a key that did not exist.
+	w := f.m.Begin(core.SnapshotIsolation)
+	f.m.AssignSnapshot(w)
+	f.tb.Write(w, key, []byte("lost"), false, nil)
+	f.tb.Rollback(w, key)
+	f.m.Abort(w)
+	open("absent")
+	check("first insert rolled back", "[]")
+	f.put(t, "x", "v1")
+	open("v1")
+	v1 := dump()
+	check("insert", v1)
+
+	// A superseding write and its rollback put the old head back, whole.
+	w = f.m.Begin(core.SnapshotIsolation)
+	f.m.AssignSnapshot(w)
+	f.tb.Write(w, key, nil, true, nil)
+	f.tb.Write(w, key, []byte("pending"), false, nil) // replaces its own tombstone in place
+	if res := f.tb.Read(w, w.Snapshot(), key); string(res.Value) != "pending" {
+		t.Errorf("the writer reads %q back, want its own pending version", res.Value)
+	}
+	check("superseding write pending", "")
+	f.tb.Rollback(w, key)
+	f.m.Abort(w)
+	check("superseding write rolled back", v1)
+
+	// Committed superseding writes stack up behind the head...
+	f.put(t, "x", "v2")
+	open("v2")
+	f.put(t, "x", "v3")
+	open("v3")
+	v321 := dump()
+	if f.chainLen("x") != 3 {
+		t.Fatalf("chain is %s, want three versions", v321)
+	}
+	// ...and the vacuum cuts from the far end only what no reader can reach:
+	// nothing while the oldest snapshot predates v1, then one version for every
+	// reader that leaves.
+	f.tb.Vacuum()
+	check("vacuum, all readers open", v321)
+	for i, wantLen := range []int{3, 2, 1} { // closing the readers of: nothing, v1, v2
+		f.m.Abort(readers[0].txn)
+		readers = readers[1:]
+		f.tb.Vacuum()
+		check(fmt.Sprintf("vacuum, %d readers closed", i+1), "")
+		if n := f.chainLen("x"); n != wantLen {
+			t.Errorf("%d readers closed: chain is %s, want its newest %d versions", i+1, dump(), wantLen)
+		}
+		if got := dump(); !strings.HasPrefix(v321, got[:len(got)-1]) {
+			t.Errorf("%d readers closed: chain %s is not a prefix of %s", i+1, got, v321)
+		}
 	}
 }

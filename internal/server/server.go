@@ -488,9 +488,10 @@ func commitErr(err error) error {
 	return fmt.Errorf("%w: %v", errWALDegraded, err)
 }
 
-// dup copies a slice out of the session's reused frame buffer. Write paths
-// need it: the version store retains the key and value slices it is given,
-// and the frame buffer is overwritten by the next request.
+// dup copies a value out of the session's reused frame buffer. Write paths
+// need it: the version store retains the value slice it is given, and the
+// frame buffer is overwritten by the next request. (Keys are copied by the
+// store itself, once, when a row is first inserted.)
 func dup(b []byte) []byte {
 	if b == nil {
 		return nil
@@ -514,11 +515,11 @@ func execOp(tx *ssidb.Txn, op Op, out []byte) ([]byte, error) {
 		}
 		return appendBytes32(out, v), nil
 	case OpPut:
-		return out, tx.Put(op.Table, dup(op.Key), dup(op.Val))
+		return out, tx.Put(op.Table, op.Key, dup(op.Val))
 	case OpInsert:
-		return out, tx.Insert(op.Table, dup(op.Key), dup(op.Val))
+		return out, tx.Insert(op.Table, op.Key, dup(op.Val))
 	case OpDelete:
-		return out, tx.Delete(op.Table, dup(op.Key))
+		return out, tx.Delete(op.Table, op.Key)
 	case OpScan:
 		countAt := len(out)
 		out = appendU32(out, 0)
@@ -555,7 +556,7 @@ func execOp(tx *ssidb.Txn, op Op, out []byte) ([]byte, error) {
 		nv := cur + op.Delta
 		cell := make([]byte, 8)
 		binary.BigEndian.PutUint64(cell, uint64(nv))
-		if err := tx.Put(op.Table, dup(op.Key), cell); err != nil {
+		if err := tx.Put(op.Table, op.Key, cell); err != nil {
 			return out, err
 		}
 		return appendU64(out, uint64(nv)), nil

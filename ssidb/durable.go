@@ -175,12 +175,13 @@ func (db *DB) applyRedo(payload []byte) error {
 	t := db.mgr.BeginTx(SnapshotIsolation, false)
 	err := decodeRedo(payload, func(table string, key, val []byte, tombstone bool) error {
 		tb := db.getOrCreateTable(table, 0)
-		// The store retains value slices; payload is the replay buffer.
+		// The store retains value slices (not keys); payload is the replay
+		// buffer.
 		var v []byte
 		if !tombstone {
 			v = append([]byte(nil), val...)
 		}
-		tb.data.Write(t, append([]byte(nil), key...), v, tombstone, nil)
+		tb.data.Write(t, key, v, tombstone, nil)
 		return nil
 	})
 	if err != nil {
@@ -282,7 +283,7 @@ func (db *DB) loadCheckpointInto(t *core.Txn, image []byte) error {
 			if len(image) < kl+4 {
 				return wal.ErrCorruptCheckpoint
 			}
-			key := append([]byte(nil), image[:kl]...)
+			key := image[:kl]
 			image = image[kl:]
 			vl := int(binary.LittleEndian.Uint32(image))
 			image = image[4:]

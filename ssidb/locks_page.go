@@ -53,7 +53,7 @@ func (*pageTargets) lockRead(tx *Txn, tb *table, key []byte, mode lock.Mode, sna
 	return tx.markAsReader(tb.data.PageNewerWriters(leaf, snap))
 }
 
-func (*pageTargets) lockWrite(tx *Txn, tb *table, key []byte, structural bool) ([]*core.Txn, core.TS, error) {
+func (*pageTargets) lockWrite(tx *Txn, tb *table, key []byte, _ string, structural bool) ([]*core.Txn, core.TS, error) {
 	readers, leaf, err := lockPagePath(tx, tb, key, tx.readMode(), lock.Exclusive, structural)
 	if err != nil {
 		return nil, 0, err
@@ -167,7 +167,7 @@ func (*pageTargets) scanKeys(keys []lock.Key, tb *table, items []mvcc.ScanItem, 
 	for i := range items {
 		add(items[i].Page)
 	}
-	if end.key != nil {
+	if end.reached {
 		add(end.page)
 	}
 	return keys

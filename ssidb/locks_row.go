@@ -1,8 +1,6 @@
 package ssidb
 
 import (
-	"bytes"
-
 	"ssi/internal/core"
 	"ssi/internal/lock"
 	"ssi/internal/mvcc"
@@ -13,7 +11,20 @@ import (
 // scans also lock next-key gaps (§3.5), First-Committer-Wins compares
 // versions of the key written, and the newer writers a read must mark are
 // the creators of the newer versions of the keys it read.
+//
+// A lock names its row or gap by the store's own key string wherever a
+// descent has already found that key — every scanned row, every gap (a gap is
+// named by the key that ends it, which exists), the row of an update — so
+// only point reads and locks on absent keys copy key bytes.
 type rowTargets struct{}
+
+func rowKeyOf(tb *table, stored string) lock.Key {
+	return lock.Key{Table: tb.name, Kind: lock.Row, K: stored}
+}
+
+func gapKeyOf(tb *table, stored string) lock.Key {
+	return lock.Key{Table: tb.name, Kind: lock.Gap, K: stored}
+}
 
 func (rowTargets) lockRead(tx *Txn, tb *table, key []byte, mode lock.Mode, _ core.TS) error {
 	rivals, err := tx.db.locks.AcquireInto(tx.t, lock.RowKey(tb.name, key), mode, emptied(tx.s.rivals))
@@ -24,7 +35,7 @@ func (rowTargets) lockRead(tx *Txn, tb *table, key []byte, mode lock.Mode, _ cor
 	return tx.markAsReader(rivals)
 }
 
-func (rowTargets) lockWrite(tx *Txn, tb *table, key []byte, structural bool) ([]*core.Txn, core.TS, error) {
+func (rowTargets) lockWrite(tx *Txn, tb *table, key []byte, stored string, structural bool) ([]*core.Txn, core.TS, error) {
 	if structural && tx.readMode() != noLock {
 		// Figure 3.7: inserts and deletes exclusively lock the gap before
 		// the next key, where predicate readers left their SIREAD (marked)
@@ -34,7 +45,10 @@ func (rowTargets) lockWrite(tx *Txn, tb *table, key []byte, structural bool) ([]
 			return nil, 0, err
 		}
 	}
-	readers, err := tx.db.locks.AcquireInto(tx.t, lock.RowKey(tb.name, key), lock.Exclusive, emptied(tx.s.rivals))
+	if stored == "" {
+		stored = string(key) // an absent row (or the empty key, which costs no copy)
+	}
+	readers, err := tx.db.locks.AcquireInto(tx.t, rowKeyOf(tb, stored), lock.Exclusive, emptied(tx.s.rivals))
 	tx.s.rivals = readers
 	if err != nil {
 		return nil, 0, err
@@ -47,10 +61,10 @@ func (rowTargets) install(tx *Txn, tb *table, key, val []byte, tombstone bool) e
 	// inherited onto the new key's gap under the table latch, atomically
 	// with the key becoming visible — otherwise a second insert into the
 	// now-split gap would escape the scanners' phantom detection.
-	inserted, _, _ := tb.data.Write(tx.t, key, val, tombstone, func(succ []byte, hasSucc bool) {
+	inserted := tb.data.Write(tx.t, key, val, tombstone, func(succ string, hasSucc bool) {
 		src := lock.SupremumGapKey(tb.name)
 		if hasSucc {
-			src = lock.GapKey(tb.name, succ)
+			src = gapKeyOf(tb, succ)
 		}
 		tx.db.locks.InheritSIRead(src, lock.GapKey(tb.name, key))
 	})
@@ -72,7 +86,7 @@ func (tx *Txn) gapLock(tb *table, key []byte) error {
 		succ, ok := tb.data.Successor(key)
 		gk := lock.SupremumGapKey(tb.name)
 		if ok {
-			gk = lock.GapKey(tb.name, succ)
+			gk = gapKeyOf(tb, succ)
 		}
 		rivals, err := tx.db.locks.AcquireInto(tx.t, gk, lock.Exclusive, emptied(tx.s.rivals))
 		tx.s.rivals = rivals
@@ -83,7 +97,7 @@ func (tx *Txn) gapLock(tb *table, key []byte) error {
 			return err
 		}
 		succ2, ok2 := tb.data.Successor(key)
-		if ok == ok2 && (!ok || bytes.Equal(succ, succ2)) {
+		if ok == ok2 && succ == succ2 {
 			return nil
 		}
 	}
@@ -96,13 +110,11 @@ func (rowTargets) lockScanStart(*Txn, *scanCtx, *table, []byte, lock.Mode, core.
 
 func (rowTargets) scanKeys(keys []lock.Key, tb *table, items []mvcc.ScanItem, end scanEnd) []lock.Key {
 	for i := range items {
-		// One copy of the key bytes serves the row and its gap.
-		k := string(items[i].Key)
-		keys = append(keys, lock.Key{Table: tb.name, Kind: lock.Row, K: k}, lock.Key{Table: tb.name, Kind: lock.Gap, K: k})
+		keys = append(keys, rowKeyOf(tb, items[i].Key), gapKeyOf(tb, items[i].Key))
 	}
 	switch {
-	case end.key != nil:
-		keys = append(keys, lock.GapKey(tb.name, end.key))
+	case end.reached:
+		keys = append(keys, gapKeyOf(tb, end.key))
 	case end.atEnd:
 		// The scan ran off the table end: protect the space beyond the last
 		// key too.

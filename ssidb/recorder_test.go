@@ -130,7 +130,11 @@ func TestPageModeScanAndInsertSplit(t *testing.T) {
 		PageMaxKeys: 2,
 		Detector:    ssidb.DetectorPrecise,
 	})
-	for _, k := range []string{"b", "d", "f"} {
+	// Loaded in descending order, which leaves the leaves with room ([b] and
+	// [d f]): an ascending load fills them ([b d] and [f]), every insert
+	// below would then split its leaf at once, and the row the scanner writes
+	// at the end would sit on a page nobody else wrote.
+	for _, k := range []string{"f", "d", "b"} {
 		if err := db.Run(ssidb.SnapshotIsolation, func(tx *ssidb.Txn) error {
 			return tx.Put("t", []byte(k), []byte("1"))
 		}); err != nil {

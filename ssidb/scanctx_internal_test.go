@@ -70,7 +70,7 @@ func TestPooledScanContextPinsNothing(t *testing.T) {
 					if iso == SerializableSI && cap(sc.writers) == 0 {
 						t.Errorf("a scan beside an uncommitted writer left no writer buffer in its context")
 					}
-					if len(sc.items)+len(sc.keys)+len(sc.writers)+len(sc.pages) != 0 || sc.end.key != nil || sc.limitKey != nil {
+					if len(sc.items)+len(sc.keys)+len(sc.writers)+len(sc.pages) != 0 || sc.end != (scanEnd{}) || sc.limitKey != "" || sc.limited {
 						t.Errorf("pooled context is not reset: %d items, %d keys, %d writers, %d pages, end %q, limit %q",
 							len(sc.items), len(sc.keys), len(sc.writers), len(sc.pages), sc.end.key, sc.limitKey)
 					}

@@ -2,8 +2,10 @@ package ssidb_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -260,5 +262,90 @@ func TestVacuumReclaimsVersionsAndStamps(t *testing.T) {
 		return nil
 	}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestKeyBufferReuse pins the ownership contract of the write calls: the key
+// is copied by the store (once, when the row is first created), so a caller
+// may build every key of a load in one buffer. Put, Insert and the Delete of
+// an absent key each create a row — the three ways a key can enter a table —
+// at row and page granularity, in one transaction and one per key; afterwards
+// point reads and an ordered scan must find every key, not just whichever one
+// the buffer held last.
+func TestKeyBufferReuse(t *testing.T) {
+	const n = 10
+	key := func(buf []byte, table, i int) []byte {
+		binary.BigEndian.PutUint32(buf, uint32(table*1000+i))
+		return buf
+	}
+	writes := []struct {
+		name string
+		do   func(tx *ssidb.Txn, k []byte) error
+		live bool // the key is visible afterwards
+	}{
+		{"Put", func(tx *ssidb.Txn, k []byte) error { return tx.Put("t", k, []byte("v")) }, true},
+		{"Insert", func(tx *ssidb.Txn, k []byte) error { return tx.Insert("t", k, []byte("v")) }, true},
+		{"Delete", func(tx *ssidb.Txn, k []byte) error { return tx.Delete("t", k) }, false},
+	}
+	for _, gran := range []ssidb.Granularity{ssidb.GranularityRow, ssidb.GranularityPage} {
+		for _, perKey := range []bool{false, true} {
+			t.Run(fmt.Sprintf("gran=%d/txnPerKey=%v", gran, perKey), func(t *testing.T) {
+				db := ssidb.Open(ssidb.Options{Granularity: gran, PageMaxKeys: 4})
+				buf := make([]byte, 4)
+				for wi, w := range writes {
+					if perKey {
+						for i := 0; i < n; i++ {
+							if err := db.Run(ssidb.SerializableSI, func(tx *ssidb.Txn) error { return w.do(tx, key(buf, wi, i)) }); err != nil {
+								t.Fatalf("%s: %v", w.name, err)
+							}
+						}
+						continue
+					}
+					if err := db.Run(ssidb.SerializableSI, func(tx *ssidb.Txn) error {
+						for i := 0; i < n; i++ {
+							if err := w.do(tx, key(buf, wi, i)); err != nil {
+								return err
+							}
+						}
+						return nil
+					}); err != nil {
+						t.Fatalf("%s: %v", w.name, err)
+					}
+				}
+				if st := db.TableStats("t"); st.Keys != len(writes)*n {
+					t.Errorf("the table holds %d keys, want %d", st.Keys, len(writes)*n)
+				}
+				if err := db.Run(ssidb.SerializableSI, func(tx *ssidb.Txn) error {
+					var scanned []uint32
+					if err := tx.Scan("t", nil, nil, func(k, v []byte) bool {
+						scanned = append(scanned, binary.BigEndian.Uint32(k))
+						return true
+					}); err != nil {
+						return err
+					}
+					var want []uint32
+					for wi, w := range writes {
+						for i := 0; i < n; i++ {
+							_, found, err := tx.Get("t", key(make([]byte, 4), wi, i))
+							if err != nil {
+								return err
+							}
+							if found != w.live {
+								t.Errorf("%s key %d: found=%v, want %v", w.name, i, found, w.live)
+							}
+							if w.live {
+								want = append(want, uint32(wi*1000+i))
+							}
+						}
+					}
+					if !slices.Equal(scanned, want) {
+						t.Errorf("scan saw %v, want %v", scanned, want)
+					}
+					return nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
 	}
 }

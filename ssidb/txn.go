@@ -1,10 +1,10 @@
 package ssidb
 
 import (
-	"bytes"
 	"errors"
 	"math"
 	"sync"
+	"unsafe"
 
 	"ssi/internal/core"
 	"ssi/internal/lock"
@@ -307,9 +307,10 @@ func (tx *Txn) markAsWriter(readers []*core.Txn) error {
 	return nil
 }
 
-// recRead reports one key read to the recorder. The writer's id comes from
-// its creator cell, which outlives its record.
-func (tx *Txn) recRead(tb *table, key []byte, creator *core.Cell, readTS core.TS) {
+// recRead reports one key read to the recorder — the caller's key bytes or
+// the store's key string, converted only if there is a recorder. The writer's
+// id comes from its creator cell, which outlives its record.
+func recRead[K string | []byte](tx *Txn, tb *table, key K, creator *core.Cell, readTS core.TS) {
 	r := tx.db.opts.Recorder
 	if r == nil {
 		return
@@ -399,9 +400,11 @@ type lockTargets interface {
 	// lockWrite acquires the exclusive lock(s) for writing key; structural
 	// marks a write that may create or remove the key (insert, delete,
 	// upsert of an absent key), which also covers its gap or a page split.
-	// It returns the SIREAD holders found and the newest commit timestamp of
-	// the First-Committer-Wins unit holding key.
-	lockWrite(tx *Txn, tb *table, key []byte, structural bool) (readers []*core.Txn, newest core.TS, err error)
+	// stored is the store's own copy of key where the caller has already
+	// looked the row up (a lock can be named by it without copying key), ""
+	// otherwise. It returns the SIREAD holders found and the newest commit
+	// timestamp of the First-Committer-Wins unit holding key.
+	lockWrite(tx *Txn, tb *table, key []byte, stored string, structural bool) (readers []*core.Txn, newest core.TS, err error)
 	// install writes the new version and finishes the lock protocol around
 	// the structure change it may have caused.
 	install(tx *Txn, tb *table, key, val []byte, tombstone bool) error
@@ -452,7 +455,7 @@ func (tx *Txn) Get(tableName string, key []byte) (val []byte, found bool, err er
 			return nil, false, tx.fail(err)
 		}
 	}
-	tx.recRead(tb, key, res.VisibleCreator, tx.readStamp(snap))
+	recRead(tx, tb, key, res.VisibleCreator, tx.readStamp(snap))
 	if tx.prog != nil && tx.prog.promoted[tableName] && res.Found {
 		// Runtime half of the Promote remedy (§2.6.2): re-write the value
 		// just read, so a concurrent writer of this row collides under
@@ -488,12 +491,12 @@ func (tx *Txn) GetForUpdate(tableName string, key []byte) (val []byte, found boo
 		return nil, false, err
 	}
 	tb := tx.db.table(tableName)
-	if _, err := tx.writeLockAndCheck(tb, key, false); err != nil {
+	if _, err := tx.writeLockAndCheck(tb, key, "", false); err != nil {
 		return nil, false, err
 	}
 	readTS := tx.db.mgr.Now()
 	v, ok, creator := tb.data.ReadLatest(tx.t, key)
-	tx.recRead(tb, key, creator, readTS)
+	recRead(tx, tb, key, creator, readTS)
 	return v, ok, nil
 }
 
@@ -502,18 +505,26 @@ func (tx *Txn) GetForUpdate(tableName string, key []byte) (val []byte, found boo
 
 // Put writes key=val. If the key has never existed, Put follows the insert
 // protocol (gap locking) so that phantom detection covers upserts too.
+//
+// Ownership, for Put, Insert and Delete alike: key is only borrowed — the
+// store copies it when (and only when) the call creates the row, so the
+// caller may reuse or modify the slice as soon as the call returns. val is
+// retained as the row's new version without copying and must not be modified
+// afterwards.
 func (tx *Txn) Put(tableName string, key, val []byte) error {
 	return tx.write(tableName, key, val, false, false)
 }
 
 // Insert writes a new key, failing with ErrKeyExists (without aborting) if a
-// live version of the key is already visible.
+// live version of the key is already visible. key is copied, val retained
+// (see Put).
 func (tx *Txn) Insert(tableName string, key, val []byte) error {
 	return tx.write(tableName, key, val, false, true)
 }
 
 // Delete removes key by installing a tombstone version. Deleting an absent
-// key is a no-op that still takes the insert-protocol locks.
+// key is a no-op that still takes the insert-protocol locks (and leaves the
+// key, copied, in the table's index). key is only borrowed (see Put).
 func (tx *Txn) Delete(tableName string, key []byte) error {
 	return tx.write(tableName, key, nil, true, false)
 }
@@ -533,8 +544,9 @@ func (tx *Txn) write(tableName string, key, val []byte, tombstone, mustNotExist 
 		return err
 	}
 	tb := tx.db.table(tableName)
-	structural := tombstone || mustNotExist || !tb.data.Exists(key)
-	snap, err := tx.writeLockAndCheck(tb, key, structural)
+	stored, exists := tb.data.StoredKey(key)
+	structural := tombstone || mustNotExist || !exists
+	snap, err := tx.writeLockAndCheck(tb, key, stored, structural)
 	if err != nil {
 		return err
 	}
@@ -561,8 +573,8 @@ func (tx *Txn) write(tableName string, key, val []byte, tombstone, mustNotExist 
 // the snapshot afterwards (deferred snapshot), marks rw-conflicts with the
 // concurrent SIREAD holders found (Figure 3.5), and applies the
 // First-Committer-Wins check. On failure the transaction is aborted.
-func (tx *Txn) writeLockAndCheck(tb *table, key []byte, structural bool) (core.TS, error) {
-	readers, newest, err := tx.db.targets.lockWrite(tx, tb, key, structural)
+func (tx *Txn) writeLockAndCheck(tb *table, key []byte, stored string, structural bool) (core.TS, error) {
+	readers, newest, err := tx.db.targets.lockWrite(tx, tb, key, stored, structural)
 	if err != nil {
 		return 0, tx.fail(err)
 	}
@@ -656,8 +668,8 @@ func (tx *Txn) scan(tableName string, from, to []byte, limit int, fn func(key, v
 		// The locked boundary (sc.end) may extend further, which is
 		// conservative for detection but must not widen the claim.
 		effTo := string(to)
-		if sc.limitKey != nil {
-			effTo = string(sc.limitKey) + "\x00"
+		if sc.limited {
+			effTo = sc.limitKey + "\x00"
 		}
 		stamp = tx.readStamp(snap)
 		rec.RecScan(tx.t.ID(), tb.name, string(from), effTo, stamp)
@@ -670,14 +682,14 @@ func (tx *Txn) scan(tableName string, from, to []byte, limit int, fn func(key, v
 	for i := range sc.items {
 		it := &sc.items[i]
 		if rec != nil {
-			tx.recRead(tb, it.Key, it.VisibleCreator, stamp)
+			recRead(tx, tb, it.Key, it.VisibleCreator, stamp)
 		}
 		if it.Found {
 			if promote {
-				promoteKeys = append(promoteKeys, append([]byte(nil), it.Key...))
+				promoteKeys = append(promoteKeys, []byte(it.Key))
 				promoteVals = append(promoteVals, append([]byte(nil), it.Value...))
 			}
-			if !fn(it.Key, it.Value) {
+			if !fn(keyView(it.Key), it.Value) {
 				break
 			}
 		}
@@ -688,6 +700,21 @@ func (tx *Txn) scan(tableName string, from, to []byte, limit int, fn func(key, v
 		}
 	}
 	return nil
+}
+
+// keyView returns the bytes of a key string the store handed out, without
+// copying them — what a scan callback is shown in place of the store's own key
+// string. This is the engine's one string→[]byte view, and the store's keys
+// are the only thing it may be applied to. Strings are immutable to the
+// compiler and the runtime, and the store relies on it too (the B+tree's
+// order, every lock named by the string); the view is sound because Scan's
+// contract already forbids its callback to modify or retain the key, exactly
+// as it did while the store kept []byte keys, and because a stored key is
+// always a heap copy made by the tree (never a constant in read-only memory),
+// so a caller that breaks the contract corrupts the table it was told not to
+// touch rather than faulting the process.
+func keyView(stored string) []byte {
+	return unsafe.Slice(unsafe.StringData(stored), len(stored))
 }
 
 // scanSSI collects the range and takes its SIREAD locks incrementally, one
@@ -750,9 +777,10 @@ func (tx *Txn) scanS2PL(sc *scanCtx, tb *table, snap core.TS, from, to []byte, l
 
 // scanEnd is where a scan (or one round of it) stopped.
 type scanEnd struct {
-	key   []byte // first key at or beyond the range, the gap boundary; nil if not reached
-	page  uint32 // key's leaf page
-	atEnd bool   // the scan ran off the end of the table instead
+	key     string // first key at or beyond the range, the gap boundary, if reached
+	page    uint32 // key's leaf page
+	reached bool
+	atEnd   bool // the scan ran off the end of the table instead
 }
 
 // scanCtx is the memory of one Scan call: the collected range, where it
@@ -773,8 +801,9 @@ type scanCtx struct {
 	items []mvcc.ScanItem
 	end   scanEnd
 	// limitKey is the last visible key of a collection that stopped because
-	// it reached its limit, nil otherwise.
-	limitKey []byte
+	// it reached its limit (limited).
+	limitKey string
+	limited  bool
 
 	keys    []lock.Key  // the current round's (S2PL: pass's) lock set
 	writers []*core.Txn // rw-conflict targets found, marked once unlatched
@@ -802,13 +831,13 @@ func (sc *scanCtx) release() {
 // the latches still held. With a positive limit, collection stops after
 // `limit` visible items.
 func (sc *scanCtx) collect(tb *table, t *core.Txn, snap core.TS, from, to []byte, limit int, flush func(exhausted bool)) {
-	sc.items, sc.end, sc.limitKey = emptied(sc.items), scanEnd{}, nil
+	sc.items, sc.end, sc.limitKey, sc.limited = emptied(sc.items), scanEnd{}, "", false
 	found := 0
-	var lastFound []byte
+	lastFound := ""
 	tb.data.ScanWith(t, snap, from, func(it mvcc.ScanItem) bool {
-		pastEnd := len(to) > 0 && bytes.Compare(it.Key, to) >= 0
+		pastEnd := len(to) > 0 && it.Key >= string(to)
 		if pastEnd || (limit > 0 && found >= limit) {
-			sc.end.key, sc.end.page = it.Key, it.Page
+			sc.end.key, sc.end.page, sc.end.reached = it.Key, it.Page, true
 			return false
 		}
 		sc.items = append(sc.items, it)
@@ -818,8 +847,8 @@ func (sc *scanCtx) collect(tb *table, t *core.Txn, snap core.TS, from, to []byte
 		}
 		return true
 	}, flush)
-	sc.end.atEnd = sc.end.key == nil
+	sc.end.atEnd = !sc.end.reached
 	if limit > 0 && found >= limit {
-		sc.limitKey = lastFound
+		sc.limitKey, sc.limited = lastFound, true
 	}
 }
