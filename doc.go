@@ -7,8 +7,8 @@
 // lock manager, MVCC store, page-structured B+tree, group-commit log — are
 // implemented under internal/. The three benchmarks the paper evaluates
 // (SmallBank, sibench, TPC-C++) live under internal/workload, and every
-// figure of the paper's evaluation chapter has a corresponding benchmark in
-// bench_test.go plus a full-sweep runner in cmd/ssibench.
+// figure of the paper's evaluation chapter is a row of the scenario table
+// (internal/scenario) that cmd/ssibench measures: `ssibench -run fig6.1`.
 //
 // # The transaction contract
 //
@@ -123,8 +123,10 @@
 //
 // ssidb.DetectorBasic selects the boolean-flag algorithm of thesis §3.2 in
 // its place — both edges exist, so abort, at all four sites — which is what the
-// Berkeley DB prototype ran; the Berkeley DB figures (internal/figures) and
-// the two-detector tests select it, and nothing else should.
+// Berkeley DB prototype ran; the Berkeley DB figures and the detector
+// ablation (internal/scenario's table — the one non-test file that sets the
+// figure-only options) and the two-detector tests select it, and nothing
+// else should.
 //
 // # Scaling beyond the paper
 //
@@ -147,8 +149,8 @@
 //     long a parked request may wait (failing with ErrLockTimeout), and
 //     the wait path is instrumented end to end: ssidb.Stats reports
 //     blocked acquires, spin grants versus parks, targeted wakeups,
-//     timeouts and cumulative wait time (printed by ssibench -scaling
-//     -waitstats).
+//     timeouts and cumulative wait time (ssibench prints those that moved
+//     under every cell).
 //   - internal/core replaces the kernel mutex with an atomic clock, a
 //     two-store commit-serialization point, a lock-free SSI conflict core,
 //     and an id-sharded active-transaction registry whose pruning watermark
@@ -242,19 +244,20 @@
 //     ssidb sentinels across the wire, and a SIGTERM drain that finishes
 //     in-flight transactions and exits 0. Commits are acknowledged only
 //     after the group-commit fsync, so the kill -9 recovery contract holds
-//     across the network boundary (both re-exec tested). `ssibench
-//     -server addr -connections N` drives it from a separate process and
-//     reports end-to-end p50/p99/p999 tail latency.
+//     across the network boundary (both re-exec tested). `ssibench -run
+//     remote-kvmix -server addr -connections N` drives it from a separate
+//     process and reports end-to-end p50/p99/p999 tail latency.
 //
-// The scaling benchmarks (scaling_bench_test.go, `ssibench -scaling` for
-// the lock axis, `ssibench -scaling -storage` for the row-store partition
-// axis, `ssibench -scaling -contention` for the hot-key mix that drives the
-// SSI conflict paths, `ssibench -scaling -scanstall` for full-table scans
-// against point writers with writer commit-latency percentiles, `ssibench
-// -scaling -readonly` for the read-mostly declared-read-only mix) measure
-// commit throughput versus parallelism and shard count, complementing the
-// paper's figures, which measure contention regimes at modest
-// multiprogramming; internal/core's microbenchmarks track the conflict
-// core's per-call cost in isolation, and `ssibench -json` writes every run
-// as a machine-readable BENCH_<name>.json.
+// The scaling rows of the same table (`ssibench -run kvmix` for the lock
+// axis, `-run kvmix-readheavy` for the row-store partition axis, `-run
+// kvmix-hot` for the hot-key mix that drives the SSI conflict paths, `-run
+// scanstall` for full-table scans against point writers with writer
+// commit-latency percentiles, `-run kvmix-readmostly` for the read-mostly
+// declared-read-only mix; `ssibench -list` has them all) measure commit
+// throughput versus parallelism and shard count, complementing the paper's
+// figures, which measure contention regimes at modest multiprogramming;
+// internal/core's microbenchmarks track the conflict core's per-call cost in
+// isolation, scaling_bench_test.go holds the allocation budgets, and
+// `ssibench -json` writes every row's cells as a machine-readable
+// BENCH_<row>.json.
 package ssi

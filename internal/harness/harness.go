@@ -1,20 +1,24 @@
-// Package harness drives the performance experiments of thesis Chapter 6:
-// it runs a workload at a given multiprogramming level (MPL) for a fixed
-// duration, measures committed transactions per second, and breaks aborts
-// down into the classes the paper plots — deadlocks, First-Committer-Wins
-// update conflicts, and Serializable SI "unsafe" errors (Figure 6.1(b) and
-// friends). Sweeps over MPL × isolation level produce the series behind each
-// figure, with 95% confidence intervals over repeated trials.
+// Package harness is the one closed-loop measurement of this repository
+// outside benchmark/: it runs a workload at a given multiprogramming level
+// (MPL) for a fixed duration, as the performance experiments of thesis
+// Chapter 6 do, and reports one Result per cell — committed transactions per
+// second (with a 95% confidence interval over repeated trials), the abort
+// breakdown the paper plots (deadlocks, First-Committer-Wins update
+// conflicts, Serializable SI "unsafe" errors; Figure 6.1(b) and friends), the
+// commit-latency percentiles, and the increase of the engine's counters.
+//
+// One rule covers everything a Result counts: it belongs to the measured
+// windows. A transaction is tallied if it began inside a window, the counters
+// are read at each window's two edges, and with several trials every number
+// is the sum over all of their windows — so any two of them may be divided.
 package harness
 
 import (
 	"errors"
-	"fmt"
-	"io"
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -56,274 +60,205 @@ func (c *Counts) add(err error) {
 	}
 }
 
-// Aborts is the total number of aborted transactions of all classes.
-func (c Counts) Aborts() uint64 {
-	return c.Deadlocks + c.Conflicts + c.Unsafe + c.Timeouts + c.Rollbacks + c.Other
-}
-
 // ErrRollback marks an application-initiated rollback (counted separately
 // from concurrency-control aborts, like TPC-C's intentional 1%).
 var ErrRollback = errors.New("harness: application rollback")
 
-// Result is one measured cell: a workload at one isolation level and MPL.
-type Result struct {
-	Isolation ssidb.Isolation
-	MPL       int
-	Elapsed   time.Duration
-	Counts
-	// TPS is committed transactions per second.
-	TPS float64
-	// TPSCI95 is the half-width of the 95% confidence interval over trials
-	// (0 with a single trial).
-	TPSCI95 float64
+// Window is the set of cumulative counters read at the edges of a measured
+// window: the engine's, and what a client of a remote server adds to them
+// (its own retries and the server's admission controller).
+type Window struct {
+	ssidb.Stats
+	Retries       uint64        // client-side retries of retryable errors
+	Admitted      uint64        // transactions the server admitted
+	RefusedFull   uint64        // refused: admission queue full
+	RefusedWait   uint64        // refused: admission queue wait timed out
+	QueueWaitTime time.Duration // cumulative admission queue wait
+	AdmissionMPL  int           // the server's admission cap (0: uncapped)
 }
 
-// ErrRate returns aborts of the given class per committed transaction.
-func (r Result) ErrRate(class string) float64 {
-	if r.Commits == 0 {
+// accumulate adds the window that began at before and ended at after to acc:
+// a cumulative counter (unsigned, or a duration) adds its increase; anything
+// else — gauges, flags, text — keeps its latest value.
+func accumulate(acc, before, after reflect.Value) {
+	for i := 0; i < acc.NumField(); i++ {
+		a, b, c := acc.Field(i), before.Field(i), after.Field(i)
+		switch a.Kind() {
+		case reflect.Struct:
+			accumulate(a, b, c)
+		case reflect.Uint64:
+			a.SetUint(a.Uint() + c.Uint() - b.Uint())
+		case reflect.Int64:
+			a.SetInt(a.Int() + c.Int() - b.Int())
+		default:
+			a.Set(c)
+		}
+	}
+}
+
+// Latency summarises the sampled durations of committed transactions.
+type Latency struct {
+	P50, P99, P999, Max time.Duration
+	// Dropped counts commits that found their worker's sample buffer full:
+	// the percentiles then cover only the start of each window.
+	Dropped uint64 `json:",omitempty"`
+}
+
+// maxSamples bounds the latency samples of one Run (8 MB), shared evenly
+// among its workers.
+const maxSamples = 1 << 20
+
+func percentile(sorted []time.Duration, p float64) time.Duration {
+	if len(sorted) == 0 {
 		return 0
 	}
-	var n uint64
-	switch class {
-	case "deadlock":
-		n = r.Deadlocks
-	case "conflict":
-		n = r.Conflicts
-	case "unsafe":
-		n = r.Unsafe
-	case "rollback":
-		n = r.Rollbacks
-	default:
-		n = r.Other
-	}
-	return float64(n) / float64(r.Commits)
+	return sorted[int(p*float64(len(sorted)-1))]
+}
+
+// Result is one measured cell. Row, Iso, Shards and Durable are the cell's
+// coordinates, filled in by whoever crossed the axes; the rest is measured.
+type Result struct {
+	Row     string `json:",omitempty"`
+	Iso     string `json:",omitempty"`
+	MPL     int
+	Shards  int  `json:",omitempty"`
+	Durable bool `json:",omitempty"`
+	Elapsed time.Duration
+	Counts
+	// TPS is committed transactions per second; TPSCI95 the half-width of
+	// its 95% confidence interval over trials (0 with a single trial).
+	TPS     float64
+	TPSCI95 float64
+	// Aux is the number of auxiliary workers (Options.Aux), AuxCommits their
+	// committed transactions and AuxTime the time those took.
+	Aux        int           `json:",omitempty"`
+	AuxCommits uint64        `json:",omitempty"`
+	AuxTime    time.Duration `json:",omitempty"`
+	Latency    Latency
+	Stats      Window
 }
 
 // Options configures a measurement.
 type Options struct {
-	MPL      int
+	MPL int
+	// Aux workers run beside the MPL measured ones, as worker indexes
+	// 0..Aux-1: load the measured transactions have to live with (a scanner
+	// beside writers), tallied apart from them.
+	Aux      int
 	Duration time.Duration
 	Warmup   time.Duration
 	Trials   int // default 1
 	Seed     int64
-	// OnMeasureStart, if set, runs once per trial at the instant the
-	// measurement window opens (after warmup). Callers use it to snapshot
-	// cumulative engine counters so they can report measured-window deltas
-	// instead of including warmup traffic.
-	OnMeasureStart func()
+	// Stats, if set, reads the cumulative counters; Run calls it as each
+	// window opens and closes.
+	Stats func() Window
 }
 
-// Run measures fn at the configured MPL. Each of the MPL workers loops,
-// executing transactions back-to-back with no think time, exactly as the
-// paper's db_perf setup (§6.1). Aborted transactions are counted and the
-// worker moves on (the retry, if any, is the workload's next iteration).
-func Run(fn TxnFunc, opts Options) Result {
-	if opts.MPL <= 0 {
-		opts.MPL = 1
-	}
-	if opts.Trials <= 0 {
-		opts.Trials = 1
-	}
-	var tpsSamples []float64
-	total := Result{MPL: opts.MPL}
+// Every gives all workers the same transaction function.
+func Every(fn TxnFunc) func(worker int) TxnFunc {
+	return func(int) TxnFunc { return fn }
+}
+
+// Run measures fn on every worker; see RunWorkers.
+func Run(fn TxnFunc, opts Options) Result { return RunWorkers(Every(fn), opts) }
+
+// RunWorkers measures the transaction functions worker returns for the
+// indexes 0..Aux+MPL-1. Each worker loops, executing transactions
+// back-to-back with no think time, exactly as the paper's db_perf setup
+// (§6.1). Aborted transactions are counted and the worker moves on (the
+// retry, if any, is the workload's next iteration).
+func RunWorkers(worker func(w int) TxnFunc, opts Options) Result {
+	opts.MPL, opts.Trials = max(opts.MPL, 1), max(opts.Trials, 1)
+	res := Result{MPL: opts.MPL, Aux: opts.Aux}
+	var tps []float64
+	var samples []time.Duration
 	for trial := 0; trial < opts.Trials; trial++ {
-		counts, elapsed := runOnce(fn, opts, int64(trial))
-		tps := float64(counts.Commits) / elapsed.Seconds()
-		tpsSamples = append(tpsSamples, tps)
-		total.Commits += counts.Commits
-		total.Deadlocks += counts.Deadlocks
-		total.Conflicts += counts.Conflicts
-		total.Unsafe += counts.Unsafe
-		total.Timeouts += counts.Timeouts
-		total.Rollbacks += counts.Rollbacks
-		total.Other += counts.Other
-		total.Elapsed += elapsed
+		commits, elapsed := res.Commits, res.Elapsed
+		samples = append(samples, runOnce(worker, opts, int64(trial), &res)...)
+		tps = append(tps, float64(res.Commits-commits)/(res.Elapsed-elapsed).Seconds())
 	}
-	total.TPS = mean(tpsSamples)
-	total.TPSCI95 = ci95(tpsSamples)
-	return total
+	res.TPS, res.TPSCI95 = meanCI95(tps)
+	// A ratio of two counters is not itself one: recompute it for the windows.
+	res.Stats.AvgBatchSize = float64(res.Stats.WALAppends) / float64(max(res.Stats.GroupCommitBatches, 1))
+	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
+	res.Latency.P50, res.Latency.P99 = percentile(samples, 0.50), percentile(samples, 0.99)
+	res.Latency.P999, res.Latency.Max = percentile(samples, 0.999), percentile(samples, 1)
+	return res
 }
 
-func runOnce(fn TxnFunc, opts Options, trial int64) (Counts, time.Duration) {
-	var counts Counts
-	var measuring atomic.Bool
-	stop := make(chan struct{})
+// runOnce adds one warmup and one window to res and returns the window's
+// latency samples.
+func runOnce(worker func(int) TxnFunc, opts Options, trial int64, res *Result) []time.Duration {
+	workers := opts.Aux + opts.MPL
+	var measuring, stop atomic.Bool
+	var mu sync.Mutex
+	var samples []time.Duration
 	var wg sync.WaitGroup
-
-	measuring.Store(opts.Warmup == 0)
-	if opts.Warmup == 0 && opts.OnMeasureStart != nil {
-		opts.OnMeasureStart()
-	}
-	for w := 0; w < opts.MPL; w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			fn := worker(w)
 			r := rand.New(rand.NewSource(opts.Seed + trial*1000003 + int64(w)*7919 + 1))
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
+			buf := make([]time.Duration, 0, maxSamples/workers)
+			// One clock read per transaction: each begins where the last ended.
+			for start := time.Now(); !stop.Load(); {
+				in := measuring.Load()
 				err := fn(r)
-				if measuring.Load() {
-					counts.add(err)
+				end := time.Now()
+				took := end.Sub(start)
+				start = end
+				switch {
+				case !in:
+				case w >= opts.Aux:
+					res.Counts.add(err)
+					if err == nil && len(buf) < cap(buf) {
+						buf = append(buf, took)
+					} else if err == nil {
+						atomic.AddUint64(&res.Latency.Dropped, 1)
+					}
+				case err == nil:
+					atomic.AddUint64(&res.AuxCommits, 1)
+					atomic.AddInt64((*int64)(&res.AuxTime), int64(took))
 				}
 			}
+			mu.Lock()
+			samples = append(samples, buf...)
+			mu.Unlock()
 		}(w)
 	}
-	if opts.Warmup > 0 {
-		time.Sleep(opts.Warmup)
-		measuring.Store(true)
-		if opts.OnMeasureStart != nil {
-			opts.OnMeasureStart()
-		}
+	time.Sleep(opts.Warmup)
+	var before Window
+	if opts.Stats != nil {
+		before = opts.Stats()
 	}
 	start := time.Now()
+	measuring.Store(true)
 	time.Sleep(opts.Duration)
-	elapsed := time.Since(start)
-	close(stop)
+	measuring.Store(false)
+	res.Elapsed += time.Since(start)
+	if opts.Stats != nil {
+		accumulate(reflect.ValueOf(&res.Stats).Elem(), reflect.ValueOf(before), reflect.ValueOf(opts.Stats()))
+	}
+	stop.Store(true)
 	wg.Wait()
-	return counts, elapsed
+	return samples
 }
 
-func mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
+// meanCI95 returns the mean of xs and the half-width of its 95% confidence
+// interval assuming normally distributed samples, as the paper's graphs do
+// (§6.1.1); the interval of a single sample is 0.
+func meanCI95(xs []float64) (m, ci float64) {
+	n := float64(len(xs))
 	for _, x := range xs {
-		s += x
+		m += x / n
 	}
-	return s / float64(len(xs))
-}
-
-// ci95 returns the half-width of a 95% confidence interval assuming
-// normally distributed samples, as the paper's graphs do (§6.1.1).
-func ci95(xs []float64) float64 {
-	n := len(xs)
-	if n < 2 {
-		return 0
+	if len(xs) < 2 {
+		return m, 0
 	}
-	m := mean(xs)
 	ss := 0.0
 	for _, x := range xs {
 		ss += (x - m) * (x - m)
 	}
-	sd := math.Sqrt(ss / float64(n-1))
-	return 1.96 * sd / math.Sqrt(float64(n))
-}
-
-// Figure describes one paper figure: a workload measured across isolation
-// levels and MPLs. Build must return a fresh TxnFunc bound to a database
-// loaded for the given isolation level; it is called once per isolation.
-type Figure struct {
-	ID          string
-	Title       string
-	Isolations  []ssidb.Isolation
-	MPLs        []int
-	Build       func(iso ssidb.Isolation) (TxnFunc, func())
-	PaperResult string // the qualitative shape the paper reports
-}
-
-// DefaultIsolations is the paper's standard comparison set.
-func DefaultIsolations() []ssidb.Isolation {
-	return []ssidb.Isolation{ssidb.SnapshotIsolation, ssidb.SerializableSI, ssidb.S2PL}
-}
-
-// RunFigure sweeps the figure and returns results indexed [isolation][mpl].
-func RunFigure(f Figure, opts Options) map[ssidb.Isolation][]Result {
-	out := make(map[ssidb.Isolation][]Result)
-	for _, iso := range f.Isolations {
-		fn, teardown := f.Build(iso)
-		for _, mpl := range f.MPLs {
-			o := opts
-			o.MPL = mpl
-			res := Run(fn, o)
-			res.Isolation = iso
-			out[iso] = append(out[iso], res)
-		}
-		if teardown != nil {
-			teardown()
-		}
-	}
-	return out
-}
-
-// PrintFigure renders the sweep as the paper-style table: throughput per
-// isolation level by MPL, followed by the abort breakdown.
-func PrintFigure(w io.Writer, f Figure, results map[ssidb.Isolation][]Result) {
-	fmt.Fprintf(w, "== Figure %s: %s ==\n", f.ID, f.Title)
-	if f.PaperResult != "" {
-		fmt.Fprintf(w, "   paper: %s\n", f.PaperResult)
-	}
-	isos := append([]ssidb.Isolation(nil), f.Isolations...)
-	sort.Slice(isos, func(i, j int) bool { return isos[i] < isos[j] })
-
-	fmt.Fprintf(w, "%-6s", "MPL")
-	for _, iso := range isos {
-		fmt.Fprintf(w, "%14s", iso.String()+" tps")
-	}
-	fmt.Fprintln(w)
-	for i, mpl := range f.MPLs {
-		fmt.Fprintf(w, "%-6d", mpl)
-		for _, iso := range isos {
-			r := results[iso][i]
-			cell := fmt.Sprintf("%.0f", r.TPS)
-			if r.TPSCI95 > 0 {
-				cell += fmt.Sprintf("±%.0f", r.TPSCI95)
-			}
-			fmt.Fprintf(w, "%14s", cell)
-		}
-		fmt.Fprintln(w)
-	}
-	fmt.Fprintf(w, "%-6s", "errors")
-	for range isos {
-		fmt.Fprintf(w, "%14s", "dl/cf/us per C")
-	}
-	fmt.Fprintln(w)
-	for i, mpl := range f.MPLs {
-		fmt.Fprintf(w, "%-6d", mpl)
-		for _, iso := range isos {
-			r := results[iso][i]
-			fmt.Fprintf(w, "%14s", fmt.Sprintf("%s/%s/%s",
-				pct(r.ErrRate("deadlock")), pct(r.ErrRate("conflict")), pct(r.ErrRate("unsafe"))))
-		}
-		fmt.Fprintln(w)
-	}
-	fmt.Fprintln(w)
-}
-
-func pct(x float64) string {
-	switch {
-	case x == 0:
-		return "0"
-	case x < 0.0095:
-		return fmt.Sprintf("%.1f%%", x*100)
-	default:
-		return fmt.Sprintf("%.0f%%", x*100)
-	}
-}
-
-// CSV writes the sweep in machine-readable form.
-func CSV(w io.Writer, f Figure, results map[ssidb.Isolation][]Result) {
-	fmt.Fprintf(w, "figure,isolation,mpl,tps,ci95,commits,deadlocks,conflicts,unsafe,rollbacks,other\n")
-	for _, iso := range f.Isolations {
-		for i, mpl := range f.MPLs {
-			r := results[iso][i]
-			fmt.Fprintf(w, "%s,%s,%d,%.1f,%.1f,%d,%d,%d,%d,%d,%d\n",
-				f.ID, iso, mpl, r.TPS, r.TPSCI95, r.Commits, r.Deadlocks, r.Conflicts, r.Unsafe, r.Rollbacks, r.Other)
-		}
-	}
-}
-
-// Describe summarises one result line for logs.
-func Describe(r Result) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s mpl=%d tps=%.0f commits=%d", r.Isolation, r.MPL, r.TPS, r.Commits)
-	if a := r.Aborts(); a > 0 {
-		fmt.Fprintf(&b, " aborts[dl=%d cf=%d us=%d to=%d rb=%d other=%d]",
-			r.Deadlocks, r.Conflicts, r.Unsafe, r.Timeouts, r.Rollbacks, r.Other)
-	}
-	return b.String()
+	return m, 1.96 * math.Sqrt(ss/(n-1)) / math.Sqrt(n)
 }

@@ -1,9 +1,10 @@
 package harness
 
 import (
+	"bytes"
 	"errors"
-	"math"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -20,9 +21,6 @@ func TestCountsClassification(t *testing.T) {
 	c.add(errors.New("something else"))
 	if c.Commits != 1 || c.Deadlocks != 1 || c.Conflicts != 1 || c.Unsafe != 1 || c.Rollbacks != 1 || c.Other != 1 {
 		t.Fatalf("classification wrong: %+v", c)
-	}
-	if c.Aborts() != 5 {
-		t.Fatalf("Aborts = %d", c.Aborts())
 	}
 	// Wrapped errors classify by errors.Is.
 	var c2 Counts
@@ -52,8 +50,8 @@ func TestRunCountsCommitsAndErrors(t *testing.T) {
 	if ratio < 0.15 || ratio > 0.40 { // expect ~1/4
 		t.Fatalf("conflict ratio %.2f, want ~0.25", ratio)
 	}
-	if got := res.ErrRate("conflict"); math.Abs(got-ratio) > 1e-9 {
-		t.Fatalf("ErrRate = %v, want %v", got, ratio)
+	if res.Latency.Dropped != 0 || res.Latency.P50 <= 0 || res.Latency.Max < res.Latency.P99 {
+		t.Fatalf("latency %+v for %d commits", res.Latency, res.Commits)
 	}
 }
 
@@ -105,42 +103,115 @@ func TestTrialsProduceConfidenceInterval(t *testing.T) {
 }
 
 func TestCI95(t *testing.T) {
-	if ci95([]float64{5}) != 0 {
-		t.Fatal("single sample must have zero CI")
+	if m, c := meanCI95([]float64{5}); m != 5 || c != 0 {
+		t.Fatalf("single sample: mean %v, CI %v", m, c)
 	}
-	c := ci95([]float64{10, 10, 10})
-	if c != 0 {
-		t.Fatalf("zero-variance CI = %v", c)
+	if m, c := meanCI95([]float64{10, 10, 10}); m != 10 || c != 0 {
+		t.Fatalf("zero variance: mean %v, CI %v", m, c)
 	}
-	c = ci95([]float64{8, 10, 12})
-	if c <= 0 || c > 10 {
-		t.Fatalf("CI = %v", c)
+	if m, c := meanCI95([]float64{8, 10, 12}); m != 10 || c <= 0 || c > 10 {
+		t.Fatalf("mean %v, CI %v", m, c)
 	}
 }
 
-func TestRunFigureShape(t *testing.T) {
-	builds := 0
-	f := Figure{
-		ID: "t", Title: "test",
-		Isolations: []ssidb.Isolation{ssidb.SnapshotIsolation, ssidb.S2PL},
-		MPLs:       []int{1, 2},
-		Build: func(iso ssidb.Isolation) (TxnFunc, func()) {
-			builds++
-			return func(r *rand.Rand) error { return nil }, nil
-		},
+// TestWindowsCoverTheSameTransactions is the one rule of the runner: the
+// counters and the counts describe the same windows. The fake engine bumps a
+// cumulative counter and a gauge with every commit, warmup included; over
+// three trials the counter's increase must match the commits tallied — not
+// the last trial's third of them, and not the warmups' surplus — while the
+// gauge keeps its latest reading.
+func TestWindowsCoverTheSameTransactions(t *testing.T) {
+	var appends atomic.Uint64
+	fn := func(r *rand.Rand) error {
+		appends.Add(1)
+		time.Sleep(50 * time.Microsecond)
+		return nil
 	}
-	res := RunFigure(f, Options{Duration: 5 * time.Millisecond})
-	if builds != 2 {
-		t.Fatalf("Build called %d times, want once per isolation", builds)
-	}
-	for _, iso := range f.Isolations {
-		if len(res[iso]) != 2 {
-			t.Fatalf("results for %v: %d cells", iso, len(res[iso]))
+	const mpl = 2
+	res := Run(fn, Options{MPL: mpl, Duration: 20 * time.Millisecond, Warmup: 10 * time.Millisecond, Trials: 3,
+		Stats: func() Window {
+			n := appends.Load()
+			return Window{Stats: ssidb.Stats{WALAppends: n, GroupCommitBatches: n / 2, LockedKeys: int(n)}, Retries: n}
+		}})
+	// Per window, at most one transaction per worker straddles each edge.
+	slack := uint64(3 * 2 * mpl)
+	for name, got := range map[string]uint64{"WALAppends": res.Stats.WALAppends, "Retries": res.Stats.Retries} {
+		if got+slack < res.Commits || got > res.Commits+slack {
+			t.Errorf("%s rose by %d over windows that committed %d", name, got, res.Commits)
 		}
-		for i, r := range res[iso] {
-			if r.MPL != f.MPLs[i] || r.Isolation != iso {
-				t.Fatalf("cell mismatch: %+v", r)
+	}
+	if res.Stats.AvgBatchSize < 1.9 || res.Stats.AvgBatchSize > 2.1 {
+		t.Errorf("AvgBatchSize = %.2f, want the windows' appends per batch (2)", res.Stats.AvgBatchSize)
+	}
+	if total := int(appends.Load()); res.Stats.LockedKeys <= int(res.Commits) || res.Stats.LockedKeys > total {
+		t.Errorf("gauge LockedKeys = %d, want its reading at the last window's end (above %d commits, at most %d)",
+			res.Stats.LockedKeys, res.Commits, total)
+	}
+}
+
+func TestAuxWorkersTalliedApart(t *testing.T) {
+	var seen [3]atomic.Uint64
+	res := RunWorkers(func(w int) TxnFunc {
+		return func(r *rand.Rand) error {
+			seen[w].Add(1)
+			if w == 0 {
+				time.Sleep(time.Millisecond)
 			}
+			return nil
 		}
+	}, Options{MPL: 2, Aux: 1, Duration: 30 * time.Millisecond})
+	for w := range seen {
+		if seen[w].Load() == 0 {
+			t.Fatalf("worker %d never ran", w)
+		}
+	}
+	if res.Aux != 1 || res.AuxCommits == 0 || res.AuxCommits > 40 || res.AuxTime < time.Duration(res.AuxCommits)*time.Millisecond {
+		t.Fatalf("aux tally: %d commits in %v", res.AuxCommits, res.AuxTime)
+	}
+	if res.Commits < 10*res.AuxCommits {
+		t.Fatalf("the aux worker's %d transactions leaked into the %d measured commits", res.AuxCommits, res.Commits)
+	}
+}
+
+// TestPrintGolden pins the table's layout: columns as wide as their widest
+// cell and separated by spaces (the figure table once ran a 14-character
+// label into 14-character columns), every abort class once, empty columns
+// dropped, and the moved counters under each cell.
+func TestPrintGolden(t *testing.T) {
+	s := Sweep{Name: "fig6.0", Title: "a fake", Note: "paper: says so", Cells: []Result{
+		{Iso: "SI", MPL: 1, Elapsed: time.Second, Counts: Counts{Commits: 200000, Conflicts: 600, Rollbacks: 18000},
+			TPS: 200000, Latency: Latency{P50: 4200 * time.Nanosecond, P99: 61 * time.Microsecond, P999: 1234567 * time.Nanosecond, Max: 12 * time.Millisecond}},
+		{Iso: "S2PL", MPL: 50, Elapsed: time.Second, Counts: Counts{Commits: 1000, Deadlocks: 30, Timeouts: 1, Other: 2},
+			TPS: 1000, TPSCI95: 12.4, Latency: Latency{P50: time.Millisecond, Dropped: 7},
+			Stats: Window{Stats: ssidb.Stats{LockWaits: 41, LockWaitTime: 1500 * time.Millisecond, AvgBatchSize: 3.96}, Retries: 5}},
+	}}
+	const want = `== fig6.0: a fake ==
+   paper: says so
+iso   mpl  commits/s  ±95%  deadlock  conflict  unsafe  timeout  rollback  other  p50    p99   p999    max
+SI    1    200000           0         0.3%      0       0        9%        0      4.2µs  61µs  1.23ms  12ms
+S2PL  50   1000       12    3%        0         0       0.1%     0         0.2%   1ms    0s    0s      0s
+    AvgBatchSize=3.96 LockWaits=41 LockWaitTime=1.5s Retries=5
+    samples dropped: 7 of 1000 commits (buffers full; the percentiles cover each window's start)
+
+`
+	var b bytes.Buffer
+	s.Print(&b)
+	if b.String() != want {
+		t.Fatalf("got:\n%s\nwant:\n%s", b.String(), want)
+	}
+
+	// With a shard axis and an auxiliary worker their columns appear.
+	s.Cells = []Result{{Iso: "SSI", MPL: 8, Shards: 16, Durable: true, Elapsed: 2 * time.Second, TPS: 10,
+		Counts: Counts{Commits: 20}, Aux: 1, AuxCommits: 5, AuxTime: 1500 * time.Millisecond}}
+	const wantAux = `== fig6.0: a fake ==
+   paper: says so
+iso  mpl  shards  durable  commits/s  deadlock  conflict  unsafe  timeout  rollback  other  p50  p99  p999  max  aux/s  aux-mean
+SSI  8    16      yes      10         0         0         0       0        0         0      0s   0s   0s    0s   2.5    300ms
+
+`
+	b.Reset()
+	s.Print(&b)
+	if b.String() != wantAux {
+		t.Fatalf("got:\n%s\nwant:\n%s", b.String(), wantAux)
 	}
 }

@@ -2,8 +2,8 @@
 // the ssidb engine to remote clients with request pipelining, a batched
 // transaction API, MPL admission control, and fault-tolerant sessions. The
 // binary entry point is cmd/ssiserver (a one-line wrapper around Main); the
-// matching client is in client.go and drives both the ssibench client mode
-// (`ssibench -server addr`) and examples/netclient.
+// matching client is in client.go and drives both ssibench's remote rows
+// (`ssibench -run remote-kvmix -server addr`) and examples/netclient.
 //
 // # Wire protocol
 //

@@ -134,8 +134,8 @@ func (c Config) normalized() Config {
 func (c Config) Contended() bool { return c.Zipf > 0 || c.HotKeys > 0 }
 
 // Chooser returns the configuration's key-id chooser (uniform, hot-set or
-// Zipfian, after normalization) — exported so external drivers (the
-// ssibench network client assembling batched requests) draw keys from
+// Zipfian, after normalization) — exported so external drivers (the remote
+// rows of internal/scenario assembling batched requests) draw keys from
 // exactly the distribution the in-process Worker uses. The returned func is
 // safe for concurrent use with per-worker *rand.Rands.
 func (c Config) Chooser() func(r *rand.Rand) int {
@@ -174,7 +174,7 @@ func (c Config) chooser() func(r *rand.Rand) int {
 }
 
 // Key returns the row key for key-id — exported so external drivers (the
-// ssibench scan-stall scenario, the alloc benchmarks) address the rows
+// remote rows of internal/scenario, the alloc benchmarks) address the rows
 // kvmix.Load created without duplicating the encoding.
 func Key(id int) []byte {
 	var b [4]byte

@@ -69,30 +69,33 @@ func u32(v uint32) []byte {
 // Name returns the account-name key of customer i.
 func Name(i int) []byte { return []byte(fmt.Sprintf("acct%08d", i)) }
 
+// LoadRows writes the rows of customers lo..hi-1 inside tx — the unit Load
+// commits per transaction, exported so a driver loading through another Tx
+// implementation (ssibench's remote rows) writes exactly the same rows.
+func LoadRows(tx Tx, cfg Config, lo, hi int) error {
+	for i := lo; i < min(hi, cfg.Accounts); i++ {
+		id := u32(uint32(i))
+		if err := tx.Put(TableAccount, Name(i), id); err != nil {
+			return err
+		}
+		if err := tx.Put(TableSaving, id, i64(cfg.InitialBalance)); err != nil {
+			return err
+		}
+		if err := tx.Put(TableChecking, id, i64(cfg.InitialBalance)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Load populates the three tables. The caller chooses page capacity via
 // db.CreateTable beforehand if page-granularity experiments need a specific
 // leaf count.
 func Load(db *ssidb.DB, cfg Config) error {
 	const batch = 500
 	for lo := 0; lo < cfg.Accounts; lo += batch {
-		hi := lo + batch
-		if hi > cfg.Accounts {
-			hi = cfg.Accounts
-		}
 		err := db.Run(ssidb.SnapshotIsolation, func(tx *ssidb.Txn) error {
-			for i := lo; i < hi; i++ {
-				id := u32(uint32(i))
-				if err := tx.Put(TableAccount, Name(i), id); err != nil {
-					return err
-				}
-				if err := tx.Put(TableSaving, id, i64(cfg.InitialBalance)); err != nil {
-					return err
-				}
-				if err := tx.Put(TableChecking, id, i64(cfg.InitialBalance)); err != nil {
-					return err
-				}
-			}
-			return nil
+			return LoadRows(tx, cfg, lo, lo+batch)
 		})
 		if err != nil {
 			return fmt.Errorf("smallbank load: %w", err)
@@ -222,7 +225,7 @@ func WriteCheck(tx Tx, n int, v int64) error {
 }
 
 // RandomOp runs one uniformly chosen SmallBank operation inside tx —
-// exported so external drivers (the ssibench network client) run the same
+// exported so external drivers (ssibench's remote-smallbank row) run the same
 // mix through any Tx implementation.
 func RandomOp(tx Tx, r *rand.Rand, cfg Config) error {
 	return oneOp(tx, r, cfg)

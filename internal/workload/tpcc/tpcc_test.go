@@ -131,7 +131,7 @@ func TestConcurrentMixConsistency(t *testing.T) {
 			t.Fatalf("%v: no commits", iso)
 		}
 		if err := CheckConsistency(db, cfg); err != nil {
-			t.Fatalf("%v: %v (after %s)", iso, err, harness.Describe(res))
+			t.Fatalf("%v: %v (after %+v)", iso, err, res.Counts)
 		}
 		if st := db.StatsSnapshot(); st.ActiveTxns != 0 {
 			t.Fatalf("%v: leaked transactions %+v", iso, st)

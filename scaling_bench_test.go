@@ -1,193 +1,20 @@
-// Scaling benchmarks beyond the paper's figures: where bench_test.go
-// reproduces Chapter 6 (contention regimes at modest multiprogramming),
-// these measure whether the concurrency-control core itself scales with
-// parallelism — the property the sharded lock table and the split kernel
-// mutex exist for. The workload (internal/workload/kvmix) is a low-conflict
-// point read/write mix, so commits/s tracks engine overhead, not data
-// contention.
+// Allocation microbenchmarks and budgets for the engine's hot paths: what a
+// point read, a scan and a short transaction may allocate, and what a loaded
+// row keeps alive. Throughput is not measured here — `ssibench -run kvmix`
+// (and the other rows of internal/scenario) is the one entrance to those
+// cells, and benchmark/ the gated one.
 package ssi_test
 
 import (
 	"fmt"
 	"math"
-	"math/rand"
-	"os"
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"ssi/internal/raceflag"
 	"ssi/internal/workload/kvmix"
 	"ssi/ssidb"
 )
-
-// BenchmarkScalingShards sweeps the lock-table shard count under the
-// SerializableSI kvmix workload at rising parallelism. With the paper's
-// single-latch configuration (shards=1) throughput flattens as workers are
-// added; with GOMAXPROCS-scaled shards it should rise until the hardware
-// runs out of cores.
-func BenchmarkScalingShards(b *testing.B) {
-	for _, shards := range []int{1, 4, 16, 64} {
-		for _, par := range []int{1, 4, 16} {
-			workers := par * runtime.GOMAXPROCS(0)
-			b.Run(fmt.Sprintf("shards=%d/workers=%d", shards, workers), func(b *testing.B) {
-				db := ssidb.Open(ssidb.Options{Detector: ssidb.DetectorPrecise, LockShards: shards})
-				cfg := kvmix.DefaultConfig()
-				if err := kvmix.Load(db, cfg); err != nil {
-					b.Fatal(err)
-				}
-				fn := kvmix.Worker(db, ssidb.SerializableSI, cfg)
-				var commits atomic.Uint64
-				var seed atomic.Int64
-				b.SetParallelism(par)
-				b.ResetTimer()
-				b.RunParallel(func(pb *testing.PB) {
-					r := rand.New(rand.NewSource(seed.Add(1) * 104729))
-					for pb.Next() {
-						if err := fn(r); err == nil {
-							commits.Add(1)
-						}
-					}
-				})
-				b.StopTimer()
-				if secs := b.Elapsed().Seconds(); secs > 0 {
-					b.ReportMetric(float64(commits.Load())/secs, "commits/s")
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkScalingIsolations is the per-isolation companion: kvmix under
-// SI, SSI and S2PL with default (GOMAXPROCS-scaled) shards, for comparing
-// against the single-mutex baseline recorded in CHANGES.md.
-func BenchmarkScalingIsolations(b *testing.B) {
-	for _, iso := range []ssidb.Isolation{ssidb.SnapshotIsolation, ssidb.SerializableSI, ssidb.S2PL} {
-		for _, par := range []int{1, 8, 32} {
-			workers := par * runtime.GOMAXPROCS(0)
-			b.Run(fmt.Sprintf("%s/workers=%d", iso, workers), func(b *testing.B) {
-				db := ssidb.Open(ssidb.Options{Detector: ssidb.DetectorPrecise})
-				cfg := kvmix.DefaultConfig()
-				if err := kvmix.Load(db, cfg); err != nil {
-					b.Fatal(err)
-				}
-				fn := kvmix.Worker(db, iso, cfg)
-				var commits atomic.Uint64
-				var seed atomic.Int64
-				b.SetParallelism(par)
-				b.ResetTimer()
-				b.RunParallel(func(pb *testing.PB) {
-					r := rand.New(rand.NewSource(seed.Add(1) * 7919))
-					for pb.Next() {
-						if err := fn(r); err == nil {
-							commits.Add(1)
-						}
-					}
-				})
-				b.StopTimer()
-				if secs := b.Elapsed().Seconds(); secs > 0 {
-					b.ReportMetric(float64(commits.Load())/secs, "commits/s")
-				}
-			})
-		}
-	}
-}
-
-// TestScalingMeasurement prints fixed-duration ops/sec at exact worker
-// counts (1, 8, 32) per isolation level — the format recorded in
-// CHANGES.md — over the uniform kvmix mix and then the hot-key mix
-// (kvmix.HotConfig), whose hot-set collisions exercise the SSI conflict
-// core and the blocking paths the uniform mix never touches. It is a
-// measurement, not an assertion, and only runs when SSI_SCALING_MEASURE=1
-// is set, so the regular suite stays fast.
-func TestScalingMeasurement(t *testing.T) {
-	if os.Getenv("SSI_SCALING_MEASURE") != "1" {
-		t.Skip("set SSI_SCALING_MEASURE=1 to run the throughput measurement")
-	}
-	for _, mix := range []struct {
-		name string
-		cfg  kvmix.Config
-	}{
-		{"uniform", kvmix.DefaultConfig()},
-		{"hot", kvmix.HotConfig()},
-	} {
-		for _, iso := range []ssidb.Isolation{ssidb.SnapshotIsolation, ssidb.SerializableSI, ssidb.S2PL} {
-			for _, workers := range []int{1, 8, 32} {
-				db := ssidb.Open(ssidb.Options{Detector: ssidb.DetectorPrecise})
-				if err := kvmix.Load(db, mix.cfg); err != nil {
-					t.Fatal(err)
-				}
-				fn := kvmix.Worker(db, iso, mix.cfg)
-				var ops, aborts atomic.Uint64
-				stop := make(chan struct{})
-				var wg sync.WaitGroup
-				for w := 0; w < workers; w++ {
-					wg.Add(1)
-					go func(w int) {
-						defer wg.Done()
-						r := rand.New(rand.NewSource(int64(w)*7919 + 1))
-						for {
-							select {
-							case <-stop:
-								return
-							default:
-							}
-							if err := fn(r); err == nil {
-								ops.Add(1)
-							} else if ssidb.IsAbort(err) {
-								aborts.Add(1)
-							}
-						}
-					}(w)
-				}
-				const d = 2 * time.Second
-				time.Sleep(d)
-				close(stop)
-				wg.Wait()
-				fmt.Printf("SCALING mix=%s iso=%s workers=%d commits/s=%.0f aborts/s=%.0f\n",
-					mix.name, iso, workers, float64(ops.Load())/d.Seconds(), float64(aborts.Load())/d.Seconds())
-			}
-		}
-	}
-}
-
-// BenchmarkScalingTableShards sweeps the row-store partition count under the
-// read-heavy kvmix mix (point reads + merged scans) at rising parallelism:
-// the axis the partitioned store exists for. tshards=1 is the single-tree
-// single-latch baseline.
-func BenchmarkScalingTableShards(b *testing.B) {
-	for _, tshards := range []int{1, 4, 16} {
-		for _, par := range []int{1, 8} {
-			workers := par * runtime.GOMAXPROCS(0)
-			b.Run(fmt.Sprintf("tshards=%d/workers=%d", tshards, workers), func(b *testing.B) {
-				db := ssidb.Open(ssidb.Options{Detector: ssidb.DetectorPrecise, TableShards: tshards})
-				cfg := kvmix.ReadHeavyConfig()
-				if err := kvmix.Load(db, cfg); err != nil {
-					b.Fatal(err)
-				}
-				fn := kvmix.Worker(db, ssidb.SerializableSI, cfg)
-				var commits atomic.Uint64
-				var seed atomic.Int64
-				b.SetParallelism(par)
-				b.ResetTimer()
-				b.RunParallel(func(pb *testing.PB) {
-					r := rand.New(rand.NewSource(seed.Add(1) * 31337))
-					for pb.Next() {
-						if err := fn(r); err == nil {
-							commits.Add(1)
-						}
-					}
-				})
-				b.StopTimer()
-				if secs := b.Elapsed().Seconds(); secs > 0 {
-					b.ReportMetric(float64(commits.Load())/secs, "commits/s")
-				}
-			})
-		}
-	}
-}
 
 // Allocation microbenchmarks for the storage read path. ReportAllocs makes
 // allocs/op part of every run (CI included, no -benchmem needed), so a
@@ -550,69 +377,5 @@ func TestRowFootprintAllocBudget(t *testing.T) {
 				t.Errorf("a loaded row keeps %.1f B alive over %d partitions, budget %d", perRow, tshards, budget)
 			}
 		})
-	}
-}
-
-// TestReadOnlyScalingMeasurement prints fixed-duration commits/s over the
-// read-mostly kvmix mix (90%% of transactions pure reads) in three
-// configurations: plain SI, SSI with the readers undeclared, and SSI with the
-// readers declared via RunReadOnly. The declared column is the one the
-// read-only fast path exists for — it should close most of the SSI→SI gap at
-// MPL ≥ 8. Measurement only; runs under SSI_SCALING_MEASURE=1.
-func TestReadOnlyScalingMeasurement(t *testing.T) {
-	if os.Getenv("SSI_SCALING_MEASURE") != "1" {
-		t.Skip("set SSI_SCALING_MEASURE=1 to run the throughput measurement")
-	}
-	undeclared := kvmix.ReadMostlyConfig()
-	undeclared.RODeclared = false
-	for _, c := range []struct {
-		name string
-		iso  ssidb.Isolation
-		cfg  kvmix.Config
-	}{
-		{"si", ssidb.SnapshotIsolation, undeclared},
-		{"ssi-undeclared", ssidb.SerializableSI, undeclared},
-		{"ssi-declared", ssidb.SerializableSI, kvmix.ReadMostlyConfig()},
-	} {
-		for _, workers := range []int{1, 8, 32} {
-			// 16 lock shards so the PR 1 lock-table axis doesn't confound
-			// the read-only comparison (a single shard serializes writers,
-			// stretching their lifetimes and arming every Tout window).
-			db := ssidb.Open(ssidb.Options{Detector: ssidb.DetectorPrecise, LockShards: 16})
-			if err := kvmix.Load(db, c.cfg); err != nil {
-				t.Fatal(err)
-			}
-			fn := kvmix.Worker(db, c.iso, c.cfg)
-			var ops, aborts atomic.Uint64
-			stop := make(chan struct{})
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					r := rand.New(rand.NewSource(int64(w)*6151 + 1))
-					for {
-						select {
-						case <-stop:
-							return
-						default:
-						}
-						if err := fn(r); err == nil {
-							ops.Add(1)
-						} else if ssidb.IsAbort(err) {
-							aborts.Add(1)
-						}
-					}
-				}(w)
-			}
-			const d = 2 * time.Second
-			time.Sleep(d)
-			close(stop)
-			wg.Wait()
-			st := db.StatsSnapshot()
-			fmt.Printf("ROSCALING cfg=%s workers=%d commits/s=%.0f aborts/s=%.0f ro_begins=%d promotions=%d skips=%d\n",
-				c.name, workers, float64(ops.Load())/d.Seconds(), float64(aborts.Load())/d.Seconds(),
-				st.ROBegins, st.ROSafePromotions, st.ROSIReadSkips)
-		}
 	}
 }

@@ -45,8 +45,8 @@
 // durable before its blocking locks are released, so no other transaction
 // can observe state that a crash could roll back. Flushes are batched by
 // group commit: a dedicated flusher goroutine lingers up to
-// GroupCommitMaxDelay for committers to pile on (bounded by
-// GroupCommitMaxBatch), and retires the whole batch with a single
+// GroupCommitMaxDelay for committers to pile on (at most 256 records),
+// and retires the whole batch with a single
 // fdatasync against a preallocated segment. OpenDir replays the log —
 // tolerating a torn tail from a mid-write crash — and Checkpoint folds it
 // into an image so recovery stays proportional to recent activity; with
@@ -226,9 +226,6 @@ type Options struct {
 	// syncs immediately; batching still happens naturally among commits
 	// that arrive while a sync is in flight.
 	GroupCommitMaxDelay time.Duration
-	// GroupCommitMaxBatch skips the linger once this many commit records
-	// are pending. Default 256.
-	GroupCommitMaxBatch int
 	// SegmentBytes is the WAL segment roll size. Default 64 MiB.
 	SegmentBytes int64
 	// CheckpointBytes triggers an automatic asynchronous checkpoint (and
@@ -385,7 +382,6 @@ func open(opts Options) (*DB, error) {
 			SyncDelay:           opts.FlushLatency,
 			SegmentBytes:        opts.SegmentBytes,
 			GroupCommitMaxDelay: opts.GroupCommitMaxDelay,
-			GroupCommitMaxBatch: opts.GroupCommitMaxBatch,
 		})
 		if err != nil {
 			return nil, err
