@@ -24,11 +24,11 @@
 //
 //	operation          lock mode           rivals marked    lock targets, row            lock targets, page             FCW unit                  errors [7]
 //	                   SI / SSI / S2PL     (SSI only)                                                                                              stmt | txn
-//	Get                none / SIREAD /     as reader [1]    row k                        every page on the path to k    -                         F | U D
+//	Get                none / SIREAD /     as reader [1]    row k [8]                    every page on the path to k    -                         F | U D
 //	                   Shared [2]
-//	GetForUpdate       Exclusive           as writer [3]    row k                        leaf of k; interior pages in   row: versions of k        R F | W U D
+//	GetForUpdate       Exclusive           as writer [3]    row k [8]                    leaf of k; interior pages in   row: versions of k        R F | W U D
 //	                                                                                     the level's read mode          page: stamps of k's leaf
-//	Put Insert Delete  Exclusive           as writer        row k                        as GetForUpdate; afterwards    as above                  K R F | W U D
+//	Put Insert Delete  Exclusive           as writer        row k [8]                    as GetForUpdate; afterwards    as above                  K R F | W U D
 //	  (k has a chain)                                                                    stamp the leaf
 //	Put Insert Delete  Exclusive           as writer, gap   gap before succ(k) [5], row  the whole path Exclusive if    as above                  K R F | W U D
 //	  (structural [4])                     holders too      k; once installed, SIREADs   the leaf will split (interior
@@ -69,6 +69,13 @@
 //	    D ErrDeadlock and ErrLockTimeout (a blocking acquisition: any Exclusive
 //	    lock, and S2PL's Shared ones). A Commit that returns a log error is
 //	    neither: the commit is published in memory, its durability unknown.
+//	[8] Named by the stored key: the operation looks k up once (mvcc.Locate, one
+//	    descent), names the row lock by the key string the tree itself holds,
+//	    and then reads the versions, checks First-Committer-Wins, installs and
+//	    — on abort — undoes its write through the same handle, with no further
+//	    descent. The look-up reads no row state, so the order of Figures 3.4
+//	    and 3.5 stands: lock first, then read. Only a key that has no chain is
+//	    locked under a copy of k and looked up again once the lock is held.
 //
 // Handle lifetime. The *ssidb.Txn a begin returns is the caller's: it may be
 // kept past Commit, Abort or the return of Run and RunRetry, and from then on
@@ -204,16 +211,20 @@
 //     from the observed insert position — there is no fill factor), so a
 //     sequential load fills pages to PageMaxKeys. The chain is its own newest
 //     version: a superseding write copies the old head out behind it and
-//     overwrites the head in place (one 48-byte allocation, as before; a
-//     first insert allocates the chain alone), and rollback and vacuum do the
-//     reverse — safe because no pointer to a version leaves the partition
-//     latch it was read under. Key bytes belong to the tree: Put, Insert and
-//     Delete only borrow the caller's key (it is copied, into an immutable
-//     string, if and when the call creates the row), every row and gap lock
-//     a scan, an update or an insert's successor takes is named by that
-//     string rather than by a fresh copy, and a Scan callback is shown a
-//     read-only view of it. Value slices are the opposite: retained as
-//     given, and not to be modified after the call.
+//     overwrites the head in place (a first insert allocates the chain
+//     alone), and rollback and vacuum do the reverse — safe because no
+//     pointer to a version leaves the partition latch it was read under, and
+//     for the same reason the versions rollback and vacuum unlink go, zeroed,
+//     onto a per-partition free list under that latch and are what the next
+//     superseding writes copy into: a steady-state overwrite allocates
+//     nothing. Key bytes belong to the tree: Put, Insert and Delete only
+//     borrow the caller's key (it is copied, into an immutable string, if and
+//     when the call creates the row), every row and gap lock on a key the
+//     tree holds — a scanned row, a gap, an insert's successor, and the row
+//     of a point read or write, through the handle of note [8] above — is
+//     named by that string rather than by a fresh copy, and a Scan callback
+//     is shown a read-only view of it. Value slices are the opposite:
+//     retained as given, and not to be modified after the call.
 //   - Declared read-only transactions (ssidb.BeginReadOnly, RunReadOnly,
 //     TxnOptions) ride the same registry: a transaction that never writes
 //     can never be the outgoing side of a dangerous structure, so the core

@@ -226,10 +226,18 @@ func (t *Tree) InsertWillSplit(key []byte) bool {
 // GetOrInsert returns the value stored for key; if absent it stores val under
 // a copy of key and returns it with loaded=false.
 func (t *Tree) GetOrInsert(key []byte, val any) (actual any, loaded bool) {
-	if _, v, ok := t.Lookup(key); ok {
-		return v, true
+	_, actual, loaded = t.LookupOrInsert(key, val)
+	return actual, loaded
+}
+
+// LookupOrInsert is GetOrInsert also returning the tree's own copy of key, as
+// Lookup does — the copy this call made, if it inserted.
+func (t *Tree) LookupOrInsert(key []byte, val any) (stored string, actual any, loaded bool) {
+	if stored, v, ok := t.Lookup(key); ok {
+		return stored, v, true
 	}
-	if sep, right := t.insertInto(t.root, key, val, true); right != nil {
+	stored = string(key)
+	if sep, right := t.insertInto(t.root, stored, val, true); right != nil {
 		newRoot := t.newNode(false)
 		newRoot.slots = append(newRoot.slots, slot{key: sep})
 		newRoot.children = append(newRoot.children, t.root, right)
@@ -237,17 +245,17 @@ func (t *Tree) GetOrInsert(key []byte, val any) (actual any, loaded bool) {
 	}
 	t.size++
 	t.mods++
-	return val, false
+	return stored, val, false
 }
 
-// insertInto adds key (which must be absent) below n, copying it at the leaf.
-// edge says that n is the rightmost page of its level. If n had to split, it
-// returns the new right sibling and the separator between the two.
-func (t *Tree) insertInto(n *node, key []byte, val any, edge bool) (sep string, right *node) {
+// insertInto adds key (which must be absent, and is the tree's to keep) below
+// n. edge says that n is the rightmost page of its level. If n had to split,
+// it returns the new right sibling and the separator between the two.
+func (t *Tree) insertInto(n *node, key string, val any, edge bool) (sep string, right *node) {
 	var at int // where the page gained a slot
 	if n.leaf() {
 		at, _ = search(n.slots, key)
-		n.slots = insertAt(n.slots, at, slot{key: string(key), val: val})
+		n.slots = insertAt(n.slots, at, slot{key: key, val: val})
 	} else {
 		ci := childIndex(n.slots, key)
 		childSep, childRight := t.insertInto(n.children[ci], key, val, edge && ci == len(n.children)-1)

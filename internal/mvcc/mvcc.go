@@ -22,15 +22,44 @@
 // stored in place, with the older versions linked behind it. The B+tree slot
 // points at the chain and the slot's key string is the only copy of the key
 // (the tree copies a key once, when it is first inserted, and every key this
-// package hands out — ScanItem.Key, Successor, StoredKey — is that string;
+// package hands out — ScanItem.Key, Successor, Row.Key — is that string;
 // value slices, by contrast, are retained as given). A first insert therefore
 // allocates the chain and nothing else; a superseding write copies the old
-// head out to a fresh Version and overwrites the head in place, still one
-// 48-byte allocation; Rollback and the vacuum do the reverse. All of it
-// happens under the partition latch, and the invariant that makes overwriting
-// in place safe is that no *Version — least of all the head's address —
-// outlives the latch hold that obtained it: reads copy Data and Creator out
-// into their ReadResult and keep no pointer into the chain.
+// head out to a Version and overwrites the head in place; Rollback and the
+// vacuum do the reverse. All of it happens under the partition latch, and the
+// invariant that makes overwriting in place safe is that no *Version — least
+// of all the head's address — outlives the latch hold that obtained it: reads
+// copy Data and Creator out into their ReadResult and keep no pointer into
+// the chain.
+//
+// Locate hands out a Row: the slot's key string, the chain and the partition,
+// found by one descent. A Row is an address, not a reading — it says where
+// the row's state is, nothing about what it was — and it stays valid for the
+// life of the table, because neither thing it names ever changes identity: no
+// key ever leaves a tree (the trees are insert-only, deletes are tombstone
+// versions), and a slot's chain is installed once, by the structural insert's
+// LookupOrInsert(key, &chain{}), and never replaced — a page split moves slots
+// (the key string and the chain pointer in them) between pages, not chains.
+// That is the whole safety argument for operating through a Row with no
+// further descent: every such operation takes the partition latch and reads
+// or writes the chain's state as it then is, exactly as the by-key operation
+// would after walking to the same chain. It is what lets the engine name a
+// row's lock by Row.Key (the paper's prototypes lock the record the descent
+// found, not a copy of the search key), check First-Committer-Wins, install
+// and undo a write with one descent between them.
+//
+// Superseded versions are recycled. A version the vacuum cuts off a chain, or
+// one a Rollback moves back into the head, is unreachable from the moment it
+// is unlinked — the chain was the only thing pointing at it, and by the
+// invariant above nobody holds a *Version across latch holds — so it goes,
+// zeroed (it must pin neither its data nor its creator's cell), onto its
+// partition's free list, and the next superseding write of that partition
+// copies the old head into it instead of allocating. The list is guarded by
+// the partition latch held exclusively, which every one of those three
+// already holds, so it needs no pool and no atomics; it is bounded by the
+// table's vacuum threshold (what one sweep's worth of writes can use before
+// the next sweep refills it), and anything beyond that is left to the
+// collector.
 //
 // # Partitioned store
 //
@@ -114,26 +143,47 @@ func (c *chain) first() *Version {
 }
 
 // push makes a version by w the head. The previous head, if any, is copied out
-// behind it, which is the one allocation of a superseding write.
-func (c *chain) push(w *core.Cell, data []byte, tombstone bool) {
+// behind it — into a version off sh's free list if it has one, which is what
+// keeps a steady-state overwrite from allocating. Caller holds sh.mu
+// exclusively.
+func (c *chain) push(sh *shard, w *core.Cell, data []byte, tombstone bool) {
 	var older *Version
 	if c.Creator != nil {
-		old := c.Version
-		old.queued = false
-		older = &old
+		older = sh.free
+		if older != nil {
+			sh.free, sh.nfree = older.Older, sh.nfree-1
+		} else {
+			older = new(Version)
+		}
+		*older = c.Version
+		older.queued = false
 	}
 	c.Version = Version{Data: data, Creator: w, Older: older, Tombstone: tombstone, queued: c.queued}
 }
 
-// pop undoes push: the next older version moves back into the head.
-func (c *chain) pop() {
+// pop undoes push: the next older version moves back into the head, and the
+// object it was copied out to is recycled. Caller holds sh.mu exclusively.
+func (c *chain) pop(sh *shard) {
 	queued := c.queued
-	if c.Older != nil {
-		c.Version = *c.Older
+	if older := c.Older; older != nil {
+		c.Version = *older
+		sh.recycle(older)
 	} else {
 		c.Version = Version{}
 	}
 	c.queued = queued
+}
+
+// recycle puts v, which nothing references any more, on the free list — zeroed,
+// so that it pins neither its data nor its creator's cell — unless the list is
+// full, in which case v is left to the collector. Caller holds sh.mu
+// exclusively.
+func (sh *shard) recycle(v *Version) {
+	if sh.nfree >= sh.tb.vacuumEvery {
+		return
+	}
+	*v = Version{Older: sh.free}
+	sh.free, sh.nfree = v, sh.nfree+1
 }
 
 // ReadResult reports the outcome of a snapshot read of one key.
@@ -191,9 +241,17 @@ type Config struct {
 // shard is one partition: an independently latched B+tree of version chains
 // plus its page write-stamp registry and vacuum bookkeeping.
 type shard struct {
+	tb     *Table
 	mu     sync.RWMutex
 	tree   *btree.Tree
 	stamps *PageStamps
+
+	// free is the partition's list of recycled versions, linked through Older
+	// and otherwise zero; nfree is its length, at most the table's
+	// vacuumEvery. Filled by pruneChain and pop, drained by push, all under mu
+	// held exclusively (see "Rows" in the package comment).
+	free  *Version
+	nfree int64
 
 	// dead estimates the partition's superseded (eventually reclaimable)
 	// versions since the last vacuum; crossing sweepGate triggers an async
@@ -281,6 +339,7 @@ func NewTable(name string, cfg Config) *Table {
 			limit = 0 // single tree: the whole page-number space, as before
 		}
 		sh := &shard{
+			tb:     tb,
 			tree:   btree.NewWithPageBase(cfg.PageMaxKeys, base, limit),
 			stamps: NewPageStamps(cfg.Horizon),
 		}
@@ -364,8 +423,53 @@ func visible(v *Version, t *core.Txn, snap core.TS) bool {
 	return v.Creator.Txn() == t
 }
 
-// Read performs a snapshot read of key for t at snapshot snap, also
-// reporting the creators of any newer versions for conflict marking.
+// Row is the address of a row that exists: the tree's own key string, the
+// chain and the partition, as Locate found them. It is valid for the life of
+// the table, however the tree splits and whatever is written in between (see
+// "Rows" in the package comment), and says nothing about the row's state:
+// every method takes the partition latch and works on the chain as it then is.
+// The zero Row addresses nothing: it has no use but IsZero and NewestCommitTS.
+type Row struct {
+	key string
+	c   *chain
+	sh  *shard
+}
+
+// Locate finds the row of key, if key has any version chain at all (live,
+// dead or uncommitted) — which is also what decides whether a write must
+// follow the insert protocol. One descent, under the partition's read latch.
+func (tb *Table) Locate(key []byte) (Row, bool) {
+	sh := tb.shardOf(key)
+	sh.mu.RLock()
+	stored, v, ok := sh.tree.Lookup(key)
+	sh.mu.RUnlock()
+	if !ok {
+		return Row{}, false
+	}
+	return Row{key: stored, c: v.(*chain), sh: sh}, true
+}
+
+// IsZero reports whether r is the zero Row, which Locate returns for a key
+// that has no row.
+func (r Row) IsZero() bool { return r.c == nil }
+
+// Key returns the store's own copy of the row's key, which the caller may
+// keep (to name the row's lock by, say).
+func (r Row) Key() string { return r.key }
+
+// Read performs a snapshot read of the row for t at snapshot snap, also
+// reporting the creators of any newer versions for conflict marking. Reading
+// at the largest timestamp is the locking read of S2PL and of SELECT FOR
+// UPDATE-style reads (thesis §4.4): the newest committed version, or t's own
+// uncommitted one — under a held lock no other uncommitted version can exist.
+func (r Row) Read(t *core.Txn, snap core.TS) ReadResult {
+	r.sh.mu.RLock()
+	defer r.sh.mu.RUnlock()
+	return readChain(r.c, t, snap)
+}
+
+// Read is Locate and Row.Read in one latch hold; a key without a row reads as
+// absent.
 func (tb *Table) Read(t *core.Txn, snap core.TS, key []byte) ReadResult {
 	sh := tb.shardOf(key)
 	sh.mu.RLock()
@@ -397,41 +501,17 @@ func readChain(c *chain, t *core.Txn, snap core.TS) ReadResult {
 	return res
 }
 
-// ReadLatest returns the newest committed version of key (or t's own
-// uncommitted version), ignoring snapshots. This is the locking-read
-// semantics used by S2PL and by SELECT FOR UPDATE-style reads (thesis §4.4):
-// under a held lock no other uncommitted version can exist.
-func (tb *Table) ReadLatest(t *core.Txn, key []byte) (val []byte, found bool, creator *core.Cell) {
-	sh := tb.shardOf(key)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	cv, ok := sh.tree.Get(key)
-	if !ok {
-		return nil, false, nil
-	}
-	for v := cv.(*chain).first(); v != nil; v = v.Older {
-		if v.Creator.CommitTS() != 0 || v.Creator.Txn() == t {
-			if v.Tombstone {
-				return nil, false, v.Creator
-			}
-			return v.Data, true, v.Creator
-		}
-	}
-	return nil, false, nil
-}
-
-// NewestCommitTS returns the commit timestamp of the newest committed
-// version of key, or 0 if none. It implements the First-Committer-Wins
-// check: a writer whose snapshot predates this timestamp must abort.
-func (tb *Table) NewestCommitTS(key []byte) core.TS {
-	sh := tb.shardOf(key)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	cv, ok := sh.tree.Get(key)
-	if !ok {
+// NewestCommitTS returns the commit timestamp of the row's newest committed
+// version, or 0 if none — or no row: r may be zero. It implements the
+// First-Committer-Wins check: a writer whose snapshot predates this timestamp
+// must abort.
+func (r Row) NewestCommitTS() core.TS {
+	if r.c == nil {
 		return 0
 	}
-	for v := cv.(*chain).first(); v != nil; v = v.Older {
+	r.sh.mu.RLock()
+	defer r.sh.mu.RUnlock()
+	for v := r.c.first(); v != nil; v = v.Older {
 		if ct := v.Creator.CommitTS(); ct != 0 {
 			return ct
 		}
@@ -439,24 +519,35 @@ func (tb *Table) NewestCommitTS(key []byte) core.TS {
 	return 0
 }
 
-// StoredKey reports whether key has any version chain at all (live, dead or
-// uncommitted) — what decides whether a write must follow the insert protocol
-// — and, if so, returns the store's own copy of it, which the caller may keep
-// (to name the row's lock by, say) where key itself is only borrowed.
-func (tb *Table) StoredKey(key []byte) (stored string, ok bool) {
-	sh := tb.shardOf(key)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	stored, _, ok = sh.tree.Lookup(key)
-	return stored, ok
-}
-
-// Write installs a new uncommitted version of key created by t. tombstone
+// Write installs a new uncommitted version of the row created by t. tombstone
 // marks a delete. The caller must hold the appropriate exclusive lock and
 // have already applied the First-Committer-Wins check. A second write by the
-// same transaction replaces its own pending version in place. key is only
-// borrowed (a structural insert copies it into the tree); data is retained and
-// must not be modified afterwards.
+// same transaction replaces its own pending version in place. data is retained
+// and must not be modified afterwards.
+func (r Row) Write(t *core.Txn, data []byte, tombstone bool) {
+	w := t.Cell() // t's first write allocates it, on t's own goroutine
+	r.sh.mu.Lock()
+	r.sh.tb.writeChainLocked(r.sh, r.c, w, data, tombstone)
+	r.sh.mu.Unlock()
+}
+
+// Rollback removes t's pending version of the row, restoring the chain to its
+// pre-transaction state. Called for each row t wrote when it aborts; a row
+// written twice is undone by the first call.
+func (r Row) Rollback(t *core.Txn) {
+	r.sh.mu.Lock()
+	defer r.sh.mu.Unlock()
+	if c := r.c; c.Creator != nil && c.Creator.Txn() == t {
+		if c.Older != nil {
+			r.sh.dead.Add(-1) // the superseded version writeChainLocked counted is live again
+		}
+		c.pop(r.sh)
+	}
+}
+
+// Write is Locate and Row.Write for a key that may have no row yet: an absent
+// key is inserted, and the row returned either way. key is only borrowed (a
+// structural insert copies it into the tree).
 //
 // Writes to existing keys touch only the key's partition latch. A structural
 // insert with an onInsert callback takes every partition latch exclusively:
@@ -466,22 +557,21 @@ func (tb *Table) StoredKey(key []byte) (stored string, ok bool) {
 // atomically with the structure change — an atomicity that spans partitions
 // because the successor may live in any of them. Write reports whether a
 // structural insert happened.
-func (tb *Table) Write(t *core.Txn, key []byte, data []byte, tombstone bool, onInsert func(succ string, hasSucc bool)) (inserted bool) {
+func (tb *Table) Write(t *core.Txn, key []byte, data []byte, tombstone bool, onInsert func(succ string, hasSucc bool)) (row Row, inserted bool) {
 	w := t.Cell() // t's first write allocates it, on t's own goroutine
 	sh := tb.shardOf(key)
 	sh.mu.Lock()
-	if cv, ok := sh.tree.Get(key); ok {
-		tb.writeChainLocked(sh, cv.(*chain), w, data, tombstone)
+	stored, v, ok := sh.tree.Lookup(key)
+	if ok || onInsert == nil {
+		if !ok {
+			// No gap protocol to run (page-granularity and lock-free
+			// modes): the insert is local to this partition.
+			stored, v, _ = sh.tree.LookupOrInsert(key, &chain{})
+		}
+		row = Row{key: stored, c: v.(*chain), sh: sh}
+		tb.writeChainLocked(sh, row.c, w, data, tombstone)
 		sh.mu.Unlock()
-		return false
-	}
-	if onInsert == nil {
-		// No gap protocol to run (page-granularity and lock-free modes):
-		// the insert is local to this partition.
-		cv, _ := sh.tree.GetOrInsert(key, &chain{})
-		tb.writeChainLocked(sh, cv.(*chain), w, data, tombstone)
-		sh.mu.Unlock()
-		return true
+		return row, !ok
 	}
 	sh.mu.Unlock()
 
@@ -491,16 +581,16 @@ func (tb *Table) Write(t *core.Txn, key []byte, data []byte, tombstone bool, onI
 	// other structural insert is in flight).
 	tb.lockAll()
 	defer tb.unlockAll()
-	if cv, ok := sh.tree.Get(key); ok {
-		// Lost a race for the key between the latches. Cannot happen under
-		// the engine's exclusive row lock, but stay correct without it.
-		tb.writeChainLocked(sh, cv.(*chain), w, data, tombstone)
-		return false
+	stored, v, ok = sh.tree.Lookup(key)
+	if !ok {
+		// (Losing a race for the key between the latches cannot happen under
+		// the engine's exclusive row lock, but stay correct without it.)
+		onInsert(tb.successorAllLocked(key))
+		stored, v, _ = sh.tree.LookupOrInsert(key, &chain{})
 	}
-	onInsert(tb.successorAllLocked(key))
-	cv, _ := sh.tree.GetOrInsert(key, &chain{})
-	tb.writeChainLocked(sh, cv.(*chain), w, data, tombstone)
-	return true
+	row = Row{key: stored, c: v.(*chain), sh: sh}
+	tb.writeChainLocked(sh, row.c, w, data, tombstone)
+	return row, !ok
 }
 
 // writeChainLocked pushes (or replaces in place) the pending version of the
@@ -514,7 +604,7 @@ func (tb *Table) writeChainLocked(sh *shard, c *chain, w *core.Cell, data []byte
 		return
 	}
 	superseding := c.Creator != nil
-	c.push(w, data, tombstone)
+	c.push(sh, w, data, tombstone)
 	if superseding {
 		tb.queueDirtyLocked(sh, c)
 		tb.noteDead(sh, 1)
@@ -574,21 +664,6 @@ func (tb *Table) SetSplitHook(fn func(oldPage, newPage uint32)) {
 	tb.lockAll()
 	tb.onSplit = fn
 	tb.unlockAll()
-}
-
-// Rollback removes t's pending version of key, restoring the chain to its
-// pre-transaction state. Called for each written key when t aborts.
-func (tb *Table) Rollback(t *core.Txn, key []byte) {
-	sh := tb.shardOf(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	cv, ok := sh.tree.Get(key)
-	if !ok {
-		return
-	}
-	if c := cv.(*chain); c.Creator != nil && c.Creator.Txn() == t {
-		c.pop()
-	}
 }
 
 // ScanItem is one key visited by Scan. Key is the store's own copy of the key
@@ -1018,7 +1093,7 @@ func (tb *Table) vacuumShard(sh *shard) (versions, stampWriters int) {
 	// a pinned watermark leaves behind is revisited by the next sweep
 	// without rescanning the partition, exactly once per sweep.
 	sweep := func(c *chain) {
-		pruned, left := pruneChain(c, h)
+		pruned, left := pruneChain(sh, c, h)
 		versions += pruned
 		residual += int64(left)
 		keys++
@@ -1092,16 +1167,20 @@ func (tb *Table) vacuumShard(sh *shard) (versions, stampWriters int) {
 }
 
 // pruneChain cuts everything older than the newest version committed before
-// horizon, returning how many versions were cut and how many remain beyond
-// the chain head (the chain's residual: versions some active snapshot may
-// still need, or uncommitted work — either way, potential future garbage
-// that keeps the chain dirty).
-func pruneChain(c *chain, horizon core.TS) (pruned, residual int) {
+// horizon — onto sh's free list, see recycle — returning how many versions
+// were cut and how many remain beyond the chain head (the chain's residual:
+// versions some active snapshot may still need, or uncommitted work — either
+// way, potential future garbage that keeps the chain dirty). Caller holds
+// sh.mu exclusively.
+func pruneChain(sh *shard, c *chain, horizon core.TS) (pruned, residual int) {
 	for v := c.first(); v != nil; v = v.Older {
 		if ct := v.Creator.CommitTS(); ct != 0 && ct < horizon {
 			// v is the newest pre-horizon committed version: every older
 			// version is unreachable by any current or future snapshot.
-			for o := v.Older; o != nil; o = o.Older {
+			for o := v.Older; o != nil; {
+				next := o.Older
+				sh.recycle(o)
+				o = next
 				pruned++
 			}
 			v.Older = nil

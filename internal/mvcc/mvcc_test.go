@@ -45,6 +45,16 @@ func (f *fixture) put(t *testing.T, key, val string) core.TS {
 	return f.commit(t, txn)
 }
 
+// row is Locate for a key the test knows to have a row.
+func (f *fixture) row(t *testing.T, key string) Row {
+	t.Helper()
+	r, ok := f.tb.Locate([]byte(key))
+	if !ok {
+		t.Fatalf("no row for %q", key)
+	}
+	return r
+}
+
 func TestSnapshotVisibility(t *testing.T) {
 	f := newFixture()
 	f.put(t, "x", "v1")
@@ -141,8 +151,8 @@ func TestRollbackRestoresChain(t *testing.T) {
 	f.m.AssignSnapshot(w)
 	f.tb.Write(w, []byte("x"), []byte("bad"), false, nil)
 	f.tb.Write(w, []byte("y"), []byte("new"), false, nil)
-	f.tb.Rollback(w, []byte("x"))
-	f.tb.Rollback(w, []byte("y"))
+	f.row(t, "x").Rollback(w)
+	f.row(t, "y").Rollback(w)
 	f.m.Abort(w)
 
 	r := f.m.Begin(core.SnapshotIsolation)
@@ -164,9 +174,9 @@ func TestSecondWriteSameTxnCollapses(t *testing.T) {
 	f.m.AssignSnapshot(w)
 	f.tb.Write(w, []byte("x"), []byte("a"), false, nil)
 	f.tb.Write(w, []byte("x"), []byte("b"), false, nil)
-	f.tb.Rollback(w, []byte("x")) // one rollback must remove everything
+	f.row(t, "x").Rollback(w) // one rollback must remove everything
 	f.m.Abort(w)
-	if f.tb.NewestCommitTS([]byte("x")) != 0 {
+	if f.row(t, "x").NewestCommitTS() != 0 {
 		t.Fatal("chain not empty after rollback of double write")
 	}
 }
@@ -174,18 +184,18 @@ func TestSecondWriteSameTxnCollapses(t *testing.T) {
 func TestNewestCommitTSForFCW(t *testing.T) {
 	f := newFixture()
 	ct1 := f.put(t, "x", "v1")
-	if got := f.tb.NewestCommitTS([]byte("x")); got != ct1 {
+	if got := f.row(t, "x").NewestCommitTS(); got != ct1 {
 		t.Fatalf("NewestCommitTS = %d, want %d", got, ct1)
 	}
 	// An uncommitted head does not change the committed watermark.
 	w := f.m.Begin(core.SnapshotIsolation)
 	f.m.AssignSnapshot(w)
 	f.tb.Write(w, []byte("x"), []byte("pending"), false, nil)
-	if got := f.tb.NewestCommitTS([]byte("x")); got != ct1 {
+	if got := f.row(t, "x").NewestCommitTS(); got != ct1 {
 		t.Fatalf("NewestCommitTS with pending head = %d, want %d", got, ct1)
 	}
 	ct2 := f.commit(t, w)
-	if got := f.tb.NewestCommitTS([]byte("x")); got != ct2 {
+	if got := f.row(t, "x").NewestCommitTS(); got != ct2 {
 		t.Fatalf("NewestCommitTS = %d, want %d", got, ct2)
 	}
 }
@@ -193,13 +203,25 @@ func TestNewestCommitTSForFCW(t *testing.T) {
 func TestReadLatest(t *testing.T) {
 	f := newFixture()
 	f.put(t, "x", "v1")
+	// A locking read is a read at the largest timestamp: the newest committed
+	// version whatever the reader's snapshot, its own pending one, and never
+	// another transaction's.
+	const latest = ^core.TS(0)
 	reader := f.m.Begin(core.S2PL)
-	v, ok, creator := f.tb.ReadLatest(reader, []byte("x"))
-	if !ok || string(v) != "v1" || creator == nil {
-		t.Fatalf("ReadLatest = %q %v", v, ok)
+	res := f.row(t, "x").Read(reader, latest)
+	if !res.Found || string(res.Value) != "v1" || res.VisibleCreator == nil {
+		t.Fatalf("locking read = %q %v", res.Value, res.Found)
 	}
-	if _, ok, _ := f.tb.ReadLatest(reader, []byte("missing")); ok {
-		t.Fatal("ReadLatest found missing key")
+	if f.tb.Read(reader, latest, []byte("missing")).Found {
+		t.Fatal("locking read found missing key")
+	}
+	w := f.m.Begin(core.S2PL)
+	f.tb.Write(w, []byte("x"), []byte("pending"), false, nil)
+	if res := f.row(t, "x").Read(reader, latest); string(res.Value) != "v1" || len(res.NewerWriters) != 1 {
+		t.Fatalf("locking read beside a pending write = %q, %d newer writers", res.Value, len(res.NewerWriters))
+	}
+	if res := f.row(t, "x").Read(w, latest); string(res.Value) != "pending" {
+		t.Fatalf("the writer's own locking read = %q", res.Value)
 	}
 }
 
@@ -383,7 +405,9 @@ func TestPartitionedStoreRaceStress(t *testing.T) {
 						m.Finish(txn, false)
 					}
 				} else {
-					tb.Rollback(txn, key)
+					if row, ok := tb.Locate(key); ok {
+						row.Rollback(txn)
+					}
 					m.Abort(txn)
 				}
 			}
@@ -883,7 +907,7 @@ func TestFoldedHead(t *testing.T) {
 	w := f.m.Begin(core.SnapshotIsolation)
 	f.m.AssignSnapshot(w)
 	f.tb.Write(w, key, []byte("lost"), false, nil)
-	f.tb.Rollback(w, key)
+	f.row(t, "x").Rollback(w)
 	f.m.Abort(w)
 	open("absent")
 	check("first insert rolled back", "[]")
@@ -901,7 +925,7 @@ func TestFoldedHead(t *testing.T) {
 		t.Errorf("the writer reads %q back, want its own pending version", res.Value)
 	}
 	check("superseding write pending", "")
-	f.tb.Rollback(w, key)
+	f.row(t, "x").Rollback(w)
 	f.m.Abort(w)
 	check("superseding write rolled back", v1)
 

@@ -1,0 +1,498 @@
+package mvcc
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math/rand"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"weak"
+
+	"ssi/internal/core"
+	"ssi/internal/raceflag"
+)
+
+// freeLists returns the total length of tb's free lists, failing the test if a
+// partition's list is longer than the table's bound, its counter disagrees
+// with the list, or a listed version is not zero apart from its link.
+func freeLists(t *testing.T, tb *Table) int {
+	t.Helper()
+	total := 0
+	for i, sh := range tb.shards {
+		sh.mu.Lock()
+		n := 0
+		for v := sh.free; v != nil; v = v.Older {
+			if v.Data != nil || v.Creator != nil || v.Tombstone || v.queued {
+				t.Errorf("partition %d: free version %d still holds %+v", i, n, *v)
+			}
+			n++
+		}
+		if int64(n) != sh.nfree || sh.nfree > tb.vacuumEvery {
+			t.Errorf("partition %d: free list of %d, counted %d, bound %d", i, n, sh.nfree, tb.vacuumEvery)
+		}
+		sh.mu.Unlock()
+		total += n
+	}
+	return total
+}
+
+// commitWrite writes key=val in a transaction of its own and commits it.
+func commitWrite(t *testing.T, m *core.Manager, tb *Table, key, val []byte) (*core.Txn, core.TS) {
+	t.Helper()
+	w := m.Begin(core.SnapshotIsolation)
+	m.AssignSnapshot(w)
+	tb.Write(w, key, val, false, nil)
+	ct, err := m.CommitPrepare(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Finish(w, false)
+	return w, ct
+}
+
+// TestAbortedOverwritesLeaveNoDead: a rolled-back overwrite supersedes
+// nothing, so it must not count towards the vacuum trigger — it used to, and
+// a workload that aborts a tenth of its overwrites scheduled sweeps that found
+// nothing.
+func TestAbortedOverwritesLeaveNoDead(t *testing.T) {
+	f := newFixture()
+	f.put(t, "x", "v1")
+	runs := f.tb.Stats().VacuumRuns
+	for i := 0; i < 5000; i++ {
+		w := f.m.Begin(core.SnapshotIsolation)
+		f.m.AssignSnapshot(w)
+		row, inserted := f.tb.Write(w, []byte("x"), []byte("lost"), false, nil)
+		if inserted {
+			t.Fatal("overwrite reported as an insert")
+		}
+		row.Rollback(w)
+		f.m.Abort(w)
+	}
+	st := f.tb.Stats()
+	for i, sh := range st.Shards {
+		if sh.DeadVersions != 0 {
+			t.Errorf("partition %d counts %d dead versions after 5000 aborted overwrites, want 0", i, sh.DeadVersions)
+		}
+	}
+	if st.VacuumRuns != runs {
+		t.Errorf("%d vacuum sweeps ran for garbage that does not exist", st.VacuumRuns-runs)
+	}
+	if n := f.chainLen("x"); n != 1 {
+		t.Errorf("chain holds %d versions, want the committed one", n)
+	}
+	// Every undo recycled the version its write had copied the head out to.
+	if n := freeLists(t, f.tb); n != 1 {
+		t.Errorf("%d versions on the free lists, want the one each overwrite reused", n)
+	}
+}
+
+// TestVersionRecycleAllocBudget: in the steady state a superseding write
+// builds its copy of the old head from a version the vacuum cut off some other
+// chain of the partition, so overwriting allocates (next to) nothing, and the
+// free lists stay within the vacuum threshold.
+func TestVersionRecycleAllocBudget(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	const rows, perTxn = 1024, 256
+	m := core.NewManager(core.DetectorPrecise)
+	tb := NewTable("t", Config{Shards: 4, Horizon: m.OldestActiveSnapshot})
+	keys := make([][]byte, rows)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("k%05d", i))
+	}
+	val := []byte("v")
+	next := 0
+	overwrite := func(writes int) {
+		for done := 0; done < writes; done += perTxn {
+			w := m.Begin(core.SnapshotIsolation)
+			m.AssignSnapshot(w)
+			for i := 0; i < perTxn; i++ {
+				tb.Write(w, keys[next%rows], val, false, nil)
+				next++
+				// A sweep the write triggered runs now, as it would on a
+				// second processor; nothing else in this loop yields to it.
+				runtime.Gosched()
+			}
+			if _, err := m.CommitPrepare(w); err != nil {
+				t.Fatal(err)
+			}
+			m.Finish(w, false)
+			freeLists(t, tb)
+		}
+	}
+	overwrite(rows + 20_000) // the load, then enough sweeps to fill the lists
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const writes = 100_000
+	overwrite(writes)
+	runtime.ReadMemStats(&after)
+	// What is left is the transactions' own records (4 per 256 writes), the
+	// sweeps' goroutines and the few writes that outrun a sweep.
+	perWrite := float64(after.Mallocs-before.Mallocs) / writes
+	t.Logf("%.4f allocations per overwrite, %d sweeps, %d versions on the free lists", perWrite, tb.Stats().VacuumRuns, freeLists(t, tb))
+	if perWrite > 0.05 {
+		t.Errorf("%.4f allocations per overwrite in the steady state, want ≤ 0.05", perWrite)
+	}
+	if tb.Stats().VersionsPruned < writes/2 {
+		t.Errorf("only %d versions pruned over %d overwrites: the horizon did not advance", tb.Stats().VersionsPruned, writes)
+	}
+}
+
+// TestRecycledVersionPinsNothing: a version on a free list is zero. The value
+// it held and its creator's cell die with the sweep that cut it, although the
+// Version object itself lives on.
+func TestRecycledVersionPinsNothing(t *testing.T) {
+	m := core.NewManager(core.DetectorPrecise)
+	tb := NewTable("t", Config{Shards: 1, Horizon: m.OldestActiveSnapshot})
+	key := []byte("x")
+	old := make([]byte, 64)
+	data := weak.Make(&old[0])
+	w, _ := commitWrite(t, m, tb, key, old)
+	cell := weak.Make(w.Cell())
+	old, w = nil, nil
+	commitWrite(t, m, tb, key, []byte("new"))
+	runtime.GC()
+	runtime.GC()
+	if data.Value() == nil || cell.Value() == nil {
+		t.Fatal("a superseded version no sweep has cut lost its data or its creator")
+	}
+	if st := tb.Vacuum(); st.VersionsPruned != 1 {
+		t.Fatalf("sweep pruned %d versions, want 1", st.VersionsPruned)
+	}
+	runtime.GC()
+	runtime.GC()
+	if n := freeLists(t, tb); n != 1 {
+		t.Fatalf("%d versions on the free list, want the pruned one", n)
+	}
+	if data.Value() != nil {
+		t.Error("the recycled version's data is still reachable")
+	}
+	if cell.Value() != nil {
+		t.Error("the recycled version's creator cell is still reachable")
+	}
+	runtime.KeepAlive(tb)
+}
+
+// recycleValue is what the writer of transaction id stores under key, so a
+// reader can tell a version whose data and creator do not belong together.
+func recycleValue(key string, id uint64) []byte {
+	return binary.BigEndian.AppendUint64([]byte(key), id)
+}
+
+// TestRecycledVersionNeverVisible: with a sweep after every superseding write,
+// versions go round through the free lists as fast as they can, while readers
+// hold snapshots of every age. Every read must return the version its snapshot
+// selects — checked afterwards against the full commit history — with the data
+// its creator wrote; and while one snapshot pins the horizon, every version it
+// could need stays on its chain, so the writes allocate instead of recycling.
+func TestRecycledVersionNeverVisible(t *testing.T) {
+	const nkeys, writers, readers = 8, 4, 4
+	perWriter := 4000
+	if raceflag.Enabled {
+		perWriter = 1000
+	}
+	m := core.NewManager(core.DetectorPrecise)
+	tb := NewTable("t", Config{Shards: 2, VacuumEvery: 1, Horizon: m.OldestActiveSnapshot})
+	keys := make([]string, nkeys)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("hot%d", i)
+	}
+	// history[k] is key k's committed versions in commit order; each key has
+	// one writer, which appends after its commit.
+	type committed struct {
+		ct core.TS
+		id uint64
+	}
+	var histMu sync.Mutex
+	history := make([][]committed, nkeys)
+	write := func(k int) {
+		w := m.Begin(core.SnapshotIsolation)
+		m.AssignSnapshot(w)
+		tb.Write(w, []byte(keys[k]), recycleValue(keys[k], w.ID()), false, nil)
+		ct, err := m.CommitPrepare(w)
+		if err != nil {
+			t.Error(err)
+		}
+		m.Finish(w, false)
+		histMu.Lock()
+		history[k] = append(history[k], committed{ct, w.ID()})
+		histMu.Unlock()
+		// Writers, readers and sweeps take turns operation by operation on
+		// one processor too, where a goroutine would otherwise run for a whole
+		// time slice against snapshots held by descheduled readers.
+		runtime.Gosched()
+	}
+	for k := range keys {
+		write(k)
+	}
+
+	// A reader checks what it can at once — the version is older than its
+	// snapshot, carries its creator's data and does not change while the
+	// snapshot is held — and logs the rest for the end.
+	type observation struct {
+		k    int
+		snap core.TS
+		ct   core.TS
+	}
+	var obsMu sync.Mutex
+	var observed []observation
+	read := func(r *core.Txn, snap core.TS, k int, seen map[int]core.TS) {
+		defer runtime.Gosched()
+		res := tb.Read(r, snap, []byte(keys[k]))
+		if !res.Found {
+			t.Errorf("snapshot %d finds no version of %s", snap, keys[k])
+			return
+		}
+		ct := res.VisibleCreator.CommitTS()
+		if ct == 0 || ct >= snap {
+			t.Errorf("snapshot %d reads a version of %s committed at %d", snap, keys[k], ct)
+		}
+		if want := recycleValue(keys[k], res.VisibleCreator.ID()); string(res.Value) != string(want) {
+			t.Errorf("snapshot %d reads %q of %s beside creator %d, whose value is %q", snap, res.Value, keys[k], res.VisibleCreator.ID(), want)
+		}
+		if prev, ok := seen[k]; ok && prev != ct {
+			t.Errorf("snapshot %d read the version of %s committed at %d, now the one at %d", snap, keys[k], prev, ct)
+		}
+		if _, ok := seen[k]; !ok {
+			seen[k] = ct
+			obsMu.Lock()
+			observed = append(observed, observation{k, snap, ct})
+			obsMu.Unlock()
+		}
+	}
+
+	// run overwrites every key perWriter times over, readers holding snapshots
+	// of staggered ages beside the writers, and one more re-reading the oldest
+	// snapshot around, if there is one.
+	run := func(pinned *core.Txn, pinnedSnap core.TS, pinnedSeen map[int]core.TS) {
+		var stop atomic.Bool
+		var wg, rg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < perWriter; i++ {
+					write(w*nkeys/writers + i%(nkeys/writers))
+				}
+			}()
+		}
+		for g := 0; g < readers; g++ {
+			rg.Add(1)
+			go func() {
+				defer rg.Done()
+				rnd := rand.New(rand.NewSource(int64(g)))
+				for !stop.Load() {
+					// Reader g holds each of its snapshots for 4^g reads.
+					r := m.Begin(core.SnapshotIsolation)
+					snap := m.AssignSnapshot(r)
+					seen := map[int]core.TS{}
+					for i := 0; i < 1<<(2*g) && !stop.Load(); i++ {
+						read(r, snap, rnd.Intn(nkeys), seen)
+					}
+					m.Abort(r)
+				}
+			}()
+		}
+		if pinned != nil {
+			rg.Add(1)
+			go func() {
+				defer rg.Done()
+				for k := 0; !stop.Load(); k = (k + 1) % nkeys {
+					read(pinned, pinnedSnap, k, pinnedSeen)
+				}
+			}()
+		}
+		wg.Wait()
+		stop.Store(true)
+		rg.Wait()
+	}
+	chained := func() (total int) {
+		for k := range keys {
+			total += f2chainLen(t, tb, keys[k])
+		}
+		return total
+	}
+
+	// With no snapshot older than the readers' own, the horizon follows the
+	// writers and versions are cut, recycled and reused all the time.
+	pruned := tb.Stats().VersionsPruned
+	run(nil, 0, nil)
+	t.Logf("%d versions pruned beside %d overwrites", tb.Stats().VersionsPruned-pruned, writers*perWriter)
+	if got := tb.Stats().VersionsPruned - pruned; got < uint64(writers*perWriter/2) {
+		t.Errorf("%d versions pruned beside %d overwrites: the readers saw little recycling", got, writers*perWriter)
+	}
+
+	// A snapshot held across the next run — far more than vacuumEvery
+	// overwrites of every key — pins the horizon: nothing written since can
+	// be cut, so every overwrite is still on its chain afterwards and the free
+	// lists got nothing beyond what the sweep at the start found.
+	pinned := m.Begin(core.SnapshotIsolation)
+	pinnedSnap := m.AssignSnapshot(pinned)
+	pinnedSeen := map[int]core.TS{}
+	tb.Vacuum()
+	base, recycled := chained(), freeLists(t, tb)
+	run(pinned, pinnedSnap, pinnedSeen)
+	tb.Vacuum()
+	if got, want := chained(), base+writers*perWriter; got != want {
+		t.Errorf("chains hold %d versions under a pinned horizon, want all %d", got, want)
+	}
+	if n := freeLists(t, tb); n > recycled {
+		t.Errorf("%d versions on the free lists under a pinned horizon, %d before it", n, recycled)
+	}
+	if len(pinnedSeen) != nkeys {
+		t.Errorf("the pinned snapshot read %d of %d keys", len(pinnedSeen), nkeys)
+	}
+	m.Abort(pinned)
+
+	// Every logged read was the newest version committed before its snapshot.
+	for _, o := range observed {
+		var want core.TS
+		for _, c := range history[o.k] {
+			if c.ct < o.snap {
+				want = c.ct
+			}
+		}
+		if o.ct != want {
+			t.Errorf("snapshot %d read the version of %s committed at %d, its snapshot selects the one at %d", o.snap, keys[o.k], o.ct, want)
+		}
+	}
+
+	// With the horizon released the backlog is cut and recycled, and the next
+	// writes take it from there.
+	if st := tb.Vacuum(); st.VersionsPruned == 0 {
+		t.Error("nothing pruned once the pinned snapshot was gone")
+	}
+	if n := freeLists(t, tb); n == 0 {
+		t.Error("nothing recycled once the pinned snapshot was gone")
+	}
+}
+
+// TestRowHandleAcrossSplits: a Row stays the address of its row through every
+// kind of page split around it, under concurrent scans: reading, writing,
+// undoing and the First-Committer-Wins probe through a handle taken before the
+// splits answer what the by-key operations answer after them.
+func TestRowHandleAcrossSplits(t *testing.T) {
+	const n = 10_000
+	key := func(i int) []byte { return []byte(fmt.Sprintf("k%06d", i)) }
+	ascending := make([]int, n)
+	for i := range ascending {
+		ascending[i] = i
+	}
+	descending := slices.Clone(ascending)
+	slices.Reverse(descending)
+	orders := map[string][]int{
+		"ascending":  ascending,
+		"descending": descending,
+		"shuffled":   rand.New(rand.NewSource(1)).Perm(n),
+	}
+	for name, order := range orders {
+		for _, shards := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/shards=%d", name, shards), func(t *testing.T) {
+				m := core.NewManager(core.DetectorPrecise)
+				tb := NewTable("t", Config{PageMaxKeys: 4, Shards: shards, Horizon: m.OldestActiveSnapshot})
+				// The rows the handles name go in first, spread over the key
+				// space: the first and last keys and some in between.
+				held := []int{0, 1, n / 3, n / 2, n - 2, n - 1}
+				rows := make([]Row, len(held))
+				cts := make([]core.TS, len(held))
+				isHeld := map[int]bool{}
+				for i, h := range held {
+					_, cts[i] = commitWrite(t, m, tb, key(h), key(h))
+					isHeld[h] = true
+					var ok bool
+					if rows[i], ok = tb.Locate(key(h)); !ok {
+						t.Fatalf("no row for %s straight after its insert", key(h))
+					}
+				}
+				pages := tb.PageCount()
+
+				var stop atomic.Bool
+				var wg sync.WaitGroup
+				for g := 0; g < 2; g++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						for !stop.Load() {
+							r := m.Begin(core.SnapshotIsolation)
+							snap := m.AssignSnapshot(r)
+							prev := ""
+							tb.Scan(r, snap, nil, func(it ScanItem) bool {
+								if it.Key <= prev {
+									t.Errorf("scan out of order: %q after %q", it.Key, prev)
+								}
+								prev = it.Key
+								return true
+							})
+							m.Abort(r)
+						}
+					}()
+				}
+				for _, i := range order {
+					if !isHeld[i] {
+						commitWrite(t, m, tb, key(i), key(i))
+					}
+				}
+				stop.Store(true)
+				wg.Wait()
+				if tb.Len() != n || tb.PageCount() < pages+n/8 {
+					t.Fatalf("%d keys on %d pages (%d before): the load did not split around the held rows", tb.Len(), tb.PageCount(), pages)
+				}
+
+				r := m.Begin(core.SnapshotIsolation)
+				snap := m.AssignSnapshot(r)
+				defer m.Abort(r)
+				for i, row := range rows {
+					k := key(held[i])
+					again, ok := tb.Locate(k)
+					if !ok || again != row {
+						t.Errorf("%s: Locate after the splits returns %+v, the handle from before them is %+v", k, again, row)
+					}
+					if row.Key() != string(k) {
+						t.Errorf("handle of %s names %q", k, row.Key())
+					}
+					if got, want := row.Read(r, snap), tb.Read(r, snap, k); !got.Found || string(got.Value) != string(k) || got.VisibleCreator != want.VisibleCreator {
+						t.Errorf("%s: read through the handle %q (found %v), by key %q", k, got.Value, got.Found, want.Value)
+					}
+					if got := row.NewestCommitTS(); got != cts[i] {
+						t.Errorf("%s: NewestCommitTS through the handle %d, committed at %d", k, got, cts[i])
+					}
+
+					// A write through the handle is the write the by-key read sees;
+					// undone through the handle, it is gone by key as well.
+					w := m.Begin(core.SnapshotIsolation)
+					wsnap := m.AssignSnapshot(w)
+					row.Write(w, []byte("pending"), false)
+					if got := tb.Read(w, wsnap, k); string(got.Value) != "pending" {
+						t.Errorf("%s: by-key read of the writer sees %q after a write through the handle", k, got.Value)
+					}
+					if got := tb.Read(r, snap, k); string(got.Value) != string(k) || len(got.NewerWriters) != 1 {
+						t.Errorf("%s: by-key snapshot read beside the pending write: %q, %d newer writers", k, got.Value, len(got.NewerWriters))
+					}
+					row.Rollback(w)
+					m.Abort(w)
+					if got := tb.Read(r, snap, k); string(got.Value) != string(k) || len(got.NewerWriters) != 0 {
+						t.Errorf("%s: by-key read after the undo through the handle: %q, %d newer writers", k, got.Value, len(got.NewerWriters))
+					}
+
+					// And a committed one moves the First-Committer-Wins stamp by
+					// key's row, whichever way it is asked.
+					w = m.Begin(core.SnapshotIsolation)
+					m.AssignSnapshot(w)
+					row.Write(w, []byte("v2"), false)
+					ct, err := m.CommitPrepare(w)
+					if err != nil {
+						t.Fatal(err)
+					}
+					m.Finish(w, false)
+					if got := again.NewestCommitTS(); got != ct || row.NewestCommitTS() != ct {
+						t.Errorf("%s: NewestCommitTS %d after a commit at %d through the handle", k, got, ct)
+					}
+				}
+			})
+		}
+	}
+}

@@ -6,6 +6,7 @@
 package ssi_test
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -21,9 +22,10 @@ import (
 // regression that starts allocating per Get or per scanned key is visible.
 // A one-Get transaction costs 2 allocs / 144 B at plain SI and on a safe
 // read-only snapshot — the 96 B transaction record and the 48 B handle; a
-// transaction that writes nothing has no creator cell — and 5 allocs / 188 B
-// read-write at SerializableSI, which adds the lock owner state, the lock key
-// and the cleanup list that later releases its SIREAD.
+// transaction that writes nothing has no creator cell — and 4 allocs / 184 B
+// read-write at SerializableSI, which adds the lock owner state and the
+// cleanup list that later releases its SIREAD; the lock itself is named by the
+// row's own key string.
 func BenchmarkGetAlloc(b *testing.B) {
 	for _, c := range []struct {
 		name string
@@ -196,19 +198,20 @@ func TestScanAllocBudget(t *testing.T) {
 
 // TestTxnAllocBudget asserts what a steady-state point transaction may
 // allocate: the records that have to outlive it and nothing it needs only
-// while it runs. The body is the repository benchmark's kv-uniform
-// transaction — 4 Gets and 2 Puts on existing rows through RunRetry — over
-// prebuilt keys. At SerializableSI that is the transaction record (96 B), the
-// creator cell its versions point at (24 B, allocated at the first write),
-// the handle, the lock owner state, one version per write and one key string
-// per read lock (11 allocations: a point read has found no row whose key it
-// could borrow, an update names its lock by the store's own); at plain SI the
-// reads lock nothing, and — as for every committed writer — the record is
-// retired through the suspended list, whose sweep hands back an 8 B cleanup
-// list (7 allocations). The write set, the rival buffer and the lock-table
-// entries are recycled, so the second half of the test holds each further
-// write to its version: one 48-byte object, the old head copied out from
-// under the new one.
+// while it runs, nor anything the store already owns. The body is the
+// repository benchmark's kv-uniform transaction — 4 Gets and 2 Puts on
+// existing rows through RunRetry — over prebuilt keys. That is the transaction
+// record (96 B), the creator cell its versions point at (24 B, allocated at
+// the first write), the handle, the lock owner state and the 8 B cleanup list
+// the suspended-list sweep hands back when it retires the record: 5
+// allocations, 208 B, at SerializableSI and at plain SI alike (whose reads
+// lock nothing, but whose writes still do). No operation on an existing row
+// adds to that: every lock is named by the store's own key string, through the
+// row handle the operation's one descent returned; the version a write
+// supersedes is copied out into one the vacuum recycled; the write set, the
+// rival buffer and the lock-table entries are recycled too. The second half
+// of the test holds each further Put, Get, GetForUpdate and refused Insert to
+// that.
 func TestTxnAllocBudget(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("sync.Pool drops items at random under -race; the budgets assume it does not")
@@ -219,20 +222,34 @@ func TestTxnAllocBudget(t *testing.T) {
 		keys[i] = kvmix.Key(i * 2) // existing rows: the load holds 10 000
 	}
 	val := []byte("w")
+	// shape is what one transaction does, in this order.
+	type shape struct{ gets, puts, locked, refused int }
 	// txn returns a transaction of the given shape; every call works on the
 	// next keys of the prebuilt set, so its locks meet no entry of its own.
-	txn := func(t *testing.T, db *ssidb.DB, iso ssidb.Isolation, reads, writes int) func() {
+	txn := func(t *testing.T, db *ssidb.DB, iso ssidb.Isolation, sh shape) func() {
 		next := 0
 		key := func() []byte { next++; return keys[next%nkeys] }
 		body := func(tx *ssidb.Txn) error {
-			for i := 0; i < reads; i++ {
+			for i := 0; i < sh.gets; i++ {
 				if _, _, err := tx.Get(kvmix.Table, key()); err != nil {
 					return err
 				}
 			}
-			for i := 0; i < writes; i++ {
+			for i := 0; i < sh.puts; i++ {
 				if err := tx.Put(kvmix.Table, key(), val); err != nil {
 					return err
+				}
+			}
+			for i := 0; i < sh.locked; i++ {
+				if _, found, err := tx.GetForUpdate(kvmix.Table, key()); err != nil || !found {
+					return fmt.Errorf("GetForUpdate of an existing row: found %v, %v", found, err)
+				}
+			}
+			// An Insert on an existing key is refused and leaves the
+			// transaction usable: the operations after it, and the commit, run.
+			for i := 0; i < sh.refused; i++ {
+				if err := tx.Insert(kvmix.Table, key(), val); !errors.Is(err, ssidb.ErrKeyExists) {
+					return fmt.Errorf("Insert on an existing key = %v, want ErrKeyExists", err)
 				}
 			}
 			return nil
@@ -241,51 +258,60 @@ func TestTxnAllocBudget(t *testing.T) {
 			if err := db.RunRetry(iso, body); err != nil {
 				t.Fatal(err)
 			}
+			// Let a vacuum sweep the commit may have triggered run: on one
+			// processor nothing else in this loop yields to it, and the
+			// versions it recycles are what the next writes are built from.
+			runtime.Gosched()
 		}
 	}
-	for _, c := range []struct {
-		name   string
-		iso    ssidb.Isolation
-		allocs float64
-		bytes  float64
-	}{
-		{name: "SSI", iso: ssidb.SerializableSI, allocs: 12, bytes: 360},  // measured 11.0 and 320
-		{name: "SI", iso: ssidb.SnapshotIsolation, allocs: 8, bytes: 340}, // measured 7.0 and 304
-	} {
+	for _, iso := range []ssidb.Isolation{ssidb.SerializableSI, ssidb.SnapshotIsolation} {
 		for _, tshards := range []int{1, 8} {
-			t.Run(fmt.Sprintf("%s/tshards=%d", c.name, tshards), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%v/tshards=%d", iso, tshards), func(t *testing.T) {
 				db := ssidb.Open(ssidb.Options{Detector: ssidb.DetectorPrecise, TableShards: tshards, LockShards: 8})
 				if err := kvmix.Load(db, kvmix.DefaultConfig()); err != nil {
 					t.Fatal(err)
 				}
-				run := txn(t, db, c.iso, 4, 2)
-				for i := 0; i < 100; i++ { // warm the pools
-					run()
-				}
-				allocs, bytes := allocsPerCall(run)
-				t.Logf("4 Gets + 2 Puts: %.1f allocs/op, %.0f B/op", allocs, bytes)
-				if allocs > c.allocs || bytes > c.bytes {
-					t.Errorf("4 Gets + 2 Puts: %.1f allocs/op, %.0f B/op, budget %.0f and %.0f", allocs, bytes, c.allocs, c.bytes)
-				}
-
-				// Warm the pools, and the store's dirty lists with them: a
-				// partition's list of superseded chains is swapped with a spare
-				// at every vacuum sweep (one per 1 024 superseding writes), and
-				// both grow by appending until they fit what accumulates
-				// between two sweeps.
-				one, ten := txn(t, db, c.iso, 0, 1), txn(t, db, c.iso, 0, 10)
+				// Warm the pools, and the store with them: a partition's list of
+				// superseded chains is swapped with a spare at every vacuum sweep
+				// (one per 1 024 superseding writes), both growing by appending
+				// until they fit what accumulates between two sweeps, and the
+				// sweeps are what fill the free lists the writes then draw their
+				// versions from.
+				base := txn(t, db, iso, shape{puts: 1})
+				mixed, ten := txn(t, db, iso, shape{gets: 4, puts: 2}), txn(t, db, iso, shape{puts: 10})
 				for i := 0; i < 1000; i++ {
-					one()
+					mixed()
 					ten()
 				}
-				a1, b1 := allocsPerCall(one)
-				a10, b10 := allocsPerCall(ten)
-				t.Logf("1 Put: %.1f allocs/op, %.0f B/op; 10 Puts: %.1f allocs/op, %.0f B/op", a1, b1, a10, b10)
-				// Measured: exactly 1 alloc and 48 B, where a write set grown by
-				// appending, with a key string per record and per lock, cost 3.8
-				// and 240 B.
-				if perWrite, perWriteBytes := (a10-a1)/9, (b10-b1)/9; perWrite > 1.1 || perWriteBytes > 56 {
-					t.Errorf("each further write costs %.2f allocs and %.0f B, want its version only (1, ≤ 56 B)", perWrite, perWriteBytes)
+				allocs, bytes := allocsPerCall(mixed)
+				t.Logf("4 Gets + 2 Puts: %.1f allocs/op, %.0f B/op", allocs, bytes)
+				if allocs > 6 || bytes > 232 { // measured 5.0 and 208
+					t.Errorf("4 Gets + 2 Puts: %.1f allocs/op, %.0f B/op, budget 6 and 232", allocs, bytes)
+				}
+
+				a1, b1 := allocsPerCall(base)
+				for _, c := range []struct {
+					what  string
+					extra shape // ten of the operation beside base's Put
+					bytes float64
+				}{
+					// The byte allowance is for the writes that find their
+					// partition's free list empty, between two sweeps.
+					{"write", shape{puts: 11}, 8},
+					{"Get of an existing row", shape{gets: 10, puts: 1}, 0},
+					{"GetForUpdate of an existing row", shape{puts: 1, locked: 10}, 0},
+					{"Insert refused with ErrKeyExists", shape{puts: 1, refused: 10}, 0},
+				} {
+					run := txn(t, db, iso, c.extra)
+					for i := 0; i < 100; i++ {
+						run()
+					}
+					a, b := allocsPerCall(run)
+					perOp, perOpBytes := (a-a1)/10, (b-b1)/10
+					t.Logf("each further %s: %.2f allocs, %.1f B", c.what, perOp, perOpBytes)
+					if perOp > 0.1 || perOpBytes > c.bytes {
+						t.Errorf("each further %s costs %.2f allocs and %.1f B, want ≤ 0.1 and ≤ %.0f B", c.what, perOp, perOpBytes, c.bytes)
+					}
 				}
 			})
 		}

@@ -45,7 +45,7 @@ func newPageTargets(db *DB) *pageTargets {
 	return &pageTargets{db: db}
 }
 
-func (*pageTargets) lockRead(tx *Txn, tb *table, key []byte, mode lock.Mode, snap core.TS) error {
+func (*pageTargets) lockRead(tx *Txn, tb *table, key []byte, _ mvcc.Row, mode lock.Mode, snap core.TS) error {
 	_, leaf, err := lockPagePath(tx, tb, key, mode, mode, false)
 	if err != nil || mode != lock.SIRead {
 		return err
@@ -53,7 +53,7 @@ func (*pageTargets) lockRead(tx *Txn, tb *table, key []byte, mode lock.Mode, sna
 	return tx.markAsReader(tb.data.PageNewerWriters(leaf, snap))
 }
 
-func (*pageTargets) lockWrite(tx *Txn, tb *table, key []byte, _ string, structural bool) ([]*core.Txn, core.TS, error) {
+func (*pageTargets) lockWrite(tx *Txn, tb *table, key []byte, _ mvcc.Row, structural bool) ([]*core.Txn, core.TS, error) {
 	readers, leaf, err := lockPagePath(tx, tb, key, tx.readMode(), lock.Exclusive, structural)
 	if err != nil {
 		return nil, 0, err
@@ -61,10 +61,14 @@ func (*pageTargets) lockWrite(tx *Txn, tb *table, key []byte, _ string, structur
 	return readers, tb.data.PageNewestCommitTS(leaf), nil
 }
 
-func (*pageTargets) install(tx *Txn, tb *table, key, val []byte, tombstone bool) error {
-	tb.data.Write(tx.t, key, val, tombstone, nil)
+func (*pageTargets) install(tx *Txn, tb *table, key []byte, row mvcc.Row, val []byte, tombstone bool) (mvcc.Row, error) {
+	if row.IsZero() {
+		row, _ = tb.data.Write(tx.t, key, val, tombstone, nil)
+	} else {
+		row.Write(tx.t, val, tombstone)
+	}
 	tb.data.AddPageWriter(tb.data.LeafPage(key), tx.t)
-	return nil
+	return row, nil
 }
 
 // lockPagePath plans and acquires the page locks along key's root-to-leaf

@@ -12,10 +12,10 @@ import (
 // versions of the key written, and the newer writers a read must mark are
 // the creators of the newer versions of the keys it read.
 //
-// A lock names its row or gap by the store's own key string wherever a
-// descent has already found that key — every scanned row, every gap (a gap is
-// named by the key that ends it, which exists), the row of an update — so
-// only point reads and locks on absent keys copy key bytes.
+// A lock names its row or gap by the store's own key string wherever a descent
+// has found that key: every scanned row, every gap (named by the key that ends
+// it, which exists), and a point operation's row, through the handle of its one
+// Locate. Only locks on absent keys copy key bytes (rowKeyFor).
 type rowTargets struct{}
 
 func rowKeyOf(tb *table, stored string) lock.Key {
@@ -26,8 +26,15 @@ func gapKeyOf(tb *table, stored string) lock.Key {
 	return lock.Key{Table: tb.name, Kind: lock.Gap, K: stored}
 }
 
-func (rowTargets) lockRead(tx *Txn, tb *table, key []byte, mode lock.Mode, _ core.TS) error {
-	rivals, err := tx.db.locks.AcquireInto(tx.t, lock.RowKey(tb.name, key), mode, emptied(tx.s.rivals))
+func rowKeyFor(tb *table, key []byte, row mvcc.Row) lock.Key {
+	if row.IsZero() {
+		return lock.RowKey(tb.name, key)
+	}
+	return rowKeyOf(tb, row.Key())
+}
+
+func (rowTargets) lockRead(tx *Txn, tb *table, key []byte, row mvcc.Row, mode lock.Mode, _ core.TS) error {
+	rivals, err := tx.db.locks.AcquireInto(tx.t, rowKeyFor(tb, key, row), mode, emptied(tx.s.rivals))
 	tx.s.rivals = rivals
 	if err != nil {
 		return err
@@ -35,7 +42,7 @@ func (rowTargets) lockRead(tx *Txn, tb *table, key []byte, mode lock.Mode, _ cor
 	return tx.markAsReader(rivals)
 }
 
-func (rowTargets) lockWrite(tx *Txn, tb *table, key []byte, stored string, structural bool) ([]*core.Txn, core.TS, error) {
+func (rowTargets) lockWrite(tx *Txn, tb *table, key []byte, row mvcc.Row, structural bool) ([]*core.Txn, core.TS, error) {
 	if structural && tx.readMode() != noLock {
 		// Figure 3.7: inserts and deletes exclusively lock the gap before
 		// the next key, where predicate readers left their SIREAD (marked)
@@ -45,23 +52,28 @@ func (rowTargets) lockWrite(tx *Txn, tb *table, key []byte, stored string, struc
 			return nil, 0, err
 		}
 	}
-	if stored == "" {
-		stored = string(key) // an absent row (or the empty key, which costs no copy)
-	}
-	readers, err := tx.db.locks.AcquireInto(tx.t, rowKeyOf(tb, stored), lock.Exclusive, emptied(tx.s.rivals))
+	readers, err := tx.db.locks.AcquireInto(tx.t, rowKeyFor(tb, key, row), lock.Exclusive, emptied(tx.s.rivals))
 	tx.s.rivals = readers
 	if err != nil {
 		return nil, 0, err
 	}
-	return readers, tb.data.NewestCommitTS(key), nil
+	if row.IsZero() {
+		// Look again: the row may have been inserted, and committed, by now.
+		row, _ = tb.data.Locate(key)
+	}
+	return readers, row.NewestCommitTS(), nil
 }
 
-func (rowTargets) install(tx *Txn, tb *table, key, val []byte, tombstone bool) error {
+func (rowTargets) install(tx *Txn, tb *table, key []byte, row mvcc.Row, val []byte, tombstone bool) (mvcc.Row, error) {
+	if !row.IsZero() {
+		row.Write(tx.t, val, tombstone)
+		return row, nil
+	}
 	// On a structural insert, SIREAD gap locks covering the target gap are
 	// inherited onto the new key's gap under the table latch, atomically
 	// with the key becoming visible — otherwise a second insert into the
 	// now-split gap would escape the scanners' phantom detection.
-	inserted := tb.data.Write(tx.t, key, val, tombstone, func(succ string, hasSucc bool) {
+	row, inserted := tb.data.Write(tx.t, key, val, tombstone, func(succ string, hasSucc bool) {
 		src := lock.SupremumGapKey(tb.name)
 		if hasSucc {
 			src = gapKeyOf(tb, succ)
@@ -72,9 +84,9 @@ func (rowTargets) install(tx *Txn, tb *table, key, val []byte, tombstone bool) e
 		// Re-acquire the gap now that the key is visible: the successor may
 		// have changed between planning and insertion, and inherited SIREAD
 		// holders on the true gap must be marked as conflicts.
-		return tx.gapLock(tb, key)
+		return row, tx.gapLock(tb, key)
 	}
-	return nil
+	return row, nil
 }
 
 // gapLock implements the next-key gap protocol of Figures 3.6/3.7 for the

@@ -288,6 +288,16 @@ type table struct {
 // atomic load with no reader-count cache-line bounce.
 type tableMap = map[string]*table
 
+// read reads key at snap through row, the handle a Locate before the
+// operation's lock found — or by key if it found none, since the row may have
+// been inserted by the time the lock was granted.
+func (tb *table) read(t *core.Txn, snap core.TS, key []byte, row mvcc.Row) mvcc.ReadResult {
+	if row.IsZero() {
+		return tb.data.Read(t, snap, key)
+	}
+	return row.Read(t, snap)
+}
+
 // DB is an embedded multiversion database. All methods are safe for
 // concurrent use.
 type DB struct {

@@ -57,11 +57,9 @@ type Txn struct {
 // keeps no transaction record and no table reachable; the byte buffers are
 // merely truncated.
 type txnScratch struct {
-	// writes is the write set in statement order, for rollback. Record i's
-	// key is keys[writes[i-1].end:writes[i].end]: the keys are copied once
-	// into one arena instead of one string each.
-	writes []writeRec
-	keys   []byte
+	// writes is the write set in statement order, for rollback: the handles
+	// of the rows written, so undoing a write descends no tree.
+	writes []mvcc.Row
 
 	// rivals is the buffer lock.AcquireInto appends conflicting holders
 	// into on the point paths (lockRead, lockWrite, gapLock, lockPagePath),
@@ -76,11 +74,6 @@ type txnScratch struct {
 	// Commit hands &commit to the WAL hook as CommitPrepareWith's argument;
 	// nothing keeps the pointer once that call returns.
 	commit commitState
-}
-
-type writeRec struct {
-	tb  *table
-	end int // end of the key in txnScratch.keys; it starts where the previous record's ends
 }
 
 var txnScratchPool = sync.Pool{New: func() any { return new(txnScratch) }}
@@ -98,7 +91,6 @@ func (tx *Txn) finish() {
 	tx.s = nil
 	*s = txnScratch{
 		writes: emptied(s.writes),
-		keys:   s.keys[:0],
 		rivals: emptied(s.rivals),
 		commit: commitState{redo: s.commit.redo[:0]},
 	}
@@ -176,13 +168,8 @@ func (tx *Txn) cleanupAbort() {
 	if tx.done {
 		return
 	}
-	writes, keys := tx.s.writes, tx.s.keys
-	for i := len(writes) - 1; i >= 0; i-- {
-		start := 0
-		if i > 0 {
-			start = writes[i-1].end
-		}
-		writes[i].tb.data.Rollback(tx.t, keys[start:writes[i].end])
+	for i := len(tx.s.writes) - 1; i >= 0; i-- {
+		tx.s.writes[i].Rollback(tx.t)
 	}
 	tx.finish()
 	cleaned := tx.db.mgr.Abort(tx.t)
@@ -395,19 +382,18 @@ func (tx *Txn) readStamp(snap core.TS) core.TS {
 // (deferred snapshot).
 type lockTargets interface {
 	// lockRead acquires mode (SIRead or Shared) on the targets of a point
-	// read of key.
-	lockRead(tx *Txn, tb *table, key []byte, mode lock.Mode, snap core.TS) error
-	// lockWrite acquires the exclusive lock(s) for writing key; structural
-	// marks a write that may create or remove the key (insert, delete,
-	// upsert of an absent key), which also covers its gap or a page split.
-	// stored is the store's own copy of key where the caller has already
-	// looked the row up (a lock can be named by it without copying key), ""
-	// otherwise. It returns the SIREAD holders found and the newest commit
+	// read of key; row is what the caller's Locate of key found (zero: no row).
+	lockRead(tx *Txn, tb *table, key []byte, row mvcc.Row, mode lock.Mode, snap core.TS) error
+	// lockWrite acquires the exclusive lock(s) for writing key (row as
+	// above); structural marks a write that may create or remove the key
+	// (insert, delete, upsert of an absent key), which also covers its gap or
+	// a page split. It returns the SIREAD holders found and the newest commit
 	// timestamp of the First-Committer-Wins unit holding key.
-	lockWrite(tx *Txn, tb *table, key []byte, stored string, structural bool) (readers []*core.Txn, newest core.TS, err error)
-	// install writes the new version and finishes the lock protocol around
-	// the structure change it may have caused.
-	install(tx *Txn, tb *table, key, val []byte, tombstone bool) error
+	lockWrite(tx *Txn, tb *table, key []byte, row mvcc.Row, structural bool) (readers []*core.Txn, newest core.TS, err error)
+	// install writes the new version, through row or (zero) by key, and
+	// finishes the lock protocol around the structure change it may have
+	// caused. It returns the row written, error or not, for the write set.
+	install(tx *Txn, tb *table, key []byte, row mvcc.Row, val []byte, tombstone bool) (mvcc.Row, error)
 	// lockScanStart acquires mode on whatever a scan from `from` reads
 	// before reaching its first key.
 	lockScanStart(tx *Txn, sc *scanCtx, tb *table, from []byte, mode lock.Mode, snap core.TS) error
@@ -440,15 +426,18 @@ func (tx *Txn) Get(tableName string, key []byte) (val []byte, found bool, err er
 	tb := tx.db.table(tableName)
 	snap := tx.readPoint()
 	mode := tx.readLockMode()
+	var row mvcc.Row // stays zero for a lock-free read, which reads by key
 	if mode != noLock {
-		// Figure 3.4 lines 2-4: lock, marking concurrent exclusive holders.
-		if err := tx.db.targets.lockRead(tx, tb, key, mode, snap); err != nil {
+		// Figure 3.4 lines 2-4: lock, marking concurrent exclusive holders,
+		// and only then read: Locate names the lock and reads no row state.
+		row, _ = tb.data.Locate(key)
+		if err := tx.db.targets.lockRead(tx, tb, key, row, mode, snap); err != nil {
 			return nil, false, tx.fail(err)
 		}
 	} else if tx.roSafe {
 		tx.db.roSIReadSkips.Add(1)
 	}
-	res := tb.data.Read(tx.t, snap, key)
+	res := tb.read(tx.t, snap, key, row)
 	if mode == lock.SIRead {
 		// Figure 3.4 lines 8-9: the creators of newer versions.
 		if err := tx.markAsReader(res.NewerWriters); err != nil {
@@ -491,13 +480,14 @@ func (tx *Txn) GetForUpdate(tableName string, key []byte) (val []byte, found boo
 		return nil, false, err
 	}
 	tb := tx.db.table(tableName)
-	if _, err := tx.writeLockAndCheck(tb, key, "", false); err != nil {
+	row, _ := tb.data.Locate(key)
+	if _, err := tx.writeLockAndCheck(tb, key, row, false); err != nil {
 		return nil, false, err
 	}
 	readTS := tx.db.mgr.Now()
-	v, ok, creator := tb.data.ReadLatest(tx.t, key)
-	recRead(tx, tb, key, creator, readTS)
-	return v, ok, nil
+	res := tb.read(tx.t, latest, key, row)
+	recRead(tx, tb, key, res.VisibleCreator, readTS)
+	return res.Value, res.Found, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -544,20 +534,18 @@ func (tx *Txn) write(tableName string, key, val []byte, tombstone, mustNotExist 
 		return err
 	}
 	tb := tx.db.table(tableName)
-	stored, exists := tb.data.StoredKey(key)
+	row, exists := tb.data.Locate(key)
 	structural := tombstone || mustNotExist || !exists
-	snap, err := tx.writeLockAndCheck(tb, key, stored, structural)
+	snap, err := tx.writeLockAndCheck(tb, key, row, structural)
 	if err != nil {
 		return err
 	}
-	if mustNotExist && tb.data.Read(tx.t, snap, key).Found {
+	if mustNotExist && tb.read(tx.t, snap, key, row).Found {
 		return ErrKeyExists
 	}
-	// Recorded before the install so that a failure inside it still rolls
-	// the version back (rolling back a key never written is a no-op).
-	tx.s.keys = append(tx.s.keys, key...)
-	tx.s.writes = append(tx.s.writes, writeRec{tb: tb, end: len(tx.s.keys)})
-	if err := tx.db.targets.install(tx, tb, key, val, tombstone); err != nil {
+	row, err = tx.db.targets.install(tx, tb, key, row, val, tombstone)
+	tx.s.writes = append(tx.s.writes, row) // first, so that a failed install is rolled back too
+	if err != nil {
 		return tx.fail(err)
 	}
 	if tx.db.log != nil {
@@ -573,8 +561,8 @@ func (tx *Txn) write(tableName string, key, val []byte, tombstone, mustNotExist 
 // the snapshot afterwards (deferred snapshot), marks rw-conflicts with the
 // concurrent SIREAD holders found (Figure 3.5), and applies the
 // First-Committer-Wins check. On failure the transaction is aborted.
-func (tx *Txn) writeLockAndCheck(tb *table, key []byte, stored string, structural bool) (core.TS, error) {
-	readers, newest, err := tx.db.targets.lockWrite(tx, tb, key, stored, structural)
+func (tx *Txn) writeLockAndCheck(tb *table, key []byte, row mvcc.Row, structural bool) (core.TS, error) {
+	readers, newest, err := tx.db.targets.lockWrite(tx, tb, key, row, structural)
 	if err != nil {
 		return 0, tx.fail(err)
 	}

@@ -68,13 +68,13 @@ func TestPooledTxnScratchPinsNothing(t *testing.T) {
 					if cap(s.writes) == 0 {
 						continue
 					}
-					if cap(s.rivals) == 0 || cap(s.keys) == 0 || cap(s.commit.redo) == 0 {
-						t.Errorf("a logged write beside a SIREAD holder left buffers unused: rivals %d, keys %d, redo %d",
-							cap(s.rivals), cap(s.keys), cap(s.commit.redo))
+					if cap(s.rivals) == 0 || cap(s.commit.redo) == 0 {
+						t.Errorf("a logged write beside a SIREAD holder left buffers unused: rivals %d, redo %d",
+							cap(s.rivals), cap(s.commit.redo))
 					}
-					if len(s.writes)+len(s.keys)+len(s.rivals)+len(s.commit.redo) != 0 || s.commit.lsn != 0 || s.commit.err != nil {
-						t.Errorf("pooled scratch is not reset: %d writes, %d key bytes, %d rivals, commit state %+v",
-							len(s.writes), len(s.keys), len(s.rivals), s.commit)
+					if len(s.writes)+len(s.rivals)+len(s.commit.redo) != 0 || s.commit.lsn != 0 || s.commit.err != nil {
+						t.Errorf("pooled scratch is not reset: %d writes, %d rivals, commit state %+v",
+							len(s.writes), len(s.rivals), s.commit)
 					}
 					if i := firstNonZero(s.writes); i >= 0 {
 						t.Errorf("pooled write set still holds %+v at %d of %d", s.writes[:cap(s.writes)][i], i, cap(s.writes))
