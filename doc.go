@@ -177,12 +177,14 @@
 //   - internal/mvcc hash-partitions every table's row store into
 //     GOMAXPROCS-scaled partitions (ssidb.Options.TableShards; a single
 //     one by default under GranularityPage, see there), each an
-//     independently latched B+tree with its own page write-stamp registry
-//     and a disjoint page-number range, so point reads and writes on
-//     different partitions share no latch while page-granularity locking,
-//     split SIREAD inheritance and page-level First-Committer-Wins keep
-//     their per-tree semantics. Ordered scans are a k-way merge over the
-//     per-partition trees run as bounded lock-coupled rounds: each round
+//     independently latched B+tree with a disjoint page-number range, so
+//     point reads and writes on different partitions share no latch while a
+//     page number still names one page of the table. The store keeps rows
+//     only: page versions (the write stamps behind page-level
+//     First-Committer-Wins) and their split inheritance live in the page
+//     strategy (ssidb/locks_page.go), which takes the trees' page topology
+//     and a split hook from the store. Ordered scans are a k-way merge over
+//     the per-partition trees run as bounded lock-coupled rounds: each round
 //     takes every partition latch shared (ascending — the order structural
 //     inserts take them exclusively), emits up to a chunk of keys, installs
 //     the emitted keys' SIREAD/gap locks while still latched, then releases
@@ -192,12 +194,12 @@
 //     lands on a gap the scan already locked, and one ahead of it is
 //     emitted by the resumed merge itself (the invariant argument is on
 //     mvcc.Table.ScanWith). Version pruning is off the write path entirely:
-//     superseding writes queue their chains on a bounded per-partition
-//     dirty list, and vacuum sweeps against the OldestActiveSnapshot
-//     watermark (also reachable as ssidb.DB.Vacuum) visit exactly those
-//     chains — work proportional to garbage, with a chunked whole-partition
-//     walk only as the list-overflow fallback, and write-path re-arming
-//     once a pinned watermark advances. The table directory itself is an
+//     superseding writes queue their chains on a per-partition dirty list
+//     (each chain at most once, so it needs no bound), and vacuum sweeps
+//     against the OldestActiveSnapshot watermark (also reachable as
+//     ssidb.DB.Vacuum) visit exactly those chains — work proportional to
+//     garbage, one sweep path, and write-path re-arming once a pinned
+//     watermark advances. The table directory itself is an
 //     atomic copy-on-write map — resolving a table name costs one atomic
 //     load.
 //   - A stored row is two things (≈106 B for a 4-byte key and a 1-byte

@@ -1,12 +1,14 @@
 // Package mvcc implements the multiversion row store beneath the engine:
 // per-key version chains ordered newest-first, snapshot visibility checks,
-// tombstoned deletes, First-Committer-Wins support, and the page write-stamp
-// registry used by the Berkeley-DB-style page-granularity mode.
+// tombstoned deletes and First-Committer-Wins support. It keeps rows only: the
+// Berkeley-DB-style page-granularity mode versions pages, and keeps their
+// write stamps itself (ssidb's page strategy), taking nothing from here but
+// the trees' page topology and a split hook.
 //
 // Versions never carry an explicit commit timestamp, and never point at a
-// transaction record either: a version (and a page write stamp) points at its
-// creator's core.Cell — id, commit timestamp, and the record for as long as
-// some snapshot can still see the version as newer than its own. Visibility,
+// transaction record either: a version points at its creator's core.Cell —
+// id, commit timestamp, and the record for as long as some snapshot can
+// still see the version as newer than its own. Visibility,
 // First-Committer-Wins and pruning read the cell's commit timestamp, which
 // the core package publishes atomically at commit; conflict marking follows
 // the cell to the record, which core cuts loose when it retires the
@@ -64,14 +66,13 @@
 // # Partitioned store
 //
 // A Table is hash-partitioned into power-of-two shards, each an independent
-// latch + B+tree + page-stamp registry, so point reads and writes on
-// different partitions never touch the same latch (the storage-engine
-// scaling move the paper delegates to its hosts, and the one PostgreSQL's
-// SSI relies on — Ports & Grittner, VLDB 2012). Each partition's tree
-// allocates page numbers from a disjoint range, so page-granularity lock
-// keys and write stamps keep their meaning: split inheritance and page-level
-// First-Committer-Wins operate within a partition exactly as they did within
-// the single tree.
+// latch + B+tree, so point reads and writes on different partitions never
+// touch the same latch (the storage-engine scaling move the paper delegates
+// to its hosts, and the one PostgreSQL's SSI relies on — Ports & Grittner,
+// VLDB 2012). Each partition's tree allocates page numbers from a disjoint
+// range, so a page number names one page of the whole table: page-granularity
+// lock keys and write stamps keep their meaning, and the split hook
+// (SetSplitHook) runs under the latch of the partition that split.
 //
 // Ordered scans are a k-way merge over the per-partition trees, performed in
 // bounded lock-coupled rounds rather than under one table-long latch hold: a
@@ -87,13 +88,13 @@
 // SSI makes the same point, Ports & Grittner, VLDB 2012). The precise
 // invariant argument is on ScanWith.
 //
-// Version pruning is not done on the write path. A superseding write marks
-// its chain on the partition's bounded dirty list, and a vacuum sweep driven
-// by the transaction manager's OldestActiveSnapshot watermark visits exactly
-// the dirty chains (falling back to a chunked whole-partition walk only when
-// the list overflowed), cutting versions no snapshot can reach and expiring
-// the partition's page write stamps — work proportional to garbage, not to
-// partition width.
+// Version pruning is not done on the write path. A superseding write lists
+// its chain on the partition's dirty list, and a vacuum sweep driven by the
+// transaction manager's OldestActiveSnapshot watermark visits exactly the
+// listed chains, cutting versions no snapshot can reach — work proportional
+// to garbage, not to partition width. The list needs no bound: a chain is on
+// it at most once, so at 8 bytes an entry it never outgrows a sixth of the
+// 48-byte rows it lists, let alone the superseded versions they hold.
 package mvcc
 
 import (
@@ -120,10 +121,9 @@ type Version struct {
 	// 64-byte one. It is only ever set on a chain's head: true exactly while
 	// the chain sits on one dirty list — the shard's live list or a sweep's
 	// stolen work list (never both, never twice): queueDirtyLocked sets it as
-	// it appends, sweeps clear it as they take a chain off a list, and an
-	// overflow clears it for every dropped entry. The strict one-list
-	// invariant is what keeps sweep visit counts (and the dead estimate)
-	// proportional to real garbage.
+	// it appends, and sweeps clear it as they take a chain off a list. The
+	// strict one-list invariant is what keeps sweep visit counts (and the dead
+	// estimate) proportional to real garbage, and the list itself bounded.
 	queued bool
 }
 
@@ -230,8 +230,8 @@ type Config struct {
 	// Shards is the partition count, normalised by ShardCount.
 	Shards int
 	// Horizon returns the oldest snapshot any active transaction could read
-	// at (typically core.Manager.OldestActiveSnapshot); versions and page
-	// stamps superseded before it are reclaimable.
+	// at (typically core.Manager.OldestActiveSnapshot); versions superseded
+	// before it are reclaimable.
 	Horizon func() core.TS
 	// VacuumEvery overrides DefaultVacuumEvery (values <= 0 keep the
 	// default). Small values make vacuum eager; tests use 1.
@@ -239,12 +239,11 @@ type Config struct {
 }
 
 // shard is one partition: an independently latched B+tree of version chains
-// plus its page write-stamp registry and vacuum bookkeeping.
+// plus its vacuum bookkeeping.
 type shard struct {
-	tb     *Table
-	mu     sync.RWMutex
-	tree   *btree.Tree
-	stamps *PageStamps
+	tb   *Table
+	mu   sync.RWMutex
+	tree *btree.Tree
 
 	// free is the partition's list of recycled versions, linked through Older
 	// and otherwise zero; nfree is its length, at most the table's
@@ -254,21 +253,13 @@ type shard struct {
 	nfree int64
 
 	// dead estimates the partition's superseded (eventually reclaimable)
-	// versions since the last vacuum; crossing sweepGate triggers an async
-	// sweep. sweepGate is the table's vacuumEvery while sweeps run off the
-	// dirty list (proportional to garbage, so there is nothing to amortise)
-	// and rises to a quarter of the keys walked by a full overflow sweep, so
-	// a whole-partition walk always stands to reclaim a constant fraction of
-	// what it visits; the next proportional sweep resets it.
-	dead      atomic.Int64
-	sweepGate atomic.Int64
+	// versions since the last vacuum; reaching the table's vacuumEvery
+	// triggers an async sweep.
+	dead atomic.Int64
 	// dirty lists the chains holding superseded versions since the last
-	// sweep, bounded by the table's dirtyCap; overflow drops the list and
-	// sets dirtyOverflow, making the next sweep a full-partition walk (which
-	// rebuilds the list from what stays pinned). Guarded by mu.
-	dirty         []*chain
-	spare         []*chain // recycled backing array for dirty (guarded by mu)
-	dirtyOverflow bool
+	// sweep, each once (see Version.queued). Guarded by mu.
+	dirty []*chain
+	spare []*chain // recycled backing array for dirty (guarded by mu)
 	// sweepMu serialises sweeps of this partition (a synchronous Vacuum
 	// parks behind an in-flight async sweep instead of spinning);
 	// vacuuming additionally dedups the async triggers so noteDead never
@@ -296,8 +287,6 @@ type Table struct {
 	horizon func() core.TS
 
 	vacuumEvery int64
-	dirtyCap    int                           // per-partition dirty-list bound
-	onSplit     func(oldPage, newPage uint32) // engine hook, may be nil
 
 	// scanPool recycles merge state (iterator and heap slices) across scans
 	// of this table, so the merged path allocates nothing per scan.
@@ -305,7 +294,6 @@ type Table struct {
 
 	vacuumRuns      atomic.Uint64
 	versionsPruned  atomic.Uint64
-	stampsPruned    atomic.Uint64
 	vacuumKeyVisits atomic.Uint64
 }
 
@@ -328,33 +316,13 @@ func NewTable(name string, cfg Config) *Table {
 	if cfg.VacuumEvery > 0 {
 		tb.vacuumEvery = int64(cfg.VacuumEvery)
 	}
-	// The dirty list tracks a few sweeps' worth of garbage before falling
-	// back to a full walk; the clamp keeps tiny test thresholds from
-	// degenerating to always-full sweeps and huge ones from unbounded lists.
-	tb.dirtyCap = int(min(max(4*tb.vacuumEvery, 64), 65536))
 	for i := range tb.shards {
 		base := uint32(i) << pageShardShift
 		limit := base + 1<<pageShardShift
 		if n == 1 {
 			limit = 0 // single tree: the whole page-number space, as before
 		}
-		sh := &shard{
-			tb:     tb,
-			tree:   btree.NewWithPageBase(cfg.PageMaxKeys, base, limit),
-			stamps: NewPageStamps(cfg.Horizon),
-		}
-		sh.sweepGate.Store(tb.vacuumEvery)
-		sh.tree.OnSplit = func(oldPage, newPage uint32) {
-			// Page-stamp inheritance is intrinsic to the store: the moved
-			// rows' page-level First-Committer-Wins watermark must follow
-			// them whatever the engine mode. The engine's own hook (SIREAD
-			// inheritance) runs after it, still under the shard latch.
-			sh.stamps.InheritOnSplit(oldPage, newPage)
-			if fn := tb.onSplit; fn != nil {
-				fn(oldPage, newPage)
-			}
-		}
-		tb.shards[i] = sh
+		tb.shards[i] = &shard{tb: tb, tree: btree.NewWithPageBase(cfg.PageMaxKeys, base, limit)}
 	}
 	return tb
 }
@@ -368,11 +336,6 @@ func (tb *Table) Shards() int { return len(tb.shards) }
 // shardOf routes a key to its partition (FNV-1a over the key bytes).
 func (tb *Table) shardOf(key []byte) *shard {
 	return tb.shards[core.Fnv32aBytes(core.Fnv32aInit(), key)&tb.mask]
-}
-
-// shardOfPage routes a page number back to the partition that allocated it.
-func (tb *Table) shardOfPage(page uint32) *shard {
-	return tb.shards[(page>>pageShardShift)&tb.mask]
 }
 
 // lockAll / unlockAll take every partition latch exclusively in ascending
@@ -606,44 +569,29 @@ func (tb *Table) writeChainLocked(sh *shard, c *chain, w *core.Cell, data []byte
 	superseding := c.Creator != nil
 	c.push(sh, w, data, tombstone)
 	if superseding {
-		tb.queueDirtyLocked(sh, c)
+		sh.queueDirtyLocked(c)
 		tb.noteDead(sh, 1)
 	}
 }
 
 // queueDirtyLocked appends c to the shard's dirty list unless it is already
-// on one, tripping the full-sweep fallback when the list is over the
-// table's bound. Caller holds the shard latch exclusively.
-func (tb *Table) queueDirtyLocked(sh *shard, c *chain) {
-	if c.queued || sh.dirtyOverflow {
-		// Already listed, or a full walk is pending and will rebuild the
-		// list from what it finds.
-		return
+// on one. Caller holds the shard latch exclusively.
+func (sh *shard) queueDirtyLocked(c *chain) {
+	if !c.queued {
+		c.queued = true
+		sh.dirty = append(sh.dirty, c)
 	}
-	if len(sh.dirty) >= tb.dirtyCap {
-		// Overflow: drop the list — the next sweep walks the whole
-		// partition — unmarking the dropped entries so the rebuild can
-		// re-queue them.
-		for _, d := range sh.dirty {
-			d.queued = false
-		}
-		sh.dirty = sh.dirty[:0]
-		sh.dirtyOverflow = true
-		return
-	}
-	c.queued = true
-	sh.dirty = append(sh.dirty, c)
 }
 
 // noteDead bumps the partition's superseded-version estimate and triggers an
-// asynchronous vacuum sweep when it crosses the gate. If an earlier sweep
+// asynchronous vacuum sweep when it reaches vacuumEvery. If an earlier sweep
 // found the watermark pinned (stalledBelow), the re-trigger waits until the
 // watermark has actually advanced past the failed sweep's horizon — and
 // then fires from the write path itself, so parked garbage never depends on
 // a later MaybeVacuum delivery.
 func (tb *Table) noteDead(sh *shard, n int64) {
 	d := sh.dead.Add(n)
-	if d < sh.sweepGate.Load() {
+	if d < tb.vacuumEvery {
 		return
 	}
 	if sb := sh.stalledBelow.Load(); sb != 0 {
@@ -662,7 +610,9 @@ func (tb *Table) noteDead(sh *shard, n int64) {
 // whenever a B+tree page split moves keys to a new page.
 func (tb *Table) SetSplitHook(fn func(oldPage, newPage uint32)) {
 	tb.lockAll()
-	tb.onSplit = fn
+	for _, sh := range tb.shards {
+		sh.tree.OnSplit = fn
+	}
 	tb.unlockAll()
 }
 
@@ -965,34 +915,6 @@ func (tb *Table) successorAllLocked(key []byte) (string, bool) {
 }
 
 // ---------------------------------------------------------------------------
-// Page write stamps (partition-routed)
-
-// AddPageWriter records that t wrote page (holding its exclusive page lock).
-func (tb *Table) AddPageWriter(page uint32, t *core.Txn) {
-	tb.shardOfPage(page).stamps.AddWriter(page, t)
-}
-
-// PageNewestCommitTS returns the latest commit timestamp among writers of
-// page, the page-granularity First-Committer-Wins input.
-func (tb *Table) PageNewestCommitTS(page uint32) core.TS {
-	return tb.shardOfPage(page).stamps.NewestCommitTS(page)
-}
-
-// PageNewerWriters returns writers of page that committed after snap (the
-// page-granularity "newer version" creators of thesis Figure 3.4).
-func (tb *Table) PageNewerWriters(page uint32, snap core.TS) []*core.Txn {
-	return tb.shardOfPage(page).stamps.NewerWriters(page, snap)
-}
-
-// PruneStamps drops page-stamp writers that committed before horizon (their
-// stamp folds into the per-page floor) in every partition.
-func (tb *Table) PruneStamps(horizon core.TS) {
-	for _, sh := range tb.shards {
-		tb.stampsPruned.Add(uint64(sh.stamps.Prune(horizon)))
-	}
-}
-
-// ---------------------------------------------------------------------------
 // Vacuum
 
 // vacuumChunk bounds how many keys one latch hold processes, so a sweep
@@ -1003,9 +925,6 @@ const vacuumChunk = 256
 type VacuumStats struct {
 	// VersionsPruned is the number of row versions cut out of chains.
 	VersionsPruned int
-	// StampWritersPruned is the number of page-stamp writer entries expired
-	// (their commit stamps folded into the per-page floor).
-	StampWritersPruned int
 }
 
 // Vacuum sweeps every partition against the current watermark, synchronously,
@@ -1017,10 +936,8 @@ func (tb *Table) Vacuum() VacuumStats {
 		// Parks behind any in-flight async sweep of the same partition, so
 		// the returned counts are this call's own.
 		sh.sweepMu.Lock()
-		v, s := tb.vacuumShard(sh)
+		st.VersionsPruned += tb.vacuumShard(sh)
 		sh.sweepMu.Unlock()
-		st.VersionsPruned += v
-		st.StampWritersPruned += s
 	}
 	return st
 }
@@ -1034,7 +951,7 @@ func (tb *Table) Vacuum() VacuumStats {
 func (tb *Table) MaybeVacuum() {
 	for _, sh := range tb.shards {
 		sh.stalledBelow.Store(0)
-		if sh.dead.Load() >= sh.sweepGate.Load() {
+		if sh.dead.Load() >= tb.vacuumEvery {
 			tb.tryVacuumShard(sh)
 		}
 	}
@@ -1054,116 +971,61 @@ func (tb *Table) tryVacuumShard(sh *shard) {
 }
 
 // vacuumShard cuts reclaimable versions out of sh's chains in chunked latch
-// holds and expires the partition's page stamps. A version is reclaimable
-// when a newer version of its key committed before the watermark: no current
-// or future snapshot can reach past that newer version. The newest
-// committed-before-horizon version itself is kept (it is what the oldest
-// snapshot reads); tombstone markers are kept as chain markers, per the
-// thesis note on reclaiming deleted rows.
+// holds. A version is reclaimable when a newer version of its key committed
+// before the watermark: no current or future snapshot can reach past that
+// newer version. The newest committed-before-horizon version itself is kept
+// (it is what the oldest snapshot reads); tombstone markers are kept as chain
+// markers, per the thesis note on reclaiming deleted rows.
 //
 // The sweep is proportional to garbage: it visits exactly the chains the
-// write path queued on the shard's dirty list, unless the list overflowed,
-// in which case it falls back to one chunked whole-partition walk that
-// rebuilds the list from the chains still carrying superseded versions.
-func (tb *Table) vacuumShard(sh *shard) (versions, stampWriters int) {
+// write path queued on the shard's dirty list. A chain left with more than
+// one version is re-queued — unless a concurrent writer already did — so the
+// backlog a pinned watermark leaves behind is revisited by the next sweep,
+// once, without rescanning the partition.
+func (tb *Table) vacuumShard(sh *shard) (versions int) {
 	h := tb.horizon()
 	sh.dead.Swap(0)
-	residual := int64(0)
-	keys := int64(0)
+	var residual int64
 
 	sh.mu.Lock()
-	full := sh.dirtyOverflow
-	var work []*chain
-	if full {
-		// The list has been empty since the overflow dropped it (marking is
-		// suppressed while the flag is set); the walk below rebuilds it.
-		sh.dirtyOverflow = false
-		for _, d := range sh.dirty {
-			d.queued = false
-		}
-		sh.dirty = sh.dirty[:0]
-	} else {
-		work, sh.dirty, sh.spare = sh.dirty, sh.spare[:0], nil
-	}
+	work := sh.dirty
+	sh.dirty, sh.spare = sh.spare[:0], nil
 	sh.mu.Unlock()
-
-	// sweep prunes one chain and maintains the list bookkeeping: a chain is
-	// done once it is back to a single version; anything longer is
-	// (re-)queued — unless a concurrent writer already did — so the backlog
-	// a pinned watermark leaves behind is revisited by the next sweep
-	// without rescanning the partition, exactly once per sweep.
-	sweep := func(c *chain) {
-		pruned, left := pruneChain(sh, c, h)
-		versions += pruned
-		residual += int64(left)
-		keys++
-		if left > 0 {
-			tb.queueDirtyLocked(sh, c)
-		}
-	}
-
-	if full {
-		last, resumed := "", false // the last chain swept: where the next latch hold picks up
-		for done := false; !done; {
-			sh.mu.Lock()
-			it := sh.tree.IterFrom(nil)
-			if resumed {
-				it = sh.tree.IterAfter(last)
-			}
-			for n := 0; it.Valid() && n < vacuumChunk; n++ {
-				sweep(it.Value().(*chain))
-				last, resumed = it.Key(), true
-				it.Next()
-			}
-			done = !it.Valid()
-			sh.mu.Unlock()
-		}
-	} else {
-		for i := 0; i < len(work); {
-			sh.mu.Lock()
-			for end := min(i+vacuumChunk, len(work)); i < end; i++ {
-				c := work[i]
-				work[i] = nil
-				c.queued = false // off the stolen list; sweep may re-queue
-				sweep(c)
-			}
-			sh.mu.Unlock()
-		}
+	for i := 0; i < len(work); {
 		sh.mu.Lock()
-		if sh.spare == nil {
-			sh.spare = work[:0]
+		for end := min(i+vacuumChunk, len(work)); i < end; i++ {
+			c := work[i]
+			work[i] = nil
+			c.queued = false // off the stolen list; re-queued below if still dirty
+			pruned, left := pruneChain(sh, c, h)
+			versions += pruned
+			residual += int64(left)
+			if left > 0 {
+				sh.queueDirtyLocked(c)
+			}
 		}
 		sh.mu.Unlock()
 	}
+	sh.mu.Lock()
+	if sh.spare == nil {
+		sh.spare = work[:0]
+	}
+	sh.mu.Unlock()
 
 	// Superseded versions the watermark still pins stay counted (and listed),
 	// so a later trigger revisits them. An unproductive sweep records the
 	// horizon it ran against: noteDead holds re-triggers until the watermark
-	// passes it. The whole-partition gate rises with the walk width only
-	// when the rebuilt list overflowed again — the next sweep would be
-	// another full walk, which must stand to reclaim a constant fraction of
-	// what it visits; if the backlog fits the list, the next sweep is
-	// proportional and the gate resets with nothing to amortise.
+	// passes it.
 	sh.dead.Add(residual)
-	sh.mu.Lock()
-	reOverflowed := sh.dirtyOverflow
-	sh.mu.Unlock()
-	if gate := keys / 4; full && reOverflowed && gate > tb.vacuumEvery {
-		sh.sweepGate.Store(gate)
-	} else {
-		sh.sweepGate.Store(tb.vacuumEvery)
-	}
 	if versions == 0 && residual > 0 {
 		sh.stalledBelow.Store(h + 1)
 	} else if versions > 0 {
 		sh.stalledBelow.Store(0)
 	}
-	stampWriters = sh.stamps.Prune(h)
 	tb.vacuumRuns.Add(1)
-	tb.vacuumKeyVisits.Add(uint64(keys))
+	tb.vacuumKeyVisits.Add(uint64(len(work)))
 	tb.versionsPruned.Add(uint64(versions))
-	tb.stampsPruned.Add(uint64(stampWriters))
-	return versions, stampWriters
+	return versions
 }
 
 // pruneChain cuts everything older than the newest version committed before
@@ -1215,9 +1077,8 @@ type TableStats struct {
 	Pages  int
 
 	// Cumulative since table creation.
-	VacuumRuns         uint64
-	VersionsPruned     uint64
-	StampWritersPruned uint64
+	VacuumRuns     uint64
+	VersionsPruned uint64
 	// VacuumKeyVisits counts the chains vacuum sweeps have walked — the
 	// garbage-proportionality metric: with dirty-list sweeps it tracks the
 	// superseded-version count, not partition width × sweep count.
@@ -1228,11 +1089,10 @@ type TableStats struct {
 // time, so the totals are not an atomic cut; quiesce first for exact numbers.
 func (tb *Table) Stats() TableStats {
 	st := TableStats{
-		Shards:             make([]ShardStats, len(tb.shards)),
-		VacuumRuns:         tb.vacuumRuns.Load(),
-		VersionsPruned:     tb.versionsPruned.Load(),
-		StampWritersPruned: tb.stampsPruned.Load(),
-		VacuumKeyVisits:    tb.vacuumKeyVisits.Load(),
+		Shards:          make([]ShardStats, len(tb.shards)),
+		VacuumRuns:      tb.vacuumRuns.Load(),
+		VersionsPruned:  tb.versionsPruned.Load(),
+		VacuumKeyVisits: tb.vacuumKeyVisits.Load(),
 	}
 	for i, sh := range tb.shards {
 		sh.mu.RLock()
@@ -1243,180 +1103,4 @@ func (tb *Table) Stats() TableStats {
 		st.Pages += s.Pages
 	}
 	return st
-}
-
-// ---------------------------------------------------------------------------
-// Page write stamps
-
-// PageStamps records which transactions wrote each page of one partition. It
-// is the page-granularity analogue of version chains: the Berkeley DB
-// prototype versions whole pages, so "a newer version of the page exists"
-// means "some transaction that committed after my snapshot wrote this page"
-// — including structural writes from splits, which is exactly how the
-// paper's prototype manufactures its root-page false positives (§6.1.5).
-type PageStamps struct {
-	mu      sync.Mutex
-	byPage  map[uint32]*pageHist
-	horizon func() core.TS // may be nil: no inline bounding
-}
-
-type pageHist struct {
-	writers   []*core.Cell
-	maxCommit core.TS // commit stamp floor preserved across pruning
-	// pruneAt is the writer-list length at which AddWriter attempts the
-	// next inline prune; it advances past the current length after an
-	// unproductive attempt (watermark pinned) so a hot page pays one list
-	// scan per stampPruneLen new writers, not one per write.
-	pruneAt int
-}
-
-// stampPruneLen is the per-page writer-list length that triggers an inline
-// prune against the watermark on the write path: hot pages (a root split
-// target, a counter page) would otherwise accumulate one entry per writing
-// transaction between periodic sweeps.
-const stampPruneLen = 32
-
-// NewPageStamps returns an empty registry. horizon, when non-nil, lets the
-// registry bound hot-page histories inline: once a page's writer list grows
-// past stampPruneLen, writers whose commit stamps fall below the watermark
-// are folded into the page's maxCommit floor at AddWriter time.
-func NewPageStamps(horizon func() core.TS) *PageStamps {
-	return &PageStamps{byPage: make(map[uint32]*pageHist), horizon: horizon}
-}
-
-// InheritOnSplit copies the write history of oldPage onto newPage. When a
-// split moves rows to a new page, the moved rows' page-level
-// First-Committer-Wins watermark must follow them, or a stale-snapshot
-// writer of a moved row would slip past the conflict check.
-func (ps *PageStamps) InheritOnSplit(oldPage, newPage uint32) {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	src := ps.byPage[oldPage]
-	if src == nil {
-		return
-	}
-	dst := ps.byPage[newPage]
-	if dst == nil {
-		dst = &pageHist{}
-		ps.byPage[newPage] = dst
-	}
-	if src.maxCommit > dst.maxCommit {
-		dst.maxCommit = src.maxCommit
-	}
-outer:
-	for _, w := range src.writers {
-		for _, d := range dst.writers {
-			if d == w {
-				continue outer
-			}
-		}
-		dst.writers = append(dst.writers, w)
-	}
-}
-
-// AddWriter records that t wrote page (holding its exclusive page lock).
-func (ps *PageStamps) AddWriter(page uint32, t *core.Txn) {
-	c := t.Cell() // allocated on t's own goroutine if this is its first write
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	h := ps.byPage[page]
-	if h == nil {
-		h = &pageHist{}
-		ps.byPage[page] = h
-	}
-	for _, w := range h.writers {
-		if w == c {
-			return
-		}
-	}
-	h.writers = append(h.writers, c)
-	if ps.horizon != nil && len(h.writers) >= max(h.pruneAt, stampPruneLen) {
-		pruneHistLocked(h, ps.horizon())
-		h.pruneAt = len(h.writers) + stampPruneLen
-	}
-}
-
-// aborted reports whether the transaction behind an unstamped cell aborted.
-// Only committed transactions are ever severed from their cell, and only
-// after it is stamped, so an unstamped cell always still has its record.
-func aborted(w *core.Cell) bool {
-	t := w.Txn()
-	return t != nil && t.Aborted()
-}
-
-// pruneHistLocked folds writers that committed before horizon into the
-// page's maxCommit floor and drops aborted writers.
-func pruneHistLocked(h *pageHist, horizon core.TS) (removed int) {
-	kept := h.writers[:0]
-	for _, w := range h.writers {
-		ct := w.CommitTS()
-		switch {
-		case ct != 0 && ct < horizon:
-			if ct > h.maxCommit {
-				h.maxCommit = ct
-			}
-			removed++
-		case ct == 0 && aborted(w):
-			removed++
-		default:
-			kept = append(kept, w)
-		}
-	}
-	h.writers = kept
-	return removed
-}
-
-// NewestCommitTS returns the latest commit timestamp among writers of page,
-// the page-granularity First-Committer-Wins input.
-func (ps *PageStamps) NewestCommitTS(page uint32) core.TS {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	h := ps.byPage[page]
-	if h == nil {
-		return 0
-	}
-	max := h.maxCommit
-	for _, w := range h.writers {
-		if ct := w.CommitTS(); ct > max {
-			max = ct
-		}
-	}
-	return max
-}
-
-// NewerWriters returns writers of page that committed after snap (the
-// page-granularity "newer version" creators of thesis Figure 3.4).
-func (ps *PageStamps) NewerWriters(page uint32, snap core.TS) []*core.Txn {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	h := ps.byPage[page]
-	if h == nil {
-		return nil
-	}
-	var out []*core.Txn
-	for _, w := range h.writers {
-		if ct := w.CommitTS(); ct != 0 && ct >= snap {
-			// The record is still there: a writer is retired only once its
-			// commit precedes every active snapshot, snap included.
-			if t := w.Txn(); t != nil {
-				out = append(out, t)
-			}
-		}
-	}
-	return out
-}
-
-// Prune drops writers that committed before horizon (folding their stamp
-// into maxCommit) and writers that aborted, reporting how many writer
-// entries were removed.
-func (ps *PageStamps) Prune(horizon core.TS) (removed int) {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	for page, h := range ps.byPage {
-		removed += pruneHistLocked(h, horizon)
-		if len(h.writers) == 0 && h.maxCommit == 0 {
-			delete(ps.byPage, page)
-		}
-	}
-	return removed
 }

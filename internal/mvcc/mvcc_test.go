@@ -460,53 +460,6 @@ func TestScanVisitsInvisibleKeys(t *testing.T) {
 	}
 }
 
-func TestPageStamps(t *testing.T) {
-	f := newFixture()
-	ps := NewPageStamps(nil)
-	w1 := f.m.Begin(core.SnapshotIsolation)
-	f.m.AssignSnapshot(w1)
-	ps.AddWriter(7, w1)
-	ps.AddWriter(7, w1) // idempotent
-
-	if ps.NewestCommitTS(7) != 0 {
-		t.Fatal("uncommitted writer counted in NewestCommitTS")
-	}
-	reader := f.m.Begin(core.SnapshotIsolation)
-	snap := f.m.AssignSnapshot(reader)
-	ct := f.commit(t, w1)
-	if got := ps.NewestCommitTS(7); got != ct {
-		t.Fatalf("NewestCommitTS = %d, want %d", got, ct)
-	}
-	nw := ps.NewerWriters(7, snap)
-	if len(nw) != 1 || nw[0] != w1 {
-		t.Fatalf("NewerWriters = %v", nw)
-	}
-	if len(ps.NewerWriters(7, ct+1)) != 0 {
-		t.Fatal("writer older than snapshot reported")
-	}
-	// Pruning folds old commits into the floor but keeps FCW exact.
-	ps.Prune(ct + 1)
-	if got := ps.NewestCommitTS(7); got != ct {
-		t.Fatalf("NewestCommitTS after prune = %d, want %d", got, ct)
-	}
-	if len(ps.NewerWriters(7, snap)) != 0 {
-		t.Fatal("pruned writer still listed")
-	}
-}
-
-func TestPageStampsDropAborted(t *testing.T) {
-	f := newFixture()
-	ps := NewPageStamps(nil)
-	w := f.m.Begin(core.SnapshotIsolation)
-	f.m.AssignSnapshot(w)
-	ps.AddWriter(3, w)
-	f.m.Abort(w)
-	ps.Prune(1)
-	if got := ps.NewestCommitTS(3); got != 0 {
-		t.Fatalf("aborted writer left a stamp: %d", got)
-	}
-}
-
 // TestScanWriterProgress is the writer-stall regression test: a long scan
 // with an artificially slow consumer (the callback sleeps, so latch holds
 // are dominated by the scan, exactly the analytic-scan regime) must not
@@ -679,8 +632,8 @@ func f2chainLen(t *testing.T, tb *Table, key string) int {
 
 // TestVacuumProportionalToGarbage pins the dirty-list property: a sweep of a
 // wide partition with a handful of superseded chains visits only those
-// chains, not the whole partition — and the overflow fallback (full walk)
-// still reclaims everything and restores proportional sweeping afterwards.
+// chains, not the whole partition — and so does the sweep that finally
+// reclaims a backlog a pinned watermark left behind, however large.
 func TestVacuumProportionalToGarbage(t *testing.T) {
 	m := core.NewManager(core.DetectorPrecise)
 	// VacuumEvery high enough that no write-path sweep fires: the test
@@ -711,109 +664,48 @@ func TestVacuumProportionalToGarbage(t *testing.T) {
 		t.Fatalf("sweep visited %d chains for 10 superseded keys — proportional to partition width, not to garbage", st.VacuumKeyVisits)
 	}
 
-	// Overflow: more distinct dirty chains than the list bound forces one
-	// full walk that rebuilds the list.
+	// A pinned backlog is revisited, not rediscovered: 200 of a 300-row
+	// partition's chains superseded while a snapshot pins the watermark stay
+	// listed through the unproductive sweeps, and once the pin is released one
+	// sweep visits those 200 chains and no others.
 	tb2 := NewTable("t2", Config{PageMaxKeys: 16, Shards: 1, Horizon: m.OldestActiveSnapshot, VacuumEvery: 4})
-	// dirtyCap = clamp(4*4, 64, 65536) = 64.
-	if tb2.dirtyCap != 64 {
-		t.Fatalf("dirtyCap = %d, want 64", tb2.dirtyCap)
+	put2 := func(key, val string) {
+		txn := m.Begin(core.SnapshotIsolation)
+		m.AssignSnapshot(txn)
+		tb2.Write(txn, []byte(key), []byte(val), false, nil)
+		if _, err := m.CommitPrepare(txn); err != nil {
+			t.Fatal(err)
+		}
+		m.Finish(txn, false)
 	}
-	// Pin the watermark so write-path sweeps cannot drain the list early.
 	pin := m.Begin(core.SnapshotIsolation)
 	m.AssignSnapshot(pin)
-	const keys2 = 300
-	for i := 0; i < keys2; i++ {
-		put2 := fmt.Sprintf("q%05d", i)
-		_ = put2
-		txn := m.Begin(core.SnapshotIsolation)
-		m.AssignSnapshot(txn)
-		tb2.Write(txn, []byte(put2), []byte("v"), false, nil)
-		if _, err := m.CommitPrepare(txn); err != nil {
-			t.Fatal(err)
-		}
-		m.Finish(txn, false)
+	for i := 0; i < 300; i++ {
+		put2(fmt.Sprintf("q%05d", i), "v")
 	}
-	for i := 0; i < 200; i++ { // 200 distinct dirty chains > 64
-		txn := m.Begin(core.SnapshotIsolation)
-		m.AssignSnapshot(txn)
-		tb2.Write(txn, []byte(fmt.Sprintf("q%05d", i)), []byte("w"), false, nil)
-		if _, err := m.CommitPrepare(txn); err != nil {
-			t.Fatal(err)
-		}
-		m.Finish(txn, false)
+	for i := 0; i < 200; i++ {
+		put2(fmt.Sprintf("q%05d", i), "w")
 	}
+	// The writes above launched asynchronous (pinned, unproductive) sweeps;
+	// nothing launches one once they stop, so wait for the last to finish
+	// before taking the census.
 	sh := tb2.shards[0]
-	sh.mu.RLock()
-	overflowed := sh.dirtyOverflow
-	sh.mu.RUnlock()
-	if !overflowed {
-		t.Fatal("200 dirty chains did not overflow a 64-entry list")
+	for deadline := time.Now().Add(5 * time.Second); sh.vacuuming.Load(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("an asynchronous sweep never finished")
+		}
 	}
+	if got := tb2.Stats().VersionsPruned; got != 0 {
+		t.Fatalf("pinned sweeps pruned %d versions", got)
+	}
+	before := tb2.Stats().VacuumKeyVisits
 	m.Abort(pin)
-	// Reclaim synchronously. The writes above launched asynchronous sweeps,
-	// and one of them may only get to run now — it has claimed the partition
-	// (vacuuming) but not yet taken sweepMu — in which case it, not this
-	// call, walks the partition against the released watermark. Sweeps are
-	// serialised, nothing was reclaimable while the pin was held, and nothing
-	// is written in between, so once this call returns the table's cumulative
-	// count is exact whichever sweep did the work.
 	tb2.Vacuum()
 	if got := tb2.Stats().VersionsPruned; got != 200 {
-		t.Fatalf("overflow walk pruned %d versions, want 200", got)
+		t.Fatalf("unpinned sweep pruned %d versions, want 200", got)
 	}
-	sh.mu.RLock()
-	overflowed = sh.dirtyOverflow
-	sh.mu.RUnlock()
-	if overflowed {
-		t.Fatal("overflow flag not cleared by the full walk")
-	}
-	// Back to proportional: one more superseded chain, one more visit-ish.
-	before := tb2.Stats().VacuumKeyVisits
-	txn := m.Begin(core.SnapshotIsolation)
-	m.AssignSnapshot(txn)
-	tb2.Write(txn, []byte("q00007"), []byte("x"), false, nil)
-	if _, err := m.CommitPrepare(txn); err != nil {
-		t.Fatal(err)
-	}
-	m.Finish(txn, false)
-	tb2.Vacuum()
-	if visits := tb2.Stats().VacuumKeyVisits - before; visits > 16 {
-		t.Fatalf("post-overflow sweep visited %d chains for 1 superseded key", visits)
-	}
-}
-
-// TestPageStampsHotPageBounded: a page written by an unending stream of
-// short committed transactions must not accumulate one writer entry per
-// transaction — AddWriter folds pre-watermark commits into the maxCommit
-// floor once the list passes the inline-prune length.
-func TestPageStampsHotPageBounded(t *testing.T) {
-	m := core.NewManager(core.DetectorPrecise)
-	ps := NewPageStamps(m.OldestActiveSnapshot)
-	var lastCT core.TS
-	for i := 0; i < 500; i++ {
-		w := m.Begin(core.SnapshotIsolation)
-		m.AssignSnapshot(w)
-		ps.AddWriter(7, w)
-		ct, err := m.CommitPrepare(w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.Finish(w, false)
-		lastCT = ct
-	}
-	ps.mu.Lock()
-	n := len(ps.byPage[7].writers)
-	ps.mu.Unlock()
-	// The prune is amortised (one list scan per stampPruneLen new writers),
-	// so between prunes the list may hold up to ~2x the trigger length —
-	// bounded either way, where the old behaviour grew one entry per
-	// transaction forever.
-	if n > 2*stampPruneLen {
-		t.Fatalf("hot page kept %d writer entries, want <= %d", n, 2*stampPruneLen)
-	}
-	// The First-Committer-Wins floor survives the folding exactly.
-	if got := ps.NewestCommitTS(7); got != lastCT {
-		t.Fatalf("NewestCommitTS after folding = %d, want %d", got, lastCT)
+	if visits := tb2.Stats().VacuumKeyVisits - before; visits > 200 {
+		t.Fatalf("unpinned sweep visited %d chains for a backlog of 200 in a 300-row partition", visits)
 	}
 }
 

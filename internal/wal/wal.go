@@ -84,11 +84,11 @@ type Options struct {
 	// immediately (batching still happens naturally while a sync is in
 	// flight).
 	GroupCommitMaxDelay time.Duration
-
-	// GroupCommitMaxBatch skips the linger once this many records are
-	// pending. Defaults to 256.
-	GroupCommitMaxBatch int
 }
+
+// groupCommitMaxBatch ends the flusher's linger once this many records are
+// pending.
+const groupCommitMaxBatch = 256
 
 // device is where framed bytes go: a real segment file or the null device.
 type device interface {
@@ -161,9 +161,6 @@ type Log struct {
 func Open(opts Options) (*Log, error) {
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = 64 << 20
-	}
-	if opts.GroupCommitMaxBatch <= 0 {
-		opts.GroupCommitMaxBatch = 256
 	}
 	l := &Log{opts: opts, nextLSN: 1, flusherDone: make(chan struct{})}
 	l.cond = sync.NewCond(&l.mu)
@@ -322,7 +319,7 @@ func (l *Log) flusher() {
 			l.mu.Unlock()
 			return
 		}
-		if d := l.opts.GroupCommitMaxDelay; d > 0 && !l.closed && l.pendingCount < l.opts.GroupCommitMaxBatch {
+		if d := l.opts.GroupCommitMaxDelay; d > 0 && !l.closed && l.pendingCount < groupCommitMaxBatch {
 			// Linger so more committers join the batch. New appends land in
 			// l.pending while we sleep. Sleep in slices and stop as soon as
 			// a slice adds nothing: every would-be committer is already in
@@ -339,7 +336,7 @@ func (l *Log) flusher() {
 				time.Sleep(slice)
 				l.mu.Lock()
 				if l.closed || l.pendingCount == before ||
-					l.pendingCount >= l.opts.GroupCommitMaxBatch || !time.Now().Before(deadline) {
+					l.pendingCount >= groupCommitMaxBatch || !time.Now().Before(deadline) {
 					break
 				}
 			}
@@ -413,7 +410,8 @@ func (l *Log) rollLocked() {
 // TruncateBelow deletes sealed segments whose records all have commit
 // timestamps ≤ ts. The engine calls it after a checkpoint at ts is durable:
 // those records are covered by the checkpoint image and no longer needed for
-// recovery.
+// recovery. A segment it fails to delete stays sealed, so the next call
+// retries it; the first failure is returned.
 func (l *Log) TruncateBelow(ts uint64) error {
 	if l.opts.Dir == "" {
 		return nil
@@ -430,15 +428,26 @@ func (l *Log) TruncateBelow(ts uint64) error {
 	l.sealed = keep
 	l.mu.Unlock()
 	var firstErr error
+	var failed []segMeta
 	for _, s := range drop {
-		if err := os.Remove(s.path); err != nil && firstErr == nil {
-			firstErr = err
+		if err := os.Remove(s.path); err != nil {
+			if firstErr == nil {
+				firstErr = err
+			}
+			failed = append(failed, s)
 			continue
 		}
 		l.truncated.Add(1)
 	}
-	if len(drop) > 0 && firstErr == nil {
-		firstErr = syncDir(l.opts.Dir)
+	if len(failed) > 0 {
+		l.mu.Lock()
+		l.sealed = append(failed, l.sealed...)
+		l.mu.Unlock()
+	}
+	if len(failed) < len(drop) {
+		if err := syncDir(l.opts.Dir); firstErr == nil {
+			firstErr = err
+		}
 	}
 	return firstErr
 }

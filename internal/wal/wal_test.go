@@ -142,7 +142,7 @@ func TestGroupCommit(t *testing.T) {
 }
 
 func TestGroupCommitMaxDelayBatches(t *testing.T) {
-	l := mustOpen(t, Options{GroupCommitMaxDelay: 5 * time.Millisecond, GroupCommitMaxBatch: 1 << 20})
+	l := mustOpen(t, Options{GroupCommitMaxDelay: 5 * time.Millisecond})
 	var mu sync.Mutex
 	next := uint64(0)
 	var wg sync.WaitGroup
@@ -383,6 +383,66 @@ func TestSegmentRollAndTruncate(t *testing.T) {
 		}
 	}
 	t.Fatal("no records above truncation point")
+}
+
+// TestTruncateBelowRetriesFailedRemovals: a sealed segment whose removal
+// fails is neither counted as truncated nor forgotten — the next call removes
+// it. A non-empty directory where a segment file was makes os.Remove fail,
+// even for root.
+func TestTruncateBelowRetriesFailedRemovals(t *testing.T) {
+	dir := t.TempDir()
+	l := mustOpen(t, Options{Dir: dir, SegmentBytes: 64})
+	defer l.Close()
+	for i := 1; i <= 12; i++ {
+		lsn := mustAppend(l, uint64(i), bytes.Repeat([]byte{byte(i)}, 40))
+		if err := l.WaitDurable(lsn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The segments a checkpoint at 8 covers. (They are all sealed by now:
+	// only the roll after the last batch can still be in flight.)
+	const ckpt = 8
+	var sealed []segMeta
+	l.mu.Lock()
+	for _, s := range l.sealed {
+		if s.lastTS <= ckpt {
+			sealed = append(sealed, s)
+		}
+	}
+	l.mu.Unlock()
+	if len(sealed) < 3 {
+		t.Fatalf("expected ≥3 sealed segments below %d after rolls, got %d", ckpt, len(sealed))
+	}
+	for _, s := range sealed[:2] {
+		if err := os.Remove(s.path); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(filepath.Join(s.path, "pin"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.TruncateBelow(ckpt); err == nil {
+		t.Fatal("TruncateBelow reported success with two removals failing")
+	}
+	if got, want := l.StatsSnapshot().SegmentsTruncated, uint64(len(sealed)-2); got != want {
+		t.Fatalf("SegmentsTruncated = %d after two of %d removals failed, want %d", got, len(sealed), want)
+	}
+	for _, s := range sealed[:2] {
+		if err := os.Remove(filepath.Join(s.path, "pin")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.TruncateBelow(ckpt); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := l.StatsSnapshot().SegmentsTruncated, uint64(len(sealed)); got != want {
+		t.Fatalf("SegmentsTruncated = %d after the retry, want %d", got, want)
+	}
+	for _, s := range sealed[:2] {
+		if _, err := os.Stat(s.path); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("%s survived the retry: %v", s.path, err)
+		}
+	}
 }
 
 func TestReplayAcrossSegments(t *testing.T) {

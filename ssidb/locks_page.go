@@ -2,6 +2,7 @@ package ssidb
 
 import (
 	"slices"
+	"sync"
 	"sync/atomic"
 
 	"ssi/internal/core"
@@ -16,6 +17,12 @@ import (
 // and there are no gap locks, because an insert into a scanned range has to
 // write a page the scanner read. Its coarseness is the source of the false
 // positives analysed in §6.1.5.
+//
+// The page versions are this strategy's own: each table's pageStamps, below,
+// made by tableCreated, inherited across splits by the split hook it installs
+// and pruned by afterCleanup and DB.Vacuum. The row store underneath keeps
+// rows only, and lends this file its page topology (LeafPage, PathPages,
+// InsertWillSplit, AppendScanPathPages) and the split hook.
 //
 // Page locks are planned from a tree the lock does not yet protect, so every
 // acquisition here is acquire-and-revalidate; and every stamp is read only
@@ -50,7 +57,7 @@ func (*pageTargets) lockRead(tx *Txn, tb *table, key []byte, _ mvcc.Row, mode lo
 	if err != nil || mode != lock.SIRead {
 		return err
 	}
-	return tx.markAsReader(tb.data.PageNewerWriters(leaf, snap))
+	return tx.markAsReader(tb.stamps.newerWriters(nil, leaf, snap))
 }
 
 func (*pageTargets) lockWrite(tx *Txn, tb *table, key []byte, _ mvcc.Row, structural bool) ([]*core.Txn, core.TS, error) {
@@ -58,7 +65,7 @@ func (*pageTargets) lockWrite(tx *Txn, tb *table, key []byte, _ mvcc.Row, struct
 	if err != nil {
 		return nil, 0, err
 	}
-	return readers, tb.data.PageNewestCommitTS(leaf), nil
+	return readers, tb.stamps.newestCommitTS(leaf), nil
 }
 
 func (*pageTargets) install(tx *Txn, tb *table, key []byte, row mvcc.Row, val []byte, tombstone bool) (mvcc.Row, error) {
@@ -67,7 +74,7 @@ func (*pageTargets) install(tx *Txn, tb *table, key []byte, row mvcc.Row, val []
 	} else {
 		row.Write(tx.t, val, tombstone)
 	}
-	tb.data.AddPageWriter(tb.data.LeafPage(key), tx.t)
+	tb.stamps.addWriter(tb.data.LeafPage(key), tx.t)
 	return row, nil
 }
 
@@ -113,7 +120,7 @@ func lockPagePath(tx *Txn, tb *table, key []byte, interior, leafMode lock.Mode, 
 				// The split will rewrite this interior page: stamp it so
 				// page-level FCW and newer-version checks see the structural
 				// write (the root-page conflicts of §6.1.5).
-				tb.data.AddPageWriter(pg, tx.t)
+				tb.stamps.addWriter(pg, tx.t)
 			}
 		}
 		if slices.Equal(path, tb.data.PathPages(key)) && split == (structural && tb.data.InsertWillSplit(key)) {
@@ -147,7 +154,7 @@ func (*pageTargets) lockScanStart(tx *Txn, sc *scanCtx, tb *table, from []byte, 
 		}
 		if mode == lock.SIRead {
 			for _, pg := range path {
-				sc.writers = append(sc.writers, tb.data.PageNewerWriters(pg, snap)...)
+				sc.writers = tb.stamps.newerWriters(sc.writers, pg, snap)
 			}
 		}
 		err := tx.markAsReader(sc.writers)
@@ -179,29 +186,200 @@ func (*pageTargets) scanKeys(keys []lock.Key, tb *table, items []mvcc.ScanItem, 
 
 func (*pageTargets) scanNewerWriters(writers []*core.Txn, tb *table, snap core.TS, _ []mvcc.ScanItem, keys []lock.Key) []*core.Txn {
 	for _, k := range keys {
-		writers = append(writers, tb.data.PageNewerWriters(k.Page(), snap)...)
+		writers = tb.stamps.newerWriters(writers, k.Page(), snap)
 	}
 	return writers
 }
 
-// tableCreated installs the split hook: page splits move rows to a new page,
-// and readers' SIREAD coverage must follow the moved rows (run under the
-// partition latch, atomic with the split; the page write-stamp watermark
-// inheritance is built into the store).
+// tableCreated gives the table its write-stamp registry and installs the
+// split hook: when a split moves rows to a new page, the page's write history
+// (its First-Committer-Wins floor) and its readers' SIREAD coverage must
+// follow them, both atomically with the split — the hook runs under the latch
+// of the partition that split.
 func (p *pageTargets) tableCreated(tb *table) {
+	tb.stamps = newPageStamps(p.db.mgr.OldestActiveSnapshot)
 	tb.data.SetSplitHook(func(oldPage, newPage uint32) {
+		tb.stamps.inheritOnSplit(oldPage, newPage)
 		p.db.locks.InheritSIRead(lock.PageKey(tb.name, oldPage), lock.PageKey(tb.name, newPage))
 	})
 }
 
 // afterCleanup periodically prunes page write-stamps: retiring suspended
-// transactions is when the horizon they were kept for has moved.
+// transactions is when the horizon they were kept for has moved. (DB.Vacuum
+// prunes them too.)
 func (p *pageTargets) afterCleanup() {
 	if p.cleanups.Add(1)%64 != 0 {
 		return
 	}
 	h := p.db.mgr.OldestActiveSnapshot()
 	for _, tb := range *p.db.tables.Load() {
-		tb.data.PruneStamps(h)
+		tb.stamps.prune(h)
 	}
+}
+
+// pageStamps records which transactions wrote each page of one table. It is
+// the page-granularity analogue of version chains: the Berkeley DB prototype
+// versions whole pages, so "a newer version of the page exists" means "some
+// transaction that committed after my snapshot wrote this page" — including
+// structural writes from splits, which is exactly how the paper's prototype
+// manufactures its root-page false positives (§6.1.5). Page numbers are unique
+// across a table's partitions (mvcc allocates each partition a disjoint
+// range), so one registry serves them all.
+//
+// A stamp points at its writer's core.Cell, never the record, for the reason
+// versions do (see package mvcc): the record is cut loose once every snapshot
+// sees the write, and a stamp must not keep it alive.
+type pageStamps struct {
+	mu      sync.Mutex
+	byPage  map[uint32]*pageHist
+	horizon func() core.TS // bounds hot-page histories inline (addWriter)
+	pruned  atomic.Uint64  // writer entries expired by prune, for TableStats
+}
+
+type pageHist struct {
+	writers   []*core.Cell
+	maxCommit core.TS // commit stamp floor preserved across pruning
+	// pruneAt is the writer-list length at which addWriter attempts the
+	// next inline prune; it advances past the current length after an
+	// unproductive attempt (watermark pinned) so a hot page pays one list
+	// scan per stampPruneLen new writers, not one per write.
+	pruneAt int
+}
+
+// stampPruneLen is the per-page writer-list length that triggers an inline
+// prune against the watermark on the write path: hot pages (a root split
+// target, a counter page) would otherwise accumulate one entry per writing
+// transaction between periodic prunes.
+const stampPruneLen = 32
+
+// newPageStamps returns an empty registry. Once a page's writer list grows
+// past stampPruneLen, writers whose commit stamps fall below horizon() are
+// folded into the page's maxCommit floor at addWriter time.
+func newPageStamps(horizon func() core.TS) *pageStamps {
+	return &pageStamps{byPage: make(map[uint32]*pageHist), horizon: horizon}
+}
+
+// inheritOnSplit copies the write history of oldPage onto newPage. When a
+// split moves rows to a new page, the moved rows' page-level
+// First-Committer-Wins watermark must follow them, or a stale-snapshot
+// writer of a moved row would slip past the conflict check.
+func (ps *pageStamps) inheritOnSplit(oldPage, newPage uint32) {
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	src := ps.byPage[oldPage]
+	if src == nil {
+		return
+	}
+	dst := ps.byPage[newPage]
+	if dst == nil {
+		dst = &pageHist{}
+		ps.byPage[newPage] = dst
+	}
+	dst.maxCommit = max(dst.maxCommit, src.maxCommit)
+	for _, w := range src.writers {
+		if !slices.Contains(dst.writers, w) {
+			dst.writers = append(dst.writers, w)
+		}
+	}
+}
+
+// addWriter records that t wrote page (holding its exclusive page lock).
+func (ps *pageStamps) addWriter(page uint32, t *core.Txn) {
+	c := t.Cell() // allocated on t's own goroutine if this is its first write
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	h := ps.byPage[page]
+	if h == nil {
+		h = &pageHist{}
+		ps.byPage[page] = h
+	}
+	if slices.Contains(h.writers, c) {
+		return
+	}
+	h.writers = append(h.writers, c)
+	if len(h.writers) >= max(h.pruneAt, stampPruneLen) {
+		pruneHistLocked(h, ps.horizon())
+		h.pruneAt = len(h.writers) + stampPruneLen
+	}
+}
+
+// aborted reports whether the transaction behind an unstamped cell aborted.
+// Only committed transactions are ever severed from their cell, and only
+// after it is stamped, so an unstamped cell always still has its record.
+func aborted(w *core.Cell) bool {
+	t := w.Txn()
+	return t != nil && t.Aborted()
+}
+
+// pruneHistLocked folds writers that committed before horizon into the
+// page's maxCommit floor and drops aborted writers.
+func pruneHistLocked(h *pageHist, horizon core.TS) (removed int) {
+	kept := h.writers[:0]
+	for _, w := range h.writers {
+		ct := w.CommitTS()
+		switch {
+		case ct != 0 && ct < horizon:
+			h.maxCommit = max(h.maxCommit, ct)
+			removed++
+		case ct == 0 && aborted(w):
+			removed++
+		default:
+			kept = append(kept, w)
+		}
+	}
+	h.writers = kept
+	return removed
+}
+
+// newestCommitTS returns the latest commit timestamp among writers of page,
+// the page-granularity First-Committer-Wins input.
+func (ps *pageStamps) newestCommitTS(page uint32) core.TS {
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	h := ps.byPage[page]
+	if h == nil {
+		return 0
+	}
+	newest := h.maxCommit
+	for _, w := range h.writers {
+		newest = max(newest, w.CommitTS())
+	}
+	return newest
+}
+
+// newerWriters appends to out the writers of page that committed after snap
+// (the page-granularity "newer version" creators of thesis Figure 3.4).
+func (ps *pageStamps) newerWriters(out []*core.Txn, page uint32, snap core.TS) []*core.Txn {
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	h := ps.byPage[page]
+	if h == nil {
+		return out
+	}
+	for _, w := range h.writers {
+		if ct := w.CommitTS(); ct != 0 && ct >= snap {
+			// The record is still there: a writer is retired only once its
+			// commit precedes every active snapshot, snap included.
+			if t := w.Txn(); t != nil {
+				out = append(out, t)
+			}
+		}
+	}
+	return out
+}
+
+// prune drops writers that committed before horizon (folding their stamp
+// into maxCommit) and writers that aborted, reporting how many writer
+// entries were removed.
+func (ps *pageStamps) prune(horizon core.TS) (removed int) {
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	for page, h := range ps.byPage {
+		removed += pruneHistLocked(h, horizon)
+		if len(h.writers) == 0 && h.maxCommit == 0 {
+			delete(ps.byPage, page)
+		}
+	}
+	ps.pruned.Add(uint64(removed))
+	return removed
 }

@@ -170,7 +170,6 @@ func TestRandomConcurrentSerializability(t *testing.T) {
 	}{
 		{"ssi-basic", ssidb.Options{Detector: ssidb.DetectorBasic}, ssidb.SerializableSI},
 		{"ssi-precise", ssidb.Options{Detector: ssidb.DetectorPrecise}, ssidb.SerializableSI},
-		{"ssi-precise-no-early-abort", ssidb.Options{Detector: ssidb.DetectorPrecise, DisableEarlyAbort: true}, ssidb.SerializableSI},
 		{"ssi-precise-no-upgrade", ssidb.Options{Detector: ssidb.DetectorPrecise, DisableSIReadUpgrade: true}, ssidb.SerializableSI},
 		{"ssi-page", ssidb.Options{Detector: ssidb.DetectorPrecise, Granularity: ssidb.GranularityPage, PageMaxKeys: 4}, ssidb.SerializableSI},
 		{"ssi-page-basic", ssidb.Options{Detector: ssidb.DetectorBasic, Granularity: ssidb.GranularityPage, PageMaxKeys: 4}, ssidb.SerializableSI},

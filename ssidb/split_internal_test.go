@@ -1,6 +1,7 @@
 package ssidb
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -80,4 +81,51 @@ func TestImplicitTableSplitInheritsSIRead(t *testing.T) {
 	}
 	writer.Abort()
 	reader.Abort()
+}
+
+// TestPageSplitInheritsWriteStamps: a split moves rows to a new page, and the
+// page-level First-Committer-Wins floor must move with them. T1 takes its
+// snapshot, T2 then commits a write to row k, and an insert splits k's leaf so
+// that k moves to the new leaf while the inserted key stays on the old one
+// (only T2's stamp, inherited at the split, can put a commit on the new page).
+// T1's write to k must still lose to T2's.
+func TestPageSplitInheritsWriteStamps(t *testing.T) {
+	db := Open(Options{Granularity: GranularityPage, PageMaxKeys: 4})
+	key := func(i int) []byte { return []byte(fmt.Sprintf("k%02d", i)) }
+	// An ascending load fills the one leaf to PageMaxKeys: k10 … k40.
+	if err := db.Run(SnapshotIsolation, func(tx *Txn) error {
+		for i := 10; i <= 40; i += 10 {
+			if err := tx.Put("t", key(i), []byte("v")); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	k := key(40)
+
+	t1 := db.Begin(SnapshotIsolation)
+	if _, _, err := t1.Get("t", key(10)); err != nil { // materialise the snapshot
+		t.Fatal(err)
+	}
+	if err := db.Run(SnapshotIsolation, func(tx *Txn) error { return tx.Put("t", k, []byte("t2")) }); err != nil {
+		t.Fatal(err)
+	}
+
+	tb := db.table("t")
+	oldLeaf := tb.data.LeafPage(k)
+	if err := db.Run(SnapshotIsolation, func(tx *Txn) error { return tx.Insert("t", key(5), []byte("v")) }); err != nil {
+		t.Fatal(err)
+	}
+	if got := tb.data.LeafPage(k); got == oldLeaf {
+		t.Fatalf("k stayed on leaf %d: the insert did not move it", got)
+	}
+	if got := tb.data.LeafPage(key(5)); got != oldLeaf {
+		t.Fatalf("the inserted key is on leaf %d, want the old leaf %d", got, oldLeaf)
+	}
+
+	if err := t1.Put("t", k, []byte("t1")); !errors.Is(err, ErrWriteConflict) {
+		t.Fatalf("T1's write to the moved row: %v, want ErrWriteConflict", err)
+	}
 }

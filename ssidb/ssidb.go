@@ -247,9 +247,9 @@ type Options struct {
 	LockWaitTimeout time.Duration
 	// TableShards is the number of hash partitions in each table's row
 	// store (rounded up to a power of two, clamped to [1, 256]). Each
-	// partition is an independently latched B+tree with its own page-stamp
-	// registry, so point operations on different partitions never contend;
-	// ordered scans merge the partitions back into one sequence. Zero
+	// partition is an independently latched B+tree, so point operations on
+	// different partitions never contend; ordered scans merge the partitions
+	// back into one sequence. Zero
 	// selects the default: mvcc.ShardCount (GOMAXPROCS-scaled) under
 	// GranularityRow, whose conflicts are per key and so do not depend on
 	// the partitioning; one partition under GranularityPage, which models
@@ -260,19 +260,17 @@ type Options struct {
 	// scan property tests. DB.TableShards reports the effective value.
 	TableShards int
 	// VacuumEvery is the per-partition count of superseded row versions
-	// that triggers an asynchronous vacuum sweep of that partition (version
-	// chains and page write-stamps are pruned against the
-	// OldestActiveSnapshot watermark). Zero selects
-	// mvcc.DefaultVacuumEvery. Vacuum also runs when the watermark-advance
-	// hook sees trigger-level garbage, and on demand via DB.Vacuum.
+	// that triggers an asynchronous vacuum sweep of that partition, which
+	// prunes the version chains written since the last sweep against the
+	// OldestActiveSnapshot watermark. Zero selects mvcc.DefaultVacuumEvery.
+	// Vacuum also runs when the watermark-advance hook sees trigger-level
+	// garbage, and on demand via DB.Vacuum. (Page write-stamps are pruned on
+	// their own schedule, and by DB.Vacuum.)
 	VacuumEvery int
 	// DisableSIReadUpgrade turns off the §3.7.3 optimisation that discards
 	// a transaction's SIREAD lock once it acquires EXCLUSIVE on the same
 	// key. Used by ablation benchmarks.
 	DisableSIReadUpgrade bool
-	// DisableEarlyAbort turns off the §3.7.1 optimisation that aborts an
-	// unsafe pivot at its next operation instead of waiting for commit.
-	DisableEarlyAbort bool
 	// Recorder, if set, receives the full operation history.
 	Recorder Recorder
 }
@@ -280,7 +278,8 @@ type Options struct {
 type table struct {
 	name        string
 	data        *mvcc.Table
-	pageMaxKeys int // as configured at creation; recorded in checkpoints
+	pageMaxKeys int         // as configured at creation; recorded in checkpoints
+	stamps      *pageStamps // GranularityPage's page versions (locks_page.go); nil under GranularityRow
 }
 
 // tableMap is the immutable table directory; a new map is published on every
@@ -442,10 +441,10 @@ func (db *DB) CreateTable(name string, pageMaxKeys int) {
 
 // getOrCreateTable is the single construction path for tables, so explicit
 // and implicit creation cannot diverge (in particular, both must reach the
-// granularity strategy's tableCreated, which under GranularityPage installs
-// the split hook that keeps SIREAD coverage attached to moved rows). Creation
-// copies the table directory
-// and publishes the new map atomically; lookups never block on it.
+// granularity strategy's tableCreated, which under GranularityPage creates the
+// table's page write stamps and installs the split hook that keeps them and
+// SIREAD coverage attached to moved rows). Creation copies the table
+// directory and publishes the new map atomically; lookups never block on it.
 func (db *DB) getOrCreateTable(name string, pageMaxKeys int) *table {
 	if pageMaxKeys <= 0 {
 		pageMaxKeys = db.opts.PageMaxKeys
@@ -680,7 +679,7 @@ type VacuumStats struct {
 	VersionsPruned int
 	// StampWritersPruned is the number of page write-stamp entries expired
 	// (their commit stamps folded into each page's First-Committer-Wins
-	// floor).
+	// floor); always zero under GranularityRow, which keeps no page stamps.
 	StampWritersPruned int
 }
 
@@ -694,9 +693,10 @@ type VacuumStats struct {
 func (db *DB) Vacuum() VacuumStats {
 	var st VacuumStats
 	for _, tb := range *db.tables.Load() {
-		vs := tb.data.Vacuum()
-		st.VersionsPruned += vs.VersionsPruned
-		st.StampWritersPruned += vs.StampWritersPruned
+		st.VersionsPruned += tb.data.Vacuum().VersionsPruned
+		if tb.stamps != nil {
+			st.StampWritersPruned += tb.stamps.prune(db.mgr.OldestActiveSnapshot())
+		}
 	}
 	return st
 }
@@ -731,13 +731,15 @@ func (db *DB) TableStats(name string) TableStats {
 	}
 	ts := tb.data.Stats()
 	st := TableStats{
-		Shards:             len(ts.Shards),
-		Keys:               ts.Keys,
-		Pages:              ts.Pages,
-		VacuumRuns:         ts.VacuumRuns,
-		VersionsPruned:     ts.VersionsPruned,
-		StampWritersPruned: ts.StampWritersPruned,
-		VacuumKeyVisits:    ts.VacuumKeyVisits,
+		Shards:          len(ts.Shards),
+		Keys:            ts.Keys,
+		Pages:           ts.Pages,
+		VacuumRuns:      ts.VacuumRuns,
+		VersionsPruned:  ts.VersionsPruned,
+		VacuumKeyVisits: ts.VacuumKeyVisits,
+	}
+	if tb.stamps != nil {
+		st.StampWritersPruned = tb.stamps.pruned.Load()
 	}
 	for _, sh := range ts.Shards {
 		st.DeadVersions += sh.DeadVersions

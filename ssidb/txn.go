@@ -144,7 +144,7 @@ func (tx *Txn) pre() error {
 	if tx.done {
 		return ErrTxnDone
 	}
-	if tx.t.Isolation().TracksConflicts() && !tx.db.opts.DisableEarlyAbort {
+	if tx.t.Isolation().TracksConflicts() {
 		if err := tx.db.mgr.AbortEarly(tx.t); err != nil {
 			if errors.Is(err, ErrTxnDone) {
 				return err
