@@ -21,6 +21,10 @@ func datasync(f *os.File) error {
 	}
 }
 
+// zeroFill is what preallocate writes, shared by every segment roll so a roll
+// allocates no fill buffer. It is only ever read.
+var zeroFill [1 << 20]byte
+
 // preallocate writes the segment's full extent as zeros and syncs once, so
 // appends change neither the file size nor the extent state. fallocate
 // alone is not enough: it reserves *unwritten* extents, and every later
@@ -36,13 +40,12 @@ func preallocate(f *os.File, size int64) {
 		return
 	}
 	_ = syscall.Fallocate(int(f.Fd()), 0, 0, size)
-	buf := make([]byte, 1<<20)
 	for off := int64(0); off < size; {
-		n := int64(len(buf))
+		n := int64(len(zeroFill))
 		if size-off < n {
 			n = size - off
 		}
-		if _, err := f.WriteAt(buf[:n], off); err != nil {
+		if _, err := f.WriteAt(zeroFill[:n], off); err != nil {
 			break
 		}
 		off += n

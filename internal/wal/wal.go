@@ -22,9 +22,26 @@
 // With no directory configured the log runs against an in-memory null
 // device whose Sync is a configurable sleep — the simulated-latency mode the
 // thesis figures use to model a 10ms-commit I/O-bound disk.
+//
+// The commit path reuses its memory: the flusher hands each written batch
+// buffer back as the next pending one, so two buffers alternate and a
+// steady-state Append + WaitDurable allocates nothing (a buffer a huge batch
+// grew past maxKeptBatch is dropped instead of kept).
+//
+// A checkpoint image is streamed, not built: CreateCheckpoint opens
+// CHECKPOINT.tmp and the caller Writes the payload in pieces, through a
+// bufio.Writer and a running CRC32C. The file is
+//
+//	magic "SSICKPT2" | ts | payload | payloadLen | crc32c(ts, payload, payloadLen)
+//
+// so the length and CRC are a trailer written once the payload is complete.
+// Commit flushes, fsyncs, renames over CHECKPOINT and fsyncs the directory;
+// a crash before the rename leaves only a stale CHECKPOINT.tmp, which the
+// next checkpoint truncates and rewrites.
 package wal
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -90,6 +107,10 @@ type Options struct {
 // pending.
 const groupCommitMaxBatch = 256
 
+// maxKeptBatch caps the batch buffer the flusher keeps for reuse: a buffer a
+// bulk load's large records grew past it is left to the collector.
+const maxKeptBatch = 64 << 10
+
 // device is where framed bytes go: a real segment file or the null device.
 type device interface {
 	io.Writer
@@ -136,6 +157,7 @@ type Log struct {
 	nextLSN       LSN
 	durable       LSN
 	pending       []byte // framed records awaiting the next batch
+	spare         []byte // the last batch written, emptied: the next pending
 	pendingCount  int
 	pendingLastTS uint64
 	lastTS        uint64 // highest TS ever appended (monotonicity check)
@@ -252,14 +274,15 @@ func (l *Log) Append(ts uint64, payload []byte) (LSN, error) {
 	l.lastTS = ts
 	lsn := l.nextLSN
 	l.nextLSN++
-	var hdr [frameHeader]byte
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(payload)))
-	binary.LittleEndian.PutUint64(hdr[8:16], ts)
-	crc := crc32.Update(0, castagnoli, hdr[4:16])
-	crc = crc32.Update(crc, castagnoli, payload)
-	binary.LittleEndian.PutUint32(hdr[0:4], crc)
-	l.pending = append(l.pending, hdr[:]...)
+	// The frame is built in place: a header array of its own would escape
+	// to the heap through the CRC call.
+	start := len(l.pending)
+	l.pending = append(l.pending, make([]byte, frameHeader)...)
 	l.pending = append(l.pending, payload...)
+	frame := l.pending[start:]
+	binary.LittleEndian.PutUint32(frame[4:8], uint32(len(payload)))
+	binary.LittleEndian.PutUint64(frame[8:16], ts)
+	binary.LittleEndian.PutUint32(frame[0:4], crc32.Checksum(frame[4:], castagnoli))
 	l.pendingCount++
 	l.pendingLastTS = ts
 	l.appends.Add(1)
@@ -341,10 +364,12 @@ func (l *Log) flusher() {
 				}
 			}
 		}
+		// Appends during the write fill the other buffer; this one comes
+		// back as spare once it is written.
 		batch := l.pending
 		target := l.nextLSN - 1
 		batchLastTS := l.pendingLastTS
-		l.pending = nil
+		l.pending, l.spare = l.spare, nil
 		l.pendingCount = 0
 		dev := l.active
 		l.mu.Unlock()
@@ -371,6 +396,9 @@ func (l *Log) flusher() {
 		l.activeSize += int64(len(batch))
 		if batchLastTS > l.activeLastTS {
 			l.activeLastTS = batchLastTS
+		}
+		if cap(batch) <= maxKeptBatch {
+			l.spare = batch[:0]
 		}
 		l.cond.Broadcast()
 		if l.opts.Dir != "" && l.activeSize >= l.opts.SegmentBytes {
@@ -500,6 +528,11 @@ type Stats struct {
 	DurableLSN        LSN
 	SegmentsTruncated uint64
 }
+
+// BytesAppended reports the framed bytes appended this process: one atomic
+// load, without the mutex Append holds (the engine's checkpoint trigger
+// polls it on the transaction-end path).
+func (l *Log) BytesAppended() uint64 { return l.bytes.Load() }
 
 // StatsSnapshot returns current counters.
 func (l *Log) StatsSnapshot() Stats {
@@ -632,9 +665,11 @@ func scanSegment(path string, fn func(ts uint64, payload []byte) error) (valid i
 // --- checkpoint file ---
 
 const (
-	ckptName  = "CHECKPOINT"
-	ckptTmp   = "CHECKPOINT.tmp"
-	ckptMagic = "SSICKPT1"
+	ckptName    = "CHECKPOINT"
+	ckptTmp     = "CHECKPOINT.tmp"
+	ckptMagic   = "SSICKPT2"
+	ckptHeader  = 16 // magic(8) | ts(8)
+	ckptTrailer = 12 // payloadLen(8) | crc32c(4)
 )
 
 // ErrCorruptCheckpoint reports a checkpoint file that failed validation.
@@ -643,53 +678,97 @@ const (
 // silently recovering less state than was durable.
 var ErrCorruptCheckpoint = errors.New("wal: corrupt checkpoint")
 
-// WriteCheckpoint atomically publishes a checkpoint image: write to a temp
-// file, fsync, rename over the previous checkpoint, fsync the directory.
-// After it returns, the checkpoint is durable and the log below ts may be
-// truncated.
-func WriteCheckpoint(dir string, ts uint64, payload []byte) error {
+// CheckpointWriter streams one checkpoint image into CHECKPOINT.tmp. Write
+// appends payload bytes; Commit publishes the image atomically; Abort (a
+// no-op after Commit) discards it. Its memory is the bufio.Writer's buffer,
+// whatever the image's size.
+type CheckpointWriter struct {
+	dir string
+	f   *os.File // nil once committed or aborted
+	w   *bufio.Writer
+	crc uint32 // running CRC32C over ts and the payload written so far
+	n   uint64 // payload bytes written
+	err error  // first write error, returned by every later Write and by Commit
+}
+
+// CreateCheckpoint starts a checkpoint image of the state at commit
+// timestamp ts in dir, truncating any CHECKPOINT.tmp a crash left behind.
+func CreateCheckpoint(dir string, ts uint64) (*CheckpointWriter, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
+		return nil, err
 	}
-	tmp := filepath.Join(dir, ckptTmp)
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	f, err := os.OpenFile(filepath.Join(dir, ckptTmp), os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	var hdr [24]byte
+	w := &CheckpointWriter{dir: dir, f: f, w: bufio.NewWriter(f)}
+	var hdr [ckptHeader]byte
 	copy(hdr[:8], ckptMagic)
-	binary.LittleEndian.PutUint64(hdr[8:16], ts)
-	binary.LittleEndian.PutUint64(hdr[16:24], uint64(len(payload)))
-	crc := crc32.Update(0, castagnoli, hdr[8:24])
-	crc = crc32.Update(crc, castagnoli, payload)
-	var tail [4]byte
-	binary.LittleEndian.PutUint32(tail[:], crc)
-	_, err = f.Write(hdr[:])
+	binary.LittleEndian.PutUint64(hdr[8:], ts)
+	w.crc = crc32.Update(0, castagnoli, hdr[8:])
+	_, w.err = w.w.Write(hdr[:])
+	return w, nil
+}
+
+// Write appends p to the image's payload.
+func (w *CheckpointWriter) Write(p []byte) (int, error) {
+	if w.err != nil {
+		return 0, w.err
+	}
+	w.crc = crc32.Update(w.crc, castagnoli, p)
+	w.n += uint64(len(p))
+	n, err := w.w.Write(p)
+	w.err = err
+	return n, err
+}
+
+// Commit writes the trailer and atomically publishes the image: flush,
+// fsync, rename over the previous checkpoint, fsync the directory. After it
+// returns nil the checkpoint is durable and the log below its ts may be
+// truncated; on error the previous checkpoint is still the one recovery
+// reads.
+func (w *CheckpointWriter) Commit() error {
+	var tr [ckptTrailer]byte
+	binary.LittleEndian.PutUint64(tr[:8], w.n)
+	binary.LittleEndian.PutUint32(tr[8:], crc32.Update(w.crc, castagnoli, tr[:8]))
+	err := w.err
 	if err == nil {
-		_, err = f.Write(payload)
+		_, err = w.w.Write(tr[:])
 	}
 	if err == nil {
-		_, err = f.Write(tail[:])
+		err = w.w.Flush()
 	}
 	if err == nil {
-		err = f.Sync()
+		err = w.f.Sync()
 	}
-	if cerr := f.Close(); err == nil {
+	if cerr := w.f.Close(); err == nil {
 		err = cerr
 	}
+	w.f = nil
+	tmp := filepath.Join(w.dir, ckptTmp)
 	if err != nil {
 		os.Remove(tmp)
 		return err
 	}
-	if err := os.Rename(tmp, filepath.Join(dir, ckptName)); err != nil {
+	if err := os.Rename(tmp, filepath.Join(w.dir, ckptName)); err != nil {
 		return err
 	}
-	return syncDir(dir)
+	return syncDir(w.dir)
+}
+
+// Abort discards an uncommitted image. It is a no-op after Commit.
+func (w *CheckpointWriter) Abort() {
+	if w.f == nil {
+		return
+	}
+	w.f.Close()
+	w.f = nil
+	os.Remove(filepath.Join(w.dir, ckptTmp))
 }
 
 // ReadCheckpoint loads the checkpoint image if one exists. ok reports
-// whether a checkpoint was found; a found-but-corrupt checkpoint is an
-// error.
+// whether a checkpoint was found; a found-but-corrupt checkpoint — including
+// one in an earlier format — is an error.
 func ReadCheckpoint(dir string) (ts uint64, payload []byte, ok bool, err error) {
 	data, err := os.ReadFile(filepath.Join(dir, ckptName))
 	if errors.Is(err, os.ErrNotExist) {
@@ -698,19 +777,14 @@ func ReadCheckpoint(dir string) (ts uint64, payload []byte, ok bool, err error) 
 	if err != nil {
 		return 0, nil, false, err
 	}
-	if len(data) < 28 || string(data[:8]) != ckptMagic {
+	if len(data) < ckptHeader+ckptTrailer || string(data[:8]) != ckptMagic {
+		return 0, nil, false, ErrCorruptCheckpoint
+	}
+	tr := data[len(data)-ckptTrailer:]
+	if binary.LittleEndian.Uint64(tr[:8]) != uint64(len(data)-ckptHeader-ckptTrailer) ||
+		crc32.Checksum(data[8:len(data)-4], castagnoli) != binary.LittleEndian.Uint32(tr[8:]) {
 		return 0, nil, false, ErrCorruptCheckpoint
 	}
 	ts = binary.LittleEndian.Uint64(data[8:16])
-	plen := binary.LittleEndian.Uint64(data[16:24])
-	if uint64(len(data)) != 28+plen {
-		return 0, nil, false, ErrCorruptCheckpoint
-	}
-	payload = data[24 : 24+plen]
-	crc := crc32.Update(0, castagnoli, data[8:24])
-	crc = crc32.Update(crc, castagnoli, payload)
-	if crc != binary.LittleEndian.Uint32(data[24+plen:]) {
-		return 0, nil, false, ErrCorruptCheckpoint
-	}
-	return ts, payload, true, nil
+	return ts, data[ckptHeader : len(data)-ckptTrailer], true, nil
 }

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"ssi/internal/raceflag"
 )
 
 func mustOpen(t *testing.T, opts Options) *Log {
@@ -469,23 +471,50 @@ func TestReplayAcrossSegments(t *testing.T) {
 	}
 }
 
+// writeCheckpoint publishes payload as the checkpoint at ts, streamed in
+// pieces of at most piece bytes.
+func writeCheckpoint(t *testing.T, dir string, ts uint64, payload []byte, piece int) {
+	t.Helper()
+	w, err := CreateCheckpoint(dir, ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Abort()
+	for p := payload; len(p) > 0; {
+		n := min(piece, len(p))
+		if _, err := w.Write(p[:n]); err != nil {
+			t.Fatal(err)
+		}
+		p = p[n:]
+	}
+	if err := w.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestCheckpointRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	payload := []byte("checkpoint image bytes")
-	if err := WriteCheckpoint(dir, 42, payload); err != nil {
-		t.Fatal(err)
-	}
+	writeCheckpoint(t, dir, 42, payload, 5)
 	ts, got, ok, err := ReadCheckpoint(dir)
 	if err != nil || !ok || ts != 42 || !bytes.Equal(got, payload) {
 		t.Fatalf("ReadCheckpoint = %d %q %v %v", ts, got, ok, err)
 	}
 	// Overwrite is atomic: a second checkpoint replaces the first.
-	if err := WriteCheckpoint(dir, 99, []byte("newer")); err != nil {
-		t.Fatal(err)
-	}
+	writeCheckpoint(t, dir, 99, []byte("newer"), 64)
 	ts, got, ok, err = ReadCheckpoint(dir)
 	if err != nil || !ok || ts != 99 || string(got) != "newer" {
 		t.Fatalf("ReadCheckpoint = %d %q %v %v", ts, got, ok, err)
+	}
+	// A payload far larger than the writer's buffer, and an empty one.
+	big := bytes.Repeat([]byte("0123456789abcdef"), 40_000)
+	writeCheckpoint(t, dir, 100, big, 70_000)
+	if ts, got, ok, err := ReadCheckpoint(dir); err != nil || !ok || ts != 100 || !bytes.Equal(got, big) {
+		t.Fatalf("ReadCheckpoint of %d bytes = %d, %d bytes, %v %v", len(big), ts, len(got), ok, err)
+	}
+	writeCheckpoint(t, dir, 101, nil, 1)
+	if ts, got, ok, err := ReadCheckpoint(dir); err != nil || !ok || ts != 101 || len(got) != 0 {
+		t.Fatalf("ReadCheckpoint of an empty payload = %d %q %v %v", ts, got, ok, err)
 	}
 }
 
@@ -498,14 +527,120 @@ func TestCheckpointMissing(t *testing.T) {
 
 func TestCheckpointCorrupt(t *testing.T) {
 	dir := t.TempDir()
-	if err := WriteCheckpoint(dir, 7, []byte("payload")); err != nil {
+	writeCheckpoint(t, dir, 7, []byte("payload"), 3)
+	path := filepath.Join(dir, ckptName)
+	good, _ := os.ReadFile(path)
+	for _, c := range []struct {
+		what string
+		mut  func([]byte) []byte
+	}{
+		{"flipped ts byte", func(d []byte) []byte { d[9] ^= 0x01; return d }},
+		{"flipped payload byte", func(d []byte) []byte { d[ckptHeader+2] ^= 0x01; return d }},
+		{"flipped length byte", func(d []byte) []byte { d[len(d)-6] ^= 0x01; return d }},
+		{"flipped crc byte", func(d []byte) []byte { d[len(d)-1] ^= 0x01; return d }},
+		{"truncated trailer", func(d []byte) []byte { return d[:len(d)-1] }},
+		{"trailing byte", func(d []byte) []byte { return append(d, 0) }},
+		{"header only", func(d []byte) []byte { return d[:ckptHeader] }},
+		{"earlier format", func(d []byte) []byte { copy(d, "SSICKPT1"); return d }},
+	} {
+		if err := os.WriteFile(path, c.mut(append([]byte(nil), good...)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, _, err := ReadCheckpoint(dir); !errors.Is(err, ErrCorruptCheckpoint) {
+			t.Errorf("%s: err = %v, want ErrCorruptCheckpoint", c.what, err)
+		}
+	}
+}
+
+// TestCheckpointAbortKeepsPrevious: an image aborted mid-stream never
+// replaces the published checkpoint and leaves no temporary file; Abort after
+// Abort or after Commit does nothing. (A partial CHECKPOINT.tmp left by a
+// crash is ssidb's TestPartialCheckpointTmpIgnored.)
+func TestCheckpointAbortKeepsPrevious(t *testing.T) {
+	dir := t.TempDir()
+	writeCheckpoint(t, dir, 5, []byte("published"), 4)
+	w, err := CreateCheckpoint(dir, 6)
+	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, ckptName)
-	data, _ := os.ReadFile(path)
-	data[len(data)-6] ^= 0x01
-	os.WriteFile(path, data, 0o644)
-	if _, _, _, err := ReadCheckpoint(dir); err == nil {
-		t.Fatal("corrupt checkpoint accepted")
+	if _, err := w.Write(bytes.Repeat([]byte("x"), 10_000)); err != nil {
+		t.Fatal(err)
+	}
+	w.Abort()
+	w.Abort()
+	if _, err := os.Stat(filepath.Join(dir, ckptTmp)); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("aborted image left %s: %v", ckptTmp, err)
+	}
+	if ts, got, ok, err := ReadCheckpoint(dir); err != nil || !ok || ts != 5 || string(got) != "published" {
+		t.Fatalf("after an aborted image: ReadCheckpoint = %d %q %v %v", ts, got, ok, err)
+	}
+	writeCheckpoint(t, dir, 8, []byte("next"), 2) // its deferred Abort follows Commit
+	if ts, got, ok, err := ReadCheckpoint(dir); err != nil || !ok || ts != 8 || string(got) != "next" {
+		t.Fatalf("after the next checkpoint: ReadCheckpoint = %d %q %v %v", ts, got, ok, err)
+	}
+}
+
+// TestBatchBuffersAlternate: the flusher hands each written batch buffer back
+// as the next pending one, so a steady stream of appends cycles through two
+// buffers; a buffer a huge record grew past maxKeptBatch is not kept.
+func TestBatchBuffersAlternate(t *testing.T) {
+	l := mustOpen(t, Options{})
+	defer l.Close()
+	seen := map[*byte]bool{}
+	rec := make([]byte, 100)
+	for ts := uint64(1); ts <= 50; ts++ {
+		lsn := mustAppend(l, ts, rec)
+		// Whichever buffer is pending now — the flusher may already have
+		// swapped this record's batch out — is one of the two.
+		l.mu.Lock()
+		if cap(l.pending) > 0 {
+			seen[&l.pending[:1][0]] = true
+		}
+		l.mu.Unlock()
+		if err := l.WaitDurable(lsn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(seen) > 2 {
+		t.Fatalf("%d distinct batch buffers over 50 batches, want at most 2", len(seen))
+	}
+	lsn := mustAppend(l, 51, make([]byte, 2*maxKeptBatch))
+	if err := l.WaitDurable(lsn); err != nil {
+		t.Fatal(err)
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if cap(l.spare) > maxKeptBatch || cap(l.pending) > maxKeptBatch {
+		t.Fatalf("kept a %d-byte batch buffer (pending cap %d), cap is %d", cap(l.spare), cap(l.pending), maxKeptBatch)
+	}
+}
+
+// TestWALAppendAllocBudget: a steady-state Append + WaitDurable on a segment
+// file allocates nothing — not in Append, not in the flusher's write and
+// datasync, not for the next batch's buffer.
+func TestWALAppendAllocBudget(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race detector allocates on synchronisation")
+	}
+	l := mustOpen(t, Options{Dir: t.TempDir(), SegmentBytes: 1 << 20})
+	defer l.Close()
+	rec := make([]byte, 64)
+	ts := uint64(0)
+	commit := func() {
+		ts++
+		lsn, err := l.Append(ts, rec)
+		if err == nil {
+			err = l.WaitDurable(lsn)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		commit()
+	}
+	// 10 + 6×101 records of 80 bytes stay far inside one 1 MiB segment.
+	if got := testing.AllocsPerRun(100, commit); got != 0 {
+		t.Fatalf("Append + WaitDurable: %.2f allocs per call, want 0", got)
 	}
 }

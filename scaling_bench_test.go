@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -196,6 +197,72 @@ func TestScanAllocBudget(t *testing.T) {
 	}
 }
 
+// txnShape is what one transaction of TestTxnAllocBudget does, in this order.
+type txnShape struct{ gets, puts, locked, refused int }
+
+// shapedTxn returns a transaction of the given shape, run through RunRetry on
+// existing rows of a kvmix load; every call works on the next keys of a
+// prebuilt 4 096-key set, so its locks meet no entry of its own.
+func shapedTxn(t *testing.T, db *ssidb.DB, iso ssidb.Isolation, sh txnShape) func() {
+	const nkeys = 4096
+	keys := make([][]byte, nkeys)
+	for i := range keys {
+		keys[i] = kvmix.Key(i * 2) // existing rows: the load holds 10 000
+	}
+	val := []byte("w")
+	next := 0
+	key := func() []byte { next++; return keys[next%nkeys] }
+	body := func(tx *ssidb.Txn) error {
+		for i := 0; i < sh.gets; i++ {
+			if _, _, err := tx.Get(kvmix.Table, key()); err != nil {
+				return err
+			}
+		}
+		for i := 0; i < sh.puts; i++ {
+			if err := tx.Put(kvmix.Table, key(), val); err != nil {
+				return err
+			}
+		}
+		for i := 0; i < sh.locked; i++ {
+			if _, found, err := tx.GetForUpdate(kvmix.Table, key()); err != nil || !found {
+				return fmt.Errorf("GetForUpdate of an existing row: found %v, %v", found, err)
+			}
+		}
+		// An Insert on an existing key is refused and leaves the
+		// transaction usable: the operations after it, and the commit, run.
+		for i := 0; i < sh.refused; i++ {
+			if err := tx.Insert(kvmix.Table, key(), val); !errors.Is(err, ssidb.ErrKeyExists) {
+				return fmt.Errorf("Insert on an existing key = %v, want ErrKeyExists", err)
+			}
+		}
+		return nil
+	}
+	return func() {
+		if err := db.RunRetry(iso, body); err != nil {
+			t.Fatal(err)
+		}
+		// Let a vacuum sweep the commit may have triggered run: on one
+		// processor nothing else in this loop yields to it, and the
+		// versions it recycles are what the next writes are built from.
+		runtime.Gosched()
+	}
+}
+
+// warmTxnPath runs the mixed and ten-Put transactions a thousand times each:
+// it warms the pools, and the store with them — a partition's list of
+// superseded chains is swapped with a spare at every vacuum sweep (one per
+// 1 024 superseding writes), both growing by appending until they fit what
+// accumulates between two sweeps, and the sweeps are what fill the free lists
+// the writes then draw their versions from.
+func warmTxnPath(t *testing.T, db *ssidb.DB, iso ssidb.Isolation) (mixed func()) {
+	mixed, ten := shapedTxn(t, db, iso, txnShape{gets: 4, puts: 2}), shapedTxn(t, db, iso, txnShape{puts: 10})
+	for i := 0; i < 1000; i++ {
+		mixed()
+		ten()
+	}
+	return mixed
+}
+
 // TestTxnAllocBudget asserts what a steady-state point transaction may
 // allocate: the records that have to outlive it and nothing it needs only
 // while it runs, nor anything the store already owns. The body is the
@@ -216,54 +283,6 @@ func TestTxnAllocBudget(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("sync.Pool drops items at random under -race; the budgets assume it does not")
 	}
-	const nkeys = 4096
-	keys := make([][]byte, nkeys)
-	for i := range keys {
-		keys[i] = kvmix.Key(i * 2) // existing rows: the load holds 10 000
-	}
-	val := []byte("w")
-	// shape is what one transaction does, in this order.
-	type shape struct{ gets, puts, locked, refused int }
-	// txn returns a transaction of the given shape; every call works on the
-	// next keys of the prebuilt set, so its locks meet no entry of its own.
-	txn := func(t *testing.T, db *ssidb.DB, iso ssidb.Isolation, sh shape) func() {
-		next := 0
-		key := func() []byte { next++; return keys[next%nkeys] }
-		body := func(tx *ssidb.Txn) error {
-			for i := 0; i < sh.gets; i++ {
-				if _, _, err := tx.Get(kvmix.Table, key()); err != nil {
-					return err
-				}
-			}
-			for i := 0; i < sh.puts; i++ {
-				if err := tx.Put(kvmix.Table, key(), val); err != nil {
-					return err
-				}
-			}
-			for i := 0; i < sh.locked; i++ {
-				if _, found, err := tx.GetForUpdate(kvmix.Table, key()); err != nil || !found {
-					return fmt.Errorf("GetForUpdate of an existing row: found %v, %v", found, err)
-				}
-			}
-			// An Insert on an existing key is refused and leaves the
-			// transaction usable: the operations after it, and the commit, run.
-			for i := 0; i < sh.refused; i++ {
-				if err := tx.Insert(kvmix.Table, key(), val); !errors.Is(err, ssidb.ErrKeyExists) {
-					return fmt.Errorf("Insert on an existing key = %v, want ErrKeyExists", err)
-				}
-			}
-			return nil
-		}
-		return func() {
-			if err := db.RunRetry(iso, body); err != nil {
-				t.Fatal(err)
-			}
-			// Let a vacuum sweep the commit may have triggered run: on one
-			// processor nothing else in this loop yields to it, and the
-			// versions it recycles are what the next writes are built from.
-			runtime.Gosched()
-		}
-	}
 	for _, iso := range []ssidb.Isolation{ssidb.SerializableSI, ssidb.SnapshotIsolation} {
 		for _, tshards := range []int{1, 8} {
 			t.Run(fmt.Sprintf("%v/tshards=%d", iso, tshards), func(t *testing.T) {
@@ -271,38 +290,27 @@ func TestTxnAllocBudget(t *testing.T) {
 				if err := kvmix.Load(db, kvmix.DefaultConfig()); err != nil {
 					t.Fatal(err)
 				}
-				// Warm the pools, and the store with them: a partition's list of
-				// superseded chains is swapped with a spare at every vacuum sweep
-				// (one per 1 024 superseding writes), both growing by appending
-				// until they fit what accumulates between two sweeps, and the
-				// sweeps are what fill the free lists the writes then draw their
-				// versions from.
-				base := txn(t, db, iso, shape{puts: 1})
-				mixed, ten := txn(t, db, iso, shape{gets: 4, puts: 2}), txn(t, db, iso, shape{puts: 10})
-				for i := 0; i < 1000; i++ {
-					mixed()
-					ten()
-				}
+				mixed := warmTxnPath(t, db, iso)
 				allocs, bytes := allocsPerCall(mixed)
 				t.Logf("4 Gets + 2 Puts: %.1f allocs/op, %.0f B/op", allocs, bytes)
 				if allocs > 6 || bytes > 232 { // measured 5.0 and 208
 					t.Errorf("4 Gets + 2 Puts: %.1f allocs/op, %.0f B/op, budget 6 and 232", allocs, bytes)
 				}
 
-				a1, b1 := allocsPerCall(base)
+				a1, b1 := allocsPerCall(shapedTxn(t, db, iso, txnShape{puts: 1}))
 				for _, c := range []struct {
 					what  string
-					extra shape // ten of the operation beside base's Put
+					extra txnShape // ten of the operation beside the one Put
 					bytes float64
 				}{
 					// The byte allowance is for the writes that find their
 					// partition's free list empty, between two sweeps.
-					{"write", shape{puts: 11}, 8},
-					{"Get of an existing row", shape{gets: 10, puts: 1}, 0},
-					{"GetForUpdate of an existing row", shape{puts: 1, locked: 10}, 0},
-					{"Insert refused with ErrKeyExists", shape{puts: 1, refused: 10}, 0},
+					{"write", txnShape{puts: 11}, 8},
+					{"Get of an existing row", txnShape{gets: 10, puts: 1}, 0},
+					{"GetForUpdate of an existing row", txnShape{puts: 1, locked: 10}, 0},
+					{"Insert refused with ErrKeyExists", txnShape{puts: 1, refused: 10}, 0},
 				} {
-					run := txn(t, db, iso, c.extra)
+					run := shapedTxn(t, db, iso, c.extra)
 					for i := 0; i < 100; i++ {
 						run()
 					}
@@ -315,6 +323,53 @@ func TestTxnAllocBudget(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestDurableTxnAllocBudget asserts what durability adds to TestTxnAllocBudget's
+// 4 Gets + 2 Puts: at most one allocation and 16 B per transaction. The redo
+// record is built in the recycled transaction scratch, the WAL frames it into
+// a group-commit buffer the flusher hands back once written, and the durable
+// wait parks on a condition variable. The segments are 4 KiB, so every
+// measured batch of 100 transactions crosses a segment roll, whose file
+// creation, zero fill and directory sync are spread over the transactions
+// between two rolls.
+func TestDurableTxnAllocBudget(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("sync.Pool drops items at random under -race; the budgets assume it does not")
+	}
+	opts := ssidb.Options{Detector: ssidb.DetectorPrecise, LockShards: 8}
+	warm := func(db *ssidb.DB) (mixed func()) {
+		if err := kvmix.Load(db, kvmix.DefaultConfig()); err != nil {
+			t.Fatal(err)
+		}
+		return warmTxnPath(t, db, ssidb.SerializableSI)
+	}
+	memAllocs, memBytes := allocsPerCall(warm(ssidb.Open(opts)))
+
+	dir := t.TempDir()
+	opts.SegmentBytes, opts.CheckpointBytes = 4<<10, -1
+	db, err := ssidb.OpenDir(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	segments := func() int {
+		m, err := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(m)
+	}
+	mixed := warm(db)
+	before := segments()
+	allocs, bytes := allocsPerCall(mixed)
+	t.Logf("4 Gets + 2 Puts: in memory %.1f allocs/op, %.0f B/op; durable %.1f allocs/op, %.0f B/op", memAllocs, memBytes, allocs, bytes)
+	if rolls := segments() - before; rolls < 5 {
+		t.Fatalf("%d segment rolls during the five measured batches, want one in each", rolls)
+	}
+	if allocs > memAllocs+1 || bytes > memBytes+16 {
+		t.Errorf("durable 4 Gets + 2 Puts: %.1f allocs/op, %.0f B/op, budget the in-memory %.1f and %.0f plus 1 and 16 B", allocs, bytes, memAllocs, memBytes)
 	}
 }
 

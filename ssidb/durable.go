@@ -3,6 +3,7 @@ package ssidb
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 
 	"ssi/internal/core"
 	"ssi/internal/mvcc"
@@ -199,45 +200,75 @@ func (db *DB) applyRedo(payload []byte) error {
 //
 // Image layout: u32 numTables, then per table
 //
-//	u16 nameLen | name | u32 pageMaxKeys | u32 numRows |
-//	rows: u16 keyLen | key | u32 valLen | val
+//	u16 nameLen | name | u32 pageMaxKeys | chunk* | u32 0
+//	chunk: u32 n (> 0) | n rows: u16 keyLen | key | u32 valLen | val
 //
 // Rows are the live values visible at the checkpoint snapshot; deleted keys
 // are simply absent (a post-snapshot delete is replayed from the log as a
-// tombstone, which supersedes the loaded value).
+// tombstone, which supersedes the loaded value). A chunk is what one scan of
+// the snapshot fits into ckptChunkBytes, so writing an image takes one
+// buffer of that size whatever the database's size.
 
-func (db *DB) buildCheckpointImage(snapTxn *core.Txn, snap core.TS) []byte {
+// ckptChunkBytes is the size of a chunk's row buffer: a scan stops once the
+// next row would not fit (a row larger than it makes a chunk of its own).
+const ckptChunkBytes = 64 << 10
+
+// writeImage streams the image of every table at snap into w, chunk by chunk.
+func (db *DB) writeImage(w io.Writer, snapTxn *core.Txn, snap core.TS) error {
 	tables := *db.tables.Load()
-	var buf []byte
-	var u16 [2]byte
-	var u32 [4]byte
-	binary.LittleEndian.PutUint32(u32[:], uint32(len(tables)))
-	buf = append(buf, u32[:]...)
-	for name, tb := range tables {
-		binary.LittleEndian.PutUint16(u16[:], uint16(len(name)))
-		buf = append(buf, u16[:]...)
-		buf = append(buf, name...)
-		binary.LittleEndian.PutUint32(u32[:], uint32(tb.pageMaxKeys))
-		buf = append(buf, u32[:]...)
-		countAt := len(buf)
-		buf = append(buf, 0, 0, 0, 0) // row count, patched below
-		rows := uint32(0)
-		tb.data.Scan(snapTxn, snap, nil, func(it mvcc.ScanItem) bool {
-			if !it.Found {
-				return true
-			}
-			binary.LittleEndian.PutUint16(u16[:], uint16(len(it.Key)))
-			buf = append(buf, u16[:]...)
-			buf = append(buf, it.Key...)
-			binary.LittleEndian.PutUint32(u32[:], uint32(len(it.Value)))
-			buf = append(buf, u32[:]...)
-			buf = append(buf, it.Value...)
-			rows++
-			return true
-		})
-		binary.LittleEndian.PutUint32(buf[countAt:countAt+4], rows)
+	buf := make([]byte, 0, ckptChunkBytes)
+	var from []byte // where the next chunk's scan resumes
+	write := func(p []byte) error {
+		_, err := w.Write(p)
+		return err
 	}
-	return buf
+	if err := write(binary.LittleEndian.AppendUint32(buf, uint32(len(tables)))); err != nil {
+		return err
+	}
+	for name, tb := range tables {
+		buf = binary.LittleEndian.AppendUint16(buf[:0], uint16(len(name)))
+		buf = append(buf, name...)
+		if err := write(binary.LittleEndian.AppendUint32(buf, uint32(tb.pageMaxKeys))); err != nil {
+			return err
+		}
+		from = from[:0]
+		for {
+			buf = append(buf[:0], 0, 0, 0, 0) // row count, patched below
+			n, full := uint32(0), false
+			tb.data.Scan(snapTxn, snap, from, func(it mvcc.ScanItem) bool {
+				if !it.Found {
+					return true
+				}
+				if n > 0 && len(buf)+6+len(it.Key)+len(it.Value) > ckptChunkBytes {
+					from, full = append(from[:0], it.Key...), true
+					return false
+				}
+				buf = binary.LittleEndian.AppendUint16(buf, uint16(len(it.Key)))
+				buf = append(buf, it.Key...)
+				buf = binary.LittleEndian.AppendUint32(buf, uint32(len(it.Value)))
+				buf = append(buf, it.Value...)
+				n++
+				return true
+			})
+			if n == 0 {
+				break
+			}
+			// Scan has returned, so no partition latch is held: no checkpoint
+			// I/O ever happens under one. The next scan resumes at the first
+			// row this chunk had no room for, on the same snapshot.
+			binary.LittleEndian.PutUint32(buf, n)
+			if err := write(buf); err != nil {
+				return err
+			}
+			if !full {
+				break
+			}
+		}
+		if err := write(binary.LittleEndian.AppendUint32(buf[:0], 0)); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func (db *DB) loadCheckpoint(image []byte) error {
@@ -253,68 +284,92 @@ func (db *DB) loadCheckpoint(image []byte) error {
 	return nil
 }
 
+// imageReader consumes a checkpoint image front to back. A read past the end
+// sets err, and every read after that returns zeros — a count of 0 ends the
+// loop reading it — so a caller checks err once per row.
+type imageReader struct {
+	b   []byte
+	err error
+}
+
+func (r *imageReader) bytes(n int) []byte {
+	if r.err != nil || len(r.b) < n {
+		r.err, r.b = wal.ErrCorruptCheckpoint, nil
+		return nil
+	}
+	p := r.b[:n]
+	r.b = r.b[n:]
+	return p
+}
+
+func (r *imageReader) u16() int {
+	if p := r.bytes(2); r.err == nil {
+		return int(binary.LittleEndian.Uint16(p))
+	}
+	return 0
+}
+
+func (r *imageReader) u32() uint32 {
+	if p := r.bytes(4); r.err == nil {
+		return binary.LittleEndian.Uint32(p)
+	}
+	return 0
+}
+
+// loadCheckpointInto writes every row of image through t. The image must be
+// consumed exactly: a truncated chunk and bytes after the last table are
+// both ErrCorruptCheckpoint.
 func (db *DB) loadCheckpointInto(t *core.Txn, image []byte) error {
-	if len(image) < 4 {
-		return wal.ErrCorruptCheckpoint
-	}
-	numTables := binary.LittleEndian.Uint32(image)
-	image = image[4:]
-	for i := uint32(0); i < numTables; i++ {
-		if len(image) < 2 {
-			return wal.ErrCorruptCheckpoint
+	r := imageReader{b: image}
+	for tables := r.u32(); tables > 0; tables-- {
+		name := string(r.bytes(r.u16()))
+		pageMaxKeys := int(r.u32())
+		if r.err != nil {
+			break
 		}
-		nl := int(binary.LittleEndian.Uint16(image))
-		image = image[2:]
-		if len(image) < nl+8 {
-			return wal.ErrCorruptCheckpoint
-		}
-		name := string(image[:nl])
-		image = image[nl:]
-		pageMaxKeys := int(binary.LittleEndian.Uint32(image))
-		rows := binary.LittleEndian.Uint32(image[4:8])
-		image = image[8:]
 		tb := db.getOrCreateTable(name, pageMaxKeys)
-		for r := uint32(0); r < rows; r++ {
-			if len(image) < 2 {
-				return wal.ErrCorruptCheckpoint
+		for n := r.u32(); n > 0; n = r.u32() {
+			for ; n > 0; n-- {
+				key := r.bytes(r.u16())
+				val := r.bytes(int(r.u32()))
+				if r.err != nil {
+					break
+				}
+				tb.data.Write(t, key, append([]byte(nil), val...), false, nil)
 			}
-			kl := int(binary.LittleEndian.Uint16(image))
-			image = image[2:]
-			if len(image) < kl+4 {
-				return wal.ErrCorruptCheckpoint
-			}
-			key := image[:kl]
-			image = image[kl:]
-			vl := int(binary.LittleEndian.Uint32(image))
-			image = image[4:]
-			if len(image) < vl {
-				return wal.ErrCorruptCheckpoint
-			}
-			val := append([]byte(nil), image[:vl]...)
-			image = image[vl:]
-			tb.data.Write(t, key, val, false, nil)
 		}
 	}
-	return nil
+	if r.err == nil && len(r.b) > 0 {
+		r.err = wal.ErrCorruptCheckpoint
+	}
+	return r.err
 }
 
 // Checkpoint writes a fuzzy checkpoint: an image of every table's state at
-// a fresh snapshot, published atomically (temp file + fsync + rename), then
-// truncates WAL segments wholly covered by it. Concurrent transactions keep
-// running throughout — the image is an ordinary snapshot scan. It is a
-// no-op for non-durable databases.
+// a fresh snapshot, streamed chunk by chunk into a temporary file and
+// published atomically (fsync + rename), then truncates WAL segments wholly
+// covered by it. Concurrent transactions keep running throughout — the image
+// is a sequence of ordinary snapshot scans. It is a no-op for non-durable
+// databases.
 func (db *DB) Checkpoint() error {
 	if db.dir == "" {
 		return nil
 	}
 	db.ckptMu.Lock()
 	defer db.ckptMu.Unlock()
-	base := db.log.StatsSnapshot().BytesAppended
+	base := db.log.BytesAppended()
 	t := db.mgr.BeginTx(SnapshotIsolation, true)
 	snap := db.mgr.AssignSnapshot(t)
-	image := db.buildCheckpointImage(t, snap)
+	ck, err := wal.CreateCheckpoint(db.dir, uint64(snap))
+	if err == nil {
+		defer ck.Abort()
+		err = db.writeImage(ck, t, snap)
+	}
 	db.afterCleanup(db.mgr.Abort(t)) // probe ran no statements; core abort erases it
-	if err := wal.WriteCheckpoint(db.dir, uint64(snap), image); err != nil {
+	if err == nil {
+		err = ck.Commit()
+	}
+	if err != nil {
 		return err
 	}
 	db.ckptBase.Store(base)
@@ -329,7 +384,7 @@ func (db *DB) maybeCheckpoint() {
 	if db.dir == "" || db.opts.CheckpointBytes < 0 {
 		return
 	}
-	if db.log.StatsSnapshot().BytesAppended-db.ckptBase.Load() < uint64(db.opts.CheckpointBytes) {
+	if db.log.BytesAppended()-db.ckptBase.Load() < uint64(db.opts.CheckpointBytes) {
 		return
 	}
 	if !db.ckptBusy.CompareAndSwap(false, true) {

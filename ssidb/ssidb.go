@@ -51,8 +51,13 @@
 // tolerating a torn tail from a mid-write crash — and Checkpoint folds it
 // into an image so recovery stays proportional to recent activity; with
 // CheckpointBytes > 0 checkpoints also trigger automatically as log bytes
-// accumulate. Stats reports WALAppends, GroupCommitBatches, Fsyncs,
-// AvgBatchSize and RecoveryReplayed.
+// accumulate. A checkpoint streams its image: each table's rows at the
+// checkpoint snapshot are scanned into one 64 KiB buffer and written as a
+// chunk once the scan has returned (never under a partition latch), so its
+// memory does not grow with the database; the file ends in a trailer with
+// the payload length and a CRC32C over the whole image, and is published by
+// fsync and atomic rename. Stats reports WALAppends, GroupCommitBatches,
+// Fsyncs, AvgBatchSize and RecoveryReplayed.
 //
 // # Workload robustness: proven-robust programs at plain SI
 //
@@ -401,7 +406,7 @@ func open(opts Options) (*DB, error) {
 				l.Close()
 				return nil, err
 			}
-			db.ckptBase.Store(db.log.StatsSnapshot().BytesAppended)
+			db.ckptBase.Store(db.log.BytesAppended())
 		}
 		// Installed only after recovery, so replayed commits are never
 		// re-appended to the log they came from.
