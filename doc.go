@@ -171,9 +171,14 @@
 //     re-check under the committing transaction's own mutex guarantees an
 //     edge racing with commit is seen by at least one of the two checks
 //     (the package comment states the memory-ordering invariants).
-//     Transaction ends that advance the watermark fire a hook
-//     (SetWatermarkHook) the storage layer uses to schedule garbage
-//     reclamation.
+//     Everything that watermark frees is freed in one place: a committed
+//     transaction that must outlive its commit joins the commit-ordered
+//     retirement queue of its own registry shard (each queue with its own
+//     mutex — no mutex shared by all shards is taken at commit), and every
+//     transaction end drains, on every shard, the entries the watermark has
+//     passed, handing them in batches to one engine hook (SetRetireHook):
+//     ssidb releases their SIREAD locks and prunes the versions they
+//     superseded there.
 //   - internal/mvcc hash-partitions every table's row store into
 //     GOMAXPROCS-scaled partitions (ssidb.Options.TableShards; a single
 //     one by default under GranularityPage, see there), each an
@@ -193,15 +198,15 @@
 //     phantom detection is preserved because an insert behind the frontier
 //     lands on a gap the scan already locked, and one ahead of it is
 //     emitted by the resumed merge itself (the invariant argument is on
-//     mvcc.Table.ScanWith). Version pruning is off the write path entirely:
-//     superseding writes queue their chains on a per-partition dirty list
-//     (each chain at most once, so it needs no bound), and vacuum sweeps
-//     against the OldestActiveSnapshot watermark (also reachable as
-//     ssidb.DB.Vacuum) visit exactly those chains — work proportional to
-//     garbage, one sweep path, and write-path re-arming once a pinned
-//     watermark advances. The table directory itself is an
-//     atomic copy-on-write map — resolving a table name costs one atomic
-//     load.
+//     mvcc.Table.ScanWith). Version pruning is off the write path and has no
+//     schedule of its own: a committed writer hands its write set (the row
+//     handles it wrote) to its retirement, and the retire hook prunes, under
+//     each partition's latch held once per batch, exactly the versions those
+//     rows' commits superseded — synchronously with transaction ends, in
+//     proportion to garbage, whatever snapshot was pinning it; no goroutine,
+//     counter or sampling is involved (ssidb.DB.Vacuum still walks every
+//     chain on demand). The table directory itself is an atomic
+//     copy-on-write map — resolving a table name costs one atomic load.
 //   - A stored row is two things (≈106 B for a 4-byte key and a 1-byte
 //     value straight after a load, TestRowFootprintAllocBudget): a 32-byte
 //     {key, value} slot in a B+tree leaf, and the 48-byte chain the slot
@@ -214,18 +219,20 @@
 //     sequential load fills pages to PageMaxKeys. The chain is its own newest
 //     version: a superseding write copies the old head out behind it and
 //     overwrites the head in place (a first insert allocates the chain
-//     alone), and rollback and vacuum do the reverse — safe because no
+//     alone), and rollback and pruning do the reverse — safe because no
 //     pointer to a version leaves the partition latch it was read under, and
-//     for the same reason the versions rollback and vacuum unlink go, zeroed,
+//     for the same reason the versions rollback and pruning unlink go, zeroed,
 //     onto a per-partition free list under that latch and are what the next
 //     superseding writes copy into: a steady-state overwrite allocates
-//     nothing. Key bytes belong to the tree: Put, Insert and Delete only
-//     borrow the caller's key (it is copied, into an immutable string, if and
-//     when the call creates the row), every row and gap lock on a key the
-//     tree holds — a scanned row, a gap, an insert's successor, and the row
-//     of a point read or write, through the handle of note [8] above — is
-//     named by that string rather than by a fresh copy, and a Scan callback
-//     is shown a read-only view of it. Value slices are the opposite:
+//     nothing, on any number of processors, because the writer's own
+//     retirement refills what its write took. Key bytes belong to the tree:
+//     Put, Insert and Delete only borrow the caller's key (it is copied,
+//     into an immutable string, if and when the call creates the row),
+//     every row and gap lock on a key the tree holds — a scanned row, a
+//     gap, an insert's successor, and the row of a point read or write,
+//     through the handle of note [8] above — is named by that string rather
+//     than by a fresh copy, and a Scan callback is shown a read-only view of
+//     it. Value slices are the opposite:
 //     retained as given, and not to be modified after the call.
 //   - Declared read-only transactions (ssidb.BeginReadOnly, RunReadOnly,
 //     TxnOptions) ride the same registry: a transaction that never writes

@@ -207,26 +207,49 @@
 //
 // The paper keeps a committed transaction's record only "until every
 // concurrent transaction has finished" (§3.3; thesis §4.6.1, eager cleanup).
-// So does this package: the sweep that retires a suspended transaction drops
+// So does this package: the drain that retires a suspended transaction drops
 // the last long-lived reference to its record. What makes that possible is
 // that the row store never holds a *Txn. A version, and a page write stamp,
 // points at its creator's Cell — 24 bytes: id, commit timestamp, and an
 // atomic pointer to the record — which the owner allocates at its first
 // write (a transaction that writes nothing has none), which the commit
-// stamps under tsMu beside the record itself, and which sweep severs
+// stamps under tsMu beside the record itself, and which the drain severs
 // (rec = nil) for every transaction it retires. For the sever to happen at
-// all, every transaction that created a cell is retired through the
-// suspended list: Finish suspends on keep || cell != nil, whatever the
+// all, every transaction that created a cell is retired through a
+// retirement queue: Finish suspends on keep || cell != nil, whatever the
 // isolation level.
 //
-// Severing is safe by the sweep's own condition. Who can need W's record
+// # Retirement
+//
+// Everything the horizon (OldestActiveSnapshot) frees is freed at one place.
+// Finish appends the committed transaction, with an opaque payload the engine
+// hands over, to the retirement queue of its own registry shard, kept in
+// commit order under that shard's own mutex; no mutex shared by all shards is
+// taken. Every transaction end (Finish, Abort), after its own registry
+// removal and append, reads the horizon once and drains, on every shard, each
+// entry whose commit precedes it: the cell is severed, then the retire hook
+// (SetRetireHook) gets the record and the payload — the engine releases the
+// SIREAD locks and prunes the versions the writer superseded there. A shard
+// whose oldest entry the horizon has not passed costs one atomic load. The
+// drain takes entries off a queue in short batches and hands each batch to
+// the hook with no lock held, so drainers of one shard share it, an append
+// never waits behind a hook, and the hook can batch its own work.
+//
+// The last end of a quiescing workload leaves every queue empty. Let Y be the
+// end whose registry removal is last: its horizon exceeds every commit. If
+// Y's probe of a shard finds an entry, Y drains the shard to the end with that
+// horizon; if it finds the shard empty, any entry appended later was appended
+// by an end X after Y's probe, and X reads its horizon after its append, so
+// after Y's removal — and drains it itself.
+//
+// Severing is safe by the drain's own condition. Who can need W's record
 // through one of W's versions?
 //
 //   - A snapshot reader R needs it only for a version invisible to R — the
-//     target of an rw-antidependency — i.e. W uncommitted (never swept: only
+//     target of an rw-antidependency — i.e. W uncommitted (never drained: only
 //     committed transactions are suspended), or ct(W) ≥ snap(R). R registered
 //     a floor ≤ snap(R) in the registry before allocating the snapshot
-//     (AssignSnapshot), and sweep retires W only when
+//     (AssignSnapshot), and the drain retires W only when
 //     ct(W) < OldestActiveSnapshot() ≤ floor(R) ≤ snap(R). So a severed
 //     creator's version is visible to every active snapshot, and to every
 //     future one (snapshots are clock ticks, later than ct(W)): it is never a
@@ -247,12 +270,12 @@
 // long each holds it — the list that pooling records would have to empty:
 //
 //   - the active registry, from Begin until Finish, Abort or an unsafe abort;
-//   - the suspended list, from Finish until the sweep that finds the commit
-//     older than every active snapshot (under a pinned snapshot: unbounded,
-//     which is the summary tier's job to fix), and not from its backing
-//     array's slack afterwards;
-//   - the lock table's holder maps, until the engine releases the locks of
-//     the transactions a sweep hands back (SIREAD locks outlive the commit);
+//   - its shard's retirement queue, from Finish until the drain that finds the
+//     commit older than every active snapshot (under a pinned snapshot:
+//     unbounded, which is the summary tier's job to fix), and not from the
+//     queue's slack afterwards;
+//   - the lock table's holder maps, until the engine's retire hook releases
+//     its locks (SIREAD locks outlive the commit);
 //   - partners' in/out references, until the partner is itself collected — a
 //     suspended transaction only ever references itself or transactions that
 //     commit no earlier than it (Figure 3.10 lines 9-12; of a counterpart that
@@ -405,7 +428,7 @@ type Txn struct {
 	beginTS  atomic.Uint64 // snapshot timestamp; 0 until assigned (§4.5 defers it)
 	commitTS atomic.Uint64 // 0 until committed
 
-	// One word: the lifecycle state beside three single-byte facts.
+	// One word: the lifecycle state beside two single-byte facts.
 	status atomic.Int32
 	iso    uint8 // the Isolation level. Immutable.
 	// readOnly marks a transaction declared read-only at begin. Immutable.
@@ -414,8 +437,7 @@ type Txn struct {
 	// invariant 4), the commit check degenerates to publication, and the
 	// transaction is excluded from the read-write watermark that decides
 	// snapshot safety.
-	readOnly  bool
-	suspended bool // guarded by Manager.suspMu
+	readOnly bool
 
 	// csMu is this transaction's conflict-state mutex: it guards mutation
 	// of in/out and makes the commit-time dangerous-structure check atomic
@@ -436,15 +458,15 @@ type Txn struct {
 
 	// cell is what this transaction's versions point at; nil until its first
 	// write (Cell). Written by the owner's goroutine; the commit stamp reads
-	// it on that goroutine and the sweep under suspMu, which the owner took
-	// in Finish after the write.
+	// it on that goroutine and the drain after taking t off the retirement
+	// queue, whose mutex the owner took in Finish after the write.
 	cell *Cell
 
 	// lockState is an opaque slot for the lock manager's per-owner
 	// bookkeeping, so it needs no owner registry of its own. It is written
 	// once, by the owner's goroutine before the transaction first appears
 	// in any lock-table entry; every other reader reaches the transaction
-	// through a lock-table shard mutex or the suspended list, which
+	// through a lock-table shard mutex or the retirement queue, which
 	// establishes the necessary happens-before edge.
 	lockState any
 }
@@ -459,7 +481,7 @@ type Txn struct {
 //
 // commitTS goes 0 → final exactly once, stored under tsMu together with the
 // record's own (stampLocked), so a snapshot sees every earlier commit's cell
-// stamped. rec goes t → nil exactly once, in the sweep that retires t, which
+// stamped. rec goes t → nil exactly once, in the drain that retires t, which
 // happens after the stamp: a nil rec means "committed, and visible to every
 // active and future snapshot" ("Record lifetime" in the package comment). An
 // aborted transaction's cell is never severed.
@@ -563,13 +585,112 @@ func committedBefore(a, b *Txn) bool {
 // conservative lower bound on its snapshot timestamp (0 until a snapshot is
 // requested) and maintains the minimum of those bounds in an atomic, so the
 // global pruning watermark is readable without any lock.
+//
+// The shard also keeps the retirement queue of the transactions that hash to
+// it ("Retirement" in the package comment): retired[qhead:], in commit order,
+// guarded by retMu. retHead is the
+// oldest queued commit timestamp (tsInfinity when the queue is empty), so a
+// drain passes a shard with nothing to retire without taking its mutex.
 type regShard struct {
 	mu      sync.Mutex
 	active  map[*Txn]TS   // horizon constraint per active txn; 0 = unconstrained
 	minSnap atomic.Uint64 // min non-zero constraint, tsInfinity when none
 	minRW   atomic.Uint64 // same, over read-write transactions only
+	retHead atomic.Uint64
 
-	_ [40]byte // pad so neighbouring shard mutexes don't false-share
+	retMu   sync.Mutex
+	retired []retiree
+	qhead   int
+
+	_ [48]byte // pad so neighbouring shard mutexes don't false-share
+}
+
+// Retired is a suspended transaction as a drain hands it to the retire hook:
+// the record, its creator cell already severed, and the payload the engine
+// handed to FinishWith.
+type Retired struct {
+	Txn     *Txn
+	Payload any
+}
+
+// retiree is one entry of a retirement queue: a Retired and its commit
+// timestamp.
+type retiree struct {
+	ct TS
+	Retired
+}
+
+// enqueueLocked inserts e into the queue in commit order. Finish calls run in
+// roughly commit order, so the insert is an append but for the few entries a
+// later commit finished ahead of. Spent slots at the front are reused before
+// the array grows. The caller holds retMu.
+func (sh *regShard) enqueueLocked(e retiree) {
+	if sh.qhead > 0 && len(sh.retired) == cap(sh.retired) {
+		n := copy(sh.retired, sh.retired[sh.qhead:])
+		clear(sh.retired[n:])
+		sh.retired, sh.qhead = sh.retired[:n], 0
+	}
+	q := append(sh.retired, e)
+	i := len(q) - 1
+	for ; i > sh.qhead && q[i-1].ct > e.ct; i-- {
+		q[i] = q[i-1]
+	}
+	q[i] = e
+	sh.retired = q
+	sh.retHead.Store(q[sh.qhead].ct)
+}
+
+// retireBatch bounds how many entries a drain takes off a queue per hold of
+// its mutex, and so how many the retire hook gets per call.
+const retireBatch = 32
+
+// retiredBatches recycles the drains' batch buffers: a batch handed to the
+// hook would escape to the heap if it lived on the drainer's stack.
+var retiredBatches = sync.Pool{New: func() any { return new([retireBatch]Retired) }}
+
+// retireFrom takes up to retireBatch entries the horizon h has passed off
+// sh's queue, then severs their cells and hands the batch to the retire hook
+// with no lock held.
+func (m *Manager) retireFrom(sh *regShard, h TS) {
+	batch := retiredBatches.Get().(*[retireBatch]Retired)
+	sh.retMu.Lock()
+	q := sh.retired[sh.qhead:]
+	n := 0
+	for ; n < len(batch) && n < len(q) && q[n].ct < h; n++ {
+		batch[n], q[n] = q[n].Retired, retiree{}
+	}
+	sh.qhead += n
+	if sh.qhead == len(sh.retired) {
+		// Emptied: the array is reused from the front, and its slack holds
+		// nothing (every taken slot was cleared above).
+		sh.retired, sh.qhead = sh.retired[:0], 0
+		sh.retHead.Store(tsInfinity)
+	} else {
+		sh.retHead.Store(sh.retired[sh.qhead].ct)
+	}
+	sh.retMu.Unlock()
+	for _, r := range batch[:n] {
+		if c := r.Txn.cell; c != nil {
+			c.rec.Store(nil)
+		}
+	}
+	if m.retireHook != nil && n > 0 {
+		m.retireHook(batch[:n])
+	}
+	clear(batch[:n])
+	retiredBatches.Put(batch)
+}
+
+// drain retires, on every shard, each queued transaction whose commit
+// precedes the horizon — read once, after the caller's own registry removal
+// and append, which is what the quiesce argument in the package comment needs.
+func (m *Manager) drain() {
+	h := m.OldestActiveSnapshot()
+	for _, sh := range m.shards {
+		for sh.retHead.Load() < h {
+			m.retireFrom(sh, h)
+		}
+	}
 }
 
 // lowerMinLocked folds a new constraint into the shard watermarks: always
@@ -603,10 +724,10 @@ func (sh *regShard) recomputeMinLocked() {
 	sh.minRW.Store(minRW)
 }
 
-// Manager owns the global transaction clock, the active and suspended
-// transaction sets, and the SSI conflict-detection logic. One Manager backs
-// one database. See the package comment for how its synchronisation is split
-// relative to the paper's single kernel mutex.
+// Manager owns the global transaction clock, the active transaction registry
+// with its retirement queues, and the SSI conflict-detection logic. One
+// Manager backs one database. See the package comment for how its
+// synchronisation is split relative to the paper's single kernel mutex.
 type Manager struct {
 	detector Detector
 
@@ -622,19 +743,9 @@ type Manager struct {
 	shards []*regShard
 	mask   uint64
 
-	// suspMu guards the suspended list and Txn.suspended flags.
-	suspMu    sync.Mutex
-	suspended []*Txn // committed but not yet obsolete (SIREAD holders, pivots-to-be, every writer), in commit order
-
-	// watermarkHook, when set, is invoked (outside all Manager locks) when
-	// OldestActiveSnapshot is observed to have advanced at a transaction
-	// end. lastWM makes the notifications monotone and at-most-once per
-	// observed value; endTicks throttles the observation itself, so the
-	// per-end cost on the commit path is one counter increment, not a
-	// watermark scan.
-	watermarkHook func(TS)
-	lastWM        atomic.Uint64
-	endTicks      atomic.Uint64
+	// retireHook, when set, receives the suspended transactions a drain
+	// retires, in batches; see SetRetireHook.
+	retireHook func([]Retired)
 
 	// threatHi is the safe-snapshot threat horizon: the largest commit
 	// timestamp of any conflict-tracking read-write transaction that
@@ -732,6 +843,7 @@ func NewManager(d Detector) *Manager {
 		sh := &regShard{active: make(map[*Txn]TS)}
 		sh.minSnap.Store(tsInfinity)
 		sh.minRW.Store(tsInfinity)
+		sh.retHead.Store(tsInfinity)
 		m.shards[i] = sh
 	}
 	return m
@@ -1230,117 +1342,54 @@ func (m *Manager) CommitPrepareWith(t *Txn, slot any) (TS, error) {
 // suspended — kept for later conflict detection — if keep is true (it still
 // holds SIREAD locks, or has a detected outgoing conflict — the §3.7.3 note)
 // or if it wrote anything: every committed writer stays suspended until it is
-// obsolete, because the sweep that retires it is what severs its creator cell
+// obsolete, because the drain that retires it is what severs its creator cell
 // (the rule lives here so no caller can forget it). Only a transaction that
-// wrote nothing and holds nothing is dropped immediately. Finish returns the
-// suspended transactions that have become obsolete — committed before every
-// remaining active transaction began — so the caller can release their SIREAD
+// wrote nothing and holds nothing is dropped immediately. Every suspended
+// transaction reaches the retire hook once it has become obsolete — committed
+// before every remaining active transaction began — which releases its SIREAD
 // locks (eager cleanup, thesis §4.6.1).
-func (m *Manager) Finish(t *Txn, keep bool) (cleaned []*Txn) {
+func (m *Manager) Finish(t *Txn, keep bool) { m.FinishWith(t, keep, nil) }
+
+// FinishWith is Finish handing payload to the retire hook along with t, the
+// way CommitPrepareWith hands its slot to the commit hook. A non-nil payload
+// suspends t whatever keep says, so the hook always receives it.
+func (m *Manager) FinishWith(t *Txn, keep bool, payload any) {
 	m.deregister(t)
-	if keep || t.cell != nil {
-		m.suspMu.Lock()
-		t.suspended = true
-		m.suspended = append(m.suspended, t)
-		m.suspMu.Unlock()
+	if keep || t.cell != nil || payload != nil {
+		sh := m.regShardOf(t)
+		sh.retMu.Lock()
+		sh.enqueueLocked(retiree{t.CommitTS(), Retired{t, payload}})
+		sh.retMu.Unlock()
 	}
-	cleaned = m.sweep()
-	m.noteWatermark()
-	return cleaned
+	m.drain()
 }
 
-// Abort marks t aborted and removes it from the active set. Rollback and
-// lock release are the caller's responsibility. Aborted transactions are
-// never suspended: their conflicts are void. Returns suspended transactions
-// that became obsolete.
-func (m *Manager) Abort(t *Txn) (cleaned []*Txn) {
+// Abort marks t aborted and removes it from the active set, then drains as
+// Finish does. Rollback and lock release are the caller's responsibility.
+// Aborted transactions are never suspended: their conflicts are void.
+func (m *Manager) Abort(t *Txn) {
 	if t.Status() == StatusActive {
 		t.status.Store(int32(StatusAborted))
 	}
 	m.deregister(t)
-	cleaned = m.sweep()
-	m.noteWatermark()
-	return cleaned
+	m.drain()
 }
 
-// SetWatermarkHook installs fn to be called when transaction ends advance
-// the OldestActiveSnapshot watermark. Must be set before the Manager sees
-// concurrency (the engine installs it at Open). The hook runs on a
-// finishing transaction's goroutine, outside every Manager lock, with the
-// newly observed watermark; observed values are strictly increasing and
-// each is delivered at most once, though deliveries themselves may race
-// (a later value can be mid-flight while an earlier one is still running).
-// Observation is sampled — roughly every 16th transaction end — so advances
-// coalesce; hooks must still be cheap and hand real work elsewhere (the
-// engine's hook only checks vacuum trigger counters).
-func (m *Manager) SetWatermarkHook(fn func(TS)) { m.watermarkHook = fn }
-
-// noteWatermark reports an advanced watermark to the hook, deduplicated via
-// a monotone compare-and-swap so a value is never delivered twice. The
-// watermark scan runs on a sampling of ends only, keeping the common commit
-// path to one counter increment.
-func (m *Manager) noteWatermark() {
-	if m.watermarkHook == nil {
-		return
-	}
-	if m.endTicks.Add(1)&15 != 0 {
-		return
-	}
-	w := m.OldestActiveSnapshot()
-	for {
-		old := m.lastWM.Load()
-		if w <= old {
-			return
-		}
-		if m.lastWM.CompareAndSwap(old, w) {
-			m.watermarkHook(w)
-			return
-		}
-	}
-}
-
-// sweep removes and returns suspended transactions whose commit precedes
-// the begin of every active transaction, severing each one's creator cell
-// from its record ("Record lifetime" in the package comment proves nobody can
-// need the record through a version any more). The suspended list is in
-// commit order, so obsolete entries form a prefix. Every transaction end
-// (Finish or Abort) sweeps after its own registry removal, which guarantees
-// the final sweep in any quiescing workload observes an empty registry and
-// drains the whole list.
-func (m *Manager) sweep() []*Txn {
-	m.suspMu.Lock()
-	defer m.suspMu.Unlock()
-	if len(m.suspended) == 0 {
-		return nil
-	}
-	horizon := m.OldestActiveSnapshot()
-	n := 0
-	for n < len(m.suspended) && m.suspended[n].CommitTS() < horizon {
-		t := m.suspended[n]
-		t.suspended = false
-		if t.cell != nil {
-			t.cell.rec.Store(nil)
-		}
-		n++
-	}
-	if n == 0 {
-		return nil
-	}
-	cleaned := make([]*Txn, n)
-	copy(cleaned, m.suspended[:n])
-	// The vacated tail is cleared: slack beyond len is still reachable, and a
-	// list that once grew under a pinned snapshot would keep that many
-	// retired records alive for the life of the Manager.
-	rest := copy(m.suspended, m.suspended[n:])
-	clear(m.suspended[rest:])
-	m.suspended = m.suspended[:rest]
-	return cleaned
-}
+// SetRetireHook installs fn to receive each suspended transaction once its
+// commit precedes every active snapshot, with its cell already severed and
+// the payload handed to FinishWith (nil from Finish). A drain hands fn the
+// entries it took off one queue together, in commit order, so fn can batch
+// its work — the engine prunes each partition's rows under one latch hold.
+// fn runs on whichever transaction end drains the entries, with no Manager
+// lock held, possibly concurrently with itself; it may take engine latches
+// and lock-table mutexes, and must not keep the slice. Must be set before the
+// Manager sees concurrency (the engine installs it at Open).
+func (m *Manager) SetRetireHook(fn func([]Retired)) { m.retireHook = fn }
 
 // OldestActiveSnapshot is the exported pruning horizon: versions committed
 // before it and superseded by another version committed before it can never
-// be read again. Used by the MVCC store's garbage pruning and the suspended
-// sweep. It is a watermark read — one atomic load per registry shard, no
+// be read again. Used by the MVCC store's garbage pruning and the retirement
+// drain. It is a watermark read — one atomic load per registry shard, no
 // locks — capped at clock+1 so that a transaction between snapshot
 // allocation and registry publication is still covered: any snapshot
 // allocated after the cap was read is necessarily larger than it.
@@ -1440,26 +1489,19 @@ type Stats struct {
 }
 
 // StatsSnapshot returns current counters. The registry shards are visited
-// one at a time, so Active is not an atomic cut across shards; quiesce first
-// for exact numbers.
+// one at a time, so Active and Suspended are not atomic cuts across shards;
+// quiesce first for exact numbers.
 func (m *Manager) StatsSnapshot() Stats {
 	st := Stats{Clock: m.clock.Load()}
 	for _, sh := range m.shards {
 		sh.mu.Lock()
 		st.Active += len(sh.active)
 		sh.mu.Unlock()
+		sh.retMu.Lock()
+		st.Suspended += len(sh.retired) - sh.qhead
+		sh.retMu.Unlock()
 	}
-	m.suspMu.Lock()
-	st.Suspended = len(m.suspended)
-	m.suspMu.Unlock()
 	return st
-}
-
-// Suspended reports whether t is currently kept in the suspended set.
-func (m *Manager) Suspended(t *Txn) bool {
-	m.suspMu.Lock()
-	defer m.suspMu.Unlock()
-	return t.suspended
 }
 
 // HasInConflict reports whether an incoming rw-edge has been recorded on t.

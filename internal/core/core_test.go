@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -256,8 +258,28 @@ func TestConflictWithAbortedTxnIgnored(t *testing.T) {
 	}
 }
 
+// retirements installs a retire hook that records every transaction retired,
+// with its payload, and returns what it has recorded so far.
+func retirements(m *Manager) func() []retiree {
+	var mu sync.Mutex
+	var got []retiree
+	m.SetRetireHook(func(batch []Retired) {
+		mu.Lock()
+		for _, r := range batch {
+			got = append(got, retiree{r.Txn.CommitTS(), r})
+		}
+		mu.Unlock()
+	})
+	return func() []retiree {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]retiree(nil), got...)
+	}
+}
+
 func TestSuspensionAndSweep(t *testing.T) {
 	m := NewManager(DetectorBasic)
+	retired := retirements(m)
 	long := m.Begin(SerializableSI) // overlaps everything below
 	m.AssignSnapshot(long)
 
@@ -267,8 +289,9 @@ func TestSuspensionAndSweep(t *testing.T) {
 		if _, err := m.CommitPrepare(txn); err != nil {
 			t.Fatal(err)
 		}
-		if cleaned := m.Finish(txn, true); len(cleaned) != 0 {
-			t.Fatalf("cleaned %d while long overlapper active", len(cleaned))
+		m.FinishWith(txn, true, i)
+		if got := retired(); len(got) != 0 {
+			t.Fatalf("retired %d while long overlapper active", len(got))
 		}
 		if _, err := m.CommitPrepare(txn); !errors.Is(err, ErrTxnDone) {
 			t.Fatalf("second CommitPrepare = %v, want ErrTxnDone", err)
@@ -278,41 +301,155 @@ func TestSuspensionAndSweep(t *testing.T) {
 	if st.Suspended != 5 {
 		t.Fatalf("Suspended = %d, want 5", st.Suspended)
 	}
-	// When the long transaction finishes, everything it overlapped drains.
+	// When the long transaction finishes, everything it overlapped drains,
+	// each once and with its own payload.
 	if _, err := m.CommitPrepare(long); err != nil {
 		t.Fatal(err)
 	}
-	cleaned := m.Finish(long, false)
-	if len(cleaned) != 5 {
-		t.Fatalf("cleaned %d, want 5", len(cleaned))
+	m.Finish(long, false)
+	got := retired()
+	if len(got) != 5 {
+		t.Fatalf("retired %d, want 5", len(got))
+	}
+	slices.SortFunc(got, func(a, b retiree) int { return cmp.Compare(a.ct, b.ct) })
+	for i, e := range got {
+		if e.Payload != i {
+			t.Fatalf("retirement %d in commit order carries payload %v", i, e.Payload)
+		}
 	}
 	if st := m.StatsSnapshot(); st.Suspended != 0 || st.Active != 0 {
 		t.Fatalf("leftover state: %+v", st)
 	}
 }
 
-// TestSuspensionOrderIsCommitOrder checks the prefix-sweep assumption: a
-// suspended transaction is only cleaned when every active transaction began
-// after its commit.
+// TestSuspensionSweepRespectsOverlap checks the drain's condition: a suspended
+// transaction is retired as soon as, and only once, every active transaction
+// began after its commit — and a queue kept in commit order holds a commit
+// that finished late behind none that finished early.
 func TestSuspensionSweepRespectsOverlap(t *testing.T) {
 	m := NewManager(DetectorPrecise)
+	retired := retirements(m)
 	a := m.Begin(SerializableSI)
 	m.AssignSnapshot(a)
 	commitA, err := m.CommitPrepare(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// b begins after a committed; c begins before b finishes.
 	b := m.Begin(SerializableSI)
 	sb := m.AssignSnapshot(b)
 	if sb < commitA {
 		t.Fatal("clock order broken")
 	}
-	if cleaned := m.Finish(a, true); len(cleaned) != 1 || cleaned[0] != a {
-		// b began after a committed, so a is immediately obsolete.
-		t.Fatalf("a not cleaned immediately: %v", cleaned)
+	// b began after a committed, so a is obsolete the moment it finishes.
+	m.Finish(a, true)
+	if got := retired(); len(got) != 1 || got[0].Txn != a {
+		t.Fatalf("a not retired immediately: %v", got)
+	}
+
+	// c and d, on one registry shard, commit in that order under a pin and
+	// finish in the other; the pin's end retires both, c first.
+	c, d := m.Begin(SerializableSI), m.Begin(SerializableSI)
+	for m.regShardOf(d) != m.regShardOf(c) {
+		m.Abort(d)
+		d = m.Begin(SerializableSI)
+	}
+	for _, x := range []*Txn{c, d} {
+		m.AssignSnapshot(x)
+	}
+	for _, x := range []*Txn{c, d} {
+		if _, err := m.CommitPrepare(x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.Finish(d, true)
+	m.Finish(c, true)
+	if got := retired(); len(got) != 1 {
+		t.Fatalf("retired %d under b's snapshot, want only a", len(got))
 	}
 	m.Finish(b, false)
+	if got := retired(); len(got) != 3 || got[1].Txn != c || got[2].Txn != d {
+		t.Fatalf("after b finished: %v, want a, c, d", got)
+	}
+}
+
+// TestRetireHookOncePerSuspended churns transaction ends from several
+// goroutines, beside a snapshot that one of them keeps re-pinning: every
+// suspended transaction reaches the hook exactly once, with its cell already
+// severed, and the last end leaves every queue empty.
+func TestRetireHookOncePerSuspended(t *testing.T) {
+	m := NewManager(DetectorPrecise)
+	var mu sync.Mutex
+	counts := map[*Txn]int{}
+	m.SetRetireHook(func(batch []Retired) {
+		for _, r := range batch {
+			if r.Txn.cell != nil && r.Txn.cell.Txn() != nil {
+				t.Errorf("txn %d reached the hook with its cell still pointing at it", r.Txn.ID())
+			}
+			if r.Payload != nil && r.Payload != r.Txn {
+				t.Errorf("txn %d retired with payload %v", r.Txn.ID(), r.Payload)
+			}
+			mu.Lock()
+			counts[r.Txn]++
+			mu.Unlock()
+		}
+	})
+	var suspended sync.Map
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var pin *Txn
+			for i := 0; i < 500; i++ {
+				if g == 0 && i%50 == 0 {
+					// A snapshot held across 50 of this goroutine's
+					// transactions: retirements pile up behind it and
+					// drain at its end.
+					if pin != nil {
+						m.Abort(pin)
+					}
+					pin = m.Begin(SnapshotIsolation)
+					m.AssignSnapshot(pin)
+				}
+				txn := m.Begin(SnapshotIsolation)
+				m.AssignSnapshot(txn)
+				keep, wrote := i%2 == 0, i%3 == 0
+				var payload any
+				if i%5 == 0 {
+					payload = txn
+				}
+				if wrote {
+					txn.Cell()
+				}
+				if _, err := m.CommitPrepare(txn); err != nil {
+					t.Error(err)
+					return
+				}
+				if keep || wrote || payload != nil {
+					suspended.Store(txn, true)
+				}
+				m.FinishWith(txn, keep, payload)
+			}
+			if pin != nil {
+				m.Abort(pin)
+			}
+		}(g)
+	}
+	wg.Wait()
+	n := 0
+	suspended.Range(func(k, _ any) bool {
+		n++
+		if c := counts[k.(*Txn)]; c != 1 {
+			t.Errorf("txn %d retired %d times", k.(*Txn).ID(), c)
+		}
+		return true
+	})
+	if len(counts) != n {
+		t.Errorf("%d transactions retired, %d suspended", len(counts), n)
+	}
+	if st := m.StatsSnapshot(); st.Active != 0 || st.Suspended != 0 {
+		t.Fatalf("leftover state after the last end: %+v", st)
+	}
 }
 
 func TestCommitPrepareOnFinishedTxn(t *testing.T) {

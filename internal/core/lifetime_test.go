@@ -2,6 +2,7 @@ package core
 
 import (
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"unsafe"
 	"weak"
@@ -23,18 +24,19 @@ func TestTxnRecordAllocBudget(t *testing.T) {
 // TestCellSeveredAtSweep walks one writer through its record's life as its
 // versions see it: the cell appears at the first Cell call and never for a
 // transaction that does not write; the commit stamps it beside the record;
-// Finish suspends the writer whatever keep says; and the sweep that retires
+// Finish suspends the writer whatever keep says; and the drain that retires
 // it cuts the record loose while id and commit timestamp stay.
 func TestCellSeveredAtSweep(t *testing.T) {
 	m := NewManager(DetectorPrecise)
+	retired := retirements(m)
 	pin := m.Begin(SnapshotIsolation)
 	m.AssignSnapshot(pin)
 
 	reader := m.Begin(SnapshotIsolation)
 	m.AssignSnapshot(reader)
 	commit(t, m, reader, false)
-	if reader.cell != nil || m.Suspended(reader) {
-		t.Fatalf("a transaction that wrote nothing has cell %p, suspended %v", reader.cell, m.Suspended(reader))
+	if n := m.StatsSnapshot().Suspended; reader.cell != nil || n != 0 {
+		t.Fatalf("a transaction that wrote nothing has cell %p, %d suspended", reader.cell, n)
 	}
 
 	w := m.Begin(SnapshotIsolation)
@@ -47,13 +49,13 @@ func TestCellSeveredAtSweep(t *testing.T) {
 	if c.CommitTS() != ct {
 		t.Fatalf("cell stamped %d, record %d", c.CommitTS(), ct)
 	}
-	if !m.Suspended(w) || c.Txn() != w {
-		t.Fatalf("committed writer under a pinned snapshot: suspended %v, cell record %p", m.Suspended(w), c.Txn())
+	if n := m.StatsSnapshot().Suspended; n != 1 || c.Txn() != w {
+		t.Fatalf("committed writer under a pinned snapshot: %d suspended, cell record %p", n, c.Txn())
 	}
 
-	cleaned := m.Abort(pin)
-	if len(cleaned) != 1 || cleaned[0] != w {
-		t.Fatalf("ending the pin cleaned %v, want the writer", cleaned)
+	m.Abort(pin)
+	if got := retired(); len(got) != 1 || got[0].Txn != w {
+		t.Fatalf("ending the pin retired %v, want the writer", got)
 	}
 	if c.Txn() != nil || c.CommitTS() != ct || c.ID() != w.ID() {
 		t.Fatalf("retired writer's cell: record %p, commitTS %d, id %d", c.Txn(), c.CommitTS(), c.ID())
@@ -69,12 +71,14 @@ func TestCellSeveredAtSweep(t *testing.T) {
 	}
 }
 
-// TestSweepReleasesRetiredRecords: once the sweep has retired a suspended
-// transaction, the suspended list must not keep it reachable — not from the
-// slack of its backing array either, which after one pinned-snapshot episode
-// is as long as the list ever grew.
+// TestSweepReleasesRetiredRecords: once a drain has retired a suspended
+// transaction, the retirement queues must not keep it reachable — not from
+// the slack of their backing arrays either, which after one pinned-snapshot
+// episode are as long as the queues ever grew.
 func TestSweepReleasesRetiredRecords(t *testing.T) {
 	m := NewManager(DetectorPrecise)
+	var retired atomic.Int64
+	m.SetRetireHook(func(batch []Retired) { retired.Add(int64(len(batch))) })
 	pin := m.Begin(SnapshotIsolation)
 	m.AssignSnapshot(pin)
 
@@ -89,8 +93,8 @@ func TestSweepReleasesRetiredRecords(t *testing.T) {
 	if st := m.StatsSnapshot(); st.Suspended != n {
 		t.Fatalf("Suspended = %d under a pinned snapshot, want %d", st.Suspended, n)
 	}
-	if cleaned := m.Abort(pin); len(cleaned) != n {
-		t.Fatalf("final sweep cleaned %d, want %d", len(cleaned), n)
+	if m.Abort(pin); retired.Load() != n {
+		t.Fatalf("the pin's end retired %d, want %d", retired.Load(), n)
 	}
 	runtime.GC()
 	runtime.GC()

@@ -132,97 +132,3 @@ func TestSnapshotObservesEarlierCommits(t *testing.T) {
 	stop.Store(true)
 	wg.Wait()
 }
-
-// TestWatermarkHook pins the advance-hook contract: values delivered are
-// strictly increasing, each at most once, and a delivery happens when the
-// oldest snapshot retires.
-func TestWatermarkHook(t *testing.T) {
-	m := NewManager(DetectorPrecise)
-	var mu sync.Mutex
-	var seen []TS
-	m.SetWatermarkHook(func(w TS) {
-		mu.Lock()
-		seen = append(seen, w)
-		mu.Unlock()
-	})
-
-	churn := func(n int) {
-		for i := 0; i < n; i++ {
-			txn := m.Begin(SnapshotIsolation)
-			m.AssignSnapshot(txn)
-			if _, err := m.CommitPrepare(txn); err != nil {
-				t.Fatal(err)
-			}
-			m.Finish(txn, false)
-		}
-	}
-
-	hold := m.Begin(SnapshotIsolation)
-	sh := m.AssignSnapshot(hold)
-	churn(64) // enough ends to beat the observation sampling
-	// hold pins the watermark at (or below) its snapshot throughout.
-	mu.Lock()
-	for _, w := range seen {
-		if w > sh {
-			t.Fatalf("hook saw watermark %d past the pinned snapshot %d", w, sh)
-		}
-	}
-	mu.Unlock()
-
-	if _, err := m.CommitPrepare(hold); err != nil {
-		t.Fatal(err)
-	}
-	m.Finish(hold, false)
-	churn(64)
-	mu.Lock()
-	defer mu.Unlock()
-	if len(seen) == 0 {
-		t.Fatal("hook never fired")
-	}
-	if last := seen[len(seen)-1]; last <= sh {
-		t.Fatalf("hook did not observe the advance past %d (last %d)", sh, last)
-	}
-	for i := 1; i < len(seen); i++ {
-		if seen[i] <= seen[i-1] {
-			t.Fatalf("hook values not strictly increasing: %v", seen)
-		}
-	}
-}
-
-// TestWatermarkHookConcurrent churns transaction ends from several
-// goroutines and checks no value is delivered twice (the CAS dedup).
-func TestWatermarkHookConcurrent(t *testing.T) {
-	m := NewManager(DetectorPrecise)
-	var mu sync.Mutex
-	counts := map[TS]int{}
-	m.SetWatermarkHook(func(w TS) {
-		mu.Lock()
-		counts[w]++
-		mu.Unlock()
-	})
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				txn := m.Begin(SnapshotIsolation)
-				m.AssignSnapshot(txn)
-				if _, err := m.CommitPrepare(txn); err == nil {
-					m.Finish(txn, false)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	mu.Lock()
-	defer mu.Unlock()
-	for w, n := range counts {
-		if n > 1 {
-			t.Fatalf("watermark %d delivered %d times", w, n)
-		}
-	}
-	if len(counts) == 0 {
-		t.Fatal("hook never fired under churn")
-	}
-}

@@ -307,8 +307,8 @@ func stateOf(owner *core.Txn) *ownerState {
 // grant (grantLocked) and hands it back whenever a release leaves it holding
 // nothing — at cleanup for a transaction whose SIREAD locks outlived it, at
 // commit already for one that had none (every write-only or S2PL
-// transaction). Transaction records stay reachable from the suspended list
-// (every committed writer is on it until its commit is older than every
+// transaction). Transaction records stay reachable from the retirement queues
+// (every committed writer is in one until its commit is older than every
 // active snapshot) after their locks are gone, and a map pinned to each,
 // drained or not, would swell the live heap the collector re-scans every
 // cycle. Only the map is pooled — the ownerState itself may still be

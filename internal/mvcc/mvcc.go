@@ -27,8 +27,8 @@
 // package hands out — ScanItem.Key, Successor, Row.Key — is that string;
 // value slices, by contrast, are retained as given). A first insert therefore
 // allocates the chain and nothing else; a superseding write copies the old
-// head out to a Version and overwrites the head in place; Rollback and the
-// vacuum do the reverse. All of it happens under the partition latch, and the
+// head out to a Version and overwrites the head in place; Rollback and pruning
+// do the reverse. All of it happens under the partition latch, and the
 // invariant that makes overwriting in place safe is that no *Version — least
 // of all the head's address — outlives the latch hold that obtained it: reads
 // copy Data and Creator out into their ReadResult and keep no pointer into
@@ -50,7 +50,7 @@
 // found, not a copy of the search key), check First-Committer-Wins, install
 // and undo a write with one descent between them.
 //
-// Superseded versions are recycled. A version the vacuum cuts off a chain, or
+// Superseded versions are recycled. A version pruning cuts off a chain, or
 // one a Rollback moves back into the head, is unreachable from the moment it
 // is unlinked — the chain was the only thing pointing at it, and by the
 // invariant above nobody holds a *Version across latch holds — so it goes,
@@ -58,10 +58,10 @@
 // partition's free list, and the next superseding write of that partition
 // copies the old head into it instead of allocating. The list is guarded by
 // the partition latch held exclusively, which every one of those three
-// already holds, so it needs no pool and no atomics; it is bounded by the
-// table's vacuum threshold (what one sweep's worth of writes can use before
-// the next sweep refills it), and anything beyond that is left to the
-// collector.
+// already holds, so it needs no pool and no atomics; it holds at most
+// freeMax versions — a backlog a released snapshot lets go of at once is
+// more than the writes that follow need — and anything beyond that is left
+// to the collector.
 //
 // # Partitioned store
 //
@@ -88,13 +88,20 @@
 // SSI makes the same point, Ports & Grittner, VLDB 2012). The precise
 // invariant argument is on ScanWith.
 //
-// Version pruning is not done on the write path. A superseding write lists
-// its chain on the partition's dirty list, and a vacuum sweep driven by the
-// transaction manager's OldestActiveSnapshot watermark visits exactly the
-// listed chains, cutting versions no snapshot can reach — work proportional
-// to garbage, not to partition width. The list needs no bound: a chain is on
-// it at most once, so at 8 bytes an entry it never outgrows a sixth of the
-// 48-byte rows it lists, let alone the superseded versions they hold.
+// # Pruning
+//
+// Version pruning is not done on the write path, nor by a background sweep:
+// it is done when the superseding writer retires. The engine keeps a
+// committed writer's rows (its write set, as Rows) in the transaction
+// manager's retirement queue, and once the writer's commit precedes every
+// active snapshot it hands them to a Pruner: under the row's partition latch,
+// everything older than the writer's version goes — exactly the versions that
+// commit made garbage — with one latch hold per partition for a whole batch
+// of retiring writers. Reclamation is therefore synchronous with transaction
+// ends, proportional to garbage, and keeps pace with any writer however it is
+// scheduled. Vacuum walks every chain of the table against the Horizon
+// instead; it is for tests and for whatever a caller wrote outside a retiring
+// transaction.
 package mvcc
 
 import (
@@ -115,16 +122,6 @@ type Version struct {
 	Creator   *core.Cell
 	Older     *Version
 	Tombstone bool
-	// queued is the chain's, not the version's — it lives here, in the
-	// padding behind Tombstone, because a field of chain beside the embedded
-	// head would push the row from the 48-byte allocation class into the
-	// 64-byte one. It is only ever set on a chain's head: true exactly while
-	// the chain sits on one dirty list — the shard's live list or a sweep's
-	// stolen work list (never both, never twice): queueDirtyLocked sets it as
-	// it appends, and sweeps clear it as they take a chain off a list. The
-	// strict one-list invariant is what keeps sweep visit counts (and the dead
-	// estimate) proportional to real garbage, and the list itself bounded.
-	queued bool
 }
 
 // chain is the version list for one key, and the whole of what a row costs
@@ -156,30 +153,30 @@ func (c *chain) push(sh *shard, w *core.Cell, data []byte, tombstone bool) {
 			older = new(Version)
 		}
 		*older = c.Version
-		older.queued = false
 	}
-	c.Version = Version{Data: data, Creator: w, Older: older, Tombstone: tombstone, queued: c.queued}
+	c.Version = Version{Data: data, Creator: w, Older: older, Tombstone: tombstone}
 }
 
 // pop undoes push: the next older version moves back into the head, and the
 // object it was copied out to is recycled. Caller holds sh.mu exclusively.
 func (c *chain) pop(sh *shard) {
-	queued := c.queued
 	if older := c.Older; older != nil {
 		c.Version = *older
 		sh.recycle(older)
 	} else {
 		c.Version = Version{}
 	}
-	c.queued = queued
 }
+
+// freeMax bounds a partition's free list.
+const freeMax = 1024
 
 // recycle puts v, which nothing references any more, on the free list — zeroed,
 // so that it pins neither its data nor its creator's cell — unless the list is
 // full, in which case v is left to the collector. Caller holds sh.mu
 // exclusively.
 func (sh *shard) recycle(v *Version) {
-	if sh.nfree >= sh.tb.vacuumEvery {
+	if sh.nfree >= freeMax {
 		return
 	}
 	*v = Version{Older: sh.free}
@@ -208,10 +205,6 @@ type ReadResult struct {
 // page number, giving each partition 2^24 page ids of its own.
 const pageShardShift = 24
 
-// DefaultVacuumEvery is the per-partition count of superseded versions that
-// triggers an asynchronous vacuum sweep of that partition.
-const DefaultVacuumEvery = 1024
-
 // ShardCount is the table-partition sizing policy: core.ShardCount's
 // rounding and clamping, but defaulting to GOMAXPROCS rather than 4× it —
 // unlike the lock table's stripes, partitions carry whole B+trees and every
@@ -230,52 +223,29 @@ type Config struct {
 	// Shards is the partition count, normalised by ShardCount.
 	Shards int
 	// Horizon returns the oldest snapshot any active transaction could read
-	// at (typically core.Manager.OldestActiveSnapshot); versions superseded
-	// before it are reclaimable.
+	// at (typically core.Manager.OldestActiveSnapshot); Vacuum cuts the
+	// versions superseded before it.
 	Horizon func() core.TS
-	// VacuumEvery overrides DefaultVacuumEvery (values <= 0 keep the
-	// default). Small values make vacuum eager; tests use 1.
-	VacuumEvery int
 }
 
 // shard is one partition: an independently latched B+tree of version chains
-// plus its vacuum bookkeeping.
+// plus its free list and pruning census.
 type shard struct {
-	tb   *Table
 	mu   sync.RWMutex
 	tree *btree.Tree
 
 	// free is the partition's list of recycled versions, linked through Older
-	// and otherwise zero; nfree is its length, at most the table's
-	// vacuumEvery. Filled by pruneChain and pop, drained by push, all under mu
-	// held exclusively (see "Rows" in the package comment).
+	// and otherwise zero; nfree is its length, at most freeMax. Filled by
+	// pruneChain and pop, drained by push, all under mu held exclusively (see
+	// "Rows" in the package comment).
 	free  *Version
 	nfree int64
 
-	// dead estimates the partition's superseded (eventually reclaimable)
-	// versions since the last vacuum; reaching the table's vacuumEvery
-	// triggers an async sweep.
-	dead atomic.Int64
-	// dirty lists the chains holding superseded versions since the last
-	// sweep, each once (see Version.queued). Guarded by mu.
-	dirty []*chain
-	spare []*chain // recycled backing array for dirty (guarded by mu)
-	// sweepMu serialises sweeps of this partition (a synchronous Vacuum
-	// parks behind an in-flight async sweep instead of spinning);
-	// vacuuming additionally dedups the async triggers so noteDead never
-	// piles up goroutines.
-	sweepMu   sync.Mutex
-	vacuuming atomic.Bool
-	// stalledBelow, when non-zero, records that a sweep against watermark
-	// stalledBelow-1 reclaimed nothing (the watermark was pinned by an old
-	// snapshot): write-path re-triggers are suppressed until the watermark
-	// reaches stalledBelow, at which point noteDead re-arms by itself —
-	// a low-garbage partition no longer depends on a later MaybeVacuum
-	// delivery to unpark its dead versions. MaybeVacuum and productive
-	// sweeps clear it.
-	stalledBelow atomic.Uint64
+	// pruned counts the versions pruneChain cut, visits the chains it walked;
+	// written under mu held exclusively.
+	pruned, visits uint64
 
-	_ [24]byte // keep neighbouring shard latches off one cache line
+	_ [64]byte // keep neighbouring shard latches off one cache line
 }
 
 // Table is one table: a hash-partitioned set of latch-protected B+trees of
@@ -286,15 +256,11 @@ type Table struct {
 	mask    uint32
 	horizon func() core.TS
 
-	vacuumEvery int64
-
 	// scanPool recycles merge state (iterator and heap slices) across scans
 	// of this table, so the merged path allocates nothing per scan.
 	scanPool sync.Pool
 
-	vacuumRuns      atomic.Uint64
-	versionsPruned  atomic.Uint64
-	vacuumKeyVisits atomic.Uint64
+	vacuumRuns atomic.Uint64
 }
 
 // NewTable creates a table partitioned per cfg.
@@ -307,14 +273,10 @@ func NewTable(name string, cfg Config) *Table {
 	}
 	n := ShardCount(cfg.Shards)
 	tb := &Table{
-		name:        name,
-		shards:      make([]*shard, n),
-		mask:        uint32(n - 1),
-		horizon:     cfg.Horizon,
-		vacuumEvery: DefaultVacuumEvery,
-	}
-	if cfg.VacuumEvery > 0 {
-		tb.vacuumEvery = int64(cfg.VacuumEvery)
+		name:    name,
+		shards:  make([]*shard, n),
+		mask:    uint32(n - 1),
+		horizon: cfg.Horizon,
 	}
 	for i := range tb.shards {
 		base := uint32(i) << pageShardShift
@@ -322,7 +284,7 @@ func NewTable(name string, cfg Config) *Table {
 		if n == 1 {
 			limit = 0 // single tree: the whole page-number space, as before
 		}
-		tb.shards[i] = &shard{tb: tb, tree: btree.NewWithPageBase(cfg.PageMaxKeys, base, limit)}
+		tb.shards[i] = &shard{tree: btree.NewWithPageBase(cfg.PageMaxKeys, base, limit)}
 	}
 	return tb
 }
@@ -490,7 +452,7 @@ func (r Row) NewestCommitTS() core.TS {
 func (r Row) Write(t *core.Txn, data []byte, tombstone bool) {
 	w := t.Cell() // t's first write allocates it, on t's own goroutine
 	r.sh.mu.Lock()
-	r.sh.tb.writeChainLocked(r.sh, r.c, w, data, tombstone)
+	writeChainLocked(r.sh, r.c, w, data, tombstone)
 	r.sh.mu.Unlock()
 }
 
@@ -501,11 +463,58 @@ func (r Row) Rollback(t *core.Txn) {
 	r.sh.mu.Lock()
 	defer r.sh.mu.Unlock()
 	if c := r.c; c.Creator != nil && c.Creator.Txn() == t {
-		if c.Older != nil {
-			r.sh.dead.Add(-1) // the superseded version writeChainLocked counted is live again
-		}
 		c.pop(r.sh)
 	}
+}
+
+// Pruner cuts the versions retiring writers superseded, taking each
+// partition's latch once for all the rows of a batch in it rather than once
+// per row: a latch a scan round holds shared costs a writer the rest of the
+// round, and a pinned snapshot's end retires its whole backlog at once. The
+// zero value is ready to use.
+type Pruner struct {
+	n    int
+	rows [pruneBatch]struct {
+		Row
+		ct core.TS
+	}
+}
+
+// pruneBatch is how many rows a Pruner holds before it prunes them.
+const pruneBatch = 64
+
+// Add queues r, written by a transaction committed at ct, for pruning:
+// everything older than the newest version committed at or before ct — the
+// writer's own, unless a later commit superseded it too — goes onto the
+// partition's free list. The caller guarantees that ct precedes every active
+// snapshot: the engine adds a writer's rows when it retires.
+func (p *Pruner) Add(r Row, ct core.TS) {
+	if p.n == pruneBatch {
+		p.Flush()
+	}
+	p.rows[p.n].Row, p.rows[p.n].ct = r, ct
+	p.n++
+}
+
+// Flush prunes the rows added since the last Flush, one latch hold per
+// partition among them.
+func (p *Pruner) Flush() {
+	rows := p.rows[:p.n]
+	for i := range rows {
+		sh := rows[i].sh
+		if sh == nil {
+			continue // pruned with an earlier row's partition
+		}
+		sh.mu.Lock()
+		for j := i; j < len(rows); j++ {
+			if rows[j].sh == sh {
+				pruneChain(sh, rows[j].c, rows[j].ct+1)
+				rows[j].Row = Row{}
+			}
+		}
+		sh.mu.Unlock()
+	}
+	p.n = 0
 }
 
 // Write is Locate and Row.Write for a key that may have no row yet: an absent
@@ -532,7 +541,7 @@ func (tb *Table) Write(t *core.Txn, key []byte, data []byte, tombstone bool, onI
 			stored, v, _ = sh.tree.LookupOrInsert(key, &chain{})
 		}
 		row = Row{key: stored, c: v.(*chain), sh: sh}
-		tb.writeChainLocked(sh, row.c, w, data, tombstone)
+		writeChainLocked(sh, row.c, w, data, tombstone)
 		sh.mu.Unlock()
 		return row, !ok
 	}
@@ -552,58 +561,19 @@ func (tb *Table) Write(t *core.Txn, key []byte, data []byte, tombstone bool, onI
 		stored, v, _ = sh.tree.LookupOrInsert(key, &chain{})
 	}
 	row = Row{key: stored, c: v.(*chain), sh: sh}
-	tb.writeChainLocked(sh, row.c, w, data, tombstone)
+	writeChainLocked(sh, row.c, w, data, tombstone)
 	return row, !ok
 }
 
 // writeChainLocked pushes (or replaces in place) the pending version of the
-// transaction whose cell is w, maintains the partition's superseded-version
-// estimate and queues the chain on the dirty list for the next vacuum sweep.
-// Caller holds the shard latch exclusively.
-func (tb *Table) writeChainLocked(sh *shard, c *chain, w *core.Cell, data []byte, tombstone bool) {
+// transaction whose cell is w. Caller holds the shard latch exclusively.
+func writeChainLocked(sh *shard, c *chain, w *core.Cell, data []byte, tombstone bool) {
 	if c.Creator == w {
 		c.Data = data
 		c.Tombstone = tombstone
 		return
 	}
-	superseding := c.Creator != nil
 	c.push(sh, w, data, tombstone)
-	if superseding {
-		sh.queueDirtyLocked(c)
-		tb.noteDead(sh, 1)
-	}
-}
-
-// queueDirtyLocked appends c to the shard's dirty list unless it is already
-// on one. Caller holds the shard latch exclusively.
-func (sh *shard) queueDirtyLocked(c *chain) {
-	if !c.queued {
-		c.queued = true
-		sh.dirty = append(sh.dirty, c)
-	}
-}
-
-// noteDead bumps the partition's superseded-version estimate and triggers an
-// asynchronous vacuum sweep when it reaches vacuumEvery. If an earlier sweep
-// found the watermark pinned (stalledBelow), the re-trigger waits until the
-// watermark has actually advanced past the failed sweep's horizon — and
-// then fires from the write path itself, so parked garbage never depends on
-// a later MaybeVacuum delivery.
-func (tb *Table) noteDead(sh *shard, n int64) {
-	d := sh.dead.Add(n)
-	if d < tb.vacuumEvery {
-		return
-	}
-	if sb := sh.stalledBelow.Load(); sb != 0 {
-		// Probe the watermark on every 64th superseding write while parked:
-		// OldestActiveSnapshot is a handful of atomic loads, but this path
-		// runs under the exclusive partition latch on a write-heavy
-		// partition — exactly when the watermark is pinned.
-		if d%64 != 0 || tb.horizon() < sb {
-			return
-		}
-	}
-	tb.tryVacuumShard(sh)
 }
 
 // SetSplitHook installs a callback invoked under the owning partition latch
@@ -917,128 +887,55 @@ func (tb *Table) successorAllLocked(key []byte) (string, bool) {
 // ---------------------------------------------------------------------------
 // Vacuum
 
-// vacuumChunk bounds how many keys one latch hold processes, so a sweep
-// never stalls readers or writers of the partition for long.
+// vacuumChunk bounds how many keys one latch hold processes, so a walk never
+// stalls readers or writers of the partition for long.
 const vacuumChunk = 256
 
-// VacuumStats reports what a sweep reclaimed.
+// VacuumStats reports what a Vacuum call reclaimed.
 type VacuumStats struct {
 	// VersionsPruned is the number of row versions cut out of chains.
 	VersionsPruned int
 }
 
-// Vacuum sweeps every partition against the current watermark, synchronously,
-// and returns what it reclaimed. Safe to run concurrently with readers and
-// writers; the sweep takes each partition latch in short chunks.
+// Vacuum walks every chain of every partition against the current Horizon,
+// synchronously, and returns what it reclaimed. Safe to run concurrently with
+// readers and writers: it takes each partition latch for vacuumChunk chains
+// at a time, re-seeking past the last chain it pruned after each. Retiring
+// writers prune their own rows (see "Pruning" in the package comment); this
+// is the walk for everything else.
 func (tb *Table) Vacuum() VacuumStats {
+	h := tb.horizon()
 	var st VacuumStats
 	for _, sh := range tb.shards {
-		// Parks behind any in-flight async sweep of the same partition, so
-		// the returned counts are this call's own.
-		sh.sweepMu.Lock()
-		st.VersionsPruned += tb.vacuumShard(sh)
-		sh.sweepMu.Unlock()
-	}
-	return st
-}
-
-// MaybeVacuum re-arms stalled partitions (the watermark advanced) and kicks
-// asynchronous sweeps for partitions whose superseded-version estimate has
-// crossed the threshold. Called from the engine's watermark-advance hook.
-// It is an accelerant, not a correctness requirement: noteDead re-arms a
-// stalled partition by itself once it observes the watermark past the failed
-// sweep's horizon.
-func (tb *Table) MaybeVacuum() {
-	for _, sh := range tb.shards {
-		sh.stalledBelow.Store(0)
-		if sh.dead.Load() >= tb.vacuumEvery {
-			tb.tryVacuumShard(sh)
-		}
-	}
-}
-
-// tryVacuumShard starts an asynchronous sweep of sh unless one is running.
-func (tb *Table) tryVacuumShard(sh *shard) {
-	if !sh.vacuuming.CompareAndSwap(false, true) {
-		return
-	}
-	go func() {
-		sh.sweepMu.Lock()
-		tb.vacuumShard(sh)
-		sh.sweepMu.Unlock()
-		sh.vacuuming.Store(false)
-	}()
-}
-
-// vacuumShard cuts reclaimable versions out of sh's chains in chunked latch
-// holds. A version is reclaimable when a newer version of its key committed
-// before the watermark: no current or future snapshot can reach past that
-// newer version. The newest committed-before-horizon version itself is kept
-// (it is what the oldest snapshot reads); tombstone markers are kept as chain
-// markers, per the thesis note on reclaiming deleted rows.
-//
-// The sweep is proportional to garbage: it visits exactly the chains the
-// write path queued on the shard's dirty list. A chain left with more than
-// one version is re-queued — unless a concurrent writer already did — so the
-// backlog a pinned watermark leaves behind is revisited by the next sweep,
-// once, without rescanning the partition.
-func (tb *Table) vacuumShard(sh *shard) (versions int) {
-	h := tb.horizon()
-	sh.dead.Swap(0)
-	var residual int64
-
-	sh.mu.Lock()
-	work := sh.dirty
-	sh.dirty, sh.spare = sh.spare[:0], nil
-	sh.mu.Unlock()
-	for i := 0; i < len(work); {
 		sh.mu.Lock()
-		for end := min(i+vacuumChunk, len(work)); i < end; i++ {
-			c := work[i]
-			work[i] = nil
-			c.queued = false // off the stolen list; re-queued below if still dirty
-			pruned, left := pruneChain(sh, c, h)
-			versions += pruned
-			residual += int64(left)
-			if left > 0 {
-				sh.queueDirtyLocked(c)
+		for it := sh.tree.IterFrom(nil); it.Valid(); {
+			last := ""
+			for n := 0; n < vacuumChunk && it.Valid(); n++ {
+				st.VersionsPruned += pruneChain(sh, it.Value().(*chain), h)
+				last = it.Key()
+				it.Next()
+			}
+			if it.Valid() {
+				sh.mu.Unlock()
+				sh.mu.Lock()
+				it = sh.tree.IterAfter(last)
 			}
 		}
 		sh.mu.Unlock()
 	}
-	sh.mu.Lock()
-	if sh.spare == nil {
-		sh.spare = work[:0]
-	}
-	sh.mu.Unlock()
-
-	// Superseded versions the watermark still pins stay counted (and listed),
-	// so a later trigger revisits them. An unproductive sweep records the
-	// horizon it ran against: noteDead holds re-triggers until the watermark
-	// passes it.
-	sh.dead.Add(residual)
-	if versions == 0 && residual > 0 {
-		sh.stalledBelow.Store(h + 1)
-	} else if versions > 0 {
-		sh.stalledBelow.Store(0)
-	}
 	tb.vacuumRuns.Add(1)
-	tb.vacuumKeyVisits.Add(uint64(len(work)))
-	tb.versionsPruned.Add(uint64(versions))
-	return versions
+	return st
 }
 
 // pruneChain cuts everything older than the newest version committed before
-// horizon — onto sh's free list, see recycle — returning how many versions
-// were cut and how many remain beyond the chain head (the chain's residual:
-// versions some active snapshot may still need, or uncommitted work — either
-// way, potential future garbage that keeps the chain dirty). Caller holds
-// sh.mu exclusively.
-func pruneChain(sh *shard, c *chain, horizon core.TS) (pruned, residual int) {
+// horizon — onto sh's free list, see recycle — and returns how many versions
+// it cut. No current or future snapshot can reach past that version, which is
+// kept (it is what the oldest snapshot reads), tombstone or not, per the
+// thesis note on reclaiming deleted rows. Caller holds sh.mu exclusively.
+func pruneChain(sh *shard, c *chain, horizon core.TS) (pruned int) {
+	sh.visits++
 	for v := c.first(); v != nil; v = v.Older {
 		if ct := v.Creator.CommitTS(); ct != 0 && ct < horizon {
-			// v is the newest pre-horizon committed version: every older
-			// version is unreachable by any current or future snapshot.
 			for o := v.Older; o != nil; {
 				next := o.Older
 				sh.recycle(o)
@@ -1049,13 +946,8 @@ func pruneChain(sh *shard, c *chain, horizon core.TS) (pruned, residual int) {
 			break
 		}
 	}
-	for v := c.first(); v != nil; v = v.Older {
-		residual++
-	}
-	if residual > 0 {
-		residual--
-	}
-	return pruned, residual
+	sh.pruned += uint64(pruned)
+	return pruned
 }
 
 // ---------------------------------------------------------------------------
@@ -1065,38 +957,31 @@ func pruneChain(sh *shard, c *chain, horizon core.TS) (pruned, residual int) {
 type ShardStats struct {
 	Keys  int
 	Pages int
-	// DeadVersions is the partition's current superseded-version estimate
-	// (the vacuum trigger counter).
-	DeadVersions int64
 }
 
-// TableStats is a census of a table's partitions and vacuum activity.
+// TableStats is a census of a table's partitions and pruning activity.
 type TableStats struct {
 	Shards []ShardStats
 	Keys   int
 	Pages  int
 
-	// Cumulative since table creation.
-	VacuumRuns     uint64
-	VersionsPruned uint64
-	// VacuumKeyVisits counts the chains vacuum sweeps have walked — the
-	// garbage-proportionality metric: with dirty-list sweeps it tracks the
-	// superseded-version count, not partition width × sweep count.
+	// Cumulative since table creation: Vacuum calls, the versions pruned by
+	// retiring writers and by Vacuum, and the chains they walked — one per row
+	// a retiring writer wrote, every chain per Vacuum.
+	VacuumRuns      uint64
+	VersionsPruned  uint64
 	VacuumKeyVisits uint64
 }
 
 // Stats returns a point-in-time census. Partitions are visited one at a
 // time, so the totals are not an atomic cut; quiesce first for exact numbers.
 func (tb *Table) Stats() TableStats {
-	st := TableStats{
-		Shards:          make([]ShardStats, len(tb.shards)),
-		VacuumRuns:      tb.vacuumRuns.Load(),
-		VersionsPruned:  tb.versionsPruned.Load(),
-		VacuumKeyVisits: tb.vacuumKeyVisits.Load(),
-	}
+	st := TableStats{Shards: make([]ShardStats, len(tb.shards)), VacuumRuns: tb.vacuumRuns.Load()}
 	for i, sh := range tb.shards {
 		sh.mu.RLock()
-		s := ShardStats{Keys: sh.tree.Len(), Pages: sh.tree.PageCount(), DeadVersions: sh.dead.Load()}
+		s := ShardStats{Keys: sh.tree.Len(), Pages: sh.tree.PageCount()}
+		st.VersionsPruned += sh.pruned
+		st.VacuumKeyVisits += sh.visits
 		sh.mu.RUnlock()
 		st.Shards[i] = s
 		st.Keys += s.Keys

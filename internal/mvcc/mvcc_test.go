@@ -45,6 +45,22 @@ func (f *fixture) put(t *testing.T, key, val string) core.TS {
 	return f.commit(t, txn)
 }
 
+// retireRows wires m's retire hook the way the engine wires it: a committed
+// writer hands its rows to FinishWith, and once it retires, a Pruner cuts
+// what it superseded on each.
+func retireRows(m *core.Manager) {
+	m.SetRetireHook(func(batch []core.Retired) {
+		var p Pruner
+		for _, r := range batch {
+			rows, _ := r.Payload.([]Row)
+			for _, row := range rows {
+				p.Add(row, r.Txn.CommitTS())
+			}
+		}
+		p.Flush()
+	})
+}
+
 // row is Locate for a key the test knows to have a row.
 func (f *fixture) row(t *testing.T, key string) Row {
 	t.Helper()
@@ -290,33 +306,6 @@ func TestVacuumRespectsOldSnapshot(t *testing.T) {
 	}
 }
 
-// TestDeadCounterTriggersVacuum: with VacuumEvery=1 every superseding write
-// crosses the threshold, so the store vacuums itself without any explicit
-// Vacuum call.
-func TestDeadCounterTriggersVacuum(t *testing.T) {
-	m := core.NewManager(core.DetectorPrecise)
-	tb := NewTable("t", Config{PageMaxKeys: 8, Shards: 2, Horizon: m.OldestActiveSnapshot, VacuumEvery: 1})
-	put := func(key, val string) {
-		txn := m.Begin(core.SnapshotIsolation)
-		m.AssignSnapshot(txn)
-		tb.Write(txn, []byte(key), []byte(val), false, nil)
-		if _, err := m.CommitPrepare(txn); err != nil {
-			t.Fatal(err)
-		}
-		m.Finish(txn, false)
-	}
-	for i := 0; i < 50; i++ {
-		put("hot", fmt.Sprintf("v%d", i))
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for tb.Stats().VacuumRuns == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("write-path dead counter never triggered a vacuum")
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
 // TestMergedScanMatchesSingleShardOracle: a partitioned table's ordered scan
 // must produce exactly the sequence a 1-shard table produces for the same
 // data — same keys, same order, same visibility. The keyspace is wider than
@@ -374,12 +363,14 @@ func TestMergedScanMatchesSingleShardOracle(t *testing.T) {
 
 // TestPartitionedStoreRaceStress hammers one partitioned table with
 // concurrent point writes, structural inserts (with gap callbacks),
-// tombstones, merged scans and vacuum sweeps; run under -race it checks the
-// latch discipline (single-shard point ops, ordered all-shard scans and
-// structural inserts, chunked vacuum) for data races and deadlocks.
+// tombstones, merged scans, retirement pruning and Vacuum walks; run under
+// -race it checks the latch discipline (single-shard point ops and pruning,
+// ordered all-shard scans and structural inserts, chunked vacuum) for data
+// races and deadlocks.
 func TestPartitionedStoreRaceStress(t *testing.T) {
 	m := core.NewManager(core.DetectorPrecise)
-	tb := NewTable("t", Config{PageMaxKeys: 4, Shards: 4, Horizon: m.OldestActiveSnapshot, VacuumEvery: 16})
+	retireRows(m)
+	tb := NewTable("t", Config{PageMaxKeys: 4, Shards: 4, Horizon: m.OldestActiveSnapshot})
 	var wg sync.WaitGroup
 	for g := 0; g < 6; g++ {
 		wg.Add(1)
@@ -390,11 +381,14 @@ func TestPartitionedStoreRaceStress(t *testing.T) {
 				txn := m.Begin(core.SnapshotIsolation)
 				snap := m.AssignSnapshot(txn)
 				key := []byte(fmt.Sprintf("k%03d", r.Intn(64)))
+				var rows []Row
 				switch r.Intn(4) {
 				case 0: // structural-style write with gap callback
-					tb.Write(txn, key, []byte{byte(i)}, false, func(succ string, hasSucc bool) {})
+					row, _ := tb.Write(txn, key, []byte{byte(i)}, false, func(succ string, hasSucc bool) {})
+					rows = append(rows, row)
 				case 1: // tombstone
-					tb.Write(txn, key, nil, true, nil)
+					row, _ := tb.Write(txn, key, nil, true, nil)
+					rows = append(rows, row)
 				case 2: // merged scan
 					tb.Scan(txn, snap, nil, func(it ScanItem) bool { return true })
 				default:
@@ -402,7 +396,7 @@ func TestPartitionedStoreRaceStress(t *testing.T) {
 				}
 				if r.Intn(2) == 0 {
 					if _, err := m.CommitPrepare(txn); err == nil {
-						m.Finish(txn, false)
+						m.FinishWith(txn, false, rows)
 					}
 				} else {
 					if row, ok := tb.Locate(key); ok {
@@ -560,57 +554,31 @@ func TestScanWriterProgress(t *testing.T) {
 		scanDur, keys, during.Load(), time.Duration(atomic.LoadInt64(&maxLat)))
 }
 
-// TestVacuumStallRearm is the regression test for the stall re-arm bug: a
-// partition whose sweep fails the reclaim check while the watermark is
-// pinned must resume sweeping from the write path alone once the watermark
-// advances — previously noteDead skipped scheduling while the stalled flag
-// was set, so without a (sampled, best-effort) MaybeVacuum delivery the
-// garbage was parked indefinitely.
+// TestVacuumStallRearm: garbage superseded under a pinned snapshot is
+// reclaimed by the pin's own end, with no further write and no Vacuum call.
+// (A vacuum that parked on a pinned horizon used to need a later write, or a
+// sampled watermark delivery, to run again.)
 func TestVacuumStallRearm(t *testing.T) {
-	var h atomic.Uint64
-	h.Store(1) // pinned: nothing ever committed before TS 1
 	m := core.NewManager(core.DetectorPrecise)
-	tb := NewTable("t", Config{PageMaxKeys: 8, Shards: 1, Horizon: func() core.TS { return h.Load() }, VacuumEvery: 8})
-	put := func(i int) {
-		txn := m.Begin(core.SnapshotIsolation)
-		m.AssignSnapshot(txn)
-		tb.Write(txn, []byte("hot"), []byte(fmt.Sprintf("v%d", i)), false, nil)
-		if _, err := m.CommitPrepare(txn); err != nil {
-			t.Fatal(err)
-		}
-		m.Finish(txn, false)
-	}
-	// Strand garbage: cross the trigger while the pinned watermark makes
-	// every sweep unproductive.
+	retireRows(m)
+	tb := NewTable("t", Config{PageMaxKeys: 8, Shards: 1, Horizon: m.OldestActiveSnapshot})
+	pin := m.Begin(core.SnapshotIsolation)
+	m.AssignSnapshot(pin)
 	for i := 0; i < 24; i++ {
-		put(i)
+		commitWrite(t, m, tb, []byte("hot"), []byte(fmt.Sprintf("v%d", i)))
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for tb.Stats().VacuumRuns == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("no sweep ran at all")
-		}
-		time.Sleep(time.Millisecond)
+	if n := f2chainLen(t, tb, "hot"); n != 24 {
+		t.Fatalf("chain holds %d versions under the pin, want all 24", n)
 	}
 	if pruned := tb.Stats().VersionsPruned; pruned != 0 {
-		t.Fatalf("pinned sweep reclaimed %d versions", pruned)
+		t.Fatalf("%d versions pruned under the pin", pruned)
 	}
-
-	// The watermark advances. No MaybeVacuum is ever delivered (no manager
-	// hook is wired here): the write path itself must notice and re-trigger.
-	h.Store(1 << 62)
-	deadline = time.Now().Add(5 * time.Second)
-	for i := 100; tb.Stats().VersionsPruned == 0; i++ {
-		if time.Now().After(deadline) {
-			t.Fatal("stalled partition never re-armed after the watermark advance")
-		}
-		put(i)
-		time.Sleep(time.Millisecond)
+	m.Abort(pin)
+	if n := f2chainLen(t, tb, "hot"); n != 1 {
+		t.Fatalf("chain holds %d versions once the pin ended, want 1", n)
 	}
-	if n := f2chainLen(t, tb, "hot"); n > 2 {
-		// A concurrent put may leave one fresh superseded version; the
-		// stranded backlog itself must be gone.
-		t.Fatalf("chain still holds %d versions after re-armed sweep", n)
+	if st := tb.Stats(); st.VersionsPruned != 23 || st.VacuumRuns != 0 {
+		t.Fatalf("the pin's end pruned %d versions in %d vacuum runs, want 23 in none", st.VersionsPruned, st.VacuumRuns)
 	}
 }
 
@@ -630,83 +598,48 @@ func f2chainLen(t *testing.T, tb *Table, key string) int {
 	return n
 }
 
-// TestVacuumProportionalToGarbage pins the dirty-list property: a sweep of a
-// wide partition with a handful of superseded chains visits only those
-// chains, not the whole partition — and so does the sweep that finally
-// reclaims a backlog a pinned watermark left behind, however large.
+// TestVacuumProportionalToGarbage: pruning visits the rows the retiring
+// writers wrote and no others. Ten superseding commits in a 10 000-row
+// partition prune exactly ten versions and walk ten chains — and so does the
+// release of a snapshot that pinned 200 such commits, however wide the
+// partition. Only Vacuum walks the partition.
 func TestVacuumProportionalToGarbage(t *testing.T) {
 	m := core.NewManager(core.DetectorPrecise)
-	// VacuumEvery high enough that no write-path sweep fires: the test
-	// drives Vacuum synchronously and reads the visit census.
-	tb := NewTable("t", Config{PageMaxKeys: 16, Shards: 1, Horizon: m.OldestActiveSnapshot, VacuumEvery: 1 << 20})
-	put := func(key string) {
-		txn := m.Begin(core.SnapshotIsolation)
-		m.AssignSnapshot(txn)
-		tb.Write(txn, []byte(key), []byte("v"), false, nil)
-		if _, err := m.CommitPrepare(txn); err != nil {
-			t.Fatal(err)
-		}
-		m.Finish(txn, false)
-	}
+	retireRows(m)
+	tb := NewTable("t", Config{PageMaxKeys: 16, Shards: 1, Horizon: m.OldestActiveSnapshot})
+	key := func(i int) []byte { return []byte(fmt.Sprintf("k%05d", i)) }
 	const wide = 10000
 	for i := 0; i < wide; i++ {
-		put(fmt.Sprintf("k%05d", i))
+		commitWrite(t, m, tb, key(i), []byte("v"))
 	}
-	for i := 0; i < 10; i++ {
-		put(fmt.Sprintf("k%05d", i)) // supersede 10 of 10000
-	}
-	tb.Vacuum()
-	st := tb.Stats()
-	if st.VersionsPruned != 10 {
-		t.Fatalf("pruned %d versions, want 10", st.VersionsPruned)
-	}
-	if st.VacuumKeyVisits > 100 {
-		t.Fatalf("sweep visited %d chains for 10 superseded keys — proportional to partition width, not to garbage", st.VacuumKeyVisits)
-	}
-
-	// A pinned backlog is revisited, not rediscovered: 200 of a 300-row
-	// partition's chains superseded while a snapshot pins the watermark stay
-	// listed through the unproductive sweeps, and once the pin is released one
-	// sweep visits those 200 chains and no others.
-	tb2 := NewTable("t2", Config{PageMaxKeys: 16, Shards: 1, Horizon: m.OldestActiveSnapshot, VacuumEvery: 4})
-	put2 := func(key, val string) {
-		txn := m.Begin(core.SnapshotIsolation)
-		m.AssignSnapshot(txn)
-		tb2.Write(txn, []byte(key), []byte(val), false, nil)
-		if _, err := m.CommitPrepare(txn); err != nil {
-			t.Fatal(err)
+	check := func(what string, before TableStats, pruned, visits uint64) {
+		t.Helper()
+		st := tb.Stats()
+		if got := st.VersionsPruned - before.VersionsPruned; got != pruned {
+			t.Errorf("%s pruned %d versions, want %d", what, got, pruned)
 		}
-		m.Finish(txn, false)
+		if got := st.VacuumKeyVisits - before.VacuumKeyVisits; got != visits {
+			t.Errorf("%s walked %d chains, want %d", what, got, visits)
+		}
 	}
+	before := tb.Stats()
+	for i := 0; i < 10; i++ {
+		commitWrite(t, m, tb, key(i), []byte("w")) // supersede 10 of 10000
+	}
+	check("10 superseding commits", before, 10, 10)
+
 	pin := m.Begin(core.SnapshotIsolation)
 	m.AssignSnapshot(pin)
-	for i := 0; i < 300; i++ {
-		put2(fmt.Sprintf("q%05d", i), "v")
-	}
 	for i := 0; i < 200; i++ {
-		put2(fmt.Sprintf("q%05d", i), "w")
+		commitWrite(t, m, tb, key(i), []byte("x"))
 	}
-	// The writes above launched asynchronous (pinned, unproductive) sweeps;
-	// nothing launches one once they stop, so wait for the last to finish
-	// before taking the census.
-	sh := tb2.shards[0]
-	for deadline := time.Now().Add(5 * time.Second); sh.vacuuming.Load(); time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("an asynchronous sweep never finished")
-		}
-	}
-	if got := tb2.Stats().VersionsPruned; got != 0 {
-		t.Fatalf("pinned sweeps pruned %d versions", got)
-	}
-	before := tb2.Stats().VacuumKeyVisits
+	before = tb.Stats()
 	m.Abort(pin)
-	tb2.Vacuum()
-	if got := tb2.Stats().VersionsPruned; got != 200 {
-		t.Fatalf("unpinned sweep pruned %d versions, want 200", got)
-	}
-	if visits := tb2.Stats().VacuumKeyVisits - before; visits > 200 {
-		t.Fatalf("unpinned sweep visited %d chains for a backlog of 200 in a 300-row partition", visits)
-	}
+	check("the end of a pin behind 200 superseding commits", before, 200, 200)
+
+	before = tb.Stats()
+	tb.Vacuum()
+	check("Vacuum", before, 0, wide)
 }
 
 // TestAppendScanPathPages: the scan descent paths are appended behind what
@@ -762,9 +695,6 @@ func TestFoldedHead(t *testing.T) {
 		c := cv.(*chain)
 		var out []string
 		for v := c.first(); v != nil; v = v.Older {
-			if v != &c.Version && v.queued {
-				t.Errorf("version %q behind the head is marked queued", v.Data)
-			}
 			out = append(out, fmt.Sprintf("%s/%d/%v", v.Data, v.Creator.ID(), v.Tombstone))
 		}
 		return fmt.Sprint(out)

@@ -25,13 +25,13 @@ func freeLists(t *testing.T, tb *Table) int {
 		sh.mu.Lock()
 		n := 0
 		for v := sh.free; v != nil; v = v.Older {
-			if v.Data != nil || v.Creator != nil || v.Tombstone || v.queued {
+			if v.Data != nil || v.Creator != nil || v.Tombstone {
 				t.Errorf("partition %d: free version %d still holds %+v", i, n, *v)
 			}
 			n++
 		}
-		if int64(n) != sh.nfree || sh.nfree > tb.vacuumEvery {
-			t.Errorf("partition %d: free list of %d, counted %d, bound %d", i, n, sh.nfree, tb.vacuumEvery)
+		if int64(n) != sh.nfree || sh.nfree > freeMax {
+			t.Errorf("partition %d: free list of %d, counted %d, bound %d", i, n, sh.nfree, freeMax)
 		}
 		sh.mu.Unlock()
 		total += n
@@ -39,28 +39,28 @@ func freeLists(t *testing.T, tb *Table) int {
 	return total
 }
 
-// commitWrite writes key=val in a transaction of its own and commits it.
+// commitWrite writes key=val in a transaction of its own and commits it,
+// handing the row to the retire hook as the engine does (see retireRows).
 func commitWrite(t *testing.T, m *core.Manager, tb *Table, key, val []byte) (*core.Txn, core.TS) {
 	t.Helper()
 	w := m.Begin(core.SnapshotIsolation)
 	m.AssignSnapshot(w)
-	tb.Write(w, key, val, false, nil)
+	row, _ := tb.Write(w, key, val, false, nil)
 	ct, err := m.CommitPrepare(w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Finish(w, false)
+	m.FinishWith(w, false, []Row{row})
 	return w, ct
 }
 
 // TestAbortedOverwritesLeaveNoDead: a rolled-back overwrite supersedes
-// nothing, so it must not count towards the vacuum trigger — it used to, and
-// a workload that aborts a tenth of its overwrites scheduled sweeps that found
-// nothing.
+// nothing, so it leaves nothing to prune — it once counted towards the vacuum
+// trigger, and a workload that aborts a tenth of its overwrites scheduled
+// sweeps that found nothing.
 func TestAbortedOverwritesLeaveNoDead(t *testing.T) {
 	f := newFixture()
 	f.put(t, "x", "v1")
-	runs := f.tb.Stats().VacuumRuns
 	for i := 0; i < 5000; i++ {
 		w := f.m.Begin(core.SnapshotIsolation)
 		f.m.AssignSnapshot(w)
@@ -71,14 +71,8 @@ func TestAbortedOverwritesLeaveNoDead(t *testing.T) {
 		row.Rollback(w)
 		f.m.Abort(w)
 	}
-	st := f.tb.Stats()
-	for i, sh := range st.Shards {
-		if sh.DeadVersions != 0 {
-			t.Errorf("partition %d counts %d dead versions after 5000 aborted overwrites, want 0", i, sh.DeadVersions)
-		}
-	}
-	if st.VacuumRuns != runs {
-		t.Errorf("%d vacuum sweeps ran for garbage that does not exist", st.VacuumRuns-runs)
+	if st := f.tb.Vacuum(); st.VersionsPruned != 0 {
+		t.Errorf("Vacuum pruned %d versions after 5000 aborted overwrites, want 0", st.VersionsPruned)
 	}
 	if n := f.chainLen("x"); n != 1 {
 		t.Errorf("chain holds %d versions, want the committed one", n)
@@ -90,15 +84,18 @@ func TestAbortedOverwritesLeaveNoDead(t *testing.T) {
 }
 
 // TestVersionRecycleAllocBudget: in the steady state a superseding write
-// builds its copy of the old head from a version the vacuum cut off some other
-// chain of the partition, so overwriting allocates (next to) nothing, and the
-// free lists stay within the vacuum threshold.
+// builds its copy of the old head from a version an earlier writer's
+// retirement cut off some chain of the partition, so overwriting allocates
+// (next to) nothing, and the free lists stay within their bound. Nothing here
+// yields: retirement runs in the writer's own Finish, however the writer is
+// scheduled.
 func TestVersionRecycleAllocBudget(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the race detector allocates on its own")
 	}
 	const rows, perTxn = 1024, 256
 	m := core.NewManager(core.DetectorPrecise)
+	retireRows(m)
 	tb := NewTable("t", Config{Shards: 4, Horizon: m.OldestActiveSnapshot})
 	keys := make([][]byte, rows)
 	for i := range keys {
@@ -106,34 +103,33 @@ func TestVersionRecycleAllocBudget(t *testing.T) {
 	}
 	val := []byte("v")
 	next := 0
+	written := make([]Row, 0, perTxn) // retired within its writer's Finish, so reused
 	overwrite := func(writes int) {
 		for done := 0; done < writes; done += perTxn {
 			w := m.Begin(core.SnapshotIsolation)
 			m.AssignSnapshot(w)
+			written = written[:0]
 			for i := 0; i < perTxn; i++ {
-				tb.Write(w, keys[next%rows], val, false, nil)
+				row, _ := tb.Write(w, keys[next%rows], val, false, nil)
+				written = append(written, row)
 				next++
-				// A sweep the write triggered runs now, as it would on a
-				// second processor; nothing else in this loop yields to it.
-				runtime.Gosched()
 			}
 			if _, err := m.CommitPrepare(w); err != nil {
 				t.Fatal(err)
 			}
-			m.Finish(w, false)
+			m.FinishWith(w, false, written)
 			freeLists(t, tb)
 		}
 	}
-	overwrite(rows + 20_000) // the load, then enough sweeps to fill the lists
+	overwrite(rows + 20_000) // the load, then enough retirements to fill the lists
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	const writes = 100_000
 	overwrite(writes)
 	runtime.ReadMemStats(&after)
-	// What is left is the transactions' own records (4 per 256 writes), the
-	// sweeps' goroutines and the few writes that outrun a sweep.
+	// What is left is the transactions' own records (a few per 256 writes).
 	perWrite := float64(after.Mallocs-before.Mallocs) / writes
-	t.Logf("%.4f allocations per overwrite, %d sweeps, %d versions on the free lists", perWrite, tb.Stats().VacuumRuns, freeLists(t, tb))
+	t.Logf("%.4f allocations per overwrite, %d versions on the free lists", perWrite, freeLists(t, tb))
 	if perWrite > 0.05 {
 		t.Errorf("%.4f allocations per overwrite in the steady state, want ≤ 0.05", perWrite)
 	}
@@ -183,8 +179,9 @@ func recycleValue(key string, id uint64) []byte {
 	return binary.BigEndian.AppendUint64([]byte(key), id)
 }
 
-// TestRecycledVersionNeverVisible: with a sweep after every superseding write,
-// versions go round through the free lists as fast as they can, while readers
+// TestRecycledVersionNeverVisible: with every writer pruning what it
+// superseded as soon as it retires, versions go round through the free lists
+// as fast as they can, while readers
 // hold snapshots of every age. Every read must return the version its snapshot
 // selects — checked afterwards against the full commit history — with the data
 // its creator wrote; and while one snapshot pins the horizon, every version it
@@ -196,7 +193,8 @@ func TestRecycledVersionNeverVisible(t *testing.T) {
 		perWriter = 1000
 	}
 	m := core.NewManager(core.DetectorPrecise)
-	tb := NewTable("t", Config{Shards: 2, VacuumEvery: 1, Horizon: m.OldestActiveSnapshot})
+	retireRows(m)
+	tb := NewTable("t", Config{Shards: 2, Horizon: m.OldestActiveSnapshot})
 	keys := make([]string, nkeys)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("hot%d", i)
@@ -212,16 +210,16 @@ func TestRecycledVersionNeverVisible(t *testing.T) {
 	write := func(k int) {
 		w := m.Begin(core.SnapshotIsolation)
 		m.AssignSnapshot(w)
-		tb.Write(w, []byte(keys[k]), recycleValue(keys[k], w.ID()), false, nil)
+		row, _ := tb.Write(w, []byte(keys[k]), recycleValue(keys[k], w.ID()), false, nil)
 		ct, err := m.CommitPrepare(w)
 		if err != nil {
 			t.Error(err)
 		}
-		m.Finish(w, false)
+		m.FinishWith(w, false, []Row{row})
 		histMu.Lock()
 		history[k] = append(history[k], committed{ct, w.ID()})
 		histMu.Unlock()
-		// Writers, readers and sweeps take turns operation by operation on
+		// Writers and readers take turns operation by operation on
 		// one processor too, where a goroutine would otherwise run for a whole
 		// time slice against snapshots held by descheduled readers.
 		runtime.Gosched()
@@ -326,10 +324,10 @@ func TestRecycledVersionNeverVisible(t *testing.T) {
 		t.Errorf("%d versions pruned beside %d overwrites: the readers saw little recycling", got, writers*perWriter)
 	}
 
-	// A snapshot held across the next run — far more than vacuumEvery
-	// overwrites of every key — pins the horizon: nothing written since can
-	// be cut, so every overwrite is still on its chain afterwards and the free
-	// lists got nothing beyond what the sweep at the start found.
+	// A snapshot held across the next run — thousands of overwrites of every
+	// key — pins the horizon: nothing written since can be cut, so every
+	// overwrite is still on its chain afterwards and the free lists got
+	// nothing beyond what they held at the start.
 	pinned := m.Begin(core.SnapshotIsolation)
 	pinnedSnap := m.AssignSnapshot(pinned)
 	pinnedSeen := map[int]core.TS{}
@@ -346,7 +344,6 @@ func TestRecycledVersionNeverVisible(t *testing.T) {
 	if len(pinnedSeen) != nkeys {
 		t.Errorf("the pinned snapshot read %d of %d keys", len(pinnedSeen), nkeys)
 	}
-	m.Abort(pinned)
 
 	// Every logged read was the newest version committed before its snapshot.
 	for _, o := range observed {
@@ -361,9 +358,11 @@ func TestRecycledVersionNeverVisible(t *testing.T) {
 		}
 	}
 
-	// With the horizon released the backlog is cut and recycled, and the next
-	// writes take it from there.
-	if st := tb.Vacuum(); st.VersionsPruned == 0 {
+	// The pinned snapshot's end retires the writers behind it, which cut the
+	// backlog and recycle it; the next writes take it from there.
+	pruned = tb.Stats().VersionsPruned
+	m.Abort(pinned)
+	if tb.Stats().VersionsPruned == pruned {
 		t.Error("nothing pruned once the pinned snapshot was gone")
 	}
 	if n := freeLists(t, tb); n == 0 {

@@ -151,6 +151,44 @@ func TestCheckpointTruncatesAndRecovers(t *testing.T) {
 	}
 }
 
+// TestAutoCheckpointUnderPinnedSnapshot: automatic checkpoints keep running,
+// and keep truncating the log, while a snapshot is held open. A checkpoint
+// takes a fresh snapshot of its own, so a long reader has nothing to do with
+// when one may run; they used to be triggered from watermark advances, which
+// a held snapshot stops, and the log grew for as long as the reader ran.
+func TestAutoCheckpointUnderPinnedSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	db := mustOpenDir(t, dir, ssidb.Options{SegmentBytes: 16 << 10, CheckpointBytes: 64 << 10})
+	defer db.Close()
+	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("fresh log: segments %v, %v", segs, err)
+	}
+	pin := db.Begin(ssidb.SnapshotIsolation)
+	defer pin.Abort()
+	if _, _, err := pin.Get("t", []byte("k000")); err != nil { // takes the snapshot
+		t.Fatal(err)
+	}
+	for i := 0; i < 20000; i++ {
+		if err := db.Run(ssidb.SnapshotIsolation, func(tx *ssidb.Txn) error {
+			return tx.Put("t", []byte(fmt.Sprintf("k%03d", i%100)), i64(int64(i)))
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Checkpoints run asynchronously: wait for one to have truncated the
+	// segment the log started in.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if _, err := os.Stat(segs[0]); os.IsNotExist(err) && db.StatsSnapshot().Checkpoints > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("under a held snapshot: %d checkpoints, first segment truncated: %v", db.StatsSnapshot().Checkpoints, err)
+		}
+	}
+	t.Logf("%d checkpoints, %d segments left", db.StatsSnapshot().Checkpoints, countSegments(t, dir))
+}
+
 func countSegments(t *testing.T, dir string) int {
 	t.Helper()
 	m, err := filepath.Glob(filepath.Join(dir, "wal-*.seg"))

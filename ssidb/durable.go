@@ -171,9 +171,11 @@ func (db *DB) recover() error {
 
 // applyRedo replays one committed transaction's writes as a fresh
 // transaction. Recovery is single-threaded and the commit hook is not yet
-// installed, so the replayed commit takes no locks and appends nothing.
+// installed, so the replayed commit takes no locks and appends nothing; its
+// write set retires like a live commit's, pruning what it superseded.
 func (db *DB) applyRedo(payload []byte) error {
 	t := db.mgr.BeginTx(SnapshotIsolation, false)
+	s := txnScratchPool.Get().(*txnScratch)
 	err := decodeRedo(payload, func(table string, key, val []byte, tombstone bool) error {
 		tb := db.getOrCreateTable(table, 0)
 		// The store retains value slices (not keys); payload is the replay
@@ -182,17 +184,19 @@ func (db *DB) applyRedo(payload []byte) error {
 		if !tombstone {
 			v = append([]byte(nil), val...)
 		}
-		tb.data.Write(t, key, v, tombstone, nil)
+		row, _ := tb.data.Write(t, key, v, tombstone, nil)
+		s.writes = append(s.writes, row)
 		return nil
 	})
 	if err != nil {
-		db.afterCleanup(db.mgr.Abort(t))
+		s.recycle()
+		db.mgr.Abort(t)
 		return err
 	}
 	if _, err := db.mgr.CommitPrepare(t); err != nil {
 		return err
 	}
-	db.afterCleanup(db.mgr.Finish(t, false))
+	db.mgr.FinishWith(t, false, s)
 	return nil
 }
 
@@ -274,13 +278,13 @@ func (db *DB) writeImage(w io.Writer, snapTxn *core.Txn, snap core.TS) error {
 func (db *DB) loadCheckpoint(image []byte) error {
 	t := db.mgr.BeginTx(SnapshotIsolation, false)
 	if err := db.loadCheckpointInto(t, image); err != nil {
-		db.afterCleanup(db.mgr.Abort(t))
+		db.mgr.Abort(t)
 		return err
 	}
 	if _, err := db.mgr.CommitPrepare(t); err != nil {
 		return err
 	}
-	db.afterCleanup(db.mgr.Finish(t, false))
+	db.mgr.Finish(t, false) // an image only inserts: nothing superseded to prune
 	return nil
 }
 
@@ -365,26 +369,33 @@ func (db *DB) Checkpoint() error {
 		defer ck.Abort()
 		err = db.writeImage(ck, t, snap)
 	}
-	db.afterCleanup(db.mgr.Abort(t)) // probe ran no statements; core abort erases it
+	db.mgr.Abort(t) // probe ran no statements; core abort erases it
 	if err == nil {
 		err = ck.Commit()
 	}
 	if err != nil {
 		return err
 	}
-	db.ckptBase.Store(base)
+	db.armCheckpoint(base)
 	db.checkpoints.Add(1)
 	return db.log.TruncateBelow(uint64(snap))
 }
 
-// maybeCheckpoint starts an asynchronous checkpoint if enough log bytes
-// accumulated since the last one. Single-flight; called from the watermark
-// hook.
-func (db *DB) maybeCheckpoint() {
-	if db.dir == "" || db.opts.CheckpointBytes < 0 {
-		return
+// armCheckpoint sets the automatic trigger CheckpointBytes of log past base,
+// the byte count a checkpoint started at; without automatic checkpoints it
+// leaves the trigger at never.
+func (db *DB) armCheckpoint(base uint64) {
+	if db.opts.CheckpointBytes > 0 {
+		db.ckptAt.Store(base + uint64(db.opts.CheckpointBytes))
 	}
-	if db.log.BytesAppended()-db.ckptBase.Load() < uint64(db.opts.CheckpointBytes) {
+}
+
+// maybeCheckpoint starts an asynchronous checkpoint once the log has reached
+// the armed trigger. Commit calls it after every durable wait: one atomic
+// compare, whatever snapshots are held open — a checkpoint takes a fresh
+// snapshot of its own. Single-flight.
+func (db *DB) maybeCheckpoint() {
+	if db.log.BytesAppended() < db.ckptAt.Load() {
 		return
 	}
 	if !db.ckptBusy.CompareAndSwap(false, true) {

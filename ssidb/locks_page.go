@@ -20,7 +20,7 @@ import (
 //
 // The page versions are this strategy's own: each table's pageStamps, below,
 // made by tableCreated, inherited across splits by the split hook it installs
-// and pruned by afterCleanup and DB.Vacuum. The row store underneath keeps
+// and pruned by retired and DB.Vacuum. The row store underneath keeps
 // rows only, and lends this file its page topology (LeafPage, PathPages,
 // InsertWillSplit, AppendScanPathPages) and the split hook.
 //
@@ -32,8 +32,8 @@ import (
 // read. Reading stamps first would miss a writer that locked the page before
 // the acquisition and committed before it.
 type pageTargets struct {
-	db       *DB
-	cleanups atomic.Uint64
+	db          *DB
+	retirements atomic.Uint64
 }
 
 // newPageTargets also settles the one store default that granularity decides.
@@ -204,11 +204,11 @@ func (p *pageTargets) tableCreated(tb *table) {
 	})
 }
 
-// afterCleanup periodically prunes page write-stamps: retiring suspended
-// transactions is when the horizon they were kept for has moved. (DB.Vacuum
-// prunes them too.)
-func (p *pageTargets) afterCleanup() {
-	if p.cleanups.Add(1)%64 != 0 {
+// retired prunes page write-stamps at every 64th retirement: retiring a
+// suspended transaction is when the horizon it was kept for has moved.
+// (DB.Vacuum prunes them too.)
+func (p *pageTargets) retired() {
+	if p.retirements.Add(1)%64 != 0 {
 		return
 	}
 	h := p.db.mgr.OldestActiveSnapshot()

@@ -149,7 +149,8 @@ func TestScanStallWriterLatency(t *testing.T) {
 // TestLongScanSerializability re-runs the sercheck property over scans that
 // span multiple lock-coupled rounds: a 600-key table (> 2× the round chunk)
 // with concurrent full-table scans, in-range structural inserts, updates,
-// deletes and point reads, with the recorded MVSG required acyclic — at
+// deletes and point reads — every retiring writer pruning its rows between
+// the rounds — with the recorded MVSG required acyclic — at
 // SerializableSI on both the partitioned and single-partition stores (both
 // detectors' default paths), in page granularity, and at S2PL. This is the
 // §3.5 phantom argument exercised exactly where the handoff protocol has to
@@ -162,12 +163,12 @@ func TestLongScanSerializability(t *testing.T) {
 		opts ssidb.Options
 		iso  ssidb.Isolation
 	}{
-		{"ssi-sharded", ssidb.Options{Detector: ssidb.DetectorPrecise, TableShards: 8, VacuumEvery: 32}, ssidb.SerializableSI},
-		{"ssi-single", ssidb.Options{Detector: ssidb.DetectorPrecise, TableShards: 1, VacuumEvery: 32}, ssidb.SerializableSI},
-		{"ssi-basic-sharded", ssidb.Options{Detector: ssidb.DetectorBasic, TableShards: 8, VacuumEvery: 32}, ssidb.SerializableSI},
-		{"ssi-page-sharded", ssidb.Options{Detector: ssidb.DetectorPrecise, Granularity: ssidb.GranularityPage, PageMaxKeys: 8, TableShards: 4, VacuumEvery: 32}, ssidb.SerializableSI},
-		{"s2pl-sharded", ssidb.Options{TableShards: 8, VacuumEvery: 32}, ssidb.S2PL},
-		{"s2pl-page", ssidb.Options{Granularity: ssidb.GranularityPage, PageMaxKeys: 8, VacuumEvery: 32}, ssidb.S2PL},
+		{"ssi-sharded", ssidb.Options{Detector: ssidb.DetectorPrecise, TableShards: 8}, ssidb.SerializableSI},
+		{"ssi-single", ssidb.Options{Detector: ssidb.DetectorPrecise, TableShards: 1}, ssidb.SerializableSI},
+		{"ssi-basic-sharded", ssidb.Options{Detector: ssidb.DetectorBasic, TableShards: 8}, ssidb.SerializableSI},
+		{"ssi-page-sharded", ssidb.Options{Detector: ssidb.DetectorPrecise, Granularity: ssidb.GranularityPage, PageMaxKeys: 8, TableShards: 4}, ssidb.SerializableSI},
+		{"s2pl-sharded", ssidb.Options{TableShards: 8}, ssidb.S2PL},
+		{"s2pl-page", ssidb.Options{Granularity: ssidb.GranularityPage, PageMaxKeys: 8}, ssidb.S2PL},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			hist := sercheck.NewHistory()

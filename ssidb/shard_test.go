@@ -65,7 +65,7 @@ func TestStatsAggregationAcrossShards(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		// All transactions are finished; the final commit's sweep retires
+		// All transactions are finished; the final commit's drain retires
 		// every suspended record and releases its SIREAD locks.
 		st := r.db.StatsSnapshot()
 		if st.ActiveTxns != 0 || st.SuspendedTxns != 0 || st.LockedKeys != 0 || st.LockOwners != 0 {
@@ -77,7 +77,7 @@ func TestStatsAggregationAcrossShards(t *testing.T) {
 // TestStatsDrainUnderConcurrency churns concurrent transactions over many
 // tables on a many-shard database and verifies every census counter returns
 // to zero at quiescence — no lock, registry or suspension entry may leak
-// whatever interleaving commits, aborts and sweeps take.
+// whatever interleaving commits, aborts and retirements take.
 func TestStatsDrainUnderConcurrency(t *testing.T) {
 	db := ssidb.Open(ssidb.Options{Detector: ssidb.DetectorPrecise, LockShards: 32})
 	var wg sync.WaitGroup

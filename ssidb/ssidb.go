@@ -51,7 +51,8 @@
 // tolerating a torn tail from a mid-write crash — and Checkpoint folds it
 // into an image so recovery stays proportional to recent activity; with
 // CheckpointBytes > 0 checkpoints also trigger automatically as log bytes
-// accumulate. A checkpoint streams its image: each table's rows at the
+// accumulate (checked after every durable commit, whatever snapshots are held
+// open). A checkpoint streams its image: each table's rows at the
 // checkpoint snapshot are scanned into one 64 KiB buffer and written as a
 // chunk once the scan has returned (never under a partition latch), so its
 // memory does not grow with the database; the file ends in a trailer with
@@ -87,6 +88,7 @@ package ssidb
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -264,14 +266,6 @@ type Options struct {
 	// also useful as a baseline and as the oracle in the cross-partition
 	// scan property tests. DB.TableShards reports the effective value.
 	TableShards int
-	// VacuumEvery is the per-partition count of superseded row versions
-	// that triggers an asynchronous vacuum sweep of that partition, which
-	// prunes the version chains written since the last sweep against the
-	// OldestActiveSnapshot watermark. Zero selects mvcc.DefaultVacuumEvery.
-	// Vacuum also runs when the watermark-advance hook sees trigger-level
-	// garbage, and on demand via DB.Vacuum. (Page write-stamps are pruned on
-	// their own schedule, and by DB.Vacuum.)
-	VacuumEvery int
 	// DisableSIReadUpgrade turns off the §3.7.3 optimisation that discards
 	// a transaction's SIREAD lock once it acquires EXCLUSIVE on the same
 	// key. Used by ablation benchmarks.
@@ -316,16 +310,14 @@ type DB struct {
 	createMu sync.Mutex // serialises table creation (map copy + publish)
 
 	// Durability bookkeeping: recovered counts records replayed at open;
-	// ckptBase is the WAL byte count at the last checkpoint (the automatic
-	// trigger measures growth against it); ckptBusy is the async
-	// single-flight latch; ckptMu serialises checkpoint passes.
+	// ckptAt is the WAL byte count at which the next automatic checkpoint
+	// starts (never, without one); ckptBusy is the async single-flight latch;
+	// ckptMu serialises checkpoint passes.
 	recovered   atomic.Uint64
 	checkpoints atomic.Uint64
-	ckptBase    atomic.Uint64
+	ckptAt      atomic.Uint64
 	ckptBusy    atomic.Bool
 	ckptMu      sync.Mutex
-
-	wmTicks atomic.Uint64
 
 	// Read-only path instrumentation (see Stats).
 	roBegins        atomic.Uint64
@@ -390,6 +382,8 @@ func open(opts Options) (*DB, error) {
 	empty := tableMap{}
 	db.tables.Store(&empty)
 	db.locks.SetWaitTimeout(opts.LockWaitTimeout)
+	db.mgr.SetRetireHook(db.retire)
+	db.ckptAt.Store(math.MaxUint64)
 	if opts.Dir != "" || opts.FlushLatency > 0 {
 		l, err := wal.Open(wal.Options{
 			Dir:                 opts.Dir,
@@ -406,16 +400,12 @@ func open(opts Options) (*DB, error) {
 				l.Close()
 				return nil, err
 			}
-			db.ckptBase.Store(db.log.BytesAppended())
+			db.armCheckpoint(db.log.BytesAppended())
 		}
 		// Installed only after recovery, so replayed commits are never
 		// re-appended to the log they came from.
 		db.mgr.SetCommitHook(db.walCommitHook)
 	}
-	// Every watermark advance is a reclamation opportunity; the hook is an
-	// atomic-counter throttle plus per-partition trigger checks, with the
-	// sweeps themselves asynchronous.
-	db.mgr.SetWatermarkHook(db.onWatermarkAdvance)
 	return db, nil
 }
 
@@ -476,7 +466,6 @@ func (db *DB) newTable(name string, pageMaxKeys int) *table {
 		PageMaxKeys: pageMaxKeys,
 		Shards:      db.opts.TableShards,
 		Horizon:     db.mgr.OldestActiveSnapshot,
-		VacuumEvery: db.opts.VacuumEvery,
 	})
 	db.targets.tableCreated(tb)
 	return tb
@@ -580,9 +569,8 @@ func (db *DB) beginDeferred(iso Isolation) *Txn {
 			time.Sleep(50 * time.Microsecond)
 		}
 		// The probe never ran a statement and was never announced to the
-		// Recorder, so a plain core abort (plus suspended-cleanup handoff)
-		// erases it.
-		db.afterCleanup(db.mgr.Abort(t))
+		// Recorder, so a plain core abort erases it.
+		db.mgr.Abort(t)
 	}
 }
 
@@ -645,36 +633,25 @@ func (db *DB) RunRetry(iso Isolation, fn func(*Txn) error) error {
 	}
 }
 
-// afterCleanup releases the locks of suspended transactions retired by a
-// core sweep.
-func (db *DB) afterCleanup(cleaned []*core.Txn) {
-	if len(cleaned) == 0 {
-		return
+// retire is the core.Manager retire hook, the one place the engine reclaims
+// what committed transactions kept once their commits precede every active
+// snapshot: their locks (the SIREAD locks outlive the commit), the page
+// strategy's share, and — a payload is the scratch Commit handed over with a
+// non-empty write set — the versions they superseded, pruned a partition at a
+// time across the batch.
+func (db *DB) retire(batch []core.Retired) {
+	var p mvcc.Pruner
+	for _, r := range batch {
+		db.locks.ReleaseAll(r.Txn)
+		db.targets.retired()
+		if s, ok := r.Payload.(*txnScratch); ok {
+			for _, row := range s.writes {
+				p.Add(row, r.Txn.CommitTS())
+			}
+			s.recycle()
+		}
 	}
-	for _, c := range cleaned {
-		db.locks.ReleaseAll(c)
-	}
-	db.targets.afterCleanup()
-}
-
-// onWatermarkAdvance is the core.Manager watermark hook (already sampled to
-// roughly every 16th transaction end): every 4th delivery it offers each
-// table's partitions a vacuum opportunity (cheap counter checks; partitions
-// over their superseded-version threshold sweep asynchronously). This is
-// what reclaims garbage that accumulated while an old snapshot pinned the
-// watermark — the write path stops re-triggering on a stalled partition,
-// and the advance re-arms it.
-func (db *DB) onWatermarkAdvance(core.TS) {
-	if db.wmTicks.Add(1)%4 != 0 {
-		return
-	}
-	for _, tb := range *db.tables.Load() {
-		tb.data.MaybeVacuum()
-	}
-	// Checkpoints piggyback on the same cadence: reclaiming log segments is
-	// the durability twin of reclaiming dead versions, and both are gated
-	// on the watermark moving (a stalled snapshot pins both).
-	db.maybeCheckpoint()
+	p.Flush()
 }
 
 // VacuumStats reports what a DB.Vacuum pass reclaimed.
@@ -688,13 +665,12 @@ type VacuumStats struct {
 	StampWritersPruned int
 }
 
-// Vacuum synchronously sweeps every table's partitions against the current
+// Vacuum synchronously walks every chain of every table against the current
 // OldestActiveSnapshot watermark, reclaiming row versions and page
-// write-stamps no active or future snapshot can observe. The sweeps take
-// each partition latch in short chunks, so concurrent transactions keep
-// running. Vacuum also runs automatically (per-partition dead-version
-// triggers and the watermark-advance hook); the method exists for tests,
-// for quiesced reclamation, and as an operational lever.
+// write-stamps no active or future snapshot can observe. The walk takes each
+// partition latch in short chunks, so concurrent transactions keep running.
+// Row versions need no Vacuum: a committed writer prunes what it superseded
+// when it retires. The method exists for tests and as an operational lever.
 func (db *DB) Vacuum() VacuumStats {
 	var st VacuumStats
 	for _, tb := range *db.tables.Load() {
@@ -713,16 +689,15 @@ type TableStats struct {
 	Shards int
 	Keys   int
 	Pages  int
-	// DeadVersions is the current superseded-version estimate across
-	// partitions (the vacuum trigger counter).
-	DeadVersions int64
-	// Cumulative vacuum activity since the table was created.
+	// Cumulative since the table was created: Vacuum calls; row versions
+	// pruned, by retiring writers and by Vacuum; page write-stamp entries
+	// expired.
 	VacuumRuns         uint64
 	VersionsPruned     uint64
 	StampWritersPruned uint64
-	// VacuumKeyVisits counts the chains vacuum sweeps walked — the
-	// garbage-proportionality metric: dirty-list sweeps keep it tracking the
-	// superseded-version count rather than partition width × sweep count.
+	// VacuumKeyVisits counts the chains pruning walked — the
+	// garbage-proportionality metric: one per row a retiring writer wrote,
+	// however wide the table, plus every chain per Vacuum.
 	VacuumKeyVisits uint64
 }
 
@@ -746,9 +721,6 @@ func (db *DB) TableStats(name string) TableStats {
 	if tb.stamps != nil {
 		st.StampWritersPruned = tb.stamps.pruned.Load()
 	}
-	for _, sh := range ts.Shards {
-		st.DeadVersions += sh.DeadVersions
-	}
 	return st
 }
 
@@ -758,11 +730,11 @@ func (db *DB) TableStats(name string) TableStats {
 type Stats struct {
 	ActiveTxns int
 	// SuspendedTxns counts committed transactions whose records are still
-	// kept: every committed writer, at any isolation level, and every
-	// SerializableSI transaction holding SIREAD locks or an outgoing
-	// conflict, until its commit is older than every active snapshot. The
-	// sweep that retires one releases its SIREAD locks and cuts its record
-	// loose from the versions it wrote.
+	// kept in the retirement queues: every committed writer, at any
+	// isolation level, and every SerializableSI transaction holding SIREAD
+	// locks or an outgoing conflict, until its commit is older than every
+	// active snapshot. Retiring one releases its SIREAD locks, cuts its record
+	// loose from the versions it wrote and prunes the versions it superseded.
 	SuspendedTxns int
 	LockedKeys    int
 	LockOwners    int
@@ -805,8 +777,9 @@ type Stats struct {
 	LockTimeouts   uint64
 	LockWaitTime   time.Duration
 
-	// Vacuum activity, cumulative since Open, summed over tables (see
-	// DB.TableStats for the per-table breakdown).
+	// Pruning activity, cumulative since Open, summed over tables (see
+	// DB.TableStats for the per-table breakdown): Vacuum calls, and versions
+	// pruned by retiring writers and by Vacuum.
 	VacuumRuns     uint64
 	VersionsPruned uint64
 

@@ -726,7 +726,8 @@ func TestSuspendedBookkeepingDrains(t *testing.T) {
 		t.Fatal("expected suspended transactions while overlapper active")
 	}
 	long.Commit()
-	// One more transaction triggers the sweep.
+	// The long reader's own end retired them; one more transaction changes
+	// nothing.
 	db.Run(SerializableSI, func(tx *Txn) error {
 		_, _, err := tx.Get("kv", []byte("k0"))
 		return err

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -115,15 +116,14 @@ func TestCrossPartitionScanMatchesOracle(t *testing.T) {
 
 // TestPartitionedStoreStress hammers an 8-partition table through the full
 // engine: concurrent SSI/SI scans, splitting inserts (tiny pages), upserts,
-// deletes and an aggressive vacuum loop. Under -race this checks the latch
-// discipline end to end; afterwards the census must drain and a full scan
-// must still be ordered and consistent.
+// deletes, the retiring writers' pruning and an aggressive Vacuum loop. Under
+// -race this checks the latch discipline end to end; afterwards the census
+// must drain and a full scan must still be ordered and consistent.
 func TestPartitionedStoreStress(t *testing.T) {
 	db := ssidb.Open(ssidb.Options{
 		TableShards: 8,
 		PageMaxKeys: 4, // force frequent page splits
 		Detector:    ssidb.DetectorPrecise,
-		VacuumEvery: 8, // trip the write-path trigger constantly
 	})
 	key := func(i int) []byte { return []byte(fmt.Sprintf("k%03d", i)) }
 	var wg sync.WaitGroup
@@ -206,16 +206,16 @@ func TestPartitionedStoreStress(t *testing.T) {
 }
 
 // TestVacuumReclaimsVersionsAndStamps drives a hot-key update stream with an
-// old snapshot pinning the watermark, then releases it: the pinned vacuum
-// must reclaim nothing the snapshot could read, the unpinned one must cut
-// the chains, and in page mode the write-stamp histories must shrink too.
+// old snapshot pinning the watermark, then releases it: a Vacuum under the
+// pin must reclaim nothing the snapshot could read, the pin's end must cut
+// the chain (the writers it held back retire), and in page mode Vacuum must
+// shrink the write-stamp histories too.
 func TestVacuumReclaimsVersionsAndStamps(t *testing.T) {
 	db := ssidb.Open(ssidb.Options{
 		TableShards: 4,
 		Granularity: ssidb.GranularityPage,
 		PageMaxKeys: 8,
 		Detector:    ssidb.DetectorBasic,
-		VacuumEvery: 1 << 30, // no automatic sweeps: the test drives Vacuum
 	})
 	put := func(i int) {
 		if err := db.Run(ssidb.SnapshotIsolation, func(tx *ssidb.Txn) error {
@@ -238,20 +238,25 @@ func TestVacuumReclaimsVersionsAndStamps(t *testing.T) {
 	if v, ok, err := pin.Get("t", []byte("hot")); err != nil || !ok || string(v) != "v0" {
 		t.Fatalf("pinned reader after vacuum: %q %v %v, want v0", v, ok, err)
 	}
+	if ts := db.TableStats("t"); ts.VersionsPruned != 0 {
+		t.Fatalf("%d versions pruned under the pin", ts.VersionsPruned)
+	}
 	if err := pin.Commit(); err != nil {
 		t.Fatal(err)
 	}
+	if ts := db.TableStats("t"); ts.VersionsPruned != 50 {
+		t.Fatalf("the pin's end pruned %d versions, want all 50 the writers superseded", ts.VersionsPruned)
+	}
 
 	st := db.Vacuum()
-	if st.VersionsPruned < 40 {
-		t.Fatalf("unpinned vacuum reclaimed %d versions, want most of 50", st.VersionsPruned)
+	if st.VersionsPruned != 0 {
+		t.Fatalf("unpinned vacuum found %d versions the writers' retirement left", st.VersionsPruned)
 	}
 	if st.StampWritersPruned == 0 {
 		t.Fatal("unpinned vacuum expired no page write-stamps")
 	}
-	ts := db.TableStats("t")
-	if ts.VacuumRuns == 0 || ts.VersionsPruned == 0 {
-		t.Fatalf("table census missed the vacuum activity: %+v", ts)
+	if ts := db.TableStats("t"); ts.VacuumRuns != 2 {
+		t.Fatalf("table census counts %d vacuum runs, want 2: %+v", ts.VacuumRuns, ts)
 	}
 	// Correctness after reclamation.
 	if err := db.Run(ssidb.SnapshotIsolation, func(tx *ssidb.Txn) error {
@@ -262,6 +267,90 @@ func TestVacuumReclaimsVersionsAndStamps(t *testing.T) {
 		return nil
 	}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestQuiesceLeavesNoGarbage: four writers overwrite 64 hot keys while a
+// fifth goroutine keeps opening, holding and committing a snapshot that pins
+// them. Once all of them stop — with no Vacuum call — every version a commit
+// superseded has been pruned by that commit's own retirement, so every chain
+// holds exactly one version, and no suspended record or lock is left. Run at
+// row and page granularity; under -race it also checks the retirement path's
+// synchronisation.
+func TestQuiesceLeavesNoGarbage(t *testing.T) {
+	const keys, writers, perWriter = 64, 4, 300
+	key := func(i int) []byte { return []byte(fmt.Sprintf("h%02d", i)) }
+	for name, gran := range map[string]ssidb.Granularity{"row": ssidb.GranularityRow, "page": ssidb.GranularityPage} {
+		t.Run(name, func(t *testing.T) {
+			db := ssidb.Open(ssidb.Options{Granularity: gran, PageMaxKeys: 8})
+			if err := db.Run(ssidb.SnapshotIsolation, func(tx *ssidb.Txn) error {
+				for i := 0; i < keys; i++ {
+					if err := tx.Put("t", key(i), []byte("v")); err != nil {
+						return err
+					}
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			var stop atomic.Bool
+			var overwrites atomic.Uint64
+			var wg, pg sync.WaitGroup
+			pg.Add(1)
+			go func() {
+				defer pg.Done()
+				for i := 0; !stop.Load(); i++ {
+					pin := db.Begin(ssidb.SerializableSI)
+					if _, _, err := pin.Get("t", key(i%keys)); err != nil {
+						if !ssidb.IsAbort(err) { // the reader of a committed pivot's write
+							t.Error(err)
+							return
+						}
+						continue
+					}
+					time.Sleep(200 * time.Microsecond)
+					if err := pin.Commit(); err != nil && !ssidb.IsAbort(err) {
+						t.Error(err)
+						return
+					}
+				}
+			}()
+			for w := 0; w < writers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					r := rand.New(rand.NewSource(int64(w) + 1))
+					for i := 0; i < perWriter; i++ {
+						if err := db.RunRetry(ssidb.SerializableSI, func(tx *ssidb.Txn) error {
+							if _, _, err := tx.Get("t", key(r.Intn(keys))); err != nil {
+								return err
+							}
+							return tx.Put("t", key(r.Intn(keys)), []byte{byte(i)})
+						}); err != nil {
+							t.Error(err)
+							return
+						}
+						overwrites.Add(1)
+					}
+				}(w)
+			}
+			wg.Wait()
+			stop.Store(true)
+			pg.Wait()
+
+			if st := db.StatsSnapshot(); st.ActiveTxns != 0 || st.SuspendedTxns != 0 || st.LockedKeys != 0 {
+				t.Fatalf("not quiescent after the last end: %d active, %d suspended, %d locked keys", st.ActiveTxns, st.SuspendedTxns, st.LockedKeys)
+			}
+			// Every overwrite superseded exactly one version, and each was pruned
+			// when its writer retired; so each chain is down to its newest
+			// version, which a Vacuum against the drained horizon confirms.
+			if got, want := db.TableStats("t").VersionsPruned, overwrites.Load(); got != want {
+				t.Errorf("retirements pruned %d versions, want the %d the overwrites superseded", got, want)
+			}
+			if n := db.Vacuum().VersionsPruned; n != 0 {
+				t.Errorf("a chain held more than one version at quiescence: Vacuum pruned %d", n)
+			}
+		})
 	}
 }
 

@@ -47,10 +47,13 @@ type Txn struct {
 // txnScratch is the engine's working memory of one running transaction: the
 // write set, the rival buffer of the point-operation lock paths, and the
 // redo record with the slot the WAL hook answers into. A handle takes one
-// from txnScratchPool when it is built (newTxn) and hands it back the moment
-// it is done (Commit, cleanupAbort), so a steady-state transaction allocates
-// none of this, and the collector's pool eviction is what bounds how much
-// stays retained.
+// from txnScratchPool when it is built (newTxn) and is done with it when the
+// transaction is (Commit, cleanupAbort). A committed writer hands it, write
+// set and all, to its retirement (FinishWith; DB.retire prunes the rows and
+// recycles it); every other transaction recycles it at once. So a
+// steady-state transaction allocates none of this, and the collector's pool
+// eviction is what bounds how much stays retained — except that a write set
+// a bulk load grew beyond maxPooledWrites is dropped rather than pooled.
 //
 // Invariant: beyond its length every pointer-carrying buffer holds zero
 // values (they are only ever truncated through emptied), so a pooled scratch
@@ -78,21 +81,32 @@ type txnScratch struct {
 
 var txnScratchPool = sync.Pool{New: func() any { return new(txnScratch) }}
 
+// maxPooledWrites caps the write set a pooled scratch may keep — 64 KiB of
+// row handles, as the WAL caps its recycled batch buffer.
+const maxPooledWrites = 64 << 10 / int(unsafe.Sizeof(mvcc.Row{}))
+
 // newTxn builds the handle of a transaction that has just begun — the one
 // place a scratch is taken.
 func (db *DB) newTxn(t *core.Txn, ro, roSafe bool) *Txn {
 	return &Txn{db: db, t: t, s: txnScratchPool.Get().(*txnScratch), ro: ro, roSafe: roSafe}
 }
 
-// finish marks the handle done and returns its scratch to the pool.
-func (tx *Txn) finish() {
-	tx.done = true
+// finish marks the handle done and takes its scratch from it.
+func (tx *Txn) finish() *txnScratch {
 	s := tx.s
-	tx.s = nil
+	tx.done, tx.s = true, nil
+	return s
+}
+
+// recycle empties s and returns it to the pool.
+func (s *txnScratch) recycle() {
 	*s = txnScratch{
 		writes: emptied(s.writes),
 		rivals: emptied(s.rivals),
 		commit: commitState{redo: s.commit.redo[:0]},
+	}
+	if cap(s.writes) > maxPooledWrites {
+		s.writes = nil
 	}
 	txnScratchPool.Put(s)
 }
@@ -171,10 +185,9 @@ func (tx *Txn) cleanupAbort() {
 	for i := len(tx.s.writes) - 1; i >= 0; i-- {
 		tx.s.writes[i].Rollback(tx.t)
 	}
-	tx.finish()
-	cleaned := tx.db.mgr.Abort(tx.t)
+	tx.finish().recycle()
+	tx.db.mgr.Abort(tx.t)
 	tx.db.locks.ReleaseAll(tx.t)
-	tx.db.afterCleanup(cleaned)
 	tx.releaseProgTokens()
 	if r := tx.db.opts.Recorder; r != nil {
 		r.RecAbort(tx.t.ID())
@@ -209,8 +222,9 @@ func (tx *Txn) Abort() error {
 // ordering fix of thesis §4.4 — no other transaction may read this one's
 // writes until they are durable). The transaction record is suspended if it
 // must remain visible to future conflict detection (§3.3) — keep, below — or
-// wrote anything (core.Manager.Finish's own rule), and dies when a sweep
-// retires it.
+// wrote anything (core.Manager.Finish's own rule), and dies when it retires:
+// DB.retire then releases its SIREAD locks and prunes the versions its write
+// set superseded.
 func (tx *Txn) Commit() error {
 	if tx.done {
 		return ErrTxnDone
@@ -244,14 +258,19 @@ func (tx *Txn) Commit() error {
 			// unknown; the log error is sticky and is reported to this caller
 			// and every subsequent durable commit.
 			walErr = tx.db.log.WaitDurable(cs.lsn)
+			tx.db.maybeCheckpoint()
 		}
 	}
 	tx.db.locks.ReleaseBlocking(tx.t)
 	keep := tx.t.Isolation().TracksConflicts() &&
 		(tx.db.locks.HoldsSIRead(tx.t) || tx.db.mgr.HasOutConflict(tx.t))
-	cleaned := tx.db.mgr.Finish(tx.t, keep)
-	tx.finish()
-	tx.db.afterCleanup(cleaned)
+	var written any // the scratch, handed to the writer's retirement
+	if s := tx.finish(); len(s.writes) > 0 {
+		written = s
+	} else {
+		s.recycle()
+	}
+	tx.db.mgr.FinishWith(tx.t, keep, written)
 	tx.releaseProgTokens()
 	if r := tx.db.opts.Recorder; r != nil {
 		r.RecCommit(tx.t.ID(), ct)
@@ -403,10 +422,10 @@ type lockTargets interface {
 	// scanNewerWriters appends the creators of versions newer than snap
 	// among what items read, once keys (their scanKeys) are SIREAD-locked.
 	scanNewerWriters(writers []*core.Txn, tb *table, snap core.TS, items []mvcc.ScanItem, keys []lock.Key) []*core.Txn
-	// tableCreated and afterCleanup are the store-maintenance hooks: a new
-	// table, and a batch of suspended transactions retired.
+	// tableCreated and retired are the store-maintenance hooks: a new table,
+	// and a suspended transaction retired (DB.retire).
 	tableCreated(tb *table)
-	afterCleanup()
+	retired()
 }
 
 // ---------------------------------------------------------------------------

@@ -79,8 +79,9 @@ func chainedWriters(t *testing.T, db *DB, iso Isolation, n int) (recs []weak.Poi
 // TestRecordsDieDataStays: after the last commit of a quiescing run nothing
 // keeps a transaction record — at the parent of this change every one of them
 // stayed alive, pinned by the row it wrote — and every row still reads its
-// value. SI and S2PL writers are retired through the suspended list like SSI
-// ones (Manager.Finish's rule), or their records would stay pinned as before.
+// value. SI and S2PL writers are retired through the retirement queues like
+// SSI ones (Manager.Finish's rule), or their records would stay pinned as
+// before.
 // A recorded run of the same body still attributes every read to the writer
 // whose record is gone.
 func TestRecordsDieDataStays(t *testing.T) {
@@ -127,7 +128,7 @@ func TestRecordsDieDataStays(t *testing.T) {
 }
 
 // TestLiveConflictRecordSurvivesSweeps: a record an active snapshot can still
-// conflict with outlives any number of sweeps. R takes its snapshot, W commits
+// conflict with outlives any number of drains. R takes its snapshot, W commits
 // a newer version of x, ten thousand unrelated writers come and go, and R's
 // read of x still finds W's record behind the version (or page stamp): the
 // rw-edge R → W is installed, and if W committed as a pivot whose outgoing

@@ -8,13 +8,14 @@ import (
 )
 
 // TestPooledTxnScratchPinsNothing is the no-pinning half of the recycled
-// transaction scratch's contract: once a transaction is done — committed, or
-// aborted beside an uncommitted rival — the scratch it handed back holds only
-// zero values over the whole capacity of its write set and rival buffer and
-// no commit payload, so an idle pool keeps no transaction record, table or
-// redo record reachable. The database is durable so the redo path runs, and
-// a concurrent SIREAD holder on a written key makes sure the rival buffer is
-// used.
+// transaction scratch's contract: once a transaction is done — committed and
+// retired, or aborted beside an uncommitted rival — the scratch it handed back
+// holds only zero values over the whole capacity of its write set and rival
+// buffer and no commit payload, so an idle pool keeps no transaction record,
+// table or redo record reachable. The database is durable so the redo path
+// runs, and a concurrent SIREAD holder on a written key makes sure the rival
+// buffer is used; a committed writer's scratch comes back when that reader's
+// end retires it.
 func TestPooledTxnScratchPinsNothing(t *testing.T) {
 	key := func(i int) []byte { return []byte(fmt.Sprintf("k%04d", i)) }
 	for name, gran := range map[string]Granularity{"row": GranularityRow, "page": GranularityPage} {
@@ -35,15 +36,14 @@ func TestPooledTxnScratchPinsNothing(t *testing.T) {
 				}); err != nil {
 					t.Fatal(err)
 				}
-				reader := db.Begin(SerializableSI)
-				defer reader.Abort()
-				// On the last key written, so the buffer is still full at the end.
-				if _, _, err := reader.Get("t", key(14)); err != nil {
-					t.Fatal(err)
-				}
 				// A pool may miss (and drops puts at random under the race
 				// detector), so repeat until a used scratch comes back.
 				for attempt := 0; attempt < 100; attempt++ {
+					reader := db.Begin(SerializableSI)
+					// On the last key written, so the buffer is still full at the end.
+					if _, _, err := reader.Get("t", key(14)); err != nil {
+						t.Fatal(err)
+					}
 					tx := db.Begin(SerializableSI)
 					for i := 5; i < 15; i++ {
 						if err := tx.Put("t", key(i), []byte("w")); err != nil {
@@ -53,6 +53,7 @@ func TestPooledTxnScratchPinsNothing(t *testing.T) {
 					if len(tx.s.writes) != 10 || len(tx.s.commit.redo) == 0 {
 						t.Fatalf("running transaction has %d write records and %d redo bytes, want 10 and some", len(tx.s.writes), len(tx.s.commit.redo))
 					}
+					used := tx.s
 					if commit {
 						err = tx.Commit()
 					} else {
@@ -64,8 +65,13 @@ func TestPooledTxnScratchPinsNothing(t *testing.T) {
 					if !tx.done || tx.s != nil {
 						t.Fatalf("finished handle: done=%v, scratch %p", tx.done, tx.s)
 					}
-					s := txnScratchPool.Get().(*txnScratch)
-					if cap(s.writes) == 0 {
+					reader.Abort()
+					// The reader's own scratch went back beside it; look for tx's.
+					var s *txnScratch
+					for i := 0; i < 4 && s != used; i++ {
+						s = txnScratchPool.Get().(*txnScratch)
+					}
+					if s != used {
 						continue
 					}
 					if cap(s.rivals) == 0 || cap(s.commit.redo) == 0 {
