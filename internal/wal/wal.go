@@ -28,20 +28,20 @@
 // steady-state Append + WaitDurable allocates nothing (a buffer a huge batch
 // grew past maxKeptBatch is dropped instead of kept).
 //
-// A checkpoint image is streamed, not built: CreateCheckpoint opens
-// CHECKPOINT.tmp and the caller Writes the payload in pieces, through a
-// bufio.Writer and a running CRC32C. The file is
-//
-//	magic "SSICKPT2" | ts | payload | payloadLen | crc32c(ts, payload, payloadLen)
-//
-// so the length and CRC are a trailer written once the payload is complete.
-// Commit flushes, fsyncs, renames over CHECKPOINT and fsyncs the directory;
-// a crash before the rename leaves only a stale CHECKPOINT.tmp, which the
-// next checkpoint truncates and rewrites.
+// A checkpoint is a file of the same frames. CreateCheckpoint opens
+// CHECKPOINT.tmp and the caller appends the image one Frame at a time, each
+// framed exactly as Append frames a log record, with ts the checkpoint's
+// snapshot; Commit appends an empty-payload end frame, fsyncs, renames over
+// CHECKPOINT and fsyncs the directory. ReadCheckpoint walks the frames with
+// the loop that scans a segment. Both files keep one crash contract: a frame
+// not wholly written and checksummed is not applied. In the log that is the
+// torn tail, cut away; a checkpoint is published only whole, so in it a bad
+// frame, a missing end frame, a frame after the end or a frame of another ts
+// is ErrCorruptCheckpoint. A crash before the rename leaves only a stale
+// CHECKPOINT.tmp, which the next checkpoint truncates and rewrites.
 package wal
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -71,7 +71,8 @@ var (
 	ErrOutOfOrder = errors.New("wal: commit timestamps out of order")
 )
 
-// Frame layout: crc32c(4) | payloadLen(4) | commitTS(8) | payload.
+// Frame layout, of log records and checkpoint chunks alike:
+// crc32c(4) | payloadLen(4) | commitTS(8) | payload.
 // The CRC covers payloadLen, commitTS and the payload.
 const frameHeader = 16
 
@@ -274,15 +275,7 @@ func (l *Log) Append(ts uint64, payload []byte) (LSN, error) {
 	l.lastTS = ts
 	lsn := l.nextLSN
 	l.nextLSN++
-	// The frame is built in place: a header array of its own would escape
-	// to the heap through the CRC call.
-	start := len(l.pending)
-	l.pending = append(l.pending, make([]byte, frameHeader)...)
-	l.pending = append(l.pending, payload...)
-	frame := l.pending[start:]
-	binary.LittleEndian.PutUint32(frame[4:8], uint32(len(payload)))
-	binary.LittleEndian.PutUint64(frame[8:16], ts)
-	binary.LittleEndian.PutUint32(frame[0:4], crc32.Checksum(frame[4:], castagnoli))
+	l.pending = appendFrame(l.pending, ts, payload)
 	l.pendingCount++
 	l.pendingLastTS = ts
 	l.appends.Add(1)
@@ -616,16 +609,35 @@ func truncateFile(path string, size int64) error {
 	return err
 }
 
-// scanSegment walks a segment's frames, optionally invoking fn per record.
-// It returns the byte length of the valid prefix, the highest TS seen, and
-// whether the segment ends in a torn or corrupt frame (anything after the
-// valid prefix). A short or corrupt tail is expected after a crash — it is
-// the write that never finished syncing — and is not an error.
+// appendFrame appends payload to buf as one frame at ts. The frame is built
+// in place: a header array of its own would escape to the heap through the
+// CRC call.
+func appendFrame(buf []byte, ts uint64, payload []byte) []byte {
+	start := len(buf)
+	buf = append(buf, make([]byte, frameHeader)...)
+	buf = append(buf, payload...)
+	frame := buf[start:]
+	binary.LittleEndian.PutUint32(frame[4:8], uint32(len(payload)))
+	binary.LittleEndian.PutUint64(frame[8:16], ts)
+	binary.LittleEndian.PutUint32(frame[0:4], crc32.Checksum(frame[4:], castagnoli))
+	return buf
+}
+
+// scanSegment reads a segment file and scans its frames (scanFrames).
 func scanSegment(path string, fn func(ts uint64, payload []byte) error) (valid int64, lastTS uint64, torn bool, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return 0, 0, false, err
 	}
+	return scanFrames(data, fn)
+}
+
+// scanFrames walks data's frames, optionally invoking fn per frame. It
+// returns the byte length of the valid prefix, the highest TS seen, and
+// whether data ends in a torn or corrupt frame (anything after the valid
+// prefix). A short or corrupt tail is expected after a crash — it is the
+// write that never finished syncing — and is not an error.
+func scanFrames(data []byte, fn func(ts uint64, payload []byte) error) (valid int64, lastTS uint64, torn bool, err error) {
 	off := 0
 	for {
 		if off == len(data) {
@@ -665,11 +677,8 @@ func scanSegment(path string, fn func(ts uint64, payload []byte) error) (valid i
 // --- checkpoint file ---
 
 const (
-	ckptName    = "CHECKPOINT"
-	ckptTmp     = "CHECKPOINT.tmp"
-	ckptMagic   = "SSICKPT2"
-	ckptHeader  = 16 // magic(8) | ts(8)
-	ckptTrailer = 12 // payloadLen(8) | crc32c(4)
+	ckptName = "CHECKPOINT"
+	ckptTmp  = "CHECKPOINT.tmp"
 )
 
 // ErrCorruptCheckpoint reports a checkpoint file that failed validation.
@@ -678,17 +687,16 @@ const (
 // silently recovering less state than was durable.
 var ErrCorruptCheckpoint = errors.New("wal: corrupt checkpoint")
 
-// CheckpointWriter streams one checkpoint image into CHECKPOINT.tmp. Write
-// appends payload bytes; Commit publishes the image atomically; Abort (a
-// no-op after Commit) discards it. Its memory is the bufio.Writer's buffer,
-// whatever the image's size.
+// CheckpointWriter streams one checkpoint image into CHECKPOINT.tmp. Frame
+// appends one frame; Commit publishes the image atomically; Abort (a no-op
+// after Commit) discards it. Its memory is one frame buffer, whatever the
+// image's size.
 type CheckpointWriter struct {
 	dir string
+	ts  uint64
 	f   *os.File // nil once committed or aborted
-	w   *bufio.Writer
-	crc uint32 // running CRC32C over ts and the payload written so far
-	n   uint64 // payload bytes written
-	err error  // first write error, returned by every later Write and by Commit
+	buf []byte // the frame being written: header room, then payload
+	err error  // first write error, returned by every later Frame and by Commit
 }
 
 // CreateCheckpoint starts a checkpoint image of the state at commit
@@ -701,43 +709,40 @@ func CreateCheckpoint(dir string, ts uint64) (*CheckpointWriter, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := &CheckpointWriter{dir: dir, f: f, w: bufio.NewWriter(f)}
-	var hdr [ckptHeader]byte
-	copy(hdr[:8], ckptMagic)
-	binary.LittleEndian.PutUint64(hdr[8:], ts)
-	w.crc = crc32.Update(0, castagnoli, hdr[8:])
-	_, w.err = w.w.Write(hdr[:])
-	return w, nil
+	return &CheckpointWriter{dir: dir, ts: ts, f: f}, nil
 }
 
-// Write appends p to the image's payload.
-func (w *CheckpointWriter) Write(p []byte) (int, error) {
+// CheckpointPayloadBytes is the payload that fits Payload's buffer: a
+// frame of it is 64 KiB.
+const CheckpointPayloadBytes = 64<<10 - frameHeader
+
+// Payload returns the writer's frame buffer, emptied, for the next frame's
+// payload to be appended to. Building the payload there and handing it to
+// Frame lets an image of any size pass through this one buffer.
+func (w *CheckpointWriter) Payload() []byte {
+	if w.buf == nil {
+		w.buf = make([]byte, frameHeader, frameHeader+CheckpointPayloadBytes)
+	}
+	return w.buf[frameHeader:frameHeader]
+}
+
+// Frame appends payload to the image as one frame at the checkpoint's ts.
+// payload may be Payload's buffer, grown.
+func (w *CheckpointWriter) Frame(payload []byte) error {
 	if w.err != nil {
-		return 0, w.err
+		return w.err
 	}
-	w.crc = crc32.Update(w.crc, castagnoli, p)
-	w.n += uint64(len(p))
-	n, err := w.w.Write(p)
-	w.err = err
-	return n, err
+	w.buf = appendFrame(w.buf[:0], w.ts, payload)
+	_, w.err = w.f.Write(w.buf)
+	return w.err
 }
 
-// Commit writes the trailer and atomically publishes the image: flush,
-// fsync, rename over the previous checkpoint, fsync the directory. After it
-// returns nil the checkpoint is durable and the log below its ts may be
-// truncated; on error the previous checkpoint is still the one recovery
-// reads.
+// Commit appends the end frame and atomically publishes the image: fsync,
+// rename over the previous checkpoint, fsync the directory. After it returns
+// nil the checkpoint is durable and the log below its ts may be truncated;
+// on error the previous checkpoint is still the one recovery reads.
 func (w *CheckpointWriter) Commit() error {
-	var tr [ckptTrailer]byte
-	binary.LittleEndian.PutUint64(tr[:8], w.n)
-	binary.LittleEndian.PutUint32(tr[8:], crc32.Update(w.crc, castagnoli, tr[:8]))
-	err := w.err
-	if err == nil {
-		_, err = w.w.Write(tr[:])
-	}
-	if err == nil {
-		err = w.w.Flush()
-	}
+	err := w.Frame(nil)
 	if err == nil {
 		err = w.f.Sync()
 	}
@@ -766,25 +771,35 @@ func (w *CheckpointWriter) Abort() {
 	os.Remove(filepath.Join(w.dir, ckptTmp))
 }
 
-// ReadCheckpoint loads the checkpoint image if one exists. ok reports
-// whether a checkpoint was found; a found-but-corrupt checkpoint — including
-// one in an earlier format — is an error.
-func ReadCheckpoint(dir string) (ts uint64, payload []byte, ok bool, err error) {
+// ReadCheckpoint hands each frame payload of the checkpoint image, in order,
+// to fn, and returns the image's ts. ok reports whether a checkpoint was
+// found. A found image that is not exactly whole frames of one ts closed by
+// the end frame — including one in an earlier format — is
+// ErrCorruptCheckpoint; fn may by then have seen some of its frames.
+func ReadCheckpoint(dir string, fn func(payload []byte) error) (ts uint64, ok bool, err error) {
 	data, err := os.ReadFile(filepath.Join(dir, ckptName))
 	if errors.Is(err, os.ErrNotExist) {
-		return 0, nil, false, nil
+		return 0, false, nil
 	}
 	if err != nil {
-		return 0, nil, false, err
+		return 0, false, err
 	}
-	if len(data) < ckptHeader+ckptTrailer || string(data[:8]) != ckptMagic {
-		return 0, nil, false, ErrCorruptCheckpoint
+	if len(data) >= frameHeader {
+		ts = binary.LittleEndian.Uint64(data[8:16])
 	}
-	tr := data[len(data)-ckptTrailer:]
-	if binary.LittleEndian.Uint64(tr[:8]) != uint64(len(data)-ckptHeader-ckptTrailer) ||
-		crc32.Checksum(data[8:len(data)-4], castagnoli) != binary.LittleEndian.Uint32(tr[8:]) {
-		return 0, nil, false, ErrCorruptCheckpoint
+	ended := false
+	_, _, torn, err := scanFrames(data, func(fts uint64, payload []byte) error {
+		if ended || fts != ts {
+			return ErrCorruptCheckpoint
+		}
+		if len(payload) == 0 {
+			ended = true
+			return nil
+		}
+		return fn(payload)
+	})
+	if err == nil && (torn || !ended) {
+		err = ErrCorruptCheckpoint
 	}
-	ts = binary.LittleEndian.Uint64(data[8:16])
-	return ts, data[ckptHeader : len(data)-ckptTrailer], true, nil
+	return ts, err == nil, err
 }

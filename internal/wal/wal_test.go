@@ -2,8 +2,10 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sync"
@@ -471,82 +473,97 @@ func TestReplayAcrossSegments(t *testing.T) {
 	}
 }
 
-// writeCheckpoint publishes payload as the checkpoint at ts, streamed in
-// pieces of at most piece bytes.
-func writeCheckpoint(t *testing.T, dir string, ts uint64, payload []byte, piece int) {
+// writeCheckpoint publishes frames as the checkpoint at ts, each built in
+// the writer's own payload buffer.
+func writeCheckpoint(t *testing.T, dir string, ts uint64, frames ...string) {
 	t.Helper()
 	w, err := CreateCheckpoint(dir, ts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w.Abort()
-	for p := payload; len(p) > 0; {
-		n := min(piece, len(p))
-		if _, err := w.Write(p[:n]); err != nil {
+	for _, f := range frames {
+		if err := w.Frame(append(w.Payload(), f...)); err != nil {
 			t.Fatal(err)
 		}
-		p = p[n:]
 	}
 	if err := w.Commit(); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// readCheckpoint is ReadCheckpoint collecting the frames.
+func readCheckpoint(dir string) (ts uint64, frames []string, ok bool, err error) {
+	ts, ok, err = ReadCheckpoint(dir, func(p []byte) error {
+		frames = append(frames, string(p))
+		return nil
+	})
+	return ts, frames, ok, err
+}
+
 func TestCheckpointRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	payload := []byte("checkpoint image bytes")
-	writeCheckpoint(t, dir, 42, payload, 5)
-	ts, got, ok, err := ReadCheckpoint(dir)
-	if err != nil || !ok || ts != 42 || !bytes.Equal(got, payload) {
-		t.Fatalf("ReadCheckpoint = %d %q %v %v", ts, got, ok, err)
+	check := func(wantTS uint64, want ...string) {
+		t.Helper()
+		ts, got, ok, err := readCheckpoint(dir)
+		if err != nil || !ok || ts != wantTS || fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("ReadCheckpoint = %d, %d frames, %v %v; want %d, %d frames", ts, len(got), ok, err, wantTS, len(want))
+		}
 	}
+	writeCheckpoint(t, dir, 42, "checkpoint", "image", "frames")
+	check(42, "checkpoint", "image", "frames")
 	// Overwrite is atomic: a second checkpoint replaces the first.
-	writeCheckpoint(t, dir, 99, []byte("newer"), 64)
-	ts, got, ok, err = ReadCheckpoint(dir)
-	if err != nil || !ok || ts != 99 || string(got) != "newer" {
-		t.Fatalf("ReadCheckpoint = %d %q %v %v", ts, got, ok, err)
-	}
-	// A payload far larger than the writer's buffer, and an empty one.
-	big := bytes.Repeat([]byte("0123456789abcdef"), 40_000)
-	writeCheckpoint(t, dir, 100, big, 70_000)
-	if ts, got, ok, err := ReadCheckpoint(dir); err != nil || !ok || ts != 100 || !bytes.Equal(got, big) {
-		t.Fatalf("ReadCheckpoint of %d bytes = %d, %d bytes, %v %v", len(big), ts, len(got), ok, err)
-	}
-	writeCheckpoint(t, dir, 101, nil, 1)
-	if ts, got, ok, err := ReadCheckpoint(dir); err != nil || !ok || ts != 101 || len(got) != 0 {
-		t.Fatalf("ReadCheckpoint of an empty payload = %d %q %v %v", ts, got, ok, err)
-	}
+	writeCheckpoint(t, dir, 99, "newer")
+	check(99, "newer")
+	// A frame far larger than the writer's buffer, and an image of no frames.
+	big := string(bytes.Repeat([]byte("0123456789abcdef"), 40_000))
+	writeCheckpoint(t, dir, 100, big, "after")
+	check(100, big, "after")
+	writeCheckpoint(t, dir, 101)
+	check(101)
 }
 
 func TestCheckpointMissing(t *testing.T) {
-	_, _, ok, err := ReadCheckpoint(t.TempDir())
+	_, _, ok, err := readCheckpoint(t.TempDir())
 	if ok || err != nil {
 		t.Fatalf("ok=%v err=%v", ok, err)
 	}
 }
 
+// TestCheckpointCorrupt: an image that is not exactly whole frames of one ts
+// closed by the end frame is ErrCorruptCheckpoint, as is the earlier
+// SSICKPT2 layout (magic | ts | payload | payloadLen | crc32c).
 func TestCheckpointCorrupt(t *testing.T) {
 	dir := t.TempDir()
-	writeCheckpoint(t, dir, 7, []byte("payload"), 3)
+	writeCheckpoint(t, dir, 7, "first", "second")
 	path := filepath.Join(dir, ckptName)
 	good, _ := os.ReadFile(path)
+	second := frameHeader + len("first")
+	end := second + frameHeader + len("second")
+	older := append([]byte("SSICKPT2"), 7, 0, 0, 0, 0, 0, 0, 0)
+	older = append(older, "payload"...)
+	older = append(older, 7, 0, 0, 0, 0, 0, 0, 0)
+	older = binary.LittleEndian.AppendUint32(older, crc32.Checksum(older[8:], castagnoli))
 	for _, c := range []struct {
 		what string
 		mut  func([]byte) []byte
 	}{
 		{"flipped ts byte", func(d []byte) []byte { d[9] ^= 0x01; return d }},
-		{"flipped payload byte", func(d []byte) []byte { d[ckptHeader+2] ^= 0x01; return d }},
-		{"flipped length byte", func(d []byte) []byte { d[len(d)-6] ^= 0x01; return d }},
-		{"flipped crc byte", func(d []byte) []byte { d[len(d)-1] ^= 0x01; return d }},
-		{"truncated trailer", func(d []byte) []byte { return d[:len(d)-1] }},
+		{"flipped payload byte", func(d []byte) []byte { d[frameHeader+2] ^= 0x01; return d }},
+		{"flipped crc byte", func(d []byte) []byte { d[second] ^= 0x01; return d }},
+		{"cut at a frame boundary before the end frame", func(d []byte) []byte { return d[:end] }},
+		{"cut mid-frame", func(d []byte) []byte { return d[:second+frameHeader+2] }},
+		{"cut inside the end frame", func(d []byte) []byte { return d[:len(d)-1] }},
 		{"trailing byte", func(d []byte) []byte { return append(d, 0) }},
-		{"header only", func(d []byte) []byte { return d[:ckptHeader] }},
-		{"earlier format", func(d []byte) []byte { copy(d, "SSICKPT1"); return d }},
+		{"frame after the end frame", func(d []byte) []byte { return appendFrame(d, 7, []byte("late")) }},
+		{"frame of another ts", func(d []byte) []byte { return append(appendFrame(nil, 6, []byte("first")), d[second:]...) }},
+		{"empty file", func(d []byte) []byte { return nil }},
+		{"earlier format", func([]byte) []byte { return older }},
 	} {
 		if err := os.WriteFile(path, c.mut(append([]byte(nil), good...)), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, _, err := ReadCheckpoint(dir); !errors.Is(err, ErrCorruptCheckpoint) {
+		if _, _, _, err := readCheckpoint(dir); !errors.Is(err, ErrCorruptCheckpoint) {
 			t.Errorf("%s: err = %v, want ErrCorruptCheckpoint", c.what, err)
 		}
 	}
@@ -558,12 +575,12 @@ func TestCheckpointCorrupt(t *testing.T) {
 // crash is ssidb's TestPartialCheckpointTmpIgnored.)
 func TestCheckpointAbortKeepsPrevious(t *testing.T) {
 	dir := t.TempDir()
-	writeCheckpoint(t, dir, 5, []byte("published"), 4)
+	writeCheckpoint(t, dir, 5, "published")
 	w, err := CreateCheckpoint(dir, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Write(bytes.Repeat([]byte("x"), 10_000)); err != nil {
+	if err := w.Frame(bytes.Repeat([]byte("x"), 10_000)); err != nil {
 		t.Fatal(err)
 	}
 	w.Abort()
@@ -571,11 +588,11 @@ func TestCheckpointAbortKeepsPrevious(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, ckptTmp)); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("aborted image left %s: %v", ckptTmp, err)
 	}
-	if ts, got, ok, err := ReadCheckpoint(dir); err != nil || !ok || ts != 5 || string(got) != "published" {
+	if ts, got, ok, err := readCheckpoint(dir); err != nil || !ok || ts != 5 || fmt.Sprint(got) != "[published]" {
 		t.Fatalf("after an aborted image: ReadCheckpoint = %d %q %v %v", ts, got, ok, err)
 	}
-	writeCheckpoint(t, dir, 8, []byte("next"), 2) // its deferred Abort follows Commit
-	if ts, got, ok, err := ReadCheckpoint(dir); err != nil || !ok || ts != 8 || string(got) != "next" {
+	writeCheckpoint(t, dir, 8, "next") // its deferred Abort follows Commit
+	if ts, got, ok, err := readCheckpoint(dir); err != nil || !ok || ts != 8 || fmt.Sprint(got) != "[next]" {
 		t.Fatalf("after the next checkpoint: ReadCheckpoint = %d %q %v %v", ts, got, ok, err)
 	}
 }

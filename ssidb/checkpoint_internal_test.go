@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -55,35 +56,40 @@ func sameTables(t *testing.T, what string, got, want map[string]map[string]strin
 	}
 }
 
-// imageChunks walks a checkpoint image and returns, per table, the payload
-// offset of each chunk's row count and the number of chunks.
-func imageChunks(t *testing.T, image []byte) (offsets map[string][]int) {
+// ckptFrame is one frame of a checkpoint file: its offset, its ts and its
+// payload.
+type ckptFrame struct {
+	off     int
+	ts      uint64
+	payload []byte
+}
+
+// readFrames splits the checkpoint file of dir into its frames (crc32c(4) |
+// len(4) | ts(8) | payload), the empty-payload end frame last.
+func readFrames(t *testing.T, dir string) (data []byte, frames []ckptFrame) {
 	t.Helper()
-	offsets = map[string][]int{}
-	off := 4
-	for range binary.LittleEndian.Uint32(image) {
-		nl := int(binary.LittleEndian.Uint16(image[off:]))
-		name := string(image[off+2 : off+2+nl])
-		off += 2 + nl + 4
-		offsets[name] = []int{}
-		for {
-			n := binary.LittleEndian.Uint32(image[off:])
-			if n == 0 {
-				off += 4
-				break
-			}
-			offsets[name] = append(offsets[name], off)
-			off += 4
-			for range n {
-				off += 2 + int(binary.LittleEndian.Uint16(image[off:]))
-				off += 4 + int(binary.LittleEndian.Uint32(image[off:]))
-			}
-		}
+	data, err := os.ReadFile(filepath.Join(dir, "CHECKPOINT"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if off != len(image) {
-		t.Fatalf("image walk ended at %d of %d bytes", off, len(image))
+	for off := 0; off < len(data); {
+		n := int(binary.LittleEndian.Uint32(data[off+4:]))
+		frames = append(frames, ckptFrame{off, binary.LittleEndian.Uint64(data[off+8:]), data[off+16 : off+16+n]})
+		off += 16 + n
 	}
-	return offsets
+	if len(frames) == 0 || len(frames[len(frames)-1].payload) != 0 {
+		t.Fatalf("checkpoint of %d frames has no end frame", len(frames))
+	}
+	return data, frames
+}
+
+// appendFrame appends payload to buf as one checkpoint or log frame at ts.
+func appendFrame(buf []byte, ts uint64, payload []byte) []byte {
+	hdr := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	hdr = binary.LittleEndian.AppendUint64(hdr, ts)
+	crc := crc32.Update(crc32.Checksum(hdr, crc32.MakeTable(crc32.Castagnoli)), crc32.MakeTable(crc32.Castagnoli), payload)
+	buf = binary.LittleEndian.AppendUint32(buf, crc)
+	return append(append(buf, hdr...), payload...)
 }
 
 // loadChunkedTables fills three tables whose images each span several chunks
@@ -123,9 +129,10 @@ func loadChunkedTables(t *testing.T, db *DB) {
 
 // TestCheckpointChunkedRecovery: an image whose tables span several chunks
 // recovers row for row — and with each table's page capacity, the empty table
-// included — from the checkpoint alone; an image that is not consumed exactly
-// (a truncated chunk, a chunk claiming one row fewer than it holds, trailing
-// bytes) fails OpenDir with ErrCorruptCheckpoint.
+// included — from the checkpoint alone. A checkpoint is published whole, so
+// an image that is not exactly whole frames of one ts, each consumed exactly
+// and closed by the end frame, fails OpenDir with ErrCorruptCheckpoint — as
+// does the earlier SSICKPT2 layout, which is not read.
 func TestCheckpointChunkedRecovery(t *testing.T) {
 	dir := t.TempDir()
 	db, err := OpenDir(dir, Options{SegmentBytes: 64 << 10, CheckpointBytes: -1})
@@ -140,18 +147,30 @@ func TestCheckpointChunkedRecovery(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	ts, image, ok, err := wal.ReadCheckpoint(dir)
-	if err != nil || !ok {
-		t.Fatalf("ReadCheckpoint: %v %v", ok, err)
+	image, frames := readFrames(t, dir)
+	chunks := map[string][]ckptFrame{} // table → its chunk frames, by the declaration each starts with
+	for _, f := range frames[:len(frames)-1] {
+		first := true
+		if err := decodeRedo(f.payload, func(table, key, val []byte, flags byte) error {
+			if first && flags&redoDeclare == 0 {
+				t.Fatalf("chunk at %d starts with a row of %s, not a declaration", f.off, table)
+			}
+			if first {
+				chunks[string(table)] = append(chunks[string(table)], f)
+			}
+			first = false
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	chunks := imageChunks(t, image)
 	for _, name := range []string{"alpha", "beta", "gamma"} {
 		if len(chunks[name]) < 3 {
 			t.Fatalf("table %s spans %d chunks, want several", name, len(chunks[name]))
 		}
 	}
-	if c, ok := chunks["empty"]; !ok || len(c) != 0 {
-		t.Fatalf("empty table: %d chunks (present %v)", len(c), ok)
+	if c := chunks["empty"]; len(c) != 1 || len(c[0].payload) != len(appendDeclaration(nil, "empty", 8)) {
+		t.Fatalf("empty table: %d chunks, want one holding only its declaration", len(c))
 	}
 
 	db, err = OpenDir(dir, Options{CheckpointBytes: -1})
@@ -171,34 +190,219 @@ func TestCheckpointChunkedRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	cp := func(b []byte) []byte { return append([]byte(nil), b...) }
 	last := chunks["gamma"][len(chunks["gamma"])-1]
+	end := last.off + 16 + len(last.payload)
+	second := frames[1]
+	short := appendFrame(cp(image[:last.off]), last.ts, last.payload[:len(last.payload)-1])
+	flipped := cp(image)
+	flipped[second.off+16+3] ^= 0x01
+	mixed := appendFrame(nil, frames[0].ts-1, frames[0].payload) // a later ts would also regress at the next frame
+	older := append([]byte("SSICKPT2"), image[8:16]...) // magic | ts | payload | payloadLen | crc32c
+	payload := binary.LittleEndian.AppendUint32(nil, 1)
+	payload = append(binary.LittleEndian.AppendUint16(payload, 1), 'a')
+	payload = binary.LittleEndian.AppendUint32(payload, 64)
+	payload = binary.LittleEndian.AppendUint32(payload, 1)
+	payload = append(binary.LittleEndian.AppendUint16(payload, 1), 'k')
+	payload = append(binary.LittleEndian.AppendUint32(payload, 1), 'v')
+	payload = binary.LittleEndian.AppendUint32(payload, 0)
+	older = binary.LittleEndian.AppendUint64(append(older, payload...), uint64(len(payload)))
+	older = binary.LittleEndian.AppendUint32(older, crc32.Checksum(older[8:], crc32.MakeTable(crc32.Castagnoli)))
 	for _, c := range []struct {
-		what string
-		mut  func([]byte) []byte
+		what  string
+		image []byte
 	}{
-		{"truncated chunk", func(p []byte) []byte { return p[:last+100] }},
-		{"chunk claiming one row fewer", func(p []byte) []byte {
-			binary.LittleEndian.PutUint32(p[last:], binary.LittleEndian.Uint32(p[last:])-1)
-			return p
-		}},
-		{"trailing garbage", func(p []byte) []byte { return append(p, 0, 0, 0, 0) }},
+		{"cut mid-frame", cp(image[:last.off+100])},
+		{"chunk frame ending mid-row", append(short, image[end:]...)},
+		{"trailing garbage", append(cp(image), 0, 0, 0, 0)},
+		{"cut at a frame boundary before the end frame", cp(image[:frames[len(frames)-1].off])},
+		{"flipped payload byte", flipped},
+		{"frame after the end frame", append(cp(image), image[:second.off]...)},
+		{"frame of another ts", append(mixed, image[second.off:]...)},
+		{"SSICKPT2 image", older},
 	} {
-		bad := t.TempDir()
-		w, err := wal.CreateCheckpoint(bad, ts)
-		if err != nil {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "CHECKPOINT"), c.image, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		w.Write(c.mut(append([]byte(nil), image...)))
-		if err := w.Commit(); err != nil {
-			t.Fatal(err)
-		}
-		if db, err := OpenDir(bad, Options{CheckpointBytes: -1}); !errors.Is(err, wal.ErrCorruptCheckpoint) {
+		if db, err := OpenDir(dir, Options{CheckpointBytes: -1}); !errors.Is(err, wal.ErrCorruptCheckpoint) {
 			if err == nil {
 				db.Close()
 			}
 			t.Errorf("%s: OpenDir err = %v, want ErrCorruptCheckpoint", c.what, err)
 		}
 	}
+}
+
+// TestCreateTableSurvivesWALOnlyRecovery: CreateTable on a durable database
+// logs the table's declaration, so a reopen from the log alone — no
+// checkpoint — restores each table's page capacity and an empty table.
+func TestCreateTableSurvivesWALOnlyRecovery(t *testing.T) {
+	dir := t.TempDir()
+	db, err := OpenDir(dir, Options{CheckpointBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.CreateTable("t", 8)
+	db.CreateTable("e", 16)
+	if err := db.Run(SnapshotIsolation, func(tx *Txn) error { return tx.Put("t", []byte("k"), []byte("v")) }); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "CHECKPOINT")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("a checkpoint was written: %v", err)
+	}
+	db, err = OpenDir(dir, Options{CheckpointBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	for name, pmk := range map[string]int{"t": 8, "e": 16} {
+		if tb := (*db.tables.Load())[name]; tb == nil || tb.pageMaxKeys != pmk {
+			t.Fatalf("table %s after WAL-only recovery: %+v, want pageMaxKeys %d", name, tb, pmk)
+		}
+	}
+	sameTables(t, "WAL-only recovery", dumpTables(t, db), map[string]map[string]string{"t": {"k": "v"}, "e": {}})
+}
+
+// TestCheckpointAndLogRecoverTheSameState: one history recovered from the log
+// alone and from a checkpoint plus a log tail gives the same rows and the
+// same page capacity per table — the image and the log are the same redo
+// records applied through the same path.
+func TestCheckpointAndLogRecoverTheSameState(t *testing.T) {
+	opts := Options{CheckpointBytes: -1}
+	run := func(db *DB, fn func(tx *Txn) error) {
+		t.Helper()
+		if err := db.Run(SnapshotIsolation, fn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	history := func(db *DB) {
+		db.CreateTable("narrow", 4)
+		db.CreateTable("wide", 200)
+		db.CreateTable("empty", 12)
+		for i := 0; i < 300; i++ {
+			run(db, func(tx *Txn) error {
+				if err := tx.Put("narrow", []byte(fmt.Sprintf("n%04d", i)), []byte(fmt.Sprintf("v%d", i))); err != nil {
+					return err
+				}
+				return tx.Put("implicit", []byte(fmt.Sprintf("i%04d", i%50)), []byte(fmt.Sprintf("w%d", i)))
+			})
+		}
+		for i := 0; i < 300; i += 3 {
+			run(db, func(tx *Txn) error { return tx.Delete("narrow", []byte(fmt.Sprintf("n%04d", i))) })
+		}
+		run(db, func(tx *Txn) error { // re-writes within one transaction: the last one wins
+			for _, step := range []struct {
+				key, val string
+				del      bool
+			}{{"a", "1", false}, {"a", "2", false}, {"b", "1", false}, {"b", "", true}, {"n0000", "back", false}, {"n0001", "", true}, {"n0001", "again", false}} {
+				var err error
+				if step.del {
+					err = tx.Delete("wide", []byte(step.key))
+				} else {
+					err = tx.Put("wide", []byte(step.key), []byte(step.val))
+				}
+				if err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	}
+	const tailLen = 25
+	tail := func(db *DB) {
+		for i := 0; i < tailLen; i++ {
+			run(db, func(tx *Txn) error {
+				if i%5 == 4 {
+					return tx.Delete("implicit", []byte(fmt.Sprintf("i%04d", i)))
+				}
+				return tx.Put("wide", []byte(fmt.Sprintf("tail%02d", i)), []byte("t"))
+			})
+		}
+	}
+	reopen := func(dir string) *DB {
+		t.Helper()
+		db, err := OpenDir(dir, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
+
+	ckptDir, logDir := t.TempDir(), t.TempDir()
+	db := reopen(ckptDir)
+	history(db)
+	copyFiles(t, ckptDir, logDir) // every commit has waited for its record
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	tail(db)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db = reopen(logDir)
+	tail(db)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	fromCkpt, fromLog := reopen(ckptDir), reopen(logDir)
+	defer fromCkpt.Close()
+	defer fromLog.Close()
+	if _, err := os.Stat(filepath.Join(logDir, "CHECKPOINT")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("the log-only directory holds a checkpoint: %v", err)
+	}
+	if got := fromCkpt.StatsSnapshot().RecoveryReplayed; got != tailLen {
+		t.Fatalf("checkpointed directory replayed %d log records, want the %d of the tail", got, tailLen)
+	}
+	want := dumpTables(t, fromLog)
+	if len(want["empty"]) != 0 || len(want["wide"]) == 0 || len(want["narrow"]) != 200 {
+		t.Fatalf("log-only recovery: %d tables, wide %d rows, narrow %d", len(want), len(want["wide"]), len(want["narrow"]))
+	}
+	sameTables(t, "checkpoint and tail vs log alone", dumpTables(t, fromCkpt), want)
+	logTables := *fromLog.tables.Load()
+	for name, tb := range *fromCkpt.tables.Load() {
+		if lt := logTables[name]; lt == nil || lt.pageMaxKeys != tb.pageMaxKeys {
+			t.Fatalf("table %s: pageMaxKeys %d from the checkpoint, %+v from the log", name, tb.pageMaxKeys, lt)
+		}
+	}
+	for name, pmk := range map[string]int{"narrow": 4, "wide": 200, "empty": 12, "implicit": 64} {
+		if tb := logTables[name]; tb == nil || tb.pageMaxKeys != pmk {
+			t.Fatalf("table %s: %+v, want pageMaxKeys %d", name, tb, pmk)
+		}
+	}
+}
+
+// TestRowEntryFormatReplays: a log segment of row entries framed and encoded
+// as earlier releases wrote them (u16 tableLen | table | u16 keyLen | key |
+// u8 flags | u32 valLen | val, flags bit0 a tombstone) still replays.
+func TestRowEntryFormatReplays(t *testing.T) {
+	entry := func(buf []byte, table, key, val string, flags byte) []byte {
+		buf = append(binary.LittleEndian.AppendUint16(buf, uint16(len(table))), table...)
+		buf = append(binary.LittleEndian.AppendUint16(buf, uint16(len(key))), key...)
+		buf = binary.LittleEndian.AppendUint32(append(buf, flags), uint32(len(val)))
+		return append(buf, val...)
+	}
+	var seg []byte
+	seg = appendFrame(seg, 3, entry(entry(nil, "t", "a", "1", 0), "u", "x", "9", 0))
+	seg = appendFrame(seg, 5, entry(entry(nil, "t", "b", "2", 0), "t", "a", "", 1))
+	seg = appendFrame(seg, 8, entry(entry(nil, "t", "b", "3", 0), "t", "c", "4", 0))
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "wal-00000001.seg"), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	db, err := OpenDir(dir, Options{CheckpointBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if got := db.StatsSnapshot().RecoveryReplayed; got != 3 {
+		t.Fatalf("replayed %d records, want 3", got)
+	}
+	sameTables(t, "replayed", dumpTables(t, db), map[string]map[string]string{"t": {"b": "3", "c": "4"}, "u": {"x": "9"}})
 }
 
 // TestPartialCheckpointTmpIgnored: a crash in the middle of streaming an image

@@ -3,7 +3,6 @@ package ssidb
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 
 	"ssi/internal/core"
 	"ssi/internal/mvcc"
@@ -12,8 +11,8 @@ import (
 
 // This file is the engine side of durability: redo-record capture on the
 // write path, the commit hook that sequences records into the WAL at the
-// tsMu commit point, recovery (checkpoint image + log roll-forward) and
-// fuzzy checkpoints with segment truncation.
+// tsMu commit point, recovery (checkpoint image + log roll-forward, both
+// redo records) and fuzzy checkpoints with segment truncation.
 //
 // The one invariant everything here leans on: the WAL append happens inside
 // core's commit-serialization mutex, immediately after the commit timestamp
@@ -66,33 +65,37 @@ func (tx *Txn) shouldLog() bool {
 //
 // flags bit0 = tombstone. Entries are decoded until the payload is
 // exhausted; re-writes of the same key within one transaction appear twice
-// and the later entry wins, same as execution order.
+// and the later entry wins, same as execution order. flags bit1 marks a
+// table declaration instead of a row: the key is empty and val is the
+// table's u32 pageMaxKeys. CreateTable logs one, and every checkpoint chunk
+// starts with one.
 
-const redoTombstone = 1
+const (
+	redoTombstone = 1 << iota
+	redoDeclare
+)
 
-func appendRedoEntry(buf []byte, table string, key, val []byte, tombstone bool) []byte {
-	var u16 [2]byte
-	var u32 [4]byte
-	binary.LittleEndian.PutUint16(u16[:], uint16(len(table)))
-	buf = append(buf, u16[:]...)
+// appendRedoEntry takes the key as the write path holds it ([]byte) or as a
+// checkpoint scan yields it (string).
+func appendRedoEntry[K string | []byte](buf []byte, table string, key K, val []byte, flags byte) []byte {
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(table)))
 	buf = append(buf, table...)
-	binary.LittleEndian.PutUint16(u16[:], uint16(len(key)))
-	buf = append(buf, u16[:]...)
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(key)))
 	buf = append(buf, key...)
-	var flags byte
-	if tombstone {
-		flags |= redoTombstone
-	}
 	buf = append(buf, flags)
-	binary.LittleEndian.PutUint32(u32[:], uint32(len(val)))
-	buf = append(buf, u32[:]...)
-	buf = append(buf, val...)
-	return buf
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(val)))
+	return append(buf, val...)
+}
+
+func appendDeclaration(buf []byte, table string, pageMaxKeys int) []byte {
+	var v [4]byte
+	binary.LittleEndian.PutUint32(v[:], uint32(pageMaxKeys))
+	return appendRedoEntry(buf, table, "", v[:], redoDeclare)
 }
 
 var errBadRedo = fmt.Errorf("ssi: malformed redo record")
 
-func decodeRedo(payload []byte, fn func(table string, key, val []byte, tombstone bool) error) error {
+func decodeRedo(payload []byte, fn func(table, key, val []byte, flags byte) error) error {
 	for len(payload) > 0 {
 		if len(payload) < 2 {
 			return errBadRedo
@@ -102,7 +105,7 @@ func decodeRedo(payload []byte, fn func(table string, key, val []byte, tombstone
 		if len(payload) < tl+2 {
 			return errBadRedo
 		}
-		table := string(payload[:tl])
+		table := payload[:tl]
 		payload = payload[tl:]
 		kl := int(binary.LittleEndian.Uint16(payload))
 		payload = payload[2:]
@@ -114,34 +117,53 @@ func decodeRedo(payload []byte, fn func(table string, key, val []byte, tombstone
 		flags := payload[0]
 		vl := int(binary.LittleEndian.Uint32(payload[1:5]))
 		payload = payload[5:]
-		if len(payload) < vl {
+		if len(payload) < vl || flags&redoDeclare != 0 && vl != 4 {
 			return errBadRedo
 		}
 		val := payload[:vl]
 		payload = payload[vl:]
-		if err := fn(table, key, val, flags&redoTombstone != 0); err != nil {
+		if err := fn(table, key, val, flags); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
+// declareTable commits a record holding only the declaration of table name,
+// so that recovery from the log alone recreates the table with its page
+// capacity. CreateTable calls it under createMu, before the table is
+// published: no write to the table can reach the log ahead of it. A log
+// failure is sticky, so the next durable commit reports it.
+func (db *DB) declareTable(name string, pageMaxKeys int) {
+	if db.dir == "" {
+		return
+	}
+	t := db.mgr.BeginTx(SnapshotIsolation, false)
+	cs := commitState{redo: appendDeclaration(nil, name, pageMaxKeys)}
+	db.mgr.CommitPrepareWith(t, &cs) // an SI transaction commits unconditionally
+	db.mgr.Finish(t, false)
+	if cs.err == nil {
+		db.log.WaitDurable(cs.lsn)
+	}
+}
+
 // --- recovery ---
 
 // recover rebuilds in-memory state from the checkpoint image and the redo
-// log, in that order, then re-seeds the clock so every future timestamp is
-// strictly greater than anything in the retained log — which is what keeps
-// the WAL's monotone-timestamp invariant true across restarts and makes the
-// next checkpoint's skip rule (ts ≤ checkpoint TS) sound.
+// log, in that order and through one path: every frame of either is a redo
+// record for applyRedo. It then re-seeds the clock so every future timestamp
+// is strictly greater than anything in the retained log — which is what
+// keeps the WAL's monotone-timestamp invariant true across restarts and
+// makes the next checkpoint's skip rule (ts ≤ checkpoint TS) sound.
 func (db *DB) recover() error {
-	ckptTS, image, haveCkpt, err := wal.ReadCheckpoint(db.dir)
+	ckptTS, _, err := wal.ReadCheckpoint(db.dir, func(payload []byte) error {
+		if err := db.applyRedo(payload); err != nil {
+			return fmt.Errorf("%w: %w", wal.ErrCorruptCheckpoint, err)
+		}
+		return nil
+	})
 	if err != nil {
 		return err
-	}
-	if haveCkpt {
-		if err := db.loadCheckpoint(image); err != nil {
-			return err
-		}
 	}
 	var replayed uint64
 	err = db.log.Replay(func(ts uint64, payload []byte) error {
@@ -169,18 +191,27 @@ func (db *DB) recover() error {
 	return nil
 }
 
-// applyRedo replays one committed transaction's writes as a fresh
-// transaction. Recovery is single-threaded and the commit hook is not yet
-// installed, so the replayed commit takes no locks and appends nothing; its
-// write set retires like a live commit's, pruning what it superseded.
+// applyRedo replays one redo record — a committed transaction's writes, or
+// a checkpoint chunk — as a fresh transaction. Recovery is single-threaded
+// and the commit hook is not yet installed, so the replayed commit takes no
+// locks and appends nothing; its write set retires like a live commit's,
+// pruning what it superseded.
 func (db *DB) applyRedo(payload []byte) error {
 	t := db.mgr.BeginTx(SnapshotIsolation, false)
 	s := txnScratchPool.Get().(*txnScratch)
-	err := decodeRedo(payload, func(table string, key, val []byte, tombstone bool) error {
-		tb := db.getOrCreateTable(table, 0)
+	var tb *table // the table of the previous entry: a chunk's rows share one
+	err := decodeRedo(payload, func(table, key, val []byte, flags byte) error {
+		if flags&redoDeclare != 0 {
+			tb = db.getOrCreateTable(string(table), int(binary.LittleEndian.Uint32(val)), false)
+			return nil
+		}
+		if tb == nil || tb.name != string(table) {
+			tb = db.getOrCreateTable(string(table), 0, false)
+		}
 		// The store retains value slices (not keys); payload is the replay
 		// buffer.
 		var v []byte
+		tombstone := flags&redoTombstone != 0
 		if !tombstone {
 			v = append([]byte(nil), val...)
 		}
@@ -202,151 +233,47 @@ func (db *DB) applyRedo(payload []byte) error {
 
 // --- checkpoint ---
 //
-// Image layout: u32 numTables, then per table
-//
-//	u16 nameLen | name | u32 pageMaxKeys | chunk* | u32 0
-//	chunk: u32 n (> 0) | n rows: u16 keyLen | key | u32 valLen | val
-//
-// Rows are the live values visible at the checkpoint snapshot; deleted keys
-// are simply absent (a post-snapshot delete is replayed from the log as a
-// tombstone, which supersedes the loaded value). A chunk is what one scan of
-// the snapshot fits into ckptChunkBytes, so writing an image takes one
-// buffer of that size whatever the database's size.
+// An image is a checkpoint file (internal/wal) of frames at the checkpoint
+// snapshot, each one chunk of one table: that table's declaration, then
+// live rows visible at the snapshot as ordinary redo row entries. Deleted
+// keys are simply absent (a post-snapshot delete is replayed from the log as
+// a tombstone, which supersedes the loaded value); an empty table is one
+// declaration-only chunk. A chunk is what one scan of the snapshot fits into
+// the checkpoint writer's 64 KiB frame buffer — the scan stops once the next
+// row would not fit, and a row larger than it makes a chunk of its own — so
+// writing an image takes that one buffer whatever the database's size.
 
-// ckptChunkBytes is the size of a chunk's row buffer: a scan stops once the
-// next row would not fit (a row larger than it makes a chunk of its own).
-const ckptChunkBytes = 64 << 10
-
-// writeImage streams the image of every table at snap into w, chunk by chunk.
-func (db *DB) writeImage(w io.Writer, snapTxn *core.Txn, snap core.TS) error {
-	tables := *db.tables.Load()
-	buf := make([]byte, 0, ckptChunkBytes)
+// writeImage streams the image of tables at snap into ck, chunk by chunk.
+func (db *DB) writeImage(ck *wal.CheckpointWriter, tables tableMap, snapTxn *core.Txn, snap core.TS) error {
 	var from []byte // where the next chunk's scan resumes
-	write := func(p []byte) error {
-		_, err := w.Write(p)
-		return err
-	}
-	if err := write(binary.LittleEndian.AppendUint32(buf, uint32(len(tables)))); err != nil {
-		return err
-	}
 	for name, tb := range tables {
-		buf = binary.LittleEndian.AppendUint16(buf[:0], uint16(len(name)))
-		buf = append(buf, name...)
-		if err := write(binary.LittleEndian.AppendUint32(buf, uint32(tb.pageMaxKeys))); err != nil {
-			return err
-		}
 		from = from[:0]
 		for {
-			buf = append(buf[:0], 0, 0, 0, 0) // row count, patched below
-			n, full := uint32(0), false
+			buf := appendDeclaration(ck.Payload(), name, tb.pageMaxKeys)
+			decl, full := len(buf), false
 			tb.data.Scan(snapTxn, snap, from, func(it mvcc.ScanItem) bool {
 				if !it.Found {
 					return true
 				}
-				if n > 0 && len(buf)+6+len(it.Key)+len(it.Value) > ckptChunkBytes {
+				if len(buf) > decl && len(buf)+9+len(name)+len(it.Key)+len(it.Value) > wal.CheckpointPayloadBytes {
 					from, full = append(from[:0], it.Key...), true
 					return false
 				}
-				buf = binary.LittleEndian.AppendUint16(buf, uint16(len(it.Key)))
-				buf = append(buf, it.Key...)
-				buf = binary.LittleEndian.AppendUint32(buf, uint32(len(it.Value)))
-				buf = append(buf, it.Value...)
-				n++
+				buf = appendRedoEntry(buf, name, it.Key, it.Value, 0)
 				return true
 			})
-			if n == 0 {
-				break
-			}
 			// Scan has returned, so no partition latch is held: no checkpoint
 			// I/O ever happens under one. The next scan resumes at the first
 			// row this chunk had no room for, on the same snapshot.
-			binary.LittleEndian.PutUint32(buf, n)
-			if err := write(buf); err != nil {
+			if err := ck.Frame(buf); err != nil {
 				return err
 			}
 			if !full {
 				break
 			}
 		}
-		if err := write(binary.LittleEndian.AppendUint32(buf[:0], 0)); err != nil {
-			return err
-		}
 	}
 	return nil
-}
-
-func (db *DB) loadCheckpoint(image []byte) error {
-	t := db.mgr.BeginTx(SnapshotIsolation, false)
-	if err := db.loadCheckpointInto(t, image); err != nil {
-		db.mgr.Abort(t)
-		return err
-	}
-	if _, err := db.mgr.CommitPrepare(t); err != nil {
-		return err
-	}
-	db.mgr.Finish(t, false) // an image only inserts: nothing superseded to prune
-	return nil
-}
-
-// imageReader consumes a checkpoint image front to back. A read past the end
-// sets err, and every read after that returns zeros — a count of 0 ends the
-// loop reading it — so a caller checks err once per row.
-type imageReader struct {
-	b   []byte
-	err error
-}
-
-func (r *imageReader) bytes(n int) []byte {
-	if r.err != nil || len(r.b) < n {
-		r.err, r.b = wal.ErrCorruptCheckpoint, nil
-		return nil
-	}
-	p := r.b[:n]
-	r.b = r.b[n:]
-	return p
-}
-
-func (r *imageReader) u16() int {
-	if p := r.bytes(2); r.err == nil {
-		return int(binary.LittleEndian.Uint16(p))
-	}
-	return 0
-}
-
-func (r *imageReader) u32() uint32 {
-	if p := r.bytes(4); r.err == nil {
-		return binary.LittleEndian.Uint32(p)
-	}
-	return 0
-}
-
-// loadCheckpointInto writes every row of image through t. The image must be
-// consumed exactly: a truncated chunk and bytes after the last table are
-// both ErrCorruptCheckpoint.
-func (db *DB) loadCheckpointInto(t *core.Txn, image []byte) error {
-	r := imageReader{b: image}
-	for tables := r.u32(); tables > 0; tables-- {
-		name := string(r.bytes(r.u16()))
-		pageMaxKeys := int(r.u32())
-		if r.err != nil {
-			break
-		}
-		tb := db.getOrCreateTable(name, pageMaxKeys)
-		for n := r.u32(); n > 0; n = r.u32() {
-			for ; n > 0; n-- {
-				key := r.bytes(r.u16())
-				val := r.bytes(int(r.u32()))
-				if r.err != nil {
-					break
-				}
-				tb.data.Write(t, key, append([]byte(nil), val...), false, nil)
-			}
-		}
-	}
-	if r.err == nil && len(r.b) > 0 {
-		r.err = wal.ErrCorruptCheckpoint
-	}
-	return r.err
 }
 
 // Checkpoint writes a fuzzy checkpoint: an image of every table's state at
@@ -363,11 +290,16 @@ func (db *DB) Checkpoint() error {
 	defer db.ckptMu.Unlock()
 	base := db.log.BytesAppended()
 	t := db.mgr.BeginTx(SnapshotIsolation, true)
+	// A table declared at or before snap is then in the map the image
+	// covers; one declared later is in the log the image keeps.
+	db.createMu.Lock()
 	snap := db.mgr.AssignSnapshot(t)
+	tables := *db.tables.Load()
+	db.createMu.Unlock()
 	ck, err := wal.CreateCheckpoint(db.dir, uint64(snap))
 	if err == nil {
 		defer ck.Abort()
-		err = db.writeImage(ck, t, snap)
+		err = db.writeImage(ck, tables, t, snap)
 	}
 	db.mgr.Abort(t) // probe ran no statements; core abort erases it
 	if err == nil {

@@ -52,13 +52,17 @@
 // into an image so recovery stays proportional to recent activity; with
 // CheckpointBytes > 0 checkpoints also trigger automatically as log bytes
 // accumulate (checked after every durable commit, whatever snapshots are held
-// open). A checkpoint streams its image: each table's rows at the
-// checkpoint snapshot are scanned into one 64 KiB buffer and written as a
-// chunk once the scan has returned (never under a partition latch), so its
-// memory does not grow with the database; the file ends in a trailer with
-// the payload length and a CRC32C over the whole image, and is published by
-// fsync and atomic rename. Stats reports WALAppends, GroupCommitBatches,
-// Fsyncs, AvgBatchSize and RecoveryReplayed.
+// open). A checkpoint file is the log's own format: CRC frames of redo
+// records, one per 64 KiB chunk of one table — the table's declaration (name
+// and page capacity), then its rows at the checkpoint snapshot — closed by
+// an empty end frame. Each chunk is scanned into one buffer and written once
+// the scan has returned (never under a partition latch), so a checkpoint's
+// memory does not grow with the database; recovery applies the image's
+// frames and then the log's through the same decoder. CreateTable logs the
+// table's declaration, so recovery from the log alone keeps its page
+// capacity too. The image is published by fsync and atomic rename. Stats
+// reports WALAppends, GroupCommitBatches, Fsyncs, AvgBatchSize and
+// RecoveryReplayed.
 //
 // # Workload robustness: proven-robust programs at plain SI
 //
@@ -277,7 +281,7 @@ type Options struct {
 type table struct {
 	name        string
 	data        *mvcc.Table
-	pageMaxKeys int         // as configured at creation; recorded in checkpoints
+	pageMaxKeys int         // as configured at creation; declared in the log by CreateTable and in every checkpoint chunk
 	stamps      *pageStamps // GranularityPage's page versions (locks_page.go); nil under GranularityRow
 }
 
@@ -431,7 +435,7 @@ func (db *DB) TableShards() int { return mvcc.ShardCount(db.opts.TableShards) }
 // B+tree page). Creating an existing table is a no-op. Tables are also
 // created implicitly on first use with the default capacity.
 func (db *DB) CreateTable(name string, pageMaxKeys int) {
-	db.getOrCreateTable(name, pageMaxKeys)
+	db.getOrCreateTable(name, pageMaxKeys, true)
 }
 
 // getOrCreateTable is the single construction path for tables, so explicit
@@ -440,7 +444,9 @@ func (db *DB) CreateTable(name string, pageMaxKeys int) {
 // table's page write stamps and installs the split hook that keeps them and
 // SIREAD coverage attached to moved rows). Creation copies the table
 // directory and publishes the new map atomically; lookups never block on it.
-func (db *DB) getOrCreateTable(name string, pageMaxKeys int) *table {
+// With declare (CreateTable) a durable database first logs the table's
+// declaration (declareTable).
+func (db *DB) getOrCreateTable(name string, pageMaxKeys int, declare bool) *table {
 	if pageMaxKeys <= 0 {
 		pageMaxKeys = db.opts.PageMaxKeys
 	}
@@ -449,6 +455,9 @@ func (db *DB) getOrCreateTable(name string, pageMaxKeys int) *table {
 	old := *db.tables.Load()
 	if tb := old[name]; tb != nil {
 		return tb
+	}
+	if declare {
+		db.declareTable(name, pageMaxKeys)
 	}
 	tb := db.newTable(name, pageMaxKeys)
 	next := make(tableMap, len(old)+1)
@@ -475,7 +484,7 @@ func (db *DB) table(name string) *table {
 	if tb := (*db.tables.Load())[name]; tb != nil {
 		return tb
 	}
-	return db.getOrCreateTable(name, 0)
+	return db.getOrCreateTable(name, 0, false)
 }
 
 // Begin starts a transaction at the given isolation level. Per thesis §4.5

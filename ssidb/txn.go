@@ -568,7 +568,11 @@ func (tx *Txn) write(tableName string, key, val []byte, tombstone, mustNotExist 
 		return tx.fail(err)
 	}
 	if tx.db.log != nil {
-		tx.s.commit.redo = appendRedoEntry(tx.s.commit.redo, tb.name, key, val, tombstone)
+		var flags byte
+		if tombstone {
+			flags = redoTombstone
+		}
+		tx.s.commit.redo = appendRedoEntry(tx.s.commit.redo, tb.name, key, val, flags)
 	}
 	if r := tx.db.opts.Recorder; r != nil {
 		r.RecWrite(tx.t.ID(), tb.name, string(key), tombstone)
