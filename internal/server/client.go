@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"time"
 
@@ -12,19 +13,29 @@ import (
 
 // Client is one connection to an ssiserver. A Client is intended for use by
 // a single goroutine (the benchmark drivers open one per worker); it issues
-// one request at a time and matches the response by request id.
+// one request at a time and matches the response by request id. Do allocates
+// nothing: each request is framed in place in one reused buffer and written
+// with one Write, each response is read into another, and Do's results, which
+// alias that buffer, are reused too.
 type Client struct {
-	conn net.Conn
-	br   *bufio.Reader
-	bw   *bufio.Writer
-	buf  []byte
-	out  []byte
-	req  uint32
+	conn    net.Conn
+	br      *bufio.Reader
+	buf     []byte // response frame; Do's results alias it
+	out     []byte // request frame, built in place
+	cur     cursor // over buf's response body
+	results []OpResult
+	req     uint32
 
 	// Timeout bounds each round trip (write + response read). Zero means
 	// no deadline.
 	Timeout time.Duration
 }
+
+// ErrRequestTooLarge reports a request the client refused to send because
+// the wire cannot carry it: a table, key or scan bound above 65 535 bytes,
+// more than 65 535 ops in one batch, or a request above MaxFrame. Nothing was
+// sent, so the connection and any open transaction are unaffected.
+var ErrRequestTooLarge = errors.New("server: request too large for the wire")
 
 // Dial connects to an ssiserver.
 func Dial(addr string) (*Client, error) {
@@ -35,7 +46,6 @@ func Dial(addr string) (*Client, error) {
 	return &Client{
 		conn: conn,
 		br:   bufio.NewReaderSize(conn, 32<<10),
-		bw:   bufio.NewWriterSize(conn, 32<<10),
 	}, nil
 }
 
@@ -46,21 +56,21 @@ func (c *Client) Close() error { return c.conn.Close() }
 
 // roundTrip sends one request frame (header + body) and decodes the
 // response header, returning a cursor over the OK body or the decoded
-// server error.
+// server error. A request above MaxFrame is refused before anything is sent.
 func (c *Client) roundTrip(msgType byte, body func([]byte) []byte) (*cursor, error) {
 	if c.Timeout > 0 {
 		c.conn.SetDeadline(time.Now().Add(c.Timeout))
 	}
 	c.req++
-	out := c.out[:0]
+	out := newFrame(c.out)
 	out = append(out, msgType)
 	out = appendU32(out, c.req)
 	out = body(out)
 	c.out = out
-	if err := writeFrame(c.bw, out); err != nil {
-		return nil, err
+	if framedLen(out) > MaxFrame {
+		return nil, fmt.Errorf("%w: a %d-byte request; the limit is %d", ErrRequestTooLarge, framedLen(out), MaxFrame)
 	}
-	if err := c.bw.Flush(); err != nil {
+	if err := writeFramed(c.conn, out); err != nil {
 		return nil, err
 	}
 	payload, err := readFrame(c.br, c.buf)
@@ -68,7 +78,8 @@ func (c *Client) roundTrip(msgType byte, body func([]byte) []byte) (*cursor, err
 		return nil, err
 	}
 	c.buf = payload[:cap(payload)]
-	cur := &cursor{b: payload}
+	c.cur = cursor{b: payload}
+	cur := &c.cur
 	status := cur.u8()
 	reqID := cur.u32()
 	if cur.bad {
@@ -114,7 +125,9 @@ type KV struct {
 }
 
 // OpResult is one operation's decoded result. Found/Val are set for OpGet,
-// Rows for OpScan, Added for OpAdd; writes have no result payload.
+// Rows for OpScan, Added for OpAdd; writes have no result payload. The byte
+// slices in a result Do returns alias the Client's frame buffer: they are
+// valid until the next call on the same Client, so copy what must outlive it.
 type OpResult struct {
 	Found bool
 	Val   []byte
@@ -122,36 +135,47 @@ type OpResult struct {
 	Added int64
 }
 
-// decodeResult decodes one op's result. Byte slices are copied out of the
-// frame buffer so results survive the next round trip.
-func decodeResult(cur *cursor, opType byte) (OpResult, error) {
-	var res OpResult
+// decodeResult decodes one op's result into res, reusing the capacity of
+// res.Rows. The byte slices it sets alias the frame under cur.
+func decodeResult(cur *cursor, opType byte, res *OpResult) error {
+	*res = OpResult{Rows: res.Rows[:0]}
 	switch opType {
 	case OpGet:
 		res.Found = cur.u8() != 0
-		res.Val = append([]byte(nil), cur.bytes32()...)
+		res.Val = cur.bytes32()
 	case OpPut, OpInsert, OpDelete:
 	case OpScan:
 		n := int(cur.u32())
 		for i := 0; i < n && !cur.bad; i++ {
-			k := append([]byte(nil), cur.bytes16()...)
-			v := append([]byte(nil), cur.bytes32()...)
+			k := cur.bytes16()
+			v := cur.bytes32()
 			res.Rows = append(res.Rows, KV{Key: k, Val: v})
 		}
 	case OpAdd:
 		res.Added = int64(cur.u64())
 	}
 	if cur.bad {
-		return OpResult{}, fmt.Errorf("%w: malformed result", errProtocol)
+		return fmt.Errorf("%w: malformed result", errProtocol)
 	}
-	return res, nil
+	return nil
 }
 
 // Do runs ops as one server-side transaction in a single round trip (the
 // batched API: begin, every op, and commit are all amortized into one
 // request). On error no result is returned and the transaction did not
-// commit; Retryable classifies whether a fresh attempt makes sense.
+// commit; Retryable classifies whether a fresh attempt makes sense. The
+// returned slice and the bytes its results hold belong to the Client and are
+// valid until its next call. A batch the wire cannot carry fails with
+// ErrRequestTooLarge before anything is sent.
 func (c *Client) Do(iso ssidb.Isolation, readOnly bool, ops []Op) ([]OpResult, error) {
+	if len(ops) > math.MaxUint16 {
+		return nil, fmt.Errorf("%w: %d ops in one batch; the limit is %d", ErrRequestTooLarge, len(ops), math.MaxUint16)
+	}
+	for i := range ops {
+		if err := checkOp(&ops[i]); err != nil {
+			return nil, err
+		}
+	}
 	cur, err := c.roundTrip(MsgTxn, func(b []byte) []byte {
 		b = append(b, byte(iso))
 		var flags byte
@@ -168,9 +192,12 @@ func (c *Client) Do(iso ssidb.Isolation, readOnly bool, ops []Op) ([]OpResult, e
 	if err != nil {
 		return nil, err
 	}
-	results := make([]OpResult, len(ops))
+	if cap(c.results) < len(ops) {
+		c.results = make([]OpResult, len(ops))
+	}
+	results := c.results[:len(ops)]
 	for i, op := range ops {
-		if results[i], err = decodeResult(cur, op.Type); err != nil {
+		if err := decodeResult(cur, op.Type, &results[i]); err != nil {
 			return nil, err
 		}
 	}
@@ -210,10 +237,14 @@ func (c *Client) Begin(iso ssidb.Isolation, readOnly bool) (*RemoteTxn, error) {
 	return &RemoteTxn{c: c, id: id}, nil
 }
 
-// op runs one operation in the transaction.
-func (t *RemoteTxn) op(op Op) (OpResult, error) {
+// op runs one operation in the transaction. The result's byte slices alias
+// the Client's frame buffer, so the exported methods copy them out.
+func (t *RemoteTxn) op(op Op) (res OpResult, err error) {
 	if t.done {
-		return OpResult{}, ssidb.ErrTxnDone
+		return res, ssidb.ErrTxnDone
+	}
+	if err := checkOp(&op); err != nil {
+		return res, err
 	}
 	cur, err := t.c.roundTrip(MsgOp, func(b []byte) []byte {
 		b = appendU64(b, t.id)
@@ -225,14 +256,19 @@ func (t *RemoteTxn) op(op Op) (OpResult, error) {
 		if ssidb.IsAbort(err) || !isStatementLevel(err) {
 			t.done = true
 		}
-		return OpResult{}, err
+		return res, err
 	}
-	return decodeResult(cur, op.Type)
+	err = decodeResult(cur, op.Type, &res)
+	return res, err
 }
 
 // isStatementLevel reports the errors after which the server-side
-// transaction is still open (ErrKeyExists, ErrReadOnly).
+// transaction is still open (ErrKeyExists, ErrReadOnly, and a request the
+// client refused to send).
 func isStatementLevel(err error) bool {
+	if errors.Is(err, ErrRequestTooLarge) {
+		return true
+	}
 	var pe *ProtoError
 	if !errors.As(err, &pe) {
 		return false
@@ -246,7 +282,7 @@ func (t *RemoteTxn) Get(table string, key []byte) ([]byte, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	return res.Val, res.Found, nil
+	return append([]byte(nil), res.Val...), res.Found, nil
 }
 
 // Put writes one key.
@@ -273,6 +309,9 @@ func (t *RemoteTxn) Scan(table string, from, to []byte, limit int) ([]KV, error)
 	res, err := t.op(Op{Type: OpScan, Table: table, From: from, To: to, Limit: limit})
 	if err != nil {
 		return nil, err
+	}
+	for i, kv := range res.Rows {
+		res.Rows[i] = KV{Key: append([]byte(nil), kv.Key...), Val: append([]byte(nil), kv.Val...)}
 	}
 	return res.Rows, nil
 }

@@ -58,12 +58,18 @@ func startChildServer(t *testing.T, dir string) (*exec.Cmd, string, func() strin
 	t.Helper()
 	cmd := exec.Command(os.Args[0], "-test.run=^TestServerChild$", "-test.v")
 	cmd.Env = append(os.Environ(), "SSISERVER_TEST_DIR="+dir)
-	stdout, err := cmd.StdoutPipe()
+	// An os.Pipe, not cmd.StdoutPipe: cmd.Wait closes the latter's read end
+	// as soon as the child exits, which can drop the child's last lines
+	// (the drain/stop lines the SIGTERM test checks) before they are read.
+	stdout, w, err := os.Pipe()
 	if err != nil {
 		t.Fatal(err)
 	}
+	cmd.Stdout = w
 	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
+	err = cmd.Start()
+	w.Close() // the child holds its own copy; the reader sees EOF when it exits
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -79,6 +85,7 @@ func startChildServer(t *testing.T, dir string) (*exec.Cmd, string, func() strin
 	if addr == "" {
 		cmd.Process.Kill()
 		cmd.Wait()
+		stdout.Close()
 		t.Fatal("child never reported LISTENING")
 	}
 
@@ -89,6 +96,7 @@ func startChildServer(t *testing.T, dir string) (*exec.Cmd, string, func() strin
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
+		defer stdout.Close()
 		for scanner.Scan() {
 			mu.Lock()
 			rest.WriteString(scanner.Text())

@@ -56,6 +56,22 @@
 // Responses with reqID 0 are connection-level errors (connection refused at
 // MaxConns, unparseable request header).
 //
+// # Allocation
+//
+// A MsgTxn batch allocates only what the engine keeps: a copy of each
+// written value (OpPut, OpInsert, OpAdd's cell), because the version store
+// retains the slice it is given and the request frame the value arrived in
+// is overwritten by the next request. Everything else is reused per
+// connection. Both sides build each frame in place after a reserved length
+// prefix and send it with one Write, and read each frame into one buffer.
+// The server converts a table name into the string the engine takes only
+// when it differs from the previous op's: a one-entry cache, which no
+// sequence of names can grow. On the client, Do's results and the bytes in
+// them alias the connection's response buffer and are valid until the next
+// call on that Client; RemoteTxn copies what it returns, as its Get mirrors
+// ssidb.Txn.Get. TestWireTxnAllocBudget holds a 4-read, 2-write batch to
+// the embedded transaction's allocations plus the two values.
+//
 // # Session lifecycle and fault tolerance
 //
 // Each connection is served by one goroutine owning all of its state —

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"ssi/ssidb"
 )
@@ -143,15 +144,39 @@ var (
 	errProtocol = errors.New("server: protocol error")
 )
 
+// frameHdr is the size of a frame's length prefix. Both sides build every
+// frame in place in a reused buffer: newFrame reserves the prefix, the
+// payload is appended after it, and writeFramed fills the prefix in, so a
+// frame costs one Write and no allocation.
+const frameHdr = 4
+
+// newFrame empties b and reserves the length prefix of the frame built in it.
+func newFrame(b []byte) []byte { return append(b[:0], 0, 0, 0, 0) }
+
+// framedLen is the payload length of a frame built after newFrame.
+func framedLen(frame []byte) int { return len(frame) - frameHdr }
+
+// writeFramed fills in the length prefix of a frame built after newFrame and
+// writes the whole frame with one Write.
+func writeFramed(w io.Writer, frame []byte) error {
+	binary.LittleEndian.PutUint32(frame, uint32(framedLen(frame)))
+	_, err := w.Write(frame)
+	return err
+}
+
 // readFrame reads one length-prefixed frame into (a possibly grown) buf and
-// returns the payload. A length above MaxFrame poisons the stream: the
-// caller must not read further.
+// returns the payload. The prefix is read into buf too: a local array would
+// escape through the io.Reader and cost an allocation per frame. A length
+// above MaxFrame poisons the stream: the caller must not read further.
 func readFrame(r io.Reader, buf []byte) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	if cap(buf) < frameHdr {
+		buf = make([]byte, frameHdr)
+	}
+	hdr := buf[:frameHdr]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	n := binary.LittleEndian.Uint32(hdr)
 	if n > MaxFrame {
 		return nil, fmt.Errorf("%w: frame length %d exceeds %d", errProtocol, n, MaxFrame)
 	}
@@ -163,17 +188,6 @@ func readFrame(r io.Reader, buf []byte) ([]byte, error) {
 		return nil, err
 	}
 	return buf, nil
-}
-
-// writeFrame writes one length-prefixed frame.
-func writeFrame(w io.Writer, payload []byte) error {
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
 }
 
 // --- request/response body builders (shared by client and server) ---
@@ -196,7 +210,9 @@ func appendU64(b []byte, v uint64) []byte {
 	return append(b, u[:]...)
 }
 
-func appendBytes16(b, p []byte) []byte {
+// appendBytes16 takes a string too, so a table name or a message is appended
+// without a conversion that could allocate.
+func appendBytes16[T string | []byte](b []byte, p T) []byte {
 	b = appendU16(b, uint16(len(p)))
 	return append(b, p...)
 }
@@ -280,11 +296,18 @@ type Op struct {
 	Delta    int64  // OpAdd addend
 }
 
-// decodeOp decodes one operation at the cursor.
-func decodeOp(c *cursor) (Op, error) {
+// decodeOp decodes one operation at the cursor. table is the caller's
+// one-entry cache of the last table name decoded: Op.Table is a string the
+// engine may keep, and comparing the name's bytes with the cache allocates
+// nothing, so a session whose ops name one table converts that name once. A
+// single entry is all the cache holds, whatever names a client sends.
+func decodeOp(c *cursor, table *string) (Op, error) {
 	var op Op
 	op.Type = c.u8()
-	op.Table = string(c.bytes16())
+	if name := c.bytes16(); string(name) != *table {
+		*table = string(name)
+	}
+	op.Table = *table
 	switch op.Type {
 	case OpGet, OpDelete:
 		op.Key = c.bytes16()
@@ -313,10 +336,24 @@ func decodeOp(c *cursor) (Op, error) {
 	return op, nil
 }
 
-// appendOp encodes one operation (the client-side dual of decodeOp).
+// checkOp reports ErrRequestTooLarge for an op appendOp cannot encode: a
+// table, key or scan bound longer than its u16 length prefix can say. (A
+// value's u32 prefix cannot overflow within MaxFrame, which the client checks
+// on the whole request.)
+func checkOp(op *Op) error {
+	for _, n := range [...]int{len(op.Table), len(op.Key), len(op.From), len(op.To)} {
+		if n > math.MaxUint16 {
+			return fmt.Errorf("%w: a %d-byte table, key or scan bound; the limit is %d", ErrRequestTooLarge, n, math.MaxUint16)
+		}
+	}
+	return nil
+}
+
+// appendOp encodes one operation (the client-side dual of decodeOp); checkOp
+// says whether it can.
 func appendOp(b []byte, op Op) []byte {
 	b = append(b, op.Type)
-	b = appendBytes16(b, []byte(op.Table))
+	b = appendBytes16(b, op.Table)
 	switch op.Type {
 	case OpGet, OpDelete:
 		b = appendBytes16(b, op.Key)
@@ -450,6 +487,6 @@ func appendErrResponse(b []byte, reqID uint32, err error) []byte {
 	if len(msg) > 512 {
 		msg = msg[:512]
 	}
-	b = appendBytes16(b, []byte(msg))
+	b = appendBytes16(b, msg)
 	return b
 }

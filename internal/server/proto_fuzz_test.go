@@ -67,6 +67,18 @@ func FuzzHandle(f *testing.F) {
 	f.Add([]byte{99, 0, 0, 0, 0, 1, 2, 3})
 	f.Add(txn[:len(txn)-3]) // truncated mid-op
 
+	// Two tables in one batch, so the session's table-name cache is replaced
+	// and reused under the fuzzer.
+	var twoTables []byte
+	twoTables = append(twoTables, MsgTxn)
+	twoTables = appendU32(twoTables, 4)
+	twoTables = append(twoTables, byte(ssidb.SerializableSI), 0)
+	twoTables = appendU16(twoTables, 3)
+	twoTables = appendOp(twoTables, Op{Type: OpPut, Table: "a", Key: []byte("k"), Val: []byte("v")})
+	twoTables = appendOp(twoTables, Op{Type: OpGet, Table: "b", Key: []byte("k")})
+	twoTables = appendOp(twoTables, Op{Type: OpAdd, Table: "a", Key: []byte("n"), Delta: 1})
+	f.Add(twoTables)
+
 	srv := &Server{
 		cfg:      Config{}.withDefaults(),
 		db:       ssidb.Open(ssidb.Options{}),

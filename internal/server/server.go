@@ -138,7 +138,7 @@ func (s *Server) Serve() error {
 			// Fast refusal off the accept path: one error frame, then close.
 			go func(c net.Conn) {
 				c.SetWriteDeadline(time.Now().Add(time.Second))
-				writeFrame(c, appendErrResponse(nil, 0, ErrConnLimit))
+				writeFramed(c, appendErrResponse(newFrame(nil), 0, ErrConnLimit))
 				c.Close()
 			}(conn)
 			continue
@@ -233,8 +233,9 @@ type session struct {
 	br   *bufio.Reader
 	bw   *bufio.Writer
 
-	buf []byte // frame read buffer, reused across requests
-	out []byte // response build buffer, reused across requests
+	buf   []byte // frame read buffer, reused across requests
+	out   []byte // response frame, built in place and reused across requests
+	table string // decodeOp's one-entry table-name cache
 
 	txns     map[uint64]*ssidb.Txn // open interactive transactions
 	nextTxn  uint64
@@ -280,17 +281,16 @@ func (s *session) run() {
 				// Oversized frame: the stream cannot be resynchronised.
 				// One best-effort error frame, then close.
 				s.srv.protoErrors.Add(1)
-				writeFrame(s.bw, buildErr(s.out[:0], 0, CodeTooLarge, err))
+				writeFramed(s.bw, buildErr(newFrame(s.out), 0, CodeTooLarge, err))
 				s.bw.Flush()
 			}
 			return
 		}
 		s.buf = payload[:cap(payload)]
-		resp, fatal := s.handle(payload)
-		if err := writeFrame(s.bw, resp); err != nil {
+		_, fatal := s.handle(payload)
+		if err := writeFramed(s.bw, s.out); err != nil {
 			return
 		}
-		s.out = resp[:0] // recycle the grown response buffer
 		// Pipelining: flush only when no further request is already
 		// buffered, so a burst of requests costs one syscall each way.
 		if fatal || s.br.Buffered() == 0 {
@@ -315,26 +315,34 @@ func buildErr(b []byte, reqID uint32, code byte, err error) []byte {
 	b = append(b, StatusErr)
 	b = appendU32(b, reqID)
 	b = append(b, code, 0)
-	return appendBytes16(b, []byte(err.Error()))
+	return appendBytes16(b, err.Error())
 }
 
-// handle dispatches one request and returns the response payload plus
-// whether the connection must close (protocol violations: the peer is not
-// speaking our protocol, so no further frame can be trusted).
+// handle dispatches one request, builds its response frame in s.out and
+// returns the response payload plus whether the connection must close
+// (protocol violations: the peer is not speaking our protocol, so no further
+// frame can be trusted).
 func (s *session) handle(payload []byte) (resp []byte, fatal bool) {
+	s.out, fatal = s.respond(payload)
+	return s.out[frameHdr:], fatal
+}
+
+// respond runs one request and returns its response frame, built in place
+// after newFrame(s.out).
+func (s *session) respond(payload []byte) (frame []byte, fatal bool) {
 	c := &cursor{b: payload}
 	msgType := c.u8()
 	reqID := c.u32()
 	if c.bad {
-		return appendErrResponse(s.out[:0], 0, fmt.Errorf("%w: short request header", errProtocol)), true
+		return appendErrResponse(newFrame(s.out), 0, fmt.Errorf("%w: short request header", errProtocol)), true
 	}
-	out := s.out[:0]
+	out := newFrame(s.out)
 	out = append(out, StatusOK)
 	out = appendU32(out, reqID)
 
 	fail := func(err error) ([]byte, bool) {
 		code, _ := errToWire(err)
-		return appendErrResponse(s.out[:0], reqID, err), code == CodeProtocol
+		return appendErrResponse(newFrame(s.out), reqID, err), code == CodeProtocol
 	}
 
 	switch msgType {
@@ -366,7 +374,7 @@ func (s *session) handle(payload []byte) (resp []byte, fatal bool) {
 		s.srv.txnsServed.Add(1)
 		tx := s.srv.db.BeginTx(iso, ssidb.TxnOptions{ReadOnly: flags&FlagReadOnly != 0})
 		for i := 0; i < nops; i++ {
-			op, err := decodeOp(c)
+			op, err := decodeOp(c, &s.table)
 			if err != nil {
 				tx.Abort()
 				return fail(err)
@@ -381,11 +389,14 @@ func (s *session) handle(payload []byte) (resp []byte, fatal bool) {
 			tx.Abort()
 			return fail(fmt.Errorf("%w: trailing bytes after %d ops", errProtocol, nops))
 		}
+		// A response that cannot be sent must not follow a commit: the
+		// client would be told the batch failed after its writes were made.
+		if framedLen(out) > MaxFrame {
+			tx.Abort()
+			return fail(fmt.Errorf("server: response %d bytes exceeds frame limit", framedLen(out)))
+		}
 		if err := tx.Commit(); err != nil {
 			return fail(commitErr(err))
-		}
-		if len(out) > MaxFrame {
-			return fail(fmt.Errorf("server: response %d bytes exceeds frame limit", len(out)))
 		}
 		return out, false
 
@@ -417,7 +428,7 @@ func (s *session) handle(payload []byte) (resp []byte, fatal bool) {
 			}
 			return fail(ErrUnknownTxn)
 		}
-		op, err := decodeOp(c)
+		op, err := decodeOp(c, &s.table)
 		if err != nil {
 			s.closeTxn(id, tx, false)
 			return fail(err)
@@ -432,9 +443,9 @@ func (s *session) handle(payload []byte) (resp []byte, fatal bool) {
 			}
 			return fail(err)
 		}
-		if len(out) > MaxFrame {
+		if framedLen(out) > MaxFrame {
 			s.closeTxn(id, tx, true)
-			return fail(fmt.Errorf("server: response %d bytes exceeds frame limit", len(out)))
+			return fail(fmt.Errorf("server: response %d bytes exceeds frame limit", framedLen(out)))
 		}
 		return out, false
 
@@ -500,7 +511,7 @@ func dup(b []byte) []byte {
 }
 
 // execOp runs one operation against tx, appending its result encoding to
-// out.
+// the response frame out.
 func execOp(tx *ssidb.Txn, op Op, out []byte) ([]byte, error) {
 	switch op.Type {
 	case OpGet:
@@ -529,7 +540,7 @@ func execOp(tx *ssidb.Txn, op Op, out []byte) ([]byte, error) {
 			body = appendBytes16(body, k)
 			body = appendBytes32(body, v)
 			n++
-			return len(body) <= MaxFrame
+			return framedLen(body) <= MaxFrame
 		}
 		var err error
 		if op.Limit > 0 {

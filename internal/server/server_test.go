@@ -258,7 +258,7 @@ func TestMalformedClientDoesNotDisturbOthers(t *testing.T) {
 			t.Fatal(err)
 		}
 		conn.SetDeadline(time.Now().Add(5 * time.Second))
-		if err := writeFrame(conn, payload); err != nil {
+		if err := writeFramed(conn, append(newFrame(nil), payload...)); err != nil {
 			t.Fatal(err)
 		}
 		// The bad session gets exactly one protocol error response, then EOF.
@@ -541,16 +541,16 @@ func TestPipelinedBatches(t *testing.T) {
 
 	const n = 8
 	for i := 0; i < n; i++ {
-		var payload []byte
-		payload = append(payload, MsgTxn)
-		payload = appendU32(payload, uint32(i+1))
-		payload = append(payload, byte(ssidb.SnapshotIsolation), 0)
-		payload = appendU16(payload, 1)
-		payload = appendOp(payload, Op{
+		frame := newFrame(nil)
+		frame = append(frame, MsgTxn)
+		frame = appendU32(frame, uint32(i+1))
+		frame = append(frame, byte(ssidb.SnapshotIsolation), 0)
+		frame = appendU16(frame, 1)
+		frame = appendOp(frame, Op{
 			Type: OpPut, Table: "t",
 			Key: []byte(fmt.Sprintf("p%d", i)), Val: []byte("v"),
 		})
-		if err := writeFrame(conn, payload); err != nil {
+		if err := writeFramed(conn, frame); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -568,5 +568,168 @@ func TestPipelinedBatches(t *testing.T) {
 		if id := cur.u32(); id != uint32(i+1) {
 			t.Fatalf("response %d: id %d", i, id)
 		}
+	}
+}
+
+func TestOversizedBatchResponseDoesNotCommit(t *testing.T) {
+	srv := startServer(t, Config{})
+	c := dialT(t, srv)
+
+	// More than MaxFrame of rows, so a full scan cannot be answered. The
+	// first 16 fill the response to exactly MaxFrame (5 header bytes, a
+	// 4-byte row count, 9 bytes of lengths and key per row), so a scan that
+	// stopped there would answer with a truncated result instead of failing.
+	big := make([]byte, 64<<10)
+	if err := srv.db.Run(ssidb.SnapshotIsolation, func(tx *ssidb.Txn) error {
+		for i := 0; i < 20; i++ {
+			val := big
+			if i == 15 {
+				val = big[:MaxFrame-9-16*9-15*len(big)]
+			}
+			if err := tx.Put("big", []byte(fmt.Sprintf("r%02d", i)), val); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	_, err := c.Do(ssidb.SerializableSI, false, []Op{
+		{Type: OpPut, Table: "t", Key: []byte("marker"), Val: []byte("x")},
+		{Type: OpScan, Table: "big"},
+	})
+	if err == nil {
+		t.Fatal("a batch whose response exceeds MaxFrame succeeded")
+	}
+	err = srv.db.Run(ssidb.SnapshotIsolation, func(tx *ssidb.Txn) error {
+		if _, ok, err := tx.Get("t", []byte("marker")); err != nil || ok {
+			t.Errorf("the failed batch's write is visible (found=%v, err=%v)", ok, err)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Ping(); err != nil {
+		t.Fatalf("session unusable after the refused response: %v", err)
+	}
+}
+
+func TestClientRefusesUnencodableRequests(t *testing.T) {
+	srv := startServer(t, Config{})
+	c := dialT(t, srv)
+	long := make([]byte, 70_000)
+	ping := func(what string) {
+		t.Helper()
+		if err := c.Ping(); err != nil {
+			t.Fatalf("after %s: connection unusable: %v", what, err)
+		}
+	}
+
+	for _, tc := range []struct {
+		what string
+		ops  []Op
+	}{
+		{"a 70 000-byte key", []Op{{Type: OpGet, Table: "t", Key: long}}},
+		{"a 70 000-byte table name", []Op{{Type: OpGet, Table: string(long), Key: []byte("k")}}},
+		{"a 70 000-byte scan bound", []Op{{Type: OpScan, Table: "t", From: long}}},
+		{"65 536 ops", make([]Op, 65_536)},
+		{"a request above MaxFrame", []Op{{Type: OpPut, Table: "t", Key: []byte("k"), Val: make([]byte, MaxFrame)}}},
+	} {
+		if _, err := c.Do(ssidb.SerializableSI, false, tc.ops); !errors.Is(err, ErrRequestTooLarge) {
+			t.Errorf("%s: want ErrRequestTooLarge, got %v", tc.what, err)
+		}
+		ping(tc.what)
+	}
+
+	// An interactive statement the wire cannot carry leaves its transaction
+	// open: nothing reached the server.
+	tx, err := c.Begin(ssidb.SerializableSI, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Put("t", long, []byte("v")); !errors.Is(err, ErrRequestTooLarge) {
+		t.Fatalf("RemoteTxn.Put of a 70 000-byte key: want ErrRequestTooLarge, got %v", err)
+	}
+	ping("a refused RemoteTxn.Put")
+	if err := tx.Put("t", []byte("k"), make([]byte, MaxFrame)); !errors.Is(err, ErrRequestTooLarge) {
+		t.Fatalf("RemoteTxn.Put of a MaxFrame value: want ErrRequestTooLarge, got %v", err)
+	}
+	ping("a refused RemoteTxn.Put of a MaxFrame value")
+	if err := tx.Put("t", []byte("k"), []byte("v")); err != nil {
+		t.Fatalf("transaction unusable after a refused statement: %v", err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestTableCacheAndResultLifetimes(t *testing.T) {
+	srv := startServer(t, Config{})
+	c := dialT(t, srv)
+
+	// One batch writes the same key of a, b and a again: every write lands in
+	// its own table.
+	if _, err := c.Do(ssidb.SerializableSI, false, []Op{
+		{Type: OpPut, Table: "a", Key: []byte("k"), Val: []byte("a1")},
+		{Type: OpPut, Table: "b", Key: []byte("k"), Val: []byte("b1")},
+		{Type: OpPut, Table: "a", Key: []byte("j"), Val: []byte("a2")},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"a1", "b1", "a2"}
+	res, err := c.Do(ssidb.SerializableSI, true, []Op{
+		{Type: OpGet, Table: "a", Key: []byte("k")},
+		{Type: OpGet, Table: "b", Key: []byte("k")},
+		{Type: OpGet, Table: "a", Key: []byte("j")},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range res {
+		if !r.Found || string(r.Val) != want[i] {
+			t.Errorf("batch Get %d: found=%v %q, want %q", i, r.Found, r.Val, want[i])
+		}
+	}
+	if err := srv.db.Run(ssidb.SnapshotIsolation, func(tx *ssidb.Txn) error {
+		if _, ok, err := tx.Get("b", []byte("j")); err != nil || ok {
+			t.Errorf("a's key j found in b (found=%v, err=%v)", ok, err)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	// The same alternation through an interactive transaction. A RemoteTxn
+	// value is the caller's: it survives the round trips that follow it.
+	tx, err := c.Begin(ssidb.SerializableSI, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, g := range []struct{ table, key string }{{"a", "k"}, {"b", "k"}, {"a", "j"}} {
+		v, ok, err := tx.Get(g.table, []byte(g.key))
+		if err != nil || !ok {
+			t.Fatalf("Get %s/%s: found=%v, err=%v", g.table, g.key, ok, err)
+		}
+		got = append(got, string(v))
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("interactive Gets over a, b, a: %q, want %q", got, want)
+	}
+	first, _, err := tx.Get("a", []byte("k"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, _, err := tx.Get("b", []byte("k")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if string(first) != "a1" {
+		t.Errorf("a RemoteTxn.Get value changed under three later round trips: %q, want %q", first, "a1")
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
 	}
 }
