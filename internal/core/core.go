@@ -263,8 +263,9 @@
 //   - The history recorder needs the creator's id, which the cell keeps.
 //
 // An aborted transaction's cell is never severed (its versions are rolled
-// back; a page stamp drops it at the next prune), so for a cell "no record"
-// always means "committed, and visible to everyone".
+// back; a page stamp drops it at the page's next walk), so for a cell "no
+// record" always means "committed, and visible to everyone" — which is what
+// lets a page fold a severed writer's stamp into its floor.
 //
 // With versions out of the picture, these are the holders of a *Txn, and how
 // long each holds it — the list that pooling records would have to empty:
@@ -848,9 +849,6 @@ func NewManager(d Detector) *Manager {
 	}
 	return m
 }
-
-// Detector returns the configured SSI detector variant.
-func (m *Manager) Detector() Detector { return m.detector }
 
 func (m *Manager) regShardOf(t *Txn) *regShard {
 	return m.shards[t.id&m.mask]

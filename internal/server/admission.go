@@ -19,8 +19,9 @@ import (
 //     client learns about overload faster by rejection than by waiting, and
 //     the queue never grows beyond a bound the operator chose.
 //
-// A zero MPL disables the controller entirely (every acquire succeeds),
-// which is the "uncapped" baseline the benchmarks compare against.
+// A zero MPL disables the controller (every acquire succeeds, and is still
+// counted as admitted), which is the "uncapped" baseline the benchmarks
+// compare against.
 type admission struct {
 	slots   chan struct{} // nil = uncapped
 	depth   int32         // max queued waiters
@@ -51,10 +52,11 @@ func newAdmission(mpl, depth int, timeout time.Duration) *admission {
 	return a
 }
 
-// acquire takes one admission slot, queueing up to the deadline. The now
-// func exists only so the wait-time counter costs nothing when uncapped.
+// acquire takes one admission slot, queueing up to the deadline. Uncapped,
+// it only counts the admission.
 func (a *admission) acquire() error {
 	if a.slots == nil {
+		a.admitted.Add(1)
 		return nil
 	}
 	select {

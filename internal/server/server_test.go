@@ -405,6 +405,25 @@ func TestAdmissionQueueAndRefusal(t *testing.T) {
 	}
 }
 
+// TestUncappedAdmissionsCounted: a server without an MPL cap admits every
+// transaction at once, and still counts each one.
+func TestUncappedAdmissionsCounted(t *testing.T) {
+	const n = 5
+	srv := startServer(t, Config{})
+	c := dialT(t, srv)
+	for i := 0; i < n; i++ {
+		if _, err := c.Do(ssidb.SnapshotIsolation, false, []Op{
+			{Type: OpPut, Table: "t", Key: []byte{byte(i)}, Val: []byte("v")},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, adm, _ := srv.StatsSnapshot()
+	if adm.MPL != 0 || adm.Admitted != n || adm.Queued != 0 {
+		t.Fatalf("after %d batches on an uncapped server: %+v, want Admitted %d and Queued 0", n, adm, n)
+	}
+}
+
 func TestConnectionCapFastRefusal(t *testing.T) {
 	srv := startServer(t, Config{MaxConns: 1})
 	keep := dialT(t, srv)

@@ -695,8 +695,8 @@ type CheckpointWriter struct {
 	dir string
 	ts  uint64
 	f   *os.File // nil once committed or aborted
-	buf []byte // the frame being written: header room, then payload
-	err error  // first write error, returned by every later Frame and by Commit
+	buf []byte   // the frame being written: header room, then payload
+	err error    // first write error, returned by every later Frame and by Commit
 }
 
 // CreateCheckpoint starts a checkpoint image of the state at commit

@@ -198,7 +198,7 @@ func TestCheckpointChunkedRecovery(t *testing.T) {
 	flipped := cp(image)
 	flipped[second.off+16+3] ^= 0x01
 	mixed := appendFrame(nil, frames[0].ts-1, frames[0].payload) // a later ts would also regress at the next frame
-	older := append([]byte("SSICKPT2"), image[8:16]...) // magic | ts | payload | payloadLen | crc32c
+	older := append([]byte("SSICKPT2"), image[8:16]...)          // magic | ts | payload | payloadLen | crc32c
 	payload := binary.LittleEndian.AppendUint32(nil, 1)
 	payload = append(binary.LittleEndian.AppendUint16(payload, 1), 'a')
 	payload = binary.LittleEndian.AppendUint32(payload, 64)

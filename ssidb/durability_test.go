@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -148,6 +149,43 @@ func TestCheckpointTruncatesAndRecovers(t *testing.T) {
 		if v, ok := mustGet(t, db2, "t", key); !ok || string(v) != fmt.Sprintf("v%03d", i) {
 			t.Fatalf("%s = %q %v", key, v, ok)
 		}
+	}
+}
+
+// TestCheckpointAfterCloseRefused: a checkpoint of a closed database is an
+// error and touches nothing — it must neither publish a CHECKPOINT nor
+// truncate segments through the closed log. The same check stops an
+// automatic checkpoint that a last commit started and that runs after Close.
+func TestCheckpointAfterCloseRefused(t *testing.T) {
+	dir := t.TempDir()
+	db := mustOpenDir(t, dir, ssidb.Options{SegmentBytes: 4 << 10, CheckpointBytes: -1})
+	for i := 0; i < 200; i++ {
+		if err := db.Run(ssidb.SnapshotIsolation, func(tx *ssidb.Txn) error {
+			return tx.Put("t", []byte(fmt.Sprintf("k%03d", i)), []byte(fmt.Sprintf("v%03d", i)))
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	list := func() []string {
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range ents {
+			names = append(names, e.Name())
+		}
+		return names
+	}
+	before := list()
+	if err := db.Checkpoint(); err == nil {
+		t.Fatal("Checkpoint after Close returned nil")
+	}
+	if after := list(); !slices.Equal(before, after) {
+		t.Fatalf("Checkpoint after Close changed the directory: %v → %v", before, after)
 	}
 }
 

@@ -2,6 +2,7 @@ package ssidb
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"ssi/internal/core"
@@ -281,13 +282,16 @@ func (db *DB) writeImage(ck *wal.CheckpointWriter, tables tableMap, snapTxn *cor
 // published atomically (fsync + rename), then truncates WAL segments wholly
 // covered by it. Concurrent transactions keep running throughout — the image
 // is a sequence of ordinary snapshot scans. It is a no-op for non-durable
-// databases.
+// databases, and an error once the database is closed.
 func (db *DB) Checkpoint() error {
 	if db.dir == "" {
 		return nil
 	}
 	db.ckptMu.Lock()
 	defer db.ckptMu.Unlock()
+	if db.closed {
+		return errors.New("ssi: checkpoint of a closed database")
+	}
 	base := db.log.BytesAppended()
 	t := db.mgr.BeginTx(SnapshotIsolation, true)
 	// A table declared at or before snap is then in the map the image

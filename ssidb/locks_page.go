@@ -20,7 +20,7 @@ import (
 //
 // The page versions are this strategy's own: each table's pageStamps, below,
 // made by tableCreated, inherited across splits by the split hook it installs
-// and pruned by retired and DB.Vacuum. The row store underneath keeps
+// and folded as their writers retire. The row store underneath keeps
 // rows only, and lends this file its page topology (LeafPage, PathPages,
 // InsertWillSplit, AppendScanPathPages) and the split hook.
 //
@@ -32,8 +32,7 @@ import (
 // read. Reading stamps first would miss a writer that locked the page before
 // the acquisition and committed before it.
 type pageTargets struct {
-	db          *DB
-	retirements atomic.Uint64
+	db *DB
 }
 
 // newPageTargets also settles the one store default that granularity decides.
@@ -197,24 +196,11 @@ func (*pageTargets) scanNewerWriters(writers []*core.Txn, tb *table, snap core.T
 // follow them, both atomically with the split — the hook runs under the latch
 // of the partition that split.
 func (p *pageTargets) tableCreated(tb *table) {
-	tb.stamps = newPageStamps(p.db.mgr.OldestActiveSnapshot)
+	tb.stamps = newPageStamps()
 	tb.data.SetSplitHook(func(oldPage, newPage uint32) {
 		tb.stamps.inheritOnSplit(oldPage, newPage)
 		p.db.locks.InheritSIRead(lock.PageKey(tb.name, oldPage), lock.PageKey(tb.name, newPage))
 	})
-}
-
-// retired prunes page write-stamps at every 64th retirement: retiring a
-// suspended transaction is when the horizon it was kept for has moved.
-// (DB.Vacuum prunes them too.)
-func (p *pageTargets) retired() {
-	if p.retirements.Add(1)%64 != 0 {
-		return
-	}
-	h := p.db.mgr.OldestActiveSnapshot()
-	for _, tb := range *p.db.tables.Load() {
-		tb.stamps.prune(h)
-	}
 }
 
 // pageStamps records which transactions wrote each page of one table. It is
@@ -228,35 +214,23 @@ func (p *pageTargets) retired() {
 //
 // A stamp points at its writer's core.Cell, never the record, for the reason
 // versions do (see package mvcc): the record is cut loose once every snapshot
-// sees the write, and a stamp must not keep it alive.
+// sees the write, and a stamp must not keep it alive. That cut, made when the
+// writer retires, is also what expires the stamp: every walk of a page's
+// writers first folds the severed cells into the page's floor (foldLocked),
+// so stamps have no pruning schedule of their own.
 type pageStamps struct {
-	mu      sync.Mutex
-	byPage  map[uint32]*pageHist
-	horizon func() core.TS // bounds hot-page histories inline (addWriter)
-	pruned  atomic.Uint64  // writer entries expired by prune, for TableStats
+	mu     sync.Mutex
+	byPage map[uint32]*pageHist
+	pruned atomic.Uint64 // writer entries folded or dropped, for TableStats
 }
 
 type pageHist struct {
-	writers   []*core.Cell
-	maxCommit core.TS // commit stamp floor preserved across pruning
-	// pruneAt is the writer-list length at which addWriter attempts the
-	// next inline prune; it advances past the current length after an
-	// unproductive attempt (watermark pinned) so a hot page pays one list
-	// scan per stampPruneLen new writers, not one per write.
-	pruneAt int
+	writers   []*core.Cell // unsevered at the last fold
+	maxCommit core.TS      // newest commit among the writers folded away
 }
 
-// stampPruneLen is the per-page writer-list length that triggers an inline
-// prune against the watermark on the write path: hot pages (a root split
-// target, a counter page) would otherwise accumulate one entry per writing
-// transaction between periodic prunes.
-const stampPruneLen = 32
-
-// newPageStamps returns an empty registry. Once a page's writer list grows
-// past stampPruneLen, writers whose commit stamps fall below horizon() are
-// folded into the page's maxCommit floor at addWriter time.
-func newPageStamps(horizon func() core.TS) *pageStamps {
-	return &pageStamps{byPage: make(map[uint32]*pageHist), horizon: horizon}
+func newPageStamps() *pageStamps {
+	return &pageStamps{byPage: make(map[uint32]*pageHist)}
 }
 
 // inheritOnSplit copies the write history of oldPage onto newPage. When a
@@ -293,39 +267,31 @@ func (ps *pageStamps) addWriter(page uint32, t *core.Txn) {
 		h = &pageHist{}
 		ps.byPage[page] = h
 	}
-	if slices.Contains(h.writers, c) {
-		return
-	}
-	h.writers = append(h.writers, c)
-	if len(h.writers) >= max(h.pruneAt, stampPruneLen) {
-		pruneHistLocked(h, ps.horizon())
-		h.pruneAt = len(h.writers) + stampPruneLen
+	ps.foldLocked(h)
+	if !slices.Contains(h.writers, c) {
+		h.writers = append(h.writers, c)
 	}
 }
 
-// aborted reports whether the transaction behind an unstamped cell aborted.
-// Only committed transactions are ever severed from their cell, and only
-// after it is stamped, so an unstamped cell always still has its record.
-func aborted(w *core.Cell) bool {
-	t := w.Txn()
-	return t != nil && t.Aborted()
-}
-
-// pruneHistLocked folds writers that committed before horizon into the
-// page's maxCommit floor and drops aborted writers.
-func pruneHistLocked(h *pageHist, horizon core.TS) (removed int) {
+// foldLocked folds the writers of h whose cells are severed into its
+// maxCommit floor and drops its aborted ones, reporting how many entries
+// went. A writer's retirement severs its cell, and it retires only once its
+// commit precedes every active snapshot, and so every later one: it is no
+// reader's newer writer again, and the floor keeps its commit for
+// First-Committer-Wins. An aborted writer's cell is never severed.
+func (ps *pageStamps) foldLocked(h *pageHist) (removed int) {
 	kept := h.writers[:0]
 	for _, w := range h.writers {
-		ct := w.CommitTS()
-		switch {
-		case ct != 0 && ct < horizon:
-			h.maxCommit = max(h.maxCommit, ct)
-			removed++
-		case ct == 0 && aborted(w):
-			removed++
-		default:
+		if t := w.Txn(); t == nil {
+			h.maxCommit = max(h.maxCommit, w.CommitTS())
+		} else if !t.Aborted() {
 			kept = append(kept, w)
 		}
+	}
+	removed = len(h.writers) - len(kept)
+	if removed > 0 {
+		clear(h.writers[len(kept):])
+		ps.pruned.Add(uint64(removed))
 	}
 	h.writers = kept
 	return removed
@@ -340,6 +306,7 @@ func (ps *pageStamps) newestCommitTS(page uint32) core.TS {
 	if h == nil {
 		return 0
 	}
+	ps.foldLocked(h)
 	newest := h.maxCommit
 	for _, w := range h.writers {
 		newest = max(newest, w.CommitTS())
@@ -356,9 +323,10 @@ func (ps *pageStamps) newerWriters(out []*core.Txn, page uint32, snap core.TS) [
 	if h == nil {
 		return out
 	}
+	ps.foldLocked(h)
 	for _, w := range h.writers {
 		if ct := w.CommitTS(); ct != 0 && ct >= snap {
-			// The record is still there: a writer is retired only once its
+			// The record is still there: a writer retires only once its
 			// commit precedes every active snapshot, snap included.
 			if t := w.Txn(); t != nil {
 				out = append(out, t)
@@ -368,18 +336,16 @@ func (ps *pageStamps) newerWriters(out []*core.Txn, page uint32, snap core.TS) [
 	return out
 }
 
-// prune drops writers that committed before horizon (folding their stamp
-// into maxCommit) and writers that aborted, reporting how many writer
-// entries were removed.
-func (ps *pageStamps) prune(horizon core.TS) (removed int) {
+// prune folds every page's writers (DB.Vacuum) and forgets the pages left
+// with no stamp, reporting how many writer entries went.
+func (ps *pageStamps) prune() (removed int) {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
 	for page, h := range ps.byPage {
-		removed += pruneHistLocked(h, horizon)
+		removed += ps.foldLocked(h)
 		if len(h.writers) == 0 && h.maxCommit == 0 {
 			delete(ps.byPage, page)
 		}
 	}
-	ps.pruned.Add(uint64(removed))
 	return removed
 }

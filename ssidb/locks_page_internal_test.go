@@ -16,9 +16,20 @@ func commitCore(t *testing.T, m *core.Manager, txn *core.Txn) core.TS {
 	return ct
 }
 
+// writerEntries counts the writer entries ps keeps across all its pages.
+func writerEntries(ps *pageStamps) int {
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	n := 0
+	for _, h := range ps.byPage {
+		n += len(h.writers)
+	}
+	return n
+}
+
 func TestPageStamps(t *testing.T) {
 	m := core.NewManager(core.DetectorPrecise)
-	ps := newPageStamps(m.OldestActiveSnapshot)
+	ps := newPageStamps()
 	w1 := m.Begin(core.SnapshotIsolation)
 	m.AssignSnapshot(w1)
 	ps.addWriter(7, w1)
@@ -40,26 +51,38 @@ func TestPageStamps(t *testing.T) {
 	if len(ps.newerWriters(nil, 7, ct+1)) != 0 {
 		t.Fatal("writer older than snapshot reported")
 	}
-	// Pruning folds old commits into the floor but keeps FCW exact.
-	if n := ps.prune(ct + 1); n != 1 || ps.pruned.Load() != 1 {
-		t.Fatalf("prune removed %d (counted %d), want 1", n, ps.pruned.Load())
+	// The reader's snapshot precedes the commit, so w1 has not retired and
+	// its entry stays.
+	if n := writerEntries(ps); n != 1 || ps.pruned.Load() != 0 {
+		t.Fatalf("%d entries kept (%d folded) under the reader, want 1 (0)", n, ps.pruned.Load())
 	}
+	// The reader's end retires w1: the next walk folds its commit into the
+	// floor and keeps First-Committer-Wins exact.
+	m.Finish(reader, false)
 	if got := ps.newestCommitTS(7); got != ct {
-		t.Fatalf("newestCommitTS after prune = %d, want %d", got, ct)
+		t.Fatalf("newestCommitTS after the fold = %d, want %d", got, ct)
+	}
+	if n := writerEntries(ps); n != 0 || ps.pruned.Load() != 1 {
+		t.Fatalf("%d entries kept (%d folded) after w1 retired, want 0 (1)", n, ps.pruned.Load())
 	}
 	if len(ps.newerWriters(nil, 7, snap)) != 0 {
-		t.Fatal("pruned writer still listed")
+		t.Fatal("folded writer still listed")
 	}
 }
 
 func TestPageStampsDropAborted(t *testing.T) {
 	m := core.NewManager(core.DetectorPrecise)
-	ps := newPageStamps(m.OldestActiveSnapshot)
+	ps := newPageStamps()
 	w := m.Begin(core.SnapshotIsolation)
 	m.AssignSnapshot(w)
 	ps.addWriter(3, w)
 	m.Abort(w)
-	ps.prune(1)
+	if n := ps.prune(); n != 1 {
+		t.Fatalf("prune removed %d entries, want the aborted writer's", n)
+	}
+	if _, ok := ps.byPage[3]; ok {
+		t.Fatal("a page with only an aborted writer was kept")
+	}
 	if got := ps.newestCommitTS(3); got != 0 {
 		t.Fatalf("aborted writer left a stamp: %d", got)
 	}
@@ -67,30 +90,58 @@ func TestPageStampsDropAborted(t *testing.T) {
 
 // TestPageStampsHotPageBounded: a page written by an unending stream of
 // short committed transactions must not accumulate one writer entry per
-// transaction — addWriter folds pre-watermark commits into the maxCommit
-// floor once the list passes the inline-prune length.
+// transaction. Each writer of a serial stream retires at its own end, so the
+// next writer's addWriter folds it: the page never holds more than the
+// writer adding itself.
 func TestPageStampsHotPageBounded(t *testing.T) {
 	m := core.NewManager(core.DetectorPrecise)
-	ps := newPageStamps(m.OldestActiveSnapshot)
+	ps := newPageStamps()
 	var lastCT core.TS
 	for i := 0; i < 500; i++ {
 		w := m.Begin(core.SnapshotIsolation)
 		m.AssignSnapshot(w)
 		ps.addWriter(7, w)
+		if n := writerEntries(ps); n > 1 {
+			t.Fatalf("writer %d: hot page kept %d writer entries, want <= 1", i, n)
+		}
 		lastCT = commitCore(t, m, w)
-	}
-	ps.mu.Lock()
-	n := len(ps.byPage[7].writers)
-	ps.mu.Unlock()
-	// The prune is amortised (one list scan per stampPruneLen new writers),
-	// so between prunes the list may hold up to ~2x the trigger length —
-	// bounded either way, where the old behaviour grew one entry per
-	// transaction forever.
-	if n > 2*stampPruneLen {
-		t.Fatalf("hot page kept %d writer entries, want <= %d", n, 2*stampPruneLen)
 	}
 	// The First-Committer-Wins floor survives the folding exactly.
 	if got := ps.newestCommitTS(7); got != lastCT {
 		t.Fatalf("newestCommitTS after folding = %d, want %d", got, lastCT)
+	}
+}
+
+// TestPageStampsFoldWhenWritersRetire drives the fold through the engine:
+// serial writers of one key stamp one leaf, and each retires at its own end,
+// so a single read of the key — a walk of the leaf's writers — leaves no
+// entry, however few writers there were, while the leaf's First-Committer-Wins
+// floor still holds the last commit.
+func TestPageStampsFoldWhenWritersRetire(t *testing.T) {
+	db := Open(Options{Granularity: GranularityPage})
+	key := []byte("k")
+	var lastCT core.TS
+	for i := 0; i < 10; i++ {
+		tx := db.Begin(SerializableSI)
+		if err := tx.Put("t", key, []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		lastCT = tx.t.CommitTS()
+	}
+	if err := db.Run(SerializableSI, func(tx *Txn) error {
+		_, _, err := tx.Get("t", key)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	tb := (*db.tables.Load())["t"]
+	if n := writerEntries(tb.stamps); n != 0 {
+		t.Fatalf("%d writer entries left after every writer retired and the page was read, want 0", n)
+	}
+	if got := tb.stamps.newestCommitTS(tb.data.LeafPage(key)); got != lastCT {
+		t.Fatalf("newestCommitTS = %d, want the last commit %d", got, lastCT)
 	}
 }

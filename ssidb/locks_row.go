@@ -143,4 +143,3 @@ func (rowTargets) scanNewerWriters(writers []*core.Txn, _ *table, _ core.TS, ite
 }
 
 func (rowTargets) tableCreated(*table) {}
-func (rowTargets) retired()            {}

@@ -316,12 +316,14 @@ type DB struct {
 	// Durability bookkeeping: recovered counts records replayed at open;
 	// ckptAt is the WAL byte count at which the next automatic checkpoint
 	// starts (never, without one); ckptBusy is the async single-flight latch;
-	// ckptMu serialises checkpoint passes.
+	// ckptMu serialises checkpoint passes and guards closed, which Close sets
+	// so that no checkpoint runs on the closed log.
 	recovered   atomic.Uint64
 	checkpoints atomic.Uint64
 	ckptAt      atomic.Uint64
 	ckptBusy    atomic.Bool
 	ckptMu      sync.Mutex
+	closed      bool
 
 	// Read-only path instrumentation (see Stats).
 	roBegins        atomic.Uint64
@@ -422,6 +424,7 @@ func (db *DB) Close() error {
 	}
 	db.ckptMu.Lock() // let a running checkpoint finish
 	defer db.ckptMu.Unlock()
+	db.closed = true
 	return db.log.Close()
 }
 
@@ -644,15 +647,15 @@ func (db *DB) RunRetry(iso Isolation, fn func(*Txn) error) error {
 
 // retire is the core.Manager retire hook, the one place the engine reclaims
 // what committed transactions kept once their commits precede every active
-// snapshot: their locks (the SIREAD locks outlive the commit), the page
-// strategy's share, and — a payload is the scratch Commit handed over with a
-// non-empty write set — the versions they superseded, pruned a partition at a
-// time across the batch.
+// snapshot: their locks (the SIREAD locks outlive the commit) and — a payload
+// is the scratch Commit handed over with a non-empty write set — the versions
+// they superseded, pruned a partition at a time across the batch. Page write
+// stamps need no call here: the drain has already severed each writer's
+// cell, and the next walk of a page it stamped folds it.
 func (db *DB) retire(batch []core.Retired) {
 	var p mvcc.Pruner
 	for _, r := range batch {
 		db.locks.ReleaseAll(r.Txn)
-		db.targets.retired()
 		if s, ok := r.Payload.(*txnScratch); ok {
 			for _, row := range s.writes {
 				p.Add(row, r.Txn.CommitTS())
@@ -668,24 +671,28 @@ type VacuumStats struct {
 	// VersionsPruned is the number of row versions cut out of version
 	// chains (superseded before the OldestActiveSnapshot watermark).
 	VersionsPruned int
-	// StampWritersPruned is the number of page write-stamp entries expired
-	// (their commit stamps folded into each page's First-Committer-Wins
-	// floor); always zero under GranularityRow, which keeps no page stamps.
+	// StampWritersPruned is the number of page write-stamp entries this pass
+	// folded away: retired writers' (their commit stamps kept in each page's
+	// First-Committer-Wins floor) and aborted writers'. Only a page untouched
+	// since those writers ended still holds any. Always zero under
+	// GranularityRow, which keeps no page stamps.
 	StampWritersPruned int
 }
 
 // Vacuum synchronously walks every chain of every table against the current
-// OldestActiveSnapshot watermark, reclaiming row versions and page
-// write-stamps no active or future snapshot can observe. The walk takes each
-// partition latch in short chunks, so concurrent transactions keep running.
-// Row versions need no Vacuum: a committed writer prunes what it superseded
-// when it retires. The method exists for tests and as an operational lever.
+// OldestActiveSnapshot watermark, reclaiming row versions no active or future
+// snapshot can observe, and folds the write-stamps of every page. The walk
+// takes each partition latch in short chunks, so concurrent transactions keep
+// running. Neither needs Vacuum: a committed writer prunes what it superseded
+// when it retires, and a page folds its retired writers' stamps whenever it
+// is next read or written. The method exists for tests and as an operational
+// lever.
 func (db *DB) Vacuum() VacuumStats {
 	var st VacuumStats
 	for _, tb := range *db.tables.Load() {
 		st.VersionsPruned += tb.data.Vacuum().VersionsPruned
 		if tb.stamps != nil {
-			st.StampWritersPruned += tb.stamps.prune(db.mgr.OldestActiveSnapshot())
+			st.StampWritersPruned += tb.stamps.prune()
 		}
 	}
 	return st
@@ -700,7 +707,8 @@ type TableStats struct {
 	Pages  int
 	// Cumulative since the table was created: Vacuum calls; row versions
 	// pruned, by retiring writers and by Vacuum; page write-stamp entries
-	// expired.
+	// folded away (retired or aborted writers'), by the page reads and writes
+	// that walk them and by Vacuum.
 	VacuumRuns         uint64
 	VersionsPruned     uint64
 	StampWritersPruned uint64

@@ -422,10 +422,10 @@ type lockTargets interface {
 	// scanNewerWriters appends the creators of versions newer than snap
 	// among what items read, once keys (their scanKeys) are SIREAD-locked.
 	scanNewerWriters(writers []*core.Txn, tb *table, snap core.TS, items []mvcc.ScanItem, keys []lock.Key) []*core.Txn
-	// tableCreated and retired are the store-maintenance hooks: a new table,
-	// and a suspended transaction retired (DB.retire).
+	// tableCreated is the one store-maintenance hook, for a new table. The
+	// strategies need none at retirement: row mode keeps nothing beyond the
+	// versions, and page mode folds a stamp once its writer's cell is severed.
 	tableCreated(tb *table)
-	retired()
 }
 
 // ---------------------------------------------------------------------------
