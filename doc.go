@@ -24,9 +24,9 @@
 //
 //	operation          lock mode           rivals marked    lock targets, row            lock targets, page             FCW unit                  errors [7]
 //	                   SI / SSI / S2PL     (SSI only)                                                                                              stmt | txn
-//	Get                none / SIREAD /     as reader [1]    row k [8]                    every page on the path to k    -                         F | U D
+//	Get [9]            none / SIREAD /     as reader [1]    row k [8]                    every page on the path to k    -                         F | U D
 //	                   Shared [2]
-//	GetForUpdate       Exclusive           as writer [3]    row k [8]                    leaf of k; interior pages in   row: versions of k        R F | W U D
+//	GetForUpdate [9]   Exclusive           as writer [3]    row k [8]                    leaf of k; interior pages in   row: versions of k        R F | W U D
 //	                                                                                     the level's read mode          page: stamps of k's leaf
 //	Put Insert Delete  Exclusive           as writer        row k [8]                    as GetForUpdate; afterwards    as above                  K R F | W U D
 //	  (k has a chain)                                                                    stamp the leaf
@@ -34,7 +34,7 @@
 //	  (structural [4])                     holders too      k; once installed, SIREADs   the leaf will split (interior
 //	                                                        on that gap also cover the   pages stamped too), else as
 //	                                                        gap before k; re-lock it     above
-//	Scan ScanLimit     none / SIREAD /     as reader [1]    row and gap of each visited  descent paths to `from` in     -                         F | U D
+//	Scan ScanLimit [9] none / SIREAD /     as reader [1]    row and gap of each visited  descent paths to `from` in     -                         F | U D
 //	                   Shared [2] [6]                       key; gap of the first key    every partition; leaf of each
 //	                                                        beyond, or the supremum      visited key and of the first
 //	                                                                                     key beyond
@@ -76,6 +76,10 @@
 //	    descent. The look-up reads no row state, so the order of Figures 3.4
 //	    and 3.5 stands: lock first, then read. Only a key that has no chain is
 //	    locked under a copy of k and looked up again once the lock is held.
+//	[9] A value returned (Get, GetForUpdate) or shown to a Scan callback
+//	    aliases the stored version: it is read-only, and its capacity equals
+//	    its length, so an append copies instead of writing into the store or
+//	    into another reader's result.
 //
 // Handle lifetime. The *ssidb.Txn a begin returns is the caller's: it may be
 // kept past Commit, Abort or the return of Run and RunRetry, and from then on
@@ -207,11 +211,15 @@
 //     counter or sampling is involved (ssidb.DB.Vacuum still walks every
 //     chain on demand). The table directory itself is an atomic
 //     copy-on-write map — resolving a table name costs one atomic load.
-//   - A stored row is two things (≈106 B for a 4-byte key and a 1-byte
-//     value straight after a load, TestRowFootprintAllocBudget): a 32-byte
-//     {key, value} slot in a B+tree leaf, and the 48-byte chain the slot
-//     points at. A leaf's slot array is allocated once, at the page capacity
-//     plus the slot an insert overflows into, and never regrown; a full page
+//   - A stored row is two things (≈78 B for a 4-byte key and a 1-byte
+//     value straight after a load, TestRowFootprintAllocBudget; ≈254 B for
+//     a SmallBank customer's three rows, TestSmallBankFootprintAllocBudget):
+//     a 24-byte {key, *chain} slot in a B+tree leaf (the tree is generic in
+//     its value type, so the slot holds no interface), and the 32-byte chain
+//     the slot points at, whose value is a pointer and a 32-bit length with
+//     the tombstone flag in the padding behind it. A leaf's slot array is
+//     allocated once, at the page capacity plus the slot an insert overflows
+//     into (65 slots, a 1 792-byte allocation), and never regrown; a full page
 //     splits in the middle unless the new key landed at the right edge of
 //     the tree, where it splits at the insertion point and the old page stays
 //     full (Berkeley DB's and PostgreSQL's rule for ascending keys, decided
@@ -229,11 +237,12 @@
 //     Put, Insert and Delete only borrow the caller's key (it is copied,
 //     into an immutable string, if and when the call creates the row),
 //     every row and gap lock on a key the tree holds — a scanned row, a
-//     gap, an insert's successor, and the row of a point read or write,
-//     through the handle of note [8] above — is named by that string rather
-//     than by a fresh copy, and a Scan callback is shown a read-only view of
-//     it. Value slices are the opposite:
-//     retained as given, and not to be modified after the call.
+//     gap, an insert's successor, the gap the insert itself creates, and the
+//     row of a point read or write, through the handle of note [8] above — is
+//     named by that string rather than by a fresh copy, and a Scan callback
+//     is shown a read-only view of it. Value slices are the opposite:
+//     retained as given, and not to be modified after the call; readers get
+//     them back with their capacity cut to their length (note [9]).
 //   - Declared read-only transactions (ssidb.BeginReadOnly, RunReadOnly,
 //     TxnOptions) ride the same registry: a transaction that never writes
 //     can never be the outgoing side of a dangerous structure, so the core

@@ -13,9 +13,13 @@
 //
 // A page is one array of {key, value} slots, allocated once at the page
 // capacity plus the one slot an insert overflows into before it splits, and
-// never regrown or re-sliced: a row costs its 32-byte slot (over the page's
-// fill) and nothing else in this package. Interior pages use the same array
-// for their separators, beside an array of children.
+// never regrown or re-sliced: a row costs its slot (over the page's fill) and
+// nothing else in this package. The tree is generic in its value type, so a
+// slot holds the value itself and not an interface: the engine's slot is a
+// key string and a pointer, 24 bytes, and a full leaf of the default 64 keys
+// fits a 1 792-byte allocation (an `any` value makes the slot 32 bytes and the
+// leaf 2 304). Interior pages use the same array for their separators, beside
+// an array of children.
 //
 // # Keys
 //
@@ -46,10 +50,10 @@ package btree
 
 import "fmt"
 
-// Tree is a B+tree from byte-string keys to arbitrary values.
-type Tree struct {
+// TreeOf is a B+tree from byte-string keys to values of type V.
+type TreeOf[V any] struct {
 	maxKeys   int
-	root      *node
+	root      *node[V]
 	nextPage  uint32
 	pageBase  uint32
 	pageLimit uint32 // exclusive upper bound on page numbers; 0 = none
@@ -63,20 +67,25 @@ type Tree struct {
 	OnSplit func(oldPage, newPage uint32)
 }
 
+// Tree is the tree of untyped values, whose slot is 32 bytes rather than 24.
+// The engine's tables use TreeOf with their own value type; the repository
+// benchmark's btree probe (benchmark/layers.go) uses this one.
+type Tree = TreeOf[any]
+
 // slot is one key of a page with, in a leaf, its value.
-type slot struct {
+type slot[V any] struct {
 	key string
-	val any
+	val V
 }
 
-type node struct {
+type node[V any] struct {
 	page     uint32
-	slots    []slot  // cap maxKeys+1, len ≤ maxKeys between inserts
-	children []*node // interior only, len(slots)+1
-	next     *node   // leaf sibling chain
+	slots    []slot[V]  // cap maxKeys+1, len ≤ maxKeys between inserts
+	children []*node[V] // interior only, len(slots)+1
+	next     *node[V]   // leaf sibling chain
 }
 
-func (n *node) leaf() bool { return n.children == nil }
+func (n *node[V]) leaf() bool { return n.children == nil }
 
 // DefaultMaxKeys is the default page capacity (keys per page).
 const DefaultMaxKeys = 64
@@ -89,7 +98,7 @@ const DefaultMaxKeys = 64
 // maxKeys under an ascending load (see the package comment on splits), so
 // "keys per page" there is maxKeys, not half of it.
 func New(maxKeys int) *Tree {
-	return NewWithPageBase(maxKeys, 0, 0)
+	return NewWithPageBase[any](maxKeys, 0, 0)
 }
 
 // NewWithPageBase is New with page numbers allocated starting at pageBase+1
@@ -99,29 +108,29 @@ func New(maxKeys int) *Tree {
 // partitions while staying meaningful within one; the limit turns an
 // exhausted range into a crash instead of silently bleeding page numbers
 // into the next partition's range.
-func NewWithPageBase(maxKeys int, pageBase, pageLimit uint32) *Tree {
+func NewWithPageBase[V any](maxKeys int, pageBase, pageLimit uint32) *TreeOf[V] {
 	if maxKeys < 2 {
 		maxKeys = 2
 	}
-	t := &Tree{maxKeys: maxKeys, pageBase: pageBase, pageLimit: pageLimit, nextPage: pageBase + 1}
+	t := &TreeOf[V]{maxKeys: maxKeys, pageBase: pageBase, pageLimit: pageLimit, nextPage: pageBase + 1}
 	t.root = t.newNode(true)
 	return t
 }
 
-func (t *Tree) newNode(leaf bool) *node {
+func (t *TreeOf[V]) newNode(leaf bool) *node[V] {
 	if t.pageLimit != 0 && t.nextPage >= t.pageLimit {
 		panic(fmt.Sprintf("btree: page range [%d, %d) exhausted", t.pageBase+1, t.pageLimit))
 	}
-	n := &node{page: t.nextPage, slots: make([]slot, 0, t.maxKeys+1)}
+	n := &node[V]{page: t.nextPage, slots: make([]slot[V], 0, t.maxKeys+1)}
 	t.nextPage++
 	if !leaf {
-		n.children = make([]*node, 0, t.maxKeys+2)
+		n.children = make([]*node[V], 0, t.maxKeys+2)
 	}
 	return n
 }
 
 // Len returns the number of keys stored.
-func (t *Tree) Len() int { return t.size }
+func (t *TreeOf[V]) Len() int { return t.size }
 
 // Mods returns the tree's structural-change counter: it advances on every
 // insert (and therefore on every split). An Iter obtained while Mods()
@@ -130,7 +139,7 @@ func (t *Tree) Len() int { return t.size }
 // mutates node structure. Latch-coupled scans use this to keep iterators
 // across latch drops: re-acquire the latch, compare Mods, and re-seek only
 // if the tree changed in between.
-func (t *Tree) Mods() uint64 { return t.mods }
+func (t *TreeOf[V]) Mods() uint64 { return t.mods }
 
 // probe is what a lookup may be keyed by: the caller's bytes, or a key string
 // the tree itself handed out. Converting either to a string inside a
@@ -139,7 +148,7 @@ type probe interface{ string | []byte }
 
 // search returns the index of the first slot whose key is ≥ key, and whether
 // that slot holds key itself.
-func search[K probe](slots []slot, key K) (int, bool) {
+func search[V any, K probe](slots []slot[V], key K) (int, bool) {
 	lo, hi := 0, len(slots)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -154,7 +163,7 @@ func search[K probe](slots []slot, key K) (int, bool) {
 
 // childIndex returns the index of the child subtree for key: the number of
 // separators ≤ key.
-func childIndex[K probe](seps []slot, key K) int {
+func childIndex[V any, K probe](seps []slot[V], key K) int {
 	i, equal := search(seps, key)
 	if equal {
 		i++
@@ -164,7 +173,7 @@ func childIndex[K probe](seps []slot, key K) int {
 
 // findLeaf walks from the root to the leaf that contains (or would contain)
 // key.
-func findLeaf[K probe](t *Tree, key K) *node {
+func findLeaf[V any, K probe](t *TreeOf[V], key K) *node[V] {
 	n := t.root
 	for !n.leaf() {
 		n = n.children[childIndex(n.slots, key)]
@@ -173,7 +182,7 @@ func findLeaf[K probe](t *Tree, key K) *node {
 }
 
 // Get returns the value stored for key.
-func (t *Tree) Get(key []byte) (any, bool) {
+func (t *TreeOf[V]) Get(key []byte) (V, bool) {
 	_, val, ok := t.Lookup(key)
 	return val, ok
 }
@@ -181,29 +190,29 @@ func (t *Tree) Get(key []byte) (any, bool) {
 // Lookup is Get also returning the tree's own copy of key, which the caller
 // may keep (see the package comment on keys) where key itself is only
 // borrowed.
-func (t *Tree) Lookup(key []byte) (stored string, val any, ok bool) {
+func (t *TreeOf[V]) Lookup(key []byte) (stored string, val V, ok bool) {
 	n := findLeaf(t, key)
 	if i, ok := search(n.slots, key); ok {
 		return n.slots[i].key, n.slots[i].val, true
 	}
-	return "", nil, false
+	return "", val, false
 }
 
 // LeafPage returns the page number of the leaf that holds (or would hold)
 // key. Page-granularity locking locks this.
-func (t *Tree) LeafPage(key []byte) uint32 {
+func (t *TreeOf[V]) LeafPage(key []byte) uint32 {
 	return findLeaf(t, key).page
 }
 
 // PathPages returns the page numbers visited from the root down to the leaf
 // for key, root first. Page-granularity reads lock the whole path, as
 // Berkeley DB's btree does while descending.
-func (t *Tree) PathPages(key []byte) []uint32 {
+func (t *TreeOf[V]) PathPages(key []byte) []uint32 {
 	return t.AppendPathPages(make([]uint32, 0, 4), key)
 }
 
 // AppendPathPages is PathPages appending to the caller-supplied buffer.
-func (t *Tree) AppendPathPages(path []uint32, key []byte) []uint32 {
+func (t *TreeOf[V]) AppendPathPages(path []uint32, key []byte) []uint32 {
 	for n := t.root; ; n = n.children[childIndex(n.slots, key)] {
 		path = append(path, n.page)
 		if n.leaf() {
@@ -215,7 +224,7 @@ func (t *Tree) AppendPathPages(path []uint32, key []byte) []uint32 {
 // InsertWillSplit reports whether inserting key now would split its leaf
 // page (the key is absent and the leaf is full). The engine uses it to plan
 // page locks before mutating.
-func (t *Tree) InsertWillSplit(key []byte) bool {
+func (t *TreeOf[V]) InsertWillSplit(key []byte) bool {
 	n := findLeaf(t, key)
 	if _, ok := search(n.slots, key); ok {
 		return false
@@ -225,21 +234,21 @@ func (t *Tree) InsertWillSplit(key []byte) bool {
 
 // GetOrInsert returns the value stored for key; if absent it stores val under
 // a copy of key and returns it with loaded=false.
-func (t *Tree) GetOrInsert(key []byte, val any) (actual any, loaded bool) {
+func (t *TreeOf[V]) GetOrInsert(key []byte, val V) (actual V, loaded bool) {
 	_, actual, loaded = t.LookupOrInsert(key, val)
 	return actual, loaded
 }
 
 // LookupOrInsert is GetOrInsert also returning the tree's own copy of key, as
 // Lookup does — the copy this call made, if it inserted.
-func (t *Tree) LookupOrInsert(key []byte, val any) (stored string, actual any, loaded bool) {
+func (t *TreeOf[V]) LookupOrInsert(key []byte, val V) (stored string, actual V, loaded bool) {
 	if stored, v, ok := t.Lookup(key); ok {
 		return stored, v, true
 	}
 	stored = string(key)
 	if sep, right := t.insertInto(t.root, stored, val, true); right != nil {
 		newRoot := t.newNode(false)
-		newRoot.slots = append(newRoot.slots, slot{key: sep})
+		newRoot.slots = append(newRoot.slots, slot[V]{key: sep})
 		newRoot.children = append(newRoot.children, t.root, right)
 		t.root = newRoot
 	}
@@ -251,11 +260,11 @@ func (t *Tree) LookupOrInsert(key []byte, val any) (stored string, actual any, l
 // insertInto adds key (which must be absent, and is the tree's to keep) below
 // n. edge says that n is the rightmost page of its level. If n had to split,
 // it returns the new right sibling and the separator between the two.
-func (t *Tree) insertInto(n *node, key string, val any, edge bool) (sep string, right *node) {
+func (t *TreeOf[V]) insertInto(n *node[V], key string, val V, edge bool) (sep string, right *node[V]) {
 	var at int // where the page gained a slot
 	if n.leaf() {
 		at, _ = search(n.slots, key)
-		n.slots = insertAt(n.slots, at, slot{key: key, val: val})
+		n.slots = insertAt(n.slots, at, slot[V]{key: key, val: val})
 	} else {
 		ci := childIndex(n.slots, key)
 		childSep, childRight := t.insertInto(n.children[ci], key, val, edge && ci == len(n.children)-1)
@@ -263,7 +272,7 @@ func (t *Tree) insertInto(n *node, key string, val any, edge bool) (sep string, 
 			return "", nil
 		}
 		at = ci
-		n.slots = insertAt(n.slots, at, slot{key: childSep})
+		n.slots = insertAt(n.slots, at, slot[V]{key: childSep})
 		n.children = insertAt(n.children, at+1, childRight)
 	}
 	if len(n.slots) <= t.maxKeys {
@@ -297,7 +306,7 @@ func insertAt[E any](s []E, i int, v E) []E {
 // it with the separator the parent files it under: a leaf's separator is a
 // second reference to the sibling's first key, an interior page's is slot mid
 // itself, which moves up and leaves both halves.
-func (t *Tree) split(n *node, mid int) (sep string, r *node) {
+func (t *TreeOf[V]) split(n *node[V], mid int) (sep string, r *node[V]) {
 	r = t.newNode(n.leaf())
 	sep = n.slots[mid].key
 	if n.leaf() {
@@ -320,7 +329,7 @@ func (t *Tree) split(n *node, mid int) (sep string, r *node) {
 // Ascend calls fn for each key ≥ from in ascending order until fn returns
 // false. The callback also receives the leaf page number, which
 // page-granularity scans lock.
-func (t *Tree) Ascend(from []byte, fn func(key string, val any, page uint32) bool) {
+func (t *TreeOf[V]) Ascend(from []byte, fn func(key string, val V, page uint32) bool) {
 	for it := t.IterFrom(from); it.Valid(); it.Next() {
 		if !fn(it.Key(), it.Value(), it.Page()) {
 			return
@@ -336,16 +345,16 @@ func (t *Tree) Ascend(from []byte, fn func(key string, val any, page uint32) boo
 // re-seek with IterAfter from the last key it consumed. Keys returned by Key
 // are the tree's own immutable strings, so the re-seek anchor may be retained
 // without copying.
-type Iter struct {
-	n *node
+type Iter[V any] struct {
+	n *node[V]
 	i int
 }
 
 // IterFrom returns an iterator positioned at the smallest key ≥ from.
-func (t *Tree) IterFrom(from []byte) Iter {
+func (t *TreeOf[V]) IterFrom(from []byte) Iter[V] {
 	n := findLeaf(t, from)
 	i, _ := search(n.slots, from)
-	it := Iter{n: n, i: i}
+	it := Iter[V]{n: n, i: i}
 	it.skipExhausted()
 	return it
 }
@@ -354,18 +363,18 @@ func (t *Tree) IterFrom(from []byte) Iter {
 // greater than after — the re-seek primitive for scans resuming past their
 // last emitted key (a string the tree handed out) once the tree may have
 // changed underneath them. It does not allocate.
-func (t *Tree) IterAfter(after string) Iter { return iterAfter(t, after) }
+func (t *TreeOf[V]) IterAfter(after string) Iter[V] { return iterAfter(t, after) }
 
-func iterAfter[K probe](t *Tree, after K) Iter {
+func iterAfter[V any, K probe](t *TreeOf[V], after K) Iter[V] {
 	n := findLeaf(t, after)
-	it := Iter{n: n, i: childIndex(n.slots, after)}
+	it := Iter[V]{n: n, i: childIndex(n.slots, after)}
 	it.skipExhausted()
 	return it
 }
 
 // skipExhausted advances past leaves with no remaining keys (the positioned
 // leaf when from is past its last key, and empty root leaves).
-func (it *Iter) skipExhausted() {
+func (it *Iter[V]) skipExhausted() {
 	for it.n != nil && it.i >= len(it.n.slots) {
 		it.n = it.n.next
 		it.i = 0
@@ -373,19 +382,19 @@ func (it *Iter) skipExhausted() {
 }
 
 // Valid reports whether the iterator is positioned on a key.
-func (it *Iter) Valid() bool { return it.n != nil }
+func (it *Iter[V]) Valid() bool { return it.n != nil }
 
 // Key returns the current key. Only valid when Valid.
-func (it *Iter) Key() string { return it.n.slots[it.i].key }
+func (it *Iter[V]) Key() string { return it.n.slots[it.i].key }
 
 // Value returns the current value. Only valid when Valid.
-func (it *Iter) Value() any { return it.n.slots[it.i].val }
+func (it *Iter[V]) Value() V { return it.n.slots[it.i].val }
 
 // Page returns the page number of the leaf holding the current key.
-func (it *Iter) Page() uint32 { return it.n.page }
+func (it *Iter[V]) Page() uint32 { return it.n.page }
 
 // Next advances to the next key in order.
-func (it *Iter) Next() {
+func (it *Iter[V]) Next() {
 	it.i++
 	it.skipExhausted()
 }
@@ -393,7 +402,7 @@ func (it *Iter) Next() {
 // Successor returns the smallest key strictly greater than key. Used by the
 // next-key gap locking protocol of thesis §3.5: inserts and deletes lock the
 // gap before the successor.
-func (t *Tree) Successor(key []byte) (string, bool) {
+func (t *TreeOf[V]) Successor(key []byte) (string, bool) {
 	if it := iterAfter(t, key); it.Valid() {
 		return it.Key(), true
 	}
@@ -401,18 +410,18 @@ func (t *Tree) Successor(key []byte) (string, bool) {
 }
 
 // PageCount returns the number of pages allocated so far (monotonic).
-func (t *Tree) PageCount() int { return int(t.nextPage - 1 - t.pageBase) }
+func (t *TreeOf[V]) PageCount() int { return int(t.nextPage - 1 - t.pageBase) }
 
 // Check validates tree invariants (ordering, separator consistency, balance
 // of the leaf chain, and that every page still has the slot array it was
 // allocated with, holding no more than a page's worth of keys). It exists for
 // tests and returns the first violation.
-func (t *Tree) Check() error {
+func (t *TreeOf[V]) Check() error {
 	prev, first := "", true
 	count := 0
 	// lo and hi bound the keys below n; nil means unbounded.
-	var walk func(n *node, lo, hi *string) error
-	walk = func(n *node, lo, hi *string) error {
+	var walk func(n *node[V], lo, hi *string) error
+	walk = func(n *node[V], lo, hi *string) error {
 		if len(n.slots) > t.maxKeys || cap(n.slots) != t.maxKeys+1 {
 			return fmt.Errorf("btree: page %d holds %d keys in %d slots, want ≤ %d in %d", n.page, len(n.slots), cap(n.slots), t.maxKeys, t.maxKeys+1)
 		}

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"ssi/internal/raceflag"
 )
 
 func key(i int) []byte { return []byte(fmt.Sprintf("k%06d", i)) }
@@ -367,7 +370,7 @@ func TestModsAndReseek(t *testing.T) {
 
 func TestPageBase(t *testing.T) {
 	const base = uint32(3) << 24
-	tr := NewWithPageBase(2, base, base+1<<24)
+	tr := NewWithPageBase[any](2, base, base+1<<24)
 	for i := 0; i < 20; i++ {
 		tr.GetOrInsert(key(i), i)
 	}
@@ -396,7 +399,7 @@ func TestPageBase(t *testing.T) {
 }
 
 func TestPageLimitPanics(t *testing.T) {
-	tr := NewWithPageBase(2, 0, 4) // room for the root and 3 more pages
+	tr := NewWithPageBase[any](2, 0, 4) // room for the root and 3 more pages
 	defer func() {
 		if recover() == nil {
 			t.Fatal("exhausting the page range did not panic")
@@ -433,8 +436,8 @@ func TestSplitPolicy(t *testing.T) {
 				var moves []move
 				tr.OnSplit = func(oldPage, newPage uint32) { moves = append(moves, move{oldPage, newPage}) }
 				pageOf := map[string]uint32{} // where OnSplit's reports say each key is
-				leaves := func() map[uint32]*node {
-					m := map[uint32]*node{}
+				leaves := func() map[uint32]*node[any] {
+					m := map[uint32]*node[any]{}
 					for l := findLeaf(tr, ""); l != nil; l = l.next {
 						m[l.page] = l
 					}
@@ -547,5 +550,47 @@ func TestTreeOwnsItsKeys(t *testing.T) {
 		if v, ok := tr.Get(key(i)); !ok || v.(int) != i {
 			t.Fatalf("Get(%d) = %v, %v after the insert buffer was reused", i, v, ok)
 		}
+	}
+}
+
+// TestLeafAllocBudget: a leaf of a tree of pointers costs one slot array of
+// DefaultMaxKeys+1 24-byte slots, which the allocator rounds to 1 792 bytes,
+// and its 64-byte node, and nothing more per key than the key's own copy. An
+// ascending load fills every leaf, so the bytes it allocates, less the keys,
+// divided by its leaves, are that plus a share of the interior pages. A slot
+// that grows back to 32 bytes (an interface value, say) puts every leaf in the
+// 2 304-byte class and fails the budget.
+func TestLeafAllocBudget(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	const leaves, keyLen = 100, 16 // a 16-byte key is one exact 16-byte object
+	keys := make([][]byte, leaves*DefaultMaxKeys)
+	for i := range keys {
+		keys[i] = fmt.Appendf(nil, "key-%012d", i)
+	}
+	val := new(int)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tr := NewWithPageBase[*int](DefaultMaxKeys, 0, 0)
+	for _, k := range keys {
+		tr.GetOrInsert(k, val)
+	}
+	runtime.ReadMemStats(&after)
+	if err := tr.Check(); err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for l := findLeaf(tr, ""); l != nil; l = l.next {
+		n++
+	}
+	if n != leaves {
+		t.Fatalf("an ascending load of %d keys filled %d leaves, want %d", len(keys), n, leaves)
+	}
+	perLeaf := float64(after.TotalAlloc-before.TotalAlloc-uint64(len(keys)*keyLen)) / leaves
+	t.Logf("%.0f B per leaf, %d pages", perLeaf, tr.PageCount())
+	const budget = 1792 + 64 + 100 // slot array, node, and a share of the interior pages
+	if perLeaf > budget {
+		t.Errorf("%.0f B per leaf besides its keys, budget %d", perLeaf, budget)
 	}
 }

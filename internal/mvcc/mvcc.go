@@ -20,19 +20,24 @@
 //
 // # Rows
 //
-// A row is one 48-byte object, its chain: the newest version of the key,
-// stored in place, with the older versions linked behind it. The B+tree slot
+// A row is one 32-byte object, its chain: the newest version of the key,
+// stored in place, with the older versions linked behind it. A version holds
+// its value as a pointer and a 32-bit length, with the tombstone flag in the
+// padding behind the length, beside its creator's cell and the link to the
+// next older version — four words, where a slice header and a bool made six.
+// The B+tree slot (a key string and the *chain, 24 bytes: the tree is typed)
 // points at the chain and the slot's key string is the only copy of the key
 // (the tree copies a key once, when it is first inserted, and every key this
 // package hands out — ScanItem.Key, Successor, Row.Key — is that string;
-// value slices, by contrast, are retained as given). A first insert therefore
-// allocates the chain and nothing else; a superseding write copies the old
-// head out to a Version and overwrites the head in place; Rollback and pruning
-// do the reverse. All of it happens under the partition latch, and the
-// invariant that makes overwriting in place safe is that no *Version — least
-// of all the head's address — outlives the latch hold that obtained it: reads
-// copy Data and Creator out into their ReadResult and keep no pointer into
-// the chain.
+// value slices, by contrast, are retained as given, and handed back with their
+// capacity cut to their length, so a reader's append copies). A first insert
+// therefore allocates the chain and nothing else; a superseding write copies
+// the old head out to a version and overwrites the head in place; Rollback
+// and pruning do the reverse. All of it happens under the partition latch,
+// and the invariant that makes overwriting in place safe is that no *version
+// — least of all the head's address — outlives the latch hold that obtained
+// it: reads copy the value and the creator out into their ReadResult and keep
+// no pointer into the chain.
 //
 // Locate hands out a Row: the slot's key string, the chain and the partition,
 // found by one descent. A Row is an address, not a reading — it says where
@@ -53,8 +58,8 @@
 // Superseded versions are recycled. A version pruning cuts off a chain, or
 // one a Rollback moves back into the head, is unreachable from the moment it
 // is unlinked — the chain was the only thing pointing at it, and by the
-// invariant above nobody holds a *Version across latch holds — so it goes,
-// zeroed (it must pin neither its data nor its creator's cell), onto its
+// invariant above nobody holds a *version across latch holds — so it goes,
+// zeroed (it must pin neither its value nor its creator's cell), onto its
 // partition's free list, and the next superseding write of that partition
 // copies the old head into it instead of allocating. The list is guarded by
 // the partition latch held exclusively, which every one of those three
@@ -105,38 +110,58 @@
 package mvcc
 
 import (
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"ssi/internal/btree"
 	"ssi/internal/core"
 )
 
-// Version is one version of a row. Versions form a singly linked list from
-// newest to oldest. Creator is the creating transaction's cell, never nil and
+// version is one version of a row. Versions form a singly linked list from
+// newest to oldest. creator is the creating transaction's cell, never nil and
 // never the record: its commit timestamp is 0 until (unless) the creator
-// commits, and its record is gone once every snapshot sees the version.
-type Version struct {
-	Data      []byte
-	Creator   *core.Cell
-	Older     *Version
-	Tombstone bool
+// commits, and its record is gone once every snapshot sees the version. The
+// value is its first byte and its length (see Data); a nil value has a nil
+// pointer, an empty one does not.
+type version struct {
+	data      *byte
+	size      uint32
+	tombstone bool // in the padding behind size: the version is four words
+	creator   *core.Cell
+	older     *version
+}
+
+// Data returns the version's value as it was written — nil for nil — but with
+// its capacity equal to its length, so that an append by whoever reads it
+// copies instead of writing into the writer's spare capacity, which another
+// reader of the same version would see.
+func (v *version) Data() []byte { return unsafe.Slice(v.data, v.size) }
+
+// setValue stores data and the tombstone flag in v. data is retained, not
+// copied. The length is 32 bits, as it is in the log's redo entries.
+func (v *version) setValue(data []byte, tombstone bool) {
+	if uint64(len(data)) > math.MaxUint32 {
+		panic("mvcc: a value of 4 GiB or more")
+	}
+	v.data, v.size, v.tombstone = unsafe.SliceData(data), uint32(len(data)), tombstone
 }
 
 // chain is the version list for one key, and the whole of what a row costs
 // beyond its tree slot: the head version is the chain itself (see "Rows" in
-// the package comment). A chain with a nil Creator holds no version — a key
+// the package comment). A chain with a nil creator holds no version — a key
 // whose only write was rolled back. Guarded by the owning shard latch.
-type chain struct{ Version }
+type chain struct{ version }
 
 // first returns the newest version, nil for an empty chain. The pointer is
 // into the chain: it must not outlive the caller's latch hold.
-func (c *chain) first() *Version {
-	if c.Creator == nil {
+func (c *chain) first() *version {
+	if c.creator == nil {
 		return nil
 	}
-	return &c.Version
+	return &c.version
 }
 
 // push makes a version by w the head. The previous head, if any, is copied out
@@ -144,27 +169,28 @@ func (c *chain) first() *Version {
 // keeps a steady-state overwrite from allocating. Caller holds sh.mu
 // exclusively.
 func (c *chain) push(sh *shard, w *core.Cell, data []byte, tombstone bool) {
-	var older *Version
-	if c.Creator != nil {
+	var older *version
+	if c.creator != nil {
 		older = sh.free
 		if older != nil {
-			sh.free, sh.nfree = older.Older, sh.nfree-1
+			sh.free, sh.nfree = older.older, sh.nfree-1
 		} else {
-			older = new(Version)
+			older = new(version)
 		}
-		*older = c.Version
+		*older = c.version
 	}
-	c.Version = Version{Data: data, Creator: w, Older: older, Tombstone: tombstone}
+	c.version = version{creator: w, older: older}
+	c.setValue(data, tombstone)
 }
 
 // pop undoes push: the next older version moves back into the head, and the
 // object it was copied out to is recycled. Caller holds sh.mu exclusively.
 func (c *chain) pop(sh *shard) {
-	if older := c.Older; older != nil {
-		c.Version = *older
+	if older := c.older; older != nil {
+		c.version = *older
 		sh.recycle(older)
 	} else {
-		c.Version = Version{}
+		c.version = version{}
 	}
 }
 
@@ -172,20 +198,21 @@ func (c *chain) pop(sh *shard) {
 const freeMax = 1024
 
 // recycle puts v, which nothing references any more, on the free list — zeroed,
-// so that it pins neither its data nor its creator's cell — unless the list is
+// so that it pins neither its value nor its creator's cell — unless the list is
 // full, in which case v is left to the collector. Caller holds sh.mu
 // exclusively.
-func (sh *shard) recycle(v *Version) {
+func (sh *shard) recycle(v *version) {
 	if sh.nfree >= freeMax {
 		return
 	}
-	*v = Version{Older: sh.free}
+	*v = version{older: sh.free}
 	sh.free, sh.nfree = v, sh.nfree+1
 }
 
 // ReadResult reports the outcome of a snapshot read of one key.
 type ReadResult struct {
-	// Value is the visible data; meaningful only if Found.
+	// Value is the visible data; meaningful only if Found. It aliases the
+	// stored version, is read-only, and has capacity equal to its length.
 	Value []byte
 	// Found is true if a live (non-tombstone) version is visible.
 	Found bool
@@ -232,13 +259,13 @@ type Config struct {
 // plus its free list and pruning census.
 type shard struct {
 	mu   sync.RWMutex
-	tree *btree.Tree
+	tree *btree.TreeOf[*chain]
 
-	// free is the partition's list of recycled versions, linked through Older
+	// free is the partition's list of recycled versions, linked through older
 	// and otherwise zero; nfree is its length, at most freeMax. Filled by
 	// pruneChain and pop, drained by push, all under mu held exclusively (see
 	// "Rows" in the package comment).
-	free  *Version
+	free  *version
 	nfree int64
 
 	// pruned counts the versions pruneChain cut, visits the chains it walked;
@@ -284,7 +311,7 @@ func NewTable(name string, cfg Config) *Table {
 		if n == 1 {
 			limit = 0 // single tree: the whole page-number space, as before
 		}
-		tb.shards[i] = &shard{tree: btree.NewWithPageBase(cfg.PageMaxKeys, base, limit)}
+		tb.shards[i] = &shard{tree: btree.NewWithPageBase[*chain](cfg.PageMaxKeys, base, limit)}
 	}
 	return tb
 }
@@ -341,11 +368,11 @@ func (tb *Table) PageCount() int {
 
 // visible reports whether version v is visible to transaction t reading at
 // snapshot snap: it is t's own write, or it committed before snap.
-func visible(v *Version, t *core.Txn, snap core.TS) bool {
-	if ct := v.Creator.CommitTS(); ct != 0 {
+func visible(v *version, t *core.Txn, snap core.TS) bool {
+	if ct := v.creator.CommitTS(); ct != 0 {
 		return ct < snap
 	}
-	return v.Creator.Txn() == t
+	return v.creator.Txn() == t
 }
 
 // Row is the address of a row that exists: the tree's own key string, the
@@ -366,12 +393,12 @@ type Row struct {
 func (tb *Table) Locate(key []byte) (Row, bool) {
 	sh := tb.shardOf(key)
 	sh.mu.RLock()
-	stored, v, ok := sh.tree.Lookup(key)
+	stored, c, ok := sh.tree.Lookup(key)
 	sh.mu.RUnlock()
 	if !ok {
 		return Row{}, false
 	}
-	return Row{key: stored, c: v.(*chain), sh: sh}, true
+	return Row{key: stored, c: c, sh: sh}, true
 }
 
 // IsZero reports whether r is the zero Row, which Locate returns for a key
@@ -399,27 +426,27 @@ func (tb *Table) Read(t *core.Txn, snap core.TS, key []byte) ReadResult {
 	sh := tb.shardOf(key)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	v, ok := sh.tree.Get(key)
+	c, ok := sh.tree.Get(key)
 	if !ok {
 		return ReadResult{}
 	}
-	return readChain(v.(*chain), t, snap)
+	return readChain(c, t, snap)
 }
 
 func readChain(c *chain, t *core.Txn, snap core.TS) ReadResult {
 	var res ReadResult
-	for v := c.first(); v != nil; v = v.Older {
+	for v := c.first(); v != nil; v = v.older {
 		if visible(v, t, snap) {
-			res.VisibleCreator = v.Creator
-			if !v.Tombstone {
-				res.Value = v.Data
+			res.VisibleCreator = v.creator
+			if !v.tombstone {
+				res.Value = v.Data()
 				res.Found = true
 			}
 			return res
 		}
 		// A creator without a record was retired: its commit precedes every
 		// active snapshot, so its version is not newer than anyone's.
-		if w := v.Creator.Txn(); w != nil && w != t && !w.Aborted() {
+		if w := v.creator.Txn(); w != nil && w != t && !w.Aborted() {
 			res.NewerWriters = append(res.NewerWriters, w)
 		}
 	}
@@ -436,8 +463,8 @@ func (r Row) NewestCommitTS() core.TS {
 	}
 	r.sh.mu.RLock()
 	defer r.sh.mu.RUnlock()
-	for v := r.c.first(); v != nil; v = v.Older {
-		if ct := v.Creator.CommitTS(); ct != 0 {
+	for v := r.c.first(); v != nil; v = v.older {
+		if ct := v.creator.CommitTS(); ct != 0 {
 			return ct
 		}
 	}
@@ -448,7 +475,7 @@ func (r Row) NewestCommitTS() core.TS {
 // marks a delete. The caller must hold the appropriate exclusive lock and
 // have already applied the First-Committer-Wins check. A second write by the
 // same transaction replaces its own pending version in place. data is retained
-// and must not be modified afterwards.
+// and must not be modified afterwards; it must be shorter than 4 GiB.
 func (r Row) Write(t *core.Txn, data []byte, tombstone bool) {
 	w := t.Cell() // t's first write allocates it, on t's own goroutine
 	r.sh.mu.Lock()
@@ -462,7 +489,7 @@ func (r Row) Write(t *core.Txn, data []byte, tombstone bool) {
 func (r Row) Rollback(t *core.Txn) {
 	r.sh.mu.Lock()
 	defer r.sh.mu.Unlock()
-	if c := r.c; c.Creator != nil && c.Creator.Txn() == t {
+	if c := r.c; c.creator != nil && c.creator.Txn() == t {
 		c.pop(r.sh)
 	}
 }
@@ -523,24 +550,25 @@ func (p *Pruner) Flush() {
 //
 // Writes to existing keys touch only the key's partition latch. A structural
 // insert with an onInsert callback takes every partition latch exclusively:
-// the callback receives the key's *global* successor at insertion time,
-// *before* the key becomes visible to scans or successor queries, and the
-// engine uses it to inherit SIREAD gap locks onto the new key's gap
+// the callback receives the store's own copy of the key and the key's
+// *global* successor, right after the key entered its tree but *before* it
+// becomes visible to scans or successor queries (no latch has been dropped),
+// and the engine uses them to inherit SIREAD gap locks onto the new key's gap
 // atomically with the structure change — an atomicity that spans partitions
 // because the successor may live in any of them. Write reports whether a
 // structural insert happened.
-func (tb *Table) Write(t *core.Txn, key []byte, data []byte, tombstone bool, onInsert func(succ string, hasSucc bool)) (row Row, inserted bool) {
+func (tb *Table) Write(t *core.Txn, key []byte, data []byte, tombstone bool, onInsert func(stored, succ string, hasSucc bool)) (row Row, inserted bool) {
 	w := t.Cell() // t's first write allocates it, on t's own goroutine
 	sh := tb.shardOf(key)
 	sh.mu.Lock()
-	stored, v, ok := sh.tree.Lookup(key)
+	stored, c, ok := sh.tree.Lookup(key)
 	if ok || onInsert == nil {
 		if !ok {
 			// No gap protocol to run (page-granularity and lock-free
 			// modes): the insert is local to this partition.
-			stored, v, _ = sh.tree.LookupOrInsert(key, &chain{})
+			stored, c, _ = sh.tree.LookupOrInsert(key, &chain{})
 		}
-		row = Row{key: stored, c: v.(*chain), sh: sh}
+		row = Row{key: stored, c: c, sh: sh}
 		writeChainLocked(sh, row.c, w, data, tombstone)
 		sh.mu.Unlock()
 		return row, !ok
@@ -553,14 +581,15 @@ func (tb *Table) Write(t *core.Txn, key []byte, data []byte, tombstone bool, onI
 	// other structural insert is in flight).
 	tb.lockAll()
 	defer tb.unlockAll()
-	stored, v, ok = sh.tree.Lookup(key)
+	stored, c, ok = sh.tree.Lookup(key)
 	if !ok {
 		// (Losing a race for the key between the latches cannot happen under
 		// the engine's exclusive row lock, but stay correct without it.)
-		onInsert(tb.successorAllLocked(key))
-		stored, v, _ = sh.tree.LookupOrInsert(key, &chain{})
+		stored, c, _ = sh.tree.LookupOrInsert(key, &chain{})
+		succ, hasSucc := tb.successorAllLocked(key)
+		onInsert(stored, succ, hasSucc)
 	}
-	row = Row{key: stored, c: v.(*chain), sh: sh}
+	row = Row{key: stored, c: c, sh: sh}
 	writeChainLocked(sh, row.c, w, data, tombstone)
 	return row, !ok
 }
@@ -568,9 +597,8 @@ func (tb *Table) Write(t *core.Txn, key []byte, data []byte, tombstone bool, onI
 // writeChainLocked pushes (or replaces in place) the pending version of the
 // transaction whose cell is w. Caller holds the shard latch exclusively.
 func writeChainLocked(sh *shard, c *chain, w *core.Cell, data []byte, tombstone bool) {
-	if c.Creator == w {
-		c.Data = data
-		c.Tombstone = tombstone
+	if c.creator == w {
+		c.setValue(data, tombstone)
 		return
 	}
 	c.push(sh, w, data, tombstone)
@@ -671,7 +699,7 @@ func (tb *Table) ScanWith(t *core.Txn, snap core.TS, from []byte, fn func(ScanIt
 		stopped := false
 		for n := 0; n < scanChunk && m.valid(); n++ {
 			it := m.top()
-			item := ScanItem{Key: it.Key(), Page: it.Page(), ReadResult: readChain(it.Value().(*chain), t, snap)}
+			item := ScanItem{Key: it.Key(), Page: it.Page(), ReadResult: readChain(it.Value(), t, snap)}
 			m.last, m.emitted = item.Key, true
 			if !fn(item) {
 				stopped = true
@@ -700,7 +728,7 @@ type merge struct {
 	from    []byte
 	last    string // last emitted key, if emitted; the re-seek anchor between rounds
 	emitted bool
-	iters   []btree.Iter
+	iters   []btree.Iter[*chain]
 	mods    []uint64 // btree.Mods observed when iters[i] was (re)positioned
 	heap    []int    // partition indices, heap-ordered by current key
 	started bool
@@ -710,7 +738,7 @@ func (tb *Table) acquireMerge(from []byte) *merge {
 	m, _ := tb.scanPool.Get().(*merge)
 	if m == nil {
 		n := len(tb.shards)
-		m = &merge{iters: make([]btree.Iter, n), mods: make([]uint64, n), heap: make([]int, 0, n)}
+		m = &merge{iters: make([]btree.Iter[*chain], n), mods: make([]uint64, n), heap: make([]int, 0, n)}
 	}
 	m.tb = tb
 	m.from = from
@@ -721,7 +749,7 @@ func (tb *Table) acquireMerge(from []byte) *merge {
 
 func (tb *Table) releaseMerge(m *merge) {
 	for i := range m.iters {
-		m.iters[i] = btree.Iter{} // drop node references held across reuse
+		m.iters[i] = btree.Iter[*chain]{} // drop node references held across reuse
 	}
 	m.tb, m.from, m.last = nil, nil, ""
 	m.heap = m.heap[:0]
@@ -766,7 +794,7 @@ func (m *merge) unlatchRound() {
 func (m *merge) valid() bool { return len(m.heap) > 0 }
 
 // top returns the iterator positioned on the globally smallest key.
-func (m *merge) top() *btree.Iter { return &m.iters[m.heap[0]] }
+func (m *merge) top() *btree.Iter[*chain] { return &m.iters[m.heap[0]] }
 
 // advance moves the top iterator forward and restores heap order.
 func (m *merge) advance() {
@@ -911,7 +939,7 @@ func (tb *Table) Vacuum() VacuumStats {
 		for it := sh.tree.IterFrom(nil); it.Valid(); {
 			last := ""
 			for n := 0; n < vacuumChunk && it.Valid(); n++ {
-				st.VersionsPruned += pruneChain(sh, it.Value().(*chain), h)
+				st.VersionsPruned += pruneChain(sh, it.Value(), h)
 				last = it.Key()
 				it.Next()
 			}
@@ -934,15 +962,15 @@ func (tb *Table) Vacuum() VacuumStats {
 // thesis note on reclaiming deleted rows. Caller holds sh.mu exclusively.
 func pruneChain(sh *shard, c *chain, horizon core.TS) (pruned int) {
 	sh.visits++
-	for v := c.first(); v != nil; v = v.Older {
-		if ct := v.Creator.CommitTS(); ct != 0 && ct < horizon {
-			for o := v.Older; o != nil; {
-				next := o.Older
+	for v := c.first(); v != nil; v = v.older {
+		if ct := v.creator.CommitTS(); ct != 0 && ct < horizon {
+			for o := v.older; o != nil; {
+				next := o.older
 				sh.recycle(o)
 				o = next
 				pruned++
 			}
-			v.Older = nil
+			v.older = nil
 			break
 		}
 	}

@@ -272,7 +272,7 @@ func (f *fixture) chainLen(key string) int {
 		return 0
 	}
 	n := 0
-	for v := cv.(*chain).first(); v != nil; v = v.Older {
+	for v := cv.first(); v != nil; v = v.older {
 		n++
 	}
 	return n
@@ -384,7 +384,7 @@ func TestPartitionedStoreRaceStress(t *testing.T) {
 				var rows []Row
 				switch r.Intn(4) {
 				case 0: // structural-style write with gap callback
-					row, _ := tb.Write(txn, key, []byte{byte(i)}, false, func(succ string, hasSucc bool) {})
+					row, _ := tb.Write(txn, key, []byte{byte(i)}, false, func(stored, succ string, hasSucc bool) {})
 					rows = append(rows, row)
 				case 1: // tombstone
 					row, _ := tb.Write(txn, key, nil, true, nil)
@@ -468,9 +468,9 @@ func TestScanWriterProgress(t *testing.T) {
 		txn := m.Begin(core.SnapshotIsolation)
 		m.AssignSnapshot(txn)
 		start := time.Now()
-		var onInsert func(string, bool)
+		var onInsert func(string, string, bool)
 		if structural {
-			onInsert = func(string, bool) {}
+			onInsert = func(string, string, bool) {}
 		}
 		tb.Write(txn, key, []byte(val), false, onInsert)
 		lat := time.Since(start)
@@ -592,7 +592,7 @@ func f2chainLen(t *testing.T, tb *Table, key string) int {
 		return 0
 	}
 	n := 0
-	for v := cv.(*chain).first(); v != nil; v = v.Older {
+	for v := cv.first(); v != nil; v = v.older {
 		n++
 	}
 	return n
@@ -682,8 +682,8 @@ func TestAppendScanPathPages(t *testing.T) {
 // its snapshot saw before, and the chain lists exactly the versions a reader
 // could still need, newest first.
 func TestFoldedHead(t *testing.T) {
-	if got := unsafe.Sizeof(chain{}); got != 48 {
-		t.Fatalf("a chain is %d bytes, want the 48 of its head version alone", got)
+	if got := unsafe.Sizeof(chain{}); got != 32 {
+		t.Fatalf("a chain is %d bytes, want the 32 of its head version alone", got)
 	}
 	f := newFixture()
 	key := []byte("x")
@@ -691,11 +691,10 @@ func TestFoldedHead(t *testing.T) {
 		sh := f.tb.shardOf(key)
 		sh.mu.RLock()
 		defer sh.mu.RUnlock()
-		cv, _ := sh.tree.Get(key)
-		c := cv.(*chain)
+		c, _ := sh.tree.Get(key)
 		var out []string
-		for v := c.first(); v != nil; v = v.Older {
-			out = append(out, fmt.Sprintf("%s/%d/%v", v.Data, v.Creator.ID(), v.Tombstone))
+		for v := c.first(); v != nil; v = v.older {
+			out = append(out, fmt.Sprintf("%s/%d/%v", v.Data(), v.creator.ID(), v.tombstone))
 		}
 		return fmt.Sprint(out)
 	}

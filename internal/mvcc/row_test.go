@@ -24,8 +24,8 @@ func freeLists(t *testing.T, tb *Table) int {
 	for i, sh := range tb.shards {
 		sh.mu.Lock()
 		n := 0
-		for v := sh.free; v != nil; v = v.Older {
-			if v.Data != nil || v.Creator != nil || v.Tombstone {
+		for v := sh.free; v != nil; v = v.older {
+			if v.data != nil || v.size != 0 || v.creator != nil || v.tombstone {
 				t.Errorf("partition %d: free version %d still holds %+v", i, n, *v)
 			}
 			n++

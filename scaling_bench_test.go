@@ -15,6 +15,7 @@ import (
 
 	"ssi/internal/raceflag"
 	"ssi/internal/workload/kvmix"
+	"ssi/internal/workload/smallbank"
 	"ssi/ssidb"
 )
 
@@ -414,41 +415,76 @@ func TestROGetAllocBudget(t *testing.T) {
 }
 
 // TestRowFootprintAllocBudget asserts what a loaded row keeps alive: its
-// 32-byte B+tree slot (36 B with the page's spare slot and allocation class,
-// pages being full after an ascending load), the 48-byte chain that is also
-// its newest version, its share of interior pages and of its loader's
-// creator cell, and the key and value bytes themselves — 4 and 1 here. That
-// read 178 B a row while leaves were half-empty pairs of grown slices and the
-// chain header and the version were two objects. The partition count (which
-// the core count selects by default) must not change it: every partition's
-// tree sees an ascending load of its own.
+// 24-byte B+tree slot (≈30 B with the page's spare slot, the 1 792-byte
+// allocation class a full leaf of 65 slots rounds up to, the node header and
+// the interior pages, pages being full after an ascending load), the 32-byte
+// chain that is also its newest version, its share of its loader's creator
+// cell, and the key and value bytes themselves — 4 and 1 here, which share one
+// 16-byte tiny-allocator block with the short-lived copy of the key that the
+// lock on the then-absent row was named by: ≈78 B. That read 178 B while
+// leaves were half-empty pairs of grown slices and the chain header and the
+// version were two objects, and 106 B while a slot held an interface, a
+// version a slice header, and the new gap's lock a second key copy. The
+// partition count (which the core count selects by default) must not change
+// it: every partition's tree sees an ascending load of its own.
 func TestRowFootprintAllocBudget(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("a footprint is not a race; the 200 000-row loads are slow under the detector")
 	}
-	const rows, budget = 200_000, 112
+	const rows, budget = 200_000, 84
 	for _, tshards := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("tshards=%d", tshards), func(t *testing.T) {
-			heap := func() uint64 {
-				runtime.GC()
-				runtime.GC()
-				var ms runtime.MemStats
-				runtime.ReadMemStats(&ms)
-				return ms.HeapAlloc
-			}
-			before := heap()
-			db := ssidb.Open(ssidb.Options{TableShards: tshards})
-			cfg := kvmix.DefaultConfig()
-			cfg.Keys = rows
-			if err := kvmix.Load(db, cfg); err != nil {
-				t.Fatal(err)
-			}
-			perRow := float64(heap()-before) / rows
-			runtime.KeepAlive(db)
+			perRow := loadedBytes(t, ssidb.Options{TableShards: tshards}, func(db *ssidb.DB) error {
+				cfg := kvmix.DefaultConfig()
+				cfg.Keys = rows
+				return kvmix.Load(db, cfg)
+			}) / rows
 			t.Logf("%.1f B/row", perRow)
 			if perRow > budget {
 				t.Errorf("a loaded row keeps %.1f B alive over %d partitions, budget %d", perRow, tshards, budget)
 			}
 		})
 	}
+}
+
+// TestSmallBankFootprintAllocBudget is TestRowFootprintAllocBudget for the
+// SmallBank tables: a customer is three rows — an account row (12-byte name,
+// 4-byte id) and a saving and a checking row (4-byte id, 8-byte balance) — so
+// it costs three slots and three chains, and its key and value bytes: ≈254 B
+// a customer, where it read ≈334 B with 32-byte slots and 48-byte chains.
+func TestSmallBankFootprintAllocBudget(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("a footprint is not a race; the 300 000-row load is slow under the detector")
+	}
+	const customers, budget = 100_000, 265
+	perCustomer := loadedBytes(t, ssidb.Options{}, func(db *ssidb.DB) error {
+		cfg := smallbank.DefaultConfig()
+		cfg.Accounts = customers
+		return smallbank.Load(db, cfg)
+	}) / customers
+	t.Logf("%.1f B/customer", perCustomer)
+	if perCustomer > budget {
+		t.Errorf("a loaded SmallBank customer keeps %.1f B alive, budget %d", perCustomer, budget)
+	}
+}
+
+// loadedBytes returns the heap bytes that load leaves alive in a database
+// opened with opts, collected twice before and after.
+func loadedBytes(t *testing.T, opts ssidb.Options, load func(*ssidb.DB) error) float64 {
+	t.Helper()
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	db := ssidb.Open(opts)
+	if err := load(db); err != nil {
+		t.Fatal(err)
+	}
+	after := heap()
+	runtime.KeepAlive(db)
+	return float64(after - before)
 }

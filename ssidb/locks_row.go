@@ -14,8 +14,9 @@ import (
 //
 // A lock names its row or gap by the store's own key string wherever a descent
 // has found that key: every scanned row, every gap (named by the key that ends
-// it, which exists), and a point operation's row, through the handle of its one
-// Locate. Only locks on absent keys copy key bytes (rowKeyFor).
+// it, which exists, the gap a structural insert creates included), and a point
+// operation's row, through the handle of its one Locate. Only locks on absent
+// keys copy key bytes (rowKeyFor).
 type rowTargets struct{}
 
 func rowKeyOf(tb *table, stored string) lock.Key {
@@ -72,13 +73,14 @@ func (rowTargets) install(tx *Txn, tb *table, key []byte, row mvcc.Row, val []by
 	// On a structural insert, SIREAD gap locks covering the target gap are
 	// inherited onto the new key's gap under the table latch, atomically
 	// with the key becoming visible — otherwise a second insert into the
-	// now-split gap would escape the scanners' phantom detection.
-	row, inserted := tb.data.Write(tx.t, key, val, tombstone, func(succ string, hasSucc bool) {
+	// now-split gap would escape the scanners' phantom detection. The new gap
+	// is named by the store's copy of the key, as every other gap is.
+	row, inserted := tb.data.Write(tx.t, key, val, tombstone, func(stored, succ string, hasSucc bool) {
 		src := lock.SupremumGapKey(tb.name)
 		if hasSucc {
 			src = gapKeyOf(tb, succ)
 		}
-		tx.db.locks.InheritSIRead(src, lock.GapKey(tb.name, key))
+		tx.db.locks.InheritSIRead(src, gapKeyOf(tb, stored))
 	})
 	if inserted && tx.readMode() != noLock {
 		// Re-acquire the gap now that the key is visible: the successor may

@@ -438,3 +438,57 @@ func TestKeyBufferReuse(t *testing.T) {
 		}
 	}
 }
+
+// TestGetValueAppendIsPrivate pins the ownership contract of the read calls: a
+// value that Get returns, or that a Scan callback is shown, aliases the stored
+// version and has capacity equal to its length, so appending to it copies.
+// Here the stored value is the first 8 bytes of a 64-byte buffer; if a reader
+// were handed the writer's spare capacity, two readers' appends would both
+// write the buffer's ninth byte — the first reader's result would change under
+// it, and so would the writer's buffer.
+func TestGetValueAppendIsPrivate(t *testing.T) {
+	db := ssidb.Open(ssidb.Options{})
+	buf := make([]byte, 64)
+	copy(buf, "balance!")
+	if err := db.Run(ssidb.SerializableSI, func(tx *ssidb.Txn) error { return tx.Put("t", []byte("k"), buf[:8]) }); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []struct {
+		name       string
+		readAppend func(tx *ssidb.Txn, extra byte) ([]byte, error)
+	}{
+		{"Get", func(tx *ssidb.Txn, extra byte) ([]byte, error) {
+			v, _, err := tx.Get("t", []byte("k"))
+			return append(v, extra), err
+		}},
+		{"Scan", func(tx *ssidb.Txn, extra byte) (got []byte, err error) {
+			err = tx.Scan("t", nil, nil, func(_, v []byte) bool {
+				got = append(v, extra)
+				return false
+			})
+			return got, err
+		}},
+	} {
+		t.Run(r.name, func(t *testing.T) {
+			var a, b []byte
+			if err := db.Run(ssidb.SerializableSI, func(tx *ssidb.Txn) (err error) {
+				a, err = r.readAppend(tx, 'a')
+				return err
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Run(ssidb.SerializableSI, func(tx *ssidb.Txn) (err error) {
+				b, err = r.readAppend(tx, 'b')
+				return err
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if string(a) != "balance!a" || string(b) != "balance!b" {
+				t.Errorf("two readers appended to the value and hold %q and %q, want %q and %q", a, b, "balance!a", "balance!b")
+			}
+			if buf[8] != 0 {
+				t.Errorf("a reader's append wrote into the writer's buffer: %q", buf[:9])
+			}
+		})
+	}
+}

@@ -435,6 +435,11 @@ type lockTargets interface {
 // transaction's snapshot; under S2PL it shared-locks and reads the latest
 // committed version. found is false if the key is absent (or deleted) in the
 // visible state.
+//
+// Ownership, for Get and GetForUpdate alike: val aliases the stored version.
+// It is read-only, and its capacity equals its length, so appending to it
+// copies rather than writing into the store (or into the spare capacity of the
+// slice the writer stored, which every other reader of the version shares).
 func (tx *Txn) Get(tableName string, key []byte) (val []byte, found bool, err error) {
 	if err := tx.pre(); err != nil {
 		return nil, false, err
@@ -479,7 +484,7 @@ func (tx *Txn) Get(tableName string, key []byte) (val []byte, found bool, err er
 // Under SI/SerializableSI it applies First-Committer-Wins after acquiring
 // the lock and then reads the latest committed version; combined with the
 // deferred snapshot this means a transaction whose first statement is a
-// locked read never aborts under FCW (thesis §4.5).
+// locked read never aborts under FCW (thesis §4.5). val is owned as Get's is.
 func (tx *Txn) GetForUpdate(tableName string, key []byte) (val []byte, found bool, err error) {
 	if err := tx.pre(); err != nil {
 		return nil, false, err
@@ -607,7 +612,8 @@ func (tx *Txn) writeLockAndCheck(tb *table, key []byte, row mvcc.Row, structural
 // Scan visits the live keys in [from, to) in ascending order, calling fn for
 // each until fn returns false. A nil `to` scans to the end of the table.
 // Key and value slices must not be modified or retained: they alias the
-// store's own memory and are valid only until Scan returns.
+// store's own memory and are valid only until Scan returns. A value's capacity
+// equals its length, as Get's does, so appending to it copies.
 //
 // The range is collected, locked and conflict-marked in full before fn sees
 // its first row, into a scan context that is recycled from call to call
