@@ -132,12 +132,14 @@
 // has committed, which is also the only way ErrUnsafe can strike before any
 // transaction involved has committed.
 //
-// ssidb.DetectorBasic selects the boolean-flag algorithm of thesis §3.2 in
-// its place — both edges exist, so abort, at all four sites — which is what the
-// Berkeley DB prototype ran; the Berkeley DB figures and the detector
-// ablation (internal/scenario's table — the one non-test file that sets the
-// figure-only options) and the two-detector tests select it, and nothing
-// else should.
+// ssidb.DetectorBasic is the boolean-flag algorithm of thesis §3.2, which the
+// Berkeley DB prototype ran. It is not a second algorithm: it is the same
+// predicate over edges that never name a counterpart (internal/core's
+// Manager.named), so neither CO nor RO can apply and both edges existing
+// means abort, at all four sites — the writer-side one included. The
+// Berkeley DB figures and the detector ablation (internal/scenario's table —
+// the one non-test file that sets the figure-only options) and the
+// two-detector tests select it, and nothing else should.
 //
 // # Scaling beyond the paper
 //
@@ -256,9 +258,7 @@
 //     point the reader drops SIREAD acquisition entirely, point and scan,
 //     and reads at plain-SI cost while staying serializable. A positive
 //     verdict is permanently sound for its holder, so the check is a
-//     handful of atomic loads until the first yes, then a cached boolean;
-//     TxnOptions.Deferrable blocks begin until it holds (PostgreSQL's
-//     DEFERRABLE contract).
+//     handful of atomic loads until the first yes, then a cached boolean.
 //   - internal/server and cmd/ssiserver put a network front end on all of
 //     it: a TCP server speaking a length-prefixed framed protocol with one
 //     pipelined session goroutine per connection, a batched transaction

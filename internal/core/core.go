@@ -86,9 +86,11 @@
 //
 // One predicate, dangerous(pivot, in, out), decides every structure
 // Tin -rw-> pivot -rw-> Tout; its comment carries the rules and why each keeps
-// Theorem 1. With the default DetectorPrecise they are commit ordering (CO:
-// dangerous only if Tout committed before both Tin and the pivot) and the
-// read-only rule (RO: if Tin writes nothing, only if ct(Tout) < snap(Tin)).
+// Theorem 1. They are commit ordering (CO: dangerous only if Tout committed
+// before both Tin and the pivot) and the read-only rule (RO: if Tin writes
+// nothing, only if ct(Tout) < snap(Tin)). Both need a named counterpart, so
+// under DetectorBasic, whose references never name one (named), neither
+// applies and a structure is dangerous as soon as both edges exist.
 // Four sites can complete a structure, and the victim is always the
 // transaction running at that site:
 //
@@ -97,7 +99,8 @@
 //	  finds the writer committed writer     writer's out, or its outCT          declared read-only
 //	writer-side: MarkConflict    committed  Tin = reader's in; Tout = the       none — a running Tout has
 //	  finds the reader committed reader     caller, running                     not committed first (the
-//	                                                                            basic detector aborts here)
+//	                                                                            basic detector, naming no
+//	                                                                            Tout, aborts here)
 //	abort-early: each operation  the caller its in and out references           CO; RO if Tin is declared,
 //	  of a pivot with both edges                                                or committed without a cell
 //	commit: CommitPrepare under  the caller the same, then once more under      the same; the tsMu pass turns
@@ -359,9 +362,12 @@ const (
 	DetectorPrecise Detector = iota
 	// DetectorBasic is the boolean-flag algorithm of thesis §3.2: a
 	// transaction with both an incoming and an outgoing rw-edge is aborted,
-	// whoever committed when. It is what the Berkeley DB prototype
-	// implemented, and it survives as the explicit opt-in of the runs that
-	// reproduce that prototype's figures and of the two-detector tests.
+	// whoever committed when. It is the precise algorithm with references
+	// that never name a counterpart (Manager.named): every edge is recorded
+	// as a self-reference, so no rule that needs a partner's commit or
+	// snapshot applies. It is what the Berkeley DB prototype implemented, and
+	// it survives as the explicit opt-in of the runs that reproduce that
+	// prototype's figures and of the two-detector tests.
 	DetectorBasic
 )
 
@@ -403,12 +409,13 @@ const (
 // transactions can still find its conflict flags; see "Record lifetime" in the
 // package comment for who may hold one and until when.
 //
-// in/out implement the inConflict / outConflict state of the paper. With
-// DetectorBasic a non-nil reference simply means "flag set" (it is always a
-// self-reference); with DetectorPrecise it names the single conflicting
-// transaction, degrading to a self-reference when there is more than one
-// (thesis §3.6) or when the transaction commits after its counterpart did
-// (Figure 3.10 lines 9-12; outCT then keeps what the reference stood for).
+// in/out implement the inConflict / outConflict state of the paper. A
+// reference names the single conflicting transaction, degrading to a
+// self-reference when there is more than one (thesis §3.6) or when the
+// transaction commits after its counterpart did (Figure 3.10 lines 9-12;
+// outCT then keeps what the reference stood for). DetectorBasic is the rule
+// that never names a counterpart: its references are nil or self, meaning
+// "flag set", and outCT stays 0.
 // Both are written only under this transaction's csMu but read lock-free by
 // the abort-early fast path; see the package comment's memory-ordering
 // invariants.
@@ -1040,14 +1047,14 @@ func (m *Manager) MarkConflict(reader, writer, caller *Txn) error {
 	// already committed and will run no check of its own again (Figures 3.3
 	// and 3.9); the running endpoint is the caller, and the only transaction
 	// left to abort (§3.4).
-	if writer.Committed() && m.dangerous(writer, reader, writer.out.Load()) {
+	if writer.Committed() && m.dangerous(writer, m.named(writer, reader), writer.out.Load()) {
 		// Reader-side: reader -> writer -> writer's Tout, the caller as Tin.
 		return m.abortLocked(reader, caller)
 	}
-	if reader.Committed() && m.dangerous(reader, reader.in.Load(), writer) {
+	if reader.Committed() && m.dangerous(reader, reader.in.Load(), m.named(reader, writer)) {
 		// Writer-side: reader's Tin -> reader -> writer, the caller as Tout.
 		// Only the basic detector ever fires here: a running Tout cannot have
-		// committed first.
+		// committed first, but an unnamed one reads "earliest possible".
 		return m.abortLocked(writer, caller)
 	}
 
@@ -1057,27 +1064,33 @@ func (m *Manager) MarkConflict(reader, writer, caller *Txn) error {
 	// dangerous structure (invariant 4). The writer's incoming record is
 	// installed regardless — the writer may yet become a pivot, and the
 	// read-only anomaly aborts at that pivot's commit-time check.
-	switch m.detector {
-	case DetectorBasic:
-		if !reader.readOnly {
-			reader.out.Store(reader)
-		}
-		writer.in.Store(writer)
-	case DetectorPrecise:
-		if !reader.readOnly {
-			if rout := reader.out.Load(); rout == nil {
-				reader.out.Store(writer)
-			} else if rout != writer {
-				reader.out.Store(reader) // several outgoing partners: degrade to flag
-			}
-		}
-		if win := writer.in.Load(); win == nil {
-			writer.in.Store(reader)
-		} else if win != reader {
-			writer.in.Store(writer)
+	if !reader.readOnly {
+		w := m.named(reader, writer)
+		if rout := reader.out.Load(); rout == nil {
+			reader.out.Store(w)
+		} else if rout != w {
+			reader.out.Store(reader) // several outgoing partners: degrade to flag
 		}
 	}
+	r := m.named(writer, reader)
+	if win := writer.in.Load(); win == nil {
+		writer.in.Store(r)
+	} else if win != r {
+		writer.in.Store(writer)
+	}
 	return nil
+}
+
+// named is the reference t records for a conflict with partner, and the one
+// place the detector is read. The precise detector names the partner; the
+// basic one names nobody, so its references are nil or self, outCT stays 0,
+// and dangerous — every rule of which needs a named counterpart — reduces to
+// "both edges set", the §3.2 rule.
+func (m *Manager) named(t, partner *Txn) *Txn {
+	if m.detector == DetectorBasic {
+		return t
+	}
+	return partner
 }
 
 // abortLocked marks victim aborted. The victim must be the caller — the
@@ -1100,13 +1113,9 @@ func (m *Manager) abortLocked(victim, caller *Txn) error {
 // dropAbortedRefsLocked clears conflict references whose counterpart
 // aborted: an aborted transaction's versions are rolled back and its reads
 // void, so its edges cannot participate in any MVSG cycle. Self-references
-// (which stand for "several counterparts") stay, conservatively. Only
-// meaningful with DetectorPrecise, where references name counterparts. The
-// caller holds t's csMu.
+// (which stand for "several counterparts") stay, conservatively. The caller
+// holds t's csMu.
 func (m *Manager) dropAbortedRefsLocked(t *Txn) {
-	if m.detector != DetectorPrecise {
-		return
-	}
 	if in := t.in.Load(); in != nil && in != t && in.Aborted() {
 		t.in.Store(nil)
 	}
@@ -1156,11 +1165,12 @@ func (m *Manager) pivotUnsafeLocked(t *Txn) bool {
 // equal to pivot is a self-reference: several counterparts, or one the pivot
 // outlived. The caller holds pivot's csMu.
 //
-// The basic detector (Figures 3.2/3.3) stops at "both edges exist". The
-// precise one applies three rules, each sound because in every cycle of an SI
-// execution some structure's Tout is the first transaction of the whole cycle
-// to commit (Fekete et al.), so a structure whose Tout provably is not first
-// need not be the one that breaks its cycle:
+// Three rules apply, each sound because in every cycle of an SI execution
+// some structure's Tout is the first transaction of the whole cycle to commit
+// (Fekete et al.), so a structure whose Tout provably is not first need not
+// be the one that breaks its cycle. Each needs a named counterpart, so the
+// basic detector's self-references (Figures 3.2/3.3) stop at "both edges
+// exist":
 //
 //   - A counterpart that aborted is no counterpart: its edges are void.
 //   - Commit ordering (Figure 3.10): dangerous only if Tout committed, and
@@ -1201,9 +1211,6 @@ func (m *Manager) pivotUnsafeLocked(t *Txn) bool {
 func (m *Manager) dangerous(pivot, in, out *Txn) bool {
 	if in == nil || out == nil {
 		return false
-	}
-	if m.detector == DetectorBasic {
-		return true
 	}
 	if (in != pivot && in.Aborted()) || (out != pivot && out.Aborted()) {
 		return false
@@ -1319,19 +1326,17 @@ func (m *Manager) CommitPrepareWith(t *Txn, slot any) (TS, error) {
 		// horizon read order never misses it ("Safe snapshots" proof).
 		m.raiseThreat(ct)
 	}
-	if m.detector == DetectorPrecise {
-		// Figure 3.10 lines 9-12: replace references to already-committed
-		// transactions with self-references so a suspended transaction only
-		// ever references transactions with an equal or later commit. Where
-		// the thesis lets the outgoing self-reference stand for t's own commit
-		// time, t keeps the counterpart's: the read-only rule compares it.
-		if in := t.in.Load(); in != nil && in.Committed() {
-			t.in.Store(t)
-		}
-		if out := t.out.Load(); out != nil && out != t && out.Committed() {
-			t.outCT = out.CommitTS()
-			t.out.Store(t)
-		}
+	// Figure 3.10 lines 9-12: replace references to already-committed
+	// transactions with self-references so a suspended transaction only ever
+	// references transactions with an equal or later commit. Where the thesis
+	// lets the outgoing self-reference stand for t's own commit time, t keeps
+	// the counterpart's: the read-only rule compares it.
+	if in := t.in.Load(); in != nil && in.Committed() {
+		t.in.Store(t)
+	}
+	if out := t.out.Load(); out != nil && out != t && out.Committed() {
+		t.outCT = out.CommitTS()
+		t.out.Store(t)
 	}
 	return ct, nil
 }
@@ -1432,15 +1437,6 @@ func (m *Manager) raiseThreat(ct TS) {
 	}
 }
 
-// ThreatHorizon returns the largest commit timestamp of any read-write
-// transaction that committed carrying an outgoing rw-edge — the newest
-// potential T_in of a dangerous structure seen so far. Snapshots at or above
-// it are not (yet) known safe; a deferred begin polls it to decide whether
-// its candidate snapshot is doomed or merely waiting.
-func (m *Manager) ThreatHorizon() TS {
-	return TS(m.threatHi.Load())
-}
-
 // SnapshotSafe reports whether t's snapshot s is safe: no read-write
 // transaction that could still commit an rw-edge into s's past remains, and
 // none that already committed one committed after s. A transaction on a safe
@@ -1475,7 +1471,7 @@ func (m *Manager) SnapshotSafe(t *Txn) bool {
 	if w := m.OldestActiveRWSnapshot(); w <= s && w < t.toutHi {
 		return false
 	}
-	return m.ThreatHorizon() <= s
+	return TS(m.threatHi.Load()) <= s
 }
 
 // Stats is a point-in-time census of the Manager, used by tests and the

@@ -161,8 +161,8 @@ func TestSnapshotSafeTransitions(t *testing.T) {
 		t.Fatal(err)
 	}
 	ct := commit(t, m, reader, true) // reader commits with out-edge: threat
-	if m.ThreatHorizon() != ct {
-		t.Fatalf("ThreatHorizon = %d, want %d", m.ThreatHorizon(), ct)
+	if got := m.threatHi.Load(); got != ct {
+		t.Fatalf("threat horizon = %d, want %d", got, ct)
 	}
 	if m.SnapshotSafe(ro2) {
 		t.Fatalf("snapshot %d safe despite threat at %d", s2, ct)

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"testing"
 )
 
@@ -189,4 +190,119 @@ func TestRulesWriterSide(t *testing.T) {
 			commit(t, m, writer, true)
 		})
 	}
+}
+
+// randomConflicts drives a random single-goroutine schedule of the calls the
+// engine makes — begins (a quarter declared read-only), conflicts found by a
+// running caller against a recent concurrent partner, AbortEarly,
+// CommitPrepare then Finish, and rollbacks — and checks every transaction in
+// reach after each step. Before each verdict it records whether the judged
+// transaction would carry both edges, the §3.2 rule; verdict gets the site,
+// the result and that flag. It returns every transaction it began.
+func randomConflicts(m *Manager, seed int64, check func(*Txn), verdict func(site string, err error, bothSet bool)) []*Txn {
+	r := rand.New(rand.NewSource(seed))
+	var all, running []*Txn
+	both := func(x *Txn) bool { return !x.readOnly && x.in.Load() != nil && x.out.Load() != nil }
+	for step := 0; step < 4000; step++ {
+		if len(running) < 2 || len(running) < 6 && r.Intn(4) == 0 {
+			x := m.BeginTx(SerializableSI, r.Intn(4) == 0)
+			m.AssignSnapshot(x)
+			all, running = append(all, x), append(running, x)
+			continue
+		}
+		i := r.Intn(len(running))
+		c := running[i]
+		var err error
+		ended := true
+		switch r.Intn(8) {
+		case 0, 1, 2, 3: // c's read or write finds a conflict with a partner
+			ended = false
+			p := all[len(all)-1-r.Intn(min(len(all), 16))]
+			reader, writer := c, p
+			if !c.readOnly && (p.readOnly || r.Intn(2) == 0) {
+				reader, writer = p, c
+			}
+			if p == c || !c.ConcurrentWith(p) || writer.readOnly || writer.Done() && writer.cell == nil {
+				continue
+			}
+			if !writer.Done() {
+				writer.Cell()
+			}
+			bothSet := !reader.Aborted() && !writer.Aborted() &&
+				(writer.Committed() && writer.out.Load() != nil || reader.Committed() && reader.in.Load() != nil)
+			err = m.MarkConflict(reader, writer, c)
+			verdict("MarkConflict", err, bothSet)
+		case 4:
+			bothSet := both(c)
+			err = m.AbortEarly(c)
+			verdict("AbortEarly", err, bothSet)
+			ended = err != nil
+		case 5, 6:
+			bothSet := both(c)
+			if _, err = m.CommitPrepare(c); err == nil {
+				m.Finish(c, r.Intn(2) == 0)
+			}
+			verdict("CommitPrepare", err, bothSet)
+		case 7: // application rollback
+			m.Abort(c)
+		}
+		if err != nil {
+			m.Abort(c)
+			ended = true
+		}
+		if ended {
+			running = append(running[:i], running[i+1:]...)
+		}
+		for _, x := range all[len(all)-min(len(all), 16):] {
+			check(x)
+		}
+	}
+	return all
+}
+
+// TestBasicDetectorNamesNoCounterpart pins what makes the basic detector a
+// naming rule rather than a second algorithm: under it no reference ever names
+// a counterpart, outCT stays 0, and so every verdict — at each operation, at
+// commit, and at both committed endpoints of MarkConflict — is "both edges
+// set". The same schedules under the precise detector do name counterparts,
+// so the check is not vacuous.
+func TestBasicDetectorNamesNoCounterpart(t *testing.T) {
+	unsafe := map[string]int{}
+	for seed := int64(1); seed <= 8; seed++ {
+		m := NewManager(DetectorBasic)
+		check := func(x *Txn) {
+			if in, out := x.in.Load(), x.out.Load(); in != nil && in != x || out != nil && out != x || x.outCT != 0 {
+				t.Fatalf("seed %d: txn %d names a counterpart: in=%p out=%p outCT=%d (self %p)", seed, x.id, in, out, x.outCT, x)
+			}
+		}
+		all := randomConflicts(m, seed, check, func(site string, err error, bothSet bool) {
+			if err != nil && !errors.Is(err, ErrUnsafe) || errors.Is(err, ErrUnsafe) != bothSet {
+				t.Fatalf("seed %d: %s = %v with both edges set = %v", seed, site, err, bothSet)
+			}
+			if err != nil {
+				unsafe[site]++
+			}
+		})
+		for _, x := range all {
+			check(x)
+		}
+	}
+	for _, site := range []string{"MarkConflict", "AbortEarly", "CommitPrepare"} {
+		if unsafe[site] == 0 {
+			t.Errorf("no %s verdict was unsafe: the schedules exercise nothing there", site)
+		}
+	}
+
+	named := 0
+	for seed := int64(1); seed <= 8; seed++ {
+		randomConflicts(NewManager(DetectorPrecise), seed, func(x *Txn) {
+			if in, out := x.in.Load(), x.out.Load(); in != nil && in != x || out != nil && out != x {
+				named++
+			}
+		}, func(string, error, bool) {})
+	}
+	if named == 0 {
+		t.Fatal("the precise detector named no counterpart on the same schedules")
+	}
+	t.Logf("basic: unsafe verdicts %v; precise: %d named references seen", unsafe, named)
 }

@@ -69,7 +69,7 @@ func TestExhaustiveWriteSkewSSI(t *testing.T) {
 		aborts := 0
 		Explore(NewDB(det), ssidb.SerializableSI, mustSet(t, "writeskew"), func(o Outcome) {
 			for _, err := range o.Errs {
-				if err != nil && !ssidb.IsAbort(err) {
+				if err != nil && !ssidb.Retryable(err) {
 					t.Fatalf("schedule %v: unexpected error %v", o, err)
 				}
 				if err != nil {
@@ -109,7 +109,7 @@ func TestExhaustiveThesisSetSSI(t *testing.T) {
 		Explore(NewDB(det), ssidb.SerializableSI, mustSet(t, "thesis"), func(o Outcome) {
 			for _, err := range o.Errs {
 				if err != nil {
-					if !ssidb.IsAbort(err) {
+					if !ssidb.Retryable(err) {
 						t.Fatalf("schedule %v: %v", o, err)
 					}
 					abortCount[det]++
@@ -169,7 +169,7 @@ func TestExhaustiveS2PLAlwaysSerializable(t *testing.T) {
 	// machinery. Write skew scripts: S2PL serializes or deadlocks.
 	Explore(NewDB(ssidb.DetectorPrecise), ssidb.S2PL, mustSet(t, "writeskew"), func(o Outcome) {
 		for _, err := range o.Errs {
-			if err != nil && !ssidb.IsAbort(err) {
+			if err != nil && !ssidb.Retryable(err) {
 				t.Fatalf("schedule %v: %v", o, err)
 			}
 		}

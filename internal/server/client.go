@@ -253,7 +253,7 @@ func (t *RemoteTxn) op(op Op) (res OpResult, err error) {
 	if err != nil {
 		// Mirror the server's statement-vs-abort split: abort-class errors
 		// (and transport failures) finish the transaction.
-		if ssidb.IsAbort(err) || !isStatementLevel(err) {
+		if ssidb.Retryable(err) || !isStatementLevel(err) {
 			t.done = true
 		}
 		return res, err

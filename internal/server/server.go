@@ -438,7 +438,7 @@ func (s *session) respond(payload []byte) (frame []byte, fatal bool) {
 			// Abort-class errors rolled the transaction back already;
 			// statement-level ones (ErrKeyExists, ErrReadOnly) leave it
 			// open and usable.
-			if ssidb.IsAbort(err) || errors.Is(err, ssidb.ErrTxnDone) {
+			if ssidb.Retryable(err) || errors.Is(err, ssidb.ErrTxnDone) {
 				s.closeTxn(id, tx, false)
 			}
 			return fail(err)
@@ -493,7 +493,7 @@ func (s *session) closeTxn(id uint64, tx *ssidb.Txn, abort bool) {
 // (they carry their own codes); anything else is the WAL reporting that the
 // commit's durability is unknown.
 func commitErr(err error) error {
-	if ssidb.IsAbort(err) || errors.Is(err, ssidb.ErrTxnDone) {
+	if ssidb.Retryable(err) || errors.Is(err, ssidb.ErrTxnDone) {
 		return err
 	}
 	return fmt.Errorf("%w: %v", errWALDegraded, err)

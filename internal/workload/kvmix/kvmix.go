@@ -1,8 +1,7 @@
 // Package kvmix is a concurrency-control scaling microbenchmark: a point
 // read/write mix whose key distribution is configurable from uniform over a
 // keyspace wide enough that data conflicts are rare (throughput dominated by
-// the engine's begin/lock/commit paths) to hot-set or Zipfian skew that
-// collides transactions on purpose (throughput dominated by the conflict
+// the engine's begin/lock/commit paths) to hot-set skew that collides transactions on purpose (throughput dominated by the conflict
 // and blocking paths). It is not one of the paper's workloads — the paper
 // measures contention regimes at modest multiprogramming — but the probe
 // for what the paper's prototypes could not show: whether the
@@ -13,9 +12,7 @@ package kvmix
 
 import (
 	"encoding/binary"
-	"math"
 	"math/rand"
-	"sort"
 
 	"ssi/internal/harness"
 	"ssi/ssidb"
@@ -49,11 +46,6 @@ type Config struct {
 	// HotProb is the probability a point operation goes to the hot set.
 	// Default 0.5 when HotKeys > 0.
 	HotProb float64
-	// Zipf, when > 0, draws keys from a Zipfian distribution with this
-	// exponent over the whole keyspace (0.99 is YCSB's default skew);
-	// it overrides HotKeys. The rank→key mapping is identity, so low key
-	// ids are the popular ones.
-	Zipf float64
 
 	// ROFrac, when > 0, makes that fraction of transactions pure readers
 	// (Reads point reads and Scans range scans, no writes) — the shape of
@@ -130,11 +122,8 @@ func (c Config) normalized() Config {
 	return c
 }
 
-// Contended reports whether the configuration skews its key choice.
-func (c Config) Contended() bool { return c.Zipf > 0 || c.HotKeys > 0 }
-
-// Chooser returns the configuration's key-id chooser (uniform, hot-set or
-// Zipfian, after normalization) — exported so external drivers (the remote
+// Chooser returns the configuration's key-id chooser (uniform or hot-set,
+// after normalization) — exported so external drivers (the remote
 // rows of internal/scenario assembling batched requests) draw keys from
 // exactly the distribution the in-process Worker uses. The returned func is
 // safe for concurrent use with per-worker *rand.Rands.
@@ -142,35 +131,19 @@ func (c Config) Chooser() func(r *rand.Rand) int {
 	return c.normalized().chooser()
 }
 
-// chooser returns the key-id chooser for the configuration. The uniform and
-// hot-set choosers are stateless; the Zipfian chooser inverts a cumulative
-// weight table built once here, so every variant is allocation-free per call
-// and safe for concurrent use with per-worker *rand.Rands.
+// chooser returns the key-id chooser for the configuration. Both variants are
+// stateless, so they are allocation-free per call and safe for concurrent use
+// with per-worker *rand.Rands.
 func (c Config) chooser() func(r *rand.Rand) int {
-	switch {
-	case c.Zipf > 0:
-		cdf := make([]float64, c.Keys)
-		sum := 0.0
-		for i := 0; i < c.Keys; i++ {
-			sum += 1 / math.Pow(float64(i+1), c.Zipf)
-			cdf[i] = sum
-		}
-		for i := range cdf {
-			cdf[i] /= sum
-		}
-		return func(r *rand.Rand) int {
-			return sort.SearchFloat64s(cdf, r.Float64())
-		}
-	case c.HotKeys > 0:
+	if c.HotKeys > 0 {
 		return func(r *rand.Rand) int {
 			if r.Float64() < c.HotProb {
 				return r.Intn(c.HotKeys)
 			}
 			return r.Intn(c.Keys)
 		}
-	default:
-		return func(r *rand.Rand) int { return r.Intn(c.Keys) }
 	}
+	return func(r *rand.Rand) int { return r.Intn(c.Keys) }
 }
 
 // Key returns the row key for key-id — exported so external drivers (the
@@ -209,7 +182,7 @@ func Load(db *ssidb.DB, cfg Config) error {
 
 // Worker returns the transaction function: Reads point reads, then Scans
 // ordered range scans, then Writes point writes, with point keys drawn from
-// the configured distribution (uniform, hot-set or Zipfian) and scan starts
+// the configured distribution (uniform or hot-set) and scan starts
 // uniform.
 func Worker(db *ssidb.DB, iso ssidb.Isolation, cfg Config) harness.TxnFunc {
 	cfg = cfg.normalized()

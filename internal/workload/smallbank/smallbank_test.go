@@ -153,7 +153,7 @@ func TestPageLeafCount(t *testing.T) {
 	if err := Load(db, cfg); err != nil {
 		t.Fatal(err)
 	}
-	pages := db.TablePages(TableChecking)
+	pages := db.TableStats(TableChecking).Pages
 	if pages < 80 || pages > 250 {
 		t.Fatalf("checking table pages = %d, want on the order of 100-200", pages)
 	}

@@ -29,13 +29,13 @@ func TestLoadProducesConsistentData(t *testing.T) {
 	if err := CheckConsistency(db, cfg); err != nil {
 		t.Fatal(err)
 	}
-	if n := db.TableLen(TItem); n != cfg.Items() {
+	if n := db.TableStats(TItem).Keys; n != cfg.Items() {
 		t.Fatalf("items = %d, want %d", n, cfg.Items())
 	}
-	if n := db.TableLen(TCustomer); n != Districts*cfg.CustomersPerDistrict() {
+	if n := db.TableStats(TCustomer).Keys; n != Districts*cfg.CustomersPerDistrict() {
 		t.Fatalf("customers = %d", n)
 	}
-	if n := db.TableLen(TOrder); n != Districts*cfg.InitialOrders {
+	if n := db.TableStats(TOrder).Keys; n != Districts*cfg.InitialOrders {
 		t.Fatalf("orders = %d", n)
 	}
 }
@@ -68,7 +68,7 @@ func TestNewOrderAdvancesDistrict(t *testing.T) {
 	cfg := testConfig()
 	db := loadDB(t, cfg, ssidb.Options{})
 	r := rand.New(rand.NewSource(1))
-	before := db.TableLen(TOrder)
+	before := db.TableStats(TOrder).Keys
 	committed := 0
 	for i := 0; i < 20; i++ {
 		err := db.Run(ssidb.SerializableSI, func(tx *ssidb.Txn) error {
@@ -80,7 +80,7 @@ func TestNewOrderAdvancesDistrict(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := db.TableLen(TOrder) - before; got != committed {
+	if got := db.TableStats(TOrder).Keys - before; got != committed {
 		t.Fatalf("order rows grew by %d, committed %d", got, committed)
 	}
 	if err := CheckConsistency(db, cfg); err != nil {
@@ -213,7 +213,7 @@ func TestCreditCheckAnomalyShape(t *testing.T) {
 	status, errs = run(ssidb.SerializableSI)
 	aborted := false
 	for _, err := range errs {
-		if ssidb.IsAbort(err) {
+		if ssidb.Retryable(err) {
 			aborted = true
 		}
 	}

@@ -152,6 +152,38 @@ func TestCheckpointTruncatesAndRecovers(t *testing.T) {
 	}
 }
 
+// TestCensusCreatesNoTable: asking about a table that does not exist creates
+// nothing, so the next checkpoint declares no table under that name and none
+// survives a reopen.
+func TestCensusCreatesNoTable(t *testing.T) {
+	dir := t.TempDir()
+	db := mustOpenDir(t, dir, ssidb.Options{CheckpointBytes: -1})
+	if err := db.Run(ssidb.SnapshotIsolation, func(tx *ssidb.Txn) error {
+		return tx.Put("t", []byte("k"), []byte("v"))
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if st := db.TableStats("ghost"); st != (ssidb.TableStats{}) {
+		t.Fatalf("TableStats(ghost) = %+v, want zero", st)
+	}
+	db.StatsSnapshot()
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db2 := mustOpenDir(t, dir, ssidb.Options{CheckpointBytes: -1})
+	defer db2.Close()
+	if got := db2.TableStats("ghost").Shards; got != 0 {
+		t.Fatalf("ghost table recovered with %d shards, want 0 (never created)", got)
+	}
+	if got := db2.TableStats("t").Keys; got != 1 {
+		t.Fatalf("table t recovered with %d keys, want 1", got)
+	}
+}
+
 // TestCheckpointAfterCloseRefused: a checkpoint of a closed database is an
 // error and touches nothing — it must neither publish a CHECKPOINT nor
 // truncate segments through the closed log. The same check stops an

@@ -21,10 +21,8 @@ package ssidb
 // back to SerializableSI (a one-way latch, counted in Stats.SDGEscalations),
 // because a single unverified access voids the proof for every concurrent and
 // future execution. Ad-hoc transactions (Begin/BeginTx/Run alongside a
-// registered program set) force the same escalation, unless the registration
-// opted into AllowAdhoc — in which case ad-hoc transactions are admitted
-// after the in-flight SI program transactions drain, and programs run at
-// SerializableSI while any ad-hoc transaction is active.
+// registered program set) force the same escalation, and are admitted once
+// the in-flight SI program transactions drain.
 //
 // Mixing is sound in both directions: among the registered programs SI and
 // SSI may coexist freely (SSI is SI plus extra aborts, so any mixed execution
@@ -62,15 +60,6 @@ type ProgramOptions struct {
 	// at runtime on the promoted tables. The analysis then runs on the
 	// remedied set; if it is robust, programs execute at plain SI.
 	AutoRemedy bool
-	// AllowAdhoc admits ad-hoc transactions alongside the registered
-	// programs without escalating: an ad-hoc begin waits for in-flight
-	// SI-mode program transactions to drain, and programs run at
-	// SerializableSI while any ad-hoc transaction is active. The ad-hoc
-	// transaction itself runs at whatever level its caller asked for;
-	// serializability against the programs is guaranteed when that level is
-	// SerializableSI. Without AllowAdhoc, any ad-hoc begin permanently
-	// escalates the database.
-	AllowAdhoc bool
 }
 
 // ProgramReport is the registration verdict.
@@ -105,10 +94,8 @@ type registeredProgram struct {
 }
 
 type progRegistry struct {
-	opts   ProgramOptions
 	byName map[string]*registeredProgram
 	robust bool
-	report ProgramReport
 }
 
 // RegisterPrograms declares the application's transaction programs and runs
@@ -149,7 +136,7 @@ func (db *DB) RegisterPrograms(progs []*sdg.Program, opts ProgramOptions) (*Prog
 		originalWrites[p.Name] = ws
 	}
 
-	reg := &progRegistry{opts: opts, byName: map[string]*registeredProgram{}, robust: report.Robust}
+	reg := &progRegistry{byName: map[string]*registeredProgram{}, robust: report.Robust}
 	for _, p := range remedied.Programs {
 		rp := &registeredProgram{
 			name:        p.Name,
@@ -193,17 +180,11 @@ func (db *DB) RegisterPrograms(progs []*sdg.Program, opts ProgramOptions) (*Prog
 		}
 		reg.byName[p.Name] = rp
 	}
-	reg.report = *report
 	if !db.programs.CompareAndSwap(nil, reg) {
 		return nil, errors.New("ssidb: RegisterPrograms: programs already registered")
 	}
 	return report, nil
 }
-
-// Escalated reports whether the database has permanently escalated program
-// execution back to SerializableSI (a footprint violation or a non-admitted
-// ad-hoc transaction voided the robustness proof).
-func (db *DB) Escalated() bool { return db.sdgEscalated.Load() }
 
 // escalate trips the one-way SSI latch and counts the triggering event.
 func (db *DB) escalate() {
@@ -212,11 +193,11 @@ func (db *DB) escalate() {
 }
 
 // drainSIPrograms waits until no program transaction admitted at plain SI is
-// still in flight. Callers flip the condition that stops new SI admissions
-// (the escalation latch, or adhocActive > 0) *before* draining; program
-// admission re-checks that condition after publishing itself to siProgActive,
-// so — both sides being sequentially consistent atomics — an admission this
-// drain misses is one that observed the flipped condition and chose SSI.
+// still in flight. Callers trip the escalation latch, which stops new SI
+// admissions, *before* draining; program admission re-checks the latch after
+// publishing itself to siProgActive, so — both sides being sequentially
+// consistent atomics — an admission this drain misses is one that observed
+// the latch and chose SSI.
 func (db *DB) drainSIPrograms() {
 	for i := 0; db.siProgActive.Load() != 0; i++ {
 		if i < 64 {
@@ -228,25 +209,17 @@ func (db *DB) drainSIPrograms() {
 }
 
 // noteAdhocBegin implements the ad-hoc side of the contract at every public
-// begin. With no registered programs it is one atomic load. It returns
-// whether the transaction holds an ad-hoc admission token (AllowAdhoc mode)
-// that must be released when the transaction finishes.
+// begin: escalate, then drain. With no registered programs it is one atomic
+// load.
 //
 // Do not Begin an ad-hoc transaction from inside a RunProgram function: the
 // drain would wait for the program transaction that is running it.
-func (db *DB) noteAdhocBegin() bool {
-	reg := db.programs.Load()
-	if reg == nil {
-		return false
-	}
-	if reg.opts.AllowAdhoc {
-		db.adhocActive.Add(1)
-		db.drainSIPrograms()
-		return true
+func (db *DB) noteAdhocBegin() {
+	if db.programs.Load() == nil {
+		return
 	}
 	db.escalate()
 	db.drainSIPrograms()
-	return false
 }
 
 // BeginProgram starts a transaction executing the named registered program,
@@ -267,12 +240,12 @@ func (db *DB) BeginProgram(name string) (*Txn, error) {
 	db.programRuns.Add(1)
 	iso := SerializableSI
 	siToken := false
-	if reg.robust && !db.sdgEscalated.Load() && db.adhocActive.Load() == 0 {
-		// Publish-then-recheck against the ad-hoc drain barrier (see
-		// drainSIPrograms): after the publication, either no barrier is up
-		// and SI admission is safe, or the barrier-raiser will see us drain.
+	if reg.robust && !db.sdgEscalated.Load() {
+		// Publish-then-recheck against escalation (see drainSIPrograms):
+		// after the publication, either the latch is down and SI admission is
+		// safe, or the escalator will see us drain.
 		db.siProgActive.Add(1)
-		if db.sdgEscalated.Load() || db.adhocActive.Load() != 0 {
+		if db.sdgEscalated.Load() {
 			db.siProgActive.Add(-1)
 		} else {
 			iso = SnapshotIsolation

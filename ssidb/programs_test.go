@@ -166,7 +166,7 @@ func TestFootprintViolationEscalates(t *testing.T) {
 		t.Fatalf("commit after statement-level violation: %v", err)
 	}
 
-	if !db.Escalated() {
+	if !db.StatsSnapshot().SDGEscalated {
 		t.Fatal("database did not escalate")
 	}
 	st := db.StatsSnapshot()
@@ -185,8 +185,8 @@ func TestFootprintViolationEscalates(t *testing.T) {
 	}
 }
 
-// TestAdhocBeginEscalates: without AllowAdhoc, any ad-hoc transaction
-// alongside registered programs voids the proof.
+// TestAdhocBeginEscalates: any ad-hoc transaction alongside registered
+// programs voids the proof.
 func TestAdhocBeginEscalates(t *testing.T) {
 	cfg := smallbank.DefaultConfig()
 	cfg.Accounts = 4
@@ -195,62 +195,17 @@ func TestAdhocBeginEscalates(t *testing.T) {
 	if _, err := smallbank.Register(db, true); err != nil {
 		t.Fatal(err)
 	}
-	if db.Escalated() {
+	if db.StatsSnapshot().SDGEscalated {
 		t.Fatal("escalated before any ad-hoc begin")
 	}
 	if _, err := smallbank.TotalMoney(db, cfg); err != nil {
 		t.Fatal(err)
 	}
-	if !db.Escalated() {
+	if !db.StatsSnapshot().SDGEscalated {
 		t.Fatal("ad-hoc transaction did not escalate")
 	}
 	if st := db.StatsSnapshot(); st.SDGEscalations < 1 {
 		t.Fatalf("SDGEscalations = %d, want >= 1", st.SDGEscalations)
-	}
-}
-
-// TestAllowAdhocBarrier: with AllowAdhoc, ad-hoc transactions are admitted
-// without escalating, and programs run at SerializableSI exactly while one is
-// in flight.
-func TestAllowAdhocBarrier(t *testing.T) {
-	cfg := smallbank.DefaultConfig()
-	cfg.Accounts = 4
-	db := ssidb.Open(ssidb.Options{})
-	sbLoad(t, db, cfg)
-	if _, err := db.RegisterPrograms(smallbank.Programs(), ssidb.ProgramOptions{
-		ClassTables: smallbank.ClassTables(),
-		AutoRemedy:  true,
-		AllowAdhoc:  true,
-	}); err != nil {
-		t.Fatal(err)
-	}
-
-	adhoc := db.Begin(ssidb.SerializableSI)
-	if db.Escalated() {
-		t.Fatal("AllowAdhoc begin escalated")
-	}
-	tx, err := db.BeginProgram(smallbank.ProgBalance)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tx.Isolation() != ssidb.SerializableSI {
-		t.Errorf("program concurrent with ad-hoc at %v, want SerializableSI", tx.Isolation())
-	}
-	tx.Abort()
-	if err := adhoc.Commit(); err != nil {
-		t.Fatal(err)
-	}
-
-	tx, err = db.BeginProgram(smallbank.ProgBalance)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tx.Isolation() != ssidb.SnapshotIsolation {
-		t.Errorf("program after ad-hoc finished at %v, want SnapshotIsolation", tx.Isolation())
-	}
-	tx.Abort()
-	if db.Escalated() {
-		t.Fatal("escalated despite AllowAdhoc")
 	}
 }
 
@@ -474,7 +429,7 @@ func TestFootprintEscalationRace(t *testing.T) {
 	}
 	wg.Wait()
 
-	if !db.Escalated() {
+	if !db.StatsSnapshot().SDGEscalated {
 		t.Fatal("violation did not escalate")
 	}
 	st := db.StatsSnapshot()

@@ -217,11 +217,11 @@ func TestRandomConcurrentSerializability(t *testing.T) {
 
 // TestMixedReadOnlySerializability is the property suite for the declared
 // read-only path: random read-write transactions run concurrently with pure
-// readers declared read-only (every third reader through a DEFERRABLE
-// begin), and the recorded multiversion serialization graph must stay
-// acyclic at every detector, granularity and store layout. This is the
-// dynamic check that dropping the readers' out-edge tracking and (on safe
-// snapshots) their SIREAD locks never lets a dangerous structure through.
+// readers declared read-only, and the recorded multiversion serialization
+// graph must stay acyclic at every detector, granularity and store layout.
+// This is the dynamic check that dropping the readers' out-edge tracking and
+// (on safe snapshots) their SIREAD locks never lets a dangerous structure
+// through.
 func TestMixedReadOnlySerializability(t *testing.T) {
 	runOnce := func(opts ssidb.Options, readerIso ssidb.Isolation, declared bool, seed int64) (*sercheck.History, int) {
 		hist := sercheck.NewHistory()
@@ -271,9 +271,7 @@ func TestMixedReadOnlySerializability(t *testing.T) {
 				}
 			}(g)
 		}
-		// 2 pure readers at readerIso, declared RO when configured; every
-		// third declared reader begins DEFERRABLE (and so may block until
-		// the writers leave a safe snapshot behind).
+		// 2 pure readers at readerIso, declared RO when configured.
 		for g := 0; g < 2; g++ {
 			wg.Add(1)
 			go func(g int) {
@@ -281,12 +279,9 @@ func TestMixedReadOnlySerializability(t *testing.T) {
 				r := rand.New(rand.NewSource(seed + 100 + int64(g)))
 				for i := 0; i < 30; i++ {
 					var tx *ssidb.Txn
-					switch {
-					case declared && i%3 == 2:
-						tx = db.BeginTx(readerIso, ssidb.TxnOptions{ReadOnly: true, Deferrable: true})
-					case declared:
+					if declared {
 						tx = db.BeginReadOnly(readerIso)
-					default:
+					} else {
 						tx = db.Begin(readerIso)
 					}
 					err := func() error {
@@ -486,7 +481,7 @@ func TestScanLimitMinQueryConflict(t *testing.T) {
 	}
 	aborted := 0
 	for _, e := range []error{e1, e2} {
-		if ssidb.IsAbort(e) {
+		if ssidb.Retryable(e) {
 			aborted++
 		} else if e != nil {
 			t.Fatal(e)

@@ -127,63 +127,6 @@ func TestReadOnlyUnsafeKeepsSIReads(t *testing.T) {
 	}
 }
 
-// TestDeferredBegin pins the DEFERRABLE contract: on a quiet database the
-// deferred begin returns immediately with a safe snapshot; with a pinning
-// read-write transaction it waits until that transaction ends and then
-// returns a safe snapshot, counting the wait.
-func TestDeferredBegin(t *testing.T) {
-	db := Open(Options{Detector: DetectorPrecise})
-	seed(t, db, "kv", "a", 1)
-
-	tx := db.BeginTx(SerializableSI, TxnOptions{ReadOnly: true, Deferrable: true})
-	if !tx.SafeSnapshot() {
-		t.Fatal("deferred begin on a quiet database not safe")
-	}
-	if _, _, err := tx.Get("kv", []byte("a")); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if st := db.StatsSnapshot(); st.RODeferredWaits != 0 {
-		t.Fatalf("quiet deferred begin waited (%d)", st.RODeferredWaits)
-	}
-
-	// A pinning RW transaction with a committed Tout inside its window
-	// forces the wait.
-	rw := db.Begin(SerializableSI)
-	if _, _, err := rw.Get("kv", []byte("a")); err != nil {
-		t.Fatal(err)
-	}
-	seed(t, db, "kv", "b", 2)
-	done := make(chan *Txn, 1)
-	go func() {
-		done <- db.BeginTx(SerializableSI, TxnOptions{ReadOnly: true, Deferrable: true})
-	}()
-	select {
-	case <-done:
-		t.Fatal("deferred begin returned while an RW snapshot pinned the watermark")
-	case <-time.After(20 * time.Millisecond):
-	}
-	if err := rw.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case tx := <-done:
-		if !tx.SafeSnapshot() {
-			t.Fatal("deferred begin returned an unsafe snapshot")
-		}
-		if err := tx.Commit(); err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("deferred begin still blocked after the pinning txn ended")
-	}
-	if st := db.StatsSnapshot(); st.RODeferredWaits != 1 {
-		t.Fatalf("RODeferredWaits = %d, want 1", st.RODeferredWaits)
-	}
-}
-
 // TestROStatsShardTransparency asserts the read-only counters are invariant
 // under both shard axes: the same deterministic workload on 1 versus 64
 // lock shards and 1 versus 64 table partitions must census identically.
@@ -210,7 +153,7 @@ func TestROStatsShardTransparency(t *testing.T) {
 		if err := rw.Commit(); err != nil {
 			t.Fatal(err)
 		}
-		// ... then promoted readers, point and scan, plus a deferred begin.
+		// ... then promoted readers, point and scan, and point only.
 		r2 := db.BeginReadOnly(SerializableSI)
 		for i := 0; i < 4; i++ {
 			if _, _, err := r2.Get("kv", []byte(fmt.Sprintf("k%02d", i))); err != nil {
@@ -223,7 +166,7 @@ func TestROStatsShardTransparency(t *testing.T) {
 		if err := r2.Commit(); err != nil {
 			t.Fatal(err)
 		}
-		r3 := db.BeginTx(SerializableSI, TxnOptions{ReadOnly: true, Deferrable: true})
+		r3 := db.BeginReadOnly(SerializableSI)
 		if _, _, err := r3.Get("kv", []byte("k02")); err != nil {
 			t.Fatal(err)
 		}
@@ -241,7 +184,7 @@ func TestROStatsShardTransparency(t *testing.T) {
 		{Detector: DetectorPrecise, LockShards: 64, TableShards: 64},
 	} {
 		st := run(opts)
-		got := [4]uint64{st.ROBegins, st.ROSafePromotions, st.RODeferredWaits, st.ROSIReadSkips}
+		got := [3]uint64{st.ROBegins, st.ROSafePromotions, st.ROSIReadSkips}
 		if ref == nil {
 			ref = &st
 			if st.ROBegins != 3 || st.ROSafePromotions != 2 {
@@ -249,7 +192,7 @@ func TestROStatsShardTransparency(t *testing.T) {
 			}
 			continue
 		}
-		want := [4]uint64{ref.ROBegins, ref.ROSafePromotions, ref.RODeferredWaits, ref.ROSIReadSkips}
+		want := [3]uint64{ref.ROBegins, ref.ROSafePromotions, ref.ROSIReadSkips}
 		if got != want {
 			t.Fatalf("shards=%d/%d: RO census %v, want %v (shard-dependent counters)",
 				opts.LockShards, opts.TableShards, got, want)
@@ -259,8 +202,7 @@ func TestROStatsShardTransparency(t *testing.T) {
 
 // TestReadOnlySafePromotionRace is the -race stress for the safe-snapshot
 // detector: read-write committers (some carrying out-edges, raising the
-// threat horizon) race declared and deferred read-only readers that promote
-// mid-flight. The assertions are the data-race detector itself plus
+// threat horizon) race declared read-only readers that promote mid-flight. The assertions are the data-race detector itself plus
 // bookkeeping drain.
 func TestReadOnlySafePromotionRace(t *testing.T) {
 	db := Open(Options{Detector: DetectorPrecise, TableShards: 4})
@@ -303,23 +245,6 @@ func TestReadOnlySafePromotionRace(t *testing.T) {
 			}
 		}(g)
 	}
-	// Deferred begins racing the churn.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for !stop.Load() {
-			tx := db.BeginTx(SerializableSI, TxnOptions{ReadOnly: true, Deferrable: true})
-			if !tx.SafeSnapshot() {
-				panic("deferred begin returned unsafe")
-			}
-			if _, _, err := tx.Get("kv", []byte("k00")); err != nil {
-				panic(err)
-			}
-			if err := tx.Commit(); err != nil {
-				panic(err)
-			}
-		}
-	}()
 	time.Sleep(300 * time.Millisecond)
 	stop.Store(true)
 	wg.Wait()

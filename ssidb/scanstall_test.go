@@ -99,7 +99,7 @@ func TestScanStallWriterLatency(t *testing.T) {
 						})
 						lat := time.Since(start)
 						if err != nil {
-							if !ssidb.IsAbort(err) {
+							if !ssidb.Retryable(err) {
 								t.Error(err)
 								return
 							}
@@ -210,7 +210,7 @@ func TestLongScanSerializability(t *testing.T) {
 						})
 						if err == nil {
 							committed.Add(1)
-						} else if !ssidb.IsAbort(err) {
+						} else if !ssidb.Retryable(err) {
 							t.Error(err)
 							return
 						}

@@ -44,7 +44,7 @@ func TestImplicitTableSplitInheritsSIRead(t *testing.T) {
 	}
 
 	// Concurrent inserts force repeated leaf splits.
-	pagesBefore := db.TablePages("t")
+	pagesBefore := db.TableStats("t").Pages
 	if err := db.Run(SnapshotIsolation, func(tx *Txn) error {
 		for i := 4; i < 20; i++ {
 			if err := tx.Put("t", key(i), []byte("v")); err != nil {
@@ -55,9 +55,9 @@ func TestImplicitTableSplitInheritsSIRead(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if db.TablePages("t") <= pagesBefore {
+	if db.TableStats("t").Pages <= pagesBefore {
 		t.Fatalf("no split happened (pages %d -> %d); test needs smaller pages",
-			pagesBefore, db.TablePages("t"))
+			pagesBefore, db.TableStats("t").Pages)
 	}
 
 	// Every leaf page descends from a page the reader covered, so the

@@ -30,11 +30,12 @@
 //
 // Errors ErrUnsafe, ErrWriteConflict, ErrDeadlock and ErrLockTimeout mean
 // the transaction was aborted and should be retried by the application
-// (IsAbort classifies them).
+// (Retryable classifies them).
 //
 // # Durability
 //
-// Open is in-memory; OpenDir adds a write-ahead log and crash recovery:
+// Open is in-memory; OpenDir, the one durable entry point, adds a write-ahead
+// log and crash recovery:
 //
 //	db, err := ssidb.OpenDir(dir, ssidb.Options{
 //		GroupCommitMaxDelay: 200 * time.Microsecond,
@@ -84,10 +85,8 @@
 // SerializableSI. The proof is guarded at runtime: accesses outside a
 // program's declared footprint fail that statement with ErrFootprint and
 // permanently escalate the database to SerializableSI, as does any ad-hoc
-// Begin alongside registered programs (unless ProgramOptions.AllowAdhoc,
-// which instead runs programs at SerializableSI while ad-hoc transactions
-// are in flight). Stats reports ProgramRuns, ProgramSIRuns,
-// FootprintViolations, SDGEscalations and SDGEscalated.
+// Begin alongside registered programs. Stats reports ProgramRuns,
+// ProgramSIRuns, FootprintViolations, SDGEscalations and SDGEscalated.
 package ssidb
 
 import (
@@ -159,27 +158,20 @@ var (
 	ErrReadOnly = errors.New("ssi: write on read-only transaction")
 )
 
-// IsAbort reports whether err is one of the abort-class errors after which
-// the transaction has been rolled back and may be retried.
-func IsAbort(err error) bool {
-	return errors.Is(err, ErrUnsafe) || errors.Is(err, ErrWriteConflict) ||
-		errors.Is(err, ErrDeadlock) || errors.Is(err, ErrLockTimeout)
-}
-
-// Retryable reports whether err is a transient, retry-on-a-fresh-transaction
-// error: a serialization failure (ErrUnsafe), a First-Committer-Wins write
-// conflict (ErrWriteConflict), a deadlock victim (ErrDeadlock), or a lock
-// wait abandoned at Options.LockWaitTimeout (ErrLockTimeout). It is the one
+// Retryable reports whether err is one of the abort-class errors, after which
+// the transaction has been rolled back and may be retried on a fresh one: a
+// serialization failure (ErrUnsafe), a First-Committer-Wins write conflict
+// (ErrWriteConflict), a deadlock victim (ErrDeadlock), or a lock wait
+// abandoned at Options.LockWaitTimeout (ErrLockTimeout). It is the one
 // retry classification shared by RunRetry, the server's wire error mapping
 // (internal/server sets its retryable bit from it), and the ssibench network
-// client — so retry policy cannot drift between layers.
-//
-// Today Retryable(err) == IsAbort(err); it exists as the stable, intent-named
-// API. Callers that loop on it should back off on RunRetry's schedule (stated
-// there), which desynchronises contending retry loops — the way out of the
-// few aborts that implicate no committed transaction.
+// client — so retry policy cannot drift between layers. Callers that loop on
+// it should back off on RunRetry's schedule (stated there), which
+// desynchronises contending retry loops — the way out of the few aborts that
+// implicate no committed transaction.
 func Retryable(err error) bool {
-	return IsAbort(err)
+	return errors.Is(err, ErrUnsafe) || errors.Is(err, ErrWriteConflict) ||
+		errors.Is(err, ErrDeadlock) || errors.Is(err, ErrLockTimeout)
 }
 
 // errText renders an error for a stats field: empty string for nil.
@@ -225,13 +217,8 @@ type Options struct {
 	// commit: the WAL runs against an in-memory null device whose sync
 	// sleeps this long. Zero disables logging entirely (the Figure 6.1
 	// configuration); non-zero enables group commit against the simulated
-	// disk (Figures 6.2+). Ignored when Dir is set — real fsyncs are used.
+	// disk (Figures 6.2+). Ignored by OpenDir — real fsyncs are used.
 	FlushLatency time.Duration
-	// Dir, when non-empty, makes the database durable: commits are redo-
-	// logged to a group-committed WAL under Dir, checkpoints are written
-	// there, and OpenDir replays both on restart. Empty (the default) keeps
-	// the engine fully in-memory.
-	Dir string
 	// GroupCommitMaxDelay is how long the WAL flusher lingers before
 	// issuing its sync so concurrent committers can join the batch. Zero
 	// syncs immediately; batching still happens naturally among commits
@@ -242,7 +229,7 @@ type Options struct {
 	// CheckpointBytes triggers an automatic asynchronous checkpoint (and
 	// WAL truncation) once this many log bytes accumulate since the last
 	// one. Zero selects the default (16 MiB); negative disables automatic
-	// checkpoints (DB.Checkpoint still works). Only meaningful with Dir.
+	// checkpoints (DB.Checkpoint still works). Only meaningful with OpenDir.
 	CheckpointBytes int64
 	// LockShards is the number of hash stripes in the lock manager's table
 	// (rounded up to a power of two, clamped to [1, 256]). Zero selects the
@@ -307,8 +294,8 @@ type DB struct {
 	mgr     *core.Manager
 	locks   *lock.Manager
 	targets lockTargets // the granularity strategy (txn.go), fixed at open
-	log     *wal.Log    // nil when neither Dir nor FlushLatency is set
-	dir     string      // Options.Dir; "" for in-memory (real or simulated log)
+	log     *wal.Log    // nil when neither OpenDir nor FlushLatency set one up
+	dir     string      // OpenDir's directory; "" for in-memory (real or simulated log)
 
 	tables   atomic.Pointer[tableMap]
 	createMu sync.Mutex // serialises table creation (map copy + publish)
@@ -326,16 +313,14 @@ type DB struct {
 	closed      bool
 
 	// Read-only path instrumentation (see Stats).
-	roBegins        atomic.Uint64
-	roPromotions    atomic.Uint64
-	roDeferredWaits atomic.Uint64
-	roSIReadSkips   atomic.Uint64
+	roBegins      atomic.Uint64
+	roPromotions  atomic.Uint64
+	roSIReadSkips atomic.Uint64
 
 	// Robustness subsystem (programs.go): the registered program set, the
 	// one-way escalated-to-SSI latch with its event counter, the footprint
-	// and program-run counters, and the ad-hoc drain barrier pair —
-	// siProgActive counts in-flight program transactions admitted at plain
-	// SI, adhocActive the ad-hoc transactions admitted under AllowAdhoc.
+	// and program-run counters, and siProgActive, the in-flight program
+	// transactions admitted at plain SI that an ad-hoc begin drains.
 	programs            atomic.Pointer[progRegistry]
 	sdgEscalated        atomic.Bool
 	sdgEscalations      atomic.Uint64
@@ -343,18 +328,11 @@ type DB struct {
 	programRuns         atomic.Uint64
 	programSIRuns       atomic.Uint64
 	siProgActive        atomic.Int64
-	adhocActive         atomic.Int64
 }
 
-// Open creates a database with the given options. With Options.Dir unset it
-// always succeeds and the database is in-memory; with Dir set it may need
-// recovery, and Open panics where OpenDir would return an error — durable
-// callers should prefer OpenDir.
+// Open creates an in-memory database with the given options.
 func Open(opts Options) *DB {
-	db, err := open(opts)
-	if err != nil {
-		panic("ssidb: Open(durable): " + err.Error())
-	}
+	db, _ := open("", opts) // only recovery fails, and an in-memory database has none
 	return db
 }
 
@@ -364,20 +342,19 @@ func Open(opts Options) *DB {
 // rolling the log forward. Stats.RecoveryReplayed reports how many log
 // records were applied.
 func OpenDir(dir string, opts Options) (*DB, error) {
-	opts.Dir = dir
-	return open(opts)
+	return open(dir, opts)
 }
 
-func open(opts Options) (*DB, error) {
+func open(dir string, opts Options) (*DB, error) {
 	if opts.PageMaxKeys <= 0 {
 		opts.PageMaxKeys = 64
 	}
-	if opts.Dir != "" && opts.CheckpointBytes == 0 {
+	if dir != "" && opts.CheckpointBytes == 0 {
 		opts.CheckpointBytes = 16 << 20
 	}
 	db := &DB{
 		opts:  opts,
-		dir:   opts.Dir,
+		dir:   dir,
 		mgr:   core.NewManager(opts.Detector),
 		locks: lock.NewManagerShards(!opts.DisableSIReadUpgrade, opts.LockShards),
 	}
@@ -390,9 +367,9 @@ func open(opts Options) (*DB, error) {
 	db.locks.SetWaitTimeout(opts.LockWaitTimeout)
 	db.mgr.SetRetireHook(db.retire)
 	db.ckptAt.Store(math.MaxUint64)
-	if opts.Dir != "" || opts.FlushLatency > 0 {
+	if dir != "" || opts.FlushLatency > 0 {
 		l, err := wal.Open(wal.Options{
-			Dir:                 opts.Dir,
+			Dir:                 dir,
 			SyncDelay:           opts.FlushLatency,
 			SegmentBytes:        opts.SegmentBytes,
 			GroupCommitMaxDelay: opts.GroupCommitMaxDelay,
@@ -401,7 +378,7 @@ func open(opts Options) (*DB, error) {
 			return nil, err
 		}
 		db.log = l
-		if opts.Dir != "" {
+		if dir != "" {
 			if err := db.recover(); err != nil {
 				l.Close()
 				return nil, err
@@ -509,26 +486,15 @@ type TxnOptions struct {
 	// acquiring SIREAD locks entirely, reading at plain-SI cost while
 	// remaining serializable.
 	ReadOnly bool
-	// Deferrable, with ReadOnly at SerializableSI, blocks begin until a safe
-	// snapshot is available, so the transaction runs SIREAD-free from its
-	// first read. Like PostgreSQL's SERIALIZABLE READ ONLY DEFERRABLE it may
-	// wait indefinitely under sustained read-write traffic; it never aborts
-	// other transactions to get its snapshot. Ignored unless ReadOnly at a
-	// conflict-tracking level.
-	Deferrable bool
 }
 
 // BeginTx is Begin with explicit transaction options.
 //
 // With programs registered (RegisterPrograms), BeginTx is an *ad-hoc* begin:
-// it permanently escalates program execution to SerializableSI — unless the
-// registration opted into AllowAdhoc, in which case it waits for in-flight
-// SI-mode program transactions to drain and is admitted without escalating.
+// it permanently escalates program execution to SerializableSI.
 func (db *DB) BeginTx(iso Isolation, opts TxnOptions) *Txn {
-	adhocToken := db.noteAdhocBegin()
-	tx := db.beginTx(iso, opts)
-	tx.adhocToken = adhocToken
-	return tx
+	db.noteAdhocBegin()
+	return db.beginTx(iso, opts)
 }
 
 // beginTx starts a transaction without the ad-hoc accounting — the shared
@@ -536,54 +502,18 @@ func (db *DB) BeginTx(iso Isolation, opts TxnOptions) *Txn {
 func (db *DB) beginTx(iso Isolation, opts TxnOptions) *Txn {
 	if opts.ReadOnly {
 		db.roBegins.Add(1)
-		if opts.Deferrable && iso.TracksConflicts() {
-			return db.beginDeferred(iso)
-		}
 	}
 	t := db.mgr.BeginTx(iso, opts.ReadOnly)
 	if r := db.opts.Recorder; r != nil {
 		r.RecBegin(t.ID(), iso.String())
 	}
-	return db.newTxn(t, opts.ReadOnly, false)
+	return db.newTxn(t, opts.ReadOnly)
 }
 
 // BeginReadOnly starts a transaction declared read-only at the given
 // isolation level: BeginTx(iso, TxnOptions{ReadOnly: true}).
 func (db *DB) BeginReadOnly(iso Isolation) *Txn {
 	return db.BeginTx(iso, TxnOptions{ReadOnly: true})
-}
-
-// beginDeferred implements the DEFERRABLE contract: acquire a snapshot, and
-// if it is not safe, either keep waiting for the read-write watermark to
-// pass it (no potential pivot has committed above it yet) or — once one
-// has, dooming it forever — discard the probe transaction and retry with a
-// fresh snapshot, which starts above the threat that killed the last one.
-func (db *DB) beginDeferred(iso Isolation) *Txn {
-	waited := false
-	for {
-		t := db.mgr.BeginTx(iso, true)
-		s := db.mgr.AssignSnapshot(t)
-		for {
-			if db.mgr.SnapshotSafe(t) {
-				if r := db.opts.Recorder; r != nil {
-					r.RecBegin(t.ID(), iso.String())
-				}
-				db.roPromotions.Add(1)
-				return db.newTxn(t, true, true)
-			}
-			if db.mgr.ThreatHorizon() > s {
-				break // doomed: a threat committed above s, retry fresh
-			}
-			if !waited {
-				waited = true
-				db.roDeferredWaits.Add(1)
-			}
-			time.Sleep(50 * time.Microsecond)
-		}
-		// The probe never ran a statement and was never announced to the
-		// Recorder, so a plain core abort erases it.
-		db.mgr.Abort(t)
-	}
 }
 
 // RunReadOnly is Run with the transaction declared read-only.
@@ -802,15 +732,12 @@ type Stats struct {
 
 	// Read-only path instrumentation, cumulative since Open. ROBegins counts
 	// transactions declared read-only at begin; ROSafePromotions the
-	// read-only SSI transactions that reached a safe snapshot (at begin for
-	// deferred begins, mid-flight otherwise) and dropped SIREAD acquisition;
-	// RODeferredWaits the deferrable begins that actually had to wait;
-	// ROSIReadSkips the SIREAD lock acquisitions avoided by promoted
+	// read-only SSI transactions that reached a safe snapshot mid-flight and
+	// dropped SIREAD acquisition; ROSIReadSkips the SIREAD lock acquisitions avoided by promoted
 	// transactions (one per point read, one per scanned row plus its gap
 	// per scan).
 	ROBegins         uint64
 	ROSafePromotions uint64
-	RODeferredWaits  uint64
 	ROSIReadSkips    uint64
 
 	// Robustness-subsystem instrumentation, cumulative since Open.
@@ -819,7 +746,7 @@ type Stats struct {
 	// FootprintViolations the statements rejected for touching a table
 	// outside their program's declared footprint; SDGEscalations the events
 	// that tripped (or re-confirmed) the one-way escalated-to-SSI latch — a
-	// footprint violation, or an ad-hoc begin without AllowAdhoc.
+	// footprint violation, or an ad-hoc begin.
 	// SDGEscalated reports the latch itself.
 	ProgramRuns         uint64
 	ProgramSIRuns       uint64
@@ -853,7 +780,6 @@ func (db *DB) StatsSnapshot() Stats {
 		VersionsPruned:   vpruned,
 		ROBegins:         db.roBegins.Load(),
 		ROSafePromotions: db.roPromotions.Load(),
-		RODeferredWaits:  db.roDeferredWaits.Load(),
 		ROSIReadSkips:    db.roSIReadSkips.Load(),
 
 		ProgramRuns:         db.programRuns.Load(),
@@ -883,10 +809,3 @@ func (db *DB) StatsSnapshot() Stats {
 		LockWaitTime:   ls.WaitTime,
 	}
 }
-
-// TableLen returns the number of distinct keys ever inserted into table.
-func (db *DB) TableLen(name string) int { return db.table(name).data.Len() }
-
-// TablePages returns the number of B+tree pages allocated for table —
-// useful for sizing page-granularity contention experiments.
-func (db *DB) TablePages(name string) int { return db.table(name).data.PageCount() }

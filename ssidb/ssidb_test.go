@@ -240,7 +240,7 @@ func TestWriteSkewPreventedAtSSIPageMode(t *testing.T) {
 	for _, k := range []string{"a", "b", "y", "z"} {
 		seed(t, db, "acct", k, 50)
 	}
-	if db.TablePages("acct") < 2 {
+	if db.TableStats("acct").Pages < 2 {
 		t.Fatal("test setup: keys did not spread over multiple pages")
 	}
 	readBoth := func(tx *Txn) error {
@@ -861,7 +861,7 @@ func TestHotKeyProgress(t *testing.T) {
 				retry := func(fn func(tx *Txn) error) error {
 					for {
 						err := db.Run(SerializableSI, fn)
-						if err == nil || !IsAbort(err) {
+						if err == nil || !Retryable(err) {
 							return err
 						}
 					}

@@ -302,14 +302,14 @@ func TestQuiesceLeavesNoGarbage(t *testing.T) {
 				for i := 0; !stop.Load(); i++ {
 					pin := db.Begin(ssidb.SerializableSI)
 					if _, _, err := pin.Get("t", key(i%keys)); err != nil {
-						if !ssidb.IsAbort(err) { // the reader of a committed pivot's write
+						if !ssidb.Retryable(err) { // the reader of a committed pivot's write
 							t.Error(err)
 							return
 						}
 						continue
 					}
 					time.Sleep(200 * time.Microsecond)
-					if err := pin.Commit(); err != nil && !ssidb.IsAbort(err) {
+					if err := pin.Commit(); err != nil && !ssidb.Retryable(err) {
 						t.Error(err)
 						return
 					}

@@ -25,7 +25,7 @@ func TestLockWaitTimeoutAborts(t *testing.T) {
 	if !errors.Is(err, ErrLockTimeout) {
 		t.Fatalf("blocked write returned %v, want ErrLockTimeout", err)
 	}
-	if !IsAbort(err) {
+	if !Retryable(err) {
 		t.Fatal("ErrLockTimeout must be an abort-class (retryable) error")
 	}
 	// The timed-out transaction is already rolled back.

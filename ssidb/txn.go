@@ -26,12 +26,11 @@ type Txn struct {
 
 	// prog, when non-nil, marks a program transaction (BeginProgram): every
 	// access is checked against the program's declared table footprint, and
-	// reads of promoted tables perform the §2.6.2 identity write. The tokens
-	// are the transaction's shares of the DB's SI-program / ad-hoc drain
-	// counters, released exactly once when the transaction finishes.
+	// reads of promoted tables perform the §2.6.2 identity write.
+	// progSIToken is the transaction's share of the DB's SI-program drain
+	// counter, released exactly once when the transaction finishes.
 	prog        *registeredProgram
 	progSIToken bool
-	adhocToken  bool
 
 	done bool
 
@@ -87,8 +86,8 @@ const maxPooledWrites = 64 << 10 / int(unsafe.Sizeof(mvcc.Row{}))
 
 // newTxn builds the handle of a transaction that has just begun — the one
 // place a scratch is taken.
-func (db *DB) newTxn(t *core.Txn, ro, roSafe bool) *Txn {
-	return &Txn{db: db, t: t, s: txnScratchPool.Get().(*txnScratch), ro: ro, roSafe: roSafe}
+func (db *DB) newTxn(t *core.Txn, ro bool) *Txn {
+	return &Txn{db: db, t: t, s: txnScratchPool.Get().(*txnScratch), ro: ro}
 }
 
 // finish marks the handle done and takes its scratch from it.
@@ -125,9 +124,8 @@ func (tx *Txn) ReadOnly() bool { return tx.ro }
 
 // SafeSnapshot reports whether the transaction has been promoted to a safe
 // snapshot (it reads SIREAD-free at plain-SI cost while remaining
-// serializable). Deferred begins start promoted; other declared read-only
-// SerializableSI transactions promote mid-flight when their snapshot turns
-// safe.
+// serializable). Declared read-only SerializableSI transactions promote
+// mid-flight when their snapshot turns safe.
 func (tx *Txn) SafeSnapshot() bool { return tx.roSafe }
 
 // roFast reports whether the SSI read paths may skip SIREAD acquisition and
@@ -194,16 +192,12 @@ func (tx *Txn) cleanupAbort() {
 	}
 }
 
-// releaseProgTokens returns the transaction's shares of the robustness
-// subsystem's drain counters. Idempotent; called on every finish path.
+// releaseProgTokens returns the transaction's share of the robustness
+// subsystem's drain counter. Idempotent; called on every finish path.
 func (tx *Txn) releaseProgTokens() {
 	if tx.progSIToken {
 		tx.progSIToken = false
 		tx.db.siProgActive.Add(-1)
-	}
-	if tx.adhocToken {
-		tx.adhocToken = false
-		tx.db.adhocActive.Add(-1)
 	}
 }
 
