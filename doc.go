@@ -214,12 +214,18 @@
 //     chain on demand). The table directory itself is an atomic
 //     copy-on-write map — resolving a table name costs one atomic load.
 //   - A stored row is two things (≈78 B for a 4-byte key and a 1-byte
-//     value straight after a load, TestRowFootprintAllocBudget; ≈254 B for
-//     a SmallBank customer's three rows, TestSmallBankFootprintAllocBudget):
-//     a 24-byte {key, *chain} slot in a B+tree leaf (the tree is generic in
-//     its value type, so the slot holds no interface), and the 32-byte chain
-//     the slot points at, whose value is a pointer and a 32-bit length with
-//     the tombstone flag in the padding behind it. A leaf's slot array is
+//     value straight after a load, TestRowFootprintAllocBudget, and again
+//     once every row was overwritten,
+//     TestOverwrittenRowFootprintAllocBudget; ≈254 B for a SmallBank
+//     customer's three rows, TestSmallBankFootprintAllocBudget): a 24-byte
+//     {key, *chain} slot in a B+tree leaf (the tree is generic in its value
+//     type, so the slot holds no interface), and the 32-byte chain the slot
+//     points at, whose value is a pointer and a 32-bit length with the
+//     tombstone flag in the padding behind it. Its creator is its writer's
+//     24-byte core.Cell only until the writer retires: the pruning that
+//     retirement runs then points the version at the one shared frozen cell
+//     (PostgreSQL's FrozenTransactionId), so a row written long ago keeps no
+//     cell alive. A leaf's slot array is
 //     allocated once, at the page capacity plus the slot an insert overflows
 //     into (65 slots, a 1 792-byte allocation), and never regrown; a full page
 //     splits in the middle unless the new key landed at the right edge of

@@ -263,7 +263,16 @@
 //   - Writers find their rivals — SIREAD holders, committed and suspended or
 //     not — through the lock table, not through versions; First-Committer-
 //     Wins and pruning need the commit timestamp, which the cell keeps.
-//   - The history recorder needs the creator's id, which the cell keeps.
+//   - The history recorder needs the creator's id, which the cell keeps —
+//     until the store freezes the version (Frozen): by the same inequality
+//     every snapshot that reaches a frozen version selects it by timestamp
+//     alone, so the recorder reports FrozenID and its checker resolves the
+//     read to the newest recorded version at or before the read's timestamp.
+//
+// Freezing is what lets the cell itself die: the row store re-points a
+// retired writer's surviving versions at the one shared Frozen cell when it
+// prunes them, so once the drain has passed a writer and its page stamps have
+// folded, nothing references its cell.
 //
 // An aborted transaction's cell is never severed (its versions are rolled
 // back; a page stamp drops it at the page's next walk), so for a cell "no
@@ -484,8 +493,10 @@ type Txn struct {
 // its commit timestamp (visibility, First-Committer-Wins, pruning) and, while
 // some snapshot can still see the version as newer than its own, the record
 // itself (the target of an rw-antidependency). Versions and page write stamps
-// hold a *Cell, never a *Txn, so a row that is never overwritten keeps these
-// 24 bytes alive and not the record with everything it references.
+// hold a *Cell, never a *Txn, so a version keeps these 24 bytes alive and not
+// the record with everything it references — and only until its writer
+// retires: the store then points the version at the Frozen cell instead, so a
+// row that is never overwritten again pins no cell at all.
 //
 // commitTS goes 0 → final exactly once, stored under tsMu together with the
 // record's own (stampLocked), so a snapshot sees every earlier commit's cell
@@ -498,6 +509,35 @@ type Cell struct {
 	commitTS atomic.Uint64
 	rec      atomic.Pointer[Txn]
 }
+
+// FrozenID is the id of the Frozen cell. Transaction ids count up from 1, so
+// it names no transaction.
+const FrozenID = math.MaxUint64
+
+// frozen is the one Frozen cell, a cache line of padding on either side: the
+// versions of every cold row point at it, so their readers share lines nothing
+// ever writes to.
+var frozen struct {
+	_ [64]byte
+	Cell
+	_ [64]byte
+}
+
+func init() {
+	frozen.id = FrozenID
+	frozen.commitTS.Store(1)
+}
+
+// Frozen returns the cell a version points at once its creator has retired
+// (PostgreSQL's FrozenTransactionId): id FrozenID, commit timestamp 1 and no
+// record. It stands in for the creator's own cell exactly. A version is frozen
+// only when its creator's commit precedes every active snapshot, so every
+// snapshot that can reach it is above that commit, which is at least 1 —
+// visibility does not change; First-Committer-Wins compares a writer's
+// snapshot, which is above the real commit too, against 1 and passes as
+// before; and Txn is nil, as it already was once the creator was severed. Only
+// the creator's id is lost, which the history recorder alone reads.
+func Frozen() *Cell { return &frozen.Cell }
 
 // ID returns the creating transaction's identifier.
 func (c *Cell) ID() uint64 { return c.id }

@@ -15,8 +15,10 @@
 // transaction. That keeps the thesis prototypes' shape, where a row/page
 // version points at its creating transaction (assumption 3 of §3.2), without
 // their cost: nothing in this package that outlives a call keeps a
-// transaction record alive, so a row that is never overwritten pins 24 bytes,
-// not its creator's record and everything that references.
+// transaction record alive, and the pruning a writer's retirement runs points
+// the version it keeps at the shared core.Frozen cell, so a row that is never
+// overwritten pins nothing once its writer retires — neither its creator's
+// record nor its cell.
 //
 // # Rows
 //
@@ -123,7 +125,8 @@ import (
 // version is one version of a row. Versions form a singly linked list from
 // newest to oldest. creator is the creating transaction's cell, never nil and
 // never the record: its commit timestamp is 0 until (unless) the creator
-// commits, and its record is gone once every snapshot sees the version. The
+// commits, its record is gone once every snapshot sees the version, and once
+// pruning finds that so, it is core.Frozen instead (see pruneChain). The
 // value is its first byte and its length (see Data); a nil value has a nil
 // pointer, an empty one does not.
 type version struct {
@@ -219,7 +222,8 @@ type ReadResult struct {
 	// VisibleCreator is the cell of the transaction that created the visible
 	// version (live or tombstone), or nil if no version is visible. Used by
 	// the history recorder to attribute wr-dependencies by id, which the
-	// cell keeps after the record is gone.
+	// cell keeps after the record is gone — core.Frozen, whose id names no
+	// transaction, once the version was frozen.
 	VisibleCreator *core.Cell
 	// NewerWriters lists the creators of versions newer than the one read
 	// (committed after the snapshot, or still uncommitted by another
@@ -959,11 +963,14 @@ func (tb *Table) Vacuum() VacuumStats {
 // horizon — onto sh's free list, see recycle — and returns how many versions
 // it cut. No current or future snapshot can reach past that version, which is
 // kept (it is what the oldest snapshot reads), tombstone or not, per the
-// thesis note on reclaiming deleted rows. Caller holds sh.mu exclusively.
+// thesis note on reclaiming deleted rows; and since its commit precedes every
+// snapshot, it is frozen: it points at core.Frozen from now on, not at its
+// creator's cell. Caller holds sh.mu exclusively.
 func pruneChain(sh *shard, c *chain, horizon core.TS) (pruned int) {
 	sh.visits++
 	for v := c.first(); v != nil; v = v.older {
 		if ct := v.creator.CommitTS(); ct != 0 && ct < horizon {
+			v.creator = core.Frozen()
 			for o := v.older; o != nil; {
 				next := o.older
 				sh.recycle(o)

@@ -174,9 +174,19 @@ func TestRecycledVersionPinsNothing(t *testing.T) {
 }
 
 // recycleValue is what the writer of transaction id stores under key, so a
-// reader can tell a version whose data and creator do not belong together.
+// reader can tell whose version it read, and a version whose data and creator
+// do not belong together.
 func recycleValue(key string, id uint64) []byte {
 	return binary.BigEndian.AppendUint64([]byte(key), id)
+}
+
+// recycleWriter decodes recycleValue: the id of the writer whose value of key
+// val is, and whether val is such a value at all.
+func recycleWriter(key string, val []byte) (uint64, bool) {
+	if len(val) != len(key)+8 || string(val[:len(key)]) != key {
+		return 0, false
+	}
+	return binary.BigEndian.Uint64(val[len(key):]), true
 }
 
 // TestRecycledVersionNeverVisible: with every writer pruning what it
@@ -228,37 +238,46 @@ func TestRecycledVersionNeverVisible(t *testing.T) {
 		write(k)
 	}
 
-	// A reader checks what it can at once — the version is older than its
-	// snapshot, carries its creator's data and does not change while the
-	// snapshot is held — and logs the rest for the end.
+	// A reader identifies the version it read by its value, which names the
+	// writer — a frozen version no longer names it through its creator. It
+	// checks what it can at once — the value is a writer's of this key, an
+	// unfrozen creator is the one the value names and committed before the
+	// snapshot, and the version does not change while the snapshot is held —
+	// and logs the rest for the end.
 	type observation struct {
 		k    int
 		snap core.TS
-		ct   core.TS
+		id   uint64
 	}
 	var obsMu sync.Mutex
 	var observed []observation
-	read := func(r *core.Txn, snap core.TS, k int, seen map[int]core.TS) {
+	read := func(r *core.Txn, snap core.TS, k int, seen map[int]uint64) {
 		defer runtime.Gosched()
 		res := tb.Read(r, snap, []byte(keys[k]))
 		if !res.Found {
 			t.Errorf("snapshot %d finds no version of %s", snap, keys[k])
 			return
 		}
-		ct := res.VisibleCreator.CommitTS()
-		if ct == 0 || ct >= snap {
-			t.Errorf("snapshot %d reads a version of %s committed at %d", snap, keys[k], ct)
+		id, ok := recycleWriter(keys[k], res.Value)
+		if !ok {
+			t.Errorf("snapshot %d reads %q of %s, no writer's value of it", snap, res.Value, keys[k])
+			return
 		}
-		if want := recycleValue(keys[k], res.VisibleCreator.ID()); string(res.Value) != string(want) {
-			t.Errorf("snapshot %d reads %q of %s beside creator %d, whose value is %q", snap, res.Value, keys[k], res.VisibleCreator.ID(), want)
+		if c := res.VisibleCreator; c.ID() != core.FrozenID {
+			if c.ID() != id {
+				t.Errorf("snapshot %d reads %q of %s beside creator %d", snap, res.Value, keys[k], c.ID())
+			}
+			if ct := c.CommitTS(); ct == 0 || ct >= snap {
+				t.Errorf("snapshot %d reads a version of %s committed at %d", snap, keys[k], ct)
+			}
 		}
-		if prev, ok := seen[k]; ok && prev != ct {
-			t.Errorf("snapshot %d read the version of %s committed at %d, now the one at %d", snap, keys[k], prev, ct)
+		if prev, ok := seen[k]; ok && prev != id {
+			t.Errorf("snapshot %d read the version of %s written by %d, now the one by %d", snap, keys[k], prev, id)
 		}
 		if _, ok := seen[k]; !ok {
-			seen[k] = ct
+			seen[k] = id
 			obsMu.Lock()
-			observed = append(observed, observation{k, snap, ct})
+			observed = append(observed, observation{k, snap, id})
 			obsMu.Unlock()
 		}
 	}
@@ -266,7 +285,7 @@ func TestRecycledVersionNeverVisible(t *testing.T) {
 	// run overwrites every key perWriter times over, readers holding snapshots
 	// of staggered ages beside the writers, and one more re-reading the oldest
 	// snapshot around, if there is one.
-	run := func(pinned *core.Txn, pinnedSnap core.TS, pinnedSeen map[int]core.TS) {
+	run := func(pinned *core.Txn, pinnedSnap core.TS, pinnedSeen map[int]uint64) {
 		var stop atomic.Bool
 		var wg, rg sync.WaitGroup
 		for w := 0; w < writers; w++ {
@@ -287,7 +306,7 @@ func TestRecycledVersionNeverVisible(t *testing.T) {
 					// Reader g holds each of its snapshots for 4^g reads.
 					r := m.Begin(core.SnapshotIsolation)
 					snap := m.AssignSnapshot(r)
-					seen := map[int]core.TS{}
+					seen := map[int]uint64{}
 					for i := 0; i < 1<<(2*g) && !stop.Load(); i++ {
 						read(r, snap, rnd.Intn(nkeys), seen)
 					}
@@ -330,7 +349,7 @@ func TestRecycledVersionNeverVisible(t *testing.T) {
 	// nothing beyond what they held at the start.
 	pinned := m.Begin(core.SnapshotIsolation)
 	pinnedSnap := m.AssignSnapshot(pinned)
-	pinnedSeen := map[int]core.TS{}
+	pinnedSeen := map[int]uint64{}
 	tb.Vacuum()
 	base, recycled := chained(), freeLists(t, tb)
 	run(pinned, pinnedSnap, pinnedSeen)
@@ -345,16 +364,20 @@ func TestRecycledVersionNeverVisible(t *testing.T) {
 		t.Errorf("the pinned snapshot read %d of %d keys", len(pinnedSeen), nkeys)
 	}
 
-	// Every logged read was the newest version committed before its snapshot.
+	// Every logged read was the newest version committed before its snapshot,
+	// its writer's commit looked up in the history.
 	for _, o := range observed {
-		var want core.TS
+		var got, want core.TS
 		for _, c := range history[o.k] {
+			if c.id == o.id {
+				got = c.ct
+			}
 			if c.ct < o.snap {
 				want = c.ct
 			}
 		}
-		if o.ct != want {
-			t.Errorf("snapshot %d read the version of %s committed at %d, its snapshot selects the one at %d", o.snap, keys[o.k], o.ct, want)
+		if got == 0 || got != want {
+			t.Errorf("snapshot %d read the version of %s committed at %d (by %d), its snapshot selects the one at %d", o.snap, keys[o.k], got, o.id, want)
 		}
 	}
 

@@ -13,6 +13,7 @@ package sercheck
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -51,6 +52,11 @@ type Edge struct {
 	Table    string
 	Key      string
 }
+
+// frozenWriter is the sawWriter of a read of a frozen version, one whose
+// writer retired before the read (ssidb.Recorder): the store no longer knows
+// which transaction wrote it, only that its commit preceded the read.
+const frozenWriter = math.MaxUint64
 
 type readOp struct {
 	table, key string
@@ -234,30 +240,32 @@ func (h *History) MVSG() *Graph {
 			k := keyName(r.table, r.key)
 			vs := versions[k]
 			pos := -1 // read "before all versions"
-			if r.sawWriter != 0 {
-				if ct, ok := committed[r.sawWriter]; ok {
-					addEdge(r.sawWriter, id, WR, r.table, r.key)
-					for i, v := range vs {
-						if v.writer == r.sawWriter {
-							pos = i
-							break
-						}
-					}
-					_ = ct
-				} else if r.sawWriter == id {
-					// Read own write; rw edges go to versions after ours.
-					for i, v := range vs {
-						if v.writer == id {
-							pos = i
-							break
-						}
-					}
-				} else {
-					// Saw a version whose writer never committed: only
-					// possible for the reader's own aborted... treat as
-					// absent-before.
-					pos = -1
+			switch {
+			case r.sawWriter == frozenWriter:
+				// A frozen version: its writer's commit preceded the read, so
+				// the read saw the version its timestamp selects, the newest
+				// committed at or before readTS (at: a locking read's clock
+				// reading may be that very commit). If no recorded version
+				// is that old, it saw an unrecorded one, as below.
+				pos = sort.Search(len(vs), func(i int) bool { return vs[i].commitTS > r.readTS }) - 1
+				if pos >= 0 {
+					addEdge(vs[pos].writer, id, WR, r.table, r.key)
 				}
+			case committed[r.sawWriter] != nil:
+				// A recorded writer, the reader itself included (addEdge
+				// drops the self-edge; rw edges go to the versions after).
+				addEdge(r.sawWriter, id, WR, r.table, r.key)
+				for i, v := range vs {
+					if v.writer == r.sawWriter {
+						pos = i
+						break
+					}
+				}
+			default:
+				// 0, the key was absent; or a writer no History recorded:
+				// recovery replayed the version when the database opened,
+				// before every recorded transaction. Either way the read
+				// comes before all recorded versions.
 			}
 			if pos >= 0 {
 				for _, v := range vs[pos+1:] {

@@ -1,6 +1,8 @@
 package sercheck
 
 import (
+	"fmt"
+	"sort"
 	"testing"
 )
 
@@ -165,6 +167,48 @@ func TestOwnWriteReadNoSelfEdge(t *testing.T) {
 	g := h.MVSG()
 	if len(g.Edges) != 0 {
 		t.Fatalf("self edges: %+v", g.Edges)
+	}
+}
+
+// TestFrozenReadResolvesBySnapshot: a read of a frozen version names no
+// writer, so it is attributed to the version its read point selects — the
+// newest committed at or before it — and a read point below every recorded
+// version reads as absent.
+func TestFrozenReadResolvesBySnapshot(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		readTS uint64
+		want   []Edge // the reader's edges, reader id 3
+	}{
+		{"between", 7, []Edge{{From: 1, To: 3, Kind: WR}, {From: 3, To: 2, Kind: RW}}},
+		{"before-all", 3, []Edge{{From: 3, To: 1, Kind: RW}, {From: 3, To: 2, Kind: RW}}},
+		// A locking read's read point is the clock, which may be the newest
+		// commit itself.
+		{"at-newest", 9, []Edge{{From: 2, To: 3, Kind: WR}}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			h := NewHistory()
+			for id, ct := range map[uint64]uint64{1: 5, 2: 9} {
+				h.RecBegin(id, "SSI")
+				h.RecWrite(id, "t", "x", false)
+				h.RecCommit(id, ct)
+			}
+			h.RecBegin(3, "SSI")
+			h.RecRead(3, "t", "x", frozenWriter, c.readTS)
+			h.RecCommit(3, 20)
+			var got []Edge
+			for _, e := range h.MVSG().Edges {
+				if e.From == 3 || e.To == 3 {
+					got = append(got, Edge{From: e.From, To: e.To, Kind: e.Kind})
+				}
+			}
+			sort.Slice(got, func(i, j int) bool {
+				return got[i].From < got[j].From || got[i].From == got[j].From && got[i].To < got[j].To
+			})
+			if fmt.Sprint(got) != fmt.Sprint(c.want) {
+				t.Fatalf("reader's edges %v, want %v", got, c.want)
+			}
+		})
 	}
 }
 

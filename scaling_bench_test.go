@@ -418,8 +418,9 @@ func TestROGetAllocBudget(t *testing.T) {
 // 24-byte B+tree slot (≈30 B with the page's spare slot, the 1 792-byte
 // allocation class a full leaf of 65 slots rounds up to, the node header and
 // the interior pages, pages being full after an ascending load), the 32-byte
-// chain that is also its newest version, its share of its loader's creator
-// cell, and the key and value bytes themselves — 4 and 1 here, which share one
+// chain that is also its newest version — pointing, once its loader has
+// retired, at the shared frozen cell rather than its loader's creator cell —
+// and the key and value bytes themselves — 4 and 1 here, which share one
 // 16-byte tiny-allocator block with the short-lived copy of the key that the
 // lock on the then-absent row was named by: ≈78 B. That read 178 B while
 // leaves were half-empty pairs of grown slices and the chain header and the
@@ -442,6 +443,43 @@ func TestRowFootprintAllocBudget(t *testing.T) {
 			t.Logf("%.1f B/row", perRow)
 			if perRow > budget {
 				t.Errorf("a loaded row keeps %.1f B alive over %d partitions, budget %d", perRow, tshards, budget)
+			}
+		})
+	}
+}
+
+// TestOverwrittenRowFootprintAllocBudget is TestRowFootprintAllocBudget after
+// every row was overwritten once, each in an SSI transaction of its own, and
+// the database quiesced: the same budget, because the overwrite's retirement
+// prunes the superseded version and freezes the new one — points it at the
+// shared frozen cell — so the writer's 24-byte creator cell dies with its
+// record. It read ≈102 B while every row kept its last writer's cell.
+func TestOverwrittenRowFootprintAllocBudget(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("a footprint is not a race; the 200 000-row loads are slow under the detector")
+	}
+	const rows, budget = 200_000, 84
+	for _, tshards := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("tshards=%d", tshards), func(t *testing.T) {
+			perRow := loadedBytes(t, ssidb.Options{TableShards: tshards}, func(db *ssidb.DB) error {
+				cfg := kvmix.DefaultConfig()
+				cfg.Keys = rows
+				if err := kvmix.Load(db, cfg); err != nil {
+					return err
+				}
+				val := []byte("w") // one value for every row: the test counts what a row keeps beside it
+				for i := 0; i < rows; i++ {
+					if err := db.Run(ssidb.SerializableSI, func(tx *ssidb.Txn) error {
+						return tx.Put(kvmix.Table, kvmix.Key(i), val)
+					}); err != nil {
+						return err
+					}
+				}
+				return nil
+			}) / rows
+			t.Logf("%.1f B/row", perRow)
+			if perRow > budget {
+				t.Errorf("an overwritten row keeps %.1f B alive over %d partitions, budget %d", perRow, tshards, budget)
 			}
 		})
 	}

@@ -187,7 +187,10 @@ func errText(err error) string {
 // serializability from the outside (the methodology of thesis §4.7). readTS
 // is the snapshot for snapshot reads, or the clock at read time for locking
 // reads; sawWriter is the transaction that created the version read (0 if
-// the key was absent). Implementations must be safe for concurrent use.
+// the key was absent), or math.MaxUint64 if the version was frozen — its
+// writer had retired, so its commit precedes readTS and the version is the
+// newest one committed at or before readTS. Implementations must be safe for
+// concurrent use.
 type Recorder interface {
 	RecBegin(txn uint64, iso string)
 	RecRead(txn uint64, table, key string, sawWriter uint64, readTS uint64)

@@ -309,7 +309,8 @@ func (tx *Txn) markAsWriter(readers []*core.Txn) error {
 
 // recRead reports one key read to the recorder — the caller's key bytes or
 // the store's key string, converted only if there is a recorder. The writer's
-// id comes from its creator cell, which outlives its record.
+// id comes from its creator cell, which outlives its record — core.FrozenID
+// once the version was frozen (Recorder).
 func recRead[K string | []byte](tx *Txn, tb *table, key K, creator *core.Cell, readTS core.TS) {
 	r := tx.db.opts.Recorder
 	if r == nil {

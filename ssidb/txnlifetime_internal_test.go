@@ -19,14 +19,15 @@ import (
 
 var lifetimeGranularities = map[string]Granularity{"row": GranularityRow, "page": GranularityPage}
 
-// alive counts the records the collector has not reclaimed, after two full
-// collections (the second covers what the first one's pool eviction freed).
-func alive(recs []weak.Pointer[core.Txn]) int {
+// alive counts the objects — records or cells — the collector has not
+// reclaimed, after two full collections (the second covers what the first
+// one's pool eviction freed).
+func alive[T any](ptrs []weak.Pointer[T]) int {
 	runtime.GC()
 	runtime.GC()
 	n := 0
-	for _, r := range recs {
-		if r.Value() != nil {
+	for _, p := range ptrs {
+		if p.Value() != nil {
 			n++
 		}
 	}
@@ -37,8 +38,8 @@ func alive(recs []weak.Pointer[core.Txn]) int {
 // the two before it wrote and overwriting a row of its own, so every row's
 // newest version has its own creator and every read lands on a version whose
 // creator has already been retired. It returns a weak pointer to each
-// transaction's record and the transaction ids.
-func chainedWriters(t *testing.T, db *DB, iso Isolation, n int) (recs []weak.Pointer[core.Txn], ids []uint64) {
+// transaction's record and to its creator cell, and the transaction ids.
+func chainedWriters(t *testing.T, db *DB, iso Isolation, n int) (recs []weak.Pointer[core.Txn], cells []weak.Pointer[core.Cell], ids []uint64) {
 	t.Helper()
 	row := func(i int) []byte { return []byte(fmt.Sprintf("r%05d", i)) }
 	// Rows exist beforehand: the writers supersede a version, they do not insert.
@@ -53,6 +54,7 @@ func chainedWriters(t *testing.T, db *DB, iso Isolation, n int) (recs []weak.Poi
 		t.Fatal(err)
 	}
 	recs = make([]weak.Pointer[core.Txn], n)
+	cells = make([]weak.Pointer[core.Cell], n)
 	ids = make([]uint64, n)
 	for i := 0; i < n; i++ {
 		tx := db.Begin(iso)
@@ -68,12 +70,12 @@ func chainedWriters(t *testing.T, db *DB, iso Isolation, n int) (recs []weak.Poi
 		if err := tx.Put("t", row(i), i64(int64(i))); err != nil {
 			t.Fatal(err)
 		}
-		recs[i], ids[i] = weak.Make(tx.t), tx.ID()
+		recs[i], cells[i], ids[i] = weak.Make(tx.t), weak.Make(tx.t.Cell()), tx.ID()
 		if err := tx.Commit(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return recs, ids
+	return recs, cells, ids
 }
 
 // TestRecordsDieDataStays: after the last commit of a quiescing run nothing
@@ -91,7 +93,7 @@ func TestRecordsDieDataStays(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/%v", gname, iso), func(t *testing.T) {
 				opts := Options{Granularity: gran, PageMaxKeys: 16, Detector: DetectorPrecise}
 				db := Open(opts)
-				recs, _ := chainedWriters(t, db, iso, n)
+				recs, _, _ := chainedWriters(t, db, iso, n)
 				if st := db.StatsSnapshot(); st.ActiveTxns != 0 || st.SuspendedTxns != 0 || st.LockedKeys != 0 {
 					t.Fatalf("database not quiescent: %+v", st)
 				}
@@ -107,7 +109,7 @@ func TestRecordsDieDataStays(t *testing.T) {
 
 				hist := sercheck.NewHistory()
 				opts.Recorder = hist
-				_, ids := chainedWriters(t, Open(opts), iso, n)
+				_, _, ids := chainedWriters(t, Open(opts), iso, n)
 				wr := map[[2]uint64]bool{}
 				for _, e := range hist.MVSG().Edges {
 					if e.Kind == sercheck.WR {
@@ -127,12 +129,47 @@ func TestRecordsDieDataStays(t *testing.T) {
 	}
 }
 
+// TestRetiredWriterCellsDie: a retired writer's creator cell dies too, not
+// only its record, because pruning points the version it keeps at the shared
+// frozen cell. At row granularity the quiescing run's last end
+// is enough; at page granularity the last stamp of each page still names its
+// writer until the page's next walk, which DB.Vacuum makes for every page.
+// Every row still reads its value.
+func TestRetiredWriterCellsDie(t *testing.T) {
+	const n = 2000
+	for gname, gran := range lifetimeGranularities {
+		for _, iso := range []Isolation{SerializableSI, SnapshotIsolation, S2PL} {
+			t.Run(fmt.Sprintf("%s/%v", gname, iso), func(t *testing.T) {
+				db := Open(Options{Granularity: gran, PageMaxKeys: 16, Detector: DetectorPrecise})
+				_, cells, _ := chainedWriters(t, db, iso, n)
+				if st := db.StatsSnapshot(); st.ActiveTxns != 0 || st.SuspendedTxns != 0 {
+					t.Fatalf("database not quiescent: %+v", st)
+				}
+				if gran == GranularityPage {
+					t.Logf("%d of %d cells kept by page stamps before the vacuum", alive(cells), n)
+					db.Vacuum()
+				}
+				if a := alive(cells); a != 0 {
+					t.Errorf("%d of %d creator cells survive their writers' retirement", a, n)
+				}
+				for i := 0; i < n; i++ {
+					if v, ok := readI64(t, db, "t", fmt.Sprintf("r%05d", i)); !ok || v != int64(i) {
+						t.Fatalf("row %d reads %d %v once its writer's cell is gone", i, v, ok)
+					}
+				}
+				runtime.KeepAlive(db)
+			})
+		}
+	}
+}
+
 // TestLiveConflictRecordSurvivesSweeps: a record an active snapshot can still
 // conflict with outlives any number of drains. R takes its snapshot, W commits
-// a newer version of x, ten thousand unrelated writers come and go, and R's
-// read of x still finds W's record behind the version (or page stamp): the
-// rw-edge R → W is installed, and if W committed as a pivot whose outgoing
-// partner committed first, R is refused.
+// a newer version of x, ten thousand unrelated writers come and go, a vacuum
+// walks every chain, and R's read of x still finds W's record behind the
+// version (or page stamp) — neither the drains nor the vacuum froze it, W's
+// commit being newer than R's snapshot: the rw-edge R → W is installed, and if
+// W committed as a pivot whose outgoing partner committed first, R is refused.
 func TestLiveConflictRecordSurvivesSweeps(t *testing.T) {
 	for gname, gran := range lifetimeGranularities {
 		for dname, det := range map[string]Detector{"basic": DetectorBasic, "precise": DetectorPrecise} {
@@ -170,6 +207,7 @@ func TestLiveConflictRecordSurvivesSweeps(t *testing.T) {
 							t.Fatal(err)
 						}
 					}
+					db.Vacuum()
 					v, ok, err := r.Get("x", []byte("k"))
 					if pivot {
 						if !errors.Is(err, ErrUnsafe) {
@@ -206,7 +244,7 @@ func TestPinnedSnapshotKeepsRecordsUntilRelease(t *testing.T) {
 			if _, _, err := pin.Get("pin", []byte("k")); err != nil {
 				t.Fatal(err)
 			}
-			recs, _ := chainedWriters(t, db, SerializableSI, n)
+			recs, _, _ := chainedWriters(t, db, SerializableSI, n)
 			if a := alive(recs); a != n {
 				t.Errorf("%d of %d records alive under a pinned snapshot, want all", a, n)
 			}
