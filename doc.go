@@ -34,10 +34,9 @@
 //	  (structural [4])                     holders too      k; once installed, SIREADs   the leaf will split (interior
 //	                                                        on that gap also cover the   pages stamped too), else as
 //	                                                        gap before k; re-lock it     above
-//	Scan ScanLimit [9] none / SIREAD /     as reader [1]    row and gap of each visited  descent paths to `from` in     -                         F | U D
-//	                   Shared [2] [6]                       key; gap of the first key    every partition; leaf of each
-//	                                                        beyond, or the supremum      visited key and of the first
-//	                                                                                     key beyond
+//	Scan ScanLimit [9] none / SIREAD /     as reader [1]    row and gap of each visited  descent path to `from`; leaf   -                         F | U D
+//	                   Shared [2] [6]                       key; gap of the first key    of each visited key and of
+//	                                                        beyond, or the supremum      the first key beyond
 //
 //	[1] Rivals of a read are the Exclusive holders of its targets plus the
 //	    creators of versions newer than its snapshot: of the keys read (row), or
@@ -117,10 +116,10 @@
 //	  a committed reader (writer-side)             incoming edge                               not committed first
 //	each operation of a transaction   the caller   its recorded       its recorded outgoing    CO; RO if Tin is declared,
 //	  carrying both edges (abort-early)            incoming edge      edge                     or committed without writing
-//	Commit                            the caller   as above           as above                 as above, and once more inside
-//	                                                                                           the commit-serialization
-//	                                                                                           section, where "Tout still
-//	                                                                                           running" becomes final
+//	Commit                            the caller   as above           as above                 as above, once, inside the
+//	                                                                                           commit-serialization section,
+//	                                                                                           where "Tout still running"
+//	                                                                                           is final
 //
 // Two things the recorded edges cannot say are decided conservatively, and are
 // where the remaining false positives come from
@@ -174,7 +173,7 @@
 //     with no mutex unless a dangerous structure already exists,
 //     MarkConflict coordinates only the two transactions on the edge (id
 //     order prevents deadlock), and the commit-time dangerous-structure
-//     re-check under the committing transaction's own mutex guarantees an
+//     check under the committing transaction's own mutex guarantees an
 //     edge racing with commit is seen by at least one of the two checks
 //     (the package comment states the memory-ordering invariants).
 //     Everything that watermark frees is freed in one place: a committed
@@ -186,11 +185,11 @@
 //     ssidb releases their SIREAD locks and prunes the versions they
 //     superseded there.
 //   - internal/mvcc hash-partitions every table's row store into
-//     GOMAXPROCS-scaled partitions (ssidb.Options.TableShards; a single
-//     one by default under GranularityPage, see there), each an
-//     independently latched B+tree with a disjoint page-number range, so
-//     point reads and writes on different partitions share no latch while a
-//     page number still names one page of the table. The store keeps rows
+//     GOMAXPROCS-scaled partitions (ssidb.Options.TableShards), each an
+//     independently latched B+tree, so point reads and writes on different
+//     partitions share no latch. Under GranularityPage a table is one tree,
+//     as in Berkeley DB, so a page number names one page of the table
+//     (ssidb.DB.TableShards). The store keeps rows
 //     only: page versions (the write stamps behind page-level
 //     First-Committer-Wins) and their split inheritance live in the page
 //     strategy (ssidb/locks_page.go), which takes the trees' page topology

@@ -52,13 +52,11 @@ import "fmt"
 
 // TreeOf is a B+tree from byte-string keys to values of type V.
 type TreeOf[V any] struct {
-	maxKeys   int
-	root      *node[V]
-	nextPage  uint32
-	pageBase  uint32
-	pageLimit uint32 // exclusive upper bound on page numbers; 0 = none
-	size      int
-	mods      uint64 // structural-change counter, see Mods
+	maxKeys  int
+	root     *node[V]
+	nextPage uint32
+	size     int
+	mods     uint64 // structural-change counter, see Mods
 
 	// OnSplit, if set, is called whenever a page split moves keys from an
 	// existing page to a newly allocated one. The engine uses it to inherit
@@ -98,29 +96,21 @@ const DefaultMaxKeys = 64
 // maxKeys under an ascending load (see the package comment on splits), so
 // "keys per page" there is maxKeys, not half of it.
 func New(maxKeys int) *Tree {
-	return NewWithPageBase[any](maxKeys, 0, 0)
+	return NewOf[any](maxKeys)
 }
 
-// NewWithPageBase is New with page numbers allocated starting at pageBase+1
-// and bounded by pageLimit (exclusive; 0 means unbounded). A partitioned
-// table gives each partition's tree a disjoint page-number range, so
-// page-granularity lock keys and write stamps never collide across
-// partitions while staying meaningful within one; the limit turns an
-// exhausted range into a crash instead of silently bleeding page numbers
-// into the next partition's range.
-func NewWithPageBase[V any](maxKeys int, pageBase, pageLimit uint32) *TreeOf[V] {
+// NewOf is New for values of type V. Page numbers start at 1 and name one
+// page of this tree.
+func NewOf[V any](maxKeys int) *TreeOf[V] {
 	if maxKeys < 2 {
 		maxKeys = 2
 	}
-	t := &TreeOf[V]{maxKeys: maxKeys, pageBase: pageBase, pageLimit: pageLimit, nextPage: pageBase + 1}
+	t := &TreeOf[V]{maxKeys: maxKeys, nextPage: 1}
 	t.root = t.newNode(true)
 	return t
 }
 
 func (t *TreeOf[V]) newNode(leaf bool) *node[V] {
-	if t.pageLimit != 0 && t.nextPage >= t.pageLimit {
-		panic(fmt.Sprintf("btree: page range [%d, %d) exhausted", t.pageBase+1, t.pageLimit))
-	}
 	n := &node[V]{page: t.nextPage, slots: make([]slot[V], 0, t.maxKeys+1)}
 	t.nextPage++
 	if !leaf {
@@ -410,7 +400,7 @@ func (t *TreeOf[V]) Successor(key []byte) (string, bool) {
 }
 
 // PageCount returns the number of pages allocated so far (monotonic).
-func (t *TreeOf[V]) PageCount() int { return int(t.nextPage - 1 - t.pageBase) }
+func (t *TreeOf[V]) PageCount() int { return int(t.nextPage - 1) }
 
 // Check validates tree invariants (ordering, separator consistency, balance
 // of the leaf chain, and that every page still has the slot array it was

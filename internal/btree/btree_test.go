@@ -368,48 +368,6 @@ func TestModsAndReseek(t *testing.T) {
 	}
 }
 
-func TestPageBase(t *testing.T) {
-	const base = uint32(3) << 24
-	tr := NewWithPageBase[any](2, base, base+1<<24)
-	for i := 0; i < 20; i++ {
-		tr.GetOrInsert(key(i), i)
-	}
-	if err := tr.Check(); err != nil {
-		t.Fatal(err)
-	}
-	if got := tr.PageCount(); got < 10 {
-		t.Fatalf("PageCount = %d, want the real allocation count despite the base", got)
-	}
-	seen := map[uint32]bool{}
-	for i := 0; i < 20; i++ {
-		pg := tr.LeafPage(key(i))
-		if pg <= base {
-			t.Fatalf("leaf page %d not offset by base %d", pg, base)
-		}
-		seen[pg] = true
-	}
-	for _, pg := range tr.PathPages(key(0)) {
-		if pg <= base {
-			t.Fatalf("path page %d below base", pg)
-		}
-	}
-	if len(seen) < 2 {
-		t.Fatal("expected several leaves at maxKeys=2")
-	}
-}
-
-func TestPageLimitPanics(t *testing.T) {
-	tr := NewWithPageBase[any](2, 0, 4) // room for the root and 3 more pages
-	defer func() {
-		if recover() == nil {
-			t.Fatal("exhausting the page range did not panic")
-		}
-	}()
-	for i := 0; i < 100; i++ {
-		tr.GetOrInsert(key(i), i)
-	}
-}
-
 // TestSplitPolicy loads trees in ascending, descending and shuffled key order
 // and holds the layout to what the package comment promises: a page never
 // keeps more than maxKeys keys once an insert has returned (nor regrows its
@@ -572,7 +530,7 @@ func TestLeafAllocBudget(t *testing.T) {
 	val := new(int)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	tr := NewWithPageBase[*int](DefaultMaxKeys, 0, 0)
+	tr := NewOf[*int](DefaultMaxKeys)
 	for _, k := range keys {
 		tr.GetOrInsert(k, val)
 	}

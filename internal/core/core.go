@@ -58,8 +58,8 @@
 //  2. Lock-free readers (AbortEarly's fast path, HasInConflict/HasOutConflict)
 //     may observe a reference as nil that a racing MarkConflict is about to
 //     install. That is the same outcome as the reader running entirely
-//     before the edge existed: safe, because the commit-time re-check under
-//     csMu is the authoritative one; abort-early is only the §3.7.1
+//     before the edge existed: safe, because the commit-time check under
+//     csMu and tsMu is the authoritative one; abort-early is only the §3.7.1
 //     optimisation that usually fires sooner.
 //  3. Checks read third-party commit timestamps (commitTime of a reference)
 //     without that third party's mutex. A single such load is sound because
@@ -76,11 +76,10 @@
 //     would let both counterparts commit between the loads and produce a
 //     "safe" outCT = ∞ / finite-inCT pair no atomic evaluation allows —
 //     see dangerous. An identified outgoing counterpart observed
-//     uncommitted yields a provisional "safe" (it cannot have committed
-//     first); on the commit path stampCommittedRecheck repeats the
-//     comparison under tsMu — where every stamp publishes status and
-//     timestamp — before t's own timestamp is allocated, closing the
-//     window in which Tout commits in between.
+//     uncommitted yields "safe" (it cannot have committed first). That is
+//     provisional at abort-early; at commit, stampIfSafe evaluates under
+//     tsMu — where every stamp publishes status and timestamp — just before
+//     t's own timestamp is allocated, so no Tout can commit in between.
 //
 // # The dangerous-structure rules
 //
@@ -103,8 +102,8 @@
 //	                                                                            Tout, aborts here)
 //	abort-early: each operation  the caller its in and out references           CO; RO if Tin is declared,
 //	  of a pivot with both edges                                                or committed without a cell
-//	commit: CommitPrepare under  the caller the same, then once more under      the same; the tsMu pass turns
-//	  csMu, then under tsMu                 tsMu just before the stamp          "Tout still running" final
+//	commit: CommitPrepare under  the caller the same, just before the stamp     the same; under tsMu
+//	  csMu and tsMu                                                             "Tout still running" is final
 //
 // What the references cannot say, and the predicate therefore decides
 // conservatively:
@@ -1005,17 +1004,16 @@ func (m *Manager) stampLocked(t *Txn, slot any) TS {
 	return ct
 }
 
-// stampCommittedRecheck is stampCommitted with the dangerous-structure
-// predicate revalidated under tsMu before the stamp. The csMu check declares
-// an identified but still-uncommitted Tout safe; that partner may commit in
-// the window between that check and t's stamp with a timestamp below t's.
-// Every stamp publishes status and commitTS inside tsMu, so under tsMu the
-// partners' states form a consistent snapshot: a partner uncommitted here is
-// guaranteed a commit timestamp after t's and the provisional verdict becomes
-// final. Returns ok=false (no stamp taken) if the raced structure turned
-// dangerous; the caller aborts t exactly as if the csMu check had said so.
-// The caller holds t's csMu.
-func (m *Manager) stampCommittedRecheck(t *Txn, slot any) (TS, bool) {
+// stampIfSafe is stampCommitted preceded by the commit's one evaluation of
+// the dangerous-structure predicate, under tsMu. Every stamp publishes status
+// and commitTS inside tsMu, so there the partners' commit states form a
+// consistent snapshot: an identified Tout uncommitted here is guaranteed a
+// commit timestamp after t's, and the "safe" verdict it yields is final. A
+// partner that aborted since t's last look only makes the verdict more
+// lenient, and soundly so: its edges are void. Returns ok=false (no stamp
+// taken) if the structure is dangerous; the caller aborts t. The caller holds
+// t's csMu, so t's references are stable.
+func (m *Manager) stampIfSafe(t *Txn, slot any) (TS, bool) {
 	m.tsMu.Lock()
 	defer m.tsMu.Unlock()
 	if m.dangerous(t, t.in.Load(), t.out.Load()) {
@@ -1133,11 +1131,13 @@ func (m *Manager) named(t, partner *Txn) *Txn {
 	return partner
 }
 
-// abortLocked marks victim aborted. The victim must be the caller — the
-// transaction executing the operation that discovered the conflict — and the
-// error is returned for the caller to propagate while it rolls back. The
-// caller holds the victim's csMu; the registry removal nests the shard mutex
-// inside it (lock order: txn csMu → registry shard → tsMu).
+// abortLocked marks victim aborted and removes it from the registry: every
+// ErrUnsafe verdict (MarkConflict, AbortEarly, CommitPrepare) ends here. The
+// victim must be the caller — the transaction executing the operation that
+// discovered the conflict — and the error is returned for the caller to
+// propagate while it rolls back. The caller holds the victim's csMu; the
+// registry removal nests the shard mutex inside it (lock order: txn csMu →
+// registry shard → tsMu).
 func (m *Manager) abortLocked(victim, caller *Txn) error {
 	if victim != caller {
 		// Cannot happen per the analysis in §3.4: the endangered party is
@@ -1174,34 +1174,12 @@ func commitTime(t *Txn) TS {
 	return tsInfinity
 }
 
-// PivotUnsafe reports whether t currently has both an incoming and an
-// outgoing rw-edge forming a potentially dangerous structure, under the
-// configured detector. It is the test applied at commit (Figures 3.2/3.10)
-// and, with the abort-early optimisation of §3.7.1, at the start of every
-// operation. The no-structure fast path is two atomic loads; only a
-// transaction that already carries both edges takes its conflict mutex.
-func (m *Manager) PivotUnsafe(t *Txn) bool {
-	if t.in.Load() == nil || t.out.Load() == nil {
-		return false
-	}
-	t.csMu.Lock()
-	defer t.csMu.Unlock()
-	return m.pivotUnsafeLocked(t)
-}
-
-// pivotUnsafeLocked is the pivot's own dangerous-structure test; the caller
-// holds t's csMu, so t.in/t.out are stable across the check.
-func (m *Manager) pivotUnsafeLocked(t *Txn) bool {
-	m.dropAbortedRefsLocked(t)
-	return m.dangerous(t, t.in.Load(), t.out.Load())
-}
-
 // dangerous is the dangerous-structure predicate, the one place the engine
 // decides whether in -rw-> pivot -rw-> out may close a cycle. Every site that
 // can complete a structure asks it ("The dangerous-structure rules" in the
 // package comment): MarkConflict around a committed endpoint, with the
-// caller's new edge as one side; the pivot itself at each operation and at
-// commit, and once more under tsMu, with its recorded references. in or out
+// caller's new edge as one side; the pivot itself at each operation and,
+// under tsMu, at commit, with its recorded references. in or out
 // equal to pivot is a self-reference: several counterparts, or one the pivot
 // outlived. The caller holds pivot's csMu.
 //
@@ -1235,7 +1213,7 @@ func (m *Manager) pivotUnsafeLocked(t *Txn) bool {
 // immutable while "uncommitted" is not. Reading in first, every observable
 // pair is consistent with an atomic evaluation at the instant of the out
 // load: a finite inCT is still exact then, and an out that commits just after
-// being read uncommitted is caught by the tsMu recheck. Read in the other
+// being read uncommitted is caught by the commit check. Read in the other
 // order, both counterparts committing between the loads (out first) yields
 // outCT = ∞ against a finite inCT — a "safe" verdict no atomic evaluation
 // would produce, and a dangerous structure slips through (package comment,
@@ -1243,11 +1221,11 @@ func (m *Manager) pivotUnsafeLocked(t *Txn) bool {
 // declaration, the snapshot, and the cell of a transaction seen committed
 // (its owner's last write to the field happens before its stamp).
 //
-// The "identified Tout still running" verdict is provisional on the commit
-// path: the partner may commit in the window before the pivot's own stamp, so
-// stampCommittedRecheck asks again under tsMu, where status and commit
-// timestamp are published atomically and the race closes. On the abort-early
-// path no stamp follows and the eventual CommitPrepare re-checks.
+// The "identified Tout still running" verdict is final only on the commit
+// path, where stampIfSafe asks under tsMu: status and commit timestamp are
+// published atomically there, so the Tout cannot commit before the pivot's
+// own stamp. On the abort-early path the partner may still commit first, and
+// the eventual CommitPrepare asks again.
 func (m *Manager) dangerous(pivot, in, out *Txn) bool {
 	if in == nil || out == nil {
 		return false
@@ -1301,10 +1279,9 @@ func (m *Manager) AbortEarly(t *Txn) error {
 	}
 	t.csMu.Lock()
 	defer t.csMu.Unlock()
-	if m.pivotUnsafeLocked(t) {
-		t.status.Store(int32(StatusAborted))
-		m.deregister(t)
-		return ErrUnsafe
+	m.dropAbortedRefsLocked(t)
+	if m.dangerous(t, t.in.Load(), t.out.Load()) {
+		return m.abortLocked(t, t)
 	}
 	return nil
 }
@@ -1340,23 +1317,17 @@ func (m *Manager) CommitPrepareWith(t *Txn, slot any) (TS, error) {
 		// reads t's commitTS, published atomically with the status here.
 		return m.stampCommitted(t, slot), nil
 	}
-	// t's own conflict mutex makes the re-check atomic with commit
+	// t's own conflict mutex makes the check atomic with commit
 	// publication: a MarkConflict involving t either completed before (its
-	// edge is visible to pivotUnsafeLocked) or serializes after csMu is
-	// released, where it finds t committed — with commitTS and status
-	// published — and applies the committed-pivot rules instead.
+	// edge is visible to stampIfSafe) or serializes after csMu is released,
+	// where it finds t committed — with commitTS and status published — and
+	// applies the committed-pivot rules instead.
 	t.csMu.Lock()
 	defer t.csMu.Unlock()
-	if m.pivotUnsafeLocked(t) {
-		t.status.Store(int32(StatusAborted))
-		m.deregister(t)
-		return 0, ErrUnsafe
-	}
-	ct, ok := m.stampCommittedRecheck(t, slot)
+	m.dropAbortedRefsLocked(t)
+	ct, ok := m.stampIfSafe(t, slot)
 	if !ok {
-		t.status.Store(int32(StatusAborted))
-		m.deregister(t)
-		return 0, ErrUnsafe
+		return 0, m.abortLocked(t, t)
 	}
 	if t.out.Load() != nil {
 		// A committed transaction carrying an outgoing rw-edge is a

@@ -49,7 +49,7 @@ func TestReadOnlyPivotStillAborts(t *testing.T) {
 	if err := m.MarkConflict(pivot, tout, pivot); err != nil {
 		t.Fatal(err)
 	}
-	if !m.PivotUnsafe(pivot) {
+	if !pivotUnsafe(m, pivot) {
 		t.Fatal("pivot with RO in-edge and RW out-edge not flagged unsafe")
 	}
 	if _, err := m.CommitPrepare(pivot); !errors.Is(err, ErrUnsafe) {

@@ -109,10 +109,18 @@ func TestConflictCoreStress(t *testing.T) {
 	}
 }
 
+// pivotUnsafe is the pivot's own dangerous-structure test, under its conflict
+// mutex: what a check of t would decide now.
+func pivotUnsafe(m *Manager, t *Txn) bool {
+	t.csMu.Lock()
+	defer t.csMu.Unlock()
+	return m.dangerous(t, t.in.Load(), t.out.Load())
+}
+
 // TestMarkConflictCommitRace pins the correctness crux of the lock-free
 // conflict core: an edge installed concurrently with the pivot's commit must
 // be observed by MarkConflict (which then sees a committed pivot) or by
-// CommitPrepare's re-check — never by neither. The dangerous structure
+// CommitPrepare's check — never by neither. The dangerous structure
 // tin -rw-> pivot -rw-> tout is assembled with the pivot's incoming edge
 // racing its commit; whatever the interleaving, it must be impossible for
 // the pivot to commit AND a later structure check on it to report unsafe
@@ -159,7 +167,7 @@ func TestMarkConflictCommitRace(t *testing.T) {
 				wg.Wait()
 
 				committed := commitErr == nil
-				if committed && markErr == nil && m.PivotUnsafe(pivot) {
+				if committed && markErr == nil && pivotUnsafe(m, pivot) {
 					// The pivot committed, the edge install went through
 					// unchallenged, yet the full structure is in place:
 					// both checks missed the race.
@@ -185,9 +193,9 @@ func TestMarkConflictCommitRace(t *testing.T) {
 // commit — but only by winning the stamp race: if tout's timestamp is
 // below the pivot's, the structure has Tout-committed-first and the pivot
 // must have aborted. The dangerous interleaving is tout committing in the
-// window between the pivot's csMu check and its stamp; the tsMu recheck in
-// stampCommittedRecheck exists to close exactly that window, and this test
-// exists to catch it reopening.
+// window between the pivot's look at it and its stamp; evaluating the
+// structure under tsMu, in stampIfSafe, closes exactly that window, and this
+// test exists to catch it reopening.
 //
 // Tin here is a writer, and has the creator cell the engine would have given
 // it; the read-only twin below leaves it out.

@@ -10,7 +10,7 @@ import (
 
 func BenchmarkAcquireReleaseExclusive(b *testing.B) {
 	mgr := core.NewManager(core.DetectorPrecise)
-	m := NewManager(true)
+	m := NewManagerShards(true, 0)
 	keys := make([]Key, 1024)
 	for i := range keys {
 		keys[i] = RowKey("t", []byte(fmt.Sprintf("k%04d", i)))
@@ -25,7 +25,7 @@ func BenchmarkAcquireReleaseExclusive(b *testing.B) {
 
 func BenchmarkSIReadBatch100(b *testing.B) {
 	mgr := core.NewManager(core.DetectorPrecise)
-	m := NewManager(true)
+	m := NewManagerShards(true, 0)
 	keys := make([]Key, 100)
 	for i := range keys {
 		keys[i] = RowKey("t", []byte(fmt.Sprintf("k%04d", i)))
@@ -33,7 +33,7 @@ func BenchmarkSIReadBatch100(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		t := mgr.Begin(core.SerializableSI)
-		m.AcquireSIReadBatch(t, keys)
+		m.AcquireSIReadBatchInto(t, keys, nil)
 		m.ReleaseAll(t)
 	}
 }
@@ -43,7 +43,7 @@ func BenchmarkSIReadBatch100(b *testing.B) {
 // blocks and every release hands the lock off (by spin grant or park).
 func BenchmarkHandoffPingPong(b *testing.B) {
 	mgr := core.NewManager(core.DetectorPrecise)
-	m := NewManager(true)
+	m := NewManagerShards(true, 0)
 	k := RowKey("t", []byte("pp"))
 	var wg sync.WaitGroup
 	iters := b.N
@@ -69,7 +69,7 @@ func BenchmarkHandoffPingPong(b *testing.B) {
 // holders on one key (a root page), a writer probing for rivals.
 func BenchmarkHotEntryRivalCheck(b *testing.B) {
 	mgr := core.NewManager(core.DetectorPrecise)
-	m := NewManager(true)
+	m := NewManagerShards(true, 0)
 	hot := PageKey("t", 1)
 	for i := 0; i < 500; i++ {
 		m.Acquire(mgr.Begin(core.SerializableSI), hot, SIRead)

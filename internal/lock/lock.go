@@ -337,7 +337,7 @@ func stateFor(owner *core.Txn) *ownerState {
 var keyBufPool = sync.Pool{New: func() any { s := make([]Key, 0, 32); return &s }}
 
 // Manager is a sharded lock table. The zero value is not usable; call
-// NewManager or NewManagerShards.
+// NewManagerShards.
 type Manager struct {
 	// UpgradeSIRead enables the §3.7.3 optimisation: when an owner acquires
 	// an EXCLUSIVE lock on a key it holds an SIREAD lock on, the SIREAD
@@ -360,23 +360,12 @@ type Manager struct {
 // forever. Must be called before the manager is used concurrently.
 func (m *Manager) SetWaitTimeout(d time.Duration) { m.waitTimeout = d }
 
-// DefaultShards is the shard count NewManager uses: core.ShardCount's
-// GOMAXPROCS-scaled default, shared with the transaction registry.
-func DefaultShards() int {
-	return core.ShardCount(0)
-}
-
-// NewManager returns an empty lock table with DefaultShards shards.
-// upgradeSIRead enables the SIREAD→EXCLUSIVE upgrade optimisation of thesis
-// §3.7.3.
-func NewManager(upgradeSIRead bool) *Manager {
-	return NewManagerShards(upgradeSIRead, 0)
-}
-
-// NewManagerShards is NewManager with an explicit shard count, sized by
-// core.ShardCount (rounded up to a power of two, clamped to [1, 256];
-// n <= 0 selects the default). A single shard reproduces the paper's global
-// lock-table latch exactly (useful for ablation benchmarks).
+// NewManagerShards returns an empty lock table of n shards, sized by
+// core.ShardCount (rounded up to a power of two, clamped to [1, 256]; n <= 0
+// selects its GOMAXPROCS-scaled default, shared with the transaction
+// registry). A single shard reproduces the paper's global lock-table latch
+// exactly (useful for ablation benchmarks). upgradeSIRead enables the
+// SIREAD→EXCLUSIVE upgrade optimisation of thesis §3.7.3.
 func NewManagerShards(upgradeSIRead bool, n int) *Manager {
 	n = core.ShardCount(n)
 	m := &Manager{
@@ -611,13 +600,8 @@ func blockersLocked(e *entry, owner *core.Txn, key Key, mode Mode) []*core.Txn {
 	return out
 }
 
-// rivalsLocked returns the other owners whose held modes signal a read-write
-// conflict with a request.
-func rivalsLocked(e *entry, owner *core.Txn, mode Mode) []*core.Txn {
-	return rivalsInto(e, owner, mode, nil)
-}
-
-// rivalsInto appends the rivals to out and returns it, so hot callers can
+// rivalsInto appends to out the other owners whose held modes signal a
+// read-write conflict with a request, and returns it, so hot callers can
 // reuse one buffer across acquires instead of allocating per request.
 func rivalsInto(e *entry, owner *core.Txn, mode Mode, out []*core.Txn) []*core.Txn {
 	own := e.holders[owner]
@@ -795,18 +779,6 @@ func gcEntryLocked(s *shard, key Key, e *entry) {
 	}
 }
 
-// AcquireSIReadBatch grants SIREAD on every key in one critical section per
-// touched shard and returns the union of conflicting EXCLUSIVE holders.
-// SIREAD never blocks, so this cannot wait; it exists because predicate
-// scans lock every row and gap they visit, and per-key shard round-trips
-// dominate otherwise (InnoDB amortises the same way with per-page lock
-// bitmaps, thesis §4.4). Callers run it under the table latch, which — not
-// the lock-table critical section — is what makes the grant atomic with the
-// scan against concurrent inserters.
-func (m *Manager) AcquireSIReadBatch(owner *core.Txn, keys []Key) (rivals []*core.Txn) {
-	return m.AcquireSIReadBatchInto(owner, keys, nil)
-}
-
 // batchScratch is the working memory of one AcquireSIReadBatchInto call: the
 // rival-deduplication set and, for a multi-shard table, the buffers of the
 // counting sort that groups the batch by shard — each key's shard index,
@@ -822,9 +794,15 @@ type batchScratch struct {
 
 var batchPool = sync.Pool{New: func() any { return &batchScratch{seen: make(map[*core.Txn]bool, 8)} }}
 
-// AcquireSIReadBatchInto is AcquireSIReadBatch appending the rivals to the
-// caller-supplied buffer (which may be nil) and returning it, so the scan
-// path can reuse one rival buffer across rounds.
+// AcquireSIReadBatchInto grants SIREAD on every key in one critical section
+// per touched shard and appends the union of conflicting EXCLUSIVE holders to
+// buf (which may be nil), returning it, so the scan path can reuse one rival
+// buffer across rounds. SIREAD never blocks, so this cannot wait; it exists
+// because predicate scans lock every row and gap they visit, and per-key shard
+// round-trips dominate otherwise (InnoDB amortises the same way with per-page
+// lock bitmaps, thesis §4.4). Callers run it under the table latch, which —
+// not the lock-table critical section — is what makes the grant atomic with
+// the scan against concurrent inserters.
 func (m *Manager) AcquireSIReadBatchInto(owner *core.Txn, keys []Key, buf []*core.Txn) (rivals []*core.Txn) {
 	os := stateFor(owner)
 	rivals = buf

@@ -20,7 +20,7 @@ func newTxns(n int) (*core.Manager, []*core.Txn) {
 
 func TestSharedSharedCompatible(t *testing.T) {
 	_, txns := newTxns(2)
-	m := NewManager(true)
+	m := NewManagerShards(true, 0)
 	k := RowKey("t", []byte("x"))
 	if _, err := m.Acquire(txns[0], k, Shared); err != nil {
 		t.Fatal(err)
@@ -42,7 +42,7 @@ func TestSharedSharedCompatible(t *testing.T) {
 
 func TestExclusiveBlocksShared(t *testing.T) {
 	_, txns := newTxns(2)
-	m := NewManager(true)
+	m := NewManagerShards(true, 0)
 	k := RowKey("t", []byte("x"))
 	if _, err := m.Acquire(txns[0], k, Exclusive); err != nil {
 		t.Fatal(err)
@@ -67,7 +67,7 @@ func TestExclusiveBlocksShared(t *testing.T) {
 
 func TestSIReadNeverBlocksOrIsBlocked(t *testing.T) {
 	_, txns := newTxns(3)
-	m := NewManager(true)
+	m := NewManagerShards(true, 0)
 	k := RowKey("t", []byte("x"))
 	if _, err := m.Acquire(txns[0], k, Exclusive); err != nil {
 		t.Fatal(err)
@@ -95,7 +95,7 @@ func TestSIReadNeverBlocksOrIsBlocked(t *testing.T) {
 
 func TestSIReadSurvivesReleaseBlocking(t *testing.T) {
 	_, txns := newTxns(1)
-	m := NewManager(true)
+	m := NewManagerShards(true, 0)
 	k := RowKey("t", []byte("x"))
 	m.Acquire(txns[0], k, SIRead)
 	m.ReleaseBlocking(txns[0])
@@ -116,7 +116,7 @@ func TestSIReadSurvivesReleaseBlocking(t *testing.T) {
 
 func TestSIReadUpgrade(t *testing.T) {
 	_, txns := newTxns(1)
-	m := NewManager(true)
+	m := NewManagerShards(true, 0)
 	k := RowKey("t", []byte("x"))
 	m.Acquire(txns[0], k, SIRead)
 	m.Acquire(txns[0], k, Exclusive)
@@ -138,7 +138,7 @@ func TestSIReadUpgrade(t *testing.T) {
 
 func TestSIReadUpgradeDisabled(t *testing.T) {
 	_, txns := newTxns(1)
-	m := NewManager(false)
+	m := NewManagerShards(false, 0)
 	k := RowKey("t", []byte("x"))
 	m.Acquire(txns[0], k, SIRead)
 	m.Acquire(txns[0], k, Exclusive)
@@ -149,7 +149,7 @@ func TestSIReadUpgradeDisabled(t *testing.T) {
 
 func TestSharedToExclusiveUpgrade(t *testing.T) {
 	_, txns := newTxns(2)
-	m := NewManager(true)
+	m := NewManagerShards(true, 0)
 	k := RowKey("t", []byte("x"))
 	m.Acquire(txns[0], k, Shared)
 	m.Acquire(txns[1], k, Shared)
@@ -174,7 +174,7 @@ func TestSharedToExclusiveUpgrade(t *testing.T) {
 
 func TestDeadlockDetection(t *testing.T) {
 	_, txns := newTxns(2)
-	m := NewManager(true)
+	m := NewManagerShards(true, 0)
 	kx := RowKey("t", []byte("x"))
 	ky := RowKey("t", []byte("y"))
 	m.Acquire(txns[0], kx, Exclusive)
@@ -220,7 +220,7 @@ func TestDeadlockDetection(t *testing.T) {
 func TestUpgradeDeadlock(t *testing.T) {
 	// Two shared holders both upgrading is the classic upgrade deadlock.
 	_, txns := newTxns(2)
-	m := NewManager(true)
+	m := NewManagerShards(true, 0)
 	k := RowKey("t", []byte("x"))
 	m.Acquire(txns[0], k, Shared)
 	m.Acquire(txns[1], k, Shared)
@@ -247,7 +247,7 @@ func TestUpgradeDeadlock(t *testing.T) {
 
 func TestReacquireIsNoop(t *testing.T) {
 	_, txns := newTxns(1)
-	m := NewManager(true)
+	m := NewManagerShards(true, 0)
 	k := RowKey("t", []byte("x"))
 	for i := 0; i < 3; i++ {
 		if _, err := m.Acquire(txns[0], k, Exclusive); err != nil {
@@ -261,7 +261,7 @@ func TestReacquireIsNoop(t *testing.T) {
 
 func TestGapAndRowNamespacesIndependent(t *testing.T) {
 	_, txns := newTxns(2)
-	m := NewManager(true)
+	m := NewManagerShards(true, 0)
 	row := RowKey("t", []byte("c"))
 	gap := GapKey("t", []byte("c"))
 	if row == gap {
@@ -287,7 +287,7 @@ func TestGapExclusiveCompatible(t *testing.T) {
 	// Two inserts into the same gap must not block each other (InnoDB
 	// insert-intention semantics); only a reader's shared gap lock blocks.
 	_, txns := newTxns(3)
-	m := NewManager(true)
+	m := NewManagerShards(true, 0)
 	g := GapKey("t", []byte("z"))
 	if _, err := m.Acquire(txns[0], g, Exclusive); err != nil {
 		t.Fatal(err)
@@ -339,7 +339,7 @@ func TestSupremumGapKeyDistinct(t *testing.T) {
 
 func TestManyWaitersWakeUp(t *testing.T) {
 	_, txns := newTxns(9)
-	m := NewManager(true)
+	m := NewManagerShards(true, 0)
 	k := RowKey("t", []byte("hot"))
 	m.Acquire(txns[0], k, Exclusive)
 	var wg sync.WaitGroup

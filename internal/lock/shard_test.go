@@ -248,8 +248,8 @@ func TestShardCountRounding(t *testing.T) {
 			t.Fatalf("NewManagerShards(%d).Shards() = %d, want %d", c.in, got, c.want)
 		}
 	}
-	if got := NewManager(true).Shards(); got != DefaultShards() {
-		t.Fatalf("NewManager shards = %d, want DefaultShards %d", got, DefaultShards())
+	if got, want := NewManagerShards(true, 0).Shards(), core.ShardCount(0); got != want {
+		t.Fatalf("NewManagerShards(0).Shards() = %d, want core.ShardCount's default %d", got, want)
 	}
 }
 
@@ -281,7 +281,7 @@ func TestSIReadBatchGroupsByShard(t *testing.T) {
 			}
 
 			reader := mgr.Begin(core.SerializableSI)
-			rivals := m.AcquireSIReadBatch(reader, keys)
+			rivals := m.AcquireSIReadBatchInto(reader, keys, nil)
 			if !slices.Contains(rivals, writers[0]) || !slices.Contains(rivals, writers[1]) || len(rivals) != 2 {
 				t.Errorf("rivals = %v, want each of the two writers once", rivals)
 			}

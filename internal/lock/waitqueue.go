@@ -221,7 +221,7 @@ func (m *Manager) sweepLocked(s *shard, e *entry) {
 			switch {
 			case len(ws) == 0:
 				e.q.remove(w)
-				w.rivals = rivalsLocked(e, w.owner, w.mode)
+				w.rivals = rivalsInto(e, w.owner, w.mode, nil)
 				m.grantLocked(w.os, e, w.owner, w.key, w.mode)
 				m.wfg.drop(w)
 				w.granted = true

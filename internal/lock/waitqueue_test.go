@@ -26,7 +26,7 @@ func waitForParks(t *testing.T, m *Manager, n uint64) {
 
 func TestLockWaitTimeout(t *testing.T) {
 	_, txns := newTxns(3)
-	m := NewManager(true)
+	m := NewManagerShards(true, 0)
 	m.SetWaitTimeout(50 * time.Millisecond)
 	k := RowKey("t", []byte("x"))
 	if _, err := m.Acquire(txns[0], k, Exclusive); err != nil {
@@ -189,7 +189,7 @@ func TestFIFONoOvertake(t *testing.T) {
 // block register nothing in the waits-for graph.
 func TestUncontendedNeverTouchesGraph(t *testing.T) {
 	_, txns := newTxns(4)
-	m := NewManager(true)
+	m := NewManagerShards(true, 0)
 	for i, txn := range txns {
 		if _, err := m.Acquire(txn, RowKey("t", []byte{byte(i)}), Exclusive); err != nil {
 			t.Fatal(err)

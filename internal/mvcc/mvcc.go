@@ -76,10 +76,11 @@
 // latch + B+tree, so point reads and writes on different partitions never
 // touch the same latch (the storage-engine scaling move the paper delegates
 // to its hosts, and the one PostgreSQL's SSI relies on — Ports & Grittner,
-// VLDB 2012). Each partition's tree allocates page numbers from a disjoint
-// range, so a page number names one page of the whole table: page-granularity
-// lock keys and write stamps keep their meaning, and the split hook
-// (SetSplitHook) runs under the latch of the partition that split.
+// VLDB 2012). Page numbers are per tree: every partition numbers its pages
+// from 1, and the split hook (SetSplitHook) runs under the latch of the
+// partition that split. The page-granularity mode, whose lock keys and write
+// stamps are page numbers, runs one partition per table, so there a page
+// number names one page of the table, as in the Berkeley DB prototype.
 //
 // Ordered scans are a k-way merge over the per-partition trees, performed in
 // bounded lock-coupled rounds rather than under one table-long latch hold: a
@@ -232,10 +233,6 @@ type ReadResult struct {
 	NewerWriters []*core.Txn
 }
 
-// pageShardShift positions the partition index in the high bits of every
-// page number, giving each partition 2^24 page ids of its own.
-const pageShardShift = 24
-
 // ShardCount is the table-partition sizing policy: core.ShardCount's
 // rounding and clamping, but defaulting to GOMAXPROCS rather than 4× it —
 // unlike the lock table's stripes, partitions carry whole B+trees and every
@@ -310,12 +307,7 @@ func NewTable(name string, cfg Config) *Table {
 		horizon: cfg.Horizon,
 	}
 	for i := range tb.shards {
-		base := uint32(i) << pageShardShift
-		limit := base + 1<<pageShardShift
-		if n == 1 {
-			limit = 0 // single tree: the whole page-number space, as before
-		}
-		tb.shards[i] = &shard{tree: btree.NewWithPageBase[*chain](cfg.PageMaxKeys, base, limit)}
+		tb.shards[i] = &shard{tree: btree.NewOf[*chain](cfg.PageMaxKeys)}
 	}
 	return tb
 }
@@ -687,14 +679,15 @@ func (tb *Table) Scan(t *core.Txn, snap core.TS, from []byte, fn func(ScanItem) 
 //     emitted and its gap lock installed by an earlier flush; the inserter's
 //     exclusive acquisition reports the scanner as a rival and the conflict
 //     is marked from the writer side (Figure 3.7).
-//  4. Page granularity replaces gap locks with leaf-page SIREAD coverage:
-//     every leaf that could receive an in-range key is either the descent
-//     leaf of `from` (locked up front via AppendScanPathPages), the leaf of an
-//     emitted key, or the boundary leaf — all SIREAD-locked by their round's
-//     flush — and page splits inherit that coverage onto the new page under
-//     the partition latch. The engine reads each page's committed writer
-//     stamps only after its flush acquired the page lock, so a concurrent
-//     page writer is either still a lock rival or already stamped.
+//  4. Page granularity, which runs one tree per table, replaces gap locks
+//     with leaf-page SIREAD coverage: every leaf that could receive an
+//     in-range key is either the descent leaf of `from` (locked up front via
+//     AppendPathPages), the leaf of an emitted key, or the boundary leaf —
+//     all SIREAD-locked by their round's flush — and page splits inherit that
+//     coverage onto the new page under the tree's latch. The engine reads
+//     each page's committed writer stamps only after its flush acquired the
+//     page lock, so a concurrent page writer is either still a lock rival or
+//     already stamped.
 func (tb *Table) ScanWith(t *core.Txn, snap core.TS, from []byte, fn func(ScanItem) bool, flush func(exhausted bool)) {
 	m := tb.acquireMerge(from)
 	defer tb.releaseMerge(m)
@@ -848,34 +841,17 @@ func (tb *Table) LeafPage(key []byte) uint32 {
 
 // PathPages returns the root-to-leaf page path for key within its partition.
 func (tb *Table) PathPages(key []byte) []uint32 {
+	return tb.AppendPathPages(make([]uint32, 0, 4), key)
+}
+
+// AppendPathPages is PathPages appending to out, the caller's recycled buffer
+// (as in lock.AcquireInto: the call allocates nothing once it has grown). It
+// takes the key's partition latch, shared, and nothing else.
+func (tb *Table) AppendPathPages(out []uint32, key []byte) []uint32 {
 	sh := tb.shardOf(key)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	return sh.tree.PathPages(key)
-}
-
-// AppendScanPathPages appends to out the root-to-leaf descent paths for
-// `from` in every partition — a merged scan descends all of them, so
-// page-granularity scans read-lock them all, as Berkeley DB does while
-// descending one tree (out is the caller's recycled buffer, as in
-// lock.AcquireInto: the call allocates nothing once it has grown). The
-// latch discipline matches a scan round exactly: every partition latch is
-// held shared together (ascending order, bounded duration), so the returned
-// paths form one atomic cut across partitions — a split cannot land between
-// two partitions' descents within one call. Splits after the call returns
-// are the caller's problem: the engine acquires the paths' page locks and
-// recomputes until a pass finds every page already held.
-func (tb *Table) AppendScanPathPages(out []uint32, from []byte) []uint32 {
-	for _, sh := range tb.shards {
-		sh.mu.RLock()
-	}
-	for _, sh := range tb.shards {
-		out = sh.tree.AppendPathPages(out, from)
-	}
-	for _, sh := range tb.shards {
-		sh.mu.RUnlock()
-	}
-	return out
+	return sh.tree.AppendPathPages(out, key)
 }
 
 // InsertWillSplit reports whether inserting key would split its leaf page.

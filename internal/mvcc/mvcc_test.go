@@ -642,36 +642,23 @@ func TestVacuumProportionalToGarbage(t *testing.T) {
 	check("Vacuum", before, 0, wide)
 }
 
-// TestAppendScanPathPages: the scan descent paths are appended behind what
-// the caller's buffer already holds — each partition's root-to-leaf path,
-// ending in the leaf a point lookup of the same key finds — and a buffer
-// that has grown once serves later calls without allocating.
-func TestAppendScanPathPages(t *testing.T) {
+// TestAppendPathPages: the key's descent path is appended behind what the
+// caller's buffer already holds, equals PathPages, and a buffer that has grown
+// once serves later calls without allocating.
+func TestAppendPathPages(t *testing.T) {
 	f := newFixture()
 	for i := 0; i < 200; i++ {
 		f.put(t, fmt.Sprintf("k%04d", i), "v")
 	}
-	from := []byte("k0100")
-	buf := f.tb.AppendScanPathPages([]uint32{7}, from)
+	key := []byte("k0100")
+	buf := f.tb.AppendPathPages([]uint32{7}, key)
 	if buf[0] != 7 {
 		t.Fatalf("prefix overwritten: %v", buf)
 	}
-	path := buf[1:]
-	if len(path) < 2*f.tb.Shards() {
-		t.Fatalf("%d pages for %d partitions of a multi-level tree: %v", len(path), f.tb.Shards(), path)
+	if path, own := buf[1:], f.tb.PathPages(key); !slices.Equal(path, own) || len(own) < 2 {
+		t.Errorf("appended path %v, PathPages %v: want the same multi-level path", path, own)
 	}
-	own := f.tb.PathPages(from)
-	found := false
-	for i := range path {
-		found = found || (i+len(own) <= len(path) && fmt.Sprint(path[i:i+len(own)]) == fmt.Sprint(own))
-	}
-	if !found {
-		t.Errorf("paths %v do not contain the key's own partition path %v", path, own)
-	}
-	if again := f.tb.AppendScanPathPages(buf, from)[len(buf):]; fmt.Sprint(again) != fmt.Sprint(path) {
-		t.Errorf("second descent %v differs from the first %v on an unchanged table", again, path)
-	}
-	if avg := testing.AllocsPerRun(20, func() { buf = f.tb.AppendScanPathPages(buf[:0], from) }); avg != 0 {
+	if avg := testing.AllocsPerRun(20, func() { buf = f.tb.AppendPathPages(buf[:0], key) }); avg != 0 {
 		t.Errorf("%.1f allocs per call into a grown buffer, want 0", avg)
 	}
 }

@@ -22,7 +22,9 @@ import (
 // made by tableCreated, inherited across splits by the split hook it installs
 // and folded as their writers retire. The row store underneath keeps
 // rows only, and lends this file its page topology (LeafPage, PathPages,
-// InsertWillSplit, AppendScanPathPages) and the split hook.
+// InsertWillSplit, AppendPathPages) and the split hook. A page-granularity
+// table is one B+tree, as in Berkeley DB (DB.TableShards), so a page number
+// names one page of the table.
 //
 // Page locks are planned from a tree the lock does not yet protect, so every
 // acquisition here is acquire-and-revalidate; and every stamp is read only
@@ -33,22 +35,6 @@ import (
 // the acquisition and committed before it.
 type pageTargets struct {
 	db *DB
-}
-
-// newPageTargets also settles the one store default that granularity decides.
-// Page mode models Berkeley DB's single B+tree per table, and what it is used
-// to observe — false sharing between keys on one leaf, split-induced root
-// conflicts, the "~100 leaf pages per table" of Figures 6.1-6.7 — changes
-// when keys are hashed across GOMAXPROCS trees, so an unset TableShards means
-// one partition here: conflict behaviour must not depend on the host's core
-// count. (Row mode's conflicts are key-based and host-independent whatever
-// the partitioning, so it keeps the GOMAXPROCS-scaled default.) Explicit
-// values are honoured.
-func newPageTargets(db *DB) *pageTargets {
-	if db.opts.TableShards == 0 {
-		db.opts.TableShards = 1
-	}
-	return &pageTargets{db: db}
 }
 
 func (*pageTargets) lockRead(tx *Txn, tb *table, key []byte, _ mvcc.Row, mode lock.Mode, snap core.TS) error {
@@ -128,15 +114,14 @@ func lockPagePath(tx *Txn, tb *table, key []byte, interior, leafMode lock.Mode, 
 	}
 }
 
-// lockScanStart locks the descent paths to `from` (every partition's, since
-// a merged scan descends them all), as Berkeley DB read-locks them: the lock
-// set is complete only once a recomputed path shows the pages just locked,
-// so a split racing the descent cannot move keys onto a page outside the
-// scan's coverage — once a page is held, later splits inherit the coverage
-// onto the new page (SIREAD) or wait for it (Shared).
+// lockScanStart locks the descent path to `from`, as Berkeley DB read-locks
+// it: the lock set is complete only once a recomputed path shows the pages
+// just locked, so a split racing the descent cannot move keys onto a page
+// outside the scan's coverage — once a page is held, later splits inherit the
+// coverage onto the new page (SIREAD) or wait for it (Shared).
 func (*pageTargets) lockScanStart(tx *Txn, sc *scanCtx, tb *table, from []byte, mode lock.Mode, snap core.TS) error {
 	for {
-		sc.pages = tb.data.AppendScanPathPages(sc.pages[:0], from)
+		sc.pages = tb.data.AppendPathPages(sc.pages[:0], from)
 		path := sc.pages
 		for _, pg := range path {
 			var err error
@@ -145,9 +130,9 @@ func (*pageTargets) lockScanStart(tx *Txn, sc *scanCtx, tb *table, from []byte, 
 				return err
 			}
 		}
-		// The recomputed paths land behind the first descent's in the same
+		// The recomputed path lands behind the first descent's in the same
 		// buffer.
-		sc.pages = tb.data.AppendScanPathPages(sc.pages, from)
+		sc.pages = tb.data.AppendPathPages(sc.pages, from)
 		if !slices.Equal(path, sc.pages[len(path):]) {
 			continue
 		}
@@ -208,9 +193,7 @@ func (p *pageTargets) tableCreated(tb *table) {
 // versions whole pages, so "a newer version of the page exists" means "some
 // transaction that committed after my snapshot wrote this page" — including
 // structural writes from splits, which is exactly how the paper's prototype
-// manufactures its root-page false positives (§6.1.5). Page numbers are unique
-// across a table's partitions (mvcc allocates each partition a disjoint
-// range), so one registry serves them all.
+// manufactures its root-page false positives (§6.1.5).
 //
 // A stamp points at its writer's core.Cell, never the record, for the reason
 // versions do (see package mvcc): the record is cut loose once every snapshot

@@ -152,7 +152,8 @@ func TestScanStallWriterLatency(t *testing.T) {
 // deletes and point reads — every retiring writer pruning its rows between
 // the rounds — with the recorded MVSG required acyclic — at
 // SerializableSI on both the partitioned and single-partition stores (both
-// detectors' default paths), in page granularity, and at S2PL. This is the
+// detectors' default paths), in page granularity (one tree, whatever
+// TableShards says), and at S2PL. This is the
 // §3.5 phantom argument exercised exactly where the handoff protocol has to
 // hold it: inserts landing behind and ahead of a scan frontier whose latches
 // have been dropped and re-taken.

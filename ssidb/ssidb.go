@@ -210,8 +210,8 @@ type Options struct {
 	// reproducing the Berkeley DB prototype's figures: it aborts several
 	// times as often and promises nothing more.
 	Detector Detector
-	// Granularity selects row- or page-level locking. Default row. It also
-	// decides the TableShards default: see there.
+	// Granularity selects row- or page-level locking. Default row. A
+	// page-granularity table is one B+tree, whatever TableShards says.
 	Granularity Granularity
 	// PageMaxKeys is the default B+tree page capacity for tables created
 	// implicitly. Smaller pages increase page-mode contention. Default 64.
@@ -236,7 +236,7 @@ type Options struct {
 	CheckpointBytes int64
 	// LockShards is the number of hash stripes in the lock manager's table
 	// (rounded up to a power of two, clamped to [1, 256]). Zero selects the
-	// default, lock.DefaultShards: GOMAXPROCS-scaled so every core can work
+	// default, core.ShardCount's: GOMAXPROCS-scaled so every core can work
 	// a different stripe. One shard reproduces the paper's single lock-table
 	// latch, useful as a contention baseline.
 	LockShards int
@@ -247,18 +247,17 @@ type Options struct {
 	// exists for the non-cycle hazard of a holder that is simply stuck.
 	LockWaitTimeout time.Duration
 	// TableShards is the number of hash partitions in each table's row
-	// store (rounded up to a power of two, clamped to [1, 256]). Each
-	// partition is an independently latched B+tree, so point operations on
-	// different partitions never contend; ordered scans merge the partitions
-	// back into one sequence. Zero
-	// selects the default: mvcc.ShardCount (GOMAXPROCS-scaled) under
-	// GranularityRow, whose conflicts are per key and so do not depend on
-	// the partitioning; one partition under GranularityPage, which models
-	// Berkeley DB's single B+tree per table and whose conflicts (which keys
-	// share a page, what a split rewrites) would otherwise vary with the
-	// host's core count. One partition reproduces the single-tree store,
-	// also useful as a baseline and as the oracle in the cross-partition
-	// scan property tests. DB.TableShards reports the effective value.
+	// store under GranularityRow (rounded up to a power of two, clamped to
+	// [1, 256]). Each partition is an independently latched B+tree, so point
+	// operations on different partitions never contend; ordered scans merge
+	// the partitions back into one sequence. Zero selects mvcc.ShardCount's
+	// GOMAXPROCS-scaled default; row conflicts are per key, so they do not
+	// depend on the partitioning. One partition reproduces the single-tree
+	// store, a baseline and the oracle of the cross-partition scan property
+	// tests. GranularityPage ignores it: a page-mode table is Berkeley DB's
+	// single B+tree, whose conflicts (which keys share a page, what a split
+	// rewrites) would otherwise vary with the partitioning. DB.TableShards
+	// reports the effective value.
 	TableShards int
 	// DisableSIReadUpgrade turns off the §3.7.3 optimisation that discards
 	// a transaction's SIREAD lock once it acquires EXCLUSIVE on the same
@@ -363,7 +362,7 @@ func open(dir string, opts Options) (*DB, error) {
 	}
 	db.targets = rowTargets{}
 	if opts.Granularity == GranularityPage {
-		db.targets = newPageTargets(db)
+		db.targets = &pageTargets{db}
 	}
 	empty := tableMap{}
 	db.tables.Store(&empty)
@@ -411,8 +410,14 @@ func (db *DB) Close() error {
 // LockShards returns the lock manager's effective shard count.
 func (db *DB) LockShards() int { return db.locks.Shards() }
 
-// TableShards returns the effective row-store partition count per table.
-func (db *DB) TableShards() int { return mvcc.ShardCount(db.opts.TableShards) }
+// TableShards returns the effective row-store partition count per table: one
+// under GranularityPage, whose table is one B+tree, as in Berkeley DB.
+func (db *DB) TableShards() int {
+	if db.opts.Granularity == GranularityPage {
+		return 1
+	}
+	return mvcc.ShardCount(db.opts.TableShards)
+}
 
 // CreateTable creates a table with an explicit page capacity (keys per
 // B+tree page). Creating an existing table is a no-op. Tables are also
@@ -456,7 +461,7 @@ func (db *DB) newTable(name string, pageMaxKeys int) *table {
 	tb := &table{name: name, pageMaxKeys: pageMaxKeys}
 	tb.data = mvcc.NewTable(name, mvcc.Config{
 		PageMaxKeys: pageMaxKeys,
-		Shards:      db.opts.TableShards,
+		Shards:      db.TableShards(),
 		Horizon:     db.mgr.OldestActiveSnapshot,
 	})
 	db.targets.tableCreated(tb)
@@ -510,7 +515,7 @@ func (db *DB) beginTx(iso Isolation, opts TxnOptions) *Txn {
 	if r := db.opts.Recorder; r != nil {
 		r.RecBegin(t.ID(), iso.String())
 	}
-	return db.newTxn(t, opts.ReadOnly)
+	return db.newTxn(t)
 }
 
 // BeginReadOnly starts a transaction declared read-only at the given

@@ -38,6 +38,30 @@ func TestTableShardsOption(t *testing.T) {
 	}
 }
 
+// TestPageGranularityIsOneTree: a page-granularity table is one B+tree, as in
+// Berkeley DB, whatever TableShards says — so a page number names one page of
+// the table — while row granularity keeps the partitions it was given.
+func TestPageGranularityIsOneTree(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		gran ssidb.Granularity
+		want int
+	}{{"page", ssidb.GranularityPage, 1}, {"row", ssidb.GranularityRow, 8}} {
+		db := ssidb.Open(ssidb.Options{Granularity: c.gran, TableShards: 8})
+		if got := db.TableShards(); got != c.want {
+			t.Errorf("%s: TableShards() = %d, want %d", c.name, got, c.want)
+		}
+		if err := db.Run(ssidb.SerializableSI, func(tx *ssidb.Txn) error {
+			return tx.Put("t", []byte("k"), []byte("v"))
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if st := db.TableStats("t"); st.Shards != c.want {
+			t.Errorf("%s: TableStats.Shards = %d, want %d", c.name, st.Shards, c.want)
+		}
+	}
+}
+
 // TestCrossPartitionScanMatchesOracle is the acceptance property for the
 // partitioned store: the same random operation sequence applied to an
 // 8-partition database and to a 1-partition oracle must yield byte-identical
@@ -212,7 +236,6 @@ func TestPartitionedStoreStress(t *testing.T) {
 // shrink the write-stamp histories too.
 func TestVacuumReclaimsVersionsAndStamps(t *testing.T) {
 	db := ssidb.Open(ssidb.Options{
-		TableShards: 4,
 		Granularity: ssidb.GranularityPage,
 		PageMaxKeys: 8,
 		Detector:    ssidb.DetectorBasic,

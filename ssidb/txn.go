@@ -34,12 +34,10 @@ type Txn struct {
 
 	done bool
 
-	// ro marks a transaction declared read-only at begin; writes on it fail
-	// with ErrReadOnly. roSafe caches a positive SnapshotSafe verdict — a
-	// verdict is permanently sound for the holder — so once set the SSI
-	// read paths skip SIREAD acquisition and conflict marking for the rest
-	// of the transaction.
-	ro     bool
+	// roSafe caches a positive SnapshotSafe verdict for a transaction
+	// declared read-only — a verdict is permanently sound for the holder — so
+	// once set the SSI read paths skip SIREAD acquisition and conflict marking
+	// for the rest of the transaction.
 	roSafe bool
 }
 
@@ -86,8 +84,8 @@ const maxPooledWrites = 64 << 10 / int(unsafe.Sizeof(mvcc.Row{}))
 
 // newTxn builds the handle of a transaction that has just begun — the one
 // place a scratch is taken.
-func (db *DB) newTxn(t *core.Txn, ro bool) *Txn {
-	return &Txn{db: db, t: t, s: txnScratchPool.Get().(*txnScratch), ro: ro}
+func (db *DB) newTxn(t *core.Txn) *Txn {
+	return &Txn{db: db, t: t, s: txnScratchPool.Get().(*txnScratch)}
 }
 
 // finish marks the handle done and takes its scratch from it.
@@ -120,7 +118,7 @@ func (tx *Txn) Isolation() Isolation { return tx.t.Isolation() }
 func (tx *Txn) Snapshot() uint64 { return tx.t.Snapshot() }
 
 // ReadOnly reports whether the transaction was declared read-only at begin.
-func (tx *Txn) ReadOnly() bool { return tx.ro }
+func (tx *Txn) ReadOnly() bool { return tx.t.ReadOnly() }
 
 // SafeSnapshot reports whether the transaction has been promoted to a safe
 // snapshot (it reads SIREAD-free at plain-SI cost while remaining
@@ -135,7 +133,7 @@ func (tx *Txn) SafeSnapshot() bool { return tx.roSafe }
 // can commit a structure into the snapshot's past once none could at
 // promotion time) — so the steady state is one boolean load.
 func (tx *Txn) roFast() bool {
-	if !tx.ro {
+	if !tx.t.ReadOnly() {
 		return false
 	}
 	if tx.roSafe {
@@ -484,7 +482,7 @@ func (tx *Txn) GetForUpdate(tableName string, key []byte) (val []byte, found boo
 	if err := tx.pre(); err != nil {
 		return nil, false, err
 	}
-	if tx.ro {
+	if tx.t.ReadOnly() {
 		// A locked read takes exclusive locks and participates in
 		// First-Committer-Wins as a writer would; read-only transactions
 		// must use Get.
@@ -542,7 +540,7 @@ func (tx *Txn) write(tableName string, key, val []byte, tombstone, mustNotExist 
 	if err := tx.pre(); err != nil {
 		return err
 	}
-	if tx.ro {
+	if tx.t.ReadOnly() {
 		// Statement-level rejection, like ErrKeyExists: the transaction
 		// stays usable for reads and may still commit. The core relies on
 		// this gate — a declared read-only transaction must never reach the
