@@ -73,8 +73,10 @@
 //	    and then reads the versions, checks First-Committer-Wins, installs and
 //	    — on abort — undoes its write through the same handle, with no further
 //	    descent. The look-up reads no row state, so the order of Figures 3.4
-//	    and 3.5 stands: lock first, then read. Only a key that has no chain is
-//	    locked under a copy of k and looked up again once the lock is held.
+//	    and 3.5 stands: lock first, then read. A key that has no chain is
+//	    locked under a copy of k and looked up again once the lock is held; a
+//	    write makes that copy once (mvcc.Absent), and it is also the key the
+//	    tree keeps if the write inserts the row.
 //	[9] A value returned (Get, GetForUpdate) or shown to a Scan callback
 //	    aliases the stored version: it is read-only, and its capacity equals
 //	    its length, so an append copies instead of writing into the store or
@@ -83,13 +85,27 @@
 // Handle lifetime. The *ssidb.Txn a begin returns is the caller's: it may be
 // kept past Commit, Abort or the return of Run and RunRetry, and from then on
 // every operation on it returns ErrTxnDone (Abort returns nil). What the
-// transaction needed only while it ran — write set, rival buffer, redo
-// record — is the engine's: it sits in a scratch recycled through a
-// sync.Pool, taken at begin and handed back zeroed the moment the
-// transaction is done, and the finished handle no longer reaches it. What a
-// kept handle does keep alive is its transaction's record (96 bytes and the
-// conflict partners it names), which otherwise dies when the engine retires
-// the transaction. Like any Txn, a handle is for one goroutine at a time.
+// transaction needed only while it ran — the database and program it ran
+// against, write set, rival buffer, redo record — is the engine's: it sits in
+// a scratch recycled through a sync.Pool, taken at begin and handed back
+// zeroed the moment the transaction is done, and the finished handle no
+// longer reaches it. Nor does it reach the transaction's record: the handle
+// drops it at the end, and a record no other transaction can have seen — one
+// that locked nothing, wrote nothing and was in no conflict, such as a
+// declared read-only reader promoted to a safe snapshot at its first read —
+// is recycled for a later transaction at once. A finished handle keeps
+// nothing alive and answers from its own 32 bytes:
+//
+//	accessor       while the transaction runs            once it has ended
+//	ID             its id                                the same id
+//	Isolation      its level                             the same level
+//	ReadOnly       whether it was declared read-only     the same answer
+//	SafeSnapshot   whether it was promoted to a safe     the same answer
+//	               snapshot
+//	Snapshot       its read timestamp, 0 before the      0
+//	               first read
+//
+// Like any Txn, a handle is for one goroutine at a time.
 //
 // # The detector: when ErrUnsafe is returned
 //
@@ -212,10 +228,10 @@
 //     counter or sampling is involved (ssidb.DB.Vacuum still walks every
 //     chain on demand). The table directory itself is an atomic
 //     copy-on-write map — resolving a table name costs one atomic load.
-//   - A stored row is two things (≈78 B for a 4-byte key and a 1-byte
+//   - A stored row is two things (≈74 B for a 4-byte key and a 1-byte
 //     value straight after a load, TestRowFootprintAllocBudget, and again
 //     once every row was overwritten,
-//     TestOverwrittenRowFootprintAllocBudget; ≈254 B for a SmallBank
+//     TestOverwrittenRowFootprintAllocBudget; ≈246 B for a SmallBank
 //     customer's three rows, TestSmallBankFootprintAllocBudget): a 24-byte
 //     {key, *chain} slot in a B+tree leaf (the tree is generic in its value
 //     type, so the slot holds no interface), and the 32-byte chain the slot
@@ -242,7 +258,8 @@
 //     nothing, on any number of processors, because the writer's own
 //     retirement refills what its write took. Key bytes belong to the tree:
 //     Put, Insert and Delete only borrow the caller's key (it is copied,
-//     into an immutable string, if and when the call creates the row),
+//     into an immutable string, once when the call may create the row: the
+//     copy names the absent row's lock and is what the tree keeps),
 //     every row and gap lock on a key the tree holds — a scanned row, a
 //     gap, an insert's successor, the gap the insert itself creates, and the
 //     row of a point read or write, through the handle of note [8] above — is
@@ -264,6 +281,11 @@
 //     and reads at plain-SI cost while staying serializable. A positive
 //     verdict is permanently sound for its holder, so the check is a
 //     handful of atomic loads until the first yes, then a cached boolean.
+//     A reader promoted at its first read locks nothing, writes nothing and
+//     is in no conflict, so at its end no other transaction can hold its
+//     record: core.Manager.Release hands the record to the next begin, and
+//     such a reader allocates only its 32-byte handle
+//     (TestReadOnlyTxnAllocBudget).
 //   - internal/server and cmd/ssiserver put a network front end on all of
 //     it: a TCP server speaking a length-prefixed framed protocol with one
 //     pipelined session goroutine per connection, a batched transaction

@@ -235,8 +235,22 @@ func (t *TreeOf[V]) LookupOrInsert(key []byte, val V) (stored string, actual V, 
 	if stored, v, ok := t.Lookup(key); ok {
 		return stored, v, true
 	}
-	stored = string(key)
-	if sep, right := t.insertInto(t.root, stored, val, true); right != nil {
+	return t.insertNew(string(key), val), val, false
+}
+
+// LookupOrInsertCopy is LookupOrInsert for a caller that has already copied
+// key: copied must equal string(key), and if the call inserts, the tree keeps
+// copied as its own key instead of making another copy.
+func (t *TreeOf[V]) LookupOrInsertCopy(key []byte, copied string, val V) (stored string, actual V, loaded bool) {
+	if stored, v, ok := t.Lookup(key); ok {
+		return stored, v, true
+	}
+	return t.insertNew(copied, val), val, false
+}
+
+// insertNew adds key, which is absent and the tree's to keep, and returns it.
+func (t *TreeOf[V]) insertNew(key string, val V) string {
+	if sep, right := t.insertInto(t.root, key, val, true); right != nil {
 		newRoot := t.newNode(false)
 		newRoot.slots = append(newRoot.slots, slot[V]{key: sep})
 		newRoot.children = append(newRoot.children, t.root, right)
@@ -244,7 +258,7 @@ func (t *TreeOf[V]) LookupOrInsert(key []byte, val V) (stored string, actual V, 
 	}
 	t.size++
 	t.mods++
-	return stored, val, false
+	return key
 }
 
 // insertInto adds key (which must be absent, and is the tree's to keep) below

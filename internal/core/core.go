@@ -235,7 +235,9 @@
 // whose oldest entry the horizon has not passed costs one atomic load. The
 // drain takes entries off a queue in short batches and hands each batch to
 // the hook with no lock held, so drainers of one shard share it, an append
-// never waits behind a hook, and the hook can batch its own work.
+// never waits behind a hook, and the hook can batch its own work. A record
+// once queued is never recycled (Release): the queue, the hook and the
+// structures the hook releases it from may all still hold it.
 //
 // The last end of a quiescing workload leaves every queue empty. Let Y be the
 // end whose registry removal is last: its horizon exceeds every commit. If
@@ -279,7 +281,7 @@
 // lets a page fold a severed writer's stamp into its floor.
 //
 // With versions out of the picture, these are the holders of a *Txn, and how
-// long each holds it — the list that pooling records would have to empty:
+// long each holds it:
 //
 //   - the active registry, from Begin until Finish, Abort or an unsafe abort;
 //   - its shard's retirement queue, from Finish until the drain that finds the
@@ -296,7 +298,25 @@
 //   - rival and newer-writer buffers in flight (lock.AcquireInto results,
 //     mvcc.ReadResult.NewerWriters, the engine's recycled scratch, zeroed on
 //     release), for the duration of one operation;
-//   - the caller's handle, for as long as the caller keeps it.
+//   - the engine's handle, until the transaction ends and the engine lets go
+//     of the record (Release).
+//
+// Only the first and the last are there for every record. Every other holder
+// is reached through something the record leaves behind, which core sees: the
+// lock table through its lock state (set before its first lock), versions and
+// page stamps through its cell, partners' references through MarkConflict
+// (which marks both endpoints, marked), the retirement queue through
+// FinishWith (queued), and the in-flight buffers through the lock table or a
+// cell. A record that ended with none of the four — no cell, no lock state,
+// never an endpoint of MarkConflict, not queued — was held by the registry,
+// which dropped it at the end, and by the handle; nobody else can ever have
+// reached it. So Release zeroes such a record and returns it to the pool
+// BeginTx draws from. In practice these are the declared read-only readers
+// promoted to a safe snapshot at their first read, and plain-SI transactions
+// that only read: they lock nothing. Every other record keeps the lifetime
+// above and is left to the collector; pooling those waits on bounding
+// partners' references by the active set (the summary tier) and on proving
+// that no in-flight buffer still names a retired record.
 package core
 
 import (
@@ -414,8 +434,10 @@ const (
 // Txn is one transaction's record. The record outlives commit when the
 // transaction holds SIREAD locks, detected conflicts or wrote anything (it is
 // "suspended", thesis §3.3) so that later operations by concurrent
-// transactions can still find its conflict flags; see "Record lifetime" in the
-// package comment for who may hold one and until when.
+// transactions can still find its conflict flags; one that ends unseen by any
+// other transaction is recycled for a later one instead (Release). See
+// "Record lifetime" in the package comment for who may hold one and until
+// when.
 //
 // in/out implement the inConflict / outConflict state of the paper. A
 // reference names the single conflicting transaction, degrading to a
@@ -444,7 +466,7 @@ type Txn struct {
 	beginTS  atomic.Uint64 // snapshot timestamp; 0 until assigned (§4.5 defers it)
 	commitTS atomic.Uint64 // 0 until committed
 
-	// One word: the lifecycle state beside two single-byte facts.
+	// One word: the lifecycle state beside four single-byte facts.
 	status atomic.Int32
 	iso    uint8 // the Isolation level. Immutable.
 	// readOnly marks a transaction declared read-only at begin. Immutable.
@@ -454,6 +476,13 @@ type Txn struct {
 	// transaction is excluded from the read-write watermark that decides
 	// snapshot safety.
 	readOnly bool
+	// marked records that the transaction was an endpoint of MarkConflict,
+	// so a partner may hold a reference to it. Set under both endpoints'
+	// csMu; Release reads it under this one's.
+	marked bool
+	// queued records that FinishWith put the transaction on a retirement
+	// queue. Written and read by the owner's goroutine only.
+	queued bool
 
 	// csMu is this transaction's conflict-state mutex: it guards mutation
 	// of in/out and makes the commit-time dangerous-structure check atomic
@@ -914,7 +943,8 @@ func (m *Manager) Begin(iso Isolation) *Txn {
 // comment, invariant 4 and "Safe snapshots"). The caller — the engine layer
 // — is responsible for actually rejecting writes on it.
 func (m *Manager) BeginTx(iso Isolation, readOnly bool) *Txn {
-	t := &Txn{id: m.nextID.Add(1), iso: uint8(iso), readOnly: readOnly}
+	t := recordPool.Get().(*Txn)
+	t.id, t.iso, t.readOnly = m.nextID.Add(1), uint8(iso), readOnly
 	sh := m.regShardOf(t)
 	sh.mu.Lock()
 	sh.active[t] = 0
@@ -1072,6 +1102,7 @@ func (m *Manager) MarkConflict(reader, writer, caller *Txn) error {
 	hi.csMu.Lock()
 	defer hi.csMu.Unlock()
 	defer lo.csMu.Unlock()
+	reader.marked, writer.marked = true, true
 
 	// Conflicts with aborted transactions are irrelevant (§3.7.1): an
 	// aborted transaction's edges cannot appear in the MVSG.
@@ -1370,6 +1401,7 @@ func (m *Manager) Finish(t *Txn, keep bool) { m.FinishWith(t, keep, nil) }
 func (m *Manager) FinishWith(t *Txn, keep bool, payload any) {
 	m.deregister(t)
 	if keep || t.cell != nil || payload != nil {
+		t.queued = true
 		sh := m.regShardOf(t)
 		sh.retMu.Lock()
 		sh.enqueueLocked(retiree{t.CommitTS(), Retired{t, payload}})
@@ -1387,6 +1419,31 @@ func (m *Manager) Abort(t *Txn) {
 	}
 	m.deregister(t)
 	m.drain()
+}
+
+// recordPool holds the records Release proved unseen, zeroed, for BeginTx.
+var recordPool = sync.Pool{New: func() any { return new(Txn) }}
+
+// Release tells the Manager that the engine has let go of t: it keeps no
+// reference to it and makes no further call with it. The caller must have
+// ended t (Finish, FinishWith or Abort) first. If t ended unseen — no creator
+// cell, no lock state, never an endpoint of MarkConflict, not queued by
+// FinishWith — the registry was its only other holder ("Record lifetime" in
+// the package comment), so t is zeroed and returns to the pool BeginTx draws
+// from. Any other record keeps its lifetime: Release does nothing to it, and
+// the drain or the collector ends it as before.
+func (m *Manager) Release(t *Txn) {
+	if t.Status() == StatusActive || t.cell != nil || t.lockState != nil || t.queued {
+		return
+	}
+	t.csMu.Lock()
+	marked := t.marked
+	t.csMu.Unlock()
+	if marked {
+		return
+	}
+	*t = Txn{}
+	recordPool.Put(t)
 }
 
 // SetRetireHook installs fn to receive each suspended transaction once its

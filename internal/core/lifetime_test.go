@@ -109,3 +109,162 @@ func TestSweepReleasesRetiredRecords(t *testing.T) {
 	}
 	runtime.KeepAlive(m)
 }
+
+// endUnseen runs a declared read-only SerializableSI transaction the way a
+// promoted reader of the engine runs: a snapshot, no lock, no cell, no
+// conflict, committed and finished without keep. Its record ends unseen.
+func endUnseen(t *testing.T, m *Manager) *Txn {
+	r := m.BeginTx(SerializableSI, true)
+	m.AssignSnapshot(r)
+	commit(t, m, r, false)
+	return r
+}
+
+// comesBack reports whether rec is handed out by one of the next few begins,
+// which are ended unseen and released again.
+func comesBack(t *testing.T, m *Manager, rec *Txn) bool {
+	back := false
+	for i := 0; i < 4; i++ {
+		n := m.Begin(SnapshotIsolation)
+		back = back || n == rec
+		m.Abort(n)
+		m.Release(n)
+	}
+	return back
+}
+
+// TestSeenRecordsAreNeverPooled: Release recycles a record only if core can
+// prove that the registry was its only holder besides the engine. A record
+// that took a lock (the lock table's holder maps name it), got a creator cell
+// (versions reach it through the cell), was an endpoint of MarkConflict (a
+// partner's in or out reference may name it) or was queued by FinishWith (a
+// retirement queue, and then the retire hook, hold it) never comes back from
+// BeginTx; a record that ended unseen does.
+func TestSeenRecordsAreNeverPooled(t *testing.T) {
+	m := NewManager(DetectorPrecise)
+	pin := m.Begin(SnapshotIsolation)
+	m.AssignSnapshot(pin) // keeps queued records queued
+	defer m.Abort(pin)
+
+	for _, c := range []struct {
+		name string
+		end  func() *Txn // runs a transaction to its end and returns its record
+	}{
+		{"lock state", func() *Txn {
+			r := m.BeginTx(SerializableSI, true)
+			m.AssignSnapshot(r)
+			r.SetLockState(new(int)) // as the lock manager does at a first acquire
+			commit(t, m, r, false)
+			return r
+		}},
+		{"cell, aborted", func() *Txn {
+			w := m.Begin(SnapshotIsolation)
+			w.Cell()
+			m.Abort(w)
+			return w
+		}},
+		{"MarkConflict reader", func() *Txn {
+			r := m.BeginTx(SerializableSI, true)
+			w := m.Begin(SerializableSI)
+			m.AssignSnapshot(r)
+			if err := m.MarkConflict(r, w, r); err != nil {
+				t.Fatal(err)
+			}
+			commit(t, m, r, false) // w.in now names r
+			m.Abort(w)
+			return r
+		}},
+		{"MarkConflict writer", func() *Txn {
+			r := m.Begin(SerializableSI)
+			w := m.Begin(SerializableSI)
+			m.AssignSnapshot(r)
+			m.AssignSnapshot(w)
+			if err := m.MarkConflict(r, w, w); err != nil {
+				t.Fatal(err)
+			}
+			commit(t, m, w, false) // r.out names w
+			m.Abort(r)
+			return w
+		}},
+		{"queued by keep", func() *Txn {
+			r := m.Begin(SerializableSI)
+			m.AssignSnapshot(r)
+			commit(t, m, r, true)
+			return r
+		}},
+		{"queued by payload", func() *Txn {
+			r := m.Begin(SerializableSI)
+			m.AssignSnapshot(r)
+			if _, err := m.CommitPrepare(r); err != nil {
+				t.Fatal(err)
+			}
+			m.FinishWith(r, false, "payload")
+			return r
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			for round := 0; round < 20; round++ {
+				rec := c.end()
+				m.Release(rec)
+				if comesBack(t, m, rec) {
+					t.Fatalf("round %d: a record that was seen came back from the pool", round)
+				}
+			}
+		})
+	}
+
+	t.Run("unseen", func(t *testing.T) {
+		// A pool may miss (and drops puts at random under the race
+		// detector), so repeat until the record comes back.
+		for round := 0; round < 100; round++ {
+			rec := endUnseen(t, m)
+			m.Release(rec)
+			if comesBack(t, m, rec) {
+				return
+			}
+		}
+		t.Fatal("a record that ended unseen never came back from the pool")
+	})
+}
+
+// TestPooledRecordPinsNothing: a record Release takes is zeroed — no id,
+// timestamps, status, flags, references, cell or lock state survive into the
+// transaction BeginTx hands it to — and nothing in the Manager keeps it: once
+// the pool lets go of it, the collector frees it.
+func TestPooledRecordPinsNothing(t *testing.T) {
+	m := NewManager(DetectorPrecise)
+	w := m.Begin(SnapshotIsolation)
+	m.AssignSnapshot(w)
+	w.Cell()
+	commit(t, m, w, false) // a read-write commit, so the reader's toutHi is set
+
+	r := endUnseen(t, m)
+	if r.toutHi == 0 || r.Snapshot() == 0 || r.CommitTS() == 0 || !r.readOnly {
+		t.Fatalf("the reader ended without its state: toutHi %d, snapshot %d, commit %d", r.toutHi, r.Snapshot(), r.CommitTS())
+	}
+	m.Release(r)
+	if r.id != 0 || r.toutHi != 0 || r.beginTS.Load() != 0 || r.commitTS.Load() != 0 ||
+		r.Status() != StatusActive || r.iso != 0 || r.readOnly || r.marked || r.queued ||
+		r.in.Load() != nil || r.out.Load() != nil || r.outCT != 0 || r.cell != nil || r.lockState != nil {
+		t.Fatalf("a pooled record is not zero: %+v", r)
+	}
+	if !r.csMu.TryLock() {
+		t.Fatal("a pooled record's conflict mutex is held")
+	}
+	r.csMu.Unlock()
+
+	recs := make([]weak.Pointer[Txn], 64)
+	for i := range recs {
+		rec := endUnseen(t, m)
+		m.Release(rec)
+		recs[i] = weak.Make(rec)
+	}
+	runtime.GC()
+	runtime.GC()
+	for i, p := range recs {
+		if p.Value() != nil {
+			t.Fatalf("released record %d is still reachable once the pool has been emptied", i)
+		}
+	}
+	runtime.KeepAlive(m)
+}

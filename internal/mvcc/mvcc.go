@@ -46,9 +46,9 @@
 // the row's state is, nothing about what it was — and it stays valid for the
 // life of the table, because neither thing it names ever changes identity: no
 // key ever leaves a tree (the trees are insert-only, deletes are tombstone
-// versions), and a slot's chain is installed once, by the structural insert's
-// LookupOrInsert(key, &chain{}), and never replaced — a page split moves slots
-// (the key string and the chain pointer in them) between pages, not chains.
+// versions), and a slot's chain is installed once, by the structural insert
+// (insertLocked), and never replaced — a page split moves slots (the key
+// string and the chain pointer in them) between pages, not chains.
 // That is the whole safety argument for operating through a Row with no
 // further descent: every such operation takes the partition latch and reads
 // or writes the chain's state as it then is, exactly as the by-key operation
@@ -397,13 +397,21 @@ func (tb *Table) Locate(key []byte) (Row, bool) {
 	return Row{key: stored, c: c, sh: sh}, true
 }
 
-// IsZero reports whether r is the zero Row, which Locate returns for a key
-// that has no row.
+// IsZero reports whether r is the handle of a key that has no row: the zero
+// Row, which Locate returns for one, or a handle Absent made.
 func (r Row) IsZero() bool { return r.c == nil }
 
 // Key returns the store's own copy of the row's key, which the caller may
-// keep (to name the row's lock by, say).
+// keep (to name the row's lock by, say) — for a handle Absent made, its copy
+// of the key, and for the zero Row the empty string.
 func (r Row) Key() string { return r.key }
+
+// Absent returns the handle of a key that has no row, carrying a copy of the
+// key: IsZero reports true and Key returns the copy. A write that may create
+// the row makes its one copy of the key here. The engine names the row's lock
+// by it, and WriteAbsent stores it as the tree's own key if the write
+// inserts; if another insert won the key first, the copy is simply dropped.
+func Absent(key []byte) Row { return Row{key: string(key)} }
 
 // Read performs a snapshot read of the row for t at snapshot snap, also
 // reporting the creators of any newer versions for conflict marking. Reading
@@ -554,6 +562,19 @@ func (p *Pruner) Flush() {
 // because the successor may live in any of them. Write reports whether a
 // structural insert happened.
 func (tb *Table) Write(t *core.Txn, key []byte, data []byte, tombstone bool, onInsert func(stored, succ string, hasSucc bool)) (row Row, inserted bool) {
+	return tb.write(t, key, "", data, tombstone, onInsert)
+}
+
+// WriteAbsent is Write for a key the caller found without a row, through the
+// handle Absent made of it: a structural insert stores the handle's copy of
+// the key as the tree's own key rather than copying key again.
+func (tb *Table) WriteAbsent(t *core.Txn, key []byte, absent Row, data []byte, tombstone bool, onInsert func(stored, succ string, hasSucc bool)) (row Row, inserted bool) {
+	return tb.write(t, key, absent.key, data, tombstone, onInsert)
+}
+
+// write is Write and WriteAbsent: copied is string(key), or empty to let the
+// insert copy key itself (which for an empty key is the same).
+func (tb *Table) write(t *core.Txn, key []byte, copied string, data []byte, tombstone bool, onInsert func(stored, succ string, hasSucc bool)) (row Row, inserted bool) {
 	w := t.Cell() // t's first write allocates it, on t's own goroutine
 	sh := tb.shardOf(key)
 	sh.mu.Lock()
@@ -562,7 +583,7 @@ func (tb *Table) Write(t *core.Txn, key []byte, data []byte, tombstone bool, onI
 		if !ok {
 			// No gap protocol to run (page-granularity and lock-free
 			// modes): the insert is local to this partition.
-			stored, c, _ = sh.tree.LookupOrInsert(key, &chain{})
+			stored, c = insertLocked(sh, key, copied)
 		}
 		row = Row{key: stored, c: c, sh: sh}
 		writeChainLocked(sh, row.c, w, data, tombstone)
@@ -581,13 +602,24 @@ func (tb *Table) Write(t *core.Txn, key []byte, data []byte, tombstone bool, onI
 	if !ok {
 		// (Losing a race for the key between the latches cannot happen under
 		// the engine's exclusive row lock, but stay correct without it.)
-		stored, c, _ = sh.tree.LookupOrInsert(key, &chain{})
+		stored, c = insertLocked(sh, key, copied)
 		succ, hasSucc := tb.successorAllLocked(key)
 		onInsert(stored, succ, hasSucc)
 	}
 	row = Row{key: stored, c: c, sh: sh}
 	writeChainLocked(sh, row.c, w, data, tombstone)
 	return row, !ok
+}
+
+// insertLocked inserts an empty row for key, which sh lacks, under copied
+// (string(key), or empty to copy key here). Caller holds the shard latch
+// exclusively.
+func insertLocked(sh *shard, key []byte, copied string) (string, *chain) {
+	if copied == "" {
+		copied = string(key)
+	}
+	stored, c, _ := sh.tree.LookupOrInsertCopy(key, copied, &chain{})
+	return stored, c
 }
 
 // writeChainLocked pushes (or replaces in place) the pending version of the

@@ -51,10 +51,10 @@ func (db *DB) walCommitHook(_ *core.Txn, ct core.TS, slot any) {
 // behaviour the thesis figures were measured against — a commit record is
 // written and flushed even for queries.
 func (tx *Txn) shouldLog() bool {
-	if tx.db.log == nil {
+	if tx.s.db.log == nil {
 		return false
 	}
-	return len(tx.s.commit.redo) > 0 || tx.db.dir == ""
+	return len(tx.s.commit.redo) > 0 || tx.s.db.dir == ""
 }
 
 // --- redo record encoding ---

@@ -55,7 +55,7 @@ func (*pageTargets) lockWrite(tx *Txn, tb *table, key []byte, _ mvcc.Row, struct
 
 func (*pageTargets) install(tx *Txn, tb *table, key []byte, row mvcc.Row, val []byte, tombstone bool) (mvcc.Row, error) {
 	if row.IsZero() {
-		row, _ = tb.data.Write(tx.t, key, val, tombstone, nil)
+		row, _ = tb.data.WriteAbsent(tx.t, key, row, val, tombstone, nil)
 	} else {
 		row.Write(tx.t, val, tombstone)
 	}
@@ -89,7 +89,7 @@ func lockPagePath(tx *Txn, tb *table, key []byte, interior, leafMode lock.Mode, 
 				continue
 			}
 			held := len(readers)
-			readers, err = tx.db.locks.AcquireInto(tx.t, lock.PageKey(tb.name, pg), mode, readers)
+			readers, err = tx.s.db.locks.AcquireInto(tx.t, lock.PageKey(tb.name, pg), mode, readers)
 			if err == nil && mode == lock.SIRead {
 				// These rivals are exclusive holders (Figure 3.4): marked
 				// now, not handed to the caller.
@@ -125,7 +125,7 @@ func (*pageTargets) lockScanStart(tx *Txn, sc *scanCtx, tb *table, from []byte, 
 		path := sc.pages
 		for _, pg := range path {
 			var err error
-			sc.writers, err = tx.db.locks.AcquireInto(tx.t, lock.PageKey(tb.name, pg), mode, sc.writers)
+			sc.writers, err = tx.s.db.locks.AcquireInto(tx.t, lock.PageKey(tb.name, pg), mode, sc.writers)
 			if err != nil {
 				return err
 			}

@@ -126,10 +126,11 @@ func TestPageStampsFoldWhenWritersRetire(t *testing.T) {
 		if err := tx.Put("t", key, []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
+		rec := tx.t // the handle lets go of its record at the end
 		if err := tx.Commit(); err != nil {
 			t.Fatal(err)
 		}
-		lastCT = tx.t.CommitTS()
+		lastCT = rec.CommitTS()
 	}
 	if err := db.Run(SerializableSI, func(tx *Txn) error {
 		_, _, err := tx.Get("t", key)

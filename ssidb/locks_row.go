@@ -15,8 +15,11 @@ import (
 // A lock names its row or gap by the store's own key string wherever a descent
 // has found that key: every scanned row, every gap (named by the key that ends
 // it, which exists, the gap a structural insert creates included), and a point
-// operation's row, through the handle of its one Locate. Only locks on absent
-// keys copy key bytes (rowKeyFor).
+// operation's row, through the handle of its one Locate. A write to a key
+// without a row names its exclusive lock by the copy of the key its absent
+// handle carries (mvcc.Absent), which is also the key the tree keeps if the
+// write inserts; only a read or a locked read of a key without a row copies
+// key bytes for its lock alone (rowKeyFor).
 type rowTargets struct{}
 
 func rowKeyOf(tb *table, stored string) lock.Key {
@@ -27,15 +30,18 @@ func gapKeyOf(tb *table, stored string) lock.Key {
 	return lock.Key{Table: tb.name, Kind: lock.Gap, K: stored}
 }
 
+// rowKeyFor names the row lock of key, whose handle is row: by the row's key
+// string, or the copy an absent handle carries, or else (the zero Row, whose
+// Key is empty) by a copy made here.
 func rowKeyFor(tb *table, key []byte, row mvcc.Row) lock.Key {
-	if row.IsZero() {
+	if row.Key() == "" {
 		return lock.RowKey(tb.name, key)
 	}
 	return rowKeyOf(tb, row.Key())
 }
 
 func (rowTargets) lockRead(tx *Txn, tb *table, key []byte, row mvcc.Row, mode lock.Mode, _ core.TS) error {
-	rivals, err := tx.db.locks.AcquireInto(tx.t, rowKeyFor(tb, key, row), mode, emptied(tx.s.rivals))
+	rivals, err := tx.s.db.locks.AcquireInto(tx.t, rowKeyFor(tb, key, row), mode, emptied(tx.s.rivals))
 	tx.s.rivals = rivals
 	if err != nil {
 		return err
@@ -53,7 +59,7 @@ func (rowTargets) lockWrite(tx *Txn, tb *table, key []byte, row mvcc.Row, struct
 			return nil, 0, err
 		}
 	}
-	readers, err := tx.db.locks.AcquireInto(tx.t, rowKeyFor(tb, key, row), lock.Exclusive, emptied(tx.s.rivals))
+	readers, err := tx.s.db.locks.AcquireInto(tx.t, rowKeyFor(tb, key, row), lock.Exclusive, emptied(tx.s.rivals))
 	tx.s.rivals = readers
 	if err != nil {
 		return nil, 0, err
@@ -74,13 +80,14 @@ func (rowTargets) install(tx *Txn, tb *table, key []byte, row mvcc.Row, val []by
 	// inherited onto the new key's gap under the table latch, atomically
 	// with the key becoming visible — otherwise a second insert into the
 	// now-split gap would escape the scanners' phantom detection. The new gap
-	// is named by the store's copy of the key, as every other gap is.
-	row, inserted := tb.data.Write(tx.t, key, val, tombstone, func(stored, succ string, hasSucc bool) {
+	// is named by the store's copy of the key, as every other gap is — the
+	// copy the absent handle carries, which named the row's exclusive lock.
+	row, inserted := tb.data.WriteAbsent(tx.t, key, row, val, tombstone, func(stored, succ string, hasSucc bool) {
 		src := lock.SupremumGapKey(tb.name)
 		if hasSucc {
 			src = gapKeyOf(tb, succ)
 		}
-		tx.db.locks.InheritSIRead(src, gapKeyOf(tb, stored))
+		tx.s.db.locks.InheritSIRead(src, gapKeyOf(tb, stored))
 	})
 	if inserted && tx.readMode() != noLock {
 		// Re-acquire the gap now that the key is visible: the successor may
@@ -102,7 +109,7 @@ func (tx *Txn) gapLock(tb *table, key []byte) error {
 		if ok {
 			gk = gapKeyOf(tb, succ)
 		}
-		rivals, err := tx.db.locks.AcquireInto(tx.t, gk, lock.Exclusive, emptied(tx.s.rivals))
+		rivals, err := tx.s.db.locks.AcquireInto(tx.t, gk, lock.Exclusive, emptied(tx.s.rivals))
 		tx.s.rivals = rivals
 		if err != nil {
 			return err

@@ -81,6 +81,7 @@ func TestGetMissThenInsertedSSI(t *testing.T) {
 	if err := ins.Insert("t", key, i64(7)); err != nil {
 		t.Fatal(err)
 	}
+	insRec := ins.t // the handle lets go of its record at the end
 	if err := ins.Commit(); err != nil {
 		t.Fatal(err)
 	}
@@ -89,14 +90,14 @@ func TestGetMissThenInsertedSSI(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := tb.read(rd.t, snap, key, row)
-	if res.Found || len(res.NewerWriters) != 1 || res.NewerWriters[0] != ins.t {
+	if res.Found || len(res.NewerWriters) != 1 || res.NewerWriters[0] != insRec {
 		t.Fatalf("read after the lock: found %v, newer writers %v; want the inserted row, invisible, created by the inserter", res.Found, res.NewerWriters)
 	}
 	if err := rd.markAsReader(res.NewerWriters); err != nil {
 		t.Fatal(err)
 	}
-	if !db.mgr.HasOutConflict(rd.t) || !db.mgr.HasInConflict(ins.t) {
-		t.Errorf("rw-edge reader → inserter not marked: reader.out %v, inserter.in %v", db.mgr.HasOutConflict(rd.t), db.mgr.HasInConflict(ins.t))
+	if !db.mgr.HasOutConflict(rd.t) || !db.mgr.HasInConflict(insRec) {
+		t.Errorf("rw-edge reader → inserter not marked: reader.out %v, inserter.in %v", db.mgr.HasOutConflict(rd.t), db.mgr.HasInConflict(insRec))
 	}
 
 	stored, ok := tb.data.Locate(key)

@@ -14,25 +14,25 @@ import (
 // Txn is one transaction. A Txn is intended for use by a single goroutine.
 // After any abort-class error the transaction has been rolled back and every
 // further operation returns ErrTxnDone.
+//
+// The handle is the caller's and stays a plain allocation, in the 32-byte
+// size class (TestTxnHandleAllocBudget): a caller may keep it past the
+// transaction's end, where it must go on answering ErrTxnDone rather than
+// alias whichever transaction runs next. So it holds the transaction's record
+// and scratch only while the transaction runs — the record may be recycled
+// for another transaction once this one ends (core.Manager.Release) — and
+// answers everything after the end from its own fields.
 type Txn struct {
-	db *DB
-	t  *core.Txn
-	// s is everything the transaction needs only while it runs, recycled
-	// from transaction to transaction; nil once done is set. The handle
-	// itself is the caller's and stays a plain allocation: a caller may keep
-	// it past the transaction's end, where it must go on answering
-	// ErrTxnDone rather than alias whichever transaction runs next.
+	// t is the transaction's record and s everything else it needs only
+	// while it runs, recycled from transaction to transaction; both are nil
+	// once done is set.
+	t *core.Txn
 	s *txnScratch
 
-	// prog, when non-nil, marks a program transaction (BeginProgram): every
-	// access is checked against the program's declared table footprint, and
-	// reads of promoted tables perform the §2.6.2 identity write.
-	// progSIToken is the transaction's share of the DB's SI-program drain
-	// counter, released exactly once when the transaction finishes.
-	prog        *registeredProgram
-	progSIToken bool
-
-	done bool
+	id       uint64 // t's id, which ID reports after the end too
+	iso      uint8  // the Isolation, narrowed to keep the handle in its class
+	readOnly bool
+	done     bool
 
 	// roSafe caches a positive SnapshotSafe verdict for a transaction
 	// declared read-only — a verdict is permanently sound for the holder — so
@@ -42,21 +42,34 @@ type Txn struct {
 }
 
 // txnScratch is the engine's working memory of one running transaction: the
-// write set, the rival buffer of the point-operation lock paths, and the
-// redo record with the slot the WAL hook answers into. A handle takes one
-// from txnScratchPool when it is built (newTxn) and is done with it when the
-// transaction is (Commit, cleanupAbort). A committed writer hands it, write
-// set and all, to its retirement (FinishWith; DB.retire prunes the rows and
-// recycles it); every other transaction recycles it at once. So a
+// database and program it runs against, the write set, the rival buffer of
+// the point-operation lock paths, and the redo record with the slot the WAL
+// hook answers into. Keeping the first two here rather than on the handle is
+// what fits the handle, which outlives the transaction, in 32 bytes. A handle
+// takes a scratch from txnScratchPool when it is built (newTxn) and is done
+// with it when the transaction is (Commit, cleanupAbort). A committed writer
+// hands it, write set and all, to its retirement (FinishWith; DB.retire
+// prunes the rows and recycles it); every other transaction recycles it at
+// once. So a
 // steady-state transaction allocates none of this, and the collector's pool
 // eviction is what bounds how much stays retained — except that a write set
 // a bulk load grew beyond maxPooledWrites is dropped rather than pooled.
 //
 // Invariant: beyond its length every pointer-carrying buffer holds zero
-// values (they are only ever truncated through emptied), so a pooled scratch
-// keeps no transaction record and no table reachable; the byte buffers are
-// merely truncated.
+// values (they are only ever truncated through emptied), and db and prog are
+// nil, so a pooled scratch keeps no database, transaction record or table
+// reachable; the byte buffers are merely truncated.
 type txnScratch struct {
+	db *DB
+
+	// prog, when non-nil, marks a program transaction (BeginProgram): every
+	// access is checked against the program's declared table footprint, and
+	// reads of promoted tables perform the §2.6.2 identity write.
+	// progSIToken is the transaction's share of the DB's SI-program drain
+	// counter, released exactly once when the transaction finishes.
+	prog        *registeredProgram
+	progSIToken bool
+
 	// writes is the write set in statement order, for rollback: the handles
 	// of the rows written, so undoing a write descends no tree.
 	writes []mvcc.Row
@@ -85,14 +98,16 @@ const maxPooledWrites = 64 << 10 / int(unsafe.Sizeof(mvcc.Row{}))
 // newTxn builds the handle of a transaction that has just begun — the one
 // place a scratch is taken.
 func (db *DB) newTxn(t *core.Txn) *Txn {
-	return &Txn{db: db, t: t, s: txnScratchPool.Get().(*txnScratch)}
+	s := txnScratchPool.Get().(*txnScratch)
+	s.db = db
+	return &Txn{t: t, s: s, id: t.ID(), iso: uint8(t.Isolation()), readOnly: t.ReadOnly()}
 }
 
-// finish marks the handle done and takes its scratch from it.
-func (tx *Txn) finish() *txnScratch {
-	s := tx.s
-	tx.done, tx.s = true, nil
-	return s
+// finish marks the handle done and takes its record and scratch from it.
+func (tx *Txn) finish() (*core.Txn, *txnScratch) {
+	t, s := tx.t, tx.s
+	tx.done, tx.t, tx.s = true, nil, nil
+	return t, s
 }
 
 // recycle empties s and returns it to the pool.
@@ -108,17 +123,26 @@ func (s *txnScratch) recycle() {
 	txnScratchPool.Put(s)
 }
 
-// ID returns the transaction identifier.
-func (tx *Txn) ID() uint64 { return tx.t.ID() }
+// ID returns the transaction identifier, before and after the end alike.
+func (tx *Txn) ID() uint64 { return tx.id }
 
-// Isolation returns the level the transaction runs at.
-func (tx *Txn) Isolation() Isolation { return tx.t.Isolation() }
+// Isolation returns the level the transaction runs at, before and after the
+// end alike.
+func (tx *Txn) Isolation() Isolation { return Isolation(tx.iso) }
 
-// Snapshot returns the read timestamp, or 0 if no read has happened yet.
-func (tx *Txn) Snapshot() uint64 { return tx.t.Snapshot() }
+// Snapshot returns the read timestamp, or 0 if no read has happened yet —
+// and 0 once the transaction has ended, when the handle no longer holds its
+// record.
+func (tx *Txn) Snapshot() uint64 {
+	if tx.done {
+		return 0
+	}
+	return tx.t.Snapshot()
+}
 
-// ReadOnly reports whether the transaction was declared read-only at begin.
-func (tx *Txn) ReadOnly() bool { return tx.t.ReadOnly() }
+// ReadOnly reports whether the transaction was declared read-only at begin,
+// before and after the end alike.
+func (tx *Txn) ReadOnly() bool { return tx.readOnly }
 
 // SafeSnapshot reports whether the transaction has been promoted to a safe
 // snapshot (it reads SIREAD-free at plain-SI cost while remaining
@@ -133,15 +157,15 @@ func (tx *Txn) SafeSnapshot() bool { return tx.roSafe }
 // can commit a structure into the snapshot's past once none could at
 // promotion time) — so the steady state is one boolean load.
 func (tx *Txn) roFast() bool {
-	if !tx.t.ReadOnly() {
+	if !tx.readOnly {
 		return false
 	}
 	if tx.roSafe {
 		return true
 	}
-	if tx.db.mgr.SnapshotSafe(tx.t) {
+	if tx.s.db.mgr.SnapshotSafe(tx.t) {
 		tx.roSafe = true
-		tx.db.roPromotions.Add(1)
+		tx.s.db.roPromotions.Add(1)
 		return true
 	}
 	return false
@@ -154,8 +178,8 @@ func (tx *Txn) pre() error {
 	if tx.done {
 		return ErrTxnDone
 	}
-	if tx.t.Isolation().TracksConflicts() {
-		if err := tx.db.mgr.AbortEarly(tx.t); err != nil {
+	if tx.Isolation().TracksConflicts() {
+		if err := tx.s.db.mgr.AbortEarly(tx.t); err != nil {
 			if errors.Is(err, ErrTxnDone) {
 				return err
 			}
@@ -178,24 +202,34 @@ func (tx *Txn) cleanupAbort() {
 	if tx.done {
 		return
 	}
-	for i := len(tx.s.writes) - 1; i >= 0; i-- {
-		tx.s.writes[i].Rollback(tx.t)
+	t, s := tx.finish()
+	for i := len(s.writes) - 1; i >= 0; i-- {
+		s.writes[i].Rollback(t)
 	}
-	tx.finish().recycle()
-	tx.db.mgr.Abort(tx.t)
-	tx.db.locks.ReleaseAll(tx.t)
-	tx.releaseProgTokens()
-	if r := tx.db.opts.Recorder; r != nil {
-		r.RecAbort(tx.t.ID())
+	db, token := s.db, s.takeProgToken()
+	s.recycle()
+	db.mgr.Abort(t)
+	db.locks.ReleaseAll(t)
+	db.releaseProgToken(token)
+	if r := db.opts.Recorder; r != nil {
+		r.RecAbort(tx.id)
 	}
+	db.mgr.Release(t)
 }
 
-// releaseProgTokens returns the transaction's share of the robustness
-// subsystem's drain counter. Idempotent; called on every finish path.
-func (tx *Txn) releaseProgTokens() {
-	if tx.progSIToken {
-		tx.progSIToken = false
-		tx.db.siProgActive.Add(-1)
+// takeProgToken takes the transaction's share of the robustness subsystem's
+// drain counter, if it holds one, for releaseProgToken: exactly once, on
+// whichever path finishes the transaction.
+func (s *txnScratch) takeProgToken() bool {
+	token := s.progSIToken
+	s.progSIToken = false
+	return token
+}
+
+// releaseProgToken returns a share takeProgToken took.
+func (db *DB) releaseProgToken(token bool) {
+	if token {
+		db.siProgActive.Add(-1)
 	}
 }
 
@@ -221,6 +255,7 @@ func (tx *Txn) Commit() error {
 	if tx.done {
 		return ErrTxnDone
 	}
+	db := tx.s.db
 	logged := tx.shouldLog()
 	var slot any
 	if logged {
@@ -228,12 +263,13 @@ func (tx *Txn) Commit() error {
 		// appends the record and stores its LSN back into this slot.
 		slot = &tx.s.commit
 	}
-	ct, err := tx.db.mgr.CommitPrepareWith(tx.t, slot)
+	ct, err := db.mgr.CommitPrepareWith(tx.t, slot)
 	if err != nil {
 		if errors.Is(err, ErrUnsafe) {
 			tx.cleanupAbort()
+		} else {
+			db.releaseProgToken(tx.s.takeProgToken())
 		}
-		tx.releaseProgTokens()
 		return err
 	}
 	var walErr error
@@ -249,24 +285,26 @@ func (tx *Txn) Commit() error {
 			// commit is already published in memory but its durability is
 			// unknown; the log error is sticky and is reported to this caller
 			// and every subsequent durable commit.
-			walErr = tx.db.log.WaitDurable(cs.lsn)
-			tx.db.maybeCheckpoint()
+			walErr = db.log.WaitDurable(cs.lsn)
+			db.maybeCheckpoint()
 		}
 	}
-	tx.db.locks.ReleaseBlocking(tx.t)
-	keep := tx.t.Isolation().TracksConflicts() &&
-		(tx.db.locks.HoldsSIRead(tx.t) || tx.db.mgr.HasOutConflict(tx.t))
+	t, s := tx.finish()
+	db.locks.ReleaseBlocking(t)
+	keep := tx.Isolation().TracksConflicts() && (db.locks.HoldsSIRead(t) || db.mgr.HasOutConflict(t))
+	token := s.takeProgToken()
 	var written any // the scratch, handed to the writer's retirement
-	if s := tx.finish(); len(s.writes) > 0 {
+	if len(s.writes) > 0 {
 		written = s
 	} else {
 		s.recycle()
 	}
-	tx.db.mgr.FinishWith(tx.t, keep, written)
-	tx.releaseProgTokens()
-	if r := tx.db.opts.Recorder; r != nil {
-		r.RecCommit(tx.t.ID(), ct)
+	db.mgr.FinishWith(t, keep, written)
+	db.releaseProgToken(token)
+	if r := db.opts.Recorder; r != nil {
+		r.RecCommit(tx.id, ct)
 	}
+	db.mgr.Release(t)
 	return walErr
 }
 
@@ -278,7 +316,7 @@ func (tx *Txn) markAsReader(writers []*core.Txn) error {
 		if !tx.t.ConcurrentWith(w) {
 			continue
 		}
-		if err := tx.db.mgr.MarkConflict(tx.t, w, tx.t); err != nil {
+		if err := tx.s.db.mgr.MarkConflict(tx.t, w, tx.t); err != nil {
 			return err
 		}
 	}
@@ -291,14 +329,14 @@ func (tx *Txn) markAsReader(writers []*core.Txn) error {
 // fact the isolation level contributes: SI and S2PL writers find the same
 // SIREAD holders on their exclusive locks but record nothing.
 func (tx *Txn) markAsWriter(readers []*core.Txn) error {
-	if !tx.t.Isolation().TracksConflicts() {
+	if !tx.Isolation().TracksConflicts() {
 		return nil
 	}
 	for _, r := range readers {
 		if !tx.t.ConcurrentWith(r) {
 			continue
 		}
-		if err := tx.db.mgr.MarkConflict(r, tx.t, tx.t); err != nil {
+		if err := tx.s.db.mgr.MarkConflict(r, tx.t, tx.t); err != nil {
 			return err
 		}
 	}
@@ -308,9 +346,10 @@ func (tx *Txn) markAsWriter(readers []*core.Txn) error {
 // recRead reports one key read to the recorder — the caller's key bytes or
 // the store's key string, converted only if there is a recorder. The writer's
 // id comes from its creator cell, which outlives its record — core.FrozenID
-// once the version was frozen (Recorder).
-func recRead[K string | []byte](tx *Txn, tb *table, key K, creator *core.Cell, readTS core.TS) {
-	r := tx.db.opts.Recorder
+// once the version was frozen (Recorder). The caller passes the recorder: a
+// scan's callback may end the transaction, after which the handle no longer
+// reaches the database, while the scan still reports the rows it collected.
+func recRead[K string | []byte](r Recorder, tx *Txn, tb *table, key K, creator *core.Cell, readTS core.TS) {
 	if r == nil {
 		return
 	}
@@ -318,7 +357,7 @@ func recRead[K string | []byte](tx *Txn, tb *table, key K, creator *core.Cell, r
 	if creator != nil {
 		saw = creator.ID()
 	}
-	r.RecRead(tx.t.ID(), tb.name, string(key), saw, readTS)
+	r.RecRead(tx.id, tb.name, string(key), saw, readTS)
 }
 
 // ---------------------------------------------------------------------------
@@ -339,7 +378,7 @@ const (
 // (The second fact, whether rivals found on those locks are recorded as
 // rw-conflicts, is Isolation.TracksConflicts; see markAsWriter.)
 func (tx *Txn) readMode() lock.Mode {
-	switch tx.t.Isolation() {
+	switch tx.Isolation() {
 	case SerializableSI:
 		return lock.SIRead
 	case S2PL:
@@ -367,13 +406,13 @@ func (tx *Txn) readPoint() core.TS {
 	if tx.readMode() == lock.Shared {
 		return latest
 	}
-	return tx.db.mgr.AssignSnapshot(tx.t)
+	return tx.s.db.mgr.AssignSnapshot(tx.t)
 }
 
 // readStamp maps a read point to the recorder's readTS convention.
 func (tx *Txn) readStamp(snap core.TS) core.TS {
 	if snap == latest {
-		return tx.db.mgr.Now()
+		return tx.s.db.mgr.Now()
 	}
 	return snap
 }
@@ -397,14 +436,17 @@ type lockTargets interface {
 	// read of key; row is what the caller's Locate of key found (zero: no row).
 	lockRead(tx *Txn, tb *table, key []byte, row mvcc.Row, mode lock.Mode, snap core.TS) error
 	// lockWrite acquires the exclusive lock(s) for writing key (row as
-	// above); structural marks a write that may create or remove the key
-	// (insert, delete, upsert of an absent key), which also covers its gap or
-	// a page split. It returns the SIREAD holders found and the newest commit
-	// timestamp of the First-Committer-Wins unit holding key.
+	// above, or for a key without a row the handle mvcc.Absent made, whose
+	// copy of the key names the row lock); structural marks a write that may
+	// create or remove the key (insert, delete, upsert of an absent key),
+	// which also covers its gap or a page split. It returns the SIREAD
+	// holders found and the newest commit timestamp of the
+	// First-Committer-Wins unit holding key.
 	lockWrite(tx *Txn, tb *table, key []byte, row mvcc.Row, structural bool) (readers []*core.Txn, newest core.TS, err error)
-	// install writes the new version, through row or (zero) by key, and
-	// finishes the lock protocol around the structure change it may have
-	// caused. It returns the row written, error or not, for the write set.
+	// install writes the new version, through row or, for an absent handle,
+	// by key, inserting the key under the handle's copy, and finishes the
+	// lock protocol around the structure change it may have caused. It
+	// returns the row written, error or not, for the write set.
 	install(tx *Txn, tb *table, key []byte, row mvcc.Row, val []byte, tombstone bool) (mvcc.Row, error)
 	// lockScanStart acquires mode on whatever a scan from `from` reads
 	// before reaching its first key.
@@ -440,7 +482,7 @@ func (tx *Txn) Get(tableName string, key []byte) (val []byte, found bool, err er
 	if err := tx.progReadCheck(tableName); err != nil {
 		return nil, false, err
 	}
-	tb := tx.db.table(tableName)
+	tb := tx.s.db.table(tableName)
 	snap := tx.readPoint()
 	mode := tx.readLockMode()
 	var row mvcc.Row // stays zero for a lock-free read, which reads by key
@@ -448,11 +490,11 @@ func (tx *Txn) Get(tableName string, key []byte) (val []byte, found bool, err er
 		// Figure 3.4 lines 2-4: lock, marking concurrent exclusive holders,
 		// and only then read: Locate names the lock and reads no row state.
 		row, _ = tb.data.Locate(key)
-		if err := tx.db.targets.lockRead(tx, tb, key, row, mode, snap); err != nil {
+		if err := tx.s.db.targets.lockRead(tx, tb, key, row, mode, snap); err != nil {
 			return nil, false, tx.fail(err)
 		}
 	} else if tx.roSafe {
-		tx.db.roSIReadSkips.Add(1)
+		tx.s.db.roSIReadSkips.Add(1)
 	}
 	res := tb.read(tx.t, snap, key, row)
 	if mode == lock.SIRead {
@@ -461,8 +503,8 @@ func (tx *Txn) Get(tableName string, key []byte) (val []byte, found bool, err er
 			return nil, false, tx.fail(err)
 		}
 	}
-	recRead(tx, tb, key, res.VisibleCreator, tx.readStamp(snap))
-	if tx.prog != nil && tx.prog.promoted[tableName] && res.Found {
+	recRead(tx.s.db.opts.Recorder, tx, tb, key, res.VisibleCreator, tx.readStamp(snap))
+	if tx.s.prog != nil && tx.s.prog.promoted[tableName] && res.Found {
 		// Runtime half of the Promote remedy (§2.6.2): re-write the value
 		// just read, so a concurrent writer of this row collides under
 		// First-Committer-Wins — the vulnerable rw edge becomes ww.
@@ -482,7 +524,7 @@ func (tx *Txn) GetForUpdate(tableName string, key []byte) (val []byte, found boo
 	if err := tx.pre(); err != nil {
 		return nil, false, err
 	}
-	if tx.t.ReadOnly() {
+	if tx.readOnly {
 		// A locked read takes exclusive locks and participates in
 		// First-Committer-Wins as a writer would; read-only transactions
 		// must use Get.
@@ -496,14 +538,14 @@ func (tx *Txn) GetForUpdate(tableName string, key []byte) (val []byte, found boo
 	if err := tx.progWriteCheck(tableName); err != nil {
 		return nil, false, err
 	}
-	tb := tx.db.table(tableName)
+	tb := tx.s.db.table(tableName)
 	row, _ := tb.data.Locate(key)
 	if _, err := tx.writeLockAndCheck(tb, key, row, false); err != nil {
 		return nil, false, err
 	}
-	readTS := tx.db.mgr.Now()
+	readTS := tx.s.db.mgr.Now()
 	res := tb.read(tx.t, latest, key, row)
-	recRead(tx, tb, key, res.VisibleCreator, readTS)
+	recRead(tx.s.db.opts.Recorder, tx, tb, key, res.VisibleCreator, readTS)
 	return res.Value, res.Found, nil
 }
 
@@ -540,7 +582,7 @@ func (tx *Txn) write(tableName string, key, val []byte, tombstone, mustNotExist 
 	if err := tx.pre(); err != nil {
 		return err
 	}
-	if tx.t.ReadOnly() {
+	if tx.readOnly {
 		// Statement-level rejection, like ErrKeyExists: the transaction
 		// stays usable for reads and may still commit. The core relies on
 		// this gate — a declared read-only transaction must never reach the
@@ -550,8 +592,13 @@ func (tx *Txn) write(tableName string, key, val []byte, tombstone, mustNotExist 
 	if err := tx.progWriteCheck(tableName); err != nil {
 		return err
 	}
-	tb := tx.db.table(tableName)
+	tb := tx.s.db.table(tableName)
 	row, exists := tb.data.Locate(key)
+	if !exists {
+		// The write's one copy of the key: its lock's name, and the tree's
+		// key if it inserts.
+		row = mvcc.Absent(key)
+	}
 	structural := tombstone || mustNotExist || !exists
 	snap, err := tx.writeLockAndCheck(tb, key, row, structural)
 	if err != nil {
@@ -560,20 +607,20 @@ func (tx *Txn) write(tableName string, key, val []byte, tombstone, mustNotExist 
 	if mustNotExist && tb.read(tx.t, snap, key, row).Found {
 		return ErrKeyExists
 	}
-	row, err = tx.db.targets.install(tx, tb, key, row, val, tombstone)
+	row, err = tx.s.db.targets.install(tx, tb, key, row, val, tombstone)
 	tx.s.writes = append(tx.s.writes, row) // first, so that a failed install is rolled back too
 	if err != nil {
 		return tx.fail(err)
 	}
-	if tx.db.log != nil {
+	if tx.s.db.log != nil {
 		var flags byte
 		if tombstone {
 			flags = redoTombstone
 		}
 		tx.s.commit.redo = appendRedoEntry(tx.s.commit.redo, tb.name, key, val, flags)
 	}
-	if r := tx.db.opts.Recorder; r != nil {
-		r.RecWrite(tx.t.ID(), tb.name, string(key), tombstone)
+	if r := tx.s.db.opts.Recorder; r != nil {
+		r.RecWrite(tx.id, tb.name, string(key), tombstone)
 	}
 	return nil
 }
@@ -583,7 +630,7 @@ func (tx *Txn) write(tableName string, key, val []byte, tombstone, mustNotExist 
 // concurrent SIREAD holders found (Figure 3.5), and applies the
 // First-Committer-Wins check. On failure the transaction is aborted.
 func (tx *Txn) writeLockAndCheck(tb *table, key []byte, row mvcc.Row, structural bool) (core.TS, error) {
-	readers, newest, err := tx.db.targets.lockWrite(tx, tb, key, row, structural)
+	readers, newest, err := tx.s.db.targets.lockWrite(tx, tb, key, row, structural)
 	if err != nil {
 		return 0, tx.fail(err)
 	}
@@ -643,7 +690,7 @@ func (tx *Txn) scan(tableName string, from, to []byte, limit int, fn func(key, v
 	if err := tx.progReadCheck(tableName); err != nil {
 		return err
 	}
-	tb := tx.db.table(tableName)
+	tb := tx.s.db.table(tableName)
 	if from == nil {
 		from = []byte{}
 	}
@@ -666,10 +713,10 @@ func (tx *Txn) scan(tableName string, from, to []byte, limit int, fn func(key, v
 	}
 	if tx.roSafe {
 		// One SIREAD skipped per visited row plus the gap boundary.
-		tx.db.roSIReadSkips.Add(uint64(len(sc.items)) + 1)
+		tx.s.db.roSIReadSkips.Add(uint64(len(sc.items)) + 1)
 	}
 
-	rec := tx.db.opts.Recorder
+	rec := tx.s.db.opts.Recorder
 	var stamp core.TS
 	if rec != nil {
 		// The recorder reports the *claimed* predicate range (what the result
@@ -682,17 +729,17 @@ func (tx *Txn) scan(tableName string, from, to []byte, limit int, fn func(key, v
 			effTo = sc.limitKey + "\x00"
 		}
 		stamp = tx.readStamp(snap)
-		rec.RecScan(tx.t.ID(), tb.name, string(from), effTo, stamp)
+		rec.RecScan(tx.id, tb.name, string(from), effTo, stamp)
 	}
 	// Promoted tables identity-write every row the caller was shown (the
 	// scan-shaped half of §2.6.2); keys and values are copied out first —
 	// the write path mutates the tree the scan buffers point into.
-	promote := tx.prog != nil && tx.prog.promoted[tableName]
+	promote := tx.s.prog != nil && tx.s.prog.promoted[tableName]
 	var promoteKeys, promoteVals [][]byte
 	for i := range sc.items {
 		it := &sc.items[i]
 		if rec != nil {
-			recRead(tx, tb, it.Key, it.VisibleCreator, stamp)
+			recRead(rec, tx, tb, it.Key, it.VisibleCreator, stamp)
 		}
 		if it.Found {
 			if promote {
@@ -738,7 +785,7 @@ func keyView(stored string) []byte {
 // invariant. Conflict marking is deferred to after the scan, because an
 // unsafe verdict aborts the transaction, which must not happen latched.
 func (tx *Txn) scanSSI(sc *scanCtx, tb *table, snap core.TS, from, to []byte, limit int) error {
-	lt := tx.db.targets
+	lt := tx.s.db.targets
 	if err := lt.lockScanStart(tx, sc, tb, from, lock.SIRead, snap); err != nil {
 		return err
 	}
@@ -751,7 +798,7 @@ func (tx *Txn) scanSSI(sc *scanCtx, tb *table, snap core.TS, from, to []byte, li
 		// One lock-table critical section per round, while the round's
 		// latches still exclude inserters from the emitted keys.
 		sc.keys = lt.scanKeys(emptied(sc.keys), tb, round, end)
-		sc.writers = tx.db.locks.AcquireSIReadBatchInto(tx.t, sc.keys, sc.writers)
+		sc.writers = tx.s.db.locks.AcquireSIReadBatchInto(tx.t, sc.keys, sc.writers)
 		sc.writers = lt.scanNewerWriters(sc.writers, tb, snap, round, sc.keys)
 	})
 	return tx.markAsReader(sc.writers)
@@ -763,7 +810,7 @@ func (tx *Txn) scanSSI(sc *scanCtx, tb *table, snap core.TS, from, to []byte, li
 // which closes the window in which a row could be inserted into the range
 // after collection but before its gap (or page) was locked.
 func (tx *Txn) scanS2PL(sc *scanCtx, tb *table, snap core.TS, from, to []byte, limit int) error {
-	lt := tx.db.targets
+	lt := tx.s.db.targets
 	if err := lt.lockScanStart(tx, sc, tb, from, lock.Shared, snap); err != nil {
 		return err
 	}
@@ -772,11 +819,11 @@ func (tx *Txn) scanS2PL(sc *scanCtx, tb *table, snap core.TS, from, to []byte, l
 		sc.collect(tb, tx.t, snap, from, to, limit, nil)
 		sc.keys = lt.scanKeys(emptied(sc.keys), tb, sc.items, sc.end)
 		for _, k := range sc.keys {
-			if tx.db.locks.Holds(tx.t, k, lock.Shared) {
+			if tx.s.db.locks.Holds(tx.t, k, lock.Shared) {
 				continue
 			}
 			// Shared requests have no rw-conflict rivals to report.
-			if _, err := tx.db.locks.Acquire(tx.t, k, lock.Shared); err != nil {
+			if _, err := tx.s.db.locks.Acquire(tx.t, k, lock.Shared); err != nil {
 				return err
 			}
 			changed = true

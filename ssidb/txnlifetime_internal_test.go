@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sync"
 	"testing"
+	"unsafe"
 	"weak"
 
 	"ssi/internal/core"
@@ -197,6 +199,7 @@ func TestLiveConflictRecordSurvivesSweeps(t *testing.T) {
 					if err := w.Put("x", []byte("k"), i64(2)); err != nil {
 						t.Fatal(err)
 					}
+					wt := w.t // the handle lets go of its record at the end
 					if err := w.Commit(); err != nil {
 						t.Fatal(err)
 					}
@@ -218,8 +221,8 @@ func TestLiveConflictRecordSurvivesSweeps(t *testing.T) {
 					if err != nil || !ok || geti64(v) != 1 {
 						t.Fatalf("snapshot read of x = %v %v %v, want 1", v, ok, err)
 					}
-					if !db.mgr.HasOutConflict(r.t) || !db.mgr.HasInConflict(w.t) {
-						t.Fatalf("rw-edge R → W not installed: R.out %v, W.in %v", db.mgr.HasOutConflict(r.t), db.mgr.HasInConflict(w.t))
+					if !db.mgr.HasOutConflict(r.t) || !db.mgr.HasInConflict(wt) {
+						t.Fatalf("rw-edge R → W not installed: R.out %v, W.in %v", db.mgr.HasOutConflict(r.t), db.mgr.HasInConflict(wt))
 					}
 					if err := r.Commit(); err != nil {
 						t.Fatal(err)
@@ -263,5 +266,204 @@ func TestPinnedSnapshotKeepsRecordsUntilRelease(t *testing.T) {
 			}
 			runtime.KeepAlive(db)
 		})
+	}
+}
+
+// TestTxnHandleAllocBudget pins the handle in the 32-byte size class: the
+// caller's one allocation per transaction once its record is recycled. What
+// only a running transaction needs lives in the recycled scratch instead.
+func TestTxnHandleAllocBudget(t *testing.T) {
+	if n := unsafe.Sizeof(Txn{}); n > 32 {
+		t.Errorf("ssidb.Txn is %d bytes, budget 32 (the next size class is 48)", n)
+	}
+}
+
+// TestFinishedHandleOutlivesItsRecord: a declared read-only transaction on a
+// safe snapshot ends unseen, so its record goes back to core's pool and the
+// next begin may run on it. The finished handle must then answer ErrTxnDone
+// on every operation and nil on Abort, and report its own id, level and
+// declaration, never the new transaction's — while the transaction now on
+// the record runs undisturbed by it.
+func TestFinishedHandleOutlivesItsRecord(t *testing.T) {
+	for _, commit := range []bool{true, false} {
+		t.Run(fmt.Sprintf("commit=%v", commit), func(t *testing.T) {
+			db := Open(Options{Detector: DetectorPrecise})
+			seed(t, db, "t", "k", 1)
+			var old, next *Txn
+			// A pool may miss (and drops puts at random under the race
+			// detector), so repeat until a begin reuses the record.
+			for attempt := 0; attempt < 100 && next == nil; attempt++ {
+				old = db.BeginReadOnly(SerializableSI)
+				if _, _, err := old.Get("t", []byte("k")); err != nil || !old.SafeSnapshot() {
+					t.Fatalf("read-only Get = %v, promoted %v", err, old.SafeSnapshot())
+				}
+				rec := old.t
+				if commit {
+					if err := old.Commit(); err != nil {
+						t.Fatal(err)
+					}
+				} else if err := old.Abort(); err != nil {
+					t.Fatal(err)
+				}
+				if n := db.Begin(S2PL); n.t == rec {
+					next = n
+				} else {
+					n.Abort()
+				}
+			}
+			if next == nil {
+				t.Fatal("no begin reused the record of a transaction that ended unseen")
+			}
+
+			if old.ID() == next.ID() || old.Isolation() != SerializableSI || !old.ReadOnly() || !old.SafeSnapshot() || old.Snapshot() != 0 {
+				t.Errorf("finished handle: id %d (the record's new transaction %d), %v, read-only %v, safe %v, snapshot %d",
+					old.ID(), next.ID(), old.Isolation(), old.ReadOnly(), old.SafeSnapshot(), old.Snapshot())
+			}
+			noop := func(k, v []byte) bool { return true }
+			for name, err := range map[string]error{
+				"Get":          func() error { _, _, err := old.Get("t", []byte("k")); return err }(),
+				"GetForUpdate": func() error { _, _, err := old.GetForUpdate("t", []byte("k")); return err }(),
+				"Put":          old.Put("t", []byte("k"), i64(2)),
+				"Insert":       old.Insert("t", []byte("new"), i64(2)),
+				"Delete":       old.Delete("t", []byte("k")),
+				"Scan":         old.Scan("t", nil, nil, noop),
+				"ScanLimit":    old.ScanLimit("t", nil, nil, 1, noop),
+				"Commit":       old.Commit(),
+			} {
+				if !errors.Is(err, ErrTxnDone) {
+					t.Errorf("%s on the finished handle = %v, want ErrTxnDone", name, err)
+				}
+			}
+			if err := old.Abort(); err != nil {
+				t.Errorf("Abort on the finished handle = %v, want nil", err)
+			}
+
+			// The transaction on the reused record saw none of it.
+			if next.Isolation() != S2PL || next.ReadOnly() || next.t.ID() != next.ID() {
+				t.Fatalf("the record's new transaction: %v, read-only %v, record id %d, id %d", next.Isolation(), next.ReadOnly(), next.t.ID(), next.ID())
+			}
+			if err := next.Put("t", []byte("k"), i64(3)); err != nil {
+				t.Fatal(err)
+			}
+			if err := next.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			if v, ok := readI64(t, db, "t", "k"); !ok || v != 3 {
+				t.Fatalf("k = %d %v after the record's new transaction committed 3", v, ok)
+			}
+		})
+	}
+}
+
+// TestRecycledRecordsStaySerializable races declared read-only readers, which
+// promote at their first read and end unseen, against SerializableSI writers
+// whose commits queue for retirement and whose ends drain those queues, under
+// the race detector in CI. The recorded history must be serializable; the
+// readers' records must have been recycled; and no record of a transaction
+// that was seen — a writer, or a reader that took an SIREAD lock before its
+// snapshot turned safe — may ever be handed to another transaction: the test
+// keeps every such record reachable, so its address cannot be reused by a
+// fresh allocation either.
+func TestRecycledRecordsStaySerializable(t *testing.T) {
+	const keys, writers, readers, rounds = 32, 2, 4, 300
+	hist := sercheck.NewHistory()
+	db := Open(Options{Detector: DetectorPrecise, Recorder: hist})
+	key := func(i int) []byte { return []byte(fmt.Sprintf("k%03d", i%keys)) }
+	if err := db.Run(SerializableSI, func(tx *Txn) error {
+		for i := 0; i < keys; i++ {
+			if err := tx.Put("t", key(i), i64(0)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	var mu sync.Mutex
+	seen := map[*core.Txn]bool{}    // records that must never be reused
+	owner := map[*core.Txn]uint64{} // the transaction last seen on each record
+	reused := 0
+	note := func(tx *Txn, mustKeep bool) error {
+		mu.Lock()
+		defer mu.Unlock()
+		if seen[tx.t] {
+			return fmt.Errorf("txn %d runs on the record of a transaction that was seen", tx.ID())
+		}
+		if id, ok := owner[tx.t]; ok && id != tx.ID() {
+			reused++
+		}
+		owner[tx.t] = tx.ID()
+		if mustKeep {
+			seen[tx.t] = true
+		}
+		return nil
+	}
+
+	var wg sync.WaitGroup
+	errs := make(chan error, writers+readers)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				if err := db.RunRetry(SerializableSI, func(tx *Txn) error {
+					a, b := w*7+i, w*13+i*3
+					va, _, err := tx.Get("t", key(a))
+					if err != nil {
+						return err
+					}
+					if _, _, err := tx.Get("t", key(b)); err != nil {
+						return err
+					}
+					if err := tx.Put("t", key(b), i64(geti64(va)+1)); err != nil {
+						return err
+					}
+					return note(tx, true)
+				}); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(w)
+	}
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				err := db.RunReadOnly(SerializableSI, func(tx *Txn) error {
+					for _, k := range []int{r + i, r*5 + i*2} {
+						if _, _, err := tx.Get("t", key(k)); err != nil {
+							return err
+						}
+					}
+					if err := tx.Scan("t", key(i), key(i+8), func(k, v []byte) bool { return true }); err != nil {
+						return err
+					}
+					return note(tx, tx.t.LockState() != nil)
+				})
+				if err != nil && !Retryable(err) {
+					errs <- err
+					return
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if ok, cycle := hist.Serializable(); !ok {
+		t.Fatalf("non-serializable history: cycle %v", cycle)
+	}
+	st := db.StatsSnapshot()
+	t.Logf("%d promotions, %d records reused by a later transaction, %d kept as seen", st.ROSafePromotions, reused, len(seen))
+	if st.ROSafePromotions == 0 || reused == 0 {
+		t.Errorf("%d promotions and %d reused records: the recycled path was not exercised", st.ROSafePromotions, reused)
+	}
+	if st.ActiveTxns != 0 || st.SuspendedTxns != 0 || st.LockedKeys != 0 {
+		t.Errorf("database not quiescent: %+v", st)
 	}
 }

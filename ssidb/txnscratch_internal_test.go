@@ -82,6 +82,9 @@ func TestPooledTxnScratchPinsNothing(t *testing.T) {
 						t.Errorf("pooled scratch is not reset: %d writes, %d rivals, commit state %+v",
 							len(s.writes), len(s.rivals), s.commit)
 					}
+					if s.db != nil || s.prog != nil || s.progSIToken {
+						t.Errorf("pooled scratch still names database %p, program %p, SI token %v", s.db, s.prog, s.progSIToken)
+					}
 					if i := firstNonZero(s.writes); i >= 0 {
 						t.Errorf("pooled write set still holds %+v at %d of %d", s.writes[:cap(s.writes)][i], i, cap(s.writes))
 					}
