@@ -75,8 +75,9 @@
 //	    descent. The look-up reads no row state, so the order of Figures 3.4
 //	    and 3.5 stands: lock first, then read. A key that has no chain is
 //	    locked under a copy of k and looked up again once the lock is held; a
-//	    write makes that copy once (mvcc.Absent), and it is also the key the
-//	    tree keeps if the write inserts the row.
+//	    write makes that copy once (mvcc.Absent). If the write inserts the
+//	    row, the tree copies k into its own key arena; the lock's copy dies
+//	    with the lock.
 //	[9] A value returned (Get, GetForUpdate) or shown to a Scan callback
 //	    aliases the stored version: it is read-only, and its capacity equals
 //	    its length, so an append copies instead of writing into the store or
@@ -106,6 +107,23 @@
 //	               first read
 //
 // Like any Txn, a handle is for one goroutine at a time.
+//
+// Durable reads. On a database opened with OpenDir, every value a
+// transaction read is durable once its Commit returns nil — and, over the
+// wire, once the reply to MsgTxn or MsgCommit reports success. A writer's
+// commit waits for its own log record, which follows every record its
+// snapshot saw. A transaction that appends no record (declared read-only, or
+// read-write with an empty write set) waits, at SI and SSI, for the log's
+// last record as of its snapshot: a commit is visible to snapshots as soon
+// as it is published, before its batch's fsync returns, and the snapshot is
+// adopted under the same latch the commit appends under, so that record
+// covers every commit the snapshot can see. The wait is one atomic load when
+// the record is already durable, as it usually is, and nothing on an
+// in-memory database. S2PL reads take no snapshot: they wait on the writer's
+// Exclusive lock, which is released only once its batch is durable. The
+// promise is about Commit: a value returned to the caller earlier — by Get or
+// Scan inside the transaction, or in the reply to an interactive MsgOp — may
+// not be durable yet, and a crash before the Commit returns can lose it.
 //
 // # The detector: when ErrUnsafe is returned
 //
@@ -228,26 +246,29 @@
 //     counter or sampling is involved (ssidb.DB.Vacuum still walks every
 //     chain on demand). The table directory itself is an atomic
 //     copy-on-write map — resolving a table name costs one atomic load.
-//   - A stored row is two things (≈74 B for a 4-byte key and a 1-byte
-//     value straight after a load, TestRowFootprintAllocBudget, and again
+//   - A stored row is three things (≈72 B for a 4-byte key and a 1-byte
+//     value straight after a load, TestRowFootprintAllocBudget, and ≈60 B
 //     once every row was overwritten,
-//     TestOverwrittenRowFootprintAllocBudget; ≈246 B for a SmallBank
-//     customer's three rows, TestSmallBankFootprintAllocBudget): a 24-byte
-//     {key, *chain} slot in a B+tree leaf (the tree is generic in its value
-//     type, so the slot holds no interface), and the 32-byte chain the slot
-//     points at, whose value is a pointer and a 32-bit length with the
-//     tombstone flag in the padding behind it. Its creator is its writer's
-//     24-byte core.Cell only until the writer retires: the pruning that
-//     retirement runs then points the version at the one shared frozen cell
-//     (PostgreSQL's FrozenTransactionId), so a row written long ago keeps no
-//     cell alive. A leaf's slot array is
-//     allocated once, at the page capacity plus the slot an insert overflows
-//     into (65 slots, a 1 792-byte allocation), and never regrown; a full page
-//     splits in the middle unless the new key landed at the right edge of
-//     the tree, where it splits at the insertion point and the old page stays
-//     full (Berkeley DB's and PostgreSQL's rule for ascending keys, decided
-//     from the observed insert position — there is no fill factor), so a
-//     sequential load fills pages to PageMaxKeys. The chain is its own newest
+//     TestOverwrittenRowFootprintAllocBudget; ≈231 B for a SmallBank
+//     customer's three rows, TestSmallBankFootprintAllocBudget): a B+tree
+//     leaf entry — a 4-byte key head, a pointer to the key and a pointer to
+//     the chain, in three parallel arrays (the tree is generic in its value
+//     type, so the entry holds no interface) — the key itself, as its length
+//     and bytes in the tree's append-only key arena, and the 32-byte chain
+//     the entry points at, whose value is a pointer and a 32-bit length with
+//     the tombstone flag in the padding behind it. Its creator is its
+//     writer's 24-byte core.Cell only until the writer retires: the pruning
+//     that retirement runs then points the version at the one shared frozen
+//     cell (PostgreSQL's FrozenTransactionId), so a row written long ago
+//     keeps no cell alive. A leaf's arrays are allocated once, at the page
+//     capacity (a 256-byte head array and two 512-byte pointer arrays at 64
+//     keys, each exactly a size class), and never regrown; binary search
+//     compares heads and reads a stored key only when heads tie. A full page
+//     splits before the insert, in the middle unless the new key lands at the
+//     right edge of the tree, where the old page stays full and the new key
+//     alone moves (Berkeley DB's and PostgreSQL's rule for ascending keys,
+//     decided from the observed insert position — there is no fill factor),
+//     so a sequential load fills pages to PageMaxKeys. The chain is its own newest
 //     version: a superseding write copies the old head out behind it and
 //     overwrites the head in place (a first insert allocates the chain
 //     alone), and rollback and pruning do the reverse — safe because no
@@ -257,10 +278,10 @@
 //     superseding writes copy into: a steady-state overwrite allocates
 //     nothing, on any number of processors, because the writer's own
 //     retirement refills what its write took. Key bytes belong to the tree:
-//     Put, Insert and Delete only borrow the caller's key (it is copied,
-//     into an immutable string, once when the call may create the row: the
-//     copy names the absent row's lock and is what the tree keeps),
-//     every row and gap lock on a key the tree holds — a scanned row, a
+//     Put, Insert and Delete only borrow the caller's key (a call that may
+//     create the row copies it into an immutable string that names the
+//     absent row's lock, and the tree copies it into its arena if the row is
+//     inserted), every row and gap lock on a key the tree holds — a scanned row, a
 //     gap, an insert's successor, the gap the insert itself creates, and the
 //     row of a point read or write, through the handle of note [8] above — is
 //     named by that string rather than by a fresh copy, and a Scan callback

@@ -1,7 +1,9 @@
 package btree
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/rand"
 	"testing"
 )
 
@@ -49,5 +51,30 @@ func BenchmarkAscend100(b *testing.B) {
 			visited++
 			return visited < 100
 		})
+	}
+}
+
+// BenchmarkLookup probes a tree of 200 000 random 4-byte keys, loaded in
+// random order, at random keys it holds: the descent of a point read.
+func BenchmarkLookup(b *testing.B) {
+	const n = 200_000
+	rng := rand.New(rand.NewSource(1))
+	keys := make([][]byte, n)
+	for i := range keys {
+		keys[i] = binary.BigEndian.AppendUint32(nil, rng.Uint32())
+	}
+	tr := New(DefaultMaxKeys)
+	for _, k := range keys {
+		tr.GetOrInsert(k, nil)
+	}
+	probes := make([][]byte, 1<<16)
+	for i := range probes {
+		probes[i] = keys[rng.Intn(n)]
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, ok := tr.Lookup(probes[i&(len(probes)-1)]); !ok {
+			b.Fatal("a loaded key is missing")
+		}
 	}
 }

@@ -396,7 +396,7 @@ func TestSplitPolicy(t *testing.T) {
 				pageOf := map[string]uint32{} // where OnSplit's reports say each key is
 				leaves := func() map[uint32]*node[any] {
 					m := map[uint32]*node[any]{}
-					for l := findLeaf(tr, ""); l != nil; l = l.next {
+					for l := findLeaf(tr, "", 0); l != nil; l = l.next {
 						m[l.page] = l
 					}
 					return m
@@ -425,21 +425,22 @@ func TestSplitPolicy(t *testing.T) {
 							if r == nil {
 								continue // an interior split: no key changed leaf
 							}
-							for _, s := range r.slots {
-								if pageOf[s.key] != mv.from {
-									t.Fatalf("split %d→%d moved key %q, last reported on page %d", mv.from, mv.to, s.key, pageOf[s.key])
+							for _, p := range r.keys {
+								sk := keyAt(p)
+								if pageOf[sk] != mv.from {
+									t.Fatalf("split %d→%d moved key %q, last reported on page %d", mv.from, mv.to, sk, pageOf[sk])
 								}
-								pageOf[s.key] = mv.to
+								pageOf[sk] = mv.to
 							}
-							if o.name == "ascending" && (len(r.slots) != 1 || r.slots[0].key != string(k)) {
-								t.Fatalf("edge split %d→%d moved %d keys, want the new key alone", mv.from, mv.to, len(r.slots))
+							if o.name == "ascending" && (len(r.keys) != 1 || keyAt(r.keys[0]) != string(k)) {
+								t.Fatalf("edge split %d→%d moved %d keys, want the new key alone", mv.from, mv.to, len(r.keys))
 							}
 						}
 					}
 					// The pages the insert touched are the ones on its key's path.
-					for n := tr.root; ; n = n.children[childIndex(n.slots, k)] {
-						if len(n.slots) > maxKeys {
-							t.Fatalf("page %d holds %d keys after the insert returned, max %d", n.page, len(n.slots), maxKeys)
+					for n := tr.root; ; n = n.children[childIndex(n, k, head(k))] {
+						if len(n.keys) > maxKeys {
+							t.Fatalf("page %d holds %d keys after the insert returned, max %d", n.page, len(n.keys), maxKeys)
 						}
 						if n.leaf() {
 							break
@@ -511,18 +512,21 @@ func TestTreeOwnsItsKeys(t *testing.T) {
 	}
 }
 
-// TestLeafAllocBudget: a leaf of a tree of pointers costs one slot array of
-// DefaultMaxKeys+1 24-byte slots, which the allocator rounds to 1 792 bytes,
-// and its 64-byte node, and nothing more per key than the key's own copy. An
-// ascending load fills every leaf, so the bytes it allocates, less the keys,
-// divided by its leaves, are that plus a share of the interior pages. A slot
-// that grows back to 32 bytes (an interface value, say) puts every leaf in the
-// 2 304-byte class and fails the budget.
+// TestLeafAllocBudget: a leaf of a tree of pointers costs a 256-byte head
+// array, two 512-byte pointer arrays (keys and values, each exactly a size
+// class and without an allocator header) and its 112-byte node, and nothing
+// more per key than the key's stored bytes — its length byte and itself, in
+// the tree's arena. An ascending load fills every leaf, so the bytes it
+// allocates, less the stored keys, divided by its leaves, are that plus a
+// share of the interior pages and of the arena's unused chunk tail. One array
+// of {key, value} pairs would be 1 024 bytes with a header, in the 1 152-byte
+// class, and fail the budget; the 65-slot array of 24-byte slots a page was
+// before read 1 792 bytes.
 func TestLeafAllocBudget(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the race detector allocates on its own")
 	}
-	const leaves, keyLen = 100, 16 // a 16-byte key is one exact 16-byte object
+	const leaves, keyLen = 100, 16
 	keys := make([][]byte, leaves*DefaultMaxKeys)
 	for i := range keys {
 		keys[i] = fmt.Appendf(nil, "key-%012d", i)
@@ -539,16 +543,85 @@ func TestLeafAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := 0
-	for l := findLeaf(tr, ""); l != nil; l = l.next {
+	for l := findLeaf(tr, "", 0); l != nil; l = l.next {
 		n++
 	}
 	if n != leaves {
 		t.Fatalf("an ascending load of %d keys filled %d leaves, want %d", len(keys), n, leaves)
 	}
-	perLeaf := float64(after.TotalAlloc-before.TotalAlloc-uint64(len(keys)*keyLen)) / leaves
+	perLeaf := float64(after.TotalAlloc-before.TotalAlloc-uint64(len(keys)*(1+keyLen))) / leaves
 	t.Logf("%.0f B per leaf, %d pages", perLeaf, tr.PageCount())
-	const budget = 1792 + 64 + 100 // slot array, node, and a share of the interior pages
+	const budget = 256 + 2*512 + 112 + 108 // arrays, node, and shares of the interior pages and the arena's slack
 	if perLeaf > budget {
 		t.Errorf("%.0f B per leaf besides its keys, budget %d", perLeaf, budget)
+	}
+}
+
+// TestKeyArena: keys of every length the arena stores differently — empty,
+// either side of the one- and two-byte length boundaries (127 and 128, 16 383
+// and 16 384), either side of the size that gets an allocation of its own, a
+// whole chunk and more — come back byte for byte, and an empty tree has
+// allocated no chunk.
+func TestKeyArena(t *testing.T) {
+	tr := New(4)
+	if tr.keys.free != nil || tr.KeyBytes() != 0 {
+		t.Fatalf("an empty tree holds a chunk of %d bytes, %d stored", cap(tr.keys.free), tr.KeyBytes())
+	}
+	lengths := []int{0, 1, 5, 127, 128, 300, ownChunk - 2, ownChunk + 1, 16383, maxChunk, 3 * maxChunk}
+	want := 0
+	for i, n := range lengths {
+		k := bytes.Repeat([]byte{byte('a' + i)}, n)
+		stored, _, loaded := tr.LookupOrInsert(k, i)
+		if loaded || stored != string(k) {
+			t.Fatalf("insert of a %d-byte key: loaded %v, stored %d bytes", n, loaded, len(stored))
+		}
+		want += uvarintLen(n) + n
+	}
+	if err := tr.Check(); err != nil {
+		t.Fatal(err)
+	}
+	if tr.KeyBytes() != want {
+		t.Fatalf("KeyBytes = %d, want %d", tr.KeyBytes(), want)
+	}
+	for i, n := range lengths {
+		k := bytes.Repeat([]byte{byte('a' + i)}, n)
+		if stored, v, ok := tr.Lookup(k); !ok || v.(int) != i || stored != string(k) {
+			t.Fatalf("Lookup of the %d-byte key = %d bytes, %v, %v", n, len(stored), v, ok)
+		}
+	}
+}
+
+// TestHandedOutKeysStayPut keeps every key string the tree hands out and
+// checks, after each later insert has split pages and rolled the arena over
+// to new chunks, that each still reads as it did.
+func TestHandedOutKeysStayPut(t *testing.T) {
+	tr := New(4)
+	rng := rand.New(rand.NewSource(5))
+	type kept struct{ stored, want string }
+	var all []kept
+	buf := make([]byte, 0, 200)
+	for i := 0; i < 20_000; i++ {
+		buf = buf[:0]
+		for range rng.Intn(40) {
+			buf = append(buf, byte(rng.Intn(4)))
+		}
+		buf = fmt.Appendf(buf, "%d", i) // distinct
+		stored, _, _ := tr.LookupOrInsert(buf, i)
+		all = append(all, kept{stored, string(buf)})
+		if i%2000 == 1999 {
+			for _, k := range all {
+				if k.stored != k.want {
+					t.Fatalf("a key handed out as %q now reads %q", k.want, k.stored)
+				}
+			}
+		}
+	}
+	if err := tr.Check(); err != nil {
+		t.Fatal(err)
+	}
+	for it := tr.IterFrom(nil); it.Valid(); it.Next() {
+		if stored, _, _ := tr.Lookup([]byte(it.Key())); stored != it.Key() {
+			t.Fatalf("Lookup(%q) = %q", it.Key(), stored)
+		}
 	}
 }

@@ -78,16 +78,37 @@ func TestRunUsesAllWorkers(t *testing.T) {
 	}
 }
 
+// TestWarmupExcluded: no transaction that began before the window opened is
+// counted. The window opens with the Stats call, which here waits until the
+// worker has begun one transaction, so at least one began in the warmup
+// however the worker is scheduled; each transaction notes whether the window
+// had opened when it began.
 func TestWarmupExcluded(t *testing.T) {
-	var total int
+	var total, warm atomic.Uint64
+	var opened atomic.Bool
+	began := make(chan struct{}, 1)
 	fn := func(r *rand.Rand) error {
-		total++
+		if !opened.Load() {
+			warm.Add(1)
+		}
+		total.Add(1)
+		select {
+		case began <- struct{}{}:
+		default:
+		}
 		time.Sleep(100 * time.Microsecond)
 		return nil
 	}
-	res := Run(fn, Options{MPL: 1, Duration: 30 * time.Millisecond, Warmup: 30 * time.Millisecond})
-	if res.Commits >= uint64(total) {
-		t.Fatalf("warmup iterations counted: commits=%d total=%d", res.Commits, total)
+	res := Run(fn, Options{MPL: 1, Duration: 30 * time.Millisecond, Warmup: 30 * time.Millisecond,
+		Stats: func() Window {
+			if !opened.Load() {
+				<-began
+				opened.Store(true)
+			}
+			return Window{}
+		}})
+	if warm.Load() == 0 || res.Commits+warm.Load() > total.Load() {
+		t.Fatalf("warmup iterations counted: commits=%d, %d of %d began before the window", res.Commits, warm.Load(), total.Load())
 	}
 }
 

@@ -27,13 +27,15 @@
 // its value as a pointer and a 32-bit length, with the tombstone flag in the
 // padding behind the length, beside its creator's cell and the link to the
 // next older version — four words, where a slice header and a bool made six.
-// The B+tree slot (a key string and the *chain, 24 bytes: the tree is typed)
-// points at the chain and the slot's key string is the only copy of the key
-// (the tree copies a key once, when it is first inserted, and every key this
-// package hands out — ScanItem.Key, Successor, Row.Key — is that string;
+// The B+tree entry (a 4-byte key head, a pointer to the key and the *chain,
+// 20 bytes: the tree is typed) points at the chain, and the tree's arena holds
+// the only copy of the key the row keeps (the tree copies a key once, when it
+// is first inserted, as its length and its bytes, and every key this package
+// hands out — ScanItem.Key, Successor, Row.Key — is a string over those bytes;
 // value slices, by contrast, are retained as given, and handed back with their
 // capacity cut to their length, so a reader's append copies). A first insert
-// therefore allocates the chain and nothing else; a superseding write copies
+// therefore allocates the chain and its key's bytes in the arena (and, now and
+// then, the arena a chunk or the tree a page); a superseding write copies
 // the old head out to a version and overwrites the head in place; Rollback
 // and pruning do the reverse. All of it happens under the partition latch,
 // and the invariant that makes overwriting in place safe is that no *version
@@ -41,14 +43,15 @@
 // it: reads copy the value and the creator out into their ReadResult and keep
 // no pointer into the chain.
 //
-// Locate hands out a Row: the slot's key string, the chain and the partition,
+// Locate hands out a Row: the tree's key string, the chain and the partition,
 // found by one descent. A Row is an address, not a reading — it says where
 // the row's state is, nothing about what it was — and it stays valid for the
 // life of the table, because neither thing it names ever changes identity: no
 // key ever leaves a tree (the trees are insert-only, deletes are tombstone
-// versions), and a slot's chain is installed once, by the structural insert
-// (insertLocked), and never replaced — a page split moves slots (the key
-// string and the chain pointer in them) between pages, not chains.
+// versions, and the arena bytes a key string points at are never written
+// again), and a key's chain is installed once, by the structural insert
+// (insertLocked), and never replaced — a page split moves entries (the key
+// and chain pointers) between pages, not chains or keys.
 // That is the whole safety argument for operating through a Row with no
 // further descent: every such operation takes the partition latch and reads
 // or writes the chain's state as it then is, exactly as the by-key operation
@@ -86,7 +89,7 @@
 // bounded lock-coupled rounds rather than under one table-long latch hold: a
 // round takes every partition latch in shared mode (ascending index order,
 // the same order structural inserts take them exclusively, see Write), emits
-// up to scanChunk keys from the merge frontier, lets the caller install the
+// up to ScanChunk keys from the merge frontier, lets the caller install the
 // emitted keys' SIREAD/gap protection while the latches are still held, and
 // only then releases them; the next round re-acquires the latches and
 // re-seeks the iterators of any partition whose tree changed in between
@@ -154,7 +157,7 @@ func (v *version) setValue(data []byte, tombstone bool) {
 }
 
 // chain is the version list for one key, and the whole of what a row costs
-// beyond its tree slot: the head version is the chain itself (see "Rows" in
+// beyond its tree entry and key: the head version is the chain itself (see "Rows" in
 // the package comment). A chain with a nil creator holds no version — a key
 // whose only write was rolled back. Guarded by the owning shard latch.
 type chain struct{ version }
@@ -289,6 +292,7 @@ type Table struct {
 	scanPool sync.Pool
 
 	vacuumRuns atomic.Uint64
+	scanRounds atomic.Uint64 // added once per scan, for the latch-release census
 }
 
 // NewTable creates a table partitioned per cfg.
@@ -406,11 +410,13 @@ func (r Row) IsZero() bool { return r.c == nil }
 // of the key, and for the zero Row the empty string.
 func (r Row) Key() string { return r.key }
 
-// Absent returns the handle of a key that has no row, carrying a copy of the
-// key: IsZero reports true and Key returns the copy. A write that may create
-// the row makes its one copy of the key here. The engine names the row's lock
-// by it, and WriteAbsent stores it as the tree's own key if the write
-// inserts; if another insert won the key first, the copy is simply dropped.
+// Absent returns the handle of a key that has no row, carrying a heap copy of
+// the key: IsZero reports true and Key returns the copy. A write that may
+// create the row makes it, and the engine names the row's exclusive lock by
+// it, which must outlive the caller's slice. It is not the tree's key: a
+// structural insert (Write) copies the key into the tree's arena, so only
+// keys that enter a tree spend arena bytes, and the heap copy dies with the
+// lock.
 func Absent(key []byte) Row { return Row{key: string(key)} }
 
 // Read performs a snapshot read of the row for t at snapshot snap, also
@@ -562,19 +568,6 @@ func (p *Pruner) Flush() {
 // because the successor may live in any of them. Write reports whether a
 // structural insert happened.
 func (tb *Table) Write(t *core.Txn, key []byte, data []byte, tombstone bool, onInsert func(stored, succ string, hasSucc bool)) (row Row, inserted bool) {
-	return tb.write(t, key, "", data, tombstone, onInsert)
-}
-
-// WriteAbsent is Write for a key the caller found without a row, through the
-// handle Absent made of it: a structural insert stores the handle's copy of
-// the key as the tree's own key rather than copying key again.
-func (tb *Table) WriteAbsent(t *core.Txn, key []byte, absent Row, data []byte, tombstone bool, onInsert func(stored, succ string, hasSucc bool)) (row Row, inserted bool) {
-	return tb.write(t, key, absent.key, data, tombstone, onInsert)
-}
-
-// write is Write and WriteAbsent: copied is string(key), or empty to let the
-// insert copy key itself (which for an empty key is the same).
-func (tb *Table) write(t *core.Txn, key []byte, copied string, data []byte, tombstone bool, onInsert func(stored, succ string, hasSucc bool)) (row Row, inserted bool) {
 	w := t.Cell() // t's first write allocates it, on t's own goroutine
 	sh := tb.shardOf(key)
 	sh.mu.Lock()
@@ -583,7 +576,7 @@ func (tb *Table) write(t *core.Txn, key []byte, copied string, data []byte, tomb
 		if !ok {
 			// No gap protocol to run (page-granularity and lock-free
 			// modes): the insert is local to this partition.
-			stored, c = insertLocked(sh, key, copied)
+			stored, c = insertLocked(sh, key)
 		}
 		row = Row{key: stored, c: c, sh: sh}
 		writeChainLocked(sh, row.c, w, data, tombstone)
@@ -602,7 +595,7 @@ func (tb *Table) write(t *core.Txn, key []byte, copied string, data []byte, tomb
 	if !ok {
 		// (Losing a race for the key between the latches cannot happen under
 		// the engine's exclusive row lock, but stay correct without it.)
-		stored, c = insertLocked(sh, key, copied)
+		stored, c = insertLocked(sh, key)
 		succ, hasSucc := tb.successorAllLocked(key)
 		onInsert(stored, succ, hasSucc)
 	}
@@ -611,14 +604,10 @@ func (tb *Table) write(t *core.Txn, key []byte, copied string, data []byte, tomb
 	return row, !ok
 }
 
-// insertLocked inserts an empty row for key, which sh lacks, under copied
-// (string(key), or empty to copy key here). Caller holds the shard latch
-// exclusively.
-func insertLocked(sh *shard, key []byte, copied string) (string, *chain) {
-	if copied == "" {
-		copied = string(key)
-	}
-	stored, c, _ := sh.tree.LookupOrInsertCopy(key, copied, &chain{})
+// insertLocked inserts an empty row for key, which sh lacks, copying key into
+// the tree. Caller holds the shard latch exclusively.
+func insertLocked(sh *shard, key []byte) (string, *chain) {
+	stored, c, _ := sh.tree.LookupOrInsert(key, &chain{})
 	return stored, c
 }
 
@@ -650,10 +639,10 @@ type ScanItem struct {
 	ReadResult
 }
 
-// scanChunk bounds how many keys one lock-coupled scan round emits while
+// ScanChunk bounds how many keys one lock-coupled scan round emits while
 // holding the partition latches, so a long scan stalls a writer for at most
 // one round rather than for its whole duration.
-const scanChunk = 256
+const ScanChunk = 256
 
 // Scan visits keys in [from, ...) in order, calling fn for each until fn
 // returns false. Every key with any chain is visited — including keys whose
@@ -676,7 +665,7 @@ func (tb *Table) Scan(t *core.Txn, snap core.TS, from []byte, fn func(ScanItem) 
 //     partition whose tree changed since the previous round (btree.Mods;
 //     re-seek is IterAfter the last emitted key, so the merge resumes at the
 //     exact global frontier);
-//   - it emits up to scanChunk keys in global key order;
+//   - it emits up to ScanChunk keys in global key order;
 //   - flush (if non-nil) is invoked while the round's latches are still
 //     held, once per round; serializable SI scans use it to acquire the
 //     SIREAD row/gap (or page) locks for the keys emitted since the previous
@@ -723,10 +712,10 @@ func (tb *Table) Scan(t *core.Txn, snap core.TS, from []byte, fn func(ScanItem) 
 func (tb *Table) ScanWith(t *core.Txn, snap core.TS, from []byte, fn func(ScanItem) bool, flush func(exhausted bool)) {
 	m := tb.acquireMerge(from)
 	defer tb.releaseMerge(m)
-	for {
+	for rounds := uint64(1); ; rounds++ {
 		m.latchRound()
 		stopped := false
-		for n := 0; n < scanChunk && m.valid(); n++ {
+		for n := 0; n < ScanChunk && m.valid(); n++ {
 			it := m.top()
 			item := ScanItem{Key: it.Key(), Page: it.Page(), ReadResult: readChain(it.Value(), t, snap)}
 			m.last, m.emitted = item.Key, true
@@ -742,6 +731,7 @@ func (tb *Table) ScanWith(t *core.Txn, snap core.TS, from []byte, fn func(ScanIt
 		}
 		m.unlatchRound()
 		if done {
+			tb.scanRounds.Add(rounds)
 			return
 		}
 	}
@@ -998,15 +988,17 @@ func pruneChain(sh *shard, c *chain, horizon core.TS) (pruned int) {
 
 // ShardStats is a census of one partition.
 type ShardStats struct {
-	Keys  int
-	Pages int
+	Keys     int
+	Pages    int
+	KeyBytes int // what the keys take in the tree's arena (btree.KeyBytes)
 }
 
 // TableStats is a census of a table's partitions and pruning activity.
 type TableStats struct {
-	Shards []ShardStats
-	Keys   int
-	Pages  int
+	Shards   []ShardStats
+	Keys     int
+	Pages    int
+	KeyBytes int
 
 	// Cumulative since table creation: Vacuum calls, the versions pruned by
 	// retiring writers and by Vacuum, and the chains they walked — one per row
@@ -1014,21 +1006,25 @@ type TableStats struct {
 	VacuumRuns      uint64
 	VersionsPruned  uint64
 	VacuumKeyVisits uint64
+	// ScanRounds counts the lock-coupled rounds of every scan that returned:
+	// the times a scan took and released the partition latches.
+	ScanRounds uint64
 }
 
 // Stats returns a point-in-time census. Partitions are visited one at a
 // time, so the totals are not an atomic cut; quiesce first for exact numbers.
 func (tb *Table) Stats() TableStats {
-	st := TableStats{Shards: make([]ShardStats, len(tb.shards)), VacuumRuns: tb.vacuumRuns.Load()}
+	st := TableStats{Shards: make([]ShardStats, len(tb.shards)), VacuumRuns: tb.vacuumRuns.Load(), ScanRounds: tb.scanRounds.Load()}
 	for i, sh := range tb.shards {
 		sh.mu.RLock()
-		s := ShardStats{Keys: sh.tree.Len(), Pages: sh.tree.PageCount()}
+		s := ShardStats{Keys: sh.tree.Len(), Pages: sh.tree.PageCount(), KeyBytes: sh.tree.KeyBytes()}
 		st.VersionsPruned += sh.pruned
 		st.VacuumKeyVisits += sh.visits
 		sh.mu.RUnlock()
 		st.Shards[i] = s
 		st.Keys += s.Keys
 		st.Pages += s.Pages
+		st.KeyBytes += s.KeyBytes
 	}
 	return st
 }

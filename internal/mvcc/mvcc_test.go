@@ -309,15 +309,15 @@ func TestVacuumRespectsOldSnapshot(t *testing.T) {
 // TestMergedScanMatchesSingleShardOracle: a partitioned table's ordered scan
 // must produce exactly the sequence a 1-shard table produces for the same
 // data — same keys, same order, same visibility. The keyspace is wider than
-// scanChunk so the lock-coupled merge crosses round boundaries (latch drops
+// ScanChunk so the lock-coupled merge crosses round boundaries (latch drops
 // and iterator revalidation) mid-comparison.
 func TestMergedScanMatchesSingleShardOracle(t *testing.T) {
 	m := core.NewManager(core.DetectorPrecise)
 	sharded := NewTable("t", Config{PageMaxKeys: 4, Shards: 8, Horizon: m.OldestActiveSnapshot})
 	oracle := NewTable("t", Config{PageMaxKeys: 4, Shards: 1, Horizon: m.OldestActiveSnapshot})
 	r := rand.New(rand.NewSource(42))
-	for i := 0; i < 2*3*scanChunk; i++ {
-		key := []byte(fmt.Sprintf("k%04d", r.Intn(3*scanChunk)))
+	for i := 0; i < 2*3*ScanChunk; i++ {
+		key := []byte(fmt.Sprintf("k%04d", r.Intn(3*ScanChunk)))
 		val := []byte(fmt.Sprintf("v%d", i))
 		tomb := r.Intn(8) == 0
 		txn := m.Begin(core.SnapshotIsolation)
@@ -351,7 +351,7 @@ func TestMergedScanMatchesSingleShardOracle(t *testing.T) {
 		}
 	}
 	// Cross-partition successor agrees with the oracle everywhere.
-	for i := 0; i < 3*scanChunk; i++ {
+	for i := 0; i < 3*ScanChunk; i++ {
 		key := []byte(fmt.Sprintf("k%04d", i))
 		gs, gok := sharded.Successor(key)
 		ws, wok := oracle.Successor(key)
@@ -459,26 +459,27 @@ func TestScanVisitsInvisibleKeys(t *testing.T) {
 // are dominated by the scan, exactly the analytic-scan regime) must not
 // stall point writers or structural inserters for its whole duration — the
 // lock-coupled rounds bound any writer's wait to one round. With the old
-// hold-everything scan, every write below waited for the entire scan.
+// hold-everything scan, every write below waited for the entire scan. Both
+// halves are counts: writes complete while the scan is in flight, and the
+// scan takes and releases the latches once per ScanChunk keys it visits
+// (ScanRounds). A wall-clock bound on the writers' latency read a writer
+// goroutine the scheduler left waiting as one the scan stalled.
 func TestScanWriterProgress(t *testing.T) {
 	m := core.NewManager(core.DetectorPrecise)
 	tb := NewTable("t", Config{PageMaxKeys: 16, Shards: 4, Horizon: m.OldestActiveSnapshot})
-	const keys = 16 * scanChunk // 16 lock-coupled rounds per full scan
-	put := func(key []byte, val string, structural bool) time.Duration {
+	const keys = 16 * ScanChunk // 16 lock-coupled rounds per full scan
+	put := func(key []byte, val string, structural bool) {
 		txn := m.Begin(core.SnapshotIsolation)
 		m.AssignSnapshot(txn)
-		start := time.Now()
 		var onInsert func(string, string, bool)
 		if structural {
 			onInsert = func(string, string, bool) {}
 		}
 		tb.Write(txn, key, []byte(val), false, onInsert)
-		lat := time.Since(start)
 		if _, err := m.CommitPrepare(txn); err != nil {
 			t.Error(err)
 		}
 		m.Finish(txn, false)
-		return lat
 	}
 	for i := 0; i < keys; i++ {
 		put([]byte(fmt.Sprintf("k%05d", i)), "v", false)
@@ -500,12 +501,11 @@ func TestScanWriterProgress(t *testing.T) {
 		})
 	}()
 
-	// Writers are paced latency probes (not throughput hammers, which would
-	// just measure single-core scheduler starvation): in-place updates
+	// Writers are paced probes (not throughput hammers, which would just
+	// measure single-core scheduler starvation): in-place updates
 	// (single-partition latch) and structural inserts (all-partition
 	// lockAll) racing the scan on every partition.
 	var wg sync.WaitGroup
-	var maxLat int64 // nanoseconds, atomically maxed
 	var during atomic.Int64
 	for g := 0; g < 2; g++ {
 		wg.Add(1)
@@ -513,20 +513,13 @@ func TestScanWriterProgress(t *testing.T) {
 			defer wg.Done()
 			r := rand.New(rand.NewSource(int64(g) + 7))
 			for i := 0; !scanDone.Load(); i++ {
-				var lat time.Duration
 				if i%8 == 0 {
-					lat = put([]byte(fmt.Sprintf("n%05d-%d-%d", r.Intn(keys), g, i)), "w", true)
+					put([]byte(fmt.Sprintf("n%05d-%d-%d", r.Intn(keys), g, i)), "w", true)
 				} else {
-					lat = put([]byte(fmt.Sprintf("k%05d", r.Intn(keys))), "w", false)
+					put([]byte(fmt.Sprintf("k%05d", r.Intn(keys))), "w", false)
 				}
 				if !scanDone.Load() {
 					during.Add(1)
-				}
-				for {
-					cur := atomic.LoadInt64(&maxLat)
-					if int64(lat) <= cur || atomic.CompareAndSwapInt64(&maxLat, cur, int64(lat)) {
-						break
-					}
 				}
 				time.Sleep(500 * time.Microsecond)
 			}
@@ -544,14 +537,15 @@ func TestScanWriterProgress(t *testing.T) {
 	if n := during.Load(); n < 20 {
 		t.Fatalf("only %d writes completed while the scan was in flight — writers stalled for the scan's duration (%v)", n, scanDur)
 	}
-	// A writer waits at most ~one round (1/16th of the scan, ≈ scanChunk/16
-	// sleeps) plus scheduling noise; with the old hold-everything scan the
-	// first blocked writer waited essentially the whole scan.
-	if got := time.Duration(atomic.LoadInt64(&maxLat)); got > scanDur/4 {
-		t.Fatalf("writer stalled %v during a %v scan — not bounded by a round", got, scanDur)
+	// A writer waits for at most the round in progress (1/16th of the scan,
+	// ScanChunk/16 sleeps): the scan released the latches after every
+	// ScanChunk keys it visited, inserts included. With the old
+	// hold-everything scan it took them once.
+	rounds := tb.Stats().ScanRounds
+	if want := uint64(scanned+ScanChunk-1) / ScanChunk; rounds != want {
+		t.Fatalf("a scan of %d keys took the latches %d times, want %d — writers wait for the scan, not a round", scanned, rounds, want)
 	}
-	t.Logf("scan %v over %d keys; %d writes in flight; max writer latency %v",
-		scanDur, keys, during.Load(), time.Duration(atomic.LoadInt64(&maxLat)))
+	t.Logf("scan %v over %d keys in %d rounds; %d writes in flight", scanDur, scanned, rounds, during.Load())
 }
 
 // TestVacuumStallRearm: garbage superseded under a pinned snapshot is

@@ -518,3 +518,61 @@ func TestRowHandleAcrossSplits(t *testing.T) {
 		}
 	}
 }
+
+// TestOnlyInsertsSpendKeyBytes: a key reaches a tree's arena only through a
+// structural insert. An empty table holds no arena bytes; reading, locating,
+// seeking past or locking a key without a row (Absent's handle is a heap copy), reading at
+// the latest timestamp as a locking read does, overwriting a row and rolling
+// a write back spend none; an insert spends its key's length and bytes, once
+// — a key stays in its tree after its inserting write rolls back, so
+// writing it again spends nothing either.
+func TestOnlyInsertsSpendKeyBytes(t *testing.T) {
+	f := newFixture()
+	keyBytes := func() int { return f.tb.Stats().KeyBytes }
+	if n := keyBytes(); n != 0 {
+		t.Fatalf("an empty table's arenas hold %d bytes", n)
+	}
+	f.put(t, "present", "v")
+	base := keyBytes()
+	if base != 1+len("present") {
+		t.Fatalf("one insert of a 7-byte key spent %d arena bytes, want 8", base)
+	}
+	r := f.m.Begin(core.SerializableSI)
+	snap := f.m.AssignSnapshot(r)
+	for i := range 100 {
+		k := fmt.Appendf(nil, "absent-%d", i)
+		if _, ok := f.tb.Locate(k); ok {
+			t.Fatalf("Locate(%s) found a row", k)
+		}
+		if res := f.tb.Read(r, snap, k); res.Found {
+			t.Fatalf("Read(%s) found a value", k)
+		}
+		if res := f.tb.Read(r, core.TS(^uint64(0)), k); res.Found {
+			t.Fatalf("a locking read of %s found a value", k)
+		}
+		if a := Absent(k); !a.IsZero() || a.Key() != string(k) {
+			t.Fatalf("Absent(%s) = %+v", k, a)
+		}
+		f.tb.Successor(k)
+	}
+	f.m.Abort(r)
+	if n := keyBytes(); n != base {
+		t.Fatalf("reads of absent keys spent %d arena bytes", n-base)
+	}
+	f.put(t, "present", "w") // an overwrite
+	w := f.m.Begin(core.SnapshotIsolation)
+	f.m.AssignSnapshot(w)
+	row, inserted := f.tb.Write(w, []byte("rolled-back"), []byte("x"), false, nil)
+	if !inserted {
+		t.Fatal("the write of an absent key did not insert")
+	}
+	row.Rollback(w)
+	f.m.Abort(w)
+	if n, want := keyBytes(), base+1+len("rolled-back"); n != want {
+		t.Fatalf("an overwrite and a rolled-back insert left %d arena bytes, want %d", n, want)
+	}
+	f.put(t, "rolled-back", "y")
+	if n, want := keyBytes(), base+1+len("rolled-back"); n != want {
+		t.Fatalf("rewriting a key the tree kept spent %d more arena bytes", n-want)
+	}
+}

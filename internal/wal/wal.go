@@ -102,6 +102,12 @@ type Options struct {
 	// immediately (batching still happens naturally while a sync is in
 	// flight).
 	GroupCommitMaxDelay time.Duration
+
+	// WrapDevice, if set, wraps every device the log writes to — the null
+	// device, and each segment file as the log opens or rolls to it. It is
+	// the seam for tests that control what a write or a sync does and when
+	// it returns; nil leaves the devices as they are.
+	WrapDevice func(Device) Device
 }
 
 // groupCommitMaxBatch ends the flusher's linger once this many records are
@@ -112,8 +118,10 @@ const groupCommitMaxBatch = 256
 // bulk load's large records grew past it is left to the collector.
 const maxKeptBatch = 64 << 10
 
-// device is where framed bytes go: a real segment file or the null device.
-type device interface {
+// Device is where framed bytes go: a real segment file or the null device.
+// The flusher is its only writer, and Sync returning nil makes every byte
+// written before it durable.
+type Device interface {
 	io.Writer
 	Sync() error
 	Close() error
@@ -155,15 +163,16 @@ type Log struct {
 	flusherDone   chan struct{}
 	err           error // sticky I/O error; poisons all subsequent waits
 	closed        bool
-	nextLSN       LSN
-	durable       LSN
-	pending       []byte // framed records awaiting the next batch
-	spare         []byte // the last batch written, emptied: the next pending
+	last          atomic.Uint64 // the last LSN assigned; stored under mu
+	durable       atomic.Uint64 // the highest durable LSN; stored under mu
+	pending       []byte        // framed records awaiting the next batch
+	spare         []byte        // the last batch written, emptied: the next pending
 	pendingCount  int
 	pendingLastTS uint64
 	lastTS        uint64 // highest TS ever appended (monotonicity check)
+	waiting       int    // callers blocked in WaitDurable
 
-	active       device
+	active       Device
 	activeSeq    uint64
 	activeSize   int64
 	activeLastTS uint64
@@ -185,11 +194,11 @@ func Open(opts Options) (*Log, error) {
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = 64 << 20
 	}
-	l := &Log{opts: opts, nextLSN: 1, flusherDone: make(chan struct{})}
+	l := &Log{opts: opts, flusherDone: make(chan struct{})}
 	l.cond = sync.NewCond(&l.mu)
 	l.flushCond = sync.NewCond(&l.mu)
 	if opts.Dir == "" {
-		l.active = &nullDevice{delay: opts.SyncDelay}
+		l.active = l.wrap(&nullDevice{delay: opts.SyncDelay})
 		go l.flusher()
 		return l, nil
 	}
@@ -238,9 +247,16 @@ func Open(opts Options) (*Log, error) {
 	if err != nil {
 		return nil, err
 	}
-	l.active = fileDevice{f}
+	l.active = l.wrap(fileDevice{f})
 	go l.flusher()
 	return l, nil
+}
+
+func (l *Log) wrap(d Device) Device {
+	if l.opts.WrapDevice != nil {
+		return l.opts.WrapDevice(d)
+	}
+	return d
 }
 
 // Replay streams every record recovered at Open, in append (= commit) order.
@@ -273,8 +289,8 @@ func (l *Log) Append(ts uint64, payload []byte) (LSN, error) {
 		return 0, fmt.Errorf("%w: %d after %d", ErrOutOfOrder, ts, l.lastTS)
 	}
 	l.lastTS = ts
-	lsn := l.nextLSN
-	l.nextLSN++
+	lsn := l.last.Load() + 1
+	l.last.Store(lsn)
 	l.pending = appendFrame(l.pending, ts, payload)
 	l.pendingCount++
 	l.pendingLastTS = ts
@@ -296,20 +312,35 @@ func (l *Log) Err() error {
 	return l.err
 }
 
+// LastLSN returns the LSN of the last record appended — 0 before the first —
+// with one atomic load. A record appended before LastLSN is read is covered
+// by WaitDurable(LastLSN()): the engine's commits that append nothing wait so
+// for the records of every commit their snapshot saw.
+func (l *Log) LastLSN() LSN { return l.last.Load() }
+
 // WaitDurable blocks until every record up to and including lsn is on disk.
 // Committers never touch the device themselves: a dedicated flusher
 // goroutine drains the pending queue in batches, so the next sync starts
 // the moment the previous one finishes — no futex wakeup to elect a batch
 // leader sits on the sync critical path. Everything appended while a sync
-// was in flight rides the next batch.
+// was in flight rides the next batch. A record already durable costs one
+// atomic load, and no mutex; a later flush failure does not make it less
+// durable, so that returns nil whatever Err says.
 func (l *Log) WaitDurable(lsn LSN) error {
-	l.mu.Lock()
-	for l.err == nil && l.durable < lsn {
-		l.cond.Wait()
+	if l.durable.Load() >= lsn {
+		return nil
 	}
-	err := l.err
-	l.mu.Unlock()
-	return err
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for l.durable.Load() < lsn {
+		if l.err != nil {
+			return l.err
+		}
+		l.waiting++
+		l.cond.Wait()
+		l.waiting--
+	}
+	return nil
 }
 
 // flusher is the single goroutine that writes and syncs batches. It owns
@@ -360,7 +391,7 @@ func (l *Log) flusher() {
 		// Appends during the write fill the other buffer; this one comes
 		// back as spare once it is written.
 		batch := l.pending
-		target := l.nextLSN - 1
+		target := l.last.Load()
 		batchLastTS := l.pendingLastTS
 		l.pending, l.spare = l.spare, nil
 		l.pendingCount = 0
@@ -383,8 +414,8 @@ func (l *Log) flusher() {
 			l.cond.Broadcast()
 			continue
 		}
-		if target > l.durable {
-			l.durable = target
+		if target > l.durable.Load() {
+			l.durable.Store(target)
 		}
 		l.activeSize += int64(len(batch))
 		if batchLastTS > l.activeLastTS {
@@ -422,7 +453,7 @@ func (l *Log) rollLocked() {
 		return
 	}
 	l.sealed = append(l.sealed, segMeta{seq: oldSeq, path: segPath(l.opts.Dir, oldSeq), lastTS: oldLastTS})
-	l.active = fileDevice{f}
+	l.active = l.wrap(fileDevice{f})
 	l.activeSeq = oldSeq + 1
 	l.activeSize = 0
 	l.activeLastTS = 0
@@ -520,6 +551,7 @@ type Stats struct {
 	BytesAppended     uint64
 	DurableLSN        LSN
 	SegmentsTruncated uint64
+	Waiting           int // callers blocked in WaitDurable right now
 }
 
 // BytesAppended reports the framed bytes appended this process: one atomic
@@ -530,15 +562,16 @@ func (l *Log) BytesAppended() uint64 { return l.bytes.Load() }
 // StatsSnapshot returns current counters.
 func (l *Log) StatsSnapshot() Stats {
 	l.mu.Lock()
-	durable := l.durable
+	waiting := l.waiting
 	l.mu.Unlock()
 	return Stats{
 		Appends:           l.appends.Load(),
 		Batches:           l.batches.Load(),
 		Fsyncs:            l.fsyncs.Load(),
 		BytesAppended:     l.bytes.Load(),
-		DurableLSN:        durable,
+		DurableLSN:        l.durable.Load(),
 		SegmentsTruncated: l.truncated.Load(),
+		Waiting:           waiting,
 	}
 }
 

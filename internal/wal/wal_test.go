@@ -661,3 +661,60 @@ func TestWALAppendAllocBudget(t *testing.T) {
 		t.Fatalf("Append + WaitDurable: %.2f allocs per call, want 0", got)
 	}
 }
+
+// heldDevice is a Device whose Sync waits for the test to send on release.
+type heldDevice struct {
+	Device
+	release chan struct{}
+}
+
+func (d heldDevice) Sync() error {
+	<-d.release
+	return d.Device.Sync()
+}
+
+// TestWrapDeviceHoldsDurability: every device the log writes to goes through
+// WrapDevice, segments rolled to included, so a device whose Sync blocks holds
+// back WaitDurable — which reports its caller as Waiting — until the Sync
+// returns. LastLSN names the last record appended, and once a record is
+// durable, waiting for it returns at once.
+func TestWrapDeviceHoldsDurability(t *testing.T) {
+	release := make(chan struct{})
+	wrapped := 0
+	l := mustOpen(t, Options{Dir: t.TempDir(), SegmentBytes: 64, WrapDevice: func(d Device) Device {
+		wrapped++
+		return heldDevice{d, release}
+	}})
+	if l.LastLSN() != 0 {
+		t.Fatalf("LastLSN of an empty log = %d", l.LastLSN())
+	}
+	for i := uint64(1); i <= 3; i++ {
+		lsn := mustAppend(l, i, bytes.Repeat([]byte{'x'}, 100)) // each batch rolls the segment
+		if l.LastLSN() != lsn {
+			t.Fatalf("LastLSN = %d after appending %d", l.LastLSN(), lsn)
+		}
+		done := make(chan error, 1)
+		go func() { done <- l.WaitDurable(lsn) }()
+		for l.StatsSnapshot().Waiting != 1 {
+			select {
+			case err := <-done:
+				t.Fatalf("WaitDurable(%d) returned %v before its Sync did", lsn, err)
+			default:
+				time.Sleep(time.Millisecond)
+			}
+		}
+		release <- struct{}{}
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		if err := l.WaitDurable(lsn); err != nil || l.StatsSnapshot().Waiting != 0 {
+			t.Fatalf("WaitDurable of a durable record: %v, %d waiting", err, l.StatsSnapshot().Waiting)
+		}
+	}
+	if err := l.Close(); err != nil { // nothing pending: no Sync to release
+		t.Fatal(err)
+	}
+	if wrapped != 4 { // the first segment and three rolls
+		t.Fatalf("WrapDevice saw %d devices, want 4", wrapped)
+	}
+}

@@ -482,27 +482,29 @@ func TestROGetAllocBudget(t *testing.T) {
 }
 
 // TestRowFootprintAllocBudget asserts what a loaded row keeps alive: its
-// 24-byte B+tree slot (≈30 B with the page's spare slot, the 1 792-byte
-// allocation class a full leaf of 65 slots rounds up to, the node header and
-// the interior pages, pages being full after an ascending load), the 32-byte
-// chain that is also its newest version — pointing, once its loader has
-// retired, at the shared frozen cell rather than its loader's creator cell —
-// and the key and value bytes themselves, 4 and 1 here, packed into 16-byte
-// tiny-allocator blocks: ≈74 B. The key is the one copy the loading write
-// made: it named the exclusive lock on the then-absent row and became the
-// tree's key. That read 178 B while leaves were half-empty pairs of grown
+// B+tree entry — a 4-byte key head, a key pointer and a value pointer, in a
+// leaf's 256-byte head array and two 512-byte pointer arrays, ≈22 B with the
+// 112-byte node and the interior pages, pages being full after an ascending
+// load — its key in the tree's arena (a length byte and the 4 key bytes), the
+// 32-byte chain that is also its newest version — pointing, once its loader
+// has retired, at the shared frozen cell rather than its loader's creator cell
+// — and its 1-byte value, in 16-byte tiny-allocator blocks it shares with two
+// dead 4-byte copies of its key, the loader's and the write's (which named the
+// exclusive lock on the then-absent row): ≈12 B of blocks a value keeps alive,
+// ≈72 B in all (TestOverwrittenRowFootprintAllocBudget, whose values replace
+// the load's, reads the rest alone). That read 178 B while leaves were half-empty pairs of grown
 // slices and the chain header and the version were two objects, 106 B while a
 // slot held an interface, a version a slice header, and the new gap's lock a
-// second key copy, and ≈78 B while the absent row's lock was named by a copy
-// of its own, dead at commit but still taking its place in the tiny block
-// beside the row's key and value. The partition count (which the core count
-// selects by default) must not change it: every partition's tree sees an
-// ascending load of its own.
+// second key copy, ≈78 B while the absent row's lock was named by a copy of its
+// own, and ≈74 B while a 24-byte slot in a 65-slot page held the key string
+// the lock was named by. The partition count (which the core count selects by
+// default) must not change it: every partition's tree sees an ascending load
+// of its own.
 func TestRowFootprintAllocBudget(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("a footprint is not a race; the 200 000-row loads are slow under the detector")
 	}
-	const rows, budget = 200_000, 80
+	const rows, budget = 200_000, 74
 	for _, tshards := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("tshards=%d", tshards), func(t *testing.T) {
 			perRow := loadedBytes(t, ssidb.Options{TableShards: tshards}, func(db *ssidb.DB) error {
@@ -520,15 +522,17 @@ func TestRowFootprintAllocBudget(t *testing.T) {
 
 // TestOverwrittenRowFootprintAllocBudget is TestRowFootprintAllocBudget after
 // every row was overwritten once, each in an SSI transaction of its own, and
-// the database quiesced: the same budget, because the overwrite's retirement
-// prunes the superseded version and freezes the new one — points it at the
-// shared frozen cell — so the writer's 24-byte creator cell dies with its
-// record: ≈74 B. It read ≈102 B while every row kept its last writer's cell.
+// the database quiesced: the overwrite's retirement prunes the superseded
+// version and freezes the new one — points it at the shared frozen cell — so
+// the writer's 24-byte creator cell dies with its record, and the load's
+// values die with the tiny blocks they shared with dead key copies: the
+// entry, the arena key and the chain, ≈60 B. It read ≈102 B while every row
+// kept its last writer's cell, and ≈74 B with 24-byte slots in 65-slot pages.
 func TestOverwrittenRowFootprintAllocBudget(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("a footprint is not a race; the 200 000-row loads are slow under the detector")
 	}
-	const rows, budget = 200_000, 80
+	const rows, budget = 200_000, 61
 	for _, tshards := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("tshards=%d", tshards), func(t *testing.T) {
 			perRow := loadedBytes(t, ssidb.Options{TableShards: tshards}, func(db *ssidb.DB) error {
@@ -558,15 +562,15 @@ func TestOverwrittenRowFootprintAllocBudget(t *testing.T) {
 // TestSmallBankFootprintAllocBudget is TestRowFootprintAllocBudget for the
 // SmallBank tables: a customer is three rows — an account row (12-byte name,
 // 4-byte id) and a saving and a checking row (4-byte id, 8-byte balance) — so
-// it costs three slots and three chains, and its key and value bytes, each
-// key copied once by the write that loaded it: ≈246 B a customer. It read
-// ≈334 B with 32-byte slots and 48-byte chains, and ≈254 B while each row's
-// absent-row lock was named by a second copy of its key.
+// it costs three tree entries, three arena keys and three chains, and its
+// values: ≈231 B a customer. It read ≈334 B with 32-byte slots and 48-byte
+// chains, ≈254 B while each row's absent-row lock was named by a second copy
+// of its key, and ≈246 B with 24-byte slots in 65-slot pages.
 func TestSmallBankFootprintAllocBudget(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("a footprint is not a race; the 300 000-row load is slow under the detector")
 	}
-	const customers, budget = 100_000, 256
+	const customers, budget = 100_000, 236
 	perCustomer := loadedBytes(t, ssidb.Options{}, func(db *ssidb.DB) error {
 		cfg := smallbank.DefaultConfig()
 		cfg.Accounts = customers

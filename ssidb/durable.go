@@ -23,7 +23,9 @@ import (
 
 // commitState is the per-transaction durability slot Commit hands to the
 // commit hook through core.Manager.CommitPrepareWith: the redo payload going
-// in, the record's LSN (or the append's refusal) coming back out.
+// in, the record's LSN (or the append's refusal) coming back out. Before the
+// commit, lsn holds the log's last LSN as of the transaction's snapshot
+// (readPoint), which a commit that appends nothing waits for.
 type commitState struct {
 	redo []byte
 	lsn  wal.LSN

@@ -55,7 +55,7 @@ func (*pageTargets) lockWrite(tx *Txn, tb *table, key []byte, _ mvcc.Row, struct
 
 func (*pageTargets) install(tx *Txn, tb *table, key []byte, row mvcc.Row, val []byte, tombstone bool) (mvcc.Row, error) {
 	if row.IsZero() {
-		row, _ = tb.data.WriteAbsent(tx.t, key, row, val, tombstone, nil)
+		row, _ = tb.data.Write(tx.t, key, val, tombstone, nil)
 	} else {
 		row.Write(tx.t, val, tombstone)
 	}

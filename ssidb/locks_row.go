@@ -17,9 +17,8 @@ import (
 // it, which exists, the gap a structural insert creates included), and a point
 // operation's row, through the handle of its one Locate. A write to a key
 // without a row names its exclusive lock by the copy of the key its absent
-// handle carries (mvcc.Absent), which is also the key the tree keeps if the
-// write inserts; only a read or a locked read of a key without a row copies
-// key bytes for its lock alone (rowKeyFor).
+// handle carries (mvcc.Absent); a read or a locked read of a key without a
+// row copies key bytes for its lock when it takes it (rowKeyFor).
 type rowTargets struct{}
 
 func rowKeyOf(tb *table, stored string) lock.Key {
@@ -80,9 +79,8 @@ func (rowTargets) install(tx *Txn, tb *table, key []byte, row mvcc.Row, val []by
 	// inherited onto the new key's gap under the table latch, atomically
 	// with the key becoming visible — otherwise a second insert into the
 	// now-split gap would escape the scanners' phantom detection. The new gap
-	// is named by the store's copy of the key, as every other gap is — the
-	// copy the absent handle carries, which named the row's exclusive lock.
-	row, inserted := tb.data.WriteAbsent(tx.t, key, row, val, tombstone, func(stored, succ string, hasSucc bool) {
+	// is named by the store's copy of the key, as every other gap is.
+	row, inserted := tb.data.Write(tx.t, key, val, tombstone, func(stored, succ string, hasSucc bool) {
 		src := lock.SupremumGapKey(tb.name)
 		if hasSucc {
 			src = gapKeyOf(tb, succ)

@@ -43,11 +43,16 @@
 //
 // Every committing writer appends one redo record at the engine's commit
 // point — log order is commit order — and then waits for the record to be
-// durable before its blocking locks are released, so no other transaction
-// can observe state that a crash could roll back. Flushes are batched by
-// group commit: a dedicated flusher goroutine lingers up to
-// GroupCommitMaxDelay for committers to pile on (at most 256 records),
-// and retires the whole batch with a single
+// durable before its blocking locks are released. Snapshot readers take no
+// blocking lock, and a commit is visible to snapshots from its commit point,
+// before its fsync returns: a transaction can read a write a crash would
+// still lose. What it cannot do is commit on it: a transaction that appends
+// no record of its own waits, at SI and SSI, for the log's last record as of
+// its snapshot, so once any Commit returns nil, everything the transaction
+// read is durable (the module's package documentation, "Durable reads", has
+// the whole contract). Flushes are batched by group commit: a dedicated
+// flusher goroutine lingers up to GroupCommitMaxDelay for committers to pile
+// on (at most 256 records), and retires the whole batch with a single
 // fdatasync against a preallocated segment. OpenDir replays the log —
 // tolerating a torn tail from a mid-write crash — and Checkpoint folds it
 // into an image so recovery stays proportional to recent activity; with
@@ -334,7 +339,7 @@ type DB struct {
 
 // Open creates an in-memory database with the given options.
 func Open(opts Options) *DB {
-	db, _ := open("", opts) // only recovery fails, and an in-memory database has none
+	db, _ := open("", opts, nil) // only recovery fails, and an in-memory database has none
 	return db
 }
 
@@ -344,10 +349,12 @@ func Open(opts Options) *DB {
 // rolling the log forward. Stats.RecoveryReplayed reports how many log
 // records were applied.
 func OpenDir(dir string, opts Options) (*DB, error) {
-	return open(dir, opts)
+	return open(dir, opts, nil)
 }
 
-func open(dir string, opts Options) (*DB, error) {
+// open opens the database; wrap, when set, wraps the log's devices (the WAL's
+// seam for tests that decide when a write or a sync returns).
+func open(dir string, opts Options, wrap func(wal.Device) wal.Device) (*DB, error) {
 	if opts.PageMaxKeys <= 0 {
 		opts.PageMaxKeys = 64
 	}
@@ -375,6 +382,7 @@ func open(dir string, opts Options) (*DB, error) {
 			SyncDelay:           opts.FlushLatency,
 			SegmentBytes:        opts.SegmentBytes,
 			GroupCommitMaxDelay: opts.GroupCommitMaxDelay,
+			WrapDevice:          wrap,
 		})
 		if err != nil {
 			return nil, err
@@ -618,8 +626,11 @@ type VacuumStats struct {
 }
 
 // Vacuum synchronously walks every chain of every table against the current
-// OldestActiveSnapshot watermark, reclaiming row versions no active or future
-// snapshot can observe, and folds the write-stamps of every page. The walk
+// OldestActiveSnapshot watermark, reclaiming the row versions superseded
+// before the oldest active snapshot, and folds the write-stamps of every page.
+// It reclaims only below that watermark: a version superseded after the oldest
+// active snapshot began stays until that snapshot ends, even when no active
+// snapshot can read it. The walk
 // takes each partition latch in short chunks, so concurrent transactions keep
 // running. Neither needs Vacuum: a committed writer prunes what it superseded
 // when it retires, and a page folds its retired writers' stamps whenever it
@@ -638,11 +649,13 @@ func (db *DB) Vacuum() VacuumStats {
 
 // TableStats is a census of one table's partitioned row store.
 type TableStats struct {
-	// Shards is the partition count; Keys and Pages are summed across
-	// partitions.
-	Shards int
-	Keys   int
-	Pages  int
+	// Shards is the partition count; Keys, Pages and KeyBytes (the bytes
+	// the keys take in the partitions' key arenas, each key's length and its
+	// bytes) are summed across partitions.
+	Shards   int
+	Keys     int
+	Pages    int
+	KeyBytes int
 	// Cumulative since the table was created: Vacuum calls; row versions
 	// pruned, by retiring writers and by Vacuum; page write-stamp entries
 	// folded away (retired or aborted writers'), by the page reads and writes
@@ -654,6 +667,10 @@ type TableStats struct {
 	// garbage-proportionality metric: one per row a retiring writer wrote,
 	// however wide the table, plus every chain per Vacuum.
 	VacuumKeyVisits uint64
+	// ScanRounds counts the lock-coupled rounds of the table's finished
+	// scans: each took the partition latches, emitted at most a round's
+	// keys, and released them, so a writer waits for one round at most.
+	ScanRounds uint64
 }
 
 // TableStats returns the partition/vacuum census for table name. Unlike the
@@ -669,9 +686,11 @@ func (db *DB) TableStats(name string) TableStats {
 		Shards:          len(ts.Shards),
 		Keys:            ts.Keys,
 		Pages:           ts.Pages,
+		KeyBytes:        ts.KeyBytes,
 		VacuumRuns:      ts.VacuumRuns,
 		VersionsPruned:  ts.VersionsPruned,
 		VacuumKeyVisits: ts.VacuumKeyVisits,
+		ScanRounds:      ts.ScanRounds,
 	}
 	if tb.stamps != nil {
 		st.StampWritersPruned = tb.stamps.pruned.Load()

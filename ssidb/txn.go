@@ -288,6 +288,14 @@ func (tx *Txn) Commit() error {
 			walErr = db.log.WaitDurable(cs.lsn)
 			db.maybeCheckpoint()
 		}
+	} else if db.log != nil {
+		// Nothing to log, but what the snapshot read may not be durable yet:
+		// commits are visible once published under tsMu, before their fsync.
+		// Wait for the log's last record as of the snapshot (readPoint; 0,
+		// already durable, if the transaction took none). S2PL takes no
+		// snapshot: its reads waited on exclusive locks, which a writer
+		// releases only once durable.
+		walErr = db.log.WaitDurable(tx.s.commit.lsn)
 	}
 	t, s := tx.finish()
 	db.locks.ReleaseBlocking(t)
@@ -406,7 +414,17 @@ func (tx *Txn) readPoint() core.TS {
 	if tx.readMode() == lock.Shared {
 		return latest
 	}
-	return tx.s.db.mgr.AssignSnapshot(tx.t)
+	if ts := tx.t.Snapshot(); ts != 0 {
+		return ts
+	}
+	ts := tx.s.db.mgr.AssignSnapshot(tx.t)
+	if l := tx.s.db.log; l != nil {
+		// Every commit the snapshot sees appended its record under tsMu
+		// before the snapshot's tick, so the log's last LSN now covers them
+		// all: a commit that appends no record of its own waits for it.
+		tx.s.commit.lsn = l.LastLSN()
+	}
+	return ts
 }
 
 // readStamp maps a read point to the recorder's readTS convention.
@@ -595,8 +613,8 @@ func (tx *Txn) write(tableName string, key, val []byte, tombstone, mustNotExist 
 	tb := tx.s.db.table(tableName)
 	row, exists := tb.data.Locate(key)
 	if !exists {
-		// The write's one copy of the key: its lock's name, and the tree's
-		// key if it inserts.
+		// The copy of the key that names the row's lock; the tree copies
+		// the key into its own arena if the write inserts.
 		row = mvcc.Absent(key)
 	}
 	structural := tombstone || mustNotExist || !exists
