@@ -86,16 +86,16 @@
 // Handle lifetime. The *ssidb.Txn a begin returns is the caller's: it may be
 // kept past Commit, Abort or the return of Run and RunRetry, and from then on
 // every operation on it returns ErrTxnDone (Abort returns nil). What the
-// transaction needed only while it ran — the database and program it ran
-// against, write set, rival buffer, redo record — is the engine's: it sits in
-// a scratch recycled through a sync.Pool, taken at begin and handed back
-// zeroed the moment the transaction is done, and the finished handle no
-// longer reaches it. Nor does it reach the transaction's record: the handle
-// drops it at the end, and a record no other transaction can have seen — one
-// that locked nothing, wrote nothing and was in no conflict, such as a
-// declared read-only reader promoted to a safe snapshot at its first read —
-// is recycled for a later transaction at once. A finished handle keeps
-// nothing alive and answers from its own 32 bytes:
+// transaction needed only while it ran — its record, the database and
+// program it ran against, write set, rival buffer, redo record — is the
+// engine's: it sits in a scratch recycled through a sync.Pool, taken at begin
+// and handed back zeroed the moment the transaction is done, and the finished
+// handle no longer reaches it. The scratch lets go of the record at the end,
+// and a record no other transaction can have seen — one that locked nothing,
+// wrote nothing and was in no conflict, such as a declared read-only reader
+// promoted to a safe snapshot at its first read — is recycled for a later
+// transaction at once. A finished handle keeps nothing alive and answers from
+// its own 24 bytes:
 //
 //	accessor       while the transaction runs            once it has ended
 //	ID             its id                                the same id
@@ -305,7 +305,7 @@
 //     A reader promoted at its first read locks nothing, writes nothing and
 //     is in no conflict, so at its end no other transaction can hold its
 //     record: core.Manager.Release hands the record to the next begin, and
-//     such a reader allocates only its 32-byte handle
+//     such a reader allocates only its 24-byte handle
 //     (TestReadOnlyTxnAllocBudget).
 //   - internal/server and cmd/ssiserver put a network front end on all of
 //     it: a TCP server speaking a length-prefixed framed protocol with one

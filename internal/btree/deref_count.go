@@ -1,8 +1,8 @@
-//go:build btreecount
+//go:build workcount
 
 package btree
 
-// derefs records, in the btreecount build only, the address of every stored
+// derefs records, in the workcount build only, the address of every stored
 // key read since it was last emptied. Single-threaded tests only.
 var derefs []*byte
 

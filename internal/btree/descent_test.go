@@ -1,4 +1,4 @@
-//go:build btreecount
+//go:build workcount
 
 package btree
 
@@ -11,9 +11,9 @@ import (
 )
 
 // TestDescentWorkBudget counts the stored keys a point lookup reads (keyAt,
-// recorded by the btreecount build's noteDeref): run it with
+// recorded by the workcount build's noteDeref): run it with
 //
-//	go test -tags btreecount -run DescentWorkBudget ./internal/btree
+//	go test -tags workcount -run DescentWorkBudget ./internal/btree
 //
 // Over distinct 4-byte keys every comparison but the one against the key
 // itself is settled by the heads, so a lookup reads only the key it returns —

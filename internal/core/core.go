@@ -170,7 +170,8 @@
 //
 // where toutHi(S) is the newest read-write commit timestamp below S,
 // captured exactly when S was allocated (both happen under tsMu, so nothing
-// below S can commit afterwards). The watermark is read first: a pivot that
+// below S can commit afterwards; AssignSnapshotTout returns it to the owner,
+// which passes it to SnapshotSafe). The watermark is read first: a pivot that
 // already deregistered raised threatHi before deregistering, so the later
 // threatHi load sees it; one still registered keeps the watermark ≤ S and
 // is handled by the second disjunct, the *Tout-window refinement*. An
@@ -298,19 +299,26 @@
 //   - rival and newer-writer buffers in flight (lock.AcquireInto results,
 //     mvcc.ReadResult.NewerWriters, the engine's recycled scratch, zeroed on
 //     release), for the duration of one operation;
-//   - the engine's handle, until the transaction ends and the engine lets go
-//     of the record (Release).
+//   - the engine's running transaction (the scratch the handle reaches it
+//     through), until the transaction ends and the engine lets go of the
+//     record (Release).
+//
+// The record itself holds the transaction's lock bookkeeping as an owner
+// (Locks: the keys it holds, its SIREAD count, its used and released flags),
+// so that state lives exactly as long as the record and costs no allocation
+// of its own.
 //
 // Only the first and the last are there for every record. Every other holder
 // is reached through something the record leaves behind, which core sees: the
-// lock table through its lock state (set before its first lock), versions and
-// page stamps through its cell, partners' references through MarkConflict
-// (which marks both endpoints, marked), the retirement queue through
-// FinishWith (queued), and the in-flight buffers through the lock table or a
-// cell. A record that ended with none of the four — no cell, no lock state,
-// never an endpoint of MarkConflict, not queued — was held by the registry,
-// which dropped it at the end, and by the handle; nobody else can ever have
-// reached it. So Release zeroes such a record and returns it to the pool
+// lock table through its lock state (marked used before its first lock),
+// versions and page stamps through its cell, partners' references through
+// MarkConflict (which marks both endpoints, marked), the retirement queue
+// through FinishWith (queued), and the in-flight buffers through the lock
+// table or a cell. A record that ended with none of the four — no cell, no
+// lock state, never an endpoint of MarkConflict, not queued — was held by the
+// registry, which dropped it at the end, and by the engine, which lets go of
+// it; nobody else can ever have reached it. So Release zeroes such a record
+// and returns it to the pool
 // BeginTx draws from. In practice these are the declared read-only readers
 // promoted to a safe snapshot at their first read, and plain-SI transactions
 // that only read: they lock nothing. Every other record keeps the lifetime
@@ -326,6 +334,8 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"ssi/internal/lockstate"
 )
 
 // TS is a logical timestamp drawn from the Manager's global clock. Begin and
@@ -451,17 +461,12 @@ const (
 // invariants.
 //
 // The layout is budgeted (TestTxnRecordAllocBudget): the record fills the
-// 96-byte size class exactly, which is what pays for the 24-byte Cell of a
-// writer.
+// 96-byte size class exactly, lock owner state included, which is what pays
+// for the 24-byte Cell of a writer. What only the owner reads once — the
+// safe-snapshot bound toutHi — is handed to the owner (AssignSnapshotTout)
+// rather than kept here.
 type Txn struct {
 	id uint64
-
-	// toutHi is the newest read-write commit timestamp at or below this
-	// transaction's snapshot — the newest possible Tout of a dangerous
-	// structure endangering it. Captured exactly (under tsMu) when the
-	// snapshot is assigned; read only by the owning goroutine via
-	// SnapshotSafe.
-	toutHi TS
 
 	beginTS  atomic.Uint64 // snapshot timestamp; 0 until assigned (§4.5 defers it)
 	commitTS atomic.Uint64 // 0 until committed
@@ -507,13 +512,14 @@ type Txn struct {
 	// queue, whose mutex the owner took in Finish after the write.
 	cell *Cell
 
-	// lockState is an opaque slot for the lock manager's per-owner
-	// bookkeeping, so it needs no owner registry of its own. It is written
-	// once, by the owner's goroutine before the transaction first appears
-	// in any lock-table entry; every other reader reaches the transaction
-	// through a lock-table shard mutex or the retirement queue, which
-	// establishes the necessary happens-before edge.
-	lockState any
+	// locks is the lock manager's bookkeeping for this transaction as an
+	// owner of locks (package lock), part of the record so that it needs no
+	// owner registry and no allocation of its own. Its own mutex guards it,
+	// separate from csMu: lock-table operations and conflict marking never
+	// wait on each other. Only the lock manager touches it; core reads its
+	// used flag, set by the owner's goroutine before its first lock, to tell
+	// whether the lock table may name the record (Release).
+	locks lockstate.Owner
 }
 
 // Cell is a writing transaction's creator cell: the three things a version
@@ -592,12 +598,19 @@ func (t *Txn) Cell() *Cell {
 	return t.cell
 }
 
-// LockState returns the lock manager's per-owner slot (nil until set).
-func (t *Txn) LockState() any { return t.lockState }
+// Locks returns the lock manager's bookkeeping for t, embedded in the record.
+// The lock manager marks it used (lockstate.Owner.MarkUsed), on the owner's
+// goroutine, before t takes its first lock.
+func (t *Txn) Locks() *lockstate.Owner { return &t.locks }
 
-// SetLockState installs the lock manager's per-owner slot. Must be called
-// from the owner's goroutine before the transaction holds any lock.
-func (t *Txn) SetLockState(v any) { t.lockState = v }
+// LockState returns the lock manager's bookkeeping for t, or nil if t never
+// took a lock.
+func (t *Txn) LockState() *lockstate.Owner {
+	if !t.locks.Used() {
+		return nil
+	}
+	return &t.locks
+}
 
 // ID returns the transaction's unique identifier.
 func (t *Txn) ID() uint64 { return t.id }
@@ -955,14 +968,27 @@ func (m *Manager) BeginTx(iso Isolation, readOnly bool) *Txn {
 // AssignSnapshot gives t its read timestamp if it does not have one yet and
 // returns it. Safe to call repeatedly.
 func (m *Manager) AssignSnapshot(t *Txn) TS {
+	ts, _ := m.AssignSnapshotTout(t)
+	return ts
+}
+
+// AssignSnapshotTout is AssignSnapshot also returning toutHi: the newest
+// read-write commit timestamp below the snapshot, the newest possible Tout of
+// a dangerous structure endangering it, which SnapshotSafe takes. It is
+// captured exactly on the call that assigns the snapshot; a call that finds
+// one assigned returns tsInfinity, for which SnapshotSafe waits for every
+// older read-write transaction to end. The record does not keep it: only a
+// declared read-only transaction's owner asks SnapshotSafe, so the owner keeps
+// it.
+func (m *Manager) AssignSnapshotTout(t *Txn) (ts, toutHi TS) {
 	if ts := t.beginTS.Load(); ts != 0 {
-		return ts
+		return ts, tsInfinity
 	}
 	sh := m.regShardOf(t)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if ts := t.beginTS.Load(); ts != 0 {
-		return ts
+		return ts, tsInfinity
 	}
 	// Publish a conservative horizon constraint *before* allocating the
 	// snapshot: the clock can only grow, so floor ≤ ts, and a concurrent
@@ -975,14 +1001,14 @@ func (m *Manager) AssignSnapshot(t *Txn) TS {
 		sh.lowerMinLocked(t, floor)
 	}
 	m.tsMu.Lock()
-	ts := m.clock.Add(1)
+	ts = m.clock.Add(1)
 	// Inside tsMu the capture is exact: lastRWCommit stores serialize with
 	// this tick, so toutHi is precisely the newest read-write commit below
 	// ts — nothing below ts can commit later.
-	t.toutHi = TS(m.lastRWCommit.Load())
+	toutHi = m.lastRWCommit.Load()
 	m.tsMu.Unlock()
 	t.beginTS.Store(ts)
-	return ts
+	return ts, toutHi
 }
 
 // deregister removes t from the active registry, updating the shard
@@ -1433,7 +1459,7 @@ var recordPool = sync.Pool{New: func() any { return new(Txn) }}
 // from. Any other record keeps its lifetime: Release does nothing to it, and
 // the drain or the collector ends it as before.
 func (m *Manager) Release(t *Txn) {
-	if t.Status() == StatusActive || t.cell != nil || t.lockState != nil || t.queued {
+	if t.Status() == StatusActive || t.cell != nil || t.locks.Used() || t.queued {
 		return
 	}
 	t.csMu.Lock()
@@ -1505,7 +1531,8 @@ func (m *Manager) raiseThreat(ct TS) {
 	}
 }
 
-// SnapshotSafe reports whether t's snapshot s is safe: no read-write
+// SnapshotSafe reports whether t's snapshot s is safe, given the toutHi that
+// AssignSnapshotTout returned with it: no read-write
 // transaction that could still commit an rw-edge into s's past remains, and
 // none that already committed one committed after s. A transaction on a safe
 // snapshot needs no SIREAD locks and no conflict tracking — its reads are
@@ -1520,8 +1547,8 @@ func (m *Manager) raiseThreat(ct TS) {
 // unsafe: W with snapshot below s threatens s only through a Tout that
 // committed inside (snap(W), s], and that window's population is fixed by
 // the time s exists (every commit at or below s has already happened —
-// t.toutHi, captured under tsMu at snapshot assignment, is exactly the
-// newest of them). So when the watermark is at or above toutHi, every
+// toutHi, captured under tsMu at snapshot assignment, is exactly the newest
+// of them). So when the watermark is at or above toutHi, every
 // active elder's snapshot is too, no elder's window contains a Tout, and
 // all of them are provably harmless to s forever. This is what lets
 // promotions happen under a sustained stream of short writers, where a
@@ -1531,12 +1558,12 @@ func (m *Manager) raiseThreat(ct TS) {
 // transaction raises the horizon (CommitPrepare) strictly before it leaves
 // the registry (Finish), so observing it gone from the watermark implies its
 // raise is visible.
-func (m *Manager) SnapshotSafe(t *Txn) bool {
+func (m *Manager) SnapshotSafe(t *Txn, toutHi TS) bool {
 	s := TS(t.beginTS.Load())
 	if s == 0 {
 		return false
 	}
-	if w := m.OldestActiveRWSnapshot(); w <= s && w < t.toutHi {
+	if w := m.OldestActiveRWSnapshot(); w <= s && w < toutHi {
 		return false
 	}
 	return TS(m.threatHi.Load()) <= s

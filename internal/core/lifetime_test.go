@@ -153,7 +153,7 @@ func TestSeenRecordsAreNeverPooled(t *testing.T) {
 		{"lock state", func() *Txn {
 			r := m.BeginTx(SerializableSI, true)
 			m.AssignSnapshot(r)
-			r.SetLockState(new(int)) // as the lock manager does at a first acquire
+			r.Locks().MarkUsed() // as the lock manager does at a first acquire
 			commit(t, m, r, false)
 			return r
 		}},
@@ -236,22 +236,24 @@ func TestPooledRecordPinsNothing(t *testing.T) {
 	w := m.Begin(SnapshotIsolation)
 	m.AssignSnapshot(w)
 	w.Cell()
-	commit(t, m, w, false) // a read-write commit, so the reader's toutHi is set
+	commit(t, m, w, false)
 
 	r := endUnseen(t, m)
-	if r.toutHi == 0 || r.Snapshot() == 0 || r.CommitTS() == 0 || !r.readOnly {
-		t.Fatalf("the reader ended without its state: toutHi %d, snapshot %d, commit %d", r.toutHi, r.Snapshot(), r.CommitTS())
+	if r.Snapshot() == 0 || r.CommitTS() == 0 || !r.readOnly {
+		t.Fatalf("the reader ended without its state: snapshot %d, commit %d", r.Snapshot(), r.CommitTS())
 	}
 	m.Release(r)
-	if r.id != 0 || r.toutHi != 0 || r.beginTS.Load() != 0 || r.commitTS.Load() != 0 ||
+	if r.id != 0 || r.beginTS.Load() != 0 || r.commitTS.Load() != 0 ||
 		r.Status() != StatusActive || r.iso != 0 || r.readOnly || r.marked || r.queued ||
-		r.in.Load() != nil || r.out.Load() != nil || r.outCT != 0 || r.cell != nil || r.lockState != nil {
+		r.in.Load() != nil || r.out.Load() != nil || r.outCT != 0 || r.cell != nil ||
+		r.locks.Used() || r.locks.Released() || r.locks.Keys != nil || r.locks.SIReads != 0 {
 		t.Fatalf("a pooled record is not zero: %+v", r)
 	}
-	if !r.csMu.TryLock() {
-		t.Fatal("a pooled record's conflict mutex is held")
+	if !r.csMu.TryLock() || !r.locks.TryLock() {
+		t.Fatal("a pooled record's conflict or lock-state mutex is held")
 	}
 	r.csMu.Unlock()
+	r.locks.Unlock()
 
 	recs := make([]weak.Pointer[Txn], 64)
 	for i := range recs {

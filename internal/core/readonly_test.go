@@ -116,7 +116,7 @@ func TestOldestActiveRWSnapshotExcludesRO(t *testing.T) {
 func TestSnapshotSafeTransitions(t *testing.T) {
 	m := NewManager(DetectorBasic)
 	unassigned := m.BeginTx(SerializableSI, true)
-	if m.SnapshotSafe(unassigned) {
+	if m.SnapshotSafe(unassigned, 0) {
 		t.Fatal("transaction without a snapshot reported safe")
 	}
 	m.Abort(unassigned)
@@ -127,8 +127,8 @@ func TestSnapshotSafeTransitions(t *testing.T) {
 	rw := m.Begin(SerializableSI)
 	srw := m.AssignSnapshot(rw)
 	roEarly := m.BeginTx(SerializableSI, true)
-	sEarly := m.AssignSnapshot(roEarly)
-	if !m.SnapshotSafe(roEarly) {
+	sEarly, hiEarly := m.AssignSnapshotTout(roEarly)
+	if !m.SnapshotSafe(roEarly, hiEarly) {
 		t.Fatalf("snapshot %d unsafe despite an empty Tout window (rw snap %d, no commits)", sEarly, srw)
 	}
 	m.Finish(roEarly, false)
@@ -139,12 +139,12 @@ func TestSnapshotSafeTransitions(t *testing.T) {
 	m.AssignSnapshot(tout)
 	commit(t, m, tout, false)
 	ro := m.BeginTx(SerializableSI, true)
-	s := m.AssignSnapshot(ro)
-	if m.SnapshotSafe(ro) {
+	s, hi := m.AssignSnapshotTout(ro)
+	if m.SnapshotSafe(ro, hi) {
 		t.Fatalf("snapshot %d safe while RW txn (snap %d) is active with a committed Tout in its window", s, srw)
 	}
 	commit(t, m, rw, false) // no out-edge: no threat raised
-	if !m.SnapshotSafe(ro) {
+	if !m.SnapshotSafe(ro, hi) {
 		t.Fatalf("snapshot %d not safe after the only RW txn committed cleanly", s)
 	}
 	m.Finish(ro, false)
@@ -156,7 +156,7 @@ func TestSnapshotSafeTransitions(t *testing.T) {
 	m.AssignSnapshot(reader)
 	m.AssignSnapshot(writer)
 	ro2 := m.BeginTx(SerializableSI, true)
-	s2 := m.AssignSnapshot(ro2)
+	s2, hi2 := m.AssignSnapshotTout(ro2)
 	if err := m.MarkConflict(reader, writer, reader); err != nil {
 		t.Fatal(err)
 	}
@@ -164,18 +164,18 @@ func TestSnapshotSafeTransitions(t *testing.T) {
 	if got := m.threatHi.Load(); got != ct {
 		t.Fatalf("threat horizon = %d, want %d", got, ct)
 	}
-	if m.SnapshotSafe(ro2) {
+	if m.SnapshotSafe(ro2, hi2) {
 		t.Fatalf("snapshot %d safe despite threat at %d", s2, ct)
 	}
 	m.Abort(ro2)
 	commit(t, m, writer, false)
 
 	ro3 := m.BeginTx(SerializableSI, true)
-	s3 := m.AssignSnapshot(ro3)
+	s3, hi3 := m.AssignSnapshotTout(ro3)
 	if s3 <= ct {
 		t.Fatalf("fresh snapshot %d not above threat %d", s3, ct)
 	}
-	if !m.SnapshotSafe(ro3) {
+	if !m.SnapshotSafe(ro3, hi3) {
 		t.Fatalf("snapshot %d above the threat horizon and no RW active: want safe", s3)
 	}
 	m.Finish(ro3, false)
@@ -238,8 +238,8 @@ func TestSnapshotSafeNeverFalsePositive(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 20000; i++ {
 			ro := m.BeginTx(SerializableSI, true)
-			s := m.AssignSnapshot(ro)
-			if m.SnapshotSafe(ro) {
+			s, hi := m.AssignSnapshotTout(ro)
+			if m.SnapshotSafe(ro, hi) {
 				verdicts.Add(1)
 				for {
 					old := maxSafe.Load()

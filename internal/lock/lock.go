@@ -51,85 +51,51 @@ import (
 	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"ssi/internal/core"
+	"ssi/internal/lockstate"
 )
 
-// Mode is a lock mode. Modes are bit flags because one owner can hold
-// several modes on one key (e.g. SIREAD plus EXCLUSIVE when the upgrade
-// optimisation is disabled).
-type Mode uint8
+// The lock vocabulary and the per-owner bookkeeping live in package
+// lockstate, below core, so that a transaction record can embed its owner
+// state; these aliases are their names here.
+type (
+	// Mode is a lock mode: bit flags, because one owner can hold several
+	// modes on one key (e.g. SIREAD plus EXCLUSIVE when the upgrade
+	// optimisation is disabled).
+	Mode = lockstate.Mode
+	// Kind distinguishes the namespaces of lockable objects.
+	Kind = lockstate.Kind
+	// Key names one lockable object.
+	Key = lockstate.Key
+)
 
 const (
 	// Shared is the classical read lock used by S2PL transactions.
-	Shared Mode = 1 << iota
+	Shared = lockstate.Shared
 	// Exclusive is the write lock used by all isolation levels.
-	Exclusive
+	Exclusive = lockstate.Exclusive
 	// SIRead records that an SI transaction read a version of the item. It
 	// neither blocks nor is blocked (thesis §3.2); it exists purely so that
 	// writers can detect read-write conflicts.
-	SIRead
+	SIRead = lockstate.SIRead
 )
-
-// String returns a short human-readable mode name.
-func (m Mode) String() string {
-	switch m {
-	case Shared:
-		return "S"
-	case Exclusive:
-		return "X"
-	case SIRead:
-		return "SIREAD"
-	}
-	return fmt.Sprintf("Mode(%d)", uint8(m))
-}
-
-// Kind distinguishes the namespaces of lockable objects.
-type Kind uint8
 
 const (
 	// Row locks protect a single record (InnoDB-style granularity).
-	Row Kind = iota
+	Row = lockstate.Row
 	// Gap locks protect the open interval just before a key against
-	// concurrent insertion or deletion, as in InnoDB's next-key locking.
-	// They live in a namespace separate from Row so that a gap lock on x
-	// never conflicts with a row lock on x (thesis §2.5.2).
-	Gap
+	// concurrent insertion or deletion, as in InnoDB's next-key locking,
+	// in a namespace separate from Row (thesis §2.5.2).
+	Gap = lockstate.Gap
 	// Page locks protect a whole B+tree page (Berkeley DB-style
 	// granularity, thesis Chapter 4).
-	Page
-	// GapSupremum is the gap after the largest key in a table — the
-	// "special supremum key" of thesis §2.5.2, protecting inserts beyond
-	// the current end of the key space.
-	GapSupremum
+	Page = lockstate.Page
+	// GapSupremum is the gap past the largest key in a table — the
+	// "special supremum key" of thesis §2.5.2.
+	GapSupremum = lockstate.GapSupremum
 )
-
-// String returns a short kind name.
-func (k Kind) String() string {
-	switch k {
-	case Row:
-		return "row"
-	case Gap:
-		return "gap"
-	case Page:
-		return "page"
-	case GapSupremum:
-		return "gap-supremum"
-	}
-	return fmt.Sprintf("Kind(%d)", uint8(k))
-}
-
-// Key names one lockable object.
-type Key struct {
-	Table string
-	Kind  Kind
-	K     string
-}
-
-// String formats the key for diagnostics.
-func (k Key) String() string { return fmt.Sprintf("%s/%s/%q", k.Table, k.Kind, k.K) }
 
 // RowKey, GapKey and PageKey are convenience constructors.
 func RowKey(table string, key []byte) Key { return Key{Table: table, Kind: Row, K: string(key)} }
@@ -140,11 +106,6 @@ func GapKey(table string, key []byte) Key { return Key{Table: table, Kind: Gap, 
 // PageKey names a B+tree page by its page number.
 func PageKey(table string, page uint32) Key {
 	return Key{Table: table, Kind: Page, K: string([]byte{byte(page >> 24), byte(page >> 16), byte(page >> 8), byte(page)})}
-}
-
-// Page returns the page number of a key made by PageKey.
-func (k Key) Page() uint32 {
-	return uint32(k.K[0])<<24 | uint32(k.K[1])<<16 | uint32(k.K[2])<<8 | uint32(k.K[3])
 }
 
 // SupremumGapKey names the gap past the largest key in table.
@@ -250,6 +211,19 @@ type shard struct {
 	_ [56]byte
 }
 
+// lock takes the shard's mutex; every acquisition goes through it, so the
+// workcount build counts them.
+func (s *shard) lock() {
+	noteShardLock()
+	s.mu.Lock()
+}
+
+// lockOwner takes an owner's mutex, counted like a shard's.
+func lockOwner(os *ownerState) {
+	noteOwnerLock()
+	os.Lock()
+}
+
 func newShard(idx int) *shard {
 	return &shard{idx: idx, table: make(map[Key]*entry)}
 }
@@ -276,32 +250,25 @@ func (s *shard) entryLocked(key Key) *entry {
 }
 
 // ownerState is one transaction's lock bookkeeping: the keys it holds (with
-// modes) and its SIREAD census. It lives in the transaction's opaque
-// core.Txn slot, so no owner registry — global or per shard — exists, and a
-// transaction costs one bookkeeping allocation however many shards its keys
-// spread over. Its mutex nests inside shard mutexes (lock order: shard →
+// modes) and its SIREAD census. It is part of the transaction's record
+// (core.Txn.Locks), so no owner registry — global or per shard — exists, and
+// a transaction's first lock allocates no bookkeeping however many shards its
+// keys spread over. Its mutex nests inside shard mutexes (lock order: shard →
 // ownerState) and is what keeps cross-shard operations on one owner
 // coherent: InheritSIRead (another goroutine granting this owner a lock)
-// versus release processing shards one at a time.
-type ownerState struct {
-	mu     sync.Mutex
-	keys   map[Key]Mode // nil while the owner holds nothing
-	sireds int          // count of keys with SIRead held
-	// released marks an initiated ReleaseAll: the owner is retired and no
-	// lock may be recorded for it again. Without it, an InheritSIRead
-	// racing a cleanup ReleaseAll could resurrect a SIREAD in a shard the
-	// release had already drained, leaking the entry forever. Set under mu;
-	// atomic so stateFor can test it without locking.
-	released atomic.Bool
-}
+// versus release processing shards one at a time. It is not the record's
+// conflict mutex: lock-table work and conflict marking never wait on each
+// other.
+//
+// Its released flag marks an initiated ReleaseAll: the owner is retired and
+// no lock may be recorded for it again. Without it, an InheritSIRead racing
+// a cleanup ReleaseAll could resurrect a SIREAD in a shard the release had
+// already drained, leaking the entry forever. It is set under the mutex and
+// read atomically, so stateFor can test it without locking.
+type ownerState = lockstate.Owner
 
 // stateOf returns the owner's bookkeeping, or nil if it never took a lock.
-func stateOf(owner *core.Txn) *ownerState {
-	if v := owner.LockState(); v != nil {
-		return v.(*ownerState)
-	}
-	return nil
-}
+func stateOf(owner *core.Txn) *ownerState { return owner.LockState() }
 
 // keysMapPool recycles ownerState key maps: an owner takes one with its first
 // grant (grantLocked) and hands it back whenever a release leaves it holding
@@ -311,22 +278,26 @@ func stateOf(owner *core.Txn) *ownerState {
 // (every committed writer is in one until its commit is older than every
 // active snapshot) after their locks are gone, and a map pinned to each,
 // drained or not, would swell the live heap the collector re-scans every
-// cycle. Only the map is pooled — the ownerState itself may still be
-// referenced through stale lock-table reads after release (the released flag
-// protocol), so recycling the struct could alias two owners; the map is only
-// ever touched under os.mu, which makes its handoff safe.
+// cycle. Only the map is pooled — the record that holds the owner state may
+// still be referenced through stale lock-table reads after release (the
+// released flag protocol), so recycling it could alias two owners, which is
+// why core pools no record that ever took a lock; the map is only ever touched
+// under the owner's mutex, which makes its handoff safe.
 var keysMapPool = sync.Pool{New: func() any { return make(map[Key]Mode, 8) }}
 
-// stateFor returns the owner's bookkeeping, creating it on first use — or
-// afresh after a ReleaseAll, so tests reusing a transaction keep working.
-// Only the owner's own goroutine acquires locks, so the unsynchronised
-// write is safe; see core.Txn.SetLockState.
+// stateFor returns the owner's bookkeeping, marking it used. An owner whose
+// ReleaseAll has begun is retired for good, and acquiring for it again
+// panics: InheritSIRead skips a released owner, so a lock granted to it would
+// not follow its key's splits, and clearing the flag could race a release
+// still draining shards. A transaction that needs locks after a ReleaseAll
+// begins a new record. Only the owner's own goroutine acquires locks, so the
+// used mark needs no lock; see core.Txn.Locks.
 func stateFor(owner *core.Txn) *ownerState {
-	if os := stateOf(owner); os != nil && !os.released.Load() {
-		return os
+	os := owner.Locks()
+	if os.Released() {
+		panic(fmt.Sprintf("lock: transaction %d acquires a lock after its ReleaseAll", owner.ID()))
 	}
-	os := new(ownerState)
-	owner.SetLockState(os)
+	os.MarkUsed()
 	return os
 }
 
@@ -431,9 +402,10 @@ func (m *Manager) Acquire(owner *core.Txn, key Key, mode Mode) (rivals []*core.T
 // form that always returns a fresh slice. On error the buffer is returned
 // with whatever prefix it already carried.
 func (m *Manager) AcquireInto(owner *core.Txn, key Key, mode Mode, buf []*core.Txn) (rivals []*core.Txn, err error) {
+	noteAcquires(1)
 	os := stateFor(owner)
 	s := m.shardOf(key)
-	s.mu.Lock()
+	s.lock()
 
 	spins := 0
 	blocked := false
@@ -483,7 +455,7 @@ func (m *Manager) AcquireInto(owner *core.Txn, key Key, mode Mode, buf []*core.T
 			spins++
 			s.mu.Unlock()
 			runtime.Gosched()
-			s.mu.Lock()
+			s.lock()
 			continue
 		}
 
@@ -530,7 +502,7 @@ func (m *Manager) await(s *shard, w *waiter) ([]*core.Txn, error) {
 	case <-timeoutC:
 	}
 
-	s.mu.Lock()
+	s.lock()
 	s.waitNanos += uint64(time.Since(start))
 	if !w.granted && !w.deadlock {
 		// Timed out, and no signal raced in before we retook the mutex:
@@ -650,21 +622,21 @@ func (m *Manager) upgradeable(key Key) bool {
 func (m *Manager) grantLocked(os *ownerState, e *entry, owner *core.Txn, key Key, mode Mode) {
 	prev := e.holders[owner]
 	next := prev | mode
-	os.mu.Lock()
+	lockOwner(os)
 	if mode == Exclusive && prev&SIRead != 0 && m.upgradeable(key) {
 		// §3.7.3: drop the SIREAD lock; the version we create will expose
 		// the conflict to future readers instead.
 		next &^= SIRead
-		os.sireds--
+		os.SIReads--
 	}
 	if mode == SIRead && prev&SIRead == 0 {
-		os.sireds++
+		os.SIReads++
 	}
-	if os.keys == nil {
-		os.keys = keysMapPool.Get().(map[Key]Mode)
+	if os.Keys == nil {
+		os.Keys = keysMapPool.Get().(map[Key]Mode)
 	}
-	os.keys[key] = next
-	os.mu.Unlock()
+	os.Keys[key] = next
+	os.Unlock()
 	e.holders[owner] = next
 	e.countModes(prev, next)
 }
@@ -694,20 +666,20 @@ func (m *Manager) release(owner *core.Txn, modes Mode) {
 	terminal := modes&SIRead != 0
 	bufp := keyBufPool.Get().(*[]Key)
 	keys := (*bufp)[:0]
-	os.mu.Lock()
+	lockOwner(os)
 	if terminal {
-		os.released.Store(true)
+		os.MarkReleased()
 	}
-	for key, held := range os.keys {
+	for key, held := range os.Keys {
 		if held&modes != 0 {
 			keys = append(keys, key)
 		}
 	}
-	os.mu.Unlock()
+	os.Unlock()
 
 	for _, key := range keys {
 		s := m.shardOf(key)
-		s.mu.Lock()
+		s.lock()
 		m.releaseKeyLocked(s, os, owner, key, modes)
 		s.mu.Unlock()
 	}
@@ -718,12 +690,12 @@ func (m *Manager) release(owner *core.Txn, modes Mode) {
 	// An owner left holding nothing gives its map back (see keysMapPool). A
 	// concurrent InheritSIRead cannot be refilling it: it only adds to owners
 	// it finds holding a SIREAD, whose map is therefore not empty.
-	os.mu.Lock()
+	lockOwner(os)
 	var drained map[Key]Mode
-	if len(os.keys) == 0 {
-		drained, os.keys = os.keys, nil
+	if len(os.Keys) == 0 {
+		drained, os.Keys = os.Keys, nil
 	}
-	os.mu.Unlock()
+	os.Unlock()
 	if drained != nil {
 		clear(drained) // empty already; resets the table's deleted-slot marks
 		keysMapPool.Put(drained)
@@ -735,22 +707,22 @@ func (m *Manager) release(owner *core.Txn, modes Mode) {
 // from the caller's snapshot) because a concurrent InheritSIRead may have
 // widened them since.
 func (m *Manager) releaseKeyLocked(s *shard, os *ownerState, owner *core.Txn, key Key, modes Mode) {
-	os.mu.Lock()
-	held, ok := os.keys[key]
+	lockOwner(os)
+	held, ok := os.Keys[key]
 	if !ok || held&modes == 0 {
-		os.mu.Unlock()
+		os.Unlock()
 		return
 	}
 	rest := held &^ modes
 	if held&SIRead != 0 && modes&SIRead != 0 {
-		os.sireds--
+		os.SIReads--
 	}
 	if rest == 0 {
-		delete(os.keys, key)
+		delete(os.Keys, key)
 	} else {
-		os.keys[key] = rest
+		os.Keys[key] = rest
 	}
-	os.mu.Unlock()
+	os.Unlock()
 
 	e := s.table[key]
 	e.countModes(held, rest)
@@ -804,6 +776,7 @@ var batchPool = sync.Pool{New: func() any { return &batchScratch{seen: make(map[
 // not the lock-table critical section — is what makes the grant atomic with
 // the scan against concurrent inserters.
 func (m *Manager) AcquireSIReadBatchInto(owner *core.Txn, keys []Key, buf []*core.Txn) (rivals []*core.Txn) {
+	noteAcquires(len(keys))
 	os := stateFor(owner)
 	rivals = buf
 	sc := batchPool.Get().(*batchScratch)
@@ -814,7 +787,7 @@ func (m *Manager) AcquireSIReadBatchInto(owner *core.Txn, keys []Key, buf []*cor
 	}()
 	if len(m.shards) == 1 {
 		s := m.shards[0]
-		s.mu.Lock()
+		s.lock()
 		rivals = m.sireadBatchLocked(s, os, owner, keys, sc.seen, rivals)
 		s.mu.Unlock()
 		return rivals
@@ -843,7 +816,7 @@ func (m *Manager) AcquireSIReadBatchInto(owner *core.Txn, keys []Key, buf []*cor
 	for i, s := range m.shards {
 		hi := sc.start[i]
 		if lo < hi {
-			s.mu.Lock()
+			s.lock()
 			rivals = m.sireadBatchLocked(s, os, owner, sc.grouped[lo:hi], sc.seen, rivals)
 			s.mu.Unlock()
 		}
@@ -913,18 +886,18 @@ func (m *Manager) InheritSIRead(src, dst Key) {
 			continue
 		}
 		hos := stateOf(h) // non-nil: h holds a lock on src
-		hos.mu.Lock()
-		if hos.released.Load() {
+		lockOwner(hos)
+		if hos.Released() {
 			// h's ReleaseAll already ran (or is draining shards): recording
 			// a new grant would leak it. Its src SIREAD is moments from
 			// disappearing, so there is nothing to inherit.
-			hos.mu.Unlock()
+			hos.Unlock()
 			continue
 		}
 		mode := de.holders[h] | SIRead
-		hos.keys[dst] = mode
-		hos.sireds++
-		hos.mu.Unlock()
+		hos.Keys[dst] = mode
+		hos.SIReads++
+		hos.Unlock()
 		de.countModes(de.holders[h], mode)
 		de.holders[h] = mode
 	}
@@ -934,14 +907,14 @@ func (m *Manager) InheritSIRead(src, dst Key) {
 // locked once, distinct shards always in ascending index order.
 func lockPair(a, b *shard) {
 	if a == b {
-		a.mu.Lock()
+		a.lock()
 		return
 	}
 	if a.idx > b.idx {
 		a, b = b, a
 	}
-	a.mu.Lock()
-	b.mu.Lock()
+	a.lock()
+	b.lock()
 }
 
 func unlockPair(a, b *shard) {
@@ -958,16 +931,16 @@ func (m *Manager) HoldsSIRead(owner *core.Txn) bool {
 	if os == nil {
 		return false
 	}
-	os.mu.Lock()
-	defer os.mu.Unlock()
-	return os.sireds > 0
+	lockOwner(os)
+	defer os.Unlock()
+	return os.SIReads > 0
 }
 
 // Holds reports whether owner holds mode on key. S2PL scans use it to find
 // the keys of a collection pass that still need their Shared lock.
 func (m *Manager) Holds(owner *core.Txn, key Key, mode Mode) bool {
 	s := m.shardOf(key)
-	s.mu.Lock()
+	s.lock()
 	defer s.mu.Unlock()
 	e := s.table[key]
 	return e != nil && e.holders[owner]&mode == mode
@@ -978,7 +951,7 @@ func (m *Manager) Holds(owner *core.Txn, key Key, mode Mode) bool {
 // waiter with its requested mode. Used by stuck-lock watchdogs in tests.
 func (m *Manager) DumpKey(key Key) string {
 	s := m.shardOf(key)
-	s.mu.Lock()
+	s.lock()
 	defer s.mu.Unlock()
 	e := s.table[key]
 	if e == nil {
@@ -1028,7 +1001,7 @@ func (m *Manager) StatsSnapshot() Stats {
 	st := Stats{Shards: len(m.shards)}
 	owners := make(map[*core.Txn]struct{})
 	for _, s := range m.shards {
-		s.mu.Lock()
+		s.lock()
 		st.Keys += len(s.table)
 		st.Waits += s.waits
 		st.SpinGrants += s.spinGrants

@@ -286,7 +286,7 @@ func TestGapAndRowNamespacesIndependent(t *testing.T) {
 func TestGapExclusiveCompatible(t *testing.T) {
 	// Two inserts into the same gap must not block each other (InnoDB
 	// insert-intention semantics); only a reader's shared gap lock blocks.
-	_, txns := newTxns(3)
+	mgr, txns := newTxns(3)
 	m := NewManagerShards(true, 0)
 	g := GapKey("t", []byte("z"))
 	if _, err := m.Acquire(txns[0], g, Exclusive); err != nil {
@@ -310,8 +310,9 @@ func TestGapExclusiveCompatible(t *testing.T) {
 	m.ReleaseAll(txns[1])
 	m.Acquire(txns[2], g, Shared)
 	blocked := make(chan struct{})
+	inserter := mgr.Begin(core.SerializableSI) // a released owner takes no new lock
 	go func() {
-		m.Acquire(txns[0], g, Exclusive)
+		m.Acquire(inserter, g, Exclusive)
 		close(blocked)
 	}()
 	select {

@@ -1,0 +1,203 @@
+package lock
+
+import (
+	"fmt"
+	"testing"
+
+	"ssi/internal/core"
+	"ssi/internal/raceflag"
+)
+
+// TestFirstAcquireAllocBudget: an owner's bookkeeping is part of its
+// transaction record (core.Txn.Locks), so a fresh record's first lock — a
+// point acquire in each mode, and a scan's batch — allocates nothing once the
+// lock table's pools are warm: not the owner state, which is already there,
+// nor its key map, entries or key snapshots, which are recycled.
+func TestFirstAcquireAllocBudget(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("sync.Pool drops items at random under -race; the budget assumes it does not")
+	}
+	const runs = 200
+	mgr := core.NewManager(core.DetectorPrecise)
+	m := NewManagerShards(true, 8)
+	keys := make([]Key, 16)
+	for i := range keys {
+		keys[i] = RowKey("t", []byte(fmt.Sprintf("k%02d", i)))
+	}
+	for _, c := range []struct {
+		name string
+		lock func(owner *core.Txn)
+	}{
+		{"SIRead", func(o *core.Txn) { m.AcquireInto(o, keys[0], SIRead, nil) }},
+		{"Exclusive", func(o *core.Txn) { m.AcquireInto(o, keys[1], Exclusive, nil) }},
+		{"Shared", func(o *core.Txn) { m.AcquireInto(o, keys[2], Shared, nil) }},
+		{"batch", func(o *core.Txn) { m.AcquireSIReadBatchInto(o, keys, nil) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			// AllocsPerRun calls its function once more than runs, to warm up.
+			owners := make([]*core.Txn, runs+2)
+			for i := range owners {
+				owners[i] = mgr.Begin(core.SerializableSI)
+			}
+			c.lock(owners[0]) // warm the pools
+			m.ReleaseAll(owners[0])
+			next := 1
+			allocs := testing.AllocsPerRun(runs, func() {
+				o := owners[next]
+				next++
+				c.lock(o)
+				m.ReleaseAll(o)
+			})
+			if allocs != 0 {
+				t.Errorf("a fresh record's first %s lock and its release: %.2f allocs, want 0", c.name, allocs)
+			}
+			for _, o := range owners {
+				mgr.Abort(o)
+			}
+		})
+	}
+}
+
+// TestLockedRecordIsNeverPooled: a record that took a lock is never handed to
+// another transaction, however it ended and whatever it held — the lock
+// table's holder maps and the waiters of its shards may still name it —
+// while the record of a transaction that locked nothing is. The owner state
+// that makes the difference is the record's own (Locks), marked used at the
+// first acquire and never cleared.
+func TestLockedRecordIsNeverPooled(t *testing.T) {
+	mgr := core.NewManager(core.DetectorPrecise)
+	m := NewManagerShards(true, 8)
+	key := RowKey("t", []byte("k"))
+	// comesBack reports whether one of the next few begins, ended unseen and
+	// released again, is handed rec.
+	comesBack := func(rec *core.Txn) bool {
+		back := false
+		for i := 0; i < 4; i++ {
+			n := mgr.Begin(core.SnapshotIsolation)
+			back = back || n == rec
+			mgr.Abort(n)
+			mgr.Release(n)
+		}
+		return back
+	}
+	for _, c := range []struct {
+		name string
+		end  func() *core.Txn // runs a transaction to its end and returns its record
+	}{
+		{"SIRead, committed", func() *core.Txn {
+			r := mgr.BeginTx(core.SerializableSI, true)
+			mgr.AssignSnapshot(r)
+			if _, err := m.Acquire(r, key, SIRead); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := mgr.CommitPrepare(r); err != nil {
+				t.Fatal(err)
+			}
+			m.ReleaseAll(r)
+			mgr.Finish(r, false)
+			return r
+		}},
+		{"Exclusive, aborted", func() *core.Txn {
+			w := mgr.Begin(core.SnapshotIsolation)
+			if _, err := m.Acquire(w, key, Exclusive); err != nil {
+				t.Fatal(err)
+			}
+			mgr.Abort(w)
+			m.ReleaseAll(w)
+			return w
+		}},
+		{"batch, never released", func() *core.Txn {
+			r := mgr.Begin(core.SerializableSI)
+			m.AcquireSIReadBatchInto(r, []Key{key}, nil)
+			mgr.Abort(r)
+			return r
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			for round := 0; round < 20; round++ {
+				rec := c.end()
+				if stateOf(rec) == nil {
+					t.Fatal("a record that took a lock reports no lock state")
+				}
+				mgr.Release(rec)
+				if comesBack(rec) {
+					t.Fatalf("round %d: a record that took a lock came back from the pool", round)
+				}
+			}
+		})
+	}
+	t.Run("no lock", func(t *testing.T) {
+		// A pool may miss (and drops puts at random under the race
+		// detector), so repeat until the record comes back.
+		for round := 0; round < 100; round++ {
+			r := mgr.BeginTx(core.SerializableSI, true)
+			mgr.AssignSnapshot(r)
+			if m.HoldsSIRead(r); stateOf(r) != nil {
+				t.Fatal("a record that took no lock reports lock state")
+			}
+			mgr.Abort(r)
+			m.ReleaseAll(r) // a no-op for an owner that never locked
+			mgr.Release(r)
+			if comesBack(r) {
+				return
+			}
+		}
+		t.Fatal("a record that took no lock never came back from the pool")
+	})
+}
+
+// TestReleasedOwnerKeepsNoKeyMap: once ReleaseAll has run, the owner state in
+// the record holds no key map and no SIREAD count — whatever it held, in
+// whatever mode, on however many shards, inherited or not — so a record kept
+// alive by a retirement queue or a partner's reference pins no lock
+// bookkeeping. The owner is retired for good: it may not lock again, and an
+// engine that needs locks for the transaction's retry begins a new record.
+func TestReleasedOwnerKeepsNoKeyMap(t *testing.T) {
+	mgr := core.NewManager(core.DetectorPrecise)
+	m := NewManagerShards(true, 8)
+	r := mgr.Begin(core.SerializableSI)
+	var keys []Key
+	for i := 0; i < 64; i++ {
+		keys = append(keys, RowKey("t", []byte(fmt.Sprintf("k%02d", i))))
+	}
+	m.AcquireSIReadBatchInto(r, keys[:32], nil)
+	for _, k := range keys[32:48] {
+		if _, err := m.Acquire(r, k, Exclusive); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, k := range keys[48:] {
+		if _, err := m.Acquire(r, k, Shared); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.InheritSIRead(keys[0], GapKey("t", []byte("k00")))
+	os := stateOf(r)
+	if len(os.Keys) != len(keys)+1 || os.SIReads != 33 {
+		t.Fatalf("before the release: %d keys, %d SIREADs, want %d and 33", len(os.Keys), os.SIReads, len(keys)+1)
+	}
+	m.ReleaseBlocking(r)
+	if len(os.Keys) != 33 || os.SIReads != 33 || os.Released() {
+		t.Fatalf("after ReleaseBlocking: %d keys, %d SIREADs, released %v, want 33, 33 and false", len(os.Keys), os.SIReads, os.Released())
+	}
+	m.ReleaseAll(r)
+	if os.Keys != nil || os.SIReads != 0 || !os.Released() || !os.Used() {
+		t.Fatalf("after ReleaseAll: key map %v, %d SIREADs, released %v, used %v; want nil, 0, true, true", os.Keys, os.SIReads, os.Released(), os.Used())
+	}
+	if m.HoldsSIRead(r) {
+		t.Error("a released owner still reports SIREAD locks")
+	}
+	if st := m.StatsSnapshot(); st.Keys != 0 || st.Owners != 0 {
+		t.Fatalf("lock table not drained: %+v", st)
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Error("an acquire by a released owner did not panic")
+		}
+		if st := m.StatsSnapshot(); st.Keys != 0 {
+			t.Errorf("the refused acquire left %d keys in the table", st.Keys)
+		}
+	}()
+	m.Acquire(r, keys[0], SIRead)
+}

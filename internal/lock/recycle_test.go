@@ -27,14 +27,14 @@ func TestDrainedKeyMapDetaches(t *testing.T) {
 		}
 	}
 	m.ReleaseBlocking(w)
-	if os := stateOf(w); os.keys != nil || os.released.Load() {
-		t.Fatalf("after a write-only commit: key map %v (want nil), released %v (want false)", os.keys, os.released.Load())
+	if os := stateOf(w); os.Keys != nil || os.Released() {
+		t.Fatalf("after a write-only commit: key map %v (want nil), released %v (want false)", os.Keys, os.Released())
 	}
 	if _, err := m.Acquire(w, key(1), Exclusive); err != nil {
 		t.Fatal(err)
 	}
-	if !m.Holds(w, key(1), Exclusive) || len(stateOf(w).keys) != 1 {
-		t.Fatalf("acquire after the drain: holds=%v, %d keys recorded, want true and 1", m.Holds(w, key(1), Exclusive), len(stateOf(w).keys))
+	if !m.Holds(w, key(1), Exclusive) || len(stateOf(w).Keys) != 1 {
+		t.Fatalf("acquire after the drain: holds=%v, %d keys recorded, want true and 1", m.Holds(w, key(1), Exclusive), len(stateOf(w).Keys))
 	}
 	m.ReleaseAll(w)
 
@@ -46,16 +46,16 @@ func TestDrainedKeyMapDetaches(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.ReleaseBlocking(r)
-	if got := len(stateOf(r).keys); got != 1 || !m.HoldsSIRead(r) {
+	if got := len(stateOf(r).Keys); got != 1 || !m.HoldsSIRead(r) {
 		t.Fatalf("SIREAD holder after commit: %d keys recorded, HoldsSIRead=%v, want 1 and true", got, m.HoldsSIRead(r))
 	}
 	// Inheritance lands in the map the owner kept.
 	m.InheritSIRead(key(1), key(3))
-	if !m.Holds(r, key(3), SIRead) || len(stateOf(r).keys) != 2 {
-		t.Fatalf("inherited SIREAD not recorded: holds=%v, %d keys", m.Holds(r, key(3), SIRead), len(stateOf(r).keys))
+	if !m.Holds(r, key(3), SIRead) || len(stateOf(r).Keys) != 2 {
+		t.Fatalf("inherited SIREAD not recorded: holds=%v, %d keys", m.Holds(r, key(3), SIRead), len(stateOf(r).Keys))
 	}
 	m.ReleaseAll(r)
-	if stateOf(r).keys != nil {
+	if stateOf(r).Keys != nil {
 		t.Fatal("key map still attached after ReleaseAll")
 	}
 	if st := m.StatsSnapshot(); st.Keys != 0 || st.Owners != 0 {

@@ -1,0 +1,133 @@
+// Package lockstate is what a transaction record keeps of the lock manager:
+// the names of lockable objects (Key, Kind), the lock modes (Mode) and one
+// owner's bookkeeping (Owner). It sits below package core so that core.Txn
+// can embed an Owner, which makes a transaction's lock state part of its
+// record rather than an allocation of its own. Package lock implements the
+// lock table and re-exports every type here under its own name.
+package lockstate
+
+import (
+	"fmt"
+	"sync"
+	"sync/atomic"
+)
+
+// Mode is a lock mode. Modes are bit flags because one owner can hold
+// several modes on one key (e.g. SIREAD plus EXCLUSIVE when the upgrade
+// optimisation is disabled).
+type Mode uint8
+
+const (
+	// Shared is the classical read lock used by S2PL transactions.
+	Shared Mode = 1 << iota
+	// Exclusive is the write lock used by all isolation levels.
+	Exclusive
+	// SIRead records that an SI transaction read a version of the item. It
+	// neither blocks nor is blocked (thesis §3.2); it exists purely so that
+	// writers can detect read-write conflicts.
+	SIRead
+)
+
+// String returns a short human-readable mode name.
+func (m Mode) String() string {
+	switch m {
+	case Shared:
+		return "S"
+	case Exclusive:
+		return "X"
+	case SIRead:
+		return "SIREAD"
+	}
+	return fmt.Sprintf("Mode(%d)", uint8(m))
+}
+
+// Kind distinguishes the namespaces of lockable objects.
+type Kind uint8
+
+const (
+	// Row locks protect a single record (InnoDB-style granularity).
+	Row Kind = iota
+	// Gap locks protect the open interval just before a key against
+	// concurrent insertion or deletion, as in InnoDB's next-key locking.
+	// They live in a namespace separate from Row so that a gap lock on x
+	// never conflicts with a row lock on x (thesis §2.5.2).
+	Gap
+	// Page locks protect a whole B+tree page (Berkeley DB-style
+	// granularity, thesis Chapter 4).
+	Page
+	// GapSupremum is the gap after the largest key in a table — the
+	// "special supremum key" of thesis §2.5.2, protecting inserts beyond
+	// the current end of the key space.
+	GapSupremum
+)
+
+// String returns a short kind name.
+func (k Kind) String() string {
+	switch k {
+	case Row:
+		return "row"
+	case Gap:
+		return "gap"
+	case Page:
+		return "page"
+	case GapSupremum:
+		return "gap-supremum"
+	}
+	return fmt.Sprintf("Kind(%d)", uint8(k))
+}
+
+// Key names one lockable object.
+type Key struct {
+	Table string
+	Kind  Kind
+	K     string
+}
+
+// String formats the key for diagnostics.
+func (k Key) String() string { return fmt.Sprintf("%s/%s/%q", k.Table, k.Kind, k.K) }
+
+// Page returns the page number of a page key (package lock's PageKey).
+func (k Key) Page() uint32 {
+	return uint32(k.K[0])<<24 | uint32(k.K[1])<<16 | uint32(k.K[2])<<8 | uint32(k.K[3])
+}
+
+// Owner is one transaction's lock bookkeeping: the keys it holds, with their
+// modes, and how many of them it holds with SIRead. It is embedded in the
+// transaction's record, so no owner registry exists and a transaction's first
+// lock allocates no bookkeeping; package lock defines what every field means
+// and when it may change.
+//
+// The mutex guards Keys and SIReads. The two flags share one atomic word, so
+// they can be tested without it: used is set by the owner's goroutine before
+// its first lock and never cleared, released once a terminal release has
+// begun (and under the mutex).
+type Owner struct {
+	sync.Mutex
+	Keys    map[Key]Mode // nil while the owner holds nothing
+	SIReads int32        // how many keys of Keys are held with SIRead
+	flags   atomic.Uint32
+}
+
+const (
+	used uint32 = 1 << iota
+	released
+)
+
+// MarkUsed records that the owner is about to take its first lock. Only the
+// owner's goroutine calls it, before every acquire; the flag is set once, so
+// a load spares the later acquires an atomic read-modify-write.
+func (o *Owner) MarkUsed() {
+	if o.flags.Load()&used == 0 {
+		o.flags.Or(used)
+	}
+}
+
+// Used reports whether the owner ever took a lock.
+func (o *Owner) Used() bool { return o.flags.Load()&used != 0 }
+
+// MarkReleased records that the owner's terminal release has begun: no lock
+// may be recorded for it again.
+func (o *Owner) MarkReleased() { o.flags.Or(released) }
+
+// Released reports whether MarkReleased was called.
+func (o *Owner) Released() bool { return o.flags.Load()&released != 0 }

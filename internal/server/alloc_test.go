@@ -37,15 +37,17 @@ func allocsPerCall(f func()) (allocs, bytes float64) {
 // OpPuts over existing kvmix rows in one MsgTxn through Client.Do — may
 // allocate what the same body costs through the embedded RunRetry plus two
 // allocations and 16 B: the copies of the two written values, which the
-// version store keeps while the request frame they arrived in is reused. The
-// client's frames, cursor and results, the server's frames and its table
-// name are all reused.
+// version store keeps while the request frame they arrived in is reused —
+// 5 allocations and 160 B in all, 40 B under the 200 it cost while the
+// embedded transaction's lock owner state was an object of its own and its
+// handle 32 B. The client's frames, cursor and results, the server's frames
+// and its table name are all reused.
 //
 // The interactive path copies by contract (RemoteTxn.Get returns a value the
 // caller owns, as ssidb.Txn.Get does): a Begin, one Get, one Put and a
 // Commit over MsgBegin/MsgOp/MsgCommit may cost the embedded Get + Put plus
 // three allocations and 40 B: the 24-byte RemoteTxn, the Get's copy and the
-// Put's value.
+// Put's value — 6 allocations and 184 B in all (224 before).
 func TestWireTxnAllocBudget(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("sync.Pool drops items at random under -race; the budgets assume it does not")
@@ -107,8 +109,8 @@ func TestWireTxnAllocBudget(t *testing.T) {
 	embAllocs, embBytes := allocsPerCall(embedded)
 	allocs, bytes := allocsPerCall(wire)
 	t.Logf("4 Gets + 2 Puts: embedded %.1f allocs/op, %.0f B/op; Client.Do %.1f allocs/op, %.0f B/op", embAllocs, embBytes, allocs, bytes)
-	if allocs > embAllocs+2 || bytes > embBytes+16 { // measured 6.0 and 216 beside 4.0 and 200
-		t.Errorf("Client.Do of 4 Gets + 2 Puts: %.1f allocs/op, %.0f B/op, budget the embedded %.1f and %.0f plus 2 and 16 B", allocs, bytes, embAllocs, embBytes)
+	if allocs > embAllocs+2 || bytes > embBytes+16 || allocs > 5 || bytes > 160 { // measured 5.0 and 160 beside 3.0 and 144
+		t.Errorf("Client.Do of 4 Gets + 2 Puts: %.1f allocs/op, %.0f B/op, budget the embedded %.1f and %.0f plus 2 and 16 B, at most 5 and 160 B", allocs, bytes, embAllocs, embBytes)
 	}
 
 	ops = ops[:2]
@@ -141,7 +143,7 @@ func TestWireTxnAllocBudget(t *testing.T) {
 	embAllocs, embBytes = allocsPerCall(embedded)
 	allocs, bytes = allocsPerCall(interactive)
 	t.Logf("Get + Put: embedded %.1f allocs/op, %.0f B/op; RemoteTxn %.1f allocs/op, %.0f B/op", embAllocs, embBytes, allocs, bytes)
-	if allocs > embAllocs+3 || bytes > embBytes+40 { // measured 7.0 and 240 beside 4.0 and 200
-		t.Errorf("RemoteTxn Begin, Get, Put, Commit: %.1f allocs/op, %.0f B/op, budget the embedded %.1f and %.0f plus 3 and 40 B", allocs, bytes, embAllocs, embBytes)
+	if allocs > embAllocs+3 || bytes > embBytes+40 || allocs > 6 || bytes > 184 { // measured 6.0 and 184 beside 3.0 and 144
+		t.Errorf("RemoteTxn Begin, Get, Put, Commit: %.1f allocs/op, %.0f B/op, budget the embedded %.1f and %.0f plus 3 and 40 B, at most 6 and 184 B", allocs, bytes, embAllocs, embBytes)
 	}
 }

@@ -5,12 +5,14 @@ package server
 //
 //   - SIGTERM drain: in-flight transactions finish, new ones are refused,
 //     the process exits 0 after a clean WAL close, and the data survives.
-//   - kill -9 mid-load: the parent records every acknowledged commit; after
-//     SIGKILL it reopens the data directory directly and verifies no
-//     acknowledged commit lost, no aborted write resurrected, money
-//     conserved, and the recovered database serializable under load —
+//   - kill -9 mid-load: the parent records every acknowledged commit, and
+//     every counter value a read-only client was answered; after SIGKILL it
+//     reopens the data directory directly and verifies no acknowledged
+//     commit lost, no value a reader saw lost, no aborted write resurrected,
+//     money conserved, and the recovered database serializable under load —
 //     the ssidb crash-recovery contract held across the network boundary
-//     (the server acknowledges a commit only after the group-commit fsync).
+//     (the server acknowledges a commit only after the group-commit fsync,
+//     and a read-only commit only once what it read is durable).
 
 import (
 	"bufio"
@@ -287,17 +289,60 @@ func TestKill9RecoveryOverNetwork(t *testing.T) {
 		}(w)
 	}
 
-	// Hard kill mid-workload once enough commits are acknowledged.
+	// Read-only clients, one at SI and one at SerializableSI, read every
+	// worker's counter in one batch; seen[w] is the highest value of w's
+	// counter any of them was answered. A read-only commit is acknowledged
+	// only once what it read is durable (ssidb's durable-read rule), so each
+	// of those values must survive SIGKILL too — even one whose writer's own
+	// acknowledgement never reached its client. Each reader keeps its own
+	// maxima, read once both are done.
+	var seen [2][netCrashWorkers]int64
+	var totalReads atomic.Int64
+	reads := make([]Op, netCrashWorkers)
+	for w := range reads {
+		reads[w] = Op{Type: OpGet, Table: "ctr", Key: []byte(fmt.Sprintf("w%d", w))}
+	}
+	for i, iso := range []ssidb.Isolation{ssidb.SnapshotIsolation, ssidb.SerializableSI} {
+		wg.Add(1)
+		go func(iso ssidb.Isolation, seen *[netCrashWorkers]int64) {
+			defer wg.Done()
+			cl, err := Dial(addr)
+			if err != nil {
+				return
+			}
+			defer cl.Close()
+			cl.Timeout = 5 * time.Second
+			for !stop.Load() {
+				res, err := cl.Do(iso, true, reads)
+				if err != nil {
+					if Retryable(err) {
+						continue
+					}
+					return // transport failure: the server is gone
+				}
+				for w, r := range res {
+					if !r.Found || len(r.Val) != 8 {
+						t.Errorf("%v reader: counter w%d found %v, %d bytes", iso, w, r.Found, len(r.Val))
+						return
+					}
+					seen[w] = max(seen[w], int64(binary.BigEndian.Uint64(r.Val)))
+				}
+				totalReads.Add(1)
+			}
+		}(iso, &seen[i])
+	}
+
+	// Hard kill mid-workload once enough commits and reads are acknowledged.
 	deadline := time.Now().Add(30 * time.Second)
-	for totalAcks.Load() < 150 && time.Now().Before(deadline) {
+	for (totalAcks.Load() < 150 || totalReads.Load() < 50) && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	cmd.Process.Kill() // SIGKILL: no flush, no drain path
 	cmd.Wait()
 	stop.Store(true)
 	wg.Wait()
-	if totalAcks.Load() == 0 {
-		t.Fatal("no commits acknowledged before kill")
+	if totalAcks.Load() == 0 || totalReads.Load() == 0 {
+		t.Fatalf("%d commits and %d reads acknowledged before kill, want some of each", totalAcks.Load(), totalReads.Load())
 	}
 
 	// Reopen the directory directly and verify the recovered state.
@@ -339,6 +384,8 @@ func TestKill9RecoveryOverNetwork(t *testing.T) {
 				t.Errorf("worker %d counter lost", w)
 			} else if v < acked[w].Load() {
 				t.Errorf("worker %d: acknowledged commit lost: recovered %d < acked %d", w, v, acked[w].Load())
+			} else if read := max(seen[0][w], seen[1][w]); v < read {
+				t.Errorf("worker %d: a value a read-only client was answered is lost: recovered %d < read %d", w, v, read)
 			}
 		}
 		return tx.Scan("poison", nil, nil, func(k, v []byte) bool {

@@ -22,13 +22,13 @@ import (
 // Allocation microbenchmarks for the storage read path. ReportAllocs makes
 // allocs/op part of every run (CI included, no -benchmem needed), so a
 // regression that starts allocating per Get or per scanned key is visible.
-// A one-Get transaction costs 1 alloc / 32 B at plain SI and on a safe
+// A one-Get transaction costs 1 alloc / 24 B at plain SI and on a safe
 // read-only snapshot — the handle: a transaction that writes nothing has no
 // creator cell, and one that also locks nothing and conflicts with nothing
-// hands its 96 B record back to core's pool at its end — and 3 allocs / 160 B
+// hands its 96 B record back to core's pool at its end — and 2 allocs / 120 B
 // read-write at SerializableSI: the record, which its SIREAD lock keeps out of
-// the pool, the handle and the 32 B lock owner state; the lock itself is named
-// by the row's own key string.
+// the pool and which carries the lock owner state, and the handle; the lock
+// itself is named by the row's own key string.
 func BenchmarkGetAlloc(b *testing.B) {
 	for _, c := range []struct {
 		name string
@@ -137,7 +137,8 @@ func allocsPerCall(f func()) (allocs, bytes float64) {
 // records in the lock table, and nothing about them is built per row either:
 // the lock-table entries are recycled, and each row and gap lock is named by
 // the store's own key string, so the same fixed budget holds at 64 and at
-// 1024 keys (what it adds to the plain-SI scan is the lock owner's state).
+// 1024 keys (what it adds to the plain-SI scan is the record, which its
+// SIREAD locks keep out of core's pool).
 func TestScanAllocBudget(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("sync.Pool drops items at random under -race; the budgets assume it does not")
@@ -151,7 +152,7 @@ func TestScanAllocBudget(t *testing.T) {
 	}{
 		{name: "SI", iso: ssidb.SnapshotIsolation, allocs: 3, bytes: 512},
 		{name: "SSI-safe-RO", iso: ssidb.SerializableSI, ro: true, allocs: 3, bytes: 512},
-		// Measured 3.0 and 176. The 2 049 lock-table entries a 1024-row scan
+		// Measured 2.0 and 120. The 2 049 lock-table entries a 1024-row scan
 		// takes and gives back keep sync.Pool and the lock shards' maps
 		// churning (see allocsPerCall), which one run in 25 shows as ≈840 B
 		// in all five batches; the byte budget leaves room for that and is
@@ -264,12 +265,14 @@ func warmTxnPath(t *testing.T, db *ssidb.DB, iso ssidb.Isolation) (mixed func())
 // while it runs, nor anything the store already owns. The body is the
 // repository benchmark's kv-uniform transaction — 4 Gets and 2 Puts on
 // existing rows through RunRetry — over prebuilt keys. That is the transaction
-// record (96 B), the creator cell its versions point at (24 B, allocated at
-// the first write), the 32 B handle and the 32 B lock owner state: 4
-// allocations, 184 B, at SerializableSI and at plain SI alike (whose reads
+// record (96 B, the lock owner state included), the creator cell its versions
+// point at (24 B, allocated at the first write) and the 24 B handle: 3
+// allocations, 144 B, at SerializableSI and at plain SI alike (whose reads
 // lock nothing, but whose writes still do). It was 200 B while the handle
 // carried the database and program pointers that now live in the recycled
-// scratch. No operation on an existing row adds to that: every lock
+// scratch, and 184 B in 4 allocations while the lock owner state was a 32 B
+// object of its own and the handle held the record pointer that the scratch
+// now holds. No operation on an existing row adds to that: every lock
 // is named by the store's own key string, through the row handle the
 // operation's one descent returned; the version a write supersedes is copied
 // out into one an earlier writer's retirement recycled; the write set, the
@@ -292,8 +295,8 @@ func TestTxnAllocBudget(t *testing.T) {
 				mixed := warmTxnPath(t, db, iso)
 				allocs, bytes := allocsPerCall(mixed)
 				t.Logf("4 Gets + 2 Puts: %.1f allocs/op, %.0f B/op", allocs, bytes)
-				if allocs > 4 || bytes > 184 { // measured 4.0 and 184
-					t.Errorf("4 Gets + 2 Puts: %.1f allocs/op, %.0f B/op, budget 4 and 184", allocs, bytes)
+				if allocs > 3 || bytes > 144 { // measured 3.0 and 144
+					t.Errorf("4 Gets + 2 Puts: %.1f allocs/op, %.0f B/op, budget 3 and 144", allocs, bytes)
 				}
 
 				a1, b1 := allocsPerCall(shapedTxn(t, db, iso, txnShape{puts: 1}))
@@ -328,8 +331,9 @@ func TestTxnAllocBudget(t *testing.T) {
 // bounds. On this quiet database its snapshot is safe at its first read, so it
 // takes no lock, marks no conflict, writes nothing and is queued for no
 // retirement: its record ends unseen and goes back to core's pool, and what is
-// left is the 32-byte handle — 1 allocation, 32 B, where it read 2 and 144 B
-// while every such reader dropped a fresh record and a 48-byte handle.
+// left is the 24-byte handle — 1 allocation, 24 B, where it read 2 and 144 B
+// while every such reader dropped a fresh record and a 48-byte handle, and
+// 32 B while the handle held the record pointer.
 func TestReadOnlyTxnAllocBudget(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("sync.Pool drops items at random under -race; the budgets assume it does not")
@@ -371,8 +375,8 @@ func TestReadOnlyTxnAllocBudget(t *testing.T) {
 			readers, rows = 0, 0
 			allocs, bytes := allocsPerCall(reader)
 			t.Logf("4 Gets + one %d-row Scan, read-only: %.1f allocs/op, %.0f B/op", span, allocs, bytes)
-			if allocs > 1 || bytes > 32 {
-				t.Errorf("read-only 4 Gets + Scan: %.1f allocs/op, %.0f B/op, budget 1 and 32", allocs, bytes)
+			if allocs > 1 || bytes > 24 {
+				t.Errorf("read-only 4 Gets + Scan: %.1f allocs/op, %.0f B/op, budget 1 and 24", allocs, bytes)
 			}
 			st := db.StatsSnapshot()
 			if n := st.ROSafePromotions - before.ROSafePromotions; n != uint64(readers) || rows != readers*span {
@@ -386,7 +390,8 @@ func TestReadOnlyTxnAllocBudget(t *testing.T) {
 }
 
 // TestDurableTxnAllocBudget asserts what durability adds to TestTxnAllocBudget's
-// 4 Gets + 2 Puts: at most one allocation and 16 B per transaction. The redo
+// 4 Gets + 2 Puts: at most one allocation and 16 B per transaction, so 4 and
+// 160 B in all (200 B while the in-memory transaction cost 184). The redo
 // record is built in the recycled transaction scratch, the WAL frames it into
 // a group-commit buffer the flusher hands back once written, and the durable
 // wait parks on a condition variable. The segments are 4 KiB, so every
@@ -427,17 +432,17 @@ func TestDurableTxnAllocBudget(t *testing.T) {
 	if rolls := segments() - before; rolls < 5 {
 		t.Fatalf("%d segment rolls during the five measured batches, want one in each", rolls)
 	}
-	if allocs > memAllocs+1 || bytes > memBytes+16 {
-		t.Errorf("durable 4 Gets + 2 Puts: %.1f allocs/op, %.0f B/op, budget the in-memory %.1f and %.0f plus 1 and 16 B", allocs, bytes, memAllocs, memBytes)
+	if allocs > memAllocs+1 || bytes > memBytes+16 || allocs > 4 || bytes > 160 { // measured 3.1 and 149
+		t.Errorf("durable 4 Gets + 2 Puts: %.1f allocs/op, %.0f B/op, budget the in-memory %.1f and %.0f plus 1 and 16 B, at most 4 and 160 B", allocs, bytes, memAllocs, memBytes)
 	}
 }
 
 // TestROGetAllocBudget asserts the headline cost claim for the read-only fast
 // path: on a quiet database — no read-write transactions, no threat on the
 // horizon — a declared read-only Get at Serializable SI allocates exactly what
-// a plain-SI Get does: the handle, one allocation, both records going back to
-// core's pool. The safe-snapshot check is pure atomic loads and the SIREAD
-// acquisition is skipped entirely, so nothing extra may show up here.
+// a plain-SI Get does: the 24-byte handle, one allocation, both records going
+// back to core's pool. The safe-snapshot check is pure atomic loads and the
+// SIREAD acquisition is skipped entirely, so nothing extra may show up here.
 func TestROGetAllocBudget(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("sync.Pool drops items at random under -race; the budgets assume it does not")
@@ -454,25 +459,27 @@ func TestROGetAllocBudget(t *testing.T) {
 				_, _, err := tx.Get(kvmix.Table, key)
 				return err
 			}
-			measure := func(name string, run func() error) float64 {
+			measure := func(name string, run func() error) (allocs, bytes float64) {
 				if err := run(); err != nil { // warm the txn pools
 					t.Fatal(err)
 				}
-				got := testing.AllocsPerRun(200, func() {
+				once := func() {
 					if err := run(); err != nil {
 						t.Fatal(err)
 					}
-				})
-				t.Logf("%s: %.1f allocs/op", name, got)
-				return got
+				}
+				allocs = testing.AllocsPerRun(200, once)
+				_, bytes = allocsPerCall(once)
+				t.Logf("%s: %.1f allocs/op, %.0f B/op", name, allocs, bytes)
+				return allocs, bytes
 			}
-			si := measure("SI Get", func() error { return db.Run(ssidb.SnapshotIsolation, body) })
-			ro := measure("safe-RO SSI Get", func() error { return db.RunReadOnly(ssidb.SerializableSI, body) })
-			if si > 1 {
-				t.Fatalf("plain-SI Get: %.1f allocs/op, budget 1", si)
+			si, siBytes := measure("SI Get", func() error { return db.Run(ssidb.SnapshotIsolation, body) })
+			ro, roBytes := measure("safe-RO SSI Get", func() error { return db.RunReadOnly(ssidb.SerializableSI, body) })
+			if si > 1 || siBytes > 24 {
+				t.Fatalf("plain-SI Get: %.1f allocs/op, %.0f B/op, budget 1 and 24", si, siBytes)
 			}
-			if ro > si {
-				t.Fatalf("safe-RO SSI Get: %.1f allocs/op, want ≤ plain-SI %.1f", ro, si)
+			if ro > si || roBytes > siBytes {
+				t.Fatalf("safe-RO SSI Get: %.1f allocs/op, %.0f B/op, want ≤ plain-SI %.1f and %.0f", ro, roBytes, si, siBytes)
 			}
 			if st := db.StatsSnapshot(); st.ROSafePromotions == 0 || st.ROSIReadSkips == 0 {
 				t.Fatalf("RO path not exercised: promotions=%d skips=%d", st.ROSafePromotions, st.ROSIReadSkips)

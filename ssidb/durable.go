@@ -53,10 +53,10 @@ func (db *DB) walCommitHook(_ *core.Txn, ct core.TS, slot any) {
 // behaviour the thesis figures were measured against — a commit record is
 // written and flushed even for queries.
 func (tx *Txn) shouldLog() bool {
-	if tx.s.db.log == nil {
+	if tx.db.log == nil {
 		return false
 	}
-	return len(tx.s.commit.redo) > 0 || tx.s.db.dir == ""
+	return len(tx.commit.redo) > 0 || tx.db.dir == ""
 }
 
 // --- redo record encoding ---

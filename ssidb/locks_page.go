@@ -72,7 +72,7 @@ func (*pageTargets) install(tx *Txn, tb *table, key []byte, row mvcc.Row, val []
 // acquired under a stale plan are simply kept. It returns the SIREAD holders
 // found on the exclusive acquisitions, and the leaf.
 func lockPagePath(tx *Txn, tb *table, key []byte, interior, leafMode lock.Mode, structural bool) (readers []*core.Txn, leaf uint32, err error) {
-	readers = emptied(tx.s.rivals)
+	readers = emptied(tx.rivals)
 	for {
 		path := tb.data.PathPages(key)
 		split := structural && tb.data.InsertWillSplit(key)
@@ -89,7 +89,7 @@ func lockPagePath(tx *Txn, tb *table, key []byte, interior, leafMode lock.Mode, 
 				continue
 			}
 			held := len(readers)
-			readers, err = tx.s.db.locks.AcquireInto(tx.t, lock.PageKey(tb.name, pg), mode, readers)
+			readers, err = tx.db.locks.AcquireInto(tx.t, lock.PageKey(tb.name, pg), mode, readers)
 			if err == nil && mode == lock.SIRead {
 				// These rivals are exclusive holders (Figure 3.4): marked
 				// now, not handed to the caller.
@@ -97,7 +97,7 @@ func lockPagePath(tx *Txn, tb *table, key []byte, interior, leafMode lock.Mode, 
 				clear(readers[held:])
 				readers = readers[:held]
 			}
-			tx.s.rivals = readers
+			tx.rivals = readers
 			if err != nil {
 				return nil, 0, err
 			}
@@ -125,7 +125,7 @@ func (*pageTargets) lockScanStart(tx *Txn, sc *scanCtx, tb *table, from []byte, 
 		path := sc.pages
 		for _, pg := range path {
 			var err error
-			sc.writers, err = tx.s.db.locks.AcquireInto(tx.t, lock.PageKey(tb.name, pg), mode, sc.writers)
+			sc.writers, err = tx.db.locks.AcquireInto(tx.t, lock.PageKey(tb.name, pg), mode, sc.writers)
 			if err != nil {
 				return err
 			}

@@ -40,8 +40,8 @@ func rowKeyFor(tb *table, key []byte, row mvcc.Row) lock.Key {
 }
 
 func (rowTargets) lockRead(tx *Txn, tb *table, key []byte, row mvcc.Row, mode lock.Mode, _ core.TS) error {
-	rivals, err := tx.s.db.locks.AcquireInto(tx.t, rowKeyFor(tb, key, row), mode, emptied(tx.s.rivals))
-	tx.s.rivals = rivals
+	rivals, err := tx.db.locks.AcquireInto(tx.t, rowKeyFor(tb, key, row), mode, emptied(tx.rivals))
+	tx.rivals = rivals
 	if err != nil {
 		return err
 	}
@@ -58,8 +58,8 @@ func (rowTargets) lockWrite(tx *Txn, tb *table, key []byte, row mvcc.Row, struct
 			return nil, 0, err
 		}
 	}
-	readers, err := tx.s.db.locks.AcquireInto(tx.t, rowKeyFor(tb, key, row), lock.Exclusive, emptied(tx.s.rivals))
-	tx.s.rivals = readers
+	readers, err := tx.db.locks.AcquireInto(tx.t, rowKeyFor(tb, key, row), lock.Exclusive, emptied(tx.rivals))
+	tx.rivals = readers
 	if err != nil {
 		return nil, 0, err
 	}
@@ -85,7 +85,7 @@ func (rowTargets) install(tx *Txn, tb *table, key []byte, row mvcc.Row, val []by
 		if hasSucc {
 			src = gapKeyOf(tb, succ)
 		}
-		tx.s.db.locks.InheritSIRead(src, gapKeyOf(tb, stored))
+		tx.db.locks.InheritSIRead(src, gapKeyOf(tb, stored))
 	})
 	if inserted && tx.readMode() != noLock {
 		// Re-acquire the gap now that the key is visible: the successor may
@@ -107,8 +107,8 @@ func (tx *Txn) gapLock(tb *table, key []byte) error {
 		if ok {
 			gk = gapKeyOf(tb, succ)
 		}
-		rivals, err := tx.s.db.locks.AcquireInto(tx.t, gk, lock.Exclusive, emptied(tx.s.rivals))
-		tx.s.rivals = rivals
+		rivals, err := tx.db.locks.AcquireInto(tx.t, gk, lock.Exclusive, emptied(tx.rivals))
+		tx.rivals = rivals
 		if err != nil {
 			return err
 		}

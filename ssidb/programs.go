@@ -254,8 +254,8 @@ func (db *DB) BeginProgram(name string) (*Txn, error) {
 		}
 	}
 	tx := db.beginTx(iso, TxnOptions{ReadOnly: p.readOnly})
-	tx.s.prog = p
-	tx.s.progSIToken = siToken
+	tx.prog = p
+	tx.progSIToken = siToken
 	return tx, nil
 }
 
@@ -279,7 +279,7 @@ func (db *DB) RunProgram(name string, fn func(*Txn) error) error {
 
 // progReadCheck admits a read of table, or fails the statement and escalates.
 func (tx *Txn) progReadCheck(table string) error {
-	p := tx.s.prog
+	p := tx.prog
 	if p == nil || p.readTables[table] {
 		return nil
 	}
@@ -289,7 +289,7 @@ func (tx *Txn) progReadCheck(table string) error {
 // progWriteCheck admits a write of table, or fails the statement and
 // escalates. Write intents (GetForUpdate) check both directions.
 func (tx *Txn) progWriteCheck(table string) error {
-	p := tx.s.prog
+	p := tx.prog
 	if p == nil || p.writeTables[table] {
 		return nil
 	}
@@ -305,7 +305,7 @@ func (tx *Txn) progWriteCheck(table string) error {
 // transactions would reintroduce exactly the untracked edges the proof
 // excluded.
 func (tx *Txn) footprintViolation(p *registeredProgram, op, table string) error {
-	tx.s.db.footprintViolations.Add(1)
-	tx.s.db.escalate()
+	tx.db.footprintViolations.Add(1)
+	tx.db.escalate()
 	return fmt.Errorf("%w: program %q: %s %q", ErrFootprint, p.name, op, table)
 }

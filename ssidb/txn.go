@@ -15,21 +15,22 @@ import (
 // After any abort-class error the transaction has been rolled back and every
 // further operation returns ErrTxnDone.
 //
-// The handle is the caller's and stays a plain allocation, in the 32-byte
+// The handle is the caller's and stays a plain allocation, in the 24-byte
 // size class (TestTxnHandleAllocBudget): a caller may keep it past the
 // transaction's end, where it must go on answering ErrTxnDone rather than
-// alias whichever transaction runs next. So it holds the transaction's record
-// and scratch only while the transaction runs — the record may be recycled
-// for another transaction once this one ends (core.Manager.Release) — and
-// answers everything after the end from its own fields.
+// alias whichever transaction runs next. So it reaches the transaction's
+// record and working memory, both in the scratch, only while the transaction
+// runs — the record may be recycled for another transaction once this one
+// ends (core.Manager.Release) — and answers everything after the end from its
+// own fields.
 type Txn struct {
-	// t is the transaction's record and s everything else it needs only
-	// while it runs, recycled from transaction to transaction; both are nil
-	// once done is set.
-	t *core.Txn
-	s *txnScratch
+	// txnScratch is everything the transaction needs only while it runs,
+	// its record among it, recycled from transaction to transaction; nil
+	// once done is set. Embedded, so a running transaction's tx.t, tx.db and
+	// the rest read as its own.
+	*txnScratch
 
-	id       uint64 // t's id, which ID reports after the end too
+	id       uint64 // the record's id, which ID reports after the end too
 	iso      uint8  // the Isolation, narrowed to keep the handle in its class
 	readOnly bool
 	done     bool
@@ -41,26 +42,35 @@ type Txn struct {
 	roSafe bool
 }
 
-// txnScratch is the engine's working memory of one running transaction: the
-// database and program it runs against, the write set, the rival buffer of
-// the point-operation lock paths, and the redo record with the slot the WAL
-// hook answers into. Keeping the first two here rather than on the handle is
-// what fits the handle, which outlives the transaction, in 32 bytes. A handle
-// takes a scratch from txnScratchPool when it is built (newTxn) and is done
-// with it when the transaction is (Commit, cleanupAbort). A committed writer
-// hands it, write set and all, to its retirement (FinishWith; DB.retire
-// prunes the rows and recycles it); every other transaction recycles it at
-// once. So a
-// steady-state transaction allocates none of this, and the collector's pool
-// eviction is what bounds how much stays retained — except that a write set
-// a bulk load grew beyond maxPooledWrites is dropped rather than pooled.
+// txnScratch is the engine's working memory of one running transaction: its
+// record, the database and program it runs against, the write set, the rival
+// buffer of the point-operation lock paths, and the redo record with the slot
+// the WAL hook answers into. Keeping all of it here rather than on the handle
+// is what fits the handle, which outlives the transaction, in 24 bytes. A
+// handle takes a scratch from txnScratchPool when it is built (newTxn) and is
+// done with it when the transaction is (Commit, cleanupAbort). A committed
+// writer hands it, write set and all, to its retirement (FinishWith;
+// DB.retire prunes the rows and recycles it); every other transaction
+// recycles it at once. So a steady-state transaction allocates none of this,
+// and the collector's pool eviction is what bounds how much stays retained —
+// except that a write set a bulk load grew beyond maxPooledWrites is dropped
+// rather than pooled.
 //
 // Invariant: beyond its length every pointer-carrying buffer holds zero
-// values (they are only ever truncated through emptied), and db and prog are
-// nil, so a pooled scratch keeps no database, transaction record or table
+// values (they are only ever truncated through emptied), and t, db and prog
+// are nil, so a pooled scratch keeps no database, transaction record or table
 // reachable; the byte buffers are merely truncated.
 type txnScratch struct {
+	// t is the transaction's record. The handle lets go of it, with the
+	// scratch, at the end; a writer's retirement, which keeps the scratch,
+	// finds it nil.
+	t  *core.Txn
 	db *DB
+
+	// toutHi is what the snapshot's assignment said about it for the
+	// safe-snapshot check (core.Manager.AssignSnapshotTout), which only a
+	// declared read-only transaction asks.
+	toutHi core.TS
 
 	// prog, when non-nil, marks a program transaction (BeginProgram): every
 	// access is checked against the program's declared table footprint, and
@@ -99,14 +109,16 @@ const maxPooledWrites = 64 << 10 / int(unsafe.Sizeof(mvcc.Row{}))
 // place a scratch is taken.
 func (db *DB) newTxn(t *core.Txn) *Txn {
 	s := txnScratchPool.Get().(*txnScratch)
-	s.db = db
-	return &Txn{t: t, s: s, id: t.ID(), iso: uint8(t.Isolation()), readOnly: t.ReadOnly()}
+	s.t, s.db = t, db
+	return &Txn{txnScratch: s, id: t.ID(), iso: uint8(t.Isolation()), readOnly: t.ReadOnly()}
 }
 
-// finish marks the handle done and takes its record and scratch from it.
+// finish marks the handle done and takes its record and scratch from it; the
+// scratch no longer names the record.
 func (tx *Txn) finish() (*core.Txn, *txnScratch) {
-	t, s := tx.t, tx.s
-	tx.done, tx.t, tx.s = true, nil, nil
+	s := tx.txnScratch
+	t := s.t
+	tx.done, tx.txnScratch, s.t = true, nil, nil
 	return t, s
 }
 
@@ -163,9 +175,9 @@ func (tx *Txn) roFast() bool {
 	if tx.roSafe {
 		return true
 	}
-	if tx.s.db.mgr.SnapshotSafe(tx.t) {
+	if tx.db.mgr.SnapshotSafe(tx.t, tx.toutHi) {
 		tx.roSafe = true
-		tx.s.db.roPromotions.Add(1)
+		tx.db.roPromotions.Add(1)
 		return true
 	}
 	return false
@@ -179,7 +191,7 @@ func (tx *Txn) pre() error {
 		return ErrTxnDone
 	}
 	if tx.Isolation().TracksConflicts() {
-		if err := tx.s.db.mgr.AbortEarly(tx.t); err != nil {
+		if err := tx.db.mgr.AbortEarly(tx.t); err != nil {
 			if errors.Is(err, ErrTxnDone) {
 				return err
 			}
@@ -255,26 +267,26 @@ func (tx *Txn) Commit() error {
 	if tx.done {
 		return ErrTxnDone
 	}
-	db := tx.s.db
+	db := tx.db
 	logged := tx.shouldLog()
 	var slot any
 	if logged {
 		// The commit hook, running under tsMu inside CommitPrepareWith,
 		// appends the record and stores its LSN back into this slot.
-		slot = &tx.s.commit
+		slot = &tx.commit
 	}
 	ct, err := db.mgr.CommitPrepareWith(tx.t, slot)
 	if err != nil {
 		if errors.Is(err, ErrUnsafe) {
 			tx.cleanupAbort()
 		} else {
-			db.releaseProgToken(tx.s.takeProgToken())
+			db.releaseProgToken(tx.takeProgToken())
 		}
 		return err
 	}
 	var walErr error
 	if logged {
-		cs := &tx.s.commit
+		cs := &tx.commit
 		if cs.err != nil {
 			// The append itself was refused (closed log, timestamp
 			// regression): no record was queued, so there is nothing to
@@ -295,7 +307,7 @@ func (tx *Txn) Commit() error {
 		// already durable, if the transaction took none). S2PL takes no
 		// snapshot: its reads waited on exclusive locks, which a writer
 		// releases only once durable.
-		walErr = db.log.WaitDurable(tx.s.commit.lsn)
+		walErr = db.log.WaitDurable(tx.commit.lsn)
 	}
 	t, s := tx.finish()
 	db.locks.ReleaseBlocking(t)
@@ -324,7 +336,7 @@ func (tx *Txn) markAsReader(writers []*core.Txn) error {
 		if !tx.t.ConcurrentWith(w) {
 			continue
 		}
-		if err := tx.s.db.mgr.MarkConflict(tx.t, w, tx.t); err != nil {
+		if err := tx.db.mgr.MarkConflict(tx.t, w, tx.t); err != nil {
 			return err
 		}
 	}
@@ -344,7 +356,7 @@ func (tx *Txn) markAsWriter(readers []*core.Txn) error {
 		if !tx.t.ConcurrentWith(r) {
 			continue
 		}
-		if err := tx.s.db.mgr.MarkConflict(r, tx.t, tx.t); err != nil {
+		if err := tx.db.mgr.MarkConflict(r, tx.t, tx.t); err != nil {
 			return err
 		}
 	}
@@ -417,12 +429,13 @@ func (tx *Txn) readPoint() core.TS {
 	if ts := tx.t.Snapshot(); ts != 0 {
 		return ts
 	}
-	ts := tx.s.db.mgr.AssignSnapshot(tx.t)
-	if l := tx.s.db.log; l != nil {
+	ts, toutHi := tx.db.mgr.AssignSnapshotTout(tx.t)
+	tx.toutHi = toutHi
+	if l := tx.db.log; l != nil {
 		// Every commit the snapshot sees appended its record under tsMu
 		// before the snapshot's tick, so the log's last LSN now covers them
 		// all: a commit that appends no record of its own waits for it.
-		tx.s.commit.lsn = l.LastLSN()
+		tx.commit.lsn = l.LastLSN()
 	}
 	return ts
 }
@@ -430,7 +443,7 @@ func (tx *Txn) readPoint() core.TS {
 // readStamp maps a read point to the recorder's readTS convention.
 func (tx *Txn) readStamp(snap core.TS) core.TS {
 	if snap == latest {
-		return tx.s.db.mgr.Now()
+		return tx.db.mgr.Now()
 	}
 	return snap
 }
@@ -500,7 +513,7 @@ func (tx *Txn) Get(tableName string, key []byte) (val []byte, found bool, err er
 	if err := tx.progReadCheck(tableName); err != nil {
 		return nil, false, err
 	}
-	tb := tx.s.db.table(tableName)
+	tb := tx.db.table(tableName)
 	snap := tx.readPoint()
 	mode := tx.readLockMode()
 	var row mvcc.Row // stays zero for a lock-free read, which reads by key
@@ -508,11 +521,11 @@ func (tx *Txn) Get(tableName string, key []byte) (val []byte, found bool, err er
 		// Figure 3.4 lines 2-4: lock, marking concurrent exclusive holders,
 		// and only then read: Locate names the lock and reads no row state.
 		row, _ = tb.data.Locate(key)
-		if err := tx.s.db.targets.lockRead(tx, tb, key, row, mode, snap); err != nil {
+		if err := tx.db.targets.lockRead(tx, tb, key, row, mode, snap); err != nil {
 			return nil, false, tx.fail(err)
 		}
 	} else if tx.roSafe {
-		tx.s.db.roSIReadSkips.Add(1)
+		tx.db.roSIReadSkips.Add(1)
 	}
 	res := tb.read(tx.t, snap, key, row)
 	if mode == lock.SIRead {
@@ -521,8 +534,8 @@ func (tx *Txn) Get(tableName string, key []byte) (val []byte, found bool, err er
 			return nil, false, tx.fail(err)
 		}
 	}
-	recRead(tx.s.db.opts.Recorder, tx, tb, key, res.VisibleCreator, tx.readStamp(snap))
-	if tx.s.prog != nil && tx.s.prog.promoted[tableName] && res.Found {
+	recRead(tx.db.opts.Recorder, tx, tb, key, res.VisibleCreator, tx.readStamp(snap))
+	if tx.prog != nil && tx.prog.promoted[tableName] && res.Found {
 		// Runtime half of the Promote remedy (§2.6.2): re-write the value
 		// just read, so a concurrent writer of this row collides under
 		// First-Committer-Wins — the vulnerable rw edge becomes ww.
@@ -556,14 +569,14 @@ func (tx *Txn) GetForUpdate(tableName string, key []byte) (val []byte, found boo
 	if err := tx.progWriteCheck(tableName); err != nil {
 		return nil, false, err
 	}
-	tb := tx.s.db.table(tableName)
+	tb := tx.db.table(tableName)
 	row, _ := tb.data.Locate(key)
 	if _, err := tx.writeLockAndCheck(tb, key, row, false); err != nil {
 		return nil, false, err
 	}
-	readTS := tx.s.db.mgr.Now()
+	readTS := tx.db.mgr.Now()
 	res := tb.read(tx.t, latest, key, row)
-	recRead(tx.s.db.opts.Recorder, tx, tb, key, res.VisibleCreator, readTS)
+	recRead(tx.db.opts.Recorder, tx, tb, key, res.VisibleCreator, readTS)
 	return res.Value, res.Found, nil
 }
 
@@ -610,7 +623,7 @@ func (tx *Txn) write(tableName string, key, val []byte, tombstone, mustNotExist 
 	if err := tx.progWriteCheck(tableName); err != nil {
 		return err
 	}
-	tb := tx.s.db.table(tableName)
+	tb := tx.db.table(tableName)
 	row, exists := tb.data.Locate(key)
 	if !exists {
 		// The copy of the key that names the row's lock; the tree copies
@@ -625,19 +638,19 @@ func (tx *Txn) write(tableName string, key, val []byte, tombstone, mustNotExist 
 	if mustNotExist && tb.read(tx.t, snap, key, row).Found {
 		return ErrKeyExists
 	}
-	row, err = tx.s.db.targets.install(tx, tb, key, row, val, tombstone)
-	tx.s.writes = append(tx.s.writes, row) // first, so that a failed install is rolled back too
+	row, err = tx.db.targets.install(tx, tb, key, row, val, tombstone)
+	tx.writes = append(tx.writes, row) // first, so that a failed install is rolled back too
 	if err != nil {
 		return tx.fail(err)
 	}
-	if tx.s.db.log != nil {
+	if tx.db.log != nil {
 		var flags byte
 		if tombstone {
 			flags = redoTombstone
 		}
-		tx.s.commit.redo = appendRedoEntry(tx.s.commit.redo, tb.name, key, val, flags)
+		tx.commit.redo = appendRedoEntry(tx.commit.redo, tb.name, key, val, flags)
 	}
-	if r := tx.s.db.opts.Recorder; r != nil {
+	if r := tx.db.opts.Recorder; r != nil {
 		r.RecWrite(tx.id, tb.name, string(key), tombstone)
 	}
 	return nil
@@ -648,7 +661,7 @@ func (tx *Txn) write(tableName string, key, val []byte, tombstone, mustNotExist 
 // concurrent SIREAD holders found (Figure 3.5), and applies the
 // First-Committer-Wins check. On failure the transaction is aborted.
 func (tx *Txn) writeLockAndCheck(tb *table, key []byte, row mvcc.Row, structural bool) (core.TS, error) {
-	readers, newest, err := tx.s.db.targets.lockWrite(tx, tb, key, row, structural)
+	readers, newest, err := tx.db.targets.lockWrite(tx, tb, key, row, structural)
 	if err != nil {
 		return 0, tx.fail(err)
 	}
@@ -708,7 +721,7 @@ func (tx *Txn) scan(tableName string, from, to []byte, limit int, fn func(key, v
 	if err := tx.progReadCheck(tableName); err != nil {
 		return err
 	}
-	tb := tx.s.db.table(tableName)
+	tb := tx.db.table(tableName)
 	if from == nil {
 		from = []byte{}
 	}
@@ -731,10 +744,10 @@ func (tx *Txn) scan(tableName string, from, to []byte, limit int, fn func(key, v
 	}
 	if tx.roSafe {
 		// One SIREAD skipped per visited row plus the gap boundary.
-		tx.s.db.roSIReadSkips.Add(uint64(len(sc.items)) + 1)
+		tx.db.roSIReadSkips.Add(uint64(len(sc.items)) + 1)
 	}
 
-	rec := tx.s.db.opts.Recorder
+	rec := tx.db.opts.Recorder
 	var stamp core.TS
 	if rec != nil {
 		// The recorder reports the *claimed* predicate range (what the result
@@ -752,7 +765,7 @@ func (tx *Txn) scan(tableName string, from, to []byte, limit int, fn func(key, v
 	// Promoted tables identity-write every row the caller was shown (the
 	// scan-shaped half of §2.6.2); keys and values are copied out first —
 	// the write path mutates the tree the scan buffers point into.
-	promote := tx.s.prog != nil && tx.s.prog.promoted[tableName]
+	promote := tx.prog != nil && tx.prog.promoted[tableName]
 	var promoteKeys, promoteVals [][]byte
 	for i := range sc.items {
 		it := &sc.items[i]
@@ -803,7 +816,7 @@ func keyView(stored string) []byte {
 // invariant. Conflict marking is deferred to after the scan, because an
 // unsafe verdict aborts the transaction, which must not happen latched.
 func (tx *Txn) scanSSI(sc *scanCtx, tb *table, snap core.TS, from, to []byte, limit int) error {
-	lt := tx.s.db.targets
+	lt := tx.db.targets
 	if err := lt.lockScanStart(tx, sc, tb, from, lock.SIRead, snap); err != nil {
 		return err
 	}
@@ -816,7 +829,7 @@ func (tx *Txn) scanSSI(sc *scanCtx, tb *table, snap core.TS, from, to []byte, li
 		// One lock-table critical section per round, while the round's
 		// latches still exclude inserters from the emitted keys.
 		sc.keys = lt.scanKeys(emptied(sc.keys), tb, round, end)
-		sc.writers = tx.s.db.locks.AcquireSIReadBatchInto(tx.t, sc.keys, sc.writers)
+		sc.writers = tx.db.locks.AcquireSIReadBatchInto(tx.t, sc.keys, sc.writers)
 		sc.writers = lt.scanNewerWriters(sc.writers, tb, snap, round, sc.keys)
 	})
 	return tx.markAsReader(sc.writers)
@@ -828,7 +841,7 @@ func (tx *Txn) scanSSI(sc *scanCtx, tb *table, snap core.TS, from, to []byte, li
 // which closes the window in which a row could be inserted into the range
 // after collection but before its gap (or page) was locked.
 func (tx *Txn) scanS2PL(sc *scanCtx, tb *table, snap core.TS, from, to []byte, limit int) error {
-	lt := tx.s.db.targets
+	lt := tx.db.targets
 	if err := lt.lockScanStart(tx, sc, tb, from, lock.Shared, snap); err != nil {
 		return err
 	}
@@ -837,11 +850,11 @@ func (tx *Txn) scanS2PL(sc *scanCtx, tb *table, snap core.TS, from, to []byte, l
 		sc.collect(tb, tx.t, snap, from, to, limit, nil)
 		sc.keys = lt.scanKeys(emptied(sc.keys), tb, sc.items, sc.end)
 		for _, k := range sc.keys {
-			if tx.s.db.locks.Holds(tx.t, k, lock.Shared) {
+			if tx.db.locks.Holds(tx.t, k, lock.Shared) {
 				continue
 			}
 			// Shared requests have no rw-conflict rivals to report.
-			if _, err := tx.s.db.locks.Acquire(tx.t, k, lock.Shared); err != nil {
+			if _, err := tx.db.locks.Acquire(tx.t, k, lock.Shared); err != nil {
 				return err
 			}
 			changed = true

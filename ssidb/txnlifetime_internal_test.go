@@ -269,12 +269,13 @@ func TestPinnedSnapshotKeepsRecordsUntilRelease(t *testing.T) {
 	}
 }
 
-// TestTxnHandleAllocBudget pins the handle in the 32-byte size class: the
+// TestTxnHandleAllocBudget pins the handle in the 24-byte size class: the
 // caller's one allocation per transaction once its record is recycled. What
-// only a running transaction needs lives in the recycled scratch instead.
+// only a running transaction needs, its record among it, lives in the
+// recycled scratch instead.
 func TestTxnHandleAllocBudget(t *testing.T) {
-	if n := unsafe.Sizeof(Txn{}); n > 32 {
-		t.Errorf("ssidb.Txn is %d bytes, budget 32 (the next size class is 48)", n)
+	if n := unsafe.Sizeof(Txn{}); n > 24 {
+		t.Errorf("ssidb.Txn is %d bytes, budget 24 (the next size class is 32)", n)
 	}
 }
 

@@ -50,10 +50,10 @@ func TestPooledTxnScratchPinsNothing(t *testing.T) {
 							t.Fatal(err)
 						}
 					}
-					if len(tx.s.writes) != 10 || len(tx.s.commit.redo) == 0 {
-						t.Fatalf("running transaction has %d write records and %d redo bytes, want 10 and some", len(tx.s.writes), len(tx.s.commit.redo))
+					if len(tx.writes) != 10 || len(tx.commit.redo) == 0 {
+						t.Fatalf("running transaction has %d write records and %d redo bytes, want 10 and some", len(tx.writes), len(tx.commit.redo))
 					}
-					used := tx.s
+					used := tx.txnScratch
 					if commit {
 						err = tx.Commit()
 					} else {
@@ -62,8 +62,8 @@ func TestPooledTxnScratchPinsNothing(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !tx.done || tx.s != nil {
-						t.Fatalf("finished handle: done=%v, scratch %p", tx.done, tx.s)
+					if !tx.done || tx.txnScratch != nil {
+						t.Fatalf("finished handle: done=%v, scratch %p", tx.done, tx.txnScratch)
 					}
 					reader.Abort()
 					// The reader's own scratch went back beside it; look for tx's.
