@@ -273,14 +273,9 @@ func (t *TreeOf[V]) LeafPage(key []byte) uint32 {
 	return findLeaf(t, key, head(key)).page
 }
 
-// PathPages returns the page numbers visited from the root down to the leaf
-// for key, root first. Page-granularity reads lock the whole path, as
-// Berkeley DB's btree does while descending.
-func (t *TreeOf[V]) PathPages(key []byte) []uint32 {
-	return t.AppendPathPages(make([]uint32, 0, 4), key)
-}
-
-// AppendPathPages is PathPages appending to the caller-supplied buffer.
+// AppendPathPages appends to path the page numbers visited from the root down
+// to the leaf for key, root first. Page-granularity reads lock the whole path,
+// as Berkeley DB's btree does while descending.
 func (t *TreeOf[V]) AppendPathPages(path []uint32, key []byte) []uint32 {
 	h := head(key)
 	for n := t.root; ; n = n.children[childIndex(n, key, h)] {

@@ -137,7 +137,7 @@ func TestPathPagesRootFirst(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		tr.GetOrInsert(key(i), i)
 	}
-	path := tr.PathPages(key(20))
+	path := tr.AppendPathPages(nil, key(20))
 	if len(path) < 2 {
 		t.Fatalf("tree of 40 keys with page size 2 should be deep, path=%v", path)
 	}

@@ -752,11 +752,11 @@ func gcEntryLocked(s *shard, key Key, e *entry) {
 }
 
 // batchScratch is the working memory of one AcquireSIReadBatchInto call: the
-// rival-deduplication set and, for a multi-shard table, the buffers of the
-// counting sort that groups the batch by shard — each key's shard index,
-// the per-shard bucket boundaries and the grouped copy of the keys. Recycled
-// through batchPool and handed back with the set and the keys cleared, so an
-// idle scratch pins no transaction record and no key bytes.
+// rival-deduplication set and the buffers of the counting sort that groups
+// the batch by shard — each key's shard index, the per-shard bucket
+// boundaries and the grouped copy of the keys. Recycled through batchPool and
+// handed back with the set and the keys cleared, so an idle scratch pins no
+// transaction record and no key bytes.
 type batchScratch struct {
 	seen    map[*core.Txn]bool
 	idx     []uint32
@@ -785,16 +785,10 @@ func (m *Manager) AcquireSIReadBatchInto(owner *core.Txn, keys []Key, buf []*cor
 		clear(sc.grouped)
 		batchPool.Put(sc)
 	}()
-	if len(m.shards) == 1 {
-		s := m.shards[0]
-		s.lock()
-		rivals = m.sireadBatchLocked(s, os, owner, keys, sc.seen, rivals)
-		s.mu.Unlock()
-		return rivals
-	}
 	// Keys hash-stripe across shards, so consecutive scan keys land on
 	// unrelated shards; group them first (a counting sort on the shard index)
-	// to get one critical section per touched shard instead of one per key.
+	// to get one critical section per touched shard instead of one per key —
+	// one in all for a single-shard table.
 	sc.idx = resized(sc.idx, len(keys))
 	sc.grouped = resized(sc.grouped, len(keys))
 	sc.start = resized(sc.start, len(m.shards)+1)

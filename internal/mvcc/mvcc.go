@@ -262,7 +262,7 @@ type Config struct {
 // shard is one partition: an independently latched B+tree of version chains
 // plus its free list and pruning census.
 type shard struct {
-	mu   sync.RWMutex
+	mu   latch
 	tree *btree.TreeOf[*chain]
 
 	// free is the partition's list of recycled versions, linked through older
@@ -446,6 +446,7 @@ func (tb *Table) Read(t *core.Txn, snap core.TS, key []byte) ReadResult {
 func readChain(c *chain, t *core.Txn, snap core.TS) ReadResult {
 	var res ReadResult
 	for v := c.first(); v != nil; v = v.older {
+		noteVersion()
 		if visible(v, t, snap) {
 			res.VisibleCreator = v.creator
 			if !v.tombstone {
@@ -474,6 +475,7 @@ func (r Row) NewestCommitTS() core.TS {
 	r.sh.mu.RLock()
 	defer r.sh.mu.RUnlock()
 	for v := r.c.first(); v != nil; v = v.older {
+		noteVersion()
 		if ct := v.creator.CommitTS(); ct != 0 {
 			return ct
 		}
@@ -851,9 +853,9 @@ func (m *merge) siftDown(i int) {
 	}
 }
 
-// LeafPage, PathPages, InsertWillSplit and Successor expose the underlying
-// trees' page topology for the page-granularity engine mode and the gap
-// locking protocol.
+// LeafPage, AppendPathPages, InsertWillSplit and Successor expose the
+// underlying trees' page topology for the page-granularity engine mode and the
+// gap locking protocol.
 func (tb *Table) LeafPage(key []byte) uint32 {
 	sh := tb.shardOf(key)
 	sh.mu.RLock()
@@ -861,14 +863,10 @@ func (tb *Table) LeafPage(key []byte) uint32 {
 	return sh.tree.LeafPage(key)
 }
 
-// PathPages returns the root-to-leaf page path for key within its partition.
-func (tb *Table) PathPages(key []byte) []uint32 {
-	return tb.AppendPathPages(make([]uint32, 0, 4), key)
-}
-
-// AppendPathPages is PathPages appending to out, the caller's recycled buffer
-// (as in lock.AcquireInto: the call allocates nothing once it has grown). It
-// takes the key's partition latch, shared, and nothing else.
+// AppendPathPages appends the root-to-leaf page path for key within its
+// partition to out, the caller's recycled buffer (as in lock.AcquireInto: the
+// call allocates nothing once it has grown). It takes the key's partition
+// latch, shared, and nothing else.
 func (tb *Table) AppendPathPages(out []uint32, key []byte) []uint32 {
 	sh := tb.shardOf(key)
 	sh.mu.RLock()

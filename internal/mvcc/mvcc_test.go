@@ -637,8 +637,9 @@ func TestVacuumProportionalToGarbage(t *testing.T) {
 }
 
 // TestAppendPathPages: the key's descent path is appended behind what the
-// caller's buffer already holds, equals PathPages, and a buffer that has grown
-// once serves later calls without allocating.
+// caller's buffer already holds, equals the path appended to an empty buffer
+// and ends at the key's leaf, and a buffer that has grown once serves later
+// calls without allocating.
 func TestAppendPathPages(t *testing.T) {
 	f := newFixture()
 	for i := 0; i < 200; i++ {
@@ -649,8 +650,8 @@ func TestAppendPathPages(t *testing.T) {
 	if buf[0] != 7 {
 		t.Fatalf("prefix overwritten: %v", buf)
 	}
-	if path, own := buf[1:], f.tb.PathPages(key); !slices.Equal(path, own) || len(own) < 2 {
-		t.Errorf("appended path %v, PathPages %v: want the same multi-level path", path, own)
+	if path, own := buf[1:], f.tb.AppendPathPages(nil, key); !slices.Equal(path, own) || len(own) < 2 || own[len(own)-1] != f.tb.LeafPage(key) {
+		t.Errorf("appended path %v, own path %v: want the same multi-level path, ending at leaf %d", path, own, f.tb.LeafPage(key))
 	}
 	if avg := testing.AllocsPerRun(20, func() { buf = f.tb.AppendPathPages(buf[:0], key) }); avg != 0 {
 		t.Errorf("%.1f allocs per call into a grown buffer, want 0", avg)

@@ -88,8 +88,8 @@ func LoadRows(tx Tx, cfg Config, lo, hi int) error {
 	return nil
 }
 
-// Load populates the three tables. The caller chooses page capacity via
-// db.CreateTable beforehand if page-granularity experiments need a specific
+// Load populates the three tables. Their page capacity is the database's
+// Options.PageMaxKeys, which page-granularity experiments set for a specific
 // leaf count.
 func Load(db *ssidb.DB, cfg Config) error {
 	const batch = 500

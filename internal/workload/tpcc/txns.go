@@ -1,7 +1,6 @@
 package tpcc
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
@@ -495,20 +494,4 @@ func CheckConsistency(db *ssidb.DB, cfg Config) error {
 		}
 		return nil
 	})
-}
-
-// CountBadCredit returns how many customers are flagged "BC", used by the
-// anomaly demonstrations.
-func CountBadCredit(db *ssidb.DB, cfg Config) (int, error) {
-	n := 0
-	err := db.Run(ssidb.SnapshotIsolation, func(tx *ssidb.Txn) error {
-		n = 0
-		return tx.Scan(TCustCredit, nil, nil, func(k, v []byte) bool {
-			if bytes.Equal(v, []byte("BC")) {
-				n++
-			}
-			return true
-		})
-	})
-	return n, err
 }

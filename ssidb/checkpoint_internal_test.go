@@ -15,7 +15,8 @@ import (
 	"ssi/internal/wal"
 )
 
-// dumpTables reads every table of db at one snapshot: name → key → value.
+// dumpTables reads every table of db at one snapshot: name → key → value. A
+// table with no live row is left out: neither the log nor an image keeps one.
 func dumpTables(t *testing.T, db *DB) map[string]map[string]string {
 	t.Helper()
 	out := map[string]map[string]string{}
@@ -28,7 +29,9 @@ func dumpTables(t *testing.T, db *DB) map[string]map[string]string {
 			}); err != nil {
 				return err
 			}
-			out[name] = rows
+			if len(rows) > 0 {
+				out[name] = rows
+			}
 		}
 		return nil
 	})
@@ -92,14 +95,27 @@ func appendFrame(buf []byte, ts uint64, payload []byte) []byte {
 	return append(append(buf, hdr...), payload...)
 }
 
+// emptyTable makes table name by its first use, a transaction that writes its
+// only row and deletes it again.
+func emptyTable(t *testing.T, db *DB, name string) {
+	t.Helper()
+	if err := db.Run(SnapshotIsolation, func(tx *Txn) error {
+		if err := tx.Put(name, []byte("k"), []byte("v")); err != nil {
+			return err
+		}
+		return tx.Delete(name, []byte("k"))
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // loadChunkedTables fills three tables whose images each span several chunks
-// (values up to 400 bytes, every seventh key deleted again) and creates one
+// (values up to 400 bytes, every seventh key deleted again) and makes one
 // empty table.
 func loadChunkedTables(t *testing.T, db *DB) {
 	t.Helper()
-	db.CreateTable("empty", 8)
+	emptyTable(t, db, "empty")
 	for ti, name := range []string{"alpha", "beta", "gamma"} {
-		db.CreateTable(name, 16*(ti+1))
 		for lo := 0; lo < 1500; lo += 250 {
 			if err := db.Run(SnapshotIsolation, func(tx *Txn) error {
 				for i := lo; i < lo+250; i++ {
@@ -128,11 +144,12 @@ func loadChunkedTables(t *testing.T, db *DB) {
 }
 
 // TestCheckpointChunkedRecovery: an image whose tables span several chunks
-// recovers row for row — and with each table's page capacity, the empty table
-// included — from the checkpoint alone. A checkpoint is published whole, so
-// an image that is not exactly whole frames of one ts, each consumed exactly
-// and closed by the end frame, fails OpenDir with ErrCorruptCheckpoint — as
-// does the earlier SSICKPT2 layout, which is not read.
+// recovers row for row from the checkpoint alone. Every chunk holds rows of
+// one table and nothing else, and a table with no live row writes no chunk. A
+// checkpoint is published whole, so an image that is not exactly whole frames
+// of one ts, each consumed exactly and closed by the end frame, fails OpenDir
+// with ErrCorruptCheckpoint — as do the earlier SSICKPT2 layout and an image
+// whose chunks open with a table declaration, which are not read.
 func TestCheckpointChunkedRecovery(t *testing.T) {
 	dir := t.TempDir()
 	db, err := OpenDir(dir, Options{SegmentBytes: 64 << 10, CheckpointBytes: -1})
@@ -148,20 +165,26 @@ func TestCheckpointChunkedRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	image, frames := readFrames(t, dir)
-	chunks := map[string][]ckptFrame{} // table → its chunk frames, by the declaration each starts with
+	chunks := map[string][]ckptFrame{} // table → its chunk frames, by the table of each one's first row
 	for _, f := range frames[:len(frames)-1] {
-		first := true
+		if len(f.payload) == 0 {
+			t.Fatalf("empty chunk frame at %d, before the end frame", f.off)
+		}
+		var name string
 		if err := decodeRedo(f.payload, func(table, key, val []byte, flags byte) error {
-			if first && flags&redoDeclare == 0 {
-				t.Fatalf("chunk at %d starts with a row of %s, not a declaration", f.off, table)
+			if flags&^redoTombstone != 0 {
+				t.Fatalf("chunk at %d holds an entry of %s with flags %#x, not a row", f.off, table, flags)
 			}
-			if first {
-				chunks[string(table)] = append(chunks[string(table)], f)
+			if name == "" {
+				name = string(table)
+				chunks[name] = append(chunks[name], f)
 			}
-			first = false
+			if string(table) != name {
+				t.Fatalf("chunk at %d of table %s holds a row of %s", f.off, name, table)
+			}
 			return nil
 		}); err != nil {
-			t.Fatal(err)
+			t.Fatalf("chunk at %d: %v", f.off, err)
 		}
 	}
 	for _, name := range []string{"alpha", "beta", "gamma"} {
@@ -169,8 +192,8 @@ func TestCheckpointChunkedRecovery(t *testing.T) {
 			t.Fatalf("table %s spans %d chunks, want several", name, len(chunks[name]))
 		}
 	}
-	if c := chunks["empty"]; len(c) != 1 || len(c[0].payload) != len(appendDeclaration(nil, "empty", 8)) {
-		t.Fatalf("empty table: %d chunks, want one holding only its declaration", len(c))
+	if c := chunks["empty"]; len(c) != 0 {
+		t.Fatalf("table without a live row: %d chunks, want none", len(c))
 	}
 
 	db, err = OpenDir(dir, Options{CheckpointBytes: -1})
@@ -181,11 +204,6 @@ func TestCheckpointChunkedRecovery(t *testing.T) {
 		t.Fatalf("replayed %d log records; the image alone should hold every row", st.RecoveryReplayed)
 	}
 	sameTables(t, "reopened", dumpTables(t, db), want)
-	for name, pmk := range map[string]int{"empty": 8, "alpha": 16, "beta": 32, "gamma": 48} {
-		if tb := (*db.tables.Load())[name]; tb == nil || tb.pageMaxKeys != pmk {
-			t.Fatalf("table %s after reopen: %+v, want pageMaxKeys %d", name, tb, pmk)
-		}
-	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -208,6 +226,12 @@ func TestCheckpointChunkedRecovery(t *testing.T) {
 	payload = binary.LittleEndian.AppendUint32(payload, 0)
 	older = binary.LittleEndian.AppendUint64(append(older, payload...), uint64(len(payload)))
 	older = binary.LittleEndian.AppendUint32(older, crc32.Checksum(older[8:], crc32.MakeTable(crc32.Castagnoli)))
+	var declared []byte // the chunks as the previous format wrote them: a declaration, then the rows
+	for _, f := range frames[:len(frames)-1] {
+		decl := appendRedoEntry(nil, "alpha", "", binary.LittleEndian.AppendUint32(nil, 64), 1<<1)
+		declared = appendFrame(declared, f.ts, append(decl, f.payload...))
+	}
+	declared = appendFrame(declared, last.ts, nil)
 	for _, c := range []struct {
 		what  string
 		image []byte
@@ -220,6 +244,7 @@ func TestCheckpointChunkedRecovery(t *testing.T) {
 		{"frame after the end frame", append(cp(image), image[:second.off]...)},
 		{"frame of another ts", append(mixed, image[second.off:]...)},
 		{"SSICKPT2 image", older},
+		{"chunks opening with a table declaration", declared},
 	} {
 		dir := t.TempDir()
 		if err := os.WriteFile(filepath.Join(dir, "CHECKPOINT"), c.image, 0o644); err != nil {
@@ -234,43 +259,9 @@ func TestCheckpointChunkedRecovery(t *testing.T) {
 	}
 }
 
-// TestCreateTableSurvivesWALOnlyRecovery: CreateTable on a durable database
-// logs the table's declaration, so a reopen from the log alone — no
-// checkpoint — restores each table's page capacity and an empty table.
-func TestCreateTableSurvivesWALOnlyRecovery(t *testing.T) {
-	dir := t.TempDir()
-	db, err := OpenDir(dir, Options{CheckpointBytes: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	db.CreateTable("t", 8)
-	db.CreateTable("e", 16)
-	if err := db.Run(SnapshotIsolation, func(tx *Txn) error { return tx.Put("t", []byte("k"), []byte("v")) }); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "CHECKPOINT")); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("a checkpoint was written: %v", err)
-	}
-	db, err = OpenDir(dir, Options{CheckpointBytes: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	for name, pmk := range map[string]int{"t": 8, "e": 16} {
-		if tb := (*db.tables.Load())[name]; tb == nil || tb.pageMaxKeys != pmk {
-			t.Fatalf("table %s after WAL-only recovery: %+v, want pageMaxKeys %d", name, tb, pmk)
-		}
-	}
-	sameTables(t, "WAL-only recovery", dumpTables(t, db), map[string]map[string]string{"t": {"k": "v"}, "e": {}})
-}
-
 // TestCheckpointAndLogRecoverTheSameState: one history recovered from the log
-// alone and from a checkpoint plus a log tail gives the same rows and the
-// same page capacity per table — the image and the log are the same redo
-// records applied through the same path.
+// alone and from a checkpoint plus a log tail gives the same rows — the image
+// and the log are the same redo records applied through the same path.
 func TestCheckpointAndLogRecoverTheSameState(t *testing.T) {
 	opts := Options{CheckpointBytes: -1}
 	run := func(db *DB, fn func(tx *Txn) error) {
@@ -280,19 +271,17 @@ func TestCheckpointAndLogRecoverTheSameState(t *testing.T) {
 		}
 	}
 	history := func(db *DB) {
-		db.CreateTable("narrow", 4)
-		db.CreateTable("wide", 200)
-		db.CreateTable("empty", 12)
+		emptyTable(t, db, "empty")
 		for i := 0; i < 300; i++ {
 			run(db, func(tx *Txn) error {
-				if err := tx.Put("narrow", []byte(fmt.Sprintf("n%04d", i)), []byte(fmt.Sprintf("v%d", i))); err != nil {
+				if err := tx.Put("many", []byte(fmt.Sprintf("n%04d", i)), []byte(fmt.Sprintf("v%d", i))); err != nil {
 					return err
 				}
-				return tx.Put("implicit", []byte(fmt.Sprintf("i%04d", i%50)), []byte(fmt.Sprintf("w%d", i)))
+				return tx.Put("hot", []byte(fmt.Sprintf("i%04d", i%50)), []byte(fmt.Sprintf("w%d", i)))
 			})
 		}
 		for i := 0; i < 300; i += 3 {
-			run(db, func(tx *Txn) error { return tx.Delete("narrow", []byte(fmt.Sprintf("n%04d", i))) })
+			run(db, func(tx *Txn) error { return tx.Delete("many", []byte(fmt.Sprintf("n%04d", i))) })
 		}
 		run(db, func(tx *Txn) error { // re-writes within one transaction: the last one wins
 			for _, step := range []struct {
@@ -301,9 +290,9 @@ func TestCheckpointAndLogRecoverTheSameState(t *testing.T) {
 			}{{"a", "1", false}, {"a", "2", false}, {"b", "1", false}, {"b", "", true}, {"n0000", "back", false}, {"n0001", "", true}, {"n0001", "again", false}} {
 				var err error
 				if step.del {
-					err = tx.Delete("wide", []byte(step.key))
+					err = tx.Delete("rewritten", []byte(step.key))
 				} else {
-					err = tx.Put("wide", []byte(step.key), []byte(step.val))
+					err = tx.Put("rewritten", []byte(step.key), []byte(step.val))
 				}
 				if err != nil {
 					return err
@@ -317,9 +306,9 @@ func TestCheckpointAndLogRecoverTheSameState(t *testing.T) {
 		for i := 0; i < tailLen; i++ {
 			run(db, func(tx *Txn) error {
 				if i%5 == 4 {
-					return tx.Delete("implicit", []byte(fmt.Sprintf("i%04d", i)))
+					return tx.Delete("hot", []byte(fmt.Sprintf("i%04d", i)))
 				}
-				return tx.Put("wide", []byte(fmt.Sprintf("tail%02d", i)), []byte("t"))
+				return tx.Put("rewritten", []byte(fmt.Sprintf("tail%02d", i)), []byte("t"))
 			})
 		}
 	}
@@ -359,21 +348,10 @@ func TestCheckpointAndLogRecoverTheSameState(t *testing.T) {
 		t.Fatalf("checkpointed directory replayed %d log records, want the %d of the tail", got, tailLen)
 	}
 	want := dumpTables(t, fromLog)
-	if len(want["empty"]) != 0 || len(want["wide"]) == 0 || len(want["narrow"]) != 200 {
-		t.Fatalf("log-only recovery: %d tables, wide %d rows, narrow %d", len(want), len(want["wide"]), len(want["narrow"]))
+	if len(want["empty"]) != 0 || len(want["rewritten"]) == 0 || len(want["many"]) != 200 {
+		t.Fatalf("log-only recovery: %d tables, rewritten %d rows, many %d", len(want), len(want["rewritten"]), len(want["many"]))
 	}
 	sameTables(t, "checkpoint and tail vs log alone", dumpTables(t, fromCkpt), want)
-	logTables := *fromLog.tables.Load()
-	for name, tb := range *fromCkpt.tables.Load() {
-		if lt := logTables[name]; lt == nil || lt.pageMaxKeys != tb.pageMaxKeys {
-			t.Fatalf("table %s: pageMaxKeys %d from the checkpoint, %+v from the log", name, tb.pageMaxKeys, lt)
-		}
-	}
-	for name, pmk := range map[string]int{"narrow": 4, "wide": 200, "empty": 12, "implicit": 64} {
-		if tb := logTables[name]; tb == nil || tb.pageMaxKeys != pmk {
-			t.Fatalf("table %s: %+v, want pageMaxKeys %d", name, tb, pmk)
-		}
-	}
 }
 
 // TestRowEntryFormatReplays: a log segment of row entries framed and encoded
@@ -403,6 +381,26 @@ func TestRowEntryFormatReplays(t *testing.T) {
 		t.Fatalf("replayed %d records, want 3", got)
 	}
 	sameTables(t, "replayed", dumpTables(t, db), map[string]map[string]string{"t": {"b": "3", "c": "4"}, "u": {"x": "9"}})
+}
+
+// TestLoggedDeclarationRefused: a log record that opens with a table
+// declaration, the entry earlier releases logged for a table created with an
+// explicit page capacity, fails OpenDir as a malformed record: it is not
+// skipped, and the row after it in the record is not applied either.
+func TestLoggedDeclarationRefused(t *testing.T) {
+	decl := appendRedoEntry(nil, "t", "", binary.LittleEndian.AppendUint32(nil, 8), 1<<1)
+	seg := appendFrame(nil, 3, appendRedoEntry(nil, "t", "a", []byte("1"), 0))
+	seg = appendFrame(seg, 5, appendRedoEntry(decl, "t", "b", []byte("2"), 0))
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "wal-00000001.seg"), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if db, err := OpenDir(dir, Options{CheckpointBytes: -1}); !errors.Is(err, errBadRedo) {
+		if err == nil {
+			db.Close()
+		}
+		t.Fatalf("OpenDir over a logged declaration: err = %v, want %v", err, errBadRedo)
+	}
 }
 
 // TestPartialCheckpointTmpIgnored: a crash in the middle of streaming an image

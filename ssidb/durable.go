@@ -66,17 +66,13 @@ func (tx *Txn) shouldLog() bool {
 //
 //	u16 tableLen | table | u16 keyLen | key | u8 flags | u32 valLen | val
 //
-// flags bit0 = tombstone. Entries are decoded until the payload is
-// exhausted; re-writes of the same key within one transaction appear twice
-// and the later entry wins, same as execution order. flags bit1 marks a
-// table declaration instead of a row: the key is empty and val is the
-// table's u32 pageMaxKeys. CreateTable logs one, and every checkpoint chunk
-// starts with one.
+// flags bit0 = tombstone, and no other bit is defined. Entries are decoded
+// until the payload is exhausted; re-writes of the same key within one
+// transaction appear twice and the later entry wins, same as execution order.
+// Every entry is a row a committed writer wrote — a log record's or a
+// checkpoint chunk's alike — and replaying one creates its table on first use.
 
-const (
-	redoTombstone = 1 << iota
-	redoDeclare
-)
+const redoTombstone = 1
 
 // appendRedoEntry takes the key as the write path holds it ([]byte) or as a
 // checkpoint scan yields it (string).
@@ -88,12 +84,6 @@ func appendRedoEntry[K string | []byte](buf []byte, table string, key K, val []b
 	buf = append(buf, flags)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(val)))
 	return append(buf, val...)
-}
-
-func appendDeclaration(buf []byte, table string, pageMaxKeys int) []byte {
-	var v [4]byte
-	binary.LittleEndian.PutUint32(v[:], uint32(pageMaxKeys))
-	return appendRedoEntry(buf, table, "", v[:], redoDeclare)
 }
 
 var errBadRedo = fmt.Errorf("ssi: malformed redo record")
@@ -120,7 +110,7 @@ func decodeRedo(payload []byte, fn func(table, key, val []byte, flags byte) erro
 		flags := payload[0]
 		vl := int(binary.LittleEndian.Uint32(payload[1:5]))
 		payload = payload[5:]
-		if len(payload) < vl || flags&redoDeclare != 0 && vl != 4 {
+		if len(payload) < vl || flags&^redoTombstone != 0 {
 			return errBadRedo
 		}
 		val := payload[:vl]
@@ -130,24 +120,6 @@ func decodeRedo(payload []byte, fn func(table, key, val []byte, flags byte) erro
 		}
 	}
 	return nil
-}
-
-// declareTable commits a record holding only the declaration of table name,
-// so that recovery from the log alone recreates the table with its page
-// capacity. CreateTable calls it under createMu, before the table is
-// published: no write to the table can reach the log ahead of it. A log
-// failure is sticky, so the next durable commit reports it.
-func (db *DB) declareTable(name string, pageMaxKeys int) {
-	if db.dir == "" {
-		return
-	}
-	t := db.mgr.BeginTx(SnapshotIsolation, false)
-	cs := commitState{redo: appendDeclaration(nil, name, pageMaxKeys)}
-	db.mgr.CommitPrepareWith(t, &cs) // an SI transaction commits unconditionally
-	db.mgr.Finish(t, false)
-	if cs.err == nil {
-		db.log.WaitDurable(cs.lsn)
-	}
 }
 
 // --- recovery ---
@@ -204,12 +176,8 @@ func (db *DB) applyRedo(payload []byte) error {
 	s := txnScratchPool.Get().(*txnScratch)
 	var tb *table // the table of the previous entry: a chunk's rows share one
 	err := decodeRedo(payload, func(table, key, val []byte, flags byte) error {
-		if flags&redoDeclare != 0 {
-			tb = db.getOrCreateTable(string(table), int(binary.LittleEndian.Uint32(val)), false)
-			return nil
-		}
 		if tb == nil || tb.name != string(table) {
-			tb = db.getOrCreateTable(string(table), 0, false)
+			tb = db.table(string(table))
 		}
 		// The store retains value slices (not keys); payload is the replay
 		// buffer.
@@ -237,14 +205,14 @@ func (db *DB) applyRedo(payload []byte) error {
 // --- checkpoint ---
 //
 // An image is a checkpoint file (internal/wal) of frames at the checkpoint
-// snapshot, each one chunk of one table: that table's declaration, then
-// live rows visible at the snapshot as ordinary redo row entries. Deleted
-// keys are simply absent (a post-snapshot delete is replayed from the log as
-// a tombstone, which supersedes the loaded value); an empty table is one
-// declaration-only chunk. A chunk is what one scan of the snapshot fits into
-// the checkpoint writer's 64 KiB frame buffer — the scan stops once the next
-// row would not fit, and a row larger than it makes a chunk of its own — so
-// writing an image takes that one buffer whatever the database's size.
+// snapshot, each one chunk of one table's live rows at the snapshot as
+// ordinary redo row entries; a table with none writes no chunk, for an empty
+// frame ends the image. Deleted keys are simply absent (a post-snapshot
+// delete is replayed from the log as a tombstone, which supersedes the loaded
+// value). A chunk is what one scan of the snapshot fits into the checkpoint
+// writer's 64 KiB frame buffer — the scan stops once the next row would not
+// fit, and a row larger than it makes a chunk of its own — so writing an
+// image takes that one buffer whatever the database's size.
 
 // writeImage streams the image of tables at snap into ck, chunk by chunk.
 func (db *DB) writeImage(ck *wal.CheckpointWriter, tables tableMap, snapTxn *core.Txn, snap core.TS) error {
@@ -252,13 +220,12 @@ func (db *DB) writeImage(ck *wal.CheckpointWriter, tables tableMap, snapTxn *cor
 	for name, tb := range tables {
 		from = from[:0]
 		for {
-			buf := appendDeclaration(ck.Payload(), name, tb.pageMaxKeys)
-			decl, full := len(buf), false
+			buf, full := ck.Payload(), false
 			tb.data.Scan(snapTxn, snap, from, func(it mvcc.ScanItem) bool {
 				if !it.Found {
 					return true
 				}
-				if len(buf) > decl && len(buf)+9+len(name)+len(it.Key)+len(it.Value) > wal.CheckpointPayloadBytes {
+				if len(buf) > 0 && len(buf)+9+len(name)+len(it.Key)+len(it.Value) > wal.CheckpointPayloadBytes {
 					from, full = append(from[:0], it.Key...), true
 					return false
 				}
@@ -268,6 +235,9 @@ func (db *DB) writeImage(ck *wal.CheckpointWriter, tables tableMap, snapTxn *cor
 			// Scan has returned, so no partition latch is held: no checkpoint
 			// I/O ever happens under one. The next scan resumes at the first
 			// row this chunk had no room for, on the same snapshot.
+			if len(buf) == 0 {
+				break
+			}
 			if err := ck.Frame(buf); err != nil {
 				return err
 			}
@@ -296,12 +266,10 @@ func (db *DB) Checkpoint() error {
 	}
 	base := db.log.BytesAppended()
 	t := db.mgr.BeginTx(SnapshotIsolation, true)
-	// A table declared at or before snap is then in the map the image
-	// covers; one declared later is in the log the image keeps.
-	db.createMu.Lock()
+	// A commit below snap created its tables before it committed, so the map
+	// loaded after the snapshot holds every table with a row the image needs.
 	snap := db.mgr.AssignSnapshot(t)
 	tables := *db.tables.Load()
-	db.createMu.Unlock()
 	ck, err := wal.CreateCheckpoint(db.dir, uint64(snap))
 	if err == nil {
 		defer ck.Abort()

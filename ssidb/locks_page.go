@@ -21,8 +21,8 @@ import (
 // The page versions are this strategy's own: each table's pageStamps, below,
 // made by tableCreated, inherited across splits by the split hook it installs
 // and folded as their writers retire. The row store underneath keeps
-// rows only, and lends this file its page topology (LeafPage, PathPages,
-// InsertWillSplit, AppendPathPages) and the split hook. A page-granularity
+// rows only, and lends this file its page topology (LeafPage,
+// AppendPathPages, InsertWillSplit) and the split hook. A page-granularity
 // table is one B+tree, as in Berkeley DB (DB.TableShards), so a page number
 // names one page of the table.
 //
@@ -69,12 +69,14 @@ func (*pageTargets) install(tx *Txn, tb *table, key []byte, row mvcc.Row, val []
 // isolation's read mode), the leaf in leafMode, and the whole path EXCLUSIVE
 // when the write will split the leaf. The plan is re-verified after
 // acquisition because a concurrent split can move the key; extra locks
-// acquired under a stale plan are simply kept. It returns the SIREAD holders
-// found on the exclusive acquisitions, and the leaf.
+// acquired under a stale plan are simply kept. Plan and re-check share the
+// transaction's path buffer, the recomputed path landing behind the plan. It
+// returns the SIREAD holders found on the exclusive acquisitions, and the leaf.
 func lockPagePath(tx *Txn, tb *table, key []byte, interior, leafMode lock.Mode, structural bool) (readers []*core.Txn, leaf uint32, err error) {
 	readers = emptied(tx.rivals)
 	for {
-		path := tb.data.PathPages(key)
+		tx.pages = tb.data.AppendPathPages(tx.pages[:0], key)
+		path := tx.pages
 		split := structural && tb.data.InsertWillSplit(key)
 		for i, pg := range path {
 			isLeaf := i == len(path)-1
@@ -108,7 +110,8 @@ func lockPagePath(tx *Txn, tb *table, key []byte, interior, leafMode lock.Mode, 
 				tb.stamps.addWriter(pg, tx.t)
 			}
 		}
-		if slices.Equal(path, tb.data.PathPages(key)) && split == (structural && tb.data.InsertWillSplit(key)) {
+		tx.pages = tb.data.AppendPathPages(tx.pages, key)
+		if slices.Equal(path, tx.pages[len(path):]) && split == (structural && tb.data.InsertWillSplit(key)) {
 			return readers, path[len(path)-1], nil
 		}
 	}

@@ -177,13 +177,11 @@ func TestRandomConcurrentSerializability(t *testing.T) {
 		// The partitioned row store must preserve serializability for every
 		// level: the scans' all-partition latching and the structural
 		// inserts' gap inheritance are what these cases exercise. A page
-		// database ignores TableShards (its table is one tree), so the page
-		// cases here check only that setting it changes nothing.
+		// database ignores TableShards (its table is one tree), so it has no
+		// sharded case here: TestPageGranularityIsOneTree checks that.
 		{"ssi-basic-sharded-store", ssidb.Options{Detector: ssidb.DetectorBasic, TableShards: 8}, ssidb.SerializableSI},
 		{"ssi-precise-sharded-store", ssidb.Options{Detector: ssidb.DetectorPrecise, TableShards: 8}, ssidb.SerializableSI},
-		{"ssi-page-sharded-store", ssidb.Options{Detector: ssidb.DetectorPrecise, Granularity: ssidb.GranularityPage, PageMaxKeys: 4, TableShards: 4}, ssidb.SerializableSI},
 		{"s2pl-sharded-store", ssidb.Options{TableShards: 8}, ssidb.S2PL},
-		{"s2pl-page-sharded-store", ssidb.Options{Granularity: ssidb.GranularityPage, PageMaxKeys: 4, TableShards: 4}, ssidb.S2PL},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			for seed := int64(1); seed <= 4; seed++ {
@@ -326,7 +324,6 @@ func TestMixedReadOnlySerializability(t *testing.T) {
 		{"ssi-page", ssidb.Options{Detector: ssidb.DetectorPrecise, Granularity: ssidb.GranularityPage, PageMaxKeys: 4}},
 		{"ssi-basic-sharded-store", ssidb.Options{Detector: ssidb.DetectorBasic, TableShards: 8}},
 		{"ssi-precise-sharded-store", ssidb.Options{Detector: ssidb.DetectorPrecise, TableShards: 8}},
-		{"ssi-page-sharded-store", ssidb.Options{Detector: ssidb.DetectorPrecise, Granularity: ssidb.GranularityPage, PageMaxKeys: 4, TableShards: 8}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			for seed := int64(1); seed <= 4; seed++ {

@@ -143,8 +143,8 @@ func TestScanStallWriterLatency(t *testing.T) {
 // deletes and point reads — every retiring writer pruning its rows between
 // the rounds — with the recorded MVSG required acyclic — at
 // SerializableSI on both the partitioned and single-partition stores (both
-// detectors' default paths), in page granularity (one tree, whatever
-// TableShards says), and at S2PL. This is the
+// detectors' default paths), in page granularity (one tree), and at S2PL.
+// This is the
 // §3.5 phantom argument exercised exactly where the handoff protocol has to
 // hold it: inserts landing behind and ahead of a scan frontier whose latches
 // have been dropped and re-taken.
@@ -158,7 +158,7 @@ func TestLongScanSerializability(t *testing.T) {
 		{"ssi-sharded", ssidb.Options{Detector: ssidb.DetectorPrecise, TableShards: 8}, ssidb.SerializableSI},
 		{"ssi-single", ssidb.Options{Detector: ssidb.DetectorPrecise, TableShards: 1}, ssidb.SerializableSI},
 		{"ssi-basic-sharded", ssidb.Options{Detector: ssidb.DetectorBasic, TableShards: 8}, ssidb.SerializableSI},
-		{"ssi-page-sharded", ssidb.Options{Detector: ssidb.DetectorPrecise, Granularity: ssidb.GranularityPage, PageMaxKeys: 8, TableShards: 4}, ssidb.SerializableSI},
+		{"ssi-page", ssidb.Options{Detector: ssidb.DetectorPrecise, Granularity: ssidb.GranularityPage, PageMaxKeys: 8}, ssidb.SerializableSI},
 		{"s2pl-sharded", ssidb.Options{TableShards: 8}, ssidb.S2PL},
 		{"s2pl-page", ssidb.Options{Granularity: ssidb.GranularityPage, PageMaxKeys: 8}, ssidb.S2PL},
 	} {

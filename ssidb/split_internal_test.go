@@ -8,13 +8,12 @@ import (
 	"ssi/internal/lock"
 )
 
-// TestImplicitTableSplitInheritsSIRead verifies that a table created
-// *implicitly* (first access through db.table, never CreateTable) under
+// TestImplicitTableSplitInheritsSIRead verifies that a table created by its
+// first use (db.table, the only way a table comes to exist) under
 // GranularityPage gets the page-split hook: a reader's SIREAD page coverage
 // must follow rows that a split moves to a new page, transitively across
 // further splits, or later writers to the moved rows would escape conflict
-// detection. Explicit and implicit creation share one construction path
-// (getOrCreateTable), which this test pins.
+// detection.
 func TestImplicitTableSplitInheritsSIRead(t *testing.T) {
 	// All keys share one B+tree: page mode's default of a single partition.
 	db := Open(Options{Granularity: GranularityPage, PageMaxKeys: 4, Detector: DetectorPrecise})

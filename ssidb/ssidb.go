@@ -59,14 +59,14 @@
 // CheckpointBytes > 0 checkpoints also trigger automatically as log bytes
 // accumulate (checked after every durable commit, whatever snapshots are held
 // open). A checkpoint file is the log's own format: CRC frames of redo
-// records, one per 64 KiB chunk of one table — the table's declaration (name
-// and page capacity), then its rows at the checkpoint snapshot — closed by
-// an empty end frame. Each chunk is scanned into one buffer and written once
-// the scan has returned (never under a partition latch), so a checkpoint's
-// memory does not grow with the database; recovery applies the image's
-// frames and then the log's through the same decoder. CreateTable logs the
-// table's declaration, so recovery from the log alone keeps its page
-// capacity too. The image is published by fsync and atomic rename. Stats
+// records, one per 64 KiB chunk of one table's rows at the checkpoint
+// snapshot, closed by an empty end frame. Each chunk is scanned into one
+// buffer and written once the scan has returned (never under a partition
+// latch), so a checkpoint's memory does not grow with the database; recovery
+// applies the image's frames and then the log's through the same decoder.
+// Log and image hold committed rows only: a table comes to exist by its first
+// use, in recovery as in a live database, and an empty table leaves nothing
+// on disk. The image is published by fsync and atomic rename. Stats
 // reports WALAppends, GroupCommitBatches, Fsyncs, AvgBatchSize and
 // RecoveryReplayed.
 //
@@ -218,8 +218,8 @@ type Options struct {
 	// Granularity selects row- or page-level locking. Default row. A
 	// page-granularity table is one B+tree, whatever TableShards says.
 	Granularity Granularity
-	// PageMaxKeys is the default B+tree page capacity for tables created
-	// implicitly. Smaller pages increase page-mode contention. Default 64.
+	// PageMaxKeys is every table's page capacity (keys per B+tree page).
+	// Smaller pages increase page-mode contention. Default 64.
 	PageMaxKeys int
 	// FlushLatency is the simulated duration of one physical log flush at
 	// commit: the WAL runs against an in-memory null device whose sync
@@ -273,10 +273,9 @@ type Options struct {
 }
 
 type table struct {
-	name        string
-	data        *mvcc.Table
-	pageMaxKeys int         // as configured at creation; declared in the log by CreateTable and in every checkpoint chunk
-	stamps      *pageStamps // GranularityPage's page versions (locks_page.go); nil under GranularityRow
+	name   string
+	data   *mvcc.Table
+	stamps *pageStamps // GranularityPage's page versions (locks_page.go); nil under GranularityRow
 }
 
 // tableMap is the immutable table directory; a new map is published on every
@@ -355,9 +354,6 @@ func OpenDir(dir string, opts Options) (*DB, error) {
 // open opens the database; wrap, when set, wraps the log's devices (the WAL's
 // seam for tests that decide when a write or a sync returns).
 func open(dir string, opts Options, wrap func(wal.Device) wal.Device) (*DB, error) {
-	if opts.PageMaxKeys <= 0 {
-		opts.PageMaxKeys = 64
-	}
 	if dir != "" && opts.CheckpointBytes == 0 {
 		opts.CheckpointBytes = 16 << 20
 	}
@@ -427,35 +423,25 @@ func (db *DB) TableShards() int {
 	return mvcc.ShardCount(db.opts.TableShards)
 }
 
-// CreateTable creates a table with an explicit page capacity (keys per
-// B+tree page). Creating an existing table is a no-op. Tables are also
-// created implicitly on first use with the default capacity.
-func (db *DB) CreateTable(name string, pageMaxKeys int) {
-	db.getOrCreateTable(name, pageMaxKeys, true)
-}
-
-// getOrCreateTable is the single construction path for tables, so explicit
-// and implicit creation cannot diverge (in particular, both must reach the
-// granularity strategy's tableCreated, which under GranularityPage creates the
-// table's page write stamps and installs the split hook that keeps them and
-// SIREAD coverage attached to moved rows). Creation copies the table
-// directory and publishes the new map atomically; lookups never block on it.
-// With declare (CreateTable) a durable database first logs the table's
-// declaration (declareTable).
-func (db *DB) getOrCreateTable(name string, pageMaxKeys int, declare bool) *table {
-	if pageMaxKeys <= 0 {
-		pageMaxKeys = db.opts.PageMaxKeys
-	}
+// getOrCreateTable is the one way a table comes to exist: its first use, by a
+// statement or by recovery, with Options.PageMaxKeys as its page capacity. It
+// reaches the granularity strategy's tableCreated (GranularityPage's page
+// write stamps and split hook). Creation copies the table directory and
+// publishes the new map atomically; lookups never block on it.
+func (db *DB) getOrCreateTable(name string) *table {
 	db.createMu.Lock()
 	defer db.createMu.Unlock()
 	old := *db.tables.Load()
 	if tb := old[name]; tb != nil {
 		return tb
 	}
-	if declare {
-		db.declareTable(name, pageMaxKeys)
-	}
-	tb := db.newTable(name, pageMaxKeys)
+	tb := &table{name: name}
+	tb.data = mvcc.NewTable(name, mvcc.Config{
+		PageMaxKeys: db.opts.PageMaxKeys,
+		Shards:      db.TableShards(),
+		Horizon:     db.mgr.OldestActiveSnapshot,
+	})
+	db.targets.tableCreated(tb)
 	next := make(tableMap, len(old)+1)
 	for k, v := range old {
 		next[k] = v
@@ -465,22 +451,11 @@ func (db *DB) getOrCreateTable(name string, pageMaxKeys int, declare bool) *tabl
 	return tb
 }
 
-func (db *DB) newTable(name string, pageMaxKeys int) *table {
-	tb := &table{name: name, pageMaxKeys: pageMaxKeys}
-	tb.data = mvcc.NewTable(name, mvcc.Config{
-		PageMaxKeys: pageMaxKeys,
-		Shards:      db.TableShards(),
-		Horizon:     db.mgr.OldestActiveSnapshot,
-	})
-	db.targets.tableCreated(tb)
-	return tb
-}
-
 func (db *DB) table(name string) *table {
 	if tb := (*db.tables.Load())[name]; tb != nil {
 		return tb
 	}
-	return db.getOrCreateTable(name, 0, false)
+	return db.getOrCreateTable(name)
 }
 
 // Begin starts a transaction at the given isolation level. Per thesis §4.5

@@ -90,6 +90,7 @@ type txnScratch struct {
 	// first and finishes consuming it before the next operation reuses it.
 	// Scans do not use it — their buffers live in the recycled scanCtx.
 	rivals []*core.Txn
+	pages  []uint32 // lockPagePath's buffer: a page-granularity descent path, planned and re-checked
 
 	// commit.redo accumulates the redo record (one encoded entry per write,
 	// values copied at write time so later caller mutation of the value
@@ -127,6 +128,7 @@ func (s *txnScratch) recycle() {
 	*s = txnScratch{
 		writes: emptied(s.writes),
 		rivals: emptied(s.rivals),
+		pages:  s.pages[:0],
 		commit: commitState{redo: s.commit.redo[:0]},
 	}
 	if cap(s.writes) > maxPooledWrites {

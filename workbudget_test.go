@@ -6,14 +6,44 @@ import (
 	"fmt"
 	"testing"
 
+	"ssi/internal/core"
 	"ssi/internal/lock"
+	"ssi/internal/mvcc"
 	"ssi/internal/workload/kvmix"
+	"ssi/internal/workload/smallbank"
 	"ssi/ssidb"
 )
 
+// promotedReader returns the scan-readmostly reader on a kvmix load — a
+// declared read-only SerializableSI transaction of 4 Gets and a 64-row Scan —
+// and a check that its next runs were all promoted to a safe snapshot.
+func promotedReader(t *testing.T, db *ssidb.DB, runs uint64) (reader, promotedAll func()) {
+	from, to := kvmix.Key(0x1000), kvmix.Key(0x1000+64)
+	next := 0
+	reader = func() {
+		if err := db.RunReadOnly(ssidb.SerializableSI, func(tx *ssidb.Txn) error {
+			for i := 0; i < 4; i++ {
+				next++
+				if _, _, err := tx.Get(kvmix.Table, kvmix.Key(next%4096*2)); err != nil {
+					return err
+				}
+			}
+			return tx.Scan(kvmix.Table, from, to, func(k, v []byte) bool { return true })
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := db.StatsSnapshot().ROSafePromotions
+	return reader, func() {
+		if promoted := db.StatsSnapshot().ROSafePromotions - before; promoted != runs {
+			t.Errorf("%d of %d readers promoted, want all", promoted, runs)
+		}
+	}
+}
+
 // TestLockWorkBudget counts what the lock manager does per transaction, in
 // the workcount build only (the default build compiles the hooks to
-// nothing): run it with
+// nothing): run it, and TestStoreWorkBudget, with
 //
 //	go test -tags workcount -run WorkBudget .
 //
@@ -26,6 +56,15 @@ import (
 // 12 shard holds. The owner's mutex is held once per grant (6), once per key
 // released (6), and around each of the two releases' key snapshot and map
 // hand-back (4), plus once to ask whether SIREAD locks are left at commit: 17.
+// A SmallBank Amalgamate reads 5 rows (the two customers' account rows, the
+// first one's saving and checking balances and the second one's checking
+// balance) and writes 3 of them (both checking balances, the first saving
+// balance): 8 requests, one shard hold each. Each exclusive lock is on a row
+// the transaction read, so its grant discards that row's SIREAD (§3.7.3); the
+// commit releases the 3 exclusive locks and the retirement the 2 SIREADs left
+// on the account rows: 13 shard holds. Owner mutex: 8 grants, 5 keys
+// released, 4 for the two releases, 1 at commit: 18.
+//
 // A declared read-only reader promoted to a safe snapshot at its first read —
 // the scan-readmostly reader, 4 Gets and a 64-row Scan — takes no lock and
 // holds no mutex of the lock manager at all.
@@ -55,26 +94,90 @@ func TestLockWorkBudget(t *testing.T) {
 			exact("4 Gets + 2 Puts", shapedTxn(t, db, ssidb.SerializableSI, txnShape{gets: 4, puts: 2}),
 				lock.Work{Acquires: 6, ShardLocks: 12, OwnerLocks: 17})
 
-			from, to := kvmix.Key(0x1000), kvmix.Key(0x1000+64)
-			next := 0
-			reader := func() {
-				if err := db.RunReadOnly(ssidb.SerializableSI, func(tx *ssidb.Txn) error {
-					for i := 0; i < 4; i++ {
-						next++
-						if _, _, err := tx.Get(kvmix.Table, kvmix.Key(next%4096*2)); err != nil {
-							return err
-						}
-					}
-					return tx.Scan(kvmix.Table, from, to, func(k, v []byte) bool { return true })
-				}); err != nil {
+			bank := ssidb.Open(ssidb.Options{Detector: ssidb.DetectorPrecise, TableShards: tshards, LockShards: 8})
+			if err := smallbank.Load(bank, smallbank.DefaultConfig()); err != nil {
+				t.Fatal(err)
+			}
+			acct := 0
+			exact("Amalgamate", func() {
+				acct = (acct + 2) % smallbank.DefaultConfig().Accounts
+				if err := bank.Run(ssidb.SerializableSI, func(tx *ssidb.Txn) error { return smallbank.Amalgamate(tx, acct, acct+1) }); err != nil {
 					t.Fatal(err)
 				}
-			}
-			before := db.StatsSnapshot().ROSafePromotions
+			}, lock.Work{Acquires: 8, ShardLocks: 13, OwnerLocks: 18})
+
+			reader, promotedAll := promotedReader(t, db, n+1)
 			exact("promoted reader, 4 Gets + a 64-row Scan", reader, lock.Work{})
-			if promoted := db.StatsSnapshot().ROSafePromotions - before; promoted != n+1 {
-				t.Errorf("%d of %d readers promoted, want all", promoted, n+1)
+			promotedAll()
+		})
+	}
+}
+
+// TestStoreWorkBudget counts what the row store does per transaction, in the
+// workcount build: partition-latch holds, shared and exclusive apart, and the
+// versions readChain (point reads, scanned rows) and NewestCommitTS (the
+// First-Committer-Wins check) walk. Every chain here holds one committed
+// version: each writer's retirement prunes what it superseded before the
+// next transaction begins.
+//
+// The kv-uniform transaction at SerializableSI: a Get locates its row (one
+// shared hold), to name its SIREAD lock, then reads it through the handle
+// (one shared hold, one version); a Put locates its row (one shared), checks
+// First-Committer-Wins (one shared, one version) and installs its version
+// (one exclusive). 4 Gets and 2 Puts: 8 + 4 = 12 shared holds, 2 exclusive
+// and 4 + 2 = 6 versions. The retirement prunes the 2 rows written, one
+// exclusive hold per partition they lie in: at TableShards 1 that is 1, for
+// 3 exclusive holds; at 8 it is 1 or 2, so the test holds the n-transaction
+// total, 2n plus the partitions each transaction's two Puts span, computed
+// here from the keys with the store's partition hash.
+//
+// The promoted scan-readmostly reader reads without locks, so a Get is one
+// shared hold (read by key) and one version; its Scan of 64 rows is one round
+// (ScanChunk is 256), which holds every partition latch shared once, and reads
+// the 64 rows and the key at the range's end that stops it: 65 versions. In
+// all 4 + TableShards shared holds, no exclusive one and 69 versions.
+func TestStoreWorkBudget(t *testing.T) {
+	for _, tshards := range []int{1, 8} {
+		t.Run(fmt.Sprintf("tshards=%d", tshards), func(t *testing.T) {
+			db := ssidb.Open(ssidb.Options{Detector: ssidb.DetectorPrecise, TableShards: tshards, LockShards: 8})
+			if err := kvmix.Load(db, kvmix.DefaultConfig()); err != nil {
+				t.Fatal(err)
 			}
+			const n = 500
+			// exact runs one warm-up and then n transactions, and holds their
+			// total work to want.
+			exact := func(what string, run func(), want mvcc.Work) {
+				run()
+				before := mvcc.ReadWork()
+				for i := 0; i < n; i++ {
+					run()
+				}
+				got := mvcc.ReadWork().Sub(before)
+				t.Logf("%s: %+v over %d transactions", what, got, n)
+				if got != want {
+					t.Errorf("%s: %+v over %d transactions, want %+v", what, got, n, want)
+				}
+			}
+
+			// shapedTxn's transaction j (the warm-up is 0) Puts its key
+			// numbers 6j+5 and 6j+6 of the key set.
+			pruned := uint64(0)
+			partition := func(i int) uint32 {
+				return core.Fnv32aBytes(core.Fnv32aInit(), kvmix.Key(i%4096*2)) & uint32(tshards-1)
+			}
+			for j := 1; j <= n; j++ {
+				pruned++
+				if partition(6*j+5) != partition(6*j+6) {
+					pruned++
+				}
+			}
+			exact("4 Gets + 2 Puts", shapedTxn(t, db, ssidb.SerializableSI, txnShape{gets: 4, puts: 2}),
+				mvcc.Work{SharedLatches: n * 12, ExclusiveLatches: n*2 + pruned, VersionsWalked: n * 6})
+
+			reader, promotedAll := promotedReader(t, db, n+1)
+			exact("promoted reader, 4 Gets + a 64-row Scan", reader,
+				mvcc.Work{SharedLatches: n * uint64(4+tshards), VersionsWalked: n * 69})
+			promotedAll()
 		})
 	}
 }
