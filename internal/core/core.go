@@ -758,6 +758,7 @@ func (m *Manager) retireFrom(sh *regShard, h TS) {
 		sh.retHead.Store(sh.retired[sh.qhead].ct)
 	}
 	sh.retMu.Unlock()
+	noteDrained(n)
 	for _, r := range batch[:n] {
 		if c := r.Txn.cell; c != nil {
 			c.rec.Store(nil)
@@ -1117,6 +1118,7 @@ func (m *Manager) AdvanceClock(ts TS) {
 // are held, in id order, which serializes the install against either
 // endpoint's commit-time check without any global lock.
 func (m *Manager) MarkConflict(reader, writer, caller *Txn) error {
+	noteMark()
 	if reader == writer || reader == nil || writer == nil {
 		return nil
 	}
@@ -1432,6 +1434,7 @@ func (m *Manager) FinishWith(t *Txn, keep bool, payload any) {
 		sh.retMu.Lock()
 		sh.enqueueLocked(retiree{t.CommitTS(), Retired{t, payload}})
 		sh.retMu.Unlock()
+		noteQueued()
 	}
 	m.drain()
 }

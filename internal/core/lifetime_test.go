@@ -246,7 +246,7 @@ func TestPooledRecordPinsNothing(t *testing.T) {
 	if r.id != 0 || r.beginTS.Load() != 0 || r.commitTS.Load() != 0 ||
 		r.Status() != StatusActive || r.iso != 0 || r.readOnly || r.marked || r.queued ||
 		r.in.Load() != nil || r.out.Load() != nil || r.outCT != 0 || r.cell != nil ||
-		r.locks.Used() || r.locks.Released() || r.locks.Keys != nil || r.locks.SIReads != 0 {
+		r.locks.Used() || r.locks.Released() || r.locks.Held != nil || r.locks.SIReads != 0 {
 		t.Fatalf("a pooled record is not zero: %+v", r)
 	}
 	if !r.csMu.TryLock() || !r.locks.TryLock() {

@@ -44,6 +44,27 @@
 // SIREAD locks deliberately survive their owner's commit: the engine keeps
 // them until the suspended owner is cleaned up (thesis §3.3), releasing them
 // with ReleaseAll.
+//
+// # Owner bookkeeping
+//
+// A transaction's lock state (lockstate.Owner, in its record) lists the
+// entries it holds a mode on, each with a mode hint, and counts its SIREAD
+// locks. Invariant: an entry is listed exactly when the owner is in its
+// holder set. The holder set, read under the shard mutex, is the authority on
+// modes; a release trusts the hint only for whether a blocking mode (Shared
+// or Exclusive) is held, which is exact: only the owner's grants add one and
+// only its releases drop one. An entry records its key and shard, so a
+// release walks the owner's list (ReleaseBlocking the blocking elements,
+// ReleaseAll all) and hashes a key only to delete an emptied entry — the
+// layout of PostgreSQL's SSI, which links each predicate lock into its
+// target's list and its transaction's (Ports & Grittner, VLDB 2012).
+//
+// The owner's mutex guards the list and the count, inside shard mutexes.
+// InheritSIRead appends to an owner's list from another goroutine, so a
+// release takes its elements off under one hold, drops their modes shard by
+// shard and puts back under a second hold those keeping a SIREAD. A
+// ReleaseAll marks the owner released under its first hold, and
+// InheritSIRead skips released owners, so the list it takes is complete.
 package lock
 
 import (
@@ -52,6 +73,7 @@ import (
 	"slices"
 	"sync"
 	"time"
+	"unsafe"
 
 	"ssi/internal/core"
 	"ssi/internal/lockstate"
@@ -59,41 +81,30 @@ import (
 
 // The lock vocabulary and the per-owner bookkeeping live in package
 // lockstate, below core, so that a transaction record can embed its owner
-// state; these aliases are their names here.
+// state; these aliases are their names here, and lockstate documents them.
 type (
-	// Mode is a lock mode: bit flags, because one owner can hold several
-	// modes on one key (e.g. SIREAD plus EXCLUSIVE when the upgrade
-	// optimisation is disabled).
-	Mode = lockstate.Mode
-	// Kind distinguishes the namespaces of lockable objects.
-	Kind = lockstate.Kind
-	// Key names one lockable object.
-	Key = lockstate.Key
+	Mode = lockstate.Mode // a set of lock modes, one bit each
+	Kind = lockstate.Kind // the namespace of a lockable object
+	Key  = lockstate.Key  // one lockable object
 )
 
+// The modes: Shared (S2PL reads), Exclusive (writes at every level) and
+// SIRead, which neither blocks nor is blocked (thesis §3.2) and exists so
+// that writers can detect read-write conflicts.
 const (
-	// Shared is the classical read lock used by S2PL transactions.
-	Shared = lockstate.Shared
-	// Exclusive is the write lock used by all isolation levels.
+	Shared    = lockstate.Shared
 	Exclusive = lockstate.Exclusive
-	// SIRead records that an SI transaction read a version of the item. It
-	// neither blocks nor is blocked (thesis §3.2); it exists purely so that
-	// writers can detect read-write conflicts.
-	SIRead = lockstate.SIRead
+	SIRead    = lockstate.SIRead
 )
 
+// The kinds: Row (one record, InnoDB's granularity), Gap (the open interval
+// just before a key, InnoDB's next-key locking, thesis §2.5.2), Page (a
+// B+tree page, Berkeley DB's granularity, thesis Chapter 4) and GapSupremum
+// (the gap past a table's largest key).
 const (
-	// Row locks protect a single record (InnoDB-style granularity).
-	Row = lockstate.Row
-	// Gap locks protect the open interval just before a key against
-	// concurrent insertion or deletion, as in InnoDB's next-key locking,
-	// in a namespace separate from Row (thesis §2.5.2).
-	Gap = lockstate.Gap
-	// Page locks protect a whole B+tree page (Berkeley DB-style
-	// granularity, thesis Chapter 4).
-	Page = lockstate.Page
-	// GapSupremum is the gap past the largest key in a table — the
-	// "special supremum key" of thesis §2.5.2.
+	Row         = lockstate.Row
+	Gap         = lockstate.Gap
+	Page        = lockstate.Page
 	GapSupremum = lockstate.GapSupremum
 )
 
@@ -148,36 +159,30 @@ func rivalOf(req Mode, held Mode) bool {
 
 type entry struct {
 	holders map[*core.Txn]Mode
+	// key and s are the entry's key and the shard whose table holds it, set
+	// while the entry is installed, so a release that reaches the entry
+	// through its owner's list neither hashes the key nor looks it up.
+	key Key
+	s   *shard
 	// q is the FIFO queue of parked waiters (waitqueue.go). Spinning
 	// requests are invisible here; a request appears only once it parks.
 	q waitQueue
 	// Per-mode holder counts let hot entries (a B+tree root page can carry
 	// an SIREAD lock from every recent transaction) answer "any blocker?"
 	// and "any rival?" without iterating the holders map.
-	nShared, nExclusive, nSIRead int
+	nShared, nExclusive, nSIRead int32
 }
 
 // countModes adjusts the entry's mode counters for a holder transition.
 func (e *entry) countModes(before, after Mode) {
-	for _, m := range [...]Mode{Shared, Exclusive, SIRead} {
-		had, has := before&m != 0, after&m != 0
-		if had == has {
-			continue
-		}
-		d := 1
-		if had {
-			d = -1
-		}
-		switch m {
-		case Shared:
-			e.nShared += d
-		case Exclusive:
-			e.nExclusive += d
-		case SIRead:
-			e.nSIRead += d
-		}
-	}
+	e.nShared += gained(before, after, Shared)
+	e.nExclusive += gained(before, after, Exclusive)
+	e.nSIRead += gained(before, after, SIRead)
 }
+
+// gained is 1 if the transition from before to after gains the one-bit mode
+// m, -1 if it loses it, and 0 otherwise.
+func gained(before, after, m Mode) int32 { return int32(after&m/m) - int32(before&m/m) }
 
 // shard is one stripe of the lock table. A key maps to exactly one shard
 // (shardOf), so shard tables are disjoint; an entry's condition variable is
@@ -224,74 +229,71 @@ func lockOwner(os *ownerState) {
 	os.Lock()
 }
 
-func newShard(idx int) *shard {
-	return &shard{idx: idx, table: make(map[Key]*entry)}
-}
-
-// entryPool recycles entry records. Lock entries are garbage-collected the
-// moment nothing holds or waits on them (gcEntryLocked), so a point operation
-// on an otherwise idle key creates and discards one per acquire, and the
-// cleanup of a batch of suspended transactions discards their SIREAD entries
-// in one burst; the pool absorbs both. An entry goes in empty — no holder, no
-// waiter, zeroed counters — but keeps its holders map, so a recycled one
-// costs neither the record nor the map. What stays retained is bounded by
-// the collector's pool eviction.
+// entryPool recycles entry records. An entry is dropped the moment nothing
+// holds or waits on it (gcEntryLocked), so a point operation on an idle key
+// discards one per acquire, and a cleanup of suspended transactions discards
+// their SIREAD entries in one burst; the pool absorbs both. An entry goes in
+// empty but keeps its holders map, so a recycled one costs neither.
 var entryPool = sync.Pool{New: func() any { return &entry{holders: make(map[*core.Txn]Mode)} }}
 
 // entryLocked returns key's entry, installing an empty one if the key is not
 // in the table; the caller holds the shard mutex.
 func (s *shard) entryLocked(key Key) *entry {
+	noteKeyHash()
 	e := s.table[key]
 	if e == nil {
 		e = entryPool.Get().(*entry)
+		e.key, e.s = key, s
+		noteKeyHash()
 		s.table[key] = e
 	}
 	return e
 }
 
-// ownerState is one transaction's lock bookkeeping: the keys it holds (with
-// modes) and its SIREAD census. It is part of the transaction's record
-// (core.Txn.Locks), so no owner registry — global or per shard — exists, and
-// a transaction's first lock allocates no bookkeeping however many shards its
-// keys spread over. Its mutex nests inside shard mutexes (lock order: shard →
-// ownerState) and is what keeps cross-shard operations on one owner
-// coherent: InheritSIRead (another goroutine granting this owner a lock)
-// versus release processing shards one at a time. It is not the record's
-// conflict mutex: lock-table work and conflict marking never wait on each
-// other.
-//
-// Its released flag marks an initiated ReleaseAll: the owner is retired and
-// no lock may be recorded for it again. Without it, an InheritSIRead racing
-// a cleanup ReleaseAll could resurrect a SIREAD in a shard the release had
-// already drained, leaking the entry forever. It is set under the mutex and
-// read atomically, so stateFor can test it without locking.
+// entryOf returns the entry an owner's list element names.
+func entryOf(h lockstate.Held) *entry { return (*entry)(h.Entry) }
+
+// ownerState is one transaction's lock bookkeeping ("Owner bookkeeping"
+// above), part of its record (core.Txn.Locks). Its mutex is not the record's
+// conflict mutex. Its released flag, set under the mutex and read atomically,
+// marks an initiated ReleaseAll: an InheritSIRead racing the release could
+// otherwise resurrect a SIREAD in a shard already drained, leaking the entry.
 type ownerState = lockstate.Owner
 
 // stateOf returns the owner's bookkeeping, or nil if it never took a lock.
 func stateOf(owner *core.Txn) *ownerState { return owner.LockState() }
 
-// keysMapPool recycles ownerState key maps: an owner takes one with its first
-// grant (grantLocked) and hands it back whenever a release leaves it holding
-// nothing — at cleanup for a transaction whose SIREAD locks outlived it, at
-// commit already for one that had none (every write-only or S2PL
-// transaction). Transaction records stay reachable from the retirement queues
-// (every committed writer is in one until its commit is older than every
-// active snapshot) after their locks are gone, and a map pinned to each,
-// drained or not, would swell the live heap the collector re-scans every
-// cycle. Only the map is pooled — the record that holds the owner state may
-// still be referenced through stale lock-table reads after release (the
-// released flag protocol), so recycling it could alias two owners, which is
-// why core pools no record that ever took a lock; the map is only ever touched
-// under the owner's mutex, which makes its handoff safe.
-var keysMapPool = sync.Pool{New: func() any { return make(map[Key]Mode, 8) }}
+// listPool recycles owner lists. An owner takes one with its first grant and
+// hands it back when a release leaves it holding nothing — at commit already,
+// for a transaction without SIREAD locks — since records stay reachable from
+// the retirement queues after their locks are gone. (Core pools no record
+// that ever took a lock: stale lock-table reads may still reach it.) A
+// release borrows one more list for the entries it takes off.
+var listPool = sync.Pool{New: func() any { l := make([]lockstate.Held, 0, 8); return &l }}
+
+// putList empties l, so it pins no entry while idle, and pools it.
+func putList(l *[]lockstate.Held) {
+	clear(*l)
+	*l = (*l)[:0]
+	listPool.Put(l)
+}
+
+// addHeldLocked puts e on the owner's list; the caller holds the owner's
+// mutex, and the owner held nothing on e.
+func addHeldLocked(os *ownerState, e *entry, hint Mode) {
+	if os.Held == nil {
+		os.Held = listPool.Get().(*[]lockstate.Held)
+	}
+	*os.Held = append(*os.Held, lockstate.Held{Entry: unsafe.Pointer(e), Hint: hint})
+}
 
 // stateFor returns the owner's bookkeeping, marking it used. An owner whose
 // ReleaseAll has begun is retired for good, and acquiring for it again
-// panics: InheritSIRead skips a released owner, so a lock granted to it would
-// not follow its key's splits, and clearing the flag could race a release
-// still draining shards. A transaction that needs locks after a ReleaseAll
-// begins a new record. Only the owner's own goroutine acquires locks, so the
-// used mark needs no lock; see core.Txn.Locks.
+// panics: the release took the list its grant would join, InheritSIRead
+// skips a released owner, and clearing the flag could race a release still
+// draining shards. A transaction that needs locks after a ReleaseAll begins
+// a new record. Only the owner's own goroutine acquires locks, so the used
+// mark needs no lock; see core.Txn.Locks.
 func stateFor(owner *core.Txn) *ownerState {
 	os := owner.Locks()
 	if os.Released() {
@@ -300,12 +302,6 @@ func stateFor(owner *core.Txn) *ownerState {
 	os.MarkUsed()
 	return os
 }
-
-// keyBufPool recycles the key snapshots release takes; Key is two string
-// headers wide, so per-release slices would otherwise be a visible share of
-// the engine's allocation rate. Buffers are cleared before being returned
-// so they pin no table or key bytes while idle.
-var keyBufPool = sync.Pool{New: func() any { s := make([]Key, 0, 32); return &s }}
 
 // Manager is a sharded lock table. The zero value is not usable; call
 // NewManagerShards.
@@ -346,7 +342,7 @@ func NewManagerShards(upgradeSIRead bool, n int) *Manager {
 		wfg:           newWaitGraph(),
 	}
 	for i := range m.shards {
-		m.shards[i] = newShard(i)
+		m.shards[i] = &shard{idx: i, table: make(map[Key]*entry)}
 	}
 	return m
 }
@@ -357,6 +353,7 @@ func (m *Manager) Shards() int { return len(m.shards) }
 // shardIndex maps a key to its shard's position in m.shards with FNV-1a over
 // all key fields.
 func (m *Manager) shardIndex(key Key) uint32 {
+	noteKeyHash()
 	h := core.Fnv32aInit()
 	h = core.Fnv32aString(h, key.Table)
 	h = core.Fnv32aByte(h, byte(key.Kind))
@@ -413,27 +410,28 @@ func (m *Manager) AcquireInto(owner *core.Txn, key Key, mode Mode, buf []*core.T
 		// Re-fetched each probe: the entry can be deleted and recreated
 		// while the spin loop is off the shard mutex.
 		e := s.entryLocked(key)
+		own := e.holders[owner]
 
-		if e.holders[owner]&mode == mode {
-			rivals = rivalsInto(e, owner, mode, buf) // already held
+		if own&mode == mode {
+			rivals = rivalsInto(e, owner, own, mode, buf) // already held
 			s.mu.Unlock()
 			return rivals, nil
 		}
-		if mode == SIRead && e.holders[owner]&Exclusive != 0 && m.upgradeable(key) {
+		if mode == SIRead && own&Exclusive != 0 && m.upgradeable(key.Kind) {
 			// Already upgraded: the exclusive lock subsumes the read lock's
 			// conflict-detection role (our new version is the signal).
 			s.mu.Unlock()
 			return buf, nil
 		}
 
-		conv := e.holders[owner]&(Shared|Exclusive) != 0
-		waitSet := waitSetLocked(e, owner, key, mode, conv, nil)
+		conv := own&(Shared|Exclusive) != 0
+		waitSet := waitSetLocked(e, owner, own, mode, conv, nil)
 		if len(waitSet) == 0 {
 			if blocked {
 				s.spinGrants++
 			}
-			rivals = rivalsInto(e, owner, mode, buf)
-			m.grantLocked(os, e, owner, key, mode)
+			rivals = rivalsInto(e, owner, own, mode, buf)
+			m.grantLocked(os, e, owner, own, mode)
 			if conv && e.q.n > 0 {
 				// A conversion grant can newly block parked waiters (an
 				// upgrade slips past the queue by design); refresh their
@@ -441,7 +439,7 @@ func (m *Manager) AcquireInto(owner *core.Txn, key Key, mode Mode, buf []*core.T
 				// grants never can: blocksOn is symmetric, so a request
 				// that would block a parked waiter would have conflicted
 				// with it in waitSetLocked and parked behind it instead.
-				m.sweepLocked(s, e)
+				m.sweepLocked(e)
 			}
 			s.mu.Unlock()
 			return rivals, nil
@@ -464,7 +462,7 @@ func (m *Manager) AcquireInto(owner *core.Txn, key Key, mode Mode, buf []*core.T
 		// no cycle through a sleeping waiter can be missed — then enqueue
 		// and sleep until a sweep hands the lock over.
 		w := getWaiter()
-		w.owner, w.os, w.key, w.mode, w.conv = owner, os, key, mode, conv
+		w.owner, w.os, w.e, w.mode, w.conv = owner, os, e, mode, conv
 		if !m.wfg.register(w, waitSet) {
 			// No entry GC needed: a non-empty waitSet implies a conflicting
 			// holder or a parked waiter, so the entry is in use.
@@ -508,12 +506,12 @@ func (m *Manager) await(s *shard, w *waiter) ([]*core.Txn, error) {
 		// Timed out, and no signal raced in before we retook the mutex:
 		// withdraw. Later waiters may have queued behind this request, so
 		// sweep the entry after removing it.
-		e := s.table[w.key]
+		e := w.e // alive: w was still queued on it
 		e.q.remove(w)
 		m.wfg.drop(w)
 		s.timeouts++
-		m.sweepLocked(s, e)
-		gcEntryLocked(s, w.key, e)
+		m.sweepLocked(e)
+		gcEntryLocked(e)
 		s.mu.Unlock()
 		putWaiter(w)
 		return nil, core.ErrLockTimeout
@@ -527,14 +525,14 @@ func (m *Manager) await(s *shard, w *waiter) ([]*core.Txn, error) {
 	return rivals, nil
 }
 
-// blockersLocked returns the other owners whose held modes block a request.
-func blockersLocked(e *entry, owner *core.Txn, key Key, mode Mode) []*core.Txn {
+// blockersLocked returns the other owners whose held modes block a request by
+// owner, who holds own on e.
+func blockersLocked(e *entry, owner *core.Txn, own, mode Mode) []*core.Txn {
 	if mode == SIRead {
 		return nil // SIREAD never blocks
 	}
 	// Skip the holder iteration when the counters say nothing can block.
-	own := e.holders[owner]
-	gap := key.Kind == Gap || key.Kind == GapSupremum
+	gap := e.key.Kind == Gap || e.key.Kind == GapSupremum
 	switch mode {
 	case Exclusive:
 		others := e.nShared
@@ -565,7 +563,7 @@ func blockersLocked(e *entry, owner *core.Txn, key Key, mode Mode) []*core.Txn {
 		if h == owner {
 			continue
 		}
-		if blocksOn(key.Kind, mode, held) {
+		if blocksOn(e.key.Kind, mode, held) {
 			out = append(out, h)
 		}
 	}
@@ -573,10 +571,10 @@ func blockersLocked(e *entry, owner *core.Txn, key Key, mode Mode) []*core.Txn {
 }
 
 // rivalsInto appends to out the other owners whose held modes signal a
-// read-write conflict with a request, and returns it, so hot callers can
-// reuse one buffer across acquires instead of allocating per request.
-func rivalsInto(e *entry, owner *core.Txn, mode Mode, out []*core.Txn) []*core.Txn {
-	own := e.holders[owner]
+// read-write conflict with a request by owner, who holds own on e, and
+// returns it, so hot callers can reuse one buffer across acquires instead of
+// allocating per request.
+func rivalsInto(e *entry, owner *core.Txn, own, mode Mode, out []*core.Txn) []*core.Txn {
 	switch mode {
 	case Exclusive:
 		n := e.nSIRead
@@ -609,21 +607,23 @@ func rivalsInto(e *entry, owner *core.Txn, mode Mode, out []*core.Txn) []*core.T
 }
 
 // upgradeable reports whether the §3.7.3 SIREAD→EXCLUSIVE upgrade applies to
-// key. It is sound only for versioned objects (rows, pages), where the new
-// version the writer creates takes over conflict detection. A gap has no
-// version: dropping a gap SIREAD when its owner inserts into its own scanned
-// range would blind phantom detection against later inserts by others.
-func (m *Manager) upgradeable(key Key) bool {
-	return m.upgradeSIRead && (key.Kind == Row || key.Kind == Page)
+// keys of kind. It is sound only for versioned objects (rows, pages), where
+// the new version the writer creates takes over conflict detection. A gap has
+// no version: dropping a gap SIREAD when its owner inserts into its own
+// scanned range would blind phantom detection against later inserts by others.
+func (m *Manager) upgradeable(kind Kind) bool {
+	return m.upgradeSIRead && (kind == Row || kind == Page)
 }
 
-// grantLocked installs the granted mode; the caller holds the mutex of the
-// shard e lives in.
-func (m *Manager) grantLocked(os *ownerState, e *entry, owner *core.Txn, key Key, mode Mode) {
-	prev := e.holders[owner]
+// grantLocked installs mode for owner, who held prev on e (read once by the
+// caller); the caller holds the mutex of e's shard. An owner that held
+// nothing there lists e; one that held only SIRead has its element's hint
+// told of the blocking mode, found from the list's end, where the read that
+// took the SIRead usually left it.
+func (m *Manager) grantLocked(os *ownerState, e *entry, owner *core.Txn, prev, mode Mode) {
 	next := prev | mode
 	lockOwner(os)
-	if mode == Exclusive && prev&SIRead != 0 && m.upgradeable(key) {
+	if mode == Exclusive && prev&SIRead != 0 && m.upgradeable(e.key.Kind) {
 		// §3.7.3: drop the SIREAD lock; the version we create will expose
 		// the conflict to future readers instead.
 		next &^= SIRead
@@ -632,10 +632,16 @@ func (m *Manager) grantLocked(os *ownerState, e *entry, owner *core.Txn, key Key
 	if mode == SIRead && prev&SIRead == 0 {
 		os.SIReads++
 	}
-	if os.Keys == nil {
-		os.Keys = keysMapPool.Get().(map[Key]Mode)
+	if prev == 0 {
+		addHeldLocked(os, e, next)
+	} else if prev&(Shared|Exclusive) == 0 && next&(Shared|Exclusive) != 0 {
+		l := *os.Held
+		i := len(l) - 1
+		for entryOf(l[i]) != e {
+			i--
+		}
+		l[i].Hint = next
 	}
-	os.Keys[key] = next
 	os.Unlock()
 	e.holders[owner] = next
 	e.countModes(prev, next)
@@ -644,109 +650,95 @@ func (m *Manager) grantLocked(os *ownerState, e *entry, owner *core.Txn, key Key
 // ReleaseBlocking releases owner's Shared and Exclusive locks (at commit
 // time, after the log flush) but keeps SIREAD locks, which must survive
 // until the suspended owner is cleaned up.
-func (m *Manager) ReleaseBlocking(owner *core.Txn) {
-	m.release(owner, Shared|Exclusive)
-}
+func (m *Manager) ReleaseBlocking(owner *core.Txn) { m.release(owner, Shared|Exclusive) }
 
 // ReleaseAll releases every lock held by owner, including SIREAD locks. Used
 // on abort and when a suspended transaction is cleaned up.
-func (m *Manager) ReleaseAll(owner *core.Txn) {
-	m.release(owner, Shared|Exclusive|SIRead)
-}
+func (m *Manager) ReleaseAll(owner *core.Txn) { m.release(owner, Shared|Exclusive|SIRead) }
 
-func (m *Manager) release(owner *core.Txn, modes Mode) {
+// release drops the modes in drop from the entries on owner's list whose
+// hint has one of them ("Owner bookkeeping" above). After a ReleaseAll has
+// marked the owner released its SIREAD census is zero.
+func (m *Manager) release(owner *core.Txn, drop Mode) {
 	os := stateOf(owner)
 	if os == nil {
 		return // never held a lock
 	}
-	// Snapshot the affected keys, marking the owner retired first when this
-	// is a ReleaseAll: after the flag is set no key can be added (Inherit
-	// checks it), so the snapshot is complete and the per-shard drain that
-	// follows cannot race a late grant.
-	terminal := modes&SIRead != 0
-	bufp := keyBufPool.Get().(*[]Key)
-	keys := (*bufp)[:0]
+	var l, moved *[]lockstate.Held
 	lockOwner(os)
-	if terminal {
+	if drop&SIRead != 0 {
 		os.MarkReleased()
+		os.SIReads = 0
 	}
-	for key, held := range os.Keys {
-		if held&modes != 0 {
-			keys = append(keys, key)
+	if l = os.Held; l != nil {
+		kept := (*l)[:0]
+		for _, h := range *l {
+			if h.Hint&drop == 0 {
+				kept = append(kept, h)
+				continue
+			}
+			if moved == nil {
+				moved = listPool.Get().(*[]lockstate.Held)
+			}
+			*moved = append(*moved, h)
+		}
+		clear((*l)[len(kept):])
+		if *l = kept; len(kept) > 0 {
+			l = nil // still the owner's
+		} else {
+			os.Held = nil
 		}
 	}
 	os.Unlock()
-
-	for _, key := range keys {
-		s := m.shardOf(key)
-		s.lock()
-		m.releaseKeyLocked(s, os, owner, key, modes)
-		s.mu.Unlock()
+	if l != nil {
+		putList(l)
 	}
-	clear(keys)
-	*bufp = keys[:0]
-	keyBufPool.Put(bufp)
-
-	// An owner left holding nothing gives its map back (see keysMapPool). A
-	// concurrent InheritSIRead cannot be refilling it: it only adds to owners
-	// it finds holding a SIREAD, whose map is therefore not empty.
-	lockOwner(os)
-	var drained map[Key]Mode
-	if len(os.Keys) == 0 {
-		drained, os.Keys = os.Keys, nil
-	}
-	os.Unlock()
-	if drained != nil {
-		clear(drained) // empty already; resets the table's deleted-slot marks
-		keysMapPool.Put(drained)
-	}
-}
-
-// releaseKeyLocked drops owner's modes on one key; the caller holds the
-// key's shard mutex. The held modes are re-read under the locks (not taken
-// from the caller's snapshot) because a concurrent InheritSIRead may have
-// widened them since.
-func (m *Manager) releaseKeyLocked(s *shard, os *ownerState, owner *core.Txn, key Key, modes Mode) {
-	lockOwner(os)
-	held, ok := os.Keys[key]
-	if !ok || held&modes == 0 {
-		os.Unlock()
+	if moved == nil {
 		return
 	}
-	rest := held &^ modes
-	if held&SIRead != 0 && modes&SIRead != 0 {
-		os.SIReads--
+	back := (*moved)[:0]
+	for _, h := range *moved {
+		// The holder set, read under the shard mutex, is the authority on
+		// the modes: a concurrent InheritSIRead may have widened them.
+		e, s := entryOf(h), entryOf(h).s // s read before the drop recycles e
+		s.lock()
+		held := e.holders[owner]
+		rest := held &^ drop
+		e.countModes(held, rest)
+		if rest == 0 {
+			delete(e.holders, owner)
+		} else {
+			e.holders[owner] = rest
+			back = append(back, lockstate.Held{Entry: h.Entry, Hint: rest})
+		}
+		if held&(Shared|Exclusive) != 0 && e.q.n > 0 {
+			// Dropping a blocking mode can unblock parked waiters: sweep the
+			// FIFO queue, handing the lock directly to — and waking only —
+			// waiters that can now be granted.
+			m.sweepLocked(e)
+		}
+		gcEntryLocked(e)
+		s.mu.Unlock()
 	}
-	if rest == 0 {
-		delete(os.Keys, key)
-	} else {
-		os.Keys[key] = rest
+	if len(back) > 0 {
+		lockOwner(os)
+		for _, h := range back {
+			addHeldLocked(os, entryOf(h), h.Hint)
+		}
+		os.Unlock()
 	}
-	os.Unlock()
-
-	e := s.table[key]
-	e.countModes(held, rest)
-	if rest == 0 {
-		delete(e.holders, owner)
-	} else {
-		e.holders[owner] = rest
-	}
-	if held&(Shared|Exclusive) != 0 && e.q.n > 0 {
-		// Dropping a blocking mode can unblock parked waiters: sweep the
-		// FIFO queue, handing the lock directly to — and waking only —
-		// waiters that can now be granted.
-		m.sweepLocked(s, e)
-	}
-	gcEntryLocked(s, key, e)
+	putList(moved)
 }
 
-// gcEntryLocked removes key's entry once nothing holds or waits on it and
-// recycles the record; the caller holds the shard mutex. An empty entry has
-// an empty holders map, an empty queue and zeroed mode counters by
-// construction, so it is reusable as is.
-func gcEntryLocked(s *shard, key Key, e *entry) {
+// gcEntryLocked removes e from its shard's table once nothing holds or waits
+// on it and recycles the record; the caller holds the shard mutex. An empty
+// entry has an empty holders map and queue and zeroed counters by
+// construction, so it is reusable once its key and shard are cleared.
+func gcEntryLocked(e *entry) {
 	if len(e.holders) == 0 && e.q.n == 0 {
-		delete(s.table, key)
+		noteKeyHash()
+		delete(e.s.table, e.key)
+		e.key, e.s = Key{}, nil
 		entryPool.Put(e)
 	}
 }
@@ -830,7 +822,7 @@ func (m *Manager) sireadBatchLocked(s *shard, os *ownerState, owner *core.Txn, k
 		if held&SIRead != 0 {
 			continue
 		}
-		if held&Exclusive != 0 && m.upgradeable(key) {
+		if held&Exclusive != 0 && m.upgradeable(key.Kind) {
 			continue // already upgraded
 		}
 		others := e.nExclusive
@@ -845,7 +837,7 @@ func (m *Manager) sireadBatchLocked(s *shard, os *ownerState, owner *core.Txn, k
 				}
 			}
 		}
-		m.grantLocked(os, e, owner, key, SIRead)
+		m.grantLocked(os, e, owner, held, SIRead)
 	}
 	return rivals
 }
@@ -864,6 +856,7 @@ func (m *Manager) InheritSIRead(src, dst Key) {
 	lockPair(ss, ds)
 	defer unlockPair(ss, ds)
 
+	noteKeyHash()
 	se := ss.table[src]
 	if se == nil {
 		return
@@ -876,7 +869,8 @@ func (m *Manager) InheritSIRead(src, dst Key) {
 		if de == nil {
 			de = ds.entryLocked(dst)
 		}
-		if de.holders[h]&SIRead != 0 {
+		prev := de.holders[h]
+		if prev&SIRead != 0 {
 			continue
 		}
 		hos := stateOf(h) // non-nil: h holds a lock on src
@@ -888,27 +882,29 @@ func (m *Manager) InheritSIRead(src, dst Key) {
 			hos.Unlock()
 			continue
 		}
-		mode := de.holders[h] | SIRead
-		hos.Keys[dst] = mode
+		if prev == 0 {
+			addHeldLocked(hos, de, SIRead) // listed ⇔ a holder of de
+		}
 		hos.SIReads++
 		hos.Unlock()
-		de.countModes(de.holders[h], mode)
-		de.holders[h] = mode
+		de.countModes(prev, prev|SIRead)
+		de.holders[h] = prev | SIRead
+	}
+	if de != nil {
+		gcEntryLocked(de) // every SIREAD holder of src was released
 	}
 }
 
 // lockPair locks one or two shards without self-deadlock: equal shards are
 // locked once, distinct shards always in ascending index order.
 func lockPair(a, b *shard) {
-	if a == b {
-		a.lock()
-		return
-	}
 	if a.idx > b.idx {
 		a, b = b, a
 	}
 	a.lock()
-	b.lock()
+	if a != b {
+		b.lock()
+	}
 }
 
 func unlockPair(a, b *shard) {
@@ -936,6 +932,7 @@ func (m *Manager) Holds(owner *core.Txn, key Key, mode Mode) bool {
 	s := m.shardOf(key)
 	s.lock()
 	defer s.mu.Unlock()
+	noteKeyHash()
 	e := s.table[key]
 	return e != nil && e.holders[owner]&mode == mode
 }
@@ -947,6 +944,7 @@ func (m *Manager) DumpKey(key Key) string {
 	s := m.shardOf(key)
 	s.lock()
 	defer s.mu.Unlock()
+	noteKeyHash()
 	e := s.table[key]
 	if e == nil {
 		return fmt.Sprintf("%s: no entry", key)

@@ -2,6 +2,7 @@ package lock
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"ssi/internal/core"
@@ -12,7 +13,8 @@ import (
 // transaction record (core.Txn.Locks), so a fresh record's first lock — a
 // point acquire in each mode, and a scan's batch — allocates nothing once the
 // lock table's pools are warm: not the owner state, which is already there,
-// nor its key map, entries or key snapshots, which are recycled.
+// nor its list of held entries, the entries or the release scratch, which
+// are recycled.
 func TestFirstAcquireAllocBudget(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("sync.Pool drops items at random under -race; the budget assumes it does not")
@@ -147,7 +149,7 @@ func TestLockedRecordIsNeverPooled(t *testing.T) {
 }
 
 // TestReleasedOwnerKeepsNoKeyMap: once ReleaseAll has run, the owner state in
-// the record holds no key map and no SIREAD count — whatever it held, in
+// the record holds no list of entries and no SIREAD count — whatever it held, in
 // whatever mode, on however many shards, inherited or not — so a record kept
 // alive by a retirement queue or a partner's reference pins no lock
 // bookkeeping. The owner is retired for good: it may not lock again, and an
@@ -173,17 +175,20 @@ func TestReleasedOwnerKeepsNoKeyMap(t *testing.T) {
 	}
 	m.InheritSIRead(keys[0], GapKey("t", []byte("k00")))
 	os := stateOf(r)
-	if len(os.Keys) != len(keys)+1 || os.SIReads != 33 {
-		t.Fatalf("before the release: %d keys, %d SIREADs, want %d and 33", len(os.Keys), os.SIReads, len(keys)+1)
+	if listed(os) != len(keys)+1 || os.SIReads != 33 {
+		t.Fatalf("before the release: %d keys, %d SIREADs, want %d and 33", listed(os), os.SIReads, len(keys)+1)
 	}
+	checkOwner(t, m, r)
 	m.ReleaseBlocking(r)
-	if len(os.Keys) != 33 || os.SIReads != 33 || os.Released() {
-		t.Fatalf("after ReleaseBlocking: %d keys, %d SIREADs, released %v, want 33, 33 and false", len(os.Keys), os.SIReads, os.Released())
+	if listed(os) != 33 || os.SIReads != 33 || os.Released() {
+		t.Fatalf("after ReleaseBlocking: %d keys, %d SIREADs, released %v, want 33, 33 and false", listed(os), os.SIReads, os.Released())
 	}
+	checkOwner(t, m, r)
 	m.ReleaseAll(r)
-	if os.Keys != nil || os.SIReads != 0 || !os.Released() || !os.Used() {
-		t.Fatalf("after ReleaseAll: key map %v, %d SIREADs, released %v, used %v; want nil, 0, true, true", os.Keys, os.SIReads, os.Released(), os.Used())
+	if os.Held != nil || os.SIReads != 0 || !os.Released() || !os.Used() {
+		t.Fatalf("after ReleaseAll: list %v, %d SIREADs, released %v, used %v; want nil, 0, true, true", os.Held, os.SIReads, os.Released(), os.Used())
 	}
+	checkOwner(t, m, r)
 	if m.HoldsSIRead(r) {
 		t.Error("a released owner still reports SIREAD locks")
 	}
@@ -200,4 +205,129 @@ func TestReleasedOwnerKeepsNoKeyMap(t *testing.T) {
 		}
 	}()
 	m.Acquire(r, keys[0], SIRead)
+}
+
+// listed returns how many entries os lists.
+func listed(os *ownerState) int {
+	if os.Held == nil {
+		return 0
+	}
+	return len(*os.Held)
+}
+
+// checkOwner checks owner's bookkeeping against a quiet lock table: every
+// listed entry is in its shard's table under its own key and holds owner,
+// once; every entry holding owner is listed; a listed entry's hint names a
+// blocking mode exactly when owner holds one there; and SIReads counts the
+// entries owner holds with SIRead.
+func checkOwner(t *testing.T, m *Manager, owner *core.Txn) {
+	t.Helper()
+	held := make(map[*entry]Mode)
+	for _, s := range m.shards {
+		s.mu.Lock()
+		for k, e := range s.table {
+			if e.key != k || e.s != s {
+				t.Errorf("entry of %v names key %v in shard %p, not its own shard %p", k, e.key, e.s, s)
+			}
+			if mode, ok := e.holders[owner]; ok {
+				held[e] = mode
+			}
+		}
+		s.mu.Unlock()
+	}
+	os := owner.Locks()
+	os.Lock()
+	defer os.Unlock()
+	seen := make(map[*entry]bool)
+	if os.Held != nil {
+		for _, h := range *os.Held {
+			e := entryOf(h)
+			if seen[e] {
+				t.Errorf("transaction %d lists %v twice", owner.ID(), e.key)
+			}
+			seen[e] = true
+			mode, ok := held[e]
+			if !ok {
+				t.Errorf("transaction %d lists an entry that does not hold it", owner.ID())
+				continue
+			}
+			if blocking := Shared | Exclusive; (mode&blocking != 0) != (h.Hint&blocking != 0) {
+				t.Errorf("transaction %d holds %v on %v, its hint says %v", owner.ID(), mode, e.key, h.Hint)
+			}
+		}
+	}
+	sireads := int32(0)
+	for e, mode := range held {
+		if !seen[e] {
+			t.Errorf("transaction %d holds %v on %v but does not list it", owner.ID(), mode, e.key)
+		}
+		if mode&SIRead != 0 {
+			sireads++
+		}
+	}
+	if os.SIReads != sireads {
+		t.Errorf("transaction %d counts %d SIREADs, holds %d", owner.ID(), os.SIReads, sireads)
+	}
+}
+
+// TestInheritRacesRelease: inserts that split the gaps a reader scanned
+// (InheritSIRead from each scanned gap to the new one) race the reader's
+// ReleaseBlocking, and then its ReleaseAll. The reader also holds an
+// exclusive lock on one of its gaps, so the first release puts that entry
+// back on its list as a SIREAD, and a second reader holds half the gaps, so
+// their entries outlive the first reader's release. After each phase the
+// bookkeeping matches the table (checkOwner); at the end the table is empty
+// and no owner lists an entry.
+func TestInheritRacesRelease(t *testing.T) {
+	mgr := core.NewManager(core.DetectorBasic)
+	m := NewManagerShards(true, 8)
+	gaps := make([]Key, 16)
+	for i := range gaps {
+		gaps[i] = GapKey("t", []byte(fmt.Sprintf("g%02d", i)))
+	}
+	for round := 0; round < 100; round++ {
+		r, o := mgr.Begin(core.SerializableSI), mgr.Begin(core.SerializableSI)
+		m.AcquireSIReadBatchInto(r, gaps, nil)
+		m.AcquireSIReadBatchInto(o, gaps[:8], nil)
+		for _, k := range []Key{gaps[3], RowKey("t", []byte("a")), RowKey("t", []byte("b"))} {
+			if _, err := m.Acquire(r, k, Exclusive); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// race runs release beside two goroutines that each split every
+		// scanned gap once.
+		race := func(phase string, release func(*core.Txn)) {
+			var wg sync.WaitGroup
+			start := make(chan struct{})
+			for g := 0; g < 2; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					<-start
+					for i, src := range gaps {
+						m.InheritSIRead(src, GapKey("t", []byte(fmt.Sprintf("g%02d-%s-%d", i, phase, g))))
+					}
+				}()
+			}
+			close(start)
+			release(r)
+			wg.Wait()
+			checkOwner(t, m, r)
+			checkOwner(t, m, o)
+		}
+		race("blocking", m.ReleaseBlocking)
+		if m.Holds(r, gaps[3], Exclusive) || !m.Holds(r, gaps[3], SIRead) || !m.HoldsSIRead(r) {
+			t.Fatalf("round %d: after ReleaseBlocking the reader should hold its gap SIREADs only", round)
+		}
+		race("all", m.ReleaseAll)
+		m.ReleaseAll(o)
+		if listed(r.Locks()) != 0 || listed(o.Locks()) != 0 {
+			t.Fatalf("round %d: released owners list %d and %d entries", round, listed(r.Locks()), listed(o.Locks()))
+		}
+		if st := m.StatsSnapshot(); st.Keys != 0 || st.Owners != 0 {
+			t.Fatalf("round %d: lock table not drained: %+v", round, st)
+		}
+		mgr.Abort(r)
+		mgr.Abort(o)
+	}
 }

@@ -12,9 +12,9 @@ import (
 
 // TestDrainedKeyMapDetaches: an owner left holding nothing by a non-terminal
 // release — the commit of every write-only or S2PL transaction — gives its
-// key map back instead of carrying the emptied buckets for as long as the
-// versions it wrote keep its record alive; a SIREAD holder keeps its map
-// until the terminal release; and the owner can go on acquiring either way.
+// list of entries back instead of carrying it for as long as the versions it
+// wrote keep its record alive; a SIREAD holder keeps its list until the
+// terminal release; and the owner can go on acquiring either way.
 func TestDrainedKeyMapDetaches(t *testing.T) {
 	mgr := core.NewManager(core.DetectorBasic)
 	m := NewManagerShards(true, 8)
@@ -27,14 +27,15 @@ func TestDrainedKeyMapDetaches(t *testing.T) {
 		}
 	}
 	m.ReleaseBlocking(w)
-	if os := stateOf(w); os.Keys != nil || os.Released() {
-		t.Fatalf("after a write-only commit: key map %v (want nil), released %v (want false)", os.Keys, os.Released())
+	checkOwner(t, m, w)
+	if os := stateOf(w); os.Held != nil || os.Released() {
+		t.Fatalf("after a write-only commit: list %v (want nil), released %v (want false)", os.Held, os.Released())
 	}
 	if _, err := m.Acquire(w, key(1), Exclusive); err != nil {
 		t.Fatal(err)
 	}
-	if !m.Holds(w, key(1), Exclusive) || len(stateOf(w).Keys) != 1 {
-		t.Fatalf("acquire after the drain: holds=%v, %d keys recorded, want true and 1", m.Holds(w, key(1), Exclusive), len(stateOf(w).Keys))
+	if !m.Holds(w, key(1), Exclusive) || listed(stateOf(w)) != 1 {
+		t.Fatalf("acquire after the drain: holds=%v, %d keys recorded, want true and 1", m.Holds(w, key(1), Exclusive), listed(stateOf(w)))
 	}
 	m.ReleaseAll(w)
 
@@ -46,17 +47,19 @@ func TestDrainedKeyMapDetaches(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.ReleaseBlocking(r)
-	if got := len(stateOf(r).Keys); got != 1 || !m.HoldsSIRead(r) {
+	checkOwner(t, m, r)
+	if got := listed(stateOf(r)); got != 1 || !m.HoldsSIRead(r) {
 		t.Fatalf("SIREAD holder after commit: %d keys recorded, HoldsSIRead=%v, want 1 and true", got, m.HoldsSIRead(r))
 	}
-	// Inheritance lands in the map the owner kept.
+	// Inheritance lands in the list the owner kept.
 	m.InheritSIRead(key(1), key(3))
-	if !m.Holds(r, key(3), SIRead) || len(stateOf(r).Keys) != 2 {
-		t.Fatalf("inherited SIREAD not recorded: holds=%v, %d keys", m.Holds(r, key(3), SIRead), len(stateOf(r).Keys))
+	if !m.Holds(r, key(3), SIRead) || listed(stateOf(r)) != 2 {
+		t.Fatalf("inherited SIREAD not recorded: holds=%v, %d keys", m.Holds(r, key(3), SIRead), listed(stateOf(r)))
 	}
+	checkOwner(t, m, r)
 	m.ReleaseAll(r)
-	if stateOf(r).Keys != nil {
-		t.Fatal("key map still attached after ReleaseAll")
+	if stateOf(r).Held != nil {
+		t.Fatal("list still attached after ReleaseAll")
 	}
 	if st := m.StatsSnapshot(); st.Keys != 0 || st.Owners != 0 {
 		t.Fatalf("lock table not drained: %+v", st)
@@ -68,7 +71,7 @@ func TestDrainedKeyMapDetaches(t *testing.T) {
 // are released in a single ReleaseAll — the burst a batched cleanup of
 // suspended transactions produces — and the next owners to lock those 10 000
 // keys allocate nothing per key: no entry, no holders map, and (the drained
-// key map being recycled too) no bookkeeping growth.
+// list being recycled too) no bookkeeping growth.
 func TestEntryRecycleAllocBudget(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("sync.Pool drops items at random under -race; the budget assumes it does not")

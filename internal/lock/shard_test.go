@@ -293,7 +293,7 @@ func TestSIReadBatchGroupsByShard(t *testing.T) {
 					t.Errorf("key %v not granted", k)
 				}
 			}
-			if got := len(stateOf(reader).Keys); got != len(keys)-1 {
+			if got := listed(stateOf(reader)); got != len(keys)-1 {
 				t.Errorf("reader holds %d keys, want %d", got, len(keys)-1)
 			}
 

@@ -6,34 +6,17 @@ import (
 	"ssi/internal/core"
 )
 
-// This file implements the contended half of Acquire: the per-entry FIFO
-// wait queue and the direct-handoff grant protocol.
-//
-// The first implementation of the sharded lock table parked every blocked
-// request on a per-entry condition variable and woke the whole herd with
-// Broadcast on each release. Under S2PL at high multiprogramming that is a
-// latch convoy: every wakeup re-acquires the shard mutex, re-scans the
-// holder map, re-registers its waits-for edges (allocating a fresh edge map
-// under the global graph mutex each time), and usually goes back to sleep.
-// The paper's own production story hit the same wall — Ports & Grittner
-// (VLDB 2012) describe replacing PostgreSQL's SIREAD bookkeeping broadcast
-// paths with targeted wakeups when productionising SSI.
-//
-// The redesign: a blocked request first spins briefly (dropping the shard
-// mutex between probes) and touches no shared wait state at all; only when
-// the spin fails does it enqueue a waiter record in the entry's FIFO queue
-// and register its waits-for edges — always before sleeping, so immediate
-// deadlock detection never misses a parked cycle. A release (or a grant
-// that can change who blocks whom) sweeps the queue in FIFO order, grants
-// every waiter that is now compatible *on the waiter's behalf* (installing
-// the lock and capturing its rival set under the same shard-mutex hold),
-// and signals exactly those waiters: one wakeup per grant, no herd. FIFO
-// order plus the rule that a fresh request may not overtake a parked
-// conflicting one gives anti-starvation for free.
+// This file implements the contended half of Acquire (see "Contended path"
+// in the package comment): the per-entry FIFO wait queue and the
+// direct-handoff grant protocol. A request that outlives its spin registers
+// its waits-for edges before it sleeps, so immediate deadlock detection never
+// misses a parked cycle; a sweep grants every waiter that is now compatible
+// on the waiter's behalf (installing the lock and capturing its rivals under
+// the same shard-mutex hold) and signals exactly those waiters.
 type waiter struct {
 	owner *core.Txn
 	os    *ownerState
-	key   Key
+	e     *entry // the entry queued on, alive while the waiter is queued
 	mode  Mode
 	// conv marks a conversion: the owner already holds a blocking-relevant
 	// mode (Shared or Exclusive) on the entry. Conversions wait on holders
@@ -103,7 +86,7 @@ func putWaiter(w *waiter) {
 	case <-w.ready:
 	default:
 	}
-	w.owner, w.os, w.key = nil, nil, Key{}
+	w.owner, w.os, w.e = nil, nil, nil
 	w.mode, w.conv = 0, false
 	w.edges = nil
 	w.granted, w.deadlock = false, false
@@ -177,13 +160,13 @@ func (q *waitQueue) remove(w *waiter) {
 // (the whole queue) for a request that has not parked yet. The returned
 // slice is duplicate-free so edge-set comparison can be a length check plus
 // membership probes.
-func waitSetLocked(e *entry, owner *core.Txn, key Key, mode Mode, conv bool, before *waiter) []*core.Txn {
-	out := blockersLocked(e, owner, key, mode)
+func waitSetLocked(e *entry, owner *core.Txn, own, mode Mode, conv bool, before *waiter) []*core.Txn {
+	out := blockersLocked(e, owner, own, mode)
 	if conv {
 		return out
 	}
 	for w := e.q.head; w != nil && w != before; w = w.next {
-		if w.owner == owner || !blocksOn(key.Kind, mode, w.mode) {
+		if w.owner == owner || !blocksOn(e.key.Kind, mode, w.mode) {
 			continue
 		}
 		if !containsTxn(out, w.owner) {
@@ -209,20 +192,22 @@ func containsTxn(ts []*core.Txn, t *core.Txn) bool {
 // waiter that is now unblocked, refreshes the waits-for edges of those that
 // remain (skipping the graph entirely when a waiter's blocker set is
 // unchanged), and aborts a waiter as deadlock victim if its refreshed edges
-// close a cycle. The caller holds s.mu; grants made inside the sweep are
-// visible to the recomputation of every later waiter, preserving FIFO
-// semantics within one pass.
-func (m *Manager) sweepLocked(s *shard, e *entry) {
+// close a cycle. The caller holds the mutex of e's shard; grants made inside
+// the sweep are visible to the recomputation of every later waiter,
+// preserving FIFO semantics within one pass.
+func (m *Manager) sweepLocked(e *entry) {
+	s := e.s
 	for again := true; again; {
 		again = false
 		for w := e.q.head; w != nil && !again; {
 			next := w.next
-			ws := waitSetLocked(e, w.owner, w.key, w.mode, w.conv, w)
+			own := e.holders[w.owner]
+			ws := waitSetLocked(e, w.owner, own, w.mode, w.conv, w)
 			switch {
 			case len(ws) == 0:
 				e.q.remove(w)
-				w.rivals = rivalsInto(e, w.owner, w.mode, nil)
-				m.grantLocked(w.os, e, w.owner, w.key, w.mode)
+				w.rivals = rivalsInto(e, w.owner, own, w.mode, nil)
+				m.grantLocked(w.os, e, w.owner, own, w.mode)
 				m.wfg.drop(w)
 				w.granted = true
 				s.wakeups++

@@ -2,9 +2,10 @@
 
 package lock
 
-// The work hooks count lock-table requests and mutex acquisitions. They do
-// nothing outside the workcount build, in which work_count.go records them
-// for the work budgets.
+// The work hooks count lock-table requests, mutex acquisitions and key
+// hashes. They do nothing outside the workcount build, in which
+// work_count.go records them for the work budgets.
 func noteAcquires(int) {}
 func noteShardLock()   {}
 func noteOwnerLock()   {}
+func noteKeyHash()     {}

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // Mode is a lock mode. Modes are bit flags because one owner can hold
@@ -91,21 +92,28 @@ func (k Key) Page() uint32 {
 	return uint32(k.K[0])<<24 | uint32(k.K[1])<<16 | uint32(k.K[2])<<8 | uint32(k.K[3])
 }
 
-// Owner is one transaction's lock bookkeeping: the keys it holds, with their
-// modes, and how many of them it holds with SIRead. It is embedded in the
-// transaction's record, so no owner registry exists and a transaction's first
-// lock allocates no bookkeeping; package lock defines what every field means
-// and when it may change.
+// Owner is one transaction's lock bookkeeping: the lock-table entries it
+// holds a mode on, and how many of them it holds with SIRead. It is embedded
+// in the transaction's record, so no owner registry exists and a first lock
+// allocates no bookkeeping; package lock defines what every field means and
+// when it may change.
 //
-// The mutex guards Keys and SIReads. The two flags share one atomic word, so
-// they can be tested without it: used is set by the owner's goroutine before
-// its first lock and never cleared, released once a terminal release has
-// begun (and under the mutex).
+// The mutex guards Held, with the list it points to, and SIReads. The two
+// flags share one atomic word, so they can be tested without it: used is set
+// by the owner's goroutine before its first lock and never cleared, released
+// once a terminal release has begun (and under the mutex).
 type Owner struct {
 	sync.Mutex
-	Keys    map[Key]Mode // nil while the owner holds nothing
-	SIReads int32        // how many keys of Keys are held with SIRead
+	Held    *[]Held // nil while the owner holds nothing
+	SIReads int32   // how many listed entries the owner holds with SIRead
 	flags   atomic.Uint32
+}
+
+// Held is an element of an owner's list: a lock-table entry (package lock's
+// *entry) the owner holds a mode on, and a hint of that mode.
+type Held struct {
+	Entry unsafe.Pointer
+	Hint  Mode
 }
 
 const (

@@ -43,7 +43,7 @@ func promotedReader(t *testing.T, db *ssidb.DB, runs uint64) (reader, promotedAl
 
 // TestLockWorkBudget counts what the lock manager does per transaction, in
 // the workcount build only (the default build compiles the hooks to
-// nothing): run it, and TestStoreWorkBudget, with
+// nothing): run it, and TestStoreWorkBudget and TestCoreWorkBudget, with
 //
 //	go test -tags workcount -run WorkBudget .
 //
@@ -53,17 +53,29 @@ func promotedReader(t *testing.T, db *ssidb.DB, runs uint64) (reader, promotedAl
 // shard mutex. The commit releases the two exclusive locks (one shard hold
 // each) and, the transaction's commit preceding every active snapshot on this
 // quiet database, its own retirement releases the four SIREADs (one each):
-// 12 shard holds. The owner's mutex is held once per grant (6), once per key
-// released (6), and around each of the two releases' key snapshot and map
-// hand-back (4), plus once to ask whether SIREAD locks are left at commit: 17.
+// 12 shard holds. The owner's mutex is held once per grant (6), once by each
+// of the two releases to take its entries off the owner's list (2) — the
+// commit puts none back, as it leaves no SIREAD on a row it wrote — and once
+// to ask whether SIREAD locks are left at commit: 9. Every lock is on a key
+// no other transaction holds, so its acquire hashes the key three times
+// (shardIndex, the table lookup that misses, the insert) and its release once
+// (the delete of the emptied entry; the release reaches the entry and its
+// shard through the owner's list): 24 key hashes. (With the owner's key map
+// the same transaction held the owner's mutex 17 times — once per key
+// released and twice more per release — and hashed each key 9 times: twice
+// in shardIndex, four times in the shard's table and three in the key map,
+// 54 in all.)
+//
 // A SmallBank Amalgamate reads 5 rows (the two customers' account rows, the
 // first one's saving and checking balances and the second one's checking
 // balance) and writes 3 of them (both checking balances, the first saving
 // balance): 8 requests, one shard hold each. Each exclusive lock is on a row
 // the transaction read, so its grant discards that row's SIREAD (§3.7.3); the
 // commit releases the 3 exclusive locks and the retirement the 2 SIREADs left
-// on the account rows: 13 shard holds. Owner mutex: 8 grants, 5 keys
-// released, 4 for the two releases, 1 at commit: 18.
+// on the account rows: 13 shard holds. Owner mutex: 8 grants, 1 per release,
+// 1 at commit: 11. Key hashes: 3 per row read, 2 per write (shardIndex and
+// the lookup that finds the read's entry), 1 per entry emptied by a release:
+// 15 + 6 + 5 = 26.
 //
 // A declared read-only reader promoted to a safe snapshot at its first read —
 // the scan-readmostly reader, 4 Gets and a 64-row Scan — takes no lock and
@@ -86,13 +98,13 @@ func TestLockWorkBudget(t *testing.T) {
 				}
 				got := lock.ReadWork().Sub(before)
 				t.Logf("%s: %+v over %d transactions", what, got, n)
-				if got != (lock.Work{Acquires: n * want.Acquires, ShardLocks: n * want.ShardLocks, OwnerLocks: n * want.OwnerLocks}) {
+				if got != (lock.Work{Acquires: n * want.Acquires, ShardLocks: n * want.ShardLocks, OwnerLocks: n * want.OwnerLocks, KeyHashes: n * want.KeyHashes}) {
 					t.Errorf("%s: %+v over %d transactions, want %+v each", what, got, n, want)
 				}
 			}
 
 			exact("4 Gets + 2 Puts", shapedTxn(t, db, ssidb.SerializableSI, txnShape{gets: 4, puts: 2}),
-				lock.Work{Acquires: 6, ShardLocks: 12, OwnerLocks: 17})
+				lock.Work{Acquires: 6, ShardLocks: 12, OwnerLocks: 9, KeyHashes: 24})
 
 			bank := ssidb.Open(ssidb.Options{Detector: ssidb.DetectorPrecise, TableShards: tshards, LockShards: 8})
 			if err := smallbank.Load(bank, smallbank.DefaultConfig()); err != nil {
@@ -104,7 +116,7 @@ func TestLockWorkBudget(t *testing.T) {
 				if err := bank.Run(ssidb.SerializableSI, func(tx *ssidb.Txn) error { return smallbank.Amalgamate(tx, acct, acct+1) }); err != nil {
 					t.Fatal(err)
 				}
-			}, lock.Work{Acquires: 8, ShardLocks: 13, OwnerLocks: 18})
+			}, lock.Work{Acquires: 8, ShardLocks: 13, OwnerLocks: 11, KeyHashes: 26})
 
 			reader, promotedAll := promotedReader(t, db, n+1)
 			exact("promoted reader, 4 Gets + a 64-row Scan", reader, lock.Work{})
@@ -180,4 +192,57 @@ func TestStoreWorkBudget(t *testing.T) {
 			promotedAll()
 		})
 	}
+}
+
+// TestCoreWorkBudget counts what the conflict core does per transaction, in
+// the workcount build: MarkConflict calls, and entries queued on and drained
+// from the registry shards' retirement queues.
+//
+// On a quiet database no transaction overlaps another, so a lock finds no
+// concurrent rival and no read a concurrent writer: no MarkConflict call. A
+// committed writer is queued once — it holds SIREAD locks, and it hands its
+// written rows to the retire hook — and, its commit preceding every active
+// snapshot, drained by its own FinishWith: 1 queued and 1 drained, for the
+// kv-uniform transaction and the SmallBank Amalgamate alike. The promoted
+// scan-readmostly reader holds no lock and writes nothing, so it is never
+// queued: 0, 0, 0.
+func TestCoreWorkBudget(t *testing.T) {
+	db := ssidb.Open(ssidb.Options{Detector: ssidb.DetectorPrecise, LockShards: 8})
+	if err := kvmix.Load(db, kvmix.DefaultConfig()); err != nil {
+		t.Fatal(err)
+	}
+	const n = 500
+	// exact runs one warm-up and then n transactions, and holds their total
+	// work to exactly n times want.
+	exact := func(what string, run func(), want core.Work) {
+		run()
+		before := core.ReadWork()
+		for i := 0; i < n; i++ {
+			run()
+		}
+		got := core.ReadWork().Sub(before)
+		t.Logf("%s: %+v over %d transactions", what, got, n)
+		if got != (core.Work{Marks: n * want.Marks, Queued: n * want.Queued, Drained: n * want.Drained}) {
+			t.Errorf("%s: %+v over %d transactions, want %+v each", what, got, n, want)
+		}
+	}
+
+	exact("4 Gets + 2 Puts", shapedTxn(t, db, ssidb.SerializableSI, txnShape{gets: 4, puts: 2}),
+		core.Work{Queued: 1, Drained: 1})
+
+	bank := ssidb.Open(ssidb.Options{Detector: ssidb.DetectorPrecise, LockShards: 8})
+	if err := smallbank.Load(bank, smallbank.DefaultConfig()); err != nil {
+		t.Fatal(err)
+	}
+	acct := 0
+	exact("Amalgamate", func() {
+		acct = (acct + 2) % smallbank.DefaultConfig().Accounts
+		if err := bank.Run(ssidb.SerializableSI, func(tx *ssidb.Txn) error { return smallbank.Amalgamate(tx, acct, acct+1) }); err != nil {
+			t.Fatal(err)
+		}
+	}, core.Work{Queued: 1, Drained: 1})
+
+	reader, promotedAll := promotedReader(t, db, n+1)
+	exact("promoted reader, 4 Gets + a 64-row Scan", reader, core.Work{})
+	promotedAll()
 }
