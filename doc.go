@@ -28,9 +28,9 @@
 //	                   Shared [2]
 //	GetForUpdate [9]   Exclusive           as writer [3]    row k [8]                    leaf of k; interior pages in   row: versions of k        R F | W U D
 //	                                                                                     the level's read mode          page: stamps of k's leaf
-//	Put Insert Delete  Exclusive           as writer        row k [8]                    as GetForUpdate; afterwards    as above                  K R F | W U D
+//	Put Insert Delete  Exclusive [10]      as writer        row k [8]                    as GetForUpdate; afterwards    as above                  K R F | W U D
 //	  (k has a chain)                                                                    stamp the leaf
-//	Put Insert Delete  Exclusive           as writer, gap   gap before succ(k) [5], row  the whole path Exclusive if    as above                  K R F | W U D
+//	Put Insert Delete  Exclusive [10]      as writer, gap   gap before succ(k) [5], row  the whole path Exclusive if    as above                  K R F | W U D
 //	  (structural [4])                     holders too      k; once installed, SIREADs   the leaf will split (interior
 //	                                                        on that gap also cover the   pages stamped too), else as
 //	                                                        gap before k; re-lock it     above
@@ -73,15 +73,29 @@
 //	    and then reads the versions, checks First-Committer-Wins, installs and
 //	    — on abort — undoes its write through the same handle, with no further
 //	    descent. The look-up reads no row state, so the order of Figures 3.4
-//	    and 3.5 stands: lock first, then read. A key that has no chain is
-//	    locked under a copy of k and looked up again once the lock is held; a
-//	    write makes that copy once (mvcc.Absent). If the write inserts the
-//	    row, the tree copies k into its own key arena; the lock's copy dies
-//	    with the lock.
+//	    and 3.5 stands: lock first, then read. An explicit lock on a key that
+//	    has no chain is taken under a copy of k, and the key looked up again
+//	    once the lock is held; a SI or SSI write to such a key copies nothing
+//	    but what the tree keeps: it inserts k into the tree's key arena in its
+//	    latch hold ([10]), and names the row by that copy.
 //	[9] A value returned (Get, GetForUpdate) or shown to a Scan callback
 //	    aliases the stored version: it is read-only, and its capacity equals
 //	    its length, so an append copies instead of writing into the store or
 //	    into another reader's result.
+//	[10] At row granularity a SI or SSI write's row lock is implicit: its
+//	    uncommitted version, until the writer commits or aborts (package lock,
+//	    "Implicit row locks"). The write decides and installs in one
+//	    exclusive latch hold (mvcc.Table.Claim): its own head is overwritten;
+//	    a head committed after its snapshot is W; a head another writer still
+//	    holds sends it to wait; otherwise it probes the row's lock-table entry
+//	    — a lookup, never an insert — for the SIREAD holders to mark and for a
+//	    blocking lock, and installs. A write that must wait converts the head
+//	    writer's implicit lock into an Exclusive entry held on its behalf, or
+//	    acquires behind the blocking entry, waits in the table (D) and claims
+//	    again; so does every explicit blocking grant on the row — S2PL's reads
+//	    and writes and GetForUpdate, which keep their lock-table entries — once
+//	    granted. A read of a row whose head is the transaction's own version
+//	    takes no SIREAD there, as a held Exclusive entry would not (§3.7.3).
 //
 // Handle lifetime. The *ssidb.Txn a begin returns is the caller's: it may be
 // kept past Commit, Abort or the return of Run and RunRetry, and from then on

@@ -237,8 +237,9 @@ func childIndex[V any, K probe](n *node[V], key K, h uint32) int {
 // findLeaf walks from the root to the leaf that contains (or would contain)
 // key, whose head is h.
 func findLeaf[V any, K probe](t *TreeOf[V], key K, h uint32) *node[V] {
+	noteDescent()
 	n := t.root
-	for !n.leaf() {
+	for noteNode(); !n.leaf(); noteNode() {
 		n = n.children[childIndex(n, key, h)]
 	}
 	return n
@@ -278,7 +279,9 @@ func (t *TreeOf[V]) LeafPage(key []byte) uint32 {
 // as Berkeley DB's btree does while descending.
 func (t *TreeOf[V]) AppendPathPages(path []uint32, key []byte) []uint32 {
 	h := head(key)
+	noteDescent()
 	for n := t.root; ; n = n.children[childIndex(n, key, h)] {
+		noteNode()
 		path = append(path, n.page)
 		if n.leaf() {
 			return path
@@ -314,11 +317,19 @@ func (t *TreeOf[V]) LookupOrInsert(key []byte, val V) (stored string, actual V, 
 	return keyAt(t.insertNew(key, val)), val, false
 }
 
+// Insert stores val under a copy of key, which must be absent — a caller
+// whose Lookup just missed, under the same latch hold — and returns the
+// tree's copy: LookupOrInsert without its lookup.
+func (t *TreeOf[V]) Insert(key []byte, val V) (stored string) {
+	return keyAt(t.insertNew(key, val))
+}
+
 // insertNew copies key, which is absent, into the arena, files it with val
 // and returns the stored copy.
 func (t *TreeOf[V]) insertNew(key []byte, val V) *byte {
 	p := t.keys.store(key)
 	h := head(key)
+	noteDescent()
 	if sep, sh, right := t.insertInto(t.root, key, h, p, val, true); right != nil {
 		r := t.newNode(false)
 		r.put(0, sep, sh)
@@ -335,6 +346,7 @@ func (t *TreeOf[V]) insertNew(key []byte, val V) *byte {
 // returns the new right sibling and the separator between the two, with its
 // head.
 func (t *TreeOf[V]) insertInto(n *node[V], key []byte, h uint32, p *byte, val V, edge bool) (sep *byte, sepHead uint32, right *node[V]) {
+	noteNode()
 	if n.leaf() {
 		at, _ := search(n, key, h)
 		if len(n.keys) < t.maxKeys {

@@ -83,3 +83,44 @@ func TestDescentWorkBudget(t *testing.T) {
 		})
 	}
 }
+
+// TestDescentCountWorkBudget: every descent from the root — a lookup, an
+// insert, an iterator or successor seek, a page-path walk — counts once, and
+// enters one page per level of the tree, the leaf included.
+func TestDescentCountWorkBudget(t *testing.T) {
+	tr := New(4)
+	for i := range 1000 {
+		tr.GetOrInsert(binary.BigEndian.AppendUint32(nil, uint32(2*i)), nil)
+	}
+	levels := uint64(1)
+	for n := tr.root; !n.leaf(); n = n.children[0] {
+		levels++
+	}
+	key := func(i int) []byte { return binary.BigEndian.AppendUint32(nil, uint32(i)) }
+	for _, c := range []struct {
+		name     string
+		op       func()
+		descents uint64
+	}{
+		{"Get", func() { tr.Get(key(10)) }, 1},
+		{"Lookup", func() { tr.Lookup(key(11)) }, 1},
+		{"LookupOrInsert of a present key", func() { tr.LookupOrInsert(key(12), nil) }, 1},
+		{"Successor", func() { tr.Successor(key(13)) }, 1},
+		{"IterFrom", func() { tr.IterFrom(key(14)) }, 1},
+		{"IterAfter", func() { tr.IterAfter(string(key(16))) }, 1},
+		{"AppendPathPages", func() { tr.AppendPathPages(nil, key(18)) }, 1},
+	} {
+		before := ReadWork()
+		c.op()
+		if got := ReadWork().Sub(before); got != (Work{Descents: c.descents, Nodes: c.descents * levels}) {
+			t.Errorf("%s over %d levels: %+v, want %d descents of %d pages", c.name, levels, got, c.descents, levels)
+		}
+	}
+	// An insert: a lookup that misses, then the insert's own descent, one page
+	// a level whatever it splits.
+	before := ReadWork()
+	tr.LookupOrInsert(key(2001), nil)
+	if got := ReadWork().Sub(before); got.Descents != 2 || got.Nodes != 2*levels {
+		t.Errorf("LookupOrInsert of an absent key over %d levels: %+v, want 2 descents of %d pages", levels, got, levels)
+	}
+}

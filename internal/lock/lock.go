@@ -65,6 +65,35 @@
 // shard and puts back under a second hold those keeping a SIREAD. A
 // ReleaseAll marks the owner released under its first hold, and
 // InheritSIRead skips released owners, so the list it takes is complete.
+//
+// # Implicit row locks
+//
+// At row granularity a SI or SSI write takes no entry here. Its write lock is
+// implicit: the row's head version names its writer, and that version holds
+// the row until the writer lets go of its locks (ImplicitHeld), as InnoDB's
+// record carries its writer's id and PostgreSQL's tuple header its xmax. The
+// row store decides such a write in one exclusive latch hold: a head written
+// by another transaction that still holds it sends the writer to wait; other
+// writers look at the row key's entry with Probe, a lookup that never inserts,
+// for SIREAD holders to mark and for a blocking holder (an S2PL reader or
+// writer, a locked read, a waiter converted before), and install if there is
+// none. The table stays the one place anyone waits:
+//   - Conversion. A transaction that must wait for an implicit lock first makes
+//     it explicit with Convert — an Exclusive entry held on the head writer's
+//     behalf and listed on its owner, as InheritSIRead lists an inherited SIREAD
+//     — and then acquires through the usual spin, park, waits-for and timeout
+//     path (InnoDB's lock_rec_convert_impl_to_expl).
+//   - The release guard. Every release marks its owner unlocked before it
+//     looks at anything else, and Convert checks the mark under the owner's
+//     mutex after marking the owner used, so a conversion either lands on the
+//     list the release takes or is refused: the writer has committed or rolled
+//     back, and nothing is left held for it.
+//   - Explicit grants. A blocking grant on a row key is checked against the
+//     row's head under the latch after the grant, and converts and waits the
+//     same way; an owner that re-requests a mode it holds waits when a
+//     converted lock now blocks it. Between the two, a write's latch hold and a
+//     grant's check are ordered by the latch: either the write sees the grant
+//     or the check sees the write.
 package lock
 
 import (
@@ -412,11 +441,13 @@ func (m *Manager) AcquireInto(owner *core.Txn, key Key, mode Mode, buf []*core.T
 		e := s.entryLocked(key)
 		own := e.holders[owner]
 
-		if own&mode == mode {
+		if own&mode == mode && (mode == SIRead || blockersLocked(e, owner, own, mode) == nil) {
 			rivals = rivalsInto(e, owner, own, mode, buf) // already held
 			s.mu.Unlock()
 			return rivals, nil
 		}
+		// Held, but a converted implicit lock (Convert) now blocks it: wait
+		// for that writer as a conversion waits, on holders only.
 		if mode == SIRead && own&Exclusive != 0 && m.upgradeable(key.Kind) {
 			// Already upgraded: the exclusive lock subsumes the read lock's
 			// conflict-detection role (our new version is the signal).
@@ -632,19 +663,34 @@ func (m *Manager) grantLocked(os *ownerState, e *entry, owner *core.Txn, prev, m
 	if mode == SIRead && prev&SIRead == 0 {
 		os.SIReads++
 	}
-	if prev == 0 {
-		addHeldLocked(os, e, next)
-	} else if prev&(Shared|Exclusive) == 0 && next&(Shared|Exclusive) != 0 {
-		l := *os.Held
-		i := len(l) - 1
-		for entryOf(l[i]) != e {
-			i--
-		}
-		l[i].Hint = next
-	}
+	listLocked(os, e, prev, next)
 	os.Unlock()
 	e.holders[owner] = next
 	e.countModes(prev, next)
+}
+
+// listLocked keeps the owner's list in step with a grant that takes its modes
+// on e from prev to next; the caller holds the owner's mutex. An owner that
+// held nothing there lists e; one that held only SIRead has its element's
+// hint told of the blocking mode.
+func listLocked(os *ownerState, e *entry, prev, next Mode) {
+	if prev == 0 {
+		addHeldLocked(os, e, next)
+	} else if prev&(Shared|Exclusive) == 0 && next&(Shared|Exclusive) != 0 {
+		(*os.Held)[heldIndex(os, e)].Hint = next
+	}
+}
+
+// heldIndex returns the position of e on the owner's list, searched from the
+// end, where the read that took a SIRead usually left it; the caller holds
+// the owner's mutex, and e is listed.
+func heldIndex(os *ownerState, e *entry) int {
+	l := *os.Held
+	i := len(l) - 1
+	for entryOf(l[i]) != e {
+		i--
+	}
+	return i
 }
 
 // ReleaseBlocking releases owner's Shared and Exclusive locks (at commit
@@ -660,8 +706,9 @@ func (m *Manager) ReleaseAll(owner *core.Txn) { m.release(owner, Shared|Exclusiv
 // hint has one of them ("Owner bookkeeping" above). After a ReleaseAll has
 // marked the owner released its SIREAD census is zero.
 func (m *Manager) release(owner *core.Txn, drop Mode) {
-	os := stateOf(owner)
-	if os == nil {
+	os := owner.Locks()
+	os.MarkUnlocked() // before Used is read: see Convert
+	if !os.Used() {
 		return // never held a lock
 	}
 	var l, moved *[]lockstate.Held
@@ -893,6 +940,87 @@ func (m *Manager) InheritSIRead(src, dst Key) {
 	if de != nil {
 		gcEntryLocked(de) // every SIREAD holder of src was released
 	}
+}
+
+// ImplicitHeld reports whether w's implicit row locks are in force — whether
+// its uncommitted versions still hold their rows ("Implicit row locks"): w
+// has not begun to release its locks. By then a committing writer's versions
+// are stamped and durable, and an aborting one's rolled back.
+func ImplicitHeld(w *core.Txn) bool { return !w.Locks().Unlocked() }
+
+// Probe is a write's look at key's entry, a row key, made under the row
+// store's latch while it decides an implicit write ("Implicit row locks"). It
+// never inserts an entry. It reports whether another owner's lock there — or,
+// for an owner holding no blocking mode there, a parked request ahead —
+// blocks an Exclusive request by owner. If not, it appends the SIREAD
+// holders, the readers the write must mark, to buf and returns it, and drops
+// owner's own SIREAD on the row (§3.7.3), as an Exclusive grant would.
+// Blocked, it appends nothing: the writer acquires the lock instead, and
+// probes again.
+func (m *Manager) Probe(owner *core.Txn, key Key, buf []*core.Txn) (readers []*core.Txn, blocked bool) {
+	noteProbe()
+	s := m.shardOf(key)
+	s.lock()
+	defer s.mu.Unlock()
+	noteKeyHash()
+	e := s.table[key]
+	if e == nil {
+		return buf, false
+	}
+	own := e.holders[owner]
+	if waitSetLocked(e, owner, own, Exclusive, own&(Shared|Exclusive) != 0, nil) != nil {
+		return buf, true
+	}
+	readers = rivalsInto(e, owner, own, Exclusive, buf)
+	if own == SIRead && m.upgradeable(key.Kind) {
+		// The owner's version will expose the conflict to later readers.
+		os := stateOf(owner) // non-nil: owner holds a lock on e
+		lockOwner(os)
+		os.SIReads--
+		l := *os.Held
+		i, last := heldIndex(os, e), len(l)-1
+		l[i], l[last] = l[last], lockstate.Held{}
+		*os.Held = l[:last]
+		os.Unlock()
+		delete(e.holders, owner)
+		e.countModes(SIRead, 0)
+		gcEntryLocked(e)
+	}
+	return readers, false
+}
+
+// Convert makes holder's implicit lock on the row key explicit: an Exclusive
+// entry held on holder's behalf and listed on its owner, which the caller —
+// who found holder's version at the row's head — then acquires against and
+// waits behind ("Implicit row locks"). It refuses, recording nothing, once
+// holder's release has begun or been skipped: holder has committed or rolled
+// back, and its version no longer holds the row. It reports whether it
+// converted. The owner is marked used before the refusal is decided, so a
+// release that found it unused had marked it unlocked first.
+func (m *Manager) Convert(holder *core.Txn, key Key) bool {
+	os := holder.Locks()
+	os.MarkUsed()
+	s := m.shardOf(key)
+	s.lock()
+	defer s.mu.Unlock()
+	e := s.entryLocked(key)
+	lockOwner(os)
+	if os.Unlocked() {
+		os.Unlock()
+		gcEntryLocked(e)
+		return false
+	}
+	prev := e.holders[holder]
+	next := prev | Exclusive
+	listLocked(os, e, prev, next)
+	os.Unlock()
+	e.holders[holder] = next
+	e.countModes(prev, next)
+	if e.q.n > 0 {
+		// The grant was forced past any parked waiter: refresh their edges.
+		m.sweepLocked(e)
+	}
+	return true
 }
 
 // lockPair locks one or two shards without self-deadlock: equal shards are

@@ -98,10 +98,13 @@ func (k Key) Page() uint32 {
 // allocates no bookkeeping; package lock defines what every field means and
 // when it may change.
 //
-// The mutex guards Held, with the list it points to, and SIReads. The two
+// The mutex guards Held, with the list it points to, and SIReads. The three
 // flags share one atomic word, so they can be tested without it: used is set
-// by the owner's goroutine before its first lock and never cleared, released
-// once a terminal release has begun (and under the mutex).
+// before the owner's first lock (by its own goroutine, or by a transaction
+// converting its implicit row lock) and never cleared; unlocked once any
+// release has begun, so that the owner's implicit row locks — its uncommitted
+// versions — are no longer in force; released once a terminal release has
+// begun (and under the mutex).
 type Owner struct {
 	sync.Mutex
 	Held    *[]Held // nil while the owner holds nothing
@@ -118,12 +121,14 @@ type Held struct {
 
 const (
 	used uint32 = 1 << iota
+	unlocked
 	released
 )
 
-// MarkUsed records that the owner is about to take its first lock. Only the
-// owner's goroutine calls it, before every acquire; the flag is set once, so
-// a load spares the later acquires an atomic read-modify-write.
+// MarkUsed records that the owner is about to take its first lock: its own
+// goroutine calls it before every acquire, and a conversion of its implicit
+// row lock before recording it. The flag is set once, so a load spares the
+// later acquires an atomic read-modify-write.
 func (o *Owner) MarkUsed() {
 	if o.flags.Load()&used == 0 {
 		o.flags.Or(used)
@@ -132,6 +137,16 @@ func (o *Owner) MarkUsed() {
 
 // Used reports whether the owner ever took a lock.
 func (o *Owner) Used() bool { return o.flags.Load()&used != 0 }
+
+// MarkUnlocked records that the owner has begun to let go of its locks, at
+// commit or abort: its implicit row locks end here, and none may be converted
+// into a lock-table entry any more. Set before Used is read, so that a
+// conversion that marks the owner used after a release skipped it finds this
+// flag set.
+func (o *Owner) MarkUnlocked() { o.flags.Or(unlocked) }
+
+// Unlocked reports whether MarkUnlocked was called.
+func (o *Owner) Unlocked() bool { return o.flags.Load()&unlocked != 0 }
 
 // MarkReleased records that the owner's terminal release has begun: no lock
 // may be recorded for it again.

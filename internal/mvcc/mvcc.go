@@ -50,15 +50,25 @@
 // key ever leaves a tree (the trees are insert-only, deletes are tombstone
 // versions, and the arena bytes a key string points at are never written
 // again), and a key's chain is installed once, by the structural insert
-// (insertLocked), and never replaced — a page split moves entries (the key
+// (rowLocked), and never replaced — a page split moves entries (the key
 // and chain pointers) between pages, not chains or keys.
 // That is the whole safety argument for operating through a Row with no
 // further descent: every such operation takes the partition latch and reads
 // or writes the chain's state as it then is, exactly as the by-key operation
 // would after walking to the same chain. It is what lets the engine name a
 // row's lock by Row.Key (the paper's prototypes lock the record the descent
-// found, not a copy of the search key), check First-Committer-Wins, install
-// and undo a write with one descent between them.
+// found, not a copy of the search key), and decide, install and undo a write
+// with one descent between them.
+//
+// A row's uncommitted head version is also its writer's write lock, at row
+// granularity under SI and SSI (package lock, "Implicit row locks"): Claim
+// decides a write and installs it in one exclusive latch hold — overwrite the
+// writer's own head, refuse a head committed after its snapshot
+// (First-Committer-Wins), send it to wait for a head whose writer still holds
+// the row, or else ask the lock table (a Locker) for a blocking lock and the
+// readers to mark, and install. A key the writer saw absent is inserted in the
+// same hold, under every partition latch. No other writer's version can appear
+// above a held head, so the head is the only version a write has to look at.
 //
 // Superseded versions are recycled. A version pruning cuts off a chain, or
 // one a Rollback moves back into the head, is unreachable from the moment it
@@ -380,7 +390,8 @@ func visible(v *version, t *core.Txn, snap core.TS) bool {
 // the table, however the tree splits and whatever is written in between (see
 // "Rows" in the package comment), and says nothing about the row's state:
 // every method takes the partition latch and works on the chain as it then is.
-// The zero Row addresses nothing: it has no use but IsZero and NewestCommitTS.
+// The zero Row addresses nothing: it has no use but IsZero, Key, Writer and
+// NewestCommitTS, and as Claim's handle of a key its caller saw absent.
 type Row struct {
 	key string
 	c   *chain
@@ -401,29 +412,39 @@ func (tb *Table) Locate(key []byte) (Row, bool) {
 	return Row{key: stored, c: c, sh: sh}, true
 }
 
-// IsZero reports whether r is the handle of a key that has no row: the zero
-// Row, which Locate returns for one, or a handle Absent made.
+// IsZero reports whether r is the zero Row, which Locate returns for a key
+// that has no row.
 func (r Row) IsZero() bool { return r.c == nil }
 
 // Key returns the store's own copy of the row's key, which the caller may
-// keep (to name the row's lock by, say) — for a handle Absent made, its copy
-// of the key, and for the zero Row the empty string.
+// keep (to name the row's lock by, say); for the zero Row the empty string.
 func (r Row) Key() string { return r.key }
 
-// Absent returns the handle of a key that has no row, carrying a heap copy of
-// the key: IsZero reports true and Key returns the copy. A write that may
-// create the row makes it, and the engine names the row's exclusive lock by
-// it, which must outlive the caller's slice. It is not the tree's key: a
-// structural insert (Write) copies the key into the tree's arena, so only
-// keys that enter a tree spend arena bytes, and the heap copy dies with the
-// lock.
-func Absent(key []byte) Row { return Row{key: string(key)} }
+// Writer returns the record of the transaction that wrote the row's head
+// version, or nil if the row has no version or that writer has retired —
+// committed before every active snapshot. The engine asks it whether the
+// head is its own, and, after an explicit lock grant, whether another
+// writer's version still holds the row (package lock's ImplicitHeld).
+func (r Row) Writer() *core.Txn {
+	if r.c == nil {
+		return nil
+	}
+	r.sh.mu.RLock()
+	defer r.sh.mu.RUnlock()
+	if h := r.c.first(); h != nil {
+		return h.creator.Txn()
+	}
+	return nil
+}
 
 // Read performs a snapshot read of the row for t at snapshot snap, also
 // reporting the creators of any newer versions for conflict marking. Reading
 // at the largest timestamp is the locking read of S2PL and of SELECT FOR
 // UPDATE-style reads (thesis §4.4): the newest committed version, or t's own
-// uncommitted one — under a held lock no other uncommitted version can exist.
+// uncommitted one. The engine reads so only under an explicit blocking lock
+// it granted, and after waiting for any writer whose head version still held
+// the row (Writer), and a write installs nothing above a lock it probed
+// (Claim): so no other uncommitted version can exist.
 func (r Row) Read(t *core.Txn, snap core.TS) ReadResult {
 	r.sh.mu.RLock()
 	defer r.sh.mu.RUnlock()
@@ -484,10 +505,12 @@ func (r Row) NewestCommitTS() core.TS {
 }
 
 // Write installs a new uncommitted version of the row created by t. tombstone
-// marks a delete. The caller must hold the appropriate exclusive lock and
-// have already applied the First-Committer-Wins check. A second write by the
-// same transaction replaces its own pending version in place. data is retained
-// and must not be modified afterwards; it must be shorter than 4 GiB.
+// marks a delete. The caller must hold the appropriate exclusive lock — at
+// page granularity the engine's page locks, which exclude every other writer
+// of the row — and have already applied the First-Committer-Wins check; row
+// granularity writes through Claim instead. A second write by the same
+// transaction replaces its own pending version in place. data is retained and
+// must not be modified afterwards; it must be shorter than 4 GiB.
 func (r Row) Write(t *core.Txn, data []byte, tombstone bool) {
 	w := t.Cell() // t's first write allocates it, on t's own goroutine
 	r.sh.mu.Lock()
@@ -557,60 +580,176 @@ func (p *Pruner) Flush() {
 }
 
 // Write is Locate and Row.Write for a key that may have no row yet: an absent
-// key is inserted, and the row returned either way. key is only borrowed (a
-// structural insert copies it into the tree).
-//
-// Writes to existing keys touch only the key's partition latch. A structural
-// insert with an onInsert callback takes every partition latch exclusively:
-// the callback receives the store's own copy of the key and the key's
-// *global* successor, right after the key entered its tree but *before* it
-// becomes visible to scans or successor queries (no latch has been dropped),
-// and the engine uses them to inherit SIREAD gap locks onto the new key's gap
-// atomically with the structure change — an atomicity that spans partitions
-// because the successor may live in any of them. Write reports whether a
-// structural insert happened.
+// key is inserted, and the row returned either way, with whether the write
+// inserted it. key is only borrowed (an insert copies it into the tree). With
+// no onInsert it takes only the key's partition latch, and the insert runs no
+// gap protocol: the engine writes so at page granularity, under its page
+// locks, and in recovery; row granularity writes through Claim. With an
+// onInsert Write takes every partition latch, as Claim does for a key its
+// caller saw absent, and calls it as Claim tells its Locker of an insert.
 func (tb *Table) Write(t *core.Txn, key []byte, data []byte, tombstone bool, onInsert func(stored, succ string, hasSucc bool)) (row Row, inserted bool) {
 	w := t.Cell() // t's first write allocates it, on t's own goroutine
 	sh := tb.shardOf(key)
-	sh.mu.Lock()
-	stored, c, ok := sh.tree.Lookup(key)
-	if ok || onInsert == nil {
-		if !ok {
-			// No gap protocol to run (page-granularity and lock-free
-			// modes): the insert is local to this partition.
-			stored, c = insertLocked(sh, key)
-		}
-		row = Row{key: stored, c: c, sh: sh}
-		writeChainLocked(sh, row.c, w, data, tombstone)
-		sh.mu.Unlock()
-		return row, !ok
+	if onInsert == nil {
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+	} else {
+		tb.lockAll()
+		defer tb.unlockAll()
 	}
-	sh.mu.Unlock()
-
-	// Structural insert under the gap protocol: take all partition latches
-	// so the global successor is exact and the inheritance runs atomically
-	// with the key becoming visible (no scan holds any partition latch, no
-	// other structural insert is in flight).
-	tb.lockAll()
-	defer tb.unlockAll()
-	stored, c, ok = sh.tree.Lookup(key)
-	if !ok {
-		// (Losing a race for the key between the latches cannot happen under
-		// the engine's exclusive row lock, but stay correct without it.)
-		stored, c = insertLocked(sh, key)
+	row, inserted = rowLocked(sh, key)
+	if inserted && onInsert != nil {
 		succ, hasSucc := tb.successorAllLocked(key)
-		onInsert(stored, succ, hasSucc)
+		onInsert(row.key, succ, hasSucc)
 	}
-	row = Row{key: stored, c: c, sh: sh}
 	writeChainLocked(sh, row.c, w, data, tombstone)
-	return row, !ok
+	return row, inserted
 }
 
-// insertLocked inserts an empty row for key, which sh lacks, copying key into
-// the tree. Caller holds the shard latch exclusively.
-func insertLocked(sh *shard, key []byte) (string, *chain) {
-	stored, c, _ := sh.tree.LookupOrInsert(key, &chain{})
-	return stored, c
+// rowLocked returns the row of key, which lives in partition sh, inserting an
+// empty one — copying key into the tree — if the key has none, and reports
+// whether it did. The caller holds sh's latch exclusively.
+func rowLocked(sh *shard, key []byte) (Row, bool) {
+	stored, c, found := sh.tree.Lookup(key)
+	if !found {
+		c = &chain{}
+		stored = sh.tree.Insert(key, c)
+	}
+	return Row{key: stored, c: c, sh: sh}, !found
+}
+
+// Locker is the lock table's side of a write's latch hold (Claim): what the
+// row store asks it about, and tells it, while the latch is held. Its methods
+// must not block.
+type Locker interface {
+	// Holds reports whether w, the writer of a row's head version, still
+	// holds the row: an uncommitted version is its writer's write lock until
+	// the writer lets go of its locks.
+	Holds(w *core.Txn) bool
+	// Probe looks at the lock table's entry for the row key stored of table
+	// without creating one, and reports whether another transaction's lock
+	// there blocks the write. If not, it keeps the readers the write must
+	// mark.
+	Probe(table, stored string) (blocked bool)
+	// Inherit is told of a key the write inserted, the store's own copy,
+	// and the key's global successor, if any: the SIREAD holders of the gap
+	// the key splits move onto the new key's gap.
+	Inherit(table, stored, succ string, hasSucc bool)
+}
+
+// Intent is what a write asks Claim to install, and against which snapshot.
+type Intent struct {
+	// Snap is the writer's snapshot, or 0 if it has none yet: the engine
+	// assigns a deferred snapshot after the write, above every commit the
+	// write could find, so then no head is too new.
+	Snap         core.TS
+	Data         []byte
+	Tombstone    bool
+	MustNotExist bool // refuse (Exists) if a live version is visible
+}
+
+// Outcome is what a write's latch hold did.
+type Outcome uint8
+
+const (
+	// Written: the new version is the row's head (or replaced the writer's
+	// own head in place).
+	Written Outcome = iota
+	// Held: another transaction's version is the head and its writer still
+	// holds the row (Claim.Holder); nothing was installed.
+	Held
+	// Blocked: the Locker's probe found a lock that blocks the write;
+	// nothing was installed.
+	Blocked
+	// Conflict: the head committed after the writer's snapshot
+	// (First-Committer-Wins); the probe ran, nothing was installed.
+	Conflict
+	// Exists: Intent.MustNotExist, and a live version is visible; the probe
+	// ran unless the head is the writer's own, and nothing was installed.
+	Exists
+)
+
+// Claim is what Table.Claim did.
+type Claim struct {
+	// Row is the row of the key, found or inserted — set whatever the
+	// outcome, so a retry needs no descent.
+	Row      Row
+	Outcome  Outcome
+	Holder   *core.Txn // the head's writer, for Held
+	Inserted bool      // this call inserted the key
+}
+
+// Claim decides and installs t's write of key in one exclusive latch hold
+// (see "Rows" in the package comment). row is the handle of key's row, or the
+// zero Row for a key the caller saw absent: then every partition latch is
+// taken, and the key inserted if it is still absent — the key stays, with an
+// empty chain, if nothing is installed. l is told of the insert (Inherit)
+// right after the key entered its tree but before it becomes visible to scans
+// or successor queries (no latch has been dropped): the engine inherits
+// SIREAD gap locks onto the new key's gap atomically with the structure
+// change — an atomicity that spans partitions, because the successor may
+// live in any of them.
+//
+// Under the latch, in order: t's own head is overwritten in place (or, for
+// MustNotExist and a live head, Exists); a head whose writer l says still
+// holds the row is Held; a head committed after in.Snap is noted; l probes
+// the row's lock-table entry (Blocked); then Conflict, Exists, or the new
+// version is pushed. A version the write found newer than its snapshot thus
+// stops it only after the probe has found the readers to mark, as an
+// exclusive lock acquired before the check would have.
+func (tb *Table) Claim(t *core.Txn, key []byte, row Row, in Intent, l Locker) Claim {
+	if !row.IsZero() {
+		row.sh.mu.Lock()
+		defer row.sh.mu.Unlock()
+		return tb.claimLocked(t, row, in, l)
+	}
+	tb.lockAll()
+	defer tb.unlockAll()
+	row, inserted := rowLocked(tb.shardOf(key), key)
+	if inserted {
+		succ, hasSucc := tb.successorAllLocked(key)
+		l.Inherit(tb.name, row.key, succ, hasSucc)
+	}
+	cl := tb.claimLocked(t, row, in, l)
+	cl.Inserted = inserted
+	return cl
+}
+
+// claimLocked is Claim's decision on row; the caller holds its partition
+// latch exclusively.
+func (tb *Table) claimLocked(t *core.Txn, row Row, in Intent, l Locker) Claim {
+	cl := Claim{Row: row}
+	h := row.c.first()
+	tooNew := false
+	if h != nil {
+		noteVersion()
+		switch w := h.creator.Txn(); {
+		case w == t:
+			if in.MustNotExist && !h.tombstone {
+				cl.Outcome = Exists
+			} else {
+				h.setValue(in.Data, in.Tombstone)
+			}
+			return cl
+		case w != nil && l.Holds(w):
+			cl.Outcome, cl.Holder = Held, w
+			return cl
+		}
+		// No other writer holds the head, so it is committed: a version
+		// rolled back is popped before its writer lets go of the row.
+		tooNew = in.Snap != 0 && h.creator.CommitTS() > in.Snap
+	}
+	switch {
+	case l.Probe(tb.name, row.key):
+		cl.Outcome = Blocked
+	case tooNew:
+		cl.Outcome = Conflict
+	case in.MustNotExist && h != nil && !h.tombstone:
+		cl.Outcome = Exists
+	default:
+		row.c.push(row.sh, t.Cell(), in.Data, in.Tombstone)
+	}
+	return cl
 }
 
 // writeChainLocked pushes (or replaces in place) the pending version of the

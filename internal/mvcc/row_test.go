@@ -520,8 +520,8 @@ func TestRowHandleAcrossSplits(t *testing.T) {
 }
 
 // TestOnlyInsertsSpendKeyBytes: a key reaches a tree's arena only through a
-// structural insert. An empty table holds no arena bytes; reading, locating,
-// seeking past or locking a key without a row (Absent's handle is a heap copy), reading at
+// structural insert. An empty table holds no arena bytes; reading, locating
+// or seeking past a key without a row, reading at
 // the latest timestamp as a locking read does, overwriting a row and rolling
 // a write back spend none; an insert spends its key's length and bytes, once
 // — a key stays in its tree after its inserting write rolls back, so
@@ -550,9 +550,6 @@ func TestOnlyInsertsSpendKeyBytes(t *testing.T) {
 		if res := f.tb.Read(r, core.TS(^uint64(0)), k); res.Found {
 			t.Fatalf("a locking read of %s found a value", k)
 		}
-		if a := Absent(k); !a.IsZero() || a.Key() != string(k) {
-			t.Fatalf("Absent(%s) = %+v", k, a)
-		}
 		f.tb.Successor(k)
 	}
 	f.m.Abort(r)
@@ -574,5 +571,90 @@ func TestOnlyInsertsSpendKeyBytes(t *testing.T) {
 	f.put(t, "rolled-back", "y")
 	if n, want := keyBytes(), base+1+len("rolled-back"); n != want {
 		t.Fatalf("rewriting a key the tree kept spent %d more arena bytes", n-want)
+	}
+}
+
+// heldRows is a Locker that holds the rows of the transactions in held and
+// blocks every probe while blocked is set; it records what it was told.
+type heldRows struct {
+	held     map[*core.Txn]bool
+	blocked  bool
+	probes   int
+	inserted []string
+}
+
+func (l *heldRows) Holds(w *core.Txn) bool { return l.held[w] }
+func (l *heldRows) Probe(string, string) bool {
+	l.probes++
+	return l.blocked
+}
+func (l *heldRows) Inherit(_, stored, _ string, _ bool) { l.inserted = append(l.inserted, stored) }
+
+// TestClaimDecides: a claim decides on the row's head alone, in one latch
+// hold, in order — the writer's own head is overwritten in place; a head
+// whose writer still holds the row is Held, with nothing probed; a head
+// committed after the snapshot is a Conflict, but only once the probe has run
+// (it finds the readers to mark); a blocking lock is Blocked; a visible live
+// head refuses MustNotExist; otherwise the version is pushed. A key the caller
+// saw absent is inserted, and the Locker told, even when nothing is installed.
+func TestClaimDecides(t *testing.T) {
+	f := newFixture()
+	ct := f.put(t, "x", "v0")
+	l := &heldRows{held: map[*core.Txn]bool{}}
+	claim := func(w *core.Txn, key string, in Intent) Claim {
+		row, _ := f.tb.Locate([]byte(key))
+		return f.tb.Claim(w, []byte(key), row, in, l)
+	}
+	read := func(key string) string {
+		r := f.m.Begin(core.SnapshotIsolation)
+		defer f.m.Abort(r)
+		return string(f.tb.Read(r, f.m.AssignSnapshot(r), []byte(key)).Value)
+	}
+
+	// A snapshot before ct: First-Committer-Wins, after the probe.
+	old := f.m.Begin(core.SnapshotIsolation)
+	if c := claim(old, "x", Intent{Snap: ct - 1, Data: []byte("late")}); c.Outcome != Conflict || l.probes != 1 {
+		t.Fatalf("a claim over a head committed after its snapshot: %v after %d probes, want Conflict after 1", c.Outcome, l.probes)
+	}
+	f.m.Abort(old)
+
+	w := f.m.Begin(core.SnapshotIsolation)
+	if c := claim(w, "x", Intent{Snap: ct + 1, Data: []byte("a"), MustNotExist: true}); c.Outcome != Exists {
+		t.Fatalf("MustNotExist over a live committed head: %v, want Exists", c.Outcome)
+	}
+	l.blocked = true
+	if c := claim(w, "x", Intent{Snap: ct + 1, Data: []byte("a")}); c.Outcome != Blocked {
+		t.Fatalf("a claim whose probe is blocked: %v, want Blocked", c.Outcome)
+	}
+	l.blocked = false
+	if c := claim(w, "x", Intent{Data: []byte("a")}); c.Outcome != Written {
+		t.Fatalf("a free claim: %v, want Written", c.Outcome)
+	}
+	l.held[w] = true
+	probes := l.probes
+	if c := claim(w, "x", Intent{Data: []byte("a2")}); c.Outcome != Written || l.probes != probes {
+		t.Fatalf("a claim over the writer's own head: %v after %d more probes, want Written after none", c.Outcome, l.probes-probes)
+	}
+	other := f.m.Begin(core.SnapshotIsolation)
+	if c := claim(other, "x", Intent{Data: []byte("b")}); c.Outcome != Held || c.Holder != w || l.probes != probes {
+		t.Fatalf("a claim over a held head: %v (holder %v) after %d more probes, want Held by the writer after none", c.Outcome, c.Holder, l.probes-probes)
+	}
+	f.commit(t, w)
+	if got := read("x"); got != "a2" {
+		t.Fatalf("the row reads %q, want the overwritten a2", got)
+	}
+	delete(l.held, w) // the writer let go of its locks
+
+	l.blocked = true
+	if c := claim(other, "new", Intent{Data: []byte("n")}); c.Outcome != Blocked || !c.Inserted || len(l.inserted) != 1 || l.inserted[0] != "new" {
+		t.Fatalf("a blocked claim of an absent key: %v, inserted %v, told %q", c.Outcome, c.Inserted, l.inserted)
+	}
+	l.blocked = false
+	if c := claim(other, "new", Intent{Data: []byte("n")}); c.Outcome != Written || c.Inserted || len(l.inserted) != 1 {
+		t.Fatalf("a claim of the key the blocked claim inserted: %v, inserted %v, told %q", c.Outcome, c.Inserted, l.inserted)
+	}
+	f.commit(t, other)
+	if got := read("new"); got != "n" {
+		t.Fatalf("the inserted row reads %q, want n", got)
 	}
 }

@@ -45,7 +45,14 @@ func (*pageTargets) lockRead(tx *Txn, tb *table, key []byte, _ mvcc.Row, mode lo
 	return tx.markAsReader(tb.stamps.newerWriters(nil, leaf, snap))
 }
 
-func (*pageTargets) lockWrite(tx *Txn, tb *table, key []byte, _ mvcc.Row, structural bool) ([]*core.Txn, core.TS, error) {
+func (p *pageTargets) lockForUpdate(tx *Txn, tb *table, key []byte, _ mvcc.Row) ([]*core.Txn, core.TS, error) {
+	return p.lockWrite(tx, tb, key, false)
+}
+
+// lockWrite locks key's path for a write: the leaf exclusively, and the
+// whole path if a structural write will split it. It returns the SIREAD
+// holders found and the leaf's newest commit timestamp.
+func (*pageTargets) lockWrite(tx *Txn, tb *table, key []byte, structural bool) ([]*core.Txn, core.TS, error) {
 	readers, leaf, err := lockPagePath(tx, tb, key, tx.readMode(), lock.Exclusive, structural)
 	if err != nil {
 		return nil, 0, err
@@ -53,14 +60,28 @@ func (*pageTargets) lockWrite(tx *Txn, tb *table, key []byte, _ mvcc.Row, struct
 	return readers, tb.stamps.newestCommitTS(leaf), nil
 }
 
-func (*pageTargets) install(tx *Txn, tb *table, key []byte, row mvcc.Row, val []byte, tombstone bool) (mvcc.Row, error) {
+// write holds the page locks before it reads or installs anything: every
+// other writer of the row waits on the leaf.
+func (p *pageTargets) write(tx *Txn, tb *table, key []byte, row mvcc.Row, val []byte, tombstone, mustNotExist bool) error {
+	readers, newest, err := p.lockWrite(tx, tb, key, tombstone || mustNotExist || row.IsZero())
+	if err != nil {
+		return err
+	}
+	snap, err := tx.checkWrite(readers, newest)
+	if err != nil {
+		return err
+	}
+	if mustNotExist && tb.read(tx.t, snap, key, row).Found {
+		return ErrKeyExists
+	}
 	if row.IsZero() {
 		row, _ = tb.data.Write(tx.t, key, val, tombstone, nil)
 	} else {
 		row.Write(tx.t, val, tombstone)
 	}
+	tx.writes = append(tx.writes, row)
 	tb.stamps.addWriter(tb.data.LeafPage(key), tx.t)
-	return row, nil
+	return nil
 }
 
 // lockPagePath plans and acquires the page locks along key's root-to-leaf
@@ -152,7 +173,7 @@ func (*pageTargets) lockScanStart(tx *Txn, sc *scanCtx, tb *table, from []byte, 
 
 // scanKeys covers every leaf that could receive an in-range key: the leaves
 // of the visited keys and of the boundary (lockScanStart holds the first).
-func (*pageTargets) scanKeys(keys []lock.Key, tb *table, items []mvcc.ScanItem, end scanEnd) []lock.Key {
+func (*pageTargets) scanKeys(keys []lock.Key, tb *table, items []mvcc.ScanItem, end scanEnd, _ *core.Cell) []lock.Key {
 	first := len(keys)
 	add := func(pg uint32) {
 		for i := len(keys) - 1; i >= first; i-- {
@@ -170,6 +191,10 @@ func (*pageTargets) scanKeys(keys []lock.Key, tb *table, items []mvcc.ScanItem, 
 	}
 	return keys
 }
+
+// awaitHeads has nothing to wait for: every page writer holds its leaf's
+// Exclusive lock, which the scan's Shared lock waited for.
+func (*pageTargets) awaitHeads(*Txn, *table, []mvcc.ScanItem) (bool, error) { return false, nil }
 
 func (*pageTargets) scanNewerWriters(writers []*core.Txn, tb *table, snap core.TS, _ []mvcc.ScanItem, keys []lock.Key) []*core.Txn {
 	for _, k := range keys {

@@ -12,13 +12,19 @@ import (
 // versions of the key written, and the newer writers a read must mark are
 // the creators of the newer versions of the keys it read.
 //
+// A SI or SSI write takes no row lock in the lock table: its uncommitted
+// version is its write lock, decided and installed in one exclusive latch
+// hold (mvcc.Table.Claim), and made an explicit entry only when another
+// transaction has to wait for it (package lock, "Implicit row locks"). Every
+// explicit blocking grant on a row — S2PL's reads and writes, a locked read —
+// waits, after the grant, for a writer whose version still holds the row.
+//
 // A lock names its row or gap by the store's own key string wherever a descent
 // has found that key: every scanned row, every gap (named by the key that ends
 // it, which exists, the gap a structural insert creates included), and a point
-// operation's row, through the handle of its one Locate. A write to a key
-// without a row names its exclusive lock by the copy of the key its absent
-// handle carries (mvcc.Absent); a read or a locked read of a key without a
-// row copies key bytes for its lock when it takes it (rowKeyFor).
+// operation's row, through the handle of its one Locate. An explicit lock on
+// a key without a row copies key bytes for its lock when it takes it
+// (rowKeyFor); a write to such a key names nothing before it inserts the key.
 type rowTargets struct{}
 
 func rowKeyOf(tb *table, stored string) lock.Key {
@@ -30,70 +36,185 @@ func gapKeyOf(tb *table, stored string) lock.Key {
 }
 
 // rowKeyFor names the row lock of key, whose handle is row: by the row's key
-// string, or the copy an absent handle carries, or else (the zero Row, whose
-// Key is empty) by a copy made here.
+// string, or else (the zero Row, whose Key is empty) by a copy made here.
 func rowKeyFor(tb *table, key []byte, row mvcc.Row) lock.Key {
-	if row.Key() == "" {
+	if row.IsZero() {
 		return lock.RowKey(tb.name, key)
 	}
 	return rowKeyOf(tb, row.Key())
 }
 
 func (rowTargets) lockRead(tx *Txn, tb *table, key []byte, row mvcc.Row, mode lock.Mode, _ core.TS) error {
-	rivals, err := tx.db.locks.AcquireInto(tx.t, rowKeyFor(tb, key, row), mode, emptied(tx.rivals))
+	if mode == lock.SIRead && tx.upgradesSIRead() && len(tx.writes) > 0 && row.Writer() == tx.t {
+		// The row's head is the transaction's own version: its write lock
+		// subsumes the read lock (§3.7.3), as a held Exclusive entry would.
+		return nil
+	}
+	k := rowKeyFor(tb, key, row)
+	rivals, err := tx.db.locks.AcquireInto(tx.t, k, mode, emptied(tx.rivals))
 	tx.rivals = rivals
 	if err != nil {
+		return err
+	}
+	if mode == lock.Shared {
+		_, err = tx.awaitHead(tb, key, row, k, mode)
 		return err
 	}
 	return tx.markAsReader(rivals)
 }
 
-func (rowTargets) lockWrite(tx *Txn, tb *table, key []byte, row mvcc.Row, structural bool) ([]*core.Txn, core.TS, error) {
-	if structural && tx.readMode() != noLock {
+// awaitHead runs after an explicit blocking grant of mode on k, the row lock
+// of key (row: its handle, zero if Locate found none; the key may have been
+// inserted since): while the row's head version is another transaction's that
+// still holds the row, it converts that writer's implicit lock and waits for
+// it. It returns the row, located again if it was zero.
+func (tx *Txn) awaitHead(tb *table, key []byte, row mvcc.Row, k lock.Key, mode lock.Mode) (mvcc.Row, error) {
+	for {
+		if row.IsZero() {
+			row, _ = tb.data.Locate(key)
+		}
+		w := row.Writer()
+		if w == nil || w == tx.t || !lock.ImplicitHeld(w) {
+			return row, nil
+		}
+		if err := tx.waitFor(w, k, mode); err != nil {
+			return row, err
+		}
+	}
+}
+
+// waitFor makes w's implicit lock on k explicit and waits for it, holding
+// mode on k once it returns nil — unless w let go of its locks first, when
+// there is nothing to wait for.
+func (tx *Txn) waitFor(w *core.Txn, k lock.Key, mode lock.Mode) error {
+	if !tx.db.locks.Convert(w, k) {
+		return nil
+	}
+	return tx.wait(k, mode)
+}
+
+// wait acquires mode on k, waiting for its holders, off the transaction's
+// rival buffer: the caller collected the rivals that count, or collects them
+// again.
+func (tx *Txn) wait(k lock.Key, mode lock.Mode) error {
+	_, err := tx.db.locks.AcquireInto(tx.t, k, mode, nil)
+	return err
+}
+
+// lockForUpdate is GetForUpdate's exclusive lock: a lock-table entry at every
+// level, and then a wait for a writer whose version still holds the row.
+func (rowTargets) lockForUpdate(tx *Txn, tb *table, key []byte, row mvcc.Row) ([]*core.Txn, core.TS, error) {
+	k := rowKeyFor(tb, key, row)
+	readers, err := tx.db.locks.AcquireInto(tx.t, k, lock.Exclusive, emptied(tx.rivals))
+	tx.rivals = readers
+	if err != nil {
+		return nil, 0, err
+	}
+	if row, err = tx.awaitHead(tb, key, row, k, lock.Exclusive); err != nil {
+		return nil, 0, err
+	}
+	// A reader that takes its SIREAD after the grant finds the entry and
+	// marks itself, so the grant's readers are all the write must mark.
+	return readers, row.NewestCommitTS(), nil
+}
+
+// write is the row-granularity write. SI and SSI claim the row in one latch
+// hold (mvcc.Table.Claim): its outcome installs the version, or sends the
+// writer to wait — converting the head writer's implicit lock, or acquiring
+// behind a blocking entry — and claim again, or ends the write. S2PL takes
+// the explicit exclusive lock first, and its claim then only installs or
+// waits for an implicit holder. Structural writes lock the gap first and again
+// once the key is in the tree (Figure 3.7).
+func (rowTargets) write(tx *Txn, tb *table, key []byte, row mvcc.Row, val []byte, tombstone, mustNotExist bool) error {
+	mode := tx.readMode()
+	if (tombstone || mustNotExist || row.IsZero()) && mode != noLock {
 		// Figure 3.7: inserts and deletes exclusively lock the gap before
 		// the next key, where predicate readers left their SIREAD (marked)
 		// or Shared (waited for) gap locks. Plain SI has no predicate
 		// protection to honour.
 		if err := tx.gapLock(tb, key); err != nil {
-			return nil, 0, err
+			return err
 		}
 	}
-	readers, err := tx.db.locks.AcquireInto(tx.t, rowKeyFor(tb, key, row), lock.Exclusive, emptied(tx.rivals))
-	tx.rivals = readers
-	if err != nil {
-		return nil, 0, err
-	}
-	if row.IsZero() {
-		// Look again: the row may have been inserted, and committed, by now.
-		row, _ = tb.data.Locate(key)
-	}
-	return readers, row.NewestCommitTS(), nil
-}
-
-func (rowTargets) install(tx *Txn, tb *table, key []byte, row mvcc.Row, val []byte, tombstone bool) (mvcc.Row, error) {
-	if !row.IsZero() {
-		row.Write(tx.t, val, tombstone)
-		return row, nil
-	}
-	// On a structural insert, SIREAD gap locks covering the target gap are
-	// inherited onto the new key's gap under the table latch, atomically
-	// with the key becoming visible — otherwise a second insert into the
-	// now-split gap would escape the scanners' phantom detection. The new gap
-	// is named by the store's copy of the key, as every other gap is.
-	row, inserted := tb.data.Write(tx.t, key, val, tombstone, func(stored, succ string, hasSucc bool) {
-		src := lock.SupremumGapKey(tb.name)
-		if hasSucc {
-			src = gapKeyOf(tb, succ)
+	// The claim checks First-Committer-Wins against the snapshot, if the
+	// transaction has one yet; S2PL's reads latest, which nothing follows.
+	in := mvcc.Intent{Snap: tx.t.Snapshot(), Data: val, Tombstone: tombstone, MustNotExist: mustNotExist}
+	locked := false // the transaction holds the row's Exclusive entry
+	if mode == lock.Shared {
+		if err := tx.wait(rowKeyFor(tb, key, row), lock.Exclusive); err != nil {
+			return err
 		}
-		tx.db.locks.InheritSIRead(src, gapKeyOf(tb, stored))
-	})
-	if inserted && tx.readMode() != noLock {
+		locked, in.Snap = true, latest
+	}
+	inserted := false
+	var c mvcc.Claim
+claim:
+	for {
+		tx.rivals = emptied(tx.rivals) // the claim's probe fills it
+		c = tb.data.Claim(tx.t, key, row, in, (*rowLocker)(tx))
+		row, inserted = c.Row, inserted || c.Inserted
+		var err error
+		switch {
+		case c.Outcome == mvcc.Held:
+			err = tx.waitFor(c.Holder, rowKeyOf(tb, row.Key()), lock.Exclusive)
+		case c.Outcome == mvcc.Blocked, c.Outcome == mvcc.Exists && !locked:
+			// An Insert's refusal reads the row: it holds the row as the
+			// write would have, so no one changes it under the transaction.
+			err, locked = tx.wait(rowKeyOf(tb, row.Key()), lock.Exclusive), true
+		default:
+			break claim
+		}
+		if err != nil {
+			return err
+		}
+	}
+	if c.Outcome == mvcc.Written {
+		tx.writes = append(tx.writes, row)
+	}
+	tx.readPoint() // a deferred snapshot, above every commit the claim found
+	if err := tx.markAsWriter(tx.rivals); err != nil {
+		return err
+	}
+	switch c.Outcome {
+	case mvcc.Conflict:
+		return ErrWriteConflict
+	case mvcc.Exists:
+		return ErrKeyExists
+	}
+	if inserted && mode != noLock {
 		// Re-acquire the gap now that the key is visible: the successor may
 		// have changed between planning and insertion, and inherited SIREAD
 		// holders on the true gap must be marked as conflicts.
-		return row, tx.gapLock(tb, key)
+		return tx.gapLock(tb, key)
 	}
-	return row, nil
+	return nil
+}
+
+// rowLocker is a transaction as the row store's mvcc.Locker during its
+// claims: the lock table's answers, for the transaction, under the latch.
+type rowLocker Txn
+
+func (*rowLocker) Holds(w *core.Txn) bool { return lock.ImplicitHeld(w) }
+
+// Probe appends the readers it finds to the transaction's rival buffer.
+func (l *rowLocker) Probe(table, stored string) bool {
+	tx := (*Txn)(l)
+	readers, blocked := tx.db.locks.Probe(tx.t, lock.Key{Table: table, Kind: lock.Row, K: stored}, tx.rivals)
+	tx.rivals = readers
+	return blocked
+}
+
+// Inherit: on a structural insert, SIREAD gap locks covering the target gap
+// are inherited onto the new key's gap under the table latch, atomically with
+// the key becoming visible — otherwise a second insert into the now-split gap
+// would escape the scanners' phantom detection. The new gap is named by the
+// store's copy of the key, as every other gap is.
+func (l *rowLocker) Inherit(table, stored, succ string, hasSucc bool) {
+	src := lock.SupremumGapKey(table)
+	if hasSucc {
+		src = lock.Key{Table: table, Kind: lock.Gap, K: succ}
+	}
+	(*Txn)(l).db.locks.InheritSIRead(src, lock.Key{Table: table, Kind: lock.Gap, K: stored})
 }
 
 // gapLock implements the next-key gap protocol of Figures 3.6/3.7 for the
@@ -127,9 +248,14 @@ func (rowTargets) lockScanStart(*Txn, *scanCtx, *table, []byte, lock.Mode, core.
 	return nil
 }
 
-func (rowTargets) scanKeys(keys []lock.Key, tb *table, items []mvcc.ScanItem, end scanEnd) []lock.Key {
+// scanKeys skips the row lock of an item whose visible version is own's — a
+// row the transaction wrote, whose write lock subsumes the read lock (§3.7.3).
+func (rowTargets) scanKeys(keys []lock.Key, tb *table, items []mvcc.ScanItem, end scanEnd, own *core.Cell) []lock.Key {
 	for i := range items {
-		keys = append(keys, rowKeyOf(tb, items[i].Key), gapKeyOf(tb, items[i].Key))
+		if own == nil || items[i].VisibleCreator != own {
+			keys = append(keys, rowKeyOf(tb, items[i].Key))
+		}
+		keys = append(keys, gapKeyOf(tb, items[i].Key))
 	}
 	switch {
 	case end.reached:
@@ -140,6 +266,31 @@ func (rowTargets) scanKeys(keys []lock.Key, tb *table, items []mvcc.ScanItem, en
 		keys = append(keys, lock.SupremumGapKey(tb.name))
 	}
 	return keys
+}
+
+// awaitHeads waits for the writer of each item's head version that still
+// holds the row, item by item, as awaitHead does for a point read. Read at
+// the latest timestamp, an uncommitted head is the item's first newer writer;
+// a committed head still held is its visible version.
+func (rowTargets) awaitHeads(tx *Txn, tb *table, items []mvcc.ScanItem) (bool, error) {
+	waited := false
+	for i := range items {
+		it := &items[i]
+		var w *core.Txn
+		if len(it.NewerWriters) > 0 {
+			w = it.NewerWriters[0]
+		} else if it.VisibleCreator != nil {
+			w = it.VisibleCreator.Txn()
+		}
+		if w == nil || w == tx.t || !lock.ImplicitHeld(w) {
+			continue
+		}
+		if err := tx.waitFor(w, rowKeyOf(tb, it.Key), lock.Shared); err != nil {
+			return waited, err
+		}
+		waited = true
+	}
+	return waited, nil
 }
 
 func (rowTargets) scanNewerWriters(writers []*core.Txn, _ *table, _ core.TS, items []mvcc.ScanItem, _ []lock.Key) []*core.Txn {

@@ -84,11 +84,12 @@ type txnScratch struct {
 	// of the rows written, so undoing a write descends no tree.
 	writes []mvcc.Row
 
-	// rivals is the buffer lock.AcquireInto appends conflicting holders
-	// into on the point paths (lockRead, lockWrite, gapLock, lockPagePath),
-	// so only a transaction's first rival can allocate. Each use empties it
-	// first and finishes consuming it before the next operation reuses it.
-	// Scans do not use it — their buffers live in the recycled scanCtx.
+	// rivals is the buffer lock.AcquireInto and lock.Probe append
+	// conflicting holders into on the point paths (lockRead, lockForUpdate,
+	// a row write's claims, gapLock, lockPagePath), so only a transaction's
+	// first rival can allocate. Each use empties it first and finishes
+	// consuming it before the next operation reuses it. Scans do not use it
+	// — their buffers live in the recycled scanCtx.
 	rivals []*core.Txn
 	pages  []uint32 // lockPagePath's buffer: a page-granularity descent path, planned and re-checked
 
@@ -421,6 +422,10 @@ func (tx *Txn) readLockMode() lock.Mode {
 	return mode
 }
 
+// upgradesSIRead reports whether the §3.7.3 upgrade is on: a transaction's
+// write lock on a row subsumes its read lock there (Options.DisableSIReadUpgrade).
+func (tx *Txn) upgradesSIRead() bool { return !tx.db.opts.DisableSIReadUpgrade }
+
 // readPoint returns the timestamp reads run at: the snapshot — assigned now
 // if this is the first need for one (deferred snapshot, thesis §4.5) — or
 // latest for S2PL's locking reads.
@@ -460,33 +465,37 @@ func (tx *Txn) readStamp(snap core.TS) core.TS {
 //
 // Point methods acquire through the transaction's scratch buffer, scan
 // methods through the scan's context. Rivals found on SIREAD acquisitions
-// (exclusive holders) are marked by the method itself; rivals found on
-// exclusive acquisitions (SIREAD holders) are returned, because the overlap
-// test needs the caller's snapshot, which is assigned only after its locks
-// (deferred snapshot).
+// (exclusive holders) are marked by the method itself; rivals found for a
+// write (SIREAD holders) are marked after the snapshot is assigned, because
+// the overlap test needs it and a deferred snapshot comes after the write's
+// locks.
 type lockTargets interface {
 	// lockRead acquires mode (SIRead or Shared) on the targets of a point
 	// read of key; row is what the caller's Locate of key found (zero: no row).
 	lockRead(tx *Txn, tb *table, key []byte, row mvcc.Row, mode lock.Mode, snap core.TS) error
-	// lockWrite acquires the exclusive lock(s) for writing key (row as
-	// above, or for a key without a row the handle mvcc.Absent made, whose
-	// copy of the key names the row lock); structural marks a write that may
-	// create or remove the key (insert, delete, upsert of an absent key),
-	// which also covers its gap or a page split. It returns the SIREAD
-	// holders found and the newest commit timestamp of the
-	// First-Committer-Wins unit holding key.
-	lockWrite(tx *Txn, tb *table, key []byte, row mvcc.Row, structural bool) (readers []*core.Txn, newest core.TS, err error)
-	// install writes the new version, through row or, for an absent handle,
-	// by key, inserting the key under the handle's copy, and finishes the
-	// lock protocol around the structure change it may have caused. It
-	// returns the row written, error or not, for the write set.
-	install(tx *Txn, tb *table, key []byte, row mvcc.Row, val []byte, tombstone bool) (mvcc.Row, error)
+	// lockForUpdate acquires GetForUpdate's exclusive lock(s) on key (row as
+	// above). It returns the SIREAD holders found and the newest commit
+	// timestamp of the First-Committer-Wins unit holding key.
+	lockForUpdate(tx *Txn, tb *table, key []byte, row mvcc.Row) (readers []*core.Txn, newest core.TS, err error)
+	// write writes key under the level's write protocol — locks, marking
+	// (Figure 3.5), First-Committer-Wins, the install (row as above) — and
+	// adds the row written to the write set, so that whatever it installed
+	// is rolled back if it fails. A write that may create or remove the key
+	// (Insert, Delete, a Put of a key without a row) also covers its gap or
+	// a page split. It returns ErrKeyExists, which leaves the transaction
+	// usable, or an abort-class error.
+	write(tx *Txn, tb *table, key []byte, row mvcc.Row, val []byte, tombstone, mustNotExist bool) error
 	// lockScanStart acquires mode on whatever a scan from `from` reads
 	// before reaching its first key.
 	lockScanStart(tx *Txn, sc *scanCtx, tb *table, from []byte, mode lock.Mode, snap core.TS) error
 	// scanKeys appends the keys covering the visited items and where the
-	// scan stopped.
-	scanKeys(keys []lock.Key, tb *table, items []mvcc.ScanItem, end scanEnd) []lock.Key
+	// scan stopped; own, if not nil, is the scanning transaction's creator
+	// cell, whose rows need no read lock of their own.
+	scanKeys(keys []lock.Key, tb *table, items []mvcc.ScanItem, end scanEnd, own *core.Cell) []lock.Key
+	// awaitHeads waits, after an S2PL scan's pass collected items under its
+	// Shared locks, for any writer whose version still holds one of their
+	// rows, and reports whether it waited.
+	awaitHeads(tx *Txn, tb *table, items []mvcc.ScanItem) (waited bool, err error)
 	// scanNewerWriters appends the creators of versions newer than snap
 	// among what items read, once keys (their scanKeys) are SIREAD-locked.
 	scanNewerWriters(writers []*core.Txn, tb *table, snap core.TS, items []mvcc.ScanItem, keys []lock.Key) []*core.Txn
@@ -573,8 +582,12 @@ func (tx *Txn) GetForUpdate(tableName string, key []byte) (val []byte, found boo
 	}
 	tb := tx.db.table(tableName)
 	row, _ := tb.data.Locate(key)
-	if _, err := tx.writeLockAndCheck(tb, key, row, false); err != nil {
-		return nil, false, err
+	readers, newest, err := tx.db.targets.lockForUpdate(tx, tb, key, row)
+	if err == nil {
+		_, err = tx.checkWrite(readers, newest)
+	}
+	if err != nil {
+		return nil, false, tx.fail(err)
 	}
 	readTS := tx.db.mgr.Now()
 	res := tb.read(tx.t, latest, key, row)
@@ -626,23 +639,11 @@ func (tx *Txn) write(tableName string, key, val []byte, tombstone, mustNotExist 
 		return err
 	}
 	tb := tx.db.table(tableName)
-	row, exists := tb.data.Locate(key)
-	if !exists {
-		// The copy of the key that names the row's lock; the tree copies
-		// the key into its own arena if the write inserts.
-		row = mvcc.Absent(key)
-	}
-	structural := tombstone || mustNotExist || !exists
-	snap, err := tx.writeLockAndCheck(tb, key, row, structural)
-	if err != nil {
-		return err
-	}
-	if mustNotExist && tb.read(tx.t, snap, key, row).Found {
-		return ErrKeyExists
-	}
-	row, err = tx.db.targets.install(tx, tb, key, row, val, tombstone)
-	tx.writes = append(tx.writes, row) // first, so that a failed install is rolled back too
-	if err != nil {
+	row, _ := tb.data.Locate(key)
+	if err := tx.db.targets.write(tx, tb, key, row, val, tombstone, mustNotExist); err != nil {
+		if err == ErrKeyExists {
+			return err
+		}
 		return tx.fail(err)
 	}
 	if tx.db.log != nil {
@@ -658,23 +659,20 @@ func (tx *Txn) write(tableName string, key, val []byte, tombstone, mustNotExist 
 	return nil
 }
 
-// writeLockAndCheck acquires the exclusive lock(s) for writing key, assigns
-// the snapshot afterwards (deferred snapshot), marks rw-conflicts with the
-// concurrent SIREAD holders found (Figure 3.5), and applies the
-// First-Committer-Wins check. On failure the transaction is aborted.
-func (tx *Txn) writeLockAndCheck(tb *table, key []byte, row mvcc.Row, structural bool) (core.TS, error) {
-	readers, newest, err := tx.db.targets.lockWrite(tx, tb, key, row, structural)
-	if err != nil {
-		return 0, tx.fail(err)
-	}
+// checkWrite runs once a write's exclusive locks are held, readers being the
+// SIREAD holders they found and newest the newest commit timestamp of the
+// First-Committer-Wins unit: it assigns the snapshot (deferred snapshot),
+// marks rw-conflicts with the concurrent readers (Figure 3.5), and applies
+// First-Committer-Wins. The caller aborts the transaction on failure.
+func (tx *Txn) checkWrite(readers []*core.Txn, newest core.TS) (core.TS, error) {
 	snap := tx.readPoint()
 	if err := tx.markAsWriter(readers); err != nil {
-		return 0, tx.fail(err)
+		return 0, err
 	}
 	// First-Committer-Wins: abort if a version newer than our snapshot
 	// committed in the unit written.
 	if newest > snap {
-		return 0, tx.fail(ErrWriteConflict)
+		return 0, ErrWriteConflict
 	}
 	return snap, nil
 }
@@ -822,6 +820,10 @@ func (tx *Txn) scanSSI(sc *scanCtx, tb *table, snap core.TS, from, to []byte, li
 	if err := lt.lockScanStart(tx, sc, tb, from, lock.SIRead, snap); err != nil {
 		return err
 	}
+	var own *core.Cell
+	if len(tx.writes) > 0 && tx.upgradesSIRead() {
+		own = tx.t.Cell() // made by the first write
+	}
 	flushed := 0 // items already covered by an earlier round
 	sc.collect(tb, tx.t, snap, from, to, limit, func(exhausted bool) {
 		end := sc.end
@@ -830,7 +832,7 @@ func (tx *Txn) scanSSI(sc *scanCtx, tb *table, snap core.TS, from, to []byte, li
 		flushed = len(sc.items)
 		// One lock-table critical section per round, while the round's
 		// latches still exclude inserters from the emitted keys.
-		sc.keys = lt.scanKeys(emptied(sc.keys), tb, round, end)
+		sc.keys = lt.scanKeys(emptied(sc.keys), tb, round, end, own)
 		sc.writers = tx.db.locks.AcquireSIReadBatchInto(tx.t, sc.keys, sc.writers)
 		sc.writers = lt.scanNewerWriters(sc.writers, tb, snap, round, sc.keys)
 	})
@@ -841,7 +843,10 @@ func (tx *Txn) scanSSI(sc *scanCtx, tb *table, snap core.TS, from, to []byte, li
 // block, so they cannot be taken under the latch; instead collection and
 // locking loop until a pass finds every key of its lock set already held,
 // which closes the window in which a row could be inserted into the range
-// after collection but before its gap (or page) was locked.
+// after collection but before its gap (or page) was locked. A pass that
+// collected under all its locks then waits for the writers whose versions
+// still hold a collected row — explicit grants wait for implicit locks
+// (locks_row.go) — and, if it waited, collects again.
 func (tx *Txn) scanS2PL(sc *scanCtx, tb *table, snap core.TS, from, to []byte, limit int) error {
 	lt := tx.db.targets
 	if err := lt.lockScanStart(tx, sc, tb, from, lock.Shared, snap); err != nil {
@@ -850,7 +855,7 @@ func (tx *Txn) scanS2PL(sc *scanCtx, tb *table, snap core.TS, from, to []byte, l
 	for changed := true; changed; {
 		changed = false
 		sc.collect(tb, tx.t, snap, from, to, limit, nil)
-		sc.keys = lt.scanKeys(emptied(sc.keys), tb, sc.items, sc.end)
+		sc.keys = lt.scanKeys(emptied(sc.keys), tb, sc.items, sc.end, nil)
 		for _, k := range sc.keys {
 			if tx.db.locks.Holds(tx.t, k, lock.Shared) {
 				continue
@@ -860,6 +865,12 @@ func (tx *Txn) scanS2PL(sc *scanCtx, tb *table, snap core.TS, from, to []byte, l
 				return err
 			}
 			changed = true
+		}
+		if !changed {
+			var err error
+			if changed, err = lt.awaitHeads(tx, tb, sc.items); err != nil {
+				return err
+			}
 		}
 	}
 	return nil

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"testing"
 
+	"ssi/internal/btree"
 	"ssi/internal/core"
 	"ssi/internal/lock"
 	"ssi/internal/mvcc"
@@ -41,41 +42,100 @@ func promotedReader(t *testing.T, db *ssidb.DB, runs uint64) (reader, promotedAl
 	}
 }
 
+// absentPuts returns a transaction of one SI Put of a key the table has no
+// row for, on a kvmix load: every call inserts the next key past the load's
+// last, so the key lands at the right edge of its tree and has no successor.
+func absentPuts(t *testing.T, db *ssidb.DB) func() {
+	next := kvmix.DefaultConfig().Keys
+	val := []byte("v")
+	return func() {
+		next++
+		if err := db.Run(ssidb.SnapshotIsolation, func(tx *ssidb.Txn) error { return tx.Put(kvmix.Table, kvmix.Key(next), val) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// amalgamates returns SmallBank Amalgamates on a fresh load of bank, call j
+// (from 0) moving customer 2(j+1)'s funds to customer 2(j+1)+1, and the
+// account ids call j touches.
+func amalgamates(t *testing.T, bank *ssidb.DB) (run func(), ids func(call int) (id1, id2 []byte)) {
+	if err := smallbank.Load(bank, smallbank.DefaultConfig()); err != nil {
+		t.Fatal(err)
+	}
+	accounts := smallbank.DefaultConfig().Accounts
+	acct := 0
+	run = func() {
+		acct = (acct + 2) % accounts
+		if err := bank.Run(ssidb.SerializableSI, func(tx *ssidb.Txn) error { return smallbank.Amalgamate(tx, acct, acct+1) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ids = func(call int) (id1, id2 []byte) {
+		n1 := 2 * (call + 1) % accounts // call 0 is the first
+		if err := bank.RunReadOnly(ssidb.SnapshotIsolation, func(tx *ssidb.Txn) error {
+			v1, _, err := tx.Get(smallbank.TableAccount, smallbank.Name(n1))
+			if err != nil {
+				return err
+			}
+			v2, _, err := tx.Get(smallbank.TableAccount, smallbank.Name(n1+1))
+			id1, id2 = append([]byte(nil), v1...), append([]byte(nil), v2...)
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return id1, id2
+	}
+	return run, ids
+}
+
 // TestLockWorkBudget counts what the lock manager does per transaction, in
 // the workcount build only (the default build compiles the hooks to
 // nothing): run it, and TestStoreWorkBudget and TestCoreWorkBudget, with
 //
 //	go test -tags workcount -run WorkBudget .
 //
+// A SI or SSI write takes no lock-table entry at row granularity: its
+// uncommitted version is its write lock, and it probes the row key's entry —
+// a shard hold and two key hashes (shardIndex and the lookup), no insert —
+// for SIREAD holders and blocking locks, inside the latch hold that installs
+// it (package lock, "Implicit row locks").
+//
 // The repository benchmark's kv-uniform transaction — 4 Gets and 2 Puts on
-// existing rows at SerializableSI — takes 6 locks: an SIREAD per Get and an
-// exclusive row lock per Put, each one request and one hold of its key's
-// shard mutex. The commit releases the two exclusive locks (one shard hold
-// each) and, the transaction's commit preceding every active snapshot on this
-// quiet database, its own retirement releases the four SIREADs (one each):
-// 12 shard holds. The owner's mutex is held once per grant (6), once by each
-// of the two releases to take its entries off the owner's list (2) — the
-// commit puts none back, as it leaves no SIREAD on a row it wrote — and once
-// to ask whether SIREAD locks are left at commit: 9. Every lock is on a key
-// no other transaction holds, so its acquire hashes the key three times
-// (shardIndex, the table lookup that misses, the insert) and its release once
-// (the delete of the emptied entry; the release reaches the entry and its
-// shard through the owner's list): 24 key hashes. (With the owner's key map
-// the same transaction held the owner's mutex 17 times — once per key
-// released and twice more per release — and hashed each key 9 times: twice
-// in shardIndex, four times in the shard's table and three in the key map,
-// 54 in all.)
+// existing rows at SerializableSI — takes 4 locks, an SIREAD per Get, each one
+// request and one hold of its key's shard mutex, and makes 2 probes, which
+// find no entry. The commit releases no entry (its list holds SIREADs only)
+// and, the transaction's commit preceding every active snapshot on this quiet
+// database, its own retirement releases the four SIREADs (one shard hold
+// each): 4 + 2 + 4 = 10 shard holds. The owner's mutex is held once per grant
+// (4), once by each of the two releases (2) and once to ask whether SIREAD
+// locks are left at commit: 7. Every SIREAD is on a key no other transaction
+// holds, so its acquire hashes the key three times (shardIndex, the table
+// lookup that misses, the insert) and its release once (the delete of the
+// emptied entry, reached through the owner's list); each probe hashes twice:
+// 12 + 4 + 4 = 20 key hashes. (With an Exclusive entry per Put the same
+// transaction made 6 requests, 12 shard and 9 owner holds and 24 key
+// hashes; with the owner's key map as well, 17 owner holds and 54 hashes.)
 //
 // A SmallBank Amalgamate reads 5 rows (the two customers' account rows, the
 // first one's saving and checking balances and the second one's checking
 // balance) and writes 3 of them (both checking balances, the first saving
-// balance): 8 requests, one shard hold each. Each exclusive lock is on a row
-// the transaction read, so its grant discards that row's SIREAD (§3.7.3); the
-// commit releases the 3 exclusive locks and the retirement the 2 SIREADs left
-// on the account rows: 13 shard holds. Owner mutex: 8 grants, 1 per release,
-// 1 at commit: 11. Key hashes: 3 per row read, 2 per write (shardIndex and
-// the lookup that finds the read's entry), 1 per entry emptied by a release:
-// 15 + 6 + 5 = 26.
+// balance): 5 requests and 3 probes, one shard hold each. Each write is on a
+// row the transaction read, so its probe finds the read's entry and discards
+// that SIREAD (§3.7.3): one owner hold, and a delete of the emptied entry.
+// The retirement releases the 2 SIREADs left on the account rows: 10 shard
+// holds. Owner mutex: 5 grants, 3 discards, 1 per release, 1 at commit: 11.
+// Key hashes: 3 per row read, 3 per probe (shardIndex, the lookup, the
+// delete), 1 per entry the retirement empties: 15 + 9 + 2 = 26. (With
+// Exclusive entries: 8 requests, 13 shard holds, 11 owner holds, 26 hashes.)
+//
+// One SI Put of a key without a row, on a lock table of one shard: no
+// request, and 1 probe. The insert also hands the SIREAD locks of the gap it
+// splits to the new key's gap (InheritSIRead): one hold of the shard for both
+// gap keys, two key hashes to find their shard and one lookup, which finds no
+// reader. 2 shard holds, 5 key hashes, and no owner hold: the transaction
+// never took a lock, so its releases return at once. (With an Exclusive
+// entry: 1 request, 3 shard holds, 2 owner holds, 9 key hashes.)
 //
 // A declared read-only reader promoted to a safe snapshot at its first read —
 // the scan-readmostly reader, 4 Gets and a 64-row Scan — takes no lock and
@@ -98,25 +158,22 @@ func TestLockWorkBudget(t *testing.T) {
 				}
 				got := lock.ReadWork().Sub(before)
 				t.Logf("%s: %+v over %d transactions", what, got, n)
-				if got != (lock.Work{Acquires: n * want.Acquires, ShardLocks: n * want.ShardLocks, OwnerLocks: n * want.OwnerLocks, KeyHashes: n * want.KeyHashes}) {
+				if got != (lock.Work{Acquires: n * want.Acquires, Probes: n * want.Probes, ShardLocks: n * want.ShardLocks, OwnerLocks: n * want.OwnerLocks, KeyHashes: n * want.KeyHashes}) {
 					t.Errorf("%s: %+v over %d transactions, want %+v each", what, got, n, want)
 				}
 			}
 
 			exact("4 Gets + 2 Puts", shapedTxn(t, db, ssidb.SerializableSI, txnShape{gets: 4, puts: 2}),
-				lock.Work{Acquires: 6, ShardLocks: 12, OwnerLocks: 9, KeyHashes: 24})
+				lock.Work{Acquires: 4, Probes: 2, ShardLocks: 10, OwnerLocks: 7, KeyHashes: 20})
 
-			bank := ssidb.Open(ssidb.Options{Detector: ssidb.DetectorPrecise, TableShards: tshards, LockShards: 8})
-			if err := smallbank.Load(bank, smallbank.DefaultConfig()); err != nil {
+			run, _ := amalgamates(t, ssidb.Open(ssidb.Options{Detector: ssidb.DetectorPrecise, TableShards: tshards, LockShards: 8}))
+			exact("Amalgamate", run, lock.Work{Acquires: 5, Probes: 3, ShardLocks: 10, OwnerLocks: 11, KeyHashes: 26})
+
+			ins := ssidb.Open(ssidb.Options{TableShards: tshards, LockShards: 1})
+			if err := kvmix.Load(ins, kvmix.DefaultConfig()); err != nil {
 				t.Fatal(err)
 			}
-			acct := 0
-			exact("Amalgamate", func() {
-				acct = (acct + 2) % smallbank.DefaultConfig().Accounts
-				if err := bank.Run(ssidb.SerializableSI, func(tx *ssidb.Txn) error { return smallbank.Amalgamate(tx, acct, acct+1) }); err != nil {
-					t.Fatal(err)
-				}
-			}, lock.Work{Acquires: 8, ShardLocks: 13, OwnerLocks: 11, KeyHashes: 26})
+			exact("SI Put of an absent key", absentPuts(t, ins), lock.Work{Probes: 1, ShardLocks: 2, KeyHashes: 5})
 
 			reader, promotedAll := promotedReader(t, db, n+1)
 			exact("promoted reader, 4 Gets + a 64-row Scan", reader, lock.Work{})
@@ -125,29 +182,56 @@ func TestLockWorkBudget(t *testing.T) {
 	}
 }
 
-// TestStoreWorkBudget counts what the row store does per transaction, in the
-// workcount build: partition-latch holds, shared and exclusive apart, and the
-// versions readChain (point reads, scanned rows) and NewestCommitTS (the
-// First-Committer-Wins check) walk. Every chain here holds one committed
-// version: each writer's retirement prunes what it superseded before the
-// next transaction begins.
+// TestStoreWorkBudget counts what the row store and its trees do per
+// transaction, in the workcount build: partition-latch holds, shared and
+// exclusive apart, and the versions readChain (point reads, scanned rows) and
+// a write's latch hold (the head it decides on) look at; and the B+tree
+// descents, each a lookup, an insert or a seek, with the pages they enter.
+// Every chain here holds one committed version: each writer's retirement
+// prunes what it superseded before the next transaction begins.
 //
 // The kv-uniform transaction at SerializableSI: a Get locates its row (one
-// shared hold), to name its SIREAD lock, then reads it through the handle
-// (one shared hold, one version); a Put locates its row (one shared), checks
-// First-Committer-Wins (one shared, one version) and installs its version
-// (one exclusive). 4 Gets and 2 Puts: 8 + 4 = 12 shared holds, 2 exclusive
-// and 4 + 2 = 6 versions. The retirement prunes the 2 rows written, one
-// exclusive hold per partition they lie in: at TableShards 1 that is 1, for
-// 3 exclusive holds; at 8 it is 1 or 2, so the test holds the n-transaction
+// shared hold, one descent), to name its SIREAD lock, then reads it through
+// the handle (one shared hold, one version); a Put locates its row (one
+// shared hold, one descent) and claims it through the handle — decides on
+// its head (one version), probes the lock table and installs — in one
+// exclusive hold. 4 Gets and 2 Puts: 8 + 2 = 10 shared holds, 2 exclusive, 6
+// versions and 6 descents. The retirement prunes the 2 rows written, one
+// exclusive hold per partition they lie in: at TableShards 1 that is 1, for 3
+// exclusive holds; at 8 it is 1 or 2, so the test holds the n-transaction
 // total, 2n plus the partitions each transaction's two Puts span, computed
-// here from the keys with the store's partition hash.
+// here from the keys with the store's partition hash. (Before a write's
+// decision and install became one hold, a Put also held the latch shared to
+// check First-Committer-Wins: 12 shared holds.)
+//
+// A SmallBank Amalgamate: 5 Gets and 3 Puts, so 10 + 3 = 13 shared holds, 3
+// exclusive, 8 versions and 8 descents; its retirement prunes the saving
+// balance in one partition of its table and the two checking balances in one
+// or two of theirs.
+//
+// One SI Put of a key without a row: a locate that misses (one shared hold,
+// one descent), then a claim that takes every partition latch, looks the key
+// up again and inserts it (two descents), seeks its successor in every
+// partition (TableShards descents) and installs into the empty chain (no
+// version to look at); the retirement prunes the row in one exclusive hold.
+// 1 shared hold, TableShards + 1 exclusive, no version, 3 + TableShards
+// descents. (Before: six descents, the locate done twice, a shared pre-lookup
+// in Write and a lookup before the insert, and 2 + TableShards exclusive
+// holds.)
 //
 // The promoted scan-readmostly reader reads without locks, so a Get is one
-// shared hold (read by key) and one version; its Scan of 64 rows is one round
-// (ScanChunk is 256), which holds every partition latch shared once, and reads
-// the 64 rows and the key at the range's end that stops it: 65 versions. In
-// all 4 + TableShards shared holds, no exclusive one and 69 versions.
+// shared hold (read by key, one descent) and one version; its Scan of 64 rows
+// is one round (ScanChunk is 256), which holds every partition latch shared
+// once, seeks an iterator in each, and reads the 64 rows and the key at the
+// range's end that stops it: 65 versions. In all 4 + TableShards shared
+// holds and as many descents, no exclusive one and 69 versions.
+//
+// The kvmix rows load in key order, which fills every leaf (a split at the
+// right edge keeps the full page): 10 000 rows make 157 leaves in one
+// partition, under an interior level under the root, so every descent enters
+// 3 pages at TableShards 1; the ≈ 1 250 rows of each of 8 partitions make ≈ 20
+// leaves under a root, 2 pages. SmallBank's 1 000 rows a table make 16 leaves,
+// or 2 per partition at 8: 2 pages.
 func TestStoreWorkBudget(t *testing.T) {
 	for _, tshards := range []int{1, 8} {
 		t.Run(fmt.Sprintf("tshards=%d", tshards), func(t *testing.T) {
@@ -156,39 +240,64 @@ func TestStoreWorkBudget(t *testing.T) {
 				t.Fatal(err)
 			}
 			const n = 500
+			partition := func(key []byte) uint32 {
+				return core.Fnv32aBytes(core.Fnv32aInit(), key) & uint32(tshards-1)
+			}
 			// exact runs one warm-up and then n transactions, and holds their
-			// total work to want.
-			exact := func(what string, run func(), want mvcc.Work) {
+			// total work to want, and their descents to descents, each
+			// entering pages pages.
+			exact := func(what string, run func(), want mvcc.Work, descents, pages uint64) {
 				run()
-				before := mvcc.ReadWork()
+				before, beforeTree := mvcc.ReadWork(), btree.ReadWork()
 				for i := 0; i < n; i++ {
 					run()
 				}
-				got := mvcc.ReadWork().Sub(before)
-				t.Logf("%s: %+v over %d transactions", what, got, n)
+				got, tree := mvcc.ReadWork().Sub(before), btree.ReadWork().Sub(beforeTree)
+				t.Logf("%s: %+v, %+v over %d transactions", what, got, tree, n)
 				if got != want {
 					t.Errorf("%s: %+v over %d transactions, want %+v", what, got, n, want)
 				}
+				if tree != (btree.Work{Descents: descents, Nodes: descents * pages}) {
+					t.Errorf("%s: %+v over %d transactions, want %d descents of %d pages", what, tree, n, descents, pages)
+				}
+			}
+			kvPages := uint64(3)
+			if tshards == 8 {
+				kvPages = 2
 			}
 
 			// shapedTxn's transaction j (the warm-up is 0) Puts its key
 			// numbers 6j+5 and 6j+6 of the key set.
 			pruned := uint64(0)
-			partition := func(i int) uint32 {
-				return core.Fnv32aBytes(core.Fnv32aInit(), kvmix.Key(i%4096*2)) & uint32(tshards-1)
-			}
 			for j := 1; j <= n; j++ {
 				pruned++
-				if partition(6*j+5) != partition(6*j+6) {
+				if partition(kvmix.Key((6*j+5)%4096*2)) != partition(kvmix.Key((6*j+6)%4096*2)) {
 					pruned++
 				}
 			}
 			exact("4 Gets + 2 Puts", shapedTxn(t, db, ssidb.SerializableSI, txnShape{gets: 4, puts: 2}),
-				mvcc.Work{SharedLatches: n * 12, ExclusiveLatches: n*2 + pruned, VersionsWalked: n * 6})
+				mvcc.Work{SharedLatches: n * 10, ExclusiveLatches: n*2 + pruned, VersionsWalked: n * 6}, n*6, kvPages)
+
+			run, ids := amalgamates(t, ssidb.Open(ssidb.Options{Detector: ssidb.DetectorPrecise, TableShards: tshards, LockShards: 8}))
+			pruned = 0
+			for j := 1; j <= n; j++ {
+				pruned += 2 // the saving table's row, and the checking table's first
+				if id1, id2 := ids(j); partition(id1) != partition(id2) {
+					pruned++
+				}
+			}
+			exact("Amalgamate", run, mvcc.Work{SharedLatches: n * 13, ExclusiveLatches: n*3 + pruned, VersionsWalked: n * 8}, n*8, 2)
+
+			ins := ssidb.Open(ssidb.Options{TableShards: tshards})
+			if err := kvmix.Load(ins, kvmix.DefaultConfig()); err != nil {
+				t.Fatal(err)
+			}
+			exact("SI Put of an absent key", absentPuts(t, ins),
+				mvcc.Work{SharedLatches: n, ExclusiveLatches: n * uint64(tshards+1)}, n*uint64(3+tshards), kvPages)
 
 			reader, promotedAll := promotedReader(t, db, n+1)
 			exact("promoted reader, 4 Gets + a 64-row Scan", reader,
-				mvcc.Work{SharedLatches: n * uint64(4+tshards), VersionsWalked: n * 69})
+				mvcc.Work{SharedLatches: n * uint64(4+tshards), VersionsWalked: n * 69}, n*uint64(4+tshards), kvPages)
 			promotedAll()
 		})
 	}
@@ -230,17 +339,8 @@ func TestCoreWorkBudget(t *testing.T) {
 	exact("4 Gets + 2 Puts", shapedTxn(t, db, ssidb.SerializableSI, txnShape{gets: 4, puts: 2}),
 		core.Work{Queued: 1, Drained: 1})
 
-	bank := ssidb.Open(ssidb.Options{Detector: ssidb.DetectorPrecise, LockShards: 8})
-	if err := smallbank.Load(bank, smallbank.DefaultConfig()); err != nil {
-		t.Fatal(err)
-	}
-	acct := 0
-	exact("Amalgamate", func() {
-		acct = (acct + 2) % smallbank.DefaultConfig().Accounts
-		if err := bank.Run(ssidb.SerializableSI, func(tx *ssidb.Txn) error { return smallbank.Amalgamate(tx, acct, acct+1) }); err != nil {
-			t.Fatal(err)
-		}
-	}, core.Work{Queued: 1, Drained: 1})
+	run, _ := amalgamates(t, ssidb.Open(ssidb.Options{Detector: ssidb.DetectorPrecise, LockShards: 8}))
+	exact("Amalgamate", run, core.Work{Queued: 1, Drained: 1})
 
 	reader, promotedAll := promotedReader(t, db, n+1)
 	exact("promoted reader, 4 Gets + a 64-row Scan", reader, core.Work{})
