@@ -94,6 +94,12 @@
 //     converted lock now blocks it. Between the two, a write's latch hold and a
 //     grant's check are ordered by the latch: either the write sees the grant
 //     or the check sees the write.
+//   - The holder. A converted lock sits beside the grant of the waiter that
+//     converted it, so its writer asks the table nothing more about that row:
+//     it holds the row by its version, and its locked reads and refused
+//     inserts of the row return without a request, as its reads of the row
+//     take no SIREAD (§3.7.3). A request would wait behind the waiter, which
+//     waits for the writer.
 package lock
 
 import (
@@ -441,13 +447,14 @@ func (m *Manager) AcquireInto(owner *core.Txn, key Key, mode Mode, buf []*core.T
 		e := s.entryLocked(key)
 		own := e.holders[owner]
 
+		// Already held — unless a converted implicit lock (Convert) now
+		// blocks it: then wait for that writer as a conversion waits, on
+		// holders only.
 		if own&mode == mode && (mode == SIRead || blockersLocked(e, owner, own, mode) == nil) {
-			rivals = rivalsInto(e, owner, own, mode, buf) // already held
+			rivals = rivalsInto(e, owner, own, mode, buf)
 			s.mu.Unlock()
 			return rivals, nil
 		}
-		// Held, but a converted implicit lock (Convert) now blocks it: wait
-		// for that writer as a conversion waits, on holders only.
 		if mode == SIRead && own&Exclusive != 0 && m.upgradeable(key.Kind) {
 			// Already upgraded: the exclusive lock subsumes the read lock's
 			// conflict-detection role (our new version is the signal).

@@ -98,7 +98,7 @@
 // Ordered scans are a k-way merge over the per-partition trees, performed in
 // bounded lock-coupled rounds rather than under one table-long latch hold: a
 // round takes every partition latch in shared mode (ascending index order,
-// the same order structural inserts take them exclusively, see Write), emits
+// the same order structural inserts take them exclusively, see Claim), emits
 // up to ScanChunk keys from the merge frontier, lets the caller install the
 // emitted keys' SIREAD/gap protection while the latches are still held, and
 // only then releases them; the next round re-acquires the latches and
@@ -579,30 +579,24 @@ func (p *Pruner) Flush() {
 	p.n = 0
 }
 
-// Write is Locate and Row.Write for a key that may have no row yet: an absent
-// key is inserted, and the row returned either way, with whether the write
-// inserted it. key is only borrowed (an insert copies it into the tree). With
-// no onInsert it takes only the key's partition latch, and the insert runs no
-// gap protocol: the engine writes so at page granularity, under its page
-// locks, and in recovery; row granularity writes through Claim. With an
-// onInsert Write takes every partition latch, as Claim does for a key its
-// caller saw absent, and calls it as Claim tells its Locker of an insert.
+// Write is Locate and Row.Write for a key that may have no row yet, in one
+// hold of the key's partition latch: an absent key is inserted, and the row
+// returned either way, with whether the write inserted it. key is only
+// borrowed (an insert copies it into the tree). The insert runs no gap
+// protocol: the engine writes so at page granularity, under its page locks,
+// and in recovery; row granularity writes through Claim, which tells its
+// Locker of an insert. onInsert must be nil — Write calls nothing under the
+// latch; the parameter stays for callers written against its older form.
 func (tb *Table) Write(t *core.Txn, key []byte, data []byte, tombstone bool, onInsert func(stored, succ string, hasSucc bool)) (row Row, inserted bool) {
+	if onInsert != nil {
+		panic("mvcc: Table.Write has no insert hook; an insert that runs the gap protocol goes through Claim")
+	}
 	w := t.Cell() // t's first write allocates it, on t's own goroutine
 	sh := tb.shardOf(key)
-	if onInsert == nil {
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-	} else {
-		tb.lockAll()
-		defer tb.unlockAll()
-	}
+	sh.mu.Lock()
 	row, inserted = rowLocked(sh, key)
-	if inserted && onInsert != nil {
-		succ, hasSucc := tb.successorAllLocked(key)
-		onInsert(row.key, succ, hasSucc)
-	}
 	writeChainLocked(sh, row.c, w, data, tombstone)
+	sh.mu.Unlock()
 	return row, inserted
 }
 

@@ -361,8 +361,16 @@ func TestMergedScanMatchesSingleShardOracle(t *testing.T) {
 	}
 }
 
+// noLocks is a Locker for writers that coordinate by no lock: no head holds
+// its row, no probe blocks, and an insert has no gap locks to move.
+type noLocks struct{}
+
+func (noLocks) Holds(*core.Txn) bool                 { return false }
+func (noLocks) Probe(string, string) bool            { return false }
+func (noLocks) Inherit(string, string, string, bool) {}
+
 // TestPartitionedStoreRaceStress hammers one partitioned table with
-// concurrent point writes, structural inserts (with gap callbacks),
+// concurrent claims (structural inserts under every latch among them),
 // tombstones, merged scans, retirement pruning and Vacuum walks; run under
 // -race it checks the latch discipline (single-shard point ops and pruning,
 // ordered all-shard scans and structural inserts, chunked vacuum) for data
@@ -383,9 +391,9 @@ func TestPartitionedStoreRaceStress(t *testing.T) {
 				key := []byte(fmt.Sprintf("k%03d", r.Intn(64)))
 				var rows []Row
 				switch r.Intn(4) {
-				case 0: // structural-style write with gap callback
-					row, _ := tb.Write(txn, key, []byte{byte(i)}, false, func(stored, succ string, hasSucc bool) {})
-					rows = append(rows, row)
+				case 0: // a claim, which inserts an absent key under every latch
+					row, _ := tb.Locate(key)
+					rows = append(rows, tb.Claim(txn, key, row, Intent{Data: []byte{byte(i)}}, noLocks{}).Row)
 				case 1: // tombstone
 					row, _ := tb.Write(txn, key, nil, true, nil)
 					rows = append(rows, row)
@@ -471,11 +479,11 @@ func TestScanWriterProgress(t *testing.T) {
 	put := func(key []byte, val string, structural bool) {
 		txn := m.Begin(core.SnapshotIsolation)
 		m.AssignSnapshot(txn)
-		var onInsert func(string, string, bool)
 		if structural {
-			onInsert = func(string, string, bool) {}
+			tb.Claim(txn, key, Row{}, Intent{Data: []byte(val)}, noLocks{})
+		} else {
+			tb.Write(txn, key, []byte(val), false, nil)
 		}
-		tb.Write(txn, key, []byte(val), false, onInsert)
 		if _, err := m.CommitPrepare(txn); err != nil {
 			t.Error(err)
 		}

@@ -268,3 +268,62 @@ func TestLateConversionHoldsNothing(t *testing.T) {
 		t.Fatalf("the lock table holds %d keys of %d owners after every transaction ended", st.LockedKeys, st.LockOwners)
 	}
 }
+
+// TestImplicitHolderKeepsItsRow: a writer whose implicit lock a waiter has
+// converted still holds its row by its version. Its own GetForUpdate reads
+// the row and its Insert is refused with ErrKeyExists at once; neither waits
+// behind the grant the waiter holds on the entry, which would close a cycle
+// through the waiter (ErrDeadlock). The waiter goes on once the writer
+// commits.
+func TestImplicitHolderKeepsItsRow(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		iso  Isolation
+		op   func(tx *Txn) error
+	}{
+		{"behind GetForUpdate", SnapshotIsolation, func(tx *Txn) error {
+			_, _, err := tx.GetForUpdate("t", []byte("k"))
+			return err
+		}},
+		{"behind S2PL Get", S2PL, func(tx *Txn) error {
+			_, _, err := tx.Get("t", []byte("k"))
+			return err
+		}},
+		{"behind S2PL Put", S2PL, func(tx *Txn) error { return tx.Put("t", []byte("k"), []byte("b")) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			db := implicitDB(t, Options{LockWaitTimeout: time.Minute})
+			writer := db.Begin(SnapshotIsolation)
+			if err := writer.Put("t", []byte("k"), []byte("a")); err != nil {
+				t.Fatal(err)
+			}
+			other := db.Begin(c.iso)
+			parks := db.StatsSnapshot().LockParks
+			done := async(func() error { return c.op(other) })
+			awaitParks(t, db, parks)
+			if err := result(t, async(func() error {
+				v, _, err := writer.GetForUpdate("t", []byte("k"))
+				if err == nil && string(v) != "a" {
+					return errors.New("read " + string(v) + ", want its own a")
+				}
+				return err
+			})); err != nil {
+				t.Fatalf("the holder's GetForUpdate of its own row: %v", err)
+			}
+			if err := result(t, async(func() error {
+				return writer.Insert("t", []byte("k"), []byte("again"))
+			})); !errors.Is(err, ErrKeyExists) {
+				t.Fatalf("the holder's Insert over its own row: %v, want ErrKeyExists", err)
+			}
+			if err := writer.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			if err := result(t, done); err != nil {
+				t.Fatal(err)
+			}
+			if err := other.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}

@@ -102,8 +102,14 @@ func (tx *Txn) wait(k lock.Key, mode lock.Mode) error {
 }
 
 // lockForUpdate is GetForUpdate's exclusive lock: a lock-table entry at every
-// level, and then a wait for a writer whose version still holds the row.
+// level, and then a wait for a writer whose version still holds the row —
+// unless the row's head is the transaction's own version, which holds the row
+// already: its write marked the readers, and a waiter that converted its lock
+// holds a grant on the entry that a second request would wait behind.
 func (rowTargets) lockForUpdate(tx *Txn, tb *table, key []byte, row mvcc.Row) ([]*core.Txn, core.TS, error) {
+	if len(tx.writes) > 0 && row.Writer() == tx.t {
+		return nil, row.NewestCommitTS(), nil
+	}
 	k := rowKeyFor(tb, key, row)
 	readers, err := tx.db.locks.AcquireInto(tx.t, k, lock.Exclusive, emptied(tx.rivals))
 	tx.rivals = readers
@@ -157,9 +163,12 @@ claim:
 		switch {
 		case c.Outcome == mvcc.Held:
 			err = tx.waitFor(c.Holder, rowKeyOf(tb, row.Key()), lock.Exclusive)
-		case c.Outcome == mvcc.Blocked, c.Outcome == mvcc.Exists && !locked:
+		case c.Outcome == mvcc.Blocked, c.Outcome == mvcc.Exists && !locked && row.Writer() != tx.t:
 			// An Insert's refusal reads the row: it holds the row as the
 			// write would have, so no one changes it under the transaction.
+			// A refusal on its own head holds the row already, by that
+			// version; a waiter may have converted it, and holds a grant
+			// this request would wait behind.
 			err, locked = tx.wait(rowKeyOf(tb, row.Key()), lock.Exclusive), true
 		default:
 			break claim
