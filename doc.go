@@ -75,27 +75,32 @@
 //	    descent. The look-up reads no row state, so the order of Figures 3.4
 //	    and 3.5 stands: lock first, then read. An explicit lock on a key that
 //	    has no chain is taken under a copy of k, and the key looked up again
-//	    once the lock is held; a SI or SSI write to such a key copies nothing
-//	    but what the tree keeps: it inserts k into the tree's key arena in its
-//	    latch hold ([10]), and names the row by that copy.
+//	    once the lock is held; a row-granularity write to such a key copies
+//	    nothing but what the tree keeps: it inserts k into the tree's key
+//	    arena in its latch hold ([10]), and names the row by that copy.
 //	[9] A value returned (Get, GetForUpdate) or shown to a Scan callback
 //	    aliases the stored version: it is read-only, and its capacity equals
 //	    its length, so an append copies instead of writing into the store or
 //	    into another reader's result.
-//	[10] At row granularity a SI or SSI write's row lock is implicit: its
-//	    uncommitted version, until the writer commits or aborts (package lock,
-//	    "Implicit row locks"). The write decides and installs in one
-//	    exclusive latch hold (mvcc.Table.Claim): its own head is overwritten;
-//	    a head committed after its snapshot is W; a head another writer still
-//	    holds sends it to wait; otherwise it probes the row's lock-table entry
-//	    — a lookup, never an insert — for the SIREAD holders to mark and for a
-//	    blocking lock, and installs. A write that must wait converts the head
-//	    writer's implicit lock into an Exclusive entry held on its behalf, or
-//	    acquires behind the blocking entry, waits in the table (D) and claims
-//	    again; so does every explicit blocking grant on the row — S2PL's reads
-//	    and writes and GetForUpdate, which keep their lock-table entries — once
-//	    granted. A read of a row whose head is the transaction's own version
-//	    takes no SIREAD there, as a held Exclusive entry would not (§3.7.3).
+//	[10] A write's row lock is implicit at every level: its uncommitted
+//	    version, until the writer commits or aborts (package lock, "Implicit
+//	    row locks"). Every write decides and installs in one exclusive latch
+//	    hold (mvcc.Table.Claim). At row granularity: its own head is
+//	    overwritten; a head committed after its snapshot is W (S2PL has no
+//	    snapshot); a head another writer still holds sends it to wait;
+//	    otherwise it probes the row's lock-table entry — a lookup, never an
+//	    insert — for the SIREAD holders to mark and for a blocking lock, and
+//	    installs. A write that must wait converts the head writer's implicit
+//	    lock into an Exclusive entry held on its behalf, or acquires behind
+//	    the blocking entry, waits in the table (D) and claims again; an Insert
+//	    refused on another's row acquires the row's Exclusive entry too, and
+//	    holds the row. Every explicit blocking grant on the row — S2PL's
+//	    reads and GetForUpdate, which keep their lock-table entries — waits
+//	    the same way once granted. A read of a row whose head is the
+//	    transaction's own version takes no SIREAD there, as a held Exclusive
+//	    entry would not (§3.7.3). At page granularity the page locks come
+//	    first and exclude every other writer of the row, so the claim asks
+//	    the lock table nothing: it installs, or refuses an Insert (K).
 //
 // Handle lifetime. The *ssidb.Txn a begin returns is the caller's: it may be
 // kept past Commit, Abort or the return of Run and RunRetry, and from then on
@@ -134,7 +139,7 @@
 // covers every commit the snapshot can see. The wait is one atomic load when
 // the record is already durable, as it usually is, and nothing on an
 // in-memory database. S2PL reads take no snapshot: they wait on the writer's
-// Exclusive lock, which is released only once its batch is durable. The
+// write lock, which is released only once its batch is durable. The
 // promise is about Commit: a value returned to the caller earlier — by Get or
 // Scan inside the transaction, or in the reply to an interactive MsgOp — may
 // not be durable yet, and a crash before the Commit returns can lose it.

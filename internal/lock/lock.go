@@ -68,16 +68,19 @@
 //
 // # Implicit row locks
 //
-// At row granularity a SI or SSI write takes no entry here. Its write lock is
-// implicit: the row's head version names its writer, and that version holds
-// the row until the writer lets go of its locks (ImplicitHeld), as InnoDB's
-// record carries its writer's id and PostgreSQL's tuple header its xmax. The
-// row store decides such a write in one exclusive latch hold: a head written
-// by another transaction that still holds it sends the writer to wait; other
-// writers look at the row key's entry with Probe, a lookup that never inserts,
-// for SIREAD holders to mark and for a blocking holder (an S2PL reader or
-// writer, a locked read, a waiter converted before), and install if there is
-// none. The table stays the one place anyone waits:
+// At row granularity a write takes no entry here, at any isolation level. Its
+// write lock is implicit: the row's head version names its writer, and that
+// version holds the row until the writer lets go of its locks (ImplicitHeld),
+// as InnoDB's record carries its writer's id and PostgreSQL's tuple header its
+// xmax. The row store decides such a write in one exclusive latch hold: a head
+// written by another transaction that still holds it sends the writer to
+// wait; other writers look at the row key's entry with Probe, a lookup that
+// never inserts, for SIREAD holders to mark and for a blocking holder (an S2PL
+// reader, a locked read, a waiter), and install if there is none. So the table
+// holds a row's Exclusive lock only for a locked read (GetForUpdate), a
+// conversion, or a waiter: a write that found a blocking holder, or an Insert
+// refused on the row, acquires the Exclusive lock and keeps it. The table
+// stays the one place anyone waits:
 //   - Conversion. A transaction that must wait for an implicit lock first makes
 //     it explicit with Convert — an Exclusive entry held on the head writer's
 //     behalf and listed on its owner, as InheritSIRead lists an inherited SIREAD
@@ -400,12 +403,13 @@ func (m *Manager) shardOf(key Key) *shard { return m.shards[m.shardIndex(key)] }
 
 // acquireSpins is the bounded spin budget of a blocked Acquire: how many
 // times it re-probes the entry (yielding the processor and the shard mutex
-// between probes) before parking. Short lock holds — the common case for
-// SI write locks and for S2PL rows locked late in a transaction — drain
-// within a few scheduler yields, and a spin-grant touches neither the
-// waits-for graph nor any wait-queue state. The spin is adaptive in one
-// respect: a request that must queue behind an already-parked conflicting
-// waiter cannot be granted however long it spins, so it parks immediately.
+// between probes) before parking. Short lock holds — the common case for a
+// converted write lock whose writer is about to commit, and for S2PL rows read
+// late in a transaction — drain within a few scheduler yields, and a
+// spin-grant touches neither the waits-for graph nor any wait-queue state.
+// The spin is adaptive in one respect: a request that must queue behind an
+// already-parked conflicting waiter cannot be granted however long it spins,
+// so it parks immediately.
 const acquireSpins = 4
 
 // Acquire obtains a lock of the given mode on key for owner, blocking while

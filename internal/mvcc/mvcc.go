@@ -60,15 +60,18 @@
 // found, not a copy of the search key), and decide, install and undo a write
 // with one descent between them.
 //
-// A row's uncommitted head version is also its writer's write lock, at row
-// granularity under SI and SSI (package lock, "Implicit row locks"): Claim
-// decides a write and installs it in one exclusive latch hold — overwrite the
-// writer's own head, refuse a head committed after its snapshot
+// A row's uncommitted head version is also its writer's write lock (package
+// lock, "Implicit row locks"), and Claim is how every transaction installs a
+// version: it decides a write and installs it in one exclusive latch hold —
+// overwrite the writer's own head, refuse a head committed after its snapshot
 // (First-Committer-Wins), send it to wait for a head whose writer still holds
 // the row, or else ask the lock table (a Locker) for a blocking lock and the
 // readers to mark, and install. A key the writer saw absent is inserted in the
 // same hold, under every partition latch. No other writer's version can appear
 // above a held head, so the head is the only version a write has to look at.
+// A writer that excludes the row's other writers by locks of its own (the
+// engine's page granularity) claims through a Locker that reports nothing.
+// Table.Write installs with no decision at all, for recovery's replay.
 //
 // Superseded versions are recycled. A version pruning cuts off a chain, or
 // one a Rollback moves back into the head, is unreachable from the moment it
@@ -504,20 +507,6 @@ func (r Row) NewestCommitTS() core.TS {
 	return 0
 }
 
-// Write installs a new uncommitted version of the row created by t. tombstone
-// marks a delete. The caller must hold the appropriate exclusive lock — at
-// page granularity the engine's page locks, which exclude every other writer
-// of the row — and have already applied the First-Committer-Wins check; row
-// granularity writes through Claim instead. A second write by the same
-// transaction replaces its own pending version in place. data is retained and
-// must not be modified afterwards; it must be shorter than 4 GiB.
-func (r Row) Write(t *core.Txn, data []byte, tombstone bool) {
-	w := t.Cell() // t's first write allocates it, on t's own goroutine
-	r.sh.mu.Lock()
-	writeChainLocked(r.sh, r.c, w, data, tombstone)
-	r.sh.mu.Unlock()
-}
-
 // Rollback removes t's pending version of the row, restoring the chain to its
 // pre-transaction state. Called for each row t wrote when it aborts; a row
 // written twice is undone by the first call.
@@ -579,14 +568,14 @@ func (p *Pruner) Flush() {
 	p.n = 0
 }
 
-// Write is Locate and Row.Write for a key that may have no row yet, in one
-// hold of the key's partition latch: an absent key is inserted, and the row
-// returned either way, with whether the write inserted it. key is only
-// borrowed (an insert copies it into the tree). The insert runs no gap
-// protocol: the engine writes so at page granularity, under its page locks,
-// and in recovery; row granularity writes through Claim, which tells its
-// Locker of an insert. onInsert must be nil — Write calls nothing under the
-// latch; the parameter stays for callers written against its older form.
+// Write installs t's version of key in one hold of the key's partition
+// latch, inserting the key if it has no row, and returns the row with whether
+// the write inserted it; a second write by t replaces its own version in
+// place. key is only borrowed (an insert copies it into the tree); data is
+// retained. It decides nothing and runs no gap protocol: it is recovery's
+// replay, which no other transaction runs beside, and the mvcc layer probe
+// of benchmark/layers.go. Every transaction's write goes through Claim.
+// onInsert must be nil; the parameter stays for benchmark/layers.go.
 func (tb *Table) Write(t *core.Txn, key []byte, data []byte, tombstone bool, onInsert func(stored, succ string, hasSucc bool)) (row Row, inserted bool) {
 	if onInsert != nil {
 		panic("mvcc: Table.Write has no insert hook; an insert that runs the gap protocol goes through Claim")
@@ -595,7 +584,11 @@ func (tb *Table) Write(t *core.Txn, key []byte, data []byte, tombstone bool, onI
 	sh := tb.shardOf(key)
 	sh.mu.Lock()
 	row, inserted = rowLocked(sh, key)
-	writeChainLocked(sh, row.c, w, data, tombstone)
+	if row.c.creator == w {
+		row.c.setValue(data, tombstone)
+	} else {
+		row.c.push(sh, w, data, tombstone)
+	}
 	sh.mu.Unlock()
 	return row, inserted
 }
@@ -633,9 +626,11 @@ type Locker interface {
 
 // Intent is what a write asks Claim to install, and against which snapshot.
 type Intent struct {
-	// Snap is the writer's snapshot, or 0 if it has none yet: the engine
-	// assigns a deferred snapshot after the write, above every commit the
-	// write could find, so then no head is too new.
+	// Snap is the writer's snapshot, or 0 for no First-Committer-Wins check:
+	// a writer with no snapshot yet (the engine assigns a deferred one after
+	// the write, above every commit the write could find), an S2PL writer,
+	// which has none, or one that checked a coarser unit itself (a page).
+	// With 0, no head is too new.
 	Snap         core.TS
 	Data         []byte
 	Tombstone    bool
@@ -744,16 +739,6 @@ func (tb *Table) claimLocked(t *core.Txn, row Row, in Intent, l Locker) Claim {
 		row.c.push(row.sh, t.Cell(), in.Data, in.Tombstone)
 	}
 	return cl
-}
-
-// writeChainLocked pushes (or replaces in place) the pending version of the
-// transaction whose cell is w. Caller holds the shard latch exclusively.
-func writeChainLocked(sh *shard, c *chain, w *core.Cell, data []byte, tombstone bool) {
-	if c.creator == w {
-		c.setValue(data, tombstone)
-		return
-	}
-	c.push(sh, w, data, tombstone)
 }
 
 // SetSplitHook installs a callback invoked under the owning partition latch

@@ -487,7 +487,7 @@ func TestRowHandleAcrossSplits(t *testing.T) {
 					// undone through the handle, it is gone by key as well.
 					w := m.Begin(core.SnapshotIsolation)
 					wsnap := m.AssignSnapshot(w)
-					row.Write(w, []byte("pending"), false)
+					tb.Claim(w, k, row, Intent{Data: []byte("pending")}, noLocks{})
 					if got := tb.Read(w, wsnap, k); string(got.Value) != "pending" {
 						t.Errorf("%s: by-key read of the writer sees %q after a write through the handle", k, got.Value)
 					}
@@ -504,7 +504,7 @@ func TestRowHandleAcrossSplits(t *testing.T) {
 					// key's row, whichever way it is asked.
 					w = m.Begin(core.SnapshotIsolation)
 					m.AssignSnapshot(w)
-					row.Write(w, []byte("v2"), false)
+					tb.Claim(w, k, row, Intent{Data: []byte("v2")}, noLocks{})
 					ct, err := m.CommitPrepare(w)
 					if err != nil {
 						t.Fatal(err)

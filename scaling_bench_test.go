@@ -495,23 +495,25 @@ func TestROGetAllocBudget(t *testing.T) {
 // load — its key in the tree's arena (a length byte and the 4 key bytes), the
 // 32-byte chain that is also its newest version — pointing, once its loader
 // has retired, at the shared frozen cell rather than its loader's creator cell
-// — and its 1-byte value, in 16-byte tiny-allocator blocks it shares with two
-// dead 4-byte copies of its key, the loader's and the write's (which named the
-// exclusive lock on the then-absent row): ≈12 B of blocks a value keeps alive,
-// ≈72 B in all (TestOverwrittenRowFootprintAllocBudget, whose values replace
-// the load's, reads the rest alone). That read 178 B while leaves were half-empty pairs of grown
-// slices and the chain header and the version were two objects, 106 B while a
-// slot held an interface, a version a slice header, and the new gap's lock a
-// second key copy, ≈78 B while the absent row's lock was named by a copy of its
-// own, and ≈74 B while a 24-byte slot in a 65-slot page held the key string
-// the lock was named by. The partition count (which the core count selects by
-// default) must not change it: every partition's tree sees an ascending load
-// of its own.
+// — and its 1-byte value, in 16-byte tiny-allocator blocks it shares with the
+// loader's dead 4-byte copy of its key: ≈67 B in all
+// (TestOverwrittenRowFootprintAllocBudget, whose values replace the load's,
+// reads the rest alone). The budget is the highest measurement at GOMAXPROCS
+// 1, 2 and 8 (67.6 B) plus ≈ 3 %, so a word a row gains has to show. That read
+// 178 B while leaves were half-empty pairs of grown slices and the chain
+// header and the version were two objects, 106 B while a slot held an
+// interface, a version a slice header, and the new gap's lock a second key
+// copy, ≈78 B while the absent row's lock was named by a copy of its own,
+// ≈74 B while a 24-byte slot in a 65-slot page held the key string the lock
+// was named by, and ≈72 B while the write copied the key once more, to name
+// the exclusive lock on the then-absent row. The partition count (which the
+// core count selects by default) must not change it: every partition's tree
+// sees an ascending load of its own.
 func TestRowFootprintAllocBudget(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("a footprint is not a race; the 200 000-row loads are slow under the detector")
 	}
-	const rows, budget = 200_000, 74
+	const rows, budget = 200_000, 70
 	for _, tshards := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("tshards=%d", tshards), func(t *testing.T) {
 			perRow := loadedBytes(t, ssidb.Options{TableShards: tshards}, func(db *ssidb.DB) error {
@@ -570,14 +572,16 @@ func TestOverwrittenRowFootprintAllocBudget(t *testing.T) {
 // SmallBank tables: a customer is three rows — an account row (12-byte name,
 // 4-byte id) and a saving and a checking row (4-byte id, 8-byte balance) — so
 // it costs three tree entries, three arena keys and three chains, and its
-// values: ≈231 B a customer. It read ≈334 B with 32-byte slots and 48-byte
-// chains, ≈254 B while each row's absent-row lock was named by a second copy
-// of its key, and ≈246 B with 24-byte slots in 65-slot pages.
+// values: ≈218 B a customer. The budget is the highest measurement at
+// GOMAXPROCS 1, 2 and 8 (219.0 B) plus ≈ 3 %. It read ≈334 B with 32-byte
+// slots and 48-byte chains, ≈254 B while each row's absent-row lock was named
+// by a second copy of its key, ≈246 B with 24-byte slots in 65-slot pages,
+// and ≈231 B while a write copied each key once more to name its lock.
 func TestSmallBankFootprintAllocBudget(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("a footprint is not a race; the 300 000-row load is slow under the detector")
 	}
-	const customers, budget = 100_000, 236
+	const customers, budget = 100_000, 226
 	perCustomer := loadedBytes(t, ssidb.Options{}, func(db *ssidb.DB) error {
 		cfg := smallbank.DefaultConfig()
 		cfg.Accounts = customers

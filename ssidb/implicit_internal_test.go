@@ -9,9 +9,9 @@ import (
 )
 
 // The tests here drive the contended and mixed paths of implicit row locks
-// (locks_row.go; package lock, "Implicit row locks"): a SI or SSI write's
-// uncommitted version is its write lock, which a transaction that must wait
-// converts into a lock-table entry before it waits in the table.
+// (locks_row.go; package lock, "Implicit row locks"): a write's uncommitted
+// version is its write lock, which a transaction that must wait converts into
+// a lock-table entry before it waits in the table.
 
 // implicitDB opens a database of one committed row k = "v0".
 func implicitDB(t *testing.T, opts Options) *DB {
@@ -54,45 +54,49 @@ func result(t *testing.T, done <-chan error) error {
 	}
 }
 
-// TestImplicitLocksDeadlock: two SI writers that cross on two existing rows —
-// each holding one row by its uncommitted version and writing the other's —
-// deadlock, and the waits-for graph says so at once: the conversions put both
-// waits in the table, so exactly one writer, the one that closes the cycle,
-// fails with ErrDeadlock, long before the wait timeout, and the other's write
-// then goes through.
+// TestImplicitLocksDeadlock: two SI writers, or two S2PL ones, that cross on
+// two existing rows — each holding one row by its uncommitted version and
+// writing the other's — deadlock, and the waits-for graph says so at once:
+// the conversions put both waits in the table, so exactly one writer, the one
+// that closes the cycle, fails with ErrDeadlock, long before the wait
+// timeout, and the other's write then goes through.
 func TestImplicitLocksDeadlock(t *testing.T) {
-	db := implicitDB(t, Options{LockWaitTimeout: time.Minute})
-	if err := db.Run(SnapshotIsolation, func(tx *Txn) error { return tx.Put("t", []byte("j"), []byte("v0")) }); err != nil {
-		t.Fatal(err)
-	}
-	t1, t2 := db.Begin(SnapshotIsolation), db.Begin(SnapshotIsolation)
-	if err := t1.Put("t", []byte("j"), []byte("t1")); err != nil {
-		t.Fatal(err)
-	}
-	if err := t2.Put("t", []byte("k"), []byte("t2")); err != nil {
-		t.Fatal(err)
-	}
-	if st := db.StatsSnapshot(); st.LockedKeys != 0 {
-		t.Fatalf("uncontended SI writes left %d lock-table entries, want none", st.LockedKeys)
-	}
-	parks := db.StatsSnapshot().LockParks
-	first := async(func() error { return t1.Put("t", []byte("k"), []byte("t1")) })
-	awaitParks(t, db, parks)
-	start := time.Now()
-	if err := t2.Put("t", []byte("j"), []byte("t2")); !errors.Is(err, ErrDeadlock) {
-		t.Fatalf("the write closing the cycle returned %v, want ErrDeadlock", err)
-	}
-	if took := time.Since(start); took > 10*time.Second {
-		t.Fatalf("the deadlock took %v to detect", took)
-	}
-	if err := result(t, first); err != nil {
-		t.Fatalf("the surviving write returned %v", err)
-	}
-	if err := t1.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if st := db.StatsSnapshot(); st.LockTimeouts != 0 || st.LockedKeys != 0 {
-		t.Fatalf("after the episode: %d timeouts, %d locked keys; want none", st.LockTimeouts, st.LockedKeys)
+	for _, iso := range []Isolation{SnapshotIsolation, S2PL} {
+		t.Run(iso.String(), func(t *testing.T) {
+			db := implicitDB(t, Options{LockWaitTimeout: time.Minute})
+			if err := db.Run(SnapshotIsolation, func(tx *Txn) error { return tx.Put("t", []byte("j"), []byte("v0")) }); err != nil {
+				t.Fatal(err)
+			}
+			t1, t2 := db.Begin(iso), db.Begin(iso)
+			if err := t1.Put("t", []byte("j"), []byte("t1")); err != nil {
+				t.Fatal(err)
+			}
+			if err := t2.Put("t", []byte("k"), []byte("t2")); err != nil {
+				t.Fatal(err)
+			}
+			if st := db.StatsSnapshot(); st.LockedKeys != 0 {
+				t.Fatalf("uncontended writes left %d lock-table entries, want none", st.LockedKeys)
+			}
+			parks := db.StatsSnapshot().LockParks
+			first := async(func() error { return t1.Put("t", []byte("k"), []byte("t1")) })
+			awaitParks(t, db, parks)
+			start := time.Now()
+			if err := t2.Put("t", []byte("j"), []byte("t2")); !errors.Is(err, ErrDeadlock) {
+				t.Fatalf("the write closing the cycle returned %v, want ErrDeadlock", err)
+			}
+			if took := time.Since(start); took > 10*time.Second {
+				t.Fatalf("the deadlock took %v to detect", took)
+			}
+			if err := result(t, first); err != nil {
+				t.Fatalf("the surviving write returned %v", err)
+			}
+			if err := t1.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			if st := db.StatsSnapshot(); st.LockTimeouts != 0 || st.LockedKeys != 0 {
+				t.Fatalf("after the episode: %d timeouts, %d locked keys; want none", st.LockTimeouts, st.LockedKeys)
+			}
+		})
 	}
 }
 

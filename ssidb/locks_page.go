@@ -60,29 +60,36 @@ func (*pageTargets) lockWrite(tx *Txn, tb *table, key []byte, structural bool) (
 	return readers, tb.stamps.newestCommitTS(leaf), nil
 }
 
-// write holds the page locks before it reads or installs anything: every
-// other writer of the row waits on the leaf.
+// write holds the page locks before it installs anything: every other writer
+// of the row waits on the leaf, and the locks found the readers to mark and
+// the page's First-Committer-Wins stamp, which covers the row's. So its claim
+// asks the lock table nothing (pageLocker) and checks no snapshot: it
+// installs, or refuses an Insert on a live head.
 func (p *pageTargets) write(tx *Txn, tb *table, key []byte, row mvcc.Row, val []byte, tombstone, mustNotExist bool) error {
 	readers, newest, err := p.lockWrite(tx, tb, key, tombstone || mustNotExist || row.IsZero())
 	if err != nil {
 		return err
 	}
-	snap, err := tx.checkWrite(readers, newest)
-	if err != nil {
+	if _, err := tx.checkWrite(readers, newest); err != nil {
 		return err
 	}
-	if mustNotExist && tb.read(tx.t, snap, key, row).Found {
+	c := tb.data.Claim(tx.t, key, row, mvcc.Intent{Data: val, Tombstone: tombstone, MustNotExist: mustNotExist}, pageLocker{})
+	if c.Outcome == mvcc.Exists {
 		return ErrKeyExists
 	}
-	if row.IsZero() {
-		row, _ = tb.data.Write(tx.t, key, val, tombstone, nil)
-	} else {
-		row.Write(tx.t, val, tombstone)
-	}
-	tx.writes = append(tx.writes, row)
+	tx.writes = append(tx.writes, c.Row)
 	tb.stamps.addWriter(tb.data.LeafPage(key), tx.t)
 	return nil
 }
+
+// pageLocker is the mvcc.Locker of a page write's claim: no head holds its row
+// against a writer that holds the row's leaf, no probe is needed, and there
+// are no gap locks to move.
+type pageLocker struct{}
+
+func (pageLocker) Holds(*core.Txn) bool                 { return false }
+func (pageLocker) Probe(string, string) bool            { return false }
+func (pageLocker) Inherit(string, string, string, bool) {}
 
 // lockPagePath plans and acquires the page locks along key's root-to-leaf
 // path, as Berkeley DB does while descending — the source of the paper's

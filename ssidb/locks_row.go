@@ -12,12 +12,12 @@ import (
 // versions of the key written, and the newer writers a read must mark are
 // the creators of the newer versions of the keys it read.
 //
-// A SI or SSI write takes no row lock in the lock table: its uncommitted
+// A write takes no row lock in the lock table, at any level: its uncommitted
 // version is its write lock, decided and installed in one exclusive latch
 // hold (mvcc.Table.Claim), and made an explicit entry only when another
 // transaction has to wait for it (package lock, "Implicit row locks"). Every
-// explicit blocking grant on a row — S2PL's reads and writes, a locked read —
-// waits, after the grant, for a writer whose version still holds the row.
+// explicit blocking grant on a row — S2PL's reads, a locked read — waits,
+// after the grant, for a writer whose version still holds the row.
 //
 // A lock names its row or gap by the store's own key string wherever a descent
 // has found that key: every scanned row, every gap (named by the key that ends
@@ -124,13 +124,13 @@ func (rowTargets) lockForUpdate(tx *Txn, tb *table, key []byte, row mvcc.Row) ([
 	return readers, row.NewestCommitTS(), nil
 }
 
-// write is the row-granularity write. SI and SSI claim the row in one latch
-// hold (mvcc.Table.Claim): its outcome installs the version, or sends the
-// writer to wait — converting the head writer's implicit lock, or acquiring
-// behind a blocking entry — and claim again, or ends the write. S2PL takes
-// the explicit exclusive lock first, and its claim then only installs or
-// waits for an implicit holder. Structural writes lock the gap first and again
-// once the key is in the tree (Figure 3.7).
+// write is the row-granularity write, at every level. It claims the row in
+// one latch hold (mvcc.Table.Claim), whose outcome installs the version, or
+// sends the writer to wait — converting the head writer's implicit lock, or
+// acquiring behind a blocking entry (an S2PL reader's Shared lock, a locked
+// read's or a converted Exclusive one) — and claim again, or ends the write.
+// Structural writes lock the gap first and again once the key is in the tree
+// (Figure 3.7).
 func (rowTargets) write(tx *Txn, tb *table, key []byte, row mvcc.Row, val []byte, tombstone, mustNotExist bool) error {
 	mode := tx.readMode()
 	if (tombstone || mustNotExist || row.IsZero()) && mode != noLock {
@@ -143,15 +143,9 @@ func (rowTargets) write(tx *Txn, tb *table, key []byte, row mvcc.Row, val []byte
 		}
 	}
 	// The claim checks First-Committer-Wins against the snapshot, if the
-	// transaction has one yet; S2PL's reads latest, which nothing follows.
+	// transaction has one yet; S2PL takes none, and reads latest.
 	in := mvcc.Intent{Snap: tx.t.Snapshot(), Data: val, Tombstone: tombstone, MustNotExist: mustNotExist}
 	locked := false // the transaction holds the row's Exclusive entry
-	if mode == lock.Shared {
-		if err := tx.wait(rowKeyFor(tb, key, row), lock.Exclusive); err != nil {
-			return err
-		}
-		locked, in.Snap = true, latest
-	}
 	inserted := false
 	var c mvcc.Claim
 claim:

@@ -552,31 +552,73 @@ func TestScanSemantics(t *testing.T) {
 	}
 }
 
+// TestInsertDuplicate: at every level and granularity, an Insert on a key
+// with a live visible version is refused with ErrKeyExists and leaves the
+// transaction running — an Insert on the transaction's own live insert too —
+// and an Insert over a deleted key succeeds. A refused Insert read the row and
+// holds it as the write would have: a second writer waits until the refuser
+// ends.
 func TestInsertDuplicate(t *testing.T) {
-	db := Open(Options{})
-	seed(t, db, "kv", "a", 1)
-	err := db.Run(SerializableSI, func(tx *Txn) error {
-		if err := tx.Insert("kv", []byte("a"), i64(2)); !errors.Is(err, ErrKeyExists) {
-			return fmt.Errorf("insert dup = %v, want ErrKeyExists", err)
+	for name, gran := range map[string]Granularity{"row": GranularityRow, "page": GranularityPage} {
+		for _, iso := range []Isolation{SnapshotIsolation, SerializableSI, S2PL} {
+			t.Run(fmt.Sprintf("%s/%v", name, iso), func(t *testing.T) {
+				db := Open(Options{Granularity: gran})
+				seed(t, db, "kv", "a", 1)
+				err := db.Run(iso, func(tx *Txn) error {
+					if err := tx.Insert("kv", []byte("a"), i64(2)); !errors.Is(err, ErrKeyExists) {
+						return fmt.Errorf("insert dup = %v, want ErrKeyExists", err)
+					}
+					// The transaction survives the statement error.
+					if err := tx.Insert("kv", []byte("b"), i64(3)); err != nil {
+						return err
+					}
+					if err := tx.Insert("kv", []byte("b"), i64(4)); !errors.Is(err, ErrKeyExists) {
+						return fmt.Errorf("insert on its own insert = %v, want ErrKeyExists", err)
+					}
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if v, ok := readI64(t, db, "kv", "b"); !ok || v != 3 {
+					t.Fatalf("b = %d %v", v, ok)
+				}
+				// Inserting over a deleted key succeeds.
+				db.Run(iso, func(tx *Txn) error { return tx.Delete("kv", []byte("a")) })
+				if err := db.Run(iso, func(tx *Txn) error {
+					return tx.Insert("kv", []byte("a"), i64(7))
+				}); err != nil {
+					t.Fatal(err)
+				}
+				if v, _ := readI64(t, db, "kv", "a"); v != 7 {
+					t.Fatalf("a = %d", v)
+				}
+
+				refuser := db.Begin(iso)
+				if err := refuser.Insert("kv", []byte("b"), i64(5)); !errors.Is(err, ErrKeyExists) {
+					t.Fatalf("insert dup = %v, want ErrKeyExists", err)
+				}
+				parks := db.StatsSnapshot().LockParks
+				put := async(func() error {
+					return db.Run(iso, func(tx *Txn) error { return tx.Put("kv", []byte("b"), i64(6)) })
+				})
+				awaitParks(t, db, parks)
+				select {
+				case err := <-put:
+					t.Fatalf("a write of the refused row returned %v while the refuser ran", err)
+				default:
+				}
+				if err := refuser.Commit(); err != nil {
+					t.Fatal(err)
+				}
+				if err := result(t, put); err != nil {
+					t.Fatalf("the write behind the refuser returned %v", err)
+				}
+				if v, _ := readI64(t, db, "kv", "b"); v != 6 {
+					t.Fatalf("b = %d", v)
+				}
+			})
 		}
-		// The transaction survives the statement error.
-		return tx.Put("kv", []byte("b"), i64(3))
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, ok := readI64(t, db, "kv", "b"); !ok || v != 3 {
-		t.Fatalf("b = %d %v", v, ok)
-	}
-	// Inserting over a deleted key succeeds.
-	db.Run(SnapshotIsolation, func(tx *Txn) error { return tx.Delete("kv", []byte("a")) })
-	if err := db.Run(SerializableSI, func(tx *Txn) error {
-		return tx.Insert("kv", []byte("a"), i64(7))
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := readI64(t, db, "kv", "a"); v != 7 {
-		t.Fatalf("a = %d", v)
 	}
 }
 

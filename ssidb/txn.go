@@ -308,7 +308,7 @@ func (tx *Txn) Commit() error {
 		// commits are visible once published under tsMu, before their fsync.
 		// Wait for the log's last record as of the snapshot (readPoint; 0,
 		// already durable, if the transaction took none). S2PL takes no
-		// snapshot: its reads waited on exclusive locks, which a writer
+		// snapshot: its reads waited on writers' locks, which a writer
 		// releases only once durable.
 		walErr = db.log.WaitDurable(tx.commit.lsn)
 	}
@@ -350,7 +350,7 @@ func (tx *Txn) markAsReader(writers []*core.Txn) error {
 // holder, possibly already committed and suspended) to this transaction
 // (write path, Figure 3.5 — including the overlap filter). This is the second
 // fact the isolation level contributes: SI and S2PL writers find the same
-// SIREAD holders on their exclusive locks but record nothing.
+// SIREAD holders on what they write but record nothing.
 func (tx *Txn) markAsWriter(readers []*core.Txn) error {
 	if !tx.Isolation().TracksConflicts() {
 		return nil

@@ -1,0 +1,253 @@
+//go:build workcount
+
+package ssi_test
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	"ssi/internal/btree"
+	"ssi/internal/core"
+	"ssi/internal/lock"
+	"ssi/internal/mvcc"
+	"ssi/internal/workload/kvmix"
+	"ssi/ssidb"
+)
+
+// ledger is one row of TestSSIOverSIWorkBudget: the work of one transaction
+// (of the two, for the rw pair), column by column as ledgerColumns names
+// them.
+type ledger [12]uint64
+
+var ledgerColumns = [...]string{
+	"lock req", "probes", "shard", "owner", "hashes",
+	"latch sh", "latch ex", "versions", "descents",
+	"marks", "queued", "drained",
+}
+
+func readLedger() ledger {
+	l, s, b, c := lock.ReadWork(), mvcc.ReadWork(), btree.ReadWork(), core.ReadWork()
+	return ledger{
+		l.Acquires, l.Probes, l.ShardLocks, l.OwnerLocks, l.KeyHashes,
+		s.SharedLatches, s.ExclusiveLatches, s.VersionsWalked, b.Descents,
+		c.Marks, c.Queued, c.Drained,
+	}
+}
+
+// scanPuts returns a transaction at iso of a 64-row Scan and one Put of a
+// row outside the scanned range, on a kvmix load.
+func scanPuts(t *testing.T, db *ssidb.DB, iso ssidb.Isolation) func() {
+	from, to := kvmix.Key(0x1000), kvmix.Key(0x1000+64)
+	val := []byte("w")
+	next := 0
+	return func() {
+		next++
+		if err := db.Run(iso, func(tx *ssidb.Txn) error {
+			if err := tx.Scan(kvmix.Table, from, to, func(k, v []byte) bool { return true }); err != nil {
+				return err
+			}
+			return tx.Put(kvmix.Table, kvmix.Key(next%2048*2), val) // below the range
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// antiDependency returns two transactions at iso that form one
+// rw-antidependency on a kvmix load: r reads row x; w writes x and commits;
+// r then writes row y and commits.
+func antiDependency(t *testing.T, db *ssidb.DB, iso ssidb.Isolation) func() {
+	val := []byte("w")
+	next := 0
+	return func() {
+		next++
+		x, y := kvmix.Key(next%2048*2), kvmix.Key(next%2048*2+1)
+		r := db.Begin(iso)
+		if _, _, err := r.Get(kvmix.Table, x); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Run(iso, func(w *ssidb.Txn) error { return w.Put(kvmix.Table, x, val) }); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Put(kvmix.Table, y, val); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestSSIOverSIWorkBudget is the ledger of what SerializableSI costs over
+// SnapshotIsolation, with S2PL beside them: the same shapes at each level,
+// every counter of the workcount build, per transaction and exact — lock
+// requests, probes, shard- and owner-mutex holds and key hashes (package
+// lock); shared and exclusive partition-latch holds and versions walked
+// (package mvcc); B+tree descents; MarkConflict calls and retirement entries
+// queued and drained (package core). Tables have one partition and the lock
+// table 8 shards, except for the absent-key Put, whose two gap keys share the
+// one shard of its own database's lock table wherever they hash.
+//
+//	go test -tags workcount -run SSIOverSI -v .
+//
+// prints the table README.md shows. What one operation costs,
+// at any level:
+//   - A SI Get reads by key: a shared latch hold, a descent, a version. At
+//     SSI and S2PL it locates the row (a shared hold, the descent) to name its
+//     lock, and reads through the handle (a shared hold, the version); S2PL's
+//     Get also looks at the row's head writer after its grant (a third shared
+//     hold, no version).
+//   - A lock on a key no one holds is a request, a shard hold, an owner hold
+//     (the grant lists it) and 3 key hashes (the shard index, the table miss,
+//     the insert); its release a shard hold and a hash (the delete).
+//   - A Put of an existing row locates it (a shared hold, a descent) and
+//     claims it in an exclusive hold that looks at its head (a version) and
+//     probes the row's entry (a probe, a shard hold, 2 hashes), at every
+//     level: no write takes a lock-table entry unless someone must wait.
+//   - A transaction that wrote is queued for retirement once, and on this
+//     quiet database drained when its commit precedes every active snapshot;
+//     its retirement prunes its rows, one exclusive hold per table. One that
+//     took a lock holds its owner's mutex once for the commit's release and
+//     once for the retirement's; SSI's commit holds it once more, to ask
+//     whether SIREADs are left.
+//
+// kv-uniform, 4 Gets + 2 Puts (TestLockWorkBudget and TestStoreWorkBudget
+// derive SSI): SI takes no lock — 2 probes, 2 shard holds, 4 hashes; 6 shared
+// and 2 + 1 exclusive holds, 6 versions, 6 descents. SSI adds the 4 SIREADs:
+// 4 requests, 4 + 4 shard holds (grant, release), 4 + 3 owner holds, 12 + 4
+// hashes, and a second shared hold per Get. S2PL takes 4 Shared locks, which
+// its commit releases: 4 requests, 10 shard holds, 4 + 2 owner holds, 20
+// hashes, 3 shared holds a Get (14).
+//
+// The SmallBank Amalgamate, 5 Gets + 3 Puts of rows it read, in two tables
+// (TestLockWorkBudget derives SSI): SI — 3 probes (3 shard holds, 6 hashes), 8
+// shared and 3 + 2 exclusive holds, 8 versions, 8 descents. SSI — 5 SIREADs,
+// 3 of which its probes drop (§3.7.3): 5 requests, 10 shard holds, 11 owner
+// holds, 26 hashes, 13 shared holds. S2PL — 5 Shared locks, which its Puts'
+// probes find its own and keep (2 hashes each, no delete) and its commit
+// releases: 5 + 3 + 5 = 13 shard holds, 5 + 2 = 7 owner holds, 15 + 6 + 5 = 26
+// hashes, 15 + 3 = 18 shared holds.
+//
+// A 64-row Scan and one Put of a row outside the range: SI — the scan is one
+// round (one shared hold, one descent, the 64 rows and the key that ends the
+// range: 65 versions), then the Put: 1 probe, 2 shared and 2 exclusive holds,
+// 66 versions, 2 descents. SSI adds 129 SIREADs in one batch — a row and a
+// gap per row, and the gap the range's end key closes — granted in one hold
+// of each of the 8 shards, each key hashed 3 times and listed (an owner hold
+// each), and released one by one at retirement: 129 requests, 8 + 1 + 129 =
+// 138 shard holds, 129 + 3 = 132 owner holds, 387 + 2 + 129 = 518 hashes;
+// nothing in the store. S2PL collects twice: a pass that locks the 129 keys
+// (each first asked after, Holds: a shard hold and 2 hashes, then acquired)
+// and one that finds them all held. 129 requests, 258 + 129 + 1 + 129 = 517
+// shard holds, 129 + 2 = 131 owner holds, 645 + 258 + 2 + 129 = 1034 hashes;
+// 3 shared holds, 131 versions, 3 descents.
+//
+// A Put of an absent key at the right edge of the tree (TestLockWorkBudget and
+// TestStoreWorkBudget derive SI): at SI a probe and the insert's inheritance
+// of its gap's SIREADs (one shard hold for both gap keys, 3 hashes) — 2 shard
+// holds, 5 hashes; 1 shared and 2 exclusive holds, 4 descents. SSI and S2PL
+// lock the supremum gap Exclusive before the insert and again after it, each
+// time between two successor seeks (a shared hold and a descent each): 2
+// requests, the second already held (a shard hold, 2 hashes); 1 + 1 + 1 + 1 +
+// 1 (release) = 5 shard holds; owner holds: the grant and the two releases,
+// and SSI's commit: 4, S2PL 3; 3 + 3 + 2 + 2 + 1 = 11 hashes; 5 shared holds
+// and 8 descents.
+//
+// The scan-readmostly reader, declared read-only — 4 Gets and the 64-row
+// Scan: no lock at SI, nor at SSI, where it is promoted to a safe snapshot at
+// its first read; 5 shared holds, 69 versions, 5 descents at both. S2PL has no
+// such promotion, and no row here.
+//
+// Two transactions that form one rw-antidependency: r reads row x, w writes
+// x and commits, r writes row y and commits; w retires only with r, whose
+// snapshot precedes its commit. SI — 2 probes, 3 shared and 2 + 2 exclusive
+// holds, 3 versions and descents, 2 entries queued and drained, no
+// MarkConflict. SSI adds r's SIREAD on x (a request, a grant, a release: 2
+// shard holds, 4 hashes, 1 + 3 owner holds, a second shared hold) and the
+// one MarkConflict call: w's probe finds r's SIREAD. w took no lock, so it
+// holds no owner mutex. S2PL has no row: there r's Shared lock makes w wait,
+// and the spins of a wait are not a fixed count.
+func TestSSIOverSIWorkBudget(t *testing.T) {
+	open := func(lockShards int) *ssidb.DB {
+		return ssidb.Open(ssidb.Options{Detector: ssidb.DetectorPrecise, TableShards: 1, LockShards: lockShards})
+	}
+	// kvmixDB opens a kvmix load; the absent-key Puts each get their own, on
+	// one lock shard.
+	kvmixDB := func(lockShards int) *ssidb.DB {
+		db := open(lockShards)
+		if err := kvmix.Load(db, kvmix.DefaultConfig()); err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
+	kv, bank := kvmixDB(8), open(8)
+	const n = 500
+	si, ssi, s2pl := ssidb.SnapshotIsolation, ssidb.SerializableSI, ssidb.S2PL
+	amalgamate := map[ssidb.Isolation]func(){}
+	for _, iso := range []ssidb.Isolation{si, ssi, s2pl} {
+		amalgamate[iso] = amalgamatesAt(t, bank, iso)
+	}
+	reader, promotedAll := promotedReader(t, kv, n+1)
+
+	type row struct {
+		shape string
+		iso   ssidb.Isolation
+		run   func()
+		want  ledger
+	}
+	rows := []row{
+		{"kv-uniform", si, shapedTxn(t, kv, si, txnShape{gets: 4, puts: 2}), ledger{0, 2, 2, 0, 4, 6, 3, 6, 6, 0, 1, 1}},
+		{"kv-uniform", ssi, shapedTxn(t, kv, ssi, txnShape{gets: 4, puts: 2}), ledger{4, 2, 10, 7, 20, 10, 3, 6, 6, 0, 1, 1}},
+		{"kv-uniform", s2pl, shapedTxn(t, kv, s2pl, txnShape{gets: 4, puts: 2}), ledger{4, 2, 10, 6, 20, 14, 3, 6, 6, 0, 1, 1}},
+		{"Amalgamate", si, amalgamate[si], ledger{0, 3, 3, 0, 6, 8, 5, 8, 8, 0, 1, 1}},
+		{"Amalgamate", ssi, amalgamate[ssi], ledger{5, 3, 10, 11, 26, 13, 5, 8, 8, 0, 1, 1}},
+		{"Amalgamate", s2pl, amalgamate[s2pl], ledger{5, 3, 13, 7, 26, 18, 5, 8, 8, 0, 1, 1}},
+		{"64-row Scan + Put", si, scanPuts(t, kv, si), ledger{0, 1, 1, 0, 2, 2, 2, 66, 2, 0, 1, 1}},
+		{"64-row Scan + Put", ssi, scanPuts(t, kv, ssi), ledger{129, 1, 138, 132, 518, 2, 2, 66, 2, 0, 1, 1}},
+		{"64-row Scan + Put", s2pl, scanPuts(t, kv, s2pl), ledger{129, 1, 517, 131, 1034, 3, 2, 131, 3, 0, 1, 1}},
+		{"Put of an absent key", si, absentPutsAt(t, kvmixDB(1), si), ledger{0, 1, 2, 0, 5, 1, 2, 0, 4, 0, 1, 1}},
+		{"Put of an absent key", ssi, absentPutsAt(t, kvmixDB(1), ssi), ledger{2, 1, 5, 4, 11, 5, 2, 0, 8, 0, 1, 1}},
+		{"Put of an absent key", s2pl, absentPutsAt(t, kvmixDB(1), s2pl), ledger{2, 1, 5, 3, 11, 5, 2, 0, 8, 0, 1, 1}},
+		{"read-only reader", si, scanReader(t, kv, si), ledger{0, 0, 0, 0, 0, 5, 0, 69, 5, 0, 0, 0}},
+		{"read-only reader", ssi, reader, ledger{0, 0, 0, 0, 0, 5, 0, 69, 5, 0, 0, 0}},
+		{"rw pair", si, antiDependency(t, kv, si), ledger{0, 2, 2, 0, 4, 3, 4, 3, 3, 0, 2, 2}},
+		{"rw pair", ssi, antiDependency(t, kv, ssi), ledger{1, 2, 4, 4, 8, 4, 4, 3, 3, 1, 2, 2}},
+	}
+	var table strings.Builder
+	fmt.Fprintf(&table, "| shape | level | %s |\n", strings.Join(ledgerColumns[:], " | "))
+	fmt.Fprintf(&table, "|%s\n", strings.Repeat("---|", len(ledgerColumns)+2))
+	var siRow ledger
+	for _, r := range rows {
+		r.run()
+		before := readLedger()
+		for i := 0; i < n; i++ {
+			r.run()
+		}
+		after := readLedger()
+		var got ledger
+		for i := range got {
+			got[i] = (after[i] - before[i]) / n
+			if after[i]-before[i] != n*r.want[i] {
+				t.Errorf("%s at %v: %s %d over %d transactions, want %d each", r.shape, r.iso, ledgerColumns[i], after[i]-before[i], n, r.want[i])
+			}
+		}
+		fmt.Fprintf(&table, "| %s | %v |", r.shape, r.iso)
+		for _, v := range got {
+			fmt.Fprintf(&table, " %d |", v)
+		}
+		table.WriteString("\n")
+		switch r.iso {
+		case si:
+			siRow = got
+		case ssi:
+			fmt.Fprintf(&table, "| %s | SSI − SI |", r.shape)
+			for i, v := range got {
+				fmt.Fprintf(&table, " %+d |", int64(v)-int64(siRow[i]))
+			}
+			table.WriteString("\n")
+		}
+	}
+	promotedAll()
+	t.Logf("per transaction, TableShards 1, LockShards 8 (1 for the absent key):\n%s", table.String())
+}

@@ -15,14 +15,13 @@ import (
 	"ssi/ssidb"
 )
 
-// promotedReader returns the scan-readmostly reader on a kvmix load — a
-// declared read-only SerializableSI transaction of 4 Gets and a 64-row Scan —
-// and a check that its next runs were all promoted to a safe snapshot.
-func promotedReader(t *testing.T, db *ssidb.DB, runs uint64) (reader, promotedAll func()) {
+// scanReader returns the scan-readmostly reader on a kvmix load: a declared
+// read-only transaction at iso of 4 Gets and a 64-row Scan.
+func scanReader(t *testing.T, db *ssidb.DB, iso ssidb.Isolation) func() {
 	from, to := kvmix.Key(0x1000), kvmix.Key(0x1000+64)
 	next := 0
-	reader = func() {
-		if err := db.RunReadOnly(ssidb.SerializableSI, func(tx *ssidb.Txn) error {
+	return func() {
+		if err := db.RunReadOnly(iso, func(tx *ssidb.Txn) error {
 			for i := 0; i < 4; i++ {
 				next++
 				if _, _, err := tx.Get(kvmix.Table, kvmix.Key(next%4096*2)); err != nil {
@@ -34,6 +33,13 @@ func promotedReader(t *testing.T, db *ssidb.DB, runs uint64) (reader, promotedAl
 			t.Fatal(err)
 		}
 	}
+}
+
+// promotedReader returns the scan-readmostly reader at SerializableSI — a
+// declared read-only transaction promoted to a safe snapshot — and a check
+// that its next runs were all promoted.
+func promotedReader(t *testing.T, db *ssidb.DB, runs uint64) (reader, promotedAll func()) {
+	reader = scanReader(t, db, ssidb.SerializableSI)
 	before := db.StatsSnapshot().ROSafePromotions
 	return reader, func() {
 		if promoted := db.StatsSnapshot().ROSafePromotions - before; promoted != runs {
@@ -46,31 +52,27 @@ func promotedReader(t *testing.T, db *ssidb.DB, runs uint64) (reader, promotedAl
 // row for, on a kvmix load: every call inserts the next key past the load's
 // last, so the key lands at the right edge of its tree and has no successor.
 func absentPuts(t *testing.T, db *ssidb.DB) func() {
+	return absentPutsAt(t, db, ssidb.SnapshotIsolation)
+}
+
+// absentPutsAt is absentPuts at iso.
+func absentPutsAt(t *testing.T, db *ssidb.DB, iso ssidb.Isolation) func() {
 	next := kvmix.DefaultConfig().Keys
 	val := []byte("v")
 	return func() {
 		next++
-		if err := db.Run(ssidb.SnapshotIsolation, func(tx *ssidb.Txn) error { return tx.Put(kvmix.Table, kvmix.Key(next), val) }); err != nil {
+		if err := db.Run(iso, func(tx *ssidb.Txn) error { return tx.Put(kvmix.Table, kvmix.Key(next), val) }); err != nil {
 			t.Fatal(err)
 		}
 	}
 }
 
-// amalgamates returns SmallBank Amalgamates on a fresh load of bank, call j
-// (from 0) moving customer 2(j+1)'s funds to customer 2(j+1)+1, and the
-// account ids call j touches.
+// amalgamates returns SmallBank Amalgamates at SerializableSI on a fresh load
+// of bank, call j (from 0) moving customer 2(j+1)'s funds to customer
+// 2(j+1)+1, and the account ids call j touches.
 func amalgamates(t *testing.T, bank *ssidb.DB) (run func(), ids func(call int) (id1, id2 []byte)) {
-	if err := smallbank.Load(bank, smallbank.DefaultConfig()); err != nil {
-		t.Fatal(err)
-	}
+	run = amalgamatesAt(t, bank, ssidb.SerializableSI)
 	accounts := smallbank.DefaultConfig().Accounts
-	acct := 0
-	run = func() {
-		acct = (acct + 2) % accounts
-		if err := bank.Run(ssidb.SerializableSI, func(tx *ssidb.Txn) error { return smallbank.Amalgamate(tx, acct, acct+1) }); err != nil {
-			t.Fatal(err)
-		}
-	}
 	ids = func(call int) (id1, id2 []byte) {
 		n1 := 2 * (call + 1) % accounts // call 0 is the first
 		if err := bank.RunReadOnly(ssidb.SnapshotIsolation, func(tx *ssidb.Txn) error {
@@ -87,6 +89,21 @@ func amalgamates(t *testing.T, bank *ssidb.DB) (run func(), ids func(call int) (
 		return id1, id2
 	}
 	return run, ids
+}
+
+// amalgamatesAt returns the Amalgamates of amalgamates at iso.
+func amalgamatesAt(t *testing.T, bank *ssidb.DB, iso ssidb.Isolation) func() {
+	if err := smallbank.Load(bank, smallbank.DefaultConfig()); err != nil {
+		t.Fatal(err)
+	}
+	accounts := smallbank.DefaultConfig().Accounts
+	acct := 0
+	return func() {
+		acct = (acct + 2) % accounts
+		if err := bank.Run(iso, func(tx *ssidb.Txn) error { return smallbank.Amalgamate(tx, acct, acct+1) }); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // TestLockWorkBudget counts what the lock manager does per transaction, in
