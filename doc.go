@@ -24,8 +24,8 @@
 //
 //	operation          lock mode           rivals marked    lock targets, row            lock targets, page             FCW unit                  errors [7]
 //	                   SI / SSI / S2PL     (SSI only)                                                                                              stmt | txn
-//	Get [9]            none / SIREAD /     as reader [1]    row k [8]                    every page on the path to k    -                         F | U D
-//	                   Shared [2]
+//	Get [9]            none / SIREAD /     as reader [1]    row k [8]; at SSI, if k has  every page on the path to k    -                         F | U D
+//	                   Shared [2]                           a row, its reader word [1]
 //	GetForUpdate [9]   Exclusive           as writer [3]    row k [8]                    leaf of k; interior pages in   row: versions of k        R F | W U D
 //	                                                                                     the level's read mode          page: stamps of k's leaf
 //	Put Insert Delete  Exclusive [10]      as writer        row k [8]                    as GetForUpdate; afterwards    as above                  K R F | W U D
@@ -41,7 +41,16 @@
 //	[1] Rivals of a read are the Exclusive holders of its targets plus the
 //	    creators of versions newer than its snapshot: of the keys read (row), or
 //	    of the leaf pages read and, for a scan, of its descent's interior pages,
-//	    per their write stamps, which are read after locking (page).
+//	    per their write stamps, which are read after locking (page). At row
+//	    granularity an SSI Get of an existing row takes no lock-table entry: its
+//	    SIREAD is the row's reader word, which names one reader by a slot and
+//	    which it sets in the latch hold that reads the row. Writers find it
+//	    there (as they find SIREAD holders [3]), and so does the latch hold
+//	    after an explicit Exclusive grant on the row (GetForUpdate, a refused
+//	    Insert), which also sends later readers of the row to the lock table,
+//	    where they find the grant. A read that finds the word naming another
+//	    reader takes its SIREAD in the lock table and then reads again; the
+//	    word is cleared when its reader retires or aborts.
 //	[2] A declared read-only SSI transaction on a safe snapshot reads with no
 //	    lock. Shared-mode reads see the latest committed version, the others
 //	    the transaction's snapshot, assigned at its first read or, for a write,
@@ -73,7 +82,10 @@
 //	    and then reads the versions, checks First-Committer-Wins, installs and
 //	    — on abort — undoes its write through the same handle, with no further
 //	    descent. The look-up reads no row state, so the order of Figures 3.4
-//	    and 3.5 stands: lock first, then read. An explicit lock on a key that
+//	    and 3.5 stands: lock first, then read. An SSI Get of an existing row
+//	    looks k up, reads it and sets its word in one latch hold
+//	    (mvcc.Table.ReadAs), which no write can split, and keeps the handle for
+//	    the word's clear at its end. An explicit lock on a key that
 //	    has no chain is taken under a copy of k, and the key looked up again
 //	    once the lock is held; a row-granularity write to such a key copies
 //	    nothing but what the tree keeps: it inserts k into the tree's key
@@ -89,8 +101,9 @@
 //	    overwritten; a head committed after its snapshot is W (S2PL has no
 //	    snapshot); a head another writer still holds sends it to wait;
 //	    otherwise it probes the row's lock-table entry — a lookup, never an
-//	    insert — for the SIREAD holders to mark and for a blocking lock, and
-//	    installs. A write that must wait converts the head writer's implicit
+//	    insert — for the SIREAD holders to mark and for a blocking lock, reads
+//	    the reader the row's word names [1] (its own registration it drops,
+//	    §3.7.3), and installs. A write that must wait converts the head writer's implicit
 //	    lock into an Exclusive entry held on its behalf, or acquires behind
 //	    the blocking entry, waits in the table (D) and claims again; an Insert
 //	    refused on another's row acquires the row's Exclusive entry too, and

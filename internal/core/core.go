@@ -220,7 +220,8 @@
 // (rec = nil) for every transaction it retires. For the sever to happen at
 // all, every transaction that created a cell is retired through a
 // retirement queue: Finish suspends on keep || cell != nil, whatever the
-// isolation level.
+// isolation level. A row a transaction read names it by a slot (ReaderSlot),
+// not a *Txn, freed once no row names it.
 //
 // # Retirement
 //
@@ -291,6 +292,7 @@
 //     queue's slack afterwards;
 //   - the lock table's holder maps, until the engine's retire hook releases
 //     its locks (SIREAD locks outlive the commit);
+//   - the reader-slot table, from ReaderSlot until the slot is freed;
 //   - partners' in/out references, until the partner is itself collected — a
 //     suspended transaction only ever references itself or transactions that
 //     commit no earlier than it (Figure 3.10 lines 9-12; of a counterpart that
@@ -312,10 +314,11 @@
 // is reached through something the record leaves behind, which core sees: the
 // lock table through its lock state (marked used before its first lock),
 // versions and page stamps through its cell, partners' references through
-// MarkConflict (which marks both endpoints, marked), the retirement queue
-// through FinishWith (queued), and the in-flight buffers through the lock
-// table or a cell. A record that ended with none of the four — no cell, no
-// lock state, never an endpoint of MarkConflict, not queued — was held by the
+// MarkConflict (which marks both endpoints, marked), the retirement queue and
+// the slot table through FinishWith and ReaderSlot (kept), and the in-flight
+// buffers through the lock table, a cell or a slot. A record that ended with
+// none of the four — no cell, no lock state, never an endpoint of
+// MarkConflict, not kept — was held by the
 // registry, which dropped it at the end, and by the engine, which lets go of
 // it; nobody else can ever have reached it. So Release zeroes such a record
 // and returns it to the pool
@@ -485,9 +488,9 @@ type Txn struct {
 	// so a partner may hold a reference to it. Set under both endpoints'
 	// csMu; Release reads it under this one's.
 	marked bool
-	// queued records that FinishWith put the transaction on a retirement
-	// queue. Written and read by the owner's goroutine only.
-	queued bool
+	// kept records that FinishWith queued the transaction or it took a
+	// reader slot. Written and read by the owner's goroutine only.
+	kept bool
 
 	// csMu is this transaction's conflict-state mutex: it guards mutation
 	// of in/out and makes the commit-time dangerous-structure check atomic
@@ -863,6 +866,59 @@ type Manager struct {
 	// so a read-mostly workload of declared readers barely advances it. See
 	// the Tout-window refinement under "Safe snapshots".
 	lastRWCommit atomic.Uint64
+
+	readers readerSlots // rows' registered readers, by slot (ReaderSlot)
+}
+
+// readerSlots is the table behind ReaderSlot: pages of record pointers that
+// Reader loads without a lock, handed out under mu. 0 names no one.
+type readerSlots struct {
+	mu    sync.Mutex
+	free  []uint32
+	next  uint32
+	pages atomic.Pointer[[]*[1 << 8]atomic.Pointer[Txn]]
+}
+
+func (rs *readerSlots) at(s uint32) *atomic.Pointer[Txn] {
+	return &(*rs.pages.Load())[(s-1)>>8][(s-1)&255]
+}
+
+// ReaderSlot gives t a slot naming it (Reader) until FreeReaderSlot, or 0
+// once 2³¹ are taken: what a row can hold of its reader where a pointer would
+// grow it (package mvcc's reader word). t is never pooled (Release): a writer
+// may have resolved the slot and not yet marked t. Called on t's goroutine.
+func (m *Manager) ReaderSlot(t *Txn) uint32 {
+	rs := &m.readers
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	s := rs.next + 1
+	switch n := len(rs.free); {
+	case n > 0:
+		s, rs.free = rs.free[n-1], rs.free[:n-1]
+	case s == 1<<31:
+		return 0
+	default:
+		if rs.next = s; (s-1)&255 == 0 { // a page's first slot
+			pages := append(*rs.pages.Load(), new([1 << 8]atomic.Pointer[Txn]))
+			rs.pages.Store(&pages)
+		}
+	}
+	t.kept = true
+	rs.at(s).Store(t)
+	return s
+}
+
+// Reader returns the transaction slot names: the caller read slot off a row
+// and resolves it under the same latch hold, before the owner can free it.
+func (m *Manager) Reader(slot uint32) *Txn { return m.readers.at(slot).Load() }
+
+// FreeReaderSlot returns slot, which no row names any more, for reuse.
+func (m *Manager) FreeReaderSlot(slot uint32) {
+	rs := &m.readers
+	rs.at(slot).Store(nil)
+	rs.mu.Lock()
+	rs.free = append(rs.free, slot)
+	rs.mu.Unlock()
 }
 
 // ShardCount is the shared shard-sizing policy for the engine's striped
@@ -936,6 +992,7 @@ func NewManager(d Detector) *Manager {
 		sh.retHead.Store(tsInfinity)
 		m.shards[i] = sh
 	}
+	m.readers.pages.Store(new([]*[1 << 8]atomic.Pointer[Txn]))
 	return m
 }
 
@@ -1429,7 +1486,7 @@ func (m *Manager) Finish(t *Txn, keep bool) { m.FinishWith(t, keep, nil) }
 func (m *Manager) FinishWith(t *Txn, keep bool, payload any) {
 	m.deregister(t)
 	if keep || t.cell != nil || payload != nil {
-		t.queued = true
+		t.kept = true
 		sh := m.regShardOf(t)
 		sh.retMu.Lock()
 		sh.enqueueLocked(retiree{t.CommitTS(), Retired{t, payload}})
@@ -1456,13 +1513,13 @@ var recordPool = sync.Pool{New: func() any { return new(Txn) }}
 // Release tells the Manager that the engine has let go of t: it keeps no
 // reference to it and makes no further call with it. The caller must have
 // ended t (Finish, FinishWith or Abort) first. If t ended unseen — no creator
-// cell, no lock state, never an endpoint of MarkConflict, not queued by
-// FinishWith — the registry was its only other holder ("Record lifetime" in
+// cell, no lock state, never an endpoint of MarkConflict, no reader slot, not
+// queued — the registry was its only other holder ("Record lifetime" in
 // the package comment), so t is zeroed and returns to the pool BeginTx draws
 // from. Any other record keeps its lifetime: Release does nothing to it, and
 // the drain or the collector ends it as before.
 func (m *Manager) Release(t *Txn) {
-	if t.Status() == StatusActive || t.cell != nil || t.locks.Used() || t.queued {
+	if t.Status() == StatusActive || t.cell != nil || t.locks.Used() || t.kept {
 		return
 	}
 	t.csMu.Lock()

@@ -137,9 +137,10 @@ func comesBack(t *testing.T, m *Manager, rec *Txn) bool {
 // prove that the registry was its only holder besides the engine. A record
 // that took a lock (the lock table's holder maps name it), got a creator cell
 // (versions reach it through the cell), was an endpoint of MarkConflict (a
-// partner's in or out reference may name it) or was queued by FinishWith (a
-// retirement queue, and then the retire hook, hold it) never comes back from
-// BeginTx; a record that ended unseen does.
+// partner's in or out reference may name it), was queued by FinishWith (a
+// retirement queue, and then the retire hook, hold it) or took a reader slot
+// (a writer may have resolved the slot to it) never comes back from BeginTx;
+// a record that ended unseen does.
 func TestSeenRecordsAreNeverPooled(t *testing.T) {
 	m := NewManager(DetectorPrecise)
 	pin := m.Begin(SnapshotIsolation)
@@ -201,6 +202,17 @@ func TestSeenRecordsAreNeverPooled(t *testing.T) {
 			m.FinishWith(r, false, "payload")
 			return r
 		}},
+		{"reader slot, aborted", func() *Txn {
+			r := m.Begin(SerializableSI)
+			m.AssignSnapshot(r)
+			slot := m.ReaderSlot(r)
+			if m.Reader(slot) != r {
+				t.Fatalf("slot %d names %v, not its reader", slot, m.Reader(slot))
+			}
+			m.FreeReaderSlot(slot)
+			m.Abort(r)
+			return r
+		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			for round := 0; round < 20; round++ {
@@ -244,7 +256,7 @@ func TestPooledRecordPinsNothing(t *testing.T) {
 	}
 	m.Release(r)
 	if r.id != 0 || r.beginTS.Load() != 0 || r.commitTS.Load() != 0 ||
-		r.Status() != StatusActive || r.iso != 0 || r.readOnly || r.marked || r.queued ||
+		r.Status() != StatusActive || r.iso != 0 || r.readOnly || r.marked || r.kept ||
 		r.in.Load() != nil || r.out.Load() != nil || r.outCT != 0 || r.cell != nil ||
 		r.locks.Used() || r.locks.Released() || r.locks.Held != nil || r.locks.SIReads != 0 {
 		t.Fatalf("a pooled record is not zero: %+v", r)

@@ -96,13 +96,24 @@
 //     same way; an owner that re-requests a mode it holds waits when a
 //     converted lock now blocks it. Between the two, a write's latch hold and a
 //     grant's check are ordered by the latch: either the write sees the grant
-//     or the check sees the write.
+//     or the check sees the write. An Exclusive grant's check also meets the
+//     row's reader word ("Row readers").
 //   - The holder. A converted lock sits beside the grant of the waiter that
 //     converted it, so its writer asks the table nothing more about that row:
 //     it holds the row by its version, and its locked reads and refused
 //     inserts of the row return without a request, as its reads of the row
 //     take no SIREAD (§3.7.3). A request would wait behind the waiter, which
 //     waits for the writer.
+//
+// # Row readers
+//
+// Nor does an SSI point read of an existing row take an entry: its SIREAD,
+// which never blocks (Ports & Grittner, VLDB 2012), lives on the row, in the
+// row store's reader word, set in the latch hold that reads the row. A
+// write's claim reads the word beside its Probe, as does the check after an
+// Exclusive grant, which also sends later readers here, to find the grant.
+// The table keeps the rest: a read that finds the word taken (overflow),
+// scans, gaps, pages and keys without a row.
 package lock
 
 import (

@@ -24,9 +24,10 @@
 //
 // A row is one 32-byte object, its chain: the newest version of the key,
 // stored in place, with the older versions linked behind it. A version holds
-// its value as a pointer and a 32-bit length, with the tombstone flag in the
-// padding behind the length, beside its creator's cell and the link to the
-// next older version — four words, where a slice header and a bool made six.
+// its value as a pointer and a 31-bit length, the tombstone flag its top bit,
+// with the row's reader word in the padding behind the length, beside its
+// creator's cell and the link to the next older version — four words, where a
+// slice header and a bool made six.
 // The B+tree entry (a 4-byte key head, a pointer to the key and the *chain,
 // 20 bytes: the tree is typed) points at the chain, and the tree's arena holds
 // the only copy of the key the row keeps (the tree copies a key once, when it
@@ -72,6 +73,13 @@
 // A writer that excludes the row's other writers by locks of its own (the
 // engine's page granularity) claims through a Locker that reports nothing.
 // Table.Write installs with no decision at all, for recovery's replay.
+//
+// A row's head also carries its reader word (see chain): the SIREAD of one
+// transaction that read the row, by a 31-bit slot (core.Manager.ReaderSlot),
+// set in the shared latch hold that reads the row (ReadAs) and cleared at the
+// reader's end (Pruner.Clear). A claim tells the Locker of it beside its
+// probe, as does the hold after an explicit grant (Granted); a read that
+// finds the word taken locks in the table instead.
 //
 // Superseded versions are recycled. A version pruning cuts off a chain, or
 // one a Rollback moves back into the head, is unreachable from the moment it
@@ -129,7 +137,6 @@
 package mvcc
 
 import (
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -144,36 +151,54 @@ import (
 // never the record: its commit timestamp is 0 until (unless) the creator
 // commits, its record is gone once every snapshot sees the version, and once
 // pruning finds that so, it is core.Frozen instead (see pruneChain). The
-// value is its first byte and its length (see Data); a nil value has a nil
-// pointer, an empty one does not.
+// value is its first byte and its length (see Data), the length's top bit the
+// tombstone flag; a nil value has a nil pointer, an empty one does not. Only
+// the head's reader means anything (see chain).
 type version struct {
-	data      *byte
-	size      uint32
-	tombstone bool // in the padding behind size: the version is four words
-	creator   *core.Cell
-	older     *version
+	data    *byte
+	size    uint32
+	reader  uint32
+	creator *core.Cell
+	older   *version
 }
+
+// tombstoneBit is the bit of version.size that marks a tombstone.
+const tombstoneBit = 1 << 31
 
 // Data returns the version's value as it was written — nil for nil — but with
 // its capacity equal to its length, so that an append by whoever reads it
 // copies instead of writing into the writer's spare capacity, which another
 // reader of the same version would see.
-func (v *version) Data() []byte { return unsafe.Slice(v.data, v.size) }
+func (v *version) Data() []byte { return unsafe.Slice(v.data, v.size&^tombstoneBit) }
+
+// tombstone reports whether the version is a delete's.
+func (v *version) tombstone() bool { return v.size&tombstoneBit != 0 }
 
 // setValue stores data and the tombstone flag in v. data is retained, not
-// copied. The length is 32 bits, as it is in the log's redo entries.
+// copied. The length takes 31 bits, the flag the last.
 func (v *version) setValue(data []byte, tombstone bool) {
-	if uint64(len(data)) > math.MaxUint32 {
-		panic("mvcc: a value of 4 GiB or more")
+	if uint64(len(data)) >= tombstoneBit {
+		panic("mvcc: a value of 2 GiB or more")
 	}
-	v.data, v.size, v.tombstone = unsafe.SliceData(data), uint32(len(data)), tombstone
+	v.data, v.size = unsafe.SliceData(data), uint32(len(data))
+	if tombstone {
+		v.size |= tombstoneBit
+	}
 }
 
 // chain is the version list for one key, and the whole of what a row costs
 // beyond its tree entry and key: the head version is the chain itself (see "Rows" in
 // the package comment). A chain with a nil creator holds no version — a key
 // whose only write was rolled back. Guarded by the owning shard latch.
+//
+// The head's reader field is the row's reader word: the slot of the reader
+// registered on the row, or 0, beside wordTable, which sends readers to the
+// lock table, to an explicit grant without a version (Granted), for good.
+// Under the latch held shared only atomics touch it (ReadAs, Granted); writes
+// and clears hold it exclusively. Push and pop leave the word in the head.
 type chain struct{ version }
+
+const wordTable = 1 << 31
 
 // first returns the newest version, nil for an empty chain. The pointer is
 // into the chain: it must not outlive the caller's latch hold.
@@ -186,8 +211,8 @@ func (c *chain) first() *version {
 
 // push makes a version by w the head. The previous head, if any, is copied out
 // behind it — into a version off sh's free list if it has one, which is what
-// keeps a steady-state overwrite from allocating. Caller holds sh.mu
-// exclusively.
+// keeps a steady-state overwrite from allocating — without the reader word,
+// which stays in the head. Caller holds sh.mu exclusively.
 func (c *chain) push(sh *shard, w *core.Cell, data []byte, tombstone bool) {
 	var older *version
 	if c.creator != nil {
@@ -198,20 +223,22 @@ func (c *chain) push(sh *shard, w *core.Cell, data []byte, tombstone bool) {
 			older = new(version)
 		}
 		*older = c.version
+		older.reader = 0
 	}
-	c.version = version{creator: w, older: older}
+	c.version = version{reader: c.reader, creator: w, older: older}
 	c.setValue(data, tombstone)
 }
 
-// pop undoes push: the next older version moves back into the head, and the
-// object it was copied out to is recycled. Caller holds sh.mu exclusively.
+// pop undoes push: the next older version moves back into the head, beside
+// the reader word, and the object it was copied out to is recycled. Caller
+// holds sh.mu exclusively.
 func (c *chain) pop(sh *shard) {
+	next := version{reader: c.reader}
 	if older := c.older; older != nil {
-		c.version = *older
+		next, next.reader = *older, c.reader
 		sh.recycle(older)
-	} else {
-		c.version = version{}
 	}
+	c.version = next
 }
 
 // freeMax bounds a partition's free list.
@@ -467,13 +494,57 @@ func (tb *Table) Read(t *core.Txn, snap core.TS, key []byte) ReadResult {
 	return readChain(c, t, snap)
 }
 
+// ReadAs is Read registering t's SIREAD on the row by slot, in the same
+// shared latch hold: a writer, deciding under the latch held exclusively,
+// either came first, and the read reports it, or finds the word (Claim). It
+// returns the read, the row (zero if the key has none), whether the read is
+// covered — the word names slot (set: this call set it), or own is set and
+// the head is t's version — and otherwise leaves the word alone.
+func (tb *Table) ReadAs(t *core.Txn, snap core.TS, key []byte, slot uint32, own bool) (res ReadResult, row Row, covered, set bool) {
+	sh := tb.shardOf(key)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	stored, c, ok := sh.tree.Lookup(key)
+	if !ok {
+		return res, row, false, false
+	}
+	res, row = readChain(c, t, snap), Row{key: stored, c: c, sh: sh}
+	switch w := atomic.LoadUint32(&c.reader); {
+	case w == slot || own && c.creator != nil && c.creator.Txn() == t:
+		return res, row, true, false
+	case w == 0 && atomic.CompareAndSwapUint32(&c.reader, 0, slot):
+		noteRegister()
+		return res, row, true, true
+	}
+	return res, row, false, false
+}
+
+// Granted is the latch hold after an explicit Exclusive grant on the row's
+// key (package lock, "Implicit row locks"): it tells l of the word's reader,
+// as a claim does, and sets wordTable, so that a later reader locks in the
+// table and finds the grant. It returns the head's writer, as Writer does.
+func (r Row) Granted(l Locker) *core.Txn {
+	r.sh.mu.RLock()
+	defer r.sh.mu.RUnlock()
+	// No reader registers once the bit is set, and only its reader changes
+	// a word that names one.
+	if s := atomic.OrUint32(&r.c.reader, wordTable) &^ wordTable; s != 0 && l.Reader(s) {
+		atomic.StoreUint32(&r.c.reader, wordTable)
+		noteClear()
+	}
+	if h := r.c.first(); h != nil {
+		return h.creator.Txn()
+	}
+	return nil
+}
+
 func readChain(c *chain, t *core.Txn, snap core.TS) ReadResult {
 	var res ReadResult
 	for v := c.first(); v != nil; v = v.older {
 		noteVersion()
 		if visible(v, t, snap) {
 			res.VisibleCreator = v.creator
-			if !v.tombstone {
+			if !v.tombstone() {
 				res.Value = v.Data()
 				res.Found = true
 			}
@@ -527,7 +598,8 @@ type Pruner struct {
 	n    int
 	rows [pruneBatch]struct {
 		Row
-		ct core.TS
+		ct   core.TS
+		slot uint32 // a Clear's: the reader whose registration goes
 	}
 }
 
@@ -539,16 +611,23 @@ const pruneBatch = 64
 // writer's own, unless a later commit superseded it too — goes onto the
 // partition's free list. The caller guarantees that ct precedes every active
 // snapshot: the engine adds a writer's rows when it retires.
-func (p *Pruner) Add(r Row, ct core.TS) {
+func (p *Pruner) Add(r Row, ct core.TS) { p.add(r, ct, 0) }
+
+// Clear queues r's reader word for clearing if it still names slot, at the
+// reader's end: once Flush has returned, no writer can find the reader there,
+// and slot may name another.
+func (p *Pruner) Clear(r Row, slot uint32) { p.add(r, 0, slot) }
+
+func (p *Pruner) add(r Row, ct core.TS, slot uint32) {
 	if p.n == pruneBatch {
 		p.Flush()
 	}
-	p.rows[p.n].Row, p.rows[p.n].ct = r, ct
+	p.rows[p.n].Row, p.rows[p.n].ct, p.rows[p.n].slot = r, ct, slot
 	p.n++
 }
 
-// Flush prunes the rows added since the last Flush, one latch hold per
-// partition among them.
+// Flush prunes and clears the rows queued since the last Flush, one latch
+// hold per partition among them.
 func (p *Pruner) Flush() {
 	rows := p.rows[:p.n]
 	for i := range rows {
@@ -558,9 +637,14 @@ func (p *Pruner) Flush() {
 		}
 		sh.mu.Lock()
 		for j := i; j < len(rows); j++ {
-			if rows[j].sh == sh {
-				pruneChain(sh, rows[j].c, rows[j].ct+1)
-				rows[j].Row = Row{}
+			if r := &rows[j]; r.sh == sh {
+				if r.slot == 0 {
+					pruneChain(sh, r.c, r.ct+1)
+				} else if r.c.reader&^wordTable == r.slot {
+					r.c.reader &= wordTable
+					noteClear()
+				}
+				r.Row = Row{}
 			}
 		}
 		sh.mu.Unlock()
@@ -622,6 +706,11 @@ type Locker interface {
 	// and the key's global successor, if any: the SIREAD holders of the gap
 	// the key splits move onto the new key's gap.
 	Inherit(table, stored, succ string, hasSucc bool)
+	// Reader is told of the row's registered reader, by slot, in the hold
+	// of a write the probe did not block or of an explicit grant (Granted):
+	// a reader to mark — or the writer itself, and then Reader reports
+	// whether the write drops that registration, as a SIREAD (§3.7.3).
+	Reader(slot uint32) (own bool)
 }
 
 // Intent is what a write asks Claim to install, and against which snapshot.
@@ -682,9 +771,10 @@ type Claim struct {
 // Under the latch, in order: t's own head is overwritten in place (or, for
 // MustNotExist and a live head, Exists); a head whose writer l says still
 // holds the row is Held; a head committed after in.Snap is noted; l probes
-// the row's lock-table entry (Blocked); then Conflict, Exists, or the new
-// version is pushed. A version the write found newer than its snapshot thus
-// stops it only after the probe has found the readers to mark, as an
+// the row's lock-table entry (Blocked), and is told of the reader the row's
+// word names (Locker.Reader); then Conflict, Exists, or the new version is
+// pushed. A version the write found newer than its snapshot thus stops it
+// only after the probe and the word have given the readers to mark, as an
 // exclusive lock acquired before the check would have.
 func (tb *Table) Claim(t *core.Txn, key []byte, row Row, in Intent, l Locker) Claim {
 	if !row.IsZero() {
@@ -714,7 +804,7 @@ func (tb *Table) claimLocked(t *core.Txn, row Row, in Intent, l Locker) Claim {
 		noteVersion()
 		switch w := h.creator.Txn(); {
 		case w == t:
-			if in.MustNotExist && !h.tombstone {
+			if in.MustNotExist && !h.tombstone() {
 				cl.Outcome = Exists
 			} else {
 				h.setValue(in.Data, in.Tombstone)
@@ -728,12 +818,18 @@ func (tb *Table) claimLocked(t *core.Txn, row Row, in Intent, l Locker) Claim {
 		// rolled back is popped before its writer lets go of the row.
 		tooNew = in.Snap != 0 && h.creator.CommitTS() > in.Snap
 	}
-	switch {
-	case l.Probe(tb.name, row.key):
+	if l.Probe(tb.name, row.key) {
 		cl.Outcome = Blocked
+		return cl
+	}
+	if s := row.c.reader &^ wordTable; s != 0 && l.Reader(s) {
+		row.c.reader &^= s // the writer's own registration (§3.7.3)
+		noteClear()
+	}
+	switch {
 	case tooNew:
 		cl.Outcome = Conflict
-	case in.MustNotExist && h != nil && !h.tombstone:
+	case in.MustNotExist && h != nil && !h.tombstone():
 		cl.Outcome = Exists
 	default:
 		row.c.push(row.sh, t.Cell(), in.Data, in.Tombstone)

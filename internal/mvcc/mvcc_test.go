@@ -362,12 +362,14 @@ func TestMergedScanMatchesSingleShardOracle(t *testing.T) {
 }
 
 // noLocks is a Locker for writers that coordinate by no lock: no head holds
-// its row, no probe blocks, and an insert has no gap locks to move.
+// its row, no probe blocks, an insert has no gap locks to move, and no
+// registered reader is the writer.
 type noLocks struct{}
 
 func (noLocks) Holds(*core.Txn) bool                 { return false }
 func (noLocks) Probe(string, string) bool            { return false }
 func (noLocks) Inherit(string, string, string, bool) {}
+func (noLocks) Reader(uint32) bool                   { return false }
 
 // TestPartitionedStoreRaceStress hammers one partitioned table with
 // concurrent claims (structural inserts under every latch among them),
@@ -690,7 +692,7 @@ func TestFoldedHead(t *testing.T) {
 		c, _ := sh.tree.Get(key)
 		var out []entry
 		for v := c.first(); v != nil; v = v.older {
-			out = append(out, entry{string(v.Data()), v.creator.ID(), v.tombstone})
+			out = append(out, entry{string(v.Data()), v.creator.ID(), v.tombstone()})
 		}
 		return out
 	}

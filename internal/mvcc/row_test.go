@@ -25,7 +25,7 @@ func freeLists(t *testing.T, tb *Table) int {
 		sh.mu.Lock()
 		n := 0
 		for v := sh.free; v != nil; v = v.older {
-			if v.data != nil || v.size != 0 || v.creator != nil || v.tombstone {
+			if v.data != nil || v.size != 0 || v.reader != 0 || v.creator != nil {
 				t.Errorf("partition %d: free version %d still holds %+v", i, n, *v)
 			}
 			n++
@@ -575,12 +575,15 @@ func TestOnlyInsertsSpendKeyBytes(t *testing.T) {
 }
 
 // heldRows is a Locker that holds the rows of the transactions in held and
-// blocks every probe while blocked is set; it records what it was told.
+// blocks every probe while blocked is set; it records what it was told. own
+// is the writer's reader slot, whose registration its writes drop.
 type heldRows struct {
 	held     map[*core.Txn]bool
 	blocked  bool
 	probes   int
 	inserted []string
+	own      uint32
+	readers  []uint32
 }
 
 func (l *heldRows) Holds(w *core.Txn) bool { return l.held[w] }
@@ -589,6 +592,13 @@ func (l *heldRows) Probe(string, string) bool {
 	return l.blocked
 }
 func (l *heldRows) Inherit(_, stored, _ string, _ bool) { l.inserted = append(l.inserted, stored) }
+func (l *heldRows) Reader(slot uint32) bool {
+	if slot == l.own {
+		return true
+	}
+	l.readers = append(l.readers, slot)
+	return false
+}
 
 // TestClaimDecides: a claim decides on the row's head alone, in one latch
 // hold, in order — the writer's own head is overwritten in place; a head

@@ -8,16 +8,20 @@ import (
 )
 
 // Work is what the row store did since the process started, counted in the
-// workcount build only: partition-latch holds, shared and exclusive apart,
-// and the versions readChain and NewestCommitTS walked — a point read's, a
-// scanned row's and a First-Committer-Wins check's, one per version visited.
+// workcount build only: partition-latch holds, shared and exclusive apart;
+// the versions readChain and NewestCommitTS walked — a point read's, a
+// scanned row's and a First-Committer-Wins check's, one per version visited;
+// and the reader words ReadAs set (Registrations) and a write, an explicit
+// grant or a Pruner cleared (Clears).
 type Work struct {
 	SharedLatches    uint64
 	ExclusiveLatches uint64
 	VersionsWalked   uint64
+	Registrations    uint64
+	Clears           uint64
 }
 
-var sharedLatches, exclusiveLatches, versionsWalked atomic.Uint64
+var sharedLatches, exclusiveLatches, versionsWalked, registrations, clears atomic.Uint64
 
 // latch is a partition's reader-writer latch, counting its holds.
 type latch struct{ sync.RWMutex }
@@ -32,12 +36,14 @@ func (l *latch) RLock() {
 	l.RWMutex.RLock()
 }
 
-func noteVersion() { versionsWalked.Add(1) }
+func noteVersion()  { versionsWalked.Add(1) }
+func noteRegister() { registrations.Add(1) }
+func noteClear()    { clears.Add(1) }
 
 // ReadWork returns the counters; a caller measures a span of work as the
 // difference of two reads.
 func ReadWork() Work {
-	return Work{SharedLatches: sharedLatches.Load(), ExclusiveLatches: exclusiveLatches.Load(), VersionsWalked: versionsWalked.Load()}
+	return Work{sharedLatches.Load(), exclusiveLatches.Load(), versionsWalked.Load(), registrations.Load(), clears.Load()}
 }
 
 // Sub returns the work done between an earlier read u and w.
@@ -46,5 +52,7 @@ func (w Work) Sub(u Work) Work {
 		SharedLatches:    w.SharedLatches - u.SharedLatches,
 		ExclusiveLatches: w.ExclusiveLatches - u.ExclusiveLatches,
 		VersionsWalked:   w.VersionsWalked - u.VersionsWalked,
+		Registrations:    w.Registrations - u.Registrations,
+		Clears:           w.Clears - u.Clears,
 	}
 }

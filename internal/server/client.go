@@ -43,6 +43,7 @@ func Dial(addr string) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
+	conn = clientConn(conn)
 	return &Client{
 		conn: conn,
 		br:   bufio.NewReaderSize(conn, 32<<10),

@@ -145,7 +145,7 @@ func (s *Server) Serve() error {
 		}
 		s.accepted.Add(1)
 		s.conns.Add(1)
-		sess := &session{srv: s, conn: conn}
+		sess := &session{srv: s, conn: serverConn(conn)}
 		s.mu.Lock()
 		s.sessions[sess] = struct{}{}
 		s.mu.Unlock()

@@ -37,12 +37,17 @@ type pageTargets struct {
 	db *DB
 }
 
-func (*pageTargets) lockRead(tx *Txn, tb *table, key []byte, _ mvcc.Row, mode lock.Mode, snap core.TS) error {
+// read locks key's descent path in mode, then reads.
+func (*pageTargets) read(tx *Txn, tb *table, key []byte, mode lock.Mode, snap core.TS) (mvcc.ReadResult, error) {
+	row, _ := tb.data.Locate(key)
 	_, leaf, err := lockPagePath(tx, tb, key, mode, mode, false)
-	if err != nil || mode != lock.SIRead {
-		return err
+	if err == nil && mode == lock.SIRead {
+		err = tx.markAsReader(tb.stamps.newerWriters(nil, leaf, snap))
 	}
-	return tx.markAsReader(tb.stamps.newerWriters(nil, leaf, snap))
+	if err != nil {
+		return mvcc.ReadResult{}, err
+	}
+	return tb.read(tx.t, snap, key, row), nil
 }
 
 func (p *pageTargets) lockForUpdate(tx *Txn, tb *table, key []byte, _ mvcc.Row) ([]*core.Txn, core.TS, error) {
@@ -83,13 +88,14 @@ func (p *pageTargets) write(tx *Txn, tb *table, key []byte, row mvcc.Row, val []
 }
 
 // pageLocker is the mvcc.Locker of a page write's claim: no head holds its row
-// against a writer that holds the row's leaf, no probe is needed, and there
-// are no gap locks to move.
+// against a writer that holds the row's leaf, no probe is needed, there are
+// no gap locks to move, and no reader registers on a row.
 type pageLocker struct{}
 
 func (pageLocker) Holds(*core.Txn) bool                 { return false }
 func (pageLocker) Probe(string, string) bool            { return false }
 func (pageLocker) Inherit(string, string, string, bool) {}
+func (pageLocker) Reader(uint32) bool                   { return false }
 
 // lockPagePath plans and acquires the page locks along key's root-to-leaf
 // path, as Berkeley DB does while descending — the source of the paper's

@@ -17,7 +17,9 @@ import (
 // hold (mvcc.Table.Claim), and made an explicit entry only when another
 // transaction has to wait for it (package lock, "Implicit row locks"). Every
 // explicit blocking grant on a row — S2PL's reads, a locked read — waits,
-// after the grant, for a writer whose version still holds the row.
+// after the grant, for a writer whose version still holds the row. Nor does
+// an SSI point read of an existing row lock there: its SIREAD is the row's
+// reader word (read; package lock, "Row readers").
 //
 // A lock names its row or gap by the store's own key string wherever a descent
 // has found that key: every scanned row, every gap (named by the key that ends
@@ -44,36 +46,64 @@ func rowKeyFor(tb *table, key []byte, row mvcc.Row) lock.Key {
 	return rowKeyOf(tb, row.Key())
 }
 
-func (rowTargets) lockRead(tx *Txn, tb *table, key []byte, row mvcc.Row, mode lock.Mode, _ core.TS) error {
-	if mode == lock.SIRead && tx.upgradesSIRead() && len(tx.writes) > 0 && row.Writer() == tx.t {
-		// The row's head is the transaction's own version: its write lock
-		// subsumes the read lock (§3.7.3), as a held Exclusive entry would.
-		return nil
+// read is a point read. A SIREAD on an existing row lives on the row: the
+// read registers in the row's reader word in the hold that reads it
+// (mvcc.Table.ReadAs), where writers find it (Claim, Granted) — unless the
+// head is the transaction's own version, whose write lock subsumes the read
+// lock (§3.7.3). Every other locking read locks in the table (lockRead).
+func (rowTargets) read(tx *Txn, tb *table, key []byte, mode lock.Mode, snap core.TS) (mvcc.ReadResult, error) {
+	if mode == lock.SIRead && tx.slot == 0 {
+		tx.slot = tx.db.mgr.ReaderSlot(tx.t)
 	}
+	if mode == lock.Shared || tx.slot == 0 {
+		row, _ := tb.data.Locate(key)
+		return tx.lockRead(tb, key, row, mode, snap)
+	}
+	res, row, covered, set := tb.data.ReadAs(tx.t, snap, key, tx.slot, tx.upgradesSIRead() && len(tx.writes) > 0)
+	if set {
+		tx.reads = append(tx.reads, row)
+	}
+	if covered {
+		return res, nil
+	}
+	return tx.lockRead(tb, key, row, mode, snap)
+}
+
+// lockRead locks key's row in the table in mode, marking the exclusive
+// holders found, and only then reads, through row (zero: none was found), so
+// as to miss no writer that probed before the lock (Figure 3.4).
+func (tx *Txn) lockRead(tb *table, key []byte, row mvcc.Row, mode lock.Mode, snap core.TS) (mvcc.ReadResult, error) {
 	k := rowKeyFor(tb, key, row)
 	rivals, err := tx.db.locks.AcquireInto(tx.t, k, mode, emptied(tx.rivals))
 	tx.rivals = rivals
+	if err == nil && mode == lock.Shared {
+		row, err = tx.awaitHead(tb, key, row, k, mode)
+	} else if err == nil {
+		err = tx.markAsReader(rivals)
+	}
 	if err != nil {
-		return err
+		return mvcc.ReadResult{}, err
 	}
-	if mode == lock.Shared {
-		_, err = tx.awaitHead(tb, key, row, k, mode)
-		return err
-	}
-	return tx.markAsReader(rivals)
+	return tb.read(tx.t, snap, key, row), nil
 }
 
 // awaitHead runs after an explicit blocking grant of mode on k, the row lock
 // of key (row: its handle, zero if Locate found none; the key may have been
 // inserted since): while the row's head version is another transaction's that
 // still holds the row, it converts that writer's implicit lock and waits for
-// it. It returns the row, located again if it was zero.
+// it. An Exclusive grant's hold also meets the row's reader word (Granted).
+// It returns the row, located again if it was zero.
 func (tx *Txn) awaitHead(tb *table, key []byte, row mvcc.Row, k lock.Key, mode lock.Mode) (mvcc.Row, error) {
 	for {
 		if row.IsZero() {
 			row, _ = tb.data.Locate(key)
 		}
-		w := row.Writer()
+		var w *core.Txn
+		if mode == lock.Exclusive && !row.IsZero() {
+			w = row.Granted((*rowLocker)(tx))
+		} else {
+			w = row.Writer()
+		}
 		if w == nil || w == tx.t || !lock.ImplicitHeld(w) {
 			return row, nil
 		}
@@ -119,9 +149,9 @@ func (rowTargets) lockForUpdate(tx *Txn, tb *table, key []byte, row mvcc.Row) ([
 	if row, err = tx.awaitHead(tb, key, row, k, lock.Exclusive); err != nil {
 		return nil, 0, err
 	}
-	// A reader that takes its SIREAD after the grant finds the entry and
-	// marks itself, so the grant's readers are all the write must mark.
-	return readers, row.NewestCommitTS(), nil
+	// A reader after the grant, or after awaitHead's hold, finds the entry
+	// and marks itself: the grant's readers and the word's are all to mark.
+	return tx.rivals, row.NewestCommitTS(), nil
 }
 
 // write is the row-granularity write, at every level. It claims the row in
@@ -173,6 +203,8 @@ claim:
 	}
 	if c.Outcome == mvcc.Written {
 		tx.writes = append(tx.writes, row)
+	} else if c.Outcome == mvcc.Exists && locked {
+		row.Granted((*rowLocker)(tx)) // the refusal holds the row by no version
 	}
 	tx.readPoint() // a deferred snapshot, above every commit the claim found
 	if err := tx.markAsWriter(tx.rivals); err != nil {
@@ -205,6 +237,17 @@ func (l *rowLocker) Probe(table, stored string) bool {
 	readers, blocked := tx.db.locks.Probe(tx.t, lock.Key{Table: table, Kind: lock.Row, K: stored}, tx.rivals)
 	tx.rivals = readers
 	return blocked
+}
+
+// Reader resolves the slot under the latch and appends the reader to the
+// rival buffer — unless it is the transaction's own (§3.7.3).
+func (l *rowLocker) Reader(slot uint32) bool {
+	tx := (*Txn)(l)
+	if slot == tx.slot {
+		return tx.upgradesSIRead()
+	}
+	tx.rivals = append(tx.rivals, tx.db.mgr.Reader(slot))
+	return false
 }
 
 // Inherit: on a structural insert, SIREAD gap locks covering the target gap

@@ -86,10 +86,10 @@ func TestGetMissThenInsertedSSI(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := db.targets.lockRead(rd, tb, key, row, lock.SIRead, snap); err != nil {
+	res, err := rd.lockRead(tb, key, row, lock.SIRead, snap)
+	if err != nil {
 		t.Fatal(err)
 	}
-	res := tb.read(rd.t, snap, key, row)
 	if res.Found || len(res.NewerWriters) != 1 || res.NewerWriters[0] != insRec {
 		t.Fatalf("read after the lock: found %v, newer writers %v; want the inserted row, invisible, created by the inserter", res.Found, res.NewerWriters)
 	}

@@ -569,8 +569,9 @@ func (db *DB) RunRetry(iso Isolation, fn func(*Txn) error) error {
 // retire is the core.Manager retire hook, the one place the engine reclaims
 // what committed transactions kept once their commits precede every active
 // snapshot: their locks (the SIREAD locks outlive the commit) and — a payload
-// is the scratch Commit handed over with a non-empty write set — the versions
-// they superseded, pruned a partition at a time across the batch. Page write
+// is the scratch Commit handed over with rows written or read — the versions
+// they superseded and the reader words they set, a partition at a time across
+// the batch, before the slots are freed. Page write
 // stamps need no call here: the drain has already severed each writer's
 // cell, and the next walk of a page it stamped folds it.
 func (db *DB) retire(batch []core.Retired) {
@@ -581,10 +582,17 @@ func (db *DB) retire(batch []core.Retired) {
 			for _, row := range s.writes {
 				p.Add(row, r.Txn.CommitTS())
 			}
-			s.recycle()
+			for _, row := range s.reads {
+				p.Clear(row, s.slot)
+			}
 		}
 	}
 	p.Flush()
+	for _, r := range batch {
+		if s, ok := r.Payload.(*txnScratch); ok {
+			s.recycle() // no row names its slot any more
+		}
+	}
 }
 
 // VacuumStats reports what a DB.Vacuum pass reclaimed.

@@ -84,8 +84,13 @@ type txnScratch struct {
 	// of the rows written, so undoing a write descends no tree.
 	writes []mvcc.Row
 
+	// slot names the transaction in the reader words of the rows reads
+	// lists, which its end clears before it frees the slot (recycle).
+	slot  uint32
+	reads []mvcc.Row
+
 	// rivals is the buffer lock.AcquireInto and lock.Probe append
-	// conflicting holders into on the point paths (lockRead, lockForUpdate,
+	// conflicting holders into on the point paths (read, lockForUpdate,
 	// a row write's claims, gapLock, lockPagePath), so only a transaction's
 	// first rival can allocate. Each use empties it first and finishes
 	// consuming it before the next operation reuses it. Scans do not use it
@@ -124,16 +129,21 @@ func (tx *Txn) finish() (*core.Txn, *txnScratch) {
 	return t, s
 }
 
-// recycle empties s and returns it to the pool.
+// recycle frees the reader slot, which no row may name, empties s and
+// returns it to the pool.
 func (s *txnScratch) recycle() {
+	if s.slot != 0 {
+		s.db.mgr.FreeReaderSlot(s.slot)
+	}
 	*s = txnScratch{
 		writes: emptied(s.writes),
+		reads:  emptied(s.reads),
 		rivals: emptied(s.rivals),
 		pages:  s.pages[:0],
 		commit: commitState{redo: s.commit.redo[:0]},
 	}
-	if cap(s.writes) > maxPooledWrites {
-		s.writes = nil
+	if cap(s.writes) > maxPooledWrites || cap(s.reads) > maxPooledWrites {
+		s.writes, s.reads = nil, nil
 	}
 	txnScratchPool.Put(s)
 }
@@ -220,6 +230,13 @@ func (tx *Txn) cleanupAbort() {
 	t, s := tx.finish()
 	for i := len(s.writes) - 1; i >= 0; i-- {
 		s.writes[i].Rollback(t)
+	}
+	if len(s.reads) > 0 {
+		var p mvcc.Pruner
+		for _, row := range s.reads {
+			p.Clear(row, s.slot)
+		}
+		p.Flush()
 	}
 	db, token := s.db, s.takeProgToken()
 	s.recycle()
@@ -316,13 +333,13 @@ func (tx *Txn) Commit() error {
 	db.locks.ReleaseBlocking(t)
 	keep := tx.Isolation().TracksConflicts() && (db.locks.HoldsSIRead(t) || db.mgr.HasOutConflict(t))
 	token := s.takeProgToken()
-	var written any // the scratch, handed to the writer's retirement
-	if len(s.writes) > 0 {
-		written = s
+	var payload any // the scratch, handed to the retirement that reclaims its rows
+	if len(s.writes) > 0 || len(s.reads) > 0 {
+		payload = s
 	} else {
 		s.recycle()
 	}
-	db.mgr.FinishWith(t, keep, written)
+	db.mgr.FinishWith(t, keep, payload)
 	db.releaseProgToken(token)
 	if r := db.opts.Recorder; r != nil {
 		r.RecCommit(tx.id, ct)
@@ -470,9 +487,9 @@ func (tx *Txn) readStamp(snap core.TS) core.TS {
 // the overlap test needs it and a deferred snapshot comes after the write's
 // locks.
 type lockTargets interface {
-	// lockRead acquires mode (SIRead or Shared) on the targets of a point
-	// read of key; row is what the caller's Locate of key found (zero: no row).
-	lockRead(tx *Txn, tb *table, key []byte, row mvcc.Row, mode lock.Mode, snap core.TS) error
+	// read reads key at snap under mode (SIRead or Shared) on the targets
+	// of a point read, taken before the read or atomically with it.
+	read(tx *Txn, tb *table, key []byte, mode lock.Mode, snap core.TS) (mvcc.ReadResult, error)
 	// lockForUpdate acquires GetForUpdate's exclusive lock(s) on key (row as
 	// above). It returns the SIREAD holders found and the newest commit
 	// timestamp of the First-Committer-Wins unit holding key.
@@ -527,18 +544,17 @@ func (tx *Txn) Get(tableName string, key []byte) (val []byte, found bool, err er
 	tb := tx.db.table(tableName)
 	snap := tx.readPoint()
 	mode := tx.readLockMode()
-	var row mvcc.Row // stays zero for a lock-free read, which reads by key
-	if mode != noLock {
-		// Figure 3.4 lines 2-4: lock, marking concurrent exclusive holders,
-		// and only then read: Locate names the lock and reads no row state.
-		row, _ = tb.data.Locate(key)
-		if err := tx.db.targets.lockRead(tx, tb, key, row, mode, snap); err != nil {
-			return nil, false, tx.fail(err)
+	// A locking read is Figure 3.4 lines 2-7: the read and its lock, which
+	// marks concurrent exclusive holders.
+	var res mvcc.ReadResult
+	if mode == noLock {
+		if tx.roSafe {
+			tx.db.roSIReadSkips.Add(1)
 		}
-	} else if tx.roSafe {
-		tx.db.roSIReadSkips.Add(1)
+		res = tb.data.Read(tx.t, snap, key)
+	} else if res, err = tx.db.targets.read(tx, tb, key, mode, snap); err != nil {
+		return nil, false, tx.fail(err)
 	}
-	res := tb.read(tx.t, snap, key, row)
 	if mode == lock.SIRead {
 		// Figure 3.4 lines 8-9: the creators of newer versions.
 		if err := tx.markAsReader(res.NewerWriters); err != nil {

@@ -18,11 +18,11 @@ import (
 // ledger is one row of TestSSIOverSIWorkBudget: the work of one transaction
 // (of the two, for the rw pair), column by column as ledgerColumns names
 // them.
-type ledger [12]uint64
+type ledger [14]uint64
 
 var ledgerColumns = [...]string{
 	"lock req", "probes", "shard", "owner", "hashes",
-	"latch sh", "latch ex", "versions", "descents",
+	"latch sh", "latch ex", "versions", "words set", "words cleared", "descents",
 	"marks", "queued", "drained",
 }
 
@@ -30,7 +30,7 @@ func readLedger() ledger {
 	l, s, b, c := lock.ReadWork(), mvcc.ReadWork(), btree.ReadWork(), core.ReadWork()
 	return ledger{
 		l.Acquires, l.Probes, l.ShardLocks, l.OwnerLocks, l.KeyHashes,
-		s.SharedLatches, s.ExclusiveLatches, s.VersionsWalked, b.Descents,
+		s.SharedLatches, s.ExclusiveLatches, s.VersionsWalked, s.Registrations, s.Clears, b.Descents,
 		c.Marks, c.Queued, c.Drained,
 	}
 }
@@ -79,6 +79,39 @@ func antiDependency(t *testing.T, db *ssidb.DB, iso ssidb.Isolation) func() {
 	}
 }
 
+// collision returns three transactions at iso on a kvmix load around one
+// row x that two readers read: w reads row y, which gives it its snapshot;
+// r1 and then r2 read x and commit; w writes x and commits.
+func collision(t *testing.T, db *ssidb.DB, iso ssidb.Isolation) func() {
+	val := []byte("w")
+	next := 0
+	return func() {
+		next++
+		x, y := kvmix.Key(next%2048*2), kvmix.Key(next%2048*2+1)
+		w, r1, r2 := db.Begin(iso), db.Begin(iso), db.Begin(iso)
+		for _, read := range []struct {
+			tx  *ssidb.Txn
+			key []byte
+		}{{w, y}, {r1, x}, {r2, x}} {
+			if _, _, err := read.tx.Get(kvmix.Table, read.key); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := r1.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if err := r2.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Put(kvmix.Table, x, val); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestSSIOverSIWorkBudget is the ledger of what SerializableSI costs over
 // SnapshotIsolation, with S2PL beside them: the same shapes at each level,
 // every counter of the workcount build, per transaction and exact — lock
@@ -93,41 +126,50 @@ func antiDependency(t *testing.T, db *ssidb.DB, iso ssidb.Isolation) func() {
 //
 // prints the table README.md shows. What one operation costs,
 // at any level:
-//   - A SI Get reads by key: a shared latch hold, a descent, a version. At
-//     SSI and S2PL it locates the row (a shared hold, the descent) to name its
-//     lock, and reads through the handle (a shared hold, the version); S2PL's
-//     Get also looks at the row's head writer after its grant (a third shared
-//     hold, no version).
+//   - A SI Get reads by key: a shared latch hold, a descent, a version. An
+//     SSI Get of an existing row is the same hold, which also sets the row's
+//     reader word to the transaction's slot (a word set); if the word names
+//     another reader, the Get then takes an SIREAD in the lock table and reads
+//     again through the handle (a shared hold, a version). S2PL's Get locates
+//     the row (a shared hold, the descent) to name its lock, reads through the
+//     handle (a shared hold, the version), and looks at the row's head writer
+//     after its grant (a third shared hold, no version).
 //   - A lock on a key no one holds is a request, a shard hold, an owner hold
 //     (the grant lists it) and 3 key hashes (the shard index, the table miss,
-//     the insert); its release a shard hold and a hash (the delete).
+//     the insert); a lock on a key another holds has 2 (the lookup hits); its
+//     release a shard hold, and a hash (the delete) if it empties the entry.
 //   - A Put of an existing row locates it (a shared hold, a descent) and
-//     claims it in an exclusive hold that looks at its head (a version) and
-//     probes the row's entry (a probe, a shard hold, 2 hashes), at every
-//     level: no write takes a lock-table entry unless someone must wait.
-//   - A transaction that wrote is queued for retirement once, and on this
-//     quiet database drained when its commit precedes every active snapshot;
-//     its retirement prunes its rows, one exclusive hold per table. One that
-//     took a lock holds its owner's mutex once for the commit's release and
-//     once for the retirement's; SSI's commit holds it once more, to ask
-//     whether SIREADs are left.
+//     claims it in an exclusive hold that looks at its head (a version),
+//     probes the row's entry (a probe, a shard hold, 2 hashes) and reads its
+//     reader word, at every level: no write takes a lock-table entry unless
+//     someone must wait.
+//   - A transaction that wrote, or set a word, is queued for retirement once,
+//     and on this quiet database drained when its commit precedes every
+//     active snapshot; its retirement prunes its rows and clears the words it
+//     set, one exclusive hold per table — the drain hands each registry
+//     shard's entries to the hook apart, so transactions that retire together
+//     share a hold only if they share a shard. One that took a lock holds its
+//     owner's mutex once for the commit's release and once for the
+//     retirement's; SSI's commit holds it once more, to ask whether SIREADs
+//     are left.
 //
 // kv-uniform, 4 Gets + 2 Puts (TestLockWorkBudget and TestStoreWorkBudget
 // derive SSI): SI takes no lock — 2 probes, 2 shard holds, 4 hashes; 6 shared
-// and 2 + 1 exclusive holds, 6 versions, 6 descents. SSI adds the 4 SIREADs:
-// 4 requests, 4 + 4 shard holds (grant, release), 4 + 3 owner holds, 12 + 4
-// hashes, and a second shared hold per Get. S2PL takes 4 Shared locks, which
-// its commit releases: 4 requests, 10 shard holds, 4 + 2 owner holds, 20
-// hashes, 3 shared holds a Get (14).
+// and 2 + 1 exclusive holds, 6 versions, 6 descents. SSI is the same in every
+// one of those columns: its Gets set 4 words, which the retirement clears in
+// the hold that prunes. S2PL takes 4 Shared locks, which its commit releases:
+// 4 requests, 10 shard holds, 4 + 2 owner holds, 20 hashes, 3 shared holds a
+// Get (14).
 //
-// The SmallBank Amalgamate, 5 Gets + 3 Puts of rows it read, in two tables
-// (TestLockWorkBudget derives SSI): SI — 3 probes (3 shard holds, 6 hashes), 8
-// shared and 3 + 2 exclusive holds, 8 versions, 8 descents. SSI — 5 SIREADs,
-// 3 of which its probes drop (§3.7.3): 5 requests, 10 shard holds, 11 owner
-// holds, 26 hashes, 13 shared holds. S2PL — 5 Shared locks, which its Puts'
-// probes find its own and keep (2 hashes each, no delete) and its commit
-// releases: 5 + 3 + 5 = 13 shard holds, 5 + 2 = 7 owner holds, 15 + 6 + 5 = 26
-// hashes, 15 + 3 = 18 shared holds.
+// The SmallBank Amalgamate, 5 Gets + 3 Puts of rows it read, in three tables
+// (TestLockWorkBudget and TestStoreWorkBudget derive SSI): SI — 3 probes (3
+// shard holds, 6 hashes), 8 shared and 3 + 2 exclusive holds (the saving and
+// checking rows), 8 versions, 8 descents. SSI — the same, and 5 words set, 3
+// of which its Puts clear (§3.7.3) and its retirement the 2 on the account
+// rows, in a hold of their table: 3 + 3 exclusive holds. S2PL — 5 Shared
+// locks, which its Puts' probes find its own and keep (2 hashes each, no
+// delete) and its commit releases: 5 + 3 + 5 = 13 shard holds, 5 + 2 = 7
+// owner holds, 15 + 6 + 5 = 26 hashes, 15 + 3 = 18 shared holds.
 //
 // A 64-row Scan and one Put of a row outside the range: SI — the scan is one
 // round (one shared hold, one descent, the 64 rows and the key that ends the
@@ -163,11 +205,31 @@ func antiDependency(t *testing.T, db *ssidb.DB, iso ssidb.Isolation) func() {
 // x and commits, r writes row y and commits; w retires only with r, whose
 // snapshot precedes its commit. SI — 2 probes, 3 shared and 2 + 2 exclusive
 // holds, 3 versions and descents, 2 entries queued and drained, no
-// MarkConflict. SSI adds r's SIREAD on x (a request, a grant, a release: 2
-// shard holds, 4 hashes, 1 + 3 owner holds, a second shared hold) and the
-// one MarkConflict call: w's probe finds r's SIREAD. w took no lock, so it
-// holds no owner mutex. S2PL has no row: there r's Shared lock makes w wait,
-// and the spins of a wait are not a fixed count.
+// MarkConflict. SSI adds r's word on x, set by its Get and cleared in the
+// hold of r's retirement that prunes y, and the one MarkConflict call: w's
+// claim finds r in the word. Neither takes a lock. S2PL has no row: there r's
+// Shared lock makes w wait, and the spins of a wait are not a fixed count.
+//
+// A collision — two readers of one row, then a writer of it (collision): w
+// reads y; r1 and r2 read x and commit; w writes x and commits. SI — the 3
+// Gets and the Put: 1 probe (1 shard hold, 2 hashes), 3 + 1 shared holds, 1 +
+// 1 exclusive, 4 versions, 4 descents, w queued and drained. SSI — w's Get
+// sets y's word and r1's x's, and r2's finds x's word taken: r2 takes an
+// SIREAD on x (a request, a grant, a release at retirement: 2 shard holds, 3
+// + 1 hashes, 3 owner holds with its commit's release and question) and
+// reads x again (a shared hold, a version) — what a collision costs. w's
+// claim finds r2 in the lock table and r1 in the word: 2 MarkConflict calls.
+// r1 (its word), r2 (its SIREAD) and w are queued, and retire with w: w's
+// retirement prunes x and clears y in one hold, r1's, from another registry
+// shard, clears x in another. 1 request, 1 probe, 3 shard holds, 4 owner
+// holds, 6 hashes; 5 shared and 3 exclusive holds, 5 versions, 2 words set
+// and cleared, 4 descents, 2 marks, 3 queued and drained. S2PL — 3 Shared
+// locks (3 + 3 + 2 hashes: r2's finds r1's entry), each released at its
+// commit (a shard hold each, a delete for the last holder of x and for y),
+// and w's probe: 3 requests, 3 + 3 + 1 = 7 shard holds, 3 + 3 + 1 = 7 owner
+// holds (grants, commits, w's retirement), 8 + 2 + 2 = 12 hashes; 3 shared
+// holds a Get and w's locate (10), 2 exclusive, 4 versions, 4 descents; w
+// alone is queued.
 func TestSSIOverSIWorkBudget(t *testing.T) {
 	open := func(lockShards int) *ssidb.DB {
 		return ssidb.Open(ssidb.Options{Detector: ssidb.DetectorPrecise, TableShards: 1, LockShards: lockShards})
@@ -197,22 +259,25 @@ func TestSSIOverSIWorkBudget(t *testing.T) {
 		want  ledger
 	}
 	rows := []row{
-		{"kv-uniform", si, shapedTxn(t, kv, si, txnShape{gets: 4, puts: 2}), ledger{0, 2, 2, 0, 4, 6, 3, 6, 6, 0, 1, 1}},
-		{"kv-uniform", ssi, shapedTxn(t, kv, ssi, txnShape{gets: 4, puts: 2}), ledger{4, 2, 10, 7, 20, 10, 3, 6, 6, 0, 1, 1}},
-		{"kv-uniform", s2pl, shapedTxn(t, kv, s2pl, txnShape{gets: 4, puts: 2}), ledger{4, 2, 10, 6, 20, 14, 3, 6, 6, 0, 1, 1}},
-		{"Amalgamate", si, amalgamate[si], ledger{0, 3, 3, 0, 6, 8, 5, 8, 8, 0, 1, 1}},
-		{"Amalgamate", ssi, amalgamate[ssi], ledger{5, 3, 10, 11, 26, 13, 5, 8, 8, 0, 1, 1}},
-		{"Amalgamate", s2pl, amalgamate[s2pl], ledger{5, 3, 13, 7, 26, 18, 5, 8, 8, 0, 1, 1}},
-		{"64-row Scan + Put", si, scanPuts(t, kv, si), ledger{0, 1, 1, 0, 2, 2, 2, 66, 2, 0, 1, 1}},
-		{"64-row Scan + Put", ssi, scanPuts(t, kv, ssi), ledger{129, 1, 138, 132, 518, 2, 2, 66, 2, 0, 1, 1}},
-		{"64-row Scan + Put", s2pl, scanPuts(t, kv, s2pl), ledger{129, 1, 517, 131, 1034, 3, 2, 131, 3, 0, 1, 1}},
-		{"Put of an absent key", si, absentPutsAt(t, kvmixDB(1), si), ledger{0, 1, 2, 0, 5, 1, 2, 0, 4, 0, 1, 1}},
-		{"Put of an absent key", ssi, absentPutsAt(t, kvmixDB(1), ssi), ledger{2, 1, 5, 4, 11, 5, 2, 0, 8, 0, 1, 1}},
-		{"Put of an absent key", s2pl, absentPutsAt(t, kvmixDB(1), s2pl), ledger{2, 1, 5, 3, 11, 5, 2, 0, 8, 0, 1, 1}},
-		{"read-only reader", si, scanReader(t, kv, si), ledger{0, 0, 0, 0, 0, 5, 0, 69, 5, 0, 0, 0}},
-		{"read-only reader", ssi, reader, ledger{0, 0, 0, 0, 0, 5, 0, 69, 5, 0, 0, 0}},
-		{"rw pair", si, antiDependency(t, kv, si), ledger{0, 2, 2, 0, 4, 3, 4, 3, 3, 0, 2, 2}},
-		{"rw pair", ssi, antiDependency(t, kv, ssi), ledger{1, 2, 4, 4, 8, 4, 4, 3, 3, 1, 2, 2}},
+		{"kv-uniform", si, shapedTxn(t, kv, si, txnShape{gets: 4, puts: 2}), ledger{0, 2, 2, 0, 4, 6, 3, 6, 0, 0, 6, 0, 1, 1}},
+		{"kv-uniform", ssi, shapedTxn(t, kv, ssi, txnShape{gets: 4, puts: 2}), ledger{0, 2, 2, 0, 4, 6, 3, 6, 4, 4, 6, 0, 1, 1}},
+		{"kv-uniform", s2pl, shapedTxn(t, kv, s2pl, txnShape{gets: 4, puts: 2}), ledger{4, 2, 10, 6, 20, 14, 3, 6, 0, 0, 6, 0, 1, 1}},
+		{"Amalgamate", si, amalgamate[si], ledger{0, 3, 3, 0, 6, 8, 5, 8, 0, 0, 8, 0, 1, 1}},
+		{"Amalgamate", ssi, amalgamate[ssi], ledger{0, 3, 3, 0, 6, 8, 6, 8, 5, 5, 8, 0, 1, 1}},
+		{"Amalgamate", s2pl, amalgamate[s2pl], ledger{5, 3, 13, 7, 26, 18, 5, 8, 0, 0, 8, 0, 1, 1}},
+		{"64-row Scan + Put", si, scanPuts(t, kv, si), ledger{0, 1, 1, 0, 2, 2, 2, 66, 0, 0, 2, 0, 1, 1}},
+		{"64-row Scan + Put", ssi, scanPuts(t, kv, ssi), ledger{129, 1, 138, 132, 518, 2, 2, 66, 0, 0, 2, 0, 1, 1}},
+		{"64-row Scan + Put", s2pl, scanPuts(t, kv, s2pl), ledger{129, 1, 517, 131, 1034, 3, 2, 131, 0, 0, 3, 0, 1, 1}},
+		{"Put of an absent key", si, absentPutsAt(t, kvmixDB(1), si), ledger{0, 1, 2, 0, 5, 1, 2, 0, 0, 0, 4, 0, 1, 1}},
+		{"Put of an absent key", ssi, absentPutsAt(t, kvmixDB(1), ssi), ledger{2, 1, 5, 4, 11, 5, 2, 0, 0, 0, 8, 0, 1, 1}},
+		{"Put of an absent key", s2pl, absentPutsAt(t, kvmixDB(1), s2pl), ledger{2, 1, 5, 3, 11, 5, 2, 0, 0, 0, 8, 0, 1, 1}},
+		{"read-only reader", si, scanReader(t, kv, si), ledger{0, 0, 0, 0, 0, 5, 0, 69, 0, 0, 5, 0, 0, 0}},
+		{"read-only reader", ssi, reader, ledger{0, 0, 0, 0, 0, 5, 0, 69, 0, 0, 5, 0, 0, 0}},
+		{"rw pair", si, antiDependency(t, kv, si), ledger{0, 2, 2, 0, 4, 3, 4, 3, 0, 0, 3, 0, 2, 2}},
+		{"rw pair", ssi, antiDependency(t, kv, ssi), ledger{0, 2, 2, 0, 4, 3, 4, 3, 1, 1, 3, 1, 2, 2}},
+		{"collision", si, collision(t, kv, si), ledger{0, 1, 1, 0, 2, 4, 2, 4, 0, 0, 4, 0, 1, 1}},
+		{"collision", ssi, collision(t, kv, ssi), ledger{1, 1, 3, 4, 6, 5, 3, 5, 2, 2, 4, 2, 3, 3}},
+		{"collision", s2pl, collision(t, kv, s2pl), ledger{3, 1, 7, 7, 12, 10, 2, 4, 0, 0, 4, 0, 1, 1}},
 	}
 	var table strings.Builder
 	fmt.Fprintf(&table, "| shape | level | %s |\n", strings.Join(ledgerColumns[:], " | "))

@@ -116,35 +116,31 @@ func amalgamatesAt(t *testing.T, bank *ssidb.DB, iso ssidb.Isolation) func() {
 // uncommitted version is its write lock, and it probes the row key's entry —
 // a shard hold and two key hashes (shardIndex and the lookup), no insert —
 // for SIREAD holders and blocking locks, inside the latch hold that installs
-// it (package lock, "Implicit row locks").
+// it (package lock, "Implicit row locks"). Nor does an SSI point read of an
+// existing row: its SIREAD is the row's reader word, set in the latch hold
+// that reads the row (mvcc.Table.ReadAs), and the write's hold reads the word
+// beside the probe.
 //
 // The repository benchmark's kv-uniform transaction — 4 Gets and 2 Puts on
-// existing rows at SerializableSI — takes 4 locks, an SIREAD per Get, each one
-// request and one hold of its key's shard mutex, and makes 2 probes, which
-// find no entry. The commit releases no entry (its list holds SIREADs only)
-// and, the transaction's commit preceding every active snapshot on this quiet
-// database, its own retirement releases the four SIREADs (one shard hold
-// each): 4 + 2 + 4 = 10 shard holds. The owner's mutex is held once per grant
-// (4), once by each of the two releases (2) and once to ask whether SIREAD
-// locks are left at commit: 7. Every SIREAD is on a key no other transaction
-// holds, so its acquire hashes the key three times (shardIndex, the table
-// lookup that misses, the insert) and its release once (the delete of the
-// emptied entry, reached through the owner's list); each probe hashes twice:
-// 12 + 4 + 4 = 20 key hashes. (With an Exclusive entry per Put the same
-// transaction made 6 requests, 12 shard and 9 owner holds and 24 key
-// hashes; with the owner's key map as well, 17 owner holds and 54 hashes.)
+// existing rows at SerializableSI — therefore takes no lock: its Gets
+// register on their rows, and its 2 probes find no entry, 2 shard holds and
+// 4 key hashes. No owner mutex is held: the transaction never took a lock, so
+// the commit's question whether SIREAD locks are left and both releases
+// return at once. The retirement clears the 4 words in the row store. (With
+// an SIREAD entry per Get the same transaction made 4 requests, 10 shard and
+// 7 owner holds and 20 key hashes; with an Exclusive entry per Put as well,
+// 6 requests, 12 shard and 9 owner holds and 24 key hashes; with the owner's
+// key map too, 17 owner holds and 54 hashes.)
 //
 // A SmallBank Amalgamate reads 5 rows (the two customers' account rows, the
 // first one's saving and checking balances and the second one's checking
 // balance) and writes 3 of them (both checking balances, the first saving
-// balance): 5 requests and 3 probes, one shard hold each. Each write is on a
-// row the transaction read, so its probe finds the read's entry and discards
-// that SIREAD (§3.7.3): one owner hold, and a delete of the emptied entry.
-// The retirement releases the 2 SIREADs left on the account rows: 10 shard
-// holds. Owner mutex: 5 grants, 3 discards, 1 per release, 1 at commit: 11.
-// Key hashes: 3 per row read, 3 per probe (shardIndex, the lookup, the
-// delete), 1 per entry the retirement empties: 15 + 9 + 2 = 26. (With
-// Exclusive entries: 8 requests, 13 shard holds, 11 owner holds, 26 hashes.)
+// balance): 3 probes, each a shard hold and 2 hashes, finding no entry, and
+// no request. Each write is on a row the transaction read, so its hold finds
+// its own registration in the word and drops it (§3.7.3), in the store. 0 /
+// 3 / 3 / 0 / 6. (With an SIREAD entry per Get: 5 requests, 10 shard holds,
+// 11 owner holds, 26 hashes; with Exclusive entries as well: 8 requests, 13
+// shard holds, 11 owner holds, 26 hashes.)
 //
 // One SI Put of a key without a row, on a lock table of one shard: no
 // request, and 1 probe. The insert also hands the SIREAD locks of the gap it
@@ -181,10 +177,10 @@ func TestLockWorkBudget(t *testing.T) {
 			}
 
 			exact("4 Gets + 2 Puts", shapedTxn(t, db, ssidb.SerializableSI, txnShape{gets: 4, puts: 2}),
-				lock.Work{Acquires: 4, Probes: 2, ShardLocks: 10, OwnerLocks: 7, KeyHashes: 20})
+				lock.Work{Probes: 2, ShardLocks: 2, KeyHashes: 4})
 
 			run, _ := amalgamates(t, ssidb.Open(ssidb.Options{Detector: ssidb.DetectorPrecise, TableShards: tshards, LockShards: 8}))
-			exact("Amalgamate", run, lock.Work{Acquires: 5, Probes: 3, ShardLocks: 10, OwnerLocks: 11, KeyHashes: 26})
+			exact("Amalgamate", run, lock.Work{Probes: 3, ShardLocks: 3, KeyHashes: 6})
 
 			ins := ssidb.Open(ssidb.Options{TableShards: tshards, LockShards: 1})
 			if err := kvmix.Load(ins, kvmix.DefaultConfig()); err != nil {
@@ -207,24 +203,29 @@ func TestLockWorkBudget(t *testing.T) {
 // Every chain here holds one committed version: each writer's retirement
 // prunes what it superseded before the next transaction begins.
 //
-// The kv-uniform transaction at SerializableSI: a Get locates its row (one
-// shared hold, one descent), to name its SIREAD lock, then reads it through
-// the handle (one shared hold, one version); a Put locates its row (one
-// shared hold, one descent) and claims it through the handle — decides on
-// its head (one version), probes the lock table and installs — in one
-// exclusive hold. 4 Gets and 2 Puts: 8 + 2 = 10 shared holds, 2 exclusive, 6
-// versions and 6 descents. The retirement prunes the 2 rows written, one
-// exclusive hold per partition they lie in: at TableShards 1 that is 1, for 3
-// exclusive holds; at 8 it is 1 or 2, so the test holds the n-transaction
-// total, 2n plus the partitions each transaction's two Puts span, computed
-// here from the keys with the store's partition hash. (Before a write's
+// The kv-uniform transaction at SerializableSI: a Get locates its row, reads
+// it and registers in its reader word, all in one shared hold (one descent,
+// one version, one registration); a Put locates its row (one shared hold, one
+// descent) and claims it through the handle — decides on its head (one
+// version), probes the lock table, reads the word and installs — in one
+// exclusive hold. 4 Gets and 2 Puts: 4 + 2 = 6 shared holds, 2 exclusive, 6
+// versions, 6 descents and 4 registrations. The retirement prunes the 2 rows
+// written and clears the 4 words read, one exclusive hold per partition the
+// six rows lie in: at TableShards 1 that is 1, for 3 exclusive holds; at 8 it
+// is 1 to 6, so the test holds the n-transaction total, 2n plus the
+// partitions of each transaction's rows, computed here from the keys with the
+// store's partition hash. (With an SIREAD entry per Get, a Get located its
+// row, to name the lock, and read it in a second hold: 10 shared holds, and
+// the retirement held only the written rows' partitions. Before a write's
 // decision and install became one hold, a Put also held the latch shared to
 // check First-Committer-Wins: 12 shared holds.)
 //
-// A SmallBank Amalgamate: 5 Gets and 3 Puts, so 10 + 3 = 13 shared holds, 3
-// exclusive, 8 versions and 8 descents; its retirement prunes the saving
-// balance in one partition of its table and the two checking balances in one
-// or two of theirs.
+// A SmallBank Amalgamate: 5 Gets and 3 Puts, so 5 + 3 = 8 shared holds, 3
+// exclusive, 8 versions, 8 descents and 5 registrations, 3 of which its
+// Puts clear (each writes a row it read, §3.7.3); its retirement prunes the
+// saving balance in one partition of its table and the two checking balances
+// in one or two of theirs, and clears the words of the two account rows in
+// one or two of theirs: 5 clears.
 //
 // One SI Put of a key without a row: a locate that misses (one shared hold,
 // one descent), then a claim that takes every partition latch, looks the key
@@ -283,27 +284,31 @@ func TestStoreWorkBudget(t *testing.T) {
 				kvPages = 2
 			}
 
-			// shapedTxn's transaction j (the warm-up is 0) Puts its key
-			// numbers 6j+5 and 6j+6 of the key set.
+			// shapedTxn's transaction j (the warm-up is 0) Gets its key
+			// numbers 6j+1 … 6j+4 of the key set and Puts 6j+5 and 6j+6.
 			pruned := uint64(0)
 			for j := 1; j <= n; j++ {
-				pruned++
-				if partition(kvmix.Key((6*j+5)%4096*2)) != partition(kvmix.Key((6*j+6)%4096*2)) {
-					pruned++
+				parts := map[uint32]bool{}
+				for k := 6*j + 1; k <= 6*j+6; k++ {
+					parts[partition(kvmix.Key(k%4096*2))] = true
 				}
+				pruned += uint64(len(parts))
 			}
 			exact("4 Gets + 2 Puts", shapedTxn(t, db, ssidb.SerializableSI, txnShape{gets: 4, puts: 2}),
-				mvcc.Work{SharedLatches: n * 10, ExclusiveLatches: n*2 + pruned, VersionsWalked: n * 6}, n*6, kvPages)
+				mvcc.Work{SharedLatches: n * 6, ExclusiveLatches: n*2 + pruned, VersionsWalked: n * 6, Registrations: n * 4, Clears: n * 4}, n*6, kvPages)
 
 			run, ids := amalgamates(t, ssidb.Open(ssidb.Options{Detector: ssidb.DetectorPrecise, TableShards: tshards, LockShards: 8}))
 			pruned = 0
 			for j := 1; j <= n; j++ {
-				pruned += 2 // the saving table's row, and the checking table's first
+				pruned += 3 // the saving table's row, the checking table's first, the account table's first
 				if id1, id2 := ids(j); partition(id1) != partition(id2) {
 					pruned++
 				}
+				if n1 := 2 * (j + 1) % smallbank.DefaultConfig().Accounts; partition(smallbank.Name(n1)) != partition(smallbank.Name(n1+1)) {
+					pruned++
+				}
 			}
-			exact("Amalgamate", run, mvcc.Work{SharedLatches: n * 13, ExclusiveLatches: n*3 + pruned, VersionsWalked: n * 8}, n*8, 2)
+			exact("Amalgamate", run, mvcc.Work{SharedLatches: n * 8, ExclusiveLatches: n*3 + pruned, VersionsWalked: n * 8, Registrations: n * 5, Clears: n * 5}, n*8, 2)
 
 			ins := ssidb.Open(ssidb.Options{TableShards: tshards})
 			if err := kvmix.Load(ins, kvmix.DefaultConfig()); err != nil {
@@ -326,12 +331,12 @@ func TestStoreWorkBudget(t *testing.T) {
 //
 // On a quiet database no transaction overlaps another, so a lock finds no
 // concurrent rival and no read a concurrent writer: no MarkConflict call. A
-// committed writer is queued once — it holds SIREAD locks, and it hands its
-// written rows to the retire hook — and, its commit preceding every active
-// snapshot, drained by its own FinishWith: 1 queued and 1 drained, for the
-// kv-uniform transaction and the SmallBank Amalgamate alike. The promoted
-// scan-readmostly reader holds no lock and writes nothing, so it is never
-// queued: 0, 0, 0.
+// committed writer is queued once — it hands its written rows, and the rows
+// whose reader words its reads set, to the retire hook — and, its commit
+// preceding every active snapshot, drained by its own FinishWith: 1 queued
+// and 1 drained, for the kv-uniform transaction and the SmallBank Amalgamate
+// alike. The promoted scan-readmostly reader holds no lock, registers on no
+// row and writes nothing, so it is never queued: 0, 0, 0.
 func TestCoreWorkBudget(t *testing.T) {
 	db := ssidb.Open(ssidb.Options{Detector: ssidb.DetectorPrecise, LockShards: 8})
 	if err := kvmix.Load(db, kvmix.DefaultConfig()); err != nil {
