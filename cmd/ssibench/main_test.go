@@ -46,7 +46,7 @@ func TestTableComplete(t *testing.T) {
 	}
 	want := strings.Fields(`kvmix kvmix-hot kvmix-readheavy kvmix-readmostly scanstall
 		smallbank smallbank-programs tpcc tpcc-programs
-		ablation-basic-detector ablation-no-siread-upgrade ablation-queries-at-si ablation-page
+		ablation-basic-detector ablation-queries-at-si ablation-page
 		remote-kvmix remote-kvmix-hot remote-smallbank`)
 	for i := 1; i <= 18; i++ {
 		name := fmt.Sprintf("fig6.%d", i)

@@ -28,9 +28,9 @@
 //	                   Shared [2]                           a row, its reader word [1]
 //	GetForUpdate [9]   Exclusive           as writer [3]    row k [8]                    leaf of k; interior pages in   row: versions of k        R F | W U D
 //	                                                                                     the level's read mode          page: stamps of k's leaf
-//	Put Insert Delete  Exclusive [10]      as writer        row k [8]                    as GetForUpdate; afterwards    as above                  K R F | W U D
+//	Put Insert Delete  Exclusive [10]      as writer        row k [8]                    as GetForUpdate; afterwards    as above                  K R F L | W U D
 //	  (k has a chain)                                                                    stamp the leaf
-//	Put Insert Delete  Exclusive [10]      as writer, gap   gap before succ(k) [5], row  the whole path Exclusive if    as above                  K R F | W U D
+//	Put Insert Delete  Exclusive [10]      as writer, gap   gap before succ(k) [5], row  the whole path Exclusive if    as above                  K R F L | W U D
 //	  (structural [4])                     holders too      k; once installed, SIREADs   the leaf will split (interior
 //	                                                        on that gap also cover the   pages stamped too), else as
 //	                                                        gap before k; re-lock it     above
@@ -70,8 +70,11 @@
 //	[7] Statement-level errors leave the transaction usable: K ErrKeyExists
 //	    (Insert of a visible key), R ErrReadOnly (on a declared read-only
 //	    transaction), F ErrFootprint (a registered program leaving its declared
-//	    tables). Transaction-level errors mean the transaction has been rolled
-//	    back and every further call returns ErrTxnDone; all are Retryable:
+//	    tables), L ErrKeyTooLong (a write whose key or table name is longer
+//	    than 65 535 bytes, the most a redo entry names; refused before any
+//	    lock, at every level and on every database). Transaction-level
+//	    errors mean the transaction has been rolled back and every further
+//	    call returns ErrTxnDone; all are Retryable:
 //	    W ErrWriteConflict (SI and SSI: the FCW unit has a version newer than the
 //	    snapshot), U ErrUnsafe (SSI: a dangerous structure; also from Commit),
 //	    D ErrDeadlock and ErrLockTimeout (a blocking acquisition: any Exclusive

@@ -37,9 +37,10 @@
 // request can be wedged behind a stuck holder.
 //
 // The manager detects deadlocks immediately with a waits-for graph search and
-// aborts the requester, implements shared→exclusive upgrades, and supports
-// the SIREAD→EXCLUSIVE upgrade optimisation of thesis §3.7.3 (dropping the
-// SIREAD lock once the same owner acquires EXCLUSIVE on the same key).
+// aborts the requester, implements shared→exclusive upgrades, and applies
+// the SIREAD→EXCLUSIVE upgrade of thesis §3.7.3 by key kind: an owner's
+// SIREAD on a row or a page goes once it acquires EXCLUSIVE there (or its
+// write probes the row), while a gap keeps both (upgradeable).
 //
 // SIREAD locks deliberately survive their owner's commit: the engine keeps
 // them until the suspended owner is cleaned up (thesis §3.3), releasing them
@@ -355,12 +356,6 @@ func stateFor(owner *core.Txn) *ownerState {
 // Manager is a sharded lock table. The zero value is not usable; call
 // NewManagerShards.
 type Manager struct {
-	// UpgradeSIRead enables the §3.7.3 optimisation: when an owner acquires
-	// an EXCLUSIVE lock on a key it holds an SIREAD lock on, the SIREAD
-	// lock is discarded — the new version it will write detects conflicts
-	// instead, so fewer locks outlive the transaction.
-	upgradeSIRead bool
-
 	shards []*shard
 	mask   uint32
 	wfg    *waitGraph
@@ -380,15 +375,18 @@ func (m *Manager) SetWaitTimeout(d time.Duration) { m.waitTimeout = d }
 // core.ShardCount (rounded up to a power of two, clamped to [1, 256]; n <= 0
 // selects its GOMAXPROCS-scaled default, shared with the transaction
 // registry). A single shard reproduces the paper's global lock-table latch
-// exactly (useful for ablation benchmarks). upgradeSIRead enables the
-// SIREAD→EXCLUSIVE upgrade optimisation of thesis §3.7.3.
+// exactly (useful for ablation benchmarks). The §3.7.3 upgrade always
+// applies (upgradeable): upgradeSIRead must be true; the parameter stays for
+// benchmark/layers.go.
 func NewManagerShards(upgradeSIRead bool, n int) *Manager {
+	if !upgradeSIRead {
+		panic("lock: the §3.7.3 SIREAD upgrade cannot be turned off")
+	}
 	n = core.ShardCount(n)
 	m := &Manager{
-		upgradeSIRead: upgradeSIRead,
-		shards:        make([]*shard, n),
-		mask:          uint32(n - 1),
-		wfg:           newWaitGraph(),
+		shards: make([]*shard, n),
+		mask:   uint32(n - 1),
+		wfg:    newWaitGraph(),
 	}
 	for i := range m.shards {
 		m.shards[i] = &shard{idx: i, table: make(map[Key]*entry)}
@@ -470,7 +468,7 @@ func (m *Manager) AcquireInto(owner *core.Txn, key Key, mode Mode, buf []*core.T
 			s.mu.Unlock()
 			return rivals, nil
 		}
-		if mode == SIRead && own&Exclusive != 0 && m.upgradeable(key.Kind) {
+		if mode == SIRead && own&Exclusive != 0 && upgradeable(key.Kind) {
 			// Already upgraded: the exclusive lock subsumes the read lock's
 			// conflict-detection role (our new version is the signal).
 			s.mu.Unlock()
@@ -664,9 +662,7 @@ func rivalsInto(e *entry, owner *core.Txn, own, mode Mode, out []*core.Txn) []*c
 // the new version the writer creates takes over conflict detection. A gap has
 // no version: dropping a gap SIREAD when its owner inserts into its own
 // scanned range would blind phantom detection against later inserts by others.
-func (m *Manager) upgradeable(kind Kind) bool {
-	return m.upgradeSIRead && (kind == Row || kind == Page)
-}
+func upgradeable(kind Kind) bool { return kind == Row || kind == Page }
 
 // grantLocked installs mode for owner, who held prev on e (read once by the
 // caller); the caller holds the mutex of e's shard. An owner that held
@@ -676,7 +672,7 @@ func (m *Manager) upgradeable(kind Kind) bool {
 func (m *Manager) grantLocked(os *ownerState, e *entry, owner *core.Txn, prev, mode Mode) {
 	next := prev | mode
 	lockOwner(os)
-	if mode == Exclusive && prev&SIRead != 0 && m.upgradeable(e.key.Kind) {
+	if mode == Exclusive && prev&SIRead != 0 && upgradeable(e.key.Kind) {
 		// §3.7.3: drop the SIREAD lock; the version we create will expose
 		// the conflict to future readers instead.
 		next &^= SIRead
@@ -891,7 +887,7 @@ func (m *Manager) sireadBatchLocked(s *shard, os *ownerState, owner *core.Txn, k
 		if held&SIRead != 0 {
 			continue
 		}
-		if held&Exclusive != 0 && m.upgradeable(key.Kind) {
+		if held&Exclusive != 0 && upgradeable(key.Kind) {
 			continue // already upgraded
 		}
 		others := e.nExclusive
@@ -994,7 +990,7 @@ func (m *Manager) Probe(owner *core.Txn, key Key, buf []*core.Txn) (readers []*c
 		return buf, true
 	}
 	readers = rivalsInto(e, owner, own, Exclusive, buf)
-	if own == SIRead && m.upgradeable(key.Kind) {
+	if own == SIRead && upgradeable(key.Kind) {
 		// The owner's version will expose the conflict to later readers.
 		os := stateOf(owner) // non-nil: owner holds a lock on e
 		lockOwner(os)

@@ -114,37 +114,75 @@ func TestSIReadSurvivesReleaseBlocking(t *testing.T) {
 	}
 }
 
+// TestSIReadUpgrade: an owner's SIREAD on a row or a page goes once it takes
+// EXCLUSIVE there (§3.7.3), and a later SIREAD there, one at a time or in a
+// batch, takes nothing; a gap, which has no version to carry the conflict,
+// keeps both modes (upgradeable).
 func TestSIReadUpgrade(t *testing.T) {
-	_, txns := newTxns(1)
-	m := NewManagerShards(true, 0)
-	k := RowKey("t", []byte("x"))
-	m.Acquire(txns[0], k, SIRead)
-	m.Acquire(txns[0], k, Exclusive)
-	if m.Holds(txns[0], k, SIRead) {
-		t.Fatal("SIREAD not dropped on exclusive upgrade (§3.7.3)")
-	}
-	if !m.Holds(txns[0], k, Exclusive) {
-		t.Fatal("exclusive not held after upgrade")
-	}
-	if m.HoldsSIRead(txns[0]) {
-		t.Fatal("HoldsSIRead should be false after upgrade")
-	}
-	// Acquiring SIREAD after Exclusive is a no-op under upgrade semantics.
-	m.Acquire(txns[0], k, SIRead)
-	if m.Holds(txns[0], k, SIRead) {
-		t.Fatal("SIREAD re-acquired on a key already exclusively locked")
+	for _, c := range []struct {
+		key     Key
+		upgrade bool
+	}{
+		{RowKey("t", []byte("x")), true},
+		{PageKey("t", 7), true},
+		{GapKey("t", []byte("x")), false},
+	} {
+		t.Run(c.key.Kind.String(), func(t *testing.T) {
+			_, txns := newTxns(1)
+			m := NewManagerShards(true, 0)
+			k := c.key
+			m.Acquire(txns[0], k, SIRead)
+			m.Acquire(txns[0], k, Exclusive)
+			if !m.Holds(txns[0], k, Exclusive) {
+				t.Fatal("exclusive not held after upgrade")
+			}
+			if kept := m.Holds(txns[0], k, SIRead); kept == c.upgrade {
+				t.Fatalf("SIREAD kept %v after the owner's EXCLUSIVE", kept)
+			}
+			if kept := m.HoldsSIRead(txns[0]); kept == c.upgrade {
+				t.Fatalf("HoldsSIRead = %v after the owner's EXCLUSIVE", kept)
+			}
+			m.Acquire(txns[0], k, SIRead)
+			m.AcquireSIReadBatchInto(txns[0], []Key{k}, nil)
+			if kept := m.Holds(txns[0], k, SIRead); kept == c.upgrade {
+				t.Fatalf("SIREAD held %v when re-acquired under the owner's EXCLUSIVE", kept)
+			}
+			checkOwner(t, m, txns[0])
+		})
 	}
 }
 
-func TestSIReadUpgradeDisabled(t *testing.T) {
-	_, txns := newTxns(1)
-	m := NewManagerShards(false, 0)
-	k := RowKey("t", []byte("x"))
+// TestProbeDropsOwnSIRead: a write's Probe of a row drops the prober's own
+// SIREAD there, as an Exclusive grant would (§3.7.3): the entry goes if it
+// was the only holder, and another reader's SIREAD stays, reported as a
+// reader to mark.
+func TestProbeDropsOwnSIRead(t *testing.T) {
+	_, txns := newTxns(2)
+	m := NewManagerShards(true, 0)
+	k, other := RowKey("t", []byte("x")), RowKey("t", []byte("y"))
 	m.Acquire(txns[0], k, SIRead)
-	m.Acquire(txns[0], k, Exclusive)
-	if !m.Holds(txns[0], k, SIRead) || !m.Holds(txns[0], k, Exclusive) {
-		t.Fatal("both modes should be held when upgrade disabled")
+	if readers, blocked := m.Probe(txns[0], k, nil); blocked || len(readers) != 0 {
+		t.Fatalf("Probe by the only reader: readers %v, blocked %v", readers, blocked)
 	}
+	if m.Holds(txns[0], k, SIRead) || m.HoldsSIRead(txns[0]) {
+		t.Fatal("the prober kept its SIREAD on the row")
+	}
+	if s := m.StatsSnapshot(); s.Keys != 0 {
+		t.Fatalf("%d lock-table keys after the probe, want 0", s.Keys)
+	}
+	checkOwner(t, m, txns[0])
+
+	m.Acquire(txns[0], other, SIRead)
+	m.Acquire(txns[1], other, SIRead)
+	readers, blocked := m.Probe(txns[0], other, nil)
+	if blocked || len(readers) != 1 || readers[0] != txns[1] {
+		t.Fatalf("Probe beside another reader: readers %v, blocked %v", readers, blocked)
+	}
+	if m.Holds(txns[0], other, SIRead) || !m.Holds(txns[1], other, SIRead) {
+		t.Fatal("Probe dropped the wrong SIREAD")
+	}
+	checkOwner(t, m, txns[0])
+	checkOwner(t, m, txns[1])
 }
 
 func TestSharedToExclusiveUpgrade(t *testing.T) {

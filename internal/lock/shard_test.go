@@ -239,7 +239,8 @@ func TestConcurrentChurnDrains(t *testing.T) {
 	}
 }
 
-// TestShardCountRounding pins the NewManagerShards contract.
+// TestShardCountRounding pins the NewManagerShards contract: the shard count,
+// and a panic if asked to turn the §3.7.3 upgrade off.
 func TestShardCountRounding(t *testing.T) {
 	for _, c := range []struct{ in, want int }{
 		{1, 1}, {2, 2}, {3, 4}, {5, 8}, {64, 64}, {100, 128}, {1000, 256},
@@ -251,6 +252,12 @@ func TestShardCountRounding(t *testing.T) {
 	if got, want := NewManagerShards(true, 0).Shards(), core.ShardCount(0); got != want {
 		t.Fatalf("NewManagerShards(0).Shards() = %d, want core.ShardCount's default %d", got, want)
 	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewManagerShards(false, 1) did not panic")
+		}
+	}()
+	NewManagerShards(false, 1)
 }
 
 // TestSIReadBatchGroupsByShard pins the batch acquire's group-by-shard step

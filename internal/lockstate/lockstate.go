@@ -14,8 +14,9 @@ import (
 )
 
 // Mode is a lock mode. Modes are bit flags because one owner can hold
-// several modes on one key (e.g. SIREAD plus EXCLUSIVE when the upgrade
-// optimisation is disabled).
+// several modes on one key (e.g. SIREAD plus EXCLUSIVE on a gap it scanned
+// and then inserted into: a gap keeps its SIREAD, §3.7.3 upgrades only rows
+// and pages).
 type Mode uint8
 
 const (

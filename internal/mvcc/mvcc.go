@@ -708,8 +708,8 @@ type Locker interface {
 	Inherit(table, stored, succ string, hasSucc bool)
 	// Reader is told of the row's registered reader, by slot, in the hold
 	// of a write the probe did not block or of an explicit grant (Granted):
-	// a reader to mark — or the writer itself, and then Reader reports
-	// whether the write drops that registration, as a SIREAD (§3.7.3).
+	// a reader to mark, or the writer itself. It reports whether slot is the
+	// writer's own, a registration the write lock then clears (§3.7.3).
 	Reader(slot uint32) (own bool)
 }
 

@@ -217,8 +217,6 @@ func Rows(s Scale) []Row {
 
 		bank(sb).probe("ablation-basic-detector", "SmallBank under the boolean-flag detector of §3.2",
 			"against smallbank: same throughput order, several times the unsafe aborts", nil, fixed(ssidb.Options{Detector: ssidb.DetectorBasic})),
-		bank(sb).probe("ablation-no-siread-upgrade", "SmallBank keeping SIREAD locks a write supersedes (§3.7.3 off)",
-			"against smallbank: LockedKeys and SuspendedTxns grow", nil, fixed(ssidb.Options{DisableSIReadUpgrade: true})),
 		of(mixed, sibench.Load, func(db *ssidb.DB, iso ssidb.Isolation, cfg sibench.Config) harness.TxnFunc {
 			return func(r *rand.Rand) error {
 				if r.Intn(cfg.QueriesPerUpdate+1) < cfg.QueriesPerUpdate {

@@ -52,7 +52,12 @@
 // plus the admission refusals (queue-full, queue-timeout) and the
 // connection cap. The client surfaces these as *ProtoError, whose Unwrap
 // maps the code back to the matching ssidb/server sentinel, so errors.Is
-// and ssidb.Retryable classify wire errors exactly like local ones.
+// and ssidb.Retryable classify wire errors exactly like local ones. One
+// table, wireErrors in proto.go, gives each code its sentinel and retryable
+// bit in both directions. A commit whose log write or fsync failed is
+// CodeWALDegraded, not retryable: its effects are published in memory and
+// its durability is unknown. CodeProtocol, CodeTooLarge and CodeInternal
+// unwrap to nil.
 // Responses with reqID 0 are connection-level errors (connection refused at
 // MaxConns, unparseable request header).
 //

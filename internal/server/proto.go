@@ -142,6 +142,9 @@ var (
 	// errProtocol is the catch-all decode failure; the session answers with
 	// CodeProtocol and closes.
 	errProtocol = errors.New("server: protocol error")
+	// errFrameTooLarge is a frame length above MaxFrame; the session answers
+	// with CodeTooLarge and closes.
+	errFrameTooLarge = errors.New("server: frame too large")
 )
 
 // frameHdr is the size of a frame's length prefix. Both sides build every
@@ -178,7 +181,7 @@ func readFrame(r io.Reader, buf []byte) ([]byte, error) {
 	}
 	n := binary.LittleEndian.Uint32(hdr)
 	if n > MaxFrame {
-		return nil, fmt.Errorf("%w: frame length %d exceeds %d", errProtocol, n, MaxFrame)
+		return nil, fmt.Errorf("%w: frame length %d exceeds %d", errFrameTooLarge, n, MaxFrame)
 	}
 	if cap(buf) < int(n) {
 		buf = make([]byte, n)
@@ -373,77 +376,56 @@ func appendOp(b []byte, op Op) []byte {
 
 // --- error taxonomy ---
 
-// errToWire classifies err into (code, retryable). The retryable bit is set
-// exactly when ssidb.Retryable reports a clean abort-class failure, plus the
-// admission-layer refusals (queue full / queue timeout), which never started
-// a transaction at all.
+// wireErrors is the error taxonomy, one row per code sent for a sentinel:
+// errToWire sends the first row whose err the error wraps, with the row's
+// retryable bit — set exactly for ssidb.Retryable's clean aborts and for the
+// load-shedding refusals (queue full, queue timeout, connection cap), which
+// never started a transaction. An error no row matches is CodeInternal, not
+// retryable. ProtoError.Unwrap hands a row's err back on the client, except
+// for the framing failures, after which the connection closes.
+var wireErrors = [...]struct {
+	code      byte
+	err       error
+	retryable bool
+	framing   bool
+}{
+	{CodeUnsafe, ssidb.ErrUnsafe, true, false},
+	{CodeConflict, ssidb.ErrWriteConflict, true, false},
+	{CodeDeadlock, ssidb.ErrDeadlock, true, false},
+	{CodeLockTimeout, ssidb.ErrLockTimeout, true, false},
+	{CodeQueueFull, ErrQueueFull, true, false},
+	{CodeQueueTimeout, ErrQueueTimeout, true, false},
+	{CodeShutdown, ErrShutdown, false, false},
+	{CodeConnLimit, ErrConnLimit, true, false},
+	{CodeReadOnly, ssidb.ErrReadOnly, false, false},
+	{CodeKeyExists, ssidb.ErrKeyExists, false, false},
+	{CodeTxnDone, ssidb.ErrTxnDone, false, false},
+	{CodeUnknownTxn, ErrUnknownTxn, false, false},
+	{CodeWALDegraded, errWALDegraded, false, false},
+	{CodeProtocol, errProtocol, false, true},
+	{CodeTooLarge, errFrameTooLarge, false, true},
+}
+
+// errToWire classifies err into (code, retryable) by wireErrors.
 func errToWire(err error) (code byte, retryable bool) {
-	switch {
-	case errors.Is(err, ssidb.ErrUnsafe):
-		return CodeUnsafe, true
-	case errors.Is(err, ssidb.ErrWriteConflict):
-		return CodeConflict, true
-	case errors.Is(err, ssidb.ErrDeadlock):
-		return CodeDeadlock, true
-	case errors.Is(err, ssidb.ErrLockTimeout):
-		return CodeLockTimeout, true
-	case errors.Is(err, ErrQueueFull):
-		return CodeQueueFull, true
-	case errors.Is(err, ErrQueueTimeout):
-		return CodeQueueTimeout, true
-	case errors.Is(err, ErrShutdown):
-		return CodeShutdown, false
-	case errors.Is(err, ErrConnLimit):
-		// Load-shedding refusal like the queue codes: the connection never
-		// got a session, so reconnecting after backoff may succeed.
-		return CodeConnLimit, true
-	case errors.Is(err, ssidb.ErrReadOnly):
-		return CodeReadOnly, false
-	case errors.Is(err, ssidb.ErrKeyExists):
-		return CodeKeyExists, false
-	case errors.Is(err, ssidb.ErrTxnDone):
-		return CodeTxnDone, false
-	case errors.Is(err, ErrUnknownTxn):
-		return CodeUnknownTxn, false
-	case errors.Is(err, errProtocol):
-		return CodeProtocol, false
-	default:
-		return CodeInternal, ssidb.Retryable(err)
+	for _, w := range wireErrors {
+		if errors.Is(err, w.err) {
+			return w.code, w.retryable
+		}
 	}
+	return CodeInternal, false
 }
 
 // codeToErr maps a wire code back to the matching local sentinel, so
 // errors.Is — and through it ssidb.Retryable — keep working across the
 // network boundary (ProtoError.Unwrap returns this).
 func codeToErr(code byte) error {
-	switch code {
-	case CodeUnsafe:
-		return ssidb.ErrUnsafe
-	case CodeConflict:
-		return ssidb.ErrWriteConflict
-	case CodeDeadlock:
-		return ssidb.ErrDeadlock
-	case CodeLockTimeout:
-		return ssidb.ErrLockTimeout
-	case CodeQueueFull:
-		return ErrQueueFull
-	case CodeQueueTimeout:
-		return ErrQueueTimeout
-	case CodeShutdown:
-		return ErrShutdown
-	case CodeReadOnly:
-		return ssidb.ErrReadOnly
-	case CodeKeyExists:
-		return ssidb.ErrKeyExists
-	case CodeTxnDone:
-		return ssidb.ErrTxnDone
-	case CodeUnknownTxn:
-		return ErrUnknownTxn
-	case CodeConnLimit:
-		return ErrConnLimit
-	default:
-		return nil
+	for _, w := range wireErrors {
+		if w.code == code && !w.framing {
+			return w.err
+		}
 	}
+	return nil
 }
 
 // ProtoError is a server-reported error as seen by the client. Unwrap maps

@@ -277,11 +277,11 @@ func (s *session) run() {
 		s.conn.SetWriteDeadline(time.Now().Add(s.srv.cfg.WriteTimeout))
 		payload, err := readFrame(s.br, s.buf)
 		if err != nil {
-			if errors.Is(err, errProtocol) {
+			if errors.Is(err, errFrameTooLarge) {
 				// Oversized frame: the stream cannot be resynchronised.
 				// One best-effort error frame, then close.
 				s.srv.protoErrors.Add(1)
-				writeFramed(s.bw, buildErr(newFrame(s.out), 0, CodeTooLarge, err))
+				writeFramed(s.bw, appendErrResponse(newFrame(s.out), 0, err))
 				s.bw.Flush()
 			}
 			return
@@ -307,15 +307,6 @@ func (s *session) run() {
 			return // drained: nothing open, close the session
 		}
 	}
-}
-
-// buildErr encodes a StatusErr response with an explicit code (bypassing
-// errToWire), for the framing-level failures.
-func buildErr(b []byte, reqID uint32, code byte, err error) []byte {
-	b = append(b, StatusErr)
-	b = appendU32(b, reqID)
-	b = append(b, code, 0)
-	return appendBytes16(b, err.Error())
 }
 
 // handle dispatches one request, builds its response frame in s.out and

@@ -3,6 +3,7 @@ package ssidb_test
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -97,6 +98,62 @@ func TestDurableReopenRoundTrip(t *testing.T) {
 	}
 	if v, ok := mustGet(t, db2, "u", "other"); !ok || string(v) != "table" {
 		t.Fatalf("u/other = %q %v", v, ok)
+	}
+}
+
+// TestOverlongKeyRefusedAcrossReopen: a write of a key or table name longer
+// than 65 535 bytes, which no redo entry can name, is refused as a statement,
+// at every level and on an in-memory database too; the transaction commits
+// its other writes, and the directory reopens with them. A 65 535-byte key
+// commits and survives the reopen.
+func TestOverlongKeyRefusedAcrossReopen(t *testing.T) {
+	long := bytes.Repeat([]byte("k"), 1<<16)
+	longest := long[:1<<16-1]
+	levels := []ssidb.Isolation{ssidb.SnapshotIsolation, ssidb.SerializableSI, ssidb.S2PL}
+	refuse := func(t *testing.T, db *ssidb.DB, iso ssidb.Isolation, key string) {
+		t.Helper()
+		if err := db.Run(iso, func(tx *ssidb.Txn) error {
+			for name, err := range map[string]error{
+				"Put":        tx.Put("t", long, []byte("v")),
+				"Insert":     tx.Insert("t", long, []byte("v")),
+				"Delete":     tx.Delete("t", long),
+				"long table": tx.Put(string(long), []byte("k"), []byte("v")),
+			} {
+				if !errors.Is(err, ssidb.ErrKeyTooLong) {
+					t.Errorf("%v %s: %v, want ErrKeyTooLong", iso, name, err)
+				}
+			}
+			return tx.Put("t", []byte(key), []byte("ok"))
+		}); err != nil {
+			t.Fatalf("%v: the transaction that was refused a write: %v", iso, err)
+		}
+	}
+	mem := ssidb.Open(ssidb.Options{})
+	for _, iso := range levels {
+		refuse(t, mem, iso, iso.String())
+	}
+	dir := t.TempDir()
+	db := mustOpenDir(t, dir, ssidb.Options{})
+	for _, iso := range levels {
+		refuse(t, db, iso, iso.String())
+	}
+	if err := db.Run(ssidb.SerializableSI, func(tx *ssidb.Txn) error {
+		return tx.Put("t", longest, []byte("longest"))
+	}); err != nil {
+		t.Fatalf("a 65 535-byte key: %v", err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db = mustOpenDir(t, dir, ssidb.Options{})
+	defer db.Close()
+	for _, iso := range levels {
+		if v, ok := mustGet(t, db, "t", iso.String()); !ok || string(v) != "ok" {
+			t.Errorf("after reopen, %v's write reads %q, %v", iso, v, ok)
+		}
+	}
+	if v, ok := mustGet(t, db, "t", string(longest)); !ok || string(v) != "longest" {
+		t.Errorf("after reopen, the 65 535-byte key reads %q, %v", v, ok)
 	}
 }
 

@@ -16,11 +16,12 @@ func TestPublicKnobs(t *testing.T) {
 		typ  reflect.Type
 		want []string
 	}{
+		// Retired: the switch that turned off the §3.7.3 SIREAD upgrade,
+		// which now always applies.
 		{reflect.TypeFor[ssidb.Options](), []string{
 			"Detector", "Granularity", "PageMaxKeys", "FlushLatency",
 			"GroupCommitMaxDelay", "SegmentBytes", "CheckpointBytes",
-			"LockShards", "LockWaitTimeout", "TableShards",
-			"DisableSIReadUpgrade", "Recorder",
+			"LockShards", "LockWaitTimeout", "TableShards", "Recorder",
 		}},
 		{reflect.TypeFor[ssidb.TxnOptions](), []string{"ReadOnly"}},
 		{reflect.TypeFor[ssidb.ProgramOptions](), []string{"ClassTables", "AutoRemedy"}},

@@ -59,7 +59,7 @@ func (rowTargets) read(tx *Txn, tb *table, key []byte, mode lock.Mode, snap core
 		row, _ := tb.data.Locate(key)
 		return tx.lockRead(tb, key, row, mode, snap)
 	}
-	res, row, covered, set := tb.data.ReadAs(tx.t, snap, key, tx.slot, tx.upgradesSIRead() && len(tx.writes) > 0)
+	res, row, covered, set := tb.data.ReadAs(tx.t, snap, key, tx.slot, len(tx.writes) > 0)
 	if set {
 		tx.reads = append(tx.reads, row)
 	}
@@ -244,7 +244,7 @@ func (l *rowLocker) Probe(table, stored string) bool {
 func (l *rowLocker) Reader(slot uint32) bool {
 	tx := (*Txn)(l)
 	if slot == tx.slot {
-		return tx.upgradesSIRead()
+		return true
 	}
 	tx.rivals = append(tx.rivals, tx.db.mgr.Reader(slot))
 	return false

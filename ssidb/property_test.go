@@ -169,7 +169,6 @@ func TestRandomConcurrentSerializability(t *testing.T) {
 	}{
 		{"ssi-basic", ssidb.Options{Detector: ssidb.DetectorBasic}, ssidb.SerializableSI},
 		{"ssi-precise", ssidb.Options{Detector: ssidb.DetectorPrecise}, ssidb.SerializableSI},
-		{"ssi-precise-no-upgrade", ssidb.Options{Detector: ssidb.DetectorPrecise, DisableSIReadUpgrade: true}, ssidb.SerializableSI},
 		{"ssi-page", ssidb.Options{Detector: ssidb.DetectorPrecise, Granularity: ssidb.GranularityPage, PageMaxKeys: 4}, ssidb.SerializableSI},
 		{"ssi-page-basic", ssidb.Options{Detector: ssidb.DetectorBasic, Granularity: ssidb.GranularityPage, PageMaxKeys: 4}, ssidb.SerializableSI},
 		{"s2pl", ssidb.Options{}, ssidb.S2PL},

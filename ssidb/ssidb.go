@@ -161,6 +161,10 @@ var (
 	// Like ErrKeyExists it is a statement-level error: the transaction is not
 	// aborted and may continue reading and commit.
 	ErrReadOnly = errors.New("ssi: write on read-only transaction")
+	// ErrKeyTooLong reports a write whose key or table name is longer than
+	// 65 535 bytes, the most a redo entry can name. Like ErrKeyExists it is
+	// a statement-level error, at every level and on every database.
+	ErrKeyTooLong = errors.New("ssi: key or table name longer than 65535 bytes")
 )
 
 // Retryable reports whether err is one of the abort-class errors, after which
@@ -264,10 +268,6 @@ type Options struct {
 	// rewrites) would otherwise vary with the partitioning. DB.TableShards
 	// reports the effective value.
 	TableShards int
-	// DisableSIReadUpgrade turns off the §3.7.3 optimisation that discards
-	// a transaction's SIREAD lock once it acquires EXCLUSIVE on the same
-	// key. Used by ablation benchmarks.
-	DisableSIReadUpgrade bool
 	// Recorder, if set, receives the full operation history.
 	Recorder Recorder
 }
@@ -361,7 +361,7 @@ func open(dir string, opts Options, wrap func(wal.Device) wal.Device) (*DB, erro
 		opts:  opts,
 		dir:   dir,
 		mgr:   core.NewManager(opts.Detector),
-		locks: lock.NewManagerShards(!opts.DisableSIReadUpgrade, opts.LockShards),
+		locks: lock.NewManagerShards(true, opts.LockShards),
 	}
 	db.targets = rowTargets{}
 	if opts.Granularity == GranularityPage {

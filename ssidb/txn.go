@@ -439,10 +439,6 @@ func (tx *Txn) readLockMode() lock.Mode {
 	return mode
 }
 
-// upgradesSIRead reports whether the §3.7.3 upgrade is on: a transaction's
-// write lock on a row subsumes its read lock there (Options.DisableSIReadUpgrade).
-func (tx *Txn) upgradesSIRead() bool { return !tx.db.opts.DisableSIReadUpgrade }
-
 // readPoint returns the timestamp reads run at: the snapshot — assigned now
 // if this is the first need for one (deferred snapshot, thesis §4.5) — or
 // latest for S2PL's locking reads.
@@ -651,6 +647,9 @@ func (tx *Txn) write(tableName string, key, val []byte, tombstone, mustNotExist 
 		// write-lock or version-install paths.
 		return ErrReadOnly
 	}
+	if len(key) > math.MaxUint16 || len(tableName) > math.MaxUint16 {
+		return ErrKeyTooLong // appendRedoEntry writes both lengths in 16 bits
+	}
 	if err := tx.progWriteCheck(tableName); err != nil {
 		return err
 	}
@@ -837,7 +836,7 @@ func (tx *Txn) scanSSI(sc *scanCtx, tb *table, snap core.TS, from, to []byte, li
 		return err
 	}
 	var own *core.Cell
-	if len(tx.writes) > 0 && tx.upgradesSIRead() {
+	if len(tx.writes) > 0 {
 		own = tx.t.Cell() // made by the first write
 	}
 	flushed := 0 // items already covered by an earlier round
