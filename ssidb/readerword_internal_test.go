@@ -229,24 +229,27 @@ func TestWordClearedAtEnd(t *testing.T) {
 
 // TestWordDroppedByOwnWrite (d): a transaction's write of a row it read drops
 // its registration there (§3.7.3), so the row's next reader takes the word
-// and the lock table stays empty.
+// and the lock table stays empty. The subtest keeps the name it had when the
+// upgrade could be turned off; the upgrade is now always on.
 func TestWordDroppedByOwnWrite(t *testing.T) {
-	db := wordDB(t, Options{Detector: DetectorPrecise}, 1)
-	rw := db.Begin(SerializableSI)
-	get(t, rw, wordKey(0))
-	if err := rw.Put("t", wordKey(0), []byte("w")); err != nil {
-		t.Fatal(err)
-	}
-	next := db.Begin(SerializableSI)
-	get(t, next, wordKey(0))
-	if len(next.reads) != 1 {
-		t.Error("the next reader did not register: the write kept the writer's own word")
-	}
-	if n := lockedKeys(db); n != 0 {
-		t.Errorf("%d lock-table keys after the next read, want 0", n)
-	}
-	next.Abort()
-	rw.Abort()
+	t.Run("DisableSIReadUpgrade=false", func(t *testing.T) {
+		db := wordDB(t, Options{Detector: DetectorPrecise}, 1)
+		rw := db.Begin(SerializableSI)
+		get(t, rw, wordKey(0))
+		if err := rw.Put("t", wordKey(0), []byte("w")); err != nil {
+			t.Fatal(err)
+		}
+		next := db.Begin(SerializableSI)
+		get(t, next, wordKey(0))
+		if len(next.reads) != 1 {
+			t.Error("the next reader did not register: the write kept the writer's own word")
+		}
+		if n := lockedKeys(db); n != 0 {
+			t.Errorf("%d lock-table keys after the next read, want 0", n)
+		}
+		next.Abort()
+		rw.Abort()
+	})
 }
 
 // TestWordMeetsExplicitGrant (e): an explicit Exclusive grant on a row meets
