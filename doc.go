@@ -26,10 +26,12 @@
 //	                   SI / SSI / S2PL     (SSI only)                                                                                              stmt | txn
 //	Get [9]            none / SIREAD /     as reader [1]    row k [8]; at SSI, if k has  every page on the path to k    -                         F | U D
 //	                   Shared [2]                           a row, its reader word [1]
-//	GetForUpdate [9]   Exclusive           as writer [3]    row k [8]                    leaf of k; interior pages in   row: versions of k        R F | W U D
-//	                                                                                     the level's read mode          page: stamps of k's leaf
-//	Put Insert Delete  Exclusive [10]      as writer        row k [8]                    as GetForUpdate; afterwards    as above                  K R F L | W U D
-//	  (k has a chain)                                                                    stamp the leaf
+//	GetForUpdate [9]   Exclusive, then     none, then as    row k [8], then as Get       leaf of k, then stamped;       row: versions of k        R F | W U D
+//	                   as Get [3]          Get                                           interior pages in the          page: stamps of k's leaf
+//	                                                                                     level's read mode; then as Get
+//	Put Insert Delete  Exclusive [10]      as writer        row k [8]; a refused Insert  leaf of k; interior pages in   as above                  K R F L | W U D
+//	  (k has a chain)                                       then reads k as Get [10]     the level's read mode; then
+//	                                                                                     stamp the leaf, refused or not
 //	Put Insert Delete  Exclusive [10]      as writer, gap   gap before succ(k) [5], row  the whole path Exclusive if    as above                  K R F L | W U D
 //	  (structural [4])                     holders too      k; once installed, SIREADs   the leaf will split (interior
 //	                                                        on that gap also cover the   pages stamped too), else as
@@ -45,18 +47,21 @@
 //	    granularity an SSI Get of an existing row takes no lock-table entry: its
 //	    SIREAD is the row's reader word, which names one reader by a slot and
 //	    which it sets in the latch hold that reads the row. Writers find it
-//	    there (as they find SIREAD holders [3]), and so does the latch hold
-//	    after an explicit Exclusive grant on the row (GetForUpdate, a refused
-//	    Insert), which also sends later readers of the row to the lock table,
-//	    where they find the grant. A read that finds the word naming another
-//	    reader takes its SIREAD in the lock table and then reads again; the
-//	    word is cleared when its reader retires or aborts.
+//	    there (as they find SIREAD holders [3]); an explicit grant does not
+//	    look. A read that finds the word naming another reader takes its
+//	    SIREAD in the lock table and then reads again; the word is cleared
+//	    when its reader retires or aborts, or by the claim that installs its
+//	    reader's own version of the row [10]: only a version retires a read.
 //	[2] A declared read-only SSI transaction on a safe snapshot reads with no
 //	    lock. Shared-mode reads see the latest committed version, the others
 //	    the transaction's snapshot, assigned at its first read or, for a write,
 //	    after the write's locks (so a first-statement write never fails FCW).
 //	[3] Rivals of a write are the SIREAD holders of its targets, filtered to
-//	    transactions concurrent with the writer.
+//	    transactions concurrent with the writer. GetForUpdate's lock is not a
+//	    write: it marks no rival, and its Get then reads k at the level's read
+//	    mode and keeps that read unless the transaction writes k. At page
+//	    granularity the Exclusive leaf drops the holder's SIREAD there
+//	    (§3.7.3), so the leaf is stamped, as a write stamps it.
 //	[4] Structural: Insert, Delete, and Put of a key that has no version chain.
 //	[5] Not at SI, which promises no predicate protection.
 //	[6] SIREADs are taken in batches while the store's latches exclude inserts;
@@ -105,18 +110,21 @@
 //	    snapshot); a head another writer still holds sends it to wait;
 //	    otherwise it probes the row's lock-table entry — a lookup, never an
 //	    insert — for the SIREAD holders to mark and for a blocking lock, reads
-//	    the reader the row's word names [1] (its own registration it drops,
-//	    §3.7.3), and installs. A write that must wait converts the head writer's implicit
-//	    lock into an Exclusive entry held on its behalf, or acquires behind
-//	    the blocking entry, waits in the table (D) and claims again; an Insert
-//	    refused on another's row acquires the row's Exclusive entry too, and
-//	    holds the row. Every explicit blocking grant on the row — S2PL's
+//	    the reader the row's word names [1], and installs; the version takes
+//	    the place of the writer's own read of the row, in the word or in the
+//	    table, which the claim drops (§3.7.3). An Insert on a live head is
+//	    refused (K) before the probe, touching neither the lock table nor the
+//	    word, and then reads k as Get does. A write that must wait converts
+//	    the head writer's implicit lock into an Exclusive entry held on its
+//	    behalf, or acquires behind the blocking entry, waits in the table (D)
+//	    and claims again. Every explicit blocking grant on the row — S2PL's
 //	    reads and GetForUpdate, which keep their lock-table entries — waits
-//	    the same way once granted. A read of a row whose head is the
-//	    transaction's own version takes no SIREAD there, as a held Exclusive
-//	    entry would not (§3.7.3). At page granularity the page locks come
-//	    first and exclude every other writer of the row, so the claim asks
-//	    the lock table nothing: it installs, or refuses an Insert (K).
+//	    the same way once granted; it retires no read. A read of a row whose
+//	    head is the transaction's own version takes no SIREAD there: the
+//	    version carries it. At page granularity the page locks come first and
+//	    exclude every other writer of the row, so the claim asks the lock
+//	    table nothing: it installs, or refuses an Insert (K), and stamps the
+//	    leaf either way; the refusal then reads k as Get does.
 //
 // Handle lifetime. The *ssidb.Txn a begin returns is the caller's: it may be
 // kept past Commit, Abort or the return of Run and RunRetry, and from then on

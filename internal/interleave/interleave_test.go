@@ -1,11 +1,14 @@
 package interleave
 
 import (
+	"errors"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"ssi/internal/sercheck"
 	"ssi/ssidb"
 )
 
@@ -177,6 +180,93 @@ func TestExhaustiveS2PLAlwaysSerializable(t *testing.T) {
 			t.Fatalf("S2PL schedule %v: cycle %v", o, cyc)
 		}
 	})
+}
+
+// lockedReadDB is NewDB for TestExhaustiveLockedReadSkew: opts with det and a
+// recorder, and the rows a, b, c, d and r committed in ascending order, which
+// at four keys a page leaves a and r on different leaves.
+func lockedReadDB(opts ssidb.Options, det ssidb.Detector) func() (*ssidb.DB, *sercheck.History) {
+	return func() (*ssidb.DB, *sercheck.History) {
+		h := sercheck.NewHistory()
+		opts.Detector, opts.Recorder = det, h
+		db := ssidb.Open(opts)
+		if err := db.Run(ssidb.SnapshotIsolation, func(tx *ssidb.Txn) error {
+			for _, k := range []string{"a", "b", "c", "d", "r"} {
+				if err := tx.Put(table, []byte(k), i64(0)); err != nil {
+					return err
+				}
+			}
+			return nil
+		}); err != nil {
+			panic(fmt.Sprintf("interleave: seeding a fresh database: %v", err))
+		}
+		return db, h
+	}
+}
+
+// TestExhaustiveLockedReadSkew: a locked read that writes nothing, and an
+// Insert refused on a live row, read the row, and only a version the reader
+// writes may take that read's place. T reads r — by GetForUpdate, by a Get
+// and then a GetForUpdate, or by a Get and then a refused Insert — and writes
+// a; W reads a and writes r. No schedule may commit both: at SerializableSI
+// under both detectors, at row granularity, and at page granularity with a
+// and r on different leaves.
+func TestExhaustiveLockedReadSkew(t *testing.T) {
+	forUpdate := func(tx *ssidb.Txn) error {
+		_, _, err := tx.GetForUpdate(table, []byte("r"))
+		return err
+	}
+	refused := func(tx *ssidb.Txn) error {
+		switch err := tx.Insert(table, []byte("r"), i64(1)); {
+		case errors.Is(err, ssidb.ErrKeyExists):
+			return nil
+		case err == nil:
+			return errors.New("an Insert of a live row succeeded")
+		default:
+			return err
+		}
+	}
+	shapes := []struct {
+		name  string
+		steps []Step
+	}{
+		{"GetForUpdate", []Step{forUpdate, put("a", 1)}},
+		{"Get+GetForUpdate", []Step{get("r"), forUpdate, put("a", 1)}},
+		{"Get+refused-Insert", []Step{get("r"), refused, put("a", 1)}},
+	}
+	w := Script{Name: "W", Steps: []Step{get("a"), put("r", 2)}}
+	for _, g := range []struct {
+		name string
+		opts ssidb.Options
+	}{
+		{"row", ssidb.Options{}},
+		{"page", ssidb.Options{Granularity: ssidb.GranularityPage, PageMaxKeys: 4}},
+	} {
+		for _, det := range []ssidb.Detector{ssidb.DetectorBasic, ssidb.DetectorPrecise} {
+			for _, s := range shapes {
+				t.Run(g.name+"/"+DetectorName(det)+"/"+s.name, func(t *testing.T) {
+					runs, cycles, first := 0, 0, ""
+					scripts := []Script{{Name: "T", Steps: s.steps}, w}
+					Explore(lockedReadDB(g.opts, det), ssidb.SerializableSI, scripts, func(o Outcome) {
+						runs++
+						for i, err := range o.Errs {
+							if err != nil && !ssidb.Retryable(err) {
+								t.Fatalf("schedule %v: script %s: %v", o, scripts[i].Name, err)
+							}
+						}
+						if ok, cyc := o.History.Serializable(); !ok {
+							if cycles++; first == "" {
+								first = fmt.Sprintf("schedule %v, cycle %v", o, cyc)
+							}
+						}
+					})
+					if cycles > 0 {
+						t.Fatalf("%d of %d schedules committed a cycle; the first: %s", cycles, runs, first)
+					}
+				})
+			}
+		}
+	}
 }
 
 var update = flag.Bool("update", false, "rewrite testdata/census.golden from this run")

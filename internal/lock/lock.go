@@ -37,10 +37,12 @@
 // request can be wedged behind a stuck holder.
 //
 // The manager detects deadlocks immediately with a waits-for graph search and
-// aborts the requester, implements shared→exclusive upgrades, and applies
-// the SIREAD→EXCLUSIVE upgrade of thesis §3.7.3 by key kind: an owner's
-// SIREAD on a row or a page goes once it acquires EXCLUSIVE there (or its
-// write probes the row), while a gap keeps both (upgradeable).
+// aborts the requester, and implements shared→exclusive upgrades. The
+// SIREAD→EXCLUSIVE upgrade of thesis §3.7.3 rests on one rule: only a version
+// retires its writer's read. On a page, whose holder of EXCLUSIVE stamps it,
+// the owner's SIREAD goes at the grant (upgradeable); on a row, in the probe
+// of the write that installs the version (Probe), never at a grant; a gap,
+// which has no version, keeps both.
 //
 // SIREAD locks deliberately survive their owner's commit: the engine keeps
 // them until the suspended owner is cleaned up (thesis §3.3), releasing them
@@ -79,9 +81,8 @@
 // never inserts, for SIREAD holders to mark and for a blocking holder (an S2PL
 // reader, a locked read, a waiter), and install if there is none. So the table
 // holds a row's Exclusive lock only for a locked read (GetForUpdate), a
-// conversion, or a waiter: a write that found a blocking holder, or an Insert
-// refused on the row, acquires the Exclusive lock and keeps it. The table
-// stays the one place anyone waits:
+// conversion, or a waiter: a write that found a blocking holder acquires the
+// Exclusive lock and keeps it. The table stays the one place anyone waits:
 //   - Conversion. A transaction that must wait for an implicit lock first makes
 //     it explicit with Convert — an Exclusive entry held on the head writer's
 //     behalf and listed on its owner, as InheritSIRead lists an inherited SIREAD
@@ -97,24 +98,22 @@
 //     same way; an owner that re-requests a mode it holds waits when a
 //     converted lock now blocks it. Between the two, a write's latch hold and a
 //     grant's check are ordered by the latch: either the write sees the grant
-//     or the check sees the write. An Exclusive grant's check also meets the
-//     row's reader word ("Row readers").
+//     or the check sees the write. A grant is not a write: it marks no reader
+//     and retires no SIREAD, its owner's included.
 //   - The holder. A converted lock sits beside the grant of the waiter that
 //     converted it, so its writer asks the table nothing more about that row:
-//     it holds the row by its version, and its locked reads and refused
-//     inserts of the row return without a request, as its reads of the row
-//     take no SIREAD (§3.7.3). A request would wait behind the waiter, which
-//     waits for the writer.
+//     it holds the row by its version, and its locked reads of the row return
+//     without a request, as its reads of the row take no SIREAD (§3.7.3). A
+//     request would wait behind the waiter, which waits for the writer.
 //
 // # Row readers
 //
 // Nor does an SSI point read of an existing row take an entry: its SIREAD,
 // which never blocks (Ports & Grittner, VLDB 2012), lives on the row, in the
 // row store's reader word, set in the latch hold that reads the row. A
-// write's claim reads the word beside its Probe, as does the check after an
-// Exclusive grant, which also sends later readers here, to find the grant.
-// The table keeps the rest: a read that finds the word taken (overflow),
-// scans, gaps, pages and keys without a row.
+// write's claim reads the word beside its Probe. The table keeps the rest: a
+// read that finds the word taken (overflow), scans, gaps, pages and keys
+// without a row.
 package lock
 
 import (
@@ -376,8 +375,8 @@ func (m *Manager) SetWaitTimeout(d time.Duration) { m.waitTimeout = d }
 // selects its GOMAXPROCS-scaled default, shared with the transaction
 // registry). A single shard reproduces the paper's global lock-table latch
 // exactly (useful for ablation benchmarks). The §3.7.3 upgrade always
-// applies (upgradeable): upgradeSIRead must be true; the parameter stays for
-// benchmark/layers.go.
+// applies (upgradeable, Probe): upgradeSIRead must be true; the parameter
+// stays for benchmark/layers.go.
 func NewManagerShards(upgradeSIRead bool, n int) *Manager {
 	if !upgradeSIRead {
 		panic("lock: the §3.7.3 SIREAD upgrade cannot be turned off")
@@ -657,12 +656,15 @@ func rivalsInto(e *entry, owner *core.Txn, own, mode Mode, out []*core.Txn) []*c
 	return out
 }
 
-// upgradeable reports whether the §3.7.3 SIREAD→EXCLUSIVE upgrade applies to
-// keys of kind. It is sound only for versioned objects (rows, pages), where
-// the new version the writer creates takes over conflict detection. A gap has
-// no version: dropping a gap SIREAD when its owner inserts into its own
-// scanned range would blind phantom detection against later inserts by others.
-func upgradeable(kind Kind) bool { return kind == Row || kind == Page }
+// upgradeable reports whether an EXCLUSIVE grant on a key of kind drops its
+// owner's SIREAD there (§3.7.3). Only a version may take over a read's
+// conflict detection, so only a page qualifies: every holder of EXCLUSIVE on a
+// page stamps it, a version of the page. A row's EXCLUSIVE lock may be a
+// locked read's, which writes nothing, so a row read goes only in the probe
+// of the write that installs a version (Probe). A gap has no version:
+// dropping a gap SIREAD when its owner inserts into its own scanned range
+// would blind phantom detection against later inserts by others.
+func upgradeable(kind Kind) bool { return kind == Page }
 
 // grantLocked installs mode for owner, who held prev on e (read once by the
 // caller); the caller holds the mutex of e's shard. An owner that held
@@ -972,9 +974,9 @@ func ImplicitHeld(w *core.Txn) bool { return !w.Locks().Unlocked() }
 // for an owner holding no blocking mode there, a parked request ahead —
 // blocks an Exclusive request by owner. If not, it appends the SIREAD
 // holders, the readers the write must mark, to buf and returns it, and drops
-// owner's own SIREAD on the row (§3.7.3), as an Exclusive grant would.
-// Blocked, it appends nothing: the writer acquires the lock instead, and
-// probes again.
+// owner's own SIREAD on the row, beside an Exclusive lock of owner's there or
+// not: the write's version takes over the read (§3.7.3). Blocked, it appends
+// nothing: the writer acquires the lock instead, and probes again.
 func (m *Manager) Probe(owner *core.Txn, key Key, buf []*core.Txn) (readers []*core.Txn, blocked bool) {
 	noteProbe()
 	s := m.shardOf(key)
@@ -990,18 +992,25 @@ func (m *Manager) Probe(owner *core.Txn, key Key, buf []*core.Txn) (readers []*c
 		return buf, true
 	}
 	readers = rivalsInto(e, owner, own, Exclusive, buf)
-	if own == SIRead && upgradeable(key.Kind) {
+	if own&SIRead != 0 {
 		// The owner's version will expose the conflict to later readers.
+		next := own &^ SIRead
 		os := stateOf(owner) // non-nil: owner holds a lock on e
 		lockOwner(os)
 		os.SIReads--
-		l := *os.Held
-		i, last := heldIndex(os, e), len(l)-1
-		l[i], l[last] = l[last], lockstate.Held{}
-		*os.Held = l[:last]
+		if next == 0 {
+			l := *os.Held
+			i, last := heldIndex(os, e), len(l)-1
+			l[i], l[last] = l[last], lockstate.Held{}
+			*os.Held = l[:last]
+		}
 		os.Unlock()
-		delete(e.holders, owner)
-		e.countModes(SIRead, 0)
+		if next == 0 {
+			delete(e.holders, owner)
+		} else {
+			e.holders[owner] = next
+		}
+		e.countModes(own, next)
 		gcEntryLocked(e)
 	}
 	return readers, false

@@ -114,16 +114,17 @@ func TestSIReadSurvivesReleaseBlocking(t *testing.T) {
 	}
 }
 
-// TestSIReadUpgrade: an owner's SIREAD on a row or a page goes once it takes
+// TestSIReadUpgrade: an owner's SIREAD on a page goes once it takes
 // EXCLUSIVE there (§3.7.3), and a later SIREAD there, one at a time or in a
-// batch, takes nothing; a gap, which has no version to carry the conflict,
-// keeps both modes (upgradeable).
+// batch, takes nothing; a row, whose EXCLUSIVE lock may write no version (a
+// locked read; its read goes in a write's Probe instead), and a gap, which
+// has no version to carry the conflict, keep both modes (upgradeable).
 func TestSIReadUpgrade(t *testing.T) {
 	for _, c := range []struct {
 		key     Key
 		upgrade bool
 	}{
-		{RowKey("t", []byte("x")), true},
+		{RowKey("t", []byte("x")), false},
 		{PageKey("t", 7), true},
 		{GapKey("t", []byte("x")), false},
 	} {

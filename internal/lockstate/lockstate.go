@@ -15,8 +15,8 @@ import (
 
 // Mode is a lock mode. Modes are bit flags because one owner can hold
 // several modes on one key (e.g. SIREAD plus EXCLUSIVE on a gap it scanned
-// and then inserted into: a gap keeps its SIREAD, §3.7.3 upgrades only rows
-// and pages).
+// and then inserted into: only a version retires a SIREAD, §3.7.3, and a gap
+// has none).
 type Mode uint8
 
 const (

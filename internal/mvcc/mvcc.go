@@ -64,10 +64,11 @@
 // A row's uncommitted head version is also its writer's write lock (package
 // lock, "Implicit row locks"), and Claim is how every transaction installs a
 // version: it decides a write and installs it in one exclusive latch hold —
-// overwrite the writer's own head, refuse a head committed after its snapshot
-// (First-Committer-Wins), send it to wait for a head whose writer still holds
-// the row, or else ask the lock table (a Locker) for a blocking lock and the
-// readers to mark, and install. A key the writer saw absent is inserted in the
+// overwrite the writer's own head, send it to wait for a head whose writer
+// still holds the row, refuse an Insert on a live head, or else ask the lock
+// table (a Locker) for a blocking lock and the readers to mark, and then
+// refuse a head committed after its snapshot (First-Committer-Wins) or
+// install. A key the writer saw absent is inserted in the
 // same hold, under every partition latch. No other writer's version can appear
 // above a held head, so the head is the only version a write has to look at.
 // A writer that excludes the row's other writers by locks of its own (the
@@ -78,8 +79,10 @@
 // transaction that read the row, by a 31-bit slot (core.Manager.ReaderSlot),
 // set in the shared latch hold that reads the row (ReadAs) and cleared at the
 // reader's end (Pruner.Clear). A claim tells the Locker of it beside its
-// probe, as does the hold after an explicit grant (Granted); a read that
-// finds the word taken locks in the table instead.
+// probe; a read that finds the word taken locks in the table instead. Only a
+// version retires a read: the word of the writer's own read goes in the claim
+// that installs its version, or that ends the write as a Conflict, and
+// nowhere else.
 //
 // Superseded versions are recycled. A version pruning cuts off a chain, or
 // one a Rollback moves back into the head, is unreachable from the moment it
@@ -192,13 +195,10 @@ func (v *version) setValue(data []byte, tombstone bool) {
 // whose only write was rolled back. Guarded by the owning shard latch.
 //
 // The head's reader field is the row's reader word: the slot of the reader
-// registered on the row, or 0, beside wordTable, which sends readers to the
-// lock table, to an explicit grant without a version (Granted), for good.
-// Under the latch held shared only atomics touch it (ReadAs, Granted); writes
-// and clears hold it exclusively. Push and pop leave the word in the head.
+// registered on the row, or 0. Under the latch held shared only ReadAs's
+// atomics touch it; writes and clears hold it exclusively. Push and pop leave
+// the word in the head.
 type chain struct{ version }
-
-const wordTable = 1 << 31
 
 // first returns the newest version, nil for an empty chain. The pointer is
 // into the chain: it must not outlive the caller's latch hold.
@@ -519,25 +519,6 @@ func (tb *Table) ReadAs(t *core.Txn, snap core.TS, key []byte, slot uint32, own 
 	return res, row, false, false
 }
 
-// Granted is the latch hold after an explicit Exclusive grant on the row's
-// key (package lock, "Implicit row locks"): it tells l of the word's reader,
-// as a claim does, and sets wordTable, so that a later reader locks in the
-// table and finds the grant. It returns the head's writer, as Writer does.
-func (r Row) Granted(l Locker) *core.Txn {
-	r.sh.mu.RLock()
-	defer r.sh.mu.RUnlock()
-	// No reader registers once the bit is set, and only its reader changes
-	// a word that names one.
-	if s := atomic.OrUint32(&r.c.reader, wordTable) &^ wordTable; s != 0 && l.Reader(s) {
-		atomic.StoreUint32(&r.c.reader, wordTable)
-		noteClear()
-	}
-	if h := r.c.first(); h != nil {
-		return h.creator.Txn()
-	}
-	return nil
-}
-
 func readChain(c *chain, t *core.Txn, snap core.TS) ReadResult {
 	var res ReadResult
 	for v := c.first(); v != nil; v = v.older {
@@ -640,8 +621,8 @@ func (p *Pruner) Flush() {
 			if r := &rows[j]; r.sh == sh {
 				if r.slot == 0 {
 					pruneChain(sh, r.c, r.ct+1)
-				} else if r.c.reader&^wordTable == r.slot {
-					r.c.reader &= wordTable
+				} else if r.c.reader == r.slot {
+					r.c.reader = 0
 					noteClear()
 				}
 				r.Row = Row{}
@@ -707,9 +688,9 @@ type Locker interface {
 	// the key splits move onto the new key's gap.
 	Inherit(table, stored, succ string, hasSucc bool)
 	// Reader is told of the row's registered reader, by slot, in the hold
-	// of a write the probe did not block or of an explicit grant (Granted):
-	// a reader to mark, or the writer itself. It reports whether slot is the
-	// writer's own, a registration the write lock then clears (§3.7.3).
+	// of a write the probe did not block: a reader to mark, or the writer
+	// itself. It reports whether slot is the writer's own, a registration
+	// the write's version then takes over (§3.7.3).
 	Reader(slot uint32) (own bool)
 }
 
@@ -742,8 +723,8 @@ const (
 	// Conflict: the head committed after the writer's snapshot
 	// (First-Committer-Wins); the probe ran, nothing was installed.
 	Conflict
-	// Exists: Intent.MustNotExist, and a live version is visible; the probe
-	// ran unless the head is the writer's own, and nothing was installed.
+	// Exists: Intent.MustNotExist, and the head is live; neither the probe
+	// nor the reader word was touched, and nothing was installed.
 	Exists
 )
 
@@ -770,12 +751,14 @@ type Claim struct {
 //
 // Under the latch, in order: t's own head is overwritten in place (or, for
 // MustNotExist and a live head, Exists); a head whose writer l says still
-// holds the row is Held; a head committed after in.Snap is noted; l probes
-// the row's lock-table entry (Blocked), and is told of the reader the row's
-// word names (Locker.Reader); then Conflict, Exists, or the new version is
-// pushed. A version the write found newer than its snapshot thus stops it
-// only after the probe and the word have given the readers to mark, as an
-// exclusive lock acquired before the check would have.
+// holds the row is Held; a head committed after in.Snap is noted, and
+// otherwise MustNotExist and a live head is Exists, a refusal that leaves the
+// lock table and the word alone; l probes the row's lock-table entry
+// (Blocked), and is told of the reader the row's word names (Locker.Reader);
+// then Conflict, or the new version is pushed. A version the write found
+// newer than its snapshot thus stops it only after the probe and the word
+// have given the readers to mark, as an exclusive lock acquired before the
+// check would have.
 func (tb *Table) Claim(t *core.Txn, key []byte, row Row, in Intent, l Locker) Claim {
 	if !row.IsZero() {
 		row.sh.mu.Lock()
@@ -817,21 +800,22 @@ func (tb *Table) claimLocked(t *core.Txn, row Row, in Intent, l Locker) Claim {
 		// No other writer holds the head, so it is committed: a version
 		// rolled back is popped before its writer lets go of the row.
 		tooNew = in.Snap != 0 && h.creator.CommitTS() > in.Snap
+		if !tooNew && in.MustNotExist && !h.tombstone() {
+			cl.Outcome = Exists
+			return cl
+		}
 	}
 	if l.Probe(tb.name, row.key) {
 		cl.Outcome = Blocked
 		return cl
 	}
-	if s := row.c.reader &^ wordTable; s != 0 && l.Reader(s) {
-		row.c.reader &^= s // the writer's own registration (§3.7.3)
+	if s := row.c.reader; s != 0 && l.Reader(s) {
+		row.c.reader = 0 // the writer's own registration (§3.7.3)
 		noteClear()
 	}
-	switch {
-	case tooNew:
+	if tooNew {
 		cl.Outcome = Conflict
-	case in.MustNotExist && h != nil && !h.tombstone():
-		cl.Outcome = Exists
-	default:
+	} else {
 		row.c.push(row.sh, t.Cell(), in.Data, in.Tombstone)
 	}
 	return cl

@@ -50,40 +50,47 @@ func (*pageTargets) read(tx *Txn, tb *table, key []byte, mode lock.Mode, snap co
 	return tb.read(tx.t, snap, key, row), nil
 }
 
-func (p *pageTargets) lockForUpdate(tx *Txn, tb *table, key []byte, _ mvcc.Row) ([]*core.Txn, core.TS, error) {
-	return p.lockWrite(tx, tb, key, false)
-}
-
-// lockWrite locks key's path for a write: the leaf exclusively, and the
-// whole path if a structural write will split it. It returns the SIREAD
-// holders found and the leaf's newest commit timestamp.
-func (*pageTargets) lockWrite(tx *Txn, tb *table, key []byte, structural bool) ([]*core.Txn, core.TS, error) {
-	readers, leaf, err := lockPagePath(tx, tb, key, tx.readMode(), lock.Exclusive, structural)
+// lockForUpdate locks key's leaf exclusively, marking no reader, and stamps
+// it as a write does: the grant dropped the transaction's SIREAD on the leaf
+// (§3.7.3), and the stamp is the version of the page that takes that read's
+// place.
+func (*pageTargets) lockForUpdate(tx *Txn, tb *table, key []byte, _ mvcc.Row) (core.TS, error) {
+	_, leaf, err := lockPagePath(tx, tb, key, tx.readMode(), lock.Exclusive, false)
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
-	return readers, tb.stamps.newestCommitTS(leaf), nil
+	tb.stamps.addWriter(leaf, tx.t)
+	return tb.stamps.newestCommitTS(leaf), nil
 }
 
-// write holds the page locks before it installs anything: every other writer
-// of the row waits on the leaf, and the locks found the readers to mark and
-// the page's First-Committer-Wins stamp, which covers the row's. So its claim
-// asks the lock table nothing (pageLocker) and checks no snapshot: it
-// installs, or refuses an Insert on a live head.
-func (p *pageTargets) write(tx *Txn, tb *table, key []byte, row mvcc.Row, val []byte, tombstone, mustNotExist bool) error {
-	readers, newest, err := p.lockWrite(tx, tb, key, tombstone || mustNotExist || row.IsZero())
+// write holds the page locks before it installs anything — the leaf
+// exclusively, and the whole path if a structural write will split it: every
+// other writer of the row waits on the leaf, and the locks found the readers
+// to mark and the page's First-Committer-Wins stamp, which covers the row's.
+// So its claim asks the lock table nothing (pageLocker) and checks no
+// snapshot: it installs, or refuses an Insert on a live head. Either way it
+// stamps the leaf, as lockForUpdate does.
+func (*pageTargets) write(tx *Txn, tb *table, key []byte, row mvcc.Row, val []byte, tombstone, mustNotExist bool) error {
+	readers, leaf, err := lockPagePath(tx, tb, key, tx.readMode(), lock.Exclusive, tombstone || mustNotExist || row.IsZero())
 	if err != nil {
 		return err
 	}
-	if _, err := tx.checkWrite(readers, newest); err != nil {
+	// Figure 3.5 once the locks are held: the snapshot (deferred), the
+	// readers marked, then First-Committer-Wins on the leaf.
+	newest := tb.stamps.newestCommitTS(leaf)
+	snap := tx.readPoint()
+	if err := tx.markAsWriter(readers); err != nil {
 		return err
+	}
+	if newest > snap {
+		return ErrWriteConflict
 	}
 	c := tb.data.Claim(tx.t, key, row, mvcc.Intent{Data: val, Tombstone: tombstone, MustNotExist: mustNotExist}, pageLocker{})
+	tb.stamps.addWriter(tb.data.LeafPage(key), tx.t)
 	if c.Outcome == mvcc.Exists {
 		return ErrKeyExists
 	}
 	tx.writes = append(tx.writes, c.Row)
-	tb.stamps.addWriter(tb.data.LeafPage(key), tx.t)
 	return nil
 }
 

@@ -19,7 +19,9 @@ import (
 // explicit blocking grant on a row — S2PL's reads, a locked read — waits,
 // after the grant, for a writer whose version still holds the row. Nor does
 // an SSI point read of an existing row lock there: its SIREAD is the row's
-// reader word (read; package lock, "Row readers").
+// reader word (read; package lock, "Row readers"). Only a version retires a
+// read: a locked read, and an Insert refused on the row, write none, and keep
+// their reads.
 //
 // A lock names its row or gap by the store's own key string wherever a descent
 // has found that key: every scanned row, every gap (named by the key that ends
@@ -48,7 +50,7 @@ func rowKeyFor(tb *table, key []byte, row mvcc.Row) lock.Key {
 
 // read is a point read. A SIREAD on an existing row lives on the row: the
 // read registers in the row's reader word in the hold that reads it
-// (mvcc.Table.ReadAs), where writers find it (Claim, Granted) — unless the
+// (mvcc.Table.ReadAs), where writers find it (Claim) — unless the
 // head is the transaction's own version, whose write lock subsumes the read
 // lock (§3.7.3). Every other locking read locks in the table (lockRead).
 func (rowTargets) read(tx *Txn, tb *table, key []byte, mode lock.Mode, snap core.TS) (mvcc.ReadResult, error) {
@@ -91,19 +93,13 @@ func (tx *Txn) lockRead(tb *table, key []byte, row mvcc.Row, mode lock.Mode, sna
 // of key (row: its handle, zero if Locate found none; the key may have been
 // inserted since): while the row's head version is another transaction's that
 // still holds the row, it converts that writer's implicit lock and waits for
-// it. An Exclusive grant's hold also meets the row's reader word (Granted).
-// It returns the row, located again if it was zero.
+// it. It returns the row, located again if it was zero.
 func (tx *Txn) awaitHead(tb *table, key []byte, row mvcc.Row, k lock.Key, mode lock.Mode) (mvcc.Row, error) {
 	for {
 		if row.IsZero() {
 			row, _ = tb.data.Locate(key)
 		}
-		var w *core.Txn
-		if mode == lock.Exclusive && !row.IsZero() {
-			w = row.Granted((*rowLocker)(tx))
-		} else {
-			w = row.Writer()
-		}
+		w := row.Writer()
 		if w == nil || w == tx.t || !lock.ImplicitHeld(w) {
 			return row, nil
 		}
@@ -123,35 +119,34 @@ func (tx *Txn) waitFor(w *core.Txn, k lock.Key, mode lock.Mode) error {
 	return tx.wait(k, mode)
 }
 
-// wait acquires mode on k, waiting for its holders, off the transaction's
-// rival buffer: the caller collected the rivals that count, or collects them
-// again.
+// wait acquires mode on k, waiting for its holders, and drops the rivals the
+// grant found: the caller collected the rivals that count, collects them
+// again, or has none to mark. The transaction's rival buffer holds them.
 func (tx *Txn) wait(k lock.Key, mode lock.Mode) error {
-	_, err := tx.db.locks.AcquireInto(tx.t, k, mode, nil)
+	rivals, err := tx.db.locks.AcquireInto(tx.t, k, mode, emptied(tx.rivals))
+	tx.rivals = rivals
 	return err
 }
 
 // lockForUpdate is GetForUpdate's exclusive lock: a lock-table entry at every
 // level, and then a wait for a writer whose version still holds the row —
 // unless the row's head is the transaction's own version, which holds the row
-// already: its write marked the readers, and a waiter that converted its lock
-// holds a grant on the entry that a second request would wait behind.
-func (rowTargets) lockForUpdate(tx *Txn, tb *table, key []byte, row mvcc.Row) ([]*core.Txn, core.TS, error) {
+// already: a waiter that converted its lock holds a grant on the entry that a
+// second request would wait behind. The SIREAD holders the grant finds are
+// not marked: the lock writes nothing they read.
+func (rowTargets) lockForUpdate(tx *Txn, tb *table, key []byte, row mvcc.Row) (core.TS, error) {
 	if len(tx.writes) > 0 && row.Writer() == tx.t {
-		return nil, row.NewestCommitTS(), nil
+		return row.NewestCommitTS(), nil
 	}
 	k := rowKeyFor(tb, key, row)
-	readers, err := tx.db.locks.AcquireInto(tx.t, k, lock.Exclusive, emptied(tx.rivals))
-	tx.rivals = readers
+	if err := tx.wait(k, lock.Exclusive); err != nil {
+		return 0, err
+	}
+	row, err := tx.awaitHead(tb, key, row, k, lock.Exclusive)
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
-	if row, err = tx.awaitHead(tb, key, row, k, lock.Exclusive); err != nil {
-		return nil, 0, err
-	}
-	// A reader after the grant, or after awaitHead's hold, finds the entry
-	// and marks itself: the grant's readers and the word's are all to mark.
-	return tx.rivals, row.NewestCommitTS(), nil
+	return row.NewestCommitTS(), nil
 }
 
 // write is the row-granularity write, at every level. It claims the row in
@@ -175,7 +170,6 @@ func (rowTargets) write(tx *Txn, tb *table, key []byte, row mvcc.Row, val []byte
 	// The claim checks First-Committer-Wins against the snapshot, if the
 	// transaction has one yet; S2PL takes none, and reads latest.
 	in := mvcc.Intent{Snap: tx.t.Snapshot(), Data: val, Tombstone: tombstone, MustNotExist: mustNotExist}
-	locked := false // the transaction holds the row's Exclusive entry
 	inserted := false
 	var c mvcc.Claim
 claim:
@@ -187,13 +181,8 @@ claim:
 		switch {
 		case c.Outcome == mvcc.Held:
 			err = tx.waitFor(c.Holder, rowKeyOf(tb, row.Key()), lock.Exclusive)
-		case c.Outcome == mvcc.Blocked, c.Outcome == mvcc.Exists && !locked && row.Writer() != tx.t:
-			// An Insert's refusal reads the row: it holds the row as the
-			// write would have, so no one changes it under the transaction.
-			// A refusal on its own head holds the row already, by that
-			// version; a waiter may have converted it, and holds a grant
-			// this request would wait behind.
-			err, locked = tx.wait(rowKeyOf(tb, row.Key()), lock.Exclusive), true
+		case c.Outcome == mvcc.Blocked:
+			err = tx.wait(rowKeyOf(tb, row.Key()), lock.Exclusive)
 		default:
 			break claim
 		}
@@ -203,8 +192,6 @@ claim:
 	}
 	if c.Outcome == mvcc.Written {
 		tx.writes = append(tx.writes, row)
-	} else if c.Outcome == mvcc.Exists && locked {
-		row.Granted((*rowLocker)(tx)) // the refusal holds the row by no version
 	}
 	tx.readPoint() // a deferred snapshot, above every commit the claim found
 	if err := tx.markAsWriter(tx.rivals); err != nil {

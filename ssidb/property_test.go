@@ -2,6 +2,7 @@ package ssidb_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -102,7 +103,9 @@ func TestQuickSequentialMatchesMap(t *testing.T) {
 // check: random multi-operation transactions over a small hot key space,
 // executed concurrently, with the full history recorded; the resulting
 // multiversion serialization graph must be acyclic for SerializableSI (both
-// detectors) and for S2PL. The same workload under plain SI routinely
+// detectors) and for S2PL. The operations are Puts, Gets, scans, locked reads
+// that write nothing, and Inserts, which every key being live refuses: both
+// of the last two read their row. The same workload under plain SI routinely
 // produces cycles, which the final assertion documents.
 func TestRandomConcurrentSerializability(t *testing.T) {
 	runOnce := func(opts ssidb.Options, iso ssidb.Isolation, seed int64) (*sercheck.History, int) {
@@ -131,7 +134,7 @@ func TestRandomConcurrentSerializability(t *testing.T) {
 					err := db.Run(iso, func(tx *ssidb.Txn) error {
 						for n := 0; n < 3; n++ {
 							k := []byte{byte('a' + r.Intn(8))}
-							switch r.Intn(4) {
+							switch r.Intn(6) {
 							case 0:
 								if err := tx.Put("t", k, []byte{byte(r.Intn(256))}); err != nil {
 									return err
@@ -141,6 +144,14 @@ func TestRandomConcurrentSerializability(t *testing.T) {
 									return true
 								}); err != nil {
 									return err
+								}
+							case 2:
+								if _, _, err := tx.GetForUpdate("t", k); err != nil {
+									return err
+								}
+							case 3:
+								if err := tx.Insert("t", k, []byte{byte(r.Intn(256))}); !errors.Is(err, ssidb.ErrKeyExists) {
+									return fmt.Errorf("Insert of a live key: %w", err)
 								}
 							default:
 								if _, _, err := tx.Get("t", k); err != nil {

@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"ssi/internal/lock"
 )
 
 // The tests here drive the reader word (locks_row.go's read; mvcc's
@@ -252,11 +254,12 @@ func TestWordDroppedByOwnWrite(t *testing.T) {
 	})
 }
 
-// TestWordMeetsExplicitGrant (e): an explicit Exclusive grant on a row meets
-// the word in the latch hold after the grant. A GetForUpdate after a word
-// reader finds it and marks it; a reader after a GetForUpdate, or after an
-// Insert refused on the row (which holds the row by an entry and no
-// version), is sent to the lock table and marks itself against the grant.
+// TestWordMeetsExplicitGrant (e): an explicit Exclusive grant on a row is not
+// a write. A GetForUpdate after a word reader marks nothing and leaves the
+// word alone, and so does an Insert refused on the row, which takes no lock
+// there at all; each reads the row, in the word if it is free and in the lock
+// table if not. And that read stays until the grantee ends: a writer of the
+// row after the grantee has committed finds it in the word, and marks it.
 func TestWordMeetsExplicitGrant(t *testing.T) {
 	forUpdate := func(tx *Txn) error { _, _, err := tx.GetForUpdate("t", wordKey(0)); return err }
 	refused := func(tx *Txn) error {
@@ -265,14 +268,17 @@ func TestWordMeetsExplicitGrant(t *testing.T) {
 		}
 		return nil
 	}
+	rowKey := rowKeyOf(&table{name: "t"}, string(wordKey(0)))
 	for _, c := range []struct {
 		name        string
 		grant       func(*Txn) error
 		readerFirst bool
+		locks       bool // the grantee then holds the row Exclusive
 	}{
-		{"GetForUpdate after the reader", forUpdate, true},
-		{"GetForUpdate before the reader", forUpdate, false},
-		{"refused Insert before the reader", refused, false},
+		{"GetForUpdate after the reader", forUpdate, true, true},
+		{"GetForUpdate before the reader", forUpdate, false, true},
+		{"refused Insert after the reader", refused, true, false},
+		{"refused Insert before the reader", refused, false, false},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			db := wordDB(t, Options{Detector: DetectorPrecise}, 1)
@@ -282,21 +288,88 @@ func TestWordMeetsExplicitGrant(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			first, second := g, r
 			if c.readerFirst {
 				read()
 				grant()
+				first, second = r, g
 			} else {
 				grant()
 				read()
-				if len(r.reads) != 0 || !db.locks.HoldsSIRead(r.t) {
-					t.Errorf("the read after the grant registered %d rows, holds an SIREAD in the table %v; want it in the table", len(r.reads), db.locks.HoldsSIRead(r.t))
-				}
 			}
-			if !db.mgr.HasOutConflict(r.t) || !db.mgr.HasInConflict(g.t) {
-				t.Errorf("reader → grantee not marked: reader.out %v, grantee.in %v", db.mgr.HasOutConflict(r.t), db.mgr.HasInConflict(g.t))
+			if len(first.reads) != 1 || len(second.reads) != 0 || !db.locks.HoldsSIRead(second.t) {
+				t.Errorf("the first read registered %d rows, the second %d and holds an SIREAD in the table %v; want the word, then the table", len(first.reads), len(second.reads), db.locks.HoldsSIRead(second.t))
+			}
+			if c.readerFirst && db.mgr.HasInConflict(g.t) {
+				t.Error("the grant marked the word's reader")
+			}
+			if held := db.locks.Holds(g.t, rowKey, lock.Exclusive); held != c.locks {
+				t.Errorf("the grantee holds the row Exclusive: %v", held)
 			}
 			r.Abort()
 			g.Abort()
 		})
 	}
+	for _, c := range []struct {
+		name  string
+		grant func(*Txn) error
+	}{
+		{"GetForUpdate keeps its read", forUpdate},
+		{"refused Insert keeps its read", refused},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			db := wordDB(t, Options{Detector: DetectorPrecise}, 2)
+			g, w := db.Begin(SerializableSI), db.Begin(SerializableSI)
+			get(t, w, wordKey(1)) // the writer's snapshot precedes the grantee's commit
+			if err := c.grant(g); err != nil {
+				t.Fatal(err)
+			}
+			gt := g.t
+			if err := g.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Put("t", wordKey(0), []byte("w")); err != nil {
+				t.Fatal(err)
+			}
+			if !db.mgr.HasOutConflict(gt) || !db.mgr.HasInConflict(w.t) {
+				t.Errorf("grantee → writer not marked: grantee.out %v, writer.in %v", db.mgr.HasOutConflict(gt), db.mgr.HasInConflict(w.t))
+			}
+			w.Abort()
+		})
+	}
+}
+
+// TestWaitedWriterDropsTableRead (f): a writer whose read of a row went to the
+// lock table, the word being taken, and which then waited for the row, holds
+// the row's Exclusive lock beside that SIREAD when its claim probes again. The
+// probe drops the SIREAD all the same: the version the claim installs takes
+// over the read (§3.7.3), so once committed the writer holds no SIREAD there.
+// SmallBank's hot rows take this path.
+func TestWaitedWriterDropsTableRead(t *testing.T) {
+	db := wordDB(t, Options{Detector: DetectorPrecise}, 1)
+	r, w, h := db.Begin(SerializableSI), db.Begin(SerializableSI), db.Begin(S2PL)
+	get(t, r, wordKey(0))
+	get(t, w, wordKey(0))
+	if len(w.reads) != 0 || !db.locks.HoldsSIRead(w.t) {
+		t.Fatalf("the second read registered %d rows, holds an SIREAD in the table %v; want it in the table", len(w.reads), db.locks.HoldsSIRead(w.t))
+	}
+	get(t, h, wordKey(0)) // a Shared lock the write waits for
+	wt, parks := w.t, db.StatsSnapshot().LockParks
+	put := async(func() error {
+		if err := w.Put("t", wordKey(0), []byte("w")); err != nil {
+			return err
+		}
+		return w.Commit()
+	})
+	awaitParks(t, db, parks)
+	if err := h.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := result(t, put); err != nil {
+		t.Fatal(err)
+	}
+	if db.locks.HoldsSIRead(wt) {
+		t.Error("the committed writer still holds an SIREAD on the row it waited for and wrote")
+	}
+	r.Abort()
 }

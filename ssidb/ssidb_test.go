@@ -555,9 +555,11 @@ func TestScanSemantics(t *testing.T) {
 // TestInsertDuplicate: at every level and granularity, an Insert on a key
 // with a live visible version is refused with ErrKeyExists and leaves the
 // transaction running — an Insert on the transaction's own live insert too —
-// and an Insert over a deleted key succeeds. A refused Insert read the row and
-// holds it as the write would have: a second writer waits until the refuser
-// ends.
+// and an Insert over a deleted key succeeds. A refused Insert read the row, at
+// the level's read mode. Under S2PL's Shared lock, or at page granularity
+// under the leaf's Exclusive lock, a second writer waits until the refuser
+// ends; at row granularity under SI and SSI it does not wait, and at SSI it
+// finds the refuser's read.
 func TestInsertDuplicate(t *testing.T) {
 	for name, gran := range map[string]Granularity{"row": GranularityRow, "page": GranularityPage} {
 		for _, iso := range []Isolation{SnapshotIsolation, SerializableSI, S2PL} {
@@ -598,21 +600,34 @@ func TestInsertDuplicate(t *testing.T) {
 				if err := refuser.Insert("kv", []byte("b"), i64(5)); !errors.Is(err, ErrKeyExists) {
 					t.Fatalf("insert dup = %v, want ErrKeyExists", err)
 				}
-				parks := db.StatsSnapshot().LockParks
-				put := async(func() error {
+				put := func() error {
 					return db.Run(iso, func(tx *Txn) error { return tx.Put("kv", []byte("b"), i64(6)) })
-				})
-				awaitParks(t, db, parks)
-				select {
-				case err := <-put:
-					t.Fatalf("a write of the refused row returned %v while the refuser ran", err)
-				default:
 				}
-				if err := refuser.Commit(); err != nil {
-					t.Fatal(err)
-				}
-				if err := result(t, put); err != nil {
-					t.Fatalf("the write behind the refuser returned %v", err)
+				if gran == GranularityRow && iso != S2PL {
+					if err := put(); err != nil {
+						t.Fatalf("a write of the refused row returned %v", err)
+					}
+					if marked := db.mgr.HasOutConflict(refuser.t); marked != (iso == SerializableSI) {
+						t.Fatalf("the refuser's read marked %v by a %v writer", marked, iso)
+					}
+					if err := refuser.Commit(); err != nil {
+						t.Fatal(err)
+					}
+				} else {
+					parks := db.StatsSnapshot().LockParks
+					put := async(put)
+					awaitParks(t, db, parks)
+					select {
+					case err := <-put:
+						t.Fatalf("a write of the refused row returned %v while the refuser ran", err)
+					default:
+					}
+					if err := refuser.Commit(); err != nil {
+						t.Fatal(err)
+					}
+					if err := result(t, put); err != nil {
+						t.Fatalf("the write behind the refuser returned %v", err)
+					}
 				}
 				if v, _ := readI64(t, db, "kv", "b"); v != 6 {
 					t.Fatalf("b = %d", v)

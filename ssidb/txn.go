@@ -487,16 +487,17 @@ type lockTargets interface {
 	// of a point read, taken before the read or atomically with it.
 	read(tx *Txn, tb *table, key []byte, mode lock.Mode, snap core.TS) (mvcc.ReadResult, error)
 	// lockForUpdate acquires GetForUpdate's exclusive lock(s) on key (row as
-	// above). It returns the SIREAD holders found and the newest commit
-	// timestamp of the First-Committer-Wins unit holding key.
-	lockForUpdate(tx *Txn, tb *table, key []byte, row mvcc.Row) (readers []*core.Txn, newest core.TS, err error)
+	// above), which mark no reader: the lock is not a write. It returns the
+	// newest commit timestamp of the First-Committer-Wins unit holding key.
+	lockForUpdate(tx *Txn, tb *table, key []byte, row mvcc.Row) (newest core.TS, err error)
 	// write writes key under the level's write protocol — locks, marking
 	// (Figure 3.5), First-Committer-Wins, the install (row as above) — and
 	// adds the row written to the write set, so that whatever it installed
 	// is rolled back if it fails. A write that may create or remove the key
 	// (Insert, Delete, a Put of a key without a row) also covers its gap or
 	// a page split. It returns ErrKeyExists, which leaves the transaction
-	// usable, or an abort-class error.
+	// usable and the row unwritten (Txn.write then reads it), or an
+	// abort-class error.
 	write(tx *Txn, tb *table, key []byte, row mvcc.Row, val []byte, tombstone, mustNotExist bool) error
 	// lockScanStart acquires mode on whatever a scan from `from` reads
 	// before reaching its first key.
@@ -538,26 +539,10 @@ func (tx *Txn) Get(tableName string, key []byte) (val []byte, found bool, err er
 		return nil, false, err
 	}
 	tb := tx.db.table(tableName)
-	snap := tx.readPoint()
-	mode := tx.readLockMode()
-	// A locking read is Figure 3.4 lines 2-7: the read and its lock, which
-	// marks concurrent exclusive holders.
-	var res mvcc.ReadResult
-	if mode == noLock {
-		if tx.roSafe {
-			tx.db.roSIReadSkips.Add(1)
-		}
-		res = tb.data.Read(tx.t, snap, key)
-	} else if res, err = tx.db.targets.read(tx, tb, key, mode, snap); err != nil {
-		return nil, false, tx.fail(err)
+	res, err := tx.get(tb, key)
+	if err != nil {
+		return nil, false, err
 	}
-	if mode == lock.SIRead {
-		// Figure 3.4 lines 8-9: the creators of newer versions.
-		if err := tx.markAsReader(res.NewerWriters); err != nil {
-			return nil, false, tx.fail(err)
-		}
-	}
-	recRead(tx.db.opts.Recorder, tx, tb, key, res.VisibleCreator, tx.readStamp(snap))
 	if tx.prog != nil && tx.prog.promoted[tableName] && res.Found {
 		// Runtime half of the Promote remedy (§2.6.2): re-write the value
 		// just read, so a concurrent writer of this row collides under
@@ -569,11 +554,40 @@ func (tx *Txn) Get(tableName string, key []byte) (val []byte, found bool, err er
 	return res.Value, res.Found, nil
 }
 
-// GetForUpdate reads key with an exclusive lock, like SELECT ... FOR UPDATE.
-// Under SI/SerializableSI it applies First-Committer-Wins after acquiring
-// the lock and then reads the latest committed version; combined with the
-// deferred snapshot this means a transaction whose first statement is a
-// locked read never aborts under FCW (thesis §4.5). val is owned as Get's is.
+// get is the read of a statement that passed its checks — Get's, a locked
+// read's, a refused Insert's: key read at the read point, under the level's
+// read lock, with the rw-conflicts that read finds marked. An error has
+// aborted the transaction.
+func (tx *Txn) get(tb *table, key []byte) (res mvcc.ReadResult, err error) {
+	snap := tx.readPoint()
+	mode := tx.readLockMode()
+	// A locking read is Figure 3.4 lines 2-7: the read and its lock, which
+	// marks concurrent exclusive holders.
+	if mode == noLock {
+		if tx.roSafe {
+			tx.db.roSIReadSkips.Add(1)
+		}
+		res = tb.data.Read(tx.t, snap, key)
+	} else if res, err = tx.db.targets.read(tx, tb, key, mode, snap); err != nil {
+		return res, tx.fail(err)
+	}
+	if mode == lock.SIRead {
+		// Figure 3.4 lines 8-9: the creators of newer versions.
+		if err := tx.markAsReader(res.NewerWriters); err != nil {
+			return res, tx.fail(err)
+		}
+	}
+	recRead(tx.db.opts.Recorder, tx, tb, key, res.VisibleCreator, tx.readStamp(snap))
+	return res, nil
+}
+
+// GetForUpdate reads key with an exclusive lock, like SELECT ... FOR UPDATE:
+// the lock, then First-Committer-Wins on the unit holding key, then a Get
+// (without the Get's promotion write). The lock is not a write: it marks no
+// reader, and the read keeps its SIREAD unless the transaction writes the
+// row. Combined with the deferred snapshot, a transaction whose first
+// statement is a locked read never aborts under FCW (thesis §4.5). val is
+// owned as Get's is.
 func (tx *Txn) GetForUpdate(tableName string, key []byte) (val []byte, found bool, err error) {
 	if err := tx.pre(); err != nil {
 		return nil, false, err
@@ -594,17 +608,15 @@ func (tx *Txn) GetForUpdate(tableName string, key []byte) (val []byte, found boo
 	}
 	tb := tx.db.table(tableName)
 	row, _ := tb.data.Locate(key)
-	readers, newest, err := tx.db.targets.lockForUpdate(tx, tb, key, row)
-	if err == nil {
-		_, err = tx.checkWrite(readers, newest)
+	newest, err := tx.db.targets.lockForUpdate(tx, tb, key, row)
+	if err == nil && newest > tx.readPoint() {
+		err = ErrWriteConflict
 	}
 	if err != nil {
 		return nil, false, tx.fail(err)
 	}
-	readTS := tx.db.mgr.Now()
-	res := tb.read(tx.t, latest, key, row)
-	recRead(tx.db.opts.Recorder, tx, tb, key, res.VisibleCreator, readTS)
-	return res.Value, res.Found, nil
+	res, err := tx.get(tb, key)
+	return res.Value, res.Found, err
 }
 
 // ---------------------------------------------------------------------------
@@ -623,8 +635,9 @@ func (tx *Txn) Put(tableName string, key, val []byte) error {
 }
 
 // Insert writes a new key, failing with ErrKeyExists (without aborting) if a
-// live version of the key is already visible. key is copied, val retained
-// (see Put).
+// live version of the key is already visible. A refused Insert read the key:
+// it keeps that read, as a Get would take it (without the Get's promotion
+// write). key is copied, val retained (see Put).
 func (tx *Txn) Insert(tableName string, key, val []byte) error {
 	return tx.write(tableName, key, val, false, true)
 }
@@ -655,10 +668,12 @@ func (tx *Txn) write(tableName string, key, val []byte, tombstone, mustNotExist 
 	}
 	tb := tx.db.table(tableName)
 	row, _ := tb.data.Locate(key)
-	if err := tx.db.targets.write(tx, tb, key, row, val, tombstone, mustNotExist); err != nil {
-		if err == ErrKeyExists {
+	if err := tx.db.targets.write(tx, tb, key, row, val, tombstone, mustNotExist); err == ErrKeyExists {
+		if _, err := tx.get(tb, key); err != nil {
 			return err
 		}
+		return ErrKeyExists
+	} else if err != nil {
 		return tx.fail(err)
 	}
 	if tx.db.log != nil {
@@ -672,24 +687,6 @@ func (tx *Txn) write(tableName string, key, val []byte, tombstone, mustNotExist 
 		r.RecWrite(tx.id, tb.name, string(key), tombstone)
 	}
 	return nil
-}
-
-// checkWrite runs once a write's exclusive locks are held, readers being the
-// SIREAD holders they found and newest the newest commit timestamp of the
-// First-Committer-Wins unit: it assigns the snapshot (deferred snapshot),
-// marks rw-conflicts with the concurrent readers (Figure 3.5), and applies
-// First-Committer-Wins. The caller aborts the transaction on failure.
-func (tx *Txn) checkWrite(readers []*core.Txn, newest core.TS) (core.TS, error) {
-	snap := tx.readPoint()
-	if err := tx.markAsWriter(readers); err != nil {
-		return 0, err
-	}
-	// First-Committer-Wins: abort if a version newer than our snapshot
-	// committed in the unit written.
-	if newest > snap {
-		return 0, ErrWriteConflict
-	}
-	return snap, nil
 }
 
 // ---------------------------------------------------------------------------
