@@ -26,12 +26,12 @@
 //	                   SI / SSI / S2PL     (SSI only)                                                                                              stmt | txn
 //	Get [9]            none / SIREAD /     as reader [1]    row k [8]; at SSI, if k has  every page on the path to k    -                         F | U D
 //	                   Shared [2]                           a row, its reader word [1]
-//	GetForUpdate [9]   Exclusive, then     none, then as    row k [8], then as Get       leaf of k, then stamped;       row: versions of k        R F | W U D
+//	GetForUpdate [9]   Exclusive, then     none, then as    row k [8], then as Get       leaf of k, then (SSI) stamped; row: versions of k        R F | W U D
 //	                   as Get [3]          Get                                           interior pages in the          page: stamps of k's leaf
 //	                                                                                     level's read mode; then as Get
 //	Put Insert Delete  Exclusive [10]      as writer        row k [8]; a refused Insert  leaf of k; interior pages in   as above                  K R F L | W U D
 //	  (k has a chain)                                       then reads k as Get [10]     the level's read mode; then
-//	                                                                                     stamp the leaf, refused or not
+//	                                                                                     stamp the leaf (refused: SSI)
 //	Put Insert Delete  Exclusive [10]      as writer, gap   gap before succ(k) [5], row  the whole path Exclusive if    as above                  K R F L | W U D
 //	  (structural [4])                     holders too      k; once installed, SIREADs   the leaf will split (interior
 //	                                                        on that gap also cover the   pages stamped too), else as
@@ -114,17 +114,18 @@
 //	    the place of the writer's own read of the row, in the word or in the
 //	    table, which the claim drops (§3.7.3). An Insert on a live head is
 //	    refused (K) before the probe, touching neither the lock table nor the
-//	    word, and then reads k as Get does. A write that must wait converts
-//	    the head writer's implicit lock into an Exclusive entry held on its
-//	    behalf, or acquires behind the blocking entry, waits in the table (D)
-//	    and claims again. Every explicit blocking grant on the row — S2PL's
-//	    reads and GetForUpdate, which keep their lock-table entries — waits
-//	    the same way once granted; it retires no read. A read of a row whose
-//	    head is the transaction's own version takes no SIREAD there: the
-//	    version carries it. At page granularity the page locks come first and
-//	    exclude every other writer of the row, so the claim asks the lock
-//	    table nothing: it installs, or refuses an Insert (K), and stamps the
-//	    leaf either way; the refusal then reads k as Get does.
+//	    word, and then reads k as Get does (and claims again if k was deleted
+//	    meanwhile). A write that must wait converts the head writer's implicit
+//	    lock into an Exclusive entry held on its behalf, or acquires behind
+//	    the blocking entry, waits in the table (D) and claims again. Every
+//	    explicit blocking grant on the row — S2PL's reads and GetForUpdate,
+//	    which keep their lock-table entries — waits the same way once granted;
+//	    it retires no read. A read of a row whose head is the transaction's
+//	    own version takes no SIREAD there: the version carries it. At page
+//	    granularity the page locks come first and exclude every other writer
+//	    of the row, so the claim asks the lock table nothing: it installs, or
+//	    refuses an Insert (K), and stamps the leaf (a refusal at SSI only); a
+//	    refusal then reads k as Get does.
 //
 // Handle lifetime. The *ssidb.Txn a begin returns is the caller's: it may be
 // kept past Commit, Abort or the return of Run and RunRetry, and from then on

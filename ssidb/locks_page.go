@@ -50,16 +50,17 @@ func (*pageTargets) read(tx *Txn, tb *table, key []byte, mode lock.Mode, snap co
 	return tb.read(tx.t, snap, key, row), nil
 }
 
-// lockForUpdate locks key's leaf exclusively, marking no reader, and stamps
-// it as a write does: the grant dropped the transaction's SIREAD on the leaf
-// (§3.7.3), and the stamp is the version of the page that takes that read's
-// place.
+// lockForUpdate locks key's leaf exclusively, marking no reader. At SSI it
+// stamps the leaf as a write does: a version of the page in place of the
+// SIREAD the grant dropped (§3.7.3); other levels hold no SIREAD there.
 func (*pageTargets) lockForUpdate(tx *Txn, tb *table, key []byte, _ mvcc.Row) (core.TS, error) {
 	_, leaf, err := lockPagePath(tx, tb, key, tx.readMode(), lock.Exclusive, false)
 	if err != nil {
 		return 0, err
 	}
-	tb.stamps.addWriter(leaf, tx.t)
+	if tx.Isolation().TracksConflicts() {
+		tb.stamps.addWriter(leaf, tx.t)
+	}
 	return tb.stamps.newestCommitTS(leaf), nil
 }
 
@@ -68,8 +69,8 @@ func (*pageTargets) lockForUpdate(tx *Txn, tb *table, key []byte, _ mvcc.Row) (c
 // other writer of the row waits on the leaf, and the locks found the readers
 // to mark and the page's First-Committer-Wins stamp, which covers the row's.
 // So its claim asks the lock table nothing (pageLocker) and checks no
-// snapshot: it installs, or refuses an Insert on a live head. Either way it
-// stamps the leaf, as lockForUpdate does.
+// snapshot: it installs, or refuses an Insert on a live head. It stamps the
+// leaf, on a refusal at SSI only, as lockForUpdate does.
 func (*pageTargets) write(tx *Txn, tb *table, key []byte, row mvcc.Row, val []byte, tombstone, mustNotExist bool) error {
 	readers, leaf, err := lockPagePath(tx, tb, key, tx.readMode(), lock.Exclusive, tombstone || mustNotExist || row.IsZero())
 	if err != nil {
@@ -86,7 +87,9 @@ func (*pageTargets) write(tx *Txn, tb *table, key []byte, row mvcc.Row, val []by
 		return ErrWriteConflict
 	}
 	c := tb.data.Claim(tx.t, key, row, mvcc.Intent{Data: val, Tombstone: tombstone, MustNotExist: mustNotExist}, pageLocker{})
-	tb.stamps.addWriter(tb.data.LeafPage(key), tx.t)
+	if c.Outcome != mvcc.Exists || tx.Isolation().TracksConflicts() {
+		tb.stamps.addWriter(tb.data.LeafPage(key), tx.t)
+	}
 	if c.Outcome == mvcc.Exists {
 		return ErrKeyExists
 	}

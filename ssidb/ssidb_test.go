@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"ssi/internal/mvcc"
 )
 
 func i64(v int64) []byte {
@@ -631,6 +633,109 @@ func TestInsertDuplicate(t *testing.T) {
 				}
 				if v, _ := readI64(t, db, "kv", "b"); v != 6 {
 					t.Fatalf("b = %d", v)
+				}
+			})
+		}
+	}
+}
+
+// refusalHook wraps a database's lock targets to run after, once, when a
+// write is refused with ErrKeyExists: between the claim that refused and the
+// read that Txn.write then records.
+type refusalHook struct {
+	lockTargets
+	after func()
+}
+
+func (h *refusalHook) write(tx *Txn, tb *table, key []byte, row mvcc.Row, val []byte, tombstone, mustNotExist bool) error {
+	err := h.lockTargets.write(tx, tb, key, row, val, tombstone, mustNotExist)
+	if after := h.after; err == ErrKeyExists && after != nil {
+		h.after = nil
+		after()
+	}
+	return err
+}
+
+// TestRefusedInsertReadDecides: an Insert refused on a live head, whose key a
+// delete then removes before the refusal's read, is decided by that read. A
+// claim with no snapshot (S2PL, or an SI/SSI first statement) holds nothing on
+// the row it refuses, so the read finds the key absent: the Insert must then
+// install, not answer ErrKeyExists to a transaction that reads the key as
+// absent. Once the snapshot is fixed first (SI/SSI), the read finds the key
+// live and the refusal stands.
+func TestRefusedInsertReadDecides(t *testing.T) {
+	for _, iso := range []Isolation{SnapshotIsolation, SerializableSI, S2PL} {
+		t.Run(iso.String(), func(t *testing.T) {
+			db := Open(Options{})
+			seed(t, db, "kv", "k", 1)
+			hook := &refusalHook{lockTargets: db.targets}
+			hook.after = func() {
+				if err := db.Run(iso, func(tx *Txn) error { return tx.Delete("kv", []byte("k")) }); err != nil {
+					t.Errorf("the delete after the refusal returned %v", err)
+				}
+			}
+			db.targets = hook
+			tx := db.Begin(iso)
+			inserted := tx.Insert("kv", []byte("k"), i64(2))
+			v, found, err := tx.Get("kv", []byte("k"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch {
+			case hook.after != nil:
+				t.Fatal("the Insert was not refused")
+			case inserted == nil && (!found || geti64(v) != 2):
+				t.Fatalf("after its Insert the transaction reads k = %v %v", v, found)
+			case inserted != nil && (!errors.Is(inserted, ErrKeyExists) || !found):
+				t.Fatalf("Insert returned %v, and the transaction then reads k found=%v", inserted, found)
+			case inserted != nil && iso == S2PL:
+				t.Fatalf("the S2PL Insert returned %v, though its read holds k absent", inserted)
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestPageReadStamp: at page granularity a locked read or a refused Insert
+// stamps the leaf it locks Exclusive at SerializableSI only, where the stamp
+// retires the SIREAD that grant dropped, so a concurrent writer of the leaf
+// with an older snapshot then fails First-Committer-Wins. SI and S2PL hold no
+// SIREAD to retire, and that writer commits.
+func TestPageReadStamp(t *testing.T) {
+	ops := map[string]func(tx *Txn) error{
+		"GetForUpdate": func(tx *Txn) error {
+			_, _, err := tx.GetForUpdate("kv", []byte("a"))
+			return err
+		},
+		"refused Insert": func(tx *Txn) error {
+			if err := tx.Insert("kv", []byte("a"), i64(2)); !errors.Is(err, ErrKeyExists) {
+				return fmt.Errorf("insert = %v, want ErrKeyExists", err)
+			}
+			return nil
+		},
+	}
+	for name, op := range ops {
+		for _, iso := range []Isolation{SnapshotIsolation, SerializableSI, S2PL} {
+			t.Run(fmt.Sprintf("%s/%v", name, iso), func(t *testing.T) {
+				db := Open(Options{Granularity: GranularityPage})
+				seed(t, db, "kv", "a", 1)
+				seed(t, db, "kv", "b", 1)
+				seed(t, db, "other", "x", 1)
+				w := db.Begin(iso)
+				if _, _, err := w.Get("other", []byte("x")); err != nil { // fixes w's snapshot
+					t.Fatal(err)
+				}
+				if err := db.Run(iso, op); err != nil {
+					t.Fatal(err)
+				}
+				err := w.Put("kv", []byte("b"), i64(3))
+				if err == nil {
+					err = w.Commit()
+				}
+				if want := iso == SerializableSI; errors.Is(err, ErrWriteConflict) != want || (!want && err != nil) {
+					t.Fatalf("the leaf's older writer returned %v", err)
 				}
 			})
 		}

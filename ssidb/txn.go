@@ -669,8 +669,11 @@ func (tx *Txn) write(tableName string, key, val []byte, tombstone, mustNotExist 
 	tb := tx.db.table(tableName)
 	row, _ := tb.data.Locate(key)
 	if err := tx.db.targets.write(tx, tb, key, row, val, tombstone, mustNotExist); err == ErrKeyExists {
-		if _, err := tx.get(tb, key); err != nil {
+		if res, err := tx.get(tb, key); err != nil {
 			return err
+		} else if !res.Found {
+			// Deleted before the read fixed the snapshot (or S2PL's lock): claim again.
+			return tx.write(tableName, key, val, tombstone, mustNotExist)
 		}
 		return ErrKeyExists
 	} else if err != nil {
