@@ -34,17 +34,21 @@
 //	                                                                                     stamp the leaf (refused: SSI)
 //	Put Insert Delete  Exclusive [10]      as writer, gap   gap before succ(k) [5], row  the whole path Exclusive if    as above                  K R F L | W U D
 //	  (structural [4])                     holders too      k; once installed, SIREADs   the leaf will split (interior
-//	                                                        on that gap also cover the   pages stamped too), else as
-//	                                                        gap before k; re-lock it     above
+//	                                                        on that gap also cover k's   pages stamped too), else as
+//	                                                        gap and row; re-lock it      above
 //	Scan ScanLimit [9] none / SIREAD /     as reader [1]    row and gap of each visited  descent path to `from`; leaf   -                         F | U D
 //	                   Shared [2] [6]                       key; gap of the first key    of each visited key and of
 //	                                                        beyond, or the supremum      the first key beyond
 //
-//	[1] Rivals of a read are the Exclusive holders of its targets plus the
-//	    creators of versions newer than its snapshot: of the keys read (row), or
-//	    of the leaf pages read and, for a scan, of its descent's interior pages,
-//	    per their write stamps, which are read after locking (page). At row
-//	    granularity an SSI Get of an existing row takes no lock-table entry: its
+//	[1] Rivals of a read are the creators of versions newer than its
+//	    snapshot: of the keys read (row), or of the leaf pages read and, for a
+//	    scan, of its descent's interior pages, per their write stamps, which
+//	    are read after locking (page) — and, at page granularity only, the
+//	    Exclusive holders of its targets, as a page writer locks its leaf
+//	    before it stamps it. At row granularity only a version signals a
+//	    write: a read marks no lock holder, and a new key's writer marks the
+//	    scanners of the gap its insert split [4]. An SSI Get of an existing
+//	    row takes no lock-table entry there: its
 //	    SIREAD is the row's reader word, which names one reader by a slot and
 //	    which it sets in the latch hold that reads the row. Writers find it
 //	    there (as they find SIREAD holders [3]); an explicit grant does not
@@ -58,11 +62,17 @@
 //	    after the write's locks (so a first-statement write never fails FCW).
 //	[3] Rivals of a write are the SIREAD holders of its targets, filtered to
 //	    transactions concurrent with the writer. GetForUpdate's lock is not a
-//	    write: it marks no rival, and its Get then reads k at the level's read
-//	    mode and keeps that read unless the transaction writes k. At page
+//	    write: it marks no rival, no reader marks it [1], and its Get then
+//	    reads k at the level's read mode and keeps that read unless the
+//	    transaction writes k. At page
 //	    granularity the Exclusive leaf drops the holder's SIREAD there
 //	    (§3.7.3), so the leaf is stamped, as a write stamps it.
-//	[4] Structural: Insert, Delete, and Put of a key that has no version chain.
+//	[4] Structural: a write to a key without a chain — a Put or Insert of a
+//	    new key, a Delete of an absent one. Keys never leave the index, so
+//	    every scan that covered k holds its row lock — it visited k, or k's
+//	    insert split its gap — which a row write's probe finds [10]: a Delete,
+//	    or an Insert over a tombstone, takes no gap lock. Page granularity
+//	    checks every Insert and Delete for a split.
 //	[5] Not at SI, which promises no predicate protection.
 //	[6] SIREADs are taken in batches while the store's latches exclude inserts;
 //	    Shared locks can block, so S2PL collects, locks, and repeats until a

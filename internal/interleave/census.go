@@ -36,11 +36,6 @@ type CensusRow struct {
 	BeforeCommit int
 }
 
-// censusWait is the scheduler's patience during a census. The census wants
-// counts that repeat on any machine, so it never lets a slow step pass for a
-// blocked one: a step that really blocks fails the census instead.
-const censusWait = drainTimeout
-
 // Census runs every schedule of the set twice — at plain SI, and at
 // SerializableSI under det with the named scripts declared read-only — and
 // classifies each schedule. It fails if a script blocks on a lock or ends in
@@ -59,7 +54,7 @@ func Census(set Set, det ssidb.Detector, readOnly ...string) (CensusRow, error) 
 	mkDB := NewDB(det)
 	execute := func(iso ssidb.Isolation, schedule []int) (Outcome, error) {
 		db, hist := mkDB()
-		o := run(db, hist, iso, scripts, schedule, censusWait)
+		o := Run(db, hist, iso, scripts, schedule)
 		if o.Blocked {
 			return o, fmt.Errorf("set %s at %v, schedule %v: a step blocked", set.Name, iso, o)
 		}

@@ -6,12 +6,13 @@
 // permitted.
 //
 // Each script runs on its own goroutine; the scheduler releases one step at
-// a time according to the schedule under test. A step that blocks (waiting
-// for a lock) parks its transaction: its remaining schedule slots first wait
-// for the pending step. After the nominal schedule is exhausted, stragglers
-// are drained deterministically, so executions with blocking still terminate
-// and still produce a *real* history — which the caller then validates with
-// package sercheck.
+// a time according to the schedule under test, and waits for it to finish or
+// to park in the lock table. A step is blocked when every step in flight is
+// parked there — an observation of the lock table, never a timeout — and its
+// remaining schedule slots first wait for the pending step. After the nominal
+// schedule is exhausted, stragglers are drained deterministically, so
+// executions with blocking still terminate and still produce a *real*
+// history — which the caller then validates with package sercheck.
 package interleave
 
 import (
@@ -48,8 +49,8 @@ type Outcome struct {
 	// BeforeCommit has one entry per script: true if it ended in an error at
 	// a moment when no script of the run had committed yet.
 	BeforeCommit []bool
-	// Blocked reports that some step outlasted the scheduler's wait and
-	// forfeited a slot: the execution is real, but no longer the schedule's.
+	// Blocked reports that some step parked in the lock table and forfeited
+	// a slot: the execution is real, but no longer the schedule's.
 	Blocked bool
 	// History is the recorded execution for MVSG checking.
 	History *sercheck.History
@@ -111,19 +112,20 @@ func Schedules(counts []int) [][]int {
 	return out
 }
 
-// blockTimeout is how long the scheduler waits before declaring a step
-// blocked and moving on. Scripts whose operations never contend finish every
-// step instantly, so this only costs time when locks actually block.
-const blockTimeout = 25 * time.Millisecond
+// stuckAfter bounds a whole run. Every step finishes or parks in the lock
+// table, where deadlock detection ends any wait no step can end, so a run that
+// outlasts it is a bug (a wait elsewhere, a lost wakeup): Run panics.
+const stuckAfter = time.Minute
 
-// drainTimeout bounds the final drain of blocked stragglers.
-const drainTimeout = 5 * time.Second
+// pollEvery is how often a step's result is looked for while other steps may
+// park; it decides how soon the scheduler sees a park, never whether.
+const pollEvery = 100 * time.Microsecond
 
 type worker struct {
 	tx           *ssidb.Txn
 	steps        []Step // script steps; commit appended logically
 	next         int    // next step index; len(steps) = commit
-	pending      bool   // a released step has not completed yet
+	pending      bool   // a released step has not been collected yet
 	done         chan error
 	release      chan int
 	err          error
@@ -131,17 +133,20 @@ type worker struct {
 	dead         bool
 }
 
-func (w *worker) totalSteps() int { return len(w.steps) + 1 }
+// parked returns how many requests sleep in db's lock table, or 0 if it cannot
+// tell: the counters are summed shard by shard, so only two snapshots that
+// agree make a consistent cut (each counter only grows).
+func parked(db *ssidb.DB) uint64 {
+	a, b := db.StatsSnapshot(), db.StatsSnapshot()
+	if a.LockParks != b.LockParks || a.LockWakeups != b.LockWakeups || a.LockTimeouts != b.LockTimeouts {
+		return 0
+	}
+	return a.LockParks - a.LockWakeups - a.LockTimeouts
+}
 
 // Run executes the scripts under one specific schedule against db (with its
 // recorder already attached) and returns the outcome.
 func Run(db *ssidb.DB, hist *sercheck.History, iso ssidb.Isolation, scripts []Script, schedule []int) Outcome {
-	return run(db, hist, iso, scripts, schedule, blockTimeout)
-}
-
-// run is Run with the scheduler's patience as a parameter: a step not back
-// within wait counts as blocked on a lock.
-func run(db *ssidb.DB, hist *sercheck.History, iso ssidb.Isolation, scripts []Script, schedule []int, wait time.Duration) Outcome {
 	out := Outcome{Schedule: schedule, History: hist, DB: db}
 	commits := 0
 	workers := make([]*worker, len(scripts))
@@ -172,6 +177,7 @@ func run(db *ssidb.DB, hist *sercheck.History, iso ssidb.Isolation, scripts []Sc
 	}()
 
 	finish := func(w *worker, err error) {
+		w.pending = false
 		if err != nil {
 			w.err = err
 			w.beforeCommit = commits == 0
@@ -183,21 +189,37 @@ func run(db *ssidb.DB, hist *sercheck.History, iso ssidb.Isolation, scripts []Sc
 		}
 	}
 
-	advance := func(w *worker, patience time.Duration) {
-		if w.dead {
-			return
-		}
-		if w.pending {
+	// collect waits for w's pending step and finishes it, or reports false
+	// once every step in flight — w's and any other released step not yet
+	// back — is parked in the lock table: none of them can finish before
+	// another script's next step runs.
+	deadline := time.Now().Add(stuckAfter)
+	collect := func(w *worker) bool {
+		for {
 			select {
 			case err := <-w.done:
-				w.pending = false
 				finish(w, err)
-			case <-time.After(patience):
-				return // still blocked; its slot is forfeited
+				return true
+			case <-time.After(pollEvery):
 			}
-			if w.dead {
-				return
+			if time.Now().After(deadline) {
+				panic(fmt.Sprintf("interleave: schedule %v: steps still running after %v", schedule, stuckAfter))
 			}
+			inFlight := uint64(1) // w, whether or not its result just came
+			for _, v := range workers {
+				if v != w && v.pending && len(v.done) == 0 {
+					inFlight++
+				}
+			}
+			if parked(db) >= inFlight {
+				return false
+			}
+		}
+	}
+
+	advance := func(w *worker) {
+		if w.pending && !collect(w) || w.dead {
+			return // a still-parked step forfeits its slot
 		}
 		if w.next > len(w.steps) {
 			w.dead = true
@@ -205,39 +227,23 @@ func run(db *ssidb.DB, hist *sercheck.History, iso ssidb.Isolation, scripts []Sc
 		}
 		w.release <- w.next
 		w.next++
-		select {
-		case err := <-w.done:
-			finish(w, err)
-		case <-time.After(patience):
-			w.pending = true
+		w.pending = true
+		if !collect(w) {
 			out.Blocked = true
 		}
 	}
 
 	for _, slot := range schedule {
-		advance(workers[slot], wait)
+		advance(workers[slot])
 	}
 	// Drain stragglers (blocked steps complete as blockers finish).
-	deadline := time.Now().Add(drainTimeout)
-	for {
-		live := false
+	for live := true; live; {
+		live = false
 		for _, w := range workers {
 			if !w.dead {
 				live = true
-				advance(w, 100*time.Millisecond)
+				advance(w)
 			}
-		}
-		if !live {
-			break
-		}
-		if time.Now().After(deadline) {
-			for _, w := range workers {
-				if !w.dead {
-					w.err = fmt.Errorf("interleave: script stuck after drain timeout")
-					w.dead = true
-				}
-			}
-			break
 		}
 	}
 

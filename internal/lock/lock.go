@@ -37,12 +37,14 @@
 // request can be wedged behind a stuck holder.
 //
 // The manager detects deadlocks immediately with a waits-for graph search and
-// aborts the requester, and implements shared→exclusive upgrades. The
-// SIREAD→EXCLUSIVE upgrade of thesis §3.7.3 rests on one rule: only a version
-// retires its writer's read. On a page, whose holder of EXCLUSIVE stamps it,
-// the owner's SIREAD goes at the grant (upgradeable); on a row, in the probe
-// of the write that installs the version (Probe), never at a grant; a gap,
-// which has no version, keeps both.
+// aborts the requester, and implements shared→exclusive upgrades. Only a
+// version retires its writer's read (the SIREAD→EXCLUSIVE upgrade of thesis
+// §3.7.3), and only a version signals a write to a reader. On a page, whose
+// holder of EXCLUSIVE stamps it, the owner's SIREAD goes at the grant and an
+// SIREAD request reports the EXCLUSIVE holders (upgradeable). A row's
+// EXCLUSIVE lock may write nothing (a locked read) and a gap has no version:
+// a row read goes in the probe of the write that installs a version (Probe),
+// a gap keeps both modes, and an SIREAD request on either reports no holder.
 //
 // SIREAD locks deliberately survive their owner's commit: the engine keeps
 // them until the suspended owner is cleaned up (thesis §3.3), releasing them
@@ -98,8 +100,9 @@
 //     same way; an owner that re-requests a mode it holds waits when a
 //     converted lock now blocks it. Between the two, a write's latch hold and a
 //     grant's check are ordered by the latch: either the write sees the grant
-//     or the check sees the write. A grant is not a write: it marks no reader
-//     and retires no SIREAD, its owner's included.
+//     or the check sees the write. A grant is not a write: it marks no
+//     reader, no reader marks it, and it retires no SIREAD, its owner's
+//     included.
 //   - The holder. A converted lock sits beside the grant of the waiter that
 //     converted it, so its writer asks the table nothing more about that row:
 //     it holds the row by its version, and its locked reads of the row return
@@ -188,20 +191,6 @@ func blocksOn(kind Kind, req Mode, held Mode) bool {
 	case Shared:
 		return held&Exclusive != 0
 	default: // SIRead
-		return false
-	}
-}
-
-// rivalOf reports whether holding held is a read-write conflict signal
-// against a request for req: SIREAD versus EXCLUSIVE in either direction
-// (thesis Figures 3.4 and 3.5).
-func rivalOf(req Mode, held Mode) bool {
-	switch req {
-	case Exclusive:
-		return held&SIRead != 0
-	case SIRead:
-		return held&Exclusive != 0
-	default:
 		return false
 	}
 }
@@ -422,10 +411,12 @@ const acquireSpins = 4
 
 // Acquire obtains a lock of the given mode on key for owner, blocking while
 // incompatible locks are held by others. It returns the set of current
-// holders whose locks signal a read-write conflict with this request (SIREAD
-// holders for an EXCLUSIVE request, EXCLUSIVE holders for an SIREAD
-// request), captured atomically with the grant; the caller is responsible
-// for overlap filtering and conflict marking. Acquire fails with
+// holders whose locks signal a read-write conflict with this request,
+// captured atomically with the grant: for an EXCLUSIVE request the SIREAD
+// holders, on every kind; for an SIREAD request the EXCLUSIVE holders on a
+// page, and none on a row or a gap, whose writers readers find by their
+// versions (see the package comment). The caller is responsible for overlap
+// filtering and conflict marking. Acquire fails with
 // core.ErrDeadlock if waiting would close a cycle in the waits-for graph,
 // and with core.ErrLockTimeout if a configured SetWaitTimeout elapses while
 // parked.
@@ -621,49 +612,41 @@ func blockersLocked(e *entry, owner *core.Txn, own, mode Mode) []*core.Txn {
 }
 
 // rivalsInto appends to out the other owners whose held modes signal a
-// read-write conflict with a request by owner, who holds own on e, and
-// returns it, so hot callers can reuse one buffer across acquires instead of
-// allocating per request.
+// read-write conflict with a request by owner, who holds own on e — SIREAD
+// versus EXCLUSIVE in either direction (thesis Figures 3.4 and 3.5), the
+// EXCLUSIVE holders on a page only (Acquire) — and returns it, so hot callers
+// can reuse one buffer across acquires instead of allocating per request.
 func rivalsInto(e *entry, owner *core.Txn, own, mode Mode, out []*core.Txn) []*core.Txn {
-	switch mode {
-	case Exclusive:
-		n := e.nSIRead
-		if own&SIRead != 0 {
-			n--
-		}
-		if n == 0 {
-			return out
-		}
-	case SIRead:
-		n := e.nExclusive
-		if own&Exclusive != 0 {
-			n--
-		}
-		if n == 0 {
-			return out
-		}
-	default:
+	var rival Mode
+	var n int32 // holders of rival, which the counters give without the map
+	switch {
+	case mode == Exclusive:
+		rival, n = SIRead, e.nSIRead
+	case mode == SIRead && upgradeable(e.key.Kind):
+		rival, n = Exclusive, e.nExclusive
+	}
+	if own&rival != 0 {
+		n--
+	}
+	if n == 0 {
 		return out
 	}
 	for h, held := range e.holders {
-		if h == owner {
-			continue
-		}
-		if rivalOf(mode, held) {
+		if h != owner && held&rival != 0 {
 			out = append(out, h)
 		}
 	}
 	return out
 }
 
-// upgradeable reports whether an EXCLUSIVE grant on a key of kind drops its
-// owner's SIREAD there (§3.7.3). Only a version may take over a read's
-// conflict detection, so only a page qualifies: every holder of EXCLUSIVE on a
-// page stamps it, a version of the page. A row's EXCLUSIVE lock may be a
-// locked read's, which writes nothing, so a row read goes only in the probe
-// of the write that installs a version (Probe). A gap has no version:
-// dropping a gap SIREAD when its owner inserts into its own scanned range
-// would blind phantom detection against later inserts by others.
+// upgradeable reports whether an EXCLUSIVE lock on a key of kind stands for a
+// version: only a page's, whose every holder stamps it. Only there does an
+// EXCLUSIVE grant drop its owner's SIREAD (§3.7.3), and an SIREAD request
+// report the EXCLUSIVE holders. A row's EXCLUSIVE lock may be a locked read's,
+// which writes nothing, so a row read goes only in the probe of the write that
+// installs a version (Probe). A gap has no version: dropping a gap SIREAD when
+// its owner inserts into its own scanned range would blind phantom detection
+// against later inserts by others.
 func upgradeable(kind Kind) bool { return kind == Page }
 
 // grantLocked installs mode for owner, who held prev on e (read once by the
@@ -826,14 +809,15 @@ type batchScratch struct {
 var batchPool = sync.Pool{New: func() any { return &batchScratch{seen: make(map[*core.Txn]bool, 8)} }}
 
 // AcquireSIReadBatchInto grants SIREAD on every key in one critical section
-// per touched shard and appends the union of conflicting EXCLUSIVE holders to
-// buf (which may be nil), returning it, so the scan path can reuse one rival
-// buffer across rounds. SIREAD never blocks, so this cannot wait; it exists
-// because predicate scans lock every row and gap they visit, and per-key shard
-// round-trips dominate otherwise (InnoDB amortises the same way with per-page
-// lock bitmaps, thesis §4.4). Callers run it under the table latch, which —
-// not the lock-table critical section — is what makes the grant atomic with
-// the scan against concurrent inserters.
+// per touched shard and appends the union of conflicting EXCLUSIVE holders —
+// of its page keys, as Acquire reports them — to buf (which may be nil),
+// returning it, so the scan path can reuse one rival buffer across rounds.
+// SIREAD never blocks, so this cannot wait; it exists because predicate scans
+// lock every row and gap they visit, and per-key shard round-trips dominate
+// otherwise (InnoDB amortises the same way with per-page lock bitmaps, thesis
+// §4.4). Callers run it under the table latch, which — not the lock-table
+// critical section — is what makes the grant atomic with the scan against
+// concurrent inserters.
 func (m *Manager) AcquireSIReadBatchInto(owner *core.Txn, keys []Key, buf []*core.Txn) (rivals []*core.Txn) {
 	noteAcquires(len(keys))
 	os := stateFor(owner)
@@ -896,7 +880,7 @@ func (m *Manager) sireadBatchLocked(s *shard, os *ownerState, owner *core.Txn, k
 		if held&Exclusive != 0 {
 			others--
 		}
-		if others > 0 {
+		if others > 0 && upgradeable(key.Kind) {
 			for h, hm := range e.holders {
 				if h != owner && hm&Exclusive != 0 && !seen[h] {
 					seen[h] = true
@@ -917,8 +901,9 @@ func (m *Manager) sireadBatchLocked(s *shard, os *ownerState, owner *core.Txn, k
 // SIREAD grants never block, so this completes immediately. The caller
 // typically holds the table latch, making the inheritance atomic with the
 // structure change. src and dst may live in different shards; both shard
-// mutexes are held (in index order) so the copy is atomic.
-func (m *Manager) InheritSIRead(src, dst Key) {
+// mutexes are held (in index order) so the copy is atomic. It reports whether
+// src had an SIREAD holder.
+func (m *Manager) InheritSIRead(src, dst Key) bool {
 	ss, ds := m.shardOf(src), m.shardOf(dst)
 	lockPair(ss, ds)
 	defer unlockPair(ss, ds)
@@ -926,7 +911,7 @@ func (m *Manager) InheritSIRead(src, dst Key) {
 	noteKeyHash()
 	se := ss.table[src]
 	if se == nil {
-		return
+		return false
 	}
 	var de *entry
 	for h, held := range se.holders {
@@ -960,6 +945,7 @@ func (m *Manager) InheritSIRead(src, dst Key) {
 	if de != nil {
 		gcEntryLocked(de) // every SIREAD holder of src was released
 	}
+	return de != nil
 }
 
 // ImplicitHeld reports whether w's implicit row locks are in force — whether

@@ -2,6 +2,7 @@ package lock
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -65,31 +66,52 @@ func TestExclusiveBlocksShared(t *testing.T) {
 	}
 }
 
+// TestSIReadNeverBlocksOrIsBlocked: SIREAD and EXCLUSIVE are granted beside
+// each other on every kind. An EXCLUSIVE request reports the SIREAD holders
+// everywhere; an SIREAD request reports the EXCLUSIVE holders on a page only,
+// whose every EXCLUSIVE holder stamps it, and none on a row or a gap, whose
+// writers readers find by their versions.
 func TestSIReadNeverBlocksOrIsBlocked(t *testing.T) {
-	_, txns := newTxns(3)
-	m := NewManagerShards(true, 0)
-	k := RowKey("t", []byte("x"))
-	if _, err := m.Acquire(txns[0], k, Exclusive); err != nil {
-		t.Fatal(err)
-	}
-	// SIREAD under a held exclusive lock must be granted immediately and
-	// report the exclusive holder as a rival (thesis Figure 3.4).
-	rivals, err := m.Acquire(txns[1], k, SIRead)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rivals) != 1 || rivals[0] != txns[0] {
-		t.Fatalf("SIREAD rivals = %v, want [txn0]", rivals)
-	}
-	// A new exclusive request must not block on the SIREAD lock, only on
-	// the other exclusive; after release, it reports the SIREAD holder.
-	m.ReleaseBlocking(txns[0])
-	rivals, err = m.Acquire(txns[2], k, Exclusive)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rivals) != 1 || rivals[0] != txns[1] {
-		t.Fatalf("EXCLUSIVE rivals = %v, want [txn1]", rivals)
+	for _, c := range []struct {
+		key   Key
+		rival bool
+	}{
+		{PageKey("t", 7), true},
+		{RowKey("t", []byte("x")), false},
+		{GapKey("t", []byte("x")), false},
+	} {
+		t.Run(c.key.Kind.String(), func(t *testing.T) {
+			_, txns := newTxns(3)
+			m := NewManagerShards(true, 0)
+			k := c.key
+			if _, err := m.Acquire(txns[0], k, Exclusive); err != nil {
+				t.Fatal(err)
+			}
+			// SIREAD under a held exclusive lock must be granted immediately,
+			// and on a page report the exclusive holder as a rival (thesis
+			// Figure 3.4).
+			rivals, err := m.Acquire(txns[1], k, SIRead)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want []*core.Txn
+			if c.rival {
+				want = txns[:1]
+			}
+			if !slices.Equal(rivals, want) {
+				t.Fatalf("SIREAD rivals = %v, want %v", rivals, want)
+			}
+			// A new exclusive request must not block on the SIREAD lock, only on
+			// the other exclusive; after release, it reports the SIREAD holder.
+			m.ReleaseBlocking(txns[0])
+			rivals, err = m.Acquire(txns[2], k, Exclusive)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rivals) != 1 || rivals[0] != txns[1] {
+				t.Fatalf("EXCLUSIVE rivals = %v, want [txn1]", rivals)
+			}
+		})
 	}
 }
 

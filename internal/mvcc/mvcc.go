@@ -685,7 +685,7 @@ type Locker interface {
 	Probe(table, stored string) (blocked bool)
 	// Inherit is told of a key the write inserted, the store's own copy,
 	// and the key's global successor, if any: the SIREAD holders of the gap
-	// the key splits move onto the new key's gap.
+	// the key splits also cover the new key's gap and row.
 	Inherit(table, stored, succ string, hasSucc bool)
 	// Reader is told of the row's registered reader, by slot, in the hold
 	// of a write the probe did not block: a reader to mark, or the writer
@@ -745,7 +745,7 @@ type Claim struct {
 // empty chain, if nothing is installed. l is told of the insert (Inherit)
 // right after the key entered its tree but before it becomes visible to scans
 // or successor queries (no latch has been dropped): the engine inherits
-// SIREAD gap locks onto the new key's gap atomically with the structure
+// SIREAD gap locks onto the new key's gap and row atomically with the structure
 // change — an atomicity that spans partitions, because the successor may
 // live in any of them.
 //

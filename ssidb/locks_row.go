@@ -7,21 +7,22 @@ import (
 )
 
 // rowTargets is the row-granularity lockTargets, the InnoDB prototype's
-// (thesis §4.6): a point operation locks its row, structure changes and
+// (thesis §4.6): a point operation locks its row, structural writes and
 // scans also lock next-key gaps (§3.5), First-Committer-Wins compares
-// versions of the key written, and the newer writers a read must mark are
-// the creators of the newer versions of the keys it read.
+// versions of the key written, and a read marks the creators of the newer
+// versions of the keys it read and no lock holder: a write is signalled by
+// its version, or, for a new key, by the gap its insert split (package lock).
 //
 // A write takes no row lock in the lock table, at any level: its uncommitted
 // version is its write lock, decided and installed in one exclusive latch
 // hold (mvcc.Table.Claim), and made an explicit entry only when another
 // transaction has to wait for it (package lock, "Implicit row locks"). Every
 // explicit blocking grant on a row — S2PL's reads, a locked read — waits,
-// after the grant, for a writer whose version still holds the row. Nor does
-// an SSI point read of an existing row lock there: its SIREAD is the row's
-// reader word (read; package lock, "Row readers"). Only a version retires a
-// read: a locked read, and an Insert refused on the row, write none, and keep
-// their reads.
+// after the grant, for a writer whose version still holds the row (grantRow).
+// Nor does an SSI point read of an existing row lock there: its SIREAD is the
+// row's reader word (read; package lock, "Row readers"). Only a version
+// retires a read: a locked read, and an Insert refused on the row, write
+// none, and keep their reads.
 //
 // A lock names its row or gap by the store's own key string wherever a descent
 // has found that key: every scanned row, every gap (named by the key that ends
@@ -71,30 +72,27 @@ func (rowTargets) read(tx *Txn, tb *table, key []byte, mode lock.Mode, snap core
 	return tx.lockRead(tb, key, row, mode, snap)
 }
 
-// lockRead locks key's row in the table in mode, marking the exclusive
-// holders found, and only then reads, through row (zero: none was found), so
-// as to miss no writer that probed before the lock (Figure 3.4).
+// lockRead locks key's row in the table in mode, marking nothing, and only
+// then reads, through row (zero: none was found), so as to miss no writer
+// that probed before the lock (Figure 3.4).
 func (tx *Txn) lockRead(tb *table, key []byte, row mvcc.Row, mode lock.Mode, snap core.TS) (mvcc.ReadResult, error) {
-	k := rowKeyFor(tb, key, row)
-	rivals, err := tx.db.locks.AcquireInto(tx.t, k, mode, emptied(tx.rivals))
-	tx.rivals = rivals
-	if err == nil && mode == lock.Shared {
-		row, err = tx.awaitHead(tb, key, row, k, mode)
-	} else if err == nil {
-		err = tx.markAsReader(rivals)
-	}
+	row, err := tx.grantRow(tb, key, row, mode)
 	if err != nil {
 		return mvcc.ReadResult{}, err
 	}
 	return tb.read(tx.t, snap, key, row), nil
 }
 
-// awaitHead runs after an explicit blocking grant of mode on k, the row lock
-// of key (row: its handle, zero if Locate found none; the key may have been
-// inserted since): while the row's head version is another transaction's that
-// still holds the row, it converts that writer's implicit lock and waits for
-// it. It returns the row, located again if it was zero.
-func (tx *Txn) awaitHead(tb *table, key []byte, row mvcc.Row, k lock.Key, mode lock.Mode) (mvcc.Row, error) {
+// grantRow is an explicit grant of mode on key's row lock (row: its handle,
+// zero if Locate found none; the key may have been inserted since). For a
+// blocking mode it then waits while the row's head version is another
+// transaction's that still holds the row, converting that writer's implicit
+// lock. It returns the row, located again if a blocking grant found it zero.
+func (tx *Txn) grantRow(tb *table, key []byte, row mvcc.Row, mode lock.Mode) (mvcc.Row, error) {
+	k := rowKeyFor(tb, key, row)
+	if err := tx.wait(k, mode); err != nil || mode == lock.SIRead {
+		return row, err
+	}
 	for {
 		if row.IsZero() {
 			row, _ = tb.data.Locate(key)
@@ -128,21 +126,16 @@ func (tx *Txn) wait(k lock.Key, mode lock.Mode) error {
 	return err
 }
 
-// lockForUpdate is GetForUpdate's exclusive lock: a lock-table entry at every
-// level, and then a wait for a writer whose version still holds the row —
-// unless the row's head is the transaction's own version, which holds the row
-// already: a waiter that converted its lock holds a grant on the entry that a
-// second request would wait behind. The SIREAD holders the grant finds are
-// not marked: the lock writes nothing they read.
+// lockForUpdate is GetForUpdate's exclusive lock, an explicit row grant at
+// every level — unless the row's head is the transaction's own version, which
+// holds the row already: a waiter that converted its lock holds a grant on the
+// entry that a second request would wait behind. The SIREAD holders the grant
+// finds are not marked: the lock writes nothing they read.
 func (rowTargets) lockForUpdate(tx *Txn, tb *table, key []byte, row mvcc.Row) (core.TS, error) {
 	if len(tx.writes) > 0 && row.Writer() == tx.t {
 		return row.NewestCommitTS(), nil
 	}
-	k := rowKeyFor(tb, key, row)
-	if err := tx.wait(k, lock.Exclusive); err != nil {
-		return 0, err
-	}
-	row, err := tx.awaitHead(tb, key, row, k, lock.Exclusive)
+	row, err := tx.grantRow(tb, key, row, lock.Exclusive)
 	if err != nil {
 		return 0, err
 	}
@@ -154,15 +147,18 @@ func (rowTargets) lockForUpdate(tx *Txn, tb *table, key []byte, row mvcc.Row) (c
 // sends the writer to wait — converting the head writer's implicit lock, or
 // acquiring behind a blocking entry (an S2PL reader's Shared lock, a locked
 // read's or a converted Exclusive one) — and claim again, or ends the write.
-// Structural writes lock the gap first and again once the key is in the tree
-// (Figure 3.7).
+// A structural write, to a key without a row, locks the gap first and again
+// once the key is in the tree (Figure 3.7). A Delete, or an Insert over a
+// tombstone, is a row write: keys never leave the tree, so every scan that
+// covered the key holds its row lock (visited, or Inherit), which the claim's
+// probe finds.
 func (rowTargets) write(tx *Txn, tb *table, key []byte, row mvcc.Row, val []byte, tombstone, mustNotExist bool) error {
 	mode := tx.readMode()
-	if (tombstone || mustNotExist || row.IsZero()) && mode != noLock {
-		// Figure 3.7: inserts and deletes exclusively lock the gap before
-		// the next key, where predicate readers left their SIREAD (marked)
-		// or Shared (waited for) gap locks. Plain SI has no predicate
-		// protection to honour.
+	if row.IsZero() && mode != noLock {
+		// Figure 3.7: an insert exclusively locks the gap before the next
+		// key, where predicate readers left their SIREAD (marked) or Shared
+		// (waited for) gap locks. Plain SI has no predicate protection to
+		// honour.
 		if err := tx.gapLock(tb, key); err != nil {
 			return err
 		}
@@ -240,14 +236,17 @@ func (l *rowLocker) Reader(slot uint32) bool {
 // Inherit: on a structural insert, SIREAD gap locks covering the target gap
 // are inherited onto the new key's gap under the table latch, atomically with
 // the key becoming visible — otherwise a second insert into the now-split gap
-// would escape the scanners' phantom detection. The new gap is named by the
-// store's copy of the key, as every other gap is.
+// would escape the scanners' phantom detection — and onto its row, whose
+// absence they read: every later write of the key, even after this insert
+// rolls back, is a row write. Both are named by the store's copy of the key.
 func (l *rowLocker) Inherit(table, stored, succ string, hasSucc bool) {
 	src := lock.SupremumGapKey(table)
 	if hasSucc {
 		src = lock.Key{Table: table, Kind: lock.Gap, K: succ}
 	}
-	(*Txn)(l).db.locks.InheritSIRead(src, lock.Key{Table: table, Kind: lock.Gap, K: stored})
+	if locks := (*Txn)(l).db.locks; locks.InheritSIRead(src, lock.Key{Table: table, Kind: lock.Gap, K: stored}) {
+		locks.InheritSIRead(src, lock.Key{Table: table, Kind: lock.Row, K: stored})
+	}
 }
 
 // gapLock implements the next-key gap protocol of Figures 3.6/3.7 for the
@@ -302,7 +301,7 @@ func (rowTargets) scanKeys(keys []lock.Key, tb *table, items []mvcc.ScanItem, en
 }
 
 // awaitHeads waits for the writer of each item's head version that still
-// holds the row, item by item, as awaitHead does for a point read. Read at
+// holds the row, item by item, as grantRow does for a point read. Read at
 // the latest timestamp, an uncommitted head is the item's first newer writer;
 // a committed head still held is its visible version.
 func (rowTargets) awaitHeads(tx *Txn, tb *table, items []mvcc.ScanItem) (bool, error) {

@@ -104,9 +104,10 @@ func TestQuickSequentialMatchesMap(t *testing.T) {
 // executed concurrently, with the full history recorded; the resulting
 // multiversion serialization graph must be acyclic for SerializableSI (both
 // detectors) and for S2PL. The operations are Puts, Gets, scans, locked reads
-// that write nothing, and Inserts, which every key being live refuses: both
-// of the last two read their row. The same workload under plain SI routinely
-// produces cycles, which the final assertion documents.
+// that write nothing, Deletes, and Inserts, which a live key refuses and a
+// deleted one takes: a locked read and a refused Insert read their row. The
+// same workload under plain SI routinely produces cycles, which the final
+// assertion documents.
 func TestRandomConcurrentSerializability(t *testing.T) {
 	runOnce := func(opts ssidb.Options, iso ssidb.Isolation, seed int64) (*sercheck.History, int) {
 		hist := sercheck.NewHistory()
@@ -134,7 +135,7 @@ func TestRandomConcurrentSerializability(t *testing.T) {
 					err := db.Run(iso, func(tx *ssidb.Txn) error {
 						for n := 0; n < 3; n++ {
 							k := []byte{byte('a' + r.Intn(8))}
-							switch r.Intn(6) {
+							switch r.Intn(7) {
 							case 0:
 								if err := tx.Put("t", k, []byte{byte(r.Intn(256))}); err != nil {
 									return err
@@ -150,8 +151,12 @@ func TestRandomConcurrentSerializability(t *testing.T) {
 									return err
 								}
 							case 3:
-								if err := tx.Insert("t", k, []byte{byte(r.Intn(256))}); !errors.Is(err, ssidb.ErrKeyExists) {
-									return fmt.Errorf("Insert of a live key: %w", err)
+								if err := tx.Insert("t", k, []byte{byte(r.Intn(256))}); err != nil && !errors.Is(err, ssidb.ErrKeyExists) {
+									return err
+								}
+							case 4:
+								if err := tx.Delete("t", k); err != nil {
+									return err
 								}
 							default:
 								if _, _, err := tx.Get("t", k); err != nil {

@@ -129,3 +129,79 @@ func TestScanOfOwnWritesTakesGapsOnly(t *testing.T) {
 		}
 	}
 }
+
+// scannedAC opens a database holding the rows a and c and returns an SSI
+// transaction that has scanned [from, to) of it.
+func scannedAC(t *testing.T, from, to string) (*DB, *Txn) {
+	t.Helper()
+	db := Open(Options{Detector: DetectorPrecise})
+	if err := db.Run(SnapshotIsolation, func(tx *Txn) error {
+		if err := tx.Put("t", []byte("a"), []byte("v")); err != nil {
+			return err
+		}
+		return tx.Put("t", []byte("c"), []byte("v"))
+	}); err != nil {
+		t.Fatal(err)
+	}
+	s := db.Begin(SerializableSI)
+	if err := s.Scan("t", []byte(from), []byte(to), func(k, v []byte) bool { return true }); err != nil {
+		t.Fatal(err)
+	}
+	return db, s
+}
+
+// TestDeleteBesideScanMarksNothing: a Delete of a key the index holds is a row
+// write, and takes no gap lock. s scans [b, z) over the rows a and c; a
+// Delete of a, outside the range, marks no edge with s, though the gap before
+// c, a's successor, is s's; a Delete of c, inside it, marks s → deleter.
+func TestDeleteBesideScanMarksNothing(t *testing.T) {
+	db, s := scannedAC(t, "b", "z")
+	defer s.Abort()
+	for _, c := range []struct {
+		key  string
+		edge bool
+	}{{"a", false}, {"c", true}} {
+		d := db.Begin(SerializableSI)
+		if err := d.Delete("t", []byte(c.key)); err != nil {
+			t.Fatal(err)
+		}
+		if out, in := db.mgr.HasOutConflict(s.t), db.mgr.HasInConflict(d.t); out != c.edge || in != c.edge {
+			t.Errorf("Delete(%s): scanner.out %v, deleter.in %v; want %v", c.key, out, in, c.edge)
+		}
+		d.Abort()
+	}
+}
+
+// TestRolledBackInsertKeepsScannerRead: a scan that passed before a key entered
+// the tree read the key's absence, and keeps that read when the insert rolls
+// back and leaves the key with no version: every later write of the key, a row
+// write, marks scanner → writer. s scans [a, m) over the rows a and c; an
+// insert of b rolls back; then w writes b.
+func TestRolledBackInsertKeepsScannerRead(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		write func(*Txn) error
+	}{
+		{"Put", func(w *Txn) error { return w.Put("t", []byte("b"), []byte("w")) }},
+		{"Insert", func(w *Txn) error { return w.Insert("t", []byte("b"), []byte("w")) }},
+		{"Delete", func(w *Txn) error { return w.Delete("t", []byte("b")) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			db, s := scannedAC(t, "a", "m")
+			defer s.Abort()
+			a := db.Begin(SerializableSI)
+			if err := a.Insert("t", []byte("b"), []byte("a")); err != nil {
+				t.Fatal(err)
+			}
+			a.Abort()
+			w := db.Begin(SerializableSI)
+			defer w.Abort()
+			if err := c.write(w); err != nil {
+				t.Fatal(err)
+			}
+			if !db.mgr.HasOutConflict(s.t) || !db.mgr.HasInConflict(w.t) {
+				t.Errorf("scanner → writer not marked: scanner.out %v, writer.in %v", db.mgr.HasOutConflict(s.t), db.mgr.HasInConflict(w.t))
+			}
+		})
+	}
+}

@@ -90,11 +90,11 @@ type txnScratch struct {
 	reads []mvcc.Row
 
 	// rivals is the buffer lock.AcquireInto and lock.Probe append
-	// conflicting holders into on the point paths (read, lockForUpdate,
-	// a row write's claims, gapLock, lockPagePath), so only a transaction's
-	// first rival can allocate. Each use empties it first and finishes
-	// consuming it before the next operation reuses it. Scans do not use it
-	// — their buffers live in the recycled scanCtx.
+	// conflicting holders into on the point paths (a row grant, a row
+	// write's claims, gapLock, lockPagePath), so only a transaction's first
+	// rival can allocate. Each use empties it first and finishes consuming
+	// it before the next operation reuses it. Scans do not use it — their
+	// buffers live in the recycled scanCtx.
 	rivals []*core.Txn
 	pages  []uint32 // lockPagePath's buffer: a page-granularity descent path, planned and re-checked
 
@@ -349,8 +349,8 @@ func (tx *Txn) Commit() error {
 }
 
 // markAsReader records rw-edges from this transaction to each concurrent
-// writer (read path, Figure 3.4). Writers may be active lock holders or the
-// committed creators of versions newer than the one read.
+// writer (read path, Figure 3.4). Writers may be a page's active lock holders
+// or the creators of versions newer than the one read.
 func (tx *Txn) markAsReader(writers []*core.Txn) error {
 	for _, w := range writers {
 		if !tx.t.ConcurrentWith(w) {
@@ -478,9 +478,10 @@ func (tx *Txn) readStamp(snap core.TS) core.TS {
 //
 // Point methods acquire through the transaction's scratch buffer, scan
 // methods through the scan's context. Rivals found on SIREAD acquisitions
-// (exclusive holders) are marked by the method itself; rivals found for a
-// write (SIREAD holders) are marked after the snapshot is assigned, because
-// the overlap test needs it and a deferred snapshot comes after the write's
+// (exclusive holders, on pages only: a row's or a gap's writer is found by
+// its version) are marked by the method itself; rivals found for a write
+// (SIREAD holders) are marked after the snapshot is assigned, because the
+// overlap test needs it and a deferred snapshot comes after the write's
 // locks.
 type lockTargets interface {
 	// read reads key at snap under mode (SIRead or Shared) on the targets
@@ -493,11 +494,11 @@ type lockTargets interface {
 	// write writes key under the level's write protocol — locks, marking
 	// (Figure 3.5), First-Committer-Wins, the install (row as above) — and
 	// adds the row written to the write set, so that whatever it installed
-	// is rolled back if it fails. A write that may create or remove the key
-	// (Insert, Delete, a Put of a key without a row) also covers its gap or
-	// a page split. It returns ErrKeyExists, which leaves the transaction
-	// usable and the row unwritten (Txn.write then reads it), or an
-	// abort-class error.
+	// is rolled back if it fails. A structural write also covers its gap
+	// (row granularity: a key without a row) or a page split (page
+	// granularity: an Insert, a Delete or a key without a row). It returns
+	// ErrKeyExists, which leaves the transaction usable and the row
+	// unwritten (Txn.write then reads it), or an abort-class error.
 	write(tx *Txn, tb *table, key []byte, row mvcc.Row, val []byte, tombstone, mustNotExist bool) error
 	// lockScanStart acquires mode on whatever a scan from `from` reads
 	// before reaching its first key.
@@ -562,7 +563,7 @@ func (tx *Txn) get(tb *table, key []byte) (res mvcc.ReadResult, err error) {
 	snap := tx.readPoint()
 	mode := tx.readLockMode()
 	// A locking read is Figure 3.4 lines 2-7: the read and its lock, which
-	// marks concurrent exclusive holders.
+	// marks a page's concurrent exclusive holders.
 	if mode == noLock {
 		if tx.roSafe {
 			tx.db.roSIReadSkips.Add(1)
@@ -829,7 +830,8 @@ func keyView(stored string) []byte {
 // caught either by the already-installed locks (behind the frontier) or by
 // the resumed merge itself (ahead of it); see mvcc.ScanWith for the full
 // invariant. Conflict marking is deferred to after the scan, because an
-// unsafe verdict aborts the transaction, which must not happen latched.
+// unsafe verdict aborts the transaction, which must not happen latched. A row
+// scan marks only its items' newer writers: a row or gap SIREAD reports none.
 func (tx *Txn) scanSSI(sc *scanCtx, tb *table, snap core.TS, from, to []byte, limit int) error {
 	lt := tx.db.targets
 	if err := lt.lockScanStart(tx, sc, tb, from, lock.SIRead, snap); err != nil {

@@ -54,6 +54,19 @@ func scanPuts(t *testing.T, db *ssidb.DB, iso ssidb.Isolation) func() {
 	}
 }
 
+// deletesAt returns transactions at iso that each delete one existing row of
+// a kvmix load, a fresh one each call: the odd keys above first, which no
+// other shape of the ledger touches above the scanned range.
+func deletesAt(t *testing.T, db *ssidb.DB, iso ssidb.Isolation, first int) func() {
+	next := first
+	return func() {
+		next += 2
+		if err := db.Run(iso, func(tx *ssidb.Txn) error { return tx.Delete(kvmix.Table, kvmix.Key(next)) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // antiDependency returns two transactions at iso that form one
 // rw-antidependency on a kvmix load: r reads row x; w writes x and commits;
 // r then writes row y and commits.
@@ -196,6 +209,15 @@ func collision(t *testing.T, db *ssidb.DB, iso ssidb.Isolation) func() {
 // and SSI's commit: 4, S2PL 3; 3 + 3 + 2 + 2 + 1 = 11 hashes; 5 shared holds
 // and 8 descents.
 //
+// A Delete of an existing row, at every level: the locate (a shared hold, a
+// descent), the claim, which installs the tombstone in an exclusive hold that
+// looks at the head (a version) and probes the row's entry (a probe, a shard
+// hold, 2 hashes), and the retirement's prune (an exclusive hold); 1 queued
+// and drained. SSI and S2PL take no gap lock, as a Put of the row takes none:
+// the key is in the index, so every scan that covered it holds its row lock,
+// which the probe finds. 0 requests, 1 probe, 1 shard hold, 0 owner holds, 2
+// hashes; 1 shared and 2 exclusive holds, 1 version, 1 descent.
+//
 // The scan-readmostly reader, declared read-only — 4 Gets and the 64-row
 // Scan: no lock at SI, nor at SSI, where it is promoted to a safe snapshot at
 // its first read; 5 shared holds, 69 versions, 5 descents at both. S2PL has no
@@ -271,6 +293,9 @@ func TestSSIOverSIWorkBudget(t *testing.T) {
 		{"Put of an absent key", si, absentPutsAt(t, kvmixDB(1), si), ledger{0, 1, 2, 0, 5, 1, 2, 0, 0, 0, 4, 0, 1, 1}},
 		{"Put of an absent key", ssi, absentPutsAt(t, kvmixDB(1), ssi), ledger{2, 1, 5, 4, 11, 5, 2, 0, 0, 0, 8, 0, 1, 1}},
 		{"Put of an absent key", s2pl, absentPutsAt(t, kvmixDB(1), s2pl), ledger{2, 1, 5, 3, 11, 5, 2, 0, 0, 0, 8, 0, 1, 1}},
+		{"Delete of an existing row", si, deletesAt(t, kv, si, 0x1041), ledger{0, 1, 1, 0, 2, 1, 2, 1, 0, 0, 1, 0, 1, 1}},
+		{"Delete of an existing row", ssi, deletesAt(t, kv, ssi, 0x1041+2*(n+1)), ledger{0, 1, 1, 0, 2, 1, 2, 1, 0, 0, 1, 0, 1, 1}},
+		{"Delete of an existing row", s2pl, deletesAt(t, kv, s2pl, 0x1041+4*(n+1)), ledger{0, 1, 1, 0, 2, 1, 2, 1, 0, 0, 1, 0, 1, 1}},
 		{"read-only reader", si, scanReader(t, kv, si), ledger{0, 0, 0, 0, 0, 5, 0, 69, 0, 0, 5, 0, 0, 0}},
 		{"read-only reader", ssi, reader, ledger{0, 0, 0, 0, 0, 5, 0, 69, 0, 0, 5, 0, 0, 0}},
 		{"rw pair", si, antiDependency(t, kv, si), ledger{0, 2, 2, 0, 4, 3, 4, 3, 0, 0, 3, 0, 2, 2}},
