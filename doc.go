@@ -45,7 +45,8 @@
 //	    scan, of its descent's interior pages, per their write stamps, which
 //	    are read after locking (page) — and, at page granularity only, the
 //	    Exclusive holders of its targets, as a page writer locks its leaf
-//	    before it stamps it. At row granularity only a version signals a
+//	    before it stamps it, and holds the new page a split moves its rows
+//	    to (lock.Manager.Inherit). At row granularity only a version signals a
 //	    write: a read marks no lock holder, and a new key's writer marks the
 //	    scanners of the gap its insert split [4]. An SSI Get of an existing
 //	    row takes no lock-table entry there: its
@@ -133,7 +134,9 @@
 //	    it retires no read. A read of a row whose head is the transaction's
 //	    own version takes no SIREAD there: the version carries it. At page
 //	    granularity the page locks come first and exclude every other writer
-//	    of the row, so the claim asks the lock table nothing: it installs, or
+//	    of the row, across a split too — the split hands the new page's
+//	    Exclusive lock to the writer holding the old one, beside the readers'
+//	    SIREADs — so the claim asks the lock table nothing: it installs, or
 //	    refuses an Insert (K), and stamps the leaf (a refusal at SSI only); a
 //	    refusal then reads k as Get does.
 //

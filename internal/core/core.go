@@ -260,7 +260,8 @@
 //     creator's version is visible to every active snapshot, and to every
 //     future one (snapshots are clock ticks, later than ct(W)): it is never a
 //     "newer writer" to anyone. The same inequality covers page stamps, whose
-//     newer-writer test is ct(W) ≥ snap(R).
+//     newer-writer test is ct(W) ≥ snap(R) and whose First-Committer-Wins
+//     test is ct(W) > snap(R): neither passes on a severed writer.
 //   - Locking reads (S2PL, FOR UPDATE) see every committed version and mark
 //     nothing against its creator.
 //   - Writers find their rivals — SIREAD holders, committed and suspended or
@@ -275,12 +276,12 @@
 // Freezing is what lets the cell itself die: the row store re-points a
 // retired writer's surviving versions at the one shared Frozen cell when it
 // prunes them, so once the drain has passed a writer and its page stamps have
-// folded, nothing references its cell.
+// been dropped, nothing references its cell.
 //
 // An aborted transaction's cell is never severed (its versions are rolled
 // back; a page stamp drops it at the page's next walk), so for a cell "no
 // record" always means "committed, and visible to everyone" — which is what
-// lets a page fold a severed writer's stamp into its floor.
+// lets a page drop a severed writer's stamp.
 //
 // With versions out of the picture, these are the holders of a *Txn, and how
 // long each holds it:

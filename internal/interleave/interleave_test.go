@@ -218,16 +218,16 @@ func TestExhaustiveDeleteSkew(t *testing.T) {
 	}
 }
 
-// lockedReadDB is NewDB for TestExhaustiveLockedReadSkew: opts with det and a
-// recorder, and the rows a, b, c, d and r committed in ascending order, which
-// at four keys a page leaves a and r on different leaves.
-func lockedReadDB(opts ssidb.Options, det ssidb.Detector) func() (*ssidb.DB, *sercheck.History) {
+// seededDB is NewDB with opts, det and a recorder, and the rows keys
+// committed in order: ascending, they fill each leaf of a page database to
+// PageMaxKeys.
+func seededDB(opts ssidb.Options, det ssidb.Detector, keys ...string) func() (*ssidb.DB, *sercheck.History) {
 	return func() (*ssidb.DB, *sercheck.History) {
 		h := sercheck.NewHistory()
 		opts.Detector, opts.Recorder = det, h
 		db := ssidb.Open(opts)
 		if err := db.Run(ssidb.SnapshotIsolation, func(tx *ssidb.Txn) error {
-			for _, k := range []string{"a", "b", "c", "d", "r"} {
+			for _, k := range keys {
 				if err := tx.Put(table, []byte(k), i64(0)); err != nil {
 					return err
 				}
@@ -246,7 +246,7 @@ func lockedReadDB(opts ssidb.Options, det ssidb.Detector) func() (*ssidb.DB, *se
 // and then a GetForUpdate, or by a Get and then a refused Insert — and writes
 // a; W reads a and writes r. No schedule may commit both: at SerializableSI
 // under both detectors, at row granularity, and at page granularity with a
-// and r on different leaves.
+// and r on different leaves (the rows a, b, c, d and r, four keys a page).
 func TestExhaustiveLockedReadSkew(t *testing.T) {
 	forUpdate := func(tx *ssidb.Txn) error {
 		_, _, err := tx.GetForUpdate(table, []byte("r"))
@@ -283,7 +283,7 @@ func TestExhaustiveLockedReadSkew(t *testing.T) {
 				t.Run(g.name+"/"+DetectorName(det)+"/"+s.name, func(t *testing.T) {
 					runs, cycles, first := 0, 0, ""
 					scripts := []Script{{Name: "T", Steps: s.steps}, w}
-					Explore(lockedReadDB(g.opts, det), ssidb.SerializableSI, scripts, func(o Outcome) {
+					Explore(seededDB(g.opts, det, "a", "b", "c", "d", "r"), ssidb.SerializableSI, scripts, func(o Outcome) {
 						runs++
 						for i, err := range o.Errs {
 							if err != nil && !ssidb.Retryable(err) {
@@ -302,6 +302,42 @@ func TestExhaustiveLockedReadSkew(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestExhaustivePageSplit: a page write's claim asks the lock table nothing,
+// so the writer of a row must hold its leaf across its own splits. With
+// PageMaxKeys 4 and the full leaf a–d, W inserts k, which the split at the
+// tree's right edge leaves alone on a new page; T reads k and then writes it.
+// Plain SI may lose no update, and SerializableSI, under both detectors, may
+// commit no cycle: in every schedule T's write waits for W's leaf, moved to
+// the new page with k, and then loses to W's commit, or W's write waits for T.
+func TestExhaustivePageSplit(t *testing.T) {
+	scripts := []Script{
+		{Name: "W", Steps: []Step{put("k", 1)}},
+		{Name: "T", Steps: []Step{get("k"), put("k", 2)}},
+	}
+	opts := ssidb.Options{Granularity: ssidb.GranularityPage, PageMaxKeys: 4}
+	for _, c := range []struct {
+		iso ssidb.Isolation
+		det ssidb.Detector
+	}{
+		{ssidb.SnapshotIsolation, ssidb.DetectorPrecise},
+		{ssidb.SerializableSI, ssidb.DetectorBasic},
+		{ssidb.SerializableSI, ssidb.DetectorPrecise},
+	} {
+		t.Run(c.iso.String()+"/"+DetectorName(c.det), func(t *testing.T) {
+			Explore(seededDB(opts, c.det, "a", "b", "c", "d"), c.iso, scripts, func(o Outcome) {
+				for i, err := range o.Errs {
+					if err != nil && !ssidb.Retryable(err) {
+						t.Fatalf("schedule %v: script %s: %v", o, scripts[i].Name, err)
+					}
+				}
+				if ok, cyc := o.History.Serializable(); !ok {
+					t.Fatalf("schedule %v: cycle %v\n%s", o, cyc, o.History.MVSG())
+				}
+			})
+		})
 	}
 }
 

@@ -41,7 +41,8 @@
 // version retires its writer's read (the SIREAD→EXCLUSIVE upgrade of thesis
 // §3.7.3), and only a version signals a write to a reader. On a page, whose
 // holder of EXCLUSIVE stamps it, the owner's SIREAD goes at the grant and an
-// SIREAD request reports the EXCLUSIVE holders (upgradeable). A row's
+// SIREAD request reports the EXCLUSIVE holders (upgradeable); a split hands
+// the new page both its SIREAD and its EXCLUSIVE holders (Inherit). A row's
 // EXCLUSIVE lock may write nothing (a locked read) and a gap has no version:
 // a row read goes in the probe of the write that installs a version (Probe),
 // a gap keeps both modes, and an SIREAD request on either reports no holder.
@@ -65,11 +66,11 @@
 // target's list and its transaction's (Ports & Grittner, VLDB 2012).
 //
 // The owner's mutex guards the list and the count, inside shard mutexes.
-// InheritSIRead appends to an owner's list from another goroutine, so a
+// Inherit appends to an owner's list from another goroutine, so a
 // release takes its elements off under one hold, drops their modes shard by
 // shard and puts back under a second hold those keeping a SIREAD. A
 // ReleaseAll marks the owner released under its first hold, and
-// InheritSIRead skips released owners, so the list it takes is complete.
+// Inherit skips released owners, so the list it takes is complete.
 //
 // # Implicit row locks
 //
@@ -87,7 +88,7 @@
 // Exclusive lock and keeps it. The table stays the one place anyone waits:
 //   - Conversion. A transaction that must wait for an implicit lock first makes
 //     it explicit with Convert — an Exclusive entry held on the head writer's
-//     behalf and listed on its owner, as InheritSIRead lists an inherited SIREAD
+//     behalf and listed on its owner, as Inherit lists an inherited lock
 //     — and then acquires through the usual spin, park, waits-for and timeout
 //     path (InnoDB's lock_rec_convert_impl_to_expl).
 //   - The release guard. Every release marks its owner unlocked before it
@@ -294,7 +295,7 @@ func entryOf(h lockstate.Held) *entry { return (*entry)(h.Entry) }
 // ownerState is one transaction's lock bookkeeping ("Owner bookkeeping"
 // above), part of its record (core.Txn.Locks). Its mutex is not the record's
 // conflict mutex. Its released flag, set under the mutex and read atomically,
-// marks an initiated ReleaseAll: an InheritSIRead racing the release could
+// marks an initiated ReleaseAll: an Inherit racing the release could
 // otherwise resurrect a SIREAD in a shard already drained, leaking the entry.
 type ownerState = lockstate.Owner
 
@@ -327,7 +328,7 @@ func addHeldLocked(os *ownerState, e *entry, hint Mode) {
 
 // stateFor returns the owner's bookkeeping, marking it used. An owner whose
 // ReleaseAll has begun is retired for good, and acquiring for it again
-// panics: the release took the list its grant would join, InheritSIRead
+// panics: the release took the list its grant would join, Inherit
 // skips a released owner, and clearing the flag could race a release still
 // draining shards. A transaction that needs locks after a ReleaseAll begins
 // a new record. Only the owner's own goroutine acquires locks, so the used
@@ -641,8 +642,9 @@ func rivalsInto(e *entry, owner *core.Txn, own, mode Mode, out []*core.Txn) []*c
 
 // upgradeable reports whether an EXCLUSIVE lock on a key of kind stands for a
 // version: only a page's, whose every holder stamps it. Only there does an
-// EXCLUSIVE grant drop its owner's SIREAD (§3.7.3), and an SIREAD request
-// report the EXCLUSIVE holders. A row's EXCLUSIVE lock may be a locked read's,
+// EXCLUSIVE grant drop its owner's SIREAD (§3.7.3), an SIREAD request
+// report the EXCLUSIVE holders, and a split move the EXCLUSIVE lock to the
+// new page (Inherit). A row's EXCLUSIVE lock may be a locked read's,
 // which writes nothing, so a row read goes only in the probe of the write that
 // installs a version (Probe). A gap has no version: dropping a gap SIREAD when
 // its owner inserts into its own scanned range would blind phantom detection
@@ -749,7 +751,7 @@ func (m *Manager) release(owner *core.Txn, drop Mode) {
 	back := (*moved)[:0]
 	for _, h := range *moved {
 		// The holder set, read under the shard mutex, is the authority on
-		// the modes: a concurrent InheritSIRead may have widened them.
+		// the modes: a concurrent Inherit may have widened them.
 		e, s := entryOf(h), entryOf(h).s // s read before the drop recycles e
 		s.lock()
 		held := e.holders[owner]
@@ -893,17 +895,22 @@ func (m *Manager) sireadBatchLocked(s *shard, os *ownerState, owner *core.Txn, k
 	return rivals
 }
 
-// InheritSIRead copies every SIREAD lock held on src to dst. It implements
-// lock inheritance for structure changes: when an insert splits a locked gap
-// (the new key divides the key range a predicate read covered) or a page
-// split moves rows to a new page, the readers' SIREAD coverage must follow,
-// or later writers into the new gap/page would escape conflict detection.
-// SIREAD grants never block, so this completes immediately. The caller
+// Inherit copies the locks held on src that follow its rows to dst: every
+// SIREAD, and on a key whose EXCLUSIVE lock stands for a version (upgradeable:
+// a page) the EXCLUSIVE one too. It implements lock inheritance for structure
+// changes: when an insert splits a locked gap (the new key divides the key
+// range a predicate read covered) or a page split moves rows to a new page,
+// the readers' SIREAD coverage must follow, or later writers into the new
+// gap/page would escape conflict detection; and the page's writer must keep
+// holding the rows it moved, or another writer of a moved row would find the
+// new page unlocked. The inherited EXCLUSIVE is listed on its owner, so
+// ReleaseBlocking drops it; dst is then a new page, which no request waits
+// for. Nothing here blocks, so this completes immediately. The caller
 // typically holds the table latch, making the inheritance atomic with the
 // structure change. src and dst may live in different shards; both shard
 // mutexes are held (in index order) so the copy is atomic. It reports whether
-// src had an SIREAD holder.
-func (m *Manager) InheritSIRead(src, dst Key) bool {
+// src had a holder of a mode it copies.
+func (m *Manager) Inherit(src, dst Key) bool {
 	ss, ds := m.shardOf(src), m.shardOf(dst)
 	lockPair(ss, ds)
 	defer unlockPair(ss, ds)
@@ -913,37 +920,45 @@ func (m *Manager) InheritSIRead(src, dst Key) bool {
 	if se == nil {
 		return false
 	}
+	moved := SIRead
+	if upgradeable(src.Kind) {
+		moved |= Exclusive
+	}
 	var de *entry
 	for h, held := range se.holders {
-		if held&SIRead == 0 {
+		if held&moved == 0 {
 			continue
 		}
 		if de == nil {
 			de = ds.entryLocked(dst)
 		}
 		prev := de.holders[h]
-		if prev&SIRead != 0 {
+		mode := held & moved &^ prev
+		if mode == 0 {
 			continue
 		}
 		hos := stateOf(h) // non-nil: h holds a lock on src
 		lockOwner(hos)
-		if hos.Released() {
+		if hos.Unlocked() {
+			mode &^= Exclusive // as in Convert: the release took its list
+		}
+		if mode == 0 || hos.Released() {
 			// h's ReleaseAll already ran (or is draining shards): recording
-			// a new grant would leak it. Its src SIREAD is moments from
+			// a new grant would leak it. Its src locks are moments from
 			// disappearing, so there is nothing to inherit.
 			hos.Unlock()
 			continue
 		}
-		if prev == 0 {
-			addHeldLocked(hos, de, SIRead) // listed ⇔ a holder of de
+		listLocked(hos, de, prev, prev|mode) // listed ⇔ a holder of de
+		if mode&SIRead != 0 {
+			hos.SIReads++
 		}
-		hos.SIReads++
 		hos.Unlock()
-		de.countModes(prev, prev|SIRead)
-		de.holders[h] = prev | SIRead
+		de.countModes(prev, prev|mode)
+		de.holders[h] = prev | mode
 	}
 	if de != nil {
-		gcEntryLocked(de) // every SIREAD holder of src was released
+		gcEntryLocked(de) // every holder of src was released
 	}
 	return de != nil
 }

@@ -173,7 +173,7 @@ func TestReleasedOwnerKeepsNoKeyMap(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	m.InheritSIRead(keys[0], GapKey("t", []byte("k00")))
+	m.Inherit(keys[0], GapKey("t", []byte("k00")))
 	os := stateOf(r)
 	if listed(os) != len(keys)+1 || os.SIReads != 33 {
 		t.Fatalf("before the release: %d keys, %d SIREADs, want %d and 33", listed(os), os.SIReads, len(keys)+1)
@@ -271,7 +271,7 @@ func checkOwner(t *testing.T, m *Manager, owner *core.Txn) {
 }
 
 // TestInheritRacesRelease: inserts that split the gaps a reader scanned
-// (InheritSIRead from each scanned gap to the new one) race the reader's
+// (Inherit from each scanned gap to the new one) race the reader's
 // ReleaseBlocking, and then its ReleaseAll. The reader also holds an
 // exclusive lock on one of its gaps, so the first release puts that entry
 // back on its list as a SIREAD, and a second reader holds half the gaps, so
@@ -305,7 +305,7 @@ func TestInheritRacesRelease(t *testing.T) {
 					defer wg.Done()
 					<-start
 					for i, src := range gaps {
-						m.InheritSIRead(src, GapKey("t", []byte(fmt.Sprintf("g%02d-%s-%d", i, phase, g))))
+						m.Inherit(src, GapKey("t", []byte(fmt.Sprintf("g%02d-%s-%d", i, phase, g))))
 					}
 				}()
 			}
@@ -329,5 +329,76 @@ func TestInheritRacesRelease(t *testing.T) {
 		}
 		mgr.Abort(r)
 		mgr.Abort(o)
+	}
+}
+
+// TestInheritMovesPageExclusive: a page's EXCLUSIVE lock stands for its
+// holder's versions, so a split hands it to the new page beside the readers'
+// SIREADs, listed on its owner: ReleaseBlocking drops it and the SIREADs stay.
+// A row's or a gap's EXCLUSIVE stays where it is. Splits that race the
+// holder's ReleaseBlocking leave it holding nothing.
+func TestInheritMovesPageExclusive(t *testing.T) {
+	mgr := core.NewManager(core.DetectorBasic)
+	m := NewManagerShards(true, 8)
+	w, r := mgr.Begin(core.SerializableSI), mgr.Begin(core.SerializableSI)
+	for _, c := range []struct {
+		src, dst Key
+		moves    bool
+	}{
+		{PageKey("t", 1), PageKey("t", 2), true},
+		{RowKey("t", []byte("a")), RowKey("t", []byte("b")), false},
+		{GapKey("t", []byte("a")), GapKey("t", []byte("b")), false},
+	} {
+		if _, err := m.Acquire(r, c.src, SIRead); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Acquire(w, c.src, Exclusive); err != nil {
+			t.Fatal(err)
+		}
+		if !m.Inherit(c.src, c.dst) {
+			t.Fatalf("%v: Inherit reports no holder", c.src)
+		}
+		if got := m.Holds(w, c.dst, Exclusive); got != c.moves {
+			t.Errorf("%v → %v: EXCLUSIVE moved %v, want %v", c.src, c.dst, got, c.moves)
+		}
+		if !m.Holds(r, c.dst, SIRead) {
+			t.Errorf("%v → %v: SIREAD not moved", c.src, c.dst)
+		}
+	}
+	checkOwner(t, m, w)
+	checkOwner(t, m, r)
+	m.ReleaseBlocking(w)
+	if listed(w.Locks()) != 0 || m.Holds(w, PageKey("t", 2), Exclusive) {
+		t.Fatalf("after ReleaseBlocking the writer lists %d entries", listed(w.Locks()))
+	}
+	if !m.Holds(r, PageKey("t", 2), SIRead) {
+		t.Fatal("the writer's release took the reader's inherited SIREAD")
+	}
+	m.ReleaseAll(r)
+	if st := m.StatsSnapshot(); st.Keys != 0 || st.Owners != 0 {
+		t.Fatalf("lock table not drained: %+v", st)
+	}
+
+	for round := 0; round < 100; round++ {
+		w := mgr.Begin(core.SerializableSI)
+		src := PageKey("t", 1)
+		if _, err := m.Acquire(w, src, Exclusive); err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for g := uint32(0); g < 2; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				m.Inherit(src, PageKey("t", 2+g))
+			}()
+		}
+		m.ReleaseBlocking(w)
+		wg.Wait()
+		checkOwner(t, m, w)
+		if st := m.StatsSnapshot(); listed(w.Locks()) != 0 || st.Keys != 0 {
+			t.Fatalf("round %d: after ReleaseBlocking the writer lists %d entries, the table keeps %d keys", round, listed(w.Locks()), st.Keys)
+		}
+		mgr.Abort(w)
 	}
 }

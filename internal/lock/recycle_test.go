@@ -52,7 +52,7 @@ func TestDrainedKeyMapDetaches(t *testing.T) {
 		t.Fatalf("SIREAD holder after commit: %d keys recorded, HoldsSIRead=%v, want 1 and true", got, m.HoldsSIRead(r))
 	}
 	// Inheritance lands in the list the owner kept.
-	m.InheritSIRead(key(1), key(3))
+	m.Inherit(key(1), key(3))
 	if !m.Holds(r, key(3), SIRead) || listed(stateOf(r)) != 2 {
 		t.Fatalf("inherited SIREAD not recorded: holds=%v, %d keys", m.Holds(r, key(3), SIRead), listed(stateOf(r)))
 	}

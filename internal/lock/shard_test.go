@@ -132,7 +132,7 @@ func TestInheritSIReadCrossShard(t *testing.T) {
 	if _, err := m.Acquire(owner, src, SIRead); err != nil {
 		t.Fatal(err)
 	}
-	m.InheritSIRead(src, dst)
+	m.Inherit(src, dst)
 	if !m.Holds(owner, dst, SIRead) {
 		t.Fatal("SIREAD not inherited across shards")
 	}

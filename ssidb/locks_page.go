@@ -20,7 +20,7 @@ import (
 //
 // The page versions are this strategy's own: each table's pageStamps, below,
 // made by tableCreated, inherited across splits by the split hook it installs
-// and folded as their writers retire. The row store underneath keeps
+// and dropped as their writers retire. The row store underneath keeps
 // rows only, and lends this file its page topology (LeafPage,
 // AppendPathPages, InsertWillSplit) and the split hook. A page-granularity
 // table is one B+tree, as in Berkeley DB (DB.TableShards), so a page number
@@ -98,8 +98,9 @@ func (*pageTargets) write(tx *Txn, tb *table, key []byte, row mvcc.Row, val []by
 }
 
 // pageLocker is the mvcc.Locker of a page write's claim: no head holds its row
-// against a writer that holds the row's leaf, no probe is needed, there are
-// no gap locks to move, and no reader registers on a row.
+// against a writer that holds the row's leaf — a row's writer holds its leaf
+// until it commits or rolls back, across splits too (tableCreated) — no probe
+// is needed, there are no gap locks to move, and no reader registers on a row.
 type pageLocker struct{}
 
 func (pageLocker) Holds(*core.Txn) bool                 { return false }
@@ -114,8 +115,9 @@ func (pageLocker) Reader(uint32) bool                   { return false }
 // when the write will split the leaf. The plan is re-verified after
 // acquisition because a concurrent split can move the key; extra locks
 // acquired under a stale plan are simply kept. Plan and re-check share the
-// transaction's path buffer, the recomputed path landing behind the plan. It
-// returns the SIREAD holders found on the exclusive acquisitions, and the leaf.
+// transaction's path buffer, the recomputed path landing behind the plan,
+// which holds the path on return. It returns the SIREAD holders found on the
+// exclusive acquisitions, and the leaf.
 func lockPagePath(tx *Txn, tb *table, key []byte, interior, leafMode lock.Mode, structural bool) (readers []*core.Txn, leaf uint32, err error) {
 	readers = emptied(tx.rivals)
 	for {
@@ -156,42 +158,30 @@ func lockPagePath(tx *Txn, tb *table, key []byte, interior, leafMode lock.Mode, 
 		}
 		tx.pages = tb.data.AppendPathPages(tx.pages, key)
 		if slices.Equal(path, tx.pages[len(path):]) && split == (structural && tb.data.InsertWillSplit(key)) {
+			tx.pages = path
 			return readers, path[len(path)-1], nil
 		}
 	}
 }
 
-// lockScanStart locks the descent path to `from`, as Berkeley DB read-locks
-// it: the lock set is complete only once a recomputed path shows the pages
-// just locked, so a split racing the descent cannot move keys onto a page
-// outside the scan's coverage — once a page is held, later splits inherit the
-// coverage onto the new page (SIREAD) or wait for it (Shared).
-func (*pageTargets) lockScanStart(tx *Txn, sc *scanCtx, tb *table, from []byte, mode lock.Mode, snap core.TS) error {
-	for {
-		sc.pages = tb.data.AppendPathPages(sc.pages[:0], from)
-		path := sc.pages
-		for _, pg := range path {
-			var err error
-			sc.writers, err = tx.db.locks.AcquireInto(tx.t, lock.PageKey(tb.name, pg), mode, sc.writers)
-			if err != nil {
-				return err
-			}
-		}
-		// The recomputed path lands behind the first descent's in the same
-		// buffer.
-		sc.pages = tb.data.AppendPathPages(sc.pages, from)
-		if !slices.Equal(path, sc.pages[len(path):]) {
-			continue
-		}
-		if mode == lock.SIRead {
-			for _, pg := range path {
-				sc.writers = tb.stamps.newerWriters(sc.writers, pg, snap)
-			}
-		}
-		err := tx.markAsReader(sc.writers)
-		sc.writers = emptied(sc.writers)
+// lockScanStart locks the descent path to `from` in mode, as Berkeley DB
+// read-locks it, by lockPagePath: the lock set is complete only once a
+// recomputed path shows the pages just locked, so a split racing the descent
+// cannot move keys onto a page outside the scan's coverage — once a page is
+// held, later splits hand the coverage to the new page (Inherit) or wait for
+// it (Shared). At SSI the path's newer writers are then marked, as a read
+// marks its leaf's.
+func (*pageTargets) lockScanStart(tx *Txn, tb *table, from []byte, mode lock.Mode, snap core.TS) error {
+	writers, _, err := lockPagePath(tx, tb, from, mode, mode, false)
+	if err != nil || mode != lock.SIRead {
 		return err
 	}
+	for _, pg := range tx.pages {
+		writers = tb.stamps.newerWriters(writers, pg, snap)
+	}
+	err = tx.markAsReader(writers)
+	tx.rivals = emptied(writers)
+	return err
 }
 
 // scanKeys covers every leaf that could receive an in-range key: the leaves
@@ -227,15 +217,17 @@ func (*pageTargets) scanNewerWriters(writers []*core.Txn, tb *table, snap core.T
 }
 
 // tableCreated gives the table its write-stamp registry and installs the
-// split hook: when a split moves rows to a new page, the page's write history
-// (its First-Committer-Wins floor) and its readers' SIREAD coverage must
-// follow them, both atomically with the split — the hook runs under the latch
-// of the partition that split.
+// split hook: when a split moves rows to a new page, the page's write stamps,
+// its readers' SIREAD coverage and its writer's Exclusive lock must follow
+// them, all atomically with the split — the hook runs under the latch of the
+// partition that split. The writer is the splitter, which holds the whole
+// path Exclusive (lockPagePath), so it holds every new page as it holds the
+// page the rows left.
 func (p *pageTargets) tableCreated(tb *table) {
 	tb.stamps = newPageStamps()
 	tb.data.SetSplitHook(func(oldPage, newPage uint32) {
 		tb.stamps.inheritOnSplit(oldPage, newPage)
-		p.db.locks.InheritSIRead(lock.PageKey(tb.name, oldPage), lock.PageKey(tb.name, newPage))
+		p.db.locks.Inherit(lock.PageKey(tb.name, oldPage), lock.PageKey(tb.name, newPage))
 	})
 }
 
@@ -249,45 +241,30 @@ func (p *pageTargets) tableCreated(tb *table) {
 // A stamp points at its writer's core.Cell, never the record, for the reason
 // versions do (see package mvcc): the record is cut loose once every snapshot
 // sees the write, and a stamp must not keep it alive. That cut, made when the
-// writer retires, is also what expires the stamp: every walk of a page's
-// writers first folds the severed cells into the page's floor (foldLocked),
-// so stamps have no pruning schedule of their own.
+// writer retires, is also what expires the stamp: the writer's commit then
+// precedes every active and future snapshot, so it is no reader's newer
+// writer and fails no First-Committer-Wins check again, and every walk of a
+// page's writers first drops the severed cells (foldLocked), so stamps have
+// no pruning schedule of their own and keep no floor.
 type pageStamps struct {
 	mu     sync.Mutex
-	byPage map[uint32]*pageHist
-	pruned atomic.Uint64 // writer entries folded or dropped, for TableStats
-}
-
-type pageHist struct {
-	writers   []*core.Cell // unsevered at the last fold
-	maxCommit core.TS      // newest commit among the writers folded away
+	byPage map[uint32][]*core.Cell // each page's writers, unsevered at its last fold
+	pruned atomic.Uint64           // writer entries dropped, for TableStats
 }
 
 func newPageStamps() *pageStamps {
-	return &pageStamps{byPage: make(map[uint32]*pageHist)}
+	return &pageStamps{byPage: make(map[uint32][]*core.Cell)}
 }
 
-// inheritOnSplit copies the write history of oldPage onto newPage. When a
-// split moves rows to a new page, the moved rows' page-level
-// First-Committer-Wins watermark must follow them, or a stale-snapshot
-// writer of a moved row would slip past the conflict check.
+// inheritOnSplit copies the write stamps of oldPage onto newPage, which the
+// split just made: the moved rows' page-level First-Committer-Wins stamps
+// must follow them, or a stale-snapshot writer of a moved row would slip past
+// the conflict check.
 func (ps *pageStamps) inheritOnSplit(oldPage, newPage uint32) {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
-	src := ps.byPage[oldPage]
-	if src == nil {
-		return
-	}
-	dst := ps.byPage[newPage]
-	if dst == nil {
-		dst = &pageHist{}
-		ps.byPage[newPage] = dst
-	}
-	dst.maxCommit = max(dst.maxCommit, src.maxCommit)
-	for _, w := range src.writers {
-		if !slices.Contains(dst.writers, w) {
-			dst.writers = append(dst.writers, w)
-		}
+	if src := ps.byPage[oldPage]; len(src) > 0 {
+		ps.byPage[newPage] = slices.Clone(src)
 	}
 }
 
@@ -296,53 +273,39 @@ func (ps *pageStamps) addWriter(page uint32, t *core.Txn) {
 	c := t.Cell() // allocated on t's own goroutine if this is its first write
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
-	h := ps.byPage[page]
-	if h == nil {
-		h = &pageHist{}
-		ps.byPage[page] = h
-	}
-	ps.foldLocked(h)
-	if !slices.Contains(h.writers, c) {
-		h.writers = append(h.writers, c)
+	if ws := ps.foldLocked(page); !slices.Contains(ws, c) {
+		ps.byPage[page] = append(ws, c)
 	}
 }
 
-// foldLocked folds the writers of h whose cells are severed into its
-// maxCommit floor and drops its aborted ones, reporting how many entries
-// went. A writer's retirement severs its cell, and it retires only once its
-// commit precedes every active snapshot, and so every later one: it is no
-// reader's newer writer again, and the floor keeps its commit for
-// First-Committer-Wins. An aborted writer's cell is never severed.
-func (ps *pageStamps) foldLocked(h *pageHist) (removed int) {
-	kept := h.writers[:0]
-	for _, w := range h.writers {
-		if t := w.Txn(); t == nil {
-			h.maxCommit = max(h.maxCommit, w.CommitTS())
-		} else if !t.Aborted() {
+// foldLocked drops the writers of page whose cells are severed, and its
+// aborted ones, and returns those it keeps. A writer's retirement severs its
+// cell, and it retires only once its commit precedes every active snapshot,
+// and so every later one: it is no reader's newer writer again, and no
+// First-Committer-Wins check can fire on it. An aborted writer's cell is
+// never severed.
+func (ps *pageStamps) foldLocked(page uint32) []*core.Cell {
+	ws := ps.byPage[page]
+	kept := ws[:0]
+	for _, w := range ws {
+		if t := w.Txn(); t != nil && !t.Aborted() {
 			kept = append(kept, w)
 		}
 	}
-	removed = len(h.writers) - len(kept)
-	if removed > 0 {
-		clear(h.writers[len(kept):])
+	if removed := len(ws) - len(kept); removed > 0 {
+		clear(ws[len(kept):])
 		ps.pruned.Add(uint64(removed))
+		ps.byPage[page] = kept
 	}
-	h.writers = kept
-	return removed
+	return kept
 }
 
 // newestCommitTS returns the latest commit timestamp among writers of page,
 // the page-granularity First-Committer-Wins input.
-func (ps *pageStamps) newestCommitTS(page uint32) core.TS {
+func (ps *pageStamps) newestCommitTS(page uint32) (newest core.TS) {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
-	h := ps.byPage[page]
-	if h == nil {
-		return 0
-	}
-	ps.foldLocked(h)
-	newest := h.maxCommit
-	for _, w := range h.writers {
+	for _, w := range ps.foldLocked(page) {
 		newest = max(newest, w.CommitTS())
 	}
 	return newest
@@ -353,12 +316,7 @@ func (ps *pageStamps) newestCommitTS(page uint32) core.TS {
 func (ps *pageStamps) newerWriters(out []*core.Txn, page uint32, snap core.TS) []*core.Txn {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
-	h := ps.byPage[page]
-	if h == nil {
-		return out
-	}
-	ps.foldLocked(h)
-	for _, w := range h.writers {
+	for _, w := range ps.foldLocked(page) {
 		if ct := w.CommitTS(); ct != 0 && ct >= snap {
 			// The record is still there: a writer retires only once its
 			// commit precedes every active snapshot, snap included.
@@ -375,11 +333,11 @@ func (ps *pageStamps) newerWriters(out []*core.Txn, page uint32, snap core.TS) [
 func (ps *pageStamps) prune() (removed int) {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
-	for page, h := range ps.byPage {
-		removed += ps.foldLocked(h)
-		if len(h.writers) == 0 && h.maxCommit == 0 {
+	before := ps.pruned.Load() // only folds add to it, under ps.mu
+	for page := range ps.byPage {
+		if len(ps.foldLocked(page)) == 0 {
 			delete(ps.byPage, page)
 		}
 	}
-	return removed
+	return int(ps.pruned.Load() - before)
 }

@@ -22,7 +22,7 @@ func writerEntries(ps *pageStamps) int {
 	defer ps.mu.Unlock()
 	n := 0
 	for _, h := range ps.byPage {
-		n += len(h.writers)
+		n += len(h)
 	}
 	return n
 }
@@ -56,11 +56,17 @@ func TestPageStamps(t *testing.T) {
 	if n := writerEntries(ps); n != 1 || ps.pruned.Load() != 0 {
 		t.Fatalf("%d entries kept (%d folded) under the reader, want 1 (0)", n, ps.pruned.Load())
 	}
-	// The reader's end retires w1: the next walk folds its commit into the
-	// floor and keeps First-Committer-Wins exact.
+	// The reader's end retires w1: the next walk drops its entry. Every
+	// snapshot that can still write is at or past ct, so the page's
+	// First-Committer-Wins verdict on it is the one w1's stamp gave.
 	m.Finish(reader, false)
-	if got := ps.newestCommitTS(7); got != ct {
-		t.Fatalf("newestCommitTS after the fold = %d, want %d", got, ct)
+	late := m.Begin(core.SnapshotIsolation)
+	lateSnap := m.AssignSnapshot(late)
+	if ct > lateSnap {
+		t.Fatalf("a snapshot taken after w1 retired (%d) precedes its commit (%d)", lateSnap, ct)
+	}
+	if got := ps.newestCommitTS(7); got > lateSnap {
+		t.Fatalf("newestCommitTS after the fold = %d: a write at %d would conflict", got, lateSnap)
 	}
 	if n := writerEntries(ps); n != 0 || ps.pruned.Load() != 1 {
 		t.Fatalf("%d entries kept (%d folded) after w1 retired, want 0 (1)", n, ps.pruned.Load())
@@ -91,46 +97,42 @@ func TestPageStampsDropAborted(t *testing.T) {
 // TestPageStampsHotPageBounded: a page written by an unending stream of
 // short committed transactions must not accumulate one writer entry per
 // transaction. Each writer of a serial stream retires at its own end, so the
-// next writer's addWriter folds it: the page never holds more than the
-// writer adding itself.
+// next writer's addWriter drops it: the page never holds more than the
+// writer adding itself, and no writer of the stream fails First-Committer-Wins.
 func TestPageStampsHotPageBounded(t *testing.T) {
 	m := core.NewManager(core.DetectorPrecise)
 	ps := newPageStamps()
-	var lastCT core.TS
-	for i := 0; i < 500; i++ {
+	const writers = 500
+	for i := 0; i < writers; i++ {
 		w := m.Begin(core.SnapshotIsolation)
-		m.AssignSnapshot(w)
+		snap := m.AssignSnapshot(w)
 		ps.addWriter(7, w)
 		if n := writerEntries(ps); n > 1 {
 			t.Fatalf("writer %d: hot page kept %d writer entries, want <= 1", i, n)
 		}
-		lastCT = commitCore(t, m, w)
+		if got := ps.newestCommitTS(7); got > snap {
+			t.Fatalf("writer %d: newestCommitTS %d is past its snapshot %d", i, got, snap)
+		}
+		commitCore(t, m, w)
 	}
-	// The First-Committer-Wins floor survives the folding exactly.
-	if got := ps.newestCommitTS(7); got != lastCT {
-		t.Fatalf("newestCommitTS after folding = %d, want %d", got, lastCT)
+	// The last writer retired at its end too: a walk drops every entry.
+	if ps.newestCommitTS(7); writerEntries(ps) != 0 || ps.pruned.Load() != writers {
+		t.Fatalf("%d entries kept (%d dropped) after every writer retired, want 0 (%d)", writerEntries(ps), ps.pruned.Load(), writers)
 	}
 }
 
 // TestPageStampsFoldWhenWritersRetire drives the fold through the engine:
 // serial writers of one key stamp one leaf, and each retires at its own end,
 // so a single read of the key — a walk of the leaf's writers — leaves no
-// entry, however few writers there were, while the leaf's First-Committer-Wins
-// floor still holds the last commit.
+// entry, however few writers there were, and a later write of the key still
+// passes First-Committer-Wins.
 func TestPageStampsFoldWhenWritersRetire(t *testing.T) {
 	db := Open(Options{Granularity: GranularityPage})
 	key := []byte("k")
-	var lastCT core.TS
 	for i := 0; i < 10; i++ {
-		tx := db.Begin(SerializableSI)
-		if err := tx.Put("t", key, []byte{byte(i)}); err != nil {
+		if err := db.Run(SerializableSI, func(tx *Txn) error { return tx.Put("t", key, []byte{byte(i)}) }); err != nil {
 			t.Fatal(err)
 		}
-		rec := tx.t // the handle lets go of its record at the end
-		if err := tx.Commit(); err != nil {
-			t.Fatal(err)
-		}
-		lastCT = rec.CommitTS()
 	}
 	if err := db.Run(SerializableSI, func(tx *Txn) error {
 		_, _, err := tx.Get("t", key)
@@ -142,7 +144,12 @@ func TestPageStampsFoldWhenWritersRetire(t *testing.T) {
 	if n := writerEntries(tb.stamps); n != 0 {
 		t.Fatalf("%d writer entries left after every writer retired and the page was read, want 0", n)
 	}
-	if got := tb.stamps.newestCommitTS(tb.data.LeafPage(key)); got != lastCT {
-		t.Fatalf("newestCommitTS = %d, want the last commit %d", got, lastCT)
+	late := db.Begin(SerializableSI)
+	defer late.Abort()
+	if _, _, err := late.Get("t", []byte("a")); err != nil { // materialise the snapshot
+		t.Fatal(err)
+	}
+	if err := late.Put("t", key, []byte("late")); err != nil {
+		t.Fatalf("a write of the key after every writer retired: %v", err)
 	}
 }

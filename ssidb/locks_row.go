@@ -244,8 +244,8 @@ func (l *rowLocker) Inherit(table, stored, succ string, hasSucc bool) {
 	if hasSucc {
 		src = lock.Key{Table: table, Kind: lock.Gap, K: succ}
 	}
-	if locks := (*Txn)(l).db.locks; locks.InheritSIRead(src, lock.Key{Table: table, Kind: lock.Gap, K: stored}) {
-		locks.InheritSIRead(src, lock.Key{Table: table, Kind: lock.Row, K: stored})
+	if locks := (*Txn)(l).db.locks; locks.Inherit(src, lock.Key{Table: table, Kind: lock.Gap, K: stored}) {
+		locks.Inherit(src, lock.Key{Table: table, Kind: lock.Row, K: stored})
 	}
 }
 
@@ -276,7 +276,7 @@ func (tx *Txn) gapLock(tb *table, key []byte) error {
 }
 
 // A scan's first gap is the one before its first key, which scanKeys covers.
-func (rowTargets) lockScanStart(*Txn, *scanCtx, *table, []byte, lock.Mode, core.TS) error {
+func (rowTargets) lockScanStart(*Txn, *table, []byte, lock.Mode, core.TS) error {
 	return nil
 }
 

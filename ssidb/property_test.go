@@ -105,8 +105,11 @@ func TestQuickSequentialMatchesMap(t *testing.T) {
 // multiversion serialization graph must be acyclic for SerializableSI (both
 // detectors) and for S2PL. The operations are Puts, Gets, scans, locked reads
 // that write nothing, Deletes, and Inserts, which a live key refuses and a
-// deleted one takes: a locked read and a refused Insert read their row. The
-// same workload under plain SI routinely produces cycles, which the final
+// deleted one takes: a locked read and a refused Insert read their row. Keys
+// range over 11 letters of which 8 are loaded, so the run also inserts keys
+// the tree lacks, at its right edge: at page granularity (PageMaxKeys 4) those
+// inserts split leaves under concurrent writers of the moved keys. The same
+// workload under plain SI routinely produces cycles, which the final
 // assertion documents.
 func TestRandomConcurrentSerializability(t *testing.T) {
 	runOnce := func(opts ssidb.Options, iso ssidb.Isolation, seed int64) (*sercheck.History, int) {
@@ -134,7 +137,7 @@ func TestRandomConcurrentSerializability(t *testing.T) {
 				for i := 0; i < 40; i++ {
 					err := db.Run(iso, func(tx *ssidb.Txn) error {
 						for n := 0; n < 3; n++ {
-							k := []byte{byte('a' + r.Intn(8))}
+							k := []byte{byte('a' + r.Intn(11))}
 							switch r.Intn(7) {
 							case 0:
 								if err := tx.Put("t", k, []byte{byte(r.Intn(256))}); err != nil {
@@ -263,7 +266,7 @@ func TestMixedReadOnlySerializability(t *testing.T) {
 				for i := 0; i < 30; i++ {
 					err := db.Run(ssidb.SerializableSI, func(tx *ssidb.Txn) error {
 						for n := 0; n < 3; n++ {
-							k := []byte{byte('a' + r.Intn(8))}
+							k := []byte{byte('a' + r.Intn(11))}
 							switch r.Intn(3) {
 							case 0:
 								if err := tx.Put("t", k, []byte{byte(r.Intn(256))}); err != nil {

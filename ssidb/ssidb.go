@@ -601,10 +601,11 @@ type VacuumStats struct {
 	// chains (superseded before the OldestActiveSnapshot watermark).
 	VersionsPruned int
 	// StampWritersPruned is the number of page write-stamp entries this pass
-	// folded away: retired writers' (their commit stamps kept in each page's
-	// First-Committer-Wins floor) and aborted writers'. Only a page untouched
-	// since those writers ended still holds any. Always zero under
-	// GranularityRow, which keeps no page stamps.
+	// dropped: retired writers' (whose commits precede every snapshot that
+	// can still write, so no First-Committer-Wins check needs them) and
+	// aborted writers'. Only a page untouched since those writers ended still
+	// holds any. Always zero under GranularityRow, which keeps no page
+	// stamps.
 	StampWritersPruned int
 }
 
@@ -641,7 +642,7 @@ type TableStats struct {
 	KeyBytes int
 	// Cumulative since the table was created: Vacuum calls; row versions
 	// pruned, by retiring writers and by Vacuum; page write-stamp entries
-	// folded away (retired or aborted writers'), by the page reads and writes
+	// dropped (retired or aborted writers'), by the page reads and writes
 	// that walk them and by Vacuum.
 	VacuumRuns         uint64
 	VersionsPruned     uint64

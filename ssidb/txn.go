@@ -91,10 +91,10 @@ type txnScratch struct {
 
 	// rivals is the buffer lock.AcquireInto and lock.Probe append
 	// conflicting holders into on the point paths (a row grant, a row
-	// write's claims, gapLock, lockPagePath), so only a transaction's first
-	// rival can allocate. Each use empties it first and finishes consuming
-	// it before the next operation reuses it. Scans do not use it — their
-	// buffers live in the recycled scanCtx.
+	// write's claims, gapLock, lockPagePath, a page scan's first descent), so
+	// only a transaction's first rival can allocate. Each use empties it
+	// first and finishes consuming it before the next operation reuses it.
+	// A scan's other buffers live in the recycled scanCtx.
 	rivals []*core.Txn
 	pages  []uint32 // lockPagePath's buffer: a page-granularity descent path, planned and re-checked
 
@@ -502,7 +502,7 @@ type lockTargets interface {
 	write(tx *Txn, tb *table, key []byte, row mvcc.Row, val []byte, tombstone, mustNotExist bool) error
 	// lockScanStart acquires mode on whatever a scan from `from` reads
 	// before reaching its first key.
-	lockScanStart(tx *Txn, sc *scanCtx, tb *table, from []byte, mode lock.Mode, snap core.TS) error
+	lockScanStart(tx *Txn, tb *table, from []byte, mode lock.Mode, snap core.TS) error
 	// scanKeys appends the keys covering the visited items and where the
 	// scan stopped; own, if not nil, is the scanning transaction's creator
 	// cell, whose rows need no read lock of their own.
@@ -834,7 +834,7 @@ func keyView(stored string) []byte {
 // scan marks only its items' newer writers: a row or gap SIREAD reports none.
 func (tx *Txn) scanSSI(sc *scanCtx, tb *table, snap core.TS, from, to []byte, limit int) error {
 	lt := tx.db.targets
-	if err := lt.lockScanStart(tx, sc, tb, from, lock.SIRead, snap); err != nil {
+	if err := lt.lockScanStart(tx, tb, from, lock.SIRead, snap); err != nil {
 		return err
 	}
 	var own *core.Cell
@@ -866,7 +866,7 @@ func (tx *Txn) scanSSI(sc *scanCtx, tb *table, snap core.TS, from, to []byte, li
 // (locks_row.go) — and, if it waited, collects again.
 func (tx *Txn) scanS2PL(sc *scanCtx, tb *table, snap core.TS, from, to []byte, limit int) error {
 	lt := tx.db.targets
-	if err := lt.lockScanStart(tx, sc, tb, from, lock.Shared, snap); err != nil {
+	if err := lt.lockScanStart(tx, tb, from, lock.Shared, snap); err != nil {
 		return err
 	}
 	for changed := true; changed; {
@@ -925,7 +925,6 @@ type scanCtx struct {
 
 	keys    []lock.Key  // the current round's (S2PL: pass's) lock set
 	writers []*core.Txn // rw-conflict targets found, marked once unlatched
-	pages   []uint32    // page granularity: the descent paths lockScanStart locks
 }
 
 var scanCtxPool = sync.Pool{New: func() any { return new(scanCtx) }}
@@ -938,7 +937,7 @@ func emptied[T any](s []T) []T {
 }
 
 func (sc *scanCtx) release() {
-	*sc = scanCtx{items: emptied(sc.items), keys: emptied(sc.keys), writers: emptied(sc.writers), pages: sc.pages[:0]}
+	*sc = scanCtx{items: emptied(sc.items), keys: emptied(sc.keys), writers: emptied(sc.writers)}
 	scanCtxPool.Put(sc)
 }
 

@@ -144,7 +144,7 @@ func amalgamatesAt(t *testing.T, bank *ssidb.DB, iso ssidb.Isolation) func() {
 //
 // One SI Put of a key without a row, on a lock table of one shard: no
 // request, and 1 probe. The insert also hands the SIREAD locks of the gap it
-// splits to the new key's gap (InheritSIRead): one hold of the shard for both
+// splits to the new key's gap (Inherit): one hold of the shard for both
 // gap keys, two key hashes to find their shard and one lookup, which finds no
 // reader. 2 shard holds, 5 key hashes, and no owner hold: the transaction
 // never took a lock, so its releases return at once. (With an Exclusive
