@@ -140,7 +140,7 @@ func TestPageSplitInheritsWriteStamps(t *testing.T) {
 // moved key: it waits for T2 and loses to it. An S2PL read of the moved key
 // waits for T2 too, and an SSI scan of the new page marks scanner → T2.
 func TestPageSplitKeepsWriterLock(t *testing.T) {
-	open := func(t *testing.T) (*DB, *table) {
+	loaded := func(t *testing.T) (*DB, *table) {
 		t.Helper()
 		db := Open(Options{Granularity: GranularityPage, PageMaxKeys: 4, Detector: DetectorPrecise})
 		if err := db.Run(SnapshotIsolation, func(tx *Txn) error {
@@ -198,7 +198,7 @@ func TestPageSplitKeepsWriterLock(t *testing.T) {
 	for _, sh := range shapes {
 		for _, iso := range []Isolation{SnapshotIsolation, SerializableSI} {
 			t.Run(fmt.Sprintf("%s/%v", sh.name, iso), func(t *testing.T) {
-				db, tb := open(t)
+				db, tb := loaded(t)
 				t10 := db.Begin(iso)
 				defer t10.Abort()
 				if _, _, err := t10.Get("t", []byte(sh.moved)); err != nil {
@@ -217,7 +217,7 @@ func TestPageSplitKeepsWriterLock(t *testing.T) {
 		}
 	}
 	t.Run("S2PL-read", func(t *testing.T) {
-		db, tb := open(t)
+		db, tb := loaded(t)
 		t2 := db.Begin(S2PL)
 		split(t, tb, t2, "k", "k")
 		r := db.Begin(S2PL)
@@ -235,7 +235,7 @@ func TestPageSplitKeepsWriterLock(t *testing.T) {
 		}
 	})
 	t.Run("SSI-scan", func(t *testing.T) {
-		db, tb := open(t)
+		db, tb := loaded(t)
 		t2 := db.Begin(SerializableSI)
 		defer t2.Abort()
 		split(t, tb, t2, "k", "k")
