@@ -75,9 +75,11 @@
 //	    or an Insert over a tombstone, takes no gap lock. Page granularity
 //	    checks every Insert and Delete for a split.
 //	[5] Not at SI, which promises no predicate protection.
-//	[6] SIREADs are taken in batches while the store's latches exclude inserts;
-//	    Shared locks can block, so S2PL collects, locks, and repeats until a
-//	    pass finds every target already locked. At every level the range is
+//	[6] A locking scan locks each round of keys while the store's latches
+//	    exclude inserts: SIREADs in a batch, Shared locks in key order, the
+//	    first that would wait (a lock, or a row's held head version) ending
+//	    the collection, to wait unlatched and collect again. A row the
+//	    scanner wrote takes no row lock. At every level the range is
 //	    collected, locked and marked in full before the callback sees a row,
 //	    in a scan context (items, lock keys, rivals) recycled through a
 //	    sync.Pool: it is taken when Scan starts and handed back zeroed when
@@ -288,7 +290,7 @@
 //     the per-partition trees run as bounded lock-coupled rounds: each round
 //     takes every partition latch shared (ascending — the order structural
 //     inserts take them exclusively), emits up to a chunk of keys, installs
-//     the emitted keys' SIREAD/gap locks while still latched, then releases
+//     the emitted keys' row/gap locks while still latched, then releases
 //     everything and re-seeks any iterator whose tree changed before the
 //     next round. A writer waits for at most one round, never for the scan;
 //     phantom detection is preserved because an insert behind the frontier

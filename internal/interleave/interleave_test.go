@@ -167,34 +167,48 @@ func TestExhaustivePhantomSkew(t *testing.T) {
 	})
 }
 
+// TestExhaustiveS2PLAlwaysSerializable: at S2PL every schedule serializes or
+// deadlocks, retryably. S2PL blocks, so this also exercises the scheduler's
+// pending/drain machinery. The write skew scripts lock rows; the phantom and
+// delete skew scripts scan, so their Shared row and gap locks are taken
+// round by round under the store's latches, and a scan that meets a held
+// lock waits for it unlatched and collects again.
 func TestExhaustiveS2PLAlwaysSerializable(t *testing.T) {
-	// S2PL blocks, so this also exercises the scheduler's pending/drain
-	// machinery. Write skew scripts: S2PL serializes or deadlocks.
-	Explore(NewDB(ssidb.DetectorPrecise), ssidb.S2PL, mustSet(t, "writeskew"), func(o Outcome) {
-		for _, err := range o.Errs {
-			if err != nil && !ssidb.Retryable(err) {
-				t.Fatalf("schedule %v: %v", o, err)
+	for _, set := range []struct {
+		name    string
+		scripts []Script
+	}{{"writeskew", mustSet(t, "writeskew")}, {"phantom", mustSet(t, "phantom")}, {"deleteskew", deleteSkew()}} {
+		Explore(NewDB(ssidb.DetectorPrecise), ssidb.S2PL, set.scripts, func(o Outcome) {
+			for _, err := range o.Errs {
+				if err != nil && !ssidb.Retryable(err) {
+					t.Fatalf("%s schedule %v: %v", set.name, o, err)
+				}
 			}
-		}
-		if ok, cyc := o.History.Serializable(); !ok {
-			t.Fatalf("S2PL schedule %v: cycle %v", o, cyc)
-		}
-	})
+			if ok, cyc := o.History.Serializable(); !ok {
+				t.Fatalf("S2PL %s schedule %v: cycle %v", set.name, o, cyc)
+			}
+		})
+	}
 }
 
-// TestExhaustiveDeleteSkew is the on-call shape over deletes: each script
-// scans the table, then deletes a different row it saw. Plain SI commits a
-// cycle in some schedule; at SerializableSI, under both detectors, none may.
-// A Delete of a row the index holds takes no gap lock: the scans' row SIREADs
-// are what the deletes' probes must find.
-func TestExhaustiveDeleteSkew(t *testing.T) {
+// deleteSkew is the on-call shape over deletes: each script scans the table,
+// then deletes a different row it saw.
+func deleteSkew() []Script {
 	del := func(key string) Step {
 		return func(tx *ssidb.Txn) error { return tx.Delete(table, []byte(key)) }
 	}
-	scripts := []Script{
+	return []Script{
 		{Name: "T0", Steps: []Step{scanAll, del("x")}},
 		{Name: "T1", Steps: []Step{scanAll, del("y")}},
 	}
+}
+
+// TestExhaustiveDeleteSkew runs deleteSkew. Plain SI commits a cycle in some
+// schedule; at SerializableSI, under both detectors, none may. A Delete of a
+// row the index holds takes no gap lock: the scans' row SIREADs are what the
+// deletes' probes must find.
+func TestExhaustiveDeleteSkew(t *testing.T) {
+	scripts := deleteSkew()
 	anomalies := 0
 	Explore(NewDB(ssidb.DetectorPrecise), ssidb.SnapshotIsolation, scripts, func(o Outcome) {
 		if ok, _ := o.History.Serializable(); !ok {

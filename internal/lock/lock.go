@@ -121,6 +121,7 @@
 package lock
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"slices"
@@ -438,6 +439,21 @@ func (m *Manager) Acquire(owner *core.Txn, key Key, mode Mode) (rivals []*core.T
 // form that always returns a fresh slice. On error the buffer is returned
 // with whatever prefix it already carried.
 func (m *Manager) AcquireInto(owner *core.Txn, key Key, mode Mode, buf []*core.Txn) (rivals []*core.Txn, err error) {
+	return m.acquire(owner, key, mode, buf, false)
+}
+
+// TryAcquire is AcquireInto that never waits: where AcquireInto would spin or
+// park, it grants nothing, counts no wait and returns false. It reports no
+// rivals, so it suits a request that has none to mark, such as Shared.
+func (m *Manager) TryAcquire(owner *core.Txn, key Key, mode Mode) bool {
+	_, err := m.acquire(owner, key, mode, nil, true)
+	return err == nil
+}
+
+var errWouldWait = errors.New("lock: request would wait") // TryAcquire's refusal
+
+// acquire is AcquireInto's body, and TryAcquire's if try is set.
+func (m *Manager) acquire(owner *core.Txn, key Key, mode Mode, buf []*core.Txn, try bool) (rivals []*core.Txn, err error) {
 	noteAcquires(1)
 	os := stateFor(owner)
 	s := m.shardOf(key)
@@ -485,6 +501,10 @@ func (m *Manager) AcquireInto(owner *core.Txn, key Key, mode Mode, buf []*core.T
 			}
 			s.mu.Unlock()
 			return rivals, nil
+		}
+		if try {
+			s.mu.Unlock() // no entry GC needed, as for a deadlock below
+			return buf, errWouldWait
 		}
 		if !blocked {
 			blocked = true
@@ -1082,8 +1102,8 @@ func (m *Manager) HoldsSIRead(owner *core.Txn) bool {
 	return os.SIReads > 0
 }
 
-// Holds reports whether owner holds mode on key. S2PL scans use it to find
-// the keys of a collection pass that still need their Shared lock.
+// Holds reports whether owner holds mode on key. No engine code asks it, nor
+// calls Acquire (a scan takes its locks with TryAcquire); tests use both.
 func (m *Manager) Holds(owner *core.Txn, key Key, mode Mode) bool {
 	s := m.shardOf(key)
 	s.lock()

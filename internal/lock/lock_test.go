@@ -445,3 +445,43 @@ func TestManyWaitersWakeUp(t *testing.T) {
 		t.Fatalf("Wakeups = %d, want one per park (%d)", st.Wakeups, st.Parks)
 	}
 }
+
+// TestTryAcquireNeverWaits: TryAcquire grants what AcquireInto would grant at
+// once — a free key, a compatible mode, a mode already held — and refuses,
+// holding nothing new and counting no wait, where AcquireInto would wait: on
+// an incompatible holder, and behind a parked incompatible request. The lock
+// it refused is then AcquireInto's to wait for.
+func TestTryAcquireNeverWaits(t *testing.T) {
+	_, txns := newTxns(4)
+	m := NewManagerShards(true, 0)
+	k := RowKey("t", []byte("x"))
+	try := func(owner *core.Txn, mode Mode) bool { return m.TryAcquire(owner, k, mode) }
+	if !try(txns[0], Shared) || !try(txns[1], Shared) || !try(txns[0], Shared) {
+		t.Fatal("TryAcquire refused a Shared lock no one blocks")
+	}
+	if try(txns[2], Exclusive) || m.Holds(txns[2], k, Exclusive) {
+		t.Fatal("TryAcquire granted Exclusive over two Shared holders")
+	}
+	if st := m.StatsSnapshot(); st.Waits != 0 {
+		t.Fatalf("a refused TryAcquire counted %d waits", st.Waits)
+	}
+	parked := make(chan error, 1)
+	go func() {
+		_, err := m.AcquireInto(txns[2], k, Exclusive, nil)
+		parked <- err
+	}()
+	for m.StatsSnapshot().Parks == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	m.ReleaseAll(txns[0])
+	if try(txns[3], Shared) {
+		t.Fatal("TryAcquire granted Shared ahead of a parked Exclusive request")
+	}
+	m.ReleaseAll(txns[1])
+	if err := <-parked; err != nil {
+		t.Fatal(err)
+	}
+	if !m.Holds(txns[2], k, Exclusive) {
+		t.Fatal("the parked request does not hold its lock")
+	}
+}

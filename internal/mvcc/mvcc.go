@@ -867,11 +867,13 @@ func (tb *Table) Scan(t *core.Txn, snap core.TS, from []byte, fn func(ScanItem) 
 //     exact global frontier);
 //   - it emits up to ScanChunk keys in global key order;
 //   - flush (if non-nil) is invoked while the round's latches are still
-//     held, once per round; serializable SI scans use it to acquire the
-//     SIREAD row/gap (or page) locks for the keys emitted since the previous
-//     flush. exhausted is false until the final flush, which reports whether
-//     the iteration ran off the end of the table (rather than being stopped
-//     by fn);
+//     held, once per round; locking scans use it to lock the rows and gaps
+//     (or pages) of the keys emitted since the previous flush. exhausted is
+//     false until the final flush, which reports whether the iteration ran
+//     off the end of the table (rather than being stopped by fn). A flush
+//     that returns false ends the iteration after its round: a lock it
+//     could not take without waiting protects nothing yet, so the caller
+//     waits unlatched and scans again;
 //   - the latches are released, writers drain, and the next round begins.
 //
 // Memory: the merge state is recycled per table, items are handed to fn by
@@ -880,9 +882,9 @@ func (tb *Table) Scan(t *core.Txn, snap core.TS, from []byte, fn func(ScanItem) 
 // NewerWriters, where newer versions exist). A caller that collects the
 // items owns that buffer and its recycling — the engine's scan context does.
 //
-// The SIREAD-atomicity invariant this preserves — no insert can land between
-// a key being emitted and its SIREAD protection being installed, at any
-// point of the scan:
+// The atomicity invariant this preserves — no insert can land between a key
+// being emitted and its SIREAD (or Shared) protection being installed, at
+// any point of a scan that runs to its end:
 //
 //  1. During a round every partition latch is held shared, and every insert
 //     takes at least its key's partition latch exclusively (gap-protocol
@@ -894,12 +896,13 @@ func (tb *Table) Scan(t *core.Txn, snap core.TS, from []byte, fn func(ScanItem) 
 //  3. An insert of key x between rounds therefore falls into two cases.
 //     If x > F, the next round observes the tree change and re-seeks past F,
 //     so the merge emits x itself and the reader marks the rw-conflict from
-//     the invisible newer version (Figure 3.4). If x ≤ F, the inserter's
-//     next-key gap lock lands on succ(x), the smallest key above x — and
-//     succ(x) ≤ F always (F itself is a key greater than x), so succ(x) was
-//     emitted and its gap lock installed by an earlier flush; the inserter's
-//     exclusive acquisition reports the scanner as a rival and the conflict
-//     is marked from the writer side (Figure 3.7).
+//     the invisible newer version (Figure 3.4) — or, holding Shared, waits
+//     for x's writer. If x ≤ F, the inserter's next-key gap lock lands on
+//     succ(x), the smallest key above x — and succ(x) ≤ F always (F itself
+//     is a key greater than x), so succ(x) was emitted and its gap lock
+//     installed by an earlier flush; the inserter's exclusive acquisition
+//     reports the scanner as a rival and the conflict is marked from the
+//     writer side (Figure 3.7) — or waits for the scanner's Shared lock.
 //  4. Page granularity, which runs one tree per table, replaces gap locks
 //     with leaf-page SIREAD coverage: every leaf that could receive an
 //     in-range key is either the descent leaf of `from` (locked up front via
@@ -909,7 +912,7 @@ func (tb *Table) Scan(t *core.Txn, snap core.TS, from []byte, fn func(ScanItem) 
 //     each page's committed writer stamps only after its flush acquired the
 //     page lock, so a concurrent page writer is either still a lock rival or
 //     already stamped.
-func (tb *Table) ScanWith(t *core.Txn, snap core.TS, from []byte, fn func(ScanItem) bool, flush func(exhausted bool)) {
+func (tb *Table) ScanWith(t *core.Txn, snap core.TS, from []byte, fn func(ScanItem) bool, flush func(exhausted bool) bool) {
 	m := tb.acquireMerge(from)
 	defer tb.releaseMerge(m)
 	for rounds := uint64(1); ; rounds++ {
@@ -926,8 +929,8 @@ func (tb *Table) ScanWith(t *core.Txn, snap core.TS, from []byte, fn func(ScanIt
 			m.advance()
 		}
 		done := stopped || !m.valid()
-		if flush != nil {
-			flush(done && !stopped)
+		if flush != nil && !flush(done && !stopped) {
+			done = true
 		}
 		m.unlatchRound()
 		if done {

@@ -2,6 +2,7 @@ package ssidb
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -153,9 +154,9 @@ func TestImplicitLockAbortedHolder(t *testing.T) {
 
 // TestExplicitGrantsWaitForImplicitLocks: once a SI Put has installed its
 // version, every explicit blocking lock on the row waits for it — a
-// GetForUpdate, an S2PL Get and an S2PL Put, each granted before it looks at
-// the row and then converting the writer's implicit lock — and each then
-// sees the committed write. The other way round, a SI Put on a row an S2PL
+// GetForUpdate, an S2PL Get, an S2PL Scan and an S2PL Put, each granted
+// before it looks at the row and then converting the writer's implicit lock
+// — and each then sees the committed write. The other way round, a SI Put on a row an S2PL
 // transaction holds Shared finds the entry with its probe and waits for it.
 func TestExplicitGrantsWaitForImplicitLocks(t *testing.T) {
 	for _, c := range []struct {
@@ -174,6 +175,13 @@ func TestExplicitGrantsWaitForImplicitLocks(t *testing.T) {
 			v, _, err := tx.Get("t", []byte("k"))
 			if err == nil && string(v) != "a" {
 				return errors.New("read " + string(v) + ", want the committed a")
+			}
+			return err
+		}},
+		{"S2PL Scan", S2PL, func(tx *Txn) error {
+			rows, err := scanRows(tx, "", "", 0)
+			if err == nil && fmt.Sprint(rows) != "[k=a]" {
+				return fmt.Errorf("scanned %v, want the committed [k=a]", rows)
 			}
 			return err
 		}},

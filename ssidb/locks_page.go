@@ -205,10 +205,6 @@ func (*pageTargets) scanKeys(keys []lock.Key, tb *table, items []mvcc.ScanItem, 
 	return keys
 }
 
-// awaitHeads has nothing to wait for: every page writer holds its leaf's
-// Exclusive lock, which the scan's Shared lock waited for.
-func (*pageTargets) awaitHeads(*Txn, *table, []mvcc.ScanItem) (bool, error) { return false, nil }
-
 func (*pageTargets) scanNewerWriters(writers []*core.Txn, tb *table, snap core.TS, _ []mvcc.ScanItem, keys []lock.Key) []*core.Txn {
 	for _, k := range keys {
 		writers = tb.stamps.newerWriters(writers, k.Page(), snap)

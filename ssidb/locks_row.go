@@ -18,7 +18,8 @@ import (
 // hold (mvcc.Table.Claim), and made an explicit entry only when another
 // transaction has to wait for it (package lock, "Implicit row locks"). Every
 // explicit blocking grant on a row — S2PL's reads, a locked read — waits,
-// after the grant, for a writer whose version still holds the row (grantRow).
+// after the grant, for a writer whose version still holds the row (grantRow;
+// a scan's shareRound).
 // Nor does an SSI point read of an existing row lock there: its SIREAD is the
 // row's reader word (read; package lock, "Row readers"). Only a version
 // retires a read: a locked read, and an Insert refused on the row, write
@@ -107,11 +108,11 @@ func (tx *Txn) grantRow(tb *table, key []byte, row mvcc.Row, mode lock.Mode) (mv
 	}
 }
 
-// waitFor makes w's implicit lock on k explicit and waits for it, holding
-// mode on k once it returns nil — unless w let go of its locks first, when
-// there is nothing to wait for.
+// waitFor makes w's implicit lock on k explicit, if w is not nil, and waits
+// for k, holding mode on it once it returns nil — unless w let go of its
+// locks first, when there is nothing to wait for.
 func (tx *Txn) waitFor(w *core.Txn, k lock.Key, mode lock.Mode) error {
-	if !tx.db.locks.Convert(w, k) {
+	if w != nil && !tx.db.locks.Convert(w, k) {
 		return nil
 	}
 	return tx.wait(k, mode)
@@ -298,31 +299,6 @@ func (rowTargets) scanKeys(keys []lock.Key, tb *table, items []mvcc.ScanItem, en
 		keys = append(keys, lock.SupremumGapKey(tb.name))
 	}
 	return keys
-}
-
-// awaitHeads waits for the writer of each item's head version that still
-// holds the row, item by item, as grantRow does for a point read. Read at
-// the latest timestamp, an uncommitted head is the item's first newer writer;
-// a committed head still held is its visible version.
-func (rowTargets) awaitHeads(tx *Txn, tb *table, items []mvcc.ScanItem) (bool, error) {
-	waited := false
-	for i := range items {
-		it := &items[i]
-		var w *core.Txn
-		if len(it.NewerWriters) > 0 {
-			w = it.NewerWriters[0]
-		} else if it.VisibleCreator != nil {
-			w = it.VisibleCreator.Txn()
-		}
-		if w == nil || w == tx.t || !lock.ImplicitHeld(w) {
-			continue
-		}
-		if err := tx.waitFor(w, rowKeyOf(tb, it.Key), lock.Shared); err != nil {
-			return waited, err
-		}
-		waited = true
-	}
-	return waited, nil
 }
 
 func (rowTargets) scanNewerWriters(writers []*core.Txn, _ *table, _ core.TS, items []mvcc.ScanItem, _ []lock.Key) []*core.Txn {

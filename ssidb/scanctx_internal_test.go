@@ -105,40 +105,48 @@ func TestPooledScanContextPinsNothing(t *testing.T) {
 	}
 }
 
-// TestScanOfOwnWritesTakesGapsOnly: an SSI scan over rows the transaction
-// wrote takes only their gaps' SIREADs (§3.7.3: its own versions carry the
-// conflict), and a row SIREAD on every other row.
+// TestScanOfOwnWritesTakesGapsOnly: a locking scan over rows the transaction
+// wrote takes only their gaps' locks — SIREAD at SSI, Shared at S2PL (§3.7.3:
+// its own versions are its write locks, and carry the conflict) — and a row
+// lock on every other row.
 func TestScanOfOwnWritesTakesGapsOnly(t *testing.T) {
 	key := func(i int) []byte { return []byte(fmt.Sprintf("k%d", i)) }
-	db := Open(Options{Detector: DetectorPrecise, TableShards: 2})
-	if err := db.Run(SnapshotIsolation, func(tx *Txn) error {
-		for i := 0; i < 4; i++ {
-			if err := tx.Put("t", key(i), []byte("v0")); err != nil {
-				return err
+	for _, c := range []struct {
+		iso  Isolation
+		mode lock.Mode
+	}{{SerializableSI, lock.SIRead}, {S2PL, lock.Shared}} {
+		t.Run(c.iso.String(), func(t *testing.T) {
+			db := Open(Options{Detector: DetectorPrecise, TableShards: 2})
+			if err := db.Run(SnapshotIsolation, func(tx *Txn) error {
+				for i := 0; i < 4; i++ {
+					if err := tx.Put("t", key(i), []byte("v0")); err != nil {
+						return err
+					}
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
 			}
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	tx := db.Begin(SerializableSI)
-	defer tx.Abort()
-	written := map[int]bool{1: true, 2: true}
-	for i := range written {
-		if err := tx.Put("t", key(i), []byte("w")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := tx.Scan("t", nil, nil, func(k, v []byte) bool { return true }); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		if got := db.locks.Holds(tx.t, lock.RowKey("t", key(i)), lock.SIRead); got == written[i] {
-			t.Errorf("row %s: SIREAD held %v, written by the scanner %v", key(i), got, written[i])
-		}
-		if !db.locks.Holds(tx.t, lock.GapKey("t", key(i)), lock.SIRead) {
-			t.Errorf("gap before %s: no SIREAD", key(i))
-		}
+			tx := db.Begin(c.iso)
+			defer tx.Abort()
+			written := map[int]bool{1: true, 2: true}
+			for i := range written {
+				if err := tx.Put("t", key(i), []byte("w")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := tx.Scan("t", nil, nil, func(k, v []byte) bool { return true }); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 4; i++ {
+				if got := db.locks.Holds(tx.t, lock.RowKey("t", key(i)), c.mode); got == written[i] {
+					t.Errorf("row %s: %v held %v, written by the scanner %v", key(i), c.mode, got, written[i])
+				}
+				if !db.locks.Holds(tx.t, lock.GapKey("t", key(i)), c.mode) {
+					t.Errorf("gap before %s: no %v", key(i), c.mode)
+				}
+			}
+		})
 	}
 }
 

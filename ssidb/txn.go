@@ -476,13 +476,13 @@ func (tx *Txn) readStamp(snap core.TS) core.TS {
 // InnoDB's row + next-key gap locking, pageTargets (locks_page.go) Berkeley
 // DB's page locking; doc.go tabulates what each operation gets from them.
 //
-// Point methods acquire through the transaction's scratch buffer, scan
-// methods through the scan's context. Rivals found on SIREAD acquisitions
-// (exclusive holders, on pages only: a row's or a gap's writer is found by
-// its version) are marked by the method itself; rivals found for a write
-// (SIREAD holders) are marked after the snapshot is assigned, because the
-// overlap test needs it and a deferred snapshot comes after the write's
-// locks.
+// Point methods acquire through the transaction's scratch buffer; a scan
+// locks the keys scanKeys names (Txn.scanLocked). Rivals found on SIREAD
+// acquisitions (exclusive holders, on pages only: a row's or a gap's writer
+// is found by its version) are marked by the method itself; rivals found
+// for a write (SIREAD holders) are marked after the snapshot is assigned,
+// because the overlap test needs it and a deferred snapshot comes after the
+// write's locks.
 type lockTargets interface {
 	// read reads key at snap under mode (SIRead or Shared) on the targets
 	// of a point read, taken before the read or atomically with it.
@@ -507,10 +507,6 @@ type lockTargets interface {
 	// scan stopped; own, if not nil, is the scanning transaction's creator
 	// cell, whose rows need no read lock of their own.
 	scanKeys(keys []lock.Key, tb *table, items []mvcc.ScanItem, end scanEnd, own *core.Cell) []lock.Key
-	// awaitHeads waits, after an S2PL scan's pass collected items under its
-	// Shared locks, for any writer whose version still holds one of their
-	// rows, and reports whether it waited.
-	awaitHeads(tx *Txn, tb *table, items []mvcc.ScanItem) (waited bool, err error)
 	// scanNewerWriters appends the creators of versions newer than snap
 	// among what items read, once keys (their scanKeys) are SIREAD-locked.
 	scanNewerWriters(writers []*core.Txn, tb *table, snap core.TS, items []mvcc.ScanItem, keys []lock.Key) []*core.Txn
@@ -746,16 +742,9 @@ func (tx *Txn) scan(tableName string, from, to []byte, limit int, fn func(key, v
 
 	sc := scanCtxPool.Get().(*scanCtx)
 	defer sc.release()
-	var err error
-	switch mode {
-	case lock.SIRead:
-		err = tx.scanSSI(sc, tb, snap, from, to, limit)
-	case lock.Shared:
-		err = tx.scanS2PL(sc, tb, snap, from, to, limit)
-	default: // lock-free snapshot scan: plain SI, or a safe read-only snapshot
+	if mode == noLock { // lock-free snapshot scan: plain SI, or a safe read-only snapshot
 		sc.collect(tb, tx.t, snap, from, to, limit, nil)
-	}
-	if err != nil {
+	} else if err := tx.scanLocked(sc, tb, mode, snap, from, to, limit); err != nil {
 		return tx.fail(err)
 	}
 	if tx.roSafe {
@@ -821,76 +810,88 @@ func keyView(stored string) []byte {
 	return unsafe.Slice(unsafe.StringData(stored), len(stored))
 }
 
-// scanSSI collects the range and takes its SIREAD locks incrementally, one
+// scanLocked collects the range under mode, SIRead or Shared, one
 // lock-coupled round at a time: the store's flush callback runs while the
-// round's partition latches are still held, so every emitted key is
-// protected before any inserter can run — SIREAD acquisition never blocks,
-// and inserts need the write latch, so each round's slice of the range is
-// protected atomically with being read, and inserts between rounds are
-// caught either by the already-installed locks (behind the frontier) or by
-// the resumed merge itself (ahead of it); see mvcc.ScanWith for the full
-// invariant. Conflict marking is deferred to after the scan, because an
-// unsafe verdict aborts the transaction, which must not happen latched. A row
-// scan marks only its items' newer writers: a row or gap SIREAD reports none.
-func (tx *Txn) scanSSI(sc *scanCtx, tb *table, snap core.TS, from, to []byte, limit int) error {
+// round's partition latches are still held, and inserts need the write
+// latch, so each round's slice of the range is locked atomically with being
+// read, and inserts between rounds are caught either by the locks already
+// taken (behind the frontier) or by the resumed merge itself (ahead of it);
+// see mvcc.ScanWith for the full invariant. SIREAD never blocks: a round
+// takes its keys in one lock-table critical section. Shared locks can, and
+// none is waited for latched (shareRound): the first that would wait ends
+// the collection, and the scan waits for it unlatched and collects again
+// from `from`, finding the locks it took already held. Conflict marking is
+// deferred to after the scan, because an unsafe verdict aborts the
+// transaction, which must not happen latched. A row scan marks only its
+// items' newer writers: a row or gap SIREAD reports none.
+func (tx *Txn) scanLocked(sc *scanCtx, tb *table, mode lock.Mode, snap core.TS, from, to []byte, limit int) error {
 	lt := tx.db.targets
-	if err := lt.lockScanStart(tx, tb, from, lock.SIRead, snap); err != nil {
+	if err := lt.lockScanStart(tx, tb, from, mode, snap); err != nil {
 		return err
 	}
 	var own *core.Cell
 	if len(tx.writes) > 0 {
 		own = tx.t.Cell() // made by the first write
 	}
-	flushed := 0 // items already covered by an earlier round
-	sc.collect(tb, tx.t, snap, from, to, limit, func(exhausted bool) {
-		end := sc.end
-		end.atEnd = exhausted
-		round := sc.items[flushed:]
-		flushed = len(sc.items)
-		// One lock-table critical section per round, while the round's
-		// latches still exclude inserters from the emitted keys.
-		sc.keys = lt.scanKeys(emptied(sc.keys), tb, round, end, own)
-		sc.writers = tx.db.locks.AcquireSIReadBatchInto(tx.t, sc.keys, sc.writers)
-		sc.writers = lt.scanNewerWriters(sc.writers, tb, snap, round, sc.keys)
-	})
-	return tx.markAsReader(sc.writers)
+	for {
+		flushed := 0 // items already covered by an earlier round
+		var blocked bool
+		var key lock.Key
+		var holder *core.Txn
+		sc.collect(tb, tx.t, snap, from, to, limit, func(exhausted bool) bool {
+			end := sc.end
+			end.atEnd = exhausted
+			round := sc.items[flushed:]
+			flushed = len(sc.items)
+			sc.keys = lt.scanKeys(emptied(sc.keys), tb, round, end, own)
+			if mode == lock.Shared {
+				key, holder, blocked = tx.shareRound(round, sc.keys)
+				return !blocked
+			}
+			sc.writers = tx.db.locks.AcquireSIReadBatchInto(tx.t, sc.keys, sc.writers)
+			sc.writers = lt.scanNewerWriters(sc.writers, tb, snap, round, sc.keys)
+			return true
+		})
+		if !blocked {
+			return tx.markAsReader(sc.writers)
+		}
+		if err := tx.waitFor(holder, key, lock.Shared); err != nil {
+			return err
+		}
+	}
 }
 
-// scanS2PL collects the range under blocking shared locks. Shared locks can
-// block, so they cannot be taken under the latch; instead collection and
-// locking loop until a pass finds every key of its lock set already held,
-// which closes the window in which a row could be inserted into the range
-// after collection but before its gap (or page) was locked. A pass that
-// collected under all its locks then waits for the writers whose versions
-// still hold a collected row — explicit grants wait for implicit locks
-// (locks_row.go) — and, if it waited, collects again.
-func (tx *Txn) scanS2PL(sc *scanCtx, tb *table, snap core.TS, from, to []byte, limit int) error {
-	lt := tx.db.targets
-	if err := lt.lockScanStart(tx, tb, from, lock.Shared, snap); err != nil {
-		return err
-	}
-	for changed := true; changed; {
-		changed = false
-		sc.collect(tb, tx.t, snap, from, to, limit, nil)
-		sc.keys = lt.scanKeys(emptied(sc.keys), tb, sc.items, sc.end, nil)
-		for _, k := range sc.keys {
-			if tx.db.locks.Holds(tx.t, k, lock.Shared) {
-				continue
-			}
-			// Shared requests have no rw-conflict rivals to report.
-			if _, err := tx.db.locks.Acquire(tx.t, k, lock.Shared); err != nil {
-				return err
-			}
-			changed = true
+// shareRound takes Shared on keys, a round's scanKeys, one at a time in key
+// order, and returns the first it cannot take without waiting: key, held by
+// another transaction's lock or, if holder is not nil, by holder's version.
+// A row's lock includes its head version, which may still hold the row for
+// its writer, as grantRow waits for it: read at the latest timestamp, an
+// uncommitted head is the item's first newer writer, and a committed head
+// still held is its visible version. A page writer holds its leaf Exclusive,
+// so at page granularity the locks are the whole story.
+func (tx *Txn) shareRound(items []mvcc.ScanItem, keys []lock.Key) (key lock.Key, holder *core.Txn, blocked bool) {
+	i := 0
+	for _, k := range keys {
+		if !tx.db.locks.TryAcquire(tx.t, k, lock.Shared) {
+			return k, nil, true
 		}
-		if !changed {
-			var err error
-			if changed, err = lt.awaitHeads(tx, tb, sc.items); err != nil {
-				return err
-			}
+		if k.Kind != lock.Row {
+			continue
+		}
+		for items[i].Key != k.K {
+			i++ // to k's item, past the rows the scanner wrote, which take none
+		}
+		var w *core.Txn
+		if it := &items[i]; len(it.NewerWriters) > 0 {
+			w = it.NewerWriters[0]
+		} else if it.VisibleCreator != nil {
+			w = it.VisibleCreator.Txn()
+		}
+		if w != nil && w != tx.t && lock.ImplicitHeld(w) {
+			return k, w, true
 		}
 	}
-	return nil
+	return lock.Key{}, nil, false
 }
 
 // scanEnd is where a scan (or one round of it) stopped.
@@ -902,8 +903,7 @@ type scanEnd struct {
 }
 
 // scanCtx is the memory of one Scan call: the collected range, where it
-// stopped, and the lock-path buffers the isolation level's scan variant
-// fills. Every scan — SI, safe read-only, SerializableSI and S2PL, row and
+// stopped, and the buffers a locking scan's rounds fill. Every scan — SI, safe read-only, SerializableSI and S2PL, row and
 // page granularity — takes one from scanCtxPool when it starts and hands it
 // back when it returns, so a steady-state scan allocates nothing that grows
 // with its range — including a transaction's first and only scan. A scan
@@ -923,7 +923,7 @@ type scanCtx struct {
 	limitKey string
 	limited  bool
 
-	keys    []lock.Key  // the current round's (S2PL: pass's) lock set
+	keys    []lock.Key  // the current round's lock set
 	writers []*core.Txn // rw-conflict targets found, marked once unlatched
 }
 
@@ -945,9 +945,9 @@ func (sc *scanCtx) release() {
 // absent, which still carry conflict information — plus the first key at or
 // beyond the range (the gap boundary), in lock-coupled rounds under the
 // partition latches; flush, if non-nil, runs at the end of each round with
-// the latches still held. With a positive limit, collection stops after
-// `limit` visible items.
-func (sc *scanCtx) collect(tb *table, t *core.Txn, snap core.TS, from, to []byte, limit int, flush func(exhausted bool)) {
+// the latches still held, and ends the collection if it returns false. With
+// a positive limit, collection stops after `limit` visible items.
+func (sc *scanCtx) collect(tb *table, t *core.Txn, snap core.TS, from, to []byte, limit int, flush func(exhausted bool) bool) {
 	sc.items, sc.end, sc.limitKey, sc.limited = emptied(sc.items), scanEnd{}, "", false
 	found := 0
 	lastFound := ""

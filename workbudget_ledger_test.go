@@ -192,11 +192,12 @@ func collision(t *testing.T, db *ssidb.DB, iso ssidb.Isolation) func() {
 // of each of the 8 shards, each key hashed 3 times and listed (an owner hold
 // each), and released one by one at retirement: 129 requests, 8 + 1 + 129 =
 // 138 shard holds, 129 + 3 = 132 owner holds, 387 + 2 + 129 = 518 hashes;
-// nothing in the store. S2PL collects twice: a pass that locks the 129 keys
-// (each first asked after, Holds: a shard hold and 2 hashes, then acquired)
-// and one that finds them all held. 129 requests, 258 + 129 + 1 + 129 = 517
-// shard holds, 129 + 2 = 131 owner holds, 645 + 258 + 2 + 129 = 1034 hashes;
-// 3 shared holds, 131 versions, 3 descents.
+// nothing in the store. S2PL takes the same 129 keys Shared, one at a time
+// in key order in the round's flush (none waits), each a request, a shard
+// hold, 3 hashes and an owner hold, released one by one at commit: 129
+// requests, 129 + 1 + 129 = 259 shard holds, 129 + 2 = 131 owner holds, 387 +
+// 2 + 129 = 518 hashes; in the store what SI spends — 2 shared holds, 66
+// versions, 2 descents.
 //
 // A Put of an absent key at the right edge of the tree (TestLockWorkBudget and
 // TestStoreWorkBudget derive SI): at SI a probe and the insert's inheritance
@@ -289,7 +290,7 @@ func TestSSIOverSIWorkBudget(t *testing.T) {
 		{"Amalgamate", s2pl, amalgamate[s2pl], ledger{5, 3, 13, 7, 26, 18, 5, 8, 0, 0, 8, 0, 1, 1}},
 		{"64-row Scan + Put", si, scanPuts(t, kv, si), ledger{0, 1, 1, 0, 2, 2, 2, 66, 0, 0, 2, 0, 1, 1}},
 		{"64-row Scan + Put", ssi, scanPuts(t, kv, ssi), ledger{129, 1, 138, 132, 518, 2, 2, 66, 0, 0, 2, 0, 1, 1}},
-		{"64-row Scan + Put", s2pl, scanPuts(t, kv, s2pl), ledger{129, 1, 517, 131, 1034, 3, 2, 131, 0, 0, 3, 0, 1, 1}},
+		{"64-row Scan + Put", s2pl, scanPuts(t, kv, s2pl), ledger{129, 1, 259, 131, 518, 2, 2, 66, 0, 0, 2, 0, 1, 1}},
 		{"Put of an absent key", si, absentPutsAt(t, kvmixDB(1), si), ledger{0, 1, 2, 0, 5, 1, 2, 0, 0, 0, 4, 0, 1, 1}},
 		{"Put of an absent key", ssi, absentPutsAt(t, kvmixDB(1), ssi), ledger{2, 1, 5, 4, 11, 5, 2, 0, 0, 0, 8, 0, 1, 1}},
 		{"Put of an absent key", s2pl, absentPutsAt(t, kvmixDB(1), s2pl), ledger{2, 1, 5, 3, 11, 5, 2, 0, 0, 0, 8, 0, 1, 1}},
