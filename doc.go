@@ -32,10 +32,11 @@
 //	Put Insert Delete  Exclusive [10]      as writer        row k [8]; a refused Insert  leaf of k; interior pages in   as above                  K R F L | W U D
 //	  (k has a chain)                                       then reads k as Get [10]     the level's read mode; then
 //	                                                                                     stamp the leaf (refused: SSI)
-//	Put Insert Delete  Exclusive [10]      as writer, gap   gap before succ(k) [5], row  the whole path Exclusive if    as above                  K R F L | W U D
-//	  (structural [4])                     holders too      k; once installed, SIREADs   the leaf will split (interior
-//	                                                        on that gap also cover k's   pages stamped too), else as
-//	                                                        gap and row; re-lock it      above
+//	Put Insert Delete  Exclusive [10]      as writer, gap   gap before succ(k), probed   the whole path Exclusive if    as above                  K R F L | W U D
+//	  (structural [4])                     holders too      in the claim [5]; row k;     the leaf will split (interior
+//	                                                        once k is in, the gap's      pages stamped too), else as
+//	                                                        SIREADs also cover k's gap   above
+//	                                                        and row, its Shared k's gap
 //	Scan ScanLimit [9] none / SIREAD /     as reader [1]    row and gap of each visited  descent path to `from`; leaf   -                         F | U D
 //	                   Shared [2] [6]                       key; gap of the first key    of each visited key and of
 //	                                                        beyond, or the supremum      the first key beyond
@@ -69,11 +70,15 @@
 //	    granularity the Exclusive leaf drops the holder's SIREAD there
 //	    (§3.7.3), so the leaf is stamped, as a write stamps it.
 //	[4] Structural: a write to a key without a chain — a Put or Insert of a
-//	    new key, a Delete of an absent one. Keys never leave the index, so
-//	    every scan that covered k holds its row lock — it visited k, or k's
-//	    insert split its gap — which a row write's probe finds [10]: a Delete,
-//	    or an Insert over a tombstone, takes no gap lock. Page granularity
-//	    checks every Insert and Delete for a split.
+//	    new key, a Delete of an absent one. At row granularity its claim
+//	    probes the gap in the latch hold that inserts k (Figure 3.7): a
+//	    lookup that finds the SIREAD holders to mark, which another's Shared
+//	    lock blocks — only then is the gap locked, waited for unlatched, and
+//	    k claimed again. Keys never leave the index, so every scan that
+//	    covered k holds its row lock — it visited k, or k's insert split its
+//	    gap — which a row write's probe finds [10]: a Delete, or an Insert
+//	    over a tombstone, takes no gap lock. Page granularity checks every
+//	    Insert and Delete for a split.
 //	[5] Not at SI, which promises no predicate protection.
 //	[6] A locking scan locks each round of keys while the store's latches
 //	    exclude inserts: SIREADs in a batch, Shared locks in key order, the
@@ -123,9 +128,10 @@
 //	    snapshot); a head another writer still holds sends it to wait;
 //	    otherwise it probes the row's lock-table entry — a lookup, never an
 //	    insert — for the SIREAD holders to mark and for a blocking lock, reads
-//	    the reader the row's word names [1], and installs; the version takes
-//	    the place of the writer's own read of the row, in the word or in the
-//	    table, which the claim drops (§3.7.3). An Insert on a live head is
+//	    the reader the row's word names [1], and installs (a new key once its
+//	    gap probe [4] passes); the version takes the place of the writer's
+//	    own read of the row, in the word or in the table, which the claim
+//	    drops (§3.7.3). An Insert on a live head is
 //	    refused (K) before the probe, touching neither the lock table nor the
 //	    word, and then reads k as Get does (and claims again if k was deleted
 //	    meanwhile). A write that must wait converts the head writer's implicit

@@ -169,16 +169,22 @@ func TestExhaustivePhantomSkew(t *testing.T) {
 
 // TestExhaustiveS2PLAlwaysSerializable: at S2PL every schedule serializes or
 // deadlocks, retryably. S2PL blocks, so this also exercises the scheduler's
-// pending/drain machinery. The write skew scripts lock rows; the phantom and
-// delete skew scripts scan, so their Shared row and gap locks are taken
-// round by round under the store's latches, and a scan that meets a held
-// lock waits for it unlatched and collects again.
+// pending/drain machinery. The write skew scripts lock rows; the phantom,
+// delete skew and own split scripts scan, so their Shared row and gap locks
+// are taken round by round under the store's latches, and a scan that meets
+// a held lock waits for it unlatched and collects again.
 func TestExhaustiveS2PLAlwaysSerializable(t *testing.T) {
 	for _, set := range []struct {
 		name    string
 		scripts []Script
-	}{{"writeskew", mustSet(t, "writeskew")}, {"phantom", mustSet(t, "phantom")}, {"deleteskew", deleteSkew()}} {
-		Explore(NewDB(ssidb.DetectorPrecise), ssidb.S2PL, set.scripts, func(o Outcome) {
+		mkDB    func() (*ssidb.DB, *sercheck.History)
+	}{
+		{"writeskew", mustSet(t, "writeskew"), NewDB(ssidb.DetectorPrecise)},
+		{"phantom", mustSet(t, "phantom"), NewDB(ssidb.DetectorPrecise)},
+		{"deleteskew", deleteSkew(), NewDB(ssidb.DetectorPrecise)},
+		{"ownsplit", ownSplit(), ownSplitDB(ssidb.DetectorPrecise)},
+	} {
+		Explore(set.mkDB, ssidb.S2PL, set.scripts, func(o Outcome) {
 			for _, err := range o.Errs {
 				if err != nil && !ssidb.Retryable(err) {
 					t.Fatalf("%s schedule %v: %v", set.name, o, err)
@@ -220,6 +226,44 @@ func TestExhaustiveDeleteSkew(t *testing.T) {
 	}
 	for _, det := range []ssidb.Detector{ssidb.DetectorBasic, ssidb.DetectorPrecise} {
 		Explore(NewDB(det), ssidb.SerializableSI, scripts, func(o Outcome) {
+			for i, err := range o.Errs {
+				if err != nil && !ssidb.Retryable(err) {
+					t.Fatalf("detector %v schedule %v: script %s: %v", DetectorName(det), o, scripts[i].Name, err)
+				}
+			}
+			if ok, cyc := o.History.Serializable(); !ok {
+				t.Fatalf("detector %v schedule %v: cycle %v\n%s", DetectorName(det), o, cyc, o.History.MVSG())
+			}
+		})
+	}
+}
+
+// ownSplit is an insert into the scanner's own scanned gap: T scans [a, m)
+// over the rows a and m, inserts c, which splits the gap before m, and scans
+// again; U inserts b, into the half split off. T's locks on the gap before m
+// must cover both halves, or U's insert is a phantom of T's rescan.
+func ownSplit() []Script {
+	scan := func(tx *ssidb.Txn) error {
+		return tx.Scan(table, []byte("a"), []byte("m"), func(k, v []byte) bool { return true })
+	}
+	return []Script{
+		{Name: "T", Steps: []Step{scan, insert("c"), scan}},
+		{Name: "U", Steps: []Step{insert("b")}},
+	}
+}
+
+// ownSplitDB is the database ownSplit runs on: the rows a and m.
+func ownSplitDB(det ssidb.Detector) func() (*ssidb.DB, *sercheck.History) {
+	return seededDB(ssidb.Options{}, det, "a", "m")
+}
+
+// TestExhaustiveOwnSplit runs ownSplit at SerializableSI under both
+// detectors: no schedule may commit a cycle. TestExhaustiveS2PLAlwaysSerializable
+// runs it at S2PL.
+func TestExhaustiveOwnSplit(t *testing.T) {
+	scripts := ownSplit()
+	for _, det := range []ssidb.Detector{ssidb.DetectorBasic, ssidb.DetectorPrecise} {
+		Explore(ownSplitDB(det), ssidb.SerializableSI, scripts, func(o Outcome) {
 			for i, err := range o.Errs {
 				if err != nil && !ssidb.Retryable(err) {
 					t.Fatalf("detector %v schedule %v: script %s: %v", DetectorName(det), o, scripts[i].Name, err)
@@ -342,6 +386,35 @@ func TestExhaustivePageSplit(t *testing.T) {
 	} {
 		t.Run(c.iso.String()+"/"+DetectorName(c.det), func(t *testing.T) {
 			Explore(seededDB(opts, c.det, "a", "b", "c", "d"), c.iso, scripts, func(o Outcome) {
+				for i, err := range o.Errs {
+					if err != nil && !ssidb.Retryable(err) {
+						t.Fatalf("schedule %v: script %s: %v", o, scripts[i].Name, err)
+					}
+				}
+				if ok, cyc := o.History.Serializable(); !ok {
+					t.Fatalf("schedule %v: cycle %v\n%s", o, cyc, o.History.MVSG())
+				}
+			})
+		})
+	}
+}
+
+// TestExhaustiveSplitterRead: a page writer's Exclusive grant drops its
+// SIREAD on the leaf (§3.7.3), so its write stamp must stand for the read on
+// every page the rows it read end up on. With PageMaxKeys 4 and the full leaf
+// a, c, e, f, T reads e and inserts b, a split that moves e to a new page; U
+// reads b, absent, and writes e. At SerializableSI, under both detectors, no
+// schedule may commit a cycle: the split stamps the new page for T, as it
+// does the pages it rewrites, so U's write of e there meets T.
+func TestExhaustiveSplitterRead(t *testing.T) {
+	scripts := []Script{
+		{Name: "T", Steps: []Step{get("e"), insert("b")}},
+		{Name: "U", Steps: []Step{get("b"), put("e", 2)}},
+	}
+	opts := ssidb.Options{Granularity: ssidb.GranularityPage, PageMaxKeys: 4}
+	for _, det := range []ssidb.Detector{ssidb.DetectorBasic, ssidb.DetectorPrecise} {
+		t.Run(DetectorName(det), func(t *testing.T) {
+			Explore(seededDB(opts, det, "a", "c", "e", "f"), ssidb.SerializableSI, scripts, func(o Outcome) {
 				for i, err := range o.Errs {
 					if err != nil && !ssidb.Retryable(err) {
 						t.Fatalf("schedule %v: script %s: %v", o, scripts[i].Name, err)

@@ -46,6 +46,7 @@
 // EXCLUSIVE lock may write nothing (a locked read) and a gap has no version:
 // a row read goes in the probe of the write that installs a version (Probe),
 // a gap keeps both modes, and an SIREAD request on either reports no holder.
+// A split gap hands the new gap its SIREAD and SHARED holders (Inherit).
 //
 // SIREAD locks deliberately survive their owner's commit: the engine keeps
 // them until the suspended owner is cleaned up (thesis §3.3), releasing them
@@ -82,10 +83,12 @@
 // written by another transaction that still holds it sends the writer to
 // wait; other writers look at the row key's entry with Probe, a lookup that
 // never inserts, for SIREAD holders to mark and for a blocking holder (an S2PL
-// reader, a locked read, a waiter), and install if there is none. So the table
-// holds a row's Exclusive lock only for a locked read (GetForUpdate), a
-// conversion, or a waiter: a write that found a blocking holder acquires the
-// Exclusive lock and keeps it. The table stays the one place anyone waits:
+// reader, a locked read, a waiter), and install if there is none; an insert
+// probes the gap it splits the same way (Figure 3.7). So the table holds a
+// row's Exclusive lock only for a locked read (GetForUpdate), a conversion,
+// or a waiter, and a gap's only for an insert that waited: a write that found
+// a blocking holder acquires the Exclusive lock and keeps it. The table stays
+// the one place anyone waits:
 //   - Conversion. A transaction that must wait for an implicit lock first makes
 //     it explicit with Convert — an Exclusive entry held on the head writer's
 //     behalf and listed on its owner, as Inherit lists an inherited lock
@@ -179,9 +182,9 @@ func SupremumGapKey(table string) Key { return Key{Table: table, Kind: GapSuprem
 // blocksOn reports whether a request for mode req must wait while another
 // owner holds the modes in held on an object of the given kind. SIREAD
 // neither blocks nor is blocked. On gaps, exclusive locks (taken by inserts
-// and deletes, InnoDB's "insert intention") are compatible with each other:
-// two inserts into the same gap do not conflict, only a predicate reader's
-// shared gap lock blocks them (thesis §2.5.2).
+// whose probe was blocked, InnoDB's "insert intention") are compatible with
+// each other: two inserts into the same gap do not conflict, only a
+// predicate reader's shared gap lock blocks them (thesis §2.5.2).
 func blocksOn(kind Kind, req Mode, held Mode) bool {
 	gap := kind == Gap || kind == GapSupremum
 	switch req {
@@ -667,8 +670,8 @@ func rivalsInto(e *entry, owner *core.Txn, own, mode Mode, out []*core.Txn) []*c
 // new page (Inherit). A row's EXCLUSIVE lock may be a locked read's,
 // which writes nothing, so a row read goes only in the probe of the write that
 // installs a version (Probe). A gap has no version: dropping a gap SIREAD when
-// its owner inserts into its own scanned range would blind phantom detection
-// against later inserts by others.
+// its owner inserts into its own scanned range (its probe, or its grant after
+// a wait) would blind phantom detection against later inserts by others.
 func upgradeable(kind Kind) bool { return kind == Page }
 
 // grantLocked installs mode for owner, who held prev on e (read once by the
@@ -916,20 +919,21 @@ func (m *Manager) sireadBatchLocked(s *shard, os *ownerState, owner *core.Txn, k
 }
 
 // Inherit copies the locks held on src that follow its rows to dst: every
-// SIREAD, and on a key whose EXCLUSIVE lock stands for a version (upgradeable:
-// a page) the EXCLUSIVE one too. It implements lock inheritance for structure
-// changes: when an insert splits a locked gap (the new key divides the key
-// range a predicate read covered) or a page split moves rows to a new page,
-// the readers' SIREAD coverage must follow, or later writers into the new
-// gap/page would escape conflict detection; and the page's writer must keep
-// holding the rows it moved, or another writer of a moved row would find the
-// new page unlocked. The inherited EXCLUSIVE is listed on its owner, so
-// ReleaseBlocking drops it; dst is then a new page, which no request waits
-// for. Nothing here blocks, so this completes immediately. The caller
-// typically holds the table latch, making the inheritance atomic with the
-// structure change. src and dst may live in different shards; both shard
-// mutexes are held (in index order) so the copy is atomic. It reports whether
-// src had a holder of a mode it copies.
+// SIREAD; on a key whose EXCLUSIVE lock stands for a version (upgradeable: a
+// page) the EXCLUSIVE one too; onto a gap the SHARED ones — another's blocks
+// the insert, so these are mostly the inserter's own. It implements lock
+// inheritance for structure changes: when an insert splits a locked gap (the
+// new key divides the key range a predicate read covered) or a page split
+// moves rows to a new page, the readers' coverage must follow, or later
+// writers into the new gap/page would escape conflict detection; and the
+// page's writer must keep holding the rows it moved, or another writer of a
+// moved row would find the new page unlocked. A copied blocking mode is listed
+// on its owner, so ReleaseBlocking drops it; dst is then a new page or gap,
+// which no request waits for. Nothing here blocks, so this completes
+// immediately. The caller typically holds the table latch, making the
+// inheritance atomic with the structure change. src and dst may live in
+// different shards; both shard mutexes are held (in index order) so the copy
+// is atomic. It reports whether src had a holder of a mode it copies.
 func (m *Manager) Inherit(src, dst Key) bool {
 	ss, ds := m.shardOf(src), m.shardOf(dst)
 	lockPair(ss, ds)
@@ -943,6 +947,8 @@ func (m *Manager) Inherit(src, dst Key) bool {
 	moved := SIRead
 	if upgradeable(src.Kind) {
 		moved |= Exclusive
+	} else if dst.Kind == Gap {
+		moved |= Shared
 	}
 	var de *entry
 	for h, held := range se.holders {
@@ -960,7 +966,7 @@ func (m *Manager) Inherit(src, dst Key) bool {
 		hos := stateOf(h) // non-nil: h holds a lock on src
 		lockOwner(hos)
 		if hos.Unlocked() {
-			mode &^= Exclusive // as in Convert: the release took its list
+			mode &^= Exclusive | Shared // as in Convert: the release took its list
 		}
 		if mode == 0 || hos.Released() {
 			// h's ReleaseAll already ran (or is draining shards): recording
@@ -989,15 +995,16 @@ func (m *Manager) Inherit(src, dst Key) bool {
 // are stamped and durable, and an aborting one's rolled back.
 func ImplicitHeld(w *core.Txn) bool { return !w.Locks().Unlocked() }
 
-// Probe is a write's look at key's entry, a row key, made under the row
-// store's latch while it decides an implicit write ("Implicit row locks"). It
-// never inserts an entry. It reports whether another owner's lock there — or,
-// for an owner holding no blocking mode there, a parked request ahead —
-// blocks an Exclusive request by owner. If not, it appends the SIREAD
-// holders, the readers the write must mark, to buf and returns it, and drops
-// owner's own SIREAD on the row, beside an Exclusive lock of owner's there or
-// not: the write's version takes over the read (§3.7.3). Blocked, it appends
-// nothing: the writer acquires the lock instead, and probes again.
+// Probe is a write's look at key's entry, a row or the gap an insert splits,
+// made under the row store's latch while it decides an implicit write
+// ("Implicit row locks"). It never inserts an entry. It reports whether
+// another owner's lock there — or, for an owner holding no blocking mode
+// there, a parked request ahead — blocks an Exclusive request by owner. If
+// not, it appends the SIREAD holders, the readers the write must mark, to buf
+// and returns it, and on a row drops owner's own SIREAD, beside an Exclusive
+// lock of owner's there or not: the write's version takes over the read
+// (§3.7.3); a gap has no version (upgradeable). Blocked, it appends nothing:
+// the writer acquires the lock instead, and probes again.
 func (m *Manager) Probe(owner *core.Txn, key Key, buf []*core.Txn) (readers []*core.Txn, blocked bool) {
 	noteProbe()
 	s := m.shardOf(key)
@@ -1013,7 +1020,7 @@ func (m *Manager) Probe(owner *core.Txn, key Key, buf []*core.Txn) (readers []*c
 		return buf, true
 	}
 	readers = rivalsInto(e, owner, own, Exclusive, buf)
-	if own&SIRead != 0 {
+	if own&SIRead != 0 && key.Kind == Row {
 		// The owner's version will expose the conflict to later readers.
 		next := own &^ SIRead
 		os := stateOf(owner) // non-nil: owner holds a lock on e

@@ -208,6 +208,37 @@ func TestProbeDropsOwnSIRead(t *testing.T) {
 	checkOwner(t, m, txns[1])
 }
 
+// TestProbeKeepsOwnGapSIRead: a gap has no version, so an insert's Probe of
+// the gap it splits keeps the prober's own SIREAD there — its scan must
+// still see later inserts by others — while reporting another's SIREAD as a
+// reader to mark; another's SHARED lock blocks it, and the prober's own does
+// not.
+func TestProbeKeepsOwnGapSIRead(t *testing.T) {
+	_, txns := newTxns(2)
+	m := NewManagerShards(true, 0)
+	for _, gap := range []Key{GapKey("t", []byte("x")), SupremumGapKey("t")} {
+		m.Acquire(txns[0], gap, SIRead)
+		m.Acquire(txns[1], gap, SIRead)
+		readers, blocked := m.Probe(txns[0], gap, nil)
+		if blocked || len(readers) != 1 || readers[0] != txns[1] {
+			t.Fatalf("%v: Probe beside another reader: readers %v, blocked %v", gap, readers, blocked)
+		}
+		if !m.Holds(txns[0], gap, SIRead) || !m.Holds(txns[1], gap, SIRead) {
+			t.Fatalf("%v: Probe dropped a SIREAD on a gap", gap)
+		}
+		m.Acquire(txns[0], gap, Shared)
+		if _, blocked := m.Probe(txns[0], gap, nil); blocked {
+			t.Fatalf("%v: the prober's own SHARED lock blocks its Probe", gap)
+		}
+		m.Acquire(txns[1], gap, Shared)
+		if readers, blocked := m.Probe(txns[0], gap, nil); !blocked || len(readers) != 0 {
+			t.Fatalf("%v: Probe beside another's SHARED lock: readers %v, blocked %v", gap, readers, blocked)
+		}
+	}
+	checkOwner(t, m, txns[0])
+	checkOwner(t, m, txns[1])
+}
+
 func TestSharedToExclusiveUpgrade(t *testing.T) {
 	_, txns := newTxns(2)
 	m := NewManagerShards(true, 0)

@@ -402,3 +402,63 @@ func TestInheritMovesPageExclusive(t *testing.T) {
 		mgr.Abort(w)
 	}
 }
+
+// TestInheritMovesGapShared: a scanner's SHARED gap lock follows a split of
+// the gap onto the new gap — the scanner's own insert splits it, since
+// another's SHARED lock blocks the insert — listed on its owner, so
+// ReleaseBlocking drops it; it does not follow onto the new key's row, nor
+// from a row. Splits that race the holder's ReleaseBlocking leave it holding
+// nothing.
+func TestInheritMovesGapShared(t *testing.T) {
+	mgr := core.NewManager(core.DetectorBasic)
+	m := NewManagerShards(true, 8)
+	s := mgr.Begin(core.SerializableSI)
+	for _, c := range []struct {
+		src, dst Key
+		moves    bool
+	}{
+		{GapKey("t", []byte("m")), GapKey("t", []byte("c")), true},
+		{SupremumGapKey("t"), GapKey("t", []byte("z")), true},
+		{GapKey("t", []byte("m")), RowKey("t", []byte("c")), false},
+		{RowKey("t", []byte("a")), RowKey("t", []byte("b")), false},
+	} {
+		if _, err := m.Acquire(s, c.src, Shared); err != nil {
+			t.Fatal(err)
+		}
+		if got := m.Inherit(c.src, c.dst); got != c.moves {
+			t.Errorf("%v → %v: Inherit reports a holder %v, want %v", c.src, c.dst, got, c.moves)
+		}
+		if got := m.Holds(s, c.dst, Shared); got != c.moves {
+			t.Errorf("%v → %v: SHARED moved %v, want %v", c.src, c.dst, got, c.moves)
+		}
+	}
+	checkOwner(t, m, s)
+	m.ReleaseBlocking(s)
+	if st := m.StatsSnapshot(); listed(s.Locks()) != 0 || st.Keys != 0 {
+		t.Fatalf("after ReleaseBlocking the scanner lists %d entries, the table keeps %d keys", listed(s.Locks()), st.Keys)
+	}
+	mgr.Abort(s)
+
+	for round := 0; round < 100; round++ {
+		s := mgr.Begin(core.SerializableSI)
+		src := GapKey("t", []byte("m"))
+		if _, err := m.Acquire(s, src, Shared); err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for g := byte(0); g < 2; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				m.Inherit(src, GapKey("t", []byte{'c' + g}))
+			}()
+		}
+		m.ReleaseBlocking(s)
+		wg.Wait()
+		checkOwner(t, m, s)
+		if st := m.StatsSnapshot(); listed(s.Locks()) != 0 || st.Keys != 0 {
+			t.Fatalf("round %d: after ReleaseBlocking the scanner lists %d entries, the table keeps %d keys", round, listed(s.Locks()), st.Keys)
+		}
+		mgr.Abort(s)
+	}
+}

@@ -28,21 +28,21 @@
 // with the row's reader word in the padding behind the length, beside its
 // creator's cell and the link to the next older version — four words, where a
 // slice header and a bool made six.
-// The B+tree entry (a 4-byte key head, a pointer to the key and the *chain,
-// 20 bytes: the tree is typed) points at the chain, and the tree's arena holds
+// The B+tree entry (a 4-byte key head, a pointer to the key and the *chain, 20
+// bytes: the tree is typed) points at the chain, and the tree's arena holds
 // the only copy of the key the row keeps (the tree copies a key once, when it
 // is first inserted, as its length and its bytes, and every key this package
-// hands out — ScanItem.Key, Successor, Row.Key — is a string over those bytes;
-// value slices, by contrast, are retained as given, and handed back with their
-// capacity cut to their length, so a reader's append copies). A first insert
-// therefore allocates the chain and its key's bytes in the arena (and, now and
-// then, the arena a chunk or the tree a page); a superseding write copies
-// the old head out to a version and overwrites the head in place; Rollback
-// and pruning do the reverse. All of it happens under the partition latch,
-// and the invariant that makes overwriting in place safe is that no *version
-// — least of all the head's address — outlives the latch hold that obtained
-// it: reads copy the value and the creator out into their ReadResult and keep
-// no pointer into the chain.
+// hands out — ScanItem.Key, Row.Key, a claim's successor — is a string over
+// those bytes; value slices, by contrast, are retained as given, and handed
+// back with their capacity cut to their length, so a reader's append copies).
+// A first insert therefore allocates the chain and its key's bytes in the
+// arena (and, now and then, the arena a chunk or the tree a page); a
+// superseding write copies the old head out to a version and overwrites the
+// head in place; Rollback and pruning do the reverse. All of it happens under
+// the partition latch, and the invariant that makes overwriting in place safe
+// is that no *version — least of all the head's address — outlives the latch
+// hold that obtained it: reads copy the value and the creator out into their
+// ReadResult and keep no pointer into the chain.
 //
 // Locate hands out a Row: the tree's key string, the chain and the partition,
 // found by one descent. A Row is an address, not a reading — it says where
@@ -68,8 +68,9 @@
 // still holds the row, refuse an Insert on a live head, or else ask the lock
 // table (a Locker) for a blocking lock and the readers to mark, and then
 // refuse a head committed after its snapshot (First-Committer-Wins) or
-// install. A key the writer saw absent is inserted in the
-// same hold, under every partition latch. No other writer's version can appear
+// install. A key the writer saw absent is inserted in the same hold, under
+// every partition latch, once the lock table's probe of the gap it splits
+// has found nothing that blocks it. No other writer's version can appear
 // above a held head, so the head is the only version a write has to look at.
 // A writer that excludes the row's other writers by locks of its own (the
 // engine's page granularity) claims through a Locker that reports nothing.
@@ -683,9 +684,13 @@ type Locker interface {
 	// there blocks the write. If not, it keeps the readers the write must
 	// mark.
 	Probe(table, stored string) (blocked bool)
+	// ProbeGap is Probe of the gap an insert would split: the one before
+	// succ, the absent key's global successor, or past the table's last key
+	// if !hasSucc. Only an unblocked insert goes ahead.
+	ProbeGap(table, succ string, hasSucc bool) (blocked bool)
 	// Inherit is told of a key the write inserted, the store's own copy,
-	// and the key's global successor, if any: the SIREAD holders of the gap
-	// the key splits also cover the new key's gap and row.
+	// and the key's global successor, if any: the locks on the gap the key
+	// splits that follow its rows also cover the new key's gap and row.
 	Inherit(table, stored, succ string, hasSucc bool)
 	// Reader is told of the row's registered reader, by slot, in the hold
 	// of a write the probe did not block: a reader to mark, or the writer
@@ -717,8 +722,9 @@ const (
 	// Held: another transaction's version is the head and its writer still
 	// holds the row (Claim.Holder); nothing was installed.
 	Held
-	// Blocked: the Locker's probe found a lock that blocks the write;
-	// nothing was installed.
+	// Blocked: the Locker's probe, of the row or of the gap an insert
+	// would split, found a lock that blocks the write; nothing was
+	// installed, nor, for a blocked gap, inserted (Row is zero).
 	Blocked
 	// Conflict: the head committed after the writer's snapshot
 	// (First-Committer-Wins); the probe ran, nothing was installed.
@@ -731,23 +737,23 @@ const (
 // Claim is what Table.Claim did.
 type Claim struct {
 	// Row is the row of the key, found or inserted — set whatever the
-	// outcome, so a retry needs no descent.
-	Row      Row
-	Outcome  Outcome
-	Holder   *core.Txn // the head's writer, for Held
-	Inserted bool      // this call inserted the key
+	// outcome but a blocked gap, so a retry needs no descent.
+	Row     Row
+	Outcome Outcome
+	Holder  *core.Txn // the head's writer, for Held
 }
 
 // Claim decides and installs t's write of key in one exclusive latch hold
 // (see "Rows" in the package comment). row is the handle of key's row, or the
 // zero Row for a key the caller saw absent: then every partition latch is
-// taken, and the key inserted if it is still absent — the key stays, with an
-// empty chain, if nothing is installed. l is told of the insert (Inherit)
-// right after the key entered its tree but before it becomes visible to scans
-// or successor queries (no latch has been dropped): the engine inherits
-// SIREAD gap locks onto the new key's gap and row atomically with the structure
-// change — an atomicity that spans partitions, because the successor may
-// live in any of them.
+// taken and the key looked up once. A key still absent has its global
+// successor found, and l probes the gap before it (ProbeGap): blocked, the
+// claim inserts nothing. Otherwise the key is inserted, and l told of it
+// (Inherit) before any latch is dropped, so the engine moves the gap's locks
+// onto the new key's gap and row atomically with the structure change — an
+// atomicity that spans partitions, because the successor may live in any of
+// them; and the successor cannot change between the probe and the insert.
+// The key stays, with an empty chain, if nothing is installed.
 //
 // Under the latch, in order: t's own head is overwritten in place (or, for
 // MustNotExist and a live head, Exists); a head whose writer l says still
@@ -767,14 +773,18 @@ func (tb *Table) Claim(t *core.Txn, key []byte, row Row, in Intent, l Locker) Cl
 	}
 	tb.lockAll()
 	defer tb.unlockAll()
-	row, inserted := rowLocked(tb.shardOf(key), key)
-	if inserted {
+	sh := tb.shardOf(key)
+	stored, c, found := sh.tree.Lookup(key)
+	if !found {
 		succ, hasSucc := tb.successorAllLocked(key)
-		l.Inherit(tb.name, row.key, succ, hasSucc)
+		if l.ProbeGap(tb.name, succ, hasSucc) {
+			return Claim{Outcome: Blocked}
+		}
+		c = &chain{}
+		stored = sh.tree.Insert(key, c)
+		l.Inherit(tb.name, stored, succ, hasSucc)
 	}
-	cl := tb.claimLocked(t, row, in, l)
-	cl.Inserted = inserted
-	return cl
+	return tb.claimLocked(t, Row{key: stored, c: c, sh: sh}, in, l)
 }
 
 // claimLocked is Claim's decision on row; the caller holds its partition
@@ -887,8 +897,8 @@ func (tb *Table) Scan(t *core.Txn, snap core.TS, from []byte, fn func(ScanItem) 
 // any point of a scan that runs to its end:
 //
 //  1. During a round every partition latch is held shared, and every insert
-//     takes at least its key's partition latch exclusively (gap-protocol
-//     structural inserts take all of them), so no key anywhere in the table
+//     takes at least its key's partition latch exclusively (a structural
+//     insert takes all of them), so no key anywhere in the table
 //     becomes visible while a round is emitting.
 //  2. Each round's emitted keys receive their locks in that round's flush,
 //     before the latches drop. So whenever no latch is held, every emitted
@@ -897,12 +907,12 @@ func (tb *Table) Scan(t *core.Txn, snap core.TS, from []byte, fn func(ScanItem) 
 //     If x > F, the next round observes the tree change and re-seeks past F,
 //     so the merge emits x itself and the reader marks the rw-conflict from
 //     the invisible newer version (Figure 3.4) — or, holding Shared, waits
-//     for x's writer. If x ≤ F, the inserter's next-key gap lock lands on
+//     for x's writer. If x ≤ F, the inserter's gap probe (Claim) lands on
 //     succ(x), the smallest key above x — and succ(x) ≤ F always (F itself
 //     is a key greater than x), so succ(x) was emitted and its gap lock
-//     installed by an earlier flush; the inserter's exclusive acquisition
-//     reports the scanner as a rival and the conflict is marked from the
-//     writer side (Figure 3.7) — or waits for the scanner's Shared lock.
+//     installed by an earlier flush; the probe reports the scanner as a
+//     reader and the conflict is marked from the writer side (Figure 3.7) —
+//     or is blocked by the scanner's Shared lock, and the inserter waits.
 //  4. Page granularity, which runs one tree per table, replaces gap locks
 //     with leaf-page SIREAD coverage: every leaf that could receive an
 //     in-range key is either the descent leaf of `from` (locked up front via
@@ -1054,9 +1064,8 @@ func (m *merge) siftDown(i int) {
 	}
 }
 
-// LeafPage, AppendPathPages, InsertWillSplit and Successor expose the
-// underlying trees' page topology for the page-granularity engine mode and the
-// gap locking protocol.
+// LeafPage, AppendPathPages and InsertWillSplit expose the underlying trees'
+// page topology for the page-granularity engine mode.
 func (tb *Table) LeafPage(key []byte) uint32 {
 	sh := tb.shardOf(key)
 	sh.mu.RLock()
@@ -1083,26 +1092,8 @@ func (tb *Table) InsertWillSplit(key []byte) bool {
 	return sh.tree.InsertWillSplit(key)
 }
 
-// Successor returns the smallest key strictly greater than key across all
-// partitions. Partitions are inspected one at a time (no two latches are
-// ever held together on this path), so the result can be momentarily stale
-// against concurrent inserts; every caller (the gap-locking protocol) wraps
-// it in an acquire-and-revalidate loop, and tree keys are never removed, so
-// a re-read converges.
-func (tb *Table) Successor(key []byte) (string, bool) {
-	best, found := "", false
-	for _, sh := range tb.shards {
-		sh.mu.RLock()
-		s, ok := sh.tree.Successor(key)
-		sh.mu.RUnlock()
-		if ok && (!found || s < best) {
-			best, found = s, true
-		}
-	}
-	return best, found
-}
-
-// successorAllLocked is Successor with every partition latch already held.
+// successorAllLocked returns the smallest key strictly greater than key
+// across all partitions; the caller holds every partition latch.
 func (tb *Table) successorAllLocked(key []byte) (string, bool) {
 	best, found := "", false
 	for _, sh := range tb.shards {

@@ -520,12 +520,12 @@ func TestRowHandleAcrossSplits(t *testing.T) {
 }
 
 // TestOnlyInsertsSpendKeyBytes: a key reaches a tree's arena only through a
-// structural insert. An empty table holds no arena bytes; reading, locating
-// or seeking past a key without a row, reading at
-// the latest timestamp as a locking read does, overwriting a row and rolling
-// a write back spend none; an insert spends its key's length and bytes, once
-// — a key stays in its tree after its inserting write rolls back, so
-// writing it again spends nothing either.
+// structural insert. An empty table holds no arena bytes; reading or
+// locating a key without a row, reading at the latest timestamp as a locking
+// read does, a claim of the key whose gap probe blocks, overwriting a row and
+// rolling a write back spend none; an insert spends its key's length and
+// bytes, once — a key stays in its tree after its inserting write rolls back,
+// so writing it again spends nothing either.
 func TestOnlyInsertsSpendKeyBytes(t *testing.T) {
 	f := newFixture()
 	keyBytes := func() int { return f.tb.Stats().KeyBytes }
@@ -550,7 +550,9 @@ func TestOnlyInsertsSpendKeyBytes(t *testing.T) {
 		if res := f.tb.Read(r, core.TS(^uint64(0)), k); res.Found {
 			t.Fatalf("a locking read of %s found a value", k)
 		}
-		f.tb.Successor(k)
+		if c := f.tb.Claim(r, k, Row{}, Intent{Data: []byte("x")}, &heldRows{gapBlocked: true}); c.Outcome != Blocked || !c.Row.IsZero() {
+			t.Fatalf("a claim of %s whose gap probe blocks: %v, row %q", k, c.Outcome, c.Row.Key())
+		}
 	}
 	f.m.Abort(r)
 	if n := keyBytes(); n != base {
@@ -575,21 +577,28 @@ func TestOnlyInsertsSpendKeyBytes(t *testing.T) {
 }
 
 // heldRows is a Locker that holds the rows of the transactions in held and
-// blocks every probe while blocked is set; it records what it was told. own
-// is the writer's reader slot, whose registration its writes drop.
+// blocks every row probe while blocked is set, and every gap probe while
+// gapBlocked is; it records what it was told. own is the writer's reader
+// slot, whose registration its writes drop.
 type heldRows struct {
-	held     map[*core.Txn]bool
-	blocked  bool
-	probes   int
-	inserted []string
-	own      uint32
-	readers  []uint32
+	held       map[*core.Txn]bool
+	blocked    bool
+	gapBlocked bool
+	probes     int
+	gaps       []string // the successors of the gaps probed, "" for past the last key
+	inserted   []string
+	own        uint32
+	readers    []uint32
 }
 
 func (l *heldRows) Holds(w *core.Txn) bool { return l.held[w] }
 func (l *heldRows) Probe(string, string) bool {
 	l.probes++
 	return l.blocked
+}
+func (l *heldRows) ProbeGap(_, succ string, _ bool) bool {
+	l.gaps = append(l.gaps, succ)
+	return l.gapBlocked
 }
 func (l *heldRows) Inherit(_, stored, _ string, _ bool) { l.inserted = append(l.inserted, stored) }
 func (l *heldRows) Reader(slot uint32) bool {
@@ -606,7 +615,10 @@ func (l *heldRows) Reader(slot uint32) bool {
 // committed after the snapshot is a Conflict, but only once the probe has run
 // (it finds the readers to mark); a blocking lock is Blocked; a visible live
 // head refuses MustNotExist; otherwise the version is pushed. A key the caller
-// saw absent is inserted, and the Locker told, even when nothing is installed.
+// saw absent has the gap before its successor probed first: a blocked gap
+// inserts nothing; otherwise the key is inserted, and the Locker told, even
+// when the row's probe then blocks and nothing is installed. A key that is in
+// the index by then has no gap probed.
 func TestClaimDecides(t *testing.T) {
 	f := newFixture()
 	ct := f.put(t, "x", "v0")
@@ -655,13 +667,21 @@ func TestClaimDecides(t *testing.T) {
 	}
 	delete(l.held, w) // the writer let go of its locks
 
-	l.blocked = true
-	if c := claim(other, "new", Intent{Data: []byte("n")}); c.Outcome != Blocked || !c.Inserted || len(l.inserted) != 1 || l.inserted[0] != "new" {
-		t.Fatalf("a blocked claim of an absent key: %v, inserted %v, told %q", c.Outcome, c.Inserted, l.inserted)
+	l.gapBlocked = true
+	probes = l.probes
+	if c := claim(other, "new", Intent{Data: []byte("n")}); c.Outcome != Blocked || !c.Row.IsZero() || len(l.inserted) != 0 || l.probes != probes {
+		t.Fatalf("a claim of an absent key whose gap probe blocks: %v, row %q, told %q, %d row probes", c.Outcome, c.Row.Key(), l.inserted, l.probes-probes)
+	}
+	if _, ok := f.tb.Locate([]byte("new")); ok || len(l.gaps) != 1 || l.gaps[0] != "x" {
+		t.Fatalf("a blocked gap probe: key inserted %v, gaps probed before %q, want none and x", ok, l.gaps)
+	}
+	l.gapBlocked, l.blocked = false, true
+	if c := claim(other, "new", Intent{Data: []byte("n")}); c.Outcome != Blocked || c.Row.Key() != "new" || len(l.inserted) != 1 || l.inserted[0] != "new" {
+		t.Fatalf("an insert whose row probe blocks: %v, row %q, told %q", c.Outcome, c.Row.Key(), l.inserted)
 	}
 	l.blocked = false
-	if c := claim(other, "new", Intent{Data: []byte("n")}); c.Outcome != Written || c.Inserted || len(l.inserted) != 1 {
-		t.Fatalf("a claim of the key the blocked claim inserted: %v, inserted %v, told %q", c.Outcome, c.Inserted, l.inserted)
+	if c := claim(other, "new", Intent{Data: []byte("n")}); c.Outcome != Written || len(l.inserted) != 1 || len(l.gaps) != 2 {
+		t.Fatalf("a claim of the key the blocked claim inserted: %v, told %q, gaps probed before %q", c.Outcome, l.inserted, l.gaps)
 	}
 	f.commit(t, other)
 	if got := read("new"); got != "n" {

@@ -105,6 +105,7 @@ type pageLocker struct{}
 
 func (pageLocker) Holds(*core.Txn) bool                 { return false }
 func (pageLocker) Probe(string, string) bool            { return false }
+func (pageLocker) ProbeGap(string, string, bool) bool   { return false }
 func (pageLocker) Inherit(string, string, string, bool) {}
 func (pageLocker) Reader(uint32) bool                   { return false }
 
@@ -149,10 +150,13 @@ func lockPagePath(tx *Txn, tb *table, key []byte, interior, leafMode lock.Mode, 
 			if err != nil {
 				return nil, 0, err
 			}
-			if split && !isLeaf {
-				// The split will rewrite this interior page: stamp it so
-				// page-level FCW and newer-version checks see the structural
-				// write (the root-page conflicts of §6.1.5).
+			if split {
+				// The split will rewrite this page: stamp it so page-level
+				// FCW and newer-version checks see the structural write (the
+				// root-page conflicts of §6.1.5). The leaf's stamp goes now,
+				// not after the insert, so the split hands it to the new page
+				// with the rows it moves: it stands for the read the
+				// Exclusive grant dropped (§3.7.3).
 				tb.stamps.addWriter(pg, tx.t)
 			}
 		}

@@ -7,19 +7,19 @@ import (
 )
 
 // rowTargets is the row-granularity lockTargets, the InnoDB prototype's
-// (thesis §4.6): a point operation locks its row, structural writes and
-// scans also lock next-key gaps (§3.5), First-Committer-Wins compares
+// (thesis §4.6): a point operation locks its row, scans also lock next-key
+// gaps and structural writes probe them (§3.5), First-Committer-Wins compares
 // versions of the key written, and a read marks the creators of the newer
 // versions of the keys it read and no lock holder: a write is signalled by
 // its version, or, for a new key, by the gap its insert split (package lock).
 //
-// A write takes no row lock in the lock table, at any level: its uncommitted
-// version is its write lock, decided and installed in one exclusive latch
-// hold (mvcc.Table.Claim), and made an explicit entry only when another
-// transaction has to wait for it (package lock, "Implicit row locks"). Every
-// explicit blocking grant on a row — S2PL's reads, a locked read — waits,
-// after the grant, for a writer whose version still holds the row (grantRow;
-// a scan's shareRound).
+// A write takes no row or gap lock in the lock table, at any level: its
+// uncommitted version is its write lock, decided and installed in one
+// exclusive latch hold (mvcc.Table.Claim), and made an explicit entry only
+// when another transaction has to wait for it, or it for another (package
+// lock, "Implicit row locks"). Every explicit blocking grant on a row — S2PL's
+// reads, a locked read — waits, after the grant, for a writer whose version
+// still holds the row (grantRow; a scan's shareRound).
 // Nor does an SSI point read of an existing row lock there: its SIREAD is the
 // row's reader word (read; package lock, "Row readers"). Only a version
 // retires a read: a locked read, and an Insert refused on the row, write
@@ -146,40 +146,31 @@ func (rowTargets) lockForUpdate(tx *Txn, tb *table, key []byte, row mvcc.Row) (c
 // write is the row-granularity write, at every level. It claims the row in
 // one latch hold (mvcc.Table.Claim), whose outcome installs the version, or
 // sends the writer to wait — converting the head writer's implicit lock, or
-// acquiring behind a blocking entry (an S2PL reader's Shared lock, a locked
-// read's or a converted Exclusive one) — and claim again, or ends the write.
-// A structural write, to a key without a row, locks the gap first and again
-// once the key is in the tree (Figure 3.7). A Delete, or an Insert over a
-// tombstone, is a row write: keys never leave the tree, so every scan that
-// covered the key holds its row lock (visited, or Inherit), which the claim's
-// probe finds.
+// acquiring behind the blocking entry its probe found (an S2PL reader's
+// Shared lock, a locked read's or a converted Exclusive one) — and claim
+// again, or ends the write. A structural write, to a key absent from the
+// index, probes in that hold the gap the key splits (Figure 3.7's next-key
+// lock, taken only by an insert that waited): the successor cannot change
+// before the insert, so there is nothing to lock again. A Delete, or an
+// Insert over a tombstone, is a row write: keys never leave the tree, so
+// every scan that covered the key holds its row lock (visited, or Inherit),
+// which the claim's probe finds.
 func (rowTargets) write(tx *Txn, tb *table, key []byte, row mvcc.Row, val []byte, tombstone, mustNotExist bool) error {
-	mode := tx.readMode()
-	if row.IsZero() && mode != noLock {
-		// Figure 3.7: an insert exclusively locks the gap before the next
-		// key, where predicate readers left their SIREAD (marked) or Shared
-		// (waited for) gap locks. Plain SI has no predicate protection to
-		// honour.
-		if err := tx.gapLock(tb, key); err != nil {
-			return err
-		}
-	}
 	// The claim checks First-Committer-Wins against the snapshot, if the
 	// transaction has one yet; S2PL takes none, and reads latest.
 	in := mvcc.Intent{Snap: tx.t.Snapshot(), Data: val, Tombstone: tombstone, MustNotExist: mustNotExist}
-	inserted := false
 	var c mvcc.Claim
 claim:
 	for {
-		tx.rivals = emptied(tx.rivals) // the claim's probe fills it
+		tx.rivals = emptied(tx.rivals) // the claim's probes fill it
 		c = tb.data.Claim(tx.t, key, row, in, (*rowLocker)(tx))
-		row, inserted = c.Row, inserted || c.Inserted
+		row = c.Row
 		var err error
-		switch {
-		case c.Outcome == mvcc.Held:
+		switch c.Outcome {
+		case mvcc.Held:
 			err = tx.waitFor(c.Holder, rowKeyOf(tb, row.Key()), lock.Exclusive)
-		case c.Outcome == mvcc.Blocked:
-			err = tx.wait(rowKeyOf(tb, row.Key()), lock.Exclusive)
+		case mvcc.Blocked:
+			err = tx.wait(tx.blocked, lock.Exclusive)
 		default:
 			break claim
 		}
@@ -200,12 +191,6 @@ claim:
 	case mvcc.Exists:
 		return ErrKeyExists
 	}
-	if inserted && mode != noLock {
-		// Re-acquire the gap now that the key is visible: the successor may
-		// have changed between planning and insertion, and inherited SIREAD
-		// holders on the true gap must be marked as conflicts.
-		return tx.gapLock(tb, key)
-	}
 	return nil
 }
 
@@ -215,11 +200,29 @@ type rowLocker Txn
 
 func (*rowLocker) Holds(w *core.Txn) bool { return lock.ImplicitHeld(w) }
 
-// Probe appends the readers it finds to the transaction's rival buffer.
 func (l *rowLocker) Probe(table, stored string) bool {
+	return l.probe(lock.Key{Table: table, Kind: lock.Row, K: stored})
+}
+
+// ProbeGap probes the gap an insert splits, where predicate readers left
+// their SIREAD (marked) or Shared (waited for) gap locks. Plain SI has no
+// predicate protection to honour.
+func (l *rowLocker) ProbeGap(table, succ string, hasSucc bool) bool {
+	if (*Txn)(l).readMode() == noLock {
+		return false
+	}
+	return l.probe(nextGapKey(table, succ, hasSucc))
+}
+
+// probe appends the readers it finds on k to the transaction's rival buffer,
+// or keeps k as the key the write waits for.
+func (l *rowLocker) probe(k lock.Key) bool {
 	tx := (*Txn)(l)
-	readers, blocked := tx.db.locks.Probe(tx.t, lock.Key{Table: table, Kind: lock.Row, K: stored}, tx.rivals)
+	readers, blocked := tx.db.locks.Probe(tx.t, k, tx.rivals)
 	tx.rivals = readers
+	if blocked {
+		tx.blocked = k
+	}
 	return blocked
 }
 
@@ -234,46 +237,26 @@ func (l *rowLocker) Reader(slot uint32) bool {
 	return false
 }
 
-// Inherit: on a structural insert, SIREAD gap locks covering the target gap
-// are inherited onto the new key's gap under the table latch, atomically with
-// the key becoming visible — otherwise a second insert into the now-split gap
-// would escape the scanners' phantom detection — and onto its row, whose
-// absence they read: every later write of the key, even after this insert
-// rolls back, is a row write. Both are named by the store's copy of the key.
+// Inherit: on a structural insert, the gap locks that follow its rows are
+// inherited onto the new key's gap under the table latch, atomically with
+// the key becoming visible — otherwise a second insert into the now-split
+// gap would escape the scanners' phantom detection — and the SIREADs onto its
+// row, whose absence they read: every later write of the key, even after
+// this insert rolls back, is a row write. Both are named by the store's copy
+// of the key.
 func (l *rowLocker) Inherit(table, stored, succ string, hasSucc bool) {
-	src := lock.SupremumGapKey(table)
-	if hasSucc {
-		src = lock.Key{Table: table, Kind: lock.Gap, K: succ}
-	}
+	src := nextGapKey(table, succ, hasSucc)
 	if locks := (*Txn)(l).db.locks; locks.Inherit(src, lock.Key{Table: table, Kind: lock.Gap, K: stored}) {
 		locks.Inherit(src, lock.Key{Table: table, Kind: lock.Row, K: stored})
 	}
 }
 
-// gapLock implements the next-key gap protocol of Figures 3.6/3.7 for the
-// writer side: exclusively lock the gap before the successor of key (or the
-// supremum), looping until the successor is stable. For SSI the rivals are
-// SIREAD gap holders — concurrent predicate readers.
-func (tx *Txn) gapLock(tb *table, key []byte) error {
-	for {
-		succ, ok := tb.data.Successor(key)
-		gk := lock.SupremumGapKey(tb.name)
-		if ok {
-			gk = gapKeyOf(tb, succ)
-		}
-		rivals, err := tx.db.locks.AcquireInto(tx.t, gk, lock.Exclusive, emptied(tx.rivals))
-		tx.rivals = rivals
-		if err != nil {
-			return err
-		}
-		if err := tx.markAsWriter(rivals); err != nil {
-			return err
-		}
-		succ2, ok2 := tb.data.Successor(key)
-		if ok == ok2 && succ == succ2 {
-			return nil
-		}
+// nextGapKey names the gap before succ, or past table's last key if !hasSucc.
+func nextGapKey(table, succ string, hasSucc bool) lock.Key {
+	if !hasSucc {
+		return lock.SupremumGapKey(table)
 	}
+	return lock.Key{Table: table, Kind: lock.Gap, K: succ}
 }
 
 // A scan's first gap is the one before its first key, which scanKeys covers.

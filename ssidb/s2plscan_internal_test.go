@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"ssi/internal/lock"
 )
@@ -154,5 +155,65 @@ func TestS2PLScanWaitsInTwoRounds(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestS2PLInsertKeepsItsSplitGap: an S2PL transaction that inserts into a
+// range it scanned keeps its Shared lock on both halves of the gap the insert
+// splits (lock.Manager.Inherit), so another transaction's insert into the
+// split-off half waits for it, and its rescan of the range sees no phantom.
+func TestS2PLInsertKeepsItsSplitGap(t *testing.T) {
+	db := Open(Options{})
+	if err := db.Run(SnapshotIsolation, func(tx *Txn) error {
+		for _, k := range []string{"a", "m"} {
+			if err := tx.Put("t", []byte(k), []byte("v0")); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	scanner := db.Begin(S2PL)
+	defer scanner.Abort()
+	rows, err := scanRows(scanner, "a", "m", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := scanner.Insert("t", []byte("c"), []byte("v1")); err != nil {
+		t.Fatal(err)
+	}
+	if !db.locks.Holds(scanner.t, lock.GapKey("t", []byte("c")), lock.Shared) {
+		t.Error("the scanner's insert of c left it no Shared lock on the gap before c")
+	}
+	inserter := db.Begin(S2PL)
+	defer inserter.Abort()
+	parks := db.StatsSnapshot().LockParks
+	done := async(func() error { return inserter.Put("t", []byte("b"), []byte("v1")) })
+	for deadline := time.Now().Add(5 * time.Second); db.StatsSnapshot().LockParks <= parks; {
+		select {
+		case err := <-done:
+			t.Fatalf("the insert of b into the gap the scanner split returned %v without waiting for it", err)
+		case <-time.After(time.Millisecond):
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the insert of b neither returned nor parked")
+		}
+	}
+	again, err := scanRows(scanner, "a", "m", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprint(rows, again), "[a=v0] [a=v0 c=v1]"; got != want {
+		t.Fatalf("the scanner's scan and rescan of [a, m): %s, want %s", got, want)
+	}
+	if err := scanner.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := result(t, done); err != nil {
+		t.Fatal(err)
+	}
+	if err := inserter.Commit(); err != nil {
+		t.Fatal(err)
 	}
 }

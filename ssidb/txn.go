@@ -91,12 +91,13 @@ type txnScratch struct {
 
 	// rivals is the buffer lock.AcquireInto and lock.Probe append
 	// conflicting holders into on the point paths (a row grant, a row
-	// write's claims, gapLock, lockPagePath, a page scan's first descent), so
-	// only a transaction's first rival can allocate. Each use empties it
-	// first and finishes consuming it before the next operation reuses it.
-	// A scan's other buffers live in the recycled scanCtx.
-	rivals []*core.Txn
-	pages  []uint32 // lockPagePath's buffer: a page-granularity descent path, planned and re-checked
+	// write's claims, lockPagePath, a page scan's first descent), so only a
+	// transaction's first rival can allocate. Each use empties it first and
+	// finishes consuming it before the next operation reuses it. A scan's
+	// other buffers live in the recycled scanCtx.
+	rivals  []*core.Txn
+	pages   []uint32 // lockPagePath's buffer: a page-granularity descent path, planned and re-checked
+	blocked lock.Key // the row or gap a row write's claim was blocked on (rowLocker)
 
 	// commit.redo accumulates the redo record (one encoded entry per write,
 	// values copied at write time so later caller mutation of the value
@@ -494,9 +495,10 @@ type lockTargets interface {
 	// write writes key under the level's write protocol — locks, marking
 	// (Figure 3.5), First-Committer-Wins, the install (row as above) — and
 	// adds the row written to the write set, so that whatever it installed
-	// is rolled back if it fails. A structural write also covers its gap
-	// (row granularity: a key without a row) or a page split (page
-	// granularity: an Insert, a Delete or a key without a row). It returns
+	// is rolled back if it fails. A structural write also covers the gap it
+	// splits, by a probe in its claim (row granularity: a key absent from
+	// the index), or a page split (page granularity: an Insert, a Delete or
+	// a key without a row). It returns
 	// ErrKeyExists, which leaves the transaction usable and the row
 	// unwritten (Txn.write then reads it), or an abort-class error.
 	write(tx *Txn, tb *table, key []byte, row mvcc.Row, val []byte, tombstone, mustNotExist bool) error

@@ -132,8 +132,8 @@ func collision(t *testing.T, db *ssidb.DB, iso ssidb.Isolation) func() {
 // lock); shared and exclusive partition-latch holds and versions walked
 // (package mvcc); B+tree descents; MarkConflict calls and retirement entries
 // queued and drained (package core). Tables have one partition and the lock
-// table 8 shards, except for the absent-key Put, whose two gap keys share the
-// one shard of its own database's lock table wherever they hash.
+// table 8 shards, except for the absent-key Put, whose gap and row keys share
+// the one shard of its own database's lock table wherever they hash.
 //
 //	go test -tags workcount -run SSIOverSI -v .
 //
@@ -200,15 +200,17 @@ func collision(t *testing.T, db *ssidb.DB, iso ssidb.Isolation) func() {
 // versions, 2 descents.
 //
 // A Put of an absent key at the right edge of the tree (TestLockWorkBudget and
-// TestStoreWorkBudget derive SI): at SI a probe and the insert's inheritance
-// of its gap's SIREADs (one shard hold for both gap keys, 3 hashes) — 2 shard
-// holds, 5 hashes; 1 shared and 2 exclusive holds, 4 descents. SSI and S2PL
-// lock the supremum gap Exclusive before the insert and again after it, each
-// time between two successor seeks (a shared hold and a descent each): 2
-// requests, the second already held (a shard hold, 2 hashes); 1 + 1 + 1 + 1 +
-// 1 (release) = 5 shard holds; owner holds: the grant and the two releases,
-// and SSI's commit: 4, S2PL 3; 3 + 3 + 2 + 2 + 1 = 11 hashes; 5 shared holds
-// and 8 descents.
+// TestStoreWorkBudget derive SI): the locate (a shared hold, a descent) and
+// the claim, under every partition latch (an exclusive hold): it looks the
+// key up, seeks its successor and inserts it (3 descents), the insert's
+// inheritance of its gap's locks (one shard hold for both gap keys, 3
+// hashes), and the row's probe (a shard hold, 2 hashes); the retirement's
+// prune (an exclusive hold). SI — 1 probe, 2 shard holds, 5 hashes; 1 shared
+// and 2 exclusive holds, 4 descents. SSI and S2PL probe, in the claim, the
+// supremum gap the key splits before it inserts (a probe, a shard hold, 2
+// hashes), and take no lock: the successor cannot change inside the hold, so
+// nothing is locked again. 0 requests, 2 probes, 3 shard holds, 0 owner holds,
+// 7 hashes; 1 shared and 2 exclusive holds, 4 descents.
 //
 // A Delete of an existing row, at every level: the locate (a shared hold, a
 // descent), the claim, which installs the tombstone in an exclusive hold that
@@ -292,8 +294,8 @@ func TestSSIOverSIWorkBudget(t *testing.T) {
 		{"64-row Scan + Put", ssi, scanPuts(t, kv, ssi), ledger{129, 1, 138, 132, 518, 2, 2, 66, 0, 0, 2, 0, 1, 1}},
 		{"64-row Scan + Put", s2pl, scanPuts(t, kv, s2pl), ledger{129, 1, 259, 131, 518, 2, 2, 66, 0, 0, 2, 0, 1, 1}},
 		{"Put of an absent key", si, absentPutsAt(t, kvmixDB(1), si), ledger{0, 1, 2, 0, 5, 1, 2, 0, 0, 0, 4, 0, 1, 1}},
-		{"Put of an absent key", ssi, absentPutsAt(t, kvmixDB(1), ssi), ledger{2, 1, 5, 4, 11, 5, 2, 0, 0, 0, 8, 0, 1, 1}},
-		{"Put of an absent key", s2pl, absentPutsAt(t, kvmixDB(1), s2pl), ledger{2, 1, 5, 3, 11, 5, 2, 0, 0, 0, 8, 0, 1, 1}},
+		{"Put of an absent key", ssi, absentPutsAt(t, kvmixDB(1), ssi), ledger{0, 2, 3, 0, 7, 1, 2, 0, 0, 0, 4, 0, 1, 1}},
+		{"Put of an absent key", s2pl, absentPutsAt(t, kvmixDB(1), s2pl), ledger{0, 2, 3, 0, 7, 1, 2, 0, 0, 0, 4, 0, 1, 1}},
 		{"Delete of an existing row", si, deletesAt(t, kv, si, 0x1041), ledger{0, 1, 1, 0, 2, 1, 2, 1, 0, 0, 1, 0, 1, 1}},
 		{"Delete of an existing row", ssi, deletesAt(t, kv, ssi, 0x1041+2*(n+1)), ledger{0, 1, 1, 0, 2, 1, 2, 1, 0, 0, 1, 0, 1, 1}},
 		{"Delete of an existing row", s2pl, deletesAt(t, kv, s2pl, 0x1041+4*(n+1)), ledger{0, 1, 1, 0, 2, 1, 2, 1, 0, 0, 1, 0, 1, 1}},
