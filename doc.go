@@ -37,9 +37,10 @@
 //	                                                        once k is in, the gap's      pages stamped too), else as
 //	                                                        SIREADs also cover k's gap   above
 //	                                                        and row, its Shared k's gap
-//	Scan ScanLimit [9] none / SIREAD /     as reader [1]    row and gap of each visited  descent path to `from`; leaf   -                         F | U D
-//	                   Shared [2] [6]                       key; gap of the first key    of each visited key and of
-//	                                                        beyond, or the supremum      the first key beyond
+//	Scan ScanLimit [9] none / SIREAD /     as reader [1]    row and gap of each visited  leaf of each visited key and  -                         F | U D
+//	                   Shared [2] [6]                       key; gap of the first key    of the first key beyond; the
+//	                                                        beyond, or the supremum      first round adds the descent
+//	                                                                                     path to `from`
 //
 //	[1] Rivals of a read are the creators of versions newer than its
 //	    snapshot: of the keys read (row), or of the leaf pages read and, for a
@@ -84,7 +85,12 @@
 //	    exclude inserts: SIREADs in a batch, Shared locks in key order, the
 //	    first that would wait (a lock, or a row's held head version) ending
 //	    the collection, to wait unlatched and collect again. A row the
-//	    scanner wrote takes no row lock. At every level the range is
+//	    scanner wrote takes no row lock. At page granularity a collection's
+//	    first round also locks the descent path to `from`, read in the
+//	    round's latch hold, so a range with no key in it is still covered;
+//	    every page lock, a point operation's path too, is taken in the latch
+//	    hold that reads the page, and one that would wait is waited for
+//	    unlatched and the path read again. At every level the range is
 //	    collected, locked and marked in full before the callback sees a row,
 //	    in a scan context (items, lock keys, rivals) recycled through a
 //	    sync.Pool: it is taken when Scan starts and handed back zeroed when

@@ -268,37 +268,25 @@ func (t *TreeOf[V]) Lookup(key []byte) (stored string, val V, ok bool) {
 	return "", val, false
 }
 
-// LeafPage returns the page number of the leaf that holds (or would hold)
-// key. Page-granularity locking locks this.
-func (t *TreeOf[V]) LeafPage(key []byte) uint32 {
-	return findLeaf(t, key, head(key)).page
-}
-
 // AppendPathPages appends to path the page numbers visited from the root down
-// to the leaf for key, root first. Page-granularity reads lock the whole path,
-// as Berkeley DB's btree does while descending.
-func (t *TreeOf[V]) AppendPathPages(path []uint32, key []byte) []uint32 {
+// to the leaf for key, root first. Page-granularity operations lock the whole
+// path, as Berkeley DB's btree does while descending. If insert is set it also
+// reports whether inserting key now would split that leaf — the key is absent
+// and the leaf is full — which is what a structural write plans its locks by.
+func (t *TreeOf[V]) AppendPathPages(path []uint32, key []byte, insert bool) (_ []uint32, split bool) {
 	h := head(key)
 	noteDescent()
 	for n := t.root; ; n = n.children[childIndex(n, key, h)] {
 		noteNode()
 		path = append(path, n.page)
 		if n.leaf() {
-			return path
+			if insert {
+				_, found := search(n, key, h)
+				split = !found && len(n.keys) >= t.maxKeys
+			}
+			return path, split
 		}
 	}
-}
-
-// InsertWillSplit reports whether inserting key now would split its leaf
-// page (the key is absent and the leaf is full). The engine uses it to plan
-// page locks before mutating.
-func (t *TreeOf[V]) InsertWillSplit(key []byte) bool {
-	h := head(key)
-	n := findLeaf(t, key, h)
-	if _, ok := search(n, key, h); ok {
-		return false
-	}
-	return len(n.keys) >= t.maxKeys
 }
 
 // GetOrInsert returns the value stored for key; if absent it stores val under

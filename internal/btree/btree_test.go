@@ -15,6 +15,9 @@ import (
 
 func key(i int) []byte { return []byte(fmt.Sprintf("k%06d", i)) }
 
+// leafPage is the page of the leaf that holds (or would hold) k.
+func leafPage[V any](tr *TreeOf[V], k []byte) uint32 { return findLeaf(tr, k, head(k)).page }
+
 func TestEmptyTree(t *testing.T) {
 	tr := New(4)
 	if tr.Len() != 0 {
@@ -122,10 +125,10 @@ func TestLeafPageStableForExistingKeys(t *testing.T) {
 	}
 	// An existing key's leaf page must match what Ascend reports.
 	for i := 0; i < 64; i++ {
-		want := tr.LeafPage(key(i))
+		want := leafPage(tr, key(i))
 		tr.Ascend(key(i), func(k string, _ any, page uint32) bool {
 			if k == string(key(i)) && page != want {
-				t.Fatalf("key %d: LeafPage=%d Ascend page=%d", i, want, page)
+				t.Fatalf("key %d: leaf page %d, Ascend page %d", i, want, page)
 			}
 			return false
 		})
@@ -137,25 +140,34 @@ func TestPathPagesRootFirst(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		tr.GetOrInsert(key(i), i)
 	}
-	path := tr.AppendPathPages(nil, key(20))
-	if len(path) < 2 {
-		t.Fatalf("tree of 40 keys with page size 2 should be deep, path=%v", path)
+	path, _ := tr.AppendPathPages([]uint32{7}, key(20), false)
+	if path[0] != 7 || len(path) < 3 {
+		t.Fatalf("tree of 40 keys with page size 2 should be deep, and the path appended behind 7: %v", path)
 	}
-	if path[len(path)-1] != tr.LeafPage(key(20)) {
-		t.Fatalf("path %v does not end at leaf %d", path, tr.LeafPage(key(20)))
+	if path[len(path)-1] != leafPage(tr, key(20)) {
+		t.Fatalf("path %v does not end at leaf %d", path, leafPage(tr, key(20)))
 	}
 }
 
-func TestInsertWillSplit(t *testing.T) {
+// TestPathPlansSplit: a path walk that plans an insert reports whether the
+// insert will split the leaf the path ends at.
+func TestPathPlansSplit(t *testing.T) {
 	tr := New(4)
 	for i := 0; i < 4; i++ {
 		tr.GetOrInsert(key(i*10), i)
 	}
-	if !tr.InsertWillSplit(key(5)) {
+	split := func(k []byte, insert bool) bool {
+		_, split := tr.AppendPathPages(nil, k, insert)
+		return split
+	}
+	if !split(key(5), true) {
 		t.Fatal("leaf with 4/4 keys should split on new key")
 	}
-	if tr.InsertWillSplit(key(10)) {
+	if split(key(10), true) {
 		t.Fatal("existing key never splits")
+	}
+	if split(key(5), false) {
+		t.Fatal("a path walk that plans no insert reported a split")
 	}
 	before := tr.PageCount()
 	tr.GetOrInsert(key(5), 5)
@@ -244,8 +256,8 @@ func TestIterFrom(t *testing.T) {
 	// Full iteration matches Ascend and is ordered.
 	var got []string
 	for it := tr.IterFrom(nil); it.Valid(); it.Next() {
-		if it.Page() != tr.LeafPage([]byte(it.Key())) {
-			t.Fatalf("Iter page %d != LeafPage %d", it.Page(), tr.LeafPage([]byte(it.Key())))
+		if it.Page() != leafPage(tr, []byte(it.Key())) {
+			t.Fatalf("Iter page %d != leaf page %d", it.Page(), leafPage(tr, []byte(it.Key())))
 		}
 		got = append(got, it.Key())
 	}
@@ -415,7 +427,7 @@ func TestSplitPolicy(t *testing.T) {
 				for step, i := range seq {
 					k := key(i)
 					moves = moves[:0]
-					before := tr.LeafPage(k)
+					before := leafPage(tr, k)
 					tr.GetOrInsert(k, i)
 					pageOf[string(k)] = before
 					if len(moves) > 0 {
@@ -480,11 +492,12 @@ func TestProbeDoesNotAllocate(t *testing.T) {
 	}
 	probe := append(long[:len(long):len(long)], key(57)...)
 	stored, _, _ := tr.Lookup(probe)
+	path := make([]uint32, 0, 8)
 	if got := testing.AllocsPerRun(100, func() {
 		tr.Get(probe)
 		tr.Lookup(probe)
 		tr.Successor(probe)
-		tr.LeafPage(probe)
+		path, _ = tr.AppendPathPages(path[:0], probe, true)
 		it := tr.IterFrom(probe)
 		it.Next()
 		tr.IterAfter(stored)

@@ -12,9 +12,10 @@ func noteDeref(p *byte) { derefs = append(derefs, p) }
 
 // Work is what the trees did since the process started, counted in the
 // workcount build only: descents from a root — one per lookup (Get, Lookup,
-// LeafPage, InsertWillSplit, AppendPathPages), per insert and per iterator
-// or successor seek (IterFrom, IterAfter, Successor) — and the pages they
-// entered, root and leaf included.
+// AppendPathPages, which plans an insert in the same walk: its verdict reads
+// the leaf the path ends at), per insert and per iterator or successor seek
+// (IterFrom, IterAfter, Successor) — and the pages they entered, root and leaf
+// included.
 type Work struct {
 	Descents uint64
 	Nodes    uint64

@@ -108,7 +108,8 @@ func TestDescentCountWorkBudget(t *testing.T) {
 		{"Successor", func() { tr.Successor(key(13)) }, 1},
 		{"IterFrom", func() { tr.IterFrom(key(14)) }, 1},
 		{"IterAfter", func() { tr.IterAfter(string(key(16))) }, 1},
-		{"AppendPathPages", func() { tr.AppendPathPages(nil, key(18)) }, 1},
+		{"AppendPathPages", func() { tr.AppendPathPages(nil, key(18), false) }, 1},
+		{"AppendPathPages planning an insert", func() { tr.AppendPathPages(nil, key(19), true) }, 1},
 	} {
 		before := ReadWork()
 		c.op()

@@ -170,9 +170,10 @@ func TestExhaustivePhantomSkew(t *testing.T) {
 // TestExhaustiveS2PLAlwaysSerializable: at S2PL every schedule serializes or
 // deadlocks, retryably. S2PL blocks, so this also exercises the scheduler's
 // pending/drain machinery. The write skew scripts lock rows; the phantom,
-// delete skew and own split scripts scan, so their Shared row and gap locks
-// are taken round by round under the store's latches, and a scan that meets
-// a held lock waits for it unlatched and collects again.
+// delete skew, own split and past-end scan scripts scan, so their Shared row
+// and gap locks — pages, for the past-end scan — are taken round by round
+// under the store's latches, and a scan that meets a held lock waits for it
+// unlatched and collects again.
 func TestExhaustiveS2PLAlwaysSerializable(t *testing.T) {
 	for _, set := range []struct {
 		name    string
@@ -183,6 +184,8 @@ func TestExhaustiveS2PLAlwaysSerializable(t *testing.T) {
 		{"phantom", mustSet(t, "phantom"), NewDB(ssidb.DetectorPrecise)},
 		{"deleteskew", deleteSkew(), NewDB(ssidb.DetectorPrecise)},
 		{"ownsplit", ownSplit(), ownSplitDB(ssidb.DetectorPrecise)},
+		{"pastendscan/" + pastEndSeeds[0].name, pastEndScan(), pastEndSeeds[0].db(ssidb.DetectorPrecise)},
+		{"pastendscan/" + pastEndSeeds[1].name, pastEndScan(), pastEndSeeds[1].db(ssidb.DetectorPrecise)},
 	} {
 		Explore(set.mkDB, ssidb.S2PL, set.scripts, func(o Outcome) {
 			for _, err := range o.Errs {
@@ -271,6 +274,71 @@ func TestExhaustiveOwnSplit(t *testing.T) {
 			}
 			if ok, cyc := o.History.Serializable(); !ok {
 				t.Fatalf("detector %v schedule %v: cycle %v\n%s", DetectorName(det), o, cyc, o.History.MVSG())
+			}
+		})
+	}
+}
+
+// pastEndScan is a page scan whose range holds no key and has no boundary
+// key: T scans [x, zz) and writes a; U reads a and inserts y. Nothing but the
+// descent path to x covers the range, so only the first round's lock on that
+// path can meet U's insert of y.
+func pastEndScan() []Script {
+	scan := func(tx *ssidb.Txn) error {
+		return tx.Scan(table, []byte("x"), []byte("zz"), func(k, v []byte) bool { return true })
+	}
+	return []Script{
+		{Name: "T", Steps: []Step{scan, put("a", 1)}},
+		{Name: "U", Steps: []Step{get("a"), insert("y")}},
+	}
+}
+
+// pastEndSeeds are the page databases pastEndScan runs on, four keys a page:
+// the rows a–h, whose last leaf U's insert splits, and a–g, whose last leaf
+// has room for y.
+var pastEndSeeds = []pastEndSeed{
+	{"a-h", []string{"a", "b", "c", "d", "e", "f", "g", "h"}},
+	{"a-g", []string{"a", "b", "c", "d", "e", "f", "g"}},
+}
+
+type pastEndSeed struct {
+	name string
+	keys []string
+}
+
+func (s pastEndSeed) db(det ssidb.Detector) func() (*ssidb.DB, *sercheck.History) {
+	return seededDB(ssidb.Options{Granularity: ssidb.GranularityPage, PageMaxKeys: 4}, det, s.keys...)
+}
+
+// TestExhaustivePastEndScan runs pastEndScan on both seeds: plain SI commits
+// a cycle in some schedule; SerializableSI, under both detectors, none.
+// TestExhaustiveS2PLAlwaysSerializable runs it at S2PL.
+func TestExhaustivePastEndScan(t *testing.T) {
+	scripts := pastEndScan()
+	for _, seed := range pastEndSeeds {
+		t.Run(seed.name, func(t *testing.T) {
+			runs, anomalies := 0, 0
+			Explore(seed.db(ssidb.DetectorPrecise), ssidb.SnapshotIsolation, scripts, func(o Outcome) {
+				runs++
+				if ok, _ := o.History.Serializable(); !ok {
+					anomalies++
+				}
+			})
+			if anomalies == 0 {
+				t.Fatalf("no cycle under SI in %d schedules", runs)
+			}
+			t.Logf("SI: %d of %d schedules commit a cycle", anomalies, runs)
+			for _, det := range []ssidb.Detector{ssidb.DetectorBasic, ssidb.DetectorPrecise} {
+				Explore(seed.db(det), ssidb.SerializableSI, scripts, func(o Outcome) {
+					for i, err := range o.Errs {
+						if err != nil && !ssidb.Retryable(err) {
+							t.Fatalf("detector %v schedule %v: script %s: %v", DetectorName(det), o, scripts[i].Name, err)
+						}
+					}
+					if ok, cyc := o.History.Serializable(); !ok {
+						t.Fatalf("detector %v schedule %v: cycle %v\n%s", DetectorName(det), o, cyc, o.History.MVSG())
+					}
+				})
 			}
 		})
 	}

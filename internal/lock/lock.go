@@ -445,17 +445,18 @@ func (m *Manager) AcquireInto(owner *core.Txn, key Key, mode Mode, buf []*core.T
 	return m.acquire(owner, key, mode, buf, false)
 }
 
-// TryAcquire is AcquireInto that never waits: where AcquireInto would spin or
-// park, it grants nothing, counts no wait and returns false. It reports no
-// rivals, so it suits a request that has none to mark, such as Shared.
-func (m *Manager) TryAcquire(owner *core.Txn, key Key, mode Mode) bool {
-	_, err := m.acquire(owner, key, mode, nil, true)
-	return err == nil
+// TryAcquireInto is AcquireInto that never waits: where AcquireInto would
+// spin or park, it grants nothing, counts no wait and returns buf and false.
+// A grant appends its rivals to buf as AcquireInto's does. It never blocks,
+// so a caller may ask it under a latch that a split's Inherit also takes.
+func (m *Manager) TryAcquireInto(owner *core.Txn, key Key, mode Mode, buf []*core.Txn) ([]*core.Txn, bool) {
+	rivals, err := m.acquire(owner, key, mode, buf, true)
+	return rivals, err == nil
 }
 
-var errWouldWait = errors.New("lock: request would wait") // TryAcquire's refusal
+var errWouldWait = errors.New("lock: request would wait") // TryAcquireInto's refusal
 
-// acquire is AcquireInto's body, and TryAcquire's if try is set.
+// acquire is AcquireInto's body, and TryAcquireInto's if try is set.
 func (m *Manager) acquire(owner *core.Txn, key Key, mode Mode, buf []*core.Txn, try bool) (rivals []*core.Txn, err error) {
 	noteAcquires(1)
 	os := stateFor(owner)
@@ -1110,7 +1111,8 @@ func (m *Manager) HoldsSIRead(owner *core.Txn) bool {
 }
 
 // Holds reports whether owner holds mode on key. No engine code asks it, nor
-// calls Acquire (a scan takes its locks with TryAcquire); tests use both.
+// calls Acquire (a scan round and a page path take their locks with
+// TryAcquireInto, under the latch); tests use both.
 func (m *Manager) Holds(owner *core.Txn, key Key, mode Mode) bool {
 	s := m.shardOf(key)
 	s.lock()

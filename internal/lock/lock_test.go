@@ -477,24 +477,43 @@ func TestManyWaitersWakeUp(t *testing.T) {
 	}
 }
 
-// TestTryAcquireNeverWaits: TryAcquire grants what AcquireInto would grant at
-// once — a free key, a compatible mode, a mode already held — and refuses,
-// holding nothing new and counting no wait, where AcquireInto would wait: on
-// an incompatible holder, and behind a parked incompatible request. The lock
-// it refused is then AcquireInto's to wait for.
+// TestTryAcquireNeverWaits: TryAcquireInto grants what AcquireInto would
+// grant at once — a free key, a compatible mode, a mode already held — with
+// the rivals AcquireInto would report, and refuses, holding nothing new and
+// counting no wait, where AcquireInto would wait: on an incompatible holder,
+// and behind a parked incompatible request. The lock it refused is then
+// AcquireInto's to wait for.
 func TestTryAcquireNeverWaits(t *testing.T) {
 	_, txns := newTxns(4)
 	m := NewManagerShards(true, 0)
 	k := RowKey("t", []byte("x"))
-	try := func(owner *core.Txn, mode Mode) bool { return m.TryAcquire(owner, k, mode) }
+	try := func(owner *core.Txn, mode Mode) bool {
+		rivals, ok := m.TryAcquireInto(owner, k, mode, nil)
+		if len(rivals) > 0 {
+			t.Fatalf("a %v request on a row reported rivals %v", mode, rivals)
+		}
+		return ok
+	}
 	if !try(txns[0], Shared) || !try(txns[1], Shared) || !try(txns[0], Shared) {
-		t.Fatal("TryAcquire refused a Shared lock no one blocks")
+		t.Fatal("TryAcquireInto refused a Shared lock no one blocks")
 	}
 	if try(txns[2], Exclusive) || m.Holds(txns[2], k, Exclusive) {
-		t.Fatal("TryAcquire granted Exclusive over two Shared holders")
+		t.Fatal("TryAcquireInto granted Exclusive over two Shared holders")
 	}
 	if st := m.StatsSnapshot(); st.Waits != 0 {
-		t.Fatalf("a refused TryAcquire counted %d waits", st.Waits)
+		t.Fatalf("a refused TryAcquireInto counted %d waits", st.Waits)
+	}
+	// On a page, an Exclusive grant reports the SIREAD holders behind what
+	// the buffer held, and an SIREAD grant the Exclusive holder.
+	pg := PageKey("t", 3)
+	if _, ok := m.TryAcquireInto(txns[3], pg, SIRead, nil); !ok {
+		t.Fatal("TryAcquireInto refused an SIREAD")
+	}
+	if rivals, ok := m.TryAcquireInto(txns[1], pg, Exclusive, []*core.Txn{txns[0]}); !ok || !slices.Equal(rivals, []*core.Txn{txns[0], txns[3]}) {
+		t.Fatalf("Exclusive page grant: %v, %v; want the buffer's txn and the SIREAD holder", rivals, ok)
+	}
+	if rivals, ok := m.TryAcquireInto(txns[0], pg, SIRead, nil); !ok || !slices.Equal(rivals, []*core.Txn{txns[1]}) {
+		t.Fatalf("SIREAD page grant: %v, %v; want the Exclusive holder", rivals, ok)
 	}
 	parked := make(chan error, 1)
 	go func() {
@@ -506,7 +525,7 @@ func TestTryAcquireNeverWaits(t *testing.T) {
 	}
 	m.ReleaseAll(txns[0])
 	if try(txns[3], Shared) {
-		t.Fatal("TryAcquire granted Shared ahead of a parked Exclusive request")
+		t.Fatal("TryAcquireInto granted Shared ahead of a parked Exclusive request")
 	}
 	m.ReleaseAll(txns[1])
 	if err := <-parked; err != nil {

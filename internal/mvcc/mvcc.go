@@ -915,13 +915,13 @@ func (tb *Table) Scan(t *core.Txn, snap core.TS, from []byte, fn func(ScanItem) 
 //     or is blocked by the scanner's Shared lock, and the inserter waits.
 //  4. Page granularity, which runs one tree per table, replaces gap locks
 //     with leaf-page SIREAD coverage: every leaf that could receive an
-//     in-range key is either the descent leaf of `from` (locked up front via
-//     AppendPathPages), the leaf of an emitted key, or the boundary leaf —
-//     all SIREAD-locked by their round's flush — and page splits inherit that
-//     coverage onto the new page under the tree's latch. The engine reads
-//     each page's committed writer stamps only after its flush acquired the
-//     page lock, so a concurrent page writer is either still a lock rival or
-//     already stamped.
+//     in-range key is either the descent leaf of `from` (its path read by the
+//     first round's flush, PathLocked), the leaf of an emitted key, or the
+//     boundary leaf — all SIREAD-locked by their round's flush — and page
+//     splits inherit that coverage onto the new page under the tree's latch.
+//     The engine reads each page's committed writer stamps only after its
+//     flush acquired the page lock, so a concurrent page writer is either
+//     still a lock rival or already stamped.
 func (tb *Table) ScanWith(t *core.Txn, snap core.TS, from []byte, fn func(ScanItem) bool, flush func(exhausted bool) bool) {
 	m := tb.acquireMerge(from)
 	defer tb.releaseMerge(m)
@@ -1064,32 +1064,29 @@ func (m *merge) siftDown(i int) {
 	}
 }
 
-// LeafPage, AppendPathPages and InsertWillSplit expose the underlying trees'
-// page topology for the page-granularity engine mode.
-func (tb *Table) LeafPage(key []byte) uint32 {
+// OnPath runs fn under key's partition latch, held shared, handing it the
+// root-to-leaf page path of key within its partition, appended to buf, the
+// caller's recycled buffer, and, if structural is set, whether inserting key
+// would split the leaf the path ends at. No split can cross the hold, so what
+// fn decides from the path — the page-granularity engine takes its page locks
+// in it — holds for the path the key then has. It returns the path; the call
+// allocates nothing once buf has grown. It is the one method that reports
+// page topology under a latch of its own.
+func (tb *Table) OnPath(key []byte, buf []uint32, structural bool, fn func(path []uint32, split bool)) []uint32 {
 	sh := tb.shardOf(key)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	return sh.tree.LeafPage(key)
+	path, split := sh.tree.AppendPathPages(buf, key, structural)
+	fn(path, split)
+	return path
 }
 
-// AppendPathPages appends the root-to-leaf page path for key within its
-// partition to out, the caller's recycled buffer (as in lock.AcquireInto: the
-// call allocates nothing once it has grown). It takes the key's partition
-// latch, shared, and nothing else.
-func (tb *Table) AppendPathPages(out []uint32, key []byte) []uint32 {
-	sh := tb.shardOf(key)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.tree.AppendPathPages(out, key)
-}
-
-// InsertWillSplit reports whether inserting key would split its leaf page.
-func (tb *Table) InsertWillSplit(key []byte) bool {
-	sh := tb.shardOf(key)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.tree.InsertWillSplit(key)
+// PathLocked appends key's root-to-leaf page path to buf, as OnPath hands it
+// over, for a caller that holds key's partition latch already — a ScanWith
+// flush.
+func (tb *Table) PathLocked(buf []uint32, key []byte) []uint32 {
+	path, _ := tb.shardOf(key).tree.AppendPathPages(buf, key, false)
+	return path
 }
 
 // successorAllLocked returns the smallest key strictly greater than key

@@ -653,24 +653,58 @@ func TestVacuumProportionalToGarbage(t *testing.T) {
 	check("Vacuum", before, 0, wide)
 }
 
-// TestAppendPathPages: the key's descent path is appended behind what the
-// caller's buffer already holds, equals the path appended to an empty buffer
-// and ends at the key's leaf, and a buffer that has grown once serves later
-// calls without allocating.
-func TestAppendPathPages(t *testing.T) {
+// TestOnPath: fn is handed the key's descent path appended behind what the
+// caller's buffer already holds, ending at the leaf a scan finds the key on,
+// as a scan's flush reads it with PathLocked; a structural call reports a
+// split exactly when the insert that follows splits a page; and a buffer that
+// has grown once serves later calls without allocating.
+func TestOnPath(t *testing.T) {
 	f := newFixture()
 	for i := 0; i < 200; i++ {
-		f.put(t, fmt.Sprintf("k%04d", i), "v")
+		f.put(t, fmt.Sprintf("k%04d", i*2), "v")
 	}
 	key := []byte("k0100")
-	buf := f.tb.AppendPathPages([]uint32{7}, key)
-	if buf[0] != 7 {
-		t.Fatalf("prefix overwritten: %v", buf)
+	var seen []uint32
+	buf := f.tb.OnPath(key, []uint32{7}, false, func(path []uint32, split bool) {
+		seen = slices.Clone(path)
+		if split {
+			t.Error("a path that plans no insert reported a split")
+		}
+	})
+	if !slices.Equal(buf, seen) || buf[0] != 7 || len(buf) < 3 {
+		t.Fatalf("returned %v, fn saw %v: want the same multi-level path behind the prefix 7", buf, seen)
 	}
-	if path, own := buf[1:], f.tb.AppendPathPages(nil, key); !slices.Equal(path, own) || len(own) < 2 || own[len(own)-1] != f.tb.LeafPage(key) {
-		t.Errorf("appended path %v, own path %v: want the same multi-level path, ending at leaf %d", path, own, f.tb.LeafPage(key))
+	var leaf uint32
+	var locked []uint32
+	f.tb.ScanWith(nil, 1, key, func(it ScanItem) bool {
+		leaf = it.Page
+		return false
+	}, func(bool) bool {
+		locked = f.tb.PathLocked(nil, key)
+		return true
+	})
+	if path := buf[1:]; path[len(path)-1] != leaf || !slices.Equal(path, locked) {
+		t.Errorf("path %v, in a scan's flush %v: want the same path, ending at the scanned leaf %d", path, locked, leaf)
 	}
-	if avg := testing.AllocsPerRun(20, func() { buf = f.tb.AppendPathPages(buf[:0], key) }); avg != 0 {
+	splits := 0
+	for i := 0; i < 40; i++ {
+		k := fmt.Sprintf("k%04d", i*10+1)
+		var willSplit bool
+		f.tb.OnPath([]byte(k), nil, true, func(_ []uint32, split bool) { willSplit = split })
+		pages := f.tb.PageCount()
+		f.put(t, k, "v")
+		if split := f.tb.PageCount() > pages; split != willSplit {
+			t.Fatalf("insert of %s: OnPath said split %v, the insert split %v", k, willSplit, split)
+		} else if split {
+			splits++
+		}
+	}
+	if splits == 0 || splits == 40 {
+		t.Fatalf("%d of 40 inserts split a page: want both kinds", splits)
+	}
+	if avg := testing.AllocsPerRun(20, func() {
+		buf = f.tb.OnPath(key, buf[:0], true, func([]uint32, bool) {})
+	}); avg != 0 {
 		t.Errorf("%.1f allocs per call into a grown buffer, want 0", avg)
 	}
 }

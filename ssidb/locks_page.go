@@ -21,25 +21,27 @@ import (
 // The page versions are this strategy's own: each table's pageStamps, below,
 // made by tableCreated, inherited across splits by the split hook it installs
 // and dropped as their writers retire. The row store underneath keeps
-// rows only, and lends this file its page topology (LeafPage,
-// AppendPathPages, InsertWillSplit) and the split hook. A page-granularity
-// table is one B+tree, as in Berkeley DB (DB.TableShards), so a page number
-// names one page of the table.
+// rows only, and lends this file its page topology (OnPath, PathLocked) and
+// the split hook. A page-granularity table is one B+tree, as in Berkeley DB
+// (DB.TableShards), so a page number names one page of the table.
 //
-// Page locks are planned from a tree the lock does not yet protect, so every
-// acquisition here is acquire-and-revalidate; and every stamp is read only
-// after the page's lock is held, so that a concurrent page writer either
-// still holds its exclusive page lock (and surfaces as an acquisition rival)
-// or has committed — and therefore stamped the page — before the stamps are
-// read. Reading stamps first would miss a writer that locked the page before
-// the acquisition and committed before it.
+// The latch rule: every page lock is taken in the tree-latch hold that reads
+// the path — a point operation's in OnPath (lockPagePath), a scan's in its
+// round's flush — with TryAcquireInto, which never waits; one that would wait
+// is waited for unlatched, and the operation reads the path again. No split
+// can cross the hold, since a split runs under the latch held exclusively, so
+// the locks taken are the path's and there is nothing to re-plan. Every stamp
+// is read only after the page's lock is held, so that a concurrent page
+// writer either still holds its exclusive page lock (and surfaces as an
+// acquisition rival) or has committed — and therefore stamped the page —
+// before the stamps are read. Reading stamps first would miss a writer that
+// locked the page before the acquisition and committed before it.
 type pageTargets struct {
 	db *DB
 }
 
-// read locks key's descent path in mode, then reads.
+// read locks key's descent path in mode, then reads by key.
 func (*pageTargets) read(tx *Txn, tb *table, key []byte, mode lock.Mode, snap core.TS) (mvcc.ReadResult, error) {
-	row, _ := tb.data.Locate(key)
 	_, leaf, err := lockPagePath(tx, tb, key, mode, mode, false)
 	if err == nil && mode == lock.SIRead {
 		err = tx.markAsReader(tb.stamps.newerWriters(nil, leaf, snap))
@@ -47,7 +49,7 @@ func (*pageTargets) read(tx *Txn, tb *table, key []byte, mode lock.Mode, snap co
 	if err != nil {
 		return mvcc.ReadResult{}, err
 	}
-	return tb.read(tx.t, snap, key, row), nil
+	return tb.data.Read(tx.t, snap, key), nil
 }
 
 // lockForUpdate locks key's leaf exclusively, marking no reader. At SSI it
@@ -70,7 +72,9 @@ func (*pageTargets) lockForUpdate(tx *Txn, tb *table, key []byte, _ mvcc.Row) (c
 // to mark and the page's First-Committer-Wins stamp, which covers the row's.
 // So its claim asks the lock table nothing (pageLocker) and checks no
 // snapshot: it installs, or refuses an Insert on a live head. It stamps the
-// leaf, on a refusal at SSI only, as lockForUpdate does.
+// leaf it locked, on a refusal at SSI only, as lockForUpdate does: no other
+// writer can split that leaf, and a split of its own carries the stamp the
+// path took before the insert onto the new page.
 func (*pageTargets) write(tx *Txn, tb *table, key []byte, row mvcc.Row, val []byte, tombstone, mustNotExist bool) error {
 	readers, leaf, err := lockPagePath(tx, tb, key, tx.readMode(), lock.Exclusive, tombstone || mustNotExist || row.IsZero())
 	if err != nil {
@@ -88,7 +92,7 @@ func (*pageTargets) write(tx *Txn, tb *table, key []byte, row mvcc.Row, val []by
 	}
 	c := tb.data.Claim(tx.t, key, row, mvcc.Intent{Data: val, Tombstone: tombstone, MustNotExist: mustNotExist}, pageLocker{})
 	if c.Outcome != mvcc.Exists || tx.Isolation().TracksConflicts() {
-		tb.stamps.addWriter(tb.data.LeafPage(key), tx.t)
+		tb.stamps.addWriter(leaf, tx.t)
 	}
 	if c.Outcome == mvcc.Exists {
 		return ErrKeyExists
@@ -109,88 +113,76 @@ func (pageLocker) ProbeGap(string, string, bool) bool   { return false }
 func (pageLocker) Inherit(string, string, string, bool) {}
 func (pageLocker) Reader(uint32) bool                   { return false }
 
-// lockPagePath plans and acquires the page locks along key's root-to-leaf
-// path, as Berkeley DB does while descending — the source of the paper's
+// lockPagePath takes the page locks along key's root-to-leaf path, as
+// Berkeley DB does while descending — the source of the paper's
 // split-induced false positives: interior pages in the interior mode (the
 // isolation's read mode), the leaf in leafMode, and the whole path EXCLUSIVE
-// when the write will split the leaf. The plan is re-verified after
-// acquisition because a concurrent split can move the key; extra locks
-// acquired under a stale plan are simply kept. Plan and re-check share the
-// transaction's path buffer, the recomputed path landing behind the plan,
-// which holds the path on return. It returns the SIREAD holders found on the
-// exclusive acquisitions, and the leaf.
+// when a structural write will split the leaf. Each attempt is one pass in
+// path order in one OnPath hold; at the first lock that would wait it waits
+// for it unlatched and makes another pass, which finds the locks it took
+// already held. Rivals are marked after the hold: the EXCLUSIVE holders its
+// SIREAD grants found here, the SIREAD holders its EXCLUSIVE grants found
+// returned, for the caller to mark once it has its snapshot. A split path is
+// stamped before the insert that splits it (the root-page conflicts of
+// §6.1.5), so the split hook hands the leaf's stamp, which stands for the
+// read the EXCLUSIVE grant dropped (§3.7.3), to the new page with the rows it
+// moves. It returns the readers and the leaf; tx.pages holds the path.
 func lockPagePath(tx *Txn, tb *table, key []byte, interior, leafMode lock.Mode, structural bool) (readers []*core.Txn, leaf uint32, err error) {
-	readers = emptied(tx.rivals)
 	for {
-		tx.pages = tb.data.AppendPathPages(tx.pages[:0], key)
-		path := tx.pages
-		split := structural && tb.data.InsertWillSplit(key)
-		for i, pg := range path {
-			isLeaf := i == len(path)-1
-			mode := interior
-			switch {
-			case split:
-				mode = lock.Exclusive
-			case isLeaf:
-				mode = leafMode
+		rivals, writers := emptied(tx.rivals), 0 // rivals[:writers]: found by SIREAD grants
+		var refused lock.Key
+		var refusedMode lock.Mode
+		var split bool
+		tx.pages = tb.data.OnPath(key, tx.pages[:0], structural, func(path []uint32, willSplit bool) {
+			split = willSplit
+			for i, pg := range path {
+				mode := interior
+				switch {
+				case split:
+					mode = lock.Exclusive
+				case i == len(path)-1:
+					mode = leafMode
+				}
+				if mode == noLock {
+					continue
+				}
+				k := lock.PageKey(tb.name, pg)
+				var ok bool
+				if rivals, ok = tx.db.locks.TryAcquireInto(tx.t, k, mode, rivals); !ok {
+					refused, refusedMode = k, mode
+					return
+				}
+				if mode == lock.SIRead {
+					writers = len(rivals) // SIREAD grants precede EXCLUSIVE ones on a path
+				}
 			}
-			if mode == noLock {
-				continue
-			}
-			held := len(readers)
-			readers, err = tx.db.locks.AcquireInto(tx.t, lock.PageKey(tb.name, pg), mode, readers)
-			if err == nil && mode == lock.SIRead {
-				// These rivals are exclusive holders (Figure 3.4): marked
-				// now, not handed to the caller.
-				err = tx.markAsReader(readers[held:])
-				clear(readers[held:])
-				readers = readers[:held]
-			}
-			tx.rivals = readers
-			if err != nil {
+		})
+		tx.rivals = rivals
+		if refusedMode != noLock {
+			if err := tx.wait(refused, refusedMode); err != nil {
 				return nil, 0, err
 			}
-			if split {
-				// The split will rewrite this page: stamp it so page-level
-				// FCW and newer-version checks see the structural write (the
-				// root-page conflicts of §6.1.5). The leaf's stamp goes now,
-				// not after the insert, so the split hands it to the new page
-				// with the rows it moves: it stands for the read the
-				// Exclusive grant dropped (§3.7.3).
+			continue
+		}
+		if err := tx.markAsReader(rivals[:writers]); err != nil {
+			return nil, 0, err
+		}
+		if split {
+			for _, pg := range tx.pages {
 				tb.stamps.addWriter(pg, tx.t)
 			}
 		}
-		tx.pages = tb.data.AppendPathPages(tx.pages, key)
-		if slices.Equal(path, tx.pages[len(path):]) && split == (structural && tb.data.InsertWillSplit(key)) {
-			tx.pages = path
-			return readers, path[len(path)-1], nil
-		}
+		return rivals[writers:], tx.pages[len(tx.pages)-1], nil
 	}
-}
-
-// lockScanStart locks the descent path to `from` in mode, as Berkeley DB
-// read-locks it, by lockPagePath: the lock set is complete only once a
-// recomputed path shows the pages just locked, so a split racing the descent
-// cannot move keys onto a page outside the scan's coverage — once a page is
-// held, later splits hand the coverage to the new page (Inherit) or wait for
-// it (Shared). At SSI the path's newer writers are then marked, as a read
-// marks its leaf's.
-func (*pageTargets) lockScanStart(tx *Txn, tb *table, from []byte, mode lock.Mode, snap core.TS) error {
-	writers, _, err := lockPagePath(tx, tb, from, mode, mode, false)
-	if err != nil || mode != lock.SIRead {
-		return err
-	}
-	for _, pg := range tx.pages {
-		writers = tb.stamps.newerWriters(writers, pg, snap)
-	}
-	err = tx.markAsReader(writers)
-	tx.rivals = emptied(writers)
-	return err
 }
 
 // scanKeys covers every leaf that could receive an in-range key: the leaves
-// of the visited keys and of the boundary (lockScanStart holds the first).
-func (*pageTargets) scanKeys(keys []lock.Key, tb *table, items []mvcc.ScanItem, end scanEnd, _ *core.Cell) []lock.Key {
+// of the visited keys and of the boundary, and, in a collection's first round
+// (from not nil), the descent path to from, as Berkeley DB read-locks it —
+// read in the round's latch hold, so no split moves a key off a page before
+// the flush locks it, and later splits hand the coverage to the new page
+// (Inherit) or wait for it (Shared).
+func (*pageTargets) scanKeys(keys []lock.Key, tb *table, from []byte, items []mvcc.ScanItem, end scanEnd, _ *core.Cell) []lock.Key {
 	first := len(keys)
 	add := func(pg uint32) {
 		for i := len(keys) - 1; i >= first; i-- {
@@ -199,6 +191,12 @@ func (*pageTargets) scanKeys(keys []lock.Key, tb *table, items []mvcc.ScanItem, 
 			}
 		}
 		keys = append(keys, lock.PageKey(tb.name, pg))
+	}
+	if from != nil {
+		var buf [16]uint32
+		for _, pg := range tb.data.PathLocked(buf[:0], from) {
+			add(pg)
+		}
 	}
 	for i := range items {
 		add(items[i].Page)
@@ -221,8 +219,8 @@ func (*pageTargets) scanNewerWriters(writers []*core.Txn, tb *table, snap core.T
 // its readers' SIREAD coverage and its writer's Exclusive lock must follow
 // them, all atomically with the split — the hook runs under the latch of the
 // partition that split. The writer is the splitter, which holds the whole
-// path Exclusive (lockPagePath), so it holds every new page as it holds the
-// page the rows left.
+// path Exclusive and stamped it (lockPagePath), so it holds and has written
+// every new page as it holds and has written the page the rows left.
 func (p *pageTargets) tableCreated(tb *table) {
 	tb.stamps = newPageStamps()
 	tb.data.SetSplitHook(func(oldPage, newPage uint32) {

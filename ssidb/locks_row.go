@@ -259,14 +259,11 @@ func nextGapKey(table, succ string, hasSucc bool) lock.Key {
 	return lock.Key{Table: table, Kind: lock.Gap, K: succ}
 }
 
-// A scan's first gap is the one before its first key, which scanKeys covers.
-func (rowTargets) lockScanStart(*Txn, *table, []byte, lock.Mode, core.TS) error {
-	return nil
-}
-
 // scanKeys skips the row lock of an item whose visible version is own's — a
 // row the transaction wrote, whose write lock subsumes the read lock (§3.7.3).
-func (rowTargets) scanKeys(keys []lock.Key, tb *table, items []mvcc.ScanItem, end scanEnd, own *core.Cell) []lock.Key {
+// A scan reads nothing before its first key but the gap that key ends, which
+// the key's own gap lock covers, so from adds nothing.
+func (rowTargets) scanKeys(keys []lock.Key, tb *table, _ []byte, items []mvcc.ScanItem, end scanEnd, own *core.Cell) []lock.Key {
 	for i := range items {
 		if own == nil || items[i].VisibleCreator != own {
 			keys = append(keys, rowKeyOf(tb, items[i].Key))

@@ -9,6 +9,13 @@ import (
 	"ssi/internal/lock"
 )
 
+// leafOf is the page of the leaf that holds (or would hold) key: the last
+// page of the path OnPath hands over.
+func leafOf(tb *table, key []byte) (leaf uint32) {
+	tb.data.OnPath(key, nil, false, func(path []uint32, _ bool) { leaf = path[len(path)-1] })
+	return leaf
+}
+
 // TestImplicitTableSplitInheritsSIRead verifies that a table created by its
 // first use (db.table, the only way a table comes to exist) under
 // GranularityPage gets the page-split hook: a reader's SIREAD page coverage
@@ -39,7 +46,7 @@ func TestImplicitTableSplitInheritsSIRead(t *testing.T) {
 		t.Fatal(err)
 	}
 	tb := db.table("t")
-	if pg := tb.data.LeafPage(key(2)); !db.locks.Holds(reader.t, lock.PageKey("t", pg), lock.SIRead) {
+	if pg := leafOf(tb, key(2)); !db.locks.Holds(reader.t, lock.PageKey("t", pg), lock.SIRead) {
 		t.Fatalf("reader does not hold SIREAD on leaf page %d before split", pg)
 	}
 
@@ -64,7 +71,7 @@ func TestImplicitTableSplitInheritsSIRead(t *testing.T) {
 	// inherited SIREAD must cover all of them — in particular the pages the
 	// original rows moved to.
 	for i := 0; i < 20; i++ {
-		pg := tb.data.LeafPage(key(i))
+		pg := leafOf(tb, key(i))
 		if !db.locks.Holds(reader.t, lock.PageKey("t", pg), lock.SIRead) {
 			t.Fatalf("SIREAD coverage lost: key %s now on page %d without reader's SIREAD", key(i), pg)
 		}
@@ -114,14 +121,14 @@ func TestPageSplitInheritsWriteStamps(t *testing.T) {
 	}
 
 	tb := db.table("t")
-	oldLeaf := tb.data.LeafPage(k)
+	oldLeaf := leafOf(tb, k)
 	if err := db.Run(SnapshotIsolation, func(tx *Txn) error { return tx.Insert("t", key(5), []byte("v")) }); err != nil {
 		t.Fatal(err)
 	}
-	if got := tb.data.LeafPage(k); got == oldLeaf {
+	if got := leafOf(tb, k); got == oldLeaf {
 		t.Fatalf("k stayed on leaf %d: the insert did not move it", got)
 	}
-	if got := tb.data.LeafPage(key(5)); got != oldLeaf {
+	if got := leafOf(tb, key(5)); got != oldLeaf {
 		t.Fatalf("the inserted key is on leaf %d, want the old leaf %d", got, oldLeaf)
 	}
 
@@ -159,13 +166,13 @@ func TestPageSplitKeepsWriterLock(t *testing.T) {
 	// that it did.
 	split := func(t *testing.T, tb *table, t2 *Txn, moved string, writes ...string) {
 		t.Helper()
-		leaf := tb.data.LeafPage([]byte("a"))
+		leaf := leafOf(tb, []byte("a"))
 		for _, k := range writes {
 			if err := t2.Put("t", []byte(k), []byte("t2")); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if got := tb.data.LeafPage([]byte(moved)); got == leaf {
+		if got := leafOf(tb, []byte(moved)); got == leaf {
 			t.Fatalf("%s stayed on leaf %d: no split moved it", moved, got)
 		}
 	}

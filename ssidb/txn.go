@@ -89,14 +89,14 @@ type txnScratch struct {
 	slot  uint32
 	reads []mvcc.Row
 
-	// rivals is the buffer lock.AcquireInto and lock.Probe append
-	// conflicting holders into on the point paths (a row grant, a row
-	// write's claims, lockPagePath, a page scan's first descent), so only a
-	// transaction's first rival can allocate. Each use empties it first and
-	// finishes consuming it before the next operation reuses it. A scan's
-	// other buffers live in the recycled scanCtx.
+	// rivals is the buffer lock.AcquireInto, TryAcquireInto and Probe
+	// append conflicting holders into on the point paths (a row grant, a row
+	// write's claims, lockPagePath), so only a transaction's first rival can
+	// allocate. Each use empties it first and finishes consuming it before
+	// the next operation reuses it. A scan's buffers live in the recycled
+	// scanCtx.
 	rivals  []*core.Txn
-	pages   []uint32 // lockPagePath's buffer: a page-granularity descent path, planned and re-checked
+	pages   []uint32 // lockPagePath's buffer: the page-granularity descent path it locked in one latch hold
 	blocked lock.Key // the row or gap a row write's claim was blocked on (rowLocker)
 
 	// commit.redo accumulates the redo record (one encoded entry per write,
@@ -502,13 +502,12 @@ type lockTargets interface {
 	// ErrKeyExists, which leaves the transaction usable and the row
 	// unwritten (Txn.write then reads it), or an abort-class error.
 	write(tx *Txn, tb *table, key []byte, row mvcc.Row, val []byte, tombstone, mustNotExist bool) error
-	// lockScanStart acquires mode on whatever a scan from `from` reads
-	// before reaching its first key.
-	lockScanStart(tx *Txn, tb *table, from []byte, mode lock.Mode, snap core.TS) error
-	// scanKeys appends the keys covering the visited items and where the
-	// scan stopped; own, if not nil, is the scanning transaction's creator
+	// scanKeys appends, in a round's flush, the keys covering what a scan
+	// reads: the visited items and where the scan stopped, and, in a
+	// collection's first round (from not nil), what it reads before its
+	// first key; own, if not nil, is the scanning transaction's creator
 	// cell, whose rows need no read lock of their own.
-	scanKeys(keys []lock.Key, tb *table, items []mvcc.ScanItem, end scanEnd, own *core.Cell) []lock.Key
+	scanKeys(keys []lock.Key, tb *table, from []byte, items []mvcc.ScanItem, end scanEnd, own *core.Cell) []lock.Key
 	// scanNewerWriters appends the creators of versions newer than snap
 	// among what items read, once keys (their scanKeys) are SIREAD-locked.
 	scanNewerWriters(writers []*core.Txn, tb *table, snap core.TS, items []mvcc.ScanItem, keys []lock.Key) []*core.Txn
@@ -828,9 +827,6 @@ func keyView(stored string) []byte {
 // items' newer writers: a row or gap SIREAD reports none.
 func (tx *Txn) scanLocked(sc *scanCtx, tb *table, mode lock.Mode, snap core.TS, from, to []byte, limit int) error {
 	lt := tx.db.targets
-	if err := lt.lockScanStart(tx, tb, from, mode, snap); err != nil {
-		return err
-	}
 	var own *core.Cell
 	if len(tx.writes) > 0 {
 		own = tx.t.Cell() // made by the first write
@@ -840,12 +836,14 @@ func (tx *Txn) scanLocked(sc *scanCtx, tb *table, mode lock.Mode, snap core.TS, 
 		var blocked bool
 		var key lock.Key
 		var holder *core.Txn
+		start := from // the first round's flush also covers from's descent
 		sc.collect(tb, tx.t, snap, from, to, limit, func(exhausted bool) bool {
 			end := sc.end
 			end.atEnd = exhausted
 			round := sc.items[flushed:]
 			flushed = len(sc.items)
-			sc.keys = lt.scanKeys(emptied(sc.keys), tb, round, end, own)
+			sc.keys = lt.scanKeys(emptied(sc.keys), tb, start, round, end, own)
+			start = nil
 			if mode == lock.Shared {
 				key, holder, blocked = tx.shareRound(round, sc.keys)
 				return !blocked
@@ -874,7 +872,7 @@ func (tx *Txn) scanLocked(sc *scanCtx, tb *table, mode lock.Mode, snap core.TS, 
 func (tx *Txn) shareRound(items []mvcc.ScanItem, keys []lock.Key) (key lock.Key, holder *core.Txn, blocked bool) {
 	i := 0
 	for _, k := range keys {
-		if !tx.db.locks.TryAcquire(tx.t, k, lock.Shared) {
+		if _, ok := tx.db.locks.TryAcquireInto(tx.t, k, lock.Shared, nil); !ok {
 			return k, nil, true
 		}
 		if k.Kind != lock.Row {

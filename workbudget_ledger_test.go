@@ -344,3 +344,134 @@ func TestSSIOverSIWorkBudget(t *testing.T) {
 	promotedAll()
 	t.Logf("per transaction, TableShards 1, LockShards 8 (1 for the absent key):\n%s", table.String())
 }
+
+// pageKey is row i of a pageDB: even indexes are loaded, odd ones absent.
+func pageKey(i int) []byte { return []byte(fmt.Sprintf("p%05d", i)) }
+
+// pageDB opens a page-granularity database on one lock shard and loads rows
+// 0, 2, …, 1998 of pageKey into table "t" in ascending order, 64 keys a page:
+// 15 full leaves, a last leaf of 40 keys, and a root over the 16 — a
+// two-level tree.
+func pageDB(t *testing.T) *ssidb.DB {
+	db := ssidb.Open(ssidb.Options{Detector: ssidb.DetectorPrecise, Granularity: ssidb.GranularityPage, PageMaxKeys: 64, LockShards: 1})
+	if err := db.Run(ssidb.SnapshotIsolation, func(tx *ssidb.Txn) error {
+		for i := 0; i < 1000; i++ {
+			if err := tx.Put("t", pageKey(2*i), []byte("v")); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
+// pageShape returns transactions at iso of one operation each on a fresh
+// pageDB, the operation op makes of the call's number (from 1).
+func pageShape(t *testing.T, iso ssidb.Isolation, op func(tx *ssidb.Txn, call int) error) func() {
+	db := pageDB(t)
+	call := 0
+	return func() {
+		call++
+		if err := db.Run(iso, func(tx *ssidb.Txn) error { return op(tx, call) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestPageWorkBudget is the page-granularity ledger, at SI, SSI and S2PL:
+// the columns of TestSSIOverSIWorkBudget, per transaction and exact, for
+// transactions of one operation each on a pageDB (a root over 16 leaves, one
+// lock shard). A page operation locks its path — the root, then the leaf — in
+// the shared latch hold that reads it (mvcc.Table.OnPath), so a point operation
+// descends once to lock and once to read or claim. Run it with
+//
+//	go test -tags workcount -run PageWorkBudget .
+//
+// What one operation costs:
+//   - A page lock no one holds is a request, a shard hold, an owner hold (the
+//     grant lists it) and 3 hashes; its release a shard hold and a hash (the
+//     entry empties). A commit holds the owner's mutex to release, SSI's once
+//     more to ask whether SIREADs are left, and a retirement once to release
+//     the rest. A transaction that wrote, or holds an SIREAD, is queued for
+//     retirement and drained at its commit on this quiet database.
+//   - A Get: SI reads by key (a shared hold, a descent, a version). SSI locks
+//     root and leaf SIREAD in OnPath (a shared hold, a descent), then reads by
+//     key (another): 2 requests, 2 + 2 shard holds, 2 + 3 owner holds, 6 + 2
+//     hashes; 2 shared holds, 2 descents. S2PL takes them Shared, released at
+//     commit: the same, with 2 + 1 owner holds, and nothing queued.
+//   - A Put of an existing key locates the row (a shared hold, a descent),
+//     locks its path (another), claims in an exclusive hold that looks at the
+//     head (a version) and is pruned at retirement (an exclusive hold). SI
+//     locks the leaf alone, Exclusive: 1 request, 2 shard holds, 1 + 2 owner
+//     holds, 4 hashes. SSI adds the root's SIREAD (2 / 4 / 5 / 8), S2PL the
+//     root's Shared (2 / 4 / 4 / 8).
+//   - An Insert that does not split locks as the Put, and its path walk plans
+//     the split in the same descent; its claim, under every partition latch,
+//     looks the key up, seeks its successor and inserts it: 3 descents, 5 in
+//     all, and no version.
+//   - An Insert that splits its leaf takes the whole path Exclusive at every
+//     level, and the split hands the new page its Exclusive lock (Inherit: a
+//     shard hold, 5 hashes — both keys' shard, the source's entry, the new
+//     entry's miss and insert — and an owner hold to list it): 2 requests, 2 +
+//     1 + 3 shard holds (3 entries released), 2 + 1 + 2 owner holds (+1 for
+//     SSI's question), 6 + 5 + 3 = 14 hashes; the store as the Insert above.
+//   - A 64-row Scan of the rows on leaves 1 and 2: SI is one round (a shared
+//     hold, a descent, the 64 rows and the key that ends the range: 65
+//     versions). SSI's round also reads the descent path to the range's start
+//     under the round's latch (a descent, no hold) and takes root, leaf 1 and
+//     leaf 2 SIREAD in one batch: 3 requests, 1 + 3 shard holds, 3 + 3 owner
+//     holds, 9 + 3 hashes. S2PL takes the same 3 Shared one at a time in the
+//     round's flush: 3 + 3 shard holds, 3 + 1 owner holds, 12 hashes, nothing
+//     queued.
+func TestPageWorkBudget(t *testing.T) {
+	const n = 10 // inserts that split: 1 + n of the 15 full leaves
+	val := []byte("w")
+	get := func(tx *ssidb.Txn, call int) error {
+		_, _, err := tx.Get("t", pageKey(2*(64*call+7)))
+		return err
+	}
+	put := func(tx *ssidb.Txn, call int) error { return tx.Put("t", pageKey(2*(64*call+7)), val) }
+	insert := func(tx *ssidb.Txn, call int) error { return tx.Insert("t", pageKey(2*(1000+call)), val) }
+	split := func(tx *ssidb.Txn, call int) error { return tx.Insert("t", pageKey(2*(64*call+32)+1), val) }
+	scan := func(tx *ssidb.Txn, _ int) error {
+		return tx.Scan("t", pageKey(200), pageKey(328), func(k, v []byte) bool { return true })
+	}
+	si, ssi, s2pl := ssidb.SnapshotIsolation, ssidb.SerializableSI, ssidb.S2PL
+	for _, r := range []struct {
+		shape string
+		iso   ssidb.Isolation
+		op    func(tx *ssidb.Txn, call int) error
+		want  ledger
+	}{
+		{"Get", si, get, ledger{0, 0, 0, 0, 0, 1, 0, 1, 0, 0, 1, 0, 0, 0}},
+		{"Get", ssi, get, ledger{2, 0, 4, 5, 8, 2, 0, 1, 0, 0, 2, 0, 1, 1}},
+		{"Get", s2pl, get, ledger{2, 0, 4, 3, 8, 2, 0, 1, 0, 0, 2, 0, 0, 0}},
+		{"Put of an existing key", si, put, ledger{1, 0, 2, 3, 4, 2, 2, 1, 0, 0, 2, 0, 1, 1}},
+		{"Put of an existing key", ssi, put, ledger{2, 0, 4, 5, 8, 2, 2, 1, 0, 0, 2, 0, 1, 1}},
+		{"Put of an existing key", s2pl, put, ledger{2, 0, 4, 4, 8, 2, 2, 1, 0, 0, 2, 0, 1, 1}},
+		{"Insert, no split", si, insert, ledger{1, 0, 2, 3, 4, 2, 2, 0, 0, 0, 5, 0, 1, 1}},
+		{"Insert, no split", ssi, insert, ledger{2, 0, 4, 5, 8, 2, 2, 0, 0, 0, 5, 0, 1, 1}},
+		{"Insert, no split", s2pl, insert, ledger{2, 0, 4, 4, 8, 2, 2, 0, 0, 0, 5, 0, 1, 1}},
+		{"Insert that splits", si, split, ledger{2, 0, 6, 5, 14, 2, 2, 0, 0, 0, 5, 0, 1, 1}},
+		{"Insert that splits", ssi, split, ledger{2, 0, 6, 6, 14, 2, 2, 0, 0, 0, 5, 0, 1, 1}},
+		{"Insert that splits", s2pl, split, ledger{2, 0, 6, 5, 14, 2, 2, 0, 0, 0, 5, 0, 1, 1}},
+		{"64-row Scan", si, scan, ledger{0, 0, 0, 0, 0, 1, 0, 65, 0, 0, 1, 0, 0, 0}},
+		{"64-row Scan", ssi, scan, ledger{3, 0, 4, 6, 12, 1, 0, 65, 0, 0, 2, 0, 1, 1}},
+		{"64-row Scan", s2pl, scan, ledger{3, 0, 6, 4, 12, 1, 0, 65, 0, 0, 2, 0, 0, 0}},
+	} {
+		run := pageShape(t, r.iso, r.op)
+		run()
+		before := readLedger()
+		for range n {
+			run()
+		}
+		after := readLedger()
+		for i := range r.want {
+			if got := after[i] - before[i]; got != n*r.want[i] {
+				t.Errorf("%s at %v: %s %d over %d transactions, want %d each", r.shape, r.iso, ledgerColumns[i], got, n, r.want[i])
+			}
+		}
+	}
+}
