@@ -26,9 +26,9 @@
 //	                   SI / SSI / S2PL     (SSI only)                                                                                              stmt | txn
 //	Get [9]            none / SIREAD /     as reader [1]    row k [8]; at SSI, if k has  every page on the path to k    -                         F | U D
 //	                   Shared [2]                           a row, its reader word [1]
-//	GetForUpdate [9]   Exclusive, then     none, then as    row k [8], then as Get       leaf of k, then (SSI) stamped; row: versions of k        R F | W U D
-//	                   as Get [3]          Get                                           interior pages in the          page: stamps of k's leaf
-//	                                                                                     level's read mode; then as Get
+//	GetForUpdate [9]   Exclusive; at SSI   none [3]         row k [8], read once         leaf of k Exclusive, then      row: the versions of k    R F | W U D
+//	                   also SIREAD [3]                      granted; at SSI, its reader  (SSI) stamped; interior pages  its read finds
+//	                                                        word [1]                     in the level's read mode       page: stamps of k's leaf
 //	Put Insert Delete  Exclusive [10]      as writer        row k [8]; a refused Insert  leaf of k; interior pages in   as above                  K R F L | W U D
 //	  (k has a chain)                                       then reads k as Get [10]     the level's read mode; then
 //	                                                                                     stamp the leaf (refused: SSI)
@@ -65,11 +65,14 @@
 //	    after the write's locks (so a first-statement write never fails FCW).
 //	[3] Rivals of a write are the SIREAD holders of its targets, filtered to
 //	    transactions concurrent with the writer. GetForUpdate's lock is not a
-//	    write: it marks no rival, no reader marks it [1], and its Get then
-//	    reads k at the level's read mode and keeps that read unless the
-//	    transaction writes k. At page
-//	    granularity the Exclusive leaf drops the holder's SIREAD there
-//	    (§3.7.3), so the leaf is stamped, as a write stamps it.
+//	    write: it marks no rival and no reader marks it [1]. It decides from
+//	    the one read it makes once granted: it waits out a writer still
+//	    holding k [10], then takes its snapshot if it has none [2], is W if
+//	    the read found a newer committed version, and keeps its read unless
+//	    the transaction writes k — at SSI as Get does, at S2PL by the
+//	    Exclusive lock itself. At page granularity the Exclusive leaf drops
+//	    the holder's SIREAD there (§3.7.3), so the leaf is stamped, as a write
+//	    stamps it.
 //	[4] Structural: a write to a key without a chain — a Put or Insert of a
 //	    new key, a Delete of an absent one. At row granularity its claim
 //	    probes the gap in the latch hold that inserts k (Figure 3.7): a
@@ -144,8 +147,9 @@
 //	    lock into an Exclusive entry held on its behalf, or acquires behind
 //	    the blocking entry, waits in the table (D) and claims again. Every
 //	    explicit blocking grant on the row — S2PL's reads and GetForUpdate,
-//	    which keep their lock-table entries — waits the same way once granted;
-//	    it retires no read. A read of a row whose head is the transaction's
+//	    which keep their lock-table entries — reads the row once granted, and
+//	    waits the same way while that read finds another writer's version
+//	    holding it (so does a Shared scan round); it retires no read. A read of a row whose head is the transaction's
 //	    own version takes no SIREAD there: the version carries it. At page
 //	    granularity the page locks come first and exclude every other writer
 //	    of the row, across a split too — the split hands the new page's

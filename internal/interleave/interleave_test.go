@@ -173,8 +173,13 @@ func TestExhaustivePhantomSkew(t *testing.T) {
 // delete skew, own split and past-end scan scripts scan, so their Shared row
 // and gap locks — pages, for the past-end scan — are taken round by round
 // under the store's latches, and a scan that meets a held lock waits for it
-// unlatched and collects again.
+// unlatched and collects again. The locked-read scripts
+// (TestExhaustiveLockedReadSkew's GetForUpdate shapes) take one Exclusive
+// request for a GetForUpdate, which is also its read lock, at row and at page
+// granularity, against a writer of the row.
 func TestExhaustiveS2PLAlwaysSerializable(t *testing.T) {
+	rowDB := seededDB(ssidb.Options{}, ssidb.DetectorPrecise, "a", "b", "c", "d", "r")
+	pageDB := seededDB(ssidb.Options{Granularity: ssidb.GranularityPage, PageMaxKeys: 4}, ssidb.DetectorPrecise, "a", "b", "c", "d", "r")
 	for _, set := range []struct {
 		name    string
 		scripts []Script
@@ -186,6 +191,10 @@ func TestExhaustiveS2PLAlwaysSerializable(t *testing.T) {
 		{"ownsplit", ownSplit(), ownSplitDB(ssidb.DetectorPrecise)},
 		{"pastendscan/" + pastEndSeeds[0].name, pastEndScan(), pastEndSeeds[0].db(ssidb.DetectorPrecise)},
 		{"pastendscan/" + pastEndSeeds[1].name, pastEndScan(), pastEndSeeds[1].db(ssidb.DetectorPrecise)},
+		{"lockedread/row/GetForUpdate", lockedRead(getForUpdate("r")), rowDB},
+		{"lockedread/row/Get+GetForUpdate", lockedRead(get("r"), getForUpdate("r")), rowDB},
+		{"lockedread/page/GetForUpdate", lockedRead(getForUpdate("r")), pageDB},
+		{"lockedread/page/Get+GetForUpdate", lockedRead(get("r"), getForUpdate("r")), pageDB},
 	} {
 		Explore(set.mkDB, ssidb.S2PL, set.scripts, func(o Outcome) {
 			for _, err := range o.Errs {
@@ -197,6 +206,23 @@ func TestExhaustiveS2PLAlwaysSerializable(t *testing.T) {
 				t.Fatalf("S2PL %s schedule %v: cycle %v", set.name, o, cyc)
 			}
 		})
+	}
+}
+
+// getForUpdate is a locked read of key.
+func getForUpdate(key string) Step {
+	return func(tx *ssidb.Txn) error {
+		_, _, err := tx.GetForUpdate(table, []byte(key))
+		return err
+	}
+}
+
+// lockedRead is a locked-read skew (TestExhaustiveLockedReadSkew): T reads r
+// by reads and writes a; W reads a and writes r.
+func lockedRead(reads ...Step) []Script {
+	return []Script{
+		{Name: "T", Steps: append(reads, put("a", 1))},
+		{Name: "W", Steps: []Step{get("a"), put("r", 2)}},
 	}
 }
 

@@ -99,14 +99,15 @@
 //     mutex after marking the owner used, so a conversion either lands on the
 //     list the release takes or is refused: the writer has committed or rolled
 //     back, and nothing is left held for it.
-//   - Explicit grants. A blocking grant on a row key is checked against the
-//     row's head under the latch after the grant, and converts and waits the
-//     same way; an owner that re-requests a mode it holds waits when a
-//     converted lock now blocks it. Between the two, a write's latch hold and a
-//     grant's check are ordered by the latch: either the write sees the grant
-//     or the check sees the write. A grant is not a write: it marks no
-//     reader, no reader marks it, and it retires no SIREAD, its owner's
-//     included.
+//   - Explicit grants. A blocking grant on a row key is followed by one read
+//     of the row under the latch, which decides: if its first newer version,
+//     or else its visible one, is another writer's that still holds the row
+//     (ImplicitHeld), the owner converts and waits the same way and reads
+//     again; an owner that re-requests a mode it holds waits when a converted
+//     lock now blocks it. Between the two, a write's latch hold and a grant's
+//     read are ordered by the latch: either the write sees the grant or the
+//     read sees the write. A grant is not a write: it marks no reader, no
+//     reader marks it, and it retires no SIREAD, its owner's included.
 //   - The holder. A converted lock sits beside the grant of the waiter that
 //     converted it, so its writer asks the table nothing more about that row:
 //     it holds the row by its version, and its locked reads of the row return

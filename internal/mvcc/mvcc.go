@@ -421,8 +421,8 @@ func visible(v *version, t *core.Txn, snap core.TS) bool {
 // the table, however the tree splits and whatever is written in between (see
 // "Rows" in the package comment), and says nothing about the row's state:
 // every method takes the partition latch and works on the chain as it then is.
-// The zero Row addresses nothing: it has no use but IsZero, Key, Writer and
-// NewestCommitTS, and as Claim's handle of a key its caller saw absent.
+// The zero Row addresses nothing: it has no use but IsZero and Key, and as
+// Claim's handle of a key its caller saw absent.
 type Row struct {
 	key string
 	c   *chain
@@ -451,31 +451,14 @@ func (r Row) IsZero() bool { return r.c == nil }
 // keep (to name the row's lock by, say); for the zero Row the empty string.
 func (r Row) Key() string { return r.key }
 
-// Writer returns the record of the transaction that wrote the row's head
-// version, or nil if the row has no version or that writer has retired —
-// committed before every active snapshot. The engine asks it whether the
-// head is its own, and, after an explicit lock grant, whether another
-// writer's version still holds the row (package lock's ImplicitHeld).
-func (r Row) Writer() *core.Txn {
-	if r.c == nil {
-		return nil
-	}
-	r.sh.mu.RLock()
-	defer r.sh.mu.RUnlock()
-	if h := r.c.first(); h != nil {
-		return h.creator.Txn()
-	}
-	return nil
-}
-
 // Read performs a snapshot read of the row for t at snapshot snap, also
 // reporting the creators of any newer versions for conflict marking. Reading
 // at the largest timestamp is the locking read of S2PL and of SELECT FOR
 // UPDATE-style reads (thesis §4.4): the newest committed version, or t's own
-// uncommitted one. The engine reads so only under an explicit blocking lock
-// it granted, and after waiting for any writer whose head version still held
-// the row (Writer), and a write installs nothing above a lock it probed
-// (Claim): so no other uncommitted version can exist.
+// uncommitted one; another's uncommitted head is a newer writer. The engine
+// reads so only under an explicit blocking lock it granted, and reads again
+// after waiting for a writer whose version held the row; a write installs
+// nothing above a lock it probed (Claim).
 func (r Row) Read(t *core.Txn, snap core.TS) ReadResult {
 	r.sh.mu.RLock()
 	defer r.sh.mu.RUnlock()
@@ -539,25 +522,6 @@ func readChain(c *chain, t *core.Txn, snap core.TS) ReadResult {
 		}
 	}
 	return res
-}
-
-// NewestCommitTS returns the commit timestamp of the row's newest committed
-// version, or 0 if none — or no row: r may be zero. It implements the
-// First-Committer-Wins check: a writer whose snapshot predates this timestamp
-// must abort.
-func (r Row) NewestCommitTS() core.TS {
-	if r.c == nil {
-		return 0
-	}
-	r.sh.mu.RLock()
-	defer r.sh.mu.RUnlock()
-	for v := r.c.first(); v != nil; v = v.older {
-		noteVersion()
-		if ct := v.creator.CommitTS(); ct != 0 {
-			return ct
-		}
-	}
-	return 0
 }
 
 // Rollback removes t's pending version of the row, restoring the chain to its

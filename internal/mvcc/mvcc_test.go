@@ -2,6 +2,7 @@ package mvcc
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sync"
@@ -69,6 +70,17 @@ func (f *fixture) row(t *testing.T, key string) Row {
 		t.Fatalf("no row for %q", key)
 	}
 	return r
+}
+
+// newestCommit is row's First-Committer-Wins stamp as a locked read by
+// reader, which wrote nothing there, finds it: the commit timestamp of the
+// version a read at the latest timestamp sees — the newest committed one — or
+// 0 if it sees none.
+func newestCommit(row Row, reader *core.Txn) core.TS {
+	if res := row.Read(reader, math.MaxUint64); res.VisibleCreator != nil {
+		return res.VisibleCreator.CommitTS()
+	}
+	return 0
 }
 
 func TestSnapshotVisibility(t *testing.T) {
@@ -192,27 +204,32 @@ func TestSecondWriteSameTxnCollapses(t *testing.T) {
 	f.tb.Write(w, []byte("x"), []byte("b"), false, nil)
 	f.row(t, "x").Rollback(w) // one rollback must remove everything
 	f.m.Abort(w)
-	if f.row(t, "x").NewestCommitTS() != 0 {
+	if res := f.row(t, "x").Read(w, math.MaxUint64); res.VisibleCreator != nil || len(res.NewerWriters) != 0 {
 		t.Fatal("chain not empty after rollback of double write")
 	}
 }
 
+// TestNewestCommitTSForFCW: the newest committed version of a row, which a
+// locked read's First-Committer-Wins check compares with its snapshot, is
+// what a read at the latest timestamp sees, whatever is pending above it.
 func TestNewestCommitTSForFCW(t *testing.T) {
 	f := newFixture()
+	r := f.m.Begin(core.SnapshotIsolation)
+	defer f.m.Abort(r)
 	ct1 := f.put(t, "x", "v1")
-	if got := f.row(t, "x").NewestCommitTS(); got != ct1 {
-		t.Fatalf("NewestCommitTS = %d, want %d", got, ct1)
+	if got := newestCommit(f.row(t, "x"), r); got != ct1 {
+		t.Fatalf("newest commit = %d, want %d", got, ct1)
 	}
 	// An uncommitted head does not change the committed watermark.
 	w := f.m.Begin(core.SnapshotIsolation)
 	f.m.AssignSnapshot(w)
 	f.tb.Write(w, []byte("x"), []byte("pending"), false, nil)
-	if got := f.row(t, "x").NewestCommitTS(); got != ct1 {
-		t.Fatalf("NewestCommitTS with pending head = %d, want %d", got, ct1)
+	if got := newestCommit(f.row(t, "x"), r); got != ct1 {
+		t.Fatalf("newest commit with pending head = %d, want %d", got, ct1)
 	}
 	ct2 := f.commit(t, w)
-	if got := f.row(t, "x").NewestCommitTS(); got != ct2 {
-		t.Fatalf("NewestCommitTS = %d, want %d", got, ct2)
+	if got := newestCommit(f.row(t, "x"), r); got != ct2 {
+		t.Fatalf("newest commit = %d, want %d", got, ct2)
 	}
 }
 

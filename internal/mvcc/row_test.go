@@ -479,8 +479,8 @@ func TestRowHandleAcrossSplits(t *testing.T) {
 					if got, want := row.Read(r, snap), tb.Read(r, snap, k); !got.Found || string(got.Value) != string(k) || got.VisibleCreator != want.VisibleCreator {
 						t.Errorf("%s: read through the handle %q (found %v), by key %q", k, got.Value, got.Found, want.Value)
 					}
-					if got := row.NewestCommitTS(); got != cts[i] {
-						t.Errorf("%s: NewestCommitTS through the handle %d, committed at %d", k, got, cts[i])
+					if got := newestCommit(row, r); got != cts[i] {
+						t.Errorf("%s: newest commit through the handle %d, committed at %d", k, got, cts[i])
 					}
 
 					// A write through the handle is the write the by-key read sees;
@@ -510,8 +510,8 @@ func TestRowHandleAcrossSplits(t *testing.T) {
 						t.Fatal(err)
 					}
 					m.Finish(w, false)
-					if got := again.NewestCommitTS(); got != ct || row.NewestCommitTS() != ct {
-						t.Errorf("%s: NewestCommitTS %d after a commit at %d through the handle", k, got, ct)
+					if got := newestCommit(again, r); got != ct || newestCommit(row, r) != ct {
+						t.Errorf("%s: newest commit %d after a commit at %d through the handle", k, got, ct)
 					}
 				}
 			})

@@ -9,10 +9,9 @@ import (
 
 // Work is what the row store did since the process started, counted in the
 // workcount build only: partition-latch holds, shared and exclusive apart;
-// the versions readChain and NewestCommitTS walked — a point read's, a
-// scanned row's and a First-Committer-Wins check's, one per version visited;
-// and the reader words ReadAs set (Registrations) and a write, an explicit
-// grant or a Pruner cleared (Clears).
+// the versions readChain walked and a claim looked at — a point read's, a
+// scanned row's and a write's head, one per version visited; and the reader
+// words ReadAs set (Registrations) and a write or a Pruner cleared (Clears).
 type Work struct {
 	SharedLatches    uint64
 	ExclusiveLatches uint64

@@ -208,6 +208,57 @@ func TestExplicitGrantsWaitForImplicitLocks(t *testing.T) {
 			}
 		})
 	}
+	// A GetForUpdate's snapshot follows its wait (thesis §4.5), at SI and
+	// SSI, at row granularity and at page granularity, where the writer holds
+	// the leaf Exclusive and the wait is for that lock: as the first
+	// statement it reads the committed write and commits; after a read of
+	// another row, whose snapshot precedes the write's commit, it fails with
+	// ErrWriteConflict once the wait is over.
+	when := map[bool]string{true: "first statement", false: "after a read"}
+	for name, gran := range map[string]Granularity{"row": GranularityRow, "page": GranularityPage} {
+		for _, iso := range []Isolation{SnapshotIsolation, SerializableSI} {
+			for _, first := range []bool{true, false} {
+				t.Run(fmt.Sprintf("GetForUpdate/%s/%v/%s", name, iso, when[first]), func(t *testing.T) {
+					db := implicitDB(t, Options{Granularity: gran})
+					writer := db.Begin(SnapshotIsolation)
+					if err := writer.Put("t", []byte("k"), []byte("a")); err != nil {
+						t.Fatal(err)
+					}
+					other := db.Begin(iso)
+					if !first {
+						if _, _, err := other.Get("t", []byte("x")); err != nil {
+							t.Fatal(err)
+						}
+					}
+					parks := db.StatsSnapshot().LockParks
+					done := async(func() error {
+						v, _, err := other.GetForUpdate("t", []byte("k"))
+						if err == nil && string(v) != "a" {
+							return errors.New("read " + string(v) + ", want the committed a")
+						}
+						return err
+					})
+					awaitParks(t, db, parks)
+					if err := writer.Commit(); err != nil {
+						t.Fatal(err)
+					}
+					err := result(t, done)
+					if !first {
+						if !errors.Is(err, ErrWriteConflict) {
+							t.Fatalf("after the snapshot: %v, want ErrWriteConflict", err)
+						}
+						return
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := other.Commit(); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+		}
+	}
 	t.Run("SI Put behind S2PL Shared", func(t *testing.T) {
 		db := implicitDB(t, Options{})
 		reader := db.Begin(S2PL)

@@ -40,30 +40,30 @@ type pageTargets struct {
 	db *DB
 }
 
-// read locks key's descent path in mode, then reads by key.
+// read locks key's descent path in mode, then reads by key. A locked read
+// locks the interior pages in the level's read mode, stamps the leaf at SSI
+// as a write does, for the SIREAD its Exclusive lock stands for (§3.7.3),
+// and checks the leaf's stamps against the snapshot it takes then.
 func (*pageTargets) read(tx *Txn, tb *table, key []byte, mode lock.Mode, snap core.TS) (mvcc.ReadResult, error) {
-	_, leaf, err := lockPagePath(tx, tb, key, mode, mode, false)
+	interior := mode
+	if mode == lock.Exclusive {
+		interior = tx.readMode()
+	}
+	_, leaf, err := lockPagePath(tx, tb, key, interior, mode, false)
 	if err == nil && mode == lock.SIRead {
 		err = tx.markAsReader(tb.stamps.newerWriters(nil, leaf, snap))
+	} else if err == nil && mode == lock.Exclusive {
+		if tx.Isolation().TracksConflicts() {
+			tb.stamps.addWriter(leaf, tx.t)
+		}
+		if snap = tx.readPoint(); tb.stamps.newestCommitTS(leaf) > snap {
+			err = ErrWriteConflict
+		}
 	}
 	if err != nil {
 		return mvcc.ReadResult{}, err
 	}
 	return tb.data.Read(tx.t, snap, key), nil
-}
-
-// lockForUpdate locks key's leaf exclusively, marking no reader. At SSI it
-// stamps the leaf as a write does: a version of the page in place of the
-// SIREAD the grant dropped (§3.7.3); other levels hold no SIREAD there.
-func (*pageTargets) lockForUpdate(tx *Txn, tb *table, key []byte, _ mvcc.Row) (core.TS, error) {
-	_, leaf, err := lockPagePath(tx, tb, key, tx.readMode(), lock.Exclusive, false)
-	if err != nil {
-		return 0, err
-	}
-	if tx.Isolation().TracksConflicts() {
-		tb.stamps.addWriter(leaf, tx.t)
-	}
-	return tb.stamps.newestCommitTS(leaf), nil
 }
 
 // write holds the page locks before it installs anything — the leaf
@@ -72,7 +72,7 @@ func (*pageTargets) lockForUpdate(tx *Txn, tb *table, key []byte, _ mvcc.Row) (c
 // to mark and the page's First-Committer-Wins stamp, which covers the row's.
 // So its claim asks the lock table nothing (pageLocker) and checks no
 // snapshot: it installs, or refuses an Insert on a live head. It stamps the
-// leaf it locked, on a refusal at SSI only, as lockForUpdate does: no other
+// leaf it locked, on a refusal at SSI only, as a locked read does: no other
 // writer can split that leaf, and a split of its own carries the stamp the
 // path took before the insert onto the new page.
 func (*pageTargets) write(tx *Txn, tb *table, key []byte, row mvcc.Row, val []byte, tombstone, mustNotExist bool) error {

@@ -18,8 +18,9 @@ import (
 // exclusive latch hold (mvcc.Table.Claim), and made an explicit entry only
 // when another transaction has to wait for it, or it for another (package
 // lock, "Implicit row locks"). Every explicit blocking grant on a row — S2PL's
-// reads, a locked read — waits, after the grant, for a writer whose version
-// still holds the row (grantRow; a scan's shareRound).
+// reads, a locked read — reads the row after the grant and waits while that
+// read finds another writer's version still holding it (headHolder, the rule
+// of a point read's lockRead and a scan's shareRound).
 // Nor does an SSI point read of an existing row lock there: its SIREAD is the
 // row's reader word (read; package lock, "Row readers"). Only a version
 // retires a read: a locked read, and an Insert refused on the row, write
@@ -54,12 +55,14 @@ func rowKeyFor(tb *table, key []byte, row mvcc.Row) lock.Key {
 // read registers in the row's reader word in the hold that reads it
 // (mvcc.Table.ReadAs), where writers find it (Claim) — unless the
 // head is the transaction's own version, whose write lock subsumes the read
-// lock (§3.7.3). Every other locking read locks in the table (lockRead).
+// lock (§3.7.3). Every other locking read locks in the table (lockRead): an
+// SSI read the word does not cover, S2PL's Shared read, and a locked read's
+// Exclusive one, which keeps its SSI read in the word as a Get does.
 func (rowTargets) read(tx *Txn, tb *table, key []byte, mode lock.Mode, snap core.TS) (mvcc.ReadResult, error) {
-	if mode == lock.SIRead && tx.slot == 0 {
+	if tx.slot == 0 && tx.readMode() == lock.SIRead {
 		tx.slot = tx.db.mgr.ReaderSlot(tx.t)
 	}
-	if mode == lock.Shared || tx.slot == 0 {
+	if mode != lock.SIRead || tx.slot == 0 {
 		row, _ := tb.data.Locate(key)
 		return tx.lockRead(tb, key, row, mode, snap)
 	}
@@ -74,38 +77,78 @@ func (rowTargets) read(tx *Txn, tb *table, key []byte, mode lock.Mode, snap core
 }
 
 // lockRead locks key's row in the table in mode, marking nothing, and only
-// then reads, through row (zero: none was found), so as to miss no writer
-// that probed before the lock (Figure 3.4).
-func (tx *Txn) lockRead(tb *table, key []byte, row mvcc.Row, mode lock.Mode, snap core.TS) (mvcc.ReadResult, error) {
-	row, err := tx.grantRow(tb, key, row, mode)
-	if err != nil {
-		return mvcc.ReadResult{}, err
+// then reads, through row (zero: none was found; the key may have been
+// inserted since), so as to miss no writer that probed before the lock
+// (Figure 3.4). A blocking mode — S2PL's Shared, a locked read's Exclusive —
+// waits while the read finds the row held by another's version (headHolder)
+// and reads again. A locked read then decides from that read (thesis §4.5):
+// the snapshot, if deferred, follows the wait; a newer version committed is
+// First-Committer-Wins; and at SSI an SIREAD stays beside the Exclusive lock,
+// the row's word or else one in the table, while S2PL's Exclusive lock is
+// its read lock too. The SIREAD holders the Exclusive grant found are not
+// marked: the lock writes nothing they read. A transaction that has written
+// reads first: a head of its own holds the row already, and a waiter that
+// converted it holds a grant that a second request would wait behind.
+func (tx *Txn) lockRead(tb *table, key []byte, row mvcc.Row, mode lock.Mode, snap core.TS) (res mvcc.ReadResult, err error) {
+	locked := mode == lock.Exclusive
+	if locked && len(tx.writes) > 0 {
+		if res = tb.read(tx.t, snap, key, row); res.VisibleCreator == tx.t.Cell() {
+			return res, nil
+		}
 	}
-	return tb.read(tx.t, snap, key, row), nil
+	k := rowKeyFor(tb, key, row)
+	covered := tx.readMode() != lock.SIRead // a locked read's SIREAD, by the word
+	for err = tx.wait(k, mode); err == nil; {
+		if locked && tx.slot != 0 {
+			var set bool
+			if res, row, covered, set = tb.data.ReadAs(tx.t, snap, key, tx.slot, false); set {
+				tx.reads = append(tx.reads, row)
+			}
+		} else {
+			res = tb.read(tx.t, snap, key, row)
+		}
+		w := tx.headHolder(&res, snap)
+		if mode == lock.SIRead || w == nil {
+			break
+		}
+		err = tx.waitFor(w, k, mode)
+	}
+	if err != nil || !locked {
+		return res, err
+	}
+	snap = tx.readPoint()
+	for _, w := range res.NewerWriters {
+		if w.CommitTS() > snap {
+			return res, ErrWriteConflict
+		}
+	}
+	if !covered {
+		err = tx.wait(k, lock.SIRead)
+	}
+	return res, err
 }
 
-// grantRow is an explicit grant of mode on key's row lock (row: its handle,
-// zero if Locate found none; the key may have been inserted since). For a
-// blocking mode it then waits while the row's head version is another
-// transaction's that still holds the row, converting that writer's implicit
-// lock. It returns the row, located again if a blocking grant found it zero.
-func (tx *Txn) grantRow(tb *table, key []byte, row mvcc.Row, mode lock.Mode) (mvcc.Row, error) {
-	k := rowKeyFor(tb, key, row)
-	if err := tx.wait(k, mode); err != nil || mode == lock.SIRead {
-		return row, err
+// headHolder is the held-head rule of every blocking read, a point read's
+// (lockRead) and a scan round's (shareRound), for a read at snap after its
+// lock's grant: the read's first newer writer or, with none, its visible
+// version's creator, if that is another transaction that has not released
+// its locks (lock.ImplicitHeld). Read at latest, a newer writer was
+// uncommitted when read, so it is returned even once it has let go: the read
+// missed its commit, and waitFor, with nothing to wait for, sends the reader
+// to read again.
+func (tx *Txn) headHolder(res *mvcc.ReadResult, snap core.TS) *core.Txn {
+	var w *core.Txn
+	if len(res.NewerWriters) > 0 {
+		if w = res.NewerWriters[0]; snap == latest {
+			return w
+		}
+	} else if res.VisibleCreator != nil {
+		w = res.VisibleCreator.Txn()
 	}
-	for {
-		if row.IsZero() {
-			row, _ = tb.data.Locate(key)
-		}
-		w := row.Writer()
-		if w == nil || w == tx.t || !lock.ImplicitHeld(w) {
-			return row, nil
-		}
-		if err := tx.waitFor(w, k, mode); err != nil {
-			return row, err
-		}
+	if w != nil && w != tx.t && lock.ImplicitHeld(w) {
+		return w
 	}
+	return nil
 }
 
 // waitFor makes w's implicit lock on k explicit, if w is not nil, and waits
@@ -125,22 +168,6 @@ func (tx *Txn) wait(k lock.Key, mode lock.Mode) error {
 	rivals, err := tx.db.locks.AcquireInto(tx.t, k, mode, emptied(tx.rivals))
 	tx.rivals = rivals
 	return err
-}
-
-// lockForUpdate is GetForUpdate's exclusive lock, an explicit row grant at
-// every level — unless the row's head is the transaction's own version, which
-// holds the row already: a waiter that converted its lock holds a grant on the
-// entry that a second request would wait behind. The SIREAD holders the grant
-// finds are not marked: the lock writes nothing they read.
-func (rowTargets) lockForUpdate(tx *Txn, tb *table, key []byte, row mvcc.Row) (core.TS, error) {
-	if len(tx.writes) > 0 && row.Writer() == tx.t {
-		return row.NewestCommitTS(), nil
-	}
-	row, err := tx.grantRow(tb, key, row, lock.Exclusive)
-	if err != nil {
-		return 0, err
-	}
-	return row.NewestCommitTS(), nil
 }
 
 // write is the row-granularity write, at every level. It claims the row in

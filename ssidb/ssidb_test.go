@@ -149,6 +149,45 @@ func TestDeferredSnapshotAvoidsFCW(t *testing.T) {
 	if v, _ := readI64(t, db, "kv", "ctr"); v != 2 {
 		t.Fatalf("ctr = %d, want 2", v)
 	}
+
+	// The same at SerializableSI and at page granularity, where the unit is
+	// the leaf; and the counterpart, a transaction that read another row
+	// before the concurrent update committed, whose snapshot that read fixed:
+	// its locked read is a write conflict.
+	when := map[bool]string{true: "first statement", false: "after a read"}
+	for name, gran := range map[string]Granularity{"row": GranularityRow, "page": GranularityPage} {
+		for _, iso := range []Isolation{SnapshotIsolation, SerializableSI} {
+			for _, first := range []bool{true, false} {
+				t.Run(fmt.Sprintf("%s/%v/%s", name, iso, when[first]), func(t *testing.T) {
+					db := Open(Options{Granularity: gran})
+					seed(t, db, "kv", "ctr", 0)
+					t2 := db.Begin(iso)
+					if !first {
+						if _, _, err := t2.Get("kv", []byte("other")); err != nil {
+							t.Fatal(err)
+						}
+					}
+					seed(t, db, "kv", "ctr", 1)
+					v, _, err := t2.GetForUpdate("kv", []byte("ctr"))
+					if !first {
+						if !errors.Is(err, ErrWriteConflict) {
+							t.Fatalf("locked read after the snapshot = %v, want ErrWriteConflict", err)
+						}
+						return
+					}
+					if err != nil || geti64(v) != 1 {
+						t.Fatalf("first-statement locked read = %d, %v; want the latest 1", geti64(v), err)
+					}
+					if err := t2.Put("kv", []byte("ctr"), i64(2)); err != nil {
+						t.Fatal(err)
+					}
+					if err := t2.Commit(); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+		}
+	}
 }
 
 // writeSkew runs the Example 2 interleaving (x+y>0 constraint, both

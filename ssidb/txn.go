@@ -1,6 +1,7 @@
 package ssidb
 
 import (
+	"cmp"
 	"errors"
 	"math"
 	"sync"
@@ -485,13 +486,12 @@ func (tx *Txn) readStamp(snap core.TS) core.TS {
 // because the overlap test needs it and a deferred snapshot comes after the
 // write's locks.
 type lockTargets interface {
-	// read reads key at snap under mode (SIRead or Shared) on the targets
-	// of a point read, taken before the read or atomically with it.
+	// read reads key at snap under mode on the targets of a point read,
+	// taken before the read or atomically with it: a Get's SIRead or Shared,
+	// or a locked read's Exclusive, which marks no reader. A locked read (at
+	// latest until the transaction has a snapshot) then takes the deferred
+	// snapshot, checks First-Committer-Wins and keeps the level's read lock.
 	read(tx *Txn, tb *table, key []byte, mode lock.Mode, snap core.TS) (mvcc.ReadResult, error)
-	// lockForUpdate acquires GetForUpdate's exclusive lock(s) on key (row as
-	// above), which mark no reader: the lock is not a write. It returns the
-	// newest commit timestamp of the First-Committer-Wins unit holding key.
-	lockForUpdate(tx *Txn, tb *table, key []byte, row mvcc.Row) (newest core.TS, err error)
 	// write writes key under the level's write protocol — locks, marking
 	// (Figure 3.5), First-Committer-Wins, the install (row as above) — and
 	// adds the row written to the write set, so that whatever it installed
@@ -552,10 +552,9 @@ func (tx *Txn) Get(tableName string, key []byte) (val []byte, found bool, err er
 	return res.Value, res.Found, nil
 }
 
-// get is the read of a statement that passed its checks — Get's, a locked
-// read's, a refused Insert's: key read at the read point, under the level's
-// read lock, with the rw-conflicts that read finds marked. An error has
-// aborted the transaction.
+// get is the read of a statement that passed its checks — Get's, a refused
+// Insert's: key read at the read point, under the level's read lock, with the
+// rw-conflicts that read finds marked. An error has aborted the transaction.
 func (tx *Txn) get(tb *table, key []byte) (res mvcc.ReadResult, err error) {
 	snap := tx.readPoint()
 	mode := tx.readLockMode()
@@ -580,12 +579,12 @@ func (tx *Txn) get(tb *table, key []byte) (res mvcc.ReadResult, err error) {
 }
 
 // GetForUpdate reads key with an exclusive lock, like SELECT ... FOR UPDATE:
-// the lock, then First-Committer-Wins on the unit holding key, then a Get
-// (without the Get's promotion write). The lock is not a write: it marks no
-// reader, and the read keeps its SIREAD unless the transaction writes the
-// row. Combined with the deferred snapshot, a transaction whose first
-// statement is a locked read never aborts under FCW (thesis §4.5). val is
-// owned as Get's is.
+// the lock, then one read that waits out a writer still holding the row,
+// takes the snapshot and checks First-Committer-Wins on the unit holding key.
+// The lock is not a write: it marks no reader, and the read keeps its SIREAD
+// unless the transaction writes the row (but makes no promotion write). As
+// the snapshot follows the wait (thesis §4.5), a transaction whose first
+// statement is a locked read never aborts under FCW. val is owned as Get's is.
 func (tx *Txn) GetForUpdate(tableName string, key []byte) (val []byte, found bool, err error) {
 	if err := tx.pre(); err != nil {
 		return nil, false, err
@@ -605,16 +604,13 @@ func (tx *Txn) GetForUpdate(tableName string, key []byte) (val []byte, found boo
 		return nil, false, err
 	}
 	tb := tx.db.table(tableName)
-	row, _ := tb.data.Locate(key)
-	newest, err := tx.db.targets.lockForUpdate(tx, tb, key, row)
-	if err == nil && newest > tx.readPoint() {
-		err = ErrWriteConflict
-	}
+	at := cmp.Or(tx.t.Snapshot(), latest) // none yet, or S2PL, which takes none
+	res, err := tx.db.targets.read(tx, tb, key, lock.Exclusive, at)
 	if err != nil {
 		return nil, false, tx.fail(err)
 	}
-	res, err := tx.get(tb, key)
-	return res.Value, res.Found, err
+	recRead(tx.db.opts.Recorder, tx, tb, key, res.VisibleCreator, tx.readStamp(tx.readPoint()))
+	return res.Value, res.Found, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -865,10 +861,9 @@ func (tx *Txn) scanLocked(sc *scanCtx, tb *table, mode lock.Mode, snap core.TS, 
 // order, and returns the first it cannot take without waiting: key, held by
 // another transaction's lock or, if holder is not nil, by holder's version.
 // A row's lock includes its head version, which may still hold the row for
-// its writer, as grantRow waits for it: read at the latest timestamp, an
-// uncommitted head is the item's first newer writer, and a committed head
-// still held is its visible version. A page writer holds its leaf Exclusive,
-// so at page granularity the locks are the whole story.
+// its writer: the round's read of the row decides it by the rule a point
+// read's does (headHolder). A page writer holds its leaf Exclusive, so at
+// page granularity the locks are the whole story.
 func (tx *Txn) shareRound(items []mvcc.ScanItem, keys []lock.Key) (key lock.Key, holder *core.Txn, blocked bool) {
 	i := 0
 	for _, k := range keys {
@@ -881,13 +876,7 @@ func (tx *Txn) shareRound(items []mvcc.ScanItem, keys []lock.Key) (key lock.Key,
 		for items[i].Key != k.K {
 			i++ // to k's item, past the rows the scanner wrote, which take none
 		}
-		var w *core.Txn
-		if it := &items[i]; len(it.NewerWriters) > 0 {
-			w = it.NewerWriters[0]
-		} else if it.VisibleCreator != nil {
-			w = it.VisibleCreator.Txn()
-		}
-		if w != nil && w != tx.t && lock.ImplicitHeld(w) {
+		if w := tx.headHolder(&items[i].ReadResult, latest); w != nil {
 			return k, w, true
 		}
 	}

@@ -144,9 +144,9 @@ func collision(t *testing.T, db *ssidb.DB, iso ssidb.Isolation) func() {
 //     reader word to the transaction's slot (a word set); if the word names
 //     another reader, the Get then takes an SIREAD in the lock table and reads
 //     again through the handle (a shared hold, a version). S2PL's Get locates
-//     the row (a shared hold, the descent) to name its lock, reads through the
-//     handle (a shared hold, the version), and looks at the row's head writer
-//     after its grant (a third shared hold, no version).
+//     the row (a shared hold, the descent) to name its lock and, once
+//     granted, reads through the handle (a shared hold, the version): the one
+//     read also tells whether another writer's version still holds the row.
 //   - A lock on a key no one holds is a request, a shard hold, an owner hold
 //     (the grant lists it) and 3 key hashes (the shard index, the table miss,
 //     the insert); a lock on a key another holds has 2 (the lookup hits); its
@@ -171,8 +171,8 @@ func collision(t *testing.T, db *ssidb.DB, iso ssidb.Isolation) func() {
 // and 2 + 1 exclusive holds, 6 versions, 6 descents. SSI is the same in every
 // one of those columns: its Gets set 4 words, which the retirement clears in
 // the hold that prunes. S2PL takes 4 Shared locks, which its commit releases:
-// 4 requests, 10 shard holds, 4 + 2 owner holds, 20 hashes, 3 shared holds a
-// Get (14).
+// 4 requests, 10 shard holds, 4 + 2 owner holds, 20 hashes, 2 shared holds a
+// Get (10).
 //
 // The SmallBank Amalgamate, 5 Gets + 3 Puts of rows it read, in three tables
 // (TestLockWorkBudget and TestStoreWorkBudget derive SSI): SI — 3 probes (3
@@ -182,7 +182,7 @@ func collision(t *testing.T, db *ssidb.DB, iso ssidb.Isolation) func() {
 // rows, in a hold of their table: 3 + 3 exclusive holds. S2PL — 5 Shared
 // locks, which its Puts' probes find its own and keep (2 hashes each, no
 // delete) and its commit releases: 5 + 3 + 5 = 13 shard holds, 5 + 2 = 7
-// owner holds, 15 + 6 + 5 = 26 hashes, 15 + 3 = 18 shared holds.
+// owner holds, 15 + 6 + 5 = 26 hashes, 10 + 3 = 13 shared holds.
 //
 // A 64-row Scan and one Put of a row outside the range: SI — the scan is one
 // round (one shared hold, one descent, the 64 rows and the key that ends the
@@ -252,9 +252,29 @@ func collision(t *testing.T, db *ssidb.DB, iso ssidb.Isolation) func() {
 // locks (3 + 3 + 2 hashes: r2's finds r1's entry), each released at its
 // commit (a shard hold each, a delete for the last holder of x and for y),
 // and w's probe: 3 requests, 3 + 3 + 1 = 7 shard holds, 3 + 3 + 1 = 7 owner
-// holds (grants, commits, w's retirement), 8 + 2 + 2 = 12 hashes; 3 shared
-// holds a Get and w's locate (10), 2 exclusive, 4 versions, 4 descents; w
+// holds (grants, commits, w's retirement), 8 + 2 + 2 = 12 hashes; 2 shared
+// holds a Get and w's locate (7), 2 exclusive, 4 versions, 4 descents; w
 // alone is queued.
+//
+// A GetForUpdate of an existing row as a transaction's first statement
+// (shapedTxn): it locates the row (a shared hold, a descent) to name its
+// lock, takes it Exclusive (a request, a shard hold, an owner hold, 3
+// hashes), and then reads it once (a shared hold, a version), which tells
+// that no other writer's version holds the row and that none committed
+// after the snapshot, taken after that read; the commit releases the lock (a
+// shard hold, an owner hold, a hash). SI and S2PL read through the handle,
+// and S2PL takes no Shared lock beside the Exclusive one: 1 request, 2 shard
+// holds, 2 owner holds, 4 hashes; 2 shared holds, 1 version, 1 descent,
+// nothing queued. SSI's read is the one that sets the row's word, by key (a
+// second descent), cleared at retirement (an exclusive hold), and the lock
+// costs the owner's mutex twice more, for SSI's question and the
+// retirement: 1 / 0 / 2 / 4 / 4; 2 shared and 1 exclusive holds, 1 version,
+// 1 word set and cleared, 2 descents, 1 queued and drained. After a Get of
+// another row (Get + GetForUpdate), which gave the transaction its
+// snapshot, the GetForUpdate costs the same: SI and SSI add the Get's one
+// shared hold, version and descent (3 shared holds; SSI's Get sets a second
+// word, which the retirement clears in the same hold), S2PL its Shared lock
+// (a request, 2 shard holds, an owner hold, 4 hashes) and 2 shared holds (4).
 func TestSSIOverSIWorkBudget(t *testing.T) {
 	open := func(lockShards int) *ssidb.DB {
 		return ssidb.Open(ssidb.Options{Detector: ssidb.DetectorPrecise, TableShards: 1, LockShards: lockShards})
@@ -286,10 +306,10 @@ func TestSSIOverSIWorkBudget(t *testing.T) {
 	rows := []row{
 		{"kv-uniform", si, shapedTxn(t, kv, si, txnShape{gets: 4, puts: 2}), ledger{0, 2, 2, 0, 4, 6, 3, 6, 0, 0, 6, 0, 1, 1}},
 		{"kv-uniform", ssi, shapedTxn(t, kv, ssi, txnShape{gets: 4, puts: 2}), ledger{0, 2, 2, 0, 4, 6, 3, 6, 4, 4, 6, 0, 1, 1}},
-		{"kv-uniform", s2pl, shapedTxn(t, kv, s2pl, txnShape{gets: 4, puts: 2}), ledger{4, 2, 10, 6, 20, 14, 3, 6, 0, 0, 6, 0, 1, 1}},
+		{"kv-uniform", s2pl, shapedTxn(t, kv, s2pl, txnShape{gets: 4, puts: 2}), ledger{4, 2, 10, 6, 20, 10, 3, 6, 0, 0, 6, 0, 1, 1}},
 		{"Amalgamate", si, amalgamate[si], ledger{0, 3, 3, 0, 6, 8, 5, 8, 0, 0, 8, 0, 1, 1}},
 		{"Amalgamate", ssi, amalgamate[ssi], ledger{0, 3, 3, 0, 6, 8, 6, 8, 5, 5, 8, 0, 1, 1}},
-		{"Amalgamate", s2pl, amalgamate[s2pl], ledger{5, 3, 13, 7, 26, 18, 5, 8, 0, 0, 8, 0, 1, 1}},
+		{"Amalgamate", s2pl, amalgamate[s2pl], ledger{5, 3, 13, 7, 26, 13, 5, 8, 0, 0, 8, 0, 1, 1}},
 		{"64-row Scan + Put", si, scanPuts(t, kv, si), ledger{0, 1, 1, 0, 2, 2, 2, 66, 0, 0, 2, 0, 1, 1}},
 		{"64-row Scan + Put", ssi, scanPuts(t, kv, ssi), ledger{129, 1, 138, 132, 518, 2, 2, 66, 0, 0, 2, 0, 1, 1}},
 		{"64-row Scan + Put", s2pl, scanPuts(t, kv, s2pl), ledger{129, 1, 259, 131, 518, 2, 2, 66, 0, 0, 2, 0, 1, 1}},
@@ -305,7 +325,13 @@ func TestSSIOverSIWorkBudget(t *testing.T) {
 		{"rw pair", ssi, antiDependency(t, kv, ssi), ledger{0, 2, 2, 0, 4, 3, 4, 3, 1, 1, 3, 1, 2, 2}},
 		{"collision", si, collision(t, kv, si), ledger{0, 1, 1, 0, 2, 4, 2, 4, 0, 0, 4, 0, 1, 1}},
 		{"collision", ssi, collision(t, kv, ssi), ledger{1, 1, 3, 4, 6, 5, 3, 5, 2, 2, 4, 2, 3, 3}},
-		{"collision", s2pl, collision(t, kv, s2pl), ledger{3, 1, 7, 7, 12, 10, 2, 4, 0, 0, 4, 0, 1, 1}},
+		{"collision", s2pl, collision(t, kv, s2pl), ledger{3, 1, 7, 7, 12, 7, 2, 4, 0, 0, 4, 0, 1, 1}},
+		{"GetForUpdate", si, shapedTxn(t, kv, si, txnShape{locked: 1}), ledger{1, 0, 2, 2, 4, 2, 0, 1, 0, 0, 1, 0, 0, 0}},
+		{"GetForUpdate", ssi, shapedTxn(t, kv, ssi, txnShape{locked: 1}), ledger{1, 0, 2, 4, 4, 2, 1, 1, 1, 1, 2, 0, 1, 1}},
+		{"GetForUpdate", s2pl, shapedTxn(t, kv, s2pl, txnShape{locked: 1}), ledger{1, 0, 2, 2, 4, 2, 0, 1, 0, 0, 1, 0, 0, 0}},
+		{"Get + GetForUpdate", si, shapedTxn(t, kv, si, txnShape{gets: 1, locked: 1}), ledger{1, 0, 2, 2, 4, 3, 0, 2, 0, 0, 2, 0, 0, 0}},
+		{"Get + GetForUpdate", ssi, shapedTxn(t, kv, ssi, txnShape{gets: 1, locked: 1}), ledger{1, 0, 2, 4, 4, 3, 1, 2, 2, 2, 3, 0, 1, 1}},
+		{"Get + GetForUpdate", s2pl, shapedTxn(t, kv, s2pl, txnShape{gets: 1, locked: 1}), ledger{2, 0, 4, 3, 8, 4, 0, 2, 0, 0, 2, 0, 0, 0}},
 	}
 	var table strings.Builder
 	fmt.Fprintf(&table, "| shape | level | %s |\n", strings.Join(ledgerColumns[:], " | "))
@@ -401,6 +427,15 @@ func pageShape(t *testing.T, iso ssidb.Isolation, op func(tx *ssidb.Txn, call in
 //     key (another): 2 requests, 2 + 2 shard holds, 2 + 3 owner holds, 6 + 2
 //     hashes; 2 shared holds, 2 descents. S2PL takes them Shared, released at
 //     commit: the same, with 2 + 1 owner holds, and nothing queued.
+//   - A GetForUpdate locks its path in one OnPath hold — the leaf Exclusive,
+//     the root in the level's read mode — and then reads by key: 2 shared
+//     holds, 2 descents, a version. The Exclusive leaf lock stands for the
+//     read's SIREAD (§3.7.3), so there is no second pass; SSI stamps the leaf
+//     instead, and the leaf's stamps are the First-Committer-Wins check. SI
+//     locks the leaf alone, released at commit: 1 request, 2 shard holds, 2
+//     owner holds, 4 hashes, nothing queued. SSI's root SIREAD makes it what
+//     SSI's Get costs (2 / 4 / 5 / 8, queued), S2PL's root Shared what S2PL's
+//     Get costs (2 / 4 / 3 / 8).
 //   - A Put of an existing key locates the row (a shared hold, a descent),
 //     locks its path (another), claims in an exclusive hold that looks at the
 //     head (a version) and is pruned at retirement (an exclusive hold). SI
@@ -432,6 +467,10 @@ func TestPageWorkBudget(t *testing.T) {
 		_, _, err := tx.Get("t", pageKey(2*(64*call+7)))
 		return err
 	}
+	forUpdate := func(tx *ssidb.Txn, call int) error {
+		_, _, err := tx.GetForUpdate("t", pageKey(2*(64*call+7)))
+		return err
+	}
 	put := func(tx *ssidb.Txn, call int) error { return tx.Put("t", pageKey(2*(64*call+7)), val) }
 	insert := func(tx *ssidb.Txn, call int) error { return tx.Insert("t", pageKey(2*(1000+call)), val) }
 	split := func(tx *ssidb.Txn, call int) error { return tx.Insert("t", pageKey(2*(64*call+32)+1), val) }
@@ -448,6 +487,9 @@ func TestPageWorkBudget(t *testing.T) {
 		{"Get", si, get, ledger{0, 0, 0, 0, 0, 1, 0, 1, 0, 0, 1, 0, 0, 0}},
 		{"Get", ssi, get, ledger{2, 0, 4, 5, 8, 2, 0, 1, 0, 0, 2, 0, 1, 1}},
 		{"Get", s2pl, get, ledger{2, 0, 4, 3, 8, 2, 0, 1, 0, 0, 2, 0, 0, 0}},
+		{"GetForUpdate", si, forUpdate, ledger{1, 0, 2, 2, 4, 2, 0, 1, 0, 0, 2, 0, 0, 0}},
+		{"GetForUpdate", ssi, forUpdate, ledger{2, 0, 4, 5, 8, 2, 0, 1, 0, 0, 2, 0, 1, 1}},
+		{"GetForUpdate", s2pl, forUpdate, ledger{2, 0, 4, 3, 8, 2, 0, 1, 0, 0, 2, 0, 0, 0}},
 		{"Put of an existing key", si, put, ledger{1, 0, 2, 3, 4, 2, 2, 1, 0, 0, 2, 0, 1, 1}},
 		{"Put of an existing key", ssi, put, ledger{2, 0, 4, 5, 8, 2, 2, 1, 0, 0, 2, 0, 1, 1}},
 		{"Put of an existing key", s2pl, put, ledger{2, 0, 4, 4, 8, 2, 2, 1, 0, 0, 2, 0, 1, 1}},
