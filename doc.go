@@ -169,8 +169,10 @@
 // and a record no other transaction can have seen — one that locked nothing,
 // wrote nothing and was in no conflict, such as a declared read-only reader
 // promoted to a safe snapshot at its first read — is recycled for a later
-// transaction at once. A finished handle keeps nothing alive and answers from
-// its own 24 bytes:
+// transaction at once; any other record that was never in a conflict is
+// recycled once it has retired and every transaction that ran beside it has
+// ended. A finished handle keeps nothing alive and answers from its own 24
+// bytes:
 //
 //	accessor       while the transaction runs            once it has ended
 //	ID             its id                                the same id

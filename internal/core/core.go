@@ -238,8 +238,9 @@
 // drain takes entries off a queue in short batches and hands each batch to
 // the hook with no lock held, so drainers of one shard share it, an append
 // never waits behind a hook, and the hook can batch its own work. A record
-// once queued is never recycled (Release): the queue, the hook and the
-// structures the hook releases it from may all still hold it.
+// once queued is recycled only after the hook has returned ("Recycling"
+// below): the queue, the hook and the structures the hook releases it from
+// hold it until then.
 //
 // The last end of a quiescing workload leaves every queue empty. Let Y be the
 // end whose registry removal is last: its horizon exceeds every commit. If
@@ -300,35 +301,91 @@
 //     committed earlier it keeps a timestamp, outCT, not a pointer), so chains
 //     of them end at the active set;
 //   - rival and newer-writer buffers in flight (lock.AcquireInto results,
-//     mvcc.ReadResult.NewerWriters, the engine's recycled scratch, zeroed on
-//     release), for the duration of one operation;
+//     mvcc.ReadResult.NewerWriters, a reader resolved from a slot, a waiter's
+//     waits-for edges, the engine's recycled scratch, zeroed on release), for
+//     the duration of one operation of a registered transaction;
 //   - the engine's running transaction (the scratch the handle reaches it
 //     through), until the transaction ends and the engine lets go of the
-//     record (Release).
+//     record (Release);
+//   - its shard's limbo, from the release until the grace horizon passes it
+//     ("Recycling" below).
 //
 // The record itself holds the transaction's lock bookkeeping as an owner
 // (Locks: the keys it holds, its SIREAD count, its used and released flags),
 // so that state lives exactly as long as the record and costs no allocation
 // of its own.
 //
-// Only the first and the last are there for every record. Every other holder
-// is reached through something the record leaves behind, which core sees: the
-// lock table through its lock state (marked used before its first lock),
-// versions and page stamps through its cell, partners' references through
-// MarkConflict (which marks both endpoints, marked), the retirement queue and
-// the slot table through FinishWith and ReaderSlot (kept), and the in-flight
-// buffers through the lock table, a cell or a slot. A record that ended with
-// none of the four — no cell, no lock state, never an endpoint of
-// MarkConflict, not kept — was held by the
+// # Recycling
+//
+// Release recycles a record — zeroes it and returns it to the pool BeginTx
+// draws from — once nobody can reach it. Only the registry and the engine hold
+// every record. Every other holder is reached through something the record
+// leaves behind, which core sees: the lock table through its lock state
+// (marked used before its first lock), versions and page stamps through its
+// cell, partners' references through MarkConflict (which marks both
+// endpoints, marked), the retirement queue and the slot table through
+// FinishWith and ReaderSlot (kept), and the in-flight buffers through the lock
+// table, a cell or a slot. A record that ended with none of these — no cell,
+// no lock state, never an endpoint of MarkConflict, not kept — was held by the
 // registry, which dropped it at the end, and by the engine, which lets go of
-// it; nobody else can ever have reached it. So Release zeroes such a record
-// and returns it to the pool
-// BeginTx draws from. In practice these are the declared read-only readers
-// promoted to a safe snapshot at their first read, and plain-SI transactions
-// that only read: they lock nothing. Every other record keeps the lifetime
-// above and is left to the collector; pooling those waits on bounding
-// partners' references by the active set (the summary tier) and on proving
-// that no in-flight buffer still names a retired record.
+// it; nobody else can ever have reached it, so Release recycles it at once. In
+// practice these are the declared read-only readers promoted to a safe
+// snapshot at their first read, and plain-SI transactions that only read.
+//
+// Any other record is recycled one grace horizon after nothing shared names it
+// any more, once all three of these hold:
+//
+//   - The engine has let go of it (Release), which it does once the record's
+//     locks and reader slot are released; and, if it was queued, the drain
+//     that retired it has severed its cell and the retire hook, which releases
+//     its SIREAD locks and its reader slot, has returned. Whichever of the two
+//     comes second puts the record in its shard's limbo, stamped with a tick
+//     of the grace clock. From then on no lock-table entry, slot, queue or
+//     cell names it (a cell left unsevered is an aborted writer's, and that
+//     record is never recycled), so a transaction that begins afterwards
+//     cannot reach it.
+//   - Every transaction registered at that moment has ended: only such a
+//     transaction can have found the record, and hold it in a buffer in
+//     flight. The grace horizon (graceHorizon) is the minimum of the
+//     registered transactions' begin stamps — the grace clock at BeginTx — over
+//     every one of them, with a snapshot or not yet: a GetForUpdate holds its
+//     rivals before its deferred snapshot, so the snapshot watermark cannot
+//     stand for it. It is kept per registry shard beside minSnap and minRW,
+//     and moves neither. Each transaction end and each Release sweeps limbo up
+//     to it, and the last end of a quiescing workload empties limbo by the
+//     argument that empties the retirement queues: a sweep reads the horizon
+//     after its own appends.
+//   - It is not marked, read under its csMu when it is recycled. A
+//     transaction that held it in flight may have made it an endpoint of
+//     MarkConflict after it was stamped, and a partner's reference may then
+//     name it; csMu orders the read after every such MarkConflict. A marked
+//     record is left to the collector: bounding partners' references by the
+//     active set waits on the summary tier.
+//
+// Two other kinds of record keep the old lifetime and are left to the
+// collector: an aborted writer, whose cell is never severed and which a page
+// stamp may name until the page's next fold, so that a later transaction could
+// still reach it; and a record whose locks were never released, which the lock
+// table still names. So is a record that is never released at all (recovery's
+// replay, the checkpoint's scan), and one a full limbo (limboMax) turns away.
+//
+// The horizon covers what registered transactions load. Four paths of the
+// engine load a *Txn outside one:
+//
+//   - The retire hook's pruner cuts versions by their cells' commit
+//     timestamps and clears reader words by slot number: it loads no record.
+//     The hook's lock release walks the retiring record's own list — which is
+//     not in limbo before the hook returns — and the holder maps of the
+//     entries on it, whose waiters are registered transactions parked in an
+//     operation.
+//   - DB.Vacuum's walk of the row store reads cells only. Its page fold reads
+//     records, and Vacuum registers a transaction of its own around the walk,
+//     which the horizon covers.
+//   - The checkpoint image writer scans inside a transaction it registered,
+//     and so is covered like any reader.
+//   - The page fold loads each stamped writer's record and reads whether it
+//     aborted. Every fold but Vacuum's runs in an operation of a registered
+//     transaction, and Vacuum's is covered by its own registration.
 package core
 
 import (
@@ -448,10 +505,10 @@ const (
 // Txn is one transaction's record. The record outlives commit when the
 // transaction holds SIREAD locks, detected conflicts or wrote anything (it is
 // "suspended", thesis §3.3) so that later operations by concurrent
-// transactions can still find its conflict flags; one that ends unseen by any
-// other transaction is recycled for a later one instead (Release). See
-// "Record lifetime" in the package comment for who may hold one and until
-// when.
+// transactions can still find its conflict flags; once nobody can reach it
+// any more, it is recycled for a later transaction (Release). See "Record
+// lifetime" and "Recycling" in the package comment for who may hold one and
+// until when.
 //
 // in/out implement the inConflict / outConflict state of the paper. A
 // reference names the single conflicting transaction, degrading to a
@@ -475,7 +532,9 @@ type Txn struct {
 	beginTS  atomic.Uint64 // snapshot timestamp; 0 until assigned (§4.5 defers it)
 	commitTS atomic.Uint64 // 0 until committed
 
-	// One word: the lifecycle state beside four single-byte facts.
+	// One word: the lifecycle state beside four single-byte facts. The low
+	// byte of status is the Status; above it, queuedBit and handedOff record
+	// the hand-over of a queued record to limbo (Release).
 	status atomic.Int32
 	iso    uint8 // the Isolation level. Immutable.
 	// readOnly marks a transaction declared read-only at begin. Immutable.
@@ -487,10 +546,11 @@ type Txn struct {
 	readOnly bool
 	// marked records that the transaction was an endpoint of MarkConflict,
 	// so a partner may hold a reference to it. Set under both endpoints'
-	// csMu; Release reads it under this one's.
+	// csMu; recycle reads it under this one's.
 	marked bool
 	// kept records that FinishWith queued the transaction or it took a
-	// reader slot. Written and read by the owner's goroutine only.
+	// reader slot: something other than the registry may have reached it.
+	// Written and read by the owner's goroutine only.
 	kept bool
 
 	// csMu is this transaction's conflict-state mutex: it guards mutation
@@ -619,6 +679,14 @@ func (t *Txn) LockState() *lockstate.Owner {
 // ID returns the transaction's unique identifier.
 func (t *Txn) ID() uint64 { return t.id }
 
+// Marked reports whether t has been an endpoint of MarkConflict, so that a
+// partner's reference may name it: such a record is never recycled (Release).
+func (t *Txn) Marked() bool {
+	t.csMu.Lock()
+	defer t.csMu.Unlock()
+	return t.marked
+}
+
 // Isolation returns the level the transaction runs at.
 func (t *Txn) Isolation() Isolation { return Isolation(t.iso) }
 
@@ -634,7 +702,21 @@ func (t *Txn) Snapshot() TS { return t.beginTS.Load() }
 func (t *Txn) CommitTS() TS { return t.commitTS.Load() }
 
 // Status returns the current lifecycle state.
-func (t *Txn) Status() Status { return Status(t.status.Load()) }
+func (t *Txn) Status() Status { return Status(t.status.Load() & statusMask) }
+
+// The bits of Txn.status above the Status. A queued record is let go of by two
+// parties, the engine (Release) and the drain that retired it, in either
+// order; each adds handedOff, and the one that makes it two puts the record in
+// limbo.
+const (
+	statusMask int32 = 0xff
+	queuedBit  int32 = 1 << 8 // FinishWith queued the record
+	handedOff  int32 = 1 << 9 // a two-bit count of the parties that let go
+)
+
+// handOff reports whether the caller is the second of the two parties to let
+// go of a queued record. The first must not touch the record afterwards.
+func (t *Txn) handOff() bool { return t.status.Add(handedOff)&(2*handedOff) != 0 }
 
 // Committed reports whether the transaction has committed. Visibility
 // decisions combine this with CommitTS; both are atomically published by
@@ -676,26 +758,46 @@ func committedBefore(a, b *Txn) bool {
 // regShard is one stripe of the active-transaction registry. Transactions
 // hash to a shard by id; the shard records, for each active transaction, a
 // conservative lower bound on its snapshot timestamp (0 until a snapshot is
-// requested) and maintains the minimum of those bounds in an atomic, so the
-// global pruning watermark is readable without any lock.
+// requested) and its begin stamp, and maintains the minima of those in
+// atomics, so the global pruning watermark and the grace horizon are readable
+// without any lock.
 //
 // The shard also keeps the retirement queue of the transactions that hash to
 // it ("Retirement" in the package comment): retired[qhead:], in commit order,
 // guarded by retMu. retHead is the
 // oldest queued commit timestamp (tsInfinity when the queue is empty), so a
-// drain passes a shard with nothing to retire without taking its mutex.
+// drain passes a shard with nothing to retire without taking its mutex. Beside
+// it, under the same mutex, is the shard's limbo: limbo[lhead:], the released
+// records waiting for the grace horizon, in stamp order, the oldest stamp in
+// limboHead.
 type regShard struct {
-	mu      sync.Mutex
-	active  map[*Txn]TS   // horizon constraint per active txn; 0 = unconstrained
-	minSnap atomic.Uint64 // min non-zero constraint, tsInfinity when none
-	minRW   atomic.Uint64 // same, over read-write transactions only
-	retHead atomic.Uint64
+	mu       sync.Mutex
+	active   map[*Txn]reg
+	minSnap  atomic.Uint64 // min non-zero constraint, tsInfinity when none
+	minRW    atomic.Uint64 // same, over read-write transactions only
+	minBegin atomic.Uint64 // min begin stamp, tsInfinity when none
+	retHead  atomic.Uint64
 
-	retMu   sync.Mutex
-	retired []retiree
-	qhead   int
+	retMu     sync.Mutex
+	retired   []retiree
+	qhead     int
+	limbo     []limboEntry
+	lhead     int
+	limboHead atomic.Uint64
+	// 128 bytes in all, a size class of its own: shards, each allocated on
+	// its own, share no cache line.
+}
 
-	_ [48]byte // pad so neighbouring shard mutexes don't false-share
+// reg is what the registry keeps of an active transaction: its horizon
+// constraint (0 = unconstrained) and its begin stamp, the grace clock when it
+// began.
+type reg struct{ snap, begin TS }
+
+// limboEntry is a released record and its stamp, a tick of the grace clock
+// taken once nothing but in-flight transactions could still reach it.
+type limboEntry struct {
+	stamp uint64
+	t     *Txn
 }
 
 // Retired is a suspended transaction as a drain hands it to the retire hook:
@@ -743,7 +845,8 @@ var retiredBatches = sync.Pool{New: func() any { return new([retireBatch]Retired
 
 // retireFrom takes up to retireBatch entries the horizon h has passed off
 // sh's queue, then severs their cells and hands the batch to the retire hook
-// with no lock held.
+// with no lock held. Each record the engine has already let go of (Release)
+// goes to limbo once the hook has returned.
 func (m *Manager) retireFrom(sh *regShard, h TS) {
 	batch := retiredBatches.Get().(*[retireBatch]Retired)
 	sh.retMu.Lock()
@@ -771,19 +874,91 @@ func (m *Manager) retireFrom(sh *regShard, h TS) {
 	if m.retireHook != nil && n > 0 {
 		m.retireHook(batch[:n])
 	}
+	released := 0
+	for _, r := range batch[:n] {
+		if r.Txn.handOff() {
+			batch[released] = Retired{Txn: r.Txn}
+			released++
+		}
+	}
+	if released > 0 {
+		sh.retMu.Lock()
+		for _, r := range batch[:released] {
+			m.toLimboLocked(sh, r.Txn)
+		}
+		sh.retMu.Unlock()
+	}
 	clear(batch[:n])
 	retiredBatches.Put(batch)
 }
 
 // drain retires, on every shard, each queued transaction whose commit
 // precedes the horizon — read once, after the caller's own registry removal
-// and append, which is what the quiesce argument in the package comment needs.
+// and append, which is what the quiesce argument in the package comment needs
+// — and then recycles what the grace horizon lets go of (sweep).
 func (m *Manager) drain() {
 	h := m.OldestActiveSnapshot()
 	for _, sh := range m.shards {
 		for sh.retHead.Load() < h {
 			m.retireFrom(sh, h)
 		}
+	}
+	m.sweep()
+}
+
+// limboMax bounds a shard's limbo. Only a long transaction holds records
+// there for longer than a transaction takes; beyond the bound, a released
+// record is left to the collector instead.
+const limboMax = 1024
+
+// toLimboLocked stamps t with a tick of the grace clock and appends it to sh's
+// limbo, unless the limbo is full. Spent slots at the front are reused before
+// the array grows. The caller holds retMu, so stamps are in order along the
+// queue.
+func (m *Manager) toLimboLocked(sh *regShard, t *Txn) {
+	if len(sh.limbo)-sh.lhead >= limboMax {
+		return
+	}
+	if sh.lhead > 0 && len(sh.limbo) == cap(sh.limbo) {
+		n := copy(sh.limbo, sh.limbo[sh.lhead:])
+		clear(sh.limbo[n:])
+		sh.limbo, sh.lhead = sh.limbo[:n], 0
+	}
+	sh.limbo = append(sh.limbo, limboEntry{m.graceClock.Add(1), t})
+	sh.limboHead.Store(sh.limbo[sh.lhead].stamp)
+}
+
+// sweep recycles, on every shard, each record in limbo whose stamp precedes
+// the grace horizon, read after the caller's own appends to limbo.
+func (m *Manager) sweep() {
+	g := m.graceHorizon()
+	for _, sh := range m.shards {
+		for sh.limboHead.Load() < g {
+			m.recycleFrom(sh, g)
+		}
+	}
+}
+
+// recycleFrom takes up to retireBatch records the grace horizon g has passed
+// off sh's limbo and recycles them with no lock held.
+func (m *Manager) recycleFrom(sh *regShard, g uint64) {
+	var batch [retireBatch]*Txn
+	sh.retMu.Lock()
+	q := sh.limbo[sh.lhead:]
+	n := 0
+	for ; n < len(batch) && n < len(q) && q[n].stamp < g; n++ {
+		batch[n], q[n] = q[n].t, limboEntry{}
+	}
+	sh.lhead += n
+	if sh.lhead == len(sh.limbo) {
+		sh.limbo, sh.lhead = sh.limbo[:0], 0
+		sh.limboHead.Store(tsInfinity)
+	} else {
+		sh.limboHead.Store(sh.limbo[sh.lhead].stamp)
+	}
+	sh.retMu.Unlock()
+	for _, t := range batch[:n] {
+		recycle(t)
 	}
 }
 
@@ -800,22 +975,26 @@ func (sh *regShard) lowerMinLocked(t *Txn, ts TS) {
 	}
 }
 
-// recomputeMinLocked rebuilds both shard watermarks after a removal.
+// recomputeMinLocked rebuilds the shard watermarks after a removal.
 func (sh *regShard) recomputeMinLocked() {
-	min, minRW := tsInfinity, tsInfinity
-	for t, c := range sh.active {
-		if c == 0 {
+	min, minRW, minBegin := tsInfinity, tsInfinity, tsInfinity
+	for t, r := range sh.active {
+		if r.begin < minBegin {
+			minBegin = r.begin
+		}
+		if r.snap == 0 {
 			continue
 		}
-		if c < min {
-			min = c
+		if r.snap < min {
+			min = r.snap
 		}
-		if !t.readOnly && c < minRW {
-			minRW = c
+		if !t.readOnly && r.snap < minRW {
+			minRW = r.snap
 		}
 	}
 	sh.minSnap.Store(min)
 	sh.minRW.Store(minRW)
+	sh.minBegin.Store(minBegin)
 }
 
 // Manager owns the global transaction clock, the active transaction registry
@@ -827,6 +1006,10 @@ type Manager struct {
 
 	nextID atomic.Uint64
 	clock  atomic.Uint64
+
+	// graceClock ticks once per record put in limbo, and stamps it; a
+	// transaction's begin stamp is its value at BeginTx. See graceHorizon.
+	graceClock atomic.Uint64
 
 	// tsMu is the commit-serialization point: it orders "tick clock,
 	// publish commitTS+status" against "tick clock, adopt snapshot", so a
@@ -886,8 +1069,9 @@ func (rs *readerSlots) at(s uint32) *atomic.Pointer[Txn] {
 
 // ReaderSlot gives t a slot naming it (Reader) until FreeReaderSlot, or 0
 // once 2³¹ are taken: what a row can hold of its reader where a pointer would
-// grow it (package mvcc's reader word). t is never pooled (Release): a writer
-// may have resolved the slot and not yet marked t. Called on t's goroutine.
+// grow it (package mvcc's reader word). t is not recycled at its end
+// (Release) but through limbo: a writer may have resolved the slot and not
+// yet marked t. Called on t's goroutine.
 func (m *Manager) ReaderSlot(t *Txn) uint32 {
 	rs := &m.readers
 	rs.mu.Lock()
@@ -987,10 +1171,12 @@ func NewManager(d Detector) *Manager {
 		mask:     uint64(n - 1),
 	}
 	for i := range m.shards {
-		sh := &regShard{active: make(map[*Txn]TS)}
+		sh := &regShard{active: make(map[*Txn]reg)}
 		sh.minSnap.Store(tsInfinity)
 		sh.minRW.Store(tsInfinity)
+		sh.minBegin.Store(tsInfinity)
 		sh.retHead.Store(tsInfinity)
+		sh.limboHead.Store(tsInfinity)
 		m.shards[i] = sh
 	}
 	m.readers.pages.Store(new([]*[1 << 8]atomic.Pointer[Txn]))
@@ -1017,9 +1203,13 @@ func (m *Manager) Begin(iso Isolation) *Txn {
 func (m *Manager) BeginTx(iso Isolation, readOnly bool) *Txn {
 	t := recordPool.Get().(*Txn)
 	t.id, t.iso, t.readOnly = m.nextID.Add(1), uint8(iso), readOnly
+	begin := m.graceClock.Load()
 	sh := m.regShardOf(t)
 	sh.mu.Lock()
-	sh.active[t] = 0
+	sh.active[t] = reg{begin: begin}
+	if begin < sh.minBegin.Load() {
+		sh.minBegin.Store(begin)
+	}
 	sh.mu.Unlock()
 	return t
 }
@@ -1054,10 +1244,10 @@ func (m *Manager) AssignSnapshotTout(t *Txn) (ts, toutHi TS) {
 	// OldestActiveSnapshot can never race past the snapshot we are about to
 	// adopt. The floor, not ts, stays registered while t is active — at
 	// most a few ticks conservative, and removal just deletes it.
-	if _, ok := sh.active[t]; ok {
-		floor := m.clock.Load() + 1
-		sh.active[t] = floor
-		sh.lowerMinLocked(t, floor)
+	if r, ok := sh.active[t]; ok {
+		r.snap = m.clock.Load() + 1
+		sh.active[t] = r
+		sh.lowerMinLocked(t, r.snap)
 	}
 	m.tsMu.Lock()
 	ts = m.clock.Add(1)
@@ -1071,13 +1261,13 @@ func (m *Manager) AssignSnapshotTout(t *Txn) (ts, toutHi TS) {
 }
 
 // deregister removes t from the active registry, updating the shard
-// watermark if t carried its minimum.
+// watermarks if t carried one of their minima.
 func (m *Manager) deregister(t *Txn) {
 	sh := m.regShardOf(t)
 	sh.mu.Lock()
-	if c, ok := sh.active[t]; ok {
+	if r, ok := sh.active[t]; ok {
 		delete(sh.active, t)
-		if c != 0 && (c == sh.minSnap.Load() || (!t.readOnly && c == sh.minRW.Load())) {
+		if r.begin == sh.minBegin.Load() || r.snap != 0 && (r.snap == sh.minSnap.Load() || (!t.readOnly && r.snap == sh.minRW.Load())) {
 			sh.recomputeMinLocked()
 		}
 	}
@@ -1488,6 +1678,7 @@ func (m *Manager) FinishWith(t *Txn, keep bool, payload any) {
 	m.deregister(t)
 	if keep || t.cell != nil || payload != nil {
 		t.kept = true
+		t.status.Add(queuedBit)
 		sh := m.regShardOf(t)
 		sh.retMu.Lock()
 		sh.enqueueLocked(retiree{t.CommitTS(), Retired{t, payload}})
@@ -1508,21 +1699,51 @@ func (m *Manager) Abort(t *Txn) {
 	m.drain()
 }
 
-// recordPool holds the records Release proved unseen, zeroed, for BeginTx.
+// recordPool holds recycled records, zeroed, for BeginTx.
 var recordPool = sync.Pool{New: func() any { return new(Txn) }}
 
 // Release tells the Manager that the engine has let go of t: it keeps no
-// reference to it and makes no further call with it. The caller must have
-// ended t (Finish, FinishWith or Abort) first. If t ended unseen — no creator
-// cell, no lock state, never an endpoint of MarkConflict, no reader slot, not
-// queued — the registry was its only other holder ("Record lifetime" in
-// the package comment), so t is zeroed and returns to the pool BeginTx draws
-// from. Any other record keeps its lifetime: Release does nothing to it, and
-// the drain or the collector ends it as before.
+// reference to it, has released its locks (the retire hook releases a queued
+// record's SIREAD locks) and its reader slot, and makes no further call with
+// it. The caller must have ended t (Finish, FinishWith or Abort) first.
+// Release recycles t for a later BeginTx once nobody can reach it ("Record
+// lifetime" in the package comment):
+//
+//   - a record that ended unseen — no creator cell, no lock state, no reader
+//     slot, not queued, never an endpoint of MarkConflict — at once: the
+//     registry was its only other holder;
+//   - any other record once the engine and, if it was queued, the drain that
+//     retired it have both let go of it, and then every transaction that was
+//     registered at that moment has ended — from limbo, by the sweep of a
+//     later transaction end or Release;
+//
+// in both cases only if it is still no endpoint of MarkConflict then. Two
+// kinds of record are never recycled, and the collector ends them as before:
+// an aborted writer, whose cell a page stamp may still name with the record
+// unsevered, and a record whose locks were never released.
 func (m *Manager) Release(t *Txn) {
-	if t.Status() == StatusActive || t.cell != nil || t.locks.Used() || t.kept {
+	st := Status(t.status.Load() & statusMask)
+	if st == StatusActive || st == StatusAborted && t.cell != nil || t.locks.Used() && !t.locks.Unlocked() {
 		return
 	}
+	if !t.kept && t.cell == nil && !t.locks.Used() {
+		recycle(t)
+		return
+	}
+	if t.status.Load()&queuedBit != 0 && !t.handOff() {
+		return // the drain that retires t puts it in limbo
+	}
+	sh := m.regShardOf(t)
+	sh.retMu.Lock()
+	m.toLimboLocked(sh, t)
+	sh.retMu.Unlock()
+	m.sweep()
+}
+
+// recycle zeroes t and returns it to the pool BeginTx draws from, unless it
+// became an endpoint of MarkConflict: a partner's reference may name it. Its
+// csMu orders the read after every MarkConflict that involved it.
+func recycle(t *Txn) {
 	t.csMu.Lock()
 	marked := t.marked
 	t.csMu.Unlock()
@@ -1582,6 +1803,28 @@ func (m *Manager) OldestActiveRWSnapshot() TS {
 	return min
 }
 
+// graceHorizon is the grace clock's horizon: a record in limbo whose stamp
+// precedes it was stamped after every transaction registered at the time had
+// ended, and is recycled. It is the minimum of the active transactions' begin
+// stamps — of every one, with or without a snapshot, read-only or not — capped
+// by the grace clock, read first, plus one.
+//
+// The order of the reads is what makes a stamp below the horizon safe. A
+// transaction W registered before a record was stamped R began at a stamp
+// below R. If R is below the cap, the tick that produced R preceded the cap's
+// load, and so W's registration precedes the load of its shard's minimum,
+// which therefore shows W's begin stamp (below R) for as long as W is active.
+// If R is not below the cap, it is not below the horizon either.
+func (m *Manager) graceHorizon() uint64 {
+	min := m.graceClock.Load() + 1
+	for _, sh := range m.shards {
+		if v := sh.minBegin.Load(); v < min {
+			min = v
+		}
+	}
+	return min
+}
+
 // raiseThreat CAS-maxes the safe-snapshot threat horizon to ct.
 func (m *Manager) raiseThreat(ct TS) {
 	for {
@@ -1635,6 +1878,7 @@ func (m *Manager) SnapshotSafe(t *Txn, toutHi TS) bool {
 type Stats struct {
 	Active    int
 	Suspended int
+	Limbo     int // released records waiting for the grace horizon
 	Clock     TS
 }
 
@@ -1649,6 +1893,7 @@ func (m *Manager) StatsSnapshot() Stats {
 		sh.mu.Unlock()
 		sh.retMu.Lock()
 		st.Suspended += len(sh.retired) - sh.qhead
+		st.Limbo += len(sh.limbo) - sh.lhead
 		sh.retMu.Unlock()
 	}
 	return st

@@ -2,6 +2,7 @@ package core
 
 import (
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"unsafe"
@@ -121,50 +122,72 @@ func endUnseen(t *testing.T, m *Manager) *Txn {
 }
 
 // comesBack reports whether rec is handed out by one of the next few begins,
-// which are ended unseen and released again.
+// which are held together, so that each draws a different record, and then
+// ended unseen and released again.
 func comesBack(t *testing.T, m *Manager, rec *Txn) bool {
+	var drawn [8]*Txn
 	back := false
-	for i := 0; i < 4; i++ {
-		n := m.Begin(SnapshotIsolation)
-		back = back || n == rec
+	for i := range drawn {
+		drawn[i] = m.Begin(SnapshotIsolation)
+		back = back || drawn[i] == rec
+	}
+	for _, n := range drawn {
 		m.Abort(n)
 		m.Release(n)
 	}
 	return back
 }
 
-// TestSeenRecordsAreNeverPooled: Release recycles a record only if core can
-// prove that the registry was its only holder besides the engine. A record
-// that took a lock (the lock table's holder maps name it), got a creator cell
-// (versions reach it through the cell), was an endpoint of MarkConflict (a
-// partner's in or out reference may name it), was queued by FinishWith (a
-// retirement queue, and then the retire hook, hold it) or took a reader slot
-// (a writer may have resolved the slot to it) never comes back from BeginTx;
-// a record that ended unseen does.
-func TestSeenRecordsAreNeverPooled(t *testing.T) {
-	m := NewManager(DetectorPrecise)
-	pin := m.Begin(SnapshotIsolation)
-	m.AssignSnapshot(pin) // keeps queued records queued
-	defer m.Abort(pin)
+// pinKinds are the transactions a record's recycling waits for: any that was
+// registered when the record was let go of, with a snapshot (which also holds
+// the retirement queues) or without one yet (which holds only the grace
+// horizon).
+var pinKinds = []struct {
+	name  string
+	begin func(m *Manager) *Txn
+}{
+	{"pin with a snapshot", func(m *Manager) *Txn {
+		p := m.Begin(SnapshotIsolation)
+		m.AssignSnapshot(p)
+		return p
+	}},
+	{"pin without a snapshot", func(m *Manager) *Txn { return m.Begin(SerializableSI) }},
+}
 
+// TestSeenRecordsAreNeverPooled: Release recycles a record at once only if
+// core can prove that the registry was its only holder besides the engine,
+// and any other record only once every transaction registered when it was let
+// go of has ended. A record that took a lock (the lock table's holder maps
+// named it), got a creator cell (versions reached it through the cell), was
+// queued by FinishWith (a retirement queue, and then the retire hook, held
+// it) or took a reader slot (a writer may have resolved the slot to it) does
+// not come back from BeginTx while such a transaction — the pin — runs, and
+// comes back once it has ended. A record that was an endpoint of MarkConflict
+// (a partner's in or out reference may name it) and an aborted writer (a page
+// stamp may name its unsevered cell) never come back. A record that ended
+// unseen comes back at once.
+func TestSeenRecordsAreNeverPooled(t *testing.T) {
+	var m *Manager // each subtest's own, so that a failed one leaves no pin behind
 	for _, c := range []struct {
-		name string
-		end  func() *Txn // runs a transaction to its end and returns its record
+		name  string
+		never bool
+		end   func() *Txn // runs a transaction to its end and returns its record
 	}{
-		{"lock state", func() *Txn {
+		{"lock state", false, func() *Txn {
 			r := m.BeginTx(SerializableSI, true)
 			m.AssignSnapshot(r)
 			r.Locks().MarkUsed() // as the lock manager does at a first acquire
+			r.Locks().MarkUnlocked()
 			commit(t, m, r, false)
 			return r
 		}},
-		{"cell, aborted", func() *Txn {
+		{"cell, aborted", true, func() *Txn {
 			w := m.Begin(SnapshotIsolation)
 			w.Cell()
 			m.Abort(w)
 			return w
 		}},
-		{"MarkConflict reader", func() *Txn {
+		{"MarkConflict reader", true, func() *Txn {
 			r := m.BeginTx(SerializableSI, true)
 			w := m.Begin(SerializableSI)
 			m.AssignSnapshot(r)
@@ -175,7 +198,7 @@ func TestSeenRecordsAreNeverPooled(t *testing.T) {
 			m.Abort(w)
 			return r
 		}},
-		{"MarkConflict writer", func() *Txn {
+		{"MarkConflict writer", true, func() *Txn {
 			r := m.Begin(SerializableSI)
 			w := m.Begin(SerializableSI)
 			m.AssignSnapshot(r)
@@ -187,13 +210,13 @@ func TestSeenRecordsAreNeverPooled(t *testing.T) {
 			m.Abort(r)
 			return w
 		}},
-		{"queued by keep", func() *Txn {
+		{"queued by keep", false, func() *Txn {
 			r := m.Begin(SerializableSI)
 			m.AssignSnapshot(r)
 			commit(t, m, r, true)
 			return r
 		}},
-		{"queued by payload", func() *Txn {
+		{"queued by payload", false, func() *Txn {
 			r := m.Begin(SerializableSI)
 			m.AssignSnapshot(r)
 			if _, err := m.CommitPrepare(r); err != nil {
@@ -202,7 +225,7 @@ func TestSeenRecordsAreNeverPooled(t *testing.T) {
 			m.FinishWith(r, false, "payload")
 			return r
 		}},
-		{"reader slot, aborted", func() *Txn {
+		{"reader slot, aborted", false, func() *Txn {
 			r := m.Begin(SerializableSI)
 			m.AssignSnapshot(r)
 			slot := m.ReaderSlot(r)
@@ -215,17 +238,44 @@ func TestSeenRecordsAreNeverPooled(t *testing.T) {
 		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			for round := 0; round < 20; round++ {
-				rec := c.end()
-				m.Release(rec)
-				if comesBack(t, m, rec) {
-					t.Fatalf("round %d: a record that was seen came back from the pool", round)
-				}
+			for _, pk := range pinKinds {
+				t.Run(pk.name, func(t *testing.T) {
+					m = NewManager(DetectorPrecise)
+					// A pool may miss (and drops puts at random under the race
+					// detector), so repeat until the record comes back.
+					for round := 0; round < 100; round++ {
+						pin := pk.begin(m)
+						rec := c.end()
+						m.Release(rec)
+						if comesBack(t, m, rec) {
+							t.Fatalf("round %d: a record came back while a transaction registered before its end still ran", round)
+						}
+						m.Abort(pin)
+						m.Release(pin)
+						if st := m.StatsSnapshot(); st.Active != 0 || st.Suspended != 0 || st.Limbo != 0 {
+							t.Fatalf("round %d: the pin's end left %+v", round, st)
+						}
+						back := comesBack(t, m, rec)
+						switch {
+						case back && c.never:
+							t.Fatalf("round %d: a record that must never be recycled came back from the pool", round)
+						case back:
+							return
+						case c.never && round == 19:
+							return
+						}
+					}
+					t.Fatal("the record never came back from the pool once the pin had ended")
+				})
 			}
 		})
 	}
 
 	t.Run("unseen", func(t *testing.T) {
+		m = NewManager(DetectorPrecise)
+		pin := m.Begin(SnapshotIsolation)
+		m.AssignSnapshot(pin)
+		defer m.Abort(pin)
 		// A pool may miss (and drops puts at random under the race
 		// detector), so repeat until the record comes back.
 		for round := 0; round < 100; round++ {
@@ -281,4 +331,120 @@ func TestPooledRecordPinsNothing(t *testing.T) {
 		}
 	}
 	runtime.KeepAlive(m)
+}
+
+// TestBoundedLimbo: limbo holds a released record only while a transaction
+// that was registered when it was let go of still runs. Once the last
+// transaction of a concurrent run has ended, limbo is empty — the last end's
+// sweep recycles everything, whichever ends ran last. Under a pinned snapshot,
+// the records of the transactions that ran after the pin began do not pile up
+// in limbo: the committed writers wait in their retirement queues until the
+// pin ends (bounding those is the summary tier's job) and the readers that
+// ended unseen are recycled at once. A record that did not need a retirement
+// — here an aborted transaction that took a lock — does wait in limbo for the
+// pin, and limbo then stops at limboMax records a shard; the rest are left to
+// the collector.
+func TestBoundedLimbo(t *testing.T) {
+	t.Run("last end empties it", func(t *testing.T) {
+		m := NewManager(DetectorPrecise)
+		const workers, rounds = 4, 300
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				var held *Txn // a transaction kept open across the next one's end
+				for i := 0; i < rounds; i++ {
+					r := m.Begin(SerializableSI)
+					m.AssignSnapshot(r)
+					switch (w + i) % 4 {
+					case 0: // a committed writer, queued for retirement
+						r.Cell()
+						if _, err := m.CommitPrepare(r); err != nil {
+							t.Error(err)
+							return
+						}
+						m.Finish(r, true)
+					case 1: // an aborted reader that took a slot
+						m.FreeReaderSlot(m.ReaderSlot(r))
+						m.Abort(r)
+					case 2: // an aborted transaction that took and released a lock
+						r.Locks().MarkUsed()
+						r.Locks().MarkUnlocked()
+						m.Abort(r)
+					case 3: // ended unseen
+						m.Abort(r)
+					}
+					m.Release(r)
+					if held != nil {
+						m.Abort(held)
+						m.Release(held)
+						held = nil
+					} else if i%3 == 0 {
+						held = m.Begin(SerializableSI)
+					}
+				}
+				if held != nil {
+					m.Abort(held)
+					m.Release(held)
+				}
+			}(w)
+		}
+		wg.Wait()
+		if st := m.StatsSnapshot(); st.Active != 0 || st.Suspended != 0 || st.Limbo != 0 {
+			t.Fatalf("after the last end: %+v, want nothing active, suspended or in limbo", st)
+		}
+	})
+
+	t.Run("pinned snapshot", func(t *testing.T) {
+		m := NewManager(DetectorPrecise)
+		pin := m.Begin(SnapshotIsolation)
+		m.AssignSnapshot(pin)
+		if st := m.StatsSnapshot(); st.Limbo != 0 {
+			t.Fatalf("limbo holds %d records before the pin's stream", st.Limbo)
+		}
+		const n = 500
+		for i := 0; i < n; i++ {
+			w := m.Begin(SerializableSI)
+			m.AssignSnapshot(w)
+			w.Cell()
+			commit(t, m, w, true)
+			m.Release(w)
+			m.Release(endUnseen(t, m))
+		}
+		if st := m.StatsSnapshot(); st.Suspended != n || st.Limbo != 0 {
+			t.Fatalf("under the pin: %d suspended, %d in limbo; want %d and none", st.Suspended, st.Limbo, n)
+		}
+		m.Abort(pin)
+		m.Release(pin)
+		if st := m.StatsSnapshot(); st.Active != 0 || st.Suspended != 0 || st.Limbo != 0 {
+			t.Fatalf("after the pin's end: %+v, want nothing active, suspended or in limbo", st)
+		}
+	})
+
+	t.Run("full limbo", func(t *testing.T) {
+		m := NewManager(DetectorPrecise)
+		pin := m.Begin(SerializableSI)
+		n := 3 * limboMax * len(m.shards)
+		for i := 0; i < n; i++ {
+			r := m.Begin(SerializableSI)
+			r.Locks().MarkUsed()
+			r.Locks().MarkUnlocked()
+			m.Abort(r)
+			m.Release(r)
+		}
+		for i, sh := range m.shards {
+			if l := len(sh.limbo) - sh.lhead; l > limboMax {
+				t.Fatalf("shard %d's limbo holds %d records under the pin, bound %d", i, l, limboMax)
+			}
+		}
+		if st := m.StatsSnapshot(); st.Limbo == 0 {
+			t.Fatal("no released record waits in limbo for the pin")
+		}
+		m.Abort(pin)
+		m.Release(pin)
+		if st := m.StatsSnapshot(); st.Active != 0 || st.Limbo != 0 {
+			t.Fatalf("after the pin's end: %+v, want nothing active or in limbo", st)
+		}
+	})
 }

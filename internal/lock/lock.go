@@ -310,9 +310,10 @@ func stateOf(owner *core.Txn) *ownerState { return owner.LockState() }
 // listPool recycles owner lists. An owner takes one with its first grant and
 // hands it back when a release leaves it holding nothing — at commit already,
 // for a transaction without SIREAD locks — since records stay reachable from
-// the retirement queues after their locks are gone. (Core pools no record
-// that ever took a lock: stale lock-table reads may still reach it.) A
-// release borrows one more list for the entries it takes off.
+// the retirement queues after their locks are gone. (Core recycles a record
+// that took a lock only once every transaction that could have read it from
+// the lock table has ended.) A release borrows one more list for the entries
+// it takes off.
 var listPool = sync.Pool{New: func() any { l := make([]lockstate.Held, 0, 8); return &l }}
 
 // putList empties l, so it pins no entry while idle, and pools it.

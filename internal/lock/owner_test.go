@@ -60,33 +60,42 @@ func TestFirstAcquireAllocBudget(t *testing.T) {
 	}
 }
 
-// TestLockedRecordIsNeverPooled: a record that took a lock is never handed to
-// another transaction, however it ended and whatever it held — the lock
-// table's holder maps and the waiters of its shards may still name it —
-// while the record of a transaction that locked nothing is. The owner state
-// that makes the difference is the record's own (Locks), marked used at the
-// first acquire and never cleared.
+// TestLockedRecordIsNeverPooled: a record that took a lock is not handed to
+// another transaction while a transaction registered before its end — the
+// pin — still runs, however it ended and whatever it held: that transaction
+// may have found it in the lock table's holder maps or its shards' waiters.
+// Once the pin has ended, the record comes back if its locks were released,
+// and never if they were not (the lock table still names it). The record of a
+// transaction that locked nothing comes back at once. The owner state that
+// makes the difference is the record's own (Locks), marked used at the first
+// acquire and never cleared.
 func TestLockedRecordIsNeverPooled(t *testing.T) {
-	mgr := core.NewManager(core.DetectorPrecise)
-	m := NewManagerShards(true, 8)
+	// Each subtest's own, so that a failed one leaves no pin or lock behind.
+	var mgr *core.Manager
+	var m *Manager
 	key := RowKey("t", []byte("k"))
-	// comesBack reports whether one of the next few begins, ended unseen and
-	// released again, is handed rec.
+	// comesBack reports whether one of the next few begins, held together so
+	// that each draws a different record and then ended unseen and released
+	// again, is handed rec.
 	comesBack := func(rec *core.Txn) bool {
+		var drawn [8]*core.Txn
 		back := false
-		for i := 0; i < 4; i++ {
-			n := mgr.Begin(core.SnapshotIsolation)
-			back = back || n == rec
+		for i := range drawn {
+			drawn[i] = mgr.Begin(core.SnapshotIsolation)
+			back = back || drawn[i] == rec
+		}
+		for _, n := range drawn {
 			mgr.Abort(n)
 			mgr.Release(n)
 		}
 		return back
 	}
 	for _, c := range []struct {
-		name string
-		end  func() *core.Txn // runs a transaction to its end and returns its record
+		name  string
+		never bool
+		end   func() *core.Txn // runs a transaction to its end and returns its record
 	}{
-		{"SIRead, committed", func() *core.Txn {
+		{"SIRead, committed", false, func() *core.Txn {
 			r := mgr.BeginTx(core.SerializableSI, true)
 			mgr.AssignSnapshot(r)
 			if _, err := m.Acquire(r, key, SIRead); err != nil {
@@ -99,7 +108,7 @@ func TestLockedRecordIsNeverPooled(t *testing.T) {
 			mgr.Finish(r, false)
 			return r
 		}},
-		{"Exclusive, aborted", func() *core.Txn {
+		{"Exclusive, aborted", false, func() *core.Txn {
 			w := mgr.Begin(core.SnapshotIsolation)
 			if _, err := m.Acquire(w, key, Exclusive); err != nil {
 				t.Fatal(err)
@@ -108,7 +117,7 @@ func TestLockedRecordIsNeverPooled(t *testing.T) {
 			m.ReleaseAll(w)
 			return w
 		}},
-		{"batch, never released", func() *core.Txn {
+		{"batch, never released", true, func() *core.Txn {
 			r := mgr.Begin(core.SerializableSI)
 			m.AcquireSIReadBatchInto(r, []Key{key}, nil)
 			mgr.Abort(r)
@@ -116,19 +125,38 @@ func TestLockedRecordIsNeverPooled(t *testing.T) {
 		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			for round := 0; round < 20; round++ {
+			mgr, m = core.NewManager(core.DetectorPrecise), NewManagerShards(true, 8)
+			// A pool may miss (and drops puts at random under the race
+			// detector), so repeat until the record comes back.
+			for round := 0; round < 100; round++ {
+				pin := mgr.Begin(core.SerializableSI) // no snapshot: it holds no retirement
 				rec := c.end()
 				if stateOf(rec) == nil {
 					t.Fatal("a record that took a lock reports no lock state")
 				}
 				mgr.Release(rec)
 				if comesBack(rec) {
-					t.Fatalf("round %d: a record that took a lock came back from the pool", round)
+					t.Fatalf("round %d: a record that took a lock came back while a transaction registered before its end still ran", round)
+				}
+				mgr.Abort(pin)
+				mgr.Release(pin)
+				back := comesBack(rec)
+				switch {
+				case back && c.never:
+					t.Fatalf("round %d: a record the lock table still names came back from the pool", round)
+				case back:
+					return
+				case c.never && round == 19:
+					return
 				}
 			}
+			t.Fatal("a record whose locks were released never came back once the pin had ended")
 		})
 	}
 	t.Run("no lock", func(t *testing.T) {
+		mgr, m = core.NewManager(core.DetectorPrecise), NewManagerShards(true, 8)
+		pin := mgr.Begin(core.SerializableSI)
+		defer mgr.Abort(pin)
 		// A pool may miss (and drops puts at random under the race
 		// detector), so repeat until the record comes back.
 		for round := 0; round < 100; round++ {

@@ -22,13 +22,15 @@ import (
 // Allocation microbenchmarks for the storage read path. ReportAllocs makes
 // allocs/op part of every run (CI included, no -benchmem needed), so a
 // regression that starts allocating per Get or per scanned key is visible.
-// A one-Get transaction costs 1 alloc / 24 B at plain SI and on a safe
-// read-only snapshot — the handle: a transaction that writes nothing has no
-// creator cell, and one that also locks nothing and conflicts with nothing
-// hands its 96 B record back to core's pool at its end — and 2 allocs / 120 B
-// read-write at SerializableSI: the record, which its SIREAD lock keeps out of
-// the pool and which carries the lock owner state, and the handle; the lock
-// itself is named by the row's own key string.
+// A one-Get transaction costs 1 alloc / 24 B — the handle — at plain SI, on a
+// safe read-only snapshot and read-write at SerializableSI alike: a
+// transaction that writes nothing has no creator cell, and its 96 B record,
+// which carries the lock owner state, goes back to core's pool — at its end if
+// it locked nothing and conflicted with nothing, and otherwise once its
+// SIREAD lock's retirement and every transaction that ran beside it are over
+// (the read-write SerializableSI Get took 2 allocs / 120 B while only unseen
+// records were recycled); the lock itself is named by the row's own key
+// string.
 func BenchmarkGetAlloc(b *testing.B) {
 	for _, c := range []struct {
 		name string
@@ -264,15 +266,18 @@ func warmTxnPath(t *testing.T, db *ssidb.DB, iso ssidb.Isolation) (mixed func())
 // allocate: the records that have to outlive it and nothing it needs only
 // while it runs, nor anything the store already owns. The body is the
 // repository benchmark's kv-uniform transaction — 4 Gets and 2 Puts on
-// existing rows through RunRetry — over prebuilt keys. That is the transaction
-// record (96 B, the lock owner state included), the creator cell its versions
-// point at (24 B, allocated at the first write) and the 24 B handle: 3
-// allocations, 144 B, at SerializableSI and at plain SI alike (whose reads
-// lock nothing, but whose writes still do). It was 200 B while the handle
-// carried the database and program pointers that now live in the recycled
-// scratch, and 184 B in 4 allocations while the lock owner state was a 32 B
-// object of its own and the handle held the record pointer that the scratch
-// now holds. No operation on an existing row adds to that: every lock
+// existing rows through RunRetry — over prebuilt keys. That is the creator
+// cell its versions point at (24 B, allocated at the first write) and the
+// 24 B handle: 2 allocations, 48 B, at SerializableSI and at plain SI alike.
+// The transaction record (96 B, the lock owner state included) is recycled:
+// once the transaction is retired and released and every transaction that ran
+// beside it has ended, it goes back to core's pool for a later begin. It was
+// 3 allocations and 144 B while only the records of transactions that ended
+// unseen were recycled, 200 B while the handle carried the database and
+// program pointers that now live in the recycled scratch, and 184 B in 4
+// allocations while the lock owner state was a 32 B object of its own and the
+// handle held the record pointer that the scratch now holds. No operation on
+// an existing row adds to that: every lock
 // is named by the store's own key string, through the row handle the
 // operation's one descent returned; the version a write supersedes is copied
 // out into one an earlier writer's retirement recycled; the write set, the
@@ -295,8 +300,8 @@ func TestTxnAllocBudget(t *testing.T) {
 				mixed := warmTxnPath(t, db, iso)
 				allocs, bytes := allocsPerCall(mixed)
 				t.Logf("4 Gets + 2 Puts: %.1f allocs/op, %.0f B/op", allocs, bytes)
-				if allocs > 3 || bytes > 144 { // measured 3.0 and 144
-					t.Errorf("4 Gets + 2 Puts: %.1f allocs/op, %.0f B/op, budget 3 and 144", allocs, bytes)
+				if allocs > 2 || bytes > 48 { // measured 2.0 and 48
+					t.Errorf("4 Gets + 2 Puts: %.1f allocs/op, %.0f B/op, budget 2 and 48", allocs, bytes)
 				}
 
 				a1, b1 := allocsPerCall(shapedTxn(t, db, iso, txnShape{puts: 1}))
@@ -390,8 +395,9 @@ func TestReadOnlyTxnAllocBudget(t *testing.T) {
 }
 
 // TestDurableTxnAllocBudget asserts what durability adds to TestTxnAllocBudget's
-// 4 Gets + 2 Puts: at most one allocation and 16 B per transaction, so 4 and
-// 160 B in all (200 B while the in-memory transaction cost 184). The redo
+// 4 Gets + 2 Puts: at most one allocation and 16 B per transaction, so 3 and
+// 64 B in all (160 B while the in-memory transaction cost 144 with its record,
+// 200 B while it cost 184). The redo
 // record is built in the recycled transaction scratch, the WAL frames it into
 // a group-commit buffer the flusher hands back once written, and the durable
 // wait parks on a condition variable. The segments are 4 KiB, so every
@@ -432,8 +438,8 @@ func TestDurableTxnAllocBudget(t *testing.T) {
 	if rolls := segments() - before; rolls < 5 {
 		t.Fatalf("%d segment rolls during the five measured batches, want one in each", rolls)
 	}
-	if allocs > memAllocs+1 || bytes > memBytes+16 || allocs > 4 || bytes > 160 { // measured 3.1 and 149
-		t.Errorf("durable 4 Gets + 2 Puts: %.1f allocs/op, %.0f B/op, budget the in-memory %.1f and %.0f plus 1 and 16 B, at most 4 and 160 B", allocs, bytes, memAllocs, memBytes)
+	if allocs > memAllocs+1 || bytes > memBytes+16 || allocs > 3 || bytes > 64 { // measured 2.1 and 53
+		t.Errorf("durable 4 Gets + 2 Puts: %.1f allocs/op, %.0f B/op, budget the in-memory %.1f and %.0f plus 1 and 16 B, at most 3 and 64 B", allocs, bytes, memAllocs, memBytes)
 	}
 }
 

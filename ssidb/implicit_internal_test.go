@@ -288,6 +288,9 @@ func TestExplicitGrantsWaitForImplicitLocks(t *testing.T) {
 // that has committed or aborted is refused and leaves no entry held — also
 // for a writer that never touched the lock table, whose release had nothing
 // to release — and once every transaction has ended the lock table is empty.
+// The converter is a transaction that found the writer on the row before the
+// writer ended; it is still registered when it converts, which is what keeps
+// the writer's record from being recycled under it.
 func TestLateConversionHoldsNothing(t *testing.T) {
 	db := implicitDB(t, Options{LockWaitTimeout: time.Second}) // an entry left held fails the next write
 	k := lock.Key{Table: "t", Kind: lock.Row, K: "k"}
@@ -314,6 +317,7 @@ func TestLateConversionHoldsNothing(t *testing.T) {
 		if c.iso == SnapshotIsolation && w.LockState() != nil {
 			t.Fatalf("%s: a SI Put touched the lock table", c.name)
 		}
+		converter := db.Begin(SnapshotIsolation)
 		if err := c.end(tx); err != nil {
 			t.Fatal(err)
 		}
@@ -326,6 +330,7 @@ func TestLateConversionHoldsNothing(t *testing.T) {
 		if dump := db.locks.DumpKey(k); dump != k.String()+": no entry" {
 			t.Errorf("%s: the refused conversion left %s", c.name, dump)
 		}
+		converter.Abort()
 	}
 	if st := db.StatsSnapshot(); st.LockedKeys != 0 || st.LockOwners != 0 {
 		t.Fatalf("the lock table holds %d keys of %d owners after every transaction ended", st.LockedKeys, st.LockOwners)

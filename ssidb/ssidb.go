@@ -621,6 +621,11 @@ type VacuumStats struct {
 // is next read or written. The method exists for tests and as an operational
 // lever.
 func (db *DB) Vacuum() VacuumStats {
+	// The page fold reads the record of each unsevered writer it walks: a
+	// registered transaction keeps every record it can load from being
+	// recycled under it (package core, "Record lifetime").
+	guard := db.mgr.Begin(SnapshotIsolation)
+	defer db.mgr.Abort(guard)
 	var st VacuumStats
 	for _, tb := range *db.tables.Load() {
 		st.VersionsPruned += tb.data.Vacuum().VersionsPruned

@@ -358,13 +358,13 @@ func TestFinishedHandleOutlivesItsRecord(t *testing.T) {
 
 // TestRecycledRecordsStaySerializable races declared read-only readers, which
 // promote at their first read and end unseen, against SerializableSI writers
-// whose commits queue for retirement and whose ends drain those queues, under
-// the race detector in CI. The recorded history must be serializable; the
-// readers' records must have been recycled; and no record of a transaction
-// that was seen — a writer, or a reader that took an SIREAD lock before its
-// snapshot turned safe — may ever be handed to another transaction: the test
-// keeps every such record reachable, so its address cannot be reused by a
-// fresh allocation either.
+// whose commits queue for retirement and whose ends drain those queues and
+// sweep limbo, under the race detector in CI. The recorded history must be
+// serializable; the readers' records and the writers' records must both have
+// been recycled; and no record of an endpoint of MarkConflict may ever be
+// handed to another transaction: the test keeps every such record reachable,
+// so its address cannot be reused by a fresh allocation either, and checks at
+// the end that each still holds the transaction it was noted with.
 func TestRecycledRecordsStaySerializable(t *testing.T) {
 	const keys, writers, readers, rounds = 32, 2, 4, 300
 	hist := sercheck.NewHistory()
@@ -381,22 +381,29 @@ func TestRecycledRecordsStaySerializable(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	type use struct {
+		id     uint64
+		writer bool
+	}
 	var mu sync.Mutex
-	seen := map[*core.Txn]bool{}    // records that must never be reused
-	owner := map[*core.Txn]uint64{} // the transaction last seen on each record
-	reused := 0
-	note := func(tx *Txn, mustKeep bool) error {
+	marked := map[*core.Txn]uint64{} // endpoints of MarkConflict: never reused
+	owner := map[*core.Txn]use{}     // the transaction last seen on each record
+	reused, writersReused := 0, 0
+	note := func(tx *Txn, writer bool) error {
 		mu.Lock()
 		defer mu.Unlock()
-		if seen[tx.t] {
-			return fmt.Errorf("txn %d runs on the record of a transaction that was seen", tx.ID())
+		if id, ok := marked[tx.t]; ok {
+			return fmt.Errorf("txn %d runs on the record of txn %d, an endpoint of MarkConflict", tx.ID(), id)
 		}
-		if id, ok := owner[tx.t]; ok && id != tx.ID() {
+		if u, ok := owner[tx.t]; ok && u.id != tx.ID() {
 			reused++
+			if u.writer {
+				writersReused++
+			}
 		}
-		owner[tx.t] = tx.ID()
-		if mustKeep {
-			seen[tx.t] = true
+		owner[tx.t] = use{tx.ID(), writer}
+		if tx.t.Marked() {
+			marked[tx.t] = tx.ID()
 		}
 		return nil
 	}
@@ -442,7 +449,7 @@ func TestRecycledRecordsStaySerializable(t *testing.T) {
 					if err := tx.Scan("t", key(i), key(i+8), func(k, v []byte) bool { return true }); err != nil {
 						return err
 					}
-					return note(tx, tx.t.LockState() != nil)
+					return note(tx, false)
 				})
 				if err != nil && !Retryable(err) {
 					errs <- err
@@ -459,10 +466,15 @@ func TestRecycledRecordsStaySerializable(t *testing.T) {
 	if ok, cycle := hist.Serializable(); !ok {
 		t.Fatalf("non-serializable history: cycle %v", cycle)
 	}
+	for rec, id := range marked {
+		if rec.ID() != id || !rec.Marked() {
+			t.Errorf("the record of txn %d, an endpoint of MarkConflict, now holds txn %d (marked %v)", id, rec.ID(), rec.Marked())
+		}
+	}
 	st := db.StatsSnapshot()
-	t.Logf("%d promotions, %d records reused by a later transaction, %d kept as seen", st.ROSafePromotions, reused, len(seen))
-	if st.ROSafePromotions == 0 || reused == 0 {
-		t.Errorf("%d promotions and %d reused records: the recycled path was not exercised", st.ROSafePromotions, reused)
+	t.Logf("%d promotions, %d records reused by a later transaction (%d of them writers'), %d kept as MarkConflict endpoints", st.ROSafePromotions, reused, writersReused, len(marked))
+	if st.ROSafePromotions == 0 || reused == 0 || writersReused == 0 {
+		t.Errorf("%d promotions, %d reused records, %d of them writers': the recycled paths were not exercised", st.ROSafePromotions, reused, writersReused)
 	}
 	if st.ActiveTxns != 0 || st.SuspendedTxns != 0 || st.LockedKeys != 0 {
 		t.Errorf("database not quiescent: %+v", st)
