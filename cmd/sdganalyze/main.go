@@ -13,10 +13,10 @@
 //	sdganalyze -json tpccpp  # machine-readable verdict (CI gates on this)
 //	sdganalyze -dot smallbank | dot -Tsvg  # Graphviz; vulnerable edges dashed
 //
-// The JSON verdict includes auto_remedies: the Promote sequence the engine's
-// AutoRemedy option (ssidb.RegisterPrograms) would apply to make the set
-// robust, empty when the set is robust as declared or promotion alone cannot
-// fix it.
+// The JSON verdict includes auto_remedies: the Promote sequence the
+// registered-program layer's AutoRemedy option (programs.ProgramOptions)
+// would apply to make the set robust, empty when the set is robust as
+// declared or promotion alone cannot fix it.
 package main
 
 import (

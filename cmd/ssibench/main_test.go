@@ -15,6 +15,7 @@ import (
 	"ssi/internal/server"
 	"ssi/internal/workload/smallbank"
 	"ssi/internal/workload/tpcc"
+	"ssi/programs"
 	"ssi/ssidb"
 )
 
@@ -95,11 +96,11 @@ func TestEveryRowRuns(t *testing.T) {
 	// The level a registered-program row must run at is the one Register
 	// reports for its program set.
 	proven := map[string]string{}
-	for name, register := range map[string]func(*ssidb.DB) (*ssidb.ProgramReport, error){
-		"smallbank-programs": func(db *ssidb.DB) (*ssidb.ProgramReport, error) { return smallbank.Register(db, true) },
+	for name, register := range map[string]func(*programs.DB) (*programs.ProgramReport, error){
+		"smallbank-programs": func(pdb *programs.DB) (*programs.ProgramReport, error) { return smallbank.Register(pdb, true) },
 		"tpcc-programs":      tpcc.Register,
 	} {
-		rep, err := register(ssidb.Open(ssidb.Options{}))
+		rep, err := register(programs.New(ssidb.Open(ssidb.Options{})))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,10 +122,11 @@ func TestEveryRowRuns(t *testing.T) {
 			stall := row.Name == "scanstall"
 			var writes atomic.Uint64
 			if stall {
-				txn := row.Txn
-				row.Txn = func(db *ssidb.DB, iso ssidb.Isolation) func(int) harness.TxnFunc {
-					worker := txn(db, iso)
-					return func(w int) harness.TxnFunc {
+				load := row.Load
+				row.Load = func(db *ssidb.DB, iso ssidb.Isolation) (scenario.Loaded, error) {
+					ld, err := load(db, iso)
+					worker := ld.Txn
+					ld.Txn = func(w int) harness.TxnFunc {
 						fn := worker(w)
 						if w < row.Aux {
 							return fn
@@ -137,6 +139,7 @@ func TestEveryRowRuns(t *testing.T) {
 							return err
 						}
 					}
+					return ld, err
 				}
 			}
 			srvBefore, admBefore, _ := srv.StatsSnapshot()
@@ -160,10 +163,12 @@ func TestEveryRowRuns(t *testing.T) {
 				// The two counters are read one after the other while the workers
 				// run, so at each window edge they may differ by a transaction
 				// per worker; a program that ran above plain SI shows as thousands.
-				if diff := int64(st.ProgramRuns - st.ProgramSIRuns); st.ProgramRuns == 0 || diff < -8 || diff > 8 ||
-					st.FootprintViolations != 0 || st.SDGEscalations != 0 {
+				// They are the program layer's, not the engine's.
+				ps := st.Programs
+				if diff := int64(ps.ProgramRuns - ps.ProgramSIRuns); ps.ProgramRuns == 0 || diff < -8 || diff > 8 ||
+					ps.FootprintViolations != 0 || ps.SDGEscalations != 0 {
 					t.Errorf("%d program runs: %d at plain SI, %d footprint violations, %d escalations",
-						st.ProgramRuns, st.ProgramSIRuns, st.FootprintViolations, st.SDGEscalations)
+						ps.ProgramRuns, ps.ProgramSIRuns, ps.FootprintViolations, ps.SDGEscalations)
 				}
 				if res.Iso != proven[row.Name] {
 					t.Errorf("ran at %s, Register reported %s", res.Iso, proven[row.Name])

@@ -24,20 +24,20 @@
 //
 //	operation          lock mode           rivals marked    lock targets, row            lock targets, page             FCW unit                  errors [7]
 //	                   SI / SSI / S2PL     (SSI only)                                                                                              stmt | txn
-//	Get [9]            none / SIREAD /     as reader [1]    row k [8]; at SSI, if k has  every page on the path to k    -                         F | U D
+//	Get [9]            none / SIREAD /     as reader [1]    row k [8]; at SSI, if k has  every page on the path to k    -                         - | U D
 //	                   Shared [2]                           a row, its reader word [1]
-//	GetForUpdate [9]   Exclusive; at SSI   none [3]         row k [8], read once         leaf of k Exclusive, then      row: the versions of k    R F | W U D
+//	GetForUpdate [9]   Exclusive; at SSI   none [3]         row k [8], read once         leaf of k Exclusive, then      row: the versions of k    R | W U D
 //	                   also SIREAD [3]                      granted; at SSI, its reader  (SSI) stamped; interior pages  its read finds
 //	                                                        word [1]                     in the level's read mode       page: stamps of k's leaf
-//	Put Insert Delete  Exclusive [10]      as writer        row k [8]; a refused Insert  leaf of k; interior pages in   as above                  K R F L | W U D
+//	Put Insert Delete  Exclusive [10]      as writer        row k [8]; a refused Insert  leaf of k; interior pages in   as above                  K R L | W U D
 //	  (k has a chain)                                       then reads k as Get [10]     the level's read mode; then
 //	                                                                                     stamp the leaf (refused: SSI)
-//	Put Insert Delete  Exclusive [10]      as writer, gap   gap before succ(k), probed   the whole path Exclusive if    as above                  K R F L | W U D
+//	Put Insert Delete  Exclusive [10]      as writer, gap   gap before succ(k), probed   the whole path Exclusive if    as above                  K R L | W U D
 //	  (structural [4])                     holders too      in the claim [5]; row k;     the leaf will split (interior
 //	                                                        once k is in, the gap's      pages stamped too), else as
 //	                                                        SIREADs also cover k's gap   above
 //	                                                        and row, its Shared k's gap
-//	Scan ScanLimit [9] none / SIREAD /     as reader [1]    row and gap of each visited  leaf of each visited key and  -                         F | U D
+//	Scan ScanLimit [9] none / SIREAD /     as reader [1]    row and gap of each visited  leaf of each visited key and  -                         - | U D
 //	                   Shared [2] [6]                       key; gap of the first key    of the first key beyond; the
 //	                                                        beyond, or the supremum      first round adds the descent
 //	                                                                                     path to `from`
@@ -101,10 +101,10 @@
 //	    slices the callback receives are valid only until Scan returns.
 //	[7] Statement-level errors leave the transaction usable: K ErrKeyExists
 //	    (Insert of a visible key), R ErrReadOnly (on a declared read-only
-//	    transaction), F ErrFootprint (a registered program leaving its declared
-//	    tables), L ErrKeyTooLong (a write whose key or table name is longer
-//	    than 65 535 bytes, the most a redo entry names; refused before any
-//	    lock, at every level and on every database). Transaction-level
+//	    transaction), L ErrKeyTooLong (a write whose key or table name is
+//	    longer than 65 535 bytes, the most a redo entry names; refused before
+//	    any lock, at every level and on every database); the registered-program
+//	    layer (package programs) adds F ErrFootprint. Transaction-level
 //	    errors mean the transaction has been rolled back and every further
 //	    call returns ErrTxnDone; all are Retryable:
 //	    W ErrWriteConflict (SI and SSI: the FCW unit has a version newer than the
@@ -161,11 +161,11 @@
 // Handle lifetime. The *ssidb.Txn a begin returns is the caller's: it may be
 // kept past Commit, Abort or the return of Run and RunRetry, and from then on
 // every operation on it returns ErrTxnDone (Abort returns nil). What the
-// transaction needed only while it ran — its record, the database and
-// program it ran against, write set, rival buffer, redo record — is the
-// engine's: it sits in a scratch recycled through a sync.Pool, taken at begin
-// and handed back zeroed the moment the transaction is done, and the finished
-// handle no longer reaches it. The scratch lets go of the record at the end,
+// transaction needed only while it ran — its record, the database it ran
+// against, write set, rival buffer, redo record — is the engine's: it sits in
+// a scratch recycled through a sync.Pool, taken at begin and handed back
+// zeroed the moment the transaction is done, and the finished handle no
+// longer reaches it. The scratch lets go of the record at the end,
 // and a record no other transaction can have seen — one that locked nothing,
 // wrote nothing and was in no conflict, such as a declared read-only reader
 // promoted to a safe snapshot at its first read — is recycled for a later

@@ -23,6 +23,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ssi/programs"
 	"ssi/ssidb"
 )
 
@@ -65,10 +66,11 @@ func (c *Counts) add(err error) {
 var ErrRollback = errors.New("harness: application rollback")
 
 // Window is the set of cumulative counters read at the edges of a measured
-// window: the engine's, and what a client of a remote server adds to them
-// (its own retries and the server's admission controller).
+// window: the engine's, the program layer's, and what a client of a remote
+// server adds to them (its own retries and the server's admission controller).
 type Window struct {
 	ssidb.Stats
+	Programs      programs.Stats
 	Retries       uint64        // client-side retries of retryable errors
 	Admitted      uint64        // transactions the server admitted
 	RefusedFull   uint64        // refused: admission queue full

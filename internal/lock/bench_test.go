@@ -18,7 +18,7 @@ func BenchmarkAcquireReleaseExclusive(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		t := mgr.Begin(core.SnapshotIsolation)
-		m.Acquire(t, keys[i%len(keys)], Exclusive)
+		m.AcquireInto(t, keys[i%len(keys)], Exclusive, nil)
 		m.ReleaseAll(t)
 	}
 }
@@ -54,7 +54,7 @@ func BenchmarkHandoffPingPong(b *testing.B) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				t := mgr.Begin(core.S2PL)
-				if _, err := m.Acquire(t, k, Exclusive); err != nil {
+				if _, err := m.AcquireInto(t, k, Exclusive, nil); err != nil {
 					b.Error(err)
 					return
 				}
@@ -72,13 +72,13 @@ func BenchmarkHotEntryRivalCheck(b *testing.B) {
 	m := NewManagerShards(true, 0)
 	hot := PageKey("t", 1)
 	for i := 0; i < 500; i++ {
-		m.Acquire(mgr.Begin(core.SerializableSI), hot, SIRead)
+		m.AcquireInto(mgr.Begin(core.SerializableSI), hot, SIRead, nil)
 	}
 	cold := RowKey("t", []byte("x"))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		t := mgr.Begin(core.SerializableSI)
-		m.Acquire(t, cold, SIRead) // counter short-circuit: no iteration
+		m.AcquireInto(t, cold, SIRead, nil) // counter short-circuit: no iteration
 		m.ReleaseAll(t)
 	}
 }
@@ -93,7 +93,7 @@ func BenchmarkPointTxnLocks(b *testing.B) {
 	m := NewManagerShards(true, 8)
 	for i := 0; i < 1024; i++ {
 		r := mgr.Begin(core.SerializableSI)
-		if _, err := m.Acquire(r, RowKey("t", []byte(fmt.Sprintf("p%05d", i))), SIRead); err != nil {
+		if _, err := m.AcquireInto(r, RowKey("t", []byte(fmt.Sprintf("p%05d", i))), SIRead, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -23,7 +23,7 @@
 //
 // # Contended path: spin, then park with direct handoff
 //
-// A blocked Acquire first spins briefly — re-probing the entry with the
+// A blocked AcquireInto first spins briefly — re-probing the entry with the
 // shard mutex dropped between probes — and touches no global state at all;
 // most short waits (an SI write lock held across a few operations) resolve
 // here. Only a request that outlives the spin parks: it registers its edges
@@ -355,13 +355,13 @@ type Manager struct {
 	mask   uint32
 	wfg    *waitGraph
 
-	// waitTimeout bounds how long a parked Acquire sleeps before giving up
+	// waitTimeout bounds how long a parked AcquireInto sleeps before giving up
 	// with core.ErrLockTimeout; zero waits forever. Set once before the
 	// manager sees concurrent use (SetWaitTimeout).
 	waitTimeout time.Duration
 }
 
-// SetWaitTimeout installs the bound on how long a blocked Acquire may stay
+// SetWaitTimeout installs the bound on how long a blocked AcquireInto may stay
 // parked before failing with core.ErrLockTimeout; zero (the default) waits
 // forever. Must be called before the manager is used concurrently.
 func (m *Manager) SetWaitTimeout(d time.Duration) { m.waitTimeout = d }
@@ -405,7 +405,7 @@ func (m *Manager) shardIndex(key Key) uint32 {
 
 func (m *Manager) shardOf(key Key) *shard { return m.shards[m.shardIndex(key)] }
 
-// acquireSpins is the bounded spin budget of a blocked Acquire: how many
+// acquireSpins is the bounded spin budget of a blocked AcquireInto: how many
 // times it re-probes the entry (yielding the processor and the shard mutex
 // between probes) before parking. Short lock holds — the common case for a
 // converted write lock whose writer is about to commit, and for S2PL rows read
@@ -416,33 +416,28 @@ func (m *Manager) shardOf(key Key) *shard { return m.shards[m.shardIndex(key)] }
 // so it parks immediately.
 const acquireSpins = 4
 
-// Acquire obtains a lock of the given mode on key for owner, blocking while
-// incompatible locks are held by others. It returns the set of current
+// AcquireInto obtains a lock of the given mode on key for owner, blocking
+// while incompatible locks are held by others. It returns the set of current
 // holders whose locks signal a read-write conflict with this request,
 // captured atomically with the grant: for an EXCLUSIVE request the SIREAD
 // holders, on every kind; for an SIREAD request the EXCLUSIVE holders on a
 // page, and none on a row or a gap, whose writers readers find by their
 // versions (see the package comment). The caller is responsible for overlap
-// filtering and conflict marking. Acquire fails with
-// core.ErrDeadlock if waiting would close a cycle in the waits-for graph,
-// and with core.ErrLockTimeout if a configured SetWaitTimeout elapses while
-// parked.
+// filtering and conflict marking. AcquireInto fails with core.ErrDeadlock if
+// waiting would close a cycle in the waits-for graph, and with
+// core.ErrLockTimeout if a configured SetWaitTimeout elapses while parked.
 //
 // Re-acquiring a held mode is a no-op. An owner holding Shared that requests
 // Exclusive upgrades in place once other holders drain; upgrades wait only
 // on holders, while fresh requests also queue behind parked conflicting
 // waiters (FIFO, so a stream of compatible requests cannot starve a parked
 // incompatible one).
-func (m *Manager) Acquire(owner *core.Txn, key Key, mode Mode) (rivals []*core.Txn, err error) {
-	return m.AcquireInto(owner, key, mode, nil)
-}
-
-// AcquireInto is Acquire appending any rivals to the caller-supplied buffer
-// (which may be nil) and returning it. The engine's per-operation paths pass
-// a per-transaction scratch buffer so an uncontended point operation
-// performs no rival-slice allocation at all; Acquire is the convenience
-// form that always returns a fresh slice. On error the buffer is returned
-// with whatever prefix it already carried.
+//
+// The rivals are appended to the caller-supplied buffer (which may be nil)
+// and the buffer returned. The engine's per-operation paths pass a
+// per-transaction scratch buffer so an uncontended point operation performs
+// no rival-slice allocation at all. On error the buffer is returned with
+// whatever prefix it already carried.
 func (m *Manager) AcquireInto(owner *core.Txn, key Key, mode Mode, buf []*core.Txn) (rivals []*core.Txn, err error) {
 	return m.acquire(owner, key, mode, buf, false)
 }
@@ -549,7 +544,7 @@ func (m *Manager) acquire(owner *core.Txn, key Key, mode Mode, buf []*core.Txn, 
 	}
 }
 
-// await sleeps on w's handoff channel after Acquire parked it, bounded by
+// await sleeps on w's handoff channel after AcquireInto parked it, bounded by
 // the manager's wait timeout. The grant itself (lock installation, rival
 // capture, edge removal) was done by the sweeping goroutine; await only
 // collects the outcome. On timeout the request is withdrawn: dequeued,
@@ -641,7 +636,7 @@ func blockersLocked(e *entry, owner *core.Txn, own, mode Mode) []*core.Txn {
 // rivalsInto appends to out the other owners whose held modes signal a
 // read-write conflict with a request by owner, who holds own on e — SIREAD
 // versus EXCLUSIVE in either direction (thesis Figures 3.4 and 3.5), the
-// EXCLUSIVE holders on a page only (Acquire) — and returns it, so hot callers
+// EXCLUSIVE holders on a page only (AcquireInto) — and returns it, so hot callers
 // can reuse one buffer across acquires instead of allocating per request.
 func rivalsInto(e *entry, owner *core.Txn, own, mode Mode, out []*core.Txn) []*core.Txn {
 	var rival Mode
@@ -838,7 +833,7 @@ var batchPool = sync.Pool{New: func() any { return &batchScratch{seen: make(map[
 
 // AcquireSIReadBatchInto grants SIREAD on every key in one critical section
 // per touched shard and appends the union of conflicting EXCLUSIVE holders —
-// of its page keys, as Acquire reports them — to buf (which may be nil),
+// of its page keys, as AcquireInto reports them — to buf (which may be nil),
 // returning it, so the scan path can reuse one rival buffer across rounds.
 // SIREAD never blocks, so this cannot wait; it exists because predicate scans
 // lock every row and gap they visit, and per-key shard round-trips dominate
@@ -1112,9 +1107,8 @@ func (m *Manager) HoldsSIRead(owner *core.Txn) bool {
 	return os.SIReads > 0
 }
 
-// Holds reports whether owner holds mode on key. No engine code asks it, nor
-// calls Acquire (a scan round and a page path take their locks with
-// TryAcquireInto, under the latch); tests use both.
+// Holds reports whether owner holds mode on key. No engine code asks it;
+// tests do.
 func (m *Manager) Holds(owner *core.Txn, key Key, mode Mode) bool {
 	s := m.shardOf(key)
 	s.lock()
@@ -1149,7 +1143,7 @@ func (m *Manager) DumpKey(key Key) string {
 
 // Stats reports the table census, used to verify that SIREAD cleanup keeps
 // the lock table bounded (the concern of thesis §4.3.1/§4.6.1), plus the
-// cumulative wait-path instrumentation of the contended Acquire. Counters
+// cumulative wait-path instrumentation of the contended AcquireInto. Counters
 // are aggregated across shards: Keys is exact (keys partition across
 // shards) and Owners is deduplicated (one owner usually holds keys in
 // several shards).

@@ -23,12 +23,12 @@ func TestSharedSharedCompatible(t *testing.T) {
 	_, txns := newTxns(2)
 	m := NewManagerShards(true, 0)
 	k := RowKey("t", []byte("x"))
-	if _, err := m.Acquire(txns[0], k, Shared); err != nil {
+	if _, err := m.AcquireInto(txns[0], k, Shared, nil); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := m.Acquire(txns[1], k, Shared)
+		_, err := m.AcquireInto(txns[1], k, Shared, nil)
 		done <- err
 	}()
 	select {
@@ -45,12 +45,12 @@ func TestExclusiveBlocksShared(t *testing.T) {
 	_, txns := newTxns(2)
 	m := NewManagerShards(true, 0)
 	k := RowKey("t", []byte("x"))
-	if _, err := m.Acquire(txns[0], k, Exclusive); err != nil {
+	if _, err := m.AcquireInto(txns[0], k, Exclusive, nil); err != nil {
 		t.Fatal(err)
 	}
 	acquired := make(chan struct{})
 	go func() {
-		m.Acquire(txns[1], k, Shared)
+		m.AcquireInto(txns[1], k, Shared, nil)
 		close(acquired)
 	}()
 	select {
@@ -84,13 +84,13 @@ func TestSIReadNeverBlocksOrIsBlocked(t *testing.T) {
 			_, txns := newTxns(3)
 			m := NewManagerShards(true, 0)
 			k := c.key
-			if _, err := m.Acquire(txns[0], k, Exclusive); err != nil {
+			if _, err := m.AcquireInto(txns[0], k, Exclusive, nil); err != nil {
 				t.Fatal(err)
 			}
 			// SIREAD under a held exclusive lock must be granted immediately,
 			// and on a page report the exclusive holder as a rival (thesis
 			// Figure 3.4).
-			rivals, err := m.Acquire(txns[1], k, SIRead)
+			rivals, err := m.AcquireInto(txns[1], k, SIRead, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -104,7 +104,7 @@ func TestSIReadNeverBlocksOrIsBlocked(t *testing.T) {
 			// A new exclusive request must not block on the SIREAD lock, only on
 			// the other exclusive; after release, it reports the SIREAD holder.
 			m.ReleaseBlocking(txns[0])
-			rivals, err = m.Acquire(txns[2], k, Exclusive)
+			rivals, err = m.AcquireInto(txns[2], k, Exclusive, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -119,7 +119,7 @@ func TestSIReadSurvivesReleaseBlocking(t *testing.T) {
 	_, txns := newTxns(1)
 	m := NewManagerShards(true, 0)
 	k := RowKey("t", []byte("x"))
-	m.Acquire(txns[0], k, SIRead)
+	m.AcquireInto(txns[0], k, SIRead, nil)
 	m.ReleaseBlocking(txns[0])
 	if !m.Holds(txns[0], k, SIRead) {
 		t.Fatal("SIREAD lock released by ReleaseBlocking")
@@ -154,8 +154,8 @@ func TestSIReadUpgrade(t *testing.T) {
 			_, txns := newTxns(1)
 			m := NewManagerShards(true, 0)
 			k := c.key
-			m.Acquire(txns[0], k, SIRead)
-			m.Acquire(txns[0], k, Exclusive)
+			m.AcquireInto(txns[0], k, SIRead, nil)
+			m.AcquireInto(txns[0], k, Exclusive, nil)
 			if !m.Holds(txns[0], k, Exclusive) {
 				t.Fatal("exclusive not held after upgrade")
 			}
@@ -165,7 +165,7 @@ func TestSIReadUpgrade(t *testing.T) {
 			if kept := m.HoldsSIRead(txns[0]); kept == c.upgrade {
 				t.Fatalf("HoldsSIRead = %v after the owner's EXCLUSIVE", kept)
 			}
-			m.Acquire(txns[0], k, SIRead)
+			m.AcquireInto(txns[0], k, SIRead, nil)
 			m.AcquireSIReadBatchInto(txns[0], []Key{k}, nil)
 			if kept := m.Holds(txns[0], k, SIRead); kept == c.upgrade {
 				t.Fatalf("SIREAD held %v when re-acquired under the owner's EXCLUSIVE", kept)
@@ -183,7 +183,7 @@ func TestProbeDropsOwnSIRead(t *testing.T) {
 	_, txns := newTxns(2)
 	m := NewManagerShards(true, 0)
 	k, other := RowKey("t", []byte("x")), RowKey("t", []byte("y"))
-	m.Acquire(txns[0], k, SIRead)
+	m.AcquireInto(txns[0], k, SIRead, nil)
 	if readers, blocked := m.Probe(txns[0], k, nil); blocked || len(readers) != 0 {
 		t.Fatalf("Probe by the only reader: readers %v, blocked %v", readers, blocked)
 	}
@@ -195,8 +195,8 @@ func TestProbeDropsOwnSIRead(t *testing.T) {
 	}
 	checkOwner(t, m, txns[0])
 
-	m.Acquire(txns[0], other, SIRead)
-	m.Acquire(txns[1], other, SIRead)
+	m.AcquireInto(txns[0], other, SIRead, nil)
+	m.AcquireInto(txns[1], other, SIRead, nil)
 	readers, blocked := m.Probe(txns[0], other, nil)
 	if blocked || len(readers) != 1 || readers[0] != txns[1] {
 		t.Fatalf("Probe beside another reader: readers %v, blocked %v", readers, blocked)
@@ -217,8 +217,8 @@ func TestProbeKeepsOwnGapSIRead(t *testing.T) {
 	_, txns := newTxns(2)
 	m := NewManagerShards(true, 0)
 	for _, gap := range []Key{GapKey("t", []byte("x")), SupremumGapKey("t")} {
-		m.Acquire(txns[0], gap, SIRead)
-		m.Acquire(txns[1], gap, SIRead)
+		m.AcquireInto(txns[0], gap, SIRead, nil)
+		m.AcquireInto(txns[1], gap, SIRead, nil)
 		readers, blocked := m.Probe(txns[0], gap, nil)
 		if blocked || len(readers) != 1 || readers[0] != txns[1] {
 			t.Fatalf("%v: Probe beside another reader: readers %v, blocked %v", gap, readers, blocked)
@@ -226,11 +226,11 @@ func TestProbeKeepsOwnGapSIRead(t *testing.T) {
 		if !m.Holds(txns[0], gap, SIRead) || !m.Holds(txns[1], gap, SIRead) {
 			t.Fatalf("%v: Probe dropped a SIREAD on a gap", gap)
 		}
-		m.Acquire(txns[0], gap, Shared)
+		m.AcquireInto(txns[0], gap, Shared, nil)
 		if _, blocked := m.Probe(txns[0], gap, nil); blocked {
 			t.Fatalf("%v: the prober's own SHARED lock blocks its Probe", gap)
 		}
-		m.Acquire(txns[1], gap, Shared)
+		m.AcquireInto(txns[1], gap, Shared, nil)
 		if readers, blocked := m.Probe(txns[0], gap, nil); !blocked || len(readers) != 0 {
 			t.Fatalf("%v: Probe beside another's SHARED lock: readers %v, blocked %v", gap, readers, blocked)
 		}
@@ -243,11 +243,11 @@ func TestSharedToExclusiveUpgrade(t *testing.T) {
 	_, txns := newTxns(2)
 	m := NewManagerShards(true, 0)
 	k := RowKey("t", []byte("x"))
-	m.Acquire(txns[0], k, Shared)
-	m.Acquire(txns[1], k, Shared)
+	m.AcquireInto(txns[0], k, Shared, nil)
+	m.AcquireInto(txns[1], k, Shared, nil)
 	done := make(chan error, 1)
 	go func() {
-		_, err := m.Acquire(txns[0], k, Exclusive)
+		_, err := m.AcquireInto(txns[0], k, Exclusive, nil)
 		done <- err
 	}()
 	select {
@@ -269,15 +269,15 @@ func TestDeadlockDetection(t *testing.T) {
 	m := NewManagerShards(true, 0)
 	kx := RowKey("t", []byte("x"))
 	ky := RowKey("t", []byte("y"))
-	m.Acquire(txns[0], kx, Exclusive)
-	m.Acquire(txns[1], ky, Exclusive)
+	m.AcquireInto(txns[0], kx, Exclusive, nil)
+	m.AcquireInto(txns[1], ky, Exclusive, nil)
 
 	errs := make(chan error, 2)
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		_, err := m.Acquire(txns[0], ky, Exclusive)
+		_, err := m.AcquireInto(txns[0], ky, Exclusive, nil)
 		if err != nil {
 			m.ReleaseAll(txns[0])
 		}
@@ -285,7 +285,7 @@ func TestDeadlockDetection(t *testing.T) {
 	}()
 	go func() {
 		defer wg.Done()
-		_, err := m.Acquire(txns[1], kx, Exclusive)
+		_, err := m.AcquireInto(txns[1], kx, Exclusive, nil)
 		if err != nil {
 			m.ReleaseAll(txns[1])
 		}
@@ -314,12 +314,12 @@ func TestUpgradeDeadlock(t *testing.T) {
 	_, txns := newTxns(2)
 	m := NewManagerShards(true, 0)
 	k := RowKey("t", []byte("x"))
-	m.Acquire(txns[0], k, Shared)
-	m.Acquire(txns[1], k, Shared)
+	m.AcquireInto(txns[0], k, Shared, nil)
+	m.AcquireInto(txns[1], k, Shared, nil)
 	errs := make(chan error, 2)
 	for i := 0; i < 2; i++ {
 		go func(i int) {
-			_, err := m.Acquire(txns[i], k, Exclusive)
+			_, err := m.AcquireInto(txns[i], k, Exclusive, nil)
 			if err != nil {
 				m.ReleaseAll(txns[i])
 			}
@@ -342,7 +342,7 @@ func TestReacquireIsNoop(t *testing.T) {
 	m := NewManagerShards(true, 0)
 	k := RowKey("t", []byte("x"))
 	for i := 0; i < 3; i++ {
-		if _, err := m.Acquire(txns[0], k, Exclusive); err != nil {
+		if _, err := m.AcquireInto(txns[0], k, Exclusive, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -359,10 +359,10 @@ func TestGapAndRowNamespacesIndependent(t *testing.T) {
 	if row == gap {
 		t.Fatal("row and gap keys must differ")
 	}
-	m.Acquire(txns[0], row, Exclusive)
+	m.AcquireInto(txns[0], row, Exclusive, nil)
 	done := make(chan error, 1)
 	go func() {
-		_, err := m.Acquire(txns[1], gap, Exclusive)
+		_, err := m.AcquireInto(txns[1], gap, Exclusive, nil)
 		done <- err
 	}()
 	select {
@@ -381,12 +381,12 @@ func TestGapExclusiveCompatible(t *testing.T) {
 	mgr, txns := newTxns(3)
 	m := NewManagerShards(true, 0)
 	g := GapKey("t", []byte("z"))
-	if _, err := m.Acquire(txns[0], g, Exclusive); err != nil {
+	if _, err := m.AcquireInto(txns[0], g, Exclusive, nil); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := m.Acquire(txns[1], g, Exclusive)
+		_, err := m.AcquireInto(txns[1], g, Exclusive, nil)
 		done <- err
 	}()
 	select {
@@ -400,11 +400,11 @@ func TestGapExclusiveCompatible(t *testing.T) {
 	// A shared gap lock (S2PL scan) blocks a new insert into the gap.
 	m.ReleaseAll(txns[0])
 	m.ReleaseAll(txns[1])
-	m.Acquire(txns[2], g, Shared)
+	m.AcquireInto(txns[2], g, Shared, nil)
 	blocked := make(chan struct{})
 	inserter := mgr.Begin(core.SerializableSI) // a released owner takes no new lock
 	go func() {
-		m.Acquire(inserter, g, Exclusive)
+		m.AcquireInto(inserter, g, Exclusive, nil)
 		close(blocked)
 	}()
 	select {
@@ -434,13 +434,13 @@ func TestManyWaitersWakeUp(t *testing.T) {
 	_, txns := newTxns(9)
 	m := NewManagerShards(true, 0)
 	k := RowKey("t", []byte("hot"))
-	m.Acquire(txns[0], k, Exclusive)
+	m.AcquireInto(txns[0], k, Exclusive, nil)
 	var wg sync.WaitGroup
 	for i := 1; i < 9; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if _, err := m.Acquire(txns[i], k, Shared); err != nil {
+			if _, err := m.AcquireInto(txns[i], k, Shared, nil); err != nil {
 				t.Errorf("waiter %d: %v", i, err)
 			}
 		}(i)

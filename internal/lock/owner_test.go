@@ -98,7 +98,7 @@ func TestLockedRecordIsNeverPooled(t *testing.T) {
 		{"SIRead, committed", false, func() *core.Txn {
 			r := mgr.BeginTx(core.SerializableSI, true)
 			mgr.AssignSnapshot(r)
-			if _, err := m.Acquire(r, key, SIRead); err != nil {
+			if _, err := m.AcquireInto(r, key, SIRead, nil); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := mgr.CommitPrepare(r); err != nil {
@@ -110,7 +110,7 @@ func TestLockedRecordIsNeverPooled(t *testing.T) {
 		}},
 		{"Exclusive, aborted", false, func() *core.Txn {
 			w := mgr.Begin(core.SnapshotIsolation)
-			if _, err := m.Acquire(w, key, Exclusive); err != nil {
+			if _, err := m.AcquireInto(w, key, Exclusive, nil); err != nil {
 				t.Fatal(err)
 			}
 			mgr.Abort(w)
@@ -192,12 +192,12 @@ func TestReleasedOwnerKeepsNoKeyMap(t *testing.T) {
 	}
 	m.AcquireSIReadBatchInto(r, keys[:32], nil)
 	for _, k := range keys[32:48] {
-		if _, err := m.Acquire(r, k, Exclusive); err != nil {
+		if _, err := m.AcquireInto(r, k, Exclusive, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, k := range keys[48:] {
-		if _, err := m.Acquire(r, k, Shared); err != nil {
+		if _, err := m.AcquireInto(r, k, Shared, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -232,7 +232,7 @@ func TestReleasedOwnerKeepsNoKeyMap(t *testing.T) {
 			t.Errorf("the refused acquire left %d keys in the table", st.Keys)
 		}
 	}()
-	m.Acquire(r, keys[0], SIRead)
+	m.AcquireInto(r, keys[0], SIRead, nil)
 }
 
 // listed returns how many entries os lists.
@@ -318,7 +318,7 @@ func TestInheritRacesRelease(t *testing.T) {
 		m.AcquireSIReadBatchInto(r, gaps, nil)
 		m.AcquireSIReadBatchInto(o, gaps[:8], nil)
 		for _, k := range []Key{gaps[3], RowKey("t", []byte("a")), RowKey("t", []byte("b"))} {
-			if _, err := m.Acquire(r, k, Exclusive); err != nil {
+			if _, err := m.AcquireInto(r, k, Exclusive, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -377,10 +377,10 @@ func TestInheritMovesPageExclusive(t *testing.T) {
 		{RowKey("t", []byte("a")), RowKey("t", []byte("b")), false},
 		{GapKey("t", []byte("a")), GapKey("t", []byte("b")), false},
 	} {
-		if _, err := m.Acquire(r, c.src, SIRead); err != nil {
+		if _, err := m.AcquireInto(r, c.src, SIRead, nil); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := m.Acquire(w, c.src, Exclusive); err != nil {
+		if _, err := m.AcquireInto(w, c.src, Exclusive, nil); err != nil {
 			t.Fatal(err)
 		}
 		if !m.Inherit(c.src, c.dst) {
@@ -410,7 +410,7 @@ func TestInheritMovesPageExclusive(t *testing.T) {
 	for round := 0; round < 100; round++ {
 		w := mgr.Begin(core.SerializableSI)
 		src := PageKey("t", 1)
-		if _, err := m.Acquire(w, src, Exclusive); err != nil {
+		if _, err := m.AcquireInto(w, src, Exclusive, nil); err != nil {
 			t.Fatal(err)
 		}
 		var wg sync.WaitGroup
@@ -450,7 +450,7 @@ func TestInheritMovesGapShared(t *testing.T) {
 		{GapKey("t", []byte("m")), RowKey("t", []byte("c")), false},
 		{RowKey("t", []byte("a")), RowKey("t", []byte("b")), false},
 	} {
-		if _, err := m.Acquire(s, c.src, Shared); err != nil {
+		if _, err := m.AcquireInto(s, c.src, Shared, nil); err != nil {
 			t.Fatal(err)
 		}
 		if got := m.Inherit(c.src, c.dst); got != c.moves {
@@ -470,7 +470,7 @@ func TestInheritMovesGapShared(t *testing.T) {
 	for round := 0; round < 100; round++ {
 		s := mgr.Begin(core.SerializableSI)
 		src := GapKey("t", []byte("m"))
-		if _, err := m.Acquire(s, src, Shared); err != nil {
+		if _, err := m.AcquireInto(s, src, Shared, nil); err != nil {
 			t.Fatal(err)
 		}
 		var wg sync.WaitGroup

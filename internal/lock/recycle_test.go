@@ -22,7 +22,7 @@ func TestDrainedKeyMapDetaches(t *testing.T) {
 
 	w := mgr.Begin(core.SnapshotIsolation)
 	for i := 0; i < 100; i++ {
-		if _, err := m.Acquire(w, key(i), Exclusive); err != nil {
+		if _, err := m.AcquireInto(w, key(i), Exclusive, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -31,7 +31,7 @@ func TestDrainedKeyMapDetaches(t *testing.T) {
 	if os := stateOf(w); os.Held != nil || os.Released() {
 		t.Fatalf("after a write-only commit: list %v (want nil), released %v (want false)", os.Held, os.Released())
 	}
-	if _, err := m.Acquire(w, key(1), Exclusive); err != nil {
+	if _, err := m.AcquireInto(w, key(1), Exclusive, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !m.Holds(w, key(1), Exclusive) || listed(stateOf(w)) != 1 {
@@ -40,10 +40,10 @@ func TestDrainedKeyMapDetaches(t *testing.T) {
 	m.ReleaseAll(w)
 
 	r := mgr.Begin(core.SerializableSI)
-	if _, err := m.Acquire(r, key(1), SIRead); err != nil {
+	if _, err := m.AcquireInto(r, key(1), SIRead, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Acquire(r, key(2), Exclusive); err != nil {
+	if _, err := m.AcquireInto(r, key(2), Exclusive, nil); err != nil {
 		t.Fatal(err)
 	}
 	m.ReleaseBlocking(r)

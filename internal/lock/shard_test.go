@@ -36,10 +36,10 @@ func TestCrossShardDeadlock(t *testing.T) {
 	m := NewManagerShards(true, 8)
 	kx, ky := crossShardKeys(t, m)
 	txns := []*core.Txn{mgr.Begin(core.S2PL), mgr.Begin(core.S2PL)}
-	if _, err := m.Acquire(txns[0], kx, Exclusive); err != nil {
+	if _, err := m.AcquireInto(txns[0], kx, Exclusive, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Acquire(txns[1], ky, Exclusive); err != nil {
+	if _, err := m.AcquireInto(txns[1], ky, Exclusive, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -49,7 +49,7 @@ func TestCrossShardDeadlock(t *testing.T) {
 		wg.Add(1)
 		go func(i int, want Key) {
 			defer wg.Done()
-			_, err := m.Acquire(txns[i], want, Exclusive)
+			_, err := m.AcquireInto(txns[i], want, Exclusive, nil)
 			if err != nil {
 				m.ReleaseAll(txns[i])
 			}
@@ -84,16 +84,16 @@ func TestCrossShardDeadlockBeatsTimeout(t *testing.T) {
 	m.SetWaitTimeout(10 * time.Second) // far beyond the test's patience
 	kx, ky := crossShardKeys(t, m)
 	txns := []*core.Txn{mgr.Begin(core.S2PL), mgr.Begin(core.S2PL)}
-	if _, err := m.Acquire(txns[0], kx, Exclusive); err != nil {
+	if _, err := m.AcquireInto(txns[0], kx, Exclusive, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Acquire(txns[1], ky, Exclusive); err != nil {
+	if _, err := m.AcquireInto(txns[1], ky, Exclusive, nil); err != nil {
 		t.Fatal(err)
 	}
 	errs := make(chan error, 2)
 	for i, want := range []Key{ky, kx} {
 		go func(i int, want Key) {
-			_, err := m.Acquire(txns[i], want, Exclusive)
+			_, err := m.AcquireInto(txns[i], want, Exclusive, nil)
 			if err != nil {
 				m.ReleaseAll(txns[i])
 			}
@@ -129,7 +129,7 @@ func TestInheritSIReadCrossShard(t *testing.T) {
 	m := NewManagerShards(true, 8)
 	src, dst := crossShardKeys(t, m)
 	owner := mgr.Begin(core.SerializableSI)
-	if _, err := m.Acquire(owner, src, SIRead); err != nil {
+	if _, err := m.AcquireInto(owner, src, SIRead, nil); err != nil {
 		t.Fatal(err)
 	}
 	m.Inherit(src, dst)
@@ -155,14 +155,14 @@ func lockPattern(t *testing.T, m *Manager, txns []*core.Txn) {
 			table := fmt.Sprintf("tbl%d", tbl)
 			for k := 0; k < 4; k++ {
 				shared := []byte(fmt.Sprintf("shared%d", k))
-				if _, err := m.Acquire(txn, RowKey(table, shared), SIRead); err != nil {
+				if _, err := m.AcquireInto(txn, RowKey(table, shared), SIRead, nil); err != nil {
 					t.Fatal(err)
 				}
 				own := []byte(fmt.Sprintf("own%d_%d", i, k))
-				if _, err := m.Acquire(txn, RowKey(table, own), Exclusive); err != nil {
+				if _, err := m.AcquireInto(txn, RowKey(table, own), Exclusive, nil); err != nil {
 					t.Fatal(err)
 				}
-				if _, err := m.Acquire(txn, GapKey(table, own), Exclusive); err != nil {
+				if _, err := m.AcquireInto(txn, GapKey(table, own), Exclusive, nil); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -221,7 +221,7 @@ func TestConcurrentChurnDrains(t *testing.T) {
 				for k := 0; k < 6 && ok; k++ {
 					key := RowKey(fmt.Sprintf("tbl%d", k%3), []byte(fmt.Sprintf("hot%d", (g+i+k)%7)))
 					mode := []Mode{SIRead, Shared, Exclusive}[(g+i+k)%3]
-					if _, err := m.Acquire(txn, key, mode); err != nil {
+					if _, err := m.AcquireInto(txn, key, mode, nil); err != nil {
 						if !errors.Is(err, core.ErrDeadlock) {
 							t.Errorf("acquire: %v", err)
 						}
@@ -262,7 +262,7 @@ func TestShardCountRounding(t *testing.T) {
 // TestSIReadBatchGroupsByShard pins the batch acquire's group-by-shard step
 // (a counting sort into recycled scratch): whatever the shard count, every
 // key of the batch is granted, each exclusive holder found on a page is
-// reported once (a row's or a gap's is not reported, as Acquire does not),
+// reported once (a row's or a gap's is not reported, as AcquireInto does not),
 // the caller's key slice is left as it was, and a repeated batch allocates
 // no per-call grouping state.
 func TestSIReadBatchGroupsByShard(t *testing.T) {
@@ -283,7 +283,7 @@ func TestSIReadBatchGroupsByShard(t *testing.T) {
 			// row 10 and pages 10 and 200, writers[1] gap 133 and row 134.
 			for i, at := range [][]int{{30, 32, 602}, {400, 402}} {
 				for _, k := range at {
-					if _, err := m.Acquire(writers[i], keys[k], Exclusive); err != nil {
+					if _, err := m.AcquireInto(writers[i], keys[k], Exclusive, nil); err != nil {
 						t.Fatal(err)
 					}
 				}

@@ -6,7 +6,7 @@ import (
 	"ssi/internal/core"
 )
 
-// This file implements the contended half of Acquire (see "Contended path"
+// This file implements the contended half of AcquireInto (see "Contended path"
 // in the package comment): the per-entry FIFO wait queue and the
 // direct-handoff grant protocol. A request that outlives its spin registers
 // its waits-for edges before it sleeps, so immediate deadlock detection never

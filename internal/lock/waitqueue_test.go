@@ -29,11 +29,11 @@ func TestLockWaitTimeout(t *testing.T) {
 	m := NewManagerShards(true, 0)
 	m.SetWaitTimeout(50 * time.Millisecond)
 	k := RowKey("t", []byte("x"))
-	if _, err := m.Acquire(txns[0], k, Exclusive); err != nil {
+	if _, err := m.AcquireInto(txns[0], k, Exclusive, nil); err != nil {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	_, err := m.Acquire(txns[1], k, Shared)
+	_, err := m.AcquireInto(txns[1], k, Shared, nil)
 	if !errors.Is(err, core.ErrLockTimeout) {
 		t.Fatalf("blocked acquire returned %v, want ErrLockTimeout", err)
 	}
@@ -47,7 +47,7 @@ func TestLockWaitTimeout(t *testing.T) {
 	// The withdrawn request must leave no residue: the entry still works
 	// for others and drains fully.
 	m.ReleaseAll(txns[0])
-	if _, err := m.Acquire(txns[2], k, Exclusive); err != nil {
+	if _, err := m.AcquireInto(txns[2], k, Exclusive, nil); err != nil {
 		t.Fatal(err)
 	}
 	m.ReleaseAll(txns[2])
@@ -67,7 +67,7 @@ func TestHerdWakeupTargeted(t *testing.T) {
 	_, txns := newTxns(herd + 1)
 	m := NewManagerShards(true, 4)
 	k := RowKey("t", []byte("hot"))
-	if _, err := m.Acquire(txns[0], k, Exclusive); err != nil {
+	if _, err := m.AcquireInto(txns[0], k, Exclusive, nil); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
@@ -75,7 +75,7 @@ func TestHerdWakeupTargeted(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if _, err := m.Acquire(txns[i], k, Shared); err != nil {
+			if _, err := m.AcquireInto(txns[i], k, Shared, nil); err != nil {
 				t.Errorf("waiter %d: %v", i, err)
 			}
 		}(i)
@@ -104,12 +104,12 @@ func TestUnchangedBlockerSetSkipsGraph(t *testing.T) {
 	_, txns := newTxns(2)
 	m := NewManagerShards(true, 1)
 	k := RowKey("t", []byte("x"))
-	if _, err := m.Acquire(txns[0], k, Shared); err != nil {
+	if _, err := m.AcquireInto(txns[0], k, Shared, nil); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := m.Acquire(txns[1], k, Exclusive)
+		_, err := m.AcquireInto(txns[1], k, Exclusive, nil)
 		done <- err
 	}()
 	waitForParks(t, m, 1)
@@ -118,7 +118,7 @@ func TestUnchangedBlockerSetSkipsGraph(t *testing.T) {
 	// queue; txns[1]'s blocker set is {txns[0]} before and after, so the
 	// sweep must skip the graph.
 	before := m.wfg.locks.Load()
-	if _, err := m.Acquire(txns[0], k, Exclusive); err != nil {
+	if _, err := m.AcquireInto(txns[0], k, Exclusive, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := m.wfg.locks.Load() - before; got != 0 {
@@ -142,19 +142,19 @@ func TestFIFONoOvertake(t *testing.T) {
 	_, txns := newTxns(3)
 	m := NewManagerShards(true, 1)
 	k := RowKey("t", []byte("x"))
-	if _, err := m.Acquire(txns[0], k, Shared); err != nil {
+	if _, err := m.AcquireInto(txns[0], k, Shared, nil); err != nil {
 		t.Fatal(err)
 	}
 	gotX := make(chan error, 1)
 	go func() {
-		_, err := m.Acquire(txns[1], k, Exclusive)
+		_, err := m.AcquireInto(txns[1], k, Exclusive, nil)
 		gotX <- err
 	}()
 	waitForParks(t, m, 1)
 
 	gotS := make(chan error, 1)
 	go func() {
-		_, err := m.Acquire(txns[2], k, Shared)
+		_, err := m.AcquireInto(txns[2], k, Shared, nil)
 		gotS <- err
 	}()
 	waitForParks(t, m, 2) // the shared request parked instead of barging
@@ -191,10 +191,10 @@ func TestUncontendedNeverTouchesGraph(t *testing.T) {
 	_, txns := newTxns(4)
 	m := NewManagerShards(true, 0)
 	for i, txn := range txns {
-		if _, err := m.Acquire(txn, RowKey("t", []byte{byte(i)}), Exclusive); err != nil {
+		if _, err := m.AcquireInto(txn, RowKey("t", []byte{byte(i)}), Exclusive, nil); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := m.Acquire(txn, RowKey("t", []byte("shared")), SIRead); err != nil {
+		if _, err := m.AcquireInto(txn, RowKey("t", []byte("shared")), SIRead, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -222,13 +222,13 @@ func TestSpinGrantSkipsPark(t *testing.T) {
 	k := RowKey("t", []byte("x"))
 	for i := 0; i < 200; i++ {
 		holder := mgr.Begin(core.S2PL)
-		if _, err := m.Acquire(holder, k, Exclusive); err != nil {
+		if _, err := m.AcquireInto(holder, k, Exclusive, nil); err != nil {
 			t.Fatal(err)
 		}
 		done := make(chan error, 1)
 		go func() {
 			contender := mgr.Begin(core.S2PL)
-			_, err := m.Acquire(contender, k, Exclusive)
+			_, err := m.AcquireInto(contender, k, Exclusive, nil)
 			m.ReleaseAll(contender)
 			done <- err
 		}()

@@ -13,7 +13,7 @@ import (
 // shards (T1 waits on a key in shard A held by T2, which waits on a key in
 // shard B held by T1), so the graph is a single component with its own
 // mutex rather than per-shard state. Registration is deferred until a
-// request actually parks (the spin phase of Acquire touches nothing
+// request actually parks (the spin phase of AcquireInto touches nothing
 // global): a parking waiter registers its edges while still holding its
 // shard's mutex, so the blocker set cannot go stale, and the registration
 // either finds a cycle through the waiter (the waiter aborts as the
@@ -31,7 +31,7 @@ import (
 // wakeup must not allocate one map per waiter per release.
 //
 // Lock ordering: shard mutex → graph mutex. The graph never calls back
-// into the lock table, and the uncontended Acquire fast path never touches
+// into the lock table, and the uncontended AcquireInto fast path never touches
 // the graph at all.
 type waitGraph struct {
 	mu    sync.Mutex

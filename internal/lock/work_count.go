@@ -5,11 +5,11 @@ package lock
 import "sync/atomic"
 
 // Work is what the lock manager did since the process started, counted in
-// the workcount build only: lock requests (one per Acquire or AcquireInto
-// call, one per key of an AcquireSIReadBatchInto), probes of an implicit
-// write (one per Probe call), acquisitions of shard and owner mutexes,
-// contended or not, and key hashes — one per shardIndex call and one per
-// lookup, insert or delete in a shard's table.
+// the workcount build only: lock requests (one per AcquireInto or
+// TryAcquireInto call, one per key of an AcquireSIReadBatchInto), probes of
+// an implicit write (one per Probe call), acquisitions of shard and owner
+// mutexes, contended or not, and key hashes — one per shardIndex call and one
+// per lookup, insert or delete in a shard's table.
 type Work struct {
 	Acquires   uint64
 	Probes     uint64

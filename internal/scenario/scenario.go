@@ -22,6 +22,7 @@ import (
 
 	"ssi/internal/harness"
 	"ssi/internal/server"
+	"ssi/programs"
 	"ssi/ssidb"
 )
 
@@ -43,17 +44,23 @@ type Row struct {
 	// on the row's shard axis (0 without one) and means what the row says —
 	// lock-table stripes or row-store partitions.
 	Options func(shards int) ssidb.Options
-	// Load fills the database and returns the isolation level the cell runs
-	// at: iso, unless the row picks its own.
-	Load func(db *ssidb.DB, iso ssidb.Isolation) (ssidb.Isolation, error)
-	// Txn returns the transaction function of each worker.
-	Txn func(db *ssidb.DB, iso ssidb.Isolation) func(worker int) harness.TxnFunc
+	// Load fills the database and returns what the cell runs on it.
+	Load func(db *ssidb.DB, iso ssidb.Isolation) (Loaded, error)
 
-	// RemoteLoad and RemoteTxn replace Options, Load and Txn in a row that
+	// RemoteLoad and RemoteTxn replace Options and Load in a row that
 	// drives a running server: the load goes through one connection, and
 	// each worker runs RemoteTxn — one attempt — on a connection of its own.
 	RemoteLoad func(c *server.Client) error
 	RemoteTxn  func(c *server.Client, iso ssidb.Isolation) harness.TxnFunc
+}
+
+// Loaded is a loaded cell: its isolation level (the cell's, unless the row
+// picks its own), each worker's transaction, and the layer of a row that runs
+// registered programs, whose counters the cell reports beside the engine's.
+type Loaded struct {
+	Iso      ssidb.Isolation
+	Txn      func(worker int) harness.TxnFunc
+	Programs *programs.DB
 }
 
 // Remote reports whether the row drives a running server.
@@ -94,12 +101,18 @@ func (row Row) Run(c Cell, o harness.Options) (harness.Result, error) {
 		db = ssidb.Open(opts)
 	}
 	defer db.Close()
-	level, err := row.Load(db, c.Iso)
+	ld, err := row.Load(db, c.Iso)
 	if err != nil {
 		return harness.Result{}, fmt.Errorf("load %s: %w", row.Name, err)
 	}
-	o.Stats = func() harness.Window { return harness.Window{Stats: db.StatsSnapshot()} }
-	res := harness.RunWorkers(row.Txn(db, level), o)
-	res.Row, res.Iso, res.Shards, res.Durable = row.Name, level.String(), c.Shards, c.Durable
+	o.Stats = func() harness.Window {
+		w := harness.Window{Stats: db.StatsSnapshot()}
+		if ld.Programs != nil {
+			w.Programs = ld.Programs.StatsSnapshot()
+		}
+		return w
+	}
+	res := harness.RunWorkers(ld.Txn, o)
+	res.Row, res.Iso, res.Shards, res.Durable = row.Name, ld.Iso.String(), c.Shards, c.Durable
 	return res, nil
 }

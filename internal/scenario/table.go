@@ -10,6 +10,7 @@ import (
 	"ssi/internal/workload/sibench"
 	"ssi/internal/workload/smallbank"
 	"ssi/internal/workload/tpcc"
+	"ssi/programs"
 	"ssi/ssidb"
 )
 
@@ -54,30 +55,28 @@ const scanStallKeys = 100000
 func of[C any](cfg C, load func(*ssidb.DB, C) error, worker func(*ssidb.DB, ssidb.Isolation, C) harness.TxnFunc) Row {
 	return Row{
 		Isos: ssiOnly,
-		Load: func(db *ssidb.DB, iso ssidb.Isolation) (ssidb.Isolation, error) { return iso, load(db, cfg) },
-		Txn: func(db *ssidb.DB, iso ssidb.Isolation) func(int) harness.TxnFunc {
-			return harness.Every(worker(db, iso, cfg))
+		Load: func(db *ssidb.DB, iso ssidb.Isolation) (Loaded, error) {
+			return Loaded{Iso: iso, Txn: harness.Every(worker(db, iso, cfg))}, load(db, cfg)
 		},
 	}
 }
 
-// programs returns a row that drives every transaction through RunProgram,
-// at the level the robustness analysis justifies rather than a chosen one.
-// The programs are registered after the (ad-hoc) load, so the proof covers
-// exactly the measured traffic.
-func programs[C any](cfg C, load func(*ssidb.DB, C) error, register func(*ssidb.DB) (*ssidb.ProgramReport, error), worker func(*ssidb.DB, C) harness.TxnFunc) Row {
+// registered returns a row that runs every transaction as a registered
+// program, at the level the robustness analysis justifies. The programs are
+// registered after the load, so the proof covers exactly the measured traffic.
+func registered[C any](cfg C, load func(*ssidb.DB, C) error, register func(*programs.DB) (*programs.ProgramReport, error), worker func(*programs.DB, C) harness.TxnFunc) Row {
 	return Row{
-		Load: func(db *ssidb.DB, _ ssidb.Isolation) (ssidb.Isolation, error) {
+		Load: func(db *ssidb.DB, _ ssidb.Isolation) (Loaded, error) {
 			if err := load(db, cfg); err != nil {
-				return 0, err
+				return Loaded{}, err
 			}
-			rep, err := register(db)
+			pdb := programs.New(db)
+			rep, err := register(pdb)
 			if err != nil {
-				return 0, err
+				return Loaded{}, err
 			}
-			return rep.Level, nil
+			return Loaded{Iso: rep.Level, Txn: harness.Every(worker(pdb, cfg)), Programs: pdb}, nil
 		},
-		Txn: func(db *ssidb.DB, _ ssidb.Isolation) func(int) harness.TxnFunc { return harness.Every(worker(db, cfg)) },
 	}
 }
 
@@ -137,19 +136,19 @@ func Rows(s Scale) []Row {
 	writers := kvmix.Config{Keys: scanStallKeys, Writes: 1}
 	scanstall := of(writers, kvmix.Load, kvmix.Worker)
 	scanstall.Aux = 1
-	scanstall.Txn = func(db *ssidb.DB, iso ssidb.Isolation) func(int) harness.TxnFunc {
+	scanstall.Load = func(db *ssidb.DB, iso ssidb.Isolation) (Loaded, error) {
 		write := kvmix.Worker(db, iso, writers)
 		scan := func(*rand.Rand) error {
 			return db.Run(iso, func(tx *ssidb.Txn) error {
 				return tx.Scan(kvmix.Table, nil, nil, func(k, v []byte) bool { return true })
 			})
 		}
-		return func(w int) harness.TxnFunc {
+		return Loaded{Iso: iso, Txn: func(w int) harness.TxnFunc {
 			if w == 0 {
 				return scan
 			}
 			return write
-		}
+		}}, kvmix.Load(db, writers)
 	}
 
 	return []Row{
@@ -206,12 +205,12 @@ func Rows(s Scale) []Row {
 			"writer p99 must track a scan round, not the scan; aux/s is completed scans per second", shardAxis, tableShards),
 		bank(sb).probe("smallbank", "SmallBank (1000 accounts, row locking) by lock-table shard count",
 			"five mixed programs incl. the WriteCheck pivot that makes plain SI non-serializable (thesis §5.1)", shardAxis, lockShards),
-		programs(sb, smallbank.Load, func(db *ssidb.DB) (*ssidb.ProgramReport, error) { return smallbank.Register(db, true) }, smallbank.ProgramWorker).
+		registered(sb, smallbank.Load, func(pdb *programs.DB) (*programs.ProgramReport, error) { return smallbank.Register(pdb, true) }, smallbank.ProgramWorker).
 			probe("smallbank-programs", "SmallBank through registered programs",
 				"robust after the automatic Bal→WC promotion: ProgramSIRuns == ProgramRuns, against smallbank at SSI", shardAxis, lockShards),
 		of(tiny, tpcc.Load, tpcc.Worker).probe("tpcc", "TPC-C (W=1, tiny scaling, standard mix) by lock-table shard count",
 			"the thesis's robust workload: serializable even at plain SI (Fekete et al., thesis fig 2.8)", shardAxis, lockShards),
-		programs(tiny, tpcc.Load, tpcc.Register, tpcc.ProgramWorker).
+		registered(tiny, tpcc.Load, tpcc.Register, tpcc.ProgramWorker).
 			probe("tpcc-programs", "TPC-C through registered programs",
 				"robust as declared: every transaction at plain SI, against tpcc at SSI — the gap is what the proof saves", shardAxis, lockShards),
 

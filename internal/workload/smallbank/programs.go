@@ -5,14 +5,14 @@ import (
 
 	"ssi/internal/harness"
 	"ssi/internal/sdg"
-	"ssi/ssidb"
+	"ssi/programs"
 )
 
 // Registry glue: the declared SmallBank program set (sdg.SmallBank, the
 // §2.8.4 analysis input) mapped onto this package's runtime tables, so the
-// engine's robustness subsystem can prove — after AutoRemedy discovers
-// PromoteBW — that the five programs are serializable at plain SI and
-// enforce the declared footprints at runtime.
+// registered-program layer (ssi/programs) can prove — after AutoRemedy
+// discovers PromoteBW — that the five programs are serializable at plain SI
+// and enforce the declared footprints at runtime.
 
 // Program names, as declared in sdg.SmallBank.
 const (
@@ -36,13 +36,13 @@ func ClassTables() map[string]string {
 	}
 }
 
-// Register declares the SmallBank programs on db. SmallBank is not robust as
+// Register declares the SmallBank programs on pdb. SmallBank is not robust as
 // declared (WriteCheck is a pivot), so without autoRemedy the programs run at
-// full SerializableSI; with autoRemedy the registry applies PromoteBW
-// (Balance identity-writes the checking rows it reads) and the whole set
-// runs at plain SI.
-func Register(db *ssidb.DB, autoRemedy bool) (*ssidb.ProgramReport, error) {
-	return db.RegisterPrograms(Programs(), ssidb.ProgramOptions{
+// full SerializableSI; with autoRemedy the layer applies PromoteBW (Balance
+// identity-writes the checking rows it reads) and the whole set runs at plain
+// SI.
+func Register(pdb *programs.DB, autoRemedy bool) (*programs.ProgramReport, error) {
+	return pdb.RegisterPrograms(Programs(), programs.ProgramOptions{
 		ClassTables: ClassTables(),
 		AutoRemedy:  autoRemedy,
 	})
@@ -79,13 +79,13 @@ func randomProgram(r *rand.Rand, cfg Config) (string, func(Tx) error) {
 }
 
 // ProgramWorker returns a harness transaction function running the standard
-// SmallBank mix through db.RunProgram — each transaction executes one named
+// SmallBank mix through pdb.RunProgram — each transaction executes one named
 // registered program at the isolation level the robustness analysis chose.
 // Register must have been called. (Unlike Worker it always runs one operation
 // per transaction: a registered program is the unit of analysis.)
-func ProgramWorker(db *ssidb.DB, cfg Config) harness.TxnFunc {
+func ProgramWorker(pdb *programs.DB, cfg Config) harness.TxnFunc {
 	return func(r *rand.Rand) error {
 		name, body := randomProgram(r, cfg)
-		return db.RunProgram(name, func(tx *ssidb.Txn) error { return body(tx) })
+		return pdb.RunProgram(name, func(tx *programs.Txn) error { return body(tx) })
 	}
 }

@@ -44,9 +44,10 @@ func DefaultConfig() Config {
 }
 
 // Tx is the transaction surface the five SmallBank programs need — point
-// reads and writes. Both *ssidb.Txn (embedded use) and the network client's
-// interactive transaction (ssi/internal/server.RemoteTxn) satisfy it, so
-// the same program bodies drive the engine in-process and over the wire.
+// reads and writes. *ssidb.Txn (embedded use), a registered program's
+// *programs.Txn and the network client's interactive transaction
+// (ssi/internal/server.RemoteTxn) satisfy it, so the same program bodies
+// drive the engine in-process, through the program layer and over the wire.
 type Tx interface {
 	Get(table string, key []byte) ([]byte, bool, error)
 	Put(table string, key, val []byte) error

@@ -5,11 +5,11 @@ import (
 
 	"ssi/internal/harness"
 	"ssi/internal/sdg"
-	"ssi/ssidb"
+	"ssi/programs"
 )
 
-// Registry glue: the runtime TPC-C program set declared for the engine's
-// robustness subsystem.
+// Registry glue: the runtime TPC-C program set declared for the
+// registered-program layer (ssi/programs).
 //
 // This is the Fekete Figure 2.8 analysis extended to everything this
 // package's transactions actually touch: the two Delivery cases are merged
@@ -133,10 +133,10 @@ func ClassTables() map[string]string {
 	}
 }
 
-// Register declares the runtime TPC-C programs on db. The set is robust, so
+// Register declares the runtime TPC-C programs on pdb. The set is robust, so
 // no remedy is needed and RunProgram executes at plain SI.
-func Register(db *ssidb.DB) (*ssidb.ProgramReport, error) {
-	return db.RegisterPrograms(Programs(), ssidb.ProgramOptions{
+func Register(pdb *programs.DB) (*programs.ProgramReport, error) {
+	return pdb.RegisterPrograms(Programs(), programs.ProgramOptions{
 		ClassTables: ClassTables(),
 	})
 }
@@ -144,25 +144,25 @@ func Register(db *ssidb.DB) (*ssidb.ProgramReport, error) {
 // ProgramWorker returns a harness transaction function running the standard
 // TPC-C mix (no CreditCheck; its 4% share folds into New Order: 45% New
 // Order, 43% Payment, 4% each of Delivery, Order Status, Stock Level)
-// through db.RunProgram, so each transaction executes at the level the
+// through pdb.RunProgram, so each transaction executes at the level the
 // robustness analysis chose. Register must have been called.
-func ProgramWorker(db *ssidb.DB, cfg Config) harness.TxnFunc {
+func ProgramWorker(pdb *programs.DB, cfg Config) harness.TxnFunc {
 	return func(r *rand.Rand) error {
 		w := uint32(1 + r.Intn(cfg.Warehouses))
-		run := func(name string, body func(*ssidb.Txn) error) error {
-			return db.RunProgram(name, body)
+		run := func(name string, body func(Tx, Config, *rand.Rand, uint32) error) error {
+			return pdb.RunProgram(name, func(tx *programs.Txn) error { return body(tx, cfg, r, w) })
 		}
 		switch x := r.Intn(100); {
 		case x < 45:
-			return run(ProgNewOrder, func(tx *ssidb.Txn) error { return NewOrder(tx, cfg, r, w) })
+			return run(ProgNewOrder, NewOrder)
 		case x < 88:
-			return run(ProgPayment, func(tx *ssidb.Txn) error { return Payment(tx, cfg, r, w) })
+			return run(ProgPayment, Payment)
 		case x < 92:
-			return run(ProgDelivery, func(tx *ssidb.Txn) error { return Delivery(tx, cfg, r, w) })
+			return run(ProgDelivery, Delivery)
 		case x < 96:
-			return run(ProgOrderStatus, func(tx *ssidb.Txn) error { return OrderStatus(tx, cfg, r, w) })
+			return run(ProgOrderStatus, OrderStatus)
 		default:
-			return run(ProgStockLevel, func(tx *ssidb.Txn) error { return StockLevel(tx, cfg, r, w) })
+			return run(ProgStockLevel, StockLevel)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"ssi/internal/harness"
 	"ssi/internal/sdg"
+	"ssi/programs"
 	"ssi/ssidb"
 )
 
@@ -62,7 +63,8 @@ func TestProgramWorkerRunsAtSI(t *testing.T) {
 	if err := Load(db, cfg); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Register(db)
+	pdb := programs.New(db)
+	rep, err := Register(pdb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,14 +74,14 @@ func TestProgramWorkerRunsAtSI(t *testing.T) {
 	if len(rep.Remedies) != 0 {
 		t.Fatalf("unexpected remedies: %v", rep.Remedies)
 	}
-	fn := ProgramWorker(db, cfg)
+	fn := ProgramWorker(pdb, cfg)
 	r := rand.New(rand.NewSource(1))
 	for i := 0; i < 300; i++ {
 		if err := fn(r); err != nil && !ssidb.Retryable(err) && !errors.Is(err, harness.ErrRollback) {
 			t.Fatalf("op %d: %v", i, err)
 		}
 	}
-	st := db.StatsSnapshot()
+	st := pdb.StatsSnapshot()
 	if st.FootprintViolations != 0 {
 		t.Fatalf("footprint violations: %d (declarations out of sync with implementation)", st.FootprintViolations)
 	}
@@ -89,7 +91,7 @@ func TestProgramWorkerRunsAtSI(t *testing.T) {
 	if st.ProgramRuns == 0 || st.ProgramSIRuns != st.ProgramRuns {
 		t.Fatalf("ProgramRuns=%d ProgramSIRuns=%d, want all runs at SI", st.ProgramRuns, st.ProgramSIRuns)
 	}
-	if err := CheckConsistency(db, cfg); err != nil {
+	if err := CheckConsistency(pdb.Adhoc(), cfg); err != nil {
 		t.Fatal(err)
 	}
 }

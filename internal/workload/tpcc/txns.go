@@ -9,6 +9,19 @@ import (
 	"ssi/ssidb"
 )
 
+// Tx is the transaction surface the TPC-C transactions need. Both
+// *ssidb.Txn and a registered program's *programs.Txn satisfy it, so the same
+// bodies run ad hoc (Worker) and as registered programs (ProgramWorker).
+type Tx interface {
+	Get(table string, key []byte) ([]byte, bool, error)
+	GetForUpdate(table string, key []byte) ([]byte, bool, error)
+	Put(table string, key, val []byte) error
+	Insert(table string, key, val []byte) error
+	Delete(table string, key []byte) error
+	Scan(table string, from, to []byte, fn func(key, val []byte) bool) error
+	ScanLimit(table string, from, to []byte, limit int, fn func(key, val []byte) bool) error
+}
+
 // prefixEnd returns the exclusive upper bound for a prefix scan.
 func prefixEnd(prefix []byte) []byte {
 	end := append([]byte(nil), prefix...)
@@ -24,7 +37,7 @@ func prefixEnd(prefix []byte) []byte {
 // lookupCustomer resolves the 60%/40% by-lastname/by-id customer selection
 // of TPC-C §2.5.1.2 and §2.6.1.2: by-lastname scans the name index and
 // picks the median match.
-func lookupCustomer(tx *ssidb.Txn, cfg Config, r *rand.Rand, w, d uint32) (uint32, error) {
+func lookupCustomer(tx Tx, cfg Config, r *rand.Rand, w, d uint32) (uint32, error) {
 	if r.Intn(100) < 40 {
 		return cfg.randCustomer(r), nil
 	}
@@ -51,7 +64,7 @@ func lookupCustomer(tx *ssidb.Txn, cfg Config, r *rand.Rand, w, d uint32) (uint3
 // TPC-C++ its CCHECK → NEWO dependency), inserts the order, new-order and
 // order-line rows and updates stock. Per TPC-C §2.4.1.4, 1% of New Orders
 // roll back on an invalid item.
-func NewOrder(tx *ssidb.Txn, cfg Config, r *rand.Rand, w uint32) error {
+func NewOrder(tx Tx, cfg Config, r *rand.Rand, w uint32) error {
 	d := uint32(1 + r.Intn(Districts))
 	c := cfg.randCustomer(r)
 	rollback := r.Intn(100) == 0
@@ -135,7 +148,7 @@ func NewOrder(tx *ssidb.Txn, cfg Config, r *rand.Rand, w uint32) error {
 
 // Payment records a customer payment: the year-to-date hotspot updates
 // (unless SkipYTD), and the customer balance decrement.
-func Payment(tx *ssidb.Txn, cfg Config, r *rand.Rand, w uint32) error {
+func Payment(tx Tx, cfg Config, r *rand.Rand, w uint32) error {
 	d := uint32(1 + r.Intn(Districts))
 	amount := int64(100 + r.Intn(500000))
 
@@ -175,7 +188,7 @@ func Payment(tx *ssidb.Txn, cfg Config, r *rand.Rand, w uint32) error {
 }
 
 // OrderStatus reports a customer's most recent order (read-only).
-func OrderStatus(tx *ssidb.Txn, cfg Config, r *rand.Rand, w uint32) error {
+func OrderStatus(tx Tx, cfg Config, r *rand.Rand, w uint32) error {
 	d := uint32(1 + r.Intn(Districts))
 	c, err := lookupCustomer(tx, cfg, r, w, d)
 	if err != nil {
@@ -212,7 +225,7 @@ func OrderStatus(tx *ssidb.Txn, cfg Config, r *rand.Rand, w uint32) error {
 // its new-order row, stamp the carrier, mark the lines delivered and credit
 // the customer's balance. Districts without pending orders are skipped (the
 // DLVY1 case of the static analysis).
-func Delivery(tx *ssidb.Txn, cfg Config, r *rand.Rand, w uint32) error {
+func Delivery(tx Tx, cfg Config, r *rand.Rand, w uint32) error {
 	carrier := uint8(1 + r.Intn(10))
 	for d := uint32(1); d <= Districts; d++ {
 		prefix := K(w, d)
@@ -284,7 +297,7 @@ func Delivery(tx *ssidb.Txn, cfg Config, r *rand.Rand, w uint32) error {
 
 // StockLevel counts recently ordered items with low stock (read-only): the
 // order lines of the district's last 20 orders joined with stock quantities.
-func StockLevel(tx *ssidb.Txn, cfg Config, r *rand.Rand, w uint32) error {
+func StockLevel(tx Tx, cfg Config, r *rand.Rand, w uint32) error {
 	d := uint32(1 + r.Intn(Districts))
 	threshold := int32(10 + r.Intn(11))
 
@@ -325,7 +338,7 @@ func StockLevel(tx *ssidb.Txn, cfg Config, r *rand.Rand, w uint32) error {
 // customer's delivered balance plus the total of their undelivered orders is
 // compared against the credit limit, and c_credit is set to good/bad. Under
 // plain SI this transaction and New Order form write skew (Example 5).
-func CreditCheck(tx *ssidb.Txn, cfg Config, r *rand.Rand, w uint32) error {
+func CreditCheck(tx Tx, cfg Config, r *rand.Rand, w uint32) error {
 	d := uint32(1 + r.Intn(Districts))
 	c := cfg.randCustomer(r)
 

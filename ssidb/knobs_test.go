@@ -9,8 +9,9 @@ import (
 )
 
 // TestPublicKnobs pins the configuration surface: the exact fields of
-// Options, TxnOptions and ProgramOptions. A change that adds a knob edits this
-// list and names, in the same change, the knob it retires.
+// Options and TxnOptions (the program layer's ProgramOptions are pinned in
+// package programs). A change that adds a knob edits this list and names, in
+// the same change, the knob it retires.
 func TestPublicKnobs(t *testing.T) {
 	for _, c := range []struct {
 		typ  reflect.Type
@@ -24,7 +25,6 @@ func TestPublicKnobs(t *testing.T) {
 			"LockShards", "LockWaitTimeout", "TableShards", "Recorder",
 		}},
 		{reflect.TypeFor[ssidb.TxnOptions](), []string{"ReadOnly"}},
-		{reflect.TypeFor[ssidb.ProgramOptions](), []string{"ClassTables", "AutoRemedy"}},
 	} {
 		var got []string
 		for i := range c.typ.NumField() {

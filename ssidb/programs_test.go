@@ -11,6 +11,7 @@ import (
 	"ssi/internal/sdg"
 	"ssi/internal/sercheck"
 	"ssi/internal/workload/smallbank"
+	"ssi/programs"
 	"ssi/ssidb"
 )
 
@@ -29,7 +30,7 @@ var id0 = []byte{0, 0, 0, 0}
 // not robust as declared (WriteCheck is the pivot), and AutoRemedy fixes it
 // with exactly PromoteBW — Balance identity-writing the checking table.
 func TestRegisterSmallBankReport(t *testing.T) {
-	db := ssidb.Open(ssidb.Options{})
+	db := programs.New(ssidb.Open(ssidb.Options{}))
 	rep, err := smallbank.Register(db, false)
 	if err != nil {
 		t.Fatal(err)
@@ -41,7 +42,7 @@ func TestRegisterSmallBankReport(t *testing.T) {
 		t.Errorf("pivots = %v, want %v", rep.Pivots, want)
 	}
 
-	db2 := ssidb.Open(ssidb.Options{})
+	db2 := programs.New(ssidb.Open(ssidb.Options{}))
 	rep2, err := smallbank.Register(db2, true)
 	if err != nil {
 		t.Fatal(err)
@@ -58,23 +59,23 @@ func TestRegisterSmallBankReport(t *testing.T) {
 }
 
 func TestRegisterErrors(t *testing.T) {
-	db := ssidb.Open(ssidb.Options{})
-	if _, err := db.RegisterPrograms(nil, ssidb.ProgramOptions{}); err == nil {
+	db := programs.New(ssidb.Open(ssidb.Options{}))
+	if _, err := db.RegisterPrograms(nil, programs.ProgramOptions{}); err == nil {
 		t.Error("empty set: want error")
 	}
 	p := &sdg.Program{Name: "P", Reads: []sdg.Item{sdg.I("X", "n")}}
-	if _, err := db.RegisterPrograms([]*sdg.Program{p, p}, ssidb.ProgramOptions{
+	if _, err := db.RegisterPrograms([]*sdg.Program{p, p}, programs.ProgramOptions{
 		ClassTables: map[string]string{"X": "x"}}); err == nil {
 		t.Error("duplicate name: want error")
 	}
-	if _, err := db.RegisterPrograms([]*sdg.Program{p}, ssidb.ProgramOptions{}); err == nil {
+	if _, err := db.RegisterPrograms([]*sdg.Program{p}, programs.ProgramOptions{}); err == nil {
 		t.Error("unmapped class: want error")
 	}
-	if _, err := db.RegisterPrograms([]*sdg.Program{p}, ssidb.ProgramOptions{
+	if _, err := db.RegisterPrograms([]*sdg.Program{p}, programs.ProgramOptions{
 		ClassTables: map[string]string{"X": "x"}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.RegisterPrograms([]*sdg.Program{p}, ssidb.ProgramOptions{
+	if _, err := db.RegisterPrograms([]*sdg.Program{p}, programs.ProgramOptions{
 		ClassTables: map[string]string{"X": "x"}}); err == nil {
 		t.Error("double registration: want error")
 	}
@@ -93,45 +94,56 @@ func TestProgramIsolationLevels(t *testing.T) {
 
 	db := ssidb.Open(ssidb.Options{})
 	sbLoad(t, db, cfg)
-	if _, err := smallbank.Register(db, true); err != nil {
+	pdb := programs.New(db)
+	if _, err := smallbank.Register(pdb, true); err != nil {
 		t.Fatal(err)
 	}
-	tx, err := db.BeginProgram(smallbank.ProgDepositChecking)
+	tx, err := pdb.BeginProgram(smallbank.ProgDepositChecking)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tx.Isolation() != ssidb.SnapshotIsolation {
 		t.Errorf("robust program at %v, want SnapshotIsolation", tx.Isolation())
 	}
-	if tx.ReadOnly() {
+	if declaredReadOnly(tx) {
 		t.Error("DC is read-write")
 	}
 	tx.Abort()
-	tx, err = db.BeginProgram(smallbank.ProgBalance)
+	tx, err = pdb.BeginProgram(smallbank.ProgBalance)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tx.ReadOnly() {
+	if declaredReadOnly(tx) {
 		t.Error("promoted Bal writes checking; must not be declared RO")
 	}
 	tx.Abort()
 
 	db2 := ssidb.Open(ssidb.Options{})
 	sbLoad(t, db2, cfg)
-	if _, err := smallbank.Register(db2, false); err != nil {
+	pdb2 := programs.New(db2)
+	if _, err := smallbank.Register(pdb2, false); err != nil {
 		t.Fatal(err)
 	}
-	tx, err = db2.BeginProgram(smallbank.ProgBalance)
+	tx, err = pdb2.BeginProgram(smallbank.ProgBalance)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tx.Isolation() != ssidb.SerializableSI {
 		t.Errorf("non-robust program at %v, want SerializableSI", tx.Isolation())
 	}
-	if !tx.ReadOnly() {
+	if !declaredReadOnly(tx) {
 		t.Error("unremedied Bal is read-only; must ride the declared-RO path")
 	}
 	tx.Abort()
+}
+
+// declaredReadOnly reports whether the program transaction tx was begun
+// declared read-only, which the engine shows by refusing its GetForUpdate
+// with ErrReadOnly (a program transaction has no ReadOnly accessor). Every
+// program GetForUpdate here is inside its footprint.
+func declaredReadOnly(tx *programs.Txn) bool {
+	_, _, err := tx.GetForUpdate(smallbank.TableChecking, id0)
+	return errors.Is(err, ssidb.ErrReadOnly)
 }
 
 // TestFootprintViolationEscalates: an access outside the declared footprint
@@ -143,11 +155,12 @@ func TestFootprintViolationEscalates(t *testing.T) {
 	cfg.Accounts = 4
 	db := ssidb.Open(ssidb.Options{})
 	sbLoad(t, db, cfg)
-	if _, err := smallbank.Register(db, true); err != nil {
+	pdb := programs.New(db)
+	if _, err := smallbank.Register(pdb, true); err != nil {
 		t.Fatal(err)
 	}
 
-	tx, err := db.BeginProgram(smallbank.ProgTransactSaving)
+	tx, err := pdb.BeginProgram(smallbank.ProgTransactSaving)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +168,7 @@ func TestFootprintViolationEscalates(t *testing.T) {
 		t.Fatalf("precondition: robust program should start at SI")
 	}
 	// TS declares {account, saving}; checking is out of footprint.
-	if _, _, err := tx.Get(smallbank.TableChecking, id0); !errors.Is(err, ssidb.ErrFootprint) {
+	if _, _, err := tx.Get(smallbank.TableChecking, id0); !errors.Is(err, programs.ErrFootprint) {
 		t.Fatalf("out-of-footprint read: err = %v, want ErrFootprint", err)
 	}
 	// Statement-level: the transaction continues inside its footprint.
@@ -166,16 +179,16 @@ func TestFootprintViolationEscalates(t *testing.T) {
 		t.Fatalf("commit after statement-level violation: %v", err)
 	}
 
-	if !db.StatsSnapshot().SDGEscalated {
+	if !pdb.StatsSnapshot().SDGEscalated {
 		t.Fatal("database did not escalate")
 	}
-	st := db.StatsSnapshot()
+	st := pdb.StatsSnapshot()
 	if st.FootprintViolations != 1 || st.SDGEscalations < 1 || !st.SDGEscalated {
 		t.Fatalf("stats = %+v, want 1 violation and >=1 escalation", st)
 	}
 
 	// Permanently: every later program transaction runs at SerializableSI.
-	tx, err = db.BeginProgram(smallbank.ProgDepositChecking)
+	tx, err = pdb.BeginProgram(smallbank.ProgDepositChecking)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,19 +205,20 @@ func TestAdhocBeginEscalates(t *testing.T) {
 	cfg.Accounts = 4
 	db := ssidb.Open(ssidb.Options{})
 	sbLoad(t, db, cfg) // load is ad-hoc but precedes registration: no effect
-	if _, err := smallbank.Register(db, true); err != nil {
+	pdb := programs.New(db)
+	if _, err := smallbank.Register(pdb, true); err != nil {
 		t.Fatal(err)
 	}
-	if db.StatsSnapshot().SDGEscalated {
+	if pdb.StatsSnapshot().SDGEscalated {
 		t.Fatal("escalated before any ad-hoc begin")
 	}
-	if _, err := smallbank.TotalMoney(db, cfg); err != nil {
+	if _, err := smallbank.TotalMoney(pdb.Adhoc(), cfg); err != nil {
 		t.Fatal(err)
 	}
-	if !db.StatsSnapshot().SDGEscalated {
+	if !pdb.StatsSnapshot().SDGEscalated {
 		t.Fatal("ad-hoc transaction did not escalate")
 	}
-	if st := db.StatsSnapshot(); st.SDGEscalations < 1 {
+	if st := pdb.StatsSnapshot(); st.SDGEscalations < 1 {
 		t.Fatalf("SDGEscalations = %d, want >= 1", st.SDGEscalations)
 	}
 }
@@ -224,7 +238,7 @@ func TestAdhocBeginEscalates(t *testing.T) {
 // begin returns the three transactions in schedule order; the caller supplies
 // how each is begun.
 func writeSkewSchedule(t *testing.T, db *ssidb.DB,
-	begin func(name string) *ssidb.Txn) (wcErr error) {
+	begin func(name string) skewTxn) (wcErr error) {
 	t.Helper()
 
 	ts := begin("TS")
@@ -274,6 +288,14 @@ func writeSkewSchedule(t *testing.T, db *ssidb.DB,
 	return wc.Commit()
 }
 
+// skewTxn is a transaction writeSkewSchedule drives: an engine transaction
+// or a program transaction.
+type skewTxn interface {
+	smallbank.Tx
+	Commit() error
+	Abort() error
+}
+
 func skewConfig() smallbank.Config {
 	cfg := smallbank.DefaultConfig()
 	cfg.Accounts = 1
@@ -289,7 +311,7 @@ func TestWriteSkewNegativeControl(t *testing.T) {
 	db := ssidb.Open(ssidb.Options{Recorder: hist})
 	sbLoad(t, db, skewConfig())
 
-	wcErr := writeSkewSchedule(t, db, func(string) *ssidb.Txn {
+	wcErr := writeSkewSchedule(t, db, func(string) skewTxn {
 		return db.Begin(ssidb.SnapshotIsolation)
 	})
 	if wcErr != nil {
@@ -312,12 +334,13 @@ func TestWriteSkewRemediedSI(t *testing.T) {
 	hist := sercheck.NewHistory()
 	db := ssidb.Open(ssidb.Options{Recorder: hist})
 	sbLoad(t, db, skewConfig())
-	if _, err := smallbank.Register(db, true); err != nil {
+	pdb := programs.New(db)
+	if _, err := smallbank.Register(pdb, true); err != nil {
 		t.Fatal(err)
 	}
 
-	wcErr := writeSkewSchedule(t, db, func(name string) *ssidb.Txn {
-		tx, err := db.BeginProgram(name)
+	wcErr := writeSkewSchedule(t, db, func(name string) skewTxn {
+		tx, err := pdb.BeginProgram(name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -332,7 +355,7 @@ func TestWriteSkewRemediedSI(t *testing.T) {
 	if ok, cycle := hist.Serializable(); !ok {
 		t.Fatalf("remedied SI history not serializable; cycle %v", cycle)
 	}
-	if st := db.StatsSnapshot(); st.FootprintViolations != 0 || st.SDGEscalated {
+	if st := pdb.StatsSnapshot(); st.FootprintViolations != 0 || st.SDGEscalated {
 		t.Fatalf("stats = %+v, want no violations/escalation", st)
 	}
 }
@@ -347,7 +370,8 @@ func TestRemediedSmallBankSerializableRandom(t *testing.T) {
 		cfg := smallbank.DefaultConfig()
 		cfg.Accounts = 8 // hot: plenty of rw collisions
 		sbLoad(t, db, cfg)
-		if _, err := smallbank.Register(db, true); err != nil {
+		pdb := programs.New(db)
+		if _, err := smallbank.Register(pdb, true); err != nil {
 			t.Fatal(err)
 		}
 
@@ -357,7 +381,7 @@ func TestRemediedSmallBankSerializableRandom(t *testing.T) {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				fn := smallbank.ProgramWorker(db, cfg)
+				fn := smallbank.ProgramWorker(pdb, cfg)
 				r := rand.New(rand.NewSource(seed*100 + int64(w)))
 				for i := 0; i < ops; i++ {
 					if err := fn(r); err != nil &&
@@ -370,7 +394,7 @@ func TestRemediedSmallBankSerializableRandom(t *testing.T) {
 		}
 		wg.Wait()
 
-		st := db.StatsSnapshot()
+		st := pdb.StatsSnapshot()
 		if st.FootprintViolations != 0 || st.SDGEscalated {
 			t.Fatalf("seed %d: stats = %+v, want clean program run", seed, st)
 		}
@@ -393,7 +417,8 @@ func TestFootprintEscalationRace(t *testing.T) {
 	cfg.Accounts = 16
 	db := ssidb.Open(ssidb.Options{})
 	sbLoad(t, db, cfg)
-	if _, err := smallbank.Register(db, true); err != nil {
+	pdb := programs.New(db)
+	if _, err := smallbank.Register(pdb, true); err != nil {
 		t.Fatal(err)
 	}
 
@@ -403,7 +428,7 @@ func TestFootprintEscalationRace(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			fn := smallbank.ProgramWorker(db, cfg)
+			fn := smallbank.ProgramWorker(pdb, cfg)
 			r := rand.New(rand.NewSource(int64(w)))
 			for i := 0; i < ops; i++ {
 				if err := fn(r); err != nil &&
@@ -413,9 +438,9 @@ func TestFootprintEscalationRace(t *testing.T) {
 				}
 				if w == 0 && i == ops/2 {
 					// Mid-flight violation: TS touching the checking table.
-					err := db.RunProgram(smallbank.ProgTransactSaving, func(tx *ssidb.Txn) error {
+					err := pdb.RunProgram(smallbank.ProgTransactSaving, func(tx *programs.Txn) error {
 						_, _, gerr := tx.Get(smallbank.TableChecking, id0)
-						if !errors.Is(gerr, ssidb.ErrFootprint) {
+						if !errors.Is(gerr, programs.ErrFootprint) {
 							t.Errorf("violation err = %v, want ErrFootprint", gerr)
 						}
 						return nil
@@ -429,14 +454,14 @@ func TestFootprintEscalationRace(t *testing.T) {
 	}
 	wg.Wait()
 
-	if !db.StatsSnapshot().SDGEscalated {
+	if !pdb.StatsSnapshot().SDGEscalated {
 		t.Fatal("violation did not escalate")
 	}
-	st := db.StatsSnapshot()
+	st := pdb.StatsSnapshot()
 	if st.FootprintViolations < 1 || st.SDGEscalations < 1 {
 		t.Fatalf("stats = %+v, want violation and escalation recorded", st)
 	}
-	tx, err := db.BeginProgram(smallbank.ProgBalance)
+	tx, err := pdb.BeginProgram(smallbank.ProgBalance)
 	if err != nil {
 		t.Fatal(err)
 	}

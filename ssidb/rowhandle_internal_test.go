@@ -23,7 +23,7 @@ func TestGetMissThenInsertedS2PL(t *testing.T) {
 	key := []byte("k")
 
 	ins := db.Begin(S2PL)
-	if _, err := db.locks.Acquire(ins.t, lock.RowKey("t", key), lock.Exclusive); err != nil {
+	if _, err := db.locks.AcquireInto(ins.t, lock.RowKey("t", key), lock.Exclusive, nil); err != nil {
 		t.Fatal(err)
 	}
 	type result struct {

@@ -6,13 +6,20 @@ import (
 	"testing"
 
 	"ssi/internal/workload/smallbank"
+	"ssi/programs"
 	"ssi/ssidb"
 )
 
 var granularities = map[string]ssidb.Granularity{"row": ssidb.GranularityRow, "page": ssidb.GranularityPage}
 
+// scanner is a transaction rows can scan: an engine transaction or a
+// program transaction.
+type scanner interface {
+	Scan(table string, from, to []byte, fn func(key, val []byte) bool) error
+}
+
 // rows collects one un-nested scan of [from, to) as "key=value" strings.
-func rows(t *testing.T, tx *ssidb.Txn, table string, from, to []byte) []string {
+func rows(t *testing.T, tx scanner, table string, from, to []byte) []string {
 	t.Helper()
 	var out []string
 	if err := tx.Scan(table, from, to, func(k, v []byte) bool {
@@ -108,7 +115,8 @@ func TestNestedScanInPromotedProgram(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			db := ssidb.Open(ssidb.Options{Granularity: gran, PageMaxKeys: 8, Detector: ssidb.DetectorPrecise})
 			sbLoad(t, db, smallbank.Config{Accounts: 20, InitialBalance: 100})
-			rep, err := smallbank.Register(db, true)
+			pdb := programs.New(db)
+			rep, err := smallbank.Register(pdb, true)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -116,7 +124,7 @@ func TestNestedScanInPromotedProgram(t *testing.T) {
 				t.Fatalf("Bal does not promote %s: %v", smallbank.TableChecking, rep.Promoted)
 			}
 			var want []string
-			if err := db.RunProgram("Bal", func(tx *ssidb.Txn) error {
+			if err := pdb.RunProgram("Bal", func(tx *programs.Txn) error {
 				want = rows(t, tx, smallbank.TableChecking, nil, nil)
 				wantSaving := rows(t, tx, smallbank.TableSaving, nil, nil)
 				if len(want) != 20 || len(wantSaving) != 20 {
@@ -144,7 +152,7 @@ func TestNestedScanInPromotedProgram(t *testing.T) {
 				t.Fatal(err)
 			}
 			// The identity writes committed, and wrote what was read.
-			if err := db.Run(ssidb.SnapshotIsolation, func(tx *ssidb.Txn) error {
+			if err := pdb.Adhoc().Run(ssidb.SnapshotIsolation, func(tx *ssidb.Txn) error {
 				if got := rows(t, tx, smallbank.TableChecking, nil, nil); !slices.Equal(got, want) {
 					t.Errorf("after the program: %v, want %v", got, want)
 				}

@@ -69,29 +69,6 @@
 // on disk. The image is published by fsync and atomic rename. Stats
 // reports WALAppends, GroupCommitBatches, Fsyncs, AvgBatchSize and
 // RecoveryReplayed.
-//
-// # Workload robustness: proven-robust programs at plain SI
-//
-// SSI's SIREAD locks and conflict tracking pay for serializability that
-// some workloads get for free: if an application's transaction programs are
-// statically robust — their dependency graph has no dangerous structure
-// (Fekete 2005, thesis Ch. 2) — every execution under plain SI is already
-// serializable. RegisterPrograms runs that analysis at registration:
-//
-//	rep, err := db.RegisterPrograms(progs, ssidb.ProgramOptions{
-//		ClassTables: map[string]string{"Account": "account", ...},
-//		AutoRemedy:  true, // mechanically Promote away dangerous structures
-//	})
-//	err = db.RunProgram("Pay", func(tx *ssidb.Txn) error { ... })
-//
-// A robust set runs every RunProgram transaction at SnapshotIsolation — no
-// SIREADs, no false-positive ErrUnsafe aborts — with read-only programs
-// riding the declared-read-only fast path; a non-robust set keeps full
-// SerializableSI. The proof is guarded at runtime: accesses outside a
-// program's declared footprint fail that statement with ErrFootprint and
-// permanently escalate the database to SerializableSI, as does any ad-hoc
-// Begin alongside registered programs. Stats reports ProgramRuns,
-// ProgramSIRuns, FootprintViolations, SDGEscalations and SDGEscalated.
 package ssidb
 
 import (
@@ -322,18 +299,6 @@ type DB struct {
 	roBegins      atomic.Uint64
 	roPromotions  atomic.Uint64
 	roSIReadSkips atomic.Uint64
-
-	// Robustness subsystem (programs.go): the registered program set, the
-	// one-way escalated-to-SSI latch with its event counter, the footprint
-	// and program-run counters, and siProgActive, the in-flight program
-	// transactions admitted at plain SI that an ad-hoc begin drains.
-	programs            atomic.Pointer[progRegistry]
-	sdgEscalated        atomic.Bool
-	sdgEscalations      atomic.Uint64
-	footprintViolations atomic.Uint64
-	programRuns         atomic.Uint64
-	programSIRuns       atomic.Uint64
-	siProgActive        atomic.Int64
 }
 
 // Open creates an in-memory database with the given options.
@@ -480,17 +445,7 @@ type TxnOptions struct {
 }
 
 // BeginTx is Begin with explicit transaction options.
-//
-// With programs registered (RegisterPrograms), BeginTx is an *ad-hoc* begin:
-// it permanently escalates program execution to SerializableSI.
 func (db *DB) BeginTx(iso Isolation, opts TxnOptions) *Txn {
-	db.noteAdhocBegin()
-	return db.beginTx(iso, opts)
-}
-
-// beginTx starts a transaction without the ad-hoc accounting — the shared
-// path under both BeginTx and BeginProgram.
-func (db *DB) beginTx(iso Isolation, opts TxnOptions) *Txn {
 	if opts.ReadOnly {
 		db.roBegins.Add(1)
 	}
@@ -755,20 +710,6 @@ type Stats struct {
 	ROBegins         uint64
 	ROSafePromotions uint64
 	ROSIReadSkips    uint64
-
-	// Robustness-subsystem instrumentation, cumulative since Open.
-	// ProgramRuns counts BeginProgram/RunProgram transactions; ProgramSIRuns
-	// the subset admitted at plain SI under the robustness proof;
-	// FootprintViolations the statements rejected for touching a table
-	// outside their program's declared footprint; SDGEscalations the events
-	// that tripped (or re-confirmed) the one-way escalated-to-SSI latch — a
-	// footprint violation, or an ad-hoc begin.
-	// SDGEscalated reports the latch itself.
-	ProgramRuns         uint64
-	ProgramSIRuns       uint64
-	FootprintViolations uint64
-	SDGEscalations      uint64
-	SDGEscalated        bool
 }
 
 // StatsSnapshot returns current counters.
@@ -797,16 +738,10 @@ func (db *DB) StatsSnapshot() Stats {
 		ROBegins:         db.roBegins.Load(),
 		ROSafePromotions: db.roPromotions.Load(),
 		ROSIReadSkips:    db.roSIReadSkips.Load(),
-
-		ProgramRuns:         db.programRuns.Load(),
-		ProgramSIRuns:       db.programSIRuns.Load(),
-		FootprintViolations: db.footprintViolations.Load(),
-		SDGEscalations:      db.sdgEscalations.Load(),
-		SDGEscalated:        db.sdgEscalated.Load(),
-		ActiveTxns:          cs.Active,
-		SuspendedTxns:       cs.Suspended,
-		LockedKeys:          ls.Keys,
-		LockOwners:          ls.Owners,
+		ActiveTxns:       cs.Active,
+		SuspendedTxns:    cs.Suspended,
+		LockedKeys:       ls.Keys,
+		LockOwners:       ls.Owners,
 
 		WALAppends:         ws.Appends,
 		GroupCommitBatches: ws.Batches,

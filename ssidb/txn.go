@@ -44,11 +44,11 @@ type Txn struct {
 }
 
 // txnScratch is the engine's working memory of one running transaction: its
-// record, the database and program it runs against, the write set, the rival
-// buffer of the point-operation lock paths, and the redo record with the slot
-// the WAL hook answers into. Keeping all of it here rather than on the handle
-// is what fits the handle, which outlives the transaction, in 24 bytes. A
-// handle takes a scratch from txnScratchPool when it is built (newTxn) and is
+// record, the database it runs against, the write set, the rival buffer of
+// the point-operation lock paths, and the redo record with the slot the WAL
+// hook answers into. Keeping all of it here rather than on the handle is what
+// fits the handle, which outlives the transaction, in 24 bytes. A handle
+// takes a scratch from txnScratchPool when it is built (newTxn) and is
 // done with it when the transaction is (Commit, cleanupAbort). A committed
 // writer hands it, write set and all, to its retirement (FinishWith;
 // DB.retire prunes the rows and recycles it); every other transaction
@@ -58,8 +58,8 @@ type Txn struct {
 // rather than pooled.
 //
 // Invariant: beyond its length every pointer-carrying buffer holds zero
-// values (they are only ever truncated through emptied), and t, db and prog
-// are nil, so a pooled scratch keeps no database, transaction record or table
+// values (they are only ever truncated through emptied), and t and db are
+// nil, so a pooled scratch keeps no database, transaction record or table
 // reachable; the byte buffers are merely truncated.
 type txnScratch struct {
 	// t is the transaction's record. The handle lets go of it, with the
@@ -72,14 +72,6 @@ type txnScratch struct {
 	// safe-snapshot check (core.Manager.AssignSnapshotTout), which only a
 	// declared read-only transaction asks.
 	toutHi core.TS
-
-	// prog, when non-nil, marks a program transaction (BeginProgram): every
-	// access is checked against the program's declared table footprint, and
-	// reads of promoted tables perform the §2.6.2 identity write.
-	// progSIToken is the transaction's share of the DB's SI-program drain
-	// counter, released exactly once when the transaction finishes.
-	prog        *registeredProgram
-	progSIToken bool
 
 	// writes is the write set in statement order, for rollback: the handles
 	// of the rows written, so undoing a write descends no tree.
@@ -240,31 +232,14 @@ func (tx *Txn) cleanupAbort() {
 		}
 		p.Flush()
 	}
-	db, token := s.db, s.takeProgToken()
+	db := s.db
 	s.recycle()
 	db.mgr.Abort(t)
 	db.locks.ReleaseAll(t)
-	db.releaseProgToken(token)
 	if r := db.opts.Recorder; r != nil {
 		r.RecAbort(tx.id)
 	}
 	db.mgr.Release(t)
-}
-
-// takeProgToken takes the transaction's share of the robustness subsystem's
-// drain counter, if it holds one, for releaseProgToken: exactly once, on
-// whichever path finishes the transaction.
-func (s *txnScratch) takeProgToken() bool {
-	token := s.progSIToken
-	s.progSIToken = false
-	return token
-}
-
-// releaseProgToken returns a share takeProgToken took.
-func (db *DB) releaseProgToken(token bool) {
-	if token {
-		db.siProgActive.Add(-1)
-	}
 }
 
 // Abort rolls the transaction back. Aborting a finished transaction is a
@@ -301,8 +276,6 @@ func (tx *Txn) Commit() error {
 	if err != nil {
 		if errors.Is(err, ErrUnsafe) {
 			tx.cleanupAbort()
-		} else {
-			db.releaseProgToken(tx.takeProgToken())
 		}
 		return err
 	}
@@ -334,7 +307,6 @@ func (tx *Txn) Commit() error {
 	t, s := tx.finish()
 	db.locks.ReleaseBlocking(t)
 	keep := tx.Isolation().TracksConflicts() && (db.locks.HoldsSIRead(t) || db.mgr.HasOutConflict(t))
-	token := s.takeProgToken()
 	var payload any // the scratch, handed to the retirement that reclaims its rows
 	if len(s.writes) > 0 || len(s.reads) > 0 {
 		payload = s
@@ -342,7 +314,6 @@ func (tx *Txn) Commit() error {
 		s.recycle()
 	}
 	db.mgr.FinishWith(t, keep, payload)
-	db.releaseProgToken(token)
 	if r := db.opts.Recorder; r != nil {
 		r.RecCommit(tx.id, ct)
 	}
@@ -533,21 +504,9 @@ func (tx *Txn) Get(tableName string, key []byte) (val []byte, found bool, err er
 	if err := tx.pre(); err != nil {
 		return nil, false, err
 	}
-	if err := tx.progReadCheck(tableName); err != nil {
-		return nil, false, err
-	}
-	tb := tx.db.table(tableName)
-	res, err := tx.get(tb, key)
+	res, err := tx.get(tx.db.table(tableName), key)
 	if err != nil {
 		return nil, false, err
-	}
-	if tx.prog != nil && tx.prog.promoted[tableName] && res.Found {
-		// Runtime half of the Promote remedy (§2.6.2): re-write the value
-		// just read, so a concurrent writer of this row collides under
-		// First-Committer-Wins — the vulnerable rw edge becomes ww.
-		if err := tx.write(tableName, key, append([]byte(nil), res.Value...), false, false); err != nil {
-			return nil, false, err
-		}
 	}
 	return res.Value, res.Found, nil
 }
@@ -582,9 +541,9 @@ func (tx *Txn) get(tb *table, key []byte) (res mvcc.ReadResult, err error) {
 // the lock, then one read that waits out a writer still holding the row,
 // takes the snapshot and checks First-Committer-Wins on the unit holding key.
 // The lock is not a write: it marks no reader, and the read keeps its SIREAD
-// unless the transaction writes the row (but makes no promotion write). As
-// the snapshot follows the wait (thesis §4.5), a transaction whose first
-// statement is a locked read never aborts under FCW. val is owned as Get's is.
+// unless the transaction writes the row. As the snapshot follows the wait
+// (thesis §4.5), a transaction whose first statement is a locked read never
+// aborts under FCW. val is owned as Get's is.
 func (tx *Txn) GetForUpdate(tableName string, key []byte) (val []byte, found bool, err error) {
 	if err := tx.pre(); err != nil {
 		return nil, false, err
@@ -594,14 +553,6 @@ func (tx *Txn) GetForUpdate(tableName string, key []byte) (val []byte, found boo
 		// First-Committer-Wins as a writer would; read-only transactions
 		// must use Get.
 		return nil, false, ErrReadOnly
-	}
-	// A locked read is both a read and a write intent: the footprint must
-	// declare the table in both directions.
-	if err := tx.progReadCheck(tableName); err != nil {
-		return nil, false, err
-	}
-	if err := tx.progWriteCheck(tableName); err != nil {
-		return nil, false, err
 	}
 	tb := tx.db.table(tableName)
 	at := cmp.Or(tx.t.Snapshot(), latest) // none yet, or S2PL, which takes none
@@ -630,8 +581,8 @@ func (tx *Txn) Put(tableName string, key, val []byte) error {
 
 // Insert writes a new key, failing with ErrKeyExists (without aborting) if a
 // live version of the key is already visible. A refused Insert read the key:
-// it keeps that read, as a Get would take it (without the Get's promotion
-// write). key is copied, val retained (see Put).
+// it keeps that read, as a Get would take it. key is copied, val retained
+// (see Put).
 func (tx *Txn) Insert(tableName string, key, val []byte) error {
 	return tx.write(tableName, key, val, false, true)
 }
@@ -656,9 +607,6 @@ func (tx *Txn) write(tableName string, key, val []byte, tombstone, mustNotExist 
 	}
 	if len(key) > math.MaxUint16 || len(tableName) > math.MaxUint16 {
 		return ErrKeyTooLong // appendRedoEntry writes both lengths in 16 bits
-	}
-	if err := tx.progWriteCheck(tableName); err != nil {
-		return err
 	}
 	tb := tx.db.table(tableName)
 	row, _ := tb.data.Locate(key)
@@ -727,9 +675,6 @@ func (tx *Txn) scan(tableName string, from, to []byte, limit int, fn func(key, v
 	if err := tx.pre(); err != nil {
 		return err
 	}
-	if err := tx.progReadCheck(tableName); err != nil {
-		return err
-	}
 	tb := tx.db.table(tableName)
 	if from == nil {
 		from = []byte{}
@@ -764,29 +709,13 @@ func (tx *Txn) scan(tableName string, from, to []byte, limit int, fn func(key, v
 		stamp = tx.readStamp(snap)
 		rec.RecScan(tx.id, tb.name, string(from), effTo, stamp)
 	}
-	// Promoted tables identity-write every row the caller was shown (the
-	// scan-shaped half of §2.6.2); keys and values are copied out first —
-	// the write path mutates the tree the scan buffers point into.
-	promote := tx.prog != nil && tx.prog.promoted[tableName]
-	var promoteKeys, promoteVals [][]byte
 	for i := range sc.items {
 		it := &sc.items[i]
 		if rec != nil {
 			recRead(rec, tx, tb, it.Key, it.VisibleCreator, stamp)
 		}
-		if it.Found {
-			if promote {
-				promoteKeys = append(promoteKeys, []byte(it.Key))
-				promoteVals = append(promoteVals, append([]byte(nil), it.Value...))
-			}
-			if !fn(keyView(it.Key), it.Value) {
-				break
-			}
-		}
-	}
-	for i, k := range promoteKeys {
-		if err := tx.write(tableName, k, promoteVals[i], false, false); err != nil {
-			return err
+		if it.Found && !fn(keyView(it.Key), it.Value) {
+			break
 		}
 	}
 	return nil
