@@ -534,7 +534,8 @@ func TestTreeOwnsItsKeys(t *testing.T) {
 // share of the interior pages and of the arena's unused chunk tail. One array
 // of {key, value} pairs would be 1 024 bytes with a header, in the 1 152-byte
 // class, and fail the budget; the 65-slot array of 24-byte slots a page was
-// before read 1 792 bytes.
+// before read 1 792 bytes. The figure is the least of three loads, since
+// another goroutine's allocation can only raise one.
 func TestLeafAllocBudget(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the race detector allocates on its own")
@@ -545,25 +546,32 @@ func TestLeafAllocBudget(t *testing.T) {
 		keys[i] = fmt.Appendf(nil, "key-%012d", i)
 	}
 	val := new(int)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	tr := NewOf[*int](DefaultMaxKeys)
-	for _, k := range keys {
-		tr.GetOrInsert(k, val)
+	// TotalAlloc is the whole process's, so an allocation elsewhere in the
+	// test binary during a load lands in its figure, and can only add to it:
+	// three fresh trees are loaded, and the least figure is judged.
+	load := func() float64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		tr := NewOf[*int](DefaultMaxKeys)
+		for _, k := range keys {
+			tr.GetOrInsert(k, val)
+		}
+		runtime.ReadMemStats(&after)
+		if err := tr.Check(); err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for l := findLeaf(tr, "", 0); l != nil; l = l.next {
+			n++
+		}
+		if n != leaves {
+			t.Fatalf("an ascending load of %d keys filled %d leaves, want %d", len(keys), n, leaves)
+		}
+		return float64(after.TotalAlloc-before.TotalAlloc-uint64(len(keys)*(1+keyLen))) / leaves
 	}
-	runtime.ReadMemStats(&after)
-	if err := tr.Check(); err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	for l := findLeaf(tr, "", 0); l != nil; l = l.next {
-		n++
-	}
-	if n != leaves {
-		t.Fatalf("an ascending load of %d keys filled %d leaves, want %d", len(keys), n, leaves)
-	}
-	perLeaf := float64(after.TotalAlloc-before.TotalAlloc-uint64(len(keys)*(1+keyLen))) / leaves
-	t.Logf("%.0f B per leaf, %d pages", perLeaf, tr.PageCount())
+	figures := []float64{load(), load(), load()}
+	perLeaf := slices.Min(figures)
+	t.Logf("%.0f B per leaf, the least of %.0f", perLeaf, figures)
 	const budget = 256 + 2*512 + 112 + 108 // arrays, node, and shares of the interior pages and the arena's slack
 	if perLeaf > budget {
 		t.Errorf("%.0f B per leaf besides its keys, budget %d", perLeaf, budget)

@@ -240,7 +240,8 @@
 // never waits behind a hook, and the hook can batch its own work. A record
 // once queued is recycled only after the hook has returned ("Recycling"
 // below): the queue, the hook and the structures the hook releases it from
-// hold it until then.
+// hold it until then. The queue is of one type with the shard's limbo
+// ("Recycling" below): stamped elements in stamp order, taken in batches.
 //
 // The last end of a quiescing workload leaves every queue empty. Let Y be the
 // end whose registry removal is last: its horizon exceeds every commit. If
@@ -339,9 +340,9 @@
 //     locks and reader slot are released; and, if it was queued, the drain
 //     that retired it has severed its cell and the retire hook, which releases
 //     its SIREAD locks and its reader slot, has returned. Whichever of the two
-//     comes second puts the record in its shard's limbo, stamped with a tick
-//     of the grace clock. From then on no lock-table entry, slot, queue or
-//     cell names it (a cell left unsevered is an aborted writer's, and that
+//     comes second puts the record in its shard's limbo, a queue of the
+//     retirement queue's type, stamped with a tick of the grace clock. From
+//     then on no lock-table entry, slot, queue or cell names it (a cell left unsevered is an aborted writer's, and that
 //     record is never recycled), so a transaction that begins afterwards
 //     cannot reach it.
 //   - Every transaction registered at that moment has ended: only such a
@@ -762,28 +763,20 @@ func committedBefore(a, b *Txn) bool {
 // atomics, so the global pruning watermark and the grace horizon are readable
 // without any lock.
 //
-// The shard also keeps the retirement queue of the transactions that hash to
-// it ("Retirement" in the package comment): retired[qhead:], in commit order,
-// guarded by retMu. retHead is the
-// oldest queued commit timestamp (tsInfinity when the queue is empty), so a
-// drain passes a shard with nothing to retire without taking its mutex. Beside
-// it, under the same mutex, is the shard's limbo: limbo[lhead:], the released
-// records waiting for the grace horizon, in stamp order, the oldest stamp in
-// limboHead.
+// Under retMu the shard also keeps two queues of one type: the retirement
+// queue of the transactions that hash to it, by commit timestamp, and its
+// limbo, the released records waiting for the grace horizon, by grace stamp
+// ("Retirement" and "Recycling" in the package comment).
 type regShard struct {
 	mu       sync.Mutex
 	active   map[*Txn]reg
 	minSnap  atomic.Uint64 // min non-zero constraint, tsInfinity when none
 	minRW    atomic.Uint64 // same, over read-write transactions only
 	minBegin atomic.Uint64 // min begin stamp, tsInfinity when none
-	retHead  atomic.Uint64
 
-	retMu     sync.Mutex
-	retired   []retiree
-	qhead     int
-	limbo     []limboEntry
-	lhead     int
-	limboHead atomic.Uint64
+	retMu   sync.Mutex
+	retired queue[Retired]
+	limbo   queue[*Txn]
 	// 128 bytes in all, a size class of its own: shards, each allocated on
 	// its own, share no cache line.
 }
@@ -793,11 +786,62 @@ type regShard struct {
 // began.
 type reg struct{ snap, begin TS }
 
-// limboEntry is a released record and its stamp, a tick of the grace clock
-// taken once nothing but in-flight transactions could still reach it.
-type limboEntry struct {
+// queue is a registry shard's queue of elements waiting for a horizon to
+// pass their stamps: items[head:], in stamp order, guarded by the shard's
+// retMu. Taken slots are zeroed, and an emptied queue reuses its array from
+// the front, so neither keeps an element reachable. first, the stamp of
+// items[head] or tsInfinity when empty, is read without the mutex, so a
+// drain passes a queue with nothing to take without taking it.
+type queue[E any] struct {
+	items []stamped[E]
+	head  int
+	first atomic.Uint64
+}
+
+// stamped is a queued element and its stamp.
+type stamped[E any] struct {
 	stamp uint64
-	t     *Txn
+	e     E
+}
+
+// len is the number of elements queued.
+func (q *queue[E]) len() int { return len(q.items) - q.head }
+
+// pushLocked inserts e in stamp order. Elements arrive in roughly stamp order
+// (Finish calls run in roughly commit order; limbo's stamps are ticked under
+// the mutex), so the insert is an append but for the few elements a later
+// stamp overtook. Spent slots at the front are reused before the array grows.
+func (q *queue[E]) pushLocked(stamp uint64, e E) {
+	if q.head > 0 && len(q.items) == cap(q.items) {
+		n := copy(q.items, q.items[q.head:])
+		clear(q.items[n:])
+		q.items, q.head = q.items[:n], 0
+	}
+	s := append(q.items, stamped[E]{})
+	i := len(s) - 1
+	for ; i > q.head && s[i-1].stamp > stamp; i-- {
+		s[i] = s[i-1]
+	}
+	s[i] = stamped[E]{stamp, e}
+	q.items = s
+	q.first.Store(s[q.head].stamp)
+}
+
+// takeLocked moves into out the elements at the front whose stamps precede
+// h, up to len(out), zeroing their slots, and returns how many it took.
+func (q *queue[E]) takeLocked(h uint64, out []E) int {
+	s := q.items[q.head:]
+	n := 0
+	for ; n < len(out) && n < len(s) && s[n].stamp < h; n++ {
+		out[n], s[n] = s[n].e, stamped[E]{}
+	}
+	if q.head += n; q.head == len(q.items) {
+		q.items, q.head = q.items[:0], 0
+		q.first.Store(tsInfinity)
+	} else {
+		q.first.Store(q.items[q.head].stamp)
+	}
+	return n
 }
 
 // Retired is a suspended transaction as a drain hands it to the retire hook:
@@ -808,35 +852,8 @@ type Retired struct {
 	Payload any
 }
 
-// retiree is one entry of a retirement queue: a Retired and its commit
-// timestamp.
-type retiree struct {
-	ct TS
-	Retired
-}
-
-// enqueueLocked inserts e into the queue in commit order. Finish calls run in
-// roughly commit order, so the insert is an append but for the few entries a
-// later commit finished ahead of. Spent slots at the front are reused before
-// the array grows. The caller holds retMu.
-func (sh *regShard) enqueueLocked(e retiree) {
-	if sh.qhead > 0 && len(sh.retired) == cap(sh.retired) {
-		n := copy(sh.retired, sh.retired[sh.qhead:])
-		clear(sh.retired[n:])
-		sh.retired, sh.qhead = sh.retired[:n], 0
-	}
-	q := append(sh.retired, e)
-	i := len(q) - 1
-	for ; i > sh.qhead && q[i-1].ct > e.ct; i-- {
-		q[i] = q[i-1]
-	}
-	q[i] = e
-	sh.retired = q
-	sh.retHead.Store(q[sh.qhead].ct)
-}
-
-// retireBatch bounds how many entries a drain takes off a queue per hold of
-// its mutex, and so how many the retire hook gets per call.
+// retireBatch bounds how many entries a drain, or a sweep, takes off a queue
+// per hold of its mutex, and so how many the retire hook gets per call.
 const retireBatch = 32
 
 // retiredBatches recycles the drains' batch buffers: a batch handed to the
@@ -850,20 +867,7 @@ var retiredBatches = sync.Pool{New: func() any { return new([retireBatch]Retired
 func (m *Manager) retireFrom(sh *regShard, h TS) {
 	batch := retiredBatches.Get().(*[retireBatch]Retired)
 	sh.retMu.Lock()
-	q := sh.retired[sh.qhead:]
-	n := 0
-	for ; n < len(batch) && n < len(q) && q[n].ct < h; n++ {
-		batch[n], q[n] = q[n].Retired, retiree{}
-	}
-	sh.qhead += n
-	if sh.qhead == len(sh.retired) {
-		// Emptied: the array is reused from the front, and its slack holds
-		// nothing (every taken slot was cleared above).
-		sh.retired, sh.qhead = sh.retired[:0], 0
-		sh.retHead.Store(tsInfinity)
-	} else {
-		sh.retHead.Store(sh.retired[sh.qhead].ct)
-	}
+	n := sh.retired.takeLocked(h, batch[:])
 	sh.retMu.Unlock()
 	noteDrained(n)
 	for _, r := range batch[:n] {
@@ -899,7 +903,7 @@ func (m *Manager) retireFrom(sh *regShard, h TS) {
 func (m *Manager) drain() {
 	h := m.OldestActiveSnapshot()
 	for _, sh := range m.shards {
-		for sh.retHead.Load() < h {
+		for sh.retired.first.Load() < h {
 			m.retireFrom(sh, h)
 		}
 	}
@@ -911,54 +915,30 @@ func (m *Manager) drain() {
 // record is left to the collector instead.
 const limboMax = 1024
 
-// toLimboLocked stamps t with a tick of the grace clock and appends it to sh's
-// limbo, unless the limbo is full. Spent slots at the front are reused before
-// the array grows. The caller holds retMu, so stamps are in order along the
-// queue.
+// toLimboLocked stamps t with a tick of the grace clock and puts it in sh's
+// limbo, unless the limbo is full. The caller holds retMu, so stamps are in
+// order along the queue.
 func (m *Manager) toLimboLocked(sh *regShard, t *Txn) {
-	if len(sh.limbo)-sh.lhead >= limboMax {
-		return
+	if sh.limbo.len() < limboMax {
+		sh.limbo.pushLocked(m.graceClock.Add(1), t)
 	}
-	if sh.lhead > 0 && len(sh.limbo) == cap(sh.limbo) {
-		n := copy(sh.limbo, sh.limbo[sh.lhead:])
-		clear(sh.limbo[n:])
-		sh.limbo, sh.lhead = sh.limbo[:n], 0
-	}
-	sh.limbo = append(sh.limbo, limboEntry{m.graceClock.Add(1), t})
-	sh.limboHead.Store(sh.limbo[sh.lhead].stamp)
 }
 
 // sweep recycles, on every shard, each record in limbo whose stamp precedes
-// the grace horizon, read after the caller's own appends to limbo.
+// the grace horizon, read after the caller's own appends to limbo. It takes
+// them in batches and recycles each batch with no lock held.
 func (m *Manager) sweep() {
 	g := m.graceHorizon()
-	for _, sh := range m.shards {
-		for sh.limboHead.Load() < g {
-			m.recycleFrom(sh, g)
-		}
-	}
-}
-
-// recycleFrom takes up to retireBatch records the grace horizon g has passed
-// off sh's limbo and recycles them with no lock held.
-func (m *Manager) recycleFrom(sh *regShard, g uint64) {
 	var batch [retireBatch]*Txn
-	sh.retMu.Lock()
-	q := sh.limbo[sh.lhead:]
-	n := 0
-	for ; n < len(batch) && n < len(q) && q[n].stamp < g; n++ {
-		batch[n], q[n] = q[n].t, limboEntry{}
-	}
-	sh.lhead += n
-	if sh.lhead == len(sh.limbo) {
-		sh.limbo, sh.lhead = sh.limbo[:0], 0
-		sh.limboHead.Store(tsInfinity)
-	} else {
-		sh.limboHead.Store(sh.limbo[sh.lhead].stamp)
-	}
-	sh.retMu.Unlock()
-	for _, t := range batch[:n] {
-		recycle(t)
+	for _, sh := range m.shards {
+		for sh.limbo.first.Load() < g {
+			sh.retMu.Lock()
+			n := sh.limbo.takeLocked(g, batch[:])
+			sh.retMu.Unlock()
+			for _, t := range batch[:n] {
+				recycle(t)
+			}
+		}
 	}
 }
 
@@ -1175,8 +1155,8 @@ func NewManager(d Detector) *Manager {
 		sh.minSnap.Store(tsInfinity)
 		sh.minRW.Store(tsInfinity)
 		sh.minBegin.Store(tsInfinity)
-		sh.retHead.Store(tsInfinity)
-		sh.limboHead.Store(tsInfinity)
+		sh.retired.first.Store(tsInfinity)
+		sh.limbo.first.Store(tsInfinity)
 		m.shards[i] = sh
 	}
 	m.readers.pages.Store(new([]*[1 << 8]atomic.Pointer[Txn]))
@@ -1681,7 +1661,7 @@ func (m *Manager) FinishWith(t *Txn, keep bool, payload any) {
 		t.status.Add(queuedBit)
 		sh := m.regShardOf(t)
 		sh.retMu.Lock()
-		sh.enqueueLocked(retiree{t.CommitTS(), Retired{t, payload}})
+		sh.retired.pushLocked(t.CommitTS(), Retired{t, payload})
 		sh.retMu.Unlock()
 		noteQueued()
 	}
@@ -1892,8 +1872,8 @@ func (m *Manager) StatsSnapshot() Stats {
 		st.Active += len(sh.active)
 		sh.mu.Unlock()
 		sh.retMu.Lock()
-		st.Suspended += len(sh.retired) - sh.qhead
-		st.Limbo += len(sh.limbo) - sh.lhead
+		st.Suspended += sh.retired.len()
+		st.Limbo += sh.limbo.len()
 		sh.retMu.Unlock()
 	}
 	return st

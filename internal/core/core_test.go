@@ -258,6 +258,13 @@ func TestConflictWithAbortedTxnIgnored(t *testing.T) {
 	}
 }
 
+// retiree is a retired transaction as the retire hook saw it, with its commit
+// timestamp read then.
+type retiree struct {
+	ct TS
+	Retired
+}
+
 // retirements installs a retire hook that records every transaction retired,
 // with its payload, and returns what it has recorded so far.
 func retirements(m *Manager) func() []retiree {

@@ -434,7 +434,7 @@ func TestBoundedLimbo(t *testing.T) {
 			m.Release(r)
 		}
 		for i, sh := range m.shards {
-			if l := len(sh.limbo) - sh.lhead; l > limboMax {
+			if l := sh.limbo.len(); l > limboMax {
 				t.Fatalf("shard %d's limbo holds %d records under the pin, bound %d", i, l, limboMax)
 			}
 		}

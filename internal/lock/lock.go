@@ -67,11 +67,15 @@
 // target's list and its transaction's (Ports & Grittner, VLDB 2012).
 //
 // The owner's mutex guards the list and the count, inside shard mutexes.
-// Inherit appends to an owner's list from another goroutine, so a
-// release takes its elements off under one hold, drops their modes shard by
-// shard and puts back under a second hold those keeping a SIREAD. A
-// ReleaseAll marks the owner released under its first hold, and
-// Inherit skips released owners, so the list it takes is complete.
+// The four records of who holds what — an entry's holder set and counters,
+// the owner's list with its hints, its SIREAD count — change together in
+// setLocked, under both mutexes, at every grant, Convert, Inherit and Probe.
+// A release alone changes them apart, because Inherit appends to an owner's
+// list from another goroutine: it takes the elements off under one owner
+// hold, drops their modes shard by shard and puts back under a second hold
+// those keeping a SIREAD. A ReleaseAll marks the owner released under its
+// first hold, and Inherit skips released owners, so the list it takes is
+// complete.
 //
 // # Implicit row locks
 //
@@ -673,38 +677,40 @@ func rivalsInto(e *entry, owner *core.Txn, own, mode Mode, out []*core.Txn) []*c
 func upgradeable(kind Kind) bool { return kind == Page }
 
 // grantLocked installs mode for owner, who held prev on e (read once by the
-// caller); the caller holds the mutex of e's shard. An owner that held
-// nothing there lists e; one that held only SIRead has its element's hint
-// told of the blocking mode, found from the list's end, where the read that
-// took the SIRead usually left it.
+// caller); the caller holds the mutex of e's shard.
 func (m *Manager) grantLocked(os *ownerState, e *entry, owner *core.Txn, prev, mode Mode) {
 	next := prev | mode
+	if mode == Exclusive && upgradeable(e.key.Kind) {
+		next &^= SIRead // §3.7.3: the version we create exposes the conflict instead
+	}
 	lockOwner(os)
-	if mode == Exclusive && prev&SIRead != 0 && upgradeable(e.key.Kind) {
-		// §3.7.3: drop the SIREAD lock; the version we create will expose
-		// the conflict to future readers instead.
-		next &^= SIRead
-		os.SIReads--
-	}
-	if mode == SIRead && prev&SIRead == 0 {
-		os.SIReads++
-	}
-	listLocked(os, e, prev, next)
+	setLocked(os, e, owner, prev, next)
 	os.Unlock()
-	e.holders[owner] = next
-	e.countModes(prev, next)
 }
 
-// listLocked keeps the owner's list in step with a grant that takes its modes
-// on e from prev to next; the caller holds the owner's mutex. An owner that
-// held nothing there lists e; one that held only SIRead has its element's
-// hint told of the blocking mode.
-func listLocked(os *ownerState, e *entry, prev, next Mode) {
-	if prev == 0 {
+// setLocked moves owner's modes on e from prev to next in all four records
+// ("Owner bookkeeping" above): the owner's SIREAD count, its list (e listed
+// while held, its hint's blocking bit that of the modes), and e's holder set
+// and counters. The caller holds the mutex of e's shard and the owner's.
+func setLocked(os *ownerState, e *entry, owner *core.Txn, prev, next Mode) {
+	os.SIReads += gained(prev, next, SIRead)
+	switch {
+	case prev == 0:
 		addHeldLocked(os, e, next)
-	} else if prev&(Shared|Exclusive) == 0 && next&(Shared|Exclusive) != 0 {
+	case next == 0:
+		l := *os.Held
+		i, last := heldIndex(os, e), len(l)-1
+		l[i], l[last] = l[last], lockstate.Held{}
+		*os.Held = l[:last]
+	case (prev&(Shared|Exclusive) == 0) != (next&(Shared|Exclusive) == 0):
 		(*os.Held)[heldIndex(os, e)].Hint = next
 	}
+	if next == 0 {
+		delete(e.holders, owner)
+	} else {
+		e.holders[owner] = next
+	}
+	e.countModes(prev, next)
 }
 
 // heldIndex returns the position of e on the owner's list, searched from the
@@ -729,8 +735,9 @@ func (m *Manager) ReleaseBlocking(owner *core.Txn) { m.release(owner, Shared|Exc
 func (m *Manager) ReleaseAll(owner *core.Txn) { m.release(owner, Shared|Exclusive|SIRead) }
 
 // release drops the modes in drop from the entries on owner's list whose
-// hint has one of them ("Owner bookkeeping" above). After a ReleaseAll has
-// marked the owner released its SIREAD census is zero.
+// hint has one of them, the one change to the books made apart from setLocked
+// ("Owner bookkeeping" above says why). After a ReleaseAll has marked the
+// owner released its SIREAD census is zero.
 func (m *Manager) release(owner *core.Txn, drop Mode) {
 	os := owner.Locks()
 	os.MarkUnlocked() // before Used is read: see Convert
@@ -966,20 +973,13 @@ func (m *Manager) Inherit(src, dst Key) bool {
 		if hos.Unlocked() {
 			mode &^= Exclusive | Shared // as in Convert: the release took its list
 		}
-		if mode == 0 || hos.Released() {
-			// h's ReleaseAll already ran (or is draining shards): recording
-			// a new grant would leak it. Its src locks are moments from
-			// disappearing, so there is nothing to inherit.
-			hos.Unlock()
-			continue
-		}
-		listLocked(hos, de, prev, prev|mode) // listed ⇔ a holder of de
-		if mode&SIRead != 0 {
-			hos.SIReads++
+		// Once h's ReleaseAll has begun (it may be draining shards), a new
+		// grant would leak: its src locks are moments from disappearing, so
+		// there is nothing to inherit.
+		if mode != 0 && !hos.Released() {
+			setLocked(hos, de, h, prev, prev|mode)
 		}
 		hos.Unlock()
-		de.countModes(prev, prev|mode)
-		de.holders[h] = prev | mode
 	}
 	if de != nil {
 		gcEntryLocked(de) // every holder of src was released
@@ -1020,23 +1020,10 @@ func (m *Manager) Probe(owner *core.Txn, key Key, buf []*core.Txn) (readers []*c
 	readers = rivalsInto(e, owner, own, Exclusive, buf)
 	if own&SIRead != 0 && key.Kind == Row {
 		// The owner's version will expose the conflict to later readers.
-		next := own &^ SIRead
 		os := stateOf(owner) // non-nil: owner holds a lock on e
 		lockOwner(os)
-		os.SIReads--
-		if next == 0 {
-			l := *os.Held
-			i, last := heldIndex(os, e), len(l)-1
-			l[i], l[last] = l[last], lockstate.Held{}
-			*os.Held = l[:last]
-		}
+		setLocked(os, e, owner, own, own&^SIRead)
 		os.Unlock()
-		if next == 0 {
-			delete(e.holders, owner)
-		} else {
-			e.holders[owner] = next
-		}
-		e.countModes(own, next)
 		gcEntryLocked(e)
 	}
 	return readers, false
@@ -1064,11 +1051,8 @@ func (m *Manager) Convert(holder *core.Txn, key Key) bool {
 		return false
 	}
 	prev := e.holders[holder]
-	next := prev | Exclusive
-	listLocked(os, e, prev, next)
+	setLocked(os, e, holder, prev, prev|Exclusive)
 	os.Unlock()
-	e.holders[holder] = next
-	e.countModes(prev, next)
 	if e.q.n > 0 {
 		// The grant was forced past any parked waiter: refresh their edges.
 		m.sweepLocked(e)

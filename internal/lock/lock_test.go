@@ -170,7 +170,7 @@ func TestSIReadUpgrade(t *testing.T) {
 			if kept := m.Holds(txns[0], k, SIRead); kept == c.upgrade {
 				t.Fatalf("SIREAD held %v when re-acquired under the owner's EXCLUSIVE", kept)
 			}
-			checkOwner(t, m, txns[0])
+			checkBooks(t, m, txns[0])
 		})
 	}
 }
@@ -193,7 +193,7 @@ func TestProbeDropsOwnSIRead(t *testing.T) {
 	if s := m.StatsSnapshot(); s.Keys != 0 {
 		t.Fatalf("%d lock-table keys after the probe, want 0", s.Keys)
 	}
-	checkOwner(t, m, txns[0])
+	checkBooks(t, m, txns[0])
 
 	m.AcquireInto(txns[0], other, SIRead, nil)
 	m.AcquireInto(txns[1], other, SIRead, nil)
@@ -204,8 +204,8 @@ func TestProbeDropsOwnSIRead(t *testing.T) {
 	if m.Holds(txns[0], other, SIRead) || !m.Holds(txns[1], other, SIRead) {
 		t.Fatal("Probe dropped the wrong SIREAD")
 	}
-	checkOwner(t, m, txns[0])
-	checkOwner(t, m, txns[1])
+	checkBooks(t, m, txns[0])
+	checkBooks(t, m, txns[1])
 }
 
 // TestProbeKeepsOwnGapSIRead: a gap has no version, so an insert's Probe of
@@ -235,8 +235,8 @@ func TestProbeKeepsOwnGapSIRead(t *testing.T) {
 			t.Fatalf("%v: Probe beside another's SHARED lock: readers %v, blocked %v", gap, readers, blocked)
 		}
 	}
-	checkOwner(t, m, txns[0])
-	checkOwner(t, m, txns[1])
+	checkBooks(t, m, txns[0])
+	checkBooks(t, m, txns[1])
 }
 
 func TestSharedToExclusiveUpgrade(t *testing.T) {

@@ -206,17 +206,17 @@ func TestReleasedOwnerKeepsNoKeyMap(t *testing.T) {
 	if listed(os) != len(keys)+1 || os.SIReads != 33 {
 		t.Fatalf("before the release: %d keys, %d SIREADs, want %d and 33", listed(os), os.SIReads, len(keys)+1)
 	}
-	checkOwner(t, m, r)
+	checkBooks(t, m, r)
 	m.ReleaseBlocking(r)
 	if listed(os) != 33 || os.SIReads != 33 || os.Released() {
 		t.Fatalf("after ReleaseBlocking: %d keys, %d SIREADs, released %v, want 33, 33 and false", listed(os), os.SIReads, os.Released())
 	}
-	checkOwner(t, m, r)
+	checkBooks(t, m, r)
 	m.ReleaseAll(r)
 	if os.Held != nil || os.SIReads != 0 || !os.Released() || !os.Used() {
 		t.Fatalf("after ReleaseAll: list %v, %d SIREADs, released %v, used %v; want nil, 0, true, true", os.Held, os.SIReads, os.Released(), os.Used())
 	}
-	checkOwner(t, m, r)
+	checkBooks(t, m, r)
 	if m.HoldsSIRead(r) {
 		t.Error("a released owner still reports SIREAD locks")
 	}
@@ -243,20 +243,47 @@ func listed(os *ownerState) int {
 	return len(*os.Held)
 }
 
-// checkOwner checks owner's bookkeeping against a quiet lock table: every
-// listed entry is in its shard's table under its own key and holds owner,
-// once; every entry holding owner is listed; a listed entry's hint names a
-// blocking mode exactly when owner holds one there; and SIReads counts the
-// entries owner holds with SIRead.
-func checkOwner(t *testing.T, m *Manager, owner *core.Txn) {
+// checkBooks checks the lock table's books against a quiet table: every
+// entry is in its shard's table under its own key, and its per-mode counters
+// count its holder set; and for each of owners, every listed entry holds the
+// owner and is listed once, every entry holding the owner is listed, a listed
+// entry's hint carries a blocking mode exactly when the owner holds one
+// there, and SIReads counts the listed entries the owner holds with SIRead.
+func checkBooks(t *testing.T, m *Manager, owners ...*core.Txn) {
 	t.Helper()
-	held := make(map[*entry]Mode)
 	for _, s := range m.shards {
 		s.mu.Lock()
 		for k, e := range s.table {
 			if e.key != k || e.s != s {
 				t.Errorf("entry of %v names key %v in shard %p, not its own shard %p", k, e.key, e.s, s)
 			}
+			var n [3]int32
+			for _, mode := range e.holders {
+				for i, bit := range []Mode{Shared, Exclusive, SIRead} {
+					if mode&bit != 0 {
+						n[i]++
+					}
+				}
+			}
+			if n != [3]int32{e.nShared, e.nExclusive, e.nSIRead} {
+				t.Errorf("%v counts S=%d X=%d SIREAD=%d, its holders S=%d X=%d SIREAD=%d",
+					k, e.nShared, e.nExclusive, e.nSIRead, n[0], n[1], n[2])
+			}
+		}
+		s.mu.Unlock()
+	}
+	for _, owner := range owners {
+		checkOwner(t, m, owner)
+	}
+}
+
+// checkOwner is checkBooks' check of one owner.
+func checkOwner(t *testing.T, m *Manager, owner *core.Txn) {
+	t.Helper()
+	held := make(map[*entry]Mode)
+	for _, s := range m.shards {
+		s.mu.Lock()
+		for _, e := range s.table {
 			if mode, ok := e.holders[owner]; ok {
 				held[e] = mode
 			}
@@ -267,6 +294,7 @@ func checkOwner(t *testing.T, m *Manager, owner *core.Txn) {
 	os.Lock()
 	defer os.Unlock()
 	seen := make(map[*entry]bool)
+	sireads := int32(0)
 	if os.Held != nil {
 		for _, h := range *os.Held {
 			e := entryOf(h)
@@ -282,19 +310,104 @@ func checkOwner(t *testing.T, m *Manager, owner *core.Txn) {
 			if blocking := Shared | Exclusive; (mode&blocking != 0) != (h.Hint&blocking != 0) {
 				t.Errorf("transaction %d holds %v on %v, its hint says %v", owner.ID(), mode, e.key, h.Hint)
 			}
+			if mode&SIRead != 0 {
+				sireads++
+			}
 		}
 	}
-	sireads := int32(0)
 	for e, mode := range held {
 		if !seen[e] {
 			t.Errorf("transaction %d holds %v on %v but does not list it", owner.ID(), mode, e.key)
 		}
-		if mode&SIRead != 0 {
-			sireads++
-		}
 	}
 	if os.SIReads != sireads {
-		t.Errorf("transaction %d counts %d SIREADs, holds %d", owner.ID(), os.SIReads, sireads)
+		t.Errorf("transaction %d counts %d SIREADs, lists %d", owner.ID(), os.SIReads, sireads)
+	}
+}
+
+// TestLockBooksWalk walks the lock table through every transition that moves
+// an owner's modes on an entry and checks the books after each (checkBooks):
+// grants in each mode on a row, a gap and a page, a page EXCLUSIVE grant that
+// drops its owner's SIREAD, a conversion, inheritance onto a gap and onto a
+// page beside an unlocked and a released holder, Probe's drop of the
+// prober's SIREAD, and the two releases.
+func TestLockBooksWalk(t *testing.T) {
+	mgr := core.NewManager(core.DetectorPrecise)
+	m := NewManagerShards(true, 8)
+	a, b, c := mgr.Begin(core.SerializableSI), mgr.Begin(core.SerializableSI), mgr.Begin(core.SerializableSI)
+	u, v, w := mgr.Begin(core.SerializableSI), mgr.Begin(core.SerializableSI), mgr.Begin(core.SerializableSI)
+	all := []*core.Txn{a, b, c, u, v, w}
+	step := func(what string, ok bool) {
+		t.Helper()
+		if !ok {
+			t.Fatalf("%s: unexpected outcome", what)
+		}
+		checkBooks(t, m, all...)
+		if t.Failed() {
+			t.Fatalf("after %s", what)
+		}
+	}
+	acquire := func(o *core.Txn, k Key, mode Mode) bool {
+		_, err := m.AcquireInto(o, k, mode, nil)
+		return err == nil && (m.Holds(o, k, mode) || mode == SIRead)
+	}
+
+	row, gap, page := RowKey("t", []byte("r")), GapKey("t", []byte("r")), PageKey("t", 1)
+	for _, k := range []Key{row, gap, page} {
+		step(fmt.Sprintf("SIRead on %v", k), acquire(a, k, SIRead))
+		step(fmt.Sprintf("Shared on %v", k), acquire(a, k, Shared))
+		step(fmt.Sprintf("Exclusive on %v", k), acquire(a, k, Exclusive))
+	}
+	step("the page EXCLUSIVE grant dropped its owner's SIREAD", !m.Holds(a, page, SIRead) && m.Holds(a, row, SIRead) && m.Holds(a, gap, SIRead))
+	p2 := PageKey("t", 2)
+	step("SIRead on a second page", acquire(b, p2, SIRead))
+	step("Exclusive on it, dropping the SIREAD", acquire(b, p2, Exclusive) && !m.Holds(b, p2, SIRead) && !m.HoldsSIRead(b))
+
+	conv := RowKey("t", []byte("c"))
+	step("Convert", m.Convert(c, conv) && m.Holds(c, conv, Exclusive))
+
+	// Inheritance: a holds what follows, u is unlocked (its blocking modes
+	// stay behind) and v released (nothing follows).
+	src, p3, p4 := GapKey("t", []byte("m")), PageKey("t", 3), PageKey("t", 4)
+	step("SIRead+Shared on the source gap", acquire(a, src, SIRead) && acquire(a, src, Shared))
+	step("the unlocked holder's SIRead+Shared", acquire(u, src, SIRead) && acquire(u, src, Shared))
+	step("the released holder's SIRead", acquire(v, src, SIRead))
+	step("SIRead on a source page", acquire(a, p3, SIRead) && acquire(v, p4, SIRead))
+	step("Exclusive on the source pages", acquire(w, p3, Exclusive) && acquire(u, p4, Exclusive))
+	u.Locks().MarkUnlocked()
+	v.Locks().MarkReleased()
+	dst := GapKey("t", []byte("f"))
+	step("Inherit of SIRead+Shared onto a gap", m.Inherit(src, dst) &&
+		m.Holds(a, dst, SIRead|Shared) && m.Holds(u, dst, SIRead) && !m.Holds(u, dst, Shared) && !m.Holds(v, dst, SIRead))
+	p5 := PageKey("t", 5)
+	step("Inherit of SIRead+Exclusive onto a page", m.Inherit(p3, p5) && m.Holds(a, p5, SIRead) && m.Holds(w, p5, Exclusive))
+	p6 := PageKey("t", 6)
+	step("Inherit from the unlocked and the released holder", m.Inherit(p4, p6) && !m.Holds(u, p6, Exclusive) && !m.Holds(v, p6, SIRead))
+
+	// Probe drops the prober's row SIREAD: the entry goes from its list when
+	// nothing else is held there, and stays beside a locked read's EXCLUSIVE.
+	only, locked := RowKey("t", []byte("p")), RowKey("t", []byte("q"))
+	step("SIRead on a row", acquire(b, only, SIRead))
+	_, blocked := m.Probe(b, only, nil)
+	step("Probe's drop of the only mode", !blocked && !m.Holds(b, only, SIRead))
+	step("SIRead+Exclusive on a row", acquire(b, locked, SIRead) && acquire(b, locked, Exclusive))
+	_, blocked = m.Probe(b, locked, nil)
+	step("Probe's drop beside an EXCLUSIVE", !blocked && !m.Holds(b, locked, SIRead) && m.Holds(b, locked, Exclusive))
+
+	for _, o := range all {
+		m.ReleaseBlocking(o)
+		step(fmt.Sprintf("ReleaseBlocking of %d", o.ID()), !m.Holds(o, row, Shared) && !m.Holds(o, dst, Shared))
+	}
+	step("the SIREADs outlive ReleaseBlocking", m.Holds(a, row, SIRead) && m.Holds(a, dst, SIRead) && m.Holds(u, dst, SIRead))
+	for _, o := range all {
+		m.ReleaseAll(o)
+		step(fmt.Sprintf("ReleaseAll of %d", o.ID()), !m.HoldsSIRead(o))
+	}
+	if st := m.StatsSnapshot(); st.Keys != 0 || st.Owners != 0 {
+		t.Fatalf("lock table not drained: %+v", st)
+	}
+	for _, o := range all {
+		mgr.Abort(o)
 	}
 }
 
@@ -340,8 +453,8 @@ func TestInheritRacesRelease(t *testing.T) {
 			close(start)
 			release(r)
 			wg.Wait()
-			checkOwner(t, m, r)
-			checkOwner(t, m, o)
+			checkBooks(t, m, r)
+			checkBooks(t, m, o)
 		}
 		race("blocking", m.ReleaseBlocking)
 		if m.Holds(r, gaps[3], Exclusive) || !m.Holds(r, gaps[3], SIRead) || !m.HoldsSIRead(r) {
@@ -393,8 +506,8 @@ func TestInheritMovesPageExclusive(t *testing.T) {
 			t.Errorf("%v → %v: SIREAD not moved", c.src, c.dst)
 		}
 	}
-	checkOwner(t, m, w)
-	checkOwner(t, m, r)
+	checkBooks(t, m, w)
+	checkBooks(t, m, r)
 	m.ReleaseBlocking(w)
 	if listed(w.Locks()) != 0 || m.Holds(w, PageKey("t", 2), Exclusive) {
 		t.Fatalf("after ReleaseBlocking the writer lists %d entries", listed(w.Locks()))
@@ -423,7 +536,7 @@ func TestInheritMovesPageExclusive(t *testing.T) {
 		}
 		m.ReleaseBlocking(w)
 		wg.Wait()
-		checkOwner(t, m, w)
+		checkBooks(t, m, w)
 		if st := m.StatsSnapshot(); listed(w.Locks()) != 0 || st.Keys != 0 {
 			t.Fatalf("round %d: after ReleaseBlocking the writer lists %d entries, the table keeps %d keys", round, listed(w.Locks()), st.Keys)
 		}
@@ -460,7 +573,7 @@ func TestInheritMovesGapShared(t *testing.T) {
 			t.Errorf("%v → %v: SHARED moved %v, want %v", c.src, c.dst, got, c.moves)
 		}
 	}
-	checkOwner(t, m, s)
+	checkBooks(t, m, s)
 	m.ReleaseBlocking(s)
 	if st := m.StatsSnapshot(); listed(s.Locks()) != 0 || st.Keys != 0 {
 		t.Fatalf("after ReleaseBlocking the scanner lists %d entries, the table keeps %d keys", listed(s.Locks()), st.Keys)
@@ -483,7 +596,7 @@ func TestInheritMovesGapShared(t *testing.T) {
 		}
 		m.ReleaseBlocking(s)
 		wg.Wait()
-		checkOwner(t, m, s)
+		checkBooks(t, m, s)
 		if st := m.StatsSnapshot(); listed(s.Locks()) != 0 || st.Keys != 0 {
 			t.Fatalf("round %d: after ReleaseBlocking the scanner lists %d entries, the table keeps %d keys", round, listed(s.Locks()), st.Keys)
 		}

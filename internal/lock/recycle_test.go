@@ -27,7 +27,7 @@ func TestDrainedKeyMapDetaches(t *testing.T) {
 		}
 	}
 	m.ReleaseBlocking(w)
-	checkOwner(t, m, w)
+	checkBooks(t, m, w)
 	if os := stateOf(w); os.Held != nil || os.Released() {
 		t.Fatalf("after a write-only commit: list %v (want nil), released %v (want false)", os.Held, os.Released())
 	}
@@ -47,7 +47,7 @@ func TestDrainedKeyMapDetaches(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.ReleaseBlocking(r)
-	checkOwner(t, m, r)
+	checkBooks(t, m, r)
 	if got := listed(stateOf(r)); got != 1 || !m.HoldsSIRead(r) {
 		t.Fatalf("SIREAD holder after commit: %d keys recorded, HoldsSIRead=%v, want 1 and true", got, m.HoldsSIRead(r))
 	}
@@ -56,7 +56,7 @@ func TestDrainedKeyMapDetaches(t *testing.T) {
 	if !m.Holds(r, key(3), SIRead) || listed(stateOf(r)) != 2 {
 		t.Fatalf("inherited SIREAD not recorded: holds=%v, %d keys", m.Holds(r, key(3), SIRead), listed(stateOf(r)))
 	}
-	checkOwner(t, m, r)
+	checkBooks(t, m, r)
 	m.ReleaseAll(r)
 	if stateOf(r).Held != nil {
 		t.Fatal("list still attached after ReleaseAll")

@@ -206,17 +206,20 @@ func TestStatsMatchSingleShard(t *testing.T) {
 // TestConcurrentChurnDrains hammers a sharded manager from many goroutines
 // with overlapping shared/exclusive/SIREAD footprints and verifies the
 // census returns to zero — per-shard ownership bookkeeping must not leak
-// entries whatever interleaving releases take.
+// entries whatever interleaving releases take — and the books of every owner
+// are empty (checkBooks).
 func TestConcurrentChurnDrains(t *testing.T) {
 	mgr := core.NewManager(core.DetectorPrecise)
 	m := NewManagerShards(true, 16)
 	var wg sync.WaitGroup
+	var owners [8][200]*core.Txn
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				txn := mgr.Begin(core.SerializableSI)
+				owners[g][i] = txn
 				ok := true
 				for k := 0; k < 6 && ok; k++ {
 					key := RowKey(fmt.Sprintf("tbl%d", k%3), []byte(fmt.Sprintf("hot%d", (g+i+k)%7)))
@@ -235,6 +238,9 @@ func TestConcurrentChurnDrains(t *testing.T) {
 	wg.Wait()
 	if s := m.StatsSnapshot(); s.Keys != 0 || s.Owners != 0 {
 		t.Fatalf("lock table leaked after churn: %+v", s)
+	}
+	for g := range owners {
+		checkBooks(t, m, owners[g][:]...)
 	}
 }
 

@@ -55,27 +55,10 @@ func (g *waitGraph) lock() {
 }
 
 // register records the parking waiter's wait edges and reports whether the
-// wait is safe. If waiting would close a cycle through w.owner, the edges
-// are removed again and register returns false: the owner must abort with
-// core.ErrDeadlock instead of parking. On success the edge map is stored on
-// w for later compare-and-skip updates.
+// wait is safe; false means waiting would close a cycle through w.owner,
+// which must abort with core.ErrDeadlock instead of parking (set).
 func (g *waitGraph) register(w *waiter, blockers []*core.Txn) bool {
-	es := edgeSetPool.Get().(map[*core.Txn]bool)
-	for _, b := range blockers {
-		es[b] = true
-	}
-	g.lock()
-	g.edges[w.owner] = es
-	if g.cycleLocked(w.owner) {
-		delete(g.edges, w.owner)
-		g.mu.Unlock()
-		clear(es)
-		edgeSetPool.Put(es)
-		return false
-	}
-	g.mu.Unlock()
-	w.edges = es
-	return true
+	return g.set(w, edgeSetPool.Get().(map[*core.Txn]bool), blockers)
 }
 
 // update replaces a parked waiter's registered edges with blockers and
@@ -85,24 +68,33 @@ func (g *waitGraph) register(w *waiter, blockers []*core.Txn) bool {
 // graph mutex is not taken at all. The caller holds the shard mutex of w's
 // key, which is what makes reading w.edges here race-free (see waiter).
 func (g *waitGraph) update(w *waiter, blockers []*core.Txn) bool {
-	if sameEdgeSet(w.edges, blockers) {
-		return true
-	}
+	return sameEdgeSet(w.edges, blockers) || g.set(w, w.edges, blockers)
+}
+
+// set installs blockers as w.owner's edges, in es — a pooled map at
+// registration, the waiter's own at an update — and searches for a cycle
+// through w.owner. Found, it removes the edges again, pools es and reports
+// false, leaving w with none; otherwise w.edges is es, the map the graph
+// holds, so later sweeps can compare against it.
+func (g *waitGraph) set(w *waiter, es map[*core.Txn]bool, blockers []*core.Txn) bool {
 	g.lock()
-	clear(w.edges)
+	clear(es)
 	for _, b := range blockers {
-		w.edges[b] = true
+		es[b] = true
 	}
-	if g.cycleLocked(w.owner) {
+	g.edges[w.owner] = es
+	ok := !g.cycleLocked(w.owner)
+	if !ok {
 		delete(g.edges, w.owner)
-		g.mu.Unlock()
-		clear(w.edges)
-		edgeSetPool.Put(w.edges)
-		w.edges = nil
-		return false
 	}
 	g.mu.Unlock()
-	return true
+	if !ok {
+		clear(es)
+		edgeSetPool.Put(es)
+		es = nil
+	}
+	w.edges = es
+	return ok
 }
 
 // drop removes a waiter's edges after its request was granted or withdrawn
